@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use sizel_core::engine::{QueryOptions, QueryResult, ResultRanking, SizeLEngine};
+use sizel_core::engine::{rank_results, QueryOptions, QueryResult, SizeLEngine};
 use sizel_serve::{
     DiskTierConfig, Mutation, RecoveryReport, ServeConfig, ServerStats, SharedResult, SizeLServer,
 };
@@ -354,11 +354,7 @@ impl ClusterRouter {
             .map(|(row, (_, opts))| {
                 let mut results: Vec<SharedResult> =
                     row.into_iter().map(|s| s.expect("every hit was summarized")).collect();
-                if opts.ranking == ResultRanking::SummaryImportance {
-                    results.sort_by(|a, b| {
-                        b.result.importance.total_cmp(&a.result.importance).then(a.tds.cmp(&b.tds))
-                    });
-                }
+                rank_results(&mut results, opts.ranking);
                 results
             })
             .collect();
@@ -400,11 +396,7 @@ impl ClusterRouter {
                 debug_assert_eq!(e, epoch, "gate held: every shard serves one epoch");
                 results.push(hit);
             }
-            if opts.ranking == ResultRanking::SummaryImportance {
-                results.sort_by(|a, b| {
-                    b.result.importance.total_cmp(&a.result.importance).then(a.tds.cmp(&b.tds))
-                });
-            }
+            rank_results(&mut results, opts.ranking);
             merged.push(results);
         }
         Some((epoch, merged))

@@ -22,19 +22,10 @@
 //! ## Record format
 //!
 //! A WAL record's payload (the [`Wal`] layer adds the length + CRC
-//! frame) is:
-//!
-//! ```text
-//! [epoch u64] [n_mutations u32] then per mutation:
-//!   [policy u8: 0=incremental 1=exact] [op u8: 0=insert 1=update 2=delete]
-//!   [table_len u16] [table utf-8]
-//!   insert:        [n_values u16] [values]
-//!   update: [pk i64] [n_values u16] [values]
-//!   delete: [pk i64]
-//! value: [tag u8: 0=null] | [1=int  i64] | [2=float f64-bits] | [3=text u32 len + utf-8]
-//! ```
-//!
-//! All integers are little-endian. The epoch recorded is the epoch the
+//! frame) is `[epoch u64]` followed by the batch exactly as
+//! [`crate::batch_codec`] lays it out — the bytes of the wire's
+//! `ApplyBatch` payload, so every batch the front-end accepts is a record
+//! [`decode_batch`] reads back. The epoch recorded is the epoch the
 //! batch was applied *at* (pre-application), kept for diagnostics; the
 //! replay derives its own epochs by re-applying.
 
@@ -42,10 +33,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use sizel_disk::{DiskError, PagedStore, StoreStats, Wal};
-use sizel_storage::TableId;
+use sizel_storage::codec::{put_u64, CodecError, Reader};
+use sizel_storage::{StorageError, TableId};
 
-use crate::engine::{Mutation, MutationOp, RefreshPolicy};
-use sizel_storage::Value;
+use crate::batch_codec::{get_batch, put_batch};
+use crate::engine::Mutation;
 
 /// Configuration for [`crate::SizeLEngine::attach_disk`].
 #[derive(Clone, Debug)]
@@ -121,9 +113,13 @@ pub struct DiskTier {
 }
 
 impl DiskTier {
-    /// Appends one encoded batch, tracking fsync batching.
-    pub(crate) fn log_batch(&mut self, record: &[u8]) -> Result<(), DiskError> {
-        let synced = self.wal.append(record)?;
+    /// Appends `ms` as one checksummed WAL record, tracking fsync
+    /// batching.
+    pub(crate) fn log_batch(&mut self, epoch: u64, ms: &[Mutation]) -> Result<(), StorageError> {
+        let synced = self
+            .wal
+            .append(&encode_batch(epoch, ms))
+            .map_err(|e| StorageError::Durability(e.to_string()))?;
         self.wal_appends += 1;
         if synced {
             self.wal_syncs += 1;
@@ -141,156 +137,33 @@ impl DiskTier {
     }
 }
 
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(2);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Text(s) => {
-            out.push(3);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-fn put_values(out: &mut Vec<u8>, vs: &[Value]) {
-    out.extend_from_slice(&(vs.len() as u16).to_le_bytes());
-    for v in vs {
-        put_value(out, v);
-    }
-}
-
 /// Encodes a batch of mutations as one WAL record payload.
 pub fn encode_batch(epoch: u64, ms: &[Mutation]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + ms.len() * 32);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(ms.len() as u32).to_le_bytes());
-    for m in ms {
-        out.push(match m.policy {
-            RefreshPolicy::Incremental => 0,
-            RefreshPolicy::Exact => 1,
-        });
-        let (op, pk, values) = match &m.op {
-            MutationOp::Insert { values } => (0u8, None, Some(values)),
-            MutationOp::Update { pk, values } => (1, Some(*pk), Some(values)),
-            MutationOp::Delete { pk } => (2, Some(*pk), None),
-        };
-        out.push(op);
-        out.extend_from_slice(&(m.table.len() as u16).to_le_bytes());
-        out.extend_from_slice(m.table.as_bytes());
-        if let Some(pk) = pk {
-            out.extend_from_slice(&pk.to_le_bytes());
-        }
-        if let Some(values) = values {
-            put_values(&mut out, values);
-        }
-    }
+    put_u64(&mut out, epoch);
+    put_batch(&mut out, ms);
     out
 }
 
-/// A little cursor over a record payload; every read is bounds-checked
-/// so a valid-CRC-but-wrong-format record decodes to a typed error, not
-/// a panic.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-const BAD: DiskError = DiskError::Corrupt("malformed wal batch record");
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DiskError> {
-        let end = self.at.checked_add(n).ok_or(BAD)?;
-        let s = self.bytes.get(self.at..end).ok_or(BAD)?;
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DiskError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DiskError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, DiskError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DiskError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, DiskError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn text(&mut self, len: usize) -> Result<String, DiskError> {
-        std::str::from_utf8(self.take(len)?).map(str::to_owned).map_err(|_| BAD)
-    }
-
-    fn value(&mut self) -> Result<Value, DiskError> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.i64()?),
-            2 => Value::Float(f64::from_bits(self.u64()?)),
-            3 => {
-                let len = self.u32()? as usize;
-                Value::Text(self.text(len)?)
-            }
-            _ => return Err(BAD),
-        })
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>, DiskError> {
-        let n = self.u16()? as usize;
-        (0..n).map(|_| self.value()).collect()
-    }
-}
-
-/// Decodes one WAL record payload back into `(epoch, mutations)`.
+/// Decodes one WAL record payload back into `(epoch, mutations)`. A
+/// record whose checksum held but whose bytes are not a batch is a typed
+/// error, never a panic.
 pub fn decode_batch(bytes: &[u8]) -> Result<(u64, Vec<Mutation>), DiskError> {
-    let mut r = Reader { bytes, at: 0 };
-    let epoch = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut ms = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let policy = match r.u8()? {
-            0 => RefreshPolicy::Incremental,
-            1 => RefreshPolicy::Exact,
-            _ => return Err(BAD),
-        };
-        let op = r.u8()?;
-        let tlen = r.u16()? as usize;
-        let table = r.text(tlen)?;
-        let op = match op {
-            0 => MutationOp::Insert { values: r.values()? },
-            1 => {
-                let pk = r.i64()?;
-                MutationOp::Update { pk, values: r.values()? }
-            }
-            2 => MutationOp::Delete { pk: r.i64()? },
-            _ => return Err(BAD),
-        };
-        ms.push(Mutation { table, op, policy });
-    }
-    if r.at != bytes.len() {
-        return Err(BAD);
-    }
-    Ok((epoch, ms))
+    read_record(bytes).map_err(|_| DiskError::Corrupt("malformed wal batch record"))
+}
+
+fn read_record(bytes: &[u8]) -> Result<(u64, Vec<Mutation>), CodecError> {
+    let mut r = Reader::new(bytes);
+    let record = (r.u64()?, get_batch(&mut r)?);
+    r.finish()?;
+    Ok(record)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MutationOp;
+    use sizel_storage::Value;
 
     #[test]
     fn a_mixed_batch_round_trips() {
@@ -306,27 +179,31 @@ mod tests {
             ),
             Mutation::update("Product", 7, vec![Value::Int(7), Value::Text("Chai".into())]).exact(),
             Mutation::delete("Order Details", -3),
+            // Past the 65 535 a `u16` length could carry: the lengths are
+            // `u32`, so what `encode_batch` writes `decode_batch` reads.
+            Mutation::delete("x".repeat(70_000), 1),
+            Mutation::insert("Author", vec![Value::Null; 70_000]),
         ];
         let rec = encode_batch(41, &ms);
-        let (epoch, back) = decode_batch(&rec).unwrap();
-        assert_eq!(epoch, 41);
-        assert_eq!(back.len(), 3);
-        for (a, b) in ms.iter().zip(&back) {
-            assert_eq!(a.table, b.table);
-            assert_eq!(a.policy, b.policy);
-            assert_eq!(a.op, b.op);
-        }
+        assert_eq!(decode_batch(&rec).unwrap(), (41, ms));
     }
 
     #[test]
     fn empty_batches_and_nan_floats_survive() {
         let rec = encode_batch(0, &[]);
         assert_eq!(decode_batch(&rec).unwrap(), (0, vec![]));
-        let ms = vec![Mutation::insert("T", vec![Value::Float(f64::NAN)])];
+        let ms = vec![Mutation::insert(
+            "T",
+            vec![Value::Float(f64::NAN), Value::Float(-0.0), Value::Text(String::new())],
+        )];
         let (_, back) = decode_batch(&encode_batch(1, &ms)).unwrap();
         let MutationOp::Insert { values } = &back[0].op else { panic!("insert") };
-        let Value::Float(f) = values[0] else { panic!("float") };
-        assert!(f.is_nan(), "NaN travels through to_bits verbatim");
+        let (Value::Float(nan), Value::Float(zero)) = (&values[0], &values[1]) else {
+            panic!("floats")
+        };
+        assert!(nan.is_nan(), "NaN travels through to_bits verbatim");
+        assert!(zero.is_sign_negative(), "and so does the sign of zero");
+        assert_eq!(values[2], Value::Text(String::new()));
     }
 
     #[test]
@@ -345,7 +222,7 @@ mod tests {
         assert!(matches!(decode_batch(&padded), Err(DiskError::Corrupt(_))));
         // A bad op tag is rejected.
         let mut bad = good;
-        bad[13] = 9; // op byte of the first mutation
+        bad[18] = 9; // op byte of the first mutation
         assert!(matches!(decode_batch(&bad), Err(DiskError::Corrupt(_))));
     }
 }

@@ -18,16 +18,16 @@
 //! mutation epoch for cache keying (the serving layer keys its summary
 //! cache by it).
 
+use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sizel_disk::{PagedStore, Wal};
 use sizel_graph::{DataGraph, Gds, GdsConfig, MnLinkId, SchemaGraph};
 use sizel_rank::{compute, AuthorityGraph, RankConfig, RankScores};
-use sizel_storage::{Database, Epoch, StorageError, TableId, TupleRef, Value};
+use sizel_storage::{Database, Epoch, ScoredBatch, StorageError, TableId, TupleRef, Value};
 
-use crate::durability::{
-    decode_batch, encode_batch, DiskTier, DiskTierConfig, DiskTierStats, RecoveryReport,
-};
+use crate::durability::{decode_batch, DiskTier, DiskTierConfig, DiskTierStats, RecoveryReport};
 
 use crate::algo::{AlgoKind, SizeLResult};
 use crate::keyword::KeywordIndex;
@@ -112,6 +112,20 @@ pub struct QueryResult {
     pub result: SizeLResult,
     /// The materialized size-l OS.
     pub summary: Os,
+}
+
+/// Puts a result list that arrives in DS-importance order (the order
+/// of [`SizeLEngine::ds_hits`]) into `ranking` order. The one definition
+/// of the [`ResultRanking::SummaryImportance`] order — `Im(S)`
+/// descending, ties by DS tuple — shared by every layer that recomposes
+/// [`SizeLEngine::query_with`] from cached per-DS summaries.
+pub fn rank_results<R: Borrow<QueryResult>>(results: &mut [R], ranking: ResultRanking) {
+    if ranking == ResultRanking::SummaryImportance {
+        results.sort_by(|a, b| {
+            let (a, b) = (a.borrow(), b.borrow());
+            b.result.importance.total_cmp(&a.result.importance).then(a.tds.cmp(&b.tds))
+        });
+    }
 }
 
 /// How [`SizeLEngine::apply`] refreshes the derived state after a
@@ -230,6 +244,21 @@ struct Derived {
     kw: KeywordIndex,
 }
 
+/// What one incremental run has staged so far (see
+/// [`SizeLEngine::apply_incremental_run`]).
+struct RunState {
+    /// Table lengths before the run: rows below are pre-run rows.
+    old_len: Vec<usize>,
+    /// Per table, the score estimates of rows this run appended.
+    appended: Vec<Vec<f64>>,
+    /// Re-estimates of rows this run updated; wins over both of the above.
+    overrides: HashMap<TupleRef, f64>,
+    /// Appended rows with their estimates, for the rank splice.
+    spliced: Vec<(TupleRef, f64)>,
+    /// Rows whose final tokens join the keyword index at settlement.
+    kw_add: Vec<TupleRef>,
+}
+
 /// The wired-up engine. Owns the database and every derived structure.
 pub struct SizeLEngine {
     db: Database,
@@ -322,58 +351,41 @@ impl SizeLEngine {
         self.db.epoch()
     }
 
-    /// Applies a mutation, keeping every derived structure synchronized
-    /// (see [`RefreshPolicy`] for the incremental/exact trade). Returns
-    /// the new epoch. On error nothing is mutated.
-    ///
-    /// With a disk tier attached ([`SizeLEngine::attach_disk`]), the
-    /// mutation is first appended to the write-ahead log as a
-    /// one-mutation batch record — redo durability: a crash after the
-    /// append replays it on recovery.
+    /// Applies one mutation: a batch of one (see
+    /// [`SizeLEngine::apply_batch`]). Returns the new epoch; on error
+    /// nothing is mutated.
     pub fn apply(&mut self, m: Mutation) -> Result<Epoch, StorageError> {
-        self.log_batch(std::slice::from_ref(&m))?;
-        self.apply_one(m)
+        self.apply_batch(vec![m])
     }
 
-    /// [`SizeLEngine::apply`] minus the WAL append — the shared inner
-    /// path, also used to re-apply decoded records during recovery
-    /// (re-logging a replay would double every record).
-    fn apply_one(&mut self, m: Mutation) -> Result<Epoch, StorageError> {
-        match m.policy {
-            RefreshPolicy::Exact => {
-                let tid = self.db.table_id(&m.table)?;
-                match m.op {
-                    MutationOp::Insert { values } => {
-                        self.validate_new_row_fks(tid, &values)?;
-                        self.db.insert(&m.table, values)?;
-                    }
-                    MutationOp::Update { pk, values } => {
-                        self.validate_new_row_fks(tid, &values)?;
-                        self.db.update(&m.table, pk, values)?;
-                    }
-                    MutationOp::Delete { pk } => {
-                        if let Some(rt) = self.db.find_referencer(tid, pk).map(str::to_owned) {
-                            return Err(StorageError::RestrictedDelete {
-                                table: m.table,
-                                key: pk,
-                                referencing_table: rt,
-                            });
-                        }
-                        self.db.delete(&m.table, pk)?;
-                    }
-                }
-                let derived = Self::derive(&mut self.db, &self.sg, self.ga.as_ref(), &self.cfg)?;
-                let Derived { dg, authority, scores, gds_by_table, links_by_table, kw } = derived;
-                self.dg = dg;
-                self.authority = authority;
-                self.scores = scores;
-                self.gds_by_table = gds_by_table;
-                self.links_by_table = links_by_table;
-                self.kw = kw;
+    /// The exact-policy arm of a batch: applies `m` through the plain
+    /// row operation (dropping the table's importance order), then
+    /// re-derives everything over the mutated database.
+    fn apply_exact(&mut self, m: Mutation) -> Result<(), StorageError> {
+        let tid = self.db.table_id(&m.table)?;
+        match m.op {
+            MutationOp::Insert { values } => {
+                self.validate_new_row_fks(tid, &values)?;
+                self.db.insert(&m.table, values)?;
             }
-            RefreshPolicy::Incremental => self.apply_incremental_run(vec![m])?,
+            MutationOp::Update { pk, values } => {
+                self.validate_new_row_fks(tid, &values)?;
+                self.db.update(&m.table, pk, values)?;
+            }
+            MutationOp::Delete { pk } => {
+                self.restrict_delete(tid, &m.table, pk)?;
+                self.db.delete(&m.table, pk)?;
+            }
         }
-        Ok(self.db.epoch())
+        let derived = Self::derive(&mut self.db, &self.sg, self.ga.as_ref(), &self.cfg)?;
+        let Derived { dg, authority, scores, gds_by_table, links_by_table, kw } = derived;
+        self.dg = dg;
+        self.authority = authority;
+        self.scores = scores;
+        self.gds_by_table = gds_by_table;
+        self.links_by_table = links_by_table;
+        self.kw = kw;
+        Ok(())
     }
 
     /// Applies a whole batch of mutations, amortizing the per-insert
@@ -403,7 +415,12 @@ impl SizeLEngine {
     /// appended (and fsynced per the tier's batching) before the first
     /// mutation settles.
     pub fn apply_batch(&mut self, ms: Vec<Mutation>) -> Result<Epoch, StorageError> {
-        self.log_batch(&ms)?;
+        // Logged before any settlement: a failed append leaves the
+        // database untouched, and a crash after it is replayed by the
+        // next `attach_disk`.
+        if let Some(disk) = &mut self.disk {
+            disk.log_batch(self.db.epoch().0, &ms)?;
+        }
         self.apply_batch_inner(ms)
     }
 
@@ -416,25 +433,12 @@ impl SizeLEngine {
                 RefreshPolicy::Incremental => run.push(m),
                 RefreshPolicy::Exact => {
                     self.apply_incremental_run(std::mem::take(&mut run))?;
-                    self.apply_one(m)?;
+                    self.apply_exact(m)?;
                 }
             }
         }
         self.apply_incremental_run(run)?;
         Ok(self.db.epoch())
-    }
-
-    /// Appends `ms` as one checksummed WAL record if a disk tier is
-    /// attached (no-op otherwise). Runs **before** any settlement: a
-    /// failure here leaves the database untouched
-    /// ([`StorageError::Durability`]), and a crash after it is replayed
-    /// by the next [`SizeLEngine::attach_disk`].
-    fn log_batch(&mut self, ms: &[Mutation]) -> Result<(), StorageError> {
-        if let Some(disk) = &mut self.disk {
-            let record = encode_batch(self.db.epoch().0, ms);
-            disk.log_batch(&record).map_err(|e| StorageError::Durability(e.to_string()))?;
-        }
-        Ok(())
     }
 
     /// The shared incremental engine path: stages a run of mixed-kind
@@ -460,145 +464,22 @@ impl SizeLEngine {
             return Ok(());
         }
         let old_len: Vec<usize> = self.db.tables().map(|(_, t)| t.len()).collect();
-        let mut appended: Vec<Vec<f64>> = vec![Vec::new(); old_len.len()];
-        let mut overrides: std::collections::HashMap<TupleRef, f64> =
-            std::collections::HashMap::new();
-        let mut spliced: Vec<(TupleRef, f64)> = Vec::with_capacity(run.len());
-        let mut kw_add: Vec<TupleRef> = Vec::new();
-        let mut landed = false;
+        let mut st = RunState {
+            appended: vec![Vec::new(); old_len.len()],
+            old_len,
+            overrides: HashMap::new(),
+            spliced: Vec::with_capacity(run.len()),
+            kw_add: Vec::new(),
+        };
+        let before = self.db.epoch();
         let mut batch = self.db.begin_scored_batch();
-        let mut failure: Option<StorageError> = None;
-        for m in run {
-            let Mutation { table, op, .. } = m;
-            let tid = match self.db.table_id(&table) {
-                Ok(t) => t,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            };
-            match op {
-                MutationOp::Insert { values } => {
-                    if let Err(e) = self.validate_new_row_fks(tid, &values) {
-                        failure = Some(e);
-                        break;
-                    }
-                    let est = sizel_rank::estimate_appended_score_with(
-                        &self.db,
-                        &self.sg,
-                        &self.authority,
-                        &self.cfg.rank,
-                        &|t: TupleRef| {
-                            if let Some(&s) = overrides.get(&t) {
-                                return s;
-                            }
-                            let old = old_len[t.table.index()];
-                            if t.row.index() < old {
-                                self.scores.global(self.dg.node_id(t))
-                            } else {
-                                appended[t.table.index()][t.row.index() - old]
-                            }
-                        },
-                        tid,
-                        &values,
-                    );
-                    match self.db.insert_scored_staged(&mut batch, &table, values, est) {
-                        Ok(row) => {
-                            let tref = TupleRef::new(tid, row);
-                            appended[tid.index()].push(est);
-                            spliced.push((tref, est));
-                            kw_add.push(tref);
-                            landed = true;
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                MutationOp::Update { pk, values } => {
-                    if let Err(e) = self.validate_new_row_fks(tid, &values) {
-                        failure = Some(e);
-                        break;
-                    }
-                    let Some(row) = self.db.table(tid).by_pk(pk) else {
-                        failure = Some(StorageError::MissingRow { table, key: pk });
-                        break;
-                    };
-                    let tref = TupleRef::new(tid, row);
-                    let old_values: Vec<Value> = {
-                        let t = self.db.table(tid);
-                        (0..t.schema.arity()).map(|c| t.value(row, c).clone()).collect()
-                    };
-                    let est = sizel_rank::estimate_updated_score_with(
-                        &self.db,
-                        &self.sg,
-                        &self.authority,
-                        &self.cfg.rank,
-                        &|t: TupleRef| {
-                            if let Some(&s) = overrides.get(&t) {
-                                return s;
-                            }
-                            let old = old_len[t.table.index()];
-                            if t.row.index() < old {
-                                self.scores.global(self.dg.node_id(t))
-                            } else {
-                                appended[t.table.index()][t.row.index() - old]
-                            }
-                        },
-                        tid,
-                        &old_values,
-                        &values,
-                    );
-                    match self.db.update_scored_staged(&mut batch, &table, pk, values, est) {
-                        Ok(_) => {
-                            self.kw.remove_row(tid, row, &self.db.table(tid).schema, &old_values);
-                            overrides.insert(tref, est);
-                            if !kw_add.contains(&tref) {
-                                kw_add.push(tref);
-                            }
-                            landed = true;
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                MutationOp::Delete { pk } => {
-                    if let Some(rt) = self.db.find_referencer(tid, pk).map(str::to_owned) {
-                        failure = Some(StorageError::RestrictedDelete {
-                            table,
-                            key: pk,
-                            referencing_table: rt,
-                        });
-                        break;
-                    }
-                    let Some(row) = self.db.table(tid).by_pk(pk) else {
-                        failure = Some(StorageError::MissingRow { table, key: pk });
-                        break;
-                    };
-                    let tref = TupleRef::new(tid, row);
-                    let old_values: Vec<Value> = {
-                        let t = self.db.table(tid);
-                        (0..t.schema.arity()).map(|c| t.value(row, c).clone()).collect()
-                    };
-                    match self.db.delete_scored_staged(&mut batch, &table, pk) {
-                        Ok(_) => {
-                            self.kw.remove_row(tid, row, &self.db.table(tid).schema, &old_values);
-                            kw_add.retain(|&t| t != tref);
-                            landed = true;
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        // Staging stops at the first rejected mutation; the prefix that
+        // landed settles below either way.
+        let staged = run.into_iter().try_for_each(|m| self.stage(&mut batch, &mut st, m));
         self.db.finish_scored_batch(batch);
-        if landed {
+        let RunState { overrides, spliced, kw_add, .. } = st;
+        // Every mutation that landed advanced the epoch.
+        if self.db.epoch() != before {
             // Any landed mutation invalidates the adjacency index: inserts
             // shift dense node ids, updates re-home FK edges, deletes
             // detach them. One rebuild covers the whole run — the O(|E|)
@@ -641,8 +522,103 @@ impl SizeLEngine {
                 }
             }
         }
-        match failure {
-            Some(e) => Err(e),
+        staged
+    }
+
+    /// Stages one mutation of an incremental run: validates it, estimates
+    /// the row's score against the state the fold would present, and lands
+    /// it in the open storage batch. On error nothing of `m` is applied.
+    fn stage(
+        &mut self,
+        batch: &mut ScoredBatch,
+        st: &mut RunState,
+        m: Mutation,
+    ) -> Result<(), StorageError> {
+        let Mutation { table, op, .. } = m;
+        let tid = self.db.table_id(&table)?;
+        match op {
+            MutationOp::Insert { values } => {
+                self.validate_new_row_fks(tid, &values)?;
+                let est = sizel_rank::estimate_appended_score_with(
+                    &self.db,
+                    &self.sg,
+                    &self.authority,
+                    &self.cfg.rank,
+                    &|t| self.run_score(st, t),
+                    tid,
+                    &values,
+                );
+                let row = self.db.insert_scored_staged(batch, &table, values, est)?;
+                let tref = TupleRef::new(tid, row);
+                st.appended[tid.index()].push(est);
+                st.spliced.push((tref, est));
+                st.kw_add.push(tref);
+            }
+            MutationOp::Update { pk, values } => {
+                self.validate_new_row_fks(tid, &values)?;
+                let t = self.db.table(tid);
+                let row = t
+                    .by_pk(pk)
+                    .ok_or_else(|| StorageError::MissingRow { table: table.clone(), key: pk })?;
+                // Captured before the staged update replaces the slot.
+                let old_values = t.row(row).to_vec();
+                let est = sizel_rank::estimate_updated_score_with(
+                    &self.db,
+                    &self.sg,
+                    &self.authority,
+                    &self.cfg.rank,
+                    &|t| self.run_score(st, t),
+                    tid,
+                    &old_values,
+                    &values,
+                );
+                self.db.update_scored_staged(batch, &table, pk, values, est)?;
+                self.kw.remove_row(tid, row, &self.db.table(tid).schema, &old_values);
+                let tref = TupleRef::new(tid, row);
+                st.overrides.insert(tref, est);
+                if !st.kw_add.contains(&tref) {
+                    st.kw_add.push(tref);
+                }
+            }
+            MutationOp::Delete { pk } => {
+                self.restrict_delete(tid, &table, pk)?;
+                let row = self.db.delete_scored_staged(batch, &table, pk)?;
+                // A tombstoned slot keeps its values: the old tokens are
+                // still there to be removed.
+                let t = self.db.table(tid);
+                self.kw.remove_row(tid, row, &t.schema, t.row(row));
+                let tref = TupleRef::new(tid, row);
+                st.kw_add.retain(|&t| t != tref);
+            }
+        }
+        Ok(())
+    }
+
+    /// The score resolver of an open run (see
+    /// [`SizeLEngine::apply_incremental_run`]): a row's re-estimate if
+    /// the run updated it, the current vector for pre-run rows, the
+    /// recorded insert estimate for rows the run appended.
+    fn run_score(&self, st: &RunState, t: TupleRef) -> f64 {
+        if let Some(&s) = st.overrides.get(&t) {
+            return s;
+        }
+        let old = st.old_len[t.table.index()];
+        if t.row.index() < old {
+            self.scores.global(self.dg.node_id(t))
+        } else {
+            st.appended[t.table.index()][t.row.index() - old]
+        }
+    }
+
+    /// The RESTRICT check before a delete: a row live rows still
+    /// reference stays.
+    fn restrict_delete(&self, tid: TableId, table: &str, pk: i64) -> Result<(), StorageError> {
+        match self.db.find_referencer(tid, pk) {
+            Some(rt) => Err(StorageError::RestrictedDelete {
+                table: table.to_owned(),
+                key: pk,
+                referencing_table: rt.to_owned(),
+            }),
             None => Ok(()),
         }
     }
@@ -887,11 +863,7 @@ impl SizeLEngine {
     pub fn query_with(&self, keywords: &str, opts: QueryOptions) -> Vec<QueryResult> {
         let mut results: Vec<QueryResult> =
             self.ds_hits(keywords).into_iter().map(|tds| self.summarize(tds, opts)).collect();
-        if opts.ranking == ResultRanking::SummaryImportance {
-            results.sort_by(|a, b| {
-                b.result.importance.total_cmp(&a.result.importance).then(a.tds.cmp(&b.tds))
-            });
-        }
+        rank_results(&mut results, opts.ranking);
         results
     }
 

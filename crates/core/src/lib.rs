@@ -22,6 +22,7 @@
 //! | end-to-end engine | [`engine`] |
 
 pub mod algo;
+pub mod batch_codec;
 pub mod durability;
 pub mod engine;
 pub mod eval;

@@ -376,13 +376,20 @@ mod tests {
         let ap = d.db.table_id("AuthorPaper").unwrap();
         let ap_author_col = d.db.table(ap).schema.column_index("author_id").unwrap();
 
+        // One scored insert: a batch of one.
+        let insert_scored = |db: &mut Database, table: &str, values: Vec<Value>, score: f64| {
+            let mut batch = db.begin_scored_batch();
+            db.insert_scored_staged(&mut batch, table, values, score).unwrap();
+            db.finish_scored_batch(batch);
+        };
+
         // The dangling insert drops the link postings: heap fallback.
-        d.db.insert_scored(
+        insert_scored(
+            &mut d.db,
             "AuthorPaper",
             vec![Value::Int(jpk), Value::Int(author_pk), Value::Int(missing_paper)],
             0.1,
-        )
-        .unwrap();
+        );
         assert!(
             d.db.table(ap).sorted_link_index(ap_author_col).is_none(),
             "dangling endpoint drops the junction's link postings"
@@ -393,12 +400,12 @@ mod tests {
             let year = d.db.table_id("Year").unwrap();
             d.db.table(year).pk_of(RowId(0))
         };
-        d.db.insert_scored(
+        insert_scored(
+            &mut d.db,
             "Paper",
             vec![Value::Int(missing_paper), "healed endpoint".into(), Value::Int(year_pk)],
             4.5,
-        )
-        .unwrap();
+        );
         assert!(
             d.db.table(ap).sorted_link_index(ap_author_col).is_some(),
             "the arriving endpoint heals the postings without a reinstall"

@@ -119,6 +119,32 @@ fn recovery_replays_the_wal_into_a_byte_identical_engine() {
 }
 
 #[test]
+fn a_rejected_oversized_batch_does_not_poison_the_wal() {
+    // A batch is logged before it is validated, so a rejected batch's
+    // record stays in the WAL and must be one recovery can read — names
+    // and rows past 65 535 (where a 16-bit length wraps) included. A
+    // CRC-valid record that does not decode fails every later
+    // `attach_disk` and loses the batches acknowledged after it.
+    let dir = temp_dir("poison");
+
+    let mut first = fresh_engine(generate(&DblpConfig::tiny()));
+    first.attach_disk(wal_only(&dir)).unwrap();
+    first.apply_batch(vec![Mutation::delete("x".repeat(70_000), 1)]).unwrap_err();
+    first.apply_batch(vec![Mutation::insert("Author", vec![Value::Null; 70_000])]).unwrap_err();
+    let ms = script(&first);
+    first.apply_batch(ms).unwrap();
+    let committed = fingerprint(&first);
+    drop(first);
+
+    let mut second = fresh_engine(generate(&DblpConfig::tiny()));
+    let report = second.attach_disk(wal_only(&dir)).unwrap();
+    assert_eq!(report.batches_replayed, 3);
+    assert_eq!(report.batches_rejected, 2, "both oversized batches are rejected again");
+    assert_eq!(fingerprint(&second), committed, "the batch acknowledged after them survives");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_kill_between_wal_append_and_settlement_still_recovers_the_batch() {
     let dir = temp_dir("unsettled");
 

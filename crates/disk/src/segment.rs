@@ -33,6 +33,8 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
+use sizel_storage::codec::{put_i64, put_u16, put_u32, put_u8, CodecError, Reader};
+
 use crate::crc::crc32;
 use crate::error::{DiskError, Result};
 use crate::page::{
@@ -47,6 +49,8 @@ const DIR_ENTRY_LEN: usize = 29;
 
 /// Directory key: (kind, table, col, key).
 type DirKey = (u8, u16, u16, i64);
+/// Coverage record: (kind, table, col).
+type CoverKey = (u8, u16, u16);
 
 /// One posting list's location within the segment.
 #[derive(Clone, Copy, Debug)]
@@ -68,7 +72,7 @@ pub struct SegmentWriter {
     out: BufWriter<File>,
     next_page: u32,
     buf: PageBuf,
-    coverage: Vec<(u8, u16, u16)>,
+    coverage: Vec<CoverKey>,
     entries: Vec<(DirKey, DirEntry)>,
 }
 
@@ -177,22 +181,22 @@ impl SegmentWriter {
         let mut dir = Vec::with_capacity(
             8 + self.coverage.len() * COVERAGE_RECORD_LEN + self.entries.len() * DIR_ENTRY_LEN,
         );
-        dir.extend_from_slice(&(self.coverage.len() as u32).to_le_bytes());
+        put_u32(&mut dir, self.coverage.len() as u32);
         for &(kind, table, col) in &self.coverage {
-            dir.push(kind);
-            dir.extend_from_slice(&table.to_le_bytes());
-            dir.extend_from_slice(&col.to_le_bytes());
+            put_u8(&mut dir, kind);
+            put_u16(&mut dir, table);
+            put_u16(&mut dir, col);
         }
-        dir.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        put_u32(&mut dir, self.entries.len() as u32);
         for &((kind, table, col, key), e) in &self.entries {
-            dir.push(kind);
-            dir.extend_from_slice(&table.to_le_bytes());
-            dir.extend_from_slice(&col.to_le_bytes());
-            dir.extend_from_slice(&key.to_le_bytes());
-            dir.extend_from_slice(&e.first_page.to_le_bytes());
-            dir.extend_from_slice(&e.n_pages.to_le_bytes());
-            dir.extend_from_slice(&e.n_entries.to_le_bytes());
-            dir.extend_from_slice(&e.raw_len.to_le_bytes());
+            put_u8(&mut dir, kind);
+            put_u16(&mut dir, table);
+            put_u16(&mut dir, col);
+            put_i64(&mut dir, key);
+            put_u32(&mut dir, e.first_page);
+            put_u32(&mut dir, e.n_pages);
+            put_u32(&mut dir, e.n_entries);
+            put_u32(&mut dir, e.raw_len);
         }
         self.out.write_all(&dir)?;
         self.out.write_all(&(dir.len() as u64).to_le_bytes())?;
@@ -204,12 +208,39 @@ impl SegmentWriter {
     }
 }
 
+/// Reads a serialized directory back: the coverage set, then the
+/// entry map.
+fn parse_directory(
+    dir: &[u8],
+) -> std::result::Result<(HashSet<CoverKey>, HashMap<DirKey, DirEntry>), CodecError> {
+    let mut r = Reader::new(dir);
+    let n_cov = r.count(COVERAGE_RECORD_LEN)?;
+    let mut coverage = HashSet::with_capacity(n_cov);
+    for _ in 0..n_cov {
+        coverage.insert((r.u8()?, r.u16()?, r.u16()?));
+    }
+    let n_entries = r.count(DIR_ENTRY_LEN)?;
+    let mut map = HashMap::with_capacity(n_entries);
+    for _ in 0..n_entries {
+        let key = (r.u8()?, r.u16()?, r.u16()?, r.i64()?);
+        let e = DirEntry {
+            first_page: r.u32()?,
+            n_pages: r.u32()?,
+            n_entries: r.u32()?,
+            raw_len: r.u32()?,
+        };
+        map.insert(key, e);
+    }
+    r.finish()?;
+    Ok((coverage, map))
+}
+
 /// An opened segment: verified directory plus positioned page reads.
 #[derive(Debug)]
 pub struct SegmentFile {
     file: File,
     dir: HashMap<DirKey, DirEntry>,
-    coverage: HashSet<(u8, u16, u16)>,
+    coverage: HashSet<CoverKey>,
 }
 
 impl SegmentFile {
@@ -248,50 +279,11 @@ impl SegmentFile {
         }
 
         let n_pages = (dir_start / PAGE_SIZE as u64) as u32;
-        let mut at = 0usize;
-        let take_u32 = |dir: &[u8], at: &mut usize| -> Result<u32> {
-            let end = *at + 4;
-            if end > dir.len() {
-                return Err(DiskError::Corrupt("segment directory truncated"));
-            }
-            let v = u32::from_le_bytes(dir[*at..end].try_into().unwrap());
-            *at = end;
-            Ok(v)
-        };
-        let n_cov = take_u32(&dir, &mut at)? as usize;
-        let mut coverage = HashSet::with_capacity(n_cov);
-        for _ in 0..n_cov {
-            if at + COVERAGE_RECORD_LEN > dir.len() {
-                return Err(DiskError::Corrupt("segment directory truncated"));
-            }
-            coverage.insert((
-                dir[at],
-                u16::from_le_bytes(dir[at + 1..at + 3].try_into().unwrap()),
-                u16::from_le_bytes(dir[at + 3..at + 5].try_into().unwrap()),
-            ));
-            at += COVERAGE_RECORD_LEN;
-        }
-        let n_entries = take_u32(&dir, &mut at)? as usize;
-        let mut map = HashMap::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            if at + DIR_ENTRY_LEN > dir.len() {
-                return Err(DiskError::Corrupt("segment directory truncated"));
-            }
-            let kind = dir[at];
-            let table = u16::from_le_bytes(dir[at + 1..at + 3].try_into().unwrap());
-            let col = u16::from_le_bytes(dir[at + 3..at + 5].try_into().unwrap());
-            let key = i64::from_le_bytes(dir[at + 5..at + 13].try_into().unwrap());
-            let e = DirEntry {
-                first_page: u32::from_le_bytes(dir[at + 13..at + 17].try_into().unwrap()),
-                n_pages: u32::from_le_bytes(dir[at + 17..at + 21].try_into().unwrap()),
-                n_entries: u32::from_le_bytes(dir[at + 21..at + 25].try_into().unwrap()),
-                raw_len: u32::from_le_bytes(dir[at + 25..at + 29].try_into().unwrap()),
-            };
-            if u64::from(e.first_page) + u64::from(e.n_pages) > u64::from(n_pages) {
-                return Err(DiskError::Corrupt("segment directory entry out of range"));
-            }
-            map.insert((kind, table, col, key), e);
-            at += DIR_ENTRY_LEN;
+        let (coverage, map) =
+            parse_directory(&dir).map_err(|_| DiskError::Corrupt("malformed segment directory"))?;
+        if map.values().any(|e| u64::from(e.first_page) + u64::from(e.n_pages) > u64::from(n_pages))
+        {
+            return Err(DiskError::Corrupt("segment directory entry out of range"));
         }
         Ok(SegmentFile { file, dir: map, coverage })
     }

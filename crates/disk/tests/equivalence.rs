@@ -15,8 +15,8 @@ use proptest::prelude::*;
 
 use sizel_disk::PagedStore;
 use sizel_storage::{
-    Database, LinkCursor, PostingPager, RowId, SliceLinkCursor, TableId, TableSchema, Value,
-    ValueType,
+    Database, LinkCursor, PostingPager, RowId, ScoredBatch, SliceLinkCursor, TableId, TableSchema,
+    Value, ValueType,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -51,6 +51,14 @@ fn fresh_db() -> Database {
     )
     .unwrap();
     db
+}
+
+/// Runs one staged op as a batch of one.
+fn batch_of_one<T>(db: &mut Database, op: impl FnOnce(&mut Database, &mut ScoredBatch) -> T) -> T {
+    let mut batch = db.begin_scored_batch();
+    let out = op(db, &mut batch);
+    db.finish_scored_batch(batch);
+    out
 }
 
 const N_PARENTS: i64 = 6;
@@ -99,43 +107,52 @@ fn run_stream(db: &mut Database, ops: &[Op], compaction_threshold: usize) {
         match *op {
             Op::Child(pk, parent, s) => {
                 if db.table(child).by_pk(pk).is_none() {
-                    db.insert_scored(
-                        "Child",
-                        vec![Value::Int(pk), Value::Float(s), Value::Int(parent)],
-                        s,
-                    )
+                    batch_of_one(db, |db, b| {
+                        db.insert_scored_staged(
+                            b,
+                            "Child",
+                            vec![Value::Int(pk), Value::Float(s), Value::Int(parent)],
+                            s,
+                        )
+                    })
                     .unwrap();
                 }
             }
             Op::Rel(pk, parent, child_pk, s) => {
                 if db.table(rel).by_pk(pk).is_none() && db.table(child).by_pk(child_pk).is_some() {
-                    db.insert_scored(
-                        "Rel",
-                        vec![Value::Int(pk), Value::Int(parent), Value::Int(child_pk)],
-                        s,
-                    )
+                    batch_of_one(db, |db, b| {
+                        db.insert_scored_staged(
+                            b,
+                            "Rel",
+                            vec![Value::Int(pk), Value::Int(parent), Value::Int(child_pk)],
+                            s,
+                        )
+                    })
                     .unwrap();
                 }
             }
             Op::UpdateChild(pk, parent, s) => {
                 if db.table(child).by_pk(pk).is_some() {
-                    db.update_scored(
-                        "Child",
-                        pk,
-                        vec![Value::Int(pk), Value::Float(s), Value::Int(parent)],
-                        s,
-                    )
+                    batch_of_one(db, |db, b| {
+                        db.update_scored_staged(
+                            b,
+                            "Child",
+                            pk,
+                            vec![Value::Int(pk), Value::Float(s), Value::Int(parent)],
+                            s,
+                        )
+                    })
                     .unwrap();
                 }
             }
             Op::DeleteChild(pk) => {
                 if db.table(child).by_pk(pk).is_some() {
-                    db.delete_scored("Child", pk).unwrap();
+                    batch_of_one(db, |db, b| db.delete_scored_staged(b, "Child", pk)).unwrap();
                 }
             }
             Op::DeleteRel(pk) => {
                 if db.table(rel).by_pk(pk).is_some() {
-                    db.delete_scored("Rel", pk).unwrap();
+                    batch_of_one(db, |db, b| db.delete_scored_staged(b, "Rel", pk)).unwrap();
                 }
             }
         }
@@ -276,7 +293,15 @@ fn a_mutation_stales_the_segment_and_probes_fall_back_until_recheckpoint() {
 
     // A scored insert re-stamps the installed token: the segment is now
     // stale and must silently stop serving.
-    db.insert_scored("Child", vec![Value::Int(7), Value::Float(0.5), Value::Int(0)], 7.0).unwrap();
+    batch_of_one(&mut db, |db, b| {
+        db.insert_scored_staged(
+            b,
+            "Child",
+            vec![Value::Int(7), Value::Float(0.5), Value::Int(0)],
+            7.0,
+        )
+    })
+    .unwrap();
     assert_ne!(store.stamp(), db.fk_order(), "mutation re-stamped the token");
     let token = db.fk_order().unwrap();
     let li = |r: RowId| db.table(child).installed_score(r);

@@ -1,27 +1,29 @@
 //! The canonical payload codec (DESIGN.md §9.2).
 //!
-//! Every multi-byte scalar is little-endian; floats travel as their IEEE
-//! 754 bit patterns (`f64::to_bits`), so encoding is **deterministic and
-//! total**: the same in-process value always produces the same bytes.
-//! That determinism is load-bearing — the loopback end-to-end suite
-//! proves the server correct by encoding in-process
+//! Scalars, strings, counts and [`sizel_storage::Value`]s are laid out by
+//! [`sizel_storage::codec`], a mutation batch by
+//! [`sizel_core::batch_codec`]; this module adds the request and reply
+//! schemas on top. Encoding is **deterministic and total** — the same
+//! in-process value always produces the same bytes — and that
+//! determinism is load-bearing: the loopback end-to-end suite proves the
+//! server correct by encoding in-process
 //! [`ClusterRouter`](sizel_cluster::ClusterRouter) answers with this
 //! very codec and comparing *raw payload bytes* against what arrived
 //! over the socket.
 //!
-//! Variable-length fields are `u32` counts followed by that many
-//! elements; strings are `u32` byte lengths followed by UTF-8. Decoding
-//! is defensive: every read is bounds-checked, string lengths are
-//! validated against the remaining buffer *before* allocation, and a
-//! frame that decodes must also be fully consumed (trailing garbage is a
-//! malformed payload, not ignorable padding).
+//! Decoding is defensive: every read is bounds-checked, lengths and
+//! counts are validated against the remaining buffer *before*
+//! allocation, and a frame that decodes must also be fully consumed
+//! (trailing garbage is a malformed payload, not ignorable padding).
 
 use sizel_core::algo::AlgoKind;
-use sizel_core::engine::{
-    Mutation, MutationOp, QueryOptions, QueryResult, RefreshPolicy, ResultRanking,
-};
+use sizel_core::batch_codec::{get_batch, put_batch};
+use sizel_core::engine::{Mutation, QueryOptions, QueryResult, ResultRanking};
 use sizel_core::osgen::OsSource;
-use sizel_storage::{Epoch, RowId, TableId, TupleRef, Value};
+use sizel_storage::codec::{
+    put_f64, put_str, put_u16, put_u32, put_u64, put_u8, CodecError, Reader,
+};
+use sizel_storage::{Epoch, RowId, TableId, TupleRef};
 
 use crate::frame::BusyReason;
 use crate::frame::ErrorCode;
@@ -41,121 +43,9 @@ impl std::error::Error for WireError {}
 
 type Result<T> = std::result::Result<T, WireError>;
 
-// ---------------------------------------------------------------------
-// Primitive writer/reader
-// ---------------------------------------------------------------------
-
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked cursor over a received payload.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| WireError(format!("need {n} bytes at offset {}", self.pos)))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        // Validate against the remaining bytes before allocating: a
-        // 4-byte length field must not size a buffer unchecked. UTF-8
-        // is checked on the borrowed slice so only the final `String`
-        // allocates (no intermediate `Vec` copy).
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|e| WireError(format!("invalid utf-8: {e}")))
-    }
-
-    /// Reads a `u32` element count, sanity-capped by what the remaining
-    /// bytes could possibly hold (each element is at least
-    /// `min_elem_size` bytes).
-    pub(crate) fn count(&mut self, min_elem_size: usize) -> Result<usize> {
-        let n = self.u32()? as usize;
-        let room = (self.buf.len() - self.pos) / min_elem_size.max(1);
-        if n > room {
-            return Err(WireError(format!(
-                "count {n} cannot fit in {} remaining bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(n)
-    }
-
-    /// Decoding must consume the whole payload.
-    pub(crate) fn finish(self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(WireError(format!(
-                "{} trailing bytes after a complete value",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError(e.0)
     }
 }
 
@@ -234,91 +124,6 @@ fn get_opts(r: &mut Reader) -> Result<QueryOptions> {
     Ok(QueryOptions { l, algo, source, prelim, ranking })
 }
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(buf, 0),
-        Value::Int(i) => {
-            put_u8(buf, 1);
-            put_i64(buf, *i);
-        }
-        Value::Float(f) => {
-            put_u8(buf, 2);
-            put_f64(buf, *f);
-        }
-        Value::Text(s) => {
-            put_u8(buf, 3);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn get_value(r: &mut Reader) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Int(r.i64()?),
-        2 => Value::Float(r.f64()?),
-        3 => Value::Text(r.str()?),
-        other => return Err(WireError(format!("unknown value tag {other}"))),
-    })
-}
-
-fn put_mutation(buf: &mut Vec<u8>, m: &Mutation) {
-    put_str(buf, &m.table);
-    put_u8(
-        buf,
-        match m.policy {
-            RefreshPolicy::Incremental => 0,
-            RefreshPolicy::Exact => 1,
-        },
-    );
-    match &m.op {
-        MutationOp::Insert { values } => {
-            put_u8(buf, 0);
-            put_u32(buf, values.len() as u32);
-            for v in values {
-                put_value(buf, v);
-            }
-        }
-        MutationOp::Update { pk, values } => {
-            put_u8(buf, 1);
-            put_i64(buf, *pk);
-            put_u32(buf, values.len() as u32);
-            for v in values {
-                put_value(buf, v);
-            }
-        }
-        MutationOp::Delete { pk } => {
-            put_u8(buf, 2);
-            put_i64(buf, *pk);
-        }
-    }
-}
-
-fn get_mutation(r: &mut Reader) -> Result<Mutation> {
-    let table = r.str()?;
-    let policy = match r.u8()? {
-        0 => RefreshPolicy::Incremental,
-        1 => RefreshPolicy::Exact,
-        other => return Err(WireError(format!("unknown refresh policy {other}"))),
-    };
-    let op = match r.u8()? {
-        0 => {
-            let n = r.count(1)?;
-            let values = (0..n).map(|_| get_value(r)).collect::<Result<Vec<_>>>()?;
-            MutationOp::Insert { values }
-        }
-        1 => {
-            let pk = r.i64()?;
-            let n = r.count(1)?;
-            let values = (0..n).map(|_| get_value(r)).collect::<Result<Vec<_>>>()?;
-            MutationOp::Update { pk, values }
-        }
-        2 => MutationOp::Delete { pk: r.i64()? },
-        other => return Err(WireError(format!("unknown mutation op {other}"))),
-    };
-    Ok(Mutation { table, op, policy })
-}
-
 // ---------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------
@@ -383,10 +188,7 @@ pub fn encode_summarize_payload(tds: TupleRef, opts: QueryOptions) -> Vec<u8> {
 
 /// Encodes an `ApplyBatch` request payload, appending to `buf`.
 pub fn encode_apply_into(buf: &mut Vec<u8>, mutations: &[Mutation]) {
-    put_u32(buf, mutations.len() as u32);
-    for m in mutations {
-        put_mutation(buf, m);
-    }
+    put_batch(buf, mutations);
 }
 
 /// Encodes an `ApplyBatch` request payload.
@@ -414,11 +216,7 @@ pub fn decode_request(opcode: crate::frame::Opcode, payload: &[u8]) -> Result<Re
             let opts = get_opts(&mut r)?;
             Request::Summarize { tds, opts }
         }
-        Opcode::ApplyBatch => {
-            let n = r.count(1)?;
-            let mutations = (0..n).map(|_| get_mutation(&mut r)).collect::<Result<Vec<_>>>()?;
-            Request::ApplyBatch { mutations }
-        }
+        Opcode::ApplyBatch => Request::ApplyBatch { mutations: get_batch(&mut r)? },
         reply => return Err(WireError(format!("{reply:?} is a reply, not a request"))),
     };
     r.finish()?;
@@ -539,7 +337,7 @@ fn get_result(r: &mut Reader) -> Result<WireResult> {
     let global_score = r.f64()?;
     let input_os_size = r.u32()? as usize;
     let n_sel = r.count(4)?;
-    let selected = (0..n_sel).map(|_| r.u32()).collect::<Result<Vec<_>>>()?;
+    let selected = (0..n_sel).map(|_| Ok(r.u32()?)).collect::<Result<Vec<_>>>()?;
     let importance = r.f64()?;
     let n_nodes = r.count(6)?;
     let mut summary = Vec::with_capacity(n_nodes);
@@ -606,23 +404,9 @@ pub fn encode_applied_into(buf: &mut Vec<u8>, epoch: Epoch) {
     put_u64(buf, epoch.get());
 }
 
-/// Encodes an `Applied` reply payload.
-pub fn encode_applied_payload(epoch: Epoch) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_applied_into(&mut buf, epoch);
-    buf
-}
-
 /// Encodes a `StatsText` reply payload, appending to `buf`.
 pub fn encode_stats_into(buf: &mut Vec<u8>, text: &str) {
     put_str(buf, text);
-}
-
-/// Encodes a `StatsText` reply payload.
-pub fn encode_stats_payload(text: &str) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_stats_into(&mut buf, text);
-    buf
 }
 
 /// Encodes a `Busy` reply payload, appending to `buf`.
@@ -630,24 +414,10 @@ pub fn encode_busy_into(buf: &mut Vec<u8>, reason: BusyReason) {
     put_u8(buf, reason as u8);
 }
 
-/// Encodes a `Busy` reply payload.
-pub fn encode_busy_payload(reason: BusyReason) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_busy_into(&mut buf, reason);
-    buf
-}
-
 /// Encodes an `Error` reply payload, appending to `buf`.
 pub fn encode_error_into(buf: &mut Vec<u8>, code: ErrorCode, message: &str) {
     put_u8(buf, code as u8);
     put_str(buf, message);
-}
-
-/// Encodes an `Error` reply payload.
-pub fn encode_error_payload(code: ErrorCode, message: &str) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_error_into(&mut buf, code, message);
-    buf
 }
 
 /// Decodes a reply payload against its opcode's schema.
@@ -695,6 +465,7 @@ pub fn decode_reply(opcode: crate::frame::Opcode, payload: &[u8]) -> Result<Repl
 mod tests {
     use super::*;
     use crate::frame::Opcode;
+    use sizel_storage::Value;
 
     #[test]
     fn query_request_roundtrips() {
@@ -723,23 +494,27 @@ mod tests {
         let muts = vec![
             Mutation::insert("Author", vec![Value::Int(7), "Ada".into(), Value::Null]),
             Mutation::update("Paper", 3, vec![Value::Int(3), Value::Float(0.5)]),
-            Mutation::delete("AuthorPaper", 9),
+            Mutation::delete("AuthorPaper", 9).exact(),
+            Mutation::delete("x".repeat(70_000), 1),
         ];
         let payload = encode_apply_payload(&muts);
         match decode_request(Opcode::ApplyBatch, &payload).expect("decodes") {
-            Request::ApplyBatch { mutations } => {
-                assert_eq!(mutations.len(), 3);
-                assert_eq!(mutations[0].table, "Author");
-                assert!(matches!(&mutations[1].op, MutationOp::Update { pk: 3, .. }));
-                assert!(matches!(&mutations[2].op, MutationOp::Delete { pk: 9 }));
-            }
+            Request::ApplyBatch { mutations } => assert_eq!(mutations, muts),
             other => panic!("wrong variant: {other:?}"),
         }
+        // The payload layout is protocol: these bytes are what every
+        // build since `VERSION` 1 has put on the wire for this batch.
+        assert_eq!(
+            encode_apply_payload(&[Mutation::update("T", -2, vec![Value::Null]).exact()]),
+            [&[1, 0, 0, 0, 1, 0, 0, 0, b'T', 1, 1][..], &(-2i64).to_le_bytes(), &[1, 0, 0, 0, 0]]
+                .concat()
+        );
     }
 
     #[test]
     fn error_and_busy_replies_roundtrip() {
-        let e = encode_error_payload(ErrorCode::BadRequest, "unknown tenant `acme`");
+        let mut e = Vec::new();
+        encode_error_into(&mut e, ErrorCode::BadRequest, "unknown tenant `acme`");
         match decode_reply(Opcode::Error, &e).expect("decodes") {
             Reply::Error { code, message } => {
                 assert_eq!(code, ErrorCode::BadRequest);
@@ -748,7 +523,8 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
         for reason in [BusyReason::InflightBudget, BusyReason::QueueFull, BusyReason::OutboxFull] {
-            let b = encode_busy_payload(reason);
+            let mut b = Vec::new();
+            encode_busy_into(&mut b, reason);
             match decode_reply(Opcode::Busy, &b).expect("decodes") {
                 Reply::Busy { reason: got } => assert_eq!(got, reason),
                 other => panic!("wrong variant: {other:?}"),
@@ -769,16 +545,17 @@ mod tests {
 
         let mut buf = b"h".to_vec();
         encode_error_into(&mut buf, ErrorCode::Internal, "boom");
-        assert_eq!(&buf[1..], &encode_error_payload(ErrorCode::Internal, "boom")[..]);
-
-        let mut buf = Vec::new();
-        encode_busy_into(&mut buf, BusyReason::QueueFull);
-        assert_eq!(buf, encode_busy_payload(BusyReason::QueueFull));
+        assert_eq!(&buf[..1], b"h");
+        assert!(matches!(
+            decode_reply(Opcode::Error, &buf[1..]),
+            Ok(Reply::Error { code: ErrorCode::Internal, .. })
+        ));
     }
 
     #[test]
     fn trailing_garbage_is_malformed() {
-        let mut payload = encode_applied_payload(Epoch(4));
+        let mut payload = Vec::new();
+        encode_applied_into(&mut payload, Epoch(4));
         payload.push(0xAB);
         assert!(decode_reply(Opcode::Applied, &payload).is_err());
     }

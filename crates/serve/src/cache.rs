@@ -275,21 +275,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 
     /// Looks `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        if self.capacity == 0 {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let found = self.lock_shard(self.shard_of(key)).get(key);
-        match found {
-            Some(v) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.lookup(key, &self.counters.misses)
     }
 
     /// Probe-only lookup: identical to [`ShardedCache::get`] except a
@@ -299,21 +285,18 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// records the real miss) — a hit is a hit either way, but counting
     /// the probe's failure as a second miss double-counted the request.
     pub fn probe(&self, key: &K) -> Option<V> {
-        if self.capacity == 0 {
-            self.counters.probe_misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let found = self.lock_shard(self.shard_of(key)).get(key);
-        match found {
-            Some(v) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.counters.probe_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.lookup(key, &self.counters.probe_misses)
+    }
+
+    /// The lookup behind [`ShardedCache::get`] and
+    /// [`ShardedCache::probe`], which differ only in the counter a miss
+    /// lands in.
+    fn lookup(&self, key: &K, miss_counter: &AtomicU64) -> Option<V> {
+        let found =
+            if self.capacity == 0 { None } else { self.lock_shard(self.shard_of(key)).get(key) };
+        let counter = if found.is_some() { &self.counters.hits } else { miss_counter };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Stores `key -> value`, evicting the shard's least recently used

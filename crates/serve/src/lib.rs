@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 
 use sizel_core::algo::AlgoKind;
 pub use sizel_core::durability::{DiskTierConfig, DiskTierStats, RecoveryReport};
-use sizel_core::engine::{QueryOptions, QueryResult, ResultRanking, SizeLEngine};
+use sizel_core::engine::{rank_results, QueryOptions, QueryResult, ResultRanking, SizeLEngine};
 use sizel_core::osgen::OsSource;
 use sizel_storage::{Epoch, StorageError, TupleRef};
 
@@ -296,9 +296,19 @@ impl SizeLServer {
         Some((epoch, hit))
     }
 
-    /// The write path: applies a [`Mutation`] under the write lock
-    /// (quiescing the pool for its duration), then drops every cache
-    /// entry of superseded epochs. Returns the new epoch.
+    /// Applies one [`Mutation`]: a batch of one (see
+    /// [`SizeLServer::apply_batch`]). Returns the new epoch.
+    pub fn apply(&self, m: Mutation) -> Result<Epoch, StorageError> {
+        self.apply_batch(vec![m])
+    }
+
+    /// The write path: applies a [`Mutation`] batch under **one**
+    /// write-lock acquisition (quiescing the pool for its duration) via
+    /// [`SizeLEngine::apply_batch`] — one `DataGraph` rebuild and one
+    /// posting settlement per incremental run — then drops every cache
+    /// entry of superseded epochs once. Returns the new epoch. On error
+    /// the engine keeps the fold's applied prefix (synchronized), the
+    /// purge still runs, and the error is returned.
     ///
     /// Staleness proof sketch: entries are keyed by the epoch read under
     /// the *same read lock* as their computation, and the epoch only
@@ -308,34 +318,15 @@ impl SizeLServer {
     /// entries computed against current data. The retain pass here is
     /// purely for memory: unreachable entries are dropped eagerly instead
     /// of aging out of the LRU.
-    pub fn apply(&self, m: Mutation) -> Result<Epoch, StorageError> {
-        let mut engine = self.engine.write().expect("a mutation panicked mid-apply");
-        let epoch = engine.apply(m)?;
-        // Purge while still holding the write lock: no reader can insert a
-        // fresh entry and no concurrent apply can advance the epoch until
-        // it is released, so `epoch` is exactly the current version and
-        // the retain can never evict another writer's current entries.
-        self.cache.retain(|k| k.0 == epoch);
-        drop(engine);
-        self.mutations_applied.fetch_add(1, Ordering::Relaxed);
-        Ok(epoch)
-    }
-
-    /// The batched write path: applies a whole [`Mutation`] batch under
-    /// **one** write-lock acquisition via [`SizeLEngine::apply_batch`]
-    /// (one `DataGraph` rebuild and one posting settlement per
-    /// incremental run, where folding [`SizeLServer::apply`] pays both —
-    /// plus a cache purge and a pool quiescence — per mutation), then
-    /// retains only current-epoch cache entries once. Same staleness
-    /// proof as [`SizeLServer::apply`]: the epoch advances under the
-    /// write lock, so every surviving and future entry is keyed by
-    /// current data. On error the engine keeps the fold's applied prefix
-    /// (synchronized), the purge still runs, and the error is returned.
     pub fn apply_batch(&self, ms: Vec<Mutation>) -> Result<Epoch, StorageError> {
         let mut engine = self.engine.write().expect("a mutation panicked mid-apply");
         let before = engine.epoch();
         let outcome = engine.apply_batch(ms);
         let epoch = engine.epoch();
+        // Purge while still holding the write lock: no reader can insert a
+        // fresh entry and no concurrent apply can advance the epoch until
+        // it is released, so `epoch` is exactly the current version and
+        // the retain can never evict another writer's current entries.
         self.cache.retain(|k| k.0 == epoch);
         drop(engine);
         // Count exactly the mutations that landed (the epoch advances
@@ -587,11 +578,7 @@ fn run_query(
         .into_iter()
         .map(|tds| summarize_cached(engine, cache, hot, summaries_computed, epoch, tds, opts))
         .collect();
-    if opts.ranking == ResultRanking::SummaryImportance {
-        results.sort_by(|a, b| {
-            b.result.importance.total_cmp(&a.result.importance).then(a.tds.cmp(&b.tds))
-        });
-    }
+    rank_results(&mut results, opts.ranking);
     results
 }
 

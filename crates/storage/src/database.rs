@@ -194,10 +194,12 @@ impl Database {
         self.tables.iter().enumerate().map(|(i, t)| (TableId(i as u16), t))
     }
 
-    /// Inserts a row into a named table (the legacy *un-scored* path: any
-    /// installed sorted postings of that table are dropped and the heap
-    /// path takes over for it — see [`Database::insert_scored`] for the
-    /// maintenance path). Bumps the table's and the global epoch.
+    /// Inserts a row into a named table — the loader's and the
+    /// exact-rebuild path's insert: any installed sorted postings of that
+    /// table are dropped and the heap path takes over for it until the
+    /// next [`Database::install_importance_order`] (the staged batch,
+    /// [`Database::begin_scored_batch`], is the path that maintains the
+    /// order instead). Bumps the table's and the global epoch.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<RowId> {
         let id = self.table_id(table)?;
         let row = self.tables[id.index()].insert(values)?;
@@ -205,11 +207,10 @@ impl Database {
         Ok(row)
     }
 
-    /// Rewrites the live row with primary key `pk` in place (the legacy
-    /// *un-scored* path — drops the table's sorted postings like
-    /// [`Database::insert`]; see [`Database::update_scored`] for the
-    /// maintained path). The pk itself is immutable. Bumps the table's
-    /// and the global epoch.
+    /// Rewrites the live row with primary key `pk` in place, dropping
+    /// the table's sorted postings like [`Database::insert`] (see
+    /// [`Database::update_scored_staged`] for the maintained path). The
+    /// pk itself is immutable. Bumps the table's and the global epoch.
     pub fn update(&mut self, table: &str, pk: i64, values: Vec<Value>) -> Result<RowId> {
         let id = self.table_id(table)?;
         let row = self.tables[id.index()].update(pk, values)?;
@@ -217,9 +218,10 @@ impl Database {
         Ok(row)
     }
 
-    /// Tombstones the live row with primary key `pk` (the legacy
-    /// *un-scored* path — see [`Database::delete_scored`] for the
-    /// maintained path). The row slot and its `RowId` survive; the row
+    /// Tombstones the live row with primary key `pk`, dropping the
+    /// table's sorted postings like [`Database::insert`] (see
+    /// [`Database::delete_scored_staged`] for the maintained path). The
+    /// row slot and its `RowId` survive; the row
     /// becomes invisible to iteration, hash indexes, and `by_pk`.
     /// Referential integrity is *not* checked here (mirroring
     /// [`Database::insert`], which defers FK existence to
@@ -247,66 +249,6 @@ impl Database {
             }
         }
         None
-    }
-
-    /// Inserts a row whose installed global importance is `score`,
-    /// *maintaining* the importance order instead of invalidating it: the
-    /// row is binary-inserted into every affected sorted FK posting list
-    /// (and, for junction tables, into both orientations' sorted link
-    /// postings), and the installed [`FkOrderToken`] is re-stamped with
-    /// the new epoch. Holders of the superseded token heap-fall-back;
-    /// contexts synchronized to the new token keep the prefix-scan fast
-    /// path. Above the churn threshold the table's postings are re-sorted
-    /// in one epoch-batched pass instead (byte-identical either way). A
-    /// batch of one: see [`Database::begin_scored_batch`] for amortizing
-    /// the settlement across many inserts.
-    ///
-    /// Falls back to the plain [`Database::insert`] when no live
-    /// importance order covers the table (nothing to maintain).
-    pub fn insert_scored(&mut self, table: &str, values: Vec<Value>, score: f64) -> Result<RowId> {
-        let mut batch = self.begin_scored_batch();
-        let row = self.insert_scored_staged(&mut batch, table, values, score);
-        self.finish_scored_batch(batch);
-        row
-    }
-
-    /// Rewrites a live row while *maintaining* the importance order: the
-    /// row's posting entries are removed under its old keys and
-    /// re-inserted at `score` under its new keys, at the exact positions
-    /// a from-scratch install would use; junction link postings whose
-    /// target importance the update staled are rebuilt. A batch of one —
-    /// see [`Database::update_scored_staged`].
-    ///
-    /// Falls back to the plain [`Database::update`] when no live
-    /// importance order covers the table.
-    pub fn update_scored(
-        &mut self,
-        table: &str,
-        pk: i64,
-        values: Vec<Value>,
-        score: f64,
-    ) -> Result<RowId> {
-        let mut batch = self.begin_scored_batch();
-        let row = self.update_scored_staged(&mut batch, table, pk, values, score);
-        self.finish_scored_batch(batch);
-        row
-    }
-
-    /// Tombstones a live row while *maintaining* the importance order:
-    /// the row's sorted-posting entries stay behind as skipped-over
-    /// tombstones until the compaction threshold purges them; junction
-    /// link postings that referenced the row as a target are rebuilt
-    /// (dropping to the heap fallback and watching the endpoint when the
-    /// reference now dangles — the PR 5 dangling watch run in reverse).
-    /// A batch of one — see [`Database::delete_scored_staged`].
-    ///
-    /// Falls back to the plain [`Database::delete`] when no live
-    /// importance order covers the table.
-    pub fn delete_scored(&mut self, table: &str, pk: i64) -> Result<RowId> {
-        let mut batch = self.begin_scored_batch();
-        let row = self.delete_scored_staged(&mut batch, table, pk);
-        self.finish_scored_batch(batch);
-        row
     }
 
     /// The two (source column, target column, target table) orientations
@@ -433,9 +375,10 @@ impl Database {
     /// different scores, a later re-install, or a mutation epoch the
     /// holder has not synchronized to — falls back to the heap path.
     ///
-    /// Call after loading, before serving. [`Self::insert_scored`] keeps
-    /// the order live across inserts; the plain [`Self::insert`] drops the
-    /// affected table's sorted postings.
+    /// Call after loading, before serving. A staged batch
+    /// ([`Self::begin_scored_batch`]) keeps the order live across
+    /// mutations; the plain [`Self::insert`] drops the affected table's
+    /// sorted postings.
     pub fn install_importance_order(
         &mut self,
         score: &dyn Fn(TableId, RowId) -> f64,
@@ -664,6 +607,18 @@ mod tests {
     use super::*;
     use crate::schema::TableSchema;
     use crate::value::Value;
+
+    /// Runs one staged op as a batch of one — the single-op fold the
+    /// batch oracles below compare against.
+    fn batch_of_one<T>(
+        db: &mut Database,
+        op: impl FnOnce(&mut Database, &mut ScoredBatch) -> T,
+    ) -> T {
+        let mut batch = db.begin_scored_batch();
+        let out = op(db, &mut batch);
+        db.finish_scored_batch(batch);
+        out
+    }
 
     fn tiny_db() -> Database {
         let mut db = Database::new();
@@ -904,7 +859,15 @@ mod tests {
             .collect();
         let old = db.install_importance_order(&|t, r| snapshot[t.index()][r.index()]);
         // Insert a row scoring between the two existing ones.
-        db.insert_scored("Paper", vec![Value::Int(12), "p3".into(), Value::Int(1)], 3.0).unwrap();
+        batch_of_one(&mut db, |db, b| {
+            db.insert_scored_staged(
+                b,
+                "Paper",
+                vec![Value::Int(12), "p3".into(), Value::Int(1)],
+                3.0,
+            )
+        })
+        .unwrap();
         let token = db.fk_order().expect("order survives the scored insert");
         assert_ne!(token, old, "the token is re-stamped, not reused verbatim");
         assert!(token.same_order(old), "…but it still names the same installed order");
@@ -957,7 +920,15 @@ mod tests {
         let (p_col, c_col) = (1, 2);
         assert!(db.table(j).sorted_link_index(p_col).is_some());
         // Scored insert referencing child pk 99, which does not exist.
-        db.insert_scored("J", vec![Value::Int(101), Value::Int(1), Value::Int(99)], 0.5).unwrap();
+        batch_of_one(&mut db, |db, b| {
+            db.insert_scored_staged(
+                b,
+                "J",
+                vec![Value::Int(101), Value::Int(1), Value::Int(99)],
+                0.5,
+            )
+        })
+        .unwrap();
         assert!(
             db.table(j).sorted_link_index(p_col).is_none()
                 && db.table(j).sorted_link_index(c_col).is_none(),
@@ -966,7 +937,8 @@ mod tests {
         // The late-arriving endpoint heals the orientation on the spot —
         // no reinstall needed — and the token is re-stamped at the heal's
         // epoch so synchronized contexts go straight back to prefix scans.
-        db.insert_scored("C", vec![Value::Int(99)], 2.0).unwrap();
+        batch_of_one(&mut db, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(99)], 2.0))
+            .unwrap();
         let links = db.table(j).sorted_link_index(p_col).expect("healed once resolvable");
         assert_eq!(links.pairs(1).len(), 2, "both junction rows pre-joined after the heal");
         assert_eq!(db.fk_order().unwrap().epoch(), db.epoch(), "heal re-stamps the token");
@@ -1005,7 +977,8 @@ mod tests {
         let j2 = db2.table_id("J").unwrap();
         assert!(db2.table(j2).sorted_link_index(p_col).is_none());
         assert_eq!(db2.dangling_watch_len(), 1, "install watches the missing endpoint");
-        db2.insert_scored("C", vec![Value::Int(99)], 1.0).unwrap();
+        batch_of_one(&mut db2, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(99)], 1.0))
+            .unwrap();
         assert!(
             db2.table(j2).sorted_link_index(p_col).is_some(),
             "build-time poisoning heals too once the endpoint arrives scored"
@@ -1019,7 +992,12 @@ mod tests {
         db.install_importance_order(&|_, _| 1.0);
         // Junction-free table with short row: clean Arity error.
         assert!(matches!(
-            db.insert_scored("Paper", vec![Value::Int(12)], 1.0),
+            batch_of_one(&mut db, |db, b| db.insert_scored_staged(
+                b,
+                "Paper",
+                vec![Value::Int(12)],
+                1.0
+            )),
             Err(StorageError::Arity { expected: 3, got: 1, .. })
         ));
         // A junction table with a short row must not panic while
@@ -1039,7 +1017,12 @@ mod tests {
         jdb.insert("A", vec![Value::Int(1)]).unwrap();
         jdb.install_importance_order(&|_, _| 1.0);
         assert!(matches!(
-            jdb.insert_scored("J", vec![Value::Int(7)], 1.0),
+            batch_of_one(&mut jdb, |db, b| db.insert_scored_staged(
+                b,
+                "J",
+                vec![Value::Int(7)],
+                1.0
+            )),
             Err(StorageError::Arity { expected: 3, got: 1, .. })
         ));
     }
@@ -1047,9 +1030,15 @@ mod tests {
     #[test]
     fn scored_insert_without_order_degrades_to_plain_insert() {
         let mut db = tiny_db();
-        let row = db
-            .insert_scored("Paper", vec![Value::Int(12), "p3".into(), Value::Int(1)], 1.0)
-            .unwrap();
+        let row = batch_of_one(&mut db, |db, b| {
+            db.insert_scored_staged(
+                b,
+                "Paper",
+                vec![Value::Int(12), "p3".into(), Value::Int(1)],
+                1.0,
+            )
+        })
+        .unwrap();
         let paper = db.table_id("Paper").unwrap();
         assert_eq!(db.table(paper).pk_of(row), 12);
         assert!(db.fk_order().is_none());
@@ -1087,9 +1076,15 @@ mod tests {
         assert_eq!(b.staged().len(), rows.len());
         batched.finish_scored_batch(b);
         for &(pk, s) in &rows {
-            folded
-                .insert_scored("Paper", vec![Value::Int(pk), "t".into(), Value::Int(1)], s)
-                .unwrap();
+            batch_of_one(&mut folded, |db, b| {
+                db.insert_scored_staged(
+                    b,
+                    "Paper",
+                    vec![Value::Int(pk), "t".into(), Value::Int(1)],
+                    s,
+                )
+            })
+            .unwrap();
         }
         assert_eq!(batched.epoch(), folded.epoch());
         assert_eq!(batched.fk_order().unwrap().epoch(), folded.fk_order().unwrap().epoch());
@@ -1130,8 +1125,15 @@ mod tests {
             db.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(10)]).unwrap();
             db.install_importance_order(&|_, _| 1.0);
             // The watch: a scored junction insert referencing missing C 99.
-            db.insert_scored("J", vec![Value::Int(101), Value::Int(1), Value::Int(99)], 0.5)
-                .unwrap();
+            batch_of_one(&mut db, |db, b| {
+                db.insert_scored_staged(
+                    b,
+                    "J",
+                    vec![Value::Int(101), Value::Int(1), Value::Int(99)],
+                    0.5,
+                )
+            })
+            .unwrap();
             assert_eq!(db.dangling_watch_len(), 1);
             db
         };
@@ -1151,10 +1153,19 @@ mod tests {
         batched.finish_scored_batch(b);
 
         let mut folded = build();
-        folded.insert_scored("C", vec![Value::Int(99)], 2.0).unwrap();
-        folded
-            .insert_scored("J", vec![Value::Int(102), Value::Int(1), Value::Int(99)], 0.25)
-            .unwrap();
+        batch_of_one(&mut folded, |db, b| {
+            db.insert_scored_staged(b, "C", vec![Value::Int(99)], 2.0)
+        })
+        .unwrap();
+        batch_of_one(&mut folded, |db, b| {
+            db.insert_scored_staged(
+                b,
+                "J",
+                vec![Value::Int(102), Value::Int(1), Value::Int(99)],
+                0.25,
+            )
+        })
+        .unwrap();
 
         let j = batched.table_id("J").unwrap();
         for col in [p_col, c_col] {
@@ -1200,10 +1211,19 @@ mod tests {
             .unwrap();
         batched.finish_scored_batch(b);
 
-        folded
-            .insert_scored("Paper", vec![Value::Int(20), "t".into(), Value::Int(1)], 2.0)
-            .unwrap();
-        folded.insert_scored("Year", vec![Value::Int(51), Value::Int(2002)], 1.0).unwrap();
+        batch_of_one(&mut folded, |db, b| {
+            db.insert_scored_staged(
+                b,
+                "Paper",
+                vec![Value::Int(20), "t".into(), Value::Int(1)],
+                2.0,
+            )
+        })
+        .unwrap();
+        batch_of_one(&mut folded, |db, b| {
+            db.insert_scored_staged(b, "Year", vec![Value::Int(51), Value::Int(2002)], 1.0)
+        })
+        .unwrap();
 
         assert_eq!(batched.epoch(), folded.epoch());
         assert_eq!(
@@ -1273,9 +1293,15 @@ mod tests {
         let before = folded.access().maint();
         for pk in 20..28 {
             let s = (pk % 5) as f64;
-            folded
-                .insert_scored("Paper", vec![Value::Int(pk), "t".into(), Value::Int(1)], s)
-                .unwrap();
+            batch_of_one(&mut folded, |db, b| {
+                db.insert_scored_staged(
+                    b,
+                    "Paper",
+                    vec![Value::Int(pk), "t".into(), Value::Int(1)],
+                    s,
+                )
+            })
+            .unwrap();
         }
         let fold_work = folded.access().maint().since(before);
         assert!(
@@ -1299,8 +1325,16 @@ mod tests {
         // Both rows score 1.0, so the install order is [row0, row1].
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1), &[RowId(0), RowId(1)]);
         let old = db.fk_order().unwrap();
-        db.update_scored("Paper", 11, vec![Value::Int(11), "p2'".into(), Value::Int(1)], 5.0)
-            .unwrap();
+        batch_of_one(&mut db, |db, b| {
+            db.update_scored_staged(
+                b,
+                "Paper",
+                11,
+                vec![Value::Int(11), "p2'".into(), Value::Int(1)],
+                5.0,
+            )
+        })
+        .unwrap();
         // Row 1 moved to the front — exactly where a fresh sort puts it.
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1), &[RowId(1), RowId(0)]);
         assert_eq!(db.table(paper).value(RowId(1), 1).as_str(), Some("p2'"));
@@ -1318,8 +1352,16 @@ mod tests {
         assert_eq!(mid.since(before), after.since(mid));
         // An update that ties an existing score must respect the RowId
         // tie-break: row 1 back at 1.0 ties row 0 and lands *after* it.
-        db.update_scored("Paper", 11, vec![Value::Int(11), "p2".into(), Value::Int(1)], 1.0)
-            .unwrap();
+        batch_of_one(&mut db, |db, b| {
+            db.update_scored_staged(
+                b,
+                "Paper",
+                11,
+                vec![Value::Int(11), "p2".into(), Value::Int(1)],
+                1.0,
+            )
+        })
+        .unwrap();
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1), &[RowId(0), RowId(1)]);
     }
 
@@ -1330,11 +1372,19 @@ mod tests {
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         for (pk, s) in [(20i64, 3.0), (21, 0.5)] {
-            db.insert_scored("Paper", vec![Value::Int(pk), "t".into(), Value::Int(1)], s).unwrap();
+            batch_of_one(&mut db, |db, b| {
+                db.insert_scored_staged(
+                    b,
+                    "Paper",
+                    vec![Value::Int(pk), "t".into(), Value::Int(1)],
+                    s,
+                )
+            })
+            .unwrap();
         }
         // First delete: one tombstone, below the threshold — the dead
         // entry lingers in the postings but is invisible to probes.
-        db.delete_scored("Paper", 10).unwrap();
+        batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "Paper", 10)).unwrap();
         assert_eq!(db.table(paper).fk_tombstones(), 1);
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1).len(), 4);
         let token = db.fk_order().unwrap();
@@ -1350,14 +1400,14 @@ mod tests {
         // Second delete crosses the threshold: the settlement ends with
         // one compaction pass purging the dead entries.
         let maint = db.access().maint();
-        db.delete_scored("Paper", 20).unwrap();
+        batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "Paper", 20)).unwrap();
         let work = db.access().maint().since(maint);
         assert_eq!(work.compactions, 1, "one compaction pass");
         assert_eq!(db.table(paper).fk_tombstones(), 0, "debt paid off");
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1), &[RowId(1), RowId(3)]);
         // MissingRow on dead/absent pks.
         assert!(matches!(
-            db.delete_scored("Paper", 10),
+            batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "Paper", 10)),
             Err(StorageError::MissingRow { key: 10, .. })
         ));
     }
@@ -1404,25 +1454,45 @@ mod tests {
                     .unwrap();
                 }
                 None => {
-                    db.insert_scored("Paper", vec![Value::Int(20), "a".into(), Value::Int(1)], 2.0)
-                        .unwrap();
-                    db.update_scored(
-                        "Paper",
-                        10,
-                        vec![Value::Int(10), "p1'".into(), Value::Int(1)],
-                        2.0,
-                    )
+                    batch_of_one(db, |db, b| {
+                        db.insert_scored_staged(
+                            b,
+                            "Paper",
+                            vec![Value::Int(20), "a".into(), Value::Int(1)],
+                            2.0,
+                        )
+                    })
                     .unwrap();
-                    db.delete_scored("Paper", 11).unwrap();
-                    db.update_scored(
-                        "Paper",
-                        20,
-                        vec![Value::Int(20), "a'".into(), Value::Int(1)],
-                        0.25,
-                    )
+                    batch_of_one(db, |db, b| {
+                        db.update_scored_staged(
+                            b,
+                            "Paper",
+                            10,
+                            vec![Value::Int(10), "p1'".into(), Value::Int(1)],
+                            2.0,
+                        )
+                    })
                     .unwrap();
-                    db.insert_scored("Paper", vec![Value::Int(21), "b".into(), Value::Int(1)], 2.0)
-                        .unwrap();
+                    batch_of_one(db, |db, b| db.delete_scored_staged(b, "Paper", 11)).unwrap();
+                    batch_of_one(db, |db, b| {
+                        db.update_scored_staged(
+                            b,
+                            "Paper",
+                            20,
+                            vec![Value::Int(20), "a'".into(), Value::Int(1)],
+                            0.25,
+                        )
+                    })
+                    .unwrap();
+                    batch_of_one(db, |db, b| {
+                        db.insert_scored_staged(
+                            b,
+                            "Paper",
+                            vec![Value::Int(21), "b".into(), Value::Int(1)],
+                            2.0,
+                        )
+                    })
+                    .unwrap();
                 }
             }
         };
@@ -1488,12 +1558,13 @@ mod tests {
         assert_eq!(db.table(j).sorted_link_index(p_col).unwrap().pairs(1).len(), 2);
         // Deleting C 10 leaves J 100 dangling: the rebuild trips over the
         // dead target, drops the orientation, and watches the endpoint.
-        db.delete_scored("C", 10).unwrap();
+        batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "C", 10)).unwrap();
         assert!(db.table(j).sorted_link_index(p_col).is_none(), "stale orientation dropped");
         assert_eq!(db.dangling_watch_len(), 1, "dead endpoint watched");
         // The heap fallback still serves correct (live-target) results in
         // the meantime; re-inserting the pk heals the fast path.
-        db.insert_scored("C", vec![Value::Int(10)], 2.0).unwrap();
+        batch_of_one(&mut db, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(10)], 2.0))
+            .unwrap();
         let links = db.table(j).sorted_link_index(p_col).expect("healed");
         assert_eq!(links.pairs(1).len(), 2, "both pairs re-joined to the new row");
         assert_eq!(db.dangling_watch_len(), 0);
@@ -1501,7 +1572,10 @@ mod tests {
         let new_row = db.table(db.table_id("C").unwrap()).by_pk(10).unwrap();
         assert!(links.pairs(1).iter().any(|&(_, t)| t == new_row));
         // An update of a link target re-sorts the pairs by the new score.
-        db.update_scored("C", 11, vec![Value::Int(11)], 9.0).unwrap();
+        batch_of_one(&mut db, |db, b| {
+            db.update_scored_staged(b, "C", 11, vec![Value::Int(11)], 9.0)
+        })
+        .unwrap();
         let links = db.table(j).sorted_link_index(p_col).expect("rebuilt, not dropped");
         assert_eq!(links.pairs(1)[0].0, RowId(1), "J 101's target now outranks");
     }
@@ -1535,7 +1609,7 @@ mod tests {
 
         // A junction-own delete leaves a tombstoned pair per orientation
         // (no wholesale rebuild): raw length drops, the pair stays.
-        db.delete_scored("J", 101).unwrap();
+        batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 101)).unwrap();
         let links = db.table(j).sorted_link_index(p_col).expect("orientation kept");
         assert_eq!(links.raw_group_len(1), 2, "raw length tracks the live group");
         assert_eq!(links.pairs(1).len(), 3, "the dead pair lingers as a tombstone");
@@ -1545,8 +1619,16 @@ mod tests {
 
         // A junction-own update physically re-homes the pair under the
         // new source key — no tombstone, identical to a fresh build.
-        db.update_scored("J", 102, vec![Value::Int(102), Value::Int(2), Value::Int(10)], 0.0)
-            .unwrap();
+        batch_of_one(&mut db, |db, b| {
+            db.update_scored_staged(
+                b,
+                "J",
+                102,
+                vec![Value::Int(102), Value::Int(2), Value::Int(10)],
+                0.0,
+            )
+        })
+        .unwrap();
         let links = db.table(j).sorted_link_index(p_col).expect("orientation kept");
         assert_eq!(links.raw_group_len(1), 1);
         assert_eq!(links.raw_group_len(2), 1);
@@ -1556,7 +1638,7 @@ mod tests {
         // Crossing the threshold compacts: tombstones purge wholesale.
         // (This delete adds one tombstone — its p-side group empties and
         // drops its key outright, which costs no debt.)
-        db.delete_scored("J", 102).unwrap();
+        batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 102)).unwrap();
         assert_eq!(db.table(j).link_tombstones(), 0, "debt crossed 2: compacted");
         let links = db.table(j).sorted_link_index(p_col).expect("rebuilt");
         assert_eq!(links.pairs(1).len(), 1, "only the live pair survives");
@@ -1586,6 +1668,87 @@ mod tests {
     }
 
     #[test]
+    fn junction_row_updates_match_a_fresh_install_in_every_target_state() {
+        // J 101 moves to every combination of source/target state — kept,
+        // re-homed, NULL, dangling — and the maintained link postings must
+        // equal what a from-scratch install over the same slots builds.
+        // A dangling target drops the links and heals on arrival.
+        let build = |j101: [Value; 2]| {
+            let mut db = Database::new();
+            db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
+            db.create_table(TableSchema::builder("C").pk("id").build().unwrap()).unwrap();
+            db.create_table(
+                TableSchema::builder("J")
+                    .pk("id")
+                    .fk("p_id", "P")
+                    .fk("c_id", "C")
+                    .junction()
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+            for p in [1, 2] {
+                db.insert("P", vec![Value::Int(p)]).unwrap();
+            }
+            for c in [10, 11] {
+                db.insert("C", vec![Value::Int(c)]).unwrap();
+            }
+            let [p, c] = j101;
+            db.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(10)]).unwrap();
+            db.insert("J", vec![Value::Int(101), p, c]).unwrap();
+            db.insert("J", vec![Value::Int(102), Value::Int(2), Value::Int(10)]).unwrap();
+            db
+        };
+        let score = |_: TableId, r: RowId| 1.0 + r.index() as f64;
+        let assert_same_links = |a: &Database, b: &Database, what: &str| {
+            let j = a.table_id("J").unwrap();
+            for col in [1usize, 2] {
+                let (x, y) = (a.table(j).sorted_link_index(col), b.table(j).sorted_link_index(col));
+                let (Some(x), Some(y)) = (x, y) else {
+                    panic!("{what}: orientation {col} present {} vs {}", x.is_some(), y.is_some());
+                };
+                assert_eq!(x.key_count(), y.key_count(), "{what}: col {col} keys");
+                for key in [1i64, 2, 10, 11, 99] {
+                    assert_eq!(x.pairs(key), y.pairs(key), "{what}: col {col} key {key}");
+                    assert_eq!(x.raw_group_len(key), y.raw_group_len(key), "{what}: raw {key}");
+                }
+            }
+        };
+        let states = |live: [i64; 2]| [Value::Int(live[0]), Value::Int(live[1]), Value::Null];
+        for p in states([1, 2]) {
+            for c in states([10, 11]).into_iter().chain([Value::Int(99)]) {
+                let what = format!("J 101 -> ({p}, {c})");
+                let mut live = build([Value::Int(1), Value::Int(11)]);
+                live.install_importance_order(&score);
+                batch_of_one(&mut live, |db, b| {
+                    db.update_scored_staged(
+                        b,
+                        "J",
+                        101,
+                        vec![Value::Int(101), p.clone(), c.clone()],
+                        2.0,
+                    )
+                })
+                .unwrap();
+                let dangling = c == Value::Int(99) && p != Value::Null;
+                let mut fresh = build([p.clone(), c.clone()]);
+                if dangling {
+                    let j = live.table_id("J").unwrap();
+                    assert!(live.table(j).sorted_link_index(1).is_none(), "{what}: dropped");
+                    assert_eq!(live.dangling_watch_len(), 1, "{what}: endpoint watched");
+                    batch_of_one(&mut live, |db, b| {
+                        db.insert_scored_staged(b, "C", vec![Value::Int(99)], 3.0)
+                    })
+                    .unwrap();
+                    fresh.insert("C", vec![Value::Int(99)]).unwrap();
+                }
+                fresh.install_importance_order(&score);
+                assert_same_links(&live, &fresh, &what);
+            }
+        }
+    }
+
+    #[test]
     fn churn_threshold_triggers_batched_resort() {
         let mut db = tiny_db();
         db.set_churn_threshold(2);
@@ -1596,8 +1759,15 @@ mod tests {
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         for (i, pk) in (20..26).enumerate() {
             let score = (i + 2) as f64;
-            db.insert_scored("Paper", vec![Value::Int(pk), "t".into(), Value::Int(1)], score)
-                .unwrap();
+            batch_of_one(&mut db, |db, b| {
+                db.insert_scored_staged(
+                    b,
+                    "Paper",
+                    vec![Value::Int(pk), "t".into(), Value::Int(1)],
+                    score,
+                )
+            })
+            .unwrap();
         }
         // 6 scored inserts with threshold 2: at least one batched re-sort
         // happened, so the churn counter wrapped below the insert count.

@@ -1,4 +1,8 @@
-//! The staged scored batch: the order-maintaining mutation path.
+//! The staged scored batch — the one mutation path that *maintains* the
+//! installed importance order: open with
+//! [`Database::begin_scored_batch`], stage any mix of scored inserts,
+//! updates and deletes, settle with [`Database::finish_scored_batch`].
+//! A single scored mutation is a batch of one.
 
 use super::{Database, TableId};
 use crate::epoch::Epoch;
@@ -59,8 +63,7 @@ impl StagedOp {
 /// staged op replays incrementally (binary insert / reposition /
 /// tombstone), or — above the churn threshold — one re-sort absorbs the
 /// whole batch, instead of potentially several mid-stream re-sorts when
-/// the same ops arrive one [`Database::insert_scored`] /
-/// [`Database::update_scored`] / [`Database::delete_scored`] at a time.
+/// the same ops arrive as batches of one.
 /// Junction link postings touched by any update/delete are rebuilt once
 /// per batch, and at most one tombstone compaction per table runs at the
 /// end. While the batch is open the affected tables' postings are
@@ -68,7 +71,7 @@ impl StagedOp {
 /// prefixes missing the staged ops.
 ///
 /// The settled end state serves queries byte-identically to folding the
-/// single-op calls in the same order (property-tested at every churn and
+/// same ops as batches of one (property-tested at every churn and
 /// compaction threshold); only compaction *timing* may differ, which is
 /// invisible to probes (tombstones are skipped) and to accounting.
 #[derive(Debug)]
@@ -80,7 +83,7 @@ pub struct ScoredBatch {
     /// Tables whose postings were suspended at first touch.
     touched: Vec<TableId>,
     /// Epoch of the last staged (maintained) op — the stamp the settled
-    /// [`FkOrderToken`] carries, exactly as the fold would leave it.
+    /// [`crate::FkOrderToken`] carries, exactly as the fold would leave it.
     last_scored_epoch: Option<Epoch>,
 }
 
@@ -104,8 +107,8 @@ impl Database {
     /// epoch bumped — but sorted-posting maintenance is deferred to
     /// [`Database::finish_scored_batch`]. The affected table's postings
     /// are suspended for the batch's duration (probes heap-fall-back).
-    /// Falls back to the plain [`Database::insert`] exactly like
-    /// [`Database::insert_scored`] when no live order covers the table.
+    /// Falls back to the plain [`Database::insert`] when no live
+    /// importance order covers the table (nothing to maintain).
     pub fn insert_scored_staged(
         &mut self,
         batch: &mut ScoredBatch,
@@ -207,12 +210,11 @@ impl Database {
     /// watches the endpoint, so a re-inserted pk heals it: the dangling
     /// watch run in reverse). Endpoint arrivals heal waiting junctions,
     /// tables whose tombstone debt crossed the compaction threshold
-    /// compact (at most once each), and the [`FkOrderToken`] is
+    /// compact (at most once each), and the [`crate::FkOrderToken`] is
     /// re-stamped once.
     ///
-    /// Serves queries byte-identically to the fold of single
-    /// [`Database::insert_scored`] / [`Database::update_scored`] /
-    /// [`Database::delete_scored`] calls; internal scheduling state (the
+    /// Serves queries byte-identically to the fold of the same ops as
+    /// batches of one; internal scheduling state (the
     /// churn counter, compaction timing) may differ, which is
     /// content-neutral: re-sorts are order-equivalent and tombstones are
     /// invisible to probes.
@@ -434,11 +436,13 @@ impl Database {
 
     /// Repositions one updated junction row in its table's sorted link
     /// postings: each orientation's pair is removed by identity scan under
-    /// the *old* source key and re-inserted under the new one at the exact
+    /// the *old* source key (physical removal — the row is about to be
+    /// re-posted, not tombstoned; raw group counts move with it), then the
+    /// row re-joins under its new keys exactly like a fresh insert
+    /// ([`Database::settle_junction_links`]): at the
     /// `(target score, target RowId, junction RowId)` position a rebuild
-    /// would use. Raw group counts move with the row. A dangling new
-    /// target drops the links and watches the endpoint, exactly like the
-    /// insert path.
+    /// would use, or dropping the links and watching the endpoint when
+    /// the new target dangles.
     fn settle_junction_link_update(
         &mut self,
         jid: TableId,
@@ -447,47 +451,13 @@ impl Database {
         new_keys: &[(usize, i64)],
     ) {
         let Some(orientations) = self.junction_orientations(jid) else { return };
-        let key_in = |keys: &[(usize, i64)], col: usize| {
-            keys.iter().find(|&&(c, _)| c == col).map(|&(_, k)| k)
-        };
-        for (s_col, t_col, t_table) in orientations {
-            if !self.tables[t_table.index()].has_installed_scores() {
-                self.tables[jid.index()].drop_sorted_links();
-                continue;
-            }
-            // Un-post under the old source key first (physical removal —
-            // the row is about to be re-posted, not tombstoned).
-            if let Some(old_key) = key_in(old_keys, s_col) {
-                if let Some(mut idx) = self.tables[jid.index()].take_sorted_link(s_col) {
-                    idx.unpost(old_key, row, true);
-                    self.tables[jid.index()].set_sorted_link(s_col, idx);
-                }
-            }
-            let Some(new_key) = key_in(new_keys, s_col) else { continue };
-            let target = match key_in(new_keys, t_col) {
-                None => None, // NULL target: counts in raw_len only
-                Some(k) => match self.tables[t_table.index()].by_pk(k) {
-                    Some(r) => Some(r),
-                    None => {
-                        self.tables[jid.index()].drop_sorted_links();
-                        let waiters = self.dangling_watch.entry((t_table, k)).or_default();
-                        if !waiters.contains(&jid) {
-                            waiters.push(jid);
-                        }
-                        continue;
-                    }
-                },
-            };
-            if let Some(mut idx) = self.tables[jid.index()].take_sorted_link(s_col) {
-                idx.insert_scored(
-                    new_key,
-                    row,
-                    target,
-                    self.tables[t_table.index()].installed_scores(),
-                );
-                self.tables[jid.index()].set_sorted_link(s_col, idx);
-            }
+        for (s_col, _, _) in orientations {
+            let Some(&(_, key)) = old_keys.iter().find(|&&(c, _)| c == s_col) else { continue };
+            let Some(mut idx) = self.tables[jid.index()].take_sorted_link(s_col) else { continue };
+            idx.unpost(key, row, true);
+            self.tables[jid.index()].set_sorted_link(s_col, idx);
         }
+        self.settle_junction_links(jid, row, new_keys, false);
     }
 
     /// Settles one deleted junction row against its table's sorted link

@@ -32,12 +32,12 @@
 //! instead of scanning postings in the wrong order.
 //!
 //! **Updates.** The installed order is *maintained*, not torn down, under
-//! scored inserts ([`crate::Database::insert_scored`]): the new row is
+//! scored inserts ([`crate::Database::insert_scored_staged`]): the new row is
 //! binary-inserted into every affected posting list and the token is
 //! **re-stamped** with the database's new [`Epoch`] — contexts built
 //! after the mutation (whose scores carry the re-stamped token) keep the
 //! prefix-scan fast path, while contexts holding the superseded token
-//! fall back to the heap path. Only the legacy un-scored
+//! fall back to the heap path. Only the plain
 //! [`crate::Database::insert`] still drops the affected table's sorted
 //! postings (it has no score to place the row with). Above a churn
 //! threshold the per-table maintenance switches to an epoch-batched full

@@ -22,9 +22,13 @@
 //!   mutation workloads,
 //! * mutation epochs ([`epoch`]) versioning the catalog (global and per
 //!   table) so derived structures — sorted postings, rank scores, serve
-//!   caches — can detect and synchronize to data changes.
+//!   caches — can detect and synchronize to data changes,
+//! * the byte codec ([`codec`]) that carries [`value::Value`]s — and every
+//!   other serialised form in the workspace — to the WAL, the wire and
+//!   the segment directory.
 
 pub mod access;
+pub mod codec;
 pub mod database;
 pub mod epoch;
 pub mod error;

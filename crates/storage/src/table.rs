@@ -56,7 +56,7 @@ pub struct Table {
     fk_indexes: HashMap<usize, HashMap<i64, Vec<RowId>>>,
     /// column index -> importance-sorted postings. Installed at
     /// finalization, *maintained* under scored inserts, dropped by the
-    /// legacy un-scored insert — see [`crate::fk_index`].
+    /// plain un-scored insert — see [`crate::fk_index`].
     sorted_fk: HashMap<usize, SortedFkIndex>,
     /// Source column index -> importance-sorted junction link postings
     /// (junction tables only; same lifecycle as `sorted_fk`).
@@ -141,8 +141,8 @@ impl Table {
     /// This is the *un-scored* path: it carries no importance for the new
     /// row, so any installed sorted postings (and the score snapshot that
     /// places rows in them) are dropped and the heap path takes over for
-    /// this table. Use [`crate::Database::insert_scored`] to keep the
-    /// prefix-scan fast path live across inserts.
+    /// this table. Use [`crate::Database::insert_scored_staged`] to keep
+    /// the prefix-scan fast path live across inserts.
     pub fn insert(&mut self, values: Vec<Value>) -> Result<RowId> {
         let id = self.insert_validated(values)?;
         // The sorted postings were placed under a per-row score snapshot;
@@ -259,8 +259,8 @@ impl Table {
     ///
     /// Like [`Table::insert`], this is the *un-scored* path: sorted
     /// postings and the score snapshot are dropped and the heap path takes
-    /// over. Use [`crate::Database::delete_scored`] to keep the fast path
-    /// live (tombstone-then-compact).
+    /// over. Use [`crate::Database::delete_scored_staged`] to keep the
+    /// fast path live (tombstone-then-compact).
     pub fn delete(&mut self, pk: i64) -> Result<RowId> {
         let id = self.delete_validated(pk)?;
         self.drop_derived_state();

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use sizel_storage::{Database, Epoch, RowId, TableId, TableSchema, Value, ValueType};
+use sizel_storage::{Database, Epoch, RowId, ScoredBatch, TableId, TableSchema, Value, ValueType};
 
 /// Parent (link target) / Child (FK postings) / Rel (junction between
 /// Parent and Child, exercising both link orientations).
@@ -39,6 +39,15 @@ fn fresh_db() -> Database {
     )
     .unwrap();
     db
+}
+
+/// Runs one staged op as a batch of one — the single-op fold the
+/// batched settlement is compared against.
+fn batch_of_one<T>(db: &mut Database, op: impl FnOnce(&mut Database, &mut ScoredBatch) -> T) -> T {
+    let mut batch = db.begin_scored_batch();
+    let out = op(db, &mut batch);
+    db.finish_scored_batch(batch);
+    out
 }
 
 const N_PARENTS: i64 = 6;
@@ -127,7 +136,9 @@ fn run_stream(
             Op::Child(pk, parent, s) => {
                 let dup = db.table(child).by_pk(pk).is_some();
                 let values = vec![Value::Int(pk), Value::Float(s), Value::Int(parent)];
-                let r = db.insert_scored("Child", values.clone(), s);
+                let r = batch_of_one(db, |db, b| {
+                    db.insert_scored_staged(b, "Child", values.clone(), s)
+                });
                 if dup {
                     assert!(r.is_err(), "duplicate child pk must be rejected");
                 } else {
@@ -142,7 +153,8 @@ fn run_stream(
                     continue; // dead or absent endpoint: plain insert would reject
                 }
                 let values = vec![Value::Int(pk), Value::Int(parent), Value::Int(child_pk)];
-                let r = db.insert_scored("Rel", values.clone(), s);
+                let r =
+                    batch_of_one(db, |db, b| db.insert_scored_staged(b, "Rel", values.clone(), s));
                 if dup {
                     assert!(r.is_err(), "duplicate rel pk must be rejected");
                 } else {
@@ -154,34 +166,48 @@ fn run_stream(
             Op::UpdateChild(pk, parent, s) => {
                 let Some(row) = db.table(child).by_pk(pk) else {
                     assert!(
-                        db.update_scored("Child", pk, vec![Value::Int(pk)], s).is_err(),
+                        batch_of_one(db, |db, b| db.update_scored_staged(
+                            b,
+                            "Child",
+                            pk,
+                            vec![Value::Int(pk)],
+                            s
+                        ))
+                        .is_err(),
                         "updating a missing row must be rejected"
                     );
                     continue;
                 };
                 let values = vec![Value::Int(pk), Value::Float(s), Value::Int(parent)];
-                db.update_scored("Child", pk, values.clone(), s).unwrap();
+                batch_of_one(db, |db, b| {
+                    db.update_scored_staged(b, "Child", pk, values.clone(), s)
+                })
+                .unwrap();
                 scores[1][row.index()] = s;
                 accepted.push(PlainOp::Update("Child", pk, values));
             }
             Op::DeleteChild(pk) => {
                 if db.table(child).by_pk(pk).is_none() {
-                    assert!(db.delete_scored("Child", pk).is_err());
+                    assert!(
+                        batch_of_one(db, |db, b| db.delete_scored_staged(b, "Child", pk)).is_err()
+                    );
                     continue;
                 }
                 // Deleting a still-referenced target is legal at the
                 // storage layer (the engine enforces RESTRICT above it):
                 // it drops the link orientation and arms the dangling
                 // watch, which is exactly the repair path under test.
-                db.delete_scored("Child", pk).unwrap();
+                batch_of_one(db, |db, b| db.delete_scored_staged(b, "Child", pk)).unwrap();
                 accepted.push(PlainOp::Delete("Child", pk));
             }
             Op::DeleteRel(pk) => {
                 if db.table(rel).by_pk(pk).is_none() {
-                    assert!(db.delete_scored("Rel", pk).is_err());
+                    assert!(
+                        batch_of_one(db, |db, b| db.delete_scored_staged(b, "Rel", pk)).is_err()
+                    );
                     continue;
                 }
-                db.delete_scored("Rel", pk).unwrap();
+                batch_of_one(db, |db, b| db.delete_scored_staged(b, "Rel", pk)).unwrap();
                 accepted.push(PlainOp::Delete("Rel", pk));
             }
         }
@@ -412,13 +438,13 @@ proptest! {
         for staged in &accepted {
             match staged {
                 Staged::Insert(t, values, s) => {
-                    folded.insert_scored(t, values.clone(), *s).unwrap();
+                    batch_of_one(&mut folded, |db, b| db.insert_scored_staged(b, t, values.clone(), *s)).unwrap();
                 }
                 Staged::Update(t, pk, values, s) => {
-                    folded.update_scored(t, *pk, values.clone(), *s).unwrap();
+                    batch_of_one(&mut folded, |db, b| db.update_scored_staged(b, t, *pk, values.clone(), *s)).unwrap();
                 }
                 Staged::Delete(t, pk) => {
-                    folded.delete_scored(t, *pk).unwrap();
+                    batch_of_one(&mut folded, |db, b| db.delete_scored_staged(b, t, *pk)).unwrap();
                 }
             }
         }
