@@ -9,9 +9,10 @@
 //!   ([`ClusterRouter::shard_of`]), so the expensive per-DS work —
 //!   summary computation, cache residency, hotness tracking — partitions
 //!   across shards while any shard can resolve the (cheap) keyword
-//!   lookup. Cross-shard queries fan the per-DS jobs out to their owners
-//!   and merge the answers back in rank order, byte-identical to one
-//!   sequential engine (the equivalence suite proves it at every epoch).
+//!   lookup. Cross-shard queries take each hit's summary from its owner
+//!   (cache probed first, only a miss queued) and merge the answers in
+//!   rank order, byte-identical to one sequential engine (the
+//!   equivalence suite proves it at every epoch).
 //! * **Multi-tenant** ([`ClusterRouter::multi_tenant`]): one engine per
 //!   tenant database; queries and writes name the tenant and route to
 //!   its shard, isolating tenants' data, caches, and write paths.
@@ -27,9 +28,9 @@
 //! of hot keys don't eat cold recomputes after writes.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{mpsc, Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use sizel_core::engine::{rank_results, QueryOptions, QueryResult, SizeLEngine};
+use sizel_core::engine::{rank_results, QueryOptions, SizeLEngine};
 use sizel_serve::{
     DiskTierConfig, Mutation, RecoveryReport, ServeConfig, ServerStats, SharedResult, SizeLServer,
 };
@@ -275,11 +276,10 @@ impl ClusterRouter {
         self.batch_query(&[(keywords.to_owned(), opts)]).map(|mut r| r.pop().expect("one request"))
     }
 
-    /// Cross-shard batch fan-out/merge (partitioned mode): all requests'
-    /// keyword lookups resolve under one read pass, the per-DS summary
-    /// jobs are grouped by owner shard and served by every owner's worker
-    /// pool concurrently, and the answers are reassembled per request in
-    /// rank order.
+    /// Cross-shard batch query (partitioned mode): all requests' keyword
+    /// lookups resolve under one read pass, each hit's summary comes from
+    /// its owner shard — the misses computed by every owner's worker pool
+    /// concurrently — and the answers merge per request in rank order.
     pub fn batch_query(
         &self,
         requests: &[(String, QueryOptions)],
@@ -301,79 +301,17 @@ impl ClusterRouter {
                 "tenant-less queries need a partitioned cluster (see query_tenant)",
             ));
         }
-        let _epoch_gate = self.read_gate();
-        // Writes hold the gate exclusively, so every shard sits at this
-        // epoch for the whole fan-out.
-        let epoch = self.shards[0].epoch();
-        // Resolve every request's DS hits on one replica.
-        let hits_per_request: Vec<Vec<TupleRef>> = {
-            let engine = self.shards[0].engine();
-            requests.iter().map(|(kw, _)| engine.ds_hits(kw)).collect()
-        };
-        // Group the per-DS jobs by owner shard, remembering where each
-        // answer goes: (request index, hit index within the request).
-        let mut per_shard: Vec<Vec<(usize, usize, TupleRef, QueryOptions)>> =
-            vec![Vec::new(); self.shards.len()];
-        for (ri, hits) in hits_per_request.iter().enumerate() {
-            let opts = requests[ri].1;
-            for (hi, &tds) in hits.iter().enumerate() {
-                per_shard[self.shard_of(tds)].push((ri, hi, tds, opts));
-            }
-        }
-        // Fan out: every owner shard's pool works its group concurrently.
-        let mut slots: Vec<Vec<Option<SharedResult>>> =
-            hits_per_request.iter().map(|h| vec![None; h.len()]).collect();
-        std::thread::scope(|scope| {
-            let tasks: Vec<_> = per_shard
-                .iter()
-                .enumerate()
-                .filter(|(_, items)| !items.is_empty())
-                .map(|(si, items)| {
-                    let shard = &self.shards[si];
-                    scope.spawn(move || {
-                        let batch: Vec<(TupleRef, QueryOptions)> =
-                            items.iter().map(|&(_, _, tds, opts)| (tds, opts)).collect();
-                        shard.summarize_batch(&batch)
-                    })
-                })
-                .collect();
-            let groups: Vec<Vec<SharedResult>> =
-                tasks.into_iter().map(|t| t.join().expect("shard fan-out task")).collect();
-            for (items, results) in per_shard.iter().filter(|i| !i.is_empty()).zip(groups) {
-                for (&(ri, hi, _, _), result) in items.iter().zip(results) {
-                    slots[ri][hi] = Some(result);
-                }
-            }
-        });
-        // Merge: per request, hits order (the paper's global-importance
-        // rank) or the summary-importance reorder — the exact comparator
-        // the sequential engine uses.
-        let merged = slots
-            .into_iter()
-            .zip(requests)
-            .map(|(row, (_, opts))| {
-                let mut results: Vec<SharedResult> =
-                    row.into_iter().map(|s| s.expect("every hit was summarized")).collect();
-                rank_results(&mut results, opts.ranking);
-                results
-            })
-            .collect();
-        Ok((epoch, merged))
+        // Any replica resolves the keyword lookup; shard 0 does.
+        Ok(self
+            .answer(0, |tds| self.shard_of(tds), requests, true)
+            .expect("waiting never declines"))
     }
 
     /// Cache-only, never-blocking form of [`ClusterRouter::batch_query_at`]
     /// for the network layer's inline fast path: succeeds only when the
     /// *entire* batch — gate, keyword lookups, and every hit's summary —
-    /// can be served without waiting on any lock or computing anything.
-    /// Any contention or any cache miss returns `None` and the caller
-    /// dispatches the request through the worker queue instead.
-    ///
-    /// Consistency is the same argument as the blocking path: the gate is
-    /// held (shared) across the whole probe, so every shard sits at one
-    /// epoch, and each per-shard probe reads that epoch under the same
-    /// try-acquired engine guard as its cache lookup. Every `try_*` here
-    /// is non-blocking by construction — a queued writer on any lock
-    /// makes the probe fail, never wait.
+    /// can be served without waiting on any lock or computing anything;
+    /// on `None` the caller dispatches through its worker queue instead.
     pub fn try_batch_query_cached(
         &self,
         requests: &[(String, QueryOptions)],
@@ -381,24 +319,81 @@ impl ClusterRouter {
         if !matches!(self.mode, Mode::Partitioned) {
             return None;
         }
-        let _epoch_gate = self.gate.try_read().ok()?;
-        let engine0 = self.shards[0].try_engine()?;
-        let epoch = engine0.epoch();
-        let mut merged = Vec::with_capacity(requests.len());
-        for (kw, opts) in requests {
-            let hits = engine0.ds_hits(kw);
-            let mut results = Vec::with_capacity(hits.len());
-            for tds in hits {
-                // Owner-shard probe. For shard 0 this re-try-reads a lock
-                // this thread already holds shared — which cannot block
-                // and at worst fails (pending writer), falling back.
-                let (e, hit) = self.shards[self.shard_of(tds)].try_summarize_cached(tds, *opts)?;
-                debug_assert_eq!(e, epoch, "gate held: every shard serves one epoch");
-                results.push(hit);
+        self.answer(0, |tds| self.shard_of(tds), requests, false)
+    }
+
+    /// The one read body: keyword lookups resolve on `lookup_shard`, each
+    /// hit's summary comes from shard `owner_of(hit)` by the serve layer's
+    /// lookup policy (probed on this thread, queued only on a miss), and
+    /// each request's results merge in rank order, byte-identical to one
+    /// sequential engine. The gate is held shared throughout and writes
+    /// hold it exclusively, so every shard sits at `epoch` for the whole
+    /// call. With `wait` off nothing here blocks or computes: gate and
+    /// engine guard are `try_` acquisitions (a queued writer fails them)
+    /// and the first miss returns `None` before any channel exists.
+    fn answer(
+        &self,
+        lookup_shard: usize,
+        owner_of: impl Fn(TupleRef) -> usize,
+        requests: &[(String, QueryOptions)],
+        wait: bool,
+    ) -> Option<(Epoch, Vec<Vec<SharedResult>>)> {
+        let _epoch_gate = if wait { self.read_gate() } else { self.gate.try_read().ok()? };
+        let lookup = &self.shards[lookup_shard];
+        // The engine guard covers the keyword lookups and nothing after
+        // them: the wait below is on pools whose workers take this lock,
+        // and a writer queued between the two would deadlock all three.
+        let (epoch, hits_per_request) = {
+            let engine = if wait { lookup.engine() } else { lookup.try_engine()? };
+            let hits: Vec<Vec<TupleRef>> =
+                requests.iter().map(|(kw, _)| engine.ds_hits(kw)).collect();
+            (engine.epoch(), hits)
+        };
+        // One slot per hit, requests back to back; a miss is queued on
+        // its owner tagged with its slot. Every miss is queued before the
+        // first wait, so the owners' pools work concurrently.
+        let mut slots: Vec<Option<SharedResult>> =
+            Vec::with_capacity(hits_per_request.iter().map(Vec::len).sum());
+        let mut replies = None;
+        for ((_, opts), hits) in requests.iter().zip(&hits_per_request) {
+            for &tds in hits {
+                let owner = &self.shards[owner_of(tds)];
+                let hit = owner.try_summarize_cached(tds, *opts);
+                debug_assert!(hit.iter().all(|(e, _)| *e == epoch), "gate held: one epoch");
+                if hit.is_none() {
+                    if !wait {
+                        return None;
+                    }
+                    let (tx, _) = replies.get_or_insert_with(mpsc::channel);
+                    owner.enqueue_summary(tds, *opts, slots.len(), tx);
+                }
+                slots.push(hit.map(|(_, hit)| hit));
             }
-            rank_results(&mut results, opts.ranking);
-            merged.push(results);
         }
+        if let Some((tx, rx)) = replies {
+            drop(tx);
+            for (slot, result) in rx {
+                slots[slot] = Some(result);
+            }
+        }
+        // Merge: per request, hits order (the paper's global-importance
+        // rank) or the summary-importance reorder — the exact comparator
+        // the sequential engine uses.
+        let mut slots = slots.into_iter();
+        let merged = requests
+            .iter()
+            .zip(&hits_per_request)
+            .map(|((_, opts), hits)| {
+                let mut results: Vec<SharedResult> = slots
+                    .by_ref()
+                    .take(hits.len())
+                    .map(|s| s.expect("a serve worker panicked computing this summary"))
+                    .collect();
+                rank_results(&mut results, opts.ranking);
+                results
+            })
+            .collect();
+        lookup.count_queries(requests.len());
         Some((epoch, merged))
     }
 
@@ -451,10 +446,12 @@ impl ClusterRouter {
         keywords: &str,
         opts: QueryOptions,
     ) -> Result<(Epoch, Vec<SharedResult>)> {
+        // A tenant's shard resolves its lookups and owns all of its hits.
         let shard = self.tenant_shard(tenant)?;
-        let _epoch_gate = self.read_gate();
-        let epoch = self.shards[shard].epoch();
-        Ok((epoch, self.shards[shard].query(keywords, opts)))
+        let (epoch, mut results) = self
+            .answer(shard, |_| shard, &[(keywords.to_owned(), opts)], true)
+            .expect("waiting never declines");
+        Ok((epoch, results.pop().expect("one request")))
     }
 
     /// Applies one mutation cluster-wide (partitioned mode: every
@@ -567,12 +564,6 @@ impl ClusterRouter {
             r.notify();
         }
     }
-}
-
-// QueryResult rides through the router inside Arc'd SharedResults.
-#[allow(dead_code)]
-fn _assert_result_shareable(r: SharedResult) -> Arc<QueryResult> {
-    r
 }
 
 #[cfg(test)]

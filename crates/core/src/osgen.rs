@@ -240,71 +240,59 @@ impl<'a> OsContext<'a> {
                 // Sorted-link fast path: when the installed order matches
                 // these scores, the junction's pre-joined postings are
                 // already ordered by descending target importance, so the
-                // probe is a bounded prefix scan — same cut logic (and
-                // the same boundary li-tie re-rank through `top_l`) as
-                // the sorted-FK path of `select_eq_top_l`. Access
-                // accounting is identical to the heap path by
-                // construction: one junction probe reporting the raw FK
-                // group size, one target fetch reporting the result size.
-                // Pairs whose junction row or target row died since the
-                // last compaction are tombstones: skipped, never cut on
-                // (their target score cannot un-order the live suffix).
+                // probe is a bounded prefix scan — the cut loop (and the
+                // boundary li-tie re-rank through `top_l`) of the sorted-FK
+                // path of `select_eq_top_l`. Access accounting is identical
+                // to the heap path by construction: one junction probe
+                // reporting the raw FK group size, one target fetch
+                // reporting the result size. Pairs whose junction row or
+                // target row died since the last compaction are
+                // tombstones: skipped, never cut on (their target score
+                // cannot un-order the live suffix). Nor is the excluded
+                // grandparent cut on: importance is non-increasing along
+                // the scan, so the next live pair makes the same cut.
                 if l > 0 && self.fk_order.is_some() && self.fk_order == self.db.fk_order() {
                     let target_t = self.db.table(e2.to);
-                    let excl = *exclude_parent;
-                    let run_scan = |cur: &mut dyn LinkCursor, kept: &mut Vec<(f64, TupleRef)>| {
-                        kept.clear();
-                        while let Some((j, t)) = cur.next_pair() {
-                            if !jt.is_live(j) || !target_t.is_live(t) {
-                                continue;
-                            }
-                            let tuple = TupleRef::new(e2.to, t);
-                            let w = self.local_importance(child, tuple);
-                            if w <= largest_l {
-                                break;
-                            }
-                            if kept.len() >= l && w < kept[l - 1].0 {
-                                break;
-                            }
-                            if excl && Some(tuple) == grandparent {
-                                continue;
-                            }
-                            kept.push((w, tuple));
-                        }
+                    let mut stage = |cur: &mut dyn LinkCursor| {
+                        scratch.tuple_topl.stage_prefix(
+                            l,
+                            largest_l,
+                            || loop {
+                                let (j, t) = cur.next_pair()?;
+                                if jt.is_live(j) && target_t.is_live(t) {
+                                    return Some(TupleRef::new(e2.to, t));
+                                }
+                            },
+                            |&tuple| {
+                                (!(*exclude_parent && Some(tuple) == grandparent))
+                                    .then(|| self.local_importance(child, tuple))
+                            },
+                        );
+                        !cur.failed()
                     };
-                    if let Some(link) = jt.sorted_link_index(e1.fk_col) {
-                        self.db.access().record_join(link.raw_group_len(pk));
-                        let mut cur = SliceLinkCursor::new(link.pairs(pk));
-                        run_scan(&mut cur, &mut scratch.tuple_topl.staged);
+                    // RAM postings, else the disk tier's (evicted) ones —
+                    // same scan, same accounting. A paged read failure
+                    // discards the partial prefix (fail closed) and drops
+                    // through to the always-correct heap path.
+                    let staged_raw = if let Some(link) = jt.sorted_link_index(e1.fk_col) {
+                        stage(&mut SliceLinkCursor::new(link.pairs(pk)))
+                            .then(|| link.raw_group_len(pk))
+                    } else {
+                        self.db.pager().filter(|p| p.stamp() == self.fk_order).and_then(|p| {
+                            let raw = p.link_raw_len(*junction, e1.fk_col, pk)?;
+                            let mut cur = p.link_cursor(*junction, e1.fk_col, pk)?;
+                            stage(cur.as_mut()).then_some(raw)
+                        })
+                    };
+                    if let Some(raw) = staged_raw {
+                        self.db.access().record_join(raw);
                         let before = out.len();
                         scratch.tuple_topl.rank_staged_into(l, out);
                         self.db.access().record_join(out.len() - before);
                         self.db.access().record_fast_probe();
                         return;
                     }
-                    // Paged fallback: link postings evicted to the disk
-                    // tier. Same scan, same accounting; a read failure
-                    // discards the partial prefix (fail closed) and drops
-                    // through to the always-correct heap path.
-                    if let Some(pager) = self.db.pager() {
-                        if pager.stamp() == self.fk_order {
-                            if let (Some(raw), Some(mut cur)) = (
-                                pager.link_raw_len(*junction, e1.fk_col, pk),
-                                pager.link_cursor(*junction, e1.fk_col, pk),
-                            ) {
-                                run_scan(cur.as_mut(), &mut scratch.tuple_topl.staged);
-                                if !cur.failed() {
-                                    self.db.access().record_join(raw);
-                                    let before = out.len();
-                                    scratch.tuple_topl.rank_staged_into(l, out);
-                                    self.db.access().record_join(out.len() - before);
-                                    self.db.access().record_fast_probe();
-                                    return;
-                                }
-                                scratch.tuple_topl.staged.clear();
-                            }
-                        }
-                    }
+                    scratch.tuple_topl.staged.clear();
                 }
                 // Heap fallback: the junction probe is unavoidable (its
                 // rows are read to find the targets); the target fetch is

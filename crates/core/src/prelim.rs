@@ -107,9 +107,20 @@ pub fn generate_prelim_pooled(
             buf.clear();
             if largest_l >= child.mmax_ri {
                 // Avoidance Condition 2: fruitful-l relation — extract at
-                // most l tuples with li > largest-l.
+                // most l tuples with li > largest-l (`SELECT * TOP l FROM
+                // Ri WHERE tj.ID = Ri.ID AND Ri.li > largest-l`,
+                // Algorithm 4 line 10).
                 stats.cond2_probes += 1;
-                fetch_top_l(ctx, g_child, u_tuple, grandparent, l, largest_l, source, fetch, buf);
+                ctx.children_of_top_l(
+                    g_child,
+                    u_tuple,
+                    grandparent,
+                    source,
+                    l,
+                    largest_l,
+                    fetch,
+                    buf,
+                );
             } else {
                 stats.full_joins += 1;
                 ctx.children_of(g_child, u_tuple, grandparent, source, buf);
@@ -130,24 +141,6 @@ pub fn generate_prelim_pooled(
         }
     }
     (os, stats)
-}
-
-/// The Avoidance-Condition-2 fetch: `SELECT * TOP l FROM Ri WHERE
-/// tj.ID = Ri.ID AND Ri.li > largest-l` (Algorithm 4 line 10); see
-/// [`OsContext::children_of_top_l`] for the per-source behaviour.
-#[allow(clippy::too_many_arguments)]
-fn fetch_top_l(
-    ctx: &OsContext<'_>,
-    g_child: sizel_graph::GdsNodeId,
-    parent: TupleRef,
-    grandparent: Option<TupleRef>,
-    l: usize,
-    largest_l: f64,
-    source: OsSource,
-    scratch: &mut crate::os::FetchScratch,
-    out: &mut Vec<TupleRef>,
-) {
-    ctx.children_of_top_l(g_child, parent, grandparent, source, l, largest_l, scratch, out);
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub struct NetCounters {
     pub doorbell_coalesced: AtomicU64,
     /// Write-interest (EPOLLOUT) registration toggles.
     pub epollout_toggles: AtomicU64,
-    /// Requests answered inline on the I/O thread (Ping/Stats, or a
+    /// Requests answered inline on the I/O thread (Ping, or a
     /// Query/Summarize served wholly from the summary cache).
     pub fastpath_hits: AtomicU64,
     /// Fast-path-eligible requests that fell back to the dispatch queue
@@ -316,17 +316,14 @@ pub fn render_metrics(counters: &NetCounters, router: &ClusterRouter) -> String 
     out
 }
 
-/// Wraps the metrics page in a minimal HTTP/1.1 response (the scraper
-/// path; the server closes the connection after writing it).
-pub fn render_http_metrics(counters: &NetCounters, router: &ClusterRouter) -> Vec<u8> {
-    let body = render_metrics(counters, router);
-    let mut resp = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+/// A minimal plain-text HTTP/1.1 response (the scraper path wraps the
+/// metrics page in one; the server closes the connection after writing it).
+pub fn http_response(status: &str, body: &str) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
-    .into_bytes();
-    resp.extend_from_slice(body.as_bytes());
-    resp
+    .into_bytes()
 }
 
 #[cfg(test)]

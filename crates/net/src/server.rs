@@ -21,11 +21,12 @@
 //!   flushed with one `write_vectored` syscall per batch, and recycled
 //!   back to the pool the moment the kernel has taken their last byte.
 //! * Cheap requests skip the dispatch queue entirely: the I/O thread
-//!   answers `Ping`/`Stats` and *cache-hit-only* `Query`/`Summarize`
-//!   **inline** (see [`try_fastpath`]) — every probe is a `try_` lock
-//!   or a cache lookup, so the reactor can never block, and a
-//!   per-read-pass inline budget keeps one pipelined burst from
-//!   starving other connections.
+//!   answers `Ping` and *cache-hit-only* `Query`/`Summarize` **inline**
+//!   (see [`try_fastpath`]) through the same handler the workers run,
+//!   with waiting switched off — every lock it can reach is a `try_`
+//!   acquisition, so the reactor can never block, and a per-read-pass
+//!   inline budget keeps one pipelined burst from starving other
+//!   connections.
 //!
 //! ## Readiness
 //!
@@ -93,7 +94,7 @@ use crate::frame::{
     begin_frame, decode_header, finish_frame, BusyReason, ErrorCode, FrameError, Opcode,
     HEADER_LEN, MAX_FRAME_LEN,
 };
-use crate::metrics::{render_http_metrics, render_metrics, NetCounters};
+use crate::metrics::{http_response, render_metrics, NetCounters};
 use crate::reactor::{
     build_reactor, Event, Reactor, ReactorChoice, ReactorKind, WakeHub, TOKEN_BASE, TOKEN_LISTENER,
 };
@@ -133,7 +134,7 @@ pub struct NetConfig {
     /// request expensive, and the fast path exists precisely to skip
     /// execution that costs nothing.
     pub handler_delay: Option<Duration>,
-    /// Answer `Ping`/`Stats` and cache-hit `Query`/`Summarize` inline on
+    /// Answer `Ping` and cache-hit `Query`/`Summarize` inline on
     /// the I/O thread instead of dispatching (see [`try_fastpath`]).
     pub fastpath: bool,
     /// Inline replies per connection per read pass; beyond it, requests
@@ -210,6 +211,9 @@ struct NetJob {
     opcode: Opcode,
     req_id: u64,
     payload: Vec<u8>,
+    /// A plain-HTTP scrape: the reply is the metrics page as an HTTP
+    /// response, not a frame (the three fields above go unread).
+    http: bool,
 }
 
 /// The per-connection receive buffer: consumed frames advance a cursor
@@ -444,7 +448,21 @@ fn worker_loop(
         if let Some(d) = delay {
             std::thread::sleep(d);
         }
-        let NetJob { conn, opcode, req_id, payload } = job;
+        let NetJob { conn, opcode, req_id, payload, http } = job;
+        if http {
+            // A scrape is answered with the page as an HTTP response,
+            // not a frame; a renderer panic costs it a 500.
+            let page = catch_unwind(AssertUnwindSafe(|| render_metrics(counters, router)))
+                .map(|page| http_response("200 OK", &page))
+                .unwrap_or_else(|_| {
+                    NetCounters::bump(&counters.errors_internal);
+                    http_response("500 Internal Server Error", "metrics renderer panicked\n")
+                });
+            conn.push_frame(page);
+            conn.hub.notify(conn.token);
+            conn.in_flight.fetch_sub(1, Ordering::AcqRel);
+            continue;
+        }
         // The reply frame is built in one pooled buffer: header first
         // (placeholder opcode — the real one is known only after the
         // handler runs), payload appended in place, then sealed.
@@ -454,10 +472,10 @@ fn worker_loop(
         // answer Error(Internal), move to the next job. The state the
         // panic touched recovers via the poison-safe locks underneath.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_request_into(router, counters, opcode, &payload, &mut frame)
+            handle_request_into(router, counters, opcode, &payload, &mut frame, true)
         }));
         let reply_op = match outcome {
-            Ok(op) => op,
+            Ok(op) => op.expect("a handler that may wait never declines"),
             Err(panic) => {
                 NetCounters::bump(&counters.errors_internal);
                 let msg = panic_message(&panic);
@@ -487,58 +505,77 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn bad_request_into(counters: &NetCounters, out: &mut Vec<u8>, msg: &str) -> Opcode {
-    NetCounters::bump(&counters.errors_bad_request);
-    encode_error_into(out, ErrorCode::BadRequest, msg);
-    Opcode::Error
-}
-
 /// Decodes and executes one request, appending the reply payload to
 /// `out` (which already holds the frame header) and returning the reply
-/// opcode for [`finish_frame`] to stamp.
+/// opcode for [`finish_frame`] to stamp — the only place a [`Request`]
+/// is decoded and matched.
+///
+/// A dispatch worker passes `wait` on and always gets an opcode. The
+/// I/O thread passes it off ([`try_fastpath`]) and gets `None`, with
+/// `out` untouched, for anything that would block, compute or write, or
+/// that is malformed (the queued path answers, and counts, the error
+/// once). The rule that keeps the reactor from ever blocking is
+/// checkable here: with `wait` off, only `try_` lock acquisitions are
+/// reachable.
 fn handle_request_into(
     router: &ClusterRouter,
     counters: &NetCounters,
     opcode: Opcode,
     payload: &[u8],
     out: &mut Vec<u8>,
-) -> Opcode {
+    wait: bool,
+) -> Option<Opcode> {
     let request = match decode_request(opcode, payload) {
         Ok(r) => r,
+        Err(_) if !wait => return None,
         Err(e) => {
             NetCounters::bump(&counters.errors_malformed);
             encode_error_into(out, ErrorCode::MalformedPayload, &e.to_string());
-            return Opcode::Error;
+            return Some(Opcode::Error);
         }
     };
-    match request {
-        Request::Ping => Opcode::Pong,
+    let executed = match request {
+        Request::Ping => Ok(Opcode::Pong),
+        // The page reads every shard's engine lock and a write takes
+        // every lock there is: a worker's job.
+        Request::Stats | Request::ApplyBatch { .. } if !wait => return None,
         Request::Stats => {
             encode_stats_into(out, &render_metrics(counters, router));
-            Opcode::StatsText
+            Ok(Opcode::StatsText)
         }
-        Request::Query { requests } => match router.batch_query_at(&requests) {
-            Ok((epoch, results)) => {
+        Request::Query { requests } => {
+            let answer = if wait {
+                router.batch_query_at(&requests)
+            } else {
+                Ok(router.try_batch_query_cached(&requests)?)
+            };
+            answer.map(|(epoch, results)| {
                 encode_results_into(out, epoch, &results);
                 Opcode::Results
-            }
-            Err(e) => bad_request_into(counters, out, &e.to_string()),
-        },
-        Request::Summarize { tds, opts } => match router.summarize_at(tds, opts) {
-            Ok((epoch, result)) => {
+            })
+        }
+        Request::Summarize { tds, opts } => {
+            let answer = if wait {
+                router.summarize_at(tds, opts)
+            } else {
+                Ok(router.try_summarize_cached_at(tds, opts)?)
+            };
+            answer.map(|(epoch, result)| {
                 encode_summary_into(out, epoch, &result);
                 Opcode::Summary
-            }
-            Err(e) => bad_request_into(counters, out, &e.to_string()),
-        },
-        Request::ApplyBatch { mutations } => match router.apply_batch(mutations) {
-            Ok(epoch) => {
-                encode_applied_into(out, epoch);
-                Opcode::Applied
-            }
-            Err(e) => bad_request_into(counters, out, &e.to_string()),
-        },
-    }
+            })
+        }
+        Request::ApplyBatch { mutations } => router.apply_batch(mutations).map(|epoch| {
+            encode_applied_into(out, epoch);
+            Opcode::Applied
+        }),
+    };
+    // Well-formed but rejected by the cluster.
+    Some(executed.unwrap_or_else(|e| {
+        NetCounters::bump(&counters.errors_bad_request);
+        encode_error_into(out, ErrorCode::BadRequest, &e.to_string());
+        Opcode::Error
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -815,8 +852,24 @@ fn poll_conn(
         conn.http = true;
         conn.close_after_flush = true;
         NetCounters::bump(&counters.http_scrapes);
-        conn.shared.push_frame(render_http_metrics(counters, router));
         conn.inbuf.clear();
+        // Rendering the page reads every shard's engine lock, so a
+        // worker does it; the in-flight count holds the close until its
+        // reply is queued.
+        conn.shared.in_flight.fetch_add(1, Ordering::AcqRel);
+        let job = NetJob {
+            conn: Arc::clone(&conn.shared),
+            opcode: Opcode::Stats,
+            req_id: 0,
+            payload: Vec::new(),
+            http: true,
+        };
+        if queue.try_push(job).is_err() {
+            conn.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+            NetCounters::bump(&counters.shed_queue);
+            conn.shared
+                .push_frame(http_response("503 Service Unavailable", "dispatch queue full\n"));
+        }
     }
 
     // The fairness budget: inline replies this pass. When it runs out,
@@ -845,10 +898,7 @@ fn poll_conn(
                     // dispatch copies it (into a pooled buffer).
                     let payload = &conn.inbuf.data()[HEADER_LEN..total];
                     let eligible = opts.fastpath
-                        && matches!(
-                            h.opcode,
-                            Opcode::Ping | Opcode::Stats | Opcode::Query | Opcode::Summarize
-                        );
+                        && matches!(h.opcode, Opcode::Ping | Opcode::Query | Opcode::Summarize);
                     let inlined = eligible
                         && inline_budget > 0
                         && try_fastpath(
@@ -932,19 +982,9 @@ fn pooled_frame(
 }
 
 /// The I/O-thread inline fast path: answers a request without touching
-/// the dispatch queue **iff** doing so cannot block and cannot compute.
-/// `Ping`/`Stats` are pure; `Query`/`Summarize` are served only when
-/// the cluster's cache-only probe ([`ClusterRouter::try_batch_query_cached`])
-/// succeeds outright — any lock contention or cache miss returns
-/// `false` and the request dispatches normally. Replies are
-/// byte-identical to the queued path's by construction: same decode,
-/// same epoch-gated lookup, same encoder.
-///
-/// The reactor-never-blocks argument, gate by gate: the outbox check is
-/// an atomic read; `Ping`/`Stats` touch no locks (the stats renderer
-/// reads atomics); the cluster probes use `try_read` on the gate and
-/// engine locks and bounded per-shard cache lookups — every failure
-/// path is "return `None`", never "wait".
+/// the dispatch queue **iff** doing so cannot block and cannot compute —
+/// [`handle_request_into`] with `wait` off, so the reply is the queued
+/// path's byte for byte. `false` means the request goes to admission.
 #[allow(clippy::too_many_arguments)]
 fn try_fastpath(
     conn: &Conn,
@@ -961,55 +1001,18 @@ fn try_fastpath(
     if conn.unflushed_bytes() >= opts.outbox_cap {
         return false;
     }
-    match opcode {
-        Opcode::Ping => {
-            // A non-empty Ping payload is malformed; the queued path
-            // owns that reply so the bytes stay identical.
-            if !payload.is_empty() {
-                return false;
-            }
-            let frame = pooled_frame(pool, Opcode::Pong, req_id, |_| {});
+    let mut frame = pool.acquire();
+    begin_frame(&mut frame, Opcode::Error, req_id);
+    match handle_request_into(router, counters, opcode, payload, &mut frame, false) {
+        Some(reply_op) => {
+            finish_frame(&mut frame, reply_op);
             conn.shared.enqueue_reply_local(counters, frame);
             true
         }
-        Opcode::Stats => {
-            if !payload.is_empty() {
-                return false;
-            }
-            let frame = pooled_frame(pool, Opcode::StatsText, req_id, |out| {
-                encode_stats_into(out, &render_metrics(counters, router))
-            });
-            conn.shared.enqueue_reply_local(counters, frame);
-            true
+        None => {
+            pool.release(frame);
+            false
         }
-        Opcode::Query => {
-            let Ok(Request::Query { requests }) = decode_request(opcode, payload) else {
-                return false; // malformed: the queued path answers it identically
-            };
-            let Some((epoch, results)) = router.try_batch_query_cached(&requests) else {
-                return false;
-            };
-            let frame = pooled_frame(pool, Opcode::Results, req_id, |out| {
-                encode_results_into(out, epoch, &results)
-            });
-            conn.shared.enqueue_reply_local(counters, frame);
-            true
-        }
-        Opcode::Summarize => {
-            let Ok(Request::Summarize { tds, opts: qopts }) = decode_request(opcode, payload)
-            else {
-                return false;
-            };
-            let Some((epoch, result)) = router.try_summarize_cached_at(tds, qopts) else {
-                return false;
-            };
-            let frame = pooled_frame(pool, Opcode::Summary, req_id, |out| {
-                encode_summary_into(out, epoch, &result)
-            });
-            conn.shared.enqueue_reply_local(counters, frame);
-            true
-        }
-        _ => false,
     }
 }
 
@@ -1147,7 +1150,8 @@ fn admit(
     // buffer — at steady state extend_from_slice into recycled capacity.
     let mut owned = pool.acquire();
     owned.extend_from_slice(payload);
-    let job = NetJob { conn: Arc::clone(&conn.shared), opcode, req_id, payload: owned };
+    let job =
+        NetJob { conn: Arc::clone(&conn.shared), opcode, req_id, payload: owned, http: false };
     match queue.try_push(job) {
         Ok(()) => {}
         Err(TryPushError::Full(job)) => {

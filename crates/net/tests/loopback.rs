@@ -283,6 +283,13 @@ fn stats_frame_returns_the_metrics_page() {
         ] {
             assert!(page.contains(series), "metrics page missing `{series}`:\n{page}");
         }
+        // The one query above was counted where it was answered: on the
+        // router's lookup shard.
+        let served = page
+            .lines()
+            .find_map(|l| l.strip_prefix("sizel_serve_queries_served_total{shard=\"0\"} "))
+            .expect("the lookup shard's query counter");
+        assert!(served.parse::<u64>().expect("a count") >= 1, "queries_served = {served}");
     });
 }
 

@@ -1,13 +1,19 @@
 //! Behavior the readiness rewrite added and must keep: the outbox byte
-//! cap (the slow-reader admission gate) and idle-connection reaping —
-//! each proven on every reactor backend via `for_each_reactor`.
+//! cap (the slow-reader admission gate), idle-connection reaping, and an
+//! I/O thread that never waits on a lock — each proven on every reactor
+//! backend via `for_each_reactor`.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use sizel_core::engine::Mutation;
+use sizel_core::test_fixtures::max_pk;
 use sizel_net::frame::Opcode;
 use sizel_net::wire::decode_reply;
-use sizel_net::{BusyReason, NetClient, NetConfig, Reply};
+use sizel_net::{BusyReason, NetClient, NetConfig, NetCounters, Reply};
+use sizel_storage::Value;
 
 mod common;
 use common::{for_each_reactor, serve, tiny_cluster};
@@ -147,4 +153,92 @@ fn a_pipelining_connection_is_never_reaped() {
             "an active connection was reaped"
         );
     });
+}
+
+/// Spins (1 ms naps) until `done`, failing the test after 30 s.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The metrics page reads every shard's engine lock, so while a writer
+/// is parked on one the page cannot be rendered — and must not be
+/// attempted on the I/O thread, where the wait would freeze every
+/// connection. `fire` sends a page request without reading the reply,
+/// `arrived` tells from the server's counters that it has been cut from
+/// the socket, and `finish` reads the reply once the writer is through.
+/// In between, a ping on another connection must answer.
+fn a_parked_writer_delays_the_metrics_page_not_the_io_thread<C>(
+    fire: impl Fn(SocketAddr) -> C,
+    arrived: impl Fn(&NetCounters) -> bool,
+    finish: impl Fn(C),
+) {
+    for_each_reactor(|reactor| {
+        let router = tiny_cluster();
+        let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
+        let mut pinger = NetClient::connect(server.local_addr()).expect("connect");
+        pinger.set_read_timeout(Some(Duration::from_secs(3))).expect("timeout");
+        pinger.ping().expect("the connection is up");
+
+        // Park a writer on shard 0's engine: hold a read guard, start an
+        // apply, and wait until it queues behind the guard (`try_read`
+        // fails from then on — std's lock prefers writers).
+        let guard = router.shard(0).engine();
+        let author = max_pk(guard.db(), "Author") + 1;
+        let writer = std::thread::spawn({
+            let router = router.clone();
+            let row = vec![Value::Int(author), "Parked Writer".into()];
+            move || router.apply_batch(vec![Mutation::insert("Author", row)]).expect("apply")
+        });
+        wait_until("the writer parks", || router.shard(0).try_engine().is_none());
+
+        let pending = fire(server.local_addr());
+        wait_until("the page request arrives", || arrived(server.counters()));
+        pinger.ping().expect("the I/O thread serves while a page request waits on a lock");
+
+        drop(guard);
+        writer.join().expect("the writer finishes");
+        finish(pending);
+    });
+}
+
+#[test]
+fn a_stats_frame_under_a_parked_writer_does_not_freeze_other_connections() {
+    a_parked_writer_delays_the_metrics_page_not_the_io_thread(
+        |addr| {
+            let mut client = NetClient::connect(addr).expect("connect");
+            client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+            let id = client.send(Opcode::Stats, &[]).expect("send");
+            (client, id)
+        },
+        // The pinger's warm-up is frame one.
+        |counters| counters.frames_in.load(Ordering::Relaxed) >= 2,
+        |(mut client, id)| {
+            let (op, payload) = client.recv_for(id).expect("the page arrives");
+            assert_eq!(op, Opcode::StatsText);
+            assert!(String::from_utf8_lossy(&payload).contains("sizel_cluster_epoch"));
+        },
+    );
+}
+
+#[test]
+fn an_http_scrape_under_a_parked_writer_does_not_freeze_other_connections() {
+    a_parked_writer_delays_the_metrics_page_not_the_io_thread(
+        |addr| {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+            s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").expect("request");
+            s
+        },
+        |counters| counters.http_scrapes.load(Ordering::Relaxed) >= 1,
+        |mut s| {
+            let mut resp = String::new();
+            s.read_to_string(&mut resp).expect("response until close");
+            assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
+            assert!(resp.contains("sizel_cluster_epoch"), "{resp}");
+        },
+    );
 }

@@ -10,6 +10,12 @@
 //!   from a *bounded* submission queue ([`queue::BoundedQueue`]), so
 //!   heavy traffic exerts backpressure instead of growing an unbounded
 //!   backlog. Each job holds a read lock for exactly one query.
+//! * **The lookup policy** for a per-DS summary is stated once, in
+//!   [`SizeLServer::summarize_batch`]: probe the cache on the caller's
+//!   thread ([`SizeLServer::try_summarize_cached`]), queue only what
+//!   misses ([`SizeLServer::enqueue_summary`]). A cached summary never
+//!   crosses a thread; the cluster router and the network front-end are
+//!   callers of those two halves, not second copies of them.
 //! * A sharded LRU cache ([`cache::ShardedCache`]) memoizes the per-DS
 //!   summary computation across queries, keyed on
 //!   `(epoch, t_DS, l, algo, prelim, source)` — the engine's mutation
@@ -121,7 +127,9 @@ impl ServeConfig {
 pub struct ServerStats {
     /// The summary cache's counters.
     pub cache: CacheStats,
-    /// Queries fully served (one per submitted job).
+    /// Queries fully served: one per `Query` job, plus those a router
+    /// answered with this server as its lookup shard
+    /// ([`SizeLServer::count_queries`]).
     pub queries_served: u64,
     /// Per-DS summaries computed (cache misses that did real work).
     pub summaries_computed: u64,
@@ -137,21 +145,23 @@ pub struct ServerStats {
     pub disk: Option<DiskTierStats>,
 }
 
-/// What one pool job computes: a whole keyword query, or a single
-/// `(t_DS, options)` summary (the unit a cluster router fans out after
-/// resolving the keyword lookup itself).
-enum Work {
-    Query { keywords: String },
-    Summarize { tds: TupleRef },
-}
-
-/// One unit of work for the pool plus its reply slot. `seq` restores
-/// submission order on the collecting side.
-struct Job {
-    work: Work,
-    opts: QueryOptions,
-    seq: usize,
-    reply: mpsc::Sender<(usize, Vec<SharedResult>)>,
+/// One unit of work for the pool with its reply slot: a whole keyword
+/// query, or a single `(t_DS, options)` summary (the unit a cluster
+/// router queues after resolving the keyword lookup itself). The `usize`
+/// travels back with the answer so the collecting side can place it.
+enum Job {
+    Query {
+        keywords: String,
+        opts: QueryOptions,
+        seq: usize,
+        reply: mpsc::Sender<(usize, Vec<SharedResult>)>,
+    },
+    Summarize {
+        tds: TupleRef,
+        opts: QueryOptions,
+        tag: usize,
+        reply: mpsc::Sender<(usize, SharedResult)>,
+    },
 }
 
 /// A shared epoch-versioned engine behind a worker pool with summary
@@ -198,40 +208,34 @@ impl SizeLServer {
                     .name(format!("sizel-serve-{i}"))
                     .spawn(move || {
                         while let Some(job) = jobs.pop() {
-                            // A panic while serving one query must not kill
+                            // A panic while serving one job must not kill
                             // the worker: queued jobs would strand and their
-                            // clients block forever. Catch it, drop the
-                            // reply sender (the submitter sees a recv error
-                            // naming the panic), keep serving. Read guards
-                            // never poison the lock.
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let engine =
-                                        engine.read().expect("a mutation panicked mid-apply");
-                                    match &job.work {
-                                        Work::Query { keywords } => run_query(
-                                            &engine, &cache, &hot, &computed, keywords, job.opts,
-                                        ),
-                                        Work::Summarize { tds } => {
-                                            let epoch = engine.epoch();
-                                            vec![summarize_cached(
-                                                &engine, &cache, &hot, &computed, epoch, *tds,
-                                                job.opts,
-                                            )]
-                                        }
-                                    }
-                                }));
-                            if let Ok(results) = outcome {
-                                // Per-DS Summarize jobs are fan-out units
-                                // of someone else's query, not queries —
-                                // they must not inflate `queries_served`.
-                                if matches!(job.work, Work::Query { .. }) {
-                                    served.fetch_add(1, Ordering::Relaxed);
-                                }
+                            // clients block forever. Catch it; the unwind
+                            // drops the job and with it the reply sender
+                            // (the submitter sees a missing reply naming the
+                            // panic), keep serving. Read guards never poison
+                            // the lock.
+                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                let engine = engine.read().expect("a mutation panicked mid-apply");
                                 // The submitter may have given up (dropped
                                 // the receiver); that is not a worker error.
-                                let _ = job.reply.send((job.seq, results));
-                            }
+                                match job {
+                                    Job::Query { keywords, opts, seq, reply } => {
+                                        let results = run_query(
+                                            &engine, &cache, &hot, &computed, &keywords, opts,
+                                        );
+                                        served.fetch_add(1, Ordering::Relaxed);
+                                        let _ = reply.send((seq, results));
+                                    }
+                                    Job::Summarize { tds, opts, tag, reply } => {
+                                        let epoch = engine.epoch();
+                                        let result = summarize_cached(
+                                            &engine, &cache, &hot, &computed, epoch, tds, opts,
+                                        );
+                                        let _ = reply.send((tag, result));
+                                    }
+                                }
+                            }));
                         }
                     })
                     .expect("spawn worker thread")
@@ -281,9 +285,9 @@ impl SizeLServer {
     /// A hit feeds the hotness sketch exactly like the pooled path. A
     /// miss goes through [`ShardedCache::probe`], which records it under
     /// [`CacheStats::probe_misses`] rather than `misses` — the caller
-    /// falls back to the dispatch queue, whose `summarize_cached`
-    /// records the authoritative miss for the same request (counting
-    /// both as `misses` double-counted every fast-path miss).
+    /// queues the key ([`SizeLServer::enqueue_summary`]), whose
+    /// `summarize_cached` records the authoritative miss for the same
+    /// request (counting both as `misses` double-counted every miss).
     pub fn try_summarize_cached(
         &self,
         tds: TupleRef,
@@ -339,44 +343,70 @@ impl SizeLServer {
     /// output to [`SizeLEngine::query_with`] on the same engine (modulo
     /// `Arc` wrapping) — the stress suite asserts this byte-for-byte.
     pub fn query(&self, keywords: &str, opts: QueryOptions) -> Vec<SharedResult> {
+        self.batch_query(&[(keywords.to_owned(), opts)]).pop().expect("one request")
+    }
+
+    /// Computes (or serves from cache) one `(t_DS, options)` summary —
+    /// the per-DS unit a cluster router dispatches after resolving the
+    /// keyword lookup itself. Byte-identical to
+    /// [`SizeLEngine::summarize`] on the same engine (modulo `Arc`).
+    pub fn summarize(&self, tds: TupleRef, opts: QueryOptions) -> SharedResult {
+        self.summarize_batch(&[(tds, opts)]).pop().expect("one item yields one result")
+    }
+
+    /// Serves a whole batch of `(t_DS, options)` summaries, in submission
+    /// order, by the lookup policy: each item is probed on this thread
+    /// and only the misses are queued — all of them before the first
+    /// wait, so the pool computes them concurrently.
+    pub fn summarize_batch(&self, items: &[(TupleRef, QueryOptions)]) -> Vec<SharedResult> {
         let (tx, rx) = mpsc::channel();
-        let job =
-            Job { work: Work::Query { keywords: keywords.to_owned() }, opts, seq: 0, reply: tx };
+        let mut slots: Vec<Option<SharedResult>> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &(tds, opts))| {
+                let hit = self.try_summarize_cached(tds, opts).map(|(_, hit)| hit);
+                if hit.is_none() {
+                    self.enqueue_summary(tds, opts, i, &tx);
+                }
+                hit
+            })
+            .collect();
+        drop(tx);
+        for (i, result) in rx {
+            slots[i] = Some(result);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("worker panicked while serving a summary job (see its panic output)"))
+            .collect()
+    }
+
+    /// The queue half of the lookup policy: submits one `(t_DS, options)`
+    /// summary to the pool (blocking while the queue is full) and returns.
+    /// The worker sends `(tag, summary)` on `reply`; a job whose worker
+    /// panicked sends nothing, so a collector that drains `reply` to
+    /// disconnection finds that tag unanswered.
+    pub fn enqueue_summary(
+        &self,
+        tds: TupleRef,
+        opts: QueryOptions,
+        tag: usize,
+        reply: &mpsc::Sender<(usize, SharedResult)>,
+    ) {
+        self.submit(Job::Summarize { tds, opts, tag, reply: reply.clone() });
+    }
+
+    fn submit(&self, job: Job) {
         if self.jobs.push(job).is_err() {
             unreachable!("queue closes only in Drop, which takes &mut self");
         }
-        let (_, results) =
-            rx.recv().expect("worker panicked while serving this query (see its panic output)");
-        results
     }
 
-    /// Computes (or serves from cache) one `(t_DS, options)` summary
-    /// through the pool — the per-DS unit a cluster router dispatches
-    /// after resolving the keyword lookup itself. Byte-identical to
-    /// [`SizeLEngine::summarize`] on the same engine (modulo `Arc`).
-    pub fn summarize(&self, tds: TupleRef, opts: QueryOptions) -> SharedResult {
-        self.summarize_batch(&[(tds, opts)]).pop().expect("one job yields one result")
-    }
-
-    /// Serves a whole batch of `(t_DS, options)` summaries concurrently
-    /// through the pool, in submission order.
-    pub fn summarize_batch(&self, items: &[(TupleRef, QueryOptions)]) -> Vec<SharedResult> {
-        let (tx, rx) = mpsc::channel();
-        for (i, &(tds, opts)) in items.iter().enumerate() {
-            let job = Job { work: Work::Summarize { tds }, opts, seq: i, reply: tx.clone() };
-            if self.jobs.push(job).is_err() {
-                unreachable!("queue closes only in Drop, which takes &mut self");
-            }
-        }
-        drop(tx);
-        let mut slots: Vec<Option<SharedResult>> = vec![None; items.len()];
-        for _ in 0..items.len() {
-            let (seq, mut results) = rx
-                .recv()
-                .expect("worker panicked while serving a summary job (see its panic output)");
-            slots[seq] = Some(results.pop().expect("summarize jobs yield exactly one result"));
-        }
-        slots.into_iter().map(|s| s.expect("every job was served")).collect()
+    /// Credits `n` queries answered above this server with it as the
+    /// keyword-lookup shard: a cluster router resolves the lookup itself
+    /// and submits only per-DS summaries, which are not queries.
+    pub fn count_queries(&self, n: usize) {
+        self.queries_served.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Proactively recomputes up to `budget` of the hottest summary keys
@@ -460,15 +490,12 @@ impl SizeLServer {
                 continue;
             }
             distinct += 1;
-            let job = Job {
-                work: Work::Query { keywords: keywords.clone() },
+            self.submit(Job::Query {
+                keywords: keywords.clone(),
                 opts: *opts,
                 seq: i,
                 reply: tx.clone(),
-            };
-            if self.jobs.push(job).is_err() {
-                unreachable!("queue closes only in Drop, which takes &mut self");
-            }
+            });
         }
         drop(tx);
 
@@ -524,11 +551,6 @@ impl SizeLServer {
             rewarmed: self.rewarmed.load(Ordering::Relaxed),
             disk: self.engine.read().ok().and_then(|e| e.disk_stats()),
         }
-    }
-
-    /// Worker pool size.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Jobs currently sitting in the submission queue (a live
@@ -639,6 +661,30 @@ mod tests {
             prelim: true,
             ranking: ResultRanking::default(),
         }
+    }
+
+    /// The lookup policy's first half: a cached summary is answered on
+    /// the caller's thread. With the queue closed, a job that reached it
+    /// would die on the `unreachable!` in `submit`.
+    #[test]
+    fn a_cached_summary_never_reaches_the_queue() {
+        use sizel_core::engine::EngineConfig;
+        use sizel_graph::presets::dblp_author_gds_config;
+        let engine = SizeLEngine::build(
+            sizel_datagen::dblp::generate(&sizel_datagen::dblp::DblpConfig::tiny()).db,
+            |db, sg, dg| sizel_rank::dblp_ga(sizel_rank::GaPreset::Ga1, db, sg, dg),
+            EngineConfig::new(vec![("Author".into(), dblp_author_gds_config())]),
+        )
+        .expect("engine builds");
+        let author = engine.db().table_id("Author").expect("Author table");
+        let tds = TupleRef::new(author, sizel_storage::RowId(0));
+        let server = SizeLServer::new(engine, ServeConfig::with_workers(1));
+        let cold = server.summarize(tds, test_opts());
+        server.jobs.close();
+        let warm = server.summarize(tds, test_opts());
+        assert!(Arc::ptr_eq(&cold, &warm), "the warm answer is the cached Arc itself");
+        let stats = server.stats();
+        assert_eq!((stats.cache.hits, stats.cache.misses, stats.summaries_computed), (1, 1, 1));
     }
 
     #[test]

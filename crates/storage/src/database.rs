@@ -536,45 +536,39 @@ impl Database {
             // invisible to results and cost alike. The collected prefix
             // is then ranked through the same comparator the heap path
             // uses, so the paths agree by construction.
-            if let Some(sorted) = t.sorted_fk_index(col) {
-                let mut cur = SlicePostingCursor::new(sorted.rows(key));
+            let mut stage = |cur: &mut dyn PostingCursor| {
                 scratch.stage_prefix(
                     l,
                     largest_l,
                     || cur.next_row(),
                     |&r| t.is_live(r).then(|| li(r)),
                 );
+                !cur.failed()
+            };
+            // RAM postings, else evicted ones: the paged backend serves
+            // the identical scan — same loop, same accounting — while
+            // its segment stamp matches the live token (any mutation
+            // stales it).
+            let staged = if let Some(sorted) = t.sorted_fk_index(col) {
+                stage(&mut SlicePostingCursor::new(sorted.rows(key)))
+            } else {
+                self.pager
+                    .as_deref()
+                    .filter(|p| p.stamp() == self.fk_order)
+                    .and_then(|p| p.fk_cursor(table, col, key))
+                    .is_some_and(|mut cur| stage(cur.as_mut()))
+            };
+            if staged {
                 scratch.rank_staged_into(l, out);
                 self.access.record_join(out.len() - start);
                 self.access.record_fast_probe();
                 return;
             }
-            // Evicted postings: the paged backend serves the identical
-            // scan — same loop, same accounting — while its segment
-            // stamp matches the live token (any mutation stales it).
-            if let Some(pager) = self.pager.as_deref() {
-                if pager.stamp() == self.fk_order {
-                    if let Some(mut cur) = pager.fk_cursor(table, col, key) {
-                        scratch.stage_prefix(
-                            l,
-                            largest_l,
-                            || cur.next_row(),
-                            |&r| t.is_live(r).then(|| li(r)),
-                        );
-                        if !cur.failed() {
-                            scratch.rank_staged_into(l, out);
-                            self.access.record_join(out.len() - start);
-                            self.access.record_fast_probe();
-                            return;
-                        }
-                        // Fail closed: a read error mid-scan discards the
-                        // partial prefix (serving it as-if-complete would
-                        // silently drop rows) and the heap path — always
-                        // correct, hash-index-backed — takes over.
-                        scratch.staged.clear();
-                    }
-                }
-            }
+            // Fail closed: a read error mid-scan discards the partial
+            // prefix (serving it as-if-complete would silently drop
+            // rows) and the heap path — always correct,
+            // hash-index-backed — takes over.
+            scratch.staged.clear();
         }
         self.access.record_heap_probe();
         // Bounded top-l selection — O(g log l) over a group of g rows
