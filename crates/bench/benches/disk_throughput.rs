@@ -10,6 +10,10 @@
 //! * `disk/wal_batch` — encode + append + fsync of a 16-mutation batch
 //!   record at different fsync batching levels: the write-ahead overhead
 //!   every `apply_batch` pays before settlement.
+//! * `disk/checkpoint` — one segment checkpoint of the four posting
+//!   tables of bench-scale DBLP (tens of thousands of lists averaging
+//!   under five entries): what `attach_disk` and every `checkpoint_disk`
+//!   pay, with the segment's pages and bytes per posting entry printed.
 
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -17,8 +21,11 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sizel_core::durability::encode_batch;
-use sizel_core::engine::Mutation;
-use sizel_disk::{PagedStore, Wal};
+use sizel_core::engine::{EngineConfig, Mutation, SizeLEngine};
+use sizel_datagen::dblp::{generate, DblpConfig};
+use sizel_disk::{PagedStore, Wal, PAGE_SIZE};
+use sizel_graph::presets;
+use sizel_rank::{dblp_ga, GaPreset};
 use sizel_storage::{Database, RowId, TableSchema, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -182,5 +189,57 @@ fn bench_wal_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_prefix_scan, bench_cache_curve, bench_wal_batch);
+fn bench_checkpoint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("disk/checkpoint");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(2));
+
+    let engine = SizeLEngine::build(
+        generate(&DblpConfig::bench()).db,
+        |db, sg, dg| dblp_ga(GaPreset::Ga1, db, sg, dg),
+        EngineConfig::new(vec![
+            ("Author".into(), presets::dblp_author_gds_config()),
+            ("Paper".into(), presets::dblp_paper_gds_config()),
+        ]),
+    )
+    .expect("the generated DBLP database builds an engine");
+    let db = engine.db();
+    let tables = ["AuthorPaper", "Citation", "Paper", "Year"].map(|t| db.table_id(t).unwrap());
+    let (mut lists, mut entries) = (0usize, 0usize);
+    for &tid in &tables {
+        let t = db.table(tid);
+        for (_, rows) in t.sorted_fk_indexes().flat_map(|(_, i)| i.posting_lists()) {
+            lists += 1;
+            entries += rows.len();
+        }
+        for (_, pairs, _) in t.sorted_link_indexes().flat_map(|(_, i)| i.groups()) {
+            lists += 1;
+            entries += pairs.len();
+        }
+    }
+
+    let dir = temp_dir("checkpoint");
+    let store = PagedStore::new(&dir, 1024).unwrap();
+    group.bench_function("dblp_bench_4_tables", |b| {
+        b.iter(|| black_box(store.checkpoint_from(black_box(db), &tables).unwrap()))
+    });
+    group.finish();
+
+    // Exactly the installed generation is left: its size is the segment's.
+    let seg = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+    let bytes = std::fs::read(&seg).unwrap();
+    let dir_len = u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
+    eprintln!(
+        "disk/checkpoint: {entries} entries in {lists} lists -> {} pages, {} B of directory, \
+         {} B in all = {:.1} B/entry",
+        (bytes.len() - 16 - dir_len as usize) / PAGE_SIZE,
+        dir_len,
+        bytes.len(),
+        bytes.len() as f64 / entries as f64
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+criterion_group!(benches, bench_prefix_scan, bench_cache_curve, bench_wal_batch, bench_checkpoint);
 criterion_main!(benches);

@@ -12,15 +12,19 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use sizel_core::durability::{encode_batch, DiskTierConfig};
 use sizel_core::engine::{EngineConfig, Mutation, SizeLEngine};
+use sizel_core::os::FetchScratch;
 use sizel_core::test_fixtures::{max_pk, result_fingerprint};
+use sizel_core::{OsContext, OsSource};
 use sizel_datagen::dblp::{generate, Dblp, DblpConfig};
-use sizel_disk::Wal;
-use sizel_graph::presets;
-use sizel_rank::{dblp_ga, GaPreset};
-use sizel_storage::Value;
+use sizel_disk::page::LINK_PER_PAGE;
+use sizel_disk::{PagedStore, Wal};
+use sizel_graph::{presets, DataGraph, Gds, GdsConfig, JoinSpec, SchemaGraph};
+use sizel_rank::{dblp_ga, AuthorityGraph, GaPreset, RankConfig, RankScores};
+use sizel_storage::{Database, TableSchema, TupleRef, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -260,4 +264,207 @@ fn paged_tables_serve_identical_answers_through_mutations_and_checkpoints() {
     paged.truncate_wal().unwrap();
     assert_eq!(paged.disk_stats().unwrap().wal_bytes, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The space the packed segment layout promises: a checkpoint costs
+/// bytes in proportion to the posting entries it holds (4 per FK row id,
+/// 8 per link pair, plus a slot header and a directory entry per list),
+/// not a page per list — on DBLP, whose lists average under five
+/// entries, at most 24 bytes per entry, directory included.
+#[test]
+fn a_checkpoint_of_the_dblp_posting_tables_costs_at_most_24_bytes_per_entry() {
+    let dir = temp_dir("space");
+    let tables = ["AuthorPaper", "Citation", "Paper", "Year"];
+    let mut engine = fresh_engine(generate(&DblpConfig::small()));
+    let (mut lists, mut entries) = (0usize, 0usize);
+    for name in tables {
+        let t = engine.db().table(engine.db().table_id(name).unwrap());
+        for rows in t.sorted_fk_indexes().flat_map(|(_, i)| i.posting_lists()).map(|(_, r)| r) {
+            lists += 1;
+            entries += rows.len();
+        }
+        for pairs in t.sorted_link_indexes().flat_map(|(_, i)| i.groups()).map(|(_, p, _)| p) {
+            lists += 1;
+            entries += pairs.len();
+        }
+    }
+    assert!(lists > 1000 && entries > lists, "the pin needs many short lists to mean anything");
+
+    engine
+        .attach_disk(DiskTierConfig {
+            dir: dir.clone(),
+            cache_pages: 8,
+            fsync_every: 1,
+            paged_tables: tables.map(String::from).to_vec(),
+        })
+        .unwrap();
+    let files: Vec<_> =
+        std::fs::read_dir(dir.join("segments")).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(files.len(), 1, "one installed generation, no temporary file: {files:?}");
+    let bytes = std::fs::metadata(&files[0]).unwrap().len() as usize;
+    assert!(
+        bytes <= 24 * entries,
+        "{bytes} segment bytes for {entries} entries in {lists} lists = {:.1} B/entry",
+        bytes as f64 / entries as f64
+    );
+    assert_eq!(engine.disk_stats().unwrap().store.lists, lists as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Everything an [`OsContext`] borrows, over Parent / Child / Rel where
+/// `Rel` is a junction whose `parent_id` groups sit on every boundary of
+/// the packed link page: empty, one pair, a page less one, exactly a
+/// page, a page and one, exactly three pages, and a two-page run whose
+/// tail page the two short groups after it share.
+struct JunctionStack {
+    db: Database,
+    sg: SchemaGraph,
+    dg: DataGraph,
+    gds: Gds,
+    scores: RankScores,
+}
+
+const JUNCTION_GROUPS: [usize; 9] = [
+    0,
+    1,
+    LINK_PER_PAGE - 1,
+    LINK_PER_PAGE,
+    LINK_PER_PAGE + 1,
+    3 * LINK_PER_PAGE,
+    2 * LINK_PER_PAGE + 5,
+    3,
+    5,
+];
+
+fn junction_stack() -> JunctionStack {
+    let mut db = Database::new();
+    db.create_table(TableSchema::builder("Parent").pk("id").build().unwrap()).unwrap();
+    db.create_table(TableSchema::builder("Child").pk("id").build().unwrap()).unwrap();
+    db.create_table(
+        TableSchema::builder("Rel")
+            .pk("id")
+            .fk("parent_id", "Parent")
+            .fk("child_id", "Child")
+            .junction()
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    const CHILDREN: i64 = 2000;
+    for parent in 0..JUNCTION_GROUPS.len() as i64 {
+        db.insert("Parent", vec![Value::Int(parent)]).unwrap();
+    }
+    for child in 0..CHILDREN {
+        db.insert("Child", vec![Value::Int(child)]).unwrap();
+    }
+    let mut rel_pk = 0;
+    for (parent, &n) in JUNCTION_GROUPS.iter().enumerate() {
+        for _ in 0..n {
+            // Consecutive multiples of 7 mod 2000: distinct within a group.
+            let row = vec![
+                Value::Int(rel_pk),
+                Value::Int(parent as i64),
+                Value::Int(rel_pk * 7 % CHILDREN),
+            ];
+            db.insert("Rel", row).unwrap();
+            rel_pk += 1;
+        }
+    }
+    let sg = SchemaGraph::from_database(&db);
+    let dg = DataGraph::build(&db, &sg);
+    let ga = AuthorityGraph::uniform("uniform", &sg, &dg, 0.3);
+    let mut scores = sizel_rank::compute(&db, &sg, &dg, &ga, &RankConfig::default());
+    sizel_rank::install_importance_order(&mut db, &dg, &mut scores);
+    let parent = db.table_id("Parent").unwrap();
+    let mut gds = Gds::build(&db, &sg, &GdsConfig { theta: 0.0, ..GdsConfig::default() }, parent);
+    gds.set_stats(&scores.per_table_max);
+    JunctionStack { db, sg, dg, gds, scores }
+}
+
+/// The accounted junction TOP-l probe (`children_of_top_l` over a
+/// `ViaJunction` step — the only consumer of link cursors) returns the
+/// same tuples and charges the same paper-cost accesses from packed
+/// pages as from RAM, for link lists on every packing boundary, whether
+/// the cache holds two pages or all of them.
+#[test]
+fn junction_probes_over_every_packing_boundary_account_identically_from_pages() {
+    let ram = junction_stack();
+    let rel = ram.db.table_id("Rel").unwrap();
+    let parent_t = ram.db.table_id("Parent").unwrap();
+    let (via, _) = ram
+        .gds
+        .iter()
+        .find(|(_, n)| matches!(n.join, JoinSpec::ViaJunction { junction, .. } if junction == rel))
+        .expect("Parent reaches Child through the Rel junction");
+    let ram_ctx = OsContext::new(&ram.db, &ram.sg, &ram.dg, &ram.gds, &ram.scores);
+    let tds = |key: usize| {
+        TupleRef::new(parent_t, ram.db.table(parent_t).by_pk(key as i64).expect("a parent row"))
+    };
+    // A threshold that ends scans inside their lists: the local
+    // importance half-way down the three-page list.
+    let mut whole = Vec::new();
+    let mut scratch = FetchScratch::default();
+    let l_all = 4 * LINK_PER_PAGE;
+    ram_ctx.children_of_top_l(
+        via,
+        tds(5),
+        None,
+        OsSource::Database,
+        l_all,
+        0.0,
+        &mut scratch,
+        &mut whole,
+    );
+    let half_way = ram_ctx.local_importance(via, whole[whole.len() / 2]);
+
+    for cache_pages in [2, 1024] {
+        let dir = temp_dir("junction");
+        let mut paged = junction_stack();
+        let store = Arc::new(PagedStore::new(&dir, cache_pages).unwrap());
+        store.checkpoint_from(&paged.db, &[rel]).unwrap();
+        paged.db.evict_table_postings(rel);
+        paged.db.set_pager(Arc::<PagedStore>::clone(&store));
+        let paged_ctx = OsContext::new(&paged.db, &paged.sg, &paged.dg, &paged.gds, &paged.scores);
+
+        let mut cut_short = 0;
+        for (key, &group) in JUNCTION_GROUPS.iter().enumerate() {
+            let tds = tds(key);
+            // A short prefix, one that crosses a page boundary, the whole
+            // list; and a threshold that cuts the scan short of `l`.
+            for (l, largest_l) in
+                [(1, 0.0), (10, 0.0), (LINK_PER_PAGE + 1, 0.0), (l_all, 0.0), (l_all, half_way)]
+            {
+                let probe = |ctx: &OsContext, db: &Database, scratch: &mut FetchScratch| {
+                    let (a0, p0) = (db.access().snapshot(), db.access().probes());
+                    let mut out = Vec::new();
+                    ctx.children_of_top_l(
+                        via,
+                        tds,
+                        None,
+                        OsSource::Database,
+                        l,
+                        largest_l,
+                        scratch,
+                        &mut out,
+                    );
+                    let (a1, p1) = (db.access().snapshot(), db.access().probes());
+                    (out, a1.since(a0), (p1.fast - p0.fast, p1.heap - p0.heap))
+                };
+                let from_ram = probe(&ram_ctx, &ram.db, &mut scratch);
+                let from_pages = probe(&paged_ctx, &paged.db, &mut scratch);
+                assert_eq!(from_ram, from_pages, "key {key} ({group} pairs) l {l} > {largest_l}");
+                assert_eq!(from_pages.2, (1, 0), "key {key} l {l}: the paged probe fell back");
+                if largest_l == 0.0 {
+                    assert_eq!(from_pages.0.len(), l.min(group), "key {key} l {l}");
+                } else if (1..group).contains(&from_pages.0.len()) {
+                    cut_short += 1;
+                }
+            }
+        }
+        assert!(cut_short > 0, "the threshold ended no scan inside its list");
+        let stats = store.stats();
+        assert_eq!(stats.cache.read_errors, 0);
+        assert!(stats.cache.misses > 0 && stats.resident_pages <= cache_pages as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -14,7 +14,8 @@
 //! All counters are monotonic atomics exported through
 //! [`crate::DiskStats`]: hits, misses, evictions, recycled buffers, and
 //! read errors (pages that failed verification — which are *never*
-//! cached, never served).
+//! cached — or that a reader found not to be the page its directory
+//! entry promised; either way never served).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +47,8 @@ pub struct CacheSnapshot {
     pub evictions: u64,
     /// Page buffers reused from the free pool instead of allocated.
     pub recycled: u64,
-    /// Page reads that failed verification (served to nobody).
+    /// Page reads that failed verification or did not match the
+    /// reader's directory entry (served to nobody).
     pub read_errors: u64,
 }
 
@@ -205,6 +207,12 @@ impl BlockCache {
         inner.map.insert(key, slot);
         inner.link_front(slot);
         Ok(buf)
+    }
+
+    /// Counts a page that was read soundly but is not the page its
+    /// reader's directory entry promised: a read that served nobody.
+    pub fn count_read_error(&self) {
+        self.counters.read_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A counter snapshot.

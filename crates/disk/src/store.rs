@@ -13,10 +13,13 @@
 //!
 //! Cursors hold `Arc`s to the generation and to their current page, so a
 //! concurrent checkpoint or cache eviction never invalidates an
-//! in-flight scan. Every page read is CRC-verified and header-checked
-//! (right table, column, key, and sequence) before a single entry is
-//! served; any failure marks the cursor failed and the caller falls back
-//! (fail closed).
+//! in-flight scan. Every page read is CRC-verified before it enters the
+//! cache, and every page a scan enters — read by it or found resident,
+//! loaded by whichever of the lists sharing it came first — is checked
+//! against the scan's own directory entry (right kind, table and column;
+//! at the list's offset a slot with the right key, position and count)
+//! before a single entry is served; any failure marks the cursor failed
+//! and the caller falls back (fail closed).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,8 +31,8 @@ use sizel_storage::{
 
 use crate::cache::{BlockCache, CacheSnapshot};
 use crate::error::{DiskError, Result};
-use crate::page::{fk_entry, link_entry, PageBuf, PageKind, FK_PER_PAGE, LINK_PER_PAGE};
-use crate::segment::{DirEntry, SegmentFile, SegmentWriter};
+use crate::page::{slot_entry, ColumnId, PageBuf, PageKind, PostingEntry};
+use crate::segment::{DirEntry, ListId, SegmentFile, SegmentWriter};
 
 /// One immutable segment generation: the opened file, its stamp, and the
 /// path (kept for cleanup when superseded).
@@ -68,9 +71,21 @@ pub struct PagedStore {
 
 impl PagedStore {
     /// A store rooted at `dir` (created if absent) caching at most
-    /// `cache_pages` pages.
+    /// `cache_pages` pages. `dir` is the store's own: a segment never
+    /// outlives the process that stamped it, so every `segments-*.seg`
+    /// and `segments-*.seg.tmp` an earlier process (or a crash
+    /// mid-checkpoint) left there is removed; nothing else is touched.
     pub fn new(dir: &Path, cache_pages: usize) -> Result<PagedStore> {
         std::fs::create_dir_all(dir)?;
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("segments-")
+                && (name.ends_with(".seg") || name.ends_with(".seg.tmp"))
+            {
+                std::fs::remove_file(&path)?;
+            }
+        }
         Ok(PagedStore {
             dir: dir.to_path_buf(),
             cache: Arc::new(BlockCache::new(cache_pages)),
@@ -86,7 +101,9 @@ impl PagedStore {
     /// generation id.
     ///
     /// The raw in-RAM arrays are written verbatim (tombstones included),
-    /// so a paged scan replays the RAM scan byte for byte.
+    /// column by column in key order, so a paged scan replays the RAM
+    /// scan byte for byte and the file's bytes depend only on the
+    /// postings.
     pub fn checkpoint_from(&self, db: &Database, tables: &[TableId]) -> Result<u64> {
         let stamp = db
             .fk_order()
@@ -94,30 +111,24 @@ impl PagedStore {
         let gen_id = self.next_gen.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(format!("segments-{gen_id}.seg"));
         let mut w = SegmentWriter::create(&path)?;
-        let mut keys: Vec<i64> = Vec::new();
         for &tid in tables {
             let t = db.table(tid);
             for (col, idx) in t.sorted_fk_indexes() {
-                w.cover(PageKind::Fk, tid.0, col as u16);
-                keys.clear();
-                keys.extend(idx.posting_lists().map(|(k, _)| k));
-                keys.sort_unstable();
-                for &key in &keys {
-                    let rows = idx.rows(key);
-                    // RowId is a u32 newtype: reuse one scratch per list.
-                    let raw: Vec<u32> = rows.iter().map(|r| r.0).collect();
-                    w.write_fk_list(tid.0, col as u16, key, &raw)?;
+                let column = ColumnId { kind: PageKind::Fk, table: tid.0, col: col as u16 };
+                w.cover(column);
+                let mut lists: Vec<_> = idx.posting_lists().collect();
+                lists.sort_unstable_by_key(|&(key, _)| key);
+                for (key, rows) in lists {
+                    w.write_list(column, key, rows, rows.len())?;
                 }
             }
             for (col, idx) in t.sorted_link_indexes() {
-                w.cover(PageKind::Link, tid.0, col as u16);
-                keys.clear();
-                keys.extend(idx.groups().map(|(k, _, _)| k));
-                keys.sort_unstable();
-                for &key in &keys {
-                    let pairs = idx.pairs(key);
-                    let raw: Vec<(u32, u32)> = pairs.iter().map(|&(j, t)| (j.0, t.0)).collect();
-                    w.write_link_list(tid.0, col as u16, key, &raw, idx.raw_group_len(key))?;
+                let column = ColumnId { kind: PageKind::Link, table: tid.0, col: col as u16 };
+                w.cover(column);
+                let mut groups: Vec<_> = idx.groups().collect();
+                groups.sort_unstable_by_key(|&(key, _, _)| key);
+                for (key, pairs, raw_len) in groups {
+                    w.write_list(column, key, pairs, raw_len)?;
                 }
             }
         }
@@ -154,134 +165,110 @@ impl PagedStore {
     fn current(&self) -> Option<Arc<SegGeneration>> {
         self.generation.read().unwrap_or_else(|p| p.into_inner()).clone()
     }
+
+    /// The installed generation and `key`'s directory entry in it, or
+    /// `None` when the generation does not cover `(kind, table, col)`. A
+    /// covered key without an entry is a known-empty list: the default
+    /// entry, which a scan ends on at once.
+    fn locate(
+        &self,
+        kind: PageKind,
+        table: TableId,
+        col: usize,
+        key: i64,
+    ) -> Option<(Arc<SegGeneration>, ListId, DirEntry)> {
+        let gen = self.current()?;
+        let column = ColumnId { kind, table: table.0, col: col as u16 };
+        if !gen.file.covers(column) {
+            return None;
+        }
+        let id = ListId { column, key };
+        let entry = gen.file.lookup(id).unwrap_or_default();
+        Some((gen, id, entry))
+    }
+
+    fn scan(&self, kind: PageKind, table: TableId, col: usize, key: i64) -> Option<PagedScan> {
+        let (gen, id, entry) = self.locate(kind, table, col, key)?;
+        let cache = Arc::clone(&self.cache);
+        Some(PagedScan { gen, cache, id, entry, yielded: 0, current: None, failed: false })
+    }
 }
 
 /// A paged scan over one posting list: walks the page run through the
-/// cache, verifying every page's identity before serving entries.
+/// cache, checking every page's and slot's identity before serving
+/// entries. It is the cursor of both posting kinds; `id.column.kind`
+/// says which entry type its pages hold.
 struct PagedScan {
     gen: Arc<SegGeneration>,
     cache: Arc<BlockCache>,
+    id: ListId,
     entry: DirEntry,
-    kind: PageKind,
-    table: u16,
-    col: u16,
-    key: i64,
     yielded: u32,
     current: Option<(u32, Arc<PageBuf>)>,
     failed: bool,
 }
 
 impl PagedScan {
-    fn new(
-        gen: Arc<SegGeneration>,
-        cache: Arc<BlockCache>,
-        kind: PageKind,
-        table: u16,
-        col: u16,
-        key: i64,
-        entry: DirEntry,
-    ) -> PagedScan {
-        PagedScan {
-            gen,
-            cache,
-            entry,
-            kind,
-            table,
-            col,
-            key,
-            yielded: 0,
-            current: None,
-            failed: false,
-        }
-    }
-
-    /// An empty covered list: yields nothing, never fails.
-    fn empty(gen: Arc<SegGeneration>, cache: Arc<BlockCache>, kind: PageKind) -> PagedScan {
-        PagedScan::new(
-            gen,
-            cache,
-            kind,
-            0,
-            0,
-            0,
-            DirEntry { first_page: 0, n_pages: 0, n_entries: 0, raw_len: 0 },
-        )
-    }
-
-    /// The page holding entry `yielded`, loading and verifying on demand.
-    fn page_for_next(&mut self) -> Option<&PageBuf> {
-        let per_page = match self.kind {
-            PageKind::Fk => FK_PER_PAGE,
-            PageKind::Link => LINK_PER_PAGE,
-        } as u32;
-        let run_idx = self.yielded / per_page;
+    /// Page `run_idx` of the list's run. The read verifies magic and
+    /// checksum, once per residency in the cache; that the page and the
+    /// slot at the entry's offset are this list's is checked here, on a
+    /// hit as on a miss — a shared page was most likely loaded for a
+    /// neighbour. A sound page that fails it stays cached and counts as
+    /// a read error.
+    fn page(&self, run_idx: u32) -> Result<Arc<PageBuf>> {
         let page_no = self.entry.first_page + run_idx;
-        if self.current.as_ref().map(|&(no, _)| no) != Some(page_no) {
-            let expected_entries = (self.entry.n_entries - run_idx * per_page).min(per_page) as u16;
-            let gen = &self.gen;
-            let (kind, table, col, key) = (self.kind, self.table, self.col, self.key);
-            let loaded = self.cache.get_or_load((gen.id, u64::from(page_no)), |buf| {
-                let h = gen.file.read_page(page_no, buf)?;
-                if h.kind != kind
-                    || h.table != table
-                    || h.col != col
-                    || h.key != key
-                    || h.seq != run_idx
-                    || h.entry_count != expected_entries
-                {
-                    return Err(DiskError::Corrupt("segment page does not match its directory"));
-                }
-                Ok(())
-            });
-            match loaded {
-                Ok(buf) => self.current = Some((page_no, buf)),
+        let buf = self.cache.get_or_load((self.gen.id, u64::from(page_no)), |buf| {
+            self.gen.file.read_page(page_no, buf)
+        })?;
+        if let Err(e) = self.entry.check_page(self.id, run_idx, &buf.0) {
+            self.cache.count_read_error();
+            return Err(e);
+        }
+        Ok(buf)
+    }
+
+    /// The next entry of the list, loading and checking its page on
+    /// demand; `None` at the end of the list or once a read failed.
+    fn next_entry<E: PostingEntry>(&mut self) -> Option<E> {
+        debug_assert_eq!(E::KIND, self.id.column.kind);
+        if self.failed || self.yielded >= self.entry.n_entries {
+            return None;
+        }
+        let per_page = E::KIND.per_page() as u32;
+        let run_idx = self.yielded / per_page;
+        if self.current.as_ref().map(|&(idx, _)| idx) != Some(run_idx) {
+            match self.page(run_idx) {
+                Ok(buf) => self.current = Some((run_idx, buf)),
                 Err(_) => {
                     self.failed = true;
                     return None;
                 }
             }
         }
-        self.current.as_ref().map(|(_, buf)| buf.as_ref())
+        let (_, buf) = self.current.as_ref()?;
+        let i = (self.yielded % per_page) as usize;
+        self.yielded += 1;
+        Some(slot_entry(&buf.0, self.entry.offset as usize, i))
     }
 }
 
-struct PagedFkCursor(PagedScan);
-
-impl PostingCursor for PagedFkCursor {
+impl PostingCursor for PagedScan {
     fn next_row(&mut self) -> Option<RowId> {
-        let scan = &mut self.0;
-        if scan.failed || scan.yielded >= scan.entry.n_entries {
-            return None;
-        }
-        let idx = (scan.yielded as usize) % FK_PER_PAGE;
-        let buf = scan.page_for_next()?;
-        let row = fk_entry(&buf.0, idx);
-        scan.yielded += 1;
-        Some(RowId(row))
+        self.next_entry()
     }
 
     fn failed(&self) -> bool {
-        self.0.failed
+        self.failed
     }
 }
 
-struct PagedLinkCursor(PagedScan);
-
-impl LinkCursor for PagedLinkCursor {
+impl LinkCursor for PagedScan {
     fn next_pair(&mut self) -> Option<(RowId, RowId)> {
-        let scan = &mut self.0;
-        if scan.failed || scan.yielded >= scan.entry.n_entries {
-            return None;
-        }
-        let idx = (scan.yielded as usize) % LINK_PER_PAGE;
-        let buf = scan.page_for_next()?;
-        let (j, t) = link_entry(&buf.0, idx);
-        scan.yielded += 1;
-        Some((RowId(j), RowId(t)))
+        self.next_entry()
     }
 
     fn failed(&self) -> bool {
-        self.0.failed
+        self.failed
     }
 }
 
@@ -296,18 +283,7 @@ impl PostingPager for PagedStore {
         col: usize,
         key: i64,
     ) -> Option<Box<dyn PostingCursor + '_>> {
-        let gen = self.current()?;
-        if !gen.file.covers(PageKind::Fk, table.0, col as u16) {
-            return None;
-        }
-        let cache = Arc::clone(&self.cache);
-        let scan = match gen.file.lookup(PageKind::Fk, table.0, col as u16, key) {
-            Some(entry) => {
-                PagedScan::new(gen, cache, PageKind::Fk, table.0, col as u16, key, entry)
-            }
-            None => PagedScan::empty(gen, cache, PageKind::Fk),
-        };
-        Some(Box::new(PagedFkCursor(scan)))
+        Some(Box::new(self.scan(PageKind::Fk, table, col, key)?))
     }
 
     fn link_cursor(
@@ -316,29 +292,11 @@ impl PostingPager for PagedStore {
         col: usize,
         key: i64,
     ) -> Option<Box<dyn LinkCursor + '_>> {
-        let gen = self.current()?;
-        if !gen.file.covers(PageKind::Link, table.0, col as u16) {
-            return None;
-        }
-        let cache = Arc::clone(&self.cache);
-        let scan = match gen.file.lookup(PageKind::Link, table.0, col as u16, key) {
-            Some(entry) => {
-                PagedScan::new(gen, cache, PageKind::Link, table.0, col as u16, key, entry)
-            }
-            None => PagedScan::empty(gen, cache, PageKind::Link),
-        };
-        Some(Box::new(PagedLinkCursor(scan)))
+        Some(Box::new(self.scan(PageKind::Link, table, col, key)?))
     }
 
     fn link_raw_len(&self, table: TableId, col: usize, key: i64) -> Option<usize> {
-        let gen = self.current()?;
-        if !gen.file.covers(PageKind::Link, table.0, col as u16) {
-            return None;
-        }
-        Some(
-            gen.file
-                .lookup(PageKind::Link, table.0, col as u16, key)
-                .map_or(0, |e| e.raw_len as usize),
-        )
+        let (_, _, entry) = self.locate(PageKind::Link, table, col, key)?;
+        Some(entry.raw_len as usize)
     }
 }

@@ -4,12 +4,17 @@
 //! that hits a damaged page discards its partial scan and falls back to
 //! the heap path, so answers stay correct while the damage is counted.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use sizel_disk::crc::crc32;
+use sizel_disk::page::{
+    seal_page, ColumnId, PageKind, FK_PER_PAGE, PAGE_HEADER_LEN, SLOT_HEADER_LEN,
+};
+use sizel_disk::segment::ListId;
 use sizel_disk::{DiskError, PagedStore, SegmentFile, Wal, PAGE_SIZE};
-use sizel_storage::{Database, RowId, TableSchema, Value};
+use sizel_storage::{Database, PostingPager, RowId, TableSchema, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -22,33 +27,69 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// Parent + Child with a handful of scored rows and an installed order.
 fn seeded_db() -> Database {
+    db_with(2, 12)
+}
+
+/// Parents `1..=parents`, each with `children` scored Child rows, and an
+/// installed order.
+fn db_with(parents: i64, children: i64) -> Database {
     let mut db = Database::new();
     db.create_table(TableSchema::builder("Parent").pk("id").build().unwrap()).unwrap();
     db.create_table(
         TableSchema::builder("Child").pk("id").fk("parent_id", "Parent").build().unwrap(),
     )
     .unwrap();
-    db.insert("Parent", vec![Value::Int(1)]).unwrap();
-    db.insert("Parent", vec![Value::Int(2)]).unwrap();
-    for pk in 0..24 {
-        db.insert("Child", vec![Value::Int(pk), Value::Int(1 + pk % 2)]).unwrap();
+    for parent in 1..=parents {
+        db.insert("Parent", vec![Value::Int(parent)]).unwrap();
+    }
+    for pk in 0..parents * children {
+        db.insert("Child", vec![Value::Int(pk), Value::Int(1 + pk % parents)]).unwrap();
     }
     db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
     db
 }
 
-/// Flips one payload byte in every page of the (single) segment file
-/// under `dir`, leaving the directory and trailer intact.
-fn corrupt_every_page(dir: &PathBuf) -> PathBuf {
-    let seg = std::fs::read_dir(dir)
+/// The (single) segment file under `dir`.
+fn segment_in(dir: &Path) -> PathBuf {
+    std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|e| e == "seg"))
-        .expect("checkpoint wrote a segment");
+        .expect("checkpoint wrote a segment")
+}
+
+/// Byte offset of directory entry `i` within the serialized directory
+/// of a segment with one coverage record (see `segment.rs`: 4 + 5 bytes
+/// of coverage, a 4-byte count, 27-byte entries), and of the fields the
+/// tests below damage within an entry.
+fn dir_entry(i: usize) -> usize {
+    4 + 5 + 4 + i * 27
+}
+const FIRST_PAGE: usize = 13;
+const OFFSET: usize = 17;
+const N_ENTRIES: usize = 19;
+
+/// Applies `patch` to the serialized directory of `seg` and re-seals it
+/// with a fresh directory checksum: damage the CRC cannot see.
+fn patch_directory(seg: &Path, patch: impl FnOnce(&mut [u8])) {
+    let mut bytes = std::fs::read(seg).unwrap();
+    let len = bytes.len();
+    let dir_len = u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize;
+    let dir = &mut bytes[len - 16 - dir_len..len - 16];
+    patch(dir);
+    let crc = crc32(dir);
+    bytes[len - 8..len - 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(seg, &bytes).unwrap();
+}
+
+/// Flips one payload byte in every page of the (single) segment file
+/// under `dir`, leaving the directory and trailer intact.
+fn corrupt_every_page(dir: &Path) -> PathBuf {
+    let seg = segment_in(dir);
     let mut bytes = std::fs::read(&seg).unwrap();
     let dir_len = u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
     let dir_start = bytes.len() - 16 - dir_len as usize;
-    let mut at = 50; // inside page 0's payload
+    let mut at = 50; // inside the entries of page 0's first slot
     while at < dir_start {
         bytes[at] ^= 0x40;
         at += PAGE_SIZE;
@@ -126,6 +167,228 @@ fn page_and_directory_damage_surface_as_typed_errors() {
     bytes[len - 2] ^= 0xFF; // trailer magic
     std::fs::write(&seg, &bytes).unwrap();
     assert!(matches!(SegmentFile::open(&seg), Err(DiskError::Corrupt(_))));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_flipped_byte_in_a_shared_page_fails_every_list_in_it_and_no_other() {
+    // 200 ten-entry lists: 75 to a page, so three pages.
+    let mut db = db_with(200, 10);
+    let pristine = db_with(200, 10);
+    let child = db.table_id("Child").unwrap();
+    let fk = db.table(child).schema.column_index("parent_id").unwrap();
+
+    let dir = temp_dir("shared");
+    let store = Arc::new(PagedStore::new(&dir, 8).unwrap());
+    store.checkpoint_from(&db, &[child]).unwrap();
+    db.evict_table_postings(child);
+    db.set_pager(Arc::<PagedStore>::clone(&store));
+    // One byte, in the zero padding after page 1's last slot: no list's
+    // own bytes are touched, the page's checksum still fails them all.
+    let seg = segment_in(&dir);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes[2 * PAGE_SIZE - 1] ^= 0x01;
+    std::fs::write(&seg, &bytes).unwrap();
+    let layout = SegmentFile::open(&seg).expect("directory is still intact");
+
+    let token = db.fk_order().unwrap();
+    let p_token = pristine.fk_order().unwrap();
+    let column = ColumnId { kind: PageKind::Fk, table: child.0, col: fk as u16 };
+    let (mut damaged, mut intact) = (0, 0);
+    for parent in 1..=200i64 {
+        let id = ListId { column, key: parent };
+        let on_damaged_page = layout.lookup(id).expect("every parent has children").first_page == 1;
+        let li = |r: RowId| db.table(child).installed_score(r);
+        let p_li = |r: RowId| pristine.table(child).installed_score(r);
+        let b0 = db.access().probes();
+        let served = db.select_eq_top_l(child, fk, parent, 5, 0.0, Some(token), &li);
+        let b1 = db.access().probes();
+        let expect = pristine.select_eq_top_l(child, fk, parent, 5, 0.0, Some(p_token), &p_li);
+        assert_eq!(served, expect, "a damaged segment must not change any answer");
+        assert_eq!(served.len(), 5);
+        if on_damaged_page {
+            damaged += 1;
+            assert_eq!((b1.fast - b0.fast, b1.heap - b0.heap), (0, 1), "parent {parent} fell back");
+        } else {
+            intact += 1;
+            assert_eq!(
+                (b1.fast - b0.fast, b1.heap - b0.heap),
+                (1, 0),
+                "parent {parent} was served"
+            );
+        }
+    }
+    assert_eq!((damaged, intact), (75, 125), "one page of three was damaged");
+    let stats = store.stats();
+    assert_eq!(stats.cache.read_errors, 75, "every read of the damaged page was counted");
+    assert_eq!(stats.cache.misses, 75 + 2, "it was never cached; its neighbours were, once each");
+    assert_eq!(stats.cache.hits, 125 - 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_directory_pointing_at_the_wrong_slot_is_rejected_by_the_slot_check() {
+    // Three twelve-entry lists in one page. Lists 1 and 2 get each
+    // other's offsets; list 3 is left alone.
+    let db = db_with(3, 12);
+    let child = db.table_id("Child").unwrap();
+    let fk = db.table(child).schema.column_index("parent_id").unwrap() as u16;
+    let dir = temp_dir("swapped");
+    let store = PagedStore::new(&dir, 4).unwrap();
+    store.checkpoint_from(&db, &[child]).unwrap();
+    let seg = segment_in(&dir);
+    let column = ColumnId { kind: PageKind::Fk, table: child.0, col: fk };
+    let ids = [1, 2, 3].map(|key| ListId { column, key });
+
+    let intact = SegmentFile::open(&seg).unwrap();
+    let [a, b, c] = ids.map(|id| intact.lookup(id).unwrap());
+    assert_eq!([a.first_page, b.first_page, c.first_page], [0; 3], "the lists share page 0");
+    assert_eq!(a.n_entries, b.n_entries);
+    let mut page = [0u8; PAGE_SIZE];
+    intact.read_page(0, &mut page).unwrap();
+    for (id, e) in ids.into_iter().zip([a, b, c]) {
+        e.check_page(id, 0, &page).expect("an intact segment matches its directory");
+        assert!(e.check_page(id, 1, &page).is_err(), "the run has one page");
+    }
+
+    // Swap the two entries' offsets. Each still names a real slot of the
+    // right size in the right page, the directory checksum is fresh and
+    // the page is untouched — only the slot's own key disagrees.
+    patch_directory(&seg, |d| {
+        let (x, y) = (dir_entry(0) + OFFSET, dir_entry(1) + OFFSET);
+        assert_eq!(
+            [&d[x..x + 2], &d[y..y + 2]].map(|f| u16::from_le_bytes(f.try_into().unwrap())),
+            [a.offset, b.offset]
+        );
+        d.swap(x, y);
+        d.swap(x + 1, y + 1);
+    });
+    let swapped = SegmentFile::open(&seg).expect("both offsets are possible ones");
+    let [sa, sb, sc] = ids.map(|id| swapped.lookup(id).unwrap());
+    assert_eq!((sa.offset, sb.offset, sc), (b.offset, a.offset, c));
+    swapped.read_page(0, &mut page).expect("the page still verifies: no checksum is involved");
+    sc.check_page(ids[2], 0, &page).expect("the untouched entry still matches");
+    for (id, e) in [(ids[0], sa), (ids[1], sb)] {
+        match e.check_page(id, 0, &page) {
+            Err(DiskError::Corrupt(what)) => {
+                assert_eq!(what, "segment page does not match its directory")
+            }
+            other => panic!("expected a directory mismatch, got {other:?}"),
+        }
+    }
+    // Nor does a page of the right shape in another column pass: the
+    // same keys, positions and counts under a different header.
+    let elsewhere = ListId { column: ColumnId { col: fk + 1, ..column }, key: 3 };
+    assert!(sc.check_page(elsewhere, 0, &page).is_err(), "the page's column is part of the check");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_resident_shared_page_is_checked_for_every_list_that_enters_it() {
+    // The same disagreement, met the way a serving store meets it. A
+    // store keeps the directory it opened in RAM, so here the page is
+    // what moves: the slots of lists 1 and 2 trade places and the page
+    // is re-sealed — magic, checksum and column all pass, and each of
+    // the two directory offsets names the other list's slot. The intact
+    // list 3 is probed FIRST and brings the shared page into the cache;
+    // lists 1 and 2 then find it resident. A hit must not skip the slot
+    // check: they fail closed, fall back to the heap and are counted.
+    let mut db = db_with(3, 12);
+    let pristine = db_with(3, 12);
+    let child = db.table_id("Child").unwrap();
+    let fk = db.table(child).schema.column_index("parent_id").unwrap();
+    let dir = temp_dir("resident");
+    let store = Arc::new(PagedStore::new(&dir, 4).unwrap());
+    store.checkpoint_from(&db, &[child]).unwrap();
+    db.evict_table_postings(child);
+    db.set_pager(Arc::<PagedStore>::clone(&store));
+
+    let seg = segment_in(&dir);
+    let column = ColumnId { kind: PageKind::Fk, table: child.0, col: fk as u16 };
+    let layout = SegmentFile::open(&seg).unwrap();
+    let [a, b] = [1, 2].map(|key| layout.lookup(ListId { column, key }).unwrap());
+    assert_eq!((a.first_page, b.first_page, a.n_entries, b.n_entries), (0, 0, 12, 12));
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let page: &mut [u8; PAGE_SIZE] = (&mut bytes[..PAGE_SIZE]).try_into().unwrap();
+    let slot_len = SLOT_HEADER_LEN + 12 * 4;
+    for i in 0..slot_len {
+        page.swap(a.offset as usize + i, b.offset as usize + i);
+    }
+    seal_page(page, column);
+    std::fs::write(&seg, &bytes).unwrap();
+
+    let token = db.fk_order().unwrap();
+    let p_token = pristine.fk_order().unwrap();
+    for (parent, served_from_pages) in [(3i64, true), (1, false), (2, false), (3, true)] {
+        let li = |r: RowId| db.table(child).installed_score(r);
+        let p_li = |r: RowId| pristine.table(child).installed_score(r);
+        let b0 = db.access().probes();
+        let served = db.select_eq_top_l(child, fk, parent, 5, 0.0, Some(token), &li);
+        let b1 = db.access().probes();
+        let expect = pristine.select_eq_top_l(child, fk, parent, 5, 0.0, Some(p_token), &p_li);
+        assert_eq!(served, expect, "parent {parent}: a neighbour's rows must never be served");
+        assert_eq!(served.len(), 5);
+        assert_eq!(
+            (b1.fast - b0.fast, b1.heap - b0.heap),
+            if served_from_pages { (1, 0) } else { (0, 1) },
+            "parent {parent}"
+        );
+    }
+    for key in [1, 2] {
+        let mut cur = store.fk_cursor(child, fk, key).expect("the column is covered");
+        assert_eq!(cur.next_row(), None, "not one entry of the wrong slot is yielded");
+        assert!(cur.failed());
+    }
+    let stats = store.stats();
+    assert_eq!(stats.cache.misses, 1, "the page was read once, for list 3");
+    assert_eq!(stats.cache.hits, 5, "every later scan found it resident");
+    assert_eq!(stats.cache.read_errors, 4, "and each scan of lists 1 and 2 was counted");
+    assert_eq!(stats.resident_pages, 1, "the page itself is sound and stays cached");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_impossible_directory_entry_is_refused_at_open() {
+    let db = seeded_db();
+    let child = db.table_id("Child").unwrap();
+    let dir = temp_dir("open");
+    let store = PagedStore::new(&dir, 4).unwrap();
+    store.checkpoint_from(&db, &[child]).unwrap();
+    let seg = segment_in(&dir);
+    let pristine = std::fs::read(&seg).unwrap();
+
+    // An offset inside the page header; one that leaves no room for the
+    // slot header; one that leaves none for the twelve entries; a run
+    // that starts past the end of the file; more entries than the pages
+    // from the run's first to the file's last can hold.
+    let entry = dir_entry(0);
+    let set =
+        |at: usize, v: u32| move |d: &mut [u8]| d[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    let set_offset =
+        |v: u16| move |d: &mut [u8]| d[entry + OFFSET..][..2].copy_from_slice(&v.to_le_bytes());
+    type Patch = Box<dyn FnOnce(&mut [u8])>;
+    let damage: [(&str, Patch); 5] = [
+        ("offset in the page header", Box::new(set_offset(PAGE_HEADER_LEN as u16 - 1))),
+        ("no room for a slot header", Box::new(set_offset(PAGE_SIZE as u16 - 13))),
+        ("no room for the entries", Box::new(set_offset((PAGE_SIZE - 14 - 12 * 4 + 1) as u16))),
+        ("first page past the file", Box::new(set(entry + FIRST_PAGE, 1))),
+        ("a run longer than the file", Box::new(set(entry + N_ENTRIES, FK_PER_PAGE as u32 + 1))),
+    ];
+    for (what, patch) in damage {
+        std::fs::write(&seg, &pristine).unwrap();
+        patch_directory(&seg, patch);
+        match SegmentFile::open(&seg) {
+            Err(DiskError::Corrupt(msg)) => {
+                assert_eq!(msg, "segment directory entry out of range", "{what}")
+            }
+            other => panic!("{what}: expected a refusal at open, got {other:?}"),
+        }
+    }
+    // The largest offsets that do fit are accepted (the slot check, not
+    // the open, is what then catches the lie).
+    std::fs::write(&seg, &pristine).unwrap();
+    patch_directory(&seg, set_offset((PAGE_SIZE - 14 - 12 * 4) as u16));
+    SegmentFile::open(&seg).expect("an entry that fits is not refused");
     std::fs::remove_dir_all(&dir).ok();
 }
 
