@@ -287,6 +287,12 @@ impl SizeLEngine {
     /// keyword index, and installs the importance-sorted FK order so
     /// Database-source TOP-l probes run as prefix scans. The `ga` builder
     /// is retained for [`SizeLEngine::apply`]'s exact refresh path.
+    ///
+    /// Cost, over bench-scale DBLP (`DblpConfig::bench`): about 35 ms, of which
+    /// the rank sweeps and the posting install are some 13 ms each and FK
+    /// validation, the data graph, the GDSs and the keyword index share
+    /// the rest — `cargo bench -p sizel-bench --bench build_stages` prints
+    /// the split, stage by stage through the functions called here.
     pub fn build(
         mut db: Database,
         ga: impl Fn(&Database, &SchemaGraph, &DataGraph) -> AuthorityGraph + Send + Sync + 'static,

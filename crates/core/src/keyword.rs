@@ -21,6 +21,7 @@ impl KeywordIndex {
     /// Builds the index over the searchable columns of `ds_tables`.
     pub fn build(db: &Database, ds_tables: &[TableId]) -> Self {
         let mut postings: HashMap<String, Vec<TupleRef>> = HashMap::new();
+        let mut tok_buf = String::new();
         for &tid in ds_tables {
             let table = db.table(tid);
             let cols: Vec<usize> = table.schema.searchable_columns().collect();
@@ -28,12 +29,16 @@ impl KeywordIndex {
                 let tref = TupleRef::new(tid, rid);
                 for &c in &cols {
                     if let Some(s) = row[c].as_str() {
-                        for tok in text::tokenize(s) {
-                            let list = postings.entry(tok).or_default();
-                            if list.last() != Some(&tref) {
-                                list.push(tref);
+                        // Tokens outnumber vocabulary words by orders of
+                        // magnitude: look the borrowed token up first and
+                        // own it only when it is new.
+                        text::for_each_token(s, &mut tok_buf, |tok| match postings.get_mut(tok) {
+                            Some(list) if list.last() == Some(&tref) => {}
+                            Some(list) => list.push(tref),
+                            None => {
+                                postings.insert(tok.to_owned(), vec![tref]);
                             }
-                        }
+                        });
                     }
                 }
             }
@@ -58,14 +63,19 @@ impl KeywordIndex {
         }
         let t = db.table(table);
         let tref = TupleRef::new(table, row);
+        let mut tok_buf = String::new();
         for c in t.schema.searchable_columns() {
             if let Some(s) = t.value(row, c).as_str() {
-                for tok in text::tokenize(s) {
-                    let list = self.postings.entry(tok).or_default();
-                    if let Err(pos) = list.binary_search(&tref) {
-                        list.insert(pos, tref);
+                text::for_each_token(s, &mut tok_buf, |tok| match self.postings.get_mut(tok) {
+                    Some(list) => {
+                        if let Err(pos) = list.binary_search(&tref) {
+                            list.insert(pos, tref);
+                        }
                     }
-                }
+                    None => {
+                        self.postings.insert(tok.to_owned(), vec![tref]);
+                    }
+                });
             }
         }
     }
@@ -91,18 +101,19 @@ impl KeywordIndex {
             return;
         }
         let tref = TupleRef::new(table, row);
+        let mut tok_buf = String::new();
         for c in schema.searchable_columns() {
             if let Some(s) = values[c].as_str() {
-                for tok in text::tokenize(s) {
-                    if let Some(list) = self.postings.get_mut(&tok) {
+                text::for_each_token(s, &mut tok_buf, |tok| {
+                    if let Some(list) = self.postings.get_mut(tok) {
                         if let Ok(pos) = list.binary_search(&tref) {
                             list.remove(pos);
                         }
                         if list.is_empty() {
-                            self.postings.remove(&tok);
+                            self.postings.remove(tok);
                         }
                     }
-                }
+                });
             }
         }
     }

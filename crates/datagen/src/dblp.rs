@@ -200,6 +200,9 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
     let mut rng = Prng::new(cfg.seed);
     let mut db = Database::new();
     create_schema(&mut db).expect("static DBLP schema is valid");
+    let [conference, year, paper, author, author_paper, citation] =
+        ["Conference", "Year", "Paper", "Author", "AuthorPaper", "Citation"]
+            .map(|name| db.table_id(name).expect("schema"));
 
     // --- Conferences -----------------------------------------------------
     for c in 0..cfg.conferences {
@@ -208,7 +211,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         } else {
             format!("CONF-{c}")
         };
-        db.insert("Conference", vec![Value::Int(c as i64 + 1), name.into()])
+        db.insert_into(conference, vec![Value::Int(c as i64 + 1), name.into()])
             .expect("conference insert");
     }
 
@@ -221,8 +224,8 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         let mut ids = Vec::with_capacity(cfg.years_per_conference);
         for k in 0..cfg.years_per_conference {
             year_pk += 1;
-            db.insert(
-                "Year",
+            db.insert_into(
+                year,
                 vec![
                     Value::Int(year_pk),
                     Value::Int(first_year + k as i64),
@@ -246,7 +249,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
             name = format!("{name} {:04}", a);
             used_names.insert(name.clone());
         }
-        db.insert("Author", vec![Value::Int(a as i64 + 1), name.into()]).expect("author insert");
+        db.insert_into(author, vec![Value::Int(a as i64 + 1), name.into()]).expect("author insert");
     }
     for (i, spec) in cfg.famous.iter().enumerate() {
         let pk = cfg.authors as i64 + 1 + i as i64;
@@ -255,7 +258,8 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
             "famous author name `{}` collides with a generated name",
             spec.name
         );
-        db.insert("Author", vec![Value::Int(pk), spec.name.clone().into()]).expect("author insert");
+        db.insert_into(author, vec![Value::Int(pk), spec.name.clone().into()])
+            .expect("author insert");
         famous.push((spec.name.clone(), pk));
     }
 
@@ -285,7 +289,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         let n_words = paper_rng.range(4, 8);
         let words: Vec<&str> = (0..n_words).map(|_| *paper_rng.pick(names::TITLE_WORDS)).collect();
         let title = names::title(&words);
-        db.insert("Paper", vec![Value::Int(pk), title.into(), Value::Int(year_id)])
+        db.insert_into(paper, vec![Value::Int(pk), title.into(), Value::Int(year_id)])
             .expect("paper insert");
 
         let roll = paper_rng.f64();
@@ -327,8 +331,8 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
                 (y - target).abs()
             })
             .expect("conference 0 has years");
-        db.insert(
-            "Paper",
+        db.insert_into(
+            paper,
             vec![
                 Value::Int(pk),
                 "On Power-law Relationships of the Internet Topology".into(),
@@ -367,7 +371,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
     let mut link_pk = 0i64;
     for (a, p) in author_links {
         link_pk += 1;
-        db.insert("AuthorPaper", vec![Value::Int(link_pk), Value::Int(a), Value::Int(p)])
+        db.insert_into(author_paper, vec![Value::Int(link_pk), Value::Int(a), Value::Int(p)])
             .expect("author-paper insert");
     }
 
@@ -396,21 +400,12 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         }
         for q in cited {
             cite_pk += 1;
-            db.insert("Citation", vec![Value::Int(cite_pk), Value::Int(p), Value::Int(q)])
+            db.insert_into(citation, vec![Value::Int(cite_pk), Value::Int(p), Value::Int(q)])
                 .expect("citation insert");
         }
     }
 
-    Dblp {
-        author: db.table_id("Author").expect("schema"),
-        paper: db.table_id("Paper").expect("schema"),
-        author_paper: db.table_id("AuthorPaper").expect("schema"),
-        citation: db.table_id("Citation").expect("schema"),
-        year: db.table_id("Year").expect("schema"),
-        conference: db.table_id("Conference").expect("schema"),
-        famous,
-        db,
-    }
+    Dblp { db, author, paper, author_paper, citation, year, conference, famous }
 }
 
 #[cfg(test)]

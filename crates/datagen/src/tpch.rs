@@ -178,15 +178,21 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
     let mut rng = Prng::new(cfg.seed);
     let mut db = Database::new();
     create_schema(&mut db).expect("static TPC-H schema is valid");
+    let [region, nation, customer, supplier, part, partsupp, orders, lineitem] =
+        ["Region", "Nation", "Customer", "Supplier", "Part", "Partsupp", "Orders", "Lineitem"]
+            .map(|name| db.table_id(name).expect("schema"));
 
     // --- Regions and nations (the official 5 / 25) ------------------------
     for (i, name) in names::REGIONS.iter().enumerate() {
-        db.insert("Region", vec![Value::Int(i as i64 + 1), (*name).into()]).expect("region");
+        db.insert_into(region, vec![Value::Int(i as i64 + 1), (*name).into()]).expect("region");
     }
     for (i, name) in names::NATIONS.iter().enumerate() {
-        let region = names::NATION_REGION[i] as i64 + 1;
-        db.insert("Nation", vec![Value::Int(i as i64 + 1), (*name).into(), Value::Int(region)])
-            .expect("nation");
+        let region_pk = names::NATION_REGION[i] as i64 + 1;
+        db.insert_into(
+            nation,
+            vec![Value::Int(i as i64 + 1), (*name).into(), Value::Int(region_pk)],
+        )
+        .expect("nation");
     }
     let n_nations = names::NATIONS.len();
 
@@ -203,21 +209,31 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
     };
     for c in 0..cfg.customers {
         let name = person(&mut rng, "Customer", c);
-        let nation = rng.range(0, n_nations) as i64 + 1;
+        let nation_pk = rng.range(0, n_nations) as i64 + 1;
         let acctbal = rng.f64_range(-999.0, 9999.0);
-        db.insert(
-            "Customer",
-            vec![Value::Int(c as i64 + 1), name.into(), Value::Float(acctbal), Value::Int(nation)],
+        db.insert_into(
+            customer,
+            vec![
+                Value::Int(c as i64 + 1),
+                name.into(),
+                Value::Float(acctbal),
+                Value::Int(nation_pk),
+            ],
         )
         .expect("customer");
     }
     for s in 0..cfg.suppliers {
         let name = person(&mut rng, "Supplier", s);
-        let nation = rng.range(0, n_nations) as i64 + 1;
+        let nation_pk = rng.range(0, n_nations) as i64 + 1;
         let acctbal = rng.f64_range(-999.0, 9999.0);
-        db.insert(
-            "Supplier",
-            vec![Value::Int(s as i64 + 1), name.into(), Value::Float(acctbal), Value::Int(nation)],
+        db.insert_into(
+            supplier,
+            vec![
+                Value::Int(s as i64 + 1),
+                name.into(),
+                Value::Float(acctbal),
+                Value::Int(nation_pk),
+            ],
         )
         .expect("supplier");
     }
@@ -233,7 +249,7 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
         );
         let price = rng.f64_range(10.0, 2000.0);
         part_prices.push(price);
-        db.insert("Part", vec![Value::Int(p as i64 + 1), name.into(), Value::Float(price)])
+        db.insert_into(part, vec![Value::Int(p as i64 + 1), name.into(), Value::Float(price)])
             .expect("part");
     }
     let mut ps_pk = 0i64;
@@ -244,8 +260,8 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
             ps_pk += 1;
             let cost = part_prices[p] * rng.f64_range(0.4, 0.9);
             let qty = rng.range_i64(1, 10_000);
-            db.insert(
-                "Partsupp",
+            db.insert_into(
+                partsupp,
                 vec![
                     Value::Int(ps_pk),
                     Value::Int(p as i64 + 1),
@@ -295,8 +311,8 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
                 total += price;
                 lines.push((ps, qty, price));
             }
-            db.insert(
-                "Orders",
+            db.insert_into(
+                orders,
                 vec![
                     Value::Int(order_pk),
                     Value::Int(c as i64 + 1),
@@ -307,8 +323,8 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
             .expect("order");
             for (ps, qty, price) in lines {
                 line_pk += 1;
-                db.insert(
-                    "Lineitem",
+                db.insert_into(
+                    lineitem,
                     vec![
                         Value::Int(line_pk),
                         Value::Int(order_pk),
@@ -322,17 +338,7 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
         }
     }
 
-    Tpch {
-        customer: db.table_id("Customer").expect("schema"),
-        supplier: db.table_id("Supplier").expect("schema"),
-        orders: db.table_id("Orders").expect("schema"),
-        lineitem: db.table_id("Lineitem").expect("schema"),
-        partsupp: db.table_id("Partsupp").expect("schema"),
-        part: db.table_id("Part").expect("schema"),
-        nation: db.table_id("Nation").expect("schema"),
-        region: db.table_id("Region").expect("schema"),
-        db,
-    }
+    Tpch { db, customer, supplier, orders, lineitem, partsupp, part, nation, region }
 }
 
 /// Maps a partsupp pk back to its part index. Partsupp rows are emitted in

@@ -194,14 +194,21 @@ impl Database {
         self.tables.iter().enumerate().map(|(i, t)| (TableId(i as u16), t))
     }
 
-    /// Inserts a row into a named table — the loader's and the
+    /// Inserts a row into a named table: [`Database::insert_into`] after
+    /// a catalog lookup.
+    pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<RowId> {
+        let id = self.table_id(table)?;
+        self.insert_into(id, values)
+    }
+
+    /// Inserts a row into the table `id` — the loader's and the
     /// exact-rebuild path's insert: any installed sorted postings of that
     /// table are dropped and the heap path takes over for it until the
     /// next [`Database::install_importance_order`] (the staged batch,
     /// [`Database::begin_scored_batch`], is the path that maintains the
-    /// order instead). Bumps the table's and the global epoch.
-    pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<RowId> {
-        let id = self.table_id(table)?;
+    /// order instead). Bumps the table's and the global epoch. Bulk
+    /// loaders resolve the id once instead of hashing the name per row.
+    pub fn insert_into(&mut self, id: TableId, values: Vec<Value>) -> Result<RowId> {
         let row = self.tables[id.index()].insert(values)?;
         self.epoch = self.epoch.next();
         Ok(row)
@@ -294,7 +301,7 @@ impl Database {
                             None => LinkTarget::Dangling(k),
                         },
                     },
-                    &|t| target.installed_score(t),
+                    target.installed_scores(),
                 );
                 match idx {
                     Ok(idx) => built.push((s_col, idx)),
@@ -374,6 +381,12 @@ impl Database {
     /// pass the token back in ([`Self::select_eq_top_l`]); a mismatch —
     /// different scores, a later re-install, or a mutation epoch the
     /// holder has not synchronized to — falls back to the heap path.
+    ///
+    /// `score` is called once per row slot, to take the snapshot; every
+    /// list is then copied once and sorted where it lies against the
+    /// snapshot, so the cost is the copy plus `O(Σ g log g)` comparisons
+    /// of two array reads each. Installing the same scores again leaves
+    /// every list as it was (the order is a strict total one).
     ///
     /// Call after loading, before serving. A staged batch
     /// ([`Self::begin_scored_batch`]) keeps the order live across

@@ -52,10 +52,10 @@
 //! become prefix scans too — mirroring the data graph's collapsed
 //! `MnLink`, but with counted accesses.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::epoch::Epoch;
+use crate::hash::IntMap;
 use crate::table::RowId;
 
 /// Identifies one installed importance ordering at one mutation epoch.
@@ -105,23 +105,26 @@ impl FkOrderToken {
 /// `(score descending, RowId ascending)`.
 #[derive(Clone, Debug, Default)]
 pub struct SortedFkIndex {
-    postings: HashMap<i64, Vec<RowId>>,
+    postings: IntMap<Vec<RowId>>,
 }
 
 impl SortedFkIndex {
-    /// Builds the sorted copy of a base FK index under `score`.
-    pub(crate) fn build(
-        base: &HashMap<i64, Vec<RowId>>,
-        score: &dyn Fn(RowId) -> f64,
-    ) -> SortedFkIndex {
-        let postings = base
-            .iter()
-            .map(|(&key, rows)| {
-                let mut scored: Vec<(f64, RowId)> = rows.iter().map(|&r| (score(r), r)).collect();
-                scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                (key, scored.into_iter().map(|(_, r)| r).collect())
-            })
-            .collect();
+    /// Builds the sorted copy of a base FK index; `scores[r]` is the
+    /// installed score of row `r`. Each list is copied once and sorted
+    /// where it lies. The comparator is a strict total order over a
+    /// list's distinct row ids, so the unstable sort has one possible
+    /// output.
+    pub(crate) fn build(base: &IntMap<Vec<RowId>>, scores: &[f64]) -> SortedFkIndex {
+        let mut postings = IntMap::with_capacity_and_hasher(base.len(), Default::default());
+        for (&key, rows) in base {
+            let mut list = rows.clone();
+            if list.len() > 1 {
+                list.sort_unstable_by(|a, b| {
+                    scores[b.index()].total_cmp(&scores[a.index()]).then(a.cmp(b))
+                });
+            }
+            postings.insert(key, list);
+        }
         SortedFkIndex { postings }
     }
 
@@ -196,7 +199,7 @@ struct LinkPostings {
 /// [`SortedFkIndex`].
 #[derive(Clone, Debug, Default)]
 pub struct SortedLinkIndex {
-    postings: HashMap<i64, LinkPostings>,
+    postings: IntMap<LinkPostings>,
 }
 
 /// How one junction row's target FK resolves while building a
@@ -223,25 +226,33 @@ impl SortedLinkIndex {
     /// (see [`LinkTarget::Dangling`]).
     ///
     /// `base` is the junction's hash FK index on the *source* column;
-    /// `target_of` resolves a junction row's target; `target_score` gives
-    /// the installed importance of a target row.
+    /// `target_of` resolves a junction row's target; `target_scores[t]`
+    /// is the installed importance of target row `t`. Pairs are sorted
+    /// where they lie, under a strict total order (see
+    /// [`SortedFkIndex::build`]).
     pub(crate) fn build(
-        base: &HashMap<i64, Vec<RowId>>,
+        base: &IntMap<Vec<RowId>>,
         target_of: &dyn Fn(RowId) -> LinkTarget,
-        target_score: &dyn Fn(RowId) -> f64,
+        target_scores: &[f64],
     ) -> Result<SortedLinkIndex, i64> {
-        let mut postings = HashMap::with_capacity(base.len());
+        let mut postings = IntMap::with_capacity_and_hasher(base.len(), Default::default());
         for (&key, jrows) in base {
-            let mut scored: Vec<(f64, RowId, RowId)> = Vec::with_capacity(jrows.len());
+            let mut pairs: Vec<(RowId, RowId)> = Vec::with_capacity(jrows.len());
             for &j in jrows {
                 match target_of(j) {
                     LinkTarget::Null => {}
                     LinkTarget::Dangling(pk) => return Err(pk),
-                    LinkTarget::Row(t) => scored.push((target_score(t), t, j)),
+                    LinkTarget::Row(t) => pairs.push((j, t)),
                 }
             }
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-            let pairs = scored.into_iter().map(|(_, t, j)| (j, t)).collect();
+            if pairs.len() > 1 {
+                pairs.sort_unstable_by(|&(aj, at), &(bj, bt)| {
+                    target_scores[bt.index()]
+                        .total_cmp(&target_scores[at.index()])
+                        .then(at.cmp(&bt))
+                        .then(aj.cmp(&bj))
+                });
+            }
             postings.insert(key, LinkPostings { pairs, raw_len: jrows.len() as u32 });
         }
         Ok(SortedLinkIndex { postings })
@@ -355,10 +366,10 @@ mod tests {
 
     #[test]
     fn build_sorts_by_score_desc_then_row_asc() {
-        let mut base: HashMap<i64, Vec<RowId>> = HashMap::new();
+        let mut base: IntMap<Vec<RowId>> = IntMap::default();
         base.insert(7, vec![RowId(0), RowId(1), RowId(2), RowId(3)]);
         let scores = [1.0, 3.0, 3.0, 2.0];
-        let idx = SortedFkIndex::build(&base, &|r: RowId| scores[r.index()]);
+        let idx = SortedFkIndex::build(&base, &scores);
         assert_eq!(idx.rows(7), &[RowId(1), RowId(2), RowId(3), RowId(0)]);
         assert!(idx.rows(99).is_empty());
         assert_eq!(idx.key_count(), 1);
@@ -366,16 +377,16 @@ mod tests {
 
     #[test]
     fn incremental_insert_matches_rebuild() {
-        let mut base: HashMap<i64, Vec<RowId>> = HashMap::new();
+        let mut base: IntMap<Vec<RowId>> = IntMap::default();
         base.insert(7, vec![RowId(0), RowId(1), RowId(2)]);
         let mut scores = vec![1.0, 3.0, 2.0];
-        let mut idx = SortedFkIndex::build(&base, &|r: RowId| scores[r.index()]);
+        let mut idx = SortedFkIndex::build(&base, &scores);
         // Append rows with a fresh-max, a middle, and a tying score.
         for (row, s) in [(RowId(3), 5.0), (RowId(4), 2.5), (RowId(5), 3.0)] {
             scores.push(s);
             base.get_mut(&7).unwrap().push(row);
             idx.insert_scored(7, row, s, &scores);
-            let rebuilt = SortedFkIndex::build(&base, &|r: RowId| scores[r.index()]);
+            let rebuilt = SortedFkIndex::build(&base, &scores);
             assert_eq!(idx.rows(7), rebuilt.rows(7), "after appending {row:?}");
         }
         assert_eq!(
@@ -387,22 +398,22 @@ mod tests {
 
     #[test]
     fn remove_then_reinsert_matches_rebuild_for_mid_table_rows() {
-        let mut base: HashMap<i64, Vec<RowId>> = HashMap::new();
+        let mut base: IntMap<Vec<RowId>> = IntMap::default();
         base.insert(7, vec![RowId(0), RowId(1), RowId(2), RowId(3)]);
         let mut scores = vec![1.0, 3.0, 3.0, 2.0];
-        let mut idx = SortedFkIndex::build(&base, &|r: RowId| scores[r.index()]);
+        let mut idx = SortedFkIndex::build(&base, &scores);
         // Reposition row 0 (a mid-table RowId) to score 3.0: it ties rows
         // 1 and 2 and must land *before* both, as a fresh sort would.
         idx.remove(7, RowId(0));
         scores[0] = 3.0;
         idx.insert_scored(7, RowId(0), 3.0, &scores);
-        let rebuilt = SortedFkIndex::build(&base, &|r: RowId| scores[r.index()]);
+        let rebuilt = SortedFkIndex::build(&base, &scores);
         assert_eq!(idx.rows(7), rebuilt.rows(7));
         assert_eq!(idx.rows(7), &[RowId(0), RowId(1), RowId(2), RowId(3)]);
         // Removing the last row of a key drops the key entirely.
-        let mut solo: HashMap<i64, Vec<RowId>> = HashMap::new();
+        let mut solo: IntMap<Vec<RowId>> = IntMap::default();
         solo.insert(9, vec![RowId(5)]);
-        let mut idx2 = SortedFkIndex::build(&solo, &|_| 1.0);
+        let mut idx2 = SortedFkIndex::build(&solo, &[1.0; 6]);
         idx2.remove(9, RowId(5));
         assert_eq!(idx2.key_count(), 0);
         // Removing an unposted row is a no-op.
@@ -413,16 +424,14 @@ mod tests {
     fn link_index_build_and_incremental_insert_match() {
         // Junction rows 0..4 map source key 7 to targets with varying
         // scores; row 4 has a NULL target (counts in raw_len, no pair).
-        let mut base: HashMap<i64, Vec<RowId>> = HashMap::new();
+        let mut base: IntMap<Vec<RowId>> = IntMap::default();
         base.insert(7, vec![RowId(0), RowId(1), RowId(2), RowId(3), RowId(4)]);
         let targets = [Some(RowId(0)), Some(RowId(1)), Some(RowId(2)), Some(RowId(1)), None];
         let as_link = |t: Option<RowId>| t.map_or(LinkTarget::Null, LinkTarget::Row);
         let mut tscores = vec![2.0, 3.0, 1.0];
         let mut idx =
-            SortedLinkIndex::build(&base, &|j: RowId| as_link(targets[j.index()]), &|t: RowId| {
-                tscores[t.index()]
-            })
-            .expect("no dangling targets");
+            SortedLinkIndex::build(&base, &|j: RowId| as_link(targets[j.index()]), &tscores)
+                .expect("no dangling targets");
         assert_eq!(idx.raw_group_len(7), 5);
         assert_eq!(
             idx.pairs(7),
@@ -445,22 +454,18 @@ mod tests {
             t
         };
         let rebuilt =
-            SortedLinkIndex::build(&base, &|j: RowId| as_link(targets2[j.index()]), &|t: RowId| {
-                tscores[t.index()]
-            })
-            .expect("no dangling targets");
+            SortedLinkIndex::build(&base, &|j: RowId| as_link(targets2[j.index()]), &tscores)
+                .expect("no dangling targets");
         assert_eq!(idx.pairs(7), rebuilt.pairs(7));
         assert_eq!(idx.raw_group_len(7), rebuilt.raw_group_len(7));
 
         // A dangling (non-NULL, unresolvable) target poisons the build:
         // the orientation is withheld (the missing pk is reported so the
         // caller can watch it) and the heap path serves it.
-        let mut dangle: HashMap<i64, Vec<RowId>> = HashMap::new();
+        let mut dangle: IntMap<Vec<RowId>> = IntMap::default();
         dangle.insert(1, vec![RowId(0)]);
         let poisoned =
-            SortedLinkIndex::build(&dangle, &|_: RowId| LinkTarget::Dangling(42), &|t| {
-                tscores[t.index()]
-            });
+            SortedLinkIndex::build(&dangle, &|_: RowId| LinkTarget::Dangling(42), &tscores);
         assert_eq!(poisoned.err(), Some(42));
     }
 }

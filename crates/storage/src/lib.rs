@@ -23,6 +23,8 @@
 //! * mutation epochs ([`epoch`]) versioning the catalog (global and per
 //!   table) so derived structures — sorted postings, rank scores, serve
 //!   caches — can detect and synchronize to data changes,
+//! * the keyed fold-multiply hasher ([`hash`]) under every integer-keyed
+//!   index above — one multiply a probe instead of a SipHash,
 //! * the byte codec ([`codec`]) that carries [`value::Value`]s — and every
 //!   other serialised form in the workspace — to the WAL, the wire and
 //!   the segment directory.
@@ -33,6 +35,7 @@ pub mod database;
 pub mod epoch;
 pub mod error;
 pub mod fk_index;
+pub mod hash;
 pub mod pager;
 pub mod schema;
 pub mod table;

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
 use crate::fk_index::{SortedFkIndex, SortedLinkIndex};
+use crate::hash::IntMap;
 use crate::schema::TableSchema;
 use crate::value::Value;
 use crate::Result;
@@ -51,9 +52,9 @@ pub struct Table {
     /// behind as tombstones, skipped by consumers via dual-endpoint
     /// liveness checks. Reset by every full link (re)build.
     link_tombstones: usize,
-    pk_index: HashMap<i64, RowId>,
+    pk_index: IntMap<RowId>,
     /// column index -> (key -> row ids)
-    fk_indexes: HashMap<usize, HashMap<i64, Vec<RowId>>>,
+    fk_indexes: HashMap<usize, IntMap<Vec<RowId>>>,
     /// column index -> importance-sorted postings. Installed at
     /// finalization, *maintained* under scored inserts, dropped by the
     /// plain un-scored insert — see [`crate::fk_index`].
@@ -86,7 +87,7 @@ pub struct Table {
 impl Table {
     /// Creates an empty table for the schema.
     pub fn new(schema: TableSchema) -> Self {
-        let fk_indexes = schema.fks.iter().map(|fk| (fk.column, HashMap::new())).collect();
+        let fk_indexes = schema.fks.iter().map(|fk| (fk.column, IntMap::default())).collect();
         Table {
             schema,
             rows: Vec::new(),
@@ -94,7 +95,7 @@ impl Table {
             n_dead: 0,
             posting_tombstones: 0,
             link_tombstones: 0,
-            pk_index: HashMap::new(),
+            pk_index: IntMap::default(),
             fk_indexes,
             sorted_fk: HashMap::new(),
             sorted_links: HashMap::new(),
@@ -463,37 +464,36 @@ impl Table {
 
     /// The base (unsorted) hash index of an FK column, if any — the input
     /// the sorted link postings are built from.
-    pub(crate) fn fk_index_base(&self, col: usize) -> Option<&HashMap<i64, Vec<RowId>>> {
+    pub(crate) fn fk_index_base(&self, col: usize) -> Option<&IntMap<Vec<RowId>>> {
         self.fk_indexes.get(&col)
     }
 
     /// Rebuilds every FK column's importance-sorted postings under
     /// `score`, snapshotting the per-row scores so later scored inserts
     /// can binary-insert (called by
-    /// [`crate::Database::install_importance_order`] and by the
-    /// epoch-batched re-sort). Resets the churn counter.
+    /// [`crate::Database::install_importance_order`]). `score` is called
+    /// once per row slot; the sort reads the snapshot.
     pub(crate) fn build_sorted_fk(&mut self, score: &dyn Fn(RowId) -> f64) {
         self.installed_scores = (0..self.rows.len()).map(|i| score(RowId(i as u32))).collect();
         self.scores_live = true;
+        self.resort_from_snapshot();
+    }
+
+    /// (Re-)sorts the postings from the score snapshot — the tail of a
+    /// full install, and the epoch-batched fallback above the churn
+    /// threshold, where it is byte-identical to the incremental
+    /// maintenance it replaces. Resets the churn counter.
+    pub(crate) fn resort_from_snapshot(&mut self) {
+        debug_assert!(self.has_installed_scores());
         self.sorted_fk = self
             .fk_indexes
             .iter()
-            .map(|(&col, base)| (col, SortedFkIndex::build(base, score)))
+            .map(|(&col, base)| (col, SortedFkIndex::build(base, &self.installed_scores)))
             .collect();
         self.churn = 0;
         // A full build sources from the (live-only) hash indexes, so any
         // tombstone debt is paid off wholesale.
         self.posting_tombstones = 0;
-    }
-
-    /// Re-sorts the postings from the retained score snapshot (the
-    /// epoch-batched fallback above the churn threshold). Byte-identical
-    /// to the incremental maintenance it replaces.
-    pub(crate) fn resort_from_snapshot(&mut self) {
-        debug_assert!(self.has_installed_scores());
-        let scores = std::mem::take(&mut self.installed_scores);
-        self.build_sorted_fk(&|r| scores[r.index()]);
-        self.installed_scores = scores;
     }
 
     /// The importance-sorted postings of `col`, if an order is installed
@@ -615,7 +615,7 @@ fn hash_index_insert(vec: &mut Vec<RowId>, id: RowId) {
 /// Removes `id` from a hash index's posting vec for `key`, dropping the
 /// entry entirely when it empties (so key counts and fan-out statistics
 /// match a fresh build over the live rows).
-fn hash_index_remove(index: &mut HashMap<i64, Vec<RowId>>, key: i64, id: RowId) {
+fn hash_index_remove(index: &mut IntMap<Vec<RowId>>, key: i64, id: RowId) {
     if let Some(vec) = index.get_mut(&key) {
         if let Some(pos) = vec.iter().position(|&r| r == id) {
             vec.remove(pos);

@@ -8,6 +8,7 @@
 //! heap path's answers *and* its paper-cost accounting.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 use sizel_storage::{Database, Epoch, RowId, ScoredBatch, TableId, TableSchema, Value, ValueType};
 
@@ -275,6 +276,35 @@ fn live_pairs(
             .collect(),
         None => Vec::new(),
     }
+}
+
+/// Scores with heavy ties, both zeros included (`-0.0 < +0.0` under
+/// `total_cmp`, the order the postings are kept in).
+const TIE_PALETTE: [f64; 6] = [0.0, -0.0, 0.5, 0.5, 1.0, 3.0];
+
+/// Every sorted FK posting list and link group of the database, keyed by
+/// `(table, column, key)` — what a second install must leave unchanged.
+type Postings = (
+    BTreeMap<(TableId, usize, i64), Vec<RowId>>,
+    BTreeMap<(TableId, usize, i64), (Vec<(RowId, RowId)>, usize)>,
+);
+
+fn all_postings(db: &Database) -> Postings {
+    let mut fk = BTreeMap::new();
+    let mut links = BTreeMap::new();
+    for (tid, t) in db.tables() {
+        for (col, idx) in t.sorted_fk_indexes() {
+            for (key, rows) in idx.posting_lists() {
+                fk.insert((tid, col, key), rows.to_vec());
+            }
+        }
+        for (col, idx) in t.sorted_link_indexes() {
+            for (key, pairs, raw_len) in idx.groups() {
+                links.insert((tid, col, key), (pairs.to_vec(), raw_len));
+            }
+        }
+    }
+    (fk, links)
 }
 
 proptest! {
@@ -577,5 +607,87 @@ proptest! {
         prop_assert!(db.epoch() > Epoch::default());
         let total: u64 = db.tables().map(|(_, t)| t.epoch().get()).sum();
         prop_assert_eq!(db.epoch().get(), total, "global epoch counts every table's mutations");
+    }
+
+    /// The install sorts each list where it lies with an unstable sort;
+    /// that is byte-identical to a stable sort because the comparator is
+    /// a strict total order. Under heavy score ties, both zeros, equal
+    /// scores across different link targets, NULL link targets, and
+    /// empty and singleton groups, every FK posting list and every link
+    /// group equals an in-test stable-sort reference entry for entry —
+    /// and installing the same scores a second time changes nothing.
+    #[test]
+    fn install_equals_a_stable_sort_reference_under_ties(
+        parent_scores in proptest::collection::vec(0usize..6, N_PARENTS as usize),
+        children in proptest::collection::vec((0i64..N_PARENTS, 0usize..6), 0..40),
+        rels in proptest::collection::vec((0i64..N_PARENTS, 0usize..48, 0usize..6), 0..40),
+    ) {
+        let mut db = fresh_db();
+        for pk in 0..N_PARENTS {
+            db.insert("Parent", vec![Value::Int(pk), format!("p{pk}").into()]).unwrap();
+        }
+        for (i, &(parent, _)) in children.iter().enumerate() {
+            db.insert("Child", vec![Value::Int(i as i64), Value::Float(0.0), Value::Int(parent)])
+                .unwrap();
+        }
+        for (i, &(parent, pick, _)) in rels.iter().enumerate() {
+            // Picks past the children are NULL targets: counted in the
+            // raw group, absent from the pairs.
+            let target = if pick < 40 && !children.is_empty() {
+                Value::Int((pick % children.len()) as i64)
+            } else {
+                Value::Null
+            };
+            db.insert("Rel", vec![Value::Int(i as i64), Value::Int(parent), target]).unwrap();
+        }
+        let (parent, child, rel) = (
+            db.table_id("Parent").unwrap(),
+            db.table_id("Child").unwrap(),
+            db.table_id("Rel").unwrap(),
+        );
+        let mut scores: Vec<Vec<f64>> = vec![Vec::new(); 3];
+        scores[parent.index()] = parent_scores.iter().map(|&i| TIE_PALETTE[i]).collect();
+        scores[child.index()] = children.iter().map(|&(_, i)| TIE_PALETTE[i]).collect();
+        scores[rel.index()] = rels.iter().map(|&(_, _, i)| TIE_PALETTE[i]).collect();
+        let score = |t: TableId, r: RowId| scores[t.index()][r.index()];
+        db.install_importance_order(&score);
+
+        // FK postings: the base group (RowId ascending) stably sorted by
+        // descending score alone — ties keep RowId order.
+        for (tid, col) in [(child, 2), (rel, 1), (rel, 2)] {
+            let t = db.table(tid);
+            let sorted = t.sorted_fk_index(col).unwrap();
+            for key in -1..40i64 {
+                let mut reference = t.rows_where_eq(col, key).to_vec();
+                reference.sort_by(|&a, &b| score(tid, b).total_cmp(&score(tid, a)));
+                prop_assert_eq!(sorted.rows(key), &reference[..], "{:?}.{} = {}", tid, col, key);
+            }
+        }
+        // Link groups, both orientations: junction rows joined to their
+        // targets, stably sorted by (target score desc, target RowId asc)
+        // — ties keep junction RowId order.
+        let jt = db.table(rel);
+        for (s_col, t_col, target) in [(1, 2, child), (2, 1, parent)] {
+            let links = jt.sorted_link_index(s_col).unwrap();
+            for key in -1..40i64 {
+                let raw = jt.rows_where_eq(s_col, key);
+                let mut reference: Vec<(RowId, RowId)> = raw
+                    .iter()
+                    .filter_map(|&j| {
+                        let pk = jt.value(j, t_col).as_int()?;
+                        Some((j, db.table(target).by_pk(pk).unwrap()))
+                    })
+                    .collect();
+                reference.sort_by(|&(_, a), &(_, b)| {
+                    score(target, b).total_cmp(&score(target, a)).then(a.cmp(&b))
+                });
+                prop_assert_eq!(links.pairs(key), &reference[..], "Rel.{} = {}", s_col, key);
+                prop_assert_eq!(links.raw_group_len(key), raw.len());
+            }
+        }
+
+        let first = all_postings(&db);
+        db.install_importance_order(&score);
+        prop_assert!(all_postings(&db) == first, "a second install moved a posting");
     }
 }

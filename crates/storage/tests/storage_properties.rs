@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use sizel_storage::{Database, StorageError, TableSchema, Value, ValueType};
+use sizel_storage::{text, Database, StorageError, TableSchema, Value, ValueType};
 
 fn fresh_db() -> Database {
     let mut db = Database::new();
@@ -23,8 +23,45 @@ fn fresh_db() -> Database {
     db
 }
 
+/// Characters whose case mapping or class is where a tokenizer goes
+/// wrong: lowercase forms that expand (`İ` → `i` + combining dot, `ᾈ`),
+/// titlecase and final-form letters, compatibility letters (`K` the
+/// Kelvin sign, `ﬁ`), bare combining marks, non-ASCII digits.
+const AWKWARD_CHARS: [char; 16] = [
+    'İ', 'ß', 'ǅ', 'ﬁ', 'Σ', 'ς', 'ᾈ', '\u{212a}', 'Å', '\u{307}', '\u{345}', '٣', 'Ⅷ', ' ', '-',
+    'Z',
+];
+
+/// Strings over ASCII, the awkward pool and arbitrary code points.
+fn unicode_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u8..8, 0u32..0x11_0000), 0..24).prop_map(|picks| {
+        picks
+            .into_iter()
+            .filter_map(|(kind, cp)| match kind {
+                0..=2 => Some(AWKWARD_CHARS[cp as usize % AWKWARD_CHARS.len()]),
+                3..=4 => char::from_u32(0x20 + cp % 0x5f),
+                _ => char::from_u32(cp), // surrogates drop out
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Tokenizing is idempotent — a row indexed under its tokens is found
+    /// by those tokens spelled back as text — and the streaming form
+    /// yields exactly the collected one, whatever its buffer held before.
+    #[test]
+    fn tokenize_is_idempotent_and_streams_the_same_tokens(s in unicode_string()) {
+        let tokens = text::tokenize(&s);
+        prop_assert_eq!(&text::tokenize(&tokens.join(" ")), &tokens, "re-tokenizing {:?}", s);
+        let mut streamed = Vec::new();
+        let mut buf = String::from("stale");
+        text::for_each_token(&s, &mut buf, |tok| streamed.push(tok.to_owned()));
+        prop_assert_eq!(&streamed, &tokens, "streaming {:?}", s);
+        prop_assert!(tokens.iter().all(|t| !t.is_empty() && t.chars().all(char::is_alphanumeric)));
+    }
 
     /// PK index and FK multi-index agree with a full scan after any insert
     /// sequence (duplicate PKs rejected without corrupting state).
