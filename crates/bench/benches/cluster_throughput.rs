@@ -46,13 +46,7 @@ fn build_engine() -> SizeLEngine {
 }
 
 fn serve_config() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        queue_capacity: 64,
-        cache_capacity: 4096,
-        cache_shards: 16,
-        hot_capacity: 64,
-    }
+    ServeConfig { cache_capacity: 4096, cache_shards: 16, hot_capacity: 64 }
 }
 
 /// The fig10 famous-author workload (small-DBLP subset).
@@ -111,7 +105,7 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     group.sample_size(if full { 20 } else { 10 });
     group.measurement_time(Duration::from_secs(if full { 5 } else { 2 }));
 
-    // Baseline: one server, whole-query jobs.
+    // Baseline: one server, whole queries.
     let server = SizeLServer::new(build_engine(), serve_config());
     group.bench_with_input(BenchmarkId::new("single_server", 1), &set, |b, set| {
         b.iter(|| criterion::black_box(server.batch_query(set)));

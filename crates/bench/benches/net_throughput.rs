@@ -46,13 +46,7 @@ fn build_engine() -> SizeLEngine {
 }
 
 fn serve_config() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        queue_capacity: 64,
-        cache_capacity: 4096,
-        cache_shards: 16,
-        hot_capacity: 64,
-    }
+    ServeConfig { cache_capacity: 4096, cache_shards: 16, hot_capacity: 64 }
 }
 
 /// The fig10 famous-author workload (small-DBLP subset).

@@ -1,10 +1,14 @@
-//! Serving-layer throughput: queries/second against worker-pool size on
-//! the fig10 DBLP workload (benchmark-scale database, the famous-author
+//! Serving-layer throughput: queries/second against caller-thread count
+//! on the fig10 DBLP workload (benchmark-scale database, the famous-author
 //! head plus band-sampled DSs, l and algorithm crossed as in Figure 10).
 //!
-//! Three regimes per thread count:
-//! * `uncached` — cache disabled: pure worker-pool scaling of the
-//!   sequential engine (the ≥2× at 4 workers acceptance bar).
+//! The server has no threads of its own, so `N` is the number of caller
+//! threads sharing it — the shape a net dispatch pool has: each
+//! iteration spawns `N` scoped threads, thread `t` serving requests
+//! `t, t+N, …` of the set (the spawns are inside the timed region, the
+//! same for every regime). Three regimes per thread count:
+//! * `uncached` — cache disabled: how the sequential engine scales over
+//!   callers sharing one read lock.
 //! * `warm-cache` — cache enabled; it warms during the first iteration
 //!   (emptying it between batches would require rebuilding the server),
 //!   so reported numbers are the steady state.
@@ -88,40 +92,37 @@ fn bench_serve_throughput(c: &mut Criterion) {
         });
     });
 
+    // One iteration: `threads` callers split the set over one server.
+    let drive = |server: &SizeLServer, set: &[(String, QueryOptions)], threads: usize| {
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                scope.spawn(move || {
+                    for (kw, opts) in set.iter().skip(t).step_by(threads) {
+                        criterion::black_box(server.query(kw, *opts));
+                    }
+                });
+            }
+        });
+    };
+
     for threads in [1usize, 2, 4, 8] {
-        // Worker-pool scaling with caching off: every query recomputes.
+        // Caller scaling with caching off: every query recomputes.
         let server = SizeLServer::from_shared(
             Arc::clone(&engine),
-            ServeConfig {
-                workers: threads,
-                queue_capacity: set.len(),
-                cache_capacity: 0,
-                cache_shards: 16,
-                ..ServeConfig::default()
-            },
+            ServeConfig { cache_capacity: 0, cache_shards: 16, ..ServeConfig::default() },
         );
         group.bench_with_input(BenchmarkId::new("uncached", threads), &set, |b, set| {
-            b.iter(|| {
-                criterion::black_box(server.batch_query(set));
-            });
+            b.iter(|| drive(&server, set, threads));
         });
 
         // Steady-state with the summary cache: after the first iteration
         // every (tds, l, algo, prelim, source) is a hit.
         let server = SizeLServer::from_shared(
             Arc::clone(&engine),
-            ServeConfig {
-                workers: threads,
-                queue_capacity: set.len(),
-                cache_capacity: 4096,
-                cache_shards: 16,
-                ..ServeConfig::default()
-            },
+            ServeConfig { cache_capacity: 4096, cache_shards: 16, ..ServeConfig::default() },
         );
         group.bench_with_input(BenchmarkId::new("warm-cache", threads), &set, |b, set| {
-            b.iter(|| {
-                criterion::black_box(server.batch_query(set));
-            });
+            b.iter(|| drive(&server, set, threads));
         });
     }
     group.finish();

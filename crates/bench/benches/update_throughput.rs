@@ -157,13 +157,7 @@ fn bench_update_throughput(c: &mut Criterion) {
     let engine = build_engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 2,
-            queue_capacity: set.len(),
-            cache_capacity: 0,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
     );
     group.bench_with_input(BenchmarkId::new("query_only", 2), &set, |b, set| {
         b.iter(|| criterion::black_box(server.batch_query(set)));
@@ -175,13 +169,7 @@ fn bench_update_throughput(c: &mut Criterion) {
     let engine = build_engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 2,
-            queue_capacity: set.len(),
-            cache_capacity: 0,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
     );
     let muts = MutationSource::new(&server.engine());
     engine.read().unwrap().db().access().reset();
@@ -210,13 +198,7 @@ fn bench_update_throughput(c: &mut Criterion) {
     let engine = build_engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 2,
-            queue_capacity: set.len(),
-            cache_capacity: 0,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
     );
     let muts = MutationSource::new(&server.engine());
     group.bench_with_input(BenchmarkId::new("mixed_exact", 2), &set, |b, set| {
@@ -235,13 +217,7 @@ fn bench_update_throughput(c: &mut Criterion) {
     let engine = build_engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 2,
-            queue_capacity: set.len(),
-            cache_capacity: 0,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
     );
     let muts = MutationSource::new(&server.engine());
     engine.read().unwrap().db().access().reset();
@@ -272,13 +248,7 @@ fn bench_update_throughput(c: &mut Criterion) {
     let engine = build_engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 2,
-            queue_capacity: set.len(),
-            cache_capacity: 0,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
     );
     let muts = MutationSource::new(&server.engine());
     group.bench_with_input(BenchmarkId::new("churn_exact", 5), &set, |b, set| {

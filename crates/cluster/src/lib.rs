@@ -10,9 +10,9 @@
 //!   summary computation, cache residency, hotness tracking — partitions
 //!   across shards while any shard can resolve the (cheap) keyword
 //!   lookup. Cross-shard queries take each hit's summary from its owner
-//!   (cache probed first, only a miss queued) and merge the answers in
-//!   rank order, byte-identical to one sequential engine (the
-//!   equivalence suite proves it at every epoch).
+//!   (one cache lookup there; a miss is computed on the asking thread)
+//!   and merge the answers in rank order, byte-identical to one
+//!   sequential engine (the equivalence suite proves it at every epoch).
 //! * **Multi-tenant** ([`ClusterRouter::multi_tenant`]): one engine per
 //!   tenant database; queries and writes name the tenant and route to
 //!   its shard, isolating tenants' data, caches, and write paths.
@@ -28,7 +28,7 @@
 //! of hot keys don't eat cold recomputes after writes.
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use sizel_core::engine::{rank_results, QueryOptions, SizeLEngine};
 use sizel_serve::{
@@ -278,8 +278,7 @@ impl ClusterRouter {
 
     /// Cross-shard batch query (partitioned mode): all requests' keyword
     /// lookups resolve under one read pass, each hit's summary comes from
-    /// its owner shard — the misses computed by every owner's worker pool
-    /// concurrently — and the answers merge per request in rank order.
+    /// its owner shard, and the answers merge per request in rank order.
     pub fn batch_query(
         &self,
         requests: &[(String, QueryOptions)],
@@ -311,7 +310,7 @@ impl ClusterRouter {
     /// for the network layer's inline fast path: succeeds only when the
     /// *entire* batch — gate, keyword lookups, and every hit's summary —
     /// can be served without waiting on any lock or computing anything;
-    /// on `None` the caller dispatches through its worker queue instead.
+    /// on `None` the caller hands the request to a thread that may wait.
     pub fn try_batch_query_cached(
         &self,
         requests: &[(String, QueryOptions)],
@@ -322,15 +321,45 @@ impl ClusterRouter {
         self.answer(0, |tds| self.shard_of(tds), requests, false)
     }
 
+    /// The cluster gate, shared: blocking (and poison-recovering) with
+    /// `wait` on, a `try_` acquisition — which a queued writer fails —
+    /// with it off.
+    fn gate_for(&self, wait: bool) -> Option<RwLockReadGuard<'_, ()>> {
+        if wait {
+            Some(self.read_gate())
+        } else {
+            self.gate.try_read().ok()
+        }
+    }
+
+    /// One `(t_DS, options)` summary from shard `owner` by the serve
+    /// layer's lookup policy, with the epoch of the guard it was served
+    /// under: with `wait` on, one cache lookup and, on a miss, the
+    /// computation on this thread; with it off, a probe that neither
+    /// blocks nor computes.
+    fn summary_on(
+        &self,
+        owner: usize,
+        tds: TupleRef,
+        opts: QueryOptions,
+        wait: bool,
+    ) -> Option<(Epoch, SharedResult)> {
+        let owner = &self.shards[owner];
+        if wait {
+            Some(owner.summarize_at(tds, opts))
+        } else {
+            owner.try_summarize_cached(tds, opts)
+        }
+    }
+
     /// The one read body: keyword lookups resolve on `lookup_shard`, each
-    /// hit's summary comes from shard `owner_of(hit)` by the serve layer's
-    /// lookup policy (probed on this thread, queued only on a miss), and
-    /// each request's results merge in rank order, byte-identical to one
-    /// sequential engine. The gate is held shared throughout and writes
-    /// hold it exclusively, so every shard sits at `epoch` for the whole
-    /// call. With `wait` off nothing here blocks or computes: gate and
-    /// engine guard are `try_` acquisitions (a queued writer fails them)
-    /// and the first miss returns `None` before any channel exists.
+    /// hit's summary comes from shard `owner_of(hit)`
+    /// ([`ClusterRouter::summary_on`]), and each request's results merge
+    /// in rank order, byte-identical to one sequential engine. The gate is
+    /// held shared throughout and writes hold it exclusively, so every
+    /// shard sits at `epoch` for the whole call. With `wait` off nothing
+    /// here blocks or computes: gate and engine guards are `try_`
+    /// acquisitions and the first miss returns `None`.
     fn answer(
         &self,
         lookup_shard: usize,
@@ -338,63 +367,47 @@ impl ClusterRouter {
         requests: &[(String, QueryOptions)],
         wait: bool,
     ) -> Option<(Epoch, Vec<Vec<SharedResult>>)> {
-        let _epoch_gate = if wait { self.read_gate() } else { self.gate.try_read().ok()? };
+        let _epoch_gate = self.gate_for(wait)?;
         let lookup = &self.shards[lookup_shard];
         // The engine guard covers the keyword lookups and nothing after
-        // them: the wait below is on pools whose workers take this lock,
-        // and a writer queued between the two would deadlock all three.
+        // them: a hit's owner may be this same shard, and a thread that
+        // takes a read guard it already holds deadlocks behind any writer
+        // queued in between.
         let (epoch, hits_per_request) = {
             let engine = if wait { lookup.engine() } else { lookup.try_engine()? };
             let hits: Vec<Vec<TupleRef>> =
                 requests.iter().map(|(kw, _)| engine.ds_hits(kw)).collect();
             (engine.epoch(), hits)
         };
-        // One slot per hit, requests back to back; a miss is queued on
-        // its owner tagged with its slot. Every miss is queued before the
-        // first wait, so the owners' pools work concurrently.
-        let mut slots: Vec<Option<SharedResult>> =
-            Vec::with_capacity(hits_per_request.iter().map(Vec::len).sum());
-        let mut replies = None;
-        for ((_, opts), hits) in requests.iter().zip(&hits_per_request) {
-            for &tds in hits {
-                let owner = &self.shards[owner_of(tds)];
-                let hit = owner.try_summarize_cached(tds, *opts);
-                debug_assert!(hit.iter().all(|(e, _)| *e == epoch), "gate held: one epoch");
-                if hit.is_none() {
-                    if !wait {
-                        return None;
-                    }
-                    let (tx, _) = replies.get_or_insert_with(mpsc::channel);
-                    owner.enqueue_summary(tds, *opts, slots.len(), tx);
-                }
-                slots.push(hit.map(|(_, hit)| hit));
+        let mut merged = Vec::with_capacity(requests.len());
+        for ((_, opts), hits) in requests.iter().zip(hits_per_request) {
+            let mut results = Vec::with_capacity(hits.len());
+            for tds in hits {
+                let (served_at, summary) = self.summary_on(owner_of(tds), tds, *opts, wait)?;
+                debug_assert_eq!(served_at, epoch, "gate held: one epoch");
+                results.push(summary);
             }
+            // Hits order (the paper's global-importance rank) or the
+            // summary-importance reorder — the exact comparator the
+            // sequential engine uses.
+            rank_results(&mut results, opts.ranking);
+            merged.push(results);
         }
-        if let Some((tx, rx)) = replies {
-            drop(tx);
-            for (slot, result) in rx {
-                slots[slot] = Some(result);
-            }
-        }
-        // Merge: per request, hits order (the paper's global-importance
-        // rank) or the summary-importance reorder — the exact comparator
-        // the sequential engine uses.
-        let mut slots = slots.into_iter();
-        let merged = requests
-            .iter()
-            .zip(&hits_per_request)
-            .map(|((_, opts), hits)| {
-                let mut results: Vec<SharedResult> = slots
-                    .by_ref()
-                    .take(hits.len())
-                    .map(|s| s.expect("a serve worker panicked computing this summary"))
-                    .collect();
-                rank_results(&mut results, opts.ranking);
-                results
-            })
-            .collect();
         lookup.count_queries(requests.len());
         Some((epoch, merged))
+    }
+
+    /// One summary from its owner shard under the shared gate — the body
+    /// of [`ClusterRouter::summarize_at`] and its never-blocking form.
+    /// The owner's epoch IS the cluster epoch while the gate is held.
+    fn summary(
+        &self,
+        tds: TupleRef,
+        opts: QueryOptions,
+        wait: bool,
+    ) -> Option<(Epoch, SharedResult)> {
+        let _epoch_gate = self.gate_for(wait)?;
+        self.summary_on(self.shard_of(tds), tds, opts, wait)
     }
 
     /// Cache-only, never-blocking form of [`ClusterRouter::summarize_at`]
@@ -407,12 +420,10 @@ impl ClusterRouter {
         if !matches!(self.mode, Mode::Partitioned) {
             return None;
         }
-        let _epoch_gate = self.gate.try_read().ok()?;
-        // The owner's epoch IS the cluster epoch while the gate is held.
-        self.shards[self.shard_of(tds)].try_summarize_cached(tds, opts)
+        self.summary(tds, opts, false)
     }
 
-    /// Computes one `(t_DS, options)` summary on its owner shard
+    /// Serves one `(t_DS, options)` summary from its owner shard
     /// (partitioned mode), returning it with the cluster epoch it was
     /// served at — the per-DS unit the wire protocol's `Summarize` frame
     /// maps to.
@@ -422,9 +433,7 @@ impl ClusterRouter {
                 "tenant-less summaries need a partitioned cluster",
             ));
         }
-        let _epoch_gate = self.read_gate();
-        let epoch = self.shards[0].epoch();
-        Ok((epoch, self.shards[self.shard_of(tds)].summarize(tds, opts)))
+        Ok(self.summary(tds, opts, true).expect("waiting never declines"))
     }
 
     /// Runs one keyword query against a tenant's shard.

@@ -19,13 +19,7 @@ use common::{build_engine, existing_keyword, fingerprint, replicas};
 
 fn test_cluster_config(refresh: bool) -> ClusterConfig {
     ClusterConfig {
-        serve: ServeConfig {
-            workers: 2,
-            queue_capacity: 32,
-            cache_capacity: 256,
-            cache_shards: 4,
-            hot_capacity: 32,
-        },
+        serve: ServeConfig { cache_capacity: 256, cache_shards: 4, hot_capacity: 32 },
         refresh: refresh.then(|| RefreshConfig { budget: 16, interval: Duration::from_millis(10) }),
     }
 }

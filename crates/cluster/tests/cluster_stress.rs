@@ -25,13 +25,7 @@ fn concurrent_readers_vs_batch_writer_always_observe_one_epoch() {
         ClusterRouter::partitioned(
             replicas(&cfg, 3),
             ClusterConfig {
-                serve: ServeConfig {
-                    workers: 2,
-                    queue_capacity: 16,
-                    cache_capacity: 128,
-                    cache_shards: 4,
-                    hot_capacity: 16,
-                },
+                serve: ServeConfig { cache_capacity: 128, cache_shards: 4, hot_capacity: 16 },
                 // The refresh worker runs during the stress: it must never
                 // surface anything the sequential engine would not.
                 refresh: Some(RefreshConfig { budget: 8, interval: Duration::from_millis(10) }),

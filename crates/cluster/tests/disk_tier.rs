@@ -30,9 +30,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn cluster(shards: usize) -> ClusterRouter {
-    let mut cfg = ClusterConfig::default();
-    cfg.serve.workers = 1;
-    ClusterRouter::partitioned(replicas(&DblpConfig::tiny(), shards), cfg).unwrap()
+    ClusterRouter::partitioned(replicas(&DblpConfig::tiny(), shards), ClusterConfig::default())
+        .unwrap()
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! The read path's lookup policy, pinned through the router's public
-//! entry points: every hit is probed on the caller's thread and only a
-//! miss is queued on its owner shard. The serve counters tell the two
-//! apart — a probe that fails records a `probe_miss`, the queued job
-//! then records the authoritative `miss` and computes; a probe that
-//! succeeds records a `hit` and nothing else — and a warm answer is the
-//! cached `Arc` itself, whichever entry point returned it.
+//! entry points: on a path that may wait, every hit is one cache lookup
+//! on its owner shard and a miss is computed there and then, on the
+//! caller's thread; the never-blocking path probes and declines at its
+//! first miss. The serve counters tell them apart — a waiting lookup
+//! records a `hit`, or a `miss` and a computed summary; only a failed
+//! probe records a `probe_miss` — and a warm answer is the cached `Arc`
+//! itself, whichever entry point returned it. (The test names date from
+//! the serve worker pool: "queues" now reads "computes".)
 
 use std::sync::Arc;
 
@@ -18,7 +20,7 @@ use common::{build_engine, existing_keyword, replicas};
 
 /// Refresh off: a background re-warm would move the counters under test.
 fn quiet_config() -> ClusterConfig {
-    ClusterConfig { serve: ServeConfig::with_workers(2), refresh: None }
+    ClusterConfig { serve: ServeConfig::default(), refresh: None }
 }
 
 /// `(hits, misses, probe_misses, summaries_computed)` summed over shards.
@@ -43,9 +45,9 @@ fn moved(
     (answer, std::array::from_fn(|i| after[i] - before[i]))
 }
 
-/// Asks twice: the cold answer probes, misses and computes once per hit;
-/// the warm one is those same `Arc`s for one cache hit each. Returns the
-/// warm answer.
+/// Asks twice: the cold answer misses and computes once per hit, with
+/// one lookup each; the warm one is those same `Arc`s for one cache hit
+/// each. Returns the warm answer.
 fn assert_cold_then_warm(
     cluster: &ClusterRouter,
     ask: impl Fn() -> Vec<SharedResult>,
@@ -53,9 +55,9 @@ fn assert_cold_then_warm(
     let (cold, cold_moved) = moved(cluster, &ask);
     let n = cold.len() as u64;
     assert!(n > 0, "the fixture keyword resolves to data subjects");
-    assert_eq!(cold_moved, [0, n, n, n], "cold: one probe miss, one miss, one summary per hit");
+    assert_eq!(cold_moved, [0, n, 0, n], "cold: one miss and one summary per hit, no probe");
     let (warm, warm_moved) = moved(cluster, &ask);
-    assert_eq!(warm_moved, [n, 0, 0, 0], "warm: one hit per hit, nothing queued");
+    assert_eq!(warm_moved, [n, 0, 0, 0], "warm: one hit per hit, nothing computed");
     assert_eq!(warm.len(), cold.len());
     assert!(cold.iter().zip(&warm).all(|(c, w)| Arc::ptr_eq(c, w)));
     warm
@@ -72,6 +74,14 @@ fn batch_query_at_probes_first_and_queues_only_misses() {
         (kw.clone(), QueryOptions::default()),
         (kw, QueryOptions { l: 5, ..Default::default() }),
     ];
+    // Cold, the never-blocking path declines at its first failed probe
+    // and computes nothing: the only place a `probe_miss` is recorded.
+    let (declined, declined_moved) = moved(&cluster, || {
+        cluster.try_batch_query_cached(&requests).map_or(vec![], |a| a.1.concat())
+    });
+    assert!(declined.is_empty());
+    assert_eq!(declined_moved, [0, 0, 1, 0]);
+
     let ask = || cluster.batch_query_at(&requests).expect("query").1.concat();
     let warm = assert_cold_then_warm(&cluster, ask);
 

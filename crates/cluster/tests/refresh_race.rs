@@ -31,13 +31,7 @@ mod common;
 use common::{existing_keyword, replicas};
 
 fn small_serve() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        queue_capacity: 16,
-        cache_capacity: 128,
-        cache_shards: 4,
-        hot_capacity: 16,
-    }
+    ServeConfig { cache_capacity: 128, cache_shards: 4, hot_capacity: 16 }
 }
 
 /// Build → hammer epoch bumps (each one a notify) → drop the router

@@ -103,10 +103,15 @@ fn line(out: &mut String, name: &str, labels: &str, value: impl std::fmt::Displa
     }
 }
 
-/// Renders the whole metrics page: front-end counters, per-shard serve
-/// counters (labelled with the tenant name in multi-tenant mode), cache
-/// hit ratios, and the refresh worker's per-shard epoch lag.
-pub fn render_metrics(counters: &NetCounters, router: &ClusterRouter) -> String {
+/// Renders the whole metrics page: front-end counters and the dispatch
+/// queue's depth, per-shard serve counters (labelled with the tenant
+/// name in multi-tenant mode), cache hit ratios, and the refresh
+/// worker's per-shard epoch lag.
+pub fn render_metrics(
+    counters: &NetCounters,
+    queue_depth: usize,
+    router: &ClusterRouter,
+) -> String {
     let mut out = String::with_capacity(2048);
 
     // Front-end.
@@ -137,6 +142,7 @@ pub fn render_metrics(counters: &NetCounters, router: &ClusterRouter) -> String 
         "reason=\"outbox_full\"",
         NetCounters::get(&counters.shed_outbox),
     );
+    line(&mut out, "sizel_net_queue_depth", "", queue_depth);
     line(&mut out, "sizel_net_idle_reaped_total", "", NetCounters::get(&counters.idle_reaped));
     let backend = ReactorKind::from_u8(counters.reactor_backend.load(Ordering::Relaxed))
         .map_or("unknown", ReactorKind::name);
@@ -274,7 +280,6 @@ pub fn render_metrics(counters: &NetCounters, router: &ClusterRouter) -> String 
         let lookups = per_shard.cache.hits + per_shard.cache.misses;
         let ratio = if lookups == 0 { 0.0 } else { per_shard.cache.hits as f64 / lookups as f64 };
         line(&mut out, "sizel_serve_cache_hit_ratio", &labels, format!("{ratio:.6}"));
-        line(&mut out, "sizel_net_queue_depth", &labels, router.shard(i).queue_depth());
 
         // Refresh lag: shard epoch minus the worker's last completed
         // re-warm epoch (0 when the worker is disabled or caught up).

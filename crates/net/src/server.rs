@@ -72,14 +72,17 @@
 //!
 //! Every request executes under `catch_unwind`: a handler panic becomes
 //! an `Error(Internal)` reply on that request and the worker moves on.
-//! Combined with the poison-recovering locks underneath (serve queue,
-//! cache shards, hot sketch, cluster gate), one bad request degrades
-//! one reply — it cannot take down the connection, the worker pool, or
-//! the shared serving state.
+//! This is the stack's one panic boundary — the layers below spawn no
+//! request threads, so a panic anywhere in a request unwinds to here.
+//! Combined with the poison-recovering locks underneath (dispatch
+//! queue, cache shards, hot sketch, cluster gate), one bad request
+//! degrades one reply — it cannot take down the connection, the worker
+//! pool, or the shared serving state.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -109,7 +112,10 @@ use std::os::fd::AsRawFd;
 /// Front-end construction parameters.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Dispatch worker threads (decode + execute + encode).
+    /// Dispatch worker threads (decode + execute + encode). The only
+    /// request-serving pool in the stack: a cache miss is computed on
+    /// the worker that carries the request, so the default is one per
+    /// core.
     pub dispatch_workers: usize,
     /// Server-wide dispatch queue bound; overflow sheds with
     /// `Busy(QueueFull)`.
@@ -148,8 +154,9 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
+        let cores = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4);
         NetConfig {
-            dispatch_workers: 2,
+            dispatch_workers: cores,
             queue_capacity: 64,
             inflight_budget: 32,
             outbox_cap_bytes: 16 * 1024 * 1024,
@@ -452,12 +459,13 @@ fn worker_loop(
         if http {
             // A scrape is answered with the page as an HTTP response,
             // not a frame; a renderer panic costs it a 500.
-            let page = catch_unwind(AssertUnwindSafe(|| render_metrics(counters, router)))
-                .map(|page| http_response("200 OK", &page))
-                .unwrap_or_else(|_| {
-                    NetCounters::bump(&counters.errors_internal);
-                    http_response("500 Internal Server Error", "metrics renderer panicked\n")
-                });
+            let page =
+                catch_unwind(AssertUnwindSafe(|| render_metrics(counters, queue.len(), router)))
+                    .map(|page| http_response("200 OK", &page))
+                    .unwrap_or_else(|_| {
+                        NetCounters::bump(&counters.errors_internal);
+                        http_response("500 Internal Server Error", "metrics renderer panicked\n")
+                    });
             conn.push_frame(page);
             conn.hub.notify(conn.token);
             conn.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -472,7 +480,7 @@ fn worker_loop(
         // answer Error(Internal), move to the next job. The state the
         // panic touched recovers via the poison-safe locks underneath.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_request_into(router, counters, opcode, &payload, &mut frame, true)
+            handle_request_into(router, counters, queue, opcode, &payload, &mut frame, true)
         }));
         let reply_op = match outcome {
             Ok(op) => op.expect("a handler that may wait never declines"),
@@ -520,6 +528,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 fn handle_request_into(
     router: &ClusterRouter,
     counters: &NetCounters,
+    queue: &BoundedQueue<NetJob>,
     opcode: Opcode,
     payload: &[u8],
     out: &mut Vec<u8>,
@@ -540,7 +549,7 @@ fn handle_request_into(
         // every lock there is: a worker's job.
         Request::Stats | Request::ApplyBatch { .. } if !wait => return None,
         Request::Stats => {
-            encode_stats_into(out, &render_metrics(counters, router));
+            encode_stats_into(out, &render_metrics(counters, queue.len(), router));
             Ok(Opcode::StatsText)
         }
         Request::Query { requests } => {
@@ -902,7 +911,7 @@ fn poll_conn(
                     let inlined = eligible
                         && inline_budget > 0
                         && try_fastpath(
-                            conn, router, counters, pool, opts, h.opcode, h.req_id, payload,
+                            conn, router, counters, queue, pool, opts, h.opcode, h.req_id, payload,
                         );
                     if inlined {
                         NetCounters::bump(&counters.fastpath_hits);
@@ -990,6 +999,7 @@ fn try_fastpath(
     conn: &Conn,
     router: &ClusterRouter,
     counters: &NetCounters,
+    queue: &BoundedQueue<NetJob>,
     pool: &BufPool,
     opts: &IoOpts,
     opcode: Opcode,
@@ -1003,7 +1013,7 @@ fn try_fastpath(
     }
     let mut frame = pool.acquire();
     begin_frame(&mut frame, Opcode::Error, req_id);
-    match handle_request_into(router, counters, opcode, payload, &mut frame, false) {
+    match handle_request_into(router, counters, queue, opcode, payload, &mut frame, false) {
         Some(reply_op) => {
             finish_frame(&mut frame, reply_op);
             conn.shared.enqueue_reply_local(counters, frame);

@@ -47,13 +47,7 @@ pub fn existing_keyword(engine: &SizeLEngine) -> String {
 
 /// Small per-shard serving configuration.
 pub fn small_serve() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        queue_capacity: 16,
-        cache_capacity: 128,
-        cache_shards: 4,
-        hot_capacity: 16,
-    }
+    ServeConfig { cache_capacity: 128, cache_shards: 4, hot_capacity: 16 }
 }
 
 /// A 2-shard partitioned cluster over the tiny DBLP fixture, refresh

@@ -217,9 +217,9 @@ fn a_panicking_request_degrades_one_reply_not_the_server() {
         client.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
         let kw = existing_keyword(&router.shard(0).engine());
 
-        // A TupleRef naming a table far out of range panics the serve
-        // worker mid-summary; the dispatch worker's catch_unwind must
-        // turn that into an in-band Internal error.
+        // A TupleRef naming a table far out of range panics mid-summary,
+        // on the dispatch worker carrying the request; its catch_unwind
+        // must turn that into an in-band Internal error.
         let bogus =
             sizel_storage::TupleRef::new(sizel_storage::TableId(999), sizel_storage::RowId(0));
         match client.summarize(bogus, QueryOptions::default()).expect("a reply, not a hangup") {
@@ -283,6 +283,11 @@ fn stats_frame_returns_the_metrics_page() {
         ] {
             assert!(page.contains(series), "metrics page missing `{series}`:\n{page}");
         }
+        // One unlabelled gauge, read from the dispatch queue itself —
+        // empty here: this request's job was popped to render the page.
+        let depths: Vec<&str> =
+            page.lines().filter(|l| l.starts_with("sizel_net_queue_depth")).collect();
+        assert_eq!(depths, ["sizel_net_queue_depth 0"]);
         // The one query above was counted where it was answered: on the
         // router's lookup shard.
         let served = page

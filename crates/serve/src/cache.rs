@@ -1,7 +1,7 @@
 //! A sharded LRU cache for memoized query results.
 //!
 //! Lock contention, not capacity, is the scaling hazard of a single shared
-//! cache behind a worker pool: every hit mutates recency state, so even
+//! cache under many caller threads: every hit mutates recency state, so even
 //! reads need exclusive access. The cache is therefore split into shards,
 //! each its own `Mutex`-guarded LRU, with keys assigned by hash — threads
 //! touching different keys almost never contend. Each shard is a classic
@@ -39,7 +39,7 @@ pub struct CacheStats {
     /// Failed [`ShardedCache::probe`] lookups — the network layer's
     /// probe-then-recompute fast path counts its failed probe here
     /// instead of under [`CacheStats::misses`], because the very same
-    /// request then misses again on the authoritative queued path.
+    /// request then misses again on the authoritative computing path.
     /// Folding both into `misses` double-counted every fast-path miss
     /// and skewed the hit ratio down under inline traffic.
     pub probe_misses: u64,
@@ -250,12 +250,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// Locks one shard, recovering from a poisoned lock by resetting the
     /// shard instead of cascading the panic.
     ///
-    /// A panic while a shard lock is held (a worker dying mid-`get`, a
+    /// A panic while a shard lock is held (a caller dying mid-`get`, a
     /// value whose `Clone`/`Drop` panics) used to poison the lock and
     /// turn every subsequent cache call into a panic — one bad request
     /// taking the whole serving stack down. The intrusive recency list
-    /// *can* be torn mid-relink, so unlike the queue the state is not
-    /// trustworthy: recovery drops the shard's entries (this is a cache;
+    /// *can* be torn mid-relink, so the state is not trustworthy: recovery drops the shard's entries (this is a cache;
     /// losing entries is always correct) and restores the empty-shard
     /// invariants. Lost entries count as invalidations, the reset itself
     /// under [`CacheStats::poison_resets`].

@@ -21,7 +21,7 @@
 //! and, because the sketch rides on **every** summary lookup (the
 //! warm-cache fast path included), [`HotSketch::record`] only
 //! `try_lock`s: under contention the sample is dropped instead of
-//! serializing the worker pool on one lock. A frequency sketch is
+//! serializing every reader on one lock. A frequency sketch is
 //! approximate by nature, and uniformly-dropped samples preserve the
 //! relative ordering the refresh worker consumes.
 

@@ -6,16 +6,19 @@
 //! takes `&mut self`. The server therefore holds the engine behind an
 //! `Arc<RwLock>` — many concurrent readers, one writer per mutation:
 //!
-//! * [`SizeLServer`] runs a fixed pool of worker threads pulling jobs
-//!   from a *bounded* submission queue ([`queue::BoundedQueue`]), so
-//!   heavy traffic exerts backpressure instead of growing an unbounded
-//!   backlog. Each job holds a read lock for exactly one query.
-//! * **The lookup policy** for a per-DS summary is stated once, in
-//!   [`SizeLServer::summarize_batch`]: probe the cache on the caller's
-//!   thread ([`SizeLServer::try_summarize_cached`]), queue only what
-//!   misses ([`SizeLServer::enqueue_summary`]). A cached summary never
-//!   crosses a thread; the cluster router and the network front-end are
-//!   callers of those two halves, not second copies of them.
+//! * [`SizeLServer`] is an epoch-keyed memo — summary cache, hotness
+//!   sketch, counters — over that lock. It spawns no thread and owns no
+//!   queue: every call runs on the thread that made it, and concurrency
+//!   is the caller's (a net dispatch pool, the cluster's refresh worker,
+//!   an embedder's own threads). Each query or summary holds a read
+//!   guard for exactly its own duration; a panic in one unwinds into its
+//!   caller and poisons nothing (read guards never poison the lock).
+//! * **The lookup policy** for a per-DS summary is probe-or-compute:
+//!   [`SizeLServer::try_summarize_cached`] probes and never blocks or
+//!   computes; [`SizeLServer::summarize_at`] looks the key up once and,
+//!   on a miss, computes it there and then under the same read guard.
+//!   The cluster router and the network front-end are callers of those
+//!   two, not second copies of them.
 //! * A sharded LRU cache ([`cache::ShardedCache`]) memoizes the per-DS
 //!   summary computation across queries, keyed on
 //!   `(epoch, t_DS, l, algo, prelim, source)` — the engine's mutation
@@ -41,10 +44,8 @@
 //! `tests/epoch_equivalence.rs` (interleaved insert/query streams).
 
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, RwLock, RwLockReadGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use sizel_core::algo::AlgoKind;
 pub use sizel_core::durability::{DiskTierConfig, DiskTierStats, RecoveryReport};
@@ -89,10 +90,6 @@ fn hot_key(tds: TupleRef, opts: QueryOptions) -> HotKey {
 /// Server construction parameters.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads in the pool.
-    pub workers: usize,
-    /// Bounded submission-queue capacity (backpressure threshold).
-    pub queue_capacity: usize,
     /// Total cached summaries across all shards; 0 disables caching.
     pub cache_capacity: usize,
     /// Cache shard count (clamped to `[1, cache_capacity]`).
@@ -104,21 +101,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4);
-        ServeConfig {
-            workers: cores,
-            queue_capacity: 1024,
-            cache_capacity: 4096,
-            cache_shards: 16,
-            hot_capacity: 128,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// A config with `workers` threads and default everything else.
-    pub fn with_workers(workers: usize) -> Self {
-        ServeConfig { workers, ..ServeConfig::default() }
+        ServeConfig { cache_capacity: 4096, cache_shards: 16, hot_capacity: 128 }
     }
 }
 
@@ -127,9 +110,9 @@ impl ServeConfig {
 pub struct ServerStats {
     /// The summary cache's counters.
     pub cache: CacheStats,
-    /// Queries fully served: one per `Query` job, plus those a router
-    /// answered with this server as its lookup shard
-    /// ([`SizeLServer::count_queries`]).
+    /// Queries fully served: one per distinct request of a
+    /// [`SizeLServer::batch_query`], plus those a router answered with
+    /// this server as its lookup shard ([`SizeLServer::count_queries`]).
     pub queries_served: u64,
     /// Per-DS summaries computed (cache misses that did real work).
     pub summaries_computed: u64,
@@ -145,117 +128,41 @@ pub struct ServerStats {
     pub disk: Option<DiskTierStats>,
 }
 
-/// One unit of work for the pool with its reply slot: a whole keyword
-/// query, or a single `(t_DS, options)` summary (the unit a cluster
-/// router queues after resolving the keyword lookup itself). The `usize`
-/// travels back with the answer so the collecting side can place it.
-enum Job {
-    Query {
-        keywords: String,
-        opts: QueryOptions,
-        seq: usize,
-        reply: mpsc::Sender<(usize, Vec<SharedResult>)>,
-    },
-    Summarize {
-        tds: TupleRef,
-        opts: QueryOptions,
-        tag: usize,
-        reply: mpsc::Sender<(usize, SharedResult)>,
-    },
-}
-
-/// A shared epoch-versioned engine behind a worker pool with summary
-/// caching and a write-through mutation path.
-///
-/// Dropping the server closes the queue, drains the backlog, and joins
-/// every worker.
+/// A shared epoch-versioned engine with summary caching and a
+/// write-through mutation path (see the module docs).
 pub struct SizeLServer {
     engine: Arc<RwLock<SizeLEngine>>,
-    cache: Arc<ShardedCache<SummaryKey, SharedResult>>,
-    hot: Arc<HotSketch<HotKey>>,
-    jobs: Arc<BoundedQueue<Job>>,
-    queries_served: Arc<AtomicU64>,
-    summaries_computed: Arc<AtomicU64>,
+    cache: ShardedCache<SummaryKey, SharedResult>,
+    hot: HotSketch<HotKey>,
+    queries_served: AtomicU64,
+    summaries_computed: AtomicU64,
     mutations_applied: AtomicU64,
     rewarmed: AtomicU64,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl SizeLServer {
-    /// Spawns the worker pool over an engine the server takes ownership
-    /// of. Use [`SizeLServer::from_shared`] to share one engine between a
-    /// server and other readers.
+    /// A server over an engine it takes ownership of. Use
+    /// [`SizeLServer::from_shared`] to share one engine between a server
+    /// and other readers.
     pub fn new(engine: SizeLEngine, cfg: ServeConfig) -> Self {
         SizeLServer::from_shared(Arc::new(RwLock::new(engine)), cfg)
     }
 
-    /// Spawns the worker pool over a shared, lock-wrapped engine.
+    /// A server over a shared, lock-wrapped engine.
     pub fn from_shared(engine: Arc<RwLock<SizeLEngine>>, cfg: ServeConfig) -> Self {
-        let cache = Arc::new(ShardedCache::new(cfg.cache_capacity, cfg.cache_shards));
-        let hot = Arc::new(HotSketch::new(cfg.hot_capacity));
-        let jobs: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(cfg.queue_capacity));
-        let queries_served = Arc::new(AtomicU64::new(0));
-        let summaries_computed = Arc::new(AtomicU64::new(0));
-        let workers = (0..cfg.workers.max(1))
-            .map(|i| {
-                let engine = Arc::clone(&engine);
-                let cache = Arc::clone(&cache);
-                let hot = Arc::clone(&hot);
-                let jobs = Arc::clone(&jobs);
-                let served = Arc::clone(&queries_served);
-                let computed = Arc::clone(&summaries_computed);
-                std::thread::Builder::new()
-                    .name(format!("sizel-serve-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = jobs.pop() {
-                            // A panic while serving one job must not kill
-                            // the worker: queued jobs would strand and their
-                            // clients block forever. Catch it; the unwind
-                            // drops the job and with it the reply sender
-                            // (the submitter sees a missing reply naming the
-                            // panic), keep serving. Read guards never poison
-                            // the lock.
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let engine = engine.read().expect("a mutation panicked mid-apply");
-                                // The submitter may have given up (dropped
-                                // the receiver); that is not a worker error.
-                                match job {
-                                    Job::Query { keywords, opts, seq, reply } => {
-                                        let results = run_query(
-                                            &engine, &cache, &hot, &computed, &keywords, opts,
-                                        );
-                                        served.fetch_add(1, Ordering::Relaxed);
-                                        let _ = reply.send((seq, results));
-                                    }
-                                    Job::Summarize { tds, opts, tag, reply } => {
-                                        let epoch = engine.epoch();
-                                        let result = summarize_cached(
-                                            &engine, &cache, &hot, &computed, epoch, tds, opts,
-                                        );
-                                        let _ = reply.send((tag, result));
-                                    }
-                                }
-                            }));
-                        }
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
         SizeLServer {
             engine,
-            cache,
-            hot,
-            jobs,
-            queries_served,
-            summaries_computed,
+            cache: ShardedCache::new(cfg.cache_capacity, cfg.cache_shards),
+            hot: HotSketch::new(cfg.hot_capacity),
+            queries_served: AtomicU64::new(0),
+            summaries_computed: AtomicU64::new(0),
             mutations_applied: AtomicU64::new(0),
             rewarmed: AtomicU64::new(0),
-            workers,
         }
     }
 
-    /// Read access to the shared engine (many readers may coexist with
-    /// the worker pool; held guards block [`SizeLServer::apply`]).
+    /// Read access to the shared engine (readers coexist; held guards
+    /// block [`SizeLServer::apply`]).
     pub fn engine(&self) -> RwLockReadGuard<'_, SizeLEngine> {
         self.engine.read().expect("a mutation panicked mid-apply")
     }
@@ -282,12 +189,13 @@ impl SizeLServer {
     /// verbatim because the epoch is read under the same (try-acquired)
     /// read guard used for the probe.
     ///
-    /// A hit feeds the hotness sketch exactly like the pooled path. A
+    /// A hit feeds the hotness sketch exactly like the computing path. A
     /// miss goes through [`ShardedCache::probe`], which records it under
     /// [`CacheStats::probe_misses`] rather than `misses` — the caller
-    /// queues the key ([`SizeLServer::enqueue_summary`]), whose
-    /// `summarize_cached` records the authoritative miss for the same
-    /// request (counting both as `misses` double-counted every miss).
+    /// hands the request to a thread that may wait, whose
+    /// [`SizeLServer::summarize_at`] records the authoritative miss for
+    /// the same request (counting both as `misses` double-counted every
+    /// miss).
     pub fn try_summarize_cached(
         &self,
         tds: TupleRef,
@@ -307,7 +215,7 @@ impl SizeLServer {
     }
 
     /// The write path: applies a [`Mutation`] batch under **one**
-    /// write-lock acquisition (quiescing the pool for its duration) via
+    /// write-lock acquisition (quiescing readers for its duration) via
     /// [`SizeLEngine::apply_batch`] — one `DataGraph` rebuild and one
     /// posting settlement per incremental run — then drops every cache
     /// entry of superseded epochs once. Returns the new epoch. On error
@@ -339,72 +247,56 @@ impl SizeLServer {
         outcome.map(|_| epoch)
     }
 
-    /// Runs one query through the pool, blocking for the result. Identical
-    /// output to [`SizeLEngine::query_with`] on the same engine (modulo
-    /// `Arc` wrapping) — the stress suite asserts this byte-for-byte.
+    /// Runs one query on the calling thread. Identical output to
+    /// [`SizeLEngine::query_with`] on the same engine (modulo `Arc`
+    /// wrapping) — the stress suite asserts this byte-for-byte.
+    ///
+    /// It is `ds_hits` + per-DS memoized `summarize` + the optional
+    /// result-list reorder — a faithful recomposition of `query_with`
+    /// with the per-DS unit routed through the cache.
     pub fn query(&self, keywords: &str, opts: QueryOptions) -> Vec<SharedResult> {
-        self.batch_query(&[(keywords.to_owned(), opts)]).pop().expect("one request")
+        let engine = self.engine();
+        // The epoch is read under the same guard as the whole computation,
+        // so every entry inserted below is keyed by the exact version of
+        // the data it was computed from.
+        let epoch = engine.epoch();
+        let mut results: Vec<SharedResult> = engine
+            .ds_hits(keywords)
+            .into_iter()
+            .map(|tds| self.summarize_cached(&engine, epoch, tds, opts))
+            .collect();
+        rank_results(&mut results, opts.ranking);
+        self.queries_served.fetch_add(1, Ordering::Relaxed);
+        results
     }
 
-    /// Computes (or serves from cache) one `(t_DS, options)` summary —
-    /// the per-DS unit a cluster router dispatches after resolving the
-    /// keyword lookup itself. Byte-identical to
-    /// [`SizeLEngine::summarize`] on the same engine (modulo `Arc`).
+    /// Serves (from cache, else by computing it on this thread) one
+    /// `(t_DS, options)` summary — the per-DS unit a cluster router asks
+    /// of a hit's owner after resolving the keyword lookup itself.
+    /// Byte-identical to [`SizeLEngine::summarize`] on the same engine
+    /// (modulo `Arc`).
     pub fn summarize(&self, tds: TupleRef, opts: QueryOptions) -> SharedResult {
-        self.summarize_batch(&[(tds, opts)]).pop().expect("one item yields one result")
+        self.summarize_at(tds, opts).1
+    }
+
+    /// [`SizeLServer::summarize`] plus the epoch it was served at — read
+    /// under the same guard as the lookup and the computation.
+    pub fn summarize_at(&self, tds: TupleRef, opts: QueryOptions) -> (Epoch, SharedResult) {
+        let engine = self.engine();
+        let epoch = engine.epoch();
+        (epoch, self.summarize_cached(&engine, epoch, tds, opts))
     }
 
     /// Serves a whole batch of `(t_DS, options)` summaries, in submission
-    /// order, by the lookup policy: each item is probed on this thread
-    /// and only the misses are queued — all of them before the first
-    /// wait, so the pool computes them concurrently.
+    /// order; each item takes its own read guard, so a writer waits out
+    /// one summary, never the batch.
     pub fn summarize_batch(&self, items: &[(TupleRef, QueryOptions)]) -> Vec<SharedResult> {
-        let (tx, rx) = mpsc::channel();
-        let mut slots: Vec<Option<SharedResult>> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &(tds, opts))| {
-                let hit = self.try_summarize_cached(tds, opts).map(|(_, hit)| hit);
-                if hit.is_none() {
-                    self.enqueue_summary(tds, opts, i, &tx);
-                }
-                hit
-            })
-            .collect();
-        drop(tx);
-        for (i, result) in rx {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("worker panicked while serving a summary job (see its panic output)"))
-            .collect()
-    }
-
-    /// The queue half of the lookup policy: submits one `(t_DS, options)`
-    /// summary to the pool (blocking while the queue is full) and returns.
-    /// The worker sends `(tag, summary)` on `reply`; a job whose worker
-    /// panicked sends nothing, so a collector that drains `reply` to
-    /// disconnection finds that tag unanswered.
-    pub fn enqueue_summary(
-        &self,
-        tds: TupleRef,
-        opts: QueryOptions,
-        tag: usize,
-        reply: &mpsc::Sender<(usize, SharedResult)>,
-    ) {
-        self.submit(Job::Summarize { tds, opts, tag, reply: reply.clone() });
-    }
-
-    fn submit(&self, job: Job) {
-        if self.jobs.push(job).is_err() {
-            unreachable!("queue closes only in Drop, which takes &mut self");
-        }
+        items.iter().map(|&(tds, opts)| self.summarize(tds, opts)).collect()
     }
 
     /// Credits `n` queries answered above this server with it as the
     /// keyword-lookup shard: a cluster router resolves the lookup itself
-    /// and submits only per-DS summaries, which are not queries.
+    /// and asks only for per-DS summaries, which are not queries.
     pub fn count_queries(&self, n: usize) {
         self.queries_served.fetch_add(n as u64, Ordering::Relaxed);
     }
@@ -464,54 +356,21 @@ impl SizeLServer {
         self.hot.hottest(n)
     }
 
-    /// Serves a whole batch concurrently, returning results in submission
-    /// order. Duplicate `(keywords, options)` requests are served by a
-    /// single keyword-index lookup + summary computation and fanned back
-    /// out, amortizing the index work across the batch.
+    /// Serves a whole batch, returning results in submission order.
+    /// Duplicate `(keywords, options)` requests are served by a single
+    /// keyword-index lookup + summary computation and fanned back out,
+    /// amortizing the index work across the batch. Each distinct request
+    /// takes its own read guard.
     pub fn batch_query(&self, requests: &[(String, QueryOptions)]) -> Vec<Vec<SharedResult>> {
         let mut first_of: HashMap<(&str, QueryOptions), usize> = HashMap::new();
-        // duplicate_of[i] = index of the first identical request, if any.
-        let duplicate_of: Vec<Option<usize>> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, (kw, opts))| match first_of.entry((kw.as_str(), *opts)) {
-                std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(i);
-                    None
-                }
-            })
-            .collect();
-
-        let (tx, rx) = mpsc::channel();
-        let mut distinct = 0usize;
+        let mut served: Vec<Vec<SharedResult>> = Vec::with_capacity(requests.len());
         for (i, (keywords, opts)) in requests.iter().enumerate() {
-            if duplicate_of[i].is_some() {
-                continue;
-            }
-            distinct += 1;
-            self.submit(Job::Query {
-                keywords: keywords.clone(),
-                opts: *opts,
-                seq: i,
-                reply: tx.clone(),
-            });
+            let first = *first_of.entry((keywords.as_str(), *opts)).or_insert(i);
+            let results =
+                if first < i { served[first].clone() } else { self.query(keywords, *opts) };
+            served.push(results);
         }
-        drop(tx);
-
-        let mut slots: Vec<Option<Vec<SharedResult>>> = vec![None; requests.len()];
-        for _ in 0..distinct {
-            let (seq, results) = rx
-                .recv()
-                .expect("worker panicked while serving a batched query (see its panic output)");
-            slots[seq] = Some(results);
-        }
-        (0..requests.len())
-            .map(|i| {
-                let src = duplicate_of[i].unwrap_or(i);
-                slots[src].clone().expect("every distinct request was served")
-            })
-            .collect()
+        served
     }
 
     /// Attaches the engine's disk tier under the write lock (see
@@ -553,79 +412,30 @@ impl SizeLServer {
         }
     }
 
-    /// Jobs currently sitting in the submission queue (a live
-    /// backpressure signal for front-ends and metrics exposition).
-    pub fn queue_depth(&self) -> usize {
-        self.jobs.len()
+    /// The per-DS unit behind every serving path: hotness-recorded,
+    /// epoch-keyed, cache-memoized `summarize`, computed on this thread
+    /// on a miss. Two threads missing the same key concurrently both
+    /// compute it and both insert; `summarize` is deterministic, so
+    /// last-write-wins is benign.
+    fn summarize_cached(
+        &self,
+        engine: &SizeLEngine,
+        epoch: Epoch,
+        tds: TupleRef,
+        opts: QueryOptions,
+    ) -> SharedResult {
+        // Every lookup — hit or miss — feeds the hotness sketch: the
+        // refresh worker wants "what readers ask for", which a hit-only
+        // signal would starve right after each purge.
+        self.hot.record(hot_key(tds, opts));
+        let key = summary_key(epoch, tds, opts);
+        self.cache.get(&key).unwrap_or_else(|| {
+            let computed: SharedResult = Arc::new(engine.summarize(tds, opts));
+            self.summaries_computed.fetch_add(1, Ordering::Relaxed);
+            self.cache.insert(key, Arc::clone(&computed));
+            computed
+        })
     }
-}
-
-impl Drop for SizeLServer {
-    fn drop(&mut self) {
-        self.jobs.close();
-        for w in self.workers.drain(..) {
-            // Per-job panics are caught in the worker loop, so join errors
-            // should be impossible; if one happens anyway, re-raise it —
-            // unless this drop is itself part of an unwind, where a second
-            // panic would abort the process and eat both messages.
-            if let Err(e) = w.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(e);
-                }
-            }
-        }
-    }
-}
-
-/// The worker-side query path: `ds_hits` + per-DS memoized `summarize` +
-/// the optional result-list reorder — a faithful recomposition of
-/// `SizeLEngine::query_with` with the per-DS unit routed through the cache.
-///
-/// Two workers missing the same key concurrently both compute it and both
-/// insert; `summarize` is deterministic, so last-write-wins is benign.
-fn run_query(
-    engine: &SizeLEngine,
-    cache: &ShardedCache<SummaryKey, SharedResult>,
-    hot: &HotSketch<HotKey>,
-    summaries_computed: &AtomicU64,
-    keywords: &str,
-    opts: QueryOptions,
-) -> Vec<SharedResult> {
-    // The epoch is read under the same lock as the whole computation, so
-    // every entry inserted below is keyed by the exact version of the
-    // data it was computed from.
-    let epoch = engine.epoch();
-    let mut results: Vec<SharedResult> = engine
-        .ds_hits(keywords)
-        .into_iter()
-        .map(|tds| summarize_cached(engine, cache, hot, summaries_computed, epoch, tds, opts))
-        .collect();
-    rank_results(&mut results, opts.ranking);
-    results
-}
-
-/// The per-DS unit behind every serving path: hotness-recorded,
-/// epoch-keyed, cache-memoized `summarize`.
-fn summarize_cached(
-    engine: &SizeLEngine,
-    cache: &ShardedCache<SummaryKey, SharedResult>,
-    hot: &HotSketch<HotKey>,
-    summaries_computed: &AtomicU64,
-    epoch: Epoch,
-    tds: TupleRef,
-    opts: QueryOptions,
-) -> SharedResult {
-    // Every lookup — hit or miss — feeds the hotness sketch: the refresh
-    // worker wants "what readers ask for", which a hit-only signal would
-    // starve right after each purge.
-    hot.record(hot_key(tds, opts));
-    let key = summary_key(epoch, tds, opts);
-    cache.get(&key).unwrap_or_else(|| {
-        let computed: SharedResult = Arc::new(engine.summarize(tds, opts));
-        summaries_computed.fetch_add(1, Ordering::Relaxed);
-        cache.insert(key, Arc::clone(&computed));
-        computed
-    })
 }
 
 #[cfg(test)]
@@ -637,7 +447,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SizeLServer>();
         assert_send_sync::<ShardedCache<SummaryKey, SharedResult>>();
-        assert_send_sync::<BoundedQueue<Job>>();
     }
 
     #[test]
@@ -663,9 +472,9 @@ mod tests {
         }
     }
 
-    /// The lookup policy's first half: a cached summary is answered on
-    /// the caller's thread. With the queue closed, a job that reached it
-    /// would die on the `unreachable!` in `submit`.
+    /// A cached summary is the cached `Arc` itself, found by one lookup
+    /// and computed once. (The serve queue this test's name recalls is
+    /// gone: nothing a server does leaves the caller's thread.)
     #[test]
     fn a_cached_summary_never_reaches_the_queue() {
         use sizel_core::engine::EngineConfig;
@@ -678,9 +487,8 @@ mod tests {
         .expect("engine builds");
         let author = engine.db().table_id("Author").expect("Author table");
         let tds = TupleRef::new(author, sizel_storage::RowId(0));
-        let server = SizeLServer::new(engine, ServeConfig::with_workers(1));
+        let server = SizeLServer::new(engine, ServeConfig::default());
         let cold = server.summarize(tds, test_opts());
-        server.jobs.close();
         let warm = server.summarize(tds, test_opts());
         assert!(Arc::ptr_eq(&cold, &warm), "the warm answer is the cached Arc itself");
         let stats = server.stats();
@@ -690,11 +498,8 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = ServeConfig::default();
-        assert!(cfg.workers >= 1);
-        assert!(cfg.queue_capacity >= 1);
+        assert!(cfg.cache_capacity >= 1);
         assert!(cfg.cache_shards >= 1);
-        let four = ServeConfig::with_workers(4);
-        assert_eq!(four.workers, 4);
-        assert_eq!(four.cache_capacity, cfg.cache_capacity);
+        assert!(cfg.hot_capacity >= 1);
     }
 }

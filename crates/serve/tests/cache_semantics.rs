@@ -42,7 +42,7 @@ fn hit_after_miss_returns_identical_result() {
     let engine = engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig { workers: 2, cache_capacity: 64, ..ServeConfig::default() },
+        ServeConfig { cache_capacity: 64, ..ServeConfig::default() },
     );
     let o = opts(15, AlgoKind::TopPath, true);
 
@@ -73,13 +73,7 @@ fn eviction_at_capacity_keeps_serving_correctly() {
     // so the Faloutsos trio forces an eviction on every pass.
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 1,
-            queue_capacity: 4,
-            cache_capacity: 2,
-            cache_shards: 1,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 2, cache_shards: 1, ..ServeConfig::default() },
     );
     let o = opts(10, AlgoKind::TopPath, true);
     for _ in 0..4 {
@@ -99,7 +93,7 @@ fn no_stale_os_across_algo_and_prelim_combinations() {
     let engine = engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig { workers: 2, cache_capacity: 256, ..ServeConfig::default() },
+        ServeConfig { cache_capacity: 256, ..ServeConfig::default() },
     );
     // Warm the cache with one combination, then request every other
     // combination of (algo, prelim, l, source): each must be computed
@@ -145,7 +139,7 @@ fn cached_flat_os_round_trips_byte_identically_through_batch_query() {
     let engine = engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig { workers: 3, queue_capacity: 8, cache_capacity: 128, ..Default::default() },
+        ServeConfig { cache_capacity: 128, ..Default::default() },
     );
     let a = opts(15, AlgoKind::TopPath, true);
     let b = opts(10, AlgoKind::Optimal, false);

@@ -137,13 +137,7 @@ fn exact_stream_is_byte_identical_to_fresh_rebuild_at_each_epoch() {
     let cfg = DblpConfig::tiny();
     let server = SizeLServer::new(
         build_engine(&cfg),
-        ServeConfig {
-            workers: 2,
-            queue_capacity: 8,
-            cache_capacity: 256,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 256, cache_shards: 4, ..ServeConfig::default() },
     );
     let (script, set) = {
         let e = server.engine();
@@ -193,13 +187,7 @@ fn exact_stream_is_byte_identical_to_fresh_rebuild_at_each_epoch() {
 fn incremental_stream_matches_its_engine_and_never_serves_stale_entries() {
     let server = SizeLServer::new(
         build_engine(&DblpConfig::tiny()),
-        ServeConfig {
-            workers: 2,
-            queue_capacity: 8,
-            cache_capacity: 256,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 256, cache_shards: 4, ..ServeConfig::default() },
     );
     let (script, set) = {
         let e = server.engine();
@@ -245,13 +233,7 @@ fn incremental_stream_matches_its_engine_and_never_serves_stale_entries() {
 fn concurrent_queries_during_mutations_always_observe_a_consistent_epoch() {
     let server = Arc::new(SizeLServer::new(
         build_engine(&DblpConfig::tiny()),
-        ServeConfig {
-            workers: 3,
-            queue_capacity: 8,
-            cache_capacity: 128,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 128, cache_shards: 4, ..ServeConfig::default() },
     ));
     let script = mutation_script(&server.engine());
     let probe: (String, QueryOptions) = {

@@ -1,4 +1,4 @@
-//! The per-DS summarize job path and the hot-key re-warm hook (ISSUE 5):
+//! The per-DS summarize path and the hot-key re-warm hook (ISSUE 5):
 //! `summarize_batch` must be byte-identical to the engine's `summarize`,
 //! and `rewarm_hottest` must pre-pay exactly the recomputes that a hot
 //! reader would otherwise eat after a write — at the current epoch, under
@@ -14,13 +14,7 @@ use common::{build_engine, fingerprint};
 use sizel_core::test_fixtures::max_pk;
 
 fn test_config() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        queue_capacity: 16,
-        cache_capacity: 256,
-        cache_shards: 4,
-        hot_capacity: 32,
-    }
+    ServeConfig { cache_capacity: 256, cache_shards: 4, hot_capacity: 32 }
 }
 
 /// An existing keyword plus the DS tuples it resolves to.

@@ -19,7 +19,7 @@ use sizel_core::osgen::OsSource;
 use sizel_serve::{ServeConfig, SizeLServer};
 
 mod common;
-use common::{fingerprint, small_engine as engine};
+use common::{build_engine, fingerprint, seq_fingerprint, small_engine as engine};
 
 /// The workload: real hits (one DS, several DSs, Paper-table DSs), misses,
 /// and empty queries, crossed with every algorithm/input/source/ranking
@@ -97,13 +97,7 @@ fn n_thread_stress_matches_sequential_engine() {
     let n_threads = 8;
     let server = Arc::new(SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 4,
-            queue_capacity: 16,
-            cache_capacity: 256,
-            cache_shards: 8,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 256, cache_shards: 8, ..ServeConfig::default() },
     ));
     let barrier = Arc::new(Barrier::new(n_threads));
     let handles: Vec<_> = (0..n_threads)
@@ -148,13 +142,7 @@ fn batch_query_matches_sequential_engine_and_dedups() {
 
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 4,
-            queue_capacity: 8,
-            cache_capacity: 512,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 512, cache_shards: 4, ..ServeConfig::default() },
     );
     // Duplicate the whole set 3x in interleaved order: results must come
     // back in submission order, each identical to its baseline.
@@ -174,25 +162,19 @@ fn batch_query_matches_sequential_engine_and_dedups() {
     }
     // Only the distinct requests did index + summary work.
     let stats = server.stats();
-    assert_eq!(stats.queries_served, set.len() as u64, "duplicates served without new jobs");
+    assert_eq!(stats.queries_served, set.len() as u64, "duplicates served without new work");
 }
 
 #[test]
 fn uncached_server_still_matches() {
-    // cache_capacity = 0 disables memoization entirely; the pool itself
-    // must still be equivalence-preserving.
+    // cache_capacity = 0 disables memoization entirely; the serving path
+    // itself must still be equivalence-preserving.
     let engine = engine();
     let set: Vec<(String, QueryOptions)> = query_set().into_iter().take(12).collect();
     let expected = baseline(&engine.read().unwrap(), &set);
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 3,
-            queue_capacity: 4,
-            cache_capacity: 0,
-            cache_shards: 4,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
     );
     for ((kw, opts), want) in set.iter().zip(&expected) {
         assert_eq!(&fingerprint(&server.query(kw, *opts)), want);
@@ -204,18 +186,13 @@ fn uncached_server_still_matches() {
 
 #[test]
 fn single_worker_server_serializes_correctly() {
-    // One worker, many producers: the bounded queue provides the ordering
-    // and backpressure; results must still be correct.
+    // Many producers against one single-shard cache (the name dates from
+    // the worker pool; the callers are the only threads now): results
+    // must still be correct.
     let engine = engine();
     let server = Arc::new(SizeLServer::from_shared(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 1,
-            queue_capacity: 2,
-            cache_capacity: 64,
-            cache_shards: 1,
-            ..ServeConfig::default()
-        },
+        ServeConfig { cache_capacity: 64, cache_shards: 1, ..ServeConfig::default() },
     ));
     let expected = fingerprint(
         &engine.read().unwrap().query("Faloutsos", 15).iter().collect::<Vec<&QueryResult>>(),
@@ -236,4 +213,46 @@ fn single_worker_server_serializes_correctly() {
     for h in handles {
         h.join().expect("client thread");
     }
+}
+
+/// The server has no thread to lose and no panic boundary of its own: a
+/// summary that panics unwinds into its caller with the original
+/// payload, and — read guards never poison — the same server then reads
+/// and writes as if nothing had happened.
+#[test]
+fn a_panicking_summary_unwinds_into_the_caller_and_poisons_nothing() {
+    use sizel_datagen::dblp::DblpConfig;
+    use sizel_storage::{RowId, TableId, TupleRef, Value};
+
+    let server = SizeLServer::new(build_engine(&DblpConfig::small()), ServeConfig::default());
+    let opts = QueryOptions::default();
+    let bogus = TupleRef::new(TableId(999), RowId(0));
+    let in_engine = std::panic::catch_unwind(|| server.engine().summarize(bogus, opts))
+        .expect_err("the engine panics on a table out of range");
+    let in_server =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.summarize(bogus, opts)))
+            .expect_err("and the server lets it through");
+    let message = |p: &Box<dyn std::any::Any + Send>| {
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+    };
+    assert!(message(&in_server).is_some(), "a message payload, not a wrapper");
+    assert_eq!(message(&in_server), message(&in_engine), "the original panic");
+
+    let got = server.query("Faloutsos", opts);
+    assert!(!got.is_empty(), "the fixture keyword resolves to data subjects");
+    assert_eq!(fingerprint(&got), seq_fingerprint(&server.engine(), "Faloutsos", opts));
+    let next_pk = sizel_core::test_fixtures::max_pk(server.engine().db(), "Author") + 1;
+    let before = server.epoch();
+    let after = server
+        .apply_batch(vec![sizel_serve::Mutation::insert(
+            "Author",
+            vec![Value::Int(next_pk), "Quorra Veldt".into()],
+        )])
+        .expect("the write lock is not poisoned");
+    assert!(after > before);
+    let got = server.query("Quorra", opts);
+    assert_eq!(got.len(), 1, "the inserted author is served");
+    assert_eq!(fingerprint(&got), seq_fingerprint(&server.engine(), "Quorra", opts));
 }
