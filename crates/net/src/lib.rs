@@ -40,6 +40,7 @@ pub mod buf;
 pub mod client;
 pub mod frame;
 pub mod metrics;
+mod queue;
 pub mod reactor;
 pub mod server;
 #[cfg(target_os = "linux")]

@@ -90,7 +90,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sizel_cluster::ClusterRouter;
-use sizel_serve::{BoundedQueue, TryPushError};
 
 use crate::buf::BufPool;
 use crate::frame::{
@@ -98,6 +97,7 @@ use crate::frame::{
     HEADER_LEN, MAX_FRAME_LEN,
 };
 use crate::metrics::{http_response, render_metrics, NetCounters};
+use crate::queue::{BoundedQueue, TryPushError};
 use crate::reactor::{
     build_reactor, Event, Reactor, ReactorChoice, ReactorKind, WakeHub, TOKEN_BASE, TOKEN_LISTENER,
 };

@@ -55,11 +55,9 @@ use sizel_storage::{Epoch, StorageError, TupleRef};
 
 pub mod cache;
 pub mod hotness;
-pub mod queue;
 
 pub use cache::{CacheStats, ShardedCache};
 pub use hotness::HotSketch;
-pub use queue::{BoundedQueue, TryPushError};
 pub use sizel_core::engine::{Mutation, MutationOp, RefreshPolicy};
 
 /// The cache key: the engine's mutation epoch plus everything
