@@ -26,8 +26,8 @@
 //! * [`buf`] — the free-list frame-buffer pool that makes the reply
 //!   path allocation-free at steady state (DESIGN.md §9.6);
 //! * [`server`] — the readiness-driven I/O thread plus a
-//!   dispatch-worker pool over the serve layer's bounded MPMC queue,
-//!   with three-gate admission (in-flight budget, outbox byte cap,
+//!   dispatch-worker pool over a bounded MPMC queue of its own, with
+//!   three-gate admission (in-flight budget, outbox byte cap,
 //!   queue capacity), an inline **fast path** answering cheap and
 //!   cache-hit requests on the I/O thread itself, vectored outbox
 //!   flushes, idle-connection reaping, and `catch_unwind` panic

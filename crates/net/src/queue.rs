@@ -1,11 +1,12 @@
-//! A bounded MPMC submission queue built on `Mutex` + two `Condvar`s.
+//! The bounded MPMC dispatch queue, built on `Mutex` + `Condvar`.
 //!
-//! The standard library offers only unbounded MPSC channels; the server
-//! needs *bounded* multi-producer/multi-consumer semantics so that
-//! submission exerts backpressure when the worker pool falls behind
-//! (producers block in [`BoundedQueue::push`] instead of growing an
-//! unbounded backlog). No external crates are available offline, so the
-//! classic two-condvar bounded buffer is implemented here directly.
+//! The standard library offers only unbounded MPSC channels; the
+//! front-end needs a *bounded* queue with many consumers, so that a
+//! dispatch pool that falls behind sheds load ([`BoundedQueue::try_push`]
+//! refuses, the I/O thread replies `Busy`) instead of growing an
+//! unbounded backlog. The only producer is the I/O thread, which never
+//! blocks — there is no blocking push. No external crates are available
+//! offline, so the bounded buffer is implemented here directly.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -17,8 +18,6 @@ pub struct BoundedQueue<T> {
     capacity: usize,
     /// Signalled when an item is enqueued or the queue closes.
     not_empty: Condvar,
-    /// Signalled when an item is dequeued or the queue closes.
-    not_full: Condvar,
 }
 
 #[derive(Debug)]
@@ -26,11 +25,6 @@ struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
 }
-
-/// Error returned by [`BoundedQueue::push`] on a closed queue; carries the
-/// rejected item back to the caller.
-#[derive(Debug)]
-pub struct Closed<T>(pub T);
 
 /// Error returned by [`BoundedQueue::try_push`]; carries the rejected item
 /// back to the caller so it can be retried or answered with a shed reply.
@@ -50,7 +44,6 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Inner { items: VecDeque::new(), closed: false }),
             capacity: capacity.max(1),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         }
     }
 
@@ -70,29 +63,6 @@ impl<T> BoundedQueue<T> {
                 self.inner.clear_poison();
                 poisoned.into_inner()
             }
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full. Fails only when
-    /// the queue has been closed.
-    pub fn push(&self, item: T) -> Result<(), Closed<T>> {
-        let mut inner = self.lock_inner();
-        loop {
-            if inner.closed {
-                return Err(Closed(item));
-            }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            inner = match self.not_full.wait(inner) {
-                Ok(guard) => guard,
-                Err(poisoned) => {
-                    self.inner.clear_poison();
-                    poisoned.into_inner()
-                }
-            };
         }
     }
 
@@ -121,7 +91,6 @@ impl<T> BoundedQueue<T> {
         let mut inner = self.lock_inner();
         loop {
             if let Some(item) = inner.items.pop_front() {
-                self.not_full.notify_one();
                 return Some(item);
             }
             if inner.closed {
@@ -138,23 +107,17 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue: pending `pop`s drain the backlog then return
-    /// `None`; subsequent `push`es fail. Idempotent.
+    /// `None`; subsequent `try_push`es fail. Idempotent.
     pub fn close(&self) {
         let mut inner = self.lock_inner();
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
         self.lock_inner().items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -166,8 +129,8 @@ mod tests {
     #[test]
     fn fifo_order() {
         let q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
     }
@@ -175,24 +138,11 @@ mod tests {
     #[test]
     fn close_drains_then_ends() {
         let q = BoundedQueue::new(4);
-        q.push(7).unwrap();
+        q.try_push(7).unwrap();
         q.close();
-        assert!(q.push(8).is_err());
+        assert!(q.try_push(8).is_err());
         assert_eq!(q.pop(), Some(7), "backlog drains after close");
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocked_push_wakes_on_pop() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(1).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push(2).is_ok());
-        // The producer blocks on the full queue until this pop.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(1));
-        assert!(producer.join().unwrap());
-        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]
@@ -226,7 +176,7 @@ mod tests {
     #[test]
     fn poisoned_lock_recovers_instead_of_cascading() {
         let q = Arc::new(BoundedQueue::new(4));
-        q.push(1).unwrap();
+        q.try_push(1).unwrap();
         // Poison the mutex: a thread panics while holding the lock — the
         // moral equivalent of a worker dying mid-queue-operation.
         let q2 = Arc::clone(&q);
@@ -238,7 +188,7 @@ mod tests {
         assert!(q.inner.is_poisoned() || q.len() == 1, "setup: lock was held through a panic");
         // Every path recovers: the backlog survives and new traffic flows.
         assert_eq!(q.pop(), Some(1), "pop recovers from the poison");
-        q.push(2).unwrap();
+        q.try_push(2).unwrap();
         assert!(q.try_push(3).is_ok());
         assert_eq!(q.len(), 2);
         q.close();
@@ -255,7 +205,13 @@ mod tests {
             let q = Arc::clone(&q);
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    q.push(p * 1000 + i).unwrap();
+                    // The feeder retries a full queue (production's one
+                    // producer sheds instead).
+                    let mut item = p * 1000 + i;
+                    while let Err(TryPushError::Full(back)) = q.try_push(item) {
+                        item = back;
+                        std::thread::yield_now();
+                    }
                 }
             }));
         }

@@ -4,8 +4,9 @@
 //! reads bytes into per-connection buffers, cuts complete frames, runs
 //! **admission control**, and drains per-connection outboxes back to
 //! the sockets. Decoding and execution happen on a pool of dispatch
-//! workers fed through the serve layer's [`BoundedQueue`] — the same
-//! MPMC primitive the shards' own worker pools use.
+//! workers fed through a `BoundedQueue` — the one request-serving pool
+//! in the stack: the cluster and serve layers below run on whichever
+//! worker carries the request, a cache miss included.
 //!
 //! ## The zero-copy wire path (DESIGN.md §9.6)
 //!
@@ -61,7 +62,7 @@
 //!    `Busy(OutboxFull)` until the outbox drains. The inline fast path
 //!    honors the same cap (it declines and lets admission shed).
 //! 3. **Dispatch queue capacity** (`NetConfig::queue_capacity`): the
-//!    server-wide bound, enforced by [`BoundedQueue::try_push`] — the
+//!    server-wide bound, enforced by `BoundedQueue::try_push` — the
 //!    I/O thread never blocks on a full queue.
 //!
 //! Idle peers are bounded too: with `NetConfig::idle_timeout` set, a
