@@ -108,9 +108,9 @@ impl Default for ServeConfig {
 pub struct ServerStats {
     /// The summary cache's counters.
     pub cache: CacheStats,
-    /// Queries fully served: one per distinct request of a
-    /// [`SizeLServer::batch_query`], plus those a router answered with
-    /// this server as its lookup shard ([`SizeLServer::count_queries`]).
+    /// Queries fully served: one per `query` (a `batch_query` runs one
+    /// per distinct request), plus those a router answered with this
+    /// server as its lookup shard ([`SizeLServer::count_queries`]).
     pub queries_served: u64,
     /// Per-DS summaries computed (cache misses that did real work).
     pub summaries_computed: u64,
