@@ -401,19 +401,18 @@ pub struct OsArenaPool {
 }
 
 /// Working memory for the Avoidance-Condition-2 TOP-l fetch paths
-/// (`OsContext::children_of_top_l`): the bounded selection heaps, the
-/// boundary-tie staging runs, and the unfiltered fetch buffer, all
+/// (`OsContext::children_of_top_l`): the bounded selection heap, the
+/// boundary-tie staging run, and the unfiltered fetch buffer, all
 /// recycled across probes so a warm prelim generation never touches the
 /// allocator (pinned by `tests/alloc_guard.rs`). Pooled inside
 /// [`OsArenaPool`]; one-shot callers can default-construct it.
 #[derive(Debug, Default)]
 pub struct FetchScratch {
-    /// Row output of the sorted-FK probe (`select_eq_top_l_into`).
+    /// The selected rows of one probe: every probe form selects rows of
+    /// the child GDS node's one relation.
     pub(crate) rows: Vec<RowId>,
-    /// Selection scratch for row-level probes.
-    pub(crate) row_topl: sizel_storage::TopLScratch<RowId>,
-    /// Selection scratch for tuple-level (junction / graph-mode) probes.
-    pub(crate) tuple_topl: sizel_storage::TopLScratch<TupleRef>,
+    /// The one selection scratch (FK, junction and graph-mode probes).
+    pub(crate) topl: sizel_storage::TopLScratch<RowId>,
     /// Unfiltered children fetched before the TOP-l cut (graph mode).
     pub(crate) all: Vec<TupleRef>,
 }

@@ -12,7 +12,7 @@
 
 use sizel_graph::{DataGraph, Direction, Gds, GdsNode, GdsNodeId, JoinSpec, MnLinkId, SchemaGraph};
 use sizel_rank::RankScores;
-use sizel_storage::{Database, FkOrderToken, LinkCursor, SliceLinkCursor, TupleRef};
+use sizel_storage::{Database, FkOrderToken, RowId, TupleRef};
 
 use crate::os::{FetchScratch, Os, OsArenaPool};
 
@@ -46,8 +46,8 @@ pub struct OsContext<'a> {
     /// allocating and stops re-scanning the data graph's links.
     link_of_gds: std::borrow::Cow<'a, [Option<MnLinkId>]>,
     /// The database's installed importance order, when it matches these
-    /// scores — unlocks the sorted-FK prefix scan in
-    /// [`Database::select_eq_top_l`] and the sorted-link junction scan.
+    /// scores — unlocks the sorted-posting prefix scan in
+    /// [`Database::select_eq_top_l`] and its junction sibling.
     /// `None` (heap fallback) when the scores never stamped an order or
     /// the database was re-ordered or mutated since.
     fk_order: Option<FkOrderToken>,
@@ -190,14 +190,14 @@ impl<'a> OsContext<'a> {
         out: &mut Vec<TupleRef>,
     ) {
         let node = self.gds.node(child);
+        // Every arm selects rows of the child's one relation.
+        let li = |r: RowId| self.local_importance(child, TupleRef::new(node.relation, r));
+        let FetchScratch { rows, topl, all } = scratch;
+        rows.clear();
         match (source, &node.join) {
             (OsSource::Database, JoinSpec::Step { edge, dir: Direction::Backward }) => {
                 let e = self.sg.edge(*edge);
                 let pk = self.db.table(parent_tuple.table).pk_of(parent_tuple.row);
-                let li = |r: sizel_storage::RowId| {
-                    self.local_importance(child, TupleRef::new(e.from, r))
-                };
-                scratch.rows.clear();
                 self.db.select_eq_top_l_into(
                     e.from,
                     e.fk_col,
@@ -206,134 +206,59 @@ impl<'a> OsContext<'a> {
                     largest_l,
                     self.fk_order,
                     &li,
-                    &mut scratch.row_topl,
-                    &mut scratch.rows,
+                    topl,
+                    rows,
                 );
-                for &r in &scratch.rows {
-                    out.push(TupleRef::new(e.from, r));
-                }
             }
             (OsSource::Database, JoinSpec::Step { edge, dir: Direction::Forward }) => {
-                // N:1 probe with the importance predicate pushed down: the
-                // access is counted, but a filtered-out row is not returned.
+                // N:1 probe with the importance predicate pushed down: an
+                // issued probe is counted (a NULL FK issues none, as in
+                // `children_via_database`), but a filtered-out row is not
+                // returned.
                 let e = self.sg.edge(*edge);
-                let mut kept = 0usize;
                 if let Some(k) = self.db.value(parent_tuple, e.fk_col).as_int() {
-                    if let Some(r) = self.db.table(e.to).by_pk(k) {
-                        let tuple = TupleRef::new(e.to, r);
-                        if self.local_importance(child, tuple) > largest_l {
-                            kept = 1;
-                            out.push(tuple);
-                        }
-                    }
+                    rows.extend(self.db.table(e.to).by_pk(k).filter(|&r| li(r) > largest_l));
+                    self.db.access().record_join(rows.len());
                 }
-                self.db.access().record_join(kept);
             }
             (
                 OsSource::Database,
                 JoinSpec::ViaJunction { junction, e_in, e_out, exclude_parent },
             ) => {
+                let (e1, e2) = (self.sg.edge(*e_in), self.sg.edge(*e_out));
                 let pk = self.db.table(parent_tuple.table).pk_of(parent_tuple.row);
-                let e1 = self.sg.edge(*e_in);
-                let e2 = self.sg.edge(*e_out);
-                let jt = self.db.table(*junction);
-                // Sorted-link fast path: when the installed order matches
-                // these scores, the junction's pre-joined postings are
-                // already ordered by descending target importance, so the
-                // probe is a bounded prefix scan — the cut loop (and the
-                // boundary li-tie re-rank through `top_l`) of the sorted-FK
-                // path of `select_eq_top_l`. Access accounting is identical
-                // to the heap path by construction: one junction probe
-                // reporting the raw FK group size, one target fetch
-                // reporting the result size. Pairs whose junction row or
-                // target row died since the last compaction are
-                // tombstones: skipped, never cut on (their target score
-                // cannot un-order the live suffix). Nor is the excluded
-                // grandparent cut on: importance is non-increasing along
-                // the scan, so the next live pair makes the same cut.
-                if l > 0 && self.fk_order.is_some() && self.fk_order == self.db.fk_order() {
-                    let target_t = self.db.table(e2.to);
-                    let mut stage = |cur: &mut dyn LinkCursor| {
-                        scratch.tuple_topl.stage_prefix(
-                            l,
-                            largest_l,
-                            || loop {
-                                let (j, t) = cur.next_pair()?;
-                                if jt.is_live(j) && target_t.is_live(t) {
-                                    return Some(TupleRef::new(e2.to, t));
-                                }
-                            },
-                            |&tuple| {
-                                (!(*exclude_parent && Some(tuple) == grandparent))
-                                    .then(|| self.local_importance(child, tuple))
-                            },
-                        );
-                        !cur.failed()
-                    };
-                    // RAM postings, else the disk tier's (evicted) ones —
-                    // same scan, same accounting. A paged read failure
-                    // discards the partial prefix (fail closed) and drops
-                    // through to the always-correct heap path.
-                    let staged_raw = if let Some(link) = jt.sorted_link_index(e1.fk_col) {
-                        stage(&mut SliceLinkCursor::new(link.pairs(pk)))
-                            .then(|| link.raw_group_len(pk))
-                    } else {
-                        self.db.pager().filter(|p| p.stamp() == self.fk_order).and_then(|p| {
-                            let raw = p.link_raw_len(*junction, e1.fk_col, pk)?;
-                            let mut cur = p.link_cursor(*junction, e1.fk_col, pk)?;
-                            stage(cur.as_mut()).then_some(raw)
-                        })
-                    };
-                    if let Some(raw) = staged_raw {
-                        self.db.access().record_join(raw);
-                        let before = out.len();
-                        scratch.tuple_topl.rank_staged_into(l, out);
-                        self.db.access().record_join(out.len() - before);
-                        self.db.access().record_fast_probe();
-                        return;
-                    }
-                    scratch.tuple_topl.staged.clear();
-                }
-                // Heap fallback: the junction probe is unavoidable (its
-                // rows are read to find the targets); the target fetch is
-                // TOP-l filtered.
-                let jrows = jt.rows_where_eq(e1.fk_col, pk);
-                self.db.access().record_join(jrows.len());
-                self.db.access().record_heap_probe();
-                let target = self.db.table(e2.to);
-                let before = out.len();
-                scratch.tuple_topl.select_into(
-                    jrows.iter().filter_map(|&j| {
-                        let k = jt.value(j, e2.fk_col).as_int()?;
-                        let r = target.by_pk(k)?;
-                        let tuple = TupleRef::new(e2.to, r);
-                        if *exclude_parent && Some(tuple) == grandparent {
-                            return None;
-                        }
-                        let w = self.local_importance(child, tuple);
-                        (w > largest_l).then_some((w, tuple))
-                    }),
+                let exclude =
+                    grandparent.filter(|g| *exclude_parent && g.table == e2.to).map(|g| g.row);
+                self.db.select_via_junction_top_l_into(
+                    *junction,
+                    e1.fk_col,
+                    pk,
+                    e2.fk_col,
+                    e2.to,
+                    exclude,
                     l,
-                    out,
+                    largest_l,
+                    self.fk_order,
+                    &li,
+                    topl,
+                    rows,
                 );
-                self.db.access().record_join(out.len() - before);
             }
             _ => {
-                // Data-graph mode, and the Forward (N:1) database step
-                // whose result is at most one row: fetch then filter.
-                let FetchScratch { all, tuple_topl, .. } = scratch;
+                // Data-graph mode: fetch then filter.
                 all.clear();
                 self.children_of(child, parent_tuple, grandparent, source, all);
-                tuple_topl.select_into(
+                topl.select_into(
                     all.drain(..).filter_map(|t| {
-                        let w = self.local_importance(child, t);
-                        (w > largest_l).then_some((w, t))
+                        let w = li(t.row);
+                        (w > largest_l).then_some((w, t.row))
                     }),
                     l,
-                    out,
+                    rows,
                 );
             }
         }
+        out.extend(rows.iter().map(|&r| TupleRef::new(node.relation, r)));
     }
 
     fn children_via_database(

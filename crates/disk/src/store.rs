@@ -21,13 +21,12 @@
 //! before a single entry is served; any failure marks the cursor failed
 //! and the caller falls back (fail closed).
 
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use sizel_storage::{
-    Database, FkOrderToken, LinkCursor, PostingCursor, PostingPager, RowId, TableId,
-};
+use sizel_storage::{Database, FkOrderToken, PostingCursor, PostingPager, RowId, TableId};
 
 use crate::cache::{BlockCache, CacheSnapshot};
 use crate::error::{DiskError, Result};
@@ -187,18 +186,31 @@ impl PagedStore {
         Some((gen, id, entry))
     }
 
-    fn scan(&self, kind: PageKind, table: TableId, col: usize, key: i64) -> Option<PagedScan> {
-        let (gen, id, entry) = self.locate(kind, table, col, key)?;
-        let cache = Arc::clone(&self.cache);
-        Some(PagedScan { gen, cache, id, entry, yielded: 0, current: None, failed: false })
+    fn scan<'a, E: PostingEntry + 'a>(
+        &self,
+        table: TableId,
+        col: usize,
+        key: i64,
+    ) -> Option<Box<dyn PostingCursor<E> + 'a>> {
+        let (gen, id, entry) = self.locate(E::KIND, table, col, key)?;
+        Some(Box::new(PagedScan::<E> {
+            gen,
+            cache: Arc::clone(&self.cache),
+            id,
+            entry,
+            yielded: 0,
+            current: None,
+            failed: false,
+            entries: PhantomData,
+        }))
     }
 }
 
 /// A paged scan over one posting list: walks the page run through the
 /// cache, checking every page's and slot's identity before serving
-/// entries. It is the cursor of both posting kinds; `id.column.kind`
-/// says which entry type its pages hold.
-struct PagedScan {
+/// entries. It is the cursor of both posting kinds; `E` is the entry
+/// type its pages hold.
+struct PagedScan<E> {
     gen: Arc<SegGeneration>,
     cache: Arc<BlockCache>,
     id: ListId,
@@ -206,9 +218,10 @@ struct PagedScan {
     yielded: u32,
     current: Option<(u32, Arc<PageBuf>)>,
     failed: bool,
+    entries: PhantomData<E>,
 }
 
-impl PagedScan {
+impl<E> PagedScan<E> {
     /// Page `run_idx` of the list's run. The read verifies magic and
     /// checksum, once per residency in the cache; that the page and the
     /// slot at the entry's offset are this list's is checked here, on a
@@ -226,11 +239,12 @@ impl PagedScan {
         }
         Ok(buf)
     }
+}
 
+impl<E: PostingEntry> PostingCursor<E> for PagedScan<E> {
     /// The next entry of the list, loading and checking its page on
     /// demand; `None` at the end of the list or once a read failed.
-    fn next_entry<E: PostingEntry>(&mut self) -> Option<E> {
-        debug_assert_eq!(E::KIND, self.id.column.kind);
+    fn next_entry(&mut self) -> Option<E> {
         if self.failed || self.yielded >= self.entry.n_entries {
             return None;
         }
@@ -250,22 +264,6 @@ impl PagedScan {
         self.yielded += 1;
         Some(slot_entry(&buf.0, self.entry.offset as usize, i))
     }
-}
-
-impl PostingCursor for PagedScan {
-    fn next_row(&mut self) -> Option<RowId> {
-        self.next_entry()
-    }
-
-    fn failed(&self) -> bool {
-        self.failed
-    }
-}
-
-impl LinkCursor for PagedScan {
-    fn next_pair(&mut self) -> Option<(RowId, RowId)> {
-        self.next_entry()
-    }
 
     fn failed(&self) -> bool {
         self.failed
@@ -282,8 +280,8 @@ impl PostingPager for PagedStore {
         table: TableId,
         col: usize,
         key: i64,
-    ) -> Option<Box<dyn PostingCursor + '_>> {
-        Some(Box::new(self.scan(PageKind::Fk, table, col, key)?))
+    ) -> Option<Box<dyn PostingCursor<RowId> + '_>> {
+        self.scan(table, col, key)
     }
 
     fn link_cursor(
@@ -291,8 +289,8 @@ impl PostingPager for PagedStore {
         table: TableId,
         col: usize,
         key: i64,
-    ) -> Option<Box<dyn LinkCursor + '_>> {
-        Some(Box::new(self.scan(PageKind::Link, table, col, key)?))
+    ) -> Option<Box<dyn PostingCursor<(RowId, RowId)> + '_>> {
+        self.scan(table, col, key)
     }
 
     fn link_raw_len(&self, table: TableId, col: usize, key: i64) -> Option<usize> {

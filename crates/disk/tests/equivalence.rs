@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use sizel_disk::PagedStore;
 use sizel_storage::{
-    Database, LinkCursor, PostingPager, RowId, ScoredBatch, SliceLinkCursor, TableId, TableSchema,
+    Database, PostingCursor, PostingPager, RowId, ScoredBatch, SliceCursor, TableId, TableSchema,
     Value, ValueType,
 };
 
@@ -218,12 +218,12 @@ proptest! {
         let rel_t = ram.table(rel);
         for (col, idx) in rel_t.sorted_link_indexes() {
             for key in -1..64i64 {
-                let mut slice = SliceLinkCursor::new(idx.pairs(key));
+                let mut slice = SliceCursor::new(idx.pairs(key));
                 let mut paged_cur =
                     store.link_cursor(rel, col, key).expect("checkpointed column is covered");
                 loop {
-                    let a = slice.next_pair();
-                    let b = paged_cur.next_pair();
+                    let a = slice.next_entry();
+                    let b = paged_cur.next_entry();
                     prop_assert_eq!(a, b, "link pairs diverge: col {} key {}", col, key);
                     if a.is_none() {
                         break;

@@ -15,7 +15,7 @@ use sizel_disk::page::{ColumnId, PageKind, FK_PER_PAGE, LINK_PER_PAGE, PAGE_HEAD
 use sizel_disk::segment::ListId;
 use sizel_disk::{PagedStore, SegmentFile};
 use sizel_storage::{
-    Database, LinkCursor, PostingPager, RowId, SliceLinkCursor, TableSchema, Value,
+    Database, PostingCursor, PostingPager, RowId, SliceCursor, TableSchema, Value,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -137,18 +137,18 @@ fn lists_on_every_packing_boundary_are_served_identically_from_pages() {
             for (key, rows) in idx.posting_lists() {
                 let mut cur =
                     store.fk_cursor(rel, col, key).expect("checkpointed column is covered");
-                let served: Vec<RowId> = std::iter::from_fn(|| cur.next_row()).collect();
+                let served: Vec<RowId> = std::iter::from_fn(|| cur.next_entry()).collect();
                 assert!(!cur.failed());
                 assert_eq!(served, rows, "fk rows diverge: col {col} key {key}");
             }
         }
         for (col, idx) in rel_t.sorted_link_indexes() {
             for key in idx.groups().map(|(key, _, _)| key).chain([-1, i64::MAX]) {
-                let mut slice = SliceLinkCursor::new(idx.pairs(key));
+                let mut slice = SliceCursor::new(idx.pairs(key));
                 let mut cur =
                     store.link_cursor(rel, col, key).expect("checkpointed column is covered");
                 loop {
-                    let (a, b) = (slice.next_pair(), cur.next_pair());
+                    let (a, b) = (slice.next_entry(), cur.next_entry());
                     assert_eq!(a, b, "link pairs diverge: col {col} key {key}");
                     if a.is_none() {
                         break;

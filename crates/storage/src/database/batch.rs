@@ -305,7 +305,8 @@ impl Database {
                     // incrementally (remove under the old source key,
                     // re-insert under the new), unless a rebuild covers it.
                     if !resorting && !link_dirty.contains(&tid) {
-                        self.settle_junction_link_update(tid, row, old_keys, new_keys);
+                        self.unpost_junction_row(tid, row, old_keys, true);
+                        self.settle_junction_links(tid, row, new_keys, false);
                     }
                 }
                 StagedOp::Delete { keys, .. } => {
@@ -318,7 +319,7 @@ impl Database {
                         // endpoint liveness check, and the link debt
                         // triggers a rebuild once it crosses the threshold.
                         if !link_dirty.contains(&tid) {
-                            self.settle_junction_link_delete(tid, row, keys);
+                            self.unpost_junction_row(tid, row, keys, false);
                         }
                     }
                 }
@@ -434,52 +435,32 @@ impl Database {
         }
     }
 
-    /// Repositions one updated junction row in its table's sorted link
-    /// postings: each orientation's pair is removed by identity scan under
-    /// the *old* source key (physical removal — the row is about to be
-    /// re-posted, not tombstoned; raw group counts move with it), then the
-    /// row re-joins under its new keys exactly like a fresh insert
-    /// ([`Database::settle_junction_links`]): at the
-    /// `(target score, target RowId, junction RowId)` position a rebuild
-    /// would use, or dropping the links and watching the endpoint when
-    /// the new target dangles.
-    fn settle_junction_link_update(
+    /// Un-posts one junction row from both orientations of its table's
+    /// sorted link postings, under the source keys it held in `keys`
+    /// (raw group counts move with it). An *updated* row (`remove_pair`)
+    /// is removed by identity scan — it re-joins under its new keys
+    /// exactly like a fresh insert ([`Database::settle_junction_links`]);
+    /// a *deleted* row's pairs stay behind as tombstones — consumers skip
+    /// them via the dual-endpoint liveness check, and the debt recorded
+    /// here triggers a rebuild once it crosses the compaction threshold
+    /// (the FK postings' tombstone-then-compact discipline extended to
+    /// links).
+    fn unpost_junction_row(
         &mut self,
         jid: TableId,
         row: RowId,
-        old_keys: &[(usize, i64)],
-        new_keys: &[(usize, i64)],
+        keys: &[(usize, i64)],
+        remove_pair: bool,
     ) {
-        let Some(orientations) = self.junction_orientations(jid) else { return };
-        for (s_col, _, _) in orientations {
-            let Some(&(_, key)) = old_keys.iter().find(|&&(c, _)| c == s_col) else { continue };
-            let Some(mut idx) = self.tables[jid.index()].take_sorted_link(s_col) else { continue };
-            idx.unpost(key, row, true);
-            self.tables[jid.index()].set_sorted_link(s_col, idx);
-        }
-        self.settle_junction_links(jid, row, new_keys, false);
-    }
-
-    /// Settles one deleted junction row against its table's sorted link
-    /// postings: each orientation's raw group count drops, while the
-    /// row's pair stays behind as a tombstone — consumers skip it via the
-    /// dual-endpoint liveness check, and the accumulated debt triggers a
-    /// rebuild once it crosses the compaction threshold (the FK postings'
-    /// tombstone-then-compact discipline extended to links).
-    fn settle_junction_link_delete(&mut self, jid: TableId, row: RowId, keys: &[(usize, i64)]) {
         let Some(orientations) = self.junction_orientations(jid) else { return };
         let mut debt = 0;
         for (s_col, _, _) in orientations {
             let Some(&(_, key)) = keys.iter().find(|&&(c, _)| c == s_col) else { continue };
             let Some(mut idx) = self.tables[jid.index()].take_sorted_link(s_col) else { continue };
-            if idx.unpost(key, row, false) {
-                debt += 1;
-            }
+            debt += usize::from(idx.unpost(key, row, remove_pair));
             self.tables[jid.index()].set_sorted_link(s_col, idx);
         }
-        if debt > 0 {
-            self.tables[jid.index()].add_link_tombstones(debt);
-        }
+        self.tables[jid.index()].add_link_tombstones(debt);
     }
 
     /// If the freshly inserted row is a watched missing endpoint, queues

@@ -5,9 +5,10 @@
 use std::sync::Arc;
 
 use super::{Database, TableId};
-use crate::fk_index::FkOrderToken;
-use crate::pager::{PostingCursor, PostingPager, SlicePostingCursor};
+use crate::fk_index::{FkOrderToken, Posting, SortedPostings};
+use crate::pager::{PostingCursor, PostingPager, SliceCursor};
 use crate::table::RowId;
+use crate::topl::TopLScratch;
 
 impl Database {
     /// Attaches a paged posting store (see [`PostingPager`]): evicted
@@ -15,17 +16,6 @@ impl Database {
     /// installed token.
     pub fn set_pager(&mut self, pager: Arc<dyn PostingPager>) {
         self.pager = Some(pager);
-    }
-
-    /// Detaches the paged posting store; evicted tables fall back to the
-    /// heap path until their postings are rebuilt.
-    pub fn clear_pager(&mut self) {
-        self.pager = None;
-    }
-
-    /// The attached paged posting store, if any.
-    pub fn pager(&self) -> Option<&(dyn PostingPager + 'static)> {
-        self.pager.as_deref()
     }
 
     /// Evicts a table's in-RAM sorted FK and link postings (the disk
@@ -79,7 +69,7 @@ impl Database {
         order: Option<FkOrderToken>,
         li: &dyn Fn(RowId) -> f64,
     ) -> Vec<RowId> {
-        let mut scratch = crate::topl::TopLScratch::new();
+        let mut scratch = TopLScratch::new();
         let mut out = Vec::new();
         self.select_eq_top_l_into(table, col, key, l, largest_l, order, li, &mut scratch, &mut out);
         out
@@ -102,47 +92,156 @@ impl Database {
         largest_l: f64,
         order: Option<FkOrderToken>,
         li: &dyn Fn(RowId) -> f64,
-        scratch: &mut crate::topl::TopLScratch<RowId>,
+        scratch: &mut TopLScratch<RowId>,
         out: &mut Vec<RowId>,
     ) {
         let t = self.table(table);
+        // The PK column has no postings: its one candidate takes the heap
+        // path, like a probe whose token is stale.
+        let on_pk = col == t.schema.pk;
+        let one = if on_pk { t.by_pk(key) } else { None };
+        self.probe_top_l(
+            l,
+            largest_l,
+            order.filter(|_| !on_pk),
+            key,
+            t.sorted_fk_index(col),
+            |p| Some((p.fk_cursor(table, col, key)?, ())),
+            |r| t.is_live(r).then_some(r),
+            |r| Some(li(r)),
+            || {
+                let group = if on_pk { one.as_slice() } else { t.rows_where_eq(col, key) };
+                (group.iter().copied(), ())
+            },
+            scratch,
+            out,
+        );
+    }
+
+    /// The junction sibling of [`Self::select_eq_top_l_into`]: `SELECT T.*
+    /// TOP l FROM J, T WHERE J.source_col = key AND J.target_col = T.pk
+    /// AND li(T) > largest_l ORDER BY li DESC`, appending rows of `target`
+    /// to `out`. `exclude` drops one target row from the result (the OS
+    /// grandparent of a CoAuthor-style replicated step). Two counted join
+    /// accesses on either path: the junction probe, reporting the raw FK
+    /// group size (its rows are read to find the targets), and the TOP-l
+    /// filtered target fetch, reporting the result size.
+    ///
+    /// With a matching `order` the junction's pre-joined link postings
+    /// ([`crate::SortedLinkIndex`]) are already ordered by descending
+    /// target importance, so the probe is the same bounded prefix scan.
+    #[allow(clippy::too_many_arguments)] // mirrors the SQL probe's clause list
+    pub fn select_via_junction_top_l_into(
+        &self,
+        junction: TableId,
+        source_col: usize,
+        key: i64,
+        target_col: usize,
+        target: TableId,
+        exclude: Option<RowId>,
+        l: usize,
+        largest_l: f64,
+        order: Option<FkOrderToken>,
+        li: &dyn Fn(RowId) -> f64,
+        scratch: &mut TopLScratch<RowId>,
+        out: &mut Vec<RowId>,
+    ) {
+        let jt = self.table(junction);
+        let tt = self.table(target);
+        let raw = self.probe_top_l(
+            l,
+            largest_l,
+            order,
+            key,
+            jt.sorted_link_index(source_col),
+            |p| {
+                let raw = p.link_raw_len(junction, source_col, key)?;
+                Some((p.link_cursor(junction, source_col, key)?, raw))
+            },
+            // Pairs whose junction row or target row died since the last
+            // compaction are tombstones: skipped, never cut on (their
+            // target score cannot un-order the live suffix).
+            |(j, t)| (jt.is_live(j) && tt.is_live(t)).then_some(t),
+            // Nor is the excluded row cut on: importance is
+            // non-increasing along the scan, so the next live pair makes
+            // the same cut.
+            |t| (Some(t) != exclude).then(|| li(t)),
+            || {
+                let jrows = jt.rows_where_eq(source_col, key);
+                let targets =
+                    jrows.iter().filter_map(|&j| tt.by_pk(jt.value(j, target_col).as_int()?));
+                (targets, jrows.len())
+            },
+            scratch,
+            out,
+        );
+        self.access.record_join(raw);
+    }
+
+    /// The one TOP-l probe body, for either posting kind: at most `l` of
+    /// `key`'s result rows with `li > largest_l`, best first, appended to
+    /// `out`; one counted join access reporting the rows returned, and
+    /// one fast or heap probe. Returns the per-key extra
+    /// ([`Posting::Raw`]) of whichever source served.
+    ///
+    /// * `resident` / `paged` — where the sorted list comes from: the
+    ///   in-RAM index or, evicted, a cursor of the attached pager (`None`
+    ///   when its generation does not cover the list).
+    /// * `row_of` — an entry's result row, `None` for a tombstone.
+    /// * `li` — a result row's local importance, `None` to drop the row.
+    /// * `heap` — the candidates of the always-correct fallback, read
+    ///   from the live-only hash indexes.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_top_l<'a, E: Posting, I: Iterator<Item = RowId>>(
+        &'a self,
+        l: usize,
+        largest_l: f64,
+        order: Option<FkOrderToken>,
+        key: i64,
+        resident: Option<&'a SortedPostings<E>>,
+        paged: impl FnOnce(&'a dyn PostingPager) -> Option<(Box<dyn PostingCursor<E> + 'a>, E::Raw)>,
+        row_of: impl Fn(E) -> Option<RowId>,
+        li: impl Fn(RowId) -> Option<f64>,
+        heap: impl FnOnce() -> (I, E::Raw),
+        scratch: &mut TopLScratch<RowId>,
+        out: &mut Vec<RowId>,
+    ) -> E::Raw {
         let start = out.len();
-        if l > 0 && order.is_some() && order == self.fk_order && col != t.schema.pk {
-            // Tombstones (deleted rows awaiting compaction) are skipped
-            // by the `is_live` filter inside the shared prefix-cut loop
-            // (`stage_prefix`): the scan sees exactly the live rows a
-            // fresh install would serve, and the join accounting below
-            // counts only returned rows — so compaction state is
-            // invisible to results and cost alike. The collected prefix
-            // is then ranked through the same comparator the heap path
-            // uses, so the paths agree by construction.
-            let mut stage = |cur: &mut dyn PostingCursor| {
-                scratch.stage_prefix(
-                    l,
-                    largest_l,
-                    || cur.next_row(),
-                    |&r| t.is_live(r).then(|| li(r)),
-                );
+        if l > 0 && order.is_some() && order == self.fk_order {
+            // Tombstones (dead entries awaiting compaction) are skipped
+            // inside the shared prefix-cut loop (`stage_prefix`): the
+            // scan sees exactly the live rows a fresh install would
+            // serve, and the join accounting below counts only returned
+            // rows — so compaction state is invisible to results and
+            // cost alike. The collected prefix is then ranked through
+            // the same comparator the heap path uses, so the paths agree
+            // by construction.
+            let mut stage = |cur: &mut dyn PostingCursor<E>| {
+                let scored = std::iter::from_fn(|| cur.next_entry()).filter_map(|e| {
+                    let row = row_of(e)?;
+                    Some((li(row)?, row))
+                });
+                scratch.stage_prefix(l, largest_l, scored);
                 !cur.failed()
             };
             // RAM postings, else evicted ones: the paged backend serves
             // the identical scan — same loop, same accounting — while
             // its segment stamp matches the live token (any mutation
             // stales it).
-            let staged = if let Some(sorted) = t.sorted_fk_index(col) {
-                stage(&mut SlicePostingCursor::new(sorted.rows(key)))
+            let staged = if let Some(sorted) = resident {
+                let (entries, raw) = sorted.group(key);
+                stage(&mut SliceCursor::new(entries)).then_some(raw)
             } else {
-                self.pager
-                    .as_deref()
-                    .filter(|p| p.stamp() == self.fk_order)
-                    .and_then(|p| p.fk_cursor(table, col, key))
-                    .is_some_and(|mut cur| stage(cur.as_mut()))
+                self.pager.as_deref().filter(|p| p.stamp() == self.fk_order).and_then(|p| {
+                    let (mut cur, raw) = paged(p)?;
+                    stage(cur.as_mut()).then_some(raw)
+                })
             };
-            if staged {
+            if let Some(raw) = staged {
                 scratch.rank_staged_into(l, out);
                 self.access.record_join(out.len() - start);
                 self.access.record_fast_probe();
-                return;
+                return raw;
             }
             // Fail closed: a read error mid-scan discards the partial
             // prefix (serving it as-if-complete would silently drop
@@ -153,25 +252,16 @@ impl Database {
         self.access.record_heap_probe();
         // Bounded top-l selection — O(g log l) over a group of g rows
         // instead of sorting the whole group (ROADMAP hot path).
-        if col == t.schema.pk {
-            scratch.select_into(
-                t.by_pk(key).into_iter().filter_map(|r| {
-                    let s = li(r);
-                    (s > largest_l).then_some((s, r))
-                }),
-                l,
-                out,
-            );
-        } else {
-            scratch.select_into(
-                t.rows_where_eq(col, key).iter().filter_map(|&r| {
-                    let s = li(r);
-                    (s > largest_l).then_some((s, r))
-                }),
-                l,
-                out,
-            );
-        }
+        let (candidates, raw) = heap();
+        scratch.select_into(
+            candidates.filter_map(|row| {
+                let s = li(row)?;
+                (s > largest_l).then_some((s, row))
+            }),
+            l,
+            out,
+        );
         self.access.record_join(out.len() - start);
+        raw
     }
 }

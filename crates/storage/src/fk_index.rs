@@ -45,12 +45,16 @@
 //! `O(Σ g log g)` pass; both strategies are byte-identical to a
 //! from-scratch install (property-tested).
 //!
-//! [`SortedLinkIndex`] extends the same idea to junction tables: per
-//! (junction, orientation), the junction rows of each source key are
-//! pre-joined to their target rows and sorted by descending *target*
-//! importance, so junction-source TOP-l probes (CoAuthor, citations)
-//! become prefix scans too — mirroring the data graph's collapsed
-//! `MnLink`, but with counted accesses.
+//! **One index type.** [`SortedPostings`] is the one sorted index, generic
+//! over its entry ([`Posting`]): an FK list holds the posted [`RowId`]s
+//! themselves ([`SortedFkIndex`]); a junction's link group holds, per
+//! source key, the `(junction row, target row)` pairs pre-joined and
+//! ordered by the *target's* importance ([`SortedLinkIndex`]), so
+//! junction-source TOP-l probes (CoAuthor, citations) are prefix scans
+//! too. An entry names the row whose installed score orders it and the
+//! row that identifies it for removal; build, binary insertion and
+//! identity-scan removal are written once over those two, under the one
+//! `(score desc, scored RowId asc, ident RowId asc)` comparator.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,106 +104,184 @@ impl FkOrderToken {
     }
 }
 
-/// The importance-sorted postings of one FK column: the same keys and row
-/// sets as the base hash index, with every posting list pre-sorted by
-/// `(score descending, RowId ascending)`.
-#[derive(Clone, Debug, Default)]
-pub struct SortedFkIndex {
-    postings: IntMap<Vec<RowId>>,
+/// One entry of a sorted posting list.
+pub trait Posting: Copy + std::fmt::Debug {
+    /// What a list keeps per key beside its entries: nothing for FK
+    /// lists, the raw junction group size for link groups.
+    type Raw: Copy + Default + std::fmt::Debug;
+
+    /// The row whose installed score orders the entry.
+    fn scored(self) -> RowId;
+
+    /// The row that identifies the entry for removal.
+    fn ident(self) -> RowId;
 }
 
-impl SortedFkIndex {
-    /// Builds the sorted copy of a base FK index; `scores[r]` is the
-    /// installed score of row `r`. Each list is copied once and sorted
-    /// where it lies. The comparator is a strict total order over a
-    /// list's distinct row ids, so the unstable sort has one possible
-    /// output.
-    pub(crate) fn build(base: &IntMap<Vec<RowId>>, scores: &[f64]) -> SortedFkIndex {
-        let mut postings = IntMap::with_capacity_and_hasher(base.len(), Default::default());
+/// An FK posting: the posted row orders and identifies itself.
+impl Posting for RowId {
+    type Raw = ();
+
+    fn scored(self) -> RowId {
+        self
+    }
+
+    fn ident(self) -> RowId {
+        self
+    }
+}
+
+/// A link posting `(junction row, target row)`: ordered by the target,
+/// identified by the junction row. `Raw` is the size of the raw junction
+/// FK group for the key (it includes junction rows whose target FK is
+/// NULL); the prefix-scan probe reports it as the junction-probe tuple
+/// count so its access accounting is identical to the heap path's.
+impl Posting for (RowId, RowId) {
+    type Raw = usize;
+
+    fn scored(self) -> RowId {
+        self.1
+    }
+
+    fn ident(self) -> RowId {
+        self.0
+    }
+}
+
+/// The one posting order: `(score desc, scored RowId asc, ident RowId
+/// asc)` — a strict total order over a list's distinct entries.
+fn posting_order<E: Posting>(a: E, b: E, scores: &[f64]) -> std::cmp::Ordering {
+    scores[b.scored().index()]
+        .total_cmp(&scores[a.scored().index()])
+        .then(a.scored().cmp(&b.scored()))
+        .then(a.ident().cmp(&b.ident()))
+}
+
+/// Binary-inserts `entry` at its exact [`posting_order`] position — where
+/// a full re-sort would put it. `scores` must give the installed score of
+/// every already-posted entry's scored row (tombstoned entries keep their
+/// stale score, so the comparisons stay consistent) and of `entry`'s.
+/// Serves both freshly appended rows (always the largest RowId of their
+/// table) and *re*-insertions of updated mid-table rows, where the RowId
+/// tie-breaks are load-bearing.
+fn insert_sorted<E: Posting>(entries: &mut Vec<E>, entry: E, scores: &[f64]) {
+    let pos = entries.partition_point(|&e| posting_order(e, entry, scores).is_lt());
+    entries.insert(pos, entry);
+}
+
+/// Removes the entry `ident` identifies by identity scan (the settlement
+/// removal phase for updated rows, whose installed score is about to
+/// change — a binary search by the *new* score would look in the wrong
+/// place). Returns whether it was posted.
+fn remove_ident<E: Posting>(entries: &mut Vec<E>, ident: RowId) -> bool {
+    let posted = entries.iter().position(|e| e.ident() == ident);
+    if let Some(pos) = posted {
+        entries.remove(pos);
+    }
+    posted.is_some()
+}
+
+/// One key's list in a [`SortedPostings`].
+#[derive(Clone, Debug)]
+struct List<E: Posting> {
+    entries: Vec<E>,
+    raw: E::Raw,
+}
+
+impl<E: Posting> Default for List<E> {
+    fn default() -> Self {
+        List { entries: Vec::new(), raw: E::Raw::default() }
+    }
+}
+
+/// Importance-sorted postings keyed by an FK value: the same keys as the
+/// base hash index, every list pre-sorted under [`posting_order`].
+#[derive(Clone, Debug)]
+pub struct SortedPostings<E: Posting> {
+    lists: IntMap<List<E>>,
+}
+
+/// The importance-sorted postings of one FK column: the base hash index's
+/// row sets, best importance first.
+pub type SortedFkIndex = SortedPostings<RowId>;
+
+/// Per-(junction, orientation) link postings: for each source key, the
+/// junction rows joined to their target rows, best target first. Lives on
+/// the *junction* table, keyed by the source FK column.
+pub type SortedLinkIndex = SortedPostings<(RowId, RowId)>;
+
+impl<E: Posting> SortedPostings<E> {
+    /// Builds the sorted copy of a base FK index: `fill` turns one key's
+    /// base rows into its entries (and the per-key extra), and each list
+    /// is sorted where it lies against `scores`. The order is strict and
+    /// total, so the unstable sort has one possible output.
+    fn build_with<X>(
+        base: &IntMap<Vec<RowId>>,
+        scores: &[f64],
+        mut fill: impl FnMut(&[RowId], &mut Vec<E>) -> Result<E::Raw, X>,
+    ) -> Result<Self, X> {
+        let mut lists = IntMap::with_capacity_and_hasher(base.len(), Default::default());
         for (&key, rows) in base {
-            let mut list = rows.clone();
-            if list.len() > 1 {
-                list.sort_unstable_by(|a, b| {
-                    scores[b.index()].total_cmp(&scores[a.index()]).then(a.cmp(b))
-                });
+            let mut entries = Vec::with_capacity(rows.len());
+            let raw = fill(rows, &mut entries)?;
+            if entries.len() > 1 {
+                entries.sort_unstable_by(|&a, &b| posting_order(a, b, scores));
             }
-            postings.insert(key, list);
+            lists.insert(key, List { entries, raw });
         }
-        SortedFkIndex { postings }
+        Ok(SortedPostings { lists })
     }
 
-    /// Binary-inserts a row into `key`'s posting list at its exact
-    /// `(score desc, RowId asc)` position — where a full re-sort would put
-    /// it. `scores[r]` must give the installed score of every
-    /// already-posted row (tombstoned entries keep their stale score, so
-    /// the comparisons stay consistent). Serves both freshly appended rows
-    /// (always the largest RowId) and *re*-insertions of updated mid-table
-    /// rows, where the RowId tie-break is load-bearing.
-    pub(crate) fn insert_scored(&mut self, key: i64, row: RowId, score: f64, scores: &[f64]) {
-        let list = self.postings.entry(key).or_default();
-        let pos = list.partition_point(|&r| match scores[r.index()].total_cmp(&score) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Equal => r < row,
-            std::cmp::Ordering::Less => false,
+    /// The entries posted under `key`, best importance first, and the
+    /// key's extra: the empty group for an absent key.
+    pub(crate) fn group(&self, key: i64) -> (&[E], E::Raw) {
+        self.lists.get(&key).map_or((&[], E::Raw::default()), |l| (l.entries.as_slice(), l.raw))
+    }
+
+    /// Number of distinct keys.
+    pub fn key_count(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// Every posting list, in hash order (segment writers sort the keys
+    /// themselves for a deterministic on-disk layout).
+    pub fn posting_lists(&self) -> impl Iterator<Item = (i64, &[E])> {
+        self.lists.iter().map(|(&k, l)| (k, l.entries.as_slice()))
+    }
+}
+
+impl SortedPostings<RowId> {
+    /// Builds the sorted copy of a base FK index; `scores[r]` is the
+    /// installed score of row `r`.
+    pub(crate) fn build(base: &IntMap<Vec<RowId>>, scores: &[f64]) -> SortedFkIndex {
+        let Ok(index) = Self::build_with(base, scores, |rows, out| {
+            out.extend_from_slice(rows);
+            Ok::<_, std::convert::Infallible>(())
         });
-        list.insert(pos, row);
+        index
     }
 
-    /// Removes a row from `key`'s posting list by identity scan (the
-    /// settlement removal phase for updated rows, whose installed score is
-    /// about to change — a binary search by the *new* score would look in
-    /// the wrong place). Drops the key when the list empties, matching a
-    /// fresh build. No-op if the row is not posted.
+    /// Binary-inserts a row into `key`'s posting list (see
+    /// [`insert_sorted`]).
+    pub(crate) fn insert_scored(&mut self, key: i64, row: RowId, scores: &[f64]) {
+        insert_sorted(&mut self.lists.entry(key).or_default().entries, row, scores);
+    }
+
+    /// Removes a row from `key`'s posting list (see [`remove_ident`]).
+    /// Drops the key when the list empties, matching a fresh build. No-op
+    /// if the row is not posted.
     pub(crate) fn remove(&mut self, key: i64, row: RowId) {
-        if let Some(list) = self.postings.get_mut(&key) {
-            if let Some(pos) = list.iter().position(|&r| r == row) {
-                list.remove(pos);
-            }
-            if list.is_empty() {
-                self.postings.remove(&key);
+        if let Some(list) = self.lists.get_mut(&key) {
+            remove_ident(&mut list.entries, row);
+            if list.entries.is_empty() {
+                self.lists.remove(&key);
             }
         }
     }
 
     /// The rows whose FK equals `key`, best-importance first.
     pub fn rows(&self, key: i64) -> &[RowId] {
-        static EMPTY: [RowId; 0] = [];
-        self.postings.get(&key).map(|v| v.as_slice()).unwrap_or(&EMPTY)
+        self.group(key).0
     }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Every posting list, in hash order (segment writers sort the keys
-    /// themselves for a deterministic on-disk layout).
-    pub fn posting_lists(&self) -> impl Iterator<Item = (i64, &[RowId])> {
-        self.postings.iter().map(|(&k, v)| (k, v.as_slice()))
-    }
-}
-
-/// One source key's pre-joined postings in a [`SortedLinkIndex`].
-#[derive(Clone, Debug, Default)]
-struct LinkPostings {
-    /// `(junction row, target row)` pairs, sorted by `(target score desc,
-    /// target RowId asc, junction RowId asc)`.
-    pairs: Vec<(RowId, RowId)>,
-    /// Size of the raw junction FK group for this key (includes junction
-    /// rows whose target FK is NULL or unresolvable). The prefix-scan
-    /// probe reports this as the junction-probe tuple count so its access
-    /// accounting is identical to the heap path's.
-    raw_len: u32,
-}
-
-/// Per-(junction, orientation) link postings sorted by target importance:
-/// for each source key, the junction rows joined to their target rows,
-/// best target first. Lives on the *junction* table, keyed by the source
-/// FK column; maintained under scored inserts exactly like
-/// [`SortedFkIndex`].
-#[derive(Clone, Debug, Default)]
-pub struct SortedLinkIndex {
-    postings: IntMap<LinkPostings>,
 }
 
 /// How one junction row's target FK resolves while building a
@@ -220,24 +302,20 @@ pub(crate) enum LinkTarget {
     Row(RowId),
 }
 
-impl SortedLinkIndex {
+impl SortedPostings<(RowId, RowId)> {
     /// Builds the index for one orientation of a junction table, or the
     /// first dangling target pk when any junction row's target FK dangles
     /// (see [`LinkTarget::Dangling`]).
     ///
     /// `base` is the junction's hash FK index on the *source* column;
     /// `target_of` resolves a junction row's target; `target_scores[t]`
-    /// is the installed importance of target row `t`. Pairs are sorted
-    /// where they lie, under a strict total order (see
-    /// [`SortedFkIndex::build`]).
+    /// is the installed importance of target row `t`.
     pub(crate) fn build(
         base: &IntMap<Vec<RowId>>,
         target_of: &dyn Fn(RowId) -> LinkTarget,
         target_scores: &[f64],
     ) -> Result<SortedLinkIndex, i64> {
-        let mut postings = IntMap::with_capacity_and_hasher(base.len(), Default::default());
-        for (&key, jrows) in base {
-            let mut pairs: Vec<(RowId, RowId)> = Vec::with_capacity(jrows.len());
+        Self::build_with(base, target_scores, |jrows, pairs| {
             for &j in jrows {
                 match target_of(j) {
                     LinkTarget::Null => {}
@@ -245,27 +323,13 @@ impl SortedLinkIndex {
                     LinkTarget::Row(t) => pairs.push((j, t)),
                 }
             }
-            if pairs.len() > 1 {
-                pairs.sort_unstable_by(|&(aj, at), &(bj, bt)| {
-                    target_scores[bt.index()]
-                        .total_cmp(&target_scores[at.index()])
-                        .then(at.cmp(&bt))
-                        .then(aj.cmp(&bj))
-                });
-            }
-            postings.insert(key, LinkPostings { pairs, raw_len: jrows.len() as u32 });
-        }
-        Ok(SortedLinkIndex { postings })
+            Ok(jrows.len())
+        })
     }
 
-    /// Binary-inserts a junction row at its exact `(target score desc,
-    /// target RowId asc, junction RowId asc)` position — where a rebuild
-    /// would put it. `target` is `None` when the row's target FK is
-    /// NULL/unresolvable (it still counts in `raw_len`). `target_scores[t]`
-    /// must give the installed score of target rows. Serves both freshly
-    /// appended junction rows (always the largest RowId of their table)
-    /// and *re*-insertions of updated mid-table junction rows, where the
-    /// junction-RowId tie-break is load-bearing.
+    /// Posts one junction row under `key`: the raw group grows by one and,
+    /// unless its target FK is NULL (`target` is `None`), its pair is
+    /// binary-inserted (see [`insert_sorted`]).
     pub(crate) fn insert_scored(
         &mut self,
         key: i64,
@@ -273,21 +337,10 @@ impl SortedLinkIndex {
         target: Option<RowId>,
         target_scores: &[f64],
     ) {
-        let entry = self.postings.entry(key).or_default();
-        entry.raw_len += 1;
+        let list = self.lists.entry(key).or_default();
+        list.raw += 1;
         if let Some(t) = target {
-            let s = target_scores[t.index()];
-            // An existing pair precedes the new one iff its target scores
-            // higher, ties with a smaller target RowId, or matches the
-            // target exactly with a smaller junction RowId.
-            let pos = entry.pairs.partition_point(|&(pj, pt)| {
-                match target_scores[pt.index()].total_cmp(&s) {
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => pt < t || (pt == t && pj < junction_row),
-                    std::cmp::Ordering::Less => false,
-                }
-            });
-            entry.pairs.insert(pos, (junction_row, t));
+            insert_sorted(&mut list.entries, (junction_row, t), target_scores);
         }
     }
 
@@ -300,22 +353,20 @@ impl SortedLinkIndex {
     /// behind as a tombstone, so the caller can count compaction debt.
     /// No-op (returns `false`) if the key has no postings.
     pub(crate) fn unpost(&mut self, key: i64, junction_row: RowId, remove_pair: bool) -> bool {
-        let Some(entry) = self.postings.get_mut(&key) else { return false };
-        entry.raw_len = entry.raw_len.saturating_sub(1);
-        let posted = entry.pairs.iter().position(|&(pj, _)| pj == junction_row);
-        if let Some(pos) = posted {
-            if remove_pair {
-                entry.pairs.remove(pos);
-            }
-        }
-        if entry.raw_len == 0 {
+        let Some(list) = self.lists.get_mut(&key) else { return false };
+        list.raw = list.raw.saturating_sub(1);
+        if list.raw == 0 {
             // An emptied raw group matches a fresh build exactly: the
             // hash index drops empty groups, so the postings drop the
             // key — any pairs still in it are tombstones serving nobody.
-            self.postings.remove(&key);
+            self.lists.remove(&key);
             return false;
         }
-        posted.is_some() && !remove_pair
+        if remove_pair {
+            remove_ident(&mut list.entries, junction_row);
+            return false;
+        }
+        list.entries.iter().any(|e| e.ident() == junction_row)
     }
 
     /// The `(junction row, target row)` pairs of `key`, best target first.
@@ -324,27 +375,19 @@ impl SortedLinkIndex {
     /// deleted ([`SortedLinkIndex::unpost`]); consumers must skip pairs
     /// with a dead endpoint (junction-row or target-row liveness).
     pub fn pairs(&self, key: i64) -> &[(RowId, RowId)] {
-        static EMPTY: [(RowId, RowId); 0] = [];
-        self.postings.get(&key).map(|p| p.pairs.as_slice()).unwrap_or(&EMPTY)
+        self.group(key).0
     }
 
     /// The raw junction FK group size of `key` (what a heap-path junction
     /// probe reports as its tuple count).
     pub fn raw_group_len(&self, key: i64) -> usize {
-        self.postings.get(&key).map(|p| p.raw_len as usize).unwrap_or(0)
+        self.group(key).1
     }
 
-    /// Number of distinct source keys.
-    pub fn key_count(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Every source key's group — `(key, pairs, raw_len)` — in hash order
-    /// (segment writers sort the keys themselves for a deterministic
-    /// on-disk layout). Pairs may include tombstones (see
-    /// [`SortedLinkIndex::pairs`]).
+    /// Every source key's group — `(key, pairs, raw_len)` — in hash order.
+    /// Pairs may include tombstones (see [`SortedLinkIndex::pairs`]).
     pub fn groups(&self) -> impl Iterator<Item = (i64, &[(RowId, RowId)], usize)> {
-        self.postings.iter().map(|(&k, p)| (k, p.pairs.as_slice(), p.raw_len as usize))
+        self.lists.iter().map(|(&k, l)| (k, l.entries.as_slice(), l.raw))
     }
 }
 
@@ -385,7 +428,7 @@ mod tests {
         for (row, s) in [(RowId(3), 5.0), (RowId(4), 2.5), (RowId(5), 3.0)] {
             scores.push(s);
             base.get_mut(&7).unwrap().push(row);
-            idx.insert_scored(7, row, s, &scores);
+            idx.insert_scored(7, row, &scores);
             let rebuilt = SortedFkIndex::build(&base, &scores);
             assert_eq!(idx.rows(7), rebuilt.rows(7), "after appending {row:?}");
         }
@@ -406,7 +449,7 @@ mod tests {
         // 1 and 2 and must land *before* both, as a fresh sort would.
         idx.remove(7, RowId(0));
         scores[0] = 3.0;
-        idx.insert_scored(7, RowId(0), 3.0, &scores);
+        idx.insert_scored(7, RowId(0), &scores);
         let rebuilt = SortedFkIndex::build(&base, &scores);
         assert_eq!(idx.rows(7), rebuilt.rows(7));
         assert_eq!(idx.rows(7), &[RowId(0), RowId(1), RowId(2), RowId(3)]);

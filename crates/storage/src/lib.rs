@@ -50,8 +50,8 @@ pub use database::{
 };
 pub use epoch::Epoch;
 pub use error::StorageError;
-pub use fk_index::{FkOrderToken, SortedFkIndex, SortedLinkIndex};
-pub use pager::{LinkCursor, PostingCursor, PostingPager, SliceLinkCursor, SlicePostingCursor};
+pub use fk_index::{FkOrderToken, Posting, SortedFkIndex, SortedLinkIndex, SortedPostings};
+pub use pager::{PostingCursor, PostingPager, SliceCursor};
 pub use schema::{Column, ForeignKey, SchemaBuilder, TableSchema};
 pub use table::{RowId, Table};
 pub use topl::{top_l, TopLScratch};

@@ -1,14 +1,13 @@
 //! The posting-pager seam: how a disk tier serves sorted postings.
 //!
-//! The TOP-l fast path ([`crate::Database::select_eq_top_l`] and the
-//! junction-link probe) scans a *prefix* of an importance-sorted posting
+//! The TOP-l fast path ([`crate::Database::select_eq_top_l`] and its
+//! junction sibling) scans a *prefix* of an importance-sorted posting
 //! list. [`PostingCursor`] abstracts that scan — "next entry, best
-//! importance first" — so the prefix-cut loop
-//! ([`crate::TopLScratch::stage_prefix`]) is written once and consumed by
-//! two backends: the in-RAM slices ([`SlicePostingCursor`],
-//! [`SliceLinkCursor`]) and a paged on-disk reader supplied by an
-//! attached [`PostingPager`] (the `sizel-disk` crate's block-cached
-//! segment store). Byte-identical results and access accounting across
+//! importance first" — for either entry kind ([`crate::fk_index::Posting`]),
+//! so the one probe body (`database/probe.rs`) is consumed by two
+//! backends: the in-RAM slices ([`SliceCursor`]) and a paged on-disk
+//! reader supplied by an attached [`PostingPager`] (the `sizel-disk`
+//! crate's block-cached segment store). Byte-identical results and access accounting across
 //! the backends follow by construction and are property-pinned by the
 //! disk crate's equivalence suite.
 //!
@@ -30,11 +29,12 @@ use crate::fk_index::FkOrderToken;
 use crate::table::RowId;
 use crate::TableId;
 
-/// A positioned scan over one FK posting list, best importance first.
-pub trait PostingCursor {
-    /// The next posted row, or `None` when the list (or a failed read —
+/// A positioned scan over one sorted posting list — FK rows or link
+/// `(junction row, target row)` pairs — best importance first.
+pub trait PostingCursor<E> {
+    /// The next posted entry, or `None` when the list (or a failed read —
     /// check [`PostingCursor::failed`]) ends the scan.
-    fn next_row(&mut self) -> Option<RowId>;
+    fn next_entry(&mut self) -> Option<E>;
 
     /// True when the scan ended because of a read error rather than list
     /// exhaustion. The caller must discard the partial scan (fail closed).
@@ -43,61 +43,27 @@ pub trait PostingCursor {
     }
 }
 
-/// A positioned scan over one link posting group: `(junction row, target
-/// row)` pairs, best target importance first.
-pub trait LinkCursor {
-    /// The next pair, or `None` at end-of-group / read failure.
-    fn next_pair(&mut self) -> Option<(RowId, RowId)>;
-
-    /// True when the scan ended because of a read error (fail closed).
-    fn failed(&self) -> bool {
-        false
-    }
-}
-
 /// The in-RAM backend: a cursor over a sorted posting slice
-/// ([`crate::SortedFkIndex::rows`]). Infallible.
+/// ([`crate::SortedPostings::entries`]). Infallible; yields tombstoned
+/// entries too (consumers liveness-filter).
 #[derive(Debug)]
-pub struct SlicePostingCursor<'a> {
-    rows: &'a [RowId],
+pub struct SliceCursor<'a, E> {
+    entries: &'a [E],
     at: usize,
 }
 
-impl<'a> SlicePostingCursor<'a> {
-    /// A cursor positioned at the best-importance end of `rows`.
-    pub fn new(rows: &'a [RowId]) -> SlicePostingCursor<'a> {
-        SlicePostingCursor { rows, at: 0 }
+impl<'a, E> SliceCursor<'a, E> {
+    /// A cursor positioned at the best-importance end of `entries`.
+    pub fn new(entries: &'a [E]) -> SliceCursor<'a, E> {
+        SliceCursor { entries, at: 0 }
     }
 }
 
-impl PostingCursor for SlicePostingCursor<'_> {
-    fn next_row(&mut self) -> Option<RowId> {
-        let r = self.rows.get(self.at).copied();
-        self.at += r.is_some() as usize;
-        r
-    }
-}
-
-/// The in-RAM backend for link groups ([`crate::SortedLinkIndex::pairs`]).
-/// Infallible; yields tombstoned pairs too (consumers liveness-filter).
-#[derive(Debug)]
-pub struct SliceLinkCursor<'a> {
-    pairs: &'a [(RowId, RowId)],
-    at: usize,
-}
-
-impl<'a> SliceLinkCursor<'a> {
-    /// A cursor positioned at the best-target end of `pairs`.
-    pub fn new(pairs: &'a [(RowId, RowId)]) -> SliceLinkCursor<'a> {
-        SliceLinkCursor { pairs, at: 0 }
-    }
-}
-
-impl LinkCursor for SliceLinkCursor<'_> {
-    fn next_pair(&mut self) -> Option<(RowId, RowId)> {
-        let p = self.pairs.get(self.at).copied();
-        self.at += p.is_some() as usize;
-        p
+impl<E: Copy> PostingCursor<E> for SliceCursor<'_, E> {
+    fn next_entry(&mut self) -> Option<E> {
+        let e = self.entries.get(self.at).copied();
+        self.at += e.is_some() as usize;
+        e
     }
 }
 
@@ -121,13 +87,17 @@ pub trait PostingPager: std::fmt::Debug + Send + Sync {
         table: TableId,
         col: usize,
         key: i64,
-    ) -> Option<Box<dyn PostingCursor + '_>>;
+    ) -> Option<Box<dyn PostingCursor<RowId> + '_>>;
 
     /// A cursor over the link posting group of `(junction, source col,
     /// key)`, with the same coverage and fail-closed semantics as
     /// [`PostingPager::fk_cursor`].
-    fn link_cursor(&self, table: TableId, col: usize, key: i64)
-        -> Option<Box<dyn LinkCursor + '_>>;
+    fn link_cursor(
+        &self,
+        table: TableId,
+        col: usize,
+        key: i64,
+    ) -> Option<Box<dyn PostingCursor<(RowId, RowId)> + '_>>;
 
     /// The raw junction FK group size of `(junction, source col, key)`
     /// — what the heap path would report as the probe's tuple count —
@@ -142,19 +112,19 @@ mod tests {
     #[test]
     fn slice_cursors_walk_their_slices_in_order_and_never_fail() {
         let rows = [RowId(3), RowId(1), RowId(2)];
-        let mut c = SlicePostingCursor::new(&rows);
-        assert_eq!(c.next_row(), Some(RowId(3)));
-        assert_eq!(c.next_row(), Some(RowId(1)));
-        assert_eq!(c.next_row(), Some(RowId(2)));
-        assert_eq!(c.next_row(), None);
-        assert_eq!(c.next_row(), None, "exhausted cursors stay exhausted");
+        let mut c = SliceCursor::new(&rows);
+        assert_eq!(c.next_entry(), Some(RowId(3)));
+        assert_eq!(c.next_entry(), Some(RowId(1)));
+        assert_eq!(c.next_entry(), Some(RowId(2)));
+        assert_eq!(c.next_entry(), None);
+        assert_eq!(c.next_entry(), None, "exhausted cursors stay exhausted");
         assert!(!c.failed());
 
         let pairs = [(RowId(0), RowId(9)), (RowId(1), RowId(8))];
-        let mut lc = SliceLinkCursor::new(&pairs);
-        assert_eq!(lc.next_pair(), Some((RowId(0), RowId(9))));
-        assert_eq!(lc.next_pair(), Some((RowId(1), RowId(8))));
-        assert_eq!(lc.next_pair(), None);
+        let mut lc = SliceCursor::new(&pairs);
+        assert_eq!(lc.next_entry(), Some((RowId(0), RowId(9))));
+        assert_eq!(lc.next_entry(), Some((RowId(1), RowId(8))));
+        assert_eq!(lc.next_entry(), None);
         assert!(!lc.failed());
     }
 }

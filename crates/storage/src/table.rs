@@ -413,10 +413,9 @@ impl Table {
     /// ([`crate::Database::finish_scored_batch`]), which owns the
     /// cross-table target lookups.
     pub(crate) fn insert_into_postings(&mut self, id: RowId, keys: &[(usize, i64)]) {
-        let score = self.installed_scores[id.index()];
         for &(col, key) in keys {
             if let Some(sorted) = self.sorted_fk.get_mut(&col) {
-                sorted.insert_scored(key, id, score, &self.installed_scores);
+                sorted.insert_scored(key, id, &self.installed_scores);
             }
         }
     }

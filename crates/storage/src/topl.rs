@@ -47,26 +47,9 @@ impl<T: Ord> Ord for Entry<T> {
 /// Items must be distinct (database rows are); equal `(score, item)`
 /// duplicates would tie-break arbitrarily.
 pub fn top_l<T: Ord>(scored: impl IntoIterator<Item = (f64, T)>, l: usize) -> Vec<(f64, T)> {
-    if l == 0 {
-        return Vec::new();
-    }
-    let mut heap: BinaryHeap<Reverse<Entry<T>>> = BinaryHeap::with_capacity(l + 1);
-    for (score, item) in scored {
-        if heap.len() < l {
-            heap.push(Reverse(Entry(score, item)));
-        } else {
-            let candidate = Entry(score, item);
-            // `peek` is the worst kept entry; strict improvement displaces.
-            if candidate > heap.peek().expect("heap is at capacity").0 {
-                heap.pop();
-                heap.push(Reverse(candidate));
-            }
-        }
-    }
-    let mut kept: Vec<Entry<T>> = heap.into_iter().map(|Reverse(e)| e).collect();
-    // Best first — same order the full sort produced.
-    kept.sort_by(|a, b| b.cmp(a));
-    kept.into_iter().map(|Entry(s, t)| (s, t)).collect()
+    let mut scratch = TopLScratch::new();
+    scratch.select(scored, l);
+    scratch.heap.into_iter().map(|Reverse(Entry(s, t))| (s, t)).collect()
 }
 
 /// Reusable working memory for [`top_l`]-shaped selection on hot serving
@@ -96,6 +79,33 @@ impl<T: Ord> TopLScratch<T> {
         Self::default()
     }
 
+    /// The one bounded-heap loop: leaves the `l` best of `scored` in
+    /// `self.heap`, best first.
+    fn select(&mut self, scored: impl IntoIterator<Item = (f64, T)>, l: usize) {
+        self.heap.clear();
+        if l == 0 {
+            return;
+        }
+        let mut heap = BinaryHeap::from(std::mem::take(&mut self.heap));
+        for (score, item) in scored {
+            if heap.len() < l {
+                heap.push(Reverse(Entry(score, item)));
+            } else {
+                let candidate = Entry(score, item);
+                // `peek` is the worst kept entry; strict improvement displaces.
+                if candidate > heap.peek().expect("heap is at capacity").0 {
+                    heap.pop();
+                    heap.push(Reverse(candidate));
+                }
+            }
+        }
+        self.heap = heap.into_vec();
+        // Ascending `Reverse<Entry>` = best entry first — the order a full
+        // sort produces. Items are distinct (database rows are), so the
+        // unstable sort has no equal keys to reorder.
+        self.heap.sort_unstable();
+    }
+
     /// [`top_l`] appending only the selected items (scores dropped, order
     /// preserved: descending score, ascending item on ties) to `out`,
     /// drawing all working memory from the scratch.
@@ -105,29 +115,8 @@ impl<T: Ord> TopLScratch<T> {
         l: usize,
         out: &mut Vec<T>,
     ) {
-        if l == 0 {
-            return;
-        }
-        self.heap.clear();
-        let mut heap = BinaryHeap::from(std::mem::take(&mut self.heap));
-        for (score, item) in scored {
-            if heap.len() < l {
-                heap.push(Reverse(Entry(score, item)));
-            } else {
-                let candidate = Entry(score, item);
-                if candidate > heap.peek().expect("heap is at capacity").0 {
-                    heap.pop();
-                    heap.push(Reverse(candidate));
-                }
-            }
-        }
-        let mut kept = heap.into_vec();
-        // Ascending `Reverse<Entry>` = best entry first — the exact order
-        // [`top_l`] returns. Items are distinct (database rows are), so
-        // the unstable sort has no equal keys to reorder.
-        kept.sort_unstable();
-        out.extend(kept.drain(..).map(|Reverse(Entry(_, t))| t));
-        self.heap = kept;
+        self.select(scored, l);
+        out.extend(self.heap.drain(..).map(|Reverse(Entry(_, t))| t));
     }
 
     /// Ranks the candidates accumulated in [`TopLScratch::staged`]
@@ -139,12 +128,12 @@ impl<T: Ord> TopLScratch<T> {
     }
 
     /// Stages the Avoidance-Condition-2 prefix of a descending-importance
-    /// posting scan: pulls items from `next` (best importance first),
-    /// scores each with `score` (`None` skips the item — a tombstoned
-    /// row), and stops at the paper's two cut conditions — the first
-    /// score at or below `largest_l`, or, once `l` candidates are staged,
-    /// the first score strictly below the current l-th (only ties can
-    /// still displace it on the item tie-break). Rank the staged run with
+    /// posting scan: pulls `(score, item)` candidates from `scored` (best
+    /// importance first, tombstones already filtered out) and stops at the
+    /// paper's two cut conditions — the first score at or below
+    /// `largest_l`, or, once `l` candidates are staged, the first score
+    /// strictly below the current l-th (only ties can still displace it on
+    /// the item tie-break). Rank the staged run with
     /// [`TopLScratch::rank_staged_into`].
     ///
     /// This is the one copy of the prefix-cut logic every sorted-posting
@@ -155,21 +144,15 @@ impl<T: Ord> TopLScratch<T> {
         &mut self,
         l: usize,
         largest_l: f64,
-        mut next: impl FnMut() -> Option<T>,
-        mut score: impl FnMut(&T) -> Option<f64>,
+        scored: impl IntoIterator<Item = (f64, T)>,
     ) {
         self.staged.clear();
-        while let Some(item) = next() {
-            let Some(s) = score(&item) else { continue };
+        for (s, item) in scored {
             // Importance is non-increasing along the scan, so the first
-            // value at or below the threshold ends the probe...
-            if s <= largest_l {
-                break;
-            }
-            // ...and once l candidates are staged, the scan only continues
-            // through items tying the current l-th score (they may
-            // displace it on the item tie-break).
-            if self.staged.len() >= l && s < self.staged[l - 1].0 {
+            // value at or below the threshold ends the probe; once l
+            // candidates are staged, so does the first one that cannot
+            // tie the current l-th score.
+            if s <= largest_l || (self.staged.len() >= l && s < self.staged[l - 1].0) {
                 break;
             }
             self.staged.push((s, item));
