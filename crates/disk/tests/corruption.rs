@@ -14,7 +14,9 @@ use sizel_disk::page::{
 };
 use sizel_disk::segment::ListId;
 use sizel_disk::{DiskError, PagedStore, SegmentFile, Wal, PAGE_SIZE};
-use sizel_storage::{Database, PostingPager, RowId, TableSchema, Value};
+use sizel_storage::{
+    AccessStats, Database, PostingPager, RowId, TableId, TableSchema, TopLScratch, Value,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -47,6 +49,73 @@ fn db_with(parents: i64, children: i64) -> Database {
     }
     db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
     db
+}
+
+/// Parents `1..=parents`, each joined through the `Rel` junction to
+/// `per_parent` children of its own, and an installed order.
+fn junction_db(parents: i64, per_parent: i64) -> Database {
+    let mut db = Database::new();
+    db.create_table(TableSchema::builder("Parent").pk("id").build().unwrap()).unwrap();
+    db.create_table(TableSchema::builder("Child").pk("id").build().unwrap()).unwrap();
+    db.create_table(
+        TableSchema::builder("Rel")
+            .pk("id")
+            .fk("parent_id", "Parent")
+            .fk("child_id", "Child")
+            .junction()
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    for parent in 1..=parents {
+        db.insert("Parent", vec![Value::Int(parent)]).unwrap();
+    }
+    for pk in 0..parents * per_parent {
+        db.insert("Child", vec![Value::Int(pk)]).unwrap();
+        db.insert("Rel", vec![Value::Int(pk), Value::Int(1 + pk % parents), Value::Int(pk)])
+            .unwrap();
+    }
+    db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
+    db
+}
+
+/// One junction TOP-5 probe from `key` through `Rel` (`source` column to
+/// `target` column, rows of `to`): the rows, the paper-cost accounting
+/// and the `(fast, heap)` probe mix it moved.
+fn junction_probe(
+    db: &Database,
+    (source, target, to): (usize, usize, TableId),
+    key: i64,
+) -> (Vec<RowId>, AccessStats, (u64, u64)) {
+    let rel = db.table_id("Rel").unwrap();
+    let li = |r: RowId| db.table(to).installed_score(r);
+    let (a0, p0) = (db.access().snapshot(), db.access().probes());
+    let mut out = Vec::new();
+    db.select_via_junction_top_l_into(
+        rel,
+        source,
+        key,
+        target,
+        to,
+        None,
+        5,
+        0.0,
+        db.fk_order(),
+        &li,
+        &mut TopLScratch::new(),
+        &mut out,
+    );
+    let (a1, p1) = (db.access().snapshot(), db.access().probes());
+    (out, a1.since(a0), (p1.fast - p0.fast, p1.heap - p0.heap))
+}
+
+/// Flips the last byte of page `page_no` of `seg` — zero padding after
+/// the page's last slot, so no list's own bytes are touched and the
+/// page's checksum still fails every list in it.
+fn flip_padding_of(seg: &Path, page_no: u32) {
+    let mut bytes = std::fs::read(seg).unwrap();
+    bytes[(page_no as usize + 1) * PAGE_SIZE - 1] ^= 0x01;
+    std::fs::write(seg, &bytes).unwrap();
 }
 
 /// The (single) segment file under `dir`.
@@ -129,6 +198,66 @@ fn a_flipped_page_byte_fails_closed_and_probes_fall_back_to_the_heap() {
     let stats = store.stats();
     assert!(stats.cache.read_errors >= 2, "every damaged read was counted");
     assert_eq!(stats.cache.hits, 0, "damaged pages are never cached");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_flipped_link_page_byte_fails_closed_and_junction_probes_fall_back_to_the_heap() {
+    let mut db = junction_db(2, 12);
+    let pristine = junction_db(2, 12);
+    let (rel, parent_t, child_t) = (
+        db.table_id("Rel").unwrap(),
+        db.table_id("Parent").unwrap(),
+        db.table_id("Child").unwrap(),
+    );
+    let (parent_col, child_col) = (1, 2);
+    let (down, up) = ((parent_col, child_col, child_t), (child_col, parent_col, parent_t));
+
+    let dir = temp_dir("link-page");
+    let store = Arc::new(PagedStore::new(&dir, 8).unwrap());
+    store.checkpoint_from(&db, &[rel]).unwrap();
+    db.evict_table_postings(rel);
+    db.set_pager(Arc::<PagedStore>::clone(&store));
+    // Damage the one page of the Parent -> Child link groups, and no
+    // other: Rel's FK pages and the reverse orientation's stay sound.
+    let seg = segment_in(&dir);
+    let column = ColumnId { kind: PageKind::Link, table: rel.0, col: parent_col as u16 };
+    let layout = SegmentFile::open(&seg).unwrap();
+    let [a, b] = [1, 2].map(|key| layout.lookup(ListId { column, key }).expect("a group"));
+    assert_eq!((a.first_page, a.n_entries, a.raw_len), (b.first_page, 12, 12), "one shared page");
+    flip_padding_of(&seg, a.first_page);
+
+    for parent in 1..3i64 {
+        let (rows, cost, mix) = junction_probe(&db, down, parent);
+        let (p_rows, p_cost, p_mix) = junction_probe(&pristine, down, parent);
+        assert_eq!(rows, p_rows, "a damaged link page must not change any answer");
+        assert_eq!(rows.len(), 5, "the probe actually had rows to lose");
+        assert_eq!(cost, p_cost, "nor what the answer is accounted as");
+        assert_eq!((cost.joins, cost.tuples), (2, 12 + 5), "junction group read, targets fetched");
+        assert_eq!((mix, p_mix), ((0, 1), (1, 0)), "the failed scan fell back to the heap path");
+    }
+    assert_eq!(store.stats().cache.read_errors, 2, "every damaged read was counted");
+
+    // No other list is affected: the reverse orientation's groups and
+    // Rel's own FK postings are still served from their pages.
+    let token = db.fk_order().unwrap();
+    for key in [0i64, 7, 23] {
+        let (rows, cost, mix) = junction_probe(&db, up, key);
+        let (p_rows, p_cost, _) = junction_probe(&pristine, up, key);
+        assert_eq!((rows, cost), (p_rows, p_cost));
+        assert_eq!(mix, (1, 0), "child {key}: the sound link page was not served");
+    }
+    for parent in 1..3i64 {
+        let li = |r: RowId| db.table(rel).installed_score(r);
+        let p0 = db.access().probes();
+        let rows = db.select_eq_top_l(rel, parent_col, parent, 5, 0.0, Some(token), &li);
+        let p1 = db.access().probes();
+        assert_eq!(rows.len(), 5);
+        assert_eq!((p1.fast - p0.fast, p1.heap - p0.heap), (1, 0), "the FK page was not served");
+    }
+    let stats = store.stats();
+    assert_eq!(stats.cache.read_errors, 2, "sound pages raised no error");
+    assert_eq!(stats.resident_pages, 2, "and were cached; the damaged one never is");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -223,6 +352,50 @@ fn a_flipped_byte_in_a_shared_page_fails_every_list_in_it_and_no_other() {
     assert_eq!(stats.cache.read_errors, 75, "every read of the damaged page was counted");
     assert_eq!(stats.cache.misses, 75 + 2, "it was never cached; its neighbours were, once each");
     assert_eq!(stats.cache.hits, 125 - 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_flipped_byte_in_a_shared_link_page_fails_every_group_in_it_and_no_other() {
+    // 200 ten-pair groups of 94 bytes each: 43 to a page, so five pages.
+    let mut db = junction_db(200, 10);
+    let pristine = junction_db(200, 10);
+    let (rel, child_t) = (db.table_id("Rel").unwrap(), db.table_id("Child").unwrap());
+    let (parent_col, child_col) = (1, 2);
+    let down = (parent_col, child_col, child_t);
+
+    let dir = temp_dir("shared-link");
+    let store = Arc::new(PagedStore::new(&dir, 8).unwrap());
+    store.checkpoint_from(&db, &[rel]).unwrap();
+    db.evict_table_postings(rel);
+    db.set_pager(Arc::<PagedStore>::clone(&store));
+    let seg = segment_in(&dir);
+    let column = ColumnId { kind: PageKind::Link, table: rel.0, col: parent_col as u16 };
+    let layout = SegmentFile::open(&seg).unwrap();
+    let page_of = |key| layout.lookup(ListId { column, key }).expect("a group").first_page;
+    let damaged_page = page_of(100);
+    flip_padding_of(&seg, damaged_page);
+
+    let (mut damaged, mut intact_pages) = (0, std::collections::BTreeSet::new());
+    for parent in 1..=200i64 {
+        let (rows, cost, mix) = junction_probe(&db, down, parent);
+        let (p_rows, p_cost, _) = junction_probe(&pristine, down, parent);
+        assert_eq!((&rows, cost), (&p_rows, p_cost), "parent {parent}: answer or accounting moved");
+        assert_eq!(rows.len(), 5);
+        if page_of(parent) == damaged_page {
+            damaged += 1;
+            assert_eq!(mix, (0, 1), "parent {parent} fell back");
+        } else {
+            intact_pages.insert(page_of(parent));
+            assert_eq!(mix, (1, 0), "parent {parent} was served");
+        }
+    }
+    let per_page = (PAGE_SIZE - PAGE_HEADER_LEN) / (SLOT_HEADER_LEN + 10 * 8);
+    assert_eq!((damaged, intact_pages.len()), (per_page, 4), "one page of five was damaged");
+    let stats = store.stats();
+    assert_eq!(stats.cache.read_errors, damaged as u64, "every read of the damaged page counted");
+    assert_eq!(stats.cache.misses, damaged as u64 + 4, "it was never cached; the others once each");
+    assert_eq!(stats.cache.hits, 200 - damaged as u64 - 4);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -336,7 +509,7 @@ fn a_resident_shared_page_is_checked_for_every_list_that_enters_it() {
     }
     for key in [1, 2] {
         let mut cur = store.fk_cursor(child, fk, key).expect("the column is covered");
-        assert_eq!(cur.next_row(), None, "not one entry of the wrong slot is yielded");
+        assert_eq!(cur.next_entry(), None, "not one entry of the wrong slot is yielded");
         assert!(cur.failed());
     }
     let stats = store.stats();
