@@ -453,6 +453,65 @@ mod tests {
     }
 
     #[test]
+    fn a_null_fk_issues_no_probe_in_either_generator() {
+        // Paper -> Year is an N:1 step. A Paper whose `year_id` is NULL has
+        // no key to probe, so neither generator may count a join for it:
+        // the paper-cost `joins` of prelim-l and complete generation agree
+        // on both sources (prelim once counted a probe it never issued).
+        use sizel_graph::{AffinityModel, DataGraph, Gds, GdsConfig, SchemaGraph};
+        use sizel_rank::RankScores;
+        use sizel_storage::{Database, RowId, TableSchema, Value, ValueType};
+
+        let mut db = Database::new();
+        let year =
+            TableSchema::builder("Year").pk("id").column("year", ValueType::Int).build().unwrap();
+        let paper = TableSchema::builder("Paper")
+            .pk("id")
+            .searchable_text("title")
+            .fk("year_id", "Year")
+            .build()
+            .unwrap();
+        db.create_table(year).unwrap();
+        let paper = db.create_table(paper).unwrap();
+        db.insert("Year", vec![Value::Int(1), Value::Int(1999)]).unwrap();
+        db.insert("Paper", vec![Value::Int(10), "dated".into(), Value::Int(1)]).unwrap();
+        db.insert("Paper", vec![Value::Int(11), "undated".into(), Value::Null]).unwrap();
+        let fk_order = Some(db.install_importance_order(&|_, r| 1.0 + r.index() as f64));
+
+        let sg = SchemaGraph::from_database(&db);
+        let dg = DataGraph::build(&db, &sg);
+        let scores = RankScores {
+            scores: vec![1.0, 1.0, 2.0],
+            iterations: 0,
+            converged: true,
+            per_table_max: vec![1.0, 2.0],
+            fk_order,
+        };
+        let cfg = GdsConfig { affinity: AffinityModel::manual(&[], 0.9), ..GdsConfig::default() };
+        let mut gds = Gds::build(&db, &sg, &cfg, paper);
+        gds.set_stats(&scores.per_table_max);
+        assert_eq!(gds.len(), 2, "Paper -> Year and nothing else");
+        let ctx = OsContext::new(&db, &sg, &dg, &gds, &scores);
+
+        for (row, probes) in [(RowId(0), 1), (RowId(1), 0)] {
+            let tds = TupleRef::new(paper, row);
+            for source in [OsSource::DataGraph, OsSource::Database] {
+                let j0 = db.access().snapshot().joins;
+                let complete = generate_os(&ctx, tds, None, source);
+                let j1 = db.access().snapshot().joins;
+                let (prelim, stats) = generate_prelim(&ctx, tds, 4, source);
+                let j2 = db.access().snapshot().joins;
+                assert_eq!(stats.cond2_probes, 1, "the Year leaf goes through the TOP-l fetch");
+                assert_eq!(complete.len(), 1 + probes);
+                assert_eq!(prelim.len(), complete.len());
+                let expect = if source == OsSource::Database { probes as u64 } else { 0 };
+                assert_eq!(j1 - j0, expect, "{row:?} {source:?}: complete generation");
+                assert_eq!(j2 - j1, expect, "{row:?} {source:?}: prelim-l generation");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "l >= 1")]
     fn l_zero_is_rejected() {
         let f = dblp_fixture();
