@@ -80,11 +80,6 @@ impl DblpFixture {
         OsContext::new(&self.dblp.db, &self.sg, &self.dg, &self.gds, &self.scores)
     }
 
-    /// An [`OsContext`] over the Paper GDS.
-    pub fn paper_ctx(&self) -> OsContext<'_> {
-        OsContext::new(&self.dblp.db, &self.sg, &self.dg, &self.paper_gds, &self.scores)
-    }
-
     /// The `i`-th most prolific author as a `t_DS`.
     pub fn author_tds(&self, i: usize) -> TupleRef {
         TupleRef::new(self.dblp.author, self.authors_by_degree[i])
@@ -142,11 +137,6 @@ pub struct TpchFixture {
 }
 
 impl TpchFixture {
-    /// An [`OsContext`] over the Customer GDS.
-    pub fn customer_ctx(&self) -> OsContext<'_> {
-        OsContext::new(&self.tpch.db, &self.sg, &self.dg, &self.customer_gds, &self.scores)
-    }
-
     /// An [`OsContext`] over the Supplier GDS.
     pub fn supplier_ctx(&self) -> OsContext<'_> {
         OsContext::new(&self.tpch.db, &self.sg, &self.dg, &self.supplier_gds, &self.scores)

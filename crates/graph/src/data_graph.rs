@@ -226,11 +226,6 @@ impl DataGraph {
         TupleRef { table: TableId(idx as u16), row: RowId(n.0 - self.starts[idx]) }
     }
 
-    /// The table a node belongs to.
-    pub fn table_of(&self, n: NodeId) -> TableId {
-        self.tuple_of(n).table
-    }
-
     /// Base node id of a table.
     pub fn table_start(&self, t: TableId) -> u32 {
         self.starts[t.index()]

@@ -180,11 +180,6 @@ impl Database {
         &self.tables[id.index()]
     }
 
-    /// Mutable access to a table (used by generators).
-    pub fn table_mut(&mut self, id: TableId) -> &mut Table {
-        &mut self.tables[id.index()]
-    }
-
     /// Looks a table up by name.
     pub fn table_id(&self, name: &str) -> Result<TableId> {
         self.by_name.get(name).copied().ok_or_else(|| StorageError::UnknownTable(name.to_owned()))

@@ -37,11 +37,6 @@ impl Value {
         }
     }
 
-    /// True for `Value::Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Integer content, if this is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
         match self {
