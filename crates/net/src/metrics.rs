@@ -277,8 +277,7 @@ pub fn render_metrics(
             &labels,
             per_shard.cache.poison_resets,
         );
-        let lookups = per_shard.cache.hits + per_shard.cache.misses;
-        let ratio = if lookups == 0 { 0.0 } else { per_shard.cache.hits as f64 / lookups as f64 };
+        let ratio = per_shard.cache.hit_ratio();
         line(&mut out, "sizel_serve_cache_hit_ratio", &labels, format!("{ratio:.6}"));
 
         // Refresh lag: shard epoch minus the worker's last completed
