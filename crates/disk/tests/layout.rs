@@ -128,8 +128,8 @@ fn lists_on_every_packing_boundary_are_served_identically_from_pages() {
         // Whole lists, cursor against slice: Rel's own FK postings and
         // both orientations of its link postings (the reverse one is a
         // page full of one-pair lists). The accounted consumer of link
-        // cursors, the junction TOP-l probe, lives in `sizel-core`, which
-        // this crate cannot see: its rows-and-`AccessStats` parity over
+        // cursors, the junction TOP-l probe, is driven through the GDS
+        // step that issues it: its rows-and-`AccessStats` parity over
         // the same boundary lengths is `crates/core/tests/
         // crash_recovery.rs::junction_probes_over_every_packing_boundary_…`.
         let rel_t = ram.table(rel);

@@ -121,15 +121,12 @@ impl Database {
     /// The junction sibling of [`Self::select_eq_top_l_into`]: `SELECT T.*
     /// TOP l FROM J, T WHERE J.source_col = key AND J.target_col = T.pk
     /// AND li(T) > largest_l ORDER BY li DESC`, appending rows of `target`
-    /// to `out`. `exclude` drops one target row from the result (the OS
-    /// grandparent of a CoAuthor-style replicated step). Two counted join
-    /// accesses on either path: the junction probe, reporting the raw FK
-    /// group size (its rows are read to find the targets), and the TOP-l
-    /// filtered target fetch, reporting the result size.
-    ///
-    /// With a matching `order` the junction's pre-joined link postings
-    /// ([`crate::SortedLinkIndex`]) are already ordered by descending
-    /// target importance, so the probe is the same bounded prefix scan.
+    /// (never `exclude`, the OS grandparent of a CoAuthor-style replicated
+    /// step) to `out`. With a matching `order` it prefix-scans the
+    /// junction's pre-joined link postings ([`crate::SortedLinkIndex`]).
+    /// Two counted join accesses on either path: the junction probe,
+    /// reporting the raw FK group size (its rows are read to find the
+    /// targets), and the TOP-l filtered target fetch.
     #[allow(clippy::too_many_arguments)] // mirrors the SQL probe's clause list
     pub fn select_via_junction_top_l_into(
         &self,
@@ -181,16 +178,13 @@ impl Database {
     /// The one TOP-l probe body, for either posting kind: at most `l` of
     /// `key`'s result rows with `li > largest_l`, best first, appended to
     /// `out`; one counted join access reporting the rows returned, and
-    /// one fast or heap probe. Returns the per-key extra
+    /// one fast or heap probe. The sorted list is `resident` or, evicted,
+    /// a cursor of the attached pager (`paged`; `None` when its generation
+    /// does not cover the list); `row_of` maps an entry to its result row
+    /// (`None`: a tombstone) and `li` a result row to its local importance
+    /// (`None`: never returned); `heap` yields the fallback's candidates
+    /// from the live-only hash indexes. Returns the per-key extra
     /// ([`Posting::Raw`]) of whichever source served.
-    ///
-    /// * `resident` / `paged` — where the sorted list comes from: the
-    ///   in-RAM index or, evicted, a cursor of the attached pager (`None`
-    ///   when its generation does not cover the list).
-    /// * `row_of` — an entry's result row, `None` for a tombstone.
-    /// * `li` — a result row's local importance, `None` to drop the row.
-    /// * `heap` — the candidates of the always-correct fallback, read
-    ///   from the live-only hash indexes.
     #[allow(clippy::too_many_arguments)]
     fn probe_top_l<'a, E: Posting, I: Iterator<Item = RowId>>(
         &'a self,

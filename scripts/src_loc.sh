@@ -1,6 +1,6 @@
 #!/bin/sh
-# The number ROADMAP item 3 tracks: non-test source lines of the seven
-# library crates under the serving stack. A file's lines count up to its
+# The number ROADMAP's carry-over size budget tracks: non-test source
+# lines of the seven library crates under the serving stack. A file's lines count up to its
 # first `#[cfg(test)]`; comments and blank lines count (deleting them is
 # not a reduction, so they are not excluded). With `-v`, one line per
 # file first.
