@@ -105,7 +105,7 @@ impl Database {
             largest_l,
             order.filter(|_| !on_pk),
             key,
-            t.sorted_fk_index(col),
+            || t.sorted_fk_index(col),
             |p| Some((p.fk_cursor(table, col, key)?, ())),
             |r| t.is_live(r).then_some(r),
             |r| Some(li(r)),
@@ -150,7 +150,7 @@ impl Database {
             largest_l,
             order,
             key,
-            jt.sorted_link_index(source_col),
+            || jt.sorted_link_index(source_col),
             |p| {
                 let raw = p.link_raw_len(junction, source_col, key)?;
                 Some((p.link_cursor(junction, source_col, key)?, raw))
@@ -186,13 +186,13 @@ impl Database {
     /// from the live-only hash indexes. Returns the per-key extra
     /// ([`Posting::Raw`]) of whichever source served.
     #[allow(clippy::too_many_arguments)]
-    fn probe_top_l<'a, E: Posting, I: Iterator<Item = RowId>>(
+    fn probe_top_l<'a, E: Posting + 'a, I: Iterator<Item = RowId>>(
         &'a self,
         l: usize,
         largest_l: f64,
         order: Option<FkOrderToken>,
         key: i64,
-        resident: Option<&'a SortedPostings<E>>,
+        resident: impl FnOnce() -> Option<&'a SortedPostings<E>>,
         paged: impl FnOnce(&'a dyn PostingPager) -> Option<(Box<dyn PostingCursor<E> + 'a>, E::Raw)>,
         row_of: impl Fn(E) -> Option<RowId>,
         li: impl Fn(RowId) -> Option<f64>,
@@ -222,7 +222,7 @@ impl Database {
             // the identical scan — same loop, same accounting — while
             // its segment stamp matches the live token (any mutation
             // stales it).
-            let staged = if let Some(sorted) = resident {
+            let staged = if let Some(sorted) = resident() {
                 let (entries, raw) = sorted.group(key);
                 stage(&mut SliceCursor::new(entries)).then_some(raw)
             } else {

@@ -194,7 +194,8 @@ impl<E: Posting> Default for List<E> {
 }
 
 /// Importance-sorted postings keyed by an FK value: the same keys as the
-/// base hash index, every list pre-sorted under [`posting_order`].
+/// base hash index, every list pre-sorted under the one posting order
+/// (`posting_order`).
 #[derive(Clone, Debug)]
 pub struct SortedPostings<E: Posting> {
     lists: IntMap<List<E>>,

@@ -43,9 +43,9 @@ pub trait PostingCursor<E> {
     }
 }
 
-/// The in-RAM backend: a cursor over a sorted posting slice
-/// ([`crate::SortedPostings::entries`]). Infallible; yields tombstoned
-/// entries too (consumers liveness-filter).
+/// The in-RAM backend: a cursor over one key's list of a
+/// [`crate::SortedPostings`]. Infallible; yields tombstoned entries too
+/// (consumers liveness-filter).
 #[derive(Debug)]
 pub struct SliceCursor<'a, E> {
     entries: &'a [E],
