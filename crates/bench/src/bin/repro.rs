@@ -7,7 +7,9 @@
 //!
 //! Subcommands: `all`, `fig8`, `fig9`, `fig10`, `fig10e`, `fig10f`,
 //! `show-gds`, `show-ga`, `example45`, `snippet-baseline`,
-//! `datagraph-stats`, `ablations`, `calibrate`.
+//! `datagraph-stats`, `ablations`, `calibrate`, `consecutive`,
+//! `wordbudget`, and `footprint` (one engine's resident memory stage by
+//! stage; not part of `all` — it measures a fresh process).
 //!
 //! `--quick` switches to the small test databases (seconds instead of
 //! minutes); the default is the calibrated benchmark scale recorded in
@@ -18,7 +20,7 @@ use std::time::Instant;
 
 use sizel_bench::{figures, Bench};
 
-const USAGE: &str = "usage: repro <all|fig8|fig9|fig10|fig10e|fig10f|show-gds|show-ga|example45|snippet-baseline|datagraph-stats|ablations|calibrate|consecutive|wordbudget> [--quick]";
+const USAGE: &str = "usage: repro <all|fig8|fig9|fig10|fig10e|fig10f|show-gds|show-ga|example45|snippet-baseline|datagraph-stats|ablations|calibrate|consecutive|wordbudget|footprint> [--quick]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,6 +28,12 @@ fn main() {
     let commands: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
     let command = *commands.first().unwrap_or(&"all");
+
+    if command == "footprint" {
+        // Before any workbench exists: the report reads this process's RSS.
+        println!("{}", figures::footprint());
+        return;
+    }
 
     let known = [
         "all",

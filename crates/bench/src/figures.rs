@@ -648,6 +648,72 @@ pub fn datagraph_stats(bench: &Bench) -> String {
     out
 }
 
+/// Resident memory of this process (`VmRSS` of `/proc/self/status`) in
+/// MB; 0 where there is no procfs.
+fn rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status.lines().find_map(|l| {
+        l.strip_prefix("VmRSS:")?.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()
+    });
+    kb.unwrap_or(0.0) / 1024.0
+}
+
+/// Where one engine's resident bytes go: `VmRSS` after each stage of one
+/// `generate` + engine derivation over `DblpConfig::bench()` (the stages
+/// of `benches/build_stages.rs`, every product kept alive), then each
+/// table's rows and [`sizel_storage::Table::value_bytes`]. Run it in a
+/// fresh process (`repro footprint` builds no workbench first): freed
+/// heap the allocator keeps counts as resident.
+pub fn footprint() -> String {
+    use sizel_core::keyword::KeywordIndex;
+    use sizel_datagen::dblp::{generate, DblpConfig};
+    use sizel_graph::{DataGraph, SchemaGraph};
+    use sizel_rank::{compute, dblp_ga, install_importance_order, GaPreset, RankConfig};
+
+    let mut out = String::from("## Footprint — one engine over DblpConfig::bench()\n\n");
+    let mut stages = Vec::new();
+    let mut last = rss_mb();
+    let mut stage = |name: &str| {
+        let now = rss_mb();
+        stages.push(vec![name.to_string(), format!("{now:.1}"), format!("{:+.1}", now - last)]);
+        last = now;
+    };
+    stage("process start");
+    let mut db = generate(&DblpConfig::bench()).db;
+    stage("generate");
+    db.shrink_to_fit();
+    stage("shrink_to_fit");
+    let sg = SchemaGraph::from_database(&db);
+    let dg = DataGraph::build(&db, &sg);
+    stage("data graph");
+    let authority = dblp_ga(GaPreset::Ga1, &db, &sg, &dg);
+    let mut scores = compute(&db, &sg, &dg, &authority, &RankConfig::default());
+    stage("rank");
+    install_importance_order(&mut db, &dg, &mut scores);
+    stage("posting install");
+    let ds: Vec<_> = ["Author", "Paper"].map(|t| db.table_id(t).expect("DBLP schema")).to_vec();
+    let kw = KeywordIndex::build(&db, &ds);
+    stage("keyword index");
+    std::hint::black_box((&dg, &scores, &kw));
+    out.push_str(&markdown_table(&["after", "VmRSS MB", "delta MB"], &stages));
+
+    let tables: Vec<Vec<String>> = db
+        .tables()
+        .map(|(_, t)| {
+            let (rows, bytes) = (t.len(), t.value_bytes());
+            vec![
+                t.schema.name.clone(),
+                rows.to_string(),
+                bytes.to_string(),
+                format!("{:.1}", bytes as f64 / rows.max(1) as f64),
+            ]
+        })
+        .collect();
+    out.push('\n');
+    out.push_str(&markdown_table(&["table", "rows", "value_bytes", "B/row"], &tables));
+    out
+}
+
 /// Ablations: paper-DP vs knapsack-DP, Top-Path vs its s(v) optimization,
 /// avoidance conditions on/off (I/O accesses).
 pub fn ablations(bench: &Bench) -> String {
@@ -838,11 +904,10 @@ pub fn wordbudget(bench: &Bench) -> String {
     let word_cost = |id: sizel_core::os::OsNodeId| -> usize {
         let n = os.node(id);
         let table = db.table(n.tuple.table);
-        let row = table.row(n.tuple.row);
         let words: usize = table
             .schema
             .display_columns()
-            .map(|c| row[c].to_string().split_whitespace().count())
+            .map(|c| table.value(n.tuple.row, c).to_string().split_whitespace().count())
             .sum();
         words + 1
     };

@@ -308,7 +308,7 @@ impl Bench {
             }
         };
         let t = self.db(kind.db()).table(table);
-        let mut ranked: Vec<(usize, RowId)> = t.iter().map(|(rid, _)| (degree(rid), rid)).collect();
+        let mut ranked: Vec<(usize, RowId)> = t.live_rows().map(|rid| (degree(rid), rid)).collect();
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         // Connectivity bands matching the paper's Aver|OS| per GDS.
         let band: Option<(usize, usize)> = match kind {

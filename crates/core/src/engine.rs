@@ -299,6 +299,9 @@ impl SizeLEngine {
         cfg: EngineConfig,
     ) -> Result<Self, StorageError> {
         db.validate_foreign_keys()?;
+        // Loading is over and the database is ours for the engine's
+        // life: the loader's push-doubling slack need not stay resident.
+        db.shrink_to_fit();
         let sg = SchemaGraph::from_database(&db);
         let ga: GaBuilder = Box::new(ga);
         let derived = Self::derive(&mut db, &sg, ga.as_ref(), &cfg)?;
@@ -567,7 +570,7 @@ impl SizeLEngine {
                     .by_pk(pk)
                     .ok_or_else(|| StorageError::MissingRow { table: table.clone(), key: pk })?;
                 // Captured before the staged update replaces the slot.
-                let old_values = t.row(row).to_vec();
+                let old_values = t.row(row);
                 let est = sizel_rank::estimate_updated_score_with(
                     &self.db,
                     &self.sg,
@@ -592,7 +595,7 @@ impl SizeLEngine {
                 // A tombstoned slot keeps its values: the old tokens are
                 // still there to be removed.
                 let t = self.db.table(tid);
-                self.kw.remove_row(tid, row, &t.schema, t.row(row));
+                self.kw.remove_row(tid, row, &t.schema, &t.row(row));
                 let tref = TupleRef::new(tid, row);
                 st.kw_add.retain(|&t| t != tref);
             }

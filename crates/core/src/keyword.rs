@@ -25,10 +25,10 @@ impl KeywordIndex {
         for &tid in ds_tables {
             let table = db.table(tid);
             let cols: Vec<usize> = table.schema.searchable_columns().collect();
-            for (rid, row) in table.iter() {
+            for rid in table.live_rows() {
                 let tref = TupleRef::new(tid, rid);
                 for &c in &cols {
-                    if let Some(s) = row[c].as_str() {
+                    if let Some(s) = table.value(rid, c).as_str() {
                         // Tokens outnumber vocabulary words by orders of
                         // magnitude: look the borrowed token up first and
                         // own it only when it is new.
@@ -216,8 +216,9 @@ mod tests {
         let (d, mut idx) = index();
         let hit = idx.search("Christos Faloutsos")[0];
         let schema = &d.db.table(d.author).schema;
-        let values: Vec<sizel_storage::Value> =
-            (0..schema.arity()).map(|c| d.db.table(d.author).value(hit.row, c).clone()).collect();
+        let values: Vec<sizel_storage::Value> = (0..schema.arity())
+            .map(|c| d.db.table(d.author).value(hit.row, c).to_value())
+            .collect();
         idx.remove_row(d.author, hit.row, schema, &values);
         assert!(idx.search("Christos Faloutsos").is_empty(), "removed row no longer hits");
         assert_eq!(idx.search("Faloutsos").len(), 2, "the brothers keep their postings");

@@ -48,13 +48,12 @@ fn node_text(db: &Database, gds: &Gds, os: &Os, id: OsNodeId, opts: &RenderOptio
     let n = os.node(id);
     let label = &gds.node(n.gds_node).label;
     let table = db.table(n.tuple.table);
-    let row = table.row(n.tuple.row);
     let mut vals = String::new();
     for (i, c) in table.schema.display_columns().enumerate() {
         if i > 0 {
             vals.push_str(", ");
         }
-        let _ = write!(vals, "{}", row[c]);
+        let _ = write!(vals, "{}", table.value(n.tuple.row, c));
     }
     let mut line = format!("{label}: {vals}");
     if opts.show_importance {
@@ -67,13 +66,12 @@ fn node_text(db: &Database, gds: &Gds, os: &Os, id: OsNodeId, opts: &RenderOptio
 fn value_text(db: &Database, os: &Os, id: OsNodeId) -> String {
     let n = os.node(id);
     let table = db.table(n.tuple.table);
-    let row = table.row(n.tuple.row);
     let mut vals = String::new();
     for (i, c) in table.schema.display_columns().enumerate() {
         if i > 0 {
             vals.push_str(", ");
         }
-        let _ = write!(vals, "{}", row[c]);
+        let _ = write!(vals, "{}", table.value(n.tuple.row, c));
     }
     vals
 }

@@ -52,7 +52,7 @@ pub fn result_fingerprint<R: std::borrow::Borrow<QueryResult>>(results: &[R]) ->
 pub fn max_pk(db: &Database, table: &str) -> i64 {
     let tid = db.table_id(table).expect("fixture table name");
     let t = db.table(tid);
-    t.iter().map(|(r, _)| t.pk_of(r)).max().expect("non-empty fixture table")
+    t.live_rows().map(|r| t.pk_of(r)).max().expect("non-empty fixture table")
 }
 
 /// A fully-built tiny DBLP stack.

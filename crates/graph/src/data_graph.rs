@@ -125,8 +125,8 @@ impl DataGraph {
             let to = db.table(e.to);
             let mut fwd = vec![NO_TARGET; from.len()];
             let mut counts = vec![0u32; to.len()];
-            for (rid, row) in from.iter() {
-                if let Some(k) = row[e.fk_col].as_int() {
+            for rid in from.live_rows() {
+                if let Some(k) = from.value(rid, e.fk_col).as_int() {
                     let target = to
                         .by_pk(k)
                         .unwrap_or_else(|| panic!("dangling FK while building data graph"));
@@ -143,7 +143,7 @@ impl DataGraph {
             bwd_index.push(running);
             let mut cursor: Vec<u32> = bwd_index[..to.len()].to_vec();
             let mut bwd_targets = vec![0u32; running as usize];
-            for (rid, _) in from.iter() {
+            for rid in from.live_rows() {
                 let t = fwd[rid.index()];
                 if t != NO_TARGET {
                     let local = (t - starts[e.to.index()]) as usize;

@@ -138,18 +138,15 @@ impl AuthorityGraph {
             if table.is_empty() {
                 continue;
             }
-            let mut sum = 0.0;
-            for (_, row) in table.iter() {
-                sum += row[vf.column].as_f64().unwrap_or(0.0).abs();
-            }
+            let abs = |rid| table.value(rid, vf.column).as_f64().unwrap_or(0.0).abs();
+            let sum: f64 = table.live_rows().map(abs).sum();
             let mean = sum / table.len() as f64;
             if mean <= 0.0 {
                 continue;
             }
             let base = dg.table_start(vf.table) as usize;
-            for (rid, row) in table.iter() {
-                let v = row[vf.column].as_f64().unwrap_or(0.0).abs();
-                m[base + rid.index()] = (v / mean).min(vf.cap);
+            for rid in table.live_rows() {
+                m[base + rid.index()] = (abs(rid) / mean).min(vf.cap);
             }
         }
         m

@@ -316,7 +316,7 @@ fn emission_scales(
         let from_start = dg.table_start(e.from) as usize;
         let to_start = dg.table_start(e.to) as usize;
         if rates.forward > 0.0 {
-            for (rid, _) in db.table(e.from).iter() {
+            for rid in db.table(e.from).live_rows() {
                 if dg.fwd_neighbor(e.id, rid).is_some() {
                     let u = from_start + rid.index();
                     out[u] += rates.forward * m[u];
@@ -324,7 +324,7 @@ fn emission_scales(
             }
         }
         if rates.backward > 0.0 {
-            for (rid, _) in db.table(e.to).iter() {
+            for rid in db.table(e.to).live_rows() {
                 if !dg.bwd_neighbors(e.id, rid).is_empty() {
                     let u = to_start + rid.index();
                     out[u] += rates.backward * m[u];
@@ -338,7 +338,7 @@ fn emission_scales(
             continue;
         }
         let from_start = dg.table_start(link.from_table) as usize;
-        for (rid, _) in db.table(link.from_table).iter() {
+        for rid in db.table(link.from_table).live_rows() {
             if !link.targets(rid).is_empty() {
                 let u = from_start + rid.index();
                 out[u] += rate * m[u];
@@ -370,7 +370,7 @@ fn sweep_once(
         let from_start = dg.table_start(e.from) as usize;
         let to_start = dg.table_start(e.to) as usize;
         if rates.forward > 0.0 {
-            for (rid, _) in db.table(e.from).iter() {
+            for rid in db.table(e.from).live_rows() {
                 if let Some(t) = dg.fwd_neighbor(e.id, rid) {
                     let u = from_start + rid.index();
                     next[t.index()] += d * rates.forward * m[u] * scale[u] * cur[u];
@@ -378,7 +378,7 @@ fn sweep_once(
             }
         }
         if rates.backward > 0.0 {
-            for (rid, _) in db.table(e.to).iter() {
+            for rid in db.table(e.to).live_rows() {
                 let list = dg.bwd_neighbors(e.id, rid);
                 if list.is_empty() {
                     continue;
@@ -397,7 +397,7 @@ fn sweep_once(
             continue;
         }
         let from_start = dg.table_start(link.from_table) as usize;
-        for (rid, _) in db.table(link.from_table).iter() {
+        for rid in db.table(link.from_table).live_rows() {
             let targets = link.targets(rid);
             if targets.is_empty() {
                 continue;
@@ -828,7 +828,7 @@ mod tests {
         let year_pks: Vec<i64> = year_t.iter().map(|(r, _)| year_t.pk_of(r)).collect();
         let paper_t = d.db.table(d.paper);
         let p_pk = paper_t.pk_of(RowId(0));
-        let title = paper_t.value(RowId(0), 1).clone();
+        let title = paper_t.value(RowId(0), 1).to_value();
         let old_year = paper_t.value(RowId(0), 2).as_int().unwrap();
         let new_year = year_pks.into_iter().find(|&y| y != old_year).unwrap();
         let values = vec![Value::Int(p_pk), title, Value::Int(new_year)];
@@ -897,7 +897,8 @@ mod tests {
         use sizel_storage::RowId;
         let paper_t = d.db.table(d.paper);
         let p_pk = paper_t.pk_of(RowId(0));
-        let old_values: Vec<Value> = (0..3).map(|c| paper_t.value(RowId(0), c).clone()).collect();
+        let old_values: Vec<Value> =
+            (0..3).map(|c| paper_t.value(RowId(0), c).to_value()).collect();
         let year_t = d.db.table(d.year);
         let old_year = old_values[2].as_int().unwrap();
         let new_year =

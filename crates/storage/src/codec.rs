@@ -22,7 +22,7 @@
 //! [0] null | [1][i64] int | [2][f64 bits] float | [3][u32 len][utf-8] text
 //! ```
 
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// Bytes that do not decode: truncated, over-long, or carrying an
 /// unknown tag. The message names the first offending field.
@@ -67,19 +67,20 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Appends one [`Value`].
-pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(buf, 0),
-        Value::Int(i) => {
+/// Appends one value: an owned [`Value`] by reference, or a stored cell's
+/// [`ValueRef`] — the two encode identically.
+pub fn put_value<'a>(buf: &mut Vec<u8>, v: impl Into<ValueRef<'a>>) {
+    match v.into() {
+        ValueRef::Null => put_u8(buf, 0),
+        ValueRef::Int(i) => {
             put_u8(buf, 1);
-            put_i64(buf, *i);
+            put_i64(buf, i);
         }
-        Value::Float(f) => {
+        ValueRef::Float(f) => {
             put_u8(buf, 2);
-            put_f64(buf, *f);
+            put_f64(buf, f);
         }
-        Value::Text(s) => {
+        ValueRef::Text(s) => {
             put_u8(buf, 3);
             put_str(buf, s);
         }

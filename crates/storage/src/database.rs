@@ -11,7 +11,7 @@ use crate::fk_index::{FkOrderToken, LinkTarget, SortedLinkIndex};
 use crate::pager::PostingPager;
 use crate::schema::TableSchema;
 use crate::table::{RowId, Table};
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use crate::Result;
 
 mod batch;
@@ -319,6 +319,13 @@ impl Database {
         }
     }
 
+    /// Releases the push-doubling slack of every table's columns,
+    /// liveness flags and score snapshot, once loading has ended (the
+    /// hash indexes keep their load factor). Changes nothing observable.
+    pub fn shrink_to_fit(&mut self) {
+        self.tables.iter_mut().for_each(Table::shrink_to_fit);
+    }
+
     /// Total number of tuples across all tables (the paper reports
     /// 2,959,511 for DBLP and 8,661,245 for TPC-H SF-1).
     pub fn total_tuples(&self) -> usize {
@@ -331,7 +338,7 @@ impl Database {
     }
 
     /// The value of a tuple's column.
-    pub fn value(&self, t: TupleRef, col: usize) -> &Value {
+    pub fn value(&self, t: TupleRef, col: usize) -> ValueRef<'_> {
         self.table(t.table).value(t.row, col)
     }
 
@@ -343,10 +350,10 @@ impl Database {
             for fk in &table.schema.fks {
                 let target_id = self.table_id(&fk.ref_table)?;
                 let target = self.table(target_id);
-                for (_, row) in table.iter() {
-                    match row[fk.column] {
-                        Value::Null => {}
-                        Value::Int(k) => {
+                for row in table.live_rows() {
+                    match table.value(row, fk.column) {
+                        ValueRef::Null => {}
+                        ValueRef::Int(k) => {
                             checked += 1;
                             if target.by_pk(k).is_none() {
                                 return Err(StorageError::DanglingForeignKey {

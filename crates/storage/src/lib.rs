@@ -5,7 +5,9 @@
 //!
 //! * typed tuples ([`value::Value`]) and table schemas with single-column
 //!   integer primary keys and foreign keys ([`schema`]),
-//! * tables with hash indexes on the primary key and on every foreign-key
+//! * tables of typed columns — eight bytes an `Int` or `Float` cell, a
+//!   boxed string a `Text` cell, NULLs in a lazily allocated bitmap —
+//!   with hash indexes on the primary key and on every foreign-key
 //!   column ([`table::Table`]), built incrementally on insert,
 //! * a catalog ([`database::Database`]) with foreign-key validation and the
 //!   two query forms Algorithm 4 issues as SQL
@@ -31,6 +33,7 @@
 
 pub mod access;
 pub mod codec;
+mod column;
 pub mod database;
 pub mod epoch;
 pub mod error;
@@ -53,9 +56,9 @@ pub use error::StorageError;
 pub use fk_index::{FkOrderToken, Posting, SortedFkIndex, SortedLinkIndex, SortedPostings};
 pub use pager::{PostingCursor, PostingPager, SliceCursor};
 pub use schema::{Column, ForeignKey, SchemaBuilder, TableSchema};
-pub use table::{RowId, Table};
+pub use table::{RowId, RowRef, Table};
 pub use topl::{top_l, TopLScratch};
-pub use value::{Value, ValueType};
+pub use value::{Value, ValueRef, ValueType};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -1,13 +1,16 @@
-//! Tables: row storage plus hash indexes on the PK and on FK columns.
+//! Tables: typed column storage plus hash indexes on the PK and on FK
+//! columns.
 
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::ops::Index;
 
+use crate::column::Column;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
 use crate::fk_index::{SortedFkIndex, SortedLinkIndex};
 use crate::hash::IntMap;
 use crate::schema::TableSchema;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use crate::Result;
 
 /// A row identifier within one table (dense, insertion-ordered).
@@ -21,10 +24,50 @@ impl RowId {
     }
 }
 
-/// One stored row. `Box<[Value]>` keeps the per-row footprint at two words.
-pub type Row = Box<[Value]>;
+/// One live row as [`Table::iter`] yields it: `row[col]` is the cell's
+/// [`ValueRef`]. Indexing must return a reference, so the first index
+/// gathers the row's views into a vector; a caller that only wants the
+/// `RowId` (or [`RowRef::iter`]) allocates nothing.
+pub struct RowRef<'a> {
+    table: &'a Table,
+    id: RowId,
+    cells: OnceCell<Vec<ValueRef<'a>>>,
+}
 
-/// A table: schema, rows, and hash indexes.
+impl<'a> RowRef<'a> {
+    /// The row's cells in column order.
+    pub fn iter(&self) -> impl Iterator<Item = ValueRef<'a>> {
+        let (table, id) = (self.table, self.id);
+        (0..table.schema.arity()).map(move |c| table.value(id, c))
+    }
+}
+
+/// Two rows are equal when their cells are, whichever tables hold them.
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> Index<usize> for RowRef<'a> {
+    type Output = ValueRef<'a>;
+
+    fn index(&self, col: usize) -> &ValueRef<'a> {
+        &self.cells.get_or_init(|| self.iter().collect())[col]
+    }
+}
+
+/// One optional index per column: arity entries, addressed by column
+/// index.
+type Slots<T> = Vec<Option<T>>;
+
+/// A table: schema, columns, and hash indexes.
 ///
 /// Indexes are maintained incrementally on insert:
 /// * a unique index on the primary key,
@@ -34,13 +77,15 @@ pub type Row = Box<[Value]>;
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
-    rows: Vec<Row>,
-    /// Liveness bitmap parallel to `rows`. Deletes are *logical*: the row
-    /// slot (and its `RowId`) survives so every derived structure keyed by
-    /// dense row ids — installed scores, data-graph node ids — stays
-    /// valid. Dead rows are invisible to `iter`, the hash indexes, and
-    /// `by_pk`; they linger only as tombstones in the sorted FK postings
-    /// until compaction.
+    /// One typed column per schema column, each one cell per row slot.
+    columns: Vec<Column>,
+    /// Liveness flags, one per row slot (their count *is* the slot
+    /// count). Deletes are *logical*: the row slot (and its `RowId`)
+    /// survives so every derived structure keyed by dense row ids —
+    /// installed scores, data-graph node ids — stays valid. Dead rows
+    /// are invisible to `iter`, the hash indexes, and `by_pk`; they
+    /// linger only as tombstones in the sorted FK postings until
+    /// compaction.
     dead: Vec<bool>,
     /// Number of `true` bits in `dead`.
     n_dead: usize,
@@ -53,21 +98,21 @@ pub struct Table {
     /// liveness checks. Reset by every full link (re)build.
     link_tombstones: usize,
     pk_index: IntMap<RowId>,
-    /// column index -> (key -> row ids)
-    fk_indexes: HashMap<usize, IntMap<Vec<RowId>>>,
-    /// column index -> importance-sorted postings. Installed at
+    /// On FK columns: key -> row ids.
+    fk_indexes: Slots<IntMap<Vec<RowId>>>,
+    /// On FK columns: importance-sorted postings. Installed at
     /// finalization, *maintained* under scored inserts, dropped by the
     /// plain un-scored insert — see [`crate::fk_index`].
-    sorted_fk: HashMap<usize, SortedFkIndex>,
-    /// Source column index -> importance-sorted junction link postings
+    sorted_fk: Slots<SortedFkIndex>,
+    /// On *source* FK columns: importance-sorted junction link postings
     /// (junction tables only; same lifecycle as `sorted_fk`).
-    sorted_links: HashMap<usize, SortedLinkIndex>,
-    /// Per-row installed importance snapshot (parallel to `rows`; empty
+    sorted_links: Slots<SortedLinkIndex>,
+    /// Per-row installed importance snapshot (one per row slot; empty
     /// when no order is installed or the snapshot was killed by an
     /// un-scored insert). Scored inserts append to it, which is what lets
     /// binary insertion find the right posting slot.
     installed_scores: Vec<f64>,
-    /// True while `installed_scores` mirrors `rows` (set by
+    /// True while `installed_scores` covers every row slot (set by
     /// [`Table::build_sorted_fk`], cleared by the un-scored insert).
     scores_live: bool,
     /// Postings parked by an open scored batch: staged rows are not yet
@@ -75,7 +120,7 @@ pub struct Table {
     /// on the missing index) until `resume_postings` restores them for
     /// settlement. A batch abandoned without settlement therefore degrades
     /// to the conservative heap path instead of serving wrong prefixes.
-    suspended: Option<(HashMap<usize, SortedFkIndex>, HashMap<usize, SortedLinkIndex>)>,
+    suspended: Option<(Slots<SortedFkIndex>, Slots<SortedLinkIndex>)>,
     /// Mutation epoch of this table (bumped on every insert).
     epoch: Epoch,
     /// Scored inserts absorbed incrementally since the last full (re)sort
@@ -87,18 +132,22 @@ pub struct Table {
 impl Table {
     /// Creates an empty table for the schema.
     pub fn new(schema: TableSchema) -> Self {
-        let fk_indexes = schema.fks.iter().map(|fk| (fk.column, IntMap::default())).collect();
+        let arity = schema.arity();
+        let mut fk_indexes = vec![None; arity];
+        for fk in &schema.fks {
+            fk_indexes[fk.column] = Some(IntMap::default());
+        }
         Table {
+            columns: schema.columns.iter().map(|c| Column::new(c.ty)).collect(),
             schema,
-            rows: Vec::new(),
             dead: Vec::new(),
             n_dead: 0,
             posting_tombstones: 0,
             link_tombstones: 0,
             pk_index: IntMap::default(),
             fk_indexes,
-            sorted_fk: HashMap::new(),
-            sorted_links: HashMap::new(),
+            sorted_fk: vec![None; arity],
+            sorted_links: vec![None; arity],
             installed_scores: Vec::new(),
             scores_live: false,
             suspended: None,
@@ -111,12 +160,12 @@ impl Table {
     /// indexed by dense `RowId` (installed scores, data-graph node ids)
     /// are sized by this.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.dead.len()
     }
 
     /// Number of live rows.
     pub fn live_len(&self) -> usize {
-        self.rows.len() - self.n_dead
+        self.dead.len() - self.n_dead
     }
 
     /// Number of tombstoned (logically deleted) row slots.
@@ -131,7 +180,7 @@ impl Table {
 
     /// True when the table has no row slots.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.dead.is_empty()
     }
 
     /// Inserts a row, validating arity, types, and PK uniqueness.
@@ -158,6 +207,30 @@ impl Table {
     /// arity, types, and PK uniqueness, maintains the hash indexes, and
     /// appends the row. Does not touch sorted postings or the epoch.
     fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
+        self.check_shape(&values)?;
+        let pk = values[self.schema.pk]
+            .as_int()
+            .ok_or_else(|| StorageError::BadPrimaryKey { table: self.schema.name.clone() })?;
+        let id = RowId(self.dead.len() as u32);
+        if let Some(old) = self.pk_index.insert(pk, id) {
+            self.pk_index.insert(pk, old);
+            return Err(StorageError::DuplicateKey { table: self.schema.name.clone(), key: pk });
+        }
+        for (index, v) in self.fk_indexes.iter_mut().zip(&values) {
+            if let (Some(index), Some(k)) = (index, v.as_int()) {
+                hash_index_insert(index.entry(k).or_default(), id);
+            }
+        }
+        // Every check is behind us: all columns grow together.
+        for (column, v) in self.columns.iter_mut().zip(values) {
+            column.push(v);
+        }
+        self.dead.push(false);
+        Ok(id)
+    }
+
+    /// Arity and per-column type check of a candidate row.
+    fn check_shape(&self, values: &[Value]) -> Result<()> {
         if values.len() != self.schema.arity() {
             return Err(StorageError::Arity {
                 table: self.schema.name.clone(),
@@ -165,30 +238,15 @@ impl Table {
                 got: values.len(),
             });
         }
-        for (i, v) in values.iter().enumerate() {
-            if !v.matches(self.schema.columns[i].ty) {
+        for (v, c) in values.iter().zip(&self.schema.columns) {
+            if !v.matches(c.ty) {
                 return Err(StorageError::TypeMismatch {
                     table: self.schema.name.clone(),
-                    column: self.schema.columns[i].name.clone(),
+                    column: c.name.clone(),
                 });
             }
         }
-        let pk = values[self.schema.pk]
-            .as_int()
-            .ok_or_else(|| StorageError::BadPrimaryKey { table: self.schema.name.clone() })?;
-        let id = RowId(self.rows.len() as u32);
-        if let Some(old) = self.pk_index.insert(pk, id) {
-            self.pk_index.insert(pk, old);
-            return Err(StorageError::DuplicateKey { table: self.schema.name.clone(), key: pk });
-        }
-        for (&col, index) in self.fk_indexes.iter_mut() {
-            if let Some(k) = values[col].as_int() {
-                hash_index_insert(index.entry(k).or_default(), id);
-            }
-        }
-        self.rows.push(values.into_boxed_slice());
-        self.dead.push(false);
-        Ok(id)
+        Ok(())
     }
 
     /// The shared tombstone core of both delete paths: resolves the pk to
@@ -200,8 +258,8 @@ impl Table {
             .pk_index
             .remove(&pk)
             .ok_or_else(|| StorageError::MissingRow { table: self.schema.name.clone(), key: pk })?;
-        for (&col, index) in self.fk_indexes.iter_mut() {
-            if let Some(k) = self.rows[id.index()][col].as_int() {
+        for (index, column) in self.fk_indexes.iter_mut().zip(&self.columns) {
+            if let (Some(index), Some(k)) = (index, column.get(id.index()).as_int()) {
                 hash_index_remove(index, k, id);
             }
         }
@@ -215,21 +273,7 @@ impl Table {
     /// any FK hash index whose key changed. Does not touch sorted postings
     /// or the epoch.
     fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
-        if values.len() != self.schema.arity() {
-            return Err(StorageError::Arity {
-                table: self.schema.name.clone(),
-                expected: self.schema.arity(),
-                got: values.len(),
-            });
-        }
-        for (i, v) in values.iter().enumerate() {
-            if !v.matches(self.schema.columns[i].ty) {
-                return Err(StorageError::TypeMismatch {
-                    table: self.schema.name.clone(),
-                    column: self.schema.columns[i].name.clone(),
-                });
-            }
-        }
+        self.check_shape(&values)?;
         let id = *self
             .pk_index
             .get(&pk)
@@ -240,9 +284,10 @@ impl Table {
                 key: pk,
             });
         }
-        for (&col, index) in self.fk_indexes.iter_mut() {
-            let old = self.rows[id.index()][col].as_int();
-            let new = values[col].as_int();
+        for ((index, column), v) in self.fk_indexes.iter_mut().zip(&self.columns).zip(&values) {
+            let Some(index) = index else { continue };
+            let old = column.get(id.index()).as_int();
+            let new = v.as_int();
             if old != new {
                 if let Some(k) = old {
                     hash_index_remove(index, k, id);
@@ -252,7 +297,9 @@ impl Table {
                 }
             }
         }
-        self.rows[id.index()] = values.into_boxed_slice();
+        for (column, v) in self.columns.iter_mut().zip(values) {
+            column.set(id.index(), v);
+        }
         Ok(id)
     }
 
@@ -281,8 +328,8 @@ impl Table {
     /// Drops everything derived from the importance order (the un-scored
     /// mutation paths' common tail).
     fn drop_derived_state(&mut self) {
-        self.sorted_fk.clear();
-        self.sorted_links.clear();
+        self.sorted_fk.fill(None);
+        self.sorted_links.fill(None);
         self.suspended = None;
         self.installed_scores.clear();
         self.scores_live = false;
@@ -297,8 +344,8 @@ impl Table {
     /// RAM-resident until something rebuilds them. Tombstone debt goes
     /// with the postings it was counted against.
     pub(crate) fn evict_sorted_postings(&mut self) {
-        self.sorted_fk.clear();
-        self.sorted_links.clear();
+        self.sorted_fk.fill(None);
+        self.sorted_links.fill(None);
         self.posting_tombstones = 0;
         self.link_tombstones = 0;
     }
@@ -356,20 +403,17 @@ impl Table {
     /// captured by the batch machinery *before* a staged update rewrites
     /// the row, so settlement can find the old sorted-posting entries.
     pub(crate) fn fk_keys_of(&self, id: RowId) -> Vec<(usize, i64)> {
-        let mut keys: Vec<(usize, i64)> = self
-            .fk_indexes
-            .keys()
-            .filter_map(|&col| self.rows[id.index()][col].as_int().map(|k| (col, k)))
-            .collect();
-        keys.sort_unstable();
-        keys
+        (0..self.columns.len())
+            .filter(|&col| self.fk_indexes[col].is_some())
+            .filter_map(|col| self.value(id, col).as_int().map(|k| (col, k)))
+            .collect()
     }
 
     /// Removes a row's entries from the sorted FK postings under its *old*
     /// keys (settlement removal phase for net-updated rows).
     pub(crate) fn remove_from_postings(&mut self, id: RowId, old_keys: &[(usize, i64)]) {
         for &(col, key) in old_keys {
-            if let Some(sorted) = self.sorted_fk.get_mut(&col) {
+            if let Some(sorted) = &mut self.sorted_fk[col] {
                 sorted.remove(key, id);
             }
         }
@@ -414,28 +458,27 @@ impl Table {
     /// cross-table target lookups.
     pub(crate) fn insert_into_postings(&mut self, id: RowId, keys: &[(usize, i64)]) {
         for &(col, key) in keys {
-            if let Some(sorted) = self.sorted_fk.get_mut(&col) {
+            if let Some(sorted) = &mut self.sorted_fk[col] {
                 sorted.insert_scored(key, id, &self.installed_scores);
             }
         }
     }
 
-    /// The row with the given id. Panics on out-of-range ids (they can only
-    /// be produced by this table).
-    pub fn row(&self, id: RowId) -> &Row {
-        &self.rows[id.index()]
+    /// An owned copy of the row with the given id (dead slots keep their
+    /// values). Panics on out-of-range ids (they can only be produced by
+    /// this table).
+    pub fn row(&self, id: RowId) -> Vec<Value> {
+        self.columns.iter().map(|c| c.get(id.index()).to_value()).collect()
     }
 
     /// A single value of a row.
-    pub fn value(&self, id: RowId, col: usize) -> &Value {
-        &self.rows[id.index()][col]
+    pub fn value(&self, id: RowId, col: usize) -> ValueRef<'_> {
+        self.columns[col].get(id.index())
     }
 
     /// The primary-key value of a row.
     pub fn pk_of(&self, id: RowId) -> i64 {
-        self.rows[id.index()][self.schema.pk]
-            .as_int()
-            .expect("primary keys are validated on insert")
+        self.value(id, self.schema.pk).as_int().expect("primary keys are validated on insert")
     }
 
     /// Point lookup by primary key.
@@ -447,7 +490,7 @@ impl Table {
     /// indexed; calling this on a non-indexed column is a logic error.
     pub fn rows_where_eq(&self, col: usize, key: i64) -> &[RowId] {
         static EMPTY: [RowId; 0] = [];
-        match self.fk_indexes.get(&col) {
+        match self.fk_index_base(col) {
             Some(idx) => idx.get(&key).map(|v| v.as_slice()).unwrap_or(&EMPTY),
             None => panic!(
                 "column {} of `{}` is not FK-indexed",
@@ -458,13 +501,13 @@ impl Table {
 
     /// True when `col` carries an FK index.
     pub fn is_indexed(&self, col: usize) -> bool {
-        self.fk_indexes.contains_key(&col)
+        self.fk_index_base(col).is_some()
     }
 
     /// The base (unsorted) hash index of an FK column, if any — the input
     /// the sorted link postings are built from.
     pub(crate) fn fk_index_base(&self, col: usize) -> Option<&IntMap<Vec<RowId>>> {
-        self.fk_indexes.get(&col)
+        self.fk_indexes.get(col)?.as_ref()
     }
 
     /// Rebuilds every FK column's importance-sorted postings under
@@ -473,7 +516,7 @@ impl Table {
     /// [`crate::Database::install_importance_order`]). `score` is called
     /// once per row slot; the sort reads the snapshot.
     pub(crate) fn build_sorted_fk(&mut self, score: &dyn Fn(RowId) -> f64) {
-        self.installed_scores = (0..self.rows.len()).map(|i| score(RowId(i as u32))).collect();
+        self.installed_scores = (0..self.dead.len()).map(|i| score(RowId(i as u32))).collect();
         self.scores_live = true;
         self.resort_from_snapshot();
     }
@@ -487,7 +530,7 @@ impl Table {
         self.sorted_fk = self
             .fk_indexes
             .iter()
-            .map(|(&col, base)| (col, SortedFkIndex::build(base, &self.installed_scores)))
+            .map(|base| Some(SortedFkIndex::build(base.as_ref()?, &self.installed_scores)))
             .collect();
         self.churn = 0;
         // A full build sources from the (live-only) hash indexes, so any
@@ -498,32 +541,35 @@ impl Table {
     /// The importance-sorted postings of `col`, if an order is installed
     /// and no un-scored insert has invalidated it since.
     pub fn sorted_fk_index(&self, col: usize) -> Option<&SortedFkIndex> {
-        self.sorted_fk.get(&col)
+        self.sorted_fk.get(col)?.as_ref()
     }
 
     /// The importance-sorted junction link postings whose *source* FK is
     /// `col` (junction tables under a live installed order only).
     pub fn sorted_link_index(&self, col: usize) -> Option<&SortedLinkIndex> {
-        self.sorted_links.get(&col)
+        self.sorted_links.get(col)?.as_ref()
     }
 
     /// Every installed sorted FK index — `(column, index)` — for segment
     /// writers snapshotting this table's postings to disk.
     pub fn sorted_fk_indexes(&self) -> impl Iterator<Item = (usize, &SortedFkIndex)> {
-        self.sorted_fk.iter().map(|(&col, idx)| (col, idx))
+        self.sorted_fk.iter().enumerate().filter_map(|(col, idx)| Some((col, idx.as_ref()?)))
     }
 
     /// Every installed sorted link index — `(source column, index)`.
     pub fn sorted_link_indexes(&self) -> impl Iterator<Item = (usize, &SortedLinkIndex)> {
-        self.sorted_links.iter().map(|(&col, idx)| (col, idx))
+        self.sorted_links.iter().enumerate().filter_map(|(col, idx)| Some((col, idx.as_ref()?)))
     }
 
     /// Parks the sorted FK and link postings while a scored batch stages
     /// rows (see the `suspended` field docs). Idempotent within a batch.
     pub(crate) fn suspend_postings(&mut self) {
         if self.suspended.is_none() {
-            self.suspended =
-                Some((std::mem::take(&mut self.sorted_fk), std::mem::take(&mut self.sorted_links)));
+            let arity = self.columns.len();
+            self.suspended = Some((
+                std::mem::replace(&mut self.sorted_fk, vec![None; arity]),
+                std::mem::replace(&mut self.sorted_links, vec![None; arity]),
+            ));
         }
     }
 
@@ -538,15 +584,15 @@ impl Table {
     }
 
     pub(crate) fn set_sorted_link(&mut self, col: usize, index: SortedLinkIndex) {
-        self.sorted_links.insert(col, index);
+        self.sorted_links[col] = Some(index);
     }
 
     pub(crate) fn take_sorted_link(&mut self, col: usize) -> Option<SortedLinkIndex> {
-        self.sorted_links.remove(&col)
+        self.sorted_links[col].take()
     }
 
     pub(crate) fn drop_sorted_links(&mut self) {
-        self.sorted_links.clear();
+        self.sorted_links.fill(None);
     }
 
     /// True when the per-row installed-score snapshot covers every row
@@ -574,20 +620,37 @@ impl Table {
         self.churn
     }
 
-    /// Iterates over live `(RowId, &Row)` in insertion order (tombstoned
-    /// slots are skipped).
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.dead[i])
-            .map(|(i, r)| (RowId(i as u32), r))
+    /// The ids of the live rows in insertion order (tombstoned slots are
+    /// skipped).
+    pub fn live_rows(&self) -> impl Iterator<Item = RowId> + '_ {
+        self.dead.iter().enumerate().filter(|&(_, &dead)| !dead).map(|(i, _)| RowId(i as u32))
+    }
+
+    /// Iterates over live `(RowId, row)` in insertion order. Scans that
+    /// read one cell use [`Self::live_rows`] and [`Self::value`] instead
+    /// (see [`RowRef`]).
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, RowRef<'_>)> {
+        self.live_rows().map(|id| (id, RowRef { table: self, id, cells: OnceCell::new() }))
+    }
+
+    /// Releases the push-doubling slack of everything sized by the slot
+    /// count: the columns, the liveness flags and the score snapshot.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.columns.iter_mut().for_each(Column::shrink_to_fit);
+        self.dead.shrink_to_fit();
+        self.installed_scores.shrink_to_fit();
+    }
+
+    /// Bytes the stored cells occupy: every column at its vector
+    /// capacity, plus the bytes of its texts.
+    pub fn value_bytes(&self) -> usize {
+        self.columns.iter().map(Column::value_bytes).sum()
     }
 
     /// Average fan-out of the FK index on `col`: rows / distinct keys.
     /// Used by the computed affinity model's cardinality metric.
     pub fn avg_fanout(&self, col: usize) -> f64 {
-        match self.fk_indexes.get(&col) {
+        match self.fk_index_base(col) {
             Some(idx) if !idx.is_empty() => {
                 let referencing: usize = idx.values().map(|v| v.len()).sum();
                 referencing as f64 / idx.len() as f64
@@ -692,6 +755,60 @@ mod tests {
             t.insert(vec![Value::from("k"), "x".into(), Value::Int(1)]),
             Err(StorageError::TypeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn rejected_writes_leave_every_column_as_it_was() {
+        let mut t = make_table();
+        t.insert(vec![Value::Int(1), "kept".into(), Value::Int(5)]).unwrap();
+        // Bad arity, a bad type in the last column (after two good
+        // cells), a duplicate and a NULL pk: no column may grow.
+        assert!(t.insert(vec![Value::Int(2), "x".into()]).is_err());
+        assert!(t.insert(vec![Value::Int(2), "x".into(), "y".into()]).is_err());
+        assert!(t.insert(vec![Value::Int(1), "x".into(), Value::Int(6)]).is_err());
+        assert!(t.insert(vec![Value::Null, "x".into(), Value::Int(6)]).is_err());
+        assert!(t.columns.iter().all(|c| c.len() == 1));
+        assert_eq!(t.len(), 1);
+        // The same for updates: every cell keeps its value.
+        assert!(t.update(1, vec![Value::Int(1), "x".into()]).is_err());
+        assert!(t.update(1, vec![Value::Int(1), "x".into(), "y".into()]).is_err());
+        assert!(t.update(1, vec![Value::Int(3), "x".into(), Value::Int(6)]).is_err());
+        assert_eq!(t.row(RowId(0)), vec![Value::Int(1), "kept".into(), Value::Int(5)]);
+        assert_eq!(t.rows_where_eq(2, 5), &[RowId(0)]);
+        assert_eq!(t.rows_where_eq(2, 6).len(), 0);
+    }
+
+    #[test]
+    fn an_int_row_costs_eight_bytes_a_cell() {
+        let schema = TableSchema::builder("J").pk("id").fk("a", "A").fk("b", "B").build().unwrap();
+        let mut t = Table::new(schema);
+        let n = 1000;
+        for i in 0..n {
+            t.insert(vec![Value::Int(i), Value::Int(i % 7), Value::Int(i % 11)]).unwrap();
+        }
+        t.shrink_to_fit();
+        assert_eq!(t.value_bytes(), 24 * n as usize);
+        // The first NULL allocates that column's bitmap: words up to the
+        // NULL, not one per row.
+        t.update(0, vec![Value::Int(0), Value::Null, Value::Int(0)]).unwrap();
+        let bitmap = t.value_bytes() - 24 * n as usize;
+        assert!((8..=64).contains(&bitmap), "{bitmap} bytes for one NULL in row 0");
+        assert_eq!(t.value(RowId(0), 1), Value::Null);
+        assert_eq!(t.value(RowId(1), 1), Value::Int(1));
+    }
+
+    #[test]
+    fn iter_skips_tombstones_and_indexes_cells() {
+        let mut t = make_table();
+        for (pk, title) in [(1, "first"), (2, "second"), (3, "third")] {
+            t.insert(vec![Value::Int(pk), title.into(), Value::Null]).unwrap();
+        }
+        t.delete(2).unwrap();
+        let titles: Vec<_> = t.iter().map(|(r, row)| (r, row[1].as_str().unwrap())).collect();
+        assert_eq!(titles, [(RowId(0), "first"), (RowId(2), "third")]);
+        let (_, row) = t.iter().next().unwrap();
+        assert_eq!(row[2], Value::Null);
+        assert_eq!(row.iter().collect::<Vec<_>>(), t.row(RowId(0)));
     }
 
     #[test]
