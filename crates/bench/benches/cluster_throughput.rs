@@ -12,6 +12,9 @@
 //! * `apply_amortization` — `folded/B` applies B mutations one
 //!   `SizeLEngine::apply` at a time (B DataGraph rebuilds);
 //!   `batched/B` applies them as one `apply_batch` (one rebuild).
+//! * `cluster_apply` — `shards/N` is one 8 + 8 batch through an N-shard
+//!   partitioned router's `apply_batch`: flat in N, the shards sharing
+//!   one engine.
 //! * Hot-key-after-write latency is measured with a manual timer (the
 //!   refresh completes asynchronously, so it cannot sit inside a
 //!   criterion closure) and printed after the run; EXPERIMENTS.md §PR 5
@@ -150,6 +153,25 @@ fn bench_cluster_throughput(c: &mut Criterion) {
             engine.apply_batch(muts.batch(batch_size)).expect("batched apply");
         });
     });
+    group.finish();
+
+    // The cluster's write cost against its shard count: the same batch
+    // through `ClusterRouter::apply_batch` (refresh off). The shards
+    // share one engine, so one apply and N purges — flat in N.
+    let mut group = c.benchmark_group("cluster_apply");
+    group.sample_size(if full { 20 } else { 10 });
+    group.measurement_time(Duration::from_secs(if full { 5 } else { 2 }));
+    for shards in [1usize, 2, 4] {
+        let cluster = ClusterRouter::partitioned(
+            (0..shards).map(|_| build_engine()).collect(),
+            ClusterConfig { serve: serve_config(), refresh: None },
+        )
+        .expect("cluster builds");
+        let mut muts = MutationSource::new(&cluster.shard(0).engine());
+        group.bench_function(format!("shards/{shards}"), |b| {
+            b.iter(|| cluster.apply_batch(muts.batch(batch_size)).expect("cluster apply"));
+        });
+    }
     group.finish();
 
     // Hot-key latency after a write, refresh worker off vs on. Manual

@@ -1,24 +1,22 @@
 //! # sizel-cluster — multi-tenant sharded serving
 //!
-//! A [`ClusterRouter`] owns N independent [`SizeLServer`] shards and
-//! routes queries and writes across them, in one of two modes:
+//! A [`ClusterRouter`] owns N [`SizeLServer`] shards and routes queries
+//! and writes across them, in one of two modes:
 //!
-//! * **Partitioned** ([`ClusterRouter::partitioned`]): N replica engines
-//!   of *one* logical database; each Data Subject is owned by exactly one
-//!   shard via a deterministic TDS → shard hash
-//!   ([`ClusterRouter::shard_of`]), so the expensive per-DS work —
-//!   summary computation, cache residency, hotness tracking — partitions
-//!   across shards while any shard can resolve the (cheap) keyword
-//!   lookup. Cross-shard queries take each hit's summary from its owner
-//!   (one cache lookup there; a miss is computed on the asking thread)
-//!   and merge the answers in rank order, byte-identical to one
-//!   sequential engine (the equivalence suite proves it at every epoch).
+//! * **Partitioned** ([`ClusterRouter::partitioned`]): N memo shards —
+//!   summary cache, hotness sketch, counters — over **one** shared
+//!   engine; each Data Subject is owned by exactly one shard via a
+//!   deterministic TDS → shard hash ([`ClusterRouter::shard_of`]), so
+//!   the per-DS serving state partitions while the data is held once.
+//!   Cross-shard queries take each hit's summary from its owner (one
+//!   cache lookup there; a miss is computed on the asking thread) and
+//!   merge the answers in rank order, byte-identical to one sequential
+//!   engine (the equivalence suite proves it at every epoch).
 //! * **Multi-tenant** ([`ClusterRouter::multi_tenant`]): one engine per
 //!   tenant database; queries and writes name the tenant and route to
 //!   its shard, isolating tenants' data, caches, and write paths.
 //!
-//! Writes go through [`ClusterRouter::apply_batch`]: mutations are
-//! grouped per shard and applied through the engines' batched path (one
+//! Writes apply once per engine through its batched path (one
 //! `DataGraph` rebuild and one posting settlement per incremental run —
 //! see `SizeLEngine::apply_batch`), under a cluster-wide write gate so
 //! readers always observe every shard at one consistent epoch. A
@@ -67,9 +65,9 @@ pub enum ClusterError {
     WrongMode(&'static str),
     /// No tenant with that name.
     UnknownTenant(String),
-    /// Partitioned replicas disagreed (construction-time validation or a
-    /// write that left shards at different epochs — a bug, surfaced
-    /// rather than served).
+    /// A constructor's input was inconsistent (no engine, partitioned
+    /// engines that disagree, a duplicate tenant). Construction only:
+    /// shards sharing one engine cannot diverge afterwards.
     ReplicaMismatch(String),
 }
 
@@ -98,7 +96,7 @@ pub type Result<T> = std::result::Result<T, ClusterError>;
 /// How the router maps work to shards.
 #[derive(Debug)]
 enum Mode {
-    /// Replicas of one database; DS ownership by TDS hash.
+    /// Memo partitions over one shared engine; DS ownership by TDS hash.
     Partitioned,
     /// One engine per tenant; name → shard index.
     MultiTenant(HashMap<String, usize>),
@@ -127,10 +125,10 @@ pub struct ClusterRouter {
     shards: Vec<Arc<SizeLServer>>,
     mode: Mode,
     /// Cluster-wide epoch gate: queries hold it shared, applies hold it
-    /// exclusively while mutating *every* affected shard — so a reader
-    /// can never observe shard A at the new epoch and shard B at the old
-    /// one (torn cross-shard results are impossible by construction, the
-    /// cluster analogue of the serve layer's epoch-keyed cache proof).
+    /// exclusively from the engine write to the last shard's purge — so
+    /// a query's keyword-lookup guard and its per-hit guards all see one
+    /// epoch (torn results are impossible by construction, the cluster
+    /// analogue of the serve layer's epoch-keyed cache proof).
     gate: RwLock<()>,
     refresh: Option<refresh::RefreshWorker>,
 }
@@ -150,11 +148,11 @@ fn fnv_shard(tds: TupleRef, n_shards: usize) -> usize {
 }
 
 impl ClusterRouter {
-    /// A partitioned cluster over N replica engines of one database
-    /// (build them identically — same data, same config; validated
-    /// cheaply here). Queries route per Data Subject by
-    /// [`ClusterRouter::shard_of`]; writes apply to every replica under
-    /// the cluster gate.
+    /// A partitioned cluster of `engines.len()` shards, all over
+    /// `engines[0]`, shared. The others are checked against it cheaply
+    /// (epoch and tuple count) and dropped: the `Vec` narrows to
+    /// `(engine, shards)` with ROADMAP item 0. Queries route per Data
+    /// Subject by [`ClusterRouter::shard_of`]; a write applies once.
     pub fn partitioned(engines: Vec<SizeLEngine>, cfg: ClusterConfig) -> Result<Self> {
         if engines.is_empty() {
             return Err(ClusterError::ReplicaMismatch("at least one shard required".into()));
@@ -163,15 +161,17 @@ impl ClusterRouter {
         for (i, e) in engines.iter().enumerate() {
             if e.epoch() != epoch || e.db().total_tuples() != tuples {
                 return Err(ClusterError::ReplicaMismatch(format!(
-                    "shard {i} disagrees with shard 0 (epoch {} vs {}, {} vs {} tuples)",
+                    "shard {i} disagrees with shard 0 (epoch {} vs {epoch}, {} vs {tuples} tuples)",
                     e.epoch(),
-                    epoch,
                     e.db().total_tuples(),
-                    tuples
                 )));
             }
         }
-        Ok(Self::assemble(engines, Mode::Partitioned, cfg))
+        let n = engines.len();
+        let engine = Arc::new(RwLock::new(engines.into_iter().next().expect("checked non-empty")));
+        let shards = (0..n)
+            .map(|_| Arc::new(SizeLServer::from_shared(Arc::clone(&engine), cfg.serve.clone())));
+        Ok(Self::assemble(shards.collect(), Mode::Partitioned, cfg))
     }
 
     /// A multi-tenant cluster: one engine per named tenant database.
@@ -180,21 +180,28 @@ impl ClusterRouter {
             return Err(ClusterError::ReplicaMismatch("at least one tenant required".into()));
         }
         let mut by_name = HashMap::with_capacity(tenants.len());
-        let mut engines = Vec::with_capacity(tenants.len());
+        let mut shards = Vec::with_capacity(tenants.len());
         for (i, (name, engine)) in tenants.into_iter().enumerate() {
             if by_name.insert(name.clone(), i).is_some() {
                 return Err(ClusterError::ReplicaMismatch(format!("duplicate tenant `{name}`")));
             }
-            engines.push(engine);
+            shards.push(Arc::new(SizeLServer::new(engine, cfg.serve.clone())));
         }
-        Ok(Self::assemble(engines, Mode::MultiTenant(by_name), cfg))
+        Ok(Self::assemble(shards, Mode::MultiTenant(by_name), cfg))
     }
 
-    fn assemble(engines: Vec<SizeLEngine>, mode: Mode, cfg: ClusterConfig) -> Self {
-        let shards: Vec<Arc<SizeLServer>> =
-            engines.into_iter().map(|e| Arc::new(SizeLServer::new(e, cfg.serve.clone()))).collect();
+    fn assemble(shards: Vec<Arc<SizeLServer>>, mode: Mode, cfg: ClusterConfig) -> Self {
         let refresh = cfg.refresh.map(|rc| refresh::RefreshWorker::spawn(shards.clone(), rc));
         ClusterRouter { shards, mode, gate: RwLock::new(()), refresh }
+    }
+
+    /// Distinct engines: shard `i < engines()` owns engine `i` — one in
+    /// partitioned mode (every shard shares it), one per tenant.
+    fn engines(&self) -> usize {
+        match self.mode {
+            Mode::Partitioned => 1,
+            Mode::MultiTenant(_) => self.shards.len(),
+        }
     }
 
     /// Takes the cluster gate shared, recovering from poisoning: the
@@ -269,7 +276,7 @@ impl ClusterRouter {
     }
 
     /// Runs one keyword query across the partitioned cluster: the
-    /// keyword lookup resolves on shard 0 (any replica could), each hit's
+    /// keyword lookup resolves on shard 0 (any shard could), each hit's
     /// summary is computed by its owner shard, and the merged result is
     /// byte-identical to the sequential single-engine answer.
     pub fn query(&self, keywords: &str, opts: QueryOptions) -> Result<Vec<SharedResult>> {
@@ -300,7 +307,7 @@ impl ClusterRouter {
                 "tenant-less queries need a partitioned cluster (see query_tenant)",
             ));
         }
-        // Any replica resolves the keyword lookup; shard 0 does.
+        // Every shard reads the one engine; shard 0 resolves the lookup.
         Ok(self
             .answer(0, |tds| self.shard_of(tds), requests, true)
             .expect("waiting never declines"))
@@ -370,9 +377,9 @@ impl ClusterRouter {
         let _epoch_gate = self.gate_for(wait)?;
         let lookup = &self.shards[lookup_shard];
         // The engine guard covers the keyword lookups and nothing after
-        // them: a hit's owner may be this same shard, and a thread that
-        // takes a read guard it already holds deadlocks behind any writer
-        // queued in between.
+        // them: every owner shares this engine (partitioned) or is this
+        // shard (tenant), and a thread that takes a read guard it already
+        // holds deadlocks behind any writer queued in between.
         let (epoch, hits_per_request) = {
             let engine = if wait { lookup.engine() } else { lookup.try_engine()? };
             let hits: Vec<Vec<TupleRef>> =
@@ -463,20 +470,13 @@ impl ClusterRouter {
         Ok((epoch, results.pop().expect("one request")))
     }
 
-    /// Applies one mutation cluster-wide (partitioned mode: every
-    /// replica) under the exclusive gate. Returns the shards' common new
-    /// epoch.
-    pub fn apply(&self, m: Mutation) -> Result<Epoch> {
-        self.apply_batch(vec![m])
-    }
-
-    /// The batched write path (partitioned mode): the whole batch applies
-    /// to every replica through `SizeLEngine::apply_batch` — one
-    /// `DataGraph` rebuild and one posting settlement per shard per
-    /// incremental run — under the exclusive cluster gate, then the
-    /// refresh worker is signalled. Returns the common new epoch;
-    /// replicas ending at different epochs (impossible for deterministic
-    /// mutation streams) surface as [`ClusterError::ReplicaMismatch`].
+    /// The batched write path (partitioned mode), under the exclusive
+    /// gate: the batch applies **once**, through shard 0's
+    /// `SizeLServer::apply_batch` (which purges shard 0 under the engine
+    /// write lock); every other shard then drops its superseded entries
+    /// and the refresh worker is signalled. Returns the new epoch; on
+    /// error the engine keeps the applied prefix, the same purge runs,
+    /// and the error is returned.
     pub fn apply_batch(&self, ms: Vec<Mutation>) -> Result<Epoch> {
         if !matches!(self.mode, Mode::Partitioned) {
             return Err(ClusterError::WrongMode(
@@ -484,28 +484,12 @@ impl ClusterRouter {
             ));
         }
         let _epoch_gate = self.write_gate();
-        let mut epochs = Vec::with_capacity(self.shards.len());
-        let mut failure: Option<StorageError> = None;
-        for shard in &self.shards {
-            // Replicas apply the same stream; a deterministic rejection
-            // hits every shard at the same prefix, keeping them aligned.
-            match shard.apply_batch(ms.clone()) {
-                Ok(e) => epochs.push(e),
-                Err(e) => {
-                    epochs.push(shard.epoch());
-                    failure.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = failure {
-            self.notify_refresh();
-            return Err(e.into());
-        }
-        if epochs.windows(2).any(|w| w[0] != w[1]) {
-            return Err(ClusterError::ReplicaMismatch(format!("epochs diverged: {epochs:?}")));
+        let outcome = self.shards[0].apply_batch(ms);
+        for shard in &self.shards[1..] {
+            shard.purge_superseded();
         }
         self.notify_refresh();
-        Ok(epochs[0])
+        Ok(outcome?)
     }
 
     /// The multi-tenant batched write path: mutations are grouped per
@@ -534,35 +518,46 @@ impl ClusterRouter {
         Ok(epochs)
     }
 
-    /// Attaches a disk tier to **every** shard under the exclusive gate:
-    /// shard `i` gets its own WAL and segment store under
-    /// `base_dir/shard-<i>`, so replicas (and tenants) log and page
-    /// independently — a replica's recovery replays *its own* WAL
-    /// against its own base, and the deterministic mutation stream keeps
-    /// replicas aligned exactly as the write path does. Any replay may
-    /// advance shard epochs, so the refresh worker is signalled after.
+    /// Attaches a disk tier to each distinct engine once, under the
+    /// exclusive gate: engine `i` logs, pages and recovers in
+    /// `base_dir/shard-<i>` — `shard-0` alone in partitioned mode, one
+    /// directory per tenant. A replay may advance epochs, so the shards
+    /// sharing an engine then drop superseded entries and the refresh
+    /// worker is signalled.
     ///
-    /// Returns each shard's [`RecoveryReport`] in shard order.
+    /// Returns one [`RecoveryReport`] per engine, in shard order.
     pub fn attach_disk_tier(
         &self,
         base_dir: &std::path::Path,
         cfg: &DiskTierConfig,
     ) -> Result<Vec<RecoveryReport>> {
         let _epoch_gate = self.write_gate();
-        let mut reports = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut per_shard = cfg.clone();
-            per_shard.dir = base_dir.join(format!("shard-{i}"));
-            reports.push(shard.attach_disk(per_shard)?);
+        let (owners, sharers) = self.shards.split_at(self.engines());
+        let mut reports = Vec::with_capacity(owners.len());
+        for (i, shard) in owners.iter().enumerate() {
+            let mut tier = cfg.clone();
+            tier.dir = base_dir.join(format!("shard-{i}"));
+            reports.push(shard.attach_disk(tier)?);
+        }
+        for shard in sharers {
+            shard.purge_superseded();
         }
         self.notify_refresh();
         Ok(reports)
     }
 
-    /// Per-shard counters, epochs, and refresh-worker activity.
+    /// Per-shard counters, epochs, and refresh-worker activity. An
+    /// engine's disk tier is reported once, by the shard that owns it:
+    /// shard 0 in partitioned mode, every shard in multi-tenant mode.
     pub fn stats(&self) -> ClusterStats {
+        let owners = self.engines();
         ClusterStats {
-            per_shard: self.shards.iter().map(|s| s.stats()).collect(),
+            per_shard: (self.shards.iter().enumerate())
+                .map(|(i, shard)| {
+                    let stats = shard.stats();
+                    ServerStats { disk: stats.disk.filter(|_| i < owners), ..stats }
+                })
+                .collect(),
             epochs: self.shards.iter().map(|s| s.epoch()).collect(),
             refresh: self.refresh.as_ref().map(|r| r.stats()).unwrap_or_default(),
         }

@@ -12,7 +12,7 @@ use sizel_core::osgen::OsSource;
 use sizel_core::test_fixtures::max_pk;
 use sizel_datagen::dblp::DblpConfig;
 use sizel_serve::{Mutation, ServeConfig};
-use sizel_storage::Value;
+use sizel_storage::{RowId, StorageError, TupleRef, Value};
 
 mod common;
 use common::{build_engine, existing_keyword, fingerprint, replicas};
@@ -132,9 +132,124 @@ fn sharded_batched_refreshed_cluster_is_byte_identical_to_sequential_engine_at_e
     assert!(active >= 2, "per-DS work spread over {active} shard(s): {stats:?}");
     assert_eq!(
         stats.total(|s| s.mutations_applied),
-        (batches.iter().map(Vec::len).sum::<usize>() * cluster.shards()) as u64,
-        "every replica absorbed every mutation"
+        batches.iter().map(Vec::len).sum::<usize>() as u64,
+        "every mutation is applied, and counted, once"
     );
+}
+
+/// Graph rebuilds summed over the cluster's distinct engines, each
+/// counted once (engines compared by address).
+fn graph_builds(cluster: &ClusterRouter) -> u64 {
+    let mut seen = Vec::new();
+    (0..cluster.shards())
+        .map(|i| {
+            let engine = cluster.shard(i).engine();
+            let addr = &*engine as *const SizeLEngine;
+            if seen.contains(&addr) {
+                return 0;
+            }
+            seen.push(addr);
+            engine.db().access().maint().graph_builds
+        })
+        .sum()
+}
+
+#[test]
+fn partitioned_shards_share_one_engine_and_a_batch_builds_one_graph() {
+    let cfg = DblpConfig::tiny();
+    let cluster = ClusterRouter::partitioned(replicas(&cfg, 3), test_cluster_config(false))
+        .expect("cluster builds");
+    // One guard at a time: the address outlives the guard it was read under.
+    let address = |i: usize| &*cluster.shard(i).engine() as *const SizeLEngine;
+    for i in 1..cluster.shards() {
+        assert_eq!(address(i), address(0), "shard {i} holds an engine of its own");
+    }
+    let batches = mutation_batches(&cluster.shard(0).engine());
+    for (step, batch) in batches.into_iter().enumerate() {
+        let before = graph_builds(&cluster);
+        cluster.apply_batch(batch).expect("batched apply");
+        assert_eq!(graph_builds(&cluster), before + 1, "batch {step}: one graph build a batch");
+    }
+}
+
+#[test]
+fn a_write_purges_every_shard_and_a_pre_write_key_recomputes_at_the_new_epoch() {
+    let cfg = DblpConfig::tiny();
+    let cluster = ClusterRouter::partitioned(replicas(&cfg, 2), test_cluster_config(false))
+        .expect("cluster builds");
+    let mut baseline = build_engine(&cfg);
+    let author = baseline.db().table_id("Author").unwrap();
+    let opts = QueryOptions { l: 8, ..Default::default() };
+    // Sixteen subjects warm both shards' caches.
+    let subjects: Vec<TupleRef> = (0..16).map(|r| TupleRef::new(author, RowId(r))).collect();
+    for &tds in &subjects {
+        cluster.summarize_at(tds, opts).expect("partitioned summary");
+    }
+    let on_shard_1 =
+        *subjects.iter().find(|&&tds| cluster.shard_of(tds) == 1).expect("a subject of shard 1");
+
+    let before = cluster.stats();
+    let a = max_pk(baseline.db(), "Author");
+    let write = vec![Mutation::insert("Author", vec![Value::Int(a + 1), "Purge Probe".into()])];
+    let epoch = cluster.apply_batch(write.clone()).expect("write");
+    baseline.apply_batch(write).expect("baseline write");
+    let after = cluster.stats();
+    for (i, (b, a)) in before.per_shard.iter().zip(&after.per_shard).enumerate() {
+        assert!(
+            a.cache.invalidations > b.cache.invalidations,
+            "shard {i} kept its superseded entries: {b:?} -> {a:?}"
+        );
+    }
+
+    let (served_at, got) = cluster.summarize_at(on_shard_1, opts).expect("partitioned summary");
+    let read = cluster.stats().per_shard[1];
+    assert_eq!(served_at, epoch, "served at the new epoch");
+    assert_eq!(
+        (
+            read.cache.misses - after.per_shard[1].cache.misses,
+            read.summaries_computed - after.per_shard[1].summaries_computed
+        ),
+        (1, 1),
+        "the pre-write key is a miss that recomputes"
+    );
+    assert_eq!(fingerprint(&[got]), fingerprint(&[baseline.summarize(on_shard_1, opts)]));
+}
+
+#[test]
+fn a_batch_rejected_mid_way_keeps_the_sequential_folds_applied_prefix() {
+    let cfg = DblpConfig::tiny();
+    let cluster = ClusterRouter::partitioned(replicas(&cfg, 3), test_cluster_config(true))
+        .expect("cluster builds");
+    let mut baseline = build_engine(&cfg);
+    let set = query_set(&existing_keyword(&baseline));
+    // Batch 0 (Quorra and her junction row), then a junction row naming
+    // no author, then an author the rejection keeps out (Mirelle).
+    let j = max_pk(baseline.db(), "AuthorPaper");
+    let mut batch = mutation_batches(&baseline).swap_remove(0);
+    batch.push(Mutation::insert(
+        "AuthorPaper",
+        vec![Value::Int(j + 9), Value::Int(1 << 40), Value::Int(0)],
+    ));
+    batch.push(Mutation::insert("Author", vec![Value::Int(1 << 41), "Mirelle Stroud".into()]));
+
+    let rejected = cluster.apply_batch(batch.clone());
+    assert!(
+        matches!(rejected, Err(ClusterError::Storage(StorageError::DanglingForeignKey { .. }))),
+        "{rejected:?}"
+    );
+    for m in batch {
+        if baseline.apply(m).is_err() {
+            break;
+        }
+    }
+    assert!(cluster.stats().epochs.iter().all(|&e| e == baseline.epoch()), "the fold's epoch");
+    for (kw, opts) in &set {
+        assert_eq!(
+            fingerprint(&cluster.query(kw, *opts).expect("partitioned query")),
+            fingerprint(&baseline.query_with(kw, *opts)),
+            "{kw:?} {opts:?} diverged from the fold's applied prefix"
+        );
+    }
 }
 
 #[test]

@@ -236,7 +236,7 @@ pub fn render_metrics(
     // Per-shard serve and cluster state. In multi-tenant mode each shard
     // IS a tenant, so the tenant name labels its series — this is the
     // per-tenant QPS/cache view; in partitioned mode the shard index
-    // alone identifies the replica.
+    // alone identifies the cache partition.
     let tenants = router.tenant_names();
     let tenant_of = |shard: usize| -> Option<&str> {
         tenants.iter().find(|(_, s)| *s == shard).map(|(n, _)| n.as_str())
@@ -288,7 +288,7 @@ pub fn render_metrics(
         line(&mut out, "sizel_refresh_last_epoch", &labels, last);
         line(&mut out, "sizel_refresh_lag", &labels, epoch.saturating_sub(last));
 
-        // Disk tier (absent until the shard attaches one).
+        // Disk tier: on the shard that owns its engine, once attached.
         if let Some(disk) = per_shard.disk {
             let c = disk.store.cache;
             line(&mut out, "sizel_disk_cache_total", &format!("{labels},event=\"hit\""), c.hits);

@@ -298,10 +298,12 @@ fn stats_frame_returns_the_metrics_page() {
     });
 }
 
-/// Once a disk tier is attached to the shards, the metrics page grows
-/// the `sizel_disk_*` series — block-cache events, segment generation,
-/// WAL gauges — labelled per shard (absent before attach, which the
-/// base metrics test implicitly covers by not requiring them).
+/// Once a disk tier is attached, the metrics page grows the
+/// `sizel_disk_*` series — block-cache events, segment generation, WAL
+/// gauges — once per engine: a partitioned cluster's shards share one,
+/// so the series carry `shard="0"` and never `shard="1"` (absent before
+/// attach, which the base metrics test implicitly covers by not
+/// requiring them).
 #[test]
 fn disk_tier_series_appear_once_attached() {
     let router = tiny_cluster();
@@ -313,7 +315,7 @@ fn disk_tier_series_appear_once_attached() {
         fsync_every: 1,
         paged_tables: vec!["AuthorPaper".into()],
     };
-    router.attach_disk_tier(&dir, &tier).expect("attach per-shard tiers");
+    router.attach_disk_tier(&dir, &tier).expect("attach the shared engine's tier");
 
     let server = serve(router.clone(), NetConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
@@ -321,20 +323,24 @@ fn disk_tier_series_appear_once_attached() {
     let page = client.stats().expect("stats");
     for series in [
         "sizel_disk_cache_total{shard=\"0\",event=\"hit\"}",
-        "sizel_disk_cache_total{shard=\"1\",event=\"miss\"}",
+        "sizel_disk_cache_total{shard=\"0\",event=\"miss\"}",
         "sizel_disk_cache_total{shard=\"0\",event=\"eviction\"}",
         "sizel_disk_cache_total{shard=\"0\",event=\"recycled\"}",
         "sizel_disk_read_errors_total{shard=\"0\"}",
-        "sizel_disk_resident_pages{shard=\"1\"}",
+        "sizel_disk_resident_pages{shard=\"0\"}",
         "sizel_disk_segment_generation{shard=\"0\"}",
-        "sizel_disk_segment_lists{shard=\"1\"}",
+        "sizel_disk_segment_lists{shard=\"0\"}",
         "sizel_disk_checkpoints_total{shard=\"0\"}",
-        "sizel_disk_wal_bytes{shard=\"1\"}",
+        "sizel_disk_wal_bytes{shard=\"0\"}",
         "sizel_disk_wal_appends_total{shard=\"0\"}",
-        "sizel_disk_wal_syncs_total{shard=\"1\"}",
+        "sizel_disk_wal_syncs_total{shard=\"0\"}",
     ] {
         assert!(page.contains(series), "metrics page missing `{series}`:\n{page}");
     }
+    assert!(
+        !page.lines().any(|l| l.starts_with("sizel_disk_") && l.contains("shard=\"1\"")),
+        "shard 1 shares shard 0's engine, so its disk series would be copies:\n{page}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

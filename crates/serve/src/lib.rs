@@ -245,6 +245,15 @@ impl SizeLServer {
         outcome.map(|_| epoch)
     }
 
+    /// [`SizeLServer::apply_batch`]'s purge, for a server whose shared
+    /// engine another wrote through. A read guard suffices: the epoch
+    /// only advances under the write lock.
+    pub fn purge_superseded(&self) {
+        let engine = self.engine();
+        let epoch = engine.epoch();
+        self.cache.retain(|k| k.0 == epoch);
+    }
+
     /// Runs one query on the calling thread. Identical output to
     /// [`SizeLEngine::query_with`] on the same engine (modulo `Arc`
     /// wrapping) — the stress suite asserts this byte-for-byte.
@@ -383,19 +392,6 @@ impl SizeLServer {
         let epoch = engine.epoch();
         self.cache.retain(|k| k.0 == epoch);
         Ok(report)
-    }
-
-    /// Re-checkpoints the paged tables into a fresh segment generation
-    /// under the write lock (see [`SizeLEngine::checkpoint_disk`]).
-    /// Answers are unchanged, so the summary cache is kept.
-    pub fn checkpoint_disk(&self) -> Result<u64, StorageError> {
-        self.engine.write().expect("a mutation panicked mid-apply").checkpoint_disk()
-    }
-
-    /// Discards the write-ahead log (see [`SizeLEngine::truncate_wal`]
-    /// for when that is safe).
-    pub fn truncate_wal(&self) -> Result<(), StorageError> {
-        self.engine.write().expect("a mutation panicked mid-apply").truncate_wal()
     }
 
     /// Aggregate cache and throughput counters.
