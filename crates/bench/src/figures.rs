@@ -661,7 +661,8 @@ fn rss_mb() -> f64 {
 /// Where one engine's resident bytes go: `VmRSS` after each stage of one
 /// `generate` + engine derivation over `DblpConfig::bench()` (the stages
 /// of `benches/build_stages.rs`, every product kept alive), then each
-/// table's rows and [`sizel_storage::Table::value_bytes`]. Run it in a
+/// table's rows and [`sizel_storage::Table::value_bytes`], and its index
+/// bytes by structure ([`sizel_storage::Table::index_bytes`]). Run it in a
 /// fresh process (`repro footprint` builds no workbench first): freed
 /// heap the allocator keeps counts as resident.
 pub fn footprint() -> String {
@@ -711,6 +712,29 @@ pub fn footprint() -> String {
         .collect();
     out.push('\n');
     out.push_str(&markdown_table(&["table", "rows", "value_bytes", "B/row"], &tables));
+
+    // Where the index bytes sit, from capacities: the split of the
+    // database and posting-install rows above.
+    let mb = |b: usize| format!("{:.2}", b as f64 / 1e6);
+    let row = |name: String, split: &[(&str, usize)]| -> Vec<String> {
+        let sum = split.iter().map(|&(_, b)| b).sum();
+        std::iter::once(name).chain(split.iter().map(|&(_, b)| mb(b))).chain([mb(sum)]).collect()
+    };
+    let splits: Vec<_> =
+        db.tables().map(|(_, t)| (t.schema.name.clone(), t.index_bytes())).collect();
+    let mut total = splits[0].1.map(|(name, _)| (name, 0));
+    for (_, split) in &splits {
+        total.iter_mut().zip(split).for_each(|(sum, &(_, b))| sum.1 += b);
+    }
+    let mut rows: Vec<Vec<String>> = splits.iter().map(|(name, s)| row(name.clone(), s)).collect();
+    rows.push(row("all tables".into(), &total));
+    let header: Vec<String> = std::iter::once("table".into())
+        .chain(total.iter().map(|(name, _)| format!("{name} MB")))
+        .chain(["MB".into()])
+        .collect();
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    out.push('\n');
+    out.push_str(&markdown_table(&header, &rows));
     out
 }
 

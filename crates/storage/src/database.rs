@@ -145,7 +145,7 @@ impl Database {
     /// Sets the per-table tombstone bound: once a settlement leaves more
     /// than this many dead entries in a table's sorted FK postings, the
     /// settlement ends with one compaction pass (a full rebuild from the
-    /// live-only hash indexes) for that table. Probes are oblivious —
+    /// live-only FK groups) for that table. Probes are oblivious —
     /// tombstones are skipped during prefix scans and invisible to
     /// accounting — so the threshold only trades scan overhead
     /// (`O(dead)` skipped entries worst case) against periodic
@@ -225,7 +225,7 @@ impl Database {
     /// table's sorted postings like [`Database::insert`] (see
     /// [`Database::delete_scored_staged`] for the maintained path). The
     /// row slot and its `RowId` survive; the row
-    /// becomes invisible to iteration, hash indexes, and `by_pk`.
+    /// becomes invisible to iteration, FK groups, and `by_pk`.
     /// Referential integrity is *not* checked here (mirroring
     /// [`Database::insert`], which defers FK existence to
     /// [`Database::validate_foreign_keys`]); the engine layer rejects
@@ -319,9 +319,9 @@ impl Database {
         }
     }
 
-    /// Releases the push-doubling slack of every table's columns,
-    /// liveness flags and score snapshot, once loading has ended (the
-    /// hash indexes keep their load factor). Changes nothing observable.
+    /// Releases the push-doubling slack of every table's columns, flags,
+    /// score snapshot and FK-group and posting arenas once loading has
+    /// ended (the PK index keeps its load factor). Changes nothing observable.
     pub fn shrink_to_fit(&mut self) {
         self.tables.iter_mut().for_each(Table::shrink_to_fit);
     }

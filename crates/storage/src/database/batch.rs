@@ -103,7 +103,7 @@ impl Database {
     }
 
     /// Stages one scored insert into an open batch: the row (and its
-    /// score) lands in the table — visible to hash-index and PK reads,
+    /// score) lands in the table — visible to FK-group and PK reads,
     /// epoch bumped — but sorted-posting maintenance is deferred to
     /// [`Database::finish_scored_batch`]. The affected table's postings
     /// are suspended for the batch's duration (probes heap-fall-back).
@@ -348,7 +348,7 @@ impl Database {
         // Compaction: at most one pass per table per batch, once the
         // tombstone debt its deletes left behind crosses the threshold.
         // (A churn re-sort above already paid the debt off — it rebuilds
-        // from the live-only hash indexes — so it cannot re-trigger here.)
+        // from the live-only FK groups — so it cannot re-trigger here.)
         for &tid in &touched {
             let t = &self.tables[tid.index()];
             if t.has_installed_scores() && t.fk_tombstones() > self.compaction_threshold {

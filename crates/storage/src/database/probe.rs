@@ -153,7 +153,7 @@ impl Database {
             || jt.sorted_link_index(source_col),
             |p| {
                 let raw = p.link_raw_len(junction, source_col, key)?;
-                Some((p.link_cursor(junction, source_col, key)?, raw))
+                Some((p.link_cursor(junction, source_col, key)?, raw as u32))
             },
             // Pairs whose junction row or target row died since the last
             // compaction are tombstones: skipped, never cut on (their
@@ -167,12 +167,12 @@ impl Database {
                 let jrows = jt.rows_where_eq(source_col, key);
                 let targets =
                     jrows.iter().filter_map(|&j| tt.by_pk(jt.value(j, target_col).as_int()?));
-                (targets, jrows.len())
+                (targets, jrows.len() as u32)
             },
             scratch,
             out,
         );
-        self.access.record_join(raw);
+        self.access.record_join(raw as usize);
     }
 
     /// The one TOP-l probe body, for either posting kind: at most `l` of
@@ -183,7 +183,7 @@ impl Database {
     /// does not cover the list); `row_of` maps an entry to its result row
     /// (`None`: a tombstone) and `li` a result row to its local importance
     /// (`None`: never returned); `heap` yields the fallback's candidates
-    /// from the live-only hash indexes. Returns the per-key extra
+    /// from the live-only FK groups. Returns the per-key extra
     /// ([`Posting::Raw`]) of whichever source served.
     #[allow(clippy::too_many_arguments)]
     fn probe_top_l<'a, E: Posting + 'a, I: Iterator<Item = RowId>>(
@@ -240,7 +240,7 @@ impl Database {
             // Fail closed: a read error mid-scan discards the partial
             // prefix (serving it as-if-complete would silently drop
             // rows) and the heap path — always correct,
-            // hash-index-backed — takes over.
+            // backed by the FK groups — takes over.
             scratch.staged.clear();
         }
         self.access.record_heap_probe();

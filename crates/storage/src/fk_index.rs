@@ -59,7 +59,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::epoch::Epoch;
-use crate::hash::IntMap;
+use crate::runs::Runs;
 use crate::table::RowId;
 
 /// Identifies one installed importance ordering at one mutation epoch.
@@ -108,7 +108,7 @@ impl FkOrderToken {
 pub trait Posting: Copy + std::fmt::Debug {
     /// What a list keeps per key beside its entries: nothing for FK
     /// lists, the raw junction group size for link groups.
-    type Raw: Copy + Default + std::fmt::Debug;
+    type Raw: Copy + Default + PartialEq + std::fmt::Debug;
 
     /// The row whose installed score orders the entry.
     fn scored(self) -> RowId;
@@ -136,7 +136,7 @@ impl Posting for RowId {
 /// NULL); the prefix-scan probe reports it as the junction-probe tuple
 /// count so its access accounting is identical to the heap path's.
 impl Posting for (RowId, RowId) {
-    type Raw = usize;
+    type Raw = u32;
 
     fn scored(self) -> RowId {
         self.1
@@ -156,53 +156,16 @@ fn posting_order<E: Posting>(a: E, b: E, scores: &[f64]) -> std::cmp::Ordering {
         .then(a.ident().cmp(&b.ident()))
 }
 
-/// Binary-inserts `entry` at its exact [`posting_order`] position — where
-/// a full re-sort would put it. `scores` must give the installed score of
-/// every already-posted entry's scored row (tombstoned entries keep their
-/// stale score, so the comparisons stay consistent) and of `entry`'s.
-/// Serves both freshly appended rows (always the largest RowId of their
-/// table) and *re*-insertions of updated mid-table rows, where the RowId
-/// tie-breaks are load-bearing.
-fn insert_sorted<E: Posting>(entries: &mut Vec<E>, entry: E, scores: &[f64]) {
-    let pos = entries.partition_point(|&e| posting_order(e, entry, scores).is_lt());
-    entries.insert(pos, entry);
-}
-
-/// Removes the entry `ident` identifies by identity scan (the settlement
-/// removal phase for updated rows, whose installed score is about to
-/// change — a binary search by the *new* score would look in the wrong
-/// place). Returns whether it was posted.
-fn remove_ident<E: Posting>(entries: &mut Vec<E>, ident: RowId) -> bool {
-    let posted = entries.iter().position(|e| e.ident() == ident);
-    if let Some(pos) = posted {
-        entries.remove(pos);
-    }
-    posted.is_some()
-}
-
-/// One key's list in a [`SortedPostings`].
-#[derive(Clone, Debug)]
-struct List<E: Posting> {
-    entries: Vec<E>,
-    raw: E::Raw,
-}
-
-impl<E: Posting> Default for List<E> {
-    fn default() -> Self {
-        List { entries: Vec::new(), raw: E::Raw::default() }
-    }
-}
-
 /// Importance-sorted postings keyed by an FK value: the same keys as the
-/// base hash index, every list pre-sorted under the one posting order
-/// (`posting_order`).
+/// table's FK groups, every list pre-sorted under the one posting order
+/// (`posting_order`), all of them runs of one arena ([`Runs`]).
 #[derive(Clone, Debug)]
 pub struct SortedPostings<E: Posting> {
-    lists: IntMap<List<E>>,
+    pub(crate) runs: Runs<E, E::Raw>,
 }
 
-/// The importance-sorted postings of one FK column: the base hash index's
-/// row sets, best importance first.
+/// The importance-sorted postings of one FK column: the FK groups' row
+/// sets, best importance first.
 pub type SortedFkIndex = SortedPostings<RowId>;
 
 /// Per-(junction, orientation) link postings: for each source key, the
@@ -211,72 +174,63 @@ pub type SortedFkIndex = SortedPostings<RowId>;
 pub type SortedLinkIndex = SortedPostings<(RowId, RowId)>;
 
 impl<E: Posting> SortedPostings<E> {
-    /// Builds the sorted copy of a base FK index: `fill` turns one key's
-    /// base rows into its entries (and the per-key extra), and each list
-    /// is sorted where it lies against `scores`. The order is strict and
-    /// total, so the unstable sort has one possible output.
-    fn build_with<X>(
-        base: &IntMap<Vec<RowId>>,
-        scores: &[f64],
-        mut fill: impl FnMut(&[RowId], &mut Vec<E>) -> Result<E::Raw, X>,
-    ) -> Result<Self, X> {
-        let mut lists = IntMap::with_capacity_and_hasher(base.len(), Default::default());
-        for (&key, rows) in base {
-            let mut entries = Vec::with_capacity(rows.len());
-            let raw = fill(rows, &mut entries)?;
-            if entries.len() > 1 {
-                entries.sort_unstable_by(|&a, &b| posting_order(a, b, scores));
-            }
-            lists.insert(key, List { entries, raw });
-        }
-        Ok(SortedPostings { lists })
+    /// Sorts every run where it lies against `scores`. The order is
+    /// strict and total, so the unstable sort has one possible output.
+    fn sorted(mut runs: Runs<E, E::Raw>, scores: &[f64]) -> Self {
+        runs.for_each_run_mut(|entries| {
+            entries.sort_unstable_by(|&a, &b| posting_order(a, b, scores));
+        });
+        SortedPostings { runs }
+    }
+
+    /// Binary-inserts `entry` into `key`'s list at its exact
+    /// [`posting_order`] position — where a full re-sort would put it.
+    /// `scores` must give the installed score of every already-posted
+    /// entry's scored row (tombstoned entries keep their stale score, so
+    /// the comparisons stay consistent) and of `entry`'s. Serves both
+    /// freshly appended rows (always the largest RowId of their table)
+    /// and *re*-insertions of updated mid-table rows, where the RowId
+    /// tie-breaks are load-bearing.
+    pub(crate) fn insert_sorted(&mut self, key: i64, entry: E, scores: &[f64]) {
+        self.runs.insert_with(key, entry, |entries| {
+            entries.partition_point(|&e| posting_order(e, entry, scores).is_lt())
+        });
+    }
+
+    /// Removes the entry `ident` identifies from `key`'s list by identity
+    /// scan (the settlement removal phase for updated rows, whose
+    /// installed score is about to change — a binary search by the *new*
+    /// score would look in the wrong place). An FK list that empties
+    /// drops its key, matching a fresh build. No-op if it is not posted.
+    pub(crate) fn remove_ident(&mut self, key: i64, ident: RowId) {
+        self.runs.remove_with(key, |entries| entries.iter().position(|e| e.ident() == ident));
     }
 
     /// The entries posted under `key`, best importance first, and the
     /// key's extra: the empty group for an absent key.
     pub(crate) fn group(&self, key: i64) -> (&[E], E::Raw) {
-        self.lists.get(&key).map_or((&[], E::Raw::default()), |l| (l.entries.as_slice(), l.raw))
+        self.runs.get(key).unwrap_or((&[], E::Raw::default()))
     }
 
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
-        self.lists.len()
+        self.runs.key_count()
     }
 
-    /// Every posting list, in hash order (segment writers sort the keys
+    /// Every posting list, in directory order — unspecified, it follows
+    /// the per-process hash seed (segment writers sort the keys
     /// themselves for a deterministic on-disk layout).
     pub fn posting_lists(&self) -> impl Iterator<Item = (i64, &[E])> {
-        self.lists.iter().map(|(&k, l)| (k, l.entries.as_slice()))
+        self.runs.iter().map(|(k, entries, _)| (k, entries))
     }
 }
 
 impl SortedPostings<RowId> {
-    /// Builds the sorted copy of a base FK index; `scores[r]` is the
-    /// installed score of row `r`.
-    pub(crate) fn build(base: &IntMap<Vec<RowId>>, scores: &[f64]) -> SortedFkIndex {
-        let Ok(index) = Self::build_with(base, scores, |rows, out| {
-            out.extend_from_slice(rows);
-            Ok::<_, std::convert::Infallible>(())
-        });
-        index
-    }
-
-    /// Binary-inserts a row into `key`'s posting list (see
-    /// [`insert_sorted`]).
-    pub(crate) fn insert_scored(&mut self, key: i64, row: RowId, scores: &[f64]) {
-        insert_sorted(&mut self.lists.entry(key).or_default().entries, row, scores);
-    }
-
-    /// Removes a row from `key`'s posting list (see [`remove_ident`]).
-    /// Drops the key when the list empties, matching a fresh build. No-op
-    /// if the row is not posted.
-    pub(crate) fn remove(&mut self, key: i64, row: RowId) {
-        if let Some(list) = self.lists.get_mut(&key) {
-            remove_ident(&mut list.entries, row);
-            if list.entries.is_empty() {
-                self.lists.remove(&key);
-            }
-        }
+    /// Builds the sorted copy of a column's FK groups — one copy of their
+    /// directory and one of their arena, every run then sorted where it
+    /// lies; `scores[r]` is the installed score of row `r`.
+    pub(crate) fn build(base: &Runs<RowId>, scores: &[f64]) -> SortedFkIndex {
+        Self::sorted(base.clone(), scores)
     }
 
     /// The rows whose FK equals `key`, best-importance first.
@@ -308,29 +262,35 @@ impl SortedPostings<(RowId, RowId)> {
     /// first dangling target pk when any junction row's target FK dangles
     /// (see [`LinkTarget::Dangling`]).
     ///
-    /// `base` is the junction's hash FK index on the *source* column;
+    /// `base` is the junction's FK groups on the *source* column;
     /// `target_of` resolves a junction row's target; `target_scores[t]`
-    /// is the installed importance of target row `t`.
+    /// is the installed importance of target row `t`. One pass over
+    /// `base`'s runs writes every key's pairs into one arena, then each
+    /// run is sorted where it lies.
     pub(crate) fn build(
-        base: &IntMap<Vec<RowId>>,
+        base: &Runs<RowId>,
         target_of: &dyn Fn(RowId) -> LinkTarget,
         target_scores: &[f64],
     ) -> Result<SortedLinkIndex, i64> {
-        Self::build_with(base, target_scores, |jrows, pairs| {
-            for &j in jrows {
-                match target_of(j) {
-                    LinkTarget::Null => {}
-                    LinkTarget::Dangling(pk) => return Err(pk),
-                    LinkTarget::Row(t) => pairs.push((j, t)),
+        let mut runs = Runs::with_capacity(base.key_count(), base.entry_count());
+        for (key, jrows, ()) in base.iter() {
+            runs.try_push_run(key, jrows.len() as u32, |pairs| {
+                for &j in jrows {
+                    match target_of(j) {
+                        LinkTarget::Null => {}
+                        LinkTarget::Dangling(pk) => return Err(pk),
+                        LinkTarget::Row(t) => pairs.push((j, t)),
+                    }
                 }
-            }
-            Ok(jrows.len())
-        })
+                Ok(())
+            })?;
+        }
+        Ok(Self::sorted(runs, target_scores))
     }
 
     /// Posts one junction row under `key`: the raw group grows by one and,
     /// unless its target FK is NULL (`target` is `None`), its pair is
-    /// binary-inserted (see [`insert_sorted`]).
+    /// binary-inserted (see [`SortedPostings::insert_sorted`]).
     pub(crate) fn insert_scored(
         &mut self,
         key: i64,
@@ -338,10 +298,9 @@ impl SortedPostings<(RowId, RowId)> {
         target: Option<RowId>,
         target_scores: &[f64],
     ) {
-        let list = self.lists.entry(key).or_default();
-        list.raw += 1;
+        *self.runs.extra_mut(key) += 1;
         if let Some(t) = target {
-            insert_sorted(&mut list.entries, (junction_row, t), target_scores);
+            self.insert_sorted(key, (junction_row, t), target_scores);
         }
     }
 
@@ -354,20 +313,20 @@ impl SortedPostings<(RowId, RowId)> {
     /// behind as a tombstone, so the caller can count compaction debt.
     /// No-op (returns `false`) if the key has no postings.
     pub(crate) fn unpost(&mut self, key: i64, junction_row: RowId, remove_pair: bool) -> bool {
-        let Some(list) = self.lists.get_mut(&key) else { return false };
-        list.raw = list.raw.saturating_sub(1);
-        if list.raw == 0 {
-            // An emptied raw group matches a fresh build exactly: the
-            // hash index drops empty groups, so the postings drop the
-            // key — any pairs still in it are tombstones serving nobody.
-            self.lists.remove(&key);
+        let Some((_, raw)) = self.runs.get(key) else { return false };
+        if raw <= 1 {
+            // An emptied raw group matches a fresh build exactly: the FK
+            // groups drop empty keys, so the postings drop the key — any
+            // pairs still in it are tombstones serving nobody.
+            self.runs.remove_key(key);
             return false;
         }
+        *self.runs.extra_mut(key) = raw - 1;
         if remove_pair {
-            remove_ident(&mut list.entries, junction_row);
+            self.remove_ident(key, junction_row);
             return false;
         }
-        list.entries.iter().any(|e| e.ident() == junction_row)
+        self.pairs(key).iter().any(|e| e.ident() == junction_row)
     }
 
     /// The `(junction row, target row)` pairs of `key`, best target first.
@@ -382,19 +341,33 @@ impl SortedPostings<(RowId, RowId)> {
     /// The raw junction FK group size of `key` (what a heap-path junction
     /// probe reports as its tuple count).
     pub fn raw_group_len(&self, key: i64) -> usize {
-        self.group(key).1
+        self.group(key).1 as usize
     }
 
-    /// Every source key's group — `(key, pairs, raw_len)` — in hash order.
-    /// Pairs may include tombstones (see [`SortedLinkIndex::pairs`]).
+    /// Every source key's group — `(key, pairs, raw_len)` — in directory
+    /// order, as [`SortedPostings::posting_lists`]. Pairs may include
+    /// tombstones (see [`SortedLinkIndex::pairs`]).
     pub fn groups(&self) -> impl Iterator<Item = (i64, &[(RowId, RowId)], usize)> {
-        self.lists.iter().map(|(&k, l)| (k, l.entries.as_slice(), l.raw))
+        self.runs.iter().map(|(k, pairs, raw)| (k, pairs, raw as usize))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FK groups holding `rows` under `key`.
+    fn groups(key: i64, rows: &[RowId]) -> Runs<RowId> {
+        let mut base = Runs::default();
+        for &row in rows {
+            append(&mut base, key, row);
+        }
+        base
+    }
+
+    fn append(base: &mut Runs<RowId>, key: i64, row: RowId) {
+        base.insert_with(key, row, <[RowId]>::len);
+    }
 
     #[test]
     fn tokens_are_unique_and_restamp_preserves_order_identity() {
@@ -410,8 +383,7 @@ mod tests {
 
     #[test]
     fn build_sorts_by_score_desc_then_row_asc() {
-        let mut base: IntMap<Vec<RowId>> = IntMap::default();
-        base.insert(7, vec![RowId(0), RowId(1), RowId(2), RowId(3)]);
+        let base = groups(7, &[RowId(0), RowId(1), RowId(2), RowId(3)]);
         let scores = [1.0, 3.0, 3.0, 2.0];
         let idx = SortedFkIndex::build(&base, &scores);
         assert_eq!(idx.rows(7), &[RowId(1), RowId(2), RowId(3), RowId(0)]);
@@ -421,15 +393,14 @@ mod tests {
 
     #[test]
     fn incremental_insert_matches_rebuild() {
-        let mut base: IntMap<Vec<RowId>> = IntMap::default();
-        base.insert(7, vec![RowId(0), RowId(1), RowId(2)]);
+        let mut base = groups(7, &[RowId(0), RowId(1), RowId(2)]);
         let mut scores = vec![1.0, 3.0, 2.0];
         let mut idx = SortedFkIndex::build(&base, &scores);
         // Append rows with a fresh-max, a middle, and a tying score.
         for (row, s) in [(RowId(3), 5.0), (RowId(4), 2.5), (RowId(5), 3.0)] {
             scores.push(s);
-            base.get_mut(&7).unwrap().push(row);
-            idx.insert_scored(7, row, &scores);
+            append(&mut base, 7, row);
+            idx.insert_sorted(7, row, &scores);
             let rebuilt = SortedFkIndex::build(&base, &scores);
             assert_eq!(idx.rows(7), rebuilt.rows(7), "after appending {row:?}");
         }
@@ -442,34 +413,31 @@ mod tests {
 
     #[test]
     fn remove_then_reinsert_matches_rebuild_for_mid_table_rows() {
-        let mut base: IntMap<Vec<RowId>> = IntMap::default();
-        base.insert(7, vec![RowId(0), RowId(1), RowId(2), RowId(3)]);
+        let base = groups(7, &[RowId(0), RowId(1), RowId(2), RowId(3)]);
         let mut scores = vec![1.0, 3.0, 3.0, 2.0];
         let mut idx = SortedFkIndex::build(&base, &scores);
         // Reposition row 0 (a mid-table RowId) to score 3.0: it ties rows
         // 1 and 2 and must land *before* both, as a fresh sort would.
-        idx.remove(7, RowId(0));
+        idx.remove_ident(7, RowId(0));
         scores[0] = 3.0;
-        idx.insert_scored(7, RowId(0), &scores);
+        idx.insert_sorted(7, RowId(0), &scores);
         let rebuilt = SortedFkIndex::build(&base, &scores);
         assert_eq!(idx.rows(7), rebuilt.rows(7));
         assert_eq!(idx.rows(7), &[RowId(0), RowId(1), RowId(2), RowId(3)]);
         // Removing the last row of a key drops the key entirely.
-        let mut solo: IntMap<Vec<RowId>> = IntMap::default();
-        solo.insert(9, vec![RowId(5)]);
+        let solo = groups(9, &[RowId(5)]);
         let mut idx2 = SortedFkIndex::build(&solo, &[1.0; 6]);
-        idx2.remove(9, RowId(5));
+        idx2.remove_ident(9, RowId(5));
         assert_eq!(idx2.key_count(), 0);
         // Removing an unposted row is a no-op.
-        idx2.remove(9, RowId(6));
+        idx2.remove_ident(9, RowId(6));
     }
 
     #[test]
     fn link_index_build_and_incremental_insert_match() {
         // Junction rows 0..4 map source key 7 to targets with varying
         // scores; row 4 has a NULL target (counts in raw_len, no pair).
-        let mut base: IntMap<Vec<RowId>> = IntMap::default();
-        base.insert(7, vec![RowId(0), RowId(1), RowId(2), RowId(3), RowId(4)]);
+        let mut base = groups(7, &[RowId(0), RowId(1), RowId(2), RowId(3), RowId(4)]);
         let targets = [Some(RowId(0)), Some(RowId(1)), Some(RowId(2)), Some(RowId(1)), None];
         let as_link = |t: Option<RowId>| t.map_or(LinkTarget::Null, LinkTarget::Row);
         let mut tscores = vec![2.0, 3.0, 1.0];
@@ -491,7 +459,8 @@ mod tests {
         tscores.push(2.5);
         idx.insert_scored(7, RowId(5), Some(RowId(3)), &tscores);
         idx.insert_scored(7, RowId(6), Some(RowId(1)), &tscores);
-        base.get_mut(&7).unwrap().extend([RowId(5), RowId(6)]);
+        append(&mut base, 7, RowId(5));
+        append(&mut base, 7, RowId(6));
         let targets2 = {
             let mut t = targets.to_vec();
             t.extend([Some(RowId(3)), Some(RowId(1))]);
@@ -506,8 +475,7 @@ mod tests {
         // A dangling (non-NULL, unresolvable) target poisons the build:
         // the orientation is withheld (the missing pk is reported so the
         // caller can watch it) and the heap path serves it.
-        let mut dangle: IntMap<Vec<RowId>> = IntMap::default();
-        dangle.insert(1, vec![RowId(0)]);
+        let dangle = groups(1, &[RowId(0)]);
         let poisoned =
             SortedLinkIndex::build(&dangle, &|_: RowId| LinkTarget::Dangling(42), &tscores);
         assert_eq!(poisoned.err(), Some(42));

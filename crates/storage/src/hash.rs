@@ -12,11 +12,11 @@
 //! wire, inside `ApplyBatch`), and the tests below pin it. String keys,
 //! and keys a client composes, stay on SipHash.
 //!
-//! The seed is per process, not per map, on purpose: a posting install
-//! copies one integer-keyed map into another of the same capacity, and
-//! under one seed the copy walks source and destination buckets in the
-//! same order. Iteration order was unspecified under `RandomState` and
-//! still is — nothing may depend on it, and the segment writer sorts.
+//! The seed is per process, not per map, on purpose: the link build fills
+//! a directory of the same capacity as its source in the source's
+//! iteration order, which under one seed walks both in the same bucket
+//! order. Iteration order was unspecified under `RandomState` and still
+//! is — nothing may depend on it, and the segment writer sorts.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
@@ -24,6 +24,11 @@ use std::sync::OnceLock;
 
 /// A `HashMap` keyed by primary-key / FK values under [`IntHasher`].
 pub type IntMap<V> = HashMap<i64, V, IntBuildHasher>;
+
+/// Heap bytes an [`IntMap`] holds: a bucket and a control byte per 7/8 slot.
+pub(crate) fn map_bytes<V>(map: &IntMap<V>) -> usize {
+    map.capacity() * 8 / 7 * (std::mem::size_of::<(i64, V)>() + 1)
+}
 
 /// The multiplier of the fold. Which odd constant matters: bucket
 /// spread over a family of keys varying in one bit window is the same

@@ -7,8 +7,8 @@
 //!   integer primary keys and foreign keys ([`schema`]),
 //! * tables of typed columns — eight bytes an `Int` or `Float` cell, a
 //!   boxed string a `Text` cell, NULLs in a lazily allocated bitmap —
-//!   with hash indexes on the primary key and on every foreign-key
-//!   column ([`table::Table`]), built incrementally on insert,
+//!   with a hash index on the primary key and the groups of every
+//!   foreign-key column ([`table::Table`]), built incrementally on insert,
 //! * a catalog ([`database::Database`]) with foreign-key validation and the
 //!   two query forms Algorithm 4 issues as SQL
 //!   (`SELECT * FROM Ri WHERE tj.ID = Ri.ID` and
@@ -40,6 +40,7 @@ pub mod error;
 pub mod fk_index;
 pub mod hash;
 pub mod pager;
+pub mod runs;
 pub mod schema;
 pub mod table;
 pub mod text;

@@ -1,5 +1,5 @@
-//! Tables: typed column storage plus hash indexes on the PK and on FK
-//! columns.
+//! Tables: typed column storage, a hash index on the PK, and the groups
+//! of every FK column — key → its rows — as runs of one arena ([`Runs`]).
 
 use std::cell::OnceCell;
 use std::ops::Index;
@@ -8,7 +8,8 @@ use crate::column::Column;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
 use crate::fk_index::{SortedFkIndex, SortedLinkIndex};
-use crate::hash::IntMap;
+use crate::hash::{map_bytes, IntMap};
+use crate::runs::Runs;
 use crate::schema::TableSchema;
 use crate::value::{Value, ValueRef};
 use crate::Result;
@@ -67,11 +68,11 @@ impl<'a> Index<usize> for RowRef<'a> {
 /// index.
 type Slots<T> = Vec<Option<T>>;
 
-/// A table: schema, columns, and hash indexes.
+/// A table: schema, columns, and indexes.
 ///
 /// Indexes are maintained incrementally on insert:
-/// * a unique index on the primary key,
-/// * a multi-index on every foreign-key column (these serve the
+/// * a unique hash index on the primary key,
+/// * the FK groups of every foreign-key column (these serve the
 ///   `WHERE tj.ID = Ri.ID` joins of Algorithms 4 and 5).
 #[derive(Debug)]
 pub struct Table {
@@ -83,7 +84,7 @@ pub struct Table {
     /// count). Deletes are *logical*: the row slot (and its `RowId`)
     /// survives so every derived structure keyed by dense row ids —
     /// installed scores, data-graph node ids — stays valid. Dead rows
-    /// are invisible to `iter`, the hash indexes, and `by_pk`; they
+    /// are invisible to `iter`, the FK groups, and `by_pk`; they
     /// linger only as tombstones in the sorted FK postings until
     /// compaction.
     dead: Vec<bool>,
@@ -98,8 +99,8 @@ pub struct Table {
     /// liveness checks. Reset by every full link (re)build.
     link_tombstones: usize,
     pk_index: IntMap<RowId>,
-    /// On FK columns: key -> row ids.
-    fk_indexes: Slots<IntMap<Vec<RowId>>>,
+    /// On FK columns: key -> its live rows, `RowId`-ascending.
+    fk_indexes: Slots<Runs<RowId>>,
     /// On FK columns: importance-sorted postings. Installed at
     /// finalization, *maintained* under scored inserts, dropped by the
     /// plain un-scored insert — see [`crate::fk_index`].
@@ -135,7 +136,7 @@ impl Table {
         let arity = schema.arity();
         let mut fk_indexes = vec![None; arity];
         for fk in &schema.fks {
-            fk_indexes[fk.column] = Some(IntMap::default());
+            fk_indexes[fk.column] = Some(Runs::default());
         }
         Table {
             columns: schema.columns.iter().map(|c| Column::new(c.ty)).collect(),
@@ -204,8 +205,9 @@ impl Table {
     }
 
     /// The shared validate-and-append core of both insert paths: checks
-    /// arity, types, and PK uniqueness, maintains the hash indexes, and
-    /// appends the row. Does not touch sorted postings or the epoch.
+    /// arity, types, and PK uniqueness, maintains the PK index and FK
+    /// groups, and appends the row. Does not touch sorted postings or the
+    /// epoch.
     fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let pk = values[self.schema.pk]
@@ -218,7 +220,7 @@ impl Table {
         }
         for (index, v) in self.fk_indexes.iter_mut().zip(&values) {
             if let (Some(index), Some(k)) = (index, v.as_int()) {
-                hash_index_insert(index.entry(k).or_default(), id);
+                index.insert_with(k, id, |rows| rows.partition_point(|&r| r < id));
             }
         }
         // Every check is behind us: all columns grow together.
@@ -250,7 +252,7 @@ impl Table {
     }
 
     /// The shared tombstone core of both delete paths: resolves the pk to
-    /// a live row, removes it from the pk and FK hash indexes, and marks
+    /// a live row, removes it from the pk index and the FK groups, and marks
     /// the slot dead. Does not touch sorted postings or the epoch — the
     /// dead row lingers in them as a tombstone until compaction.
     fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
@@ -260,7 +262,7 @@ impl Table {
             .ok_or_else(|| StorageError::MissingRow { table: self.schema.name.clone(), key: pk })?;
         for (index, column) in self.fk_indexes.iter_mut().zip(&self.columns) {
             if let (Some(index), Some(k)) = (index, column.get(id.index()).as_int()) {
-                hash_index_remove(index, k, id);
+                index.remove_with(k, |rows| rows.binary_search(&id).ok());
             }
         }
         self.dead[id.index()] = true;
@@ -270,7 +272,7 @@ impl Table {
 
     /// The shared in-place-rewrite core of both update paths: validates
     /// arity/types, requires the pk to stay put, and re-homes the row in
-    /// any FK hash index whose key changed. Does not touch sorted postings
+    /// any FK group whose key changed. Does not touch sorted postings
     /// or the epoch.
     fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
@@ -290,10 +292,10 @@ impl Table {
             let new = v.as_int();
             if old != new {
                 if let Some(k) = old {
-                    hash_index_remove(index, k, id);
+                    index.remove_with(k, |rows| rows.binary_search(&id).ok());
                 }
                 if let Some(k) = new {
-                    hash_index_insert(index.entry(k).or_default(), id);
+                    index.insert_with(k, id, |rows| rows.partition_point(|&r| r < id));
                 }
             }
         }
@@ -414,7 +416,7 @@ impl Table {
     pub(crate) fn remove_from_postings(&mut self, id: RowId, old_keys: &[(usize, i64)]) {
         for &(col, key) in old_keys {
             if let Some(sorted) = &mut self.sorted_fk[col] {
-                sorted.remove(key, id);
+                sorted.remove_ident(key, id);
             }
         }
     }
@@ -459,7 +461,7 @@ impl Table {
     pub(crate) fn insert_into_postings(&mut self, id: RowId, keys: &[(usize, i64)]) {
         for &(col, key) in keys {
             if let Some(sorted) = &mut self.sorted_fk[col] {
-                sorted.insert_scored(key, id, &self.installed_scores);
+                sorted.insert_sorted(key, id, &self.installed_scores);
             }
         }
     }
@@ -486,12 +488,11 @@ impl Table {
         self.pk_index.get(&key).copied()
     }
 
-    /// Rows whose indexed column `col` equals `key`. Only FK columns are
-    /// indexed; calling this on a non-indexed column is a logic error.
+    /// Live rows, `RowId`-ascending, whose FK column `col` equals `key`;
+    /// calling this on a non-indexed column is a logic error.
     pub fn rows_where_eq(&self, col: usize, key: i64) -> &[RowId] {
-        static EMPTY: [RowId; 0] = [];
         match self.fk_index_base(col) {
-            Some(idx) => idx.get(&key).map(|v| v.as_slice()).unwrap_or(&EMPTY),
+            Some(idx) => idx.get(key).map_or(&[][..], |(rows, ())| rows),
             None => panic!(
                 "column {} of `{}` is not FK-indexed",
                 self.schema.columns[col].name, self.schema.name
@@ -504,9 +505,9 @@ impl Table {
         self.fk_index_base(col).is_some()
     }
 
-    /// The base (unsorted) hash index of an FK column, if any — the input
-    /// the sorted link postings are built from.
-    pub(crate) fn fk_index_base(&self, col: usize) -> Option<&IntMap<Vec<RowId>>> {
+    /// The FK groups of a column, if any — the input the sorted FK and
+    /// link postings are built from.
+    pub(crate) fn fk_index_base(&self, col: usize) -> Option<&Runs<RowId>> {
         self.fk_indexes.get(col)?.as_ref()
     }
 
@@ -533,7 +534,7 @@ impl Table {
             .map(|base| Some(SortedFkIndex::build(base.as_ref()?, &self.installed_scores)))
             .collect();
         self.churn = 0;
-        // A full build sources from the (live-only) hash indexes, so any
+        // A full build sources from the (live-only) FK groups, so any
         // tombstone debt is paid off wholesale.
         self.posting_tombstones = 0;
     }
@@ -634,11 +635,15 @@ impl Table {
     }
 
     /// Releases the push-doubling slack of everything sized by the slot
-    /// count: the columns, the liveness flags and the score snapshot.
+    /// count — the columns, the liveness flags and the score snapshot —
+    /// and repacks every FK group and posting arena at exact size.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.columns.iter_mut().for_each(Column::shrink_to_fit);
         self.dead.shrink_to_fit();
         self.installed_scores.shrink_to_fit();
+        self.fk_indexes.iter_mut().flatten().for_each(Runs::shrink_to_fit);
+        self.sorted_fk.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
+        self.sorted_links.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
     }
 
     /// Bytes the stored cells occupy: every column at its vector
@@ -647,43 +652,25 @@ impl Table {
         self.columns.iter().map(Column::value_bytes).sum()
     }
 
+    /// Heap bytes of this table's indexes by structure, from their
+    /// capacities: the PK index, the FK groups, the resident sorted FK
+    /// and link postings, and the score snapshot those are placed by.
+    pub fn index_bytes(&self) -> [(&'static str, usize); 5] {
+        [
+            ("pk index", map_bytes(&self.pk_index)),
+            ("FK groups", self.fk_indexes.iter().flatten().map(Runs::heap_bytes).sum()),
+            ("sorted FK", self.sorted_fk.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
+            ("links", self.sorted_links.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
+            ("scores", self.installed_scores.capacity() * std::mem::size_of::<f64>()),
+        ]
+    }
+
     /// Average fan-out of the FK index on `col`: rows / distinct keys.
     /// Used by the computed affinity model's cardinality metric.
     pub fn avg_fanout(&self, col: usize) -> f64 {
         match self.fk_index_base(col) {
-            Some(idx) if !idx.is_empty() => {
-                let referencing: usize = idx.values().map(|v| v.len()).sum();
-                referencing as f64 / idx.len() as f64
-            }
+            Some(idx) if idx.key_count() > 0 => idx.entry_count() as f64 / idx.key_count() as f64,
             _ => 0.0,
-        }
-    }
-}
-
-/// Inserts `id` into a hash-index posting vec at its `RowId`-ascending
-/// position. The vecs are kept sorted so that, for any live row set, the
-/// maintained index is byte-identical to one built by inserting the live
-/// rows in insertion order — appends (the common case: `id` is the
-/// largest) cost O(1) amortized.
-fn hash_index_insert(vec: &mut Vec<RowId>, id: RowId) {
-    if vec.last().is_none_or(|&last| last < id) {
-        vec.push(id);
-    } else {
-        let pos = vec.partition_point(|&r| r < id);
-        vec.insert(pos, id);
-    }
-}
-
-/// Removes `id` from a hash index's posting vec for `key`, dropping the
-/// entry entirely when it empties (so key counts and fan-out statistics
-/// match a fresh build over the live rows).
-fn hash_index_remove(index: &mut IntMap<Vec<RowId>>, key: i64, id: RowId) {
-    if let Some(vec) = index.get_mut(&key) {
-        if let Some(pos) = vec.iter().position(|&r| r == id) {
-            vec.remove(pos);
-        }
-        if vec.is_empty() {
-            index.remove(&key);
         }
     }
 }
