@@ -5,16 +5,14 @@
 //!
 //! Groups:
 //! * `cluster_throughput_dblp` — `single_server` is the PR-2 serving
-//!   baseline; `cluster/N` routes the same batch through an N-shard
-//!   partitioned router (per-DS fan-out + merge). NOTE: on the 1-CPU
-//!   reference container cross-shard parallelism cannot show up — the
-//!   interesting single-core signal is the router overhead.
+//!   baseline; `cluster/1` routes the same batch through a partitioned
+//!   router: the router's overhead over its one server. (Every shard
+//!   count is the same one memo, so one case is all there is.)
 //! * `apply_amortization` — `folded/B` applies B mutations one
 //!   `SizeLEngine::apply` at a time (B DataGraph rebuilds);
 //!   `batched/B` applies them as one `apply_batch` (one rebuild).
-//! * `cluster_apply` — `shards/N` is one 8 + 8 batch through an N-shard
-//!   partitioned router's `apply_batch`: flat in N, the shards sharing
-//!   one engine.
+//! * `cluster_apply` — `shards/1` is one 8 + 8 batch through a
+//!   partitioned router's `apply_batch`.
 //! * Hot-key-after-write latency is measured with a manual timer (the
 //!   refresh completes asynchronously, so it cannot sit inside a
 //!   criterion closure) and printed after the run; EXPERIMENTS.md §PR 5
@@ -115,19 +113,17 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     });
     drop(server);
 
-    // The partitioned router at 1/2/4 shards (refresh off: measuring the
-    // serving path, not the background worker).
-    for shards in [1usize, 2, 4] {
-        let engines: Vec<SizeLEngine> = (0..shards).map(|_| build_engine()).collect();
-        let cluster = ClusterRouter::partitioned(
-            engines,
-            ClusterConfig { serve: serve_config(), refresh: None },
-        )
-        .expect("cluster builds");
-        group.bench_with_input(BenchmarkId::new("cluster", shards), &set, |b, set| {
-            b.iter(|| criterion::black_box(cluster.batch_query(set).expect("partitioned query")));
-        });
-    }
+    // The partitioned router (refresh off: measuring the serving path,
+    // not the background worker).
+    let cluster = ClusterRouter::partitioned(
+        vec![build_engine()],
+        ClusterConfig { serve: serve_config(), refresh: None },
+    )
+    .expect("cluster builds");
+    group.bench_with_input(BenchmarkId::new("cluster", 1), &set, |b, set| {
+        b.iter(|| criterion::black_box(cluster.batch_query(set).expect("partitioned query")));
+    });
+    drop(cluster);
     group.finish();
 
     // Batched vs folded apply: the per-insert derived-state refresh
@@ -155,23 +151,21 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     });
     group.finish();
 
-    // The cluster's write cost against its shard count: the same batch
-    // through `ClusterRouter::apply_batch` (refresh off). The shards
-    // share one engine, so one apply and N purges — flat in N.
+    // The cluster's write cost: the same batch through
+    // `ClusterRouter::apply_batch` (refresh off) — one apply, one purge.
     let mut group = c.benchmark_group("cluster_apply");
     group.sample_size(if full { 20 } else { 10 });
     group.measurement_time(Duration::from_secs(if full { 5 } else { 2 }));
-    for shards in [1usize, 2, 4] {
-        let cluster = ClusterRouter::partitioned(
-            (0..shards).map(|_| build_engine()).collect(),
-            ClusterConfig { serve: serve_config(), refresh: None },
-        )
-        .expect("cluster builds");
-        let mut muts = MutationSource::new(&cluster.shard(0).engine());
-        group.bench_function(format!("shards/{shards}"), |b| {
-            b.iter(|| cluster.apply_batch(muts.batch(batch_size)).expect("cluster apply"));
-        });
-    }
+    let cluster = ClusterRouter::partitioned(
+        vec![build_engine()],
+        ClusterConfig { serve: serve_config(), refresh: None },
+    )
+    .expect("cluster builds");
+    let mut muts = MutationSource::new(&cluster.shard(0).engine());
+    group.bench_function("shards/1", |b| {
+        b.iter(|| cluster.apply_batch(muts.batch(batch_size)).expect("cluster apply"));
+    });
+    drop(cluster);
     group.finish();
 
     // Hot-key latency after a write, refresh worker off vs on. Manual

@@ -2,51 +2,43 @@
 //! updates instead of recomputing on demand (the continual top-k line of
 //! work — Xu, PAPERS.md — that the epoch subsystem was built to enable).
 //!
-//! One background thread per cluster watches the shards' mutation epochs.
-//! When an epoch moves (the router signals after every apply; a fallback
-//! interval sweep catches anything else), the worker asks each moved
-//! shard to [`rewarm`](sizel_serve::SizeLServer::rewarm_hottest_auto)
-//! its hottest summary keys under a skew-derived, capped **budget** — so
-//! the cache entries a write just purged are recomputed *before*
-//! steady-state readers of those keys arrive, and the refresh cost is
-//! bounded per epoch bump rather than proportional to the cache.
+//! One background thread per cluster watches the epoch of each server
+//! the router holds: one per tenant, one for a partitioned cluster. When
+//! an epoch moves (the router signals after every apply; a fallback
+//! interval sweep catches anything else), the worker asks that server to
+//! [`rewarm`](sizel_serve::SizeLServer::rewarm_hottest_auto) its hottest
+//! summary keys under a skew-derived, capped **budget** — so the cache
+//! entries a write just purged are recomputed *before* steady-state
+//! readers of those keys arrive, and the refresh cost is bounded per
+//! epoch bump rather than proportional to the cache. A re-warm is no
+//! reader: it moves no cache hit or miss counter.
 //!
 //! Freshness-correctness is inherited, not re-proven: the re-warm runs
-//! under a shard read lock and keys every entry by the epoch read under
-//! that same lock — exactly the staleness-impossible-by-construction
+//! under an engine read guard and keys every entry by the epoch read
+//! under that same guard — exactly the staleness-impossible-by-construction
 //! argument of the demand path — and `summarize` is deterministic, so a
 //! refreshed entry is byte-identical to what the reader would have
 //! computed. The worker can therefore never serve (or cause to be
 //! served) anything the sequential engine would not.
-
-//! ## Shutdown/notify race audit (ISSUE 7)
 //!
-//! The worker's condvar protocol was audited for the two races a
-//! notify/drop pair can hit:
+//! ## Shutdown and notify races
 //!
-//! * **A notify landing between the `wait_timeout` wake and re-lock.**
-//!   Cannot be lost: `pending` is only written under the signal mutex,
-//!   and `Condvar::wait_timeout` re-acquires that mutex *before*
-//!   returning — a notify that fires while the worker is waking either
-//!   finds it still waiting (wakeup delivered) or blocks on the mutex
-//!   until the worker has re-checked `pending` under the lock. A notify
-//!   landing between the worker's `*pending = false` and the sweep sets
-//!   `pending` for the *next* iteration, which re-sweeps — at worst one
-//!   redundant sweep, never a missed one.
-//! * **`Drop` racing a sweep in flight.** `stop` is now re-checked
-//!   between shards inside the sweep (not just once per wakeup), so a
-//!   drop no longer waits out a full pass over every shard's re-warm
-//!   budget; the worker owns its own `Arc`s to the shards, so the
-//!   router's fields dropping first cannot free a shard under it.
+//! * **A notify landing between the `wait_timeout` wake and re-lock**
+//!   cannot be lost: `pending` is only written under the signal mutex,
+//!   which `Condvar::wait_timeout` re-acquires *before* returning. A
+//!   notify landing between `*pending = false` and the sweep sets
+//!   `pending` for the next iteration — at worst one redundant sweep.
+//! * **`Drop` racing a sweep in flight:** `stop` is re-checked between
+//!   servers, so a drop never waits out every server's budget, and the
+//!   worker owns its own `Arc`s, so the router dropping first cannot free
+//!   a server under it.
+//! * **Poison:** both sides recover the signal flag, so a panicking
+//!   worker cannot turn the router's drop-time `notify` into a double
+//!   panic that aborts the process.
 //!
-//! Two real defects were fixed: the signal mutex was locked with
-//! `expect("refresh signal poisoned")` on **both** sides, so a panic in
-//! the worker poisoned the lock and made the router's next
-//! `notify` — including the one issued by `Drop` itself — panic too
-//! (a double panic during unwind aborts the process). Both sides now
-//! recover the flag. And the worker's last-seen epochs were thread-local,
-//! so the serving stack could not export refresh *lag*; they now live in
-//! shared per-shard atomics, surfaced via [`RefreshStats::last_epochs`].
+//! The last-seen epochs live in shared per-server atomics, surfaced via
+//! [`RefreshStats::last_epochs`] so the metrics page can export refresh
+//! *lag*.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

@@ -125,11 +125,9 @@ fn sharded_batched_refreshed_cluster_is_byte_identical_to_sequential_engine_at_e
         }
     }
 
-    // The work really partitioned: more than one shard computed
-    // summaries for the query set.
+    // All of the per-DS work landed in the one memo.
     let stats = cluster.stats();
-    let active = stats.per_shard.iter().filter(|s| s.summaries_computed > 0).count();
-    assert!(active >= 2, "per-DS work spread over {active} shard(s): {stats:?}");
+    assert!(stats.per_shard[0].summaries_computed > 0, "the memo computed nothing: {stats:?}");
     assert_eq!(
         stats.total(|s| s.mutations_applied),
         batches.iter().map(Vec::len).sum::<usize>() as u64,
@@ -173,6 +171,22 @@ fn partitioned_shards_share_one_engine_and_a_batch_builds_one_graph() {
 }
 
 #[test]
+fn a_partitioned_router_is_one_memo_sized_as_its_shards() {
+    let cfg = DblpConfig::tiny();
+    let serve = test_cluster_config(false).serve;
+    for n in [1, 3] {
+        let cluster = ClusterRouter::partitioned(replicas(&cfg, n), test_cluster_config(false))
+            .expect("cluster builds");
+        assert_eq!(cluster.shards(), 1, "{n} engines: one server");
+        let stats = cluster.stats();
+        assert_eq!(stats.per_shard[0].cache.capacity, n * serve.cache_capacity, "{n} engines");
+        let tds =
+            TupleRef::new(cluster.shard(0).engine().db().table_id("Author").unwrap(), RowId(7));
+        assert_eq!(cluster.shard_of(tds), 0, "every subject is the one server's");
+    }
+}
+
+#[test]
 fn a_write_purges_every_shard_and_a_pre_write_key_recomputes_at_the_new_epoch() {
     let cfg = DblpConfig::tiny();
     let cluster = ClusterRouter::partitioned(replicas(&cfg, 2), test_cluster_config(false))
@@ -180,39 +194,37 @@ fn a_write_purges_every_shard_and_a_pre_write_key_recomputes_at_the_new_epoch() 
     let mut baseline = build_engine(&cfg);
     let author = baseline.db().table_id("Author").unwrap();
     let opts = QueryOptions { l: 8, ..Default::default() };
-    // Sixteen subjects warm both shards' caches.
+    // Sixteen subjects warm the memo.
     let subjects: Vec<TupleRef> = (0..16).map(|r| TupleRef::new(author, RowId(r))).collect();
     for &tds in &subjects {
         cluster.summarize_at(tds, opts).expect("partitioned summary");
     }
-    let on_shard_1 =
-        *subjects.iter().find(|&&tds| cluster.shard_of(tds) == 1).expect("a subject of shard 1");
+    let pre_write = subjects[5];
 
-    let before = cluster.stats();
+    let before = cluster.stats().per_shard[0];
     let a = max_pk(baseline.db(), "Author");
     let write = vec![Mutation::insert("Author", vec![Value::Int(a + 1), "Purge Probe".into()])];
     let epoch = cluster.apply_batch(write.clone()).expect("write");
     baseline.apply_batch(write).expect("baseline write");
-    let after = cluster.stats();
-    for (i, (b, a)) in before.per_shard.iter().zip(&after.per_shard).enumerate() {
-        assert!(
-            a.cache.invalidations > b.cache.invalidations,
-            "shard {i} kept its superseded entries: {b:?} -> {a:?}"
-        );
-    }
+    let after = cluster.stats().per_shard[0];
+    assert_eq!(
+        after.cache.invalidations - before.cache.invalidations,
+        subjects.len() as u64,
+        "the write purged every superseded entry: {before:?} -> {after:?}"
+    );
 
-    let (served_at, got) = cluster.summarize_at(on_shard_1, opts).expect("partitioned summary");
-    let read = cluster.stats().per_shard[1];
+    let (served_at, got) = cluster.summarize_at(pre_write, opts).expect("partitioned summary");
+    let read = cluster.stats().per_shard[0];
     assert_eq!(served_at, epoch, "served at the new epoch");
     assert_eq!(
         (
-            read.cache.misses - after.per_shard[1].cache.misses,
-            read.summaries_computed - after.per_shard[1].summaries_computed
+            read.cache.misses - after.cache.misses,
+            read.summaries_computed - after.summaries_computed
         ),
         (1, 1),
         "the pre-write key is a miss that recomputes"
     );
-    assert_eq!(fingerprint(&[got]), fingerprint(&[baseline.summarize(on_shard_1, opts)]));
+    assert_eq!(fingerprint(&[got]), fingerprint(&[baseline.summarize(pre_write, opts)]));
 }
 
 #[test]

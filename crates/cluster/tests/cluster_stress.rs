@@ -1,9 +1,9 @@
 //! Concurrent readers vs a batch writer (ISSUE 5 satellite): clients
-//! hammer the partitioned cluster while batched mutations land. The
-//! cluster-wide epoch gate must make every response a *consistent*
-//! cross-shard snapshot — equal to the sequential answer at one of the
-//! epochs the stream passed through; a torn result (shard A at the new
-//! epoch merged with shard B at the old one) matches none of them.
+//! hammer the partitioned cluster while batched mutations land. The one
+//! engine read guard each answer holds must make every response a
+//! *consistent* snapshot — equal to the sequential answer at one of the
+//! epochs the stream passed through; a torn result (hits of the old
+//! epoch merged with summaries of the new one) matches none of them.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;

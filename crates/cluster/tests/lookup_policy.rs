@@ -1,6 +1,6 @@
 //! The read path's lookup policy, pinned through the router's public
 //! entry points: on a path that may wait, every hit is one cache lookup
-//! on its owner shard and a miss is computed there and then, on the
+//! on the answering server and a miss is computed there and then, on the
 //! caller's thread; the never-blocking path probes and declines at its
 //! first miss. The serve counters tell them apart — a waiting lookup
 //! records a `hit`, or a `miss` and a computed summary; only a failed

@@ -149,7 +149,7 @@ fn notifies_are_never_lost_and_lag_converges_to_zero() {
             .zip(&stats.refresh.last_epochs)
             .all(|(epoch, &last)| epoch.get() == last);
         if caught_up {
-            assert_eq!(stats.refresh.last_epochs.len(), 2, "one exported epoch per shard");
+            assert_eq!(stats.refresh.last_epochs.len(), 1, "one exported epoch per server");
             break;
         }
         assert!(

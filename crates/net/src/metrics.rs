@@ -233,10 +233,10 @@ pub fn render_metrics(
     );
     line(&mut out, "sizel_net_http_scrapes_total", "", NetCounters::get(&counters.http_scrapes));
 
-    // Per-shard serve and cluster state. In multi-tenant mode each shard
-    // IS a tenant, so the tenant name labels its series — this is the
-    // per-tenant QPS/cache view; in partitioned mode the shard index
-    // alone identifies the cache partition.
+    // Per-shard serve and cluster state. Each shard is one tenant's
+    // server, so the tenant name labels its series — the per-tenant
+    // QPS/cache view; a partitioned cluster is one unnamed tenant, so its
+    // series carry `shard="0"` alone.
     let tenants = router.tenant_names();
     let tenant_of = |shard: usize| -> Option<&str> {
         tenants.iter().find(|(_, s)| *s == shard).map(|(n, _)| n.as_str())

@@ -76,7 +76,7 @@
 //! This is the stack's one panic boundary — the layers below spawn no
 //! request threads, so a panic anywhere in a request unwinds to here.
 //! Combined with the poison-recovering locks underneath (dispatch
-//! queue, cache shards, hot sketch, cluster gate), one bad request
+//! queue, cache shards, hot sketch), one bad request
 //! degrades one reply — it cannot take down the connection, the worker
 //! pool, or the shared serving state.
 
@@ -547,7 +547,7 @@ fn handle_request_into(
     let executed = match request {
         Request::Ping => Ok(Opcode::Pong),
         // The page reads every shard's engine lock and a write takes
-        // every lock there is: a worker's job.
+        // the engine write lock: a worker's job.
         Request::Stats | Request::ApplyBatch { .. } if !wait => return None,
         Request::Stats => {
             encode_stats_into(out, &render_metrics(counters, queue.len(), router));

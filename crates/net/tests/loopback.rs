@@ -277,33 +277,38 @@ fn stats_frame_returns_the_metrics_page() {
             "sizel_net_buf_pool_total{event=\"recycled\"}",
             "sizel_serve_cache_hit_ratio{shard=\"0\"}",
             "sizel_serve_cache_probe_misses_total{shard=\"0\"}",
-            "sizel_serve_queries_served_total{shard=\"1\"}",
+            "sizel_serve_queries_served_total{shard=\"0\"}",
             "sizel_refresh_lag{shard=\"0\"}",
-            "sizel_cluster_epoch{shard=\"1\"}",
+            "sizel_cluster_epoch{shard=\"0\"}",
         ] {
             assert!(page.contains(series), "metrics page missing `{series}`:\n{page}");
         }
+        // A partitioned cluster is one unnamed tenant: one server, one
+        // series per name, however many engines it was handed.
+        assert!(
+            !page.lines().any(|l| l.contains("shard=\"") && !l.contains("shard=\"0\"")),
+            "a partitioned cluster's series carry shard=\"0\" only:\n{page}"
+        );
         // One unlabelled gauge, read from the dispatch queue itself —
         // empty here: this request's job was popped to render the page.
         let depths: Vec<&str> =
             page.lines().filter(|l| l.starts_with("sizel_net_queue_depth")).collect();
         assert_eq!(depths, ["sizel_net_queue_depth 0"]);
-        // The one query above was counted where it was answered: on the
-        // router's lookup shard.
+        // The one query above was counted where it was answered.
         let served = page
             .lines()
             .find_map(|l| l.strip_prefix("sizel_serve_queries_served_total{shard=\"0\"} "))
-            .expect("the lookup shard's query counter");
+            .expect("the server's query counter");
         assert!(served.parse::<u64>().expect("a count") >= 1, "queries_served = {served}");
     });
 }
 
 /// Once a disk tier is attached, the metrics page grows the
 /// `sizel_disk_*` series — block-cache events, segment generation, WAL
-/// gauges — once per engine: a partitioned cluster's shards share one,
-/// so the series carry `shard="0"` and never `shard="1"` (absent before
-/// attach, which the base metrics test implicitly covers by not
-/// requiring them).
+/// gauges — once per engine: a partitioned cluster is one server over
+/// one engine, so the series carry `shard="0"` and never `shard="1"`
+/// (absent before attach, which the base metrics test implicitly covers
+/// by not requiring them).
 #[test]
 fn disk_tier_series_appear_once_attached() {
     let router = tiny_cluster();
@@ -339,7 +344,7 @@ fn disk_tier_series_appear_once_attached() {
     }
     assert!(
         !page.lines().any(|l| l.starts_with("sizel_disk_") && l.contains("shard=\"1\"")),
-        "shard 1 shares shard 0's engine, so its disk series would be copies:\n{page}"
+        "one engine, one set of disk series:\n{page}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

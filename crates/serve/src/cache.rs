@@ -287,6 +287,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         self.lookup(key, &self.counters.probe_misses)
     }
 
+    /// Whether `key` is cached, moving no counter and no recency: for
+    /// callers that are not readers (the refresh worker's re-warm).
+    pub fn contains(&self, key: &K) -> bool {
+        self.capacity > 0 && self.lock_shard(self.shard_of(key)).map.contains_key(key)
+    }
+
     /// The lookup behind [`ShardedCache::get`] and
     /// [`ShardedCache::probe`], which differ only in the counter a miss
     /// lands in.

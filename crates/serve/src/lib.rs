@@ -17,8 +17,9 @@
 //!   [`SizeLServer::try_summarize_cached`] probes and never blocks or
 //!   computes; [`SizeLServer::summarize_at`] looks the key up once and,
 //!   on a miss, computes it there and then under the same read guard.
-//!   The cluster router and the network front-end are callers of those
-//!   two, not second copies of them.
+//!   [`SizeLServer::answer`] is the one keyword-query body over them,
+//!   under one read guard; the cluster router and the network front-end
+//!   are its callers, not second copies of it.
 //! * A sharded LRU cache ([`cache::ShardedCache`]) memoizes the per-DS
 //!   summary computation across queries, keyed on
 //!   `(epoch, t_DS, l, algo, prelim, source)` — the engine's mutation
@@ -108,9 +109,8 @@ impl Default for ServeConfig {
 pub struct ServerStats {
     /// The summary cache's counters.
     pub cache: CacheStats,
-    /// Queries fully served: one per `query` (a `batch_query` runs one
-    /// per distinct request), plus those a router answered with this
-    /// server as its lookup shard ([`SizeLServer::count_queries`]).
+    /// Queries fully served: one per request [`SizeLServer::answer`]
+    /// answered (a `batch_query` runs one per distinct request).
     pub queries_served: u64,
     /// Per-DS summaries computed (cache misses that did real work).
     pub summaries_computed: u64,
@@ -201,9 +201,40 @@ impl SizeLServer {
     ) -> Option<(Epoch, SharedResult)> {
         let engine = self.try_engine()?;
         let epoch = engine.epoch();
-        let hit = self.cache.probe(&summary_key(epoch, tds, opts))?;
-        self.hot.record(hot_key(tds, opts));
-        Some((epoch, hit))
+        Some((epoch, self.probe(epoch, tds, opts)?))
+    }
+
+    /// The one read body behind every keyword-query entry point, this
+    /// server's and the cluster router's: each request's `ds_hits`, one
+    /// summary lookup per hit (DESIGN §4), and `rank_results` — the
+    /// engine's own comparator, so the answer is byte-identical to
+    /// [`SizeLEngine::query_with`]. Returns the epoch it was served at.
+    ///
+    /// **One** engine read guard covers the lookups and every hit, so the
+    /// whole answer sits at one epoch by construction. Nothing inside
+    /// re-takes a guard: `std`'s `RwLock` parks a new reader behind a
+    /// queued writer, so a second guard could wait on this one. With
+    /// `wait` off nothing blocks or computes: the guard is a `try_read`
+    /// and the first cache miss returns `None`.
+    pub fn answer(
+        &self,
+        requests: &[(String, QueryOptions)],
+        wait: bool,
+    ) -> Option<(Epoch, Vec<Vec<SharedResult>>)> {
+        let engine = if wait { self.engine() } else { self.try_engine()? };
+        let epoch = engine.epoch();
+        let mut answers = Vec::with_capacity(requests.len());
+        for (keywords, opts) in requests {
+            let hits = engine.ds_hits(keywords).into_iter();
+            let mut results: Vec<SharedResult> = match wait {
+                true => hits.map(|tds| self.summarize_cached(&engine, epoch, tds, *opts)).collect(),
+                false => hits.map(|tds| self.probe(epoch, tds, *opts)).collect::<Option<_>>()?,
+            };
+            rank_results(&mut results, opts.ranking);
+            answers.push(results);
+        }
+        self.queries_served.fetch_add(requests.len() as u64, Ordering::Relaxed);
+        Some((epoch, answers))
     }
 
     /// Applies one [`Mutation`]: a batch of one (see
@@ -245,36 +276,14 @@ impl SizeLServer {
         outcome.map(|_| epoch)
     }
 
-    /// [`SizeLServer::apply_batch`]'s purge, for a server whose shared
-    /// engine another wrote through. A read guard suffices: the epoch
-    /// only advances under the write lock.
-    pub fn purge_superseded(&self) {
-        let engine = self.engine();
-        let epoch = engine.epoch();
-        self.cache.retain(|k| k.0 == epoch);
-    }
-
-    /// Runs one query on the calling thread. Identical output to
+    /// Runs one query on the calling thread: [`SizeLServer::answer`] for
+    /// one request, waiting. Identical output to
     /// [`SizeLEngine::query_with`] on the same engine (modulo `Arc`
     /// wrapping) — the stress suite asserts this byte-for-byte.
-    ///
-    /// It is `ds_hits` + per-DS memoized `summarize` + the optional
-    /// result-list reorder — a faithful recomposition of `query_with`
-    /// with the per-DS unit routed through the cache.
     pub fn query(&self, keywords: &str, opts: QueryOptions) -> Vec<SharedResult> {
-        let engine = self.engine();
-        // The epoch is read under the same guard as the whole computation,
-        // so every entry inserted below is keyed by the exact version of
-        // the data it was computed from.
-        let epoch = engine.epoch();
-        let mut results: Vec<SharedResult> = engine
-            .ds_hits(keywords)
-            .into_iter()
-            .map(|tds| self.summarize_cached(&engine, epoch, tds, opts))
-            .collect();
-        rank_results(&mut results, opts.ranking);
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
-        results
+        let (_, mut answers) =
+            self.answer(&[(keywords.to_owned(), opts)], true).expect("waiting never declines");
+        answers.pop().expect("one request")
     }
 
     /// Serves (from cache, else by computing it on this thread) one
@@ -299,13 +308,6 @@ impl SizeLServer {
     /// one summary, never the batch.
     pub fn summarize_batch(&self, items: &[(TupleRef, QueryOptions)]) -> Vec<SharedResult> {
         items.iter().map(|&(tds, opts)| self.summarize(tds, opts)).collect()
-    }
-
-    /// Credits `n` queries answered above this server with it as the
-    /// keyword-lookup shard: a cluster router resolves the lookup itself
-    /// and asks only for per-DS summaries, which are not queries.
-    pub fn count_queries(&self, n: usize) {
-        self.queries_served.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Proactively recomputes up to `budget` of the hottest summary keys
@@ -336,8 +338,10 @@ impl SizeLServer {
                 self.hot.forget(&hk);
                 continue;
             }
+            // A presence check, not a lookup: the refresh worker is no
+            // reader, so it must move no hit or miss counter.
             let key = summary_key(engine.epoch(), tds, opts);
-            if self.cache.get(&key).is_none() {
+            if !self.cache.contains(&key) {
                 let computed: SharedResult = Arc::new(engine.summarize(tds, opts));
                 self.cache.insert(key, computed);
                 warmed += 1;
@@ -429,6 +433,14 @@ impl SizeLServer {
             self.cache.insert(key, Arc::clone(&computed));
             computed
         })
+    }
+
+    /// The never-blocking lookup under a held guard: a cache probe, fed
+    /// to the hotness sketch only on a hit.
+    fn probe(&self, epoch: Epoch, tds: TupleRef, opts: QueryOptions) -> Option<SharedResult> {
+        let hit = self.cache.probe(&summary_key(epoch, tds, opts))?;
+        self.hot.record(hot_key(tds, opts));
+        Some(hit)
     }
 }
 

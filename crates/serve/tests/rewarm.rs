@@ -104,6 +104,34 @@ fn rewarm_recomputes_hot_keys_before_readers_do() {
     assert_eq!(fingerprint(&got), fingerprint(&server.engine().query_with(&kw, opts)));
 }
 
+/// The refresh worker is no reader: a re-warm pass — the keys it
+/// recomputes and the keys it skips as current — moves none of the
+/// reader-facing lookup counters the hit ratio is computed from.
+#[test]
+fn a_rewarm_pass_moves_no_reader_lookup_counter() {
+    let server = SizeLServer::new(build_engine(&DblpConfig::tiny()), test_config());
+    let (kw, _) = probe(&server);
+    let opts = QueryOptions { l: 8, ..Default::default() };
+    for _ in 0..2 {
+        let _ = server.query(&kw, opts);
+    }
+    let author = max_pk(server.engine().db(), "Author");
+    server
+        .apply(Mutation::insert("Author", vec![Value::Int(author + 1), "Oriel Wendt".into()]))
+        .unwrap();
+    let lookups = |s: &SizeLServer| {
+        let c = s.stats().cache;
+        (c.hits, c.misses, c.probe_misses)
+    };
+    let before = lookups(&server);
+    // The first pass recomputes what the write purged; the second finds
+    // every key current and skips it.
+    assert!(server.rewarm_hottest(8) > 0, "the write left hot keys to re-warm");
+    assert_eq!(server.rewarm_hottest(8), 0, "every hot key is current now");
+    assert!(server.stats().rewarmed > 0);
+    assert_eq!(lookups(&server), before, "a re-warm is not a reader lookup");
+}
+
 #[test]
 fn rewarm_respects_the_budget_and_skips_current_entries() {
     let server = SizeLServer::new(build_engine(&DblpConfig::tiny()), test_config());
