@@ -125,13 +125,15 @@ impl DataGraph {
             let to = db.table(e.to);
             let mut fwd = vec![NO_TARGET; from.len()];
             let mut counts = vec![0u32; to.len()];
-            for rid in from.live_rows() {
-                if let Some(k) = from.value(rid, e.fk_col).as_int() {
-                    let target = to
-                        .by_pk(k)
-                        .unwrap_or_else(|| panic!("dangling FK while building data graph"));
-                    fwd[rid.index()] = starts[e.to.index()] + target.0;
-                    counts[target.index()] += 1;
+            // Each live parent finds its children through the FK runs:
+            // one directory probe per parent instead of a PK slot probe
+            // per child (slot probes branch unpredictably; storage's
+            // `hash::PkSlots`).
+            for p in to.live_rows() {
+                let children = from.rows_where_eq(e.fk_col, to.pk_of(p));
+                counts[p.index()] = children.len() as u32;
+                for &c in children {
+                    fwd[c.index()] = starts[e.to.index()] + p.0;
                 }
             }
             let mut bwd_index = Vec::with_capacity(to.len() + 1);
@@ -149,6 +151,8 @@ impl DataGraph {
                     let local = (t - starts[e.to.index()]) as usize;
                     bwd_targets[cursor[local] as usize] = starts[e.from.index()] + rid.0;
                     cursor[local] += 1;
+                } else if from.value(rid, e.fk_col).as_int().is_some() {
+                    panic!("dangling FK while building data graph");
                 }
             }
             direct.push(DirectAdj { fwd, bwd_index, bwd_targets });

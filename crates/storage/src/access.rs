@@ -64,18 +64,18 @@ pub struct MaintStats {
     /// Full data-graph rebuilds (recorded by the graph layer's `build`;
     /// the `O(|E|)` linear step of an incremental apply).
     pub graph_builds: u64,
-    /// Full per-table posting re-sort passes (the epoch-batched churn
-    /// fallback re-sorting every posting list of one table at once).
+    /// Settlement passes re-sorting the FK runs a batch's staged rows
+    /// were appended to or re-scored in (one per table per batch).
     pub posting_resorts: u64,
-    /// Junction link-posting rebuild passes (installs, churn re-sorts,
+    /// Junction link-posting rebuild passes (installs, churn rebuilds,
     /// and dangling-reference heals).
     pub link_rebuilds: u64,
-    /// Rows absorbed by per-posting binary insertion (the incremental
-    /// maintenance path below the churn threshold).
+    /// Junction rows whose link pairs were binary-inserted (the
+    /// incremental maintenance path below the churn threshold).
     pub binary_inserts: u64,
-    /// Tombstone-compaction passes: full per-table posting rebuilds
-    /// triggered by the dead-entry debt crossing the compaction
-    /// threshold (deletes/updates only; at most one per table per
+    /// Link tombstone-compaction passes: wholesale link rebuilds
+    /// triggered by the dead-pair debt crossing the compaction
+    /// threshold (junction-row deletes only; at most one per table per
     /// settled batch).
     pub compactions: u64,
 }
@@ -139,7 +139,7 @@ impl AccessCounter {
         self.graph_builds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one full per-table posting re-sort pass.
+    /// Records one settlement pass re-sorting a table's staged FK runs.
     pub fn record_posting_resort(&self) {
         self.posting_resorts.fetch_add(1, Ordering::Relaxed);
     }
@@ -149,12 +149,12 @@ impl AccessCounter {
         self.link_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one row absorbed by binary posting insertion.
+    /// Records one junction row whose link pairs were binary-inserted.
     pub fn record_binary_insert(&self) {
         self.binary_inserts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one tombstone-compaction pass.
+    /// Records one link tombstone-compaction pass.
     pub fn record_compaction(&self) {
         self.compactions.fetch_add(1, Ordering::Relaxed);
     }

@@ -19,14 +19,13 @@ mod probe;
 
 pub use batch::{ScoredBatch, StagedOp};
 
-/// Incremental scored inserts a table absorbs before the maintenance
-/// switches to an epoch-batched full re-sort of its postings (see
+/// Scored mutations a table absorbs before a settlement rebuilds its
+/// link postings whole instead of pair by pair (see
 /// [`Database::set_churn_threshold`]).
 pub const DEFAULT_CHURN_THRESHOLD: usize = 4096;
 
-/// Dead posting entries a table's sorted FK postings carry before a
-/// settlement triggers a compaction pass (see
-/// [`Database::set_compaction_threshold`]).
+/// Dead pairs a junction's link postings carry before a settlement
+/// triggers a compaction pass (see [`Database::set_compaction_threshold`]).
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 1024;
 
 /// A table identifier (dense index into the catalog).
@@ -68,10 +67,9 @@ pub struct Database {
     fk_order: Option<FkOrderToken>,
     /// Global mutation epoch: bumped on every mutation of any table.
     epoch: Epoch,
-    /// Per-table churn bound before the epoch-batched posting re-sort.
+    /// Per-table churn bound before a settlement rebuilds the links whole.
     churn_threshold: usize,
-    /// Per-table dead-entry bound before a settlement compacts the
-    /// sorted FK postings.
+    /// Per-table dead-pair bound before a settlement compacts the links.
     compaction_threshold: usize,
     /// Missing junction-link endpoints: `(target table, pk)` → the
     /// junction tables whose link postings were dropped because a scored
@@ -127,12 +125,12 @@ impl Database {
         self.epoch
     }
 
-    /// Sets the per-table churn bound: after this many incremental scored
-    /// inserts, the next one triggers a full re-sort of the table's
-    /// postings instead of another binary insert. Both strategies are
-    /// byte-identical; the threshold only trades insert latency
-    /// (`O(g)` memmove per posting) against a periodic `O(Σ g log g)`
-    /// batch.
+    /// Sets the per-table churn bound, which governs link postings only:
+    /// once a junction has absorbed more scored mutations than this, the
+    /// next settlement rebuilds its link postings whole instead of
+    /// binary-inserting pair by pair. Both strategies are byte-identical;
+    /// the threshold only trades insert latency (`O(g)` memmove per pair)
+    /// against a periodic `O(Σ g log g)` rebuild.
     pub fn set_churn_threshold(&mut self, threshold: usize) {
         self.churn_threshold = threshold.max(1);
     }
@@ -142,13 +140,13 @@ impl Database {
         self.churn_threshold
     }
 
-    /// Sets the per-table tombstone bound: once a settlement leaves more
-    /// than this many dead entries in a table's sorted FK postings, the
-    /// settlement ends with one compaction pass (a full rebuild from the
-    /// live-only FK groups) for that table. Probes are oblivious —
-    /// tombstones are skipped during prefix scans and invisible to
-    /// accounting — so the threshold only trades scan overhead
-    /// (`O(dead)` skipped entries worst case) against periodic
+    /// Sets the per-table tombstone bound, which governs link postings
+    /// only: once a settlement leaves more than this many dead pairs in a
+    /// junction's link postings, the settlement ends with one compaction
+    /// pass (a full rebuild from the live-only FK runs) for that table.
+    /// Probes are oblivious — tombstones are skipped during prefix scans
+    /// and invisible to accounting — so the threshold only trades scan
+    /// overhead (`O(dead)` skipped pairs worst case) against periodic
     /// `O(Σ g log g)` rebuilds. `0` compacts on every settling delete.
     pub fn set_compaction_threshold(&mut self, threshold: usize) {
         self.compaction_threshold = threshold;
@@ -198,8 +196,8 @@ impl Database {
     }
 
     /// Inserts a row into the table `id` — the loader's and the
-    /// exact-rebuild path's insert: any installed sorted postings of that
-    /// table are dropped and the heap path takes over for it until the
+    /// exact-rebuild path's insert: the installed order of that table is
+    /// dropped and the heap path takes over for it until the
     /// next [`Database::install_importance_order`] (the staged batch,
     /// [`Database::begin_scored_batch`], is the path that maintains the
     /// order instead). Bumps the table's and the global epoch. Bulk
@@ -211,7 +209,7 @@ impl Database {
     }
 
     /// Rewrites the live row with primary key `pk` in place, dropping
-    /// the table's sorted postings like [`Database::insert`] (see
+    /// the table's installed order like [`Database::insert`] (see
     /// [`Database::update_scored_staged`] for the maintained path). The
     /// pk itself is immutable. Bumps the table's and the global epoch.
     pub fn update(&mut self, table: &str, pk: i64, values: Vec<Value>) -> Result<RowId> {
@@ -222,10 +220,10 @@ impl Database {
     }
 
     /// Tombstones the live row with primary key `pk`, dropping the
-    /// table's sorted postings like [`Database::insert`] (see
+    /// table's installed order like [`Database::insert`] (see
     /// [`Database::delete_scored_staged`] for the maintained path). The
     /// row slot and its `RowId` survive; the row
-    /// becomes invisible to iteration, FK groups, and `by_pk`.
+    /// becomes invisible to iteration, FK runs, and `by_pk`.
     /// Referential integrity is *not* checked here (mirroring
     /// [`Database::insert`], which defers FK existence to
     /// [`Database::validate_foreign_keys`]); the engine layer rejects
@@ -282,23 +280,30 @@ impl Database {
         let mut dangling: Vec<(TableId, i64)> = Vec::new();
         {
             let jt = self.table(jid);
+            // Each junction row's target row, resolved once per distinct
+            // target key rather than once per row (`u32::MAX`: none).
+            let mut resolved = Vec::new();
             for (s_col, t_col, t_table) in orientations {
                 let target = self.table(t_table);
                 if !target.has_installed_scores() {
                     continue;
                 }
-                let Some(base) = jt.fk_index_base(s_col) else { continue };
-                let idx = SortedLinkIndex::build(
-                    base,
-                    &|j| match jt.value(j, t_col).as_int() {
-                        None => LinkTarget::Null,
-                        Some(k) => match target.by_pk(k) {
-                            Some(row) => LinkTarget::Row(row),
-                            None => LinkTarget::Dangling(k),
-                        },
-                    },
-                    target.installed_scores(),
-                );
+                let runs = |col| jt.fk_index_base(col).expect("junction FK columns are indexed");
+                resolved.clear();
+                resolved.resize(jt.len(), u32::MAX);
+                for (k, jrows, ()) in runs(t_col).iter() {
+                    if let Some(t) = target.by_pk(k) {
+                        jrows.iter().for_each(|j| resolved[j.index()] = t.0);
+                    }
+                }
+                let target_of = |j: RowId| match resolved[j.index()] {
+                    u32::MAX => {
+                        jt.value(j, t_col).as_int().map_or(LinkTarget::Null, LinkTarget::Dangling)
+                    }
+                    t => LinkTarget::Row(RowId(t)),
+                };
+                let idx =
+                    SortedLinkIndex::build(runs(s_col), &target_of, target.installed_scores());
                 match idx {
                     Ok(idx) => built.push((s_col, idx)),
                     Err(pk) => dangling.push((t_table, pk)),
@@ -320,8 +325,9 @@ impl Database {
     }
 
     /// Releases the push-doubling slack of every table's columns, flags,
-    /// score snapshot and FK-group and posting arenas once loading has
-    /// ended (the PK index keeps its load factor). Changes nothing observable.
+    /// score snapshot and FK-run and link arenas once loading has ended,
+    /// and sizes every PK index for its live rows. Changes nothing
+    /// observable.
     pub fn shrink_to_fit(&mut self) {
         self.tables.iter_mut().for_each(Table::shrink_to_fit);
     }
@@ -348,35 +354,29 @@ impl Database {
         let mut checked = 0;
         for table in &self.tables {
             for fk in &table.schema.fks {
-                let target_id = self.table_id(&fk.ref_table)?;
-                let target = self.table(target_id);
-                for row in table.live_rows() {
-                    match table.value(row, fk.column) {
-                        ValueRef::Null => {}
-                        ValueRef::Int(k) => {
-                            checked += 1;
-                            if target.by_pk(k).is_none() {
-                                return Err(StorageError::DanglingForeignKey {
-                                    table: table.schema.name.clone(),
-                                    column: table.schema.columns[fk.column].name.clone(),
-                                    key: k,
-                                });
-                            }
-                        }
-                        _ => {
-                            return Err(StorageError::TypeMismatch {
-                                table: table.schema.name.clone(),
-                                column: table.schema.columns[fk.column].name.clone(),
-                            })
-                        }
-                    }
+                let target = self.table(self.table_id(&fk.ref_table)?);
+                let runs = table.fk_index_base(fk.column).expect("FK columns are indexed");
+                // One PK probe per distinct key; a dangling key is reported
+                // as held by the first live row holding one.
+                if !runs.iter().all(|(k, _, ())| target.by_pk(k).is_some()) {
+                    let key = table
+                        .live_rows()
+                        .filter_map(|row| table.value(row, fk.column).as_int())
+                        .find(|&k| target.by_pk(k).is_none())
+                        .expect("a dangling key is held by a live row");
+                    return Err(StorageError::DanglingForeignKey {
+                        table: table.schema.name.clone(),
+                        column: table.schema.columns[fk.column].name.clone(),
+                        key,
+                    });
                 }
+                checked += runs.entry_count();
             }
         }
         Ok(checked)
     }
 
-    /// Sorts every table's FK posting lists by descending `score` (ties:
+    /// Sorts every table's FK runs by descending `score` (ties:
     /// ascending RowId), pre-joins and sorts every junction table's link
     /// postings by target score, snapshots the per-row scores (so scored
     /// inserts can maintain the order incrementally), and returns the
@@ -386,15 +386,15 @@ impl Database {
     /// holder has not synchronized to — falls back to the heap path.
     ///
     /// `score` is called once per row slot, to take the snapshot; every
-    /// list is then copied once and sorted where it lies against the
-    /// snapshot, so the cost is the copy plus `O(Σ g log g)` comparisons
-    /// of two array reads each. Installing the same scores again leaves
-    /// every list as it was (the order is a strict total one).
+    /// run is then sorted where it lies against the snapshot — no copy,
+    /// `O(Σ g log g)` comparisons of two array reads each. Installing the
+    /// same scores again leaves every run as it was (the order is a
+    /// strict total one).
     ///
     /// Call after loading, before serving. A staged batch
     /// ([`Self::begin_scored_batch`]) keeps the order live across
-    /// mutations; the plain [`Self::insert`] drops the affected table's
-    /// sorted postings.
+    /// mutations; the plain [`Self::insert`] drops it for the affected
+    /// table.
     pub fn install_importance_order(
         &mut self,
         score: &dyn Fn(TableId, RowId) -> f64,
@@ -423,10 +423,10 @@ impl Database {
         self.fk_order
     }
 
-    /// Rebuilds every table's sorted postings from its *installed* score
+    /// Re-installs every table's order from its *installed* score
     /// snapshot — the road back from eviction: a paged table that
-    /// mutated (or never kept RAM postings) re-materializes them for the
-    /// next checkpoint without recomputing scores. A full install under
+    /// mutated is RAM-served again, its runs sorted and its link postings
+    /// rebuilt for the next checkpoint, without recomputing scores. A full install under
     /// the hood, so it returns the fresh token; `None` when any table
     /// lacks an installed snapshot (there is no order to rebuild).
     pub fn rebuild_postings_from_installed(&mut self) -> Option<FkOrderToken> {
@@ -1211,9 +1211,9 @@ mod tests {
     }
 
     #[test]
-    fn scored_delete_tombstones_then_compacts_at_the_threshold() {
+    fn scored_delete_removes_fk_entries_where_they_lie() {
         let (mut db, _) = installed_pair();
-        db.set_compaction_threshold(1);
+        db.set_compaction_threshold(0);
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         for (pk, s) in [(20i64, 3.0), (21, 0.5)] {
@@ -1227,11 +1227,11 @@ mod tests {
             })
             .unwrap();
         }
-        // First delete: one tombstone, below the threshold — the dead
-        // entry lingers in the postings but is invisible to probes.
+        // A delete leaves the run in order, one row shorter: nothing to
+        // skip, nothing to compact, whatever the threshold.
+        let maint = db.access().maint();
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "Paper", 10)).unwrap();
-        assert_eq!(db.table(paper).fk_tombstones(), 1);
-        assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1).len(), 4);
+        assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1).len(), 3);
         let token = db.fk_order().unwrap();
         let li = |r: RowId| db.table(paper).installed_score(r);
         let before = db.access().snapshot();
@@ -1239,16 +1239,11 @@ mod tests {
         let mid = db.access().snapshot();
         let slow = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, None, &li);
         let after = db.access().snapshot();
-        assert_eq!(fast.len(), 3, "tombstone skipped");
+        assert_eq!(fast.len(), 3);
         assert_eq!(fast, slow);
-        assert_eq!(mid.since(before), after.since(mid), "tombstones invisible to accounting");
-        // Second delete crosses the threshold: the settlement ends with
-        // one compaction pass purging the dead entries.
-        let maint = db.access().maint();
+        assert_eq!(mid.since(before), after.since(mid), "identical cost accounting");
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "Paper", 20)).unwrap();
-        let work = db.access().maint().since(maint);
-        assert_eq!(work.compactions, 1, "one compaction pass");
-        assert_eq!(db.table(paper).fk_tombstones(), 0, "debt paid off");
+        assert_eq!(db.access().maint().since(maint).compactions, 0, "no FK compaction");
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1), &[RowId(1), RowId(3)]);
         // MissingRow on dead/absent pks.
         assert!(matches!(
@@ -1352,9 +1347,8 @@ mod tests {
         assert_eq!(
             batched.table(paper).sorted_fk_index(fk_col).unwrap().rows(1),
             folded.table(paper).sorted_fk_index(fk_col).unwrap().rows(1),
-            "settled postings equal the fold's, tombstones included"
+            "settled postings equal the fold's"
         );
-        assert_eq!(batched.table(paper).fk_tombstones(), folded.table(paper).fk_tombstones());
         // And both equal a fresh install over the surviving rows, after
         // filtering tombstones.
         let live: Vec<RowId> = batched

@@ -10,38 +10,37 @@ use crate::table::RowId;
 use crate::value::Value;
 use crate::Result;
 
-/// One mutation staged in a [`ScoredBatch`], with the posting keys it
-/// touches captured *at staging time* — settlement replays the ops in
-/// order, and a row mutated more than once per batch has a different key
-/// set at each step than its final values suggest.
+/// One mutation staged in a [`ScoredBatch`], with the FK keys it touches
+/// captured *at staging time* — settlement replays the ops' link
+/// maintenance in order, and a row mutated more than once per batch has
+/// a different key set at each step than its final values suggest.
 #[derive(Debug)]
 pub enum StagedOp {
-    /// A scored insert awaiting binary posting insertion.
+    /// A scored insert.
     Insert {
         /// The inserted row.
         target: (TableId, RowId),
-        /// `(fk column, key)` posting entries the row held *at insert
-        /// time* (a later in-batch update may have moved it since).
+        /// `(fk column, key)` runs the row joined *at insert time* (a
+        /// later in-batch update may have moved it since).
         keys: Vec<(usize, i64)>,
     },
-    /// A scored update awaiting a reposition (remove under the old keys,
-    /// re-insert at the new score under the new keys).
+    /// A scored update: the row's link pairs move from the old keys to
+    /// the new ones, and its runs re-sort at the new score.
     Update {
         /// The rewritten row.
         target: (TableId, RowId),
-        /// `(fk column, key)` posting entries the row held before this op.
+        /// `(fk column, key)` runs the row sat in before this op.
         old_keys: Vec<(usize, i64)>,
-        /// `(fk column, key)` posting entries the row holds after this op.
+        /// `(fk column, key)` runs the row sits in after this op.
         new_keys: Vec<(usize, i64)>,
-        /// The row's new installed importance.
-        score: f64,
     },
-    /// A scored delete: the row's posting entries stay behind as
-    /// tombstones (counted toward the compaction debt).
+    /// A scored delete: the row left its runs where it lay; its link
+    /// pairs stay behind as tombstones (counted toward the compaction
+    /// debt).
     Delete {
         /// The tombstoned row.
         target: (TableId, RowId),
-        /// `(fk column, key)` posting entries the row leaves behind.
+        /// `(fk column, key)` runs the row sat in.
         keys: Vec<(usize, i64)>,
     },
 }
@@ -58,22 +57,24 @@ impl StagedOp {
 }
 
 /// A handle staging several scored mutations (inserts, updates, deletes)
-/// whose sorted-posting maintenance is settled in **one** pass
-/// ([`Database::finish_scored_batch`]): per affected table, either every
-/// staged op replays incrementally (binary insert / reposition /
-/// tombstone), or — above the churn threshold — one re-sort absorbs the
-/// whole batch, instead of potentially several mid-stream re-sorts when
-/// the same ops arrive as batches of one.
-/// Junction link postings touched by any update/delete are rebuilt once
-/// per batch, and at most one tombstone compaction per table runs at the
-/// end. While the batch is open the affected tables' postings are
-/// suspended, so probes conservatively heap-fall-back rather than scan
-/// prefixes missing the staged ops.
+/// whose posting maintenance is settled in **one** pass
+/// ([`Database::finish_scored_batch`]): per affected table, the FK runs
+/// staged rows were appended to re-sort once, and the junction link
+/// postings either replay every staged op incrementally (binary insert /
+/// reposition / tombstone) or — above the churn threshold — rebuild once,
+/// instead of potentially several mid-stream rebuilds when the same ops
+/// arrive as batches of one. Junction link postings touched by any
+/// update/delete of a table their pairs target are rebuilt once per
+/// batch, and at most one link compaction per table runs at the end.
+/// While the batch is open the affected tables report no sorted index,
+/// so probes conservatively heap-fall-back rather than scan runs missing
+/// the staged ops' order.
 ///
 /// The settled end state serves queries byte-identically to folding the
 /// same ops as batches of one (property-tested at every churn and
-/// compaction threshold); only compaction *timing* may differ, which is
-/// invisible to probes (tombstones are skipped) and to accounting.
+/// compaction threshold); only link compaction *timing* may differ,
+/// which is invisible to probes (tombstones are skipped) and to
+/// accounting.
 #[derive(Debug)]
 #[must_use = "settle with Database::finish_scored_batch or staged ops never re-join the sorted postings"]
 pub struct ScoredBatch {
@@ -103,10 +104,10 @@ impl Database {
     }
 
     /// Stages one scored insert into an open batch: the row (and its
-    /// score) lands in the table — visible to FK-group and PK reads,
-    /// epoch bumped — but sorted-posting maintenance is deferred to
-    /// [`Database::finish_scored_batch`]. The affected table's postings
-    /// are suspended for the batch's duration (probes heap-fall-back).
+    /// score) lands in the table — visible to FK-run and PK reads,
+    /// epoch bumped — but posting maintenance is deferred to
+    /// [`Database::finish_scored_batch`]. The affected table reports no
+    /// sorted index for the batch's duration (probes heap-fall-back).
     /// Falls back to the plain [`Database::insert`] when no live
     /// importance order covers the table (nothing to maintain).
     pub fn insert_scored_staged(
@@ -116,24 +117,19 @@ impl Database {
         values: Vec<Value>,
         score: f64,
     ) -> Result<RowId> {
-        let tid = self.table_id(table)?;
-        if self.fk_order.is_none() || !self.tables[tid.index()].has_installed_scores() {
-            return self.insert(table, values);
-        }
-        self.touch(batch, tid);
+        let Some(tid) = self.touch(batch, table)? else { return self.insert(table, values) };
         let t = &mut self.tables[tid.index()];
-        let row = t.insert_scored_staged(values, score)?;
+        let row = t.insert_validated(values)?;
         let keys = t.fk_keys_of(row);
-        self.epoch = self.epoch.next();
-        batch.staged.push(StagedOp::Insert { target: (tid, row), keys });
-        batch.last_scored_epoch = Some(self.epoch);
+        t.staged(row, Some(score), &keys);
+        self.stage(batch, StagedOp::Insert { target: (tid, row), keys });
         Ok(row)
     }
 
     /// Stages one scored update into an open batch: the row is rewritten
-    /// in place — hash-visible, epoch bumped — and its pre-/post-update
-    /// posting keys are captured so [`Database::finish_scored_batch`] can
-    /// replay the reposition. Falls back to the plain
+    /// in place — visible to reads, epoch bumped — and its pre-/post-update
+    /// keys are captured so [`Database::finish_scored_batch`] can replay
+    /// its link pairs' reposition. Falls back to the plain
     /// [`Database::update`] when no live order covers the table.
     pub fn update_scored_staged(
         &mut self,
@@ -143,29 +139,21 @@ impl Database {
         values: Vec<Value>,
         score: f64,
     ) -> Result<RowId> {
-        let tid = self.table_id(table)?;
-        if self.fk_order.is_none() || !self.tables[tid.index()].has_installed_scores() {
-            return self.update(table, pk, values);
-        }
-        self.touch(batch, tid);
+        let Some(tid) = self.touch(batch, table)? else { return self.update(table, pk, values) };
         let t = &mut self.tables[tid.index()];
-        let old_keys = match t.by_pk(pk) {
-            Some(row) => t.fk_keys_of(row),
-            // Let the validated path produce the canonical error.
-            None => Vec::new(),
-        };
-        let row = t.update_scored_staged(pk, values)?;
+        // A missing pk stages nothing: the validated path errs.
+        let old_keys = t.by_pk(pk).map_or_else(Vec::new, |row| t.fk_keys_of(row));
+        let row = t.update_validated(pk, values)?;
         let new_keys = t.fk_keys_of(row);
-        self.epoch = self.epoch.next();
-        batch.staged.push(StagedOp::Update { target: (tid, row), old_keys, new_keys, score });
-        batch.last_scored_epoch = Some(self.epoch);
+        t.staged(row, Some(score), &new_keys);
+        self.stage(batch, StagedOp::Update { target: (tid, row), old_keys, new_keys });
         Ok(row)
     }
 
     /// Stages one scored delete into an open batch: the row is
-    /// tombstoned — invisible to hash reads, epoch bumped — and the
-    /// posting keys it leaves behind are captured so settlement can count
-    /// the compaction debt. Falls back to the plain [`Database::delete`]
+    /// tombstoned — gone from its runs and the PK index, epoch bumped —
+    /// and its keys are captured so settlement can tombstone its link
+    /// pairs. Falls back to the plain [`Database::delete`]
     /// when no live order covers the table.
     pub fn delete_scored_staged(
         &mut self,
@@ -173,58 +161,64 @@ impl Database {
         table: &str,
         pk: i64,
     ) -> Result<RowId> {
-        let tid = self.table_id(table)?;
-        if self.fk_order.is_none() || !self.tables[tid.index()].has_installed_scores() {
-            return self.delete(table, pk);
-        }
-        self.touch(batch, tid);
+        let Some(tid) = self.touch(batch, table)? else { return self.delete(table, pk) };
         let t = &mut self.tables[tid.index()];
-        let keys = match t.by_pk(pk) {
-            Some(row) => t.fk_keys_of(row),
-            None => Vec::new(),
-        };
-        let row = t.delete_scored_staged(pk)?;
-        self.epoch = self.epoch.next();
-        batch.staged.push(StagedOp::Delete { target: (tid, row), keys });
-        batch.last_scored_epoch = Some(self.epoch);
+        let keys = t.by_pk(pk).map_or_else(Vec::new, |row| t.fk_keys_of(row));
+        let row = t.delete_validated(pk)?;
+        t.staged(row, None, &[]);
+        self.stage(batch, StagedOp::Delete { target: (tid, row), keys });
         Ok(row)
     }
 
-    /// Suspends a table's postings at its first touch by an open batch.
-    fn touch(&mut self, batch: &mut ScoredBatch, tid: TableId) {
+    /// The table a scored op on `table` stages in, its staging opened at
+    /// the batch's first touch — or `None` when no live importance order
+    /// covers it and the op takes the plain path.
+    fn touch(&mut self, batch: &mut ScoredBatch, table: &str) -> Result<Option<TableId>> {
+        let tid = self.table_id(table)?;
+        if self.fk_order.is_none() || !self.tables[tid.index()].has_installed_scores() {
+            return Ok(None);
+        }
         if !batch.touched.contains(&tid) {
-            self.tables[tid.index()].suspend_postings();
+            self.tables[tid.index()].begin_staging();
             batch.touched.push(tid);
         }
+        Ok(Some(tid))
     }
 
-    /// Settles an open batch by *replaying* the staged ops in arrival
-    /// order: per op, a binary posting insert, a reposition (remove under
-    /// the old keys, re-insert at the new score), or a tombstone count —
-    /// or, for tables whose accumulated churn crosses the threshold,
-    /// **one** full re-sort for the whole batch (where the fold pays one
-    /// mid-stream re-sort per threshold crossing). Junction link postings
-    /// made stale by any update/delete — of the junction's own rows *or*
-    /// of rows its pairs target — are rebuilt once per batch (a rebuild
-    /// that trips over a now-dead target drops the orientation and
-    /// watches the endpoint, so a re-inserted pk heals it: the dangling
-    /// watch run in reverse). Endpoint arrivals heal waiting junctions,
-    /// tables whose tombstone debt crossed the compaction threshold
-    /// compact (at most once each), and the [`crate::FkOrderToken`] is
-    /// re-stamped once.
+    /// Records a staged op at a fresh epoch, the one the settled token
+    /// carries unless a later op stages.
+    fn stage(&mut self, batch: &mut ScoredBatch, op: StagedOp) {
+        self.epoch = self.epoch.next();
+        batch.staged.push(op);
+        batch.last_scored_epoch = Some(self.epoch);
+    }
+
+    /// Settles an open batch. Every touched table re-sorts exactly the FK
+    /// runs its staged ops appended to or re-scored, so every run is in
+    /// the one posting order again. The link postings replay the staged
+    /// ops in arrival order — a binary insert, a reposition, or a
+    /// tombstone — or, for tables whose churn crosses the threshold,
+    /// rebuild **once** (where the fold pays one rebuild per crossing).
+    /// Junction links made stale by any update/delete of rows their pairs
+    /// target are rebuilt once (a rebuild that trips over a now-dead
+    /// target drops the orientation and watches the endpoint, so a
+    /// re-inserted pk heals it). Endpoint arrivals heal waiting
+    /// junctions, tables whose link-tombstone debt crossed the compaction
+    /// threshold compact (at most once each), and the
+    /// [`crate::FkOrderToken`] is re-stamped once.
     ///
     /// Serves queries byte-identically to the fold of the same ops as
-    /// batches of one; internal scheduling state (the
-    /// churn counter, compaction timing) may differ, which is
-    /// content-neutral: re-sorts are order-equivalent and tombstones are
-    /// invisible to probes.
+    /// batches of one; the churn counter and link compaction timing may
+    /// differ, which is content-neutral: tombstones are invisible to
+    /// probes.
     pub fn finish_scored_batch(&mut self, batch: ScoredBatch) {
         let ScoredBatch { staged, touched, last_scored_epoch } = batch;
         for &tid in &touched {
-            self.tables[tid.index()].resume_postings();
+            if self.tables[tid.index()].settle_staging() {
+                self.access.record_posting_resort();
+            }
         }
-        // Tables whose accumulated churn crosses the threshold settle by
-        // one re-sort; their staged ops skip incremental replay.
+        // Tables whose churn crosses the threshold rebuild their links.
         let resort: Vec<TableId> = touched
             .iter()
             .copied()
@@ -233,14 +227,10 @@ impl Database {
                 t.has_installed_scores() && t.churn() > self.churn_threshold
             })
             .collect();
-        // Junctions whose pair *order* any update/delete staled — by
-        // mutating rows of a table their pairs target (pairs sort by
-        // target importance) — rebuild wholesale after the replay.
-        // Mutations of a junction's *own* rows no longer force a rebuild:
-        // pair membership is maintained incrementally (reposition on
-        // update, tombstone-then-compact on delete — the FK postings'
-        // discipline extended to links, with consumers skipping dead
-        // pairs via dual-endpoint liveness checks).
+        // Junctions whose pair *order* an update/delete of a target table
+        // staled (pairs sort by target importance) rebuild wholesale
+        // after the replay; mutations of a junction's *own* rows are
+        // maintained pair by pair.
         let mutated: Vec<TableId> = staged
             .iter()
             .filter(|op| !matches!(op, StagedOp::Insert { .. }))
@@ -258,105 +248,55 @@ impl Database {
                 .map(|(jid, _)| jid)
                 .collect()
         };
-        // Heals are *collected* during settlement and run after it: a
-        // heal's wholesale rebuild reads the full current state, which
-        // already contains rows staged later in this batch — firing it
-        // mid-loop would rebuild their pairs and then binary-insert them
-        // again when the loop reaches them (duplicate pairs; regression-
-        // tested). Deferred, the rebuild subsumes those rows exactly once
-        // and ends at the same full-state content as the fold's
-        // heal-then-insert sequence.
+        // Heals are *collected* during the replay and run after it: a
+        // heal's rebuild reads the full current state, rows staged later
+        // in this batch included, which the replay would then insert
+        // again (duplicate pairs; regression-tested).
         let mut heals: Vec<TableId> = Vec::new();
         for op in &staged {
             let (tid, row) = op.target();
-            // A mid-batch un-scored mutation may have killed the snapshot;
-            // its table's postings are already gone, nothing to settle.
+            // A mid-batch plain mutation dropped this table's order.
             if !self.tables[tid.index()].has_installed_scores() {
                 continue;
             }
             let resorting = resort.contains(&tid);
+            // A junction headed for a wholesale rebuild skips pair upkeep.
+            let incremental = !resorting && !link_dirty.contains(&tid);
             match op {
                 StagedOp::Insert { keys, .. } => {
-                    if !resorting {
-                        self.tables[tid.index()].insert_into_postings(row, keys);
-                        self.access.record_binary_insert();
-                    }
-                    // A junction headed for a wholesale link rebuild skips
-                    // incremental pair maintenance — the rebuild reads the
-                    // final state and subsumes this row's pairs.
                     if !link_dirty.contains(&tid) {
                         self.settle_junction_links(tid, row, keys, resorting);
                     }
                     self.collect_heals(tid, row, &mut heals);
                 }
-                StagedOp::Update { old_keys, new_keys, score, .. } => {
-                    if !resorting {
-                        self.tables[tid.index()].remove_from_postings(row, old_keys);
-                    }
-                    // The snapshot takes the new score *between* removal
-                    // and re-insertion, so the postings' sort keys never
-                    // disagree with it — binary searches stay valid.
-                    self.tables[tid.index()].set_installed_score(row, *score);
-                    if !resorting {
-                        self.tables[tid.index()].insert_into_postings(row, new_keys);
-                        self.access.record_binary_insert();
-                    }
-                    // A junction row's move repositions its link pairs
-                    // incrementally (remove under the old source key,
-                    // re-insert under the new), unless a rebuild covers it.
-                    if !resorting && !link_dirty.contains(&tid) {
-                        self.unpost_junction_row(tid, row, old_keys, true);
-                        self.settle_junction_links(tid, row, new_keys, false);
-                    }
+                // A junction row's move re-homes its pairs.
+                StagedOp::Update { old_keys, new_keys, .. } if incremental => {
+                    self.unpost_junction_row(tid, row, old_keys, true);
+                    self.settle_junction_links(tid, row, new_keys, false);
                 }
-                StagedOp::Delete { keys, .. } => {
-                    if !resorting {
-                        // The entries stay behind as tombstones; probes
-                        // skip them, the debt below triggers compaction.
-                        self.tables[tid.index()].add_posting_tombstones(keys.len());
-                        // A junction row's delete tombstones its pairs the
-                        // same way: consumers skip them via the junction-
-                        // endpoint liveness check, and the link debt
-                        // triggers a rebuild once it crosses the threshold.
-                        if !link_dirty.contains(&tid) {
-                            self.unpost_junction_row(tid, row, keys, false);
-                        }
-                    }
+                // A junction row's delete tombstones its pairs.
+                StagedOp::Delete { keys, .. } if incremental => {
+                    self.unpost_junction_row(tid, row, keys, false);
                 }
+                StagedOp::Update { .. } | StagedOp::Delete { .. } => {}
             }
         }
-        let mut rebuilt: Vec<TableId> = Vec::new();
         for &tid in &resort {
-            if self.tables[tid.index()].has_installed_scores() {
-                self.tables[tid.index()].resort_from_snapshot();
-                self.access.record_posting_resort();
-                self.rebuild_links_for(tid);
-                rebuilt.push(tid);
-            }
+            self.tables[tid.index()].reset_churn();
         }
-        for &jid in &link_dirty {
-            if !rebuilt.contains(&jid) && self.tables[jid.index()].has_installed_scores() {
-                self.rebuild_links_for(jid);
-                rebuilt.push(jid);
-            }
+        let mut rebuild: Vec<TableId> = link_dirty
+            .into_iter()
+            .filter(|&jid| self.tables[jid.index()].has_installed_scores())
+            .chain(resort)
+            .chain(heals)
+            .collect();
+        rebuild.sort_unstable();
+        rebuild.dedup();
+        for jid in rebuild {
+            self.rebuild_links_for(jid);
         }
-        for jid in heals {
-            if !rebuilt.contains(&jid) {
-                self.rebuild_links_for(jid);
-            }
-        }
-        // Compaction: at most one pass per table per batch, once the
-        // tombstone debt its deletes left behind crosses the threshold.
-        // (A churn re-sort above already paid the debt off — it rebuilds
-        // from the live-only FK groups — so it cannot re-trigger here.)
+        // Link compaction: at most one rebuild per table per batch.
         for &tid in &touched {
-            let t = &self.tables[tid.index()];
-            if t.has_installed_scores() && t.fk_tombstones() > self.compaction_threshold {
-                self.tables[tid.index()].resort_from_snapshot();
-                self.access.record_compaction();
-            }
-            // Junction pair tombstones compact by a wholesale link
-            // rebuild (live pairs only) under the same threshold.
             let t = &self.tables[tid.index()];
             if t.has_installed_scores() && t.link_tombstones() > self.compaction_threshold {
                 self.rebuild_links_for(tid);
@@ -380,7 +320,7 @@ impl Database {
     /// dangling watch, so the endpoint's later arrival repairs the
     /// orientation ([`Database::collect_heals`]) instead of leaving the
     /// table on the heap fallback until the next full install. With
-    /// `skip_pairs` (the table is about to re-sort), only the drop/watch
+    /// `skip_pairs` (its links are about to be rebuilt), only the drop/watch
     /// bookkeeping runs — the rebuild supplies the pairs.
     fn settle_junction_links(
         &mut self,
@@ -418,6 +358,7 @@ impl Database {
         if drop_links {
             self.tables[jid.index()].drop_sorted_links();
         } else if !skip_pairs {
+            self.access.record_binary_insert();
             for (s_col, key, target, t_table) in updates {
                 // Take the index out so the target table's score snapshot
                 // can be borrowed alongside the junction table.
@@ -443,8 +384,7 @@ impl Database {
     /// a *deleted* row's pairs stay behind as tombstones — consumers skip
     /// them via the dual-endpoint liveness check, and the debt recorded
     /// here triggers a rebuild once it crosses the compaction threshold
-    /// (the FK postings' tombstone-then-compact discipline extended to
-    /// links).
+    /// (links' tombstone-then-compact discipline).
     fn unpost_junction_row(
         &mut self,
         jid: TableId,

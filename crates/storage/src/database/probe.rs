@@ -18,12 +18,12 @@ impl Database {
         self.pager = Some(pager);
     }
 
-    /// Evicts a table's in-RAM sorted FK and link postings (the disk
-    /// tier's residency policy — cold tables serve prefix scans from
-    /// segments instead). The score snapshot survives, so mutations keep
-    /// working; results are unchanged by construction (the pager serves
-    /// the same postings, and any coverage gap heap-falls-back). Does not
-    /// bump the epoch: no tuple and no servable content moved.
+    /// Routes a table's prefix scans to the attached pager (the disk
+    /// tier's residency policy) and drops its in-RAM link postings. The
+    /// FK runs and the score snapshot stay, so mutations keep working;
+    /// results are unchanged by construction (a stale stamp, a read error
+    /// or a coverage gap heap-falls-back over the runs). Does not bump
+    /// the epoch: no tuple and no servable content moved.
     pub fn evict_table_postings(&mut self, table: TableId) {
         self.tables[table.index()].evict_sorted_postings();
     }
@@ -183,7 +183,7 @@ impl Database {
     /// does not cover the list); `row_of` maps an entry to its result row
     /// (`None`: a tombstone) and `li` a result row to its local importance
     /// (`None`: never returned); `heap` yields the fallback's candidates
-    /// from the live-only FK groups. Returns the per-key extra
+    /// from the live-only FK runs. Returns the per-key extra
     /// ([`Posting::Raw`]) of whichever source served.
     #[allow(clippy::too_many_arguments)]
     fn probe_top_l<'a, E: Posting + 'a, I: Iterator<Item = RowId>>(
@@ -202,9 +202,9 @@ impl Database {
     ) -> E::Raw {
         let start = out.len();
         if l > 0 && order.is_some() && order == self.fk_order {
-            // Tombstones (dead entries awaiting compaction) are skipped
-            // inside the shared prefix-cut loop (`stage_prefix`): the
-            // scan sees exactly the live rows a fresh install would
+            // Dead entries (link pairs awaiting compaction) are
+            // skipped inside the shared prefix-cut loop (`stage_prefix`):
+            // the scan sees exactly the live rows a fresh install would
             // serve, and the join accounting below counts only returned
             // rows — so compaction state is invisible to results and
             // cost alike. The collected prefix is then ranked through
@@ -240,7 +240,7 @@ impl Database {
             // Fail closed: a read error mid-scan discards the partial
             // prefix (serving it as-if-complete would silently drop
             // rows) and the heap path — always correct,
-            // backed by the FK groups — takes over.
+            // backed by the FK runs — takes over.
             scratch.staged.clear();
         }
         self.access.record_heap_probe();

@@ -32,29 +32,29 @@
 //! instead of scanning postings in the wrong order.
 //!
 //! **Updates.** The installed order is *maintained*, not torn down, under
-//! scored inserts ([`crate::Database::insert_scored_staged`]): the new row is
-//! binary-inserted into every affected posting list and the token is
-//! **re-stamped** with the database's new [`Epoch`] — contexts built
-//! after the mutation (whose scores carry the re-stamped token) keep the
-//! prefix-scan fast path, while contexts holding the superseded token
-//! fall back to the heap path. Only the plain
-//! [`crate::Database::insert`] still drops the affected table's sorted
-//! postings (it has no score to place the row with). Above a churn
-//! threshold the per-table maintenance switches to an epoch-batched full
-//! re-sort, amortizing the `O(g)` memmove of many binary inserts into one
-//! `O(Σ g log g)` pass; both strategies are byte-identical to a
-//! from-scratch install (property-tested).
+//! the staged scored batch ([`crate::Database::begin_scored_batch`]): a
+//! staged insert or update appends the row at the tail of its FK runs,
+//! and settlement re-sorts exactly the runs the batch appended to, so
+//! every run is again in the one posting order — byte-identical to a
+//! from-scratch install (property-tested). A delete removes the row from
+//! its runs where it lies. The token is **re-stamped** with the
+//! database's new [`Epoch`] — contexts built after the mutation (whose
+//! scores carry the re-stamped token) keep the prefix-scan fast path,
+//! while contexts holding the superseded token fall back to the heap
+//! path. The plain [`crate::Database::insert`] leaves the affected table
+//! without a sorted index (it has no score to place the row with).
 //!
 //! **One index type.** [`SortedPostings`] is the one sorted index, generic
 //! over its entry ([`Posting`]): an FK list holds the posted [`RowId`]s
-//! themselves ([`SortedFkIndex`]); a junction's link group holds, per
-//! source key, the `(junction row, target row)` pairs pre-joined and
-//! ordered by the *target's* importance ([`SortedLinkIndex`]), so
-//! junction-source TOP-l probes (CoAuthor, citations) are prefix scans
-//! too. An entry names the row whose installed score orders it and the
-//! row that identifies it for removal; build, binary insertion and
-//! identity-scan removal are written once over those two, under the one
-//! `(score desc, scored RowId asc, ident RowId asc)` comparator.
+//! themselves ([`SortedFkIndex`]) and is the table's FK group itself, not
+//! a copy of it; a junction's link group holds, per source key, the
+//! `(junction row, target row)` pairs pre-joined and ordered by the
+//! *target's* importance ([`SortedLinkIndex`]), so junction-source TOP-l
+//! probes are prefix scans too. An entry names the row whose installed
+//! score orders it and the row that identifies it for removal; sorting,
+//! binary insertion and identity-scan removal are written once over those
+//! two, under the one `(score desc, scored RowId asc, ident RowId asc)`
+//! comparator.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -156,16 +156,15 @@ fn posting_order<E: Posting>(a: E, b: E, scores: &[f64]) -> std::cmp::Ordering {
         .then(a.ident().cmp(&b.ident()))
 }
 
-/// Importance-sorted postings keyed by an FK value: the same keys as the
-/// table's FK groups, every list pre-sorted under the one posting order
-/// (`posting_order`), all of them runs of one arena ([`Runs`]).
+/// Importance-sorted postings keyed by an FK value, every list one run of
+/// one arena ([`Runs`]) under the one posting order (`posting_order`).
 #[derive(Clone, Debug)]
 pub struct SortedPostings<E: Posting> {
     pub(crate) runs: Runs<E, E::Raw>,
 }
 
-/// The importance-sorted postings of one FK column: the FK groups' row
-/// sets, best importance first.
+/// The runs of one FK column: its groups, best importance first while an
+/// order is installed ([`crate::Table::sorted_fk_index`]).
 pub type SortedFkIndex = SortedPostings<RowId>;
 
 /// Per-(junction, orientation) link postings: for each source key, the
@@ -173,14 +172,29 @@ pub type SortedFkIndex = SortedPostings<RowId>;
 /// the *junction* table, keyed by the source FK column.
 pub type SortedLinkIndex = SortedPostings<(RowId, RowId)>;
 
+/// Sorts one list where it lies. The order is strict and total, so the
+/// unstable sort has one possible output.
+fn sort_entries<E: Posting>(entries: &mut [E], scores: &[f64]) {
+    entries.sort_unstable_by(|&a, &b| posting_order(a, b, scores));
+}
+
 impl<E: Posting> SortedPostings<E> {
-    /// Sorts every run where it lies against `scores`. The order is
-    /// strict and total, so the unstable sort has one possible output.
-    fn sorted(mut runs: Runs<E, E::Raw>, scores: &[f64]) -> Self {
-        runs.for_each_run_mut(|entries| {
-            entries.sort_unstable_by(|&a, &b| posting_order(a, b, scores));
-        });
-        SortedPostings { runs }
+    /// Sorts every run where it lies against `scores`.
+    pub(crate) fn sort(&mut self, scores: &[f64]) {
+        self.runs.for_each_run_mut(|entries| sort_entries(entries, scores));
+    }
+
+    /// Sorts `key`'s run where it lies (no-op for an absent key).
+    pub(crate) fn sort_run(&mut self, key: i64, scores: &[f64]) {
+        if let Some(entries) = self.runs.get_mut(key) {
+            sort_entries(entries, scores);
+        }
+    }
+
+    /// Appends `entry` at the tail of `key`'s run, out of order until the
+    /// run is sorted again.
+    pub(crate) fn push(&mut self, key: i64, entry: E) {
+        self.runs.insert_with(key, entry, <[E]>::len);
     }
 
     /// Binary-inserts `entry` into `key`'s list at its exact
@@ -198,10 +212,9 @@ impl<E: Posting> SortedPostings<E> {
     }
 
     /// Removes the entry `ident` identifies from `key`'s list by identity
-    /// scan (the settlement removal phase for updated rows, whose
-    /// installed score is about to change — a binary search by the *new*
-    /// score would look in the wrong place). An FK list that empties
-    /// drops its key, matching a fresh build. No-op if it is not posted.
+    /// scan — a deleted or re-homed row, wherever the list's order put
+    /// it. An FK list that empties drops its key, matching a fresh build.
+    /// No-op if it is not posted.
     pub(crate) fn remove_ident(&mut self, key: i64, ident: RowId) {
         self.runs.remove_with(key, |entries| entries.iter().position(|e| e.ident() == ident));
     }
@@ -226,13 +239,6 @@ impl<E: Posting> SortedPostings<E> {
 }
 
 impl SortedPostings<RowId> {
-    /// Builds the sorted copy of a column's FK groups — one copy of their
-    /// directory and one of their arena, every run then sorted where it
-    /// lies; `scores[r]` is the installed score of row `r`.
-    pub(crate) fn build(base: &Runs<RowId>, scores: &[f64]) -> SortedFkIndex {
-        Self::sorted(base.clone(), scores)
-    }
-
     /// The rows whose FK equals `key`, best-importance first.
     pub fn rows(&self, key: i64) -> &[RowId] {
         self.group(key).0
@@ -285,7 +291,9 @@ impl SortedPostings<(RowId, RowId)> {
                 Ok(())
             })?;
         }
-        Ok(Self::sorted(runs, target_scores))
+        let mut links = SortedPostings { runs };
+        links.sort(target_scores);
+        Ok(links)
     }
 
     /// Posts one junction row under `key`: the raw group grows by one and,
@@ -369,6 +377,13 @@ mod tests {
         base.insert_with(key, row, <[RowId]>::len);
     }
 
+    /// `base` sorted under `scores`, as an install leaves an FK column.
+    fn build(base: &Runs<RowId>, scores: &[f64]) -> SortedFkIndex {
+        let mut idx = SortedPostings { runs: base.clone() };
+        idx.sort(scores);
+        idx
+    }
+
     #[test]
     fn tokens_are_unique_and_restamp_preserves_order_identity() {
         let a = FkOrderToken::fresh(Epoch(0));
@@ -385,7 +400,7 @@ mod tests {
     fn build_sorts_by_score_desc_then_row_asc() {
         let base = groups(7, &[RowId(0), RowId(1), RowId(2), RowId(3)]);
         let scores = [1.0, 3.0, 3.0, 2.0];
-        let idx = SortedFkIndex::build(&base, &scores);
+        let idx = build(&base, &scores);
         assert_eq!(idx.rows(7), &[RowId(1), RowId(2), RowId(3), RowId(0)]);
         assert!(idx.rows(99).is_empty());
         assert_eq!(idx.key_count(), 1);
@@ -395,13 +410,13 @@ mod tests {
     fn incremental_insert_matches_rebuild() {
         let mut base = groups(7, &[RowId(0), RowId(1), RowId(2)]);
         let mut scores = vec![1.0, 3.0, 2.0];
-        let mut idx = SortedFkIndex::build(&base, &scores);
+        let mut idx = build(&base, &scores);
         // Append rows with a fresh-max, a middle, and a tying score.
         for (row, s) in [(RowId(3), 5.0), (RowId(4), 2.5), (RowId(5), 3.0)] {
             scores.push(s);
             append(&mut base, 7, row);
             idx.insert_sorted(7, row, &scores);
-            let rebuilt = SortedFkIndex::build(&base, &scores);
+            let rebuilt = build(&base, &scores);
             assert_eq!(idx.rows(7), rebuilt.rows(7), "after appending {row:?}");
         }
         assert_eq!(
@@ -412,21 +427,35 @@ mod tests {
     }
 
     #[test]
+    fn rows_appended_then_sorted_in_their_run_match_rebuild() {
+        let scores = [2.0, 1.0, 2.0, 3.0, 1.0];
+        let mut idx = build(&groups(7, &[RowId(0), RowId(1), RowId(2)]), &scores);
+        idx.push(7, RowId(3));
+        idx.push(7, RowId(4));
+        assert_eq!(idx.rows(7), &[RowId(0), RowId(2), RowId(1), RowId(3), RowId(4)]);
+        idx.sort_run(7, &scores);
+        idx.sort_run(8, &scores); // an absent key: a no-op
+        let all = groups(7, &[RowId(0), RowId(1), RowId(2), RowId(3), RowId(4)]);
+        assert_eq!(idx.rows(7), build(&all, &scores).rows(7));
+        assert_eq!(idx.rows(7), &[RowId(3), RowId(0), RowId(2), RowId(1), RowId(4)]);
+    }
+
+    #[test]
     fn remove_then_reinsert_matches_rebuild_for_mid_table_rows() {
         let base = groups(7, &[RowId(0), RowId(1), RowId(2), RowId(3)]);
         let mut scores = vec![1.0, 3.0, 3.0, 2.0];
-        let mut idx = SortedFkIndex::build(&base, &scores);
+        let mut idx = build(&base, &scores);
         // Reposition row 0 (a mid-table RowId) to score 3.0: it ties rows
         // 1 and 2 and must land *before* both, as a fresh sort would.
         idx.remove_ident(7, RowId(0));
         scores[0] = 3.0;
         idx.insert_sorted(7, RowId(0), &scores);
-        let rebuilt = SortedFkIndex::build(&base, &scores);
+        let rebuilt = build(&base, &scores);
         assert_eq!(idx.rows(7), rebuilt.rows(7));
         assert_eq!(idx.rows(7), &[RowId(0), RowId(1), RowId(2), RowId(3)]);
         // Removing the last row of a key drops the key entirely.
         let solo = groups(9, &[RowId(5)]);
-        let mut idx2 = SortedFkIndex::build(&solo, &[1.0; 6]);
+        let mut idx2 = build(&solo, &[1.0; 6]);
         idx2.remove_ident(9, RowId(5));
         assert_eq!(idx2.key_count(), 0);
         // Removing an unposted row is a no-op.

@@ -7,7 +7,7 @@
 //!   integer primary keys and foreign keys ([`schema`]),
 //! * tables of typed columns — eight bytes an `Int` or `Float` cell, a
 //!   boxed string a `Text` cell, NULLs in a lazily allocated bitmap —
-//!   with a hash index on the primary key and the groups of every
+//!   with a slot index on the primary key and the runs of every
 //!   foreign-key column ([`table::Table`]), built incrementally on insert,
 //! * a catalog ([`database::Database`]) with foreign-key validation and the
 //!   two query forms Algorithm 4 issues as SQL
@@ -17,11 +17,9 @@
 //!   and tuples read, the cost unit of the paper's Section 5.3/6.3
 //!   discussion ("Avoidance Condition 2 still requires an I/O access even
 //!   when it returns no results"),
-//! * importance-sorted FK and junction-link postings ([`fk_index`])
+//! * importance-sorted FK runs and junction-link postings ([`fk_index`])
 //!   installed as a finalization step and *maintained* under scored
-//!   inserts, updates, and deletes (tombstone-then-compact), which turn
-//!   the `TOP l` probe into a bounded prefix scan that survives full
-//!   mutation workloads,
+//!   mutations, which turn the `TOP l` probe into a bounded prefix scan,
 //! * mutation epochs ([`epoch`]) versioning the catalog (global and per
 //!   table) so derived structures — sorted postings, rank scores, serve
 //!   caches — can detect and synchronize to data changes,

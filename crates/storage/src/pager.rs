@@ -68,8 +68,8 @@ impl<E: Copy> PostingCursor<E> for SliceCursor<'_, E> {
 }
 
 /// A paged posting store attachable to a [`crate::Database`]: serves
-/// sorted FK and link postings for tables whose in-RAM postings have been
-/// evicted. Implemented by the `sizel-disk` crate's block-cached segment
+/// sorted FK and link postings for tables the paged tier has evicted
+/// ([`crate::Database::evict_table_postings`]). Implemented by the `sizel-disk` crate's block-cached segment
 /// store; the trait lives here so storage stays dependency-free.
 pub trait PostingPager: std::fmt::Debug + Send + Sync {
     /// The [`FkOrderToken`] the current segment generation snapshots, or

@@ -1,7 +1,8 @@
-//! Flat multimaps for the FK groups and both sorted posting kinds: one key
-//! directory and one arena, each key's entries one run of it, not a heap
-//! `Vec` per key. A full run moves to the tail at `GROWTH` times its size;
-//! once dead slots outnumber live entries one pass repacks the arena.
+//! Flat multimaps for a table's FK runs (its groups and sorted postings
+//! at once) and its link postings: one key directory and one arena, each
+//! key's entries one run of it. A full run moves to the tail at `GROWTH`
+//! times its size; once dead slots outnumber live entries one pass
+//! repacks the arena.
 
 use crate::hash::{map_bytes, IntMap};
 
@@ -59,6 +60,12 @@ impl<E: Copy, R: Copy + Default + PartialEq> Runs<E, R> {
     /// `key`'s entries and extra, or `None` for an absent key.
     pub fn get(&self, key: i64) -> Option<(&[E], R)> {
         self.dir.get(&key).map(|run| (&self.arena[run.entries()], run.extra))
+    }
+
+    /// `key`'s entries, writable where they lie, or `None` for an absent key.
+    pub fn get_mut(&mut self, key: i64) -> Option<&mut [E]> {
+        let run = self.dir.get(&key)?;
+        Some(&mut self.arena[run.entries()])
     }
 
     /// Number of keys.

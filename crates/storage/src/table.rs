@@ -1,5 +1,8 @@
-//! Tables: typed column storage, a hash index on the PK, and the groups
-//! of every FK column — key → its rows — as runs of one arena ([`Runs`]).
+//! Tables: typed column storage, a slot index on the PK, and the runs of
+//! every FK column — key → its live rows, one run of one arena each
+//! ([`Runs`]). A column's runs are its FK groups and, once an importance
+//! order is installed, its sorted FK postings too: each row id is stored
+//! once, in one run, in posting order while the order holds.
 
 use std::cell::OnceCell;
 use std::ops::Index;
@@ -7,8 +10,8 @@ use std::ops::Index;
 use crate::column::Column;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
-use crate::fk_index::{SortedFkIndex, SortedLinkIndex};
-use crate::hash::{map_bytes, IntMap};
+use crate::fk_index::{SortedFkIndex, SortedLinkIndex, SortedPostings};
+use crate::hash::PkSlots;
 use crate::runs::Runs;
 use crate::schema::TableSchema;
 use crate::value::{Value, ValueRef};
@@ -68,11 +71,17 @@ impl<'a> Index<usize> for RowRef<'a> {
 /// index.
 type Slots<T> = Vec<Option<T>>;
 
+/// Reads a row's primary key back from the PK column (the PK index keeps
+/// row ids only).
+fn pk_at(pk_column: &Column) -> impl Fn(u32) -> i64 + '_ {
+    |row| pk_column.get(row as usize).as_int().expect("primary keys are validated on insert")
+}
+
 /// A table: schema, columns, and indexes.
 ///
 /// Indexes are maintained incrementally on insert:
-/// * a unique hash index on the primary key,
-/// * the FK groups of every foreign-key column (these serve the
+/// * a unique slot index on the primary key,
+/// * the runs of every foreign-key column (these serve the
 ///   `WHERE tj.ID = Ri.ID` joins of Algorithms 4 and 5).
 #[derive(Debug)]
 pub struct Table {
@@ -84,49 +93,46 @@ pub struct Table {
     /// count). Deletes are *logical*: the row slot (and its `RowId`)
     /// survives so every derived structure keyed by dense row ids —
     /// installed scores, data-graph node ids — stays valid. Dead rows
-    /// are invisible to `iter`, the FK groups, and `by_pk`; they
-    /// linger only as tombstones in the sorted FK postings until
-    /// compaction.
+    /// are invisible to `iter`, the FK runs, and `by_pk`; they linger
+    /// only as tombstones in the link postings until compaction.
     dead: Vec<bool>,
     /// Number of `true` bits in `dead`.
     n_dead: usize,
-    /// Dead rows still present in the sorted FK postings (the compaction
-    /// debt). Reset by every full posting (re)build.
-    posting_tombstones: usize,
     /// Dead junction pairs still present in the sorted link postings
     /// (junction tables only): deleted junction rows leave their pairs
     /// behind as tombstones, skipped by consumers via dual-endpoint
     /// liveness checks. Reset by every full link (re)build.
     link_tombstones: usize,
-    pk_index: IntMap<RowId>,
-    /// On FK columns: key -> its live rows, `RowId`-ascending.
-    fk_indexes: Slots<Runs<RowId>>,
-    /// On FK columns: importance-sorted postings. Installed at
-    /// finalization, *maintained* under scored inserts, dropped by the
-    /// plain un-scored insert — see [`crate::fk_index`].
-    sorted_fk: Slots<SortedFkIndex>,
+    pk_index: PkSlots,
+    /// On FK columns: key -> its live rows. In posting order while
+    /// [`Self::sorted_fk_index`] answers, otherwise in no set order
+    /// (insertion order until the first install).
+    fk_runs: Slots<SortedFkIndex>,
     /// On *source* FK columns: importance-sorted junction link postings
-    /// (junction tables only; same lifecycle as `sorted_fk`).
+    /// (junction tables only).
     sorted_links: Slots<SortedLinkIndex>,
     /// Per-row installed importance snapshot (one per row slot; empty
     /// when no order is installed or the snapshot was killed by an
-    /// un-scored insert). Scored inserts append to it, which is what lets
-    /// binary insertion find the right posting slot.
+    /// un-scored insert). Scored inserts append to it; the runs and link
+    /// postings are sorted by it.
     installed_scores: Vec<f64>,
     /// True while `installed_scores` covers every row slot (set by
     /// [`Table::build_sorted_fk`], cleared by the un-scored insert).
     scores_live: bool,
-    /// Postings parked by an open scored batch: staged rows are not yet
-    /// placed in them, so they must be unreachable (probes heap-fall-back
-    /// on the missing index) until `resume_postings` restores them for
-    /// settlement. A batch abandoned without settlement therefore degrades
-    /// to the conservative heap path instead of serving wrong prefixes.
-    suspended: Option<(Slots<SortedFkIndex>, Slots<SortedLinkIndex>)>,
+    /// Set while an open scored batch has touched the table: the runs
+    /// its staged rows were appended to or re-scored in, out of order
+    /// until `settle_staging` re-sorts them. Meanwhile the table reports
+    /// no sorted index, so probes — also those of a batch abandoned
+    /// without settlement — heap-fall-back.
+    staging: Option<Vec<(usize, i64)>>,
+    /// Set by the paged tier's eviction: prefix scans route to the
+    /// attached pager instead of the runs until the next install.
+    paged: bool,
     /// Mutation epoch of this table (bumped on every insert).
     epoch: Epoch,
-    /// Scored inserts absorbed incrementally since the last full (re)sort
-    /// of the postings. Above the database's churn threshold the next
-    /// scored insert triggers an epoch-batched re-sort instead.
+    /// Scored mutations absorbed since the link postings were last built
+    /// whole. Above the database's churn threshold a settlement rebuilds
+    /// them instead of maintaining them pair by pair.
     churn: usize,
 }
 
@@ -134,24 +140,23 @@ impl Table {
     /// Creates an empty table for the schema.
     pub fn new(schema: TableSchema) -> Self {
         let arity = schema.arity();
-        let mut fk_indexes = vec![None; arity];
+        let mut fk_runs = vec![None; arity];
         for fk in &schema.fks {
-            fk_indexes[fk.column] = Some(Runs::default());
+            fk_runs[fk.column] = Some(SortedPostings { runs: Runs::default() });
         }
         Table {
             columns: schema.columns.iter().map(|c| Column::new(c.ty)).collect(),
             schema,
             dead: Vec::new(),
             n_dead: 0,
-            posting_tombstones: 0,
             link_tombstones: 0,
-            pk_index: IntMap::default(),
-            fk_indexes,
-            sorted_fk: vec![None; arity],
+            pk_index: PkSlots::default(),
+            fk_runs,
             sorted_links: vec![None; arity],
             installed_scores: Vec::new(),
             scores_live: false,
-            suspended: None,
+            staging: None,
+            paged: false,
             epoch: Epoch::default(),
             churn: 0,
         }
@@ -190,37 +195,36 @@ impl Table {
     /// catalog.
     ///
     /// This is the *un-scored* path: it carries no importance for the new
-    /// row, so any installed sorted postings (and the score snapshot that
-    /// places rows in them) are dropped and the heap path takes over for
-    /// this table. Use [`crate::Database::insert_scored_staged`] to keep
-    /// the prefix-scan fast path live across inserts.
+    /// row, so the installed order (and the score snapshot that places
+    /// rows in it) is dropped and the heap path takes over for this
+    /// table. Use [`crate::Database::insert_scored_staged`] to keep the
+    /// prefix-scan fast path live across inserts.
     pub fn insert(&mut self, values: Vec<Value>) -> Result<RowId> {
         let id = self.insert_validated(values)?;
-        // The sorted postings were placed under a per-row score snapshot;
-        // a row without a score cannot join them, so both die together —
-        // including any copy parked by an open scored batch.
+        // The order was placed under a per-row score snapshot; a row
+        // without a score cannot join it, so both die together —
+        // including an open scored batch's staging.
         self.drop_derived_state();
         self.epoch = self.epoch.next();
         Ok(id)
     }
 
-    /// The shared validate-and-append core of both insert paths: checks
-    /// arity, types, and PK uniqueness, maintains the PK index and FK
-    /// groups, and appends the row. Does not touch sorted postings or the
-    /// epoch.
-    fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
+    /// The validate-and-append core of both insert paths: checks
+    /// arity, types, and PK uniqueness, maintains the PK index, appends
+    /// the row at the tail of its FK runs, and appends its cells. Does not
+    /// touch the link postings or the epoch.
+    pub(crate) fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let pk = values[self.schema.pk]
             .as_int()
             .ok_or_else(|| StorageError::BadPrimaryKey { table: self.schema.name.clone() })?;
         let id = RowId(self.dead.len() as u32);
-        if let Some(old) = self.pk_index.insert(pk, id) {
-            self.pk_index.insert(pk, old);
+        if !self.pk_index.insert(pk, id.0, pk_at(&self.columns[self.schema.pk])) {
             return Err(StorageError::DuplicateKey { table: self.schema.name.clone(), key: pk });
         }
-        for (index, v) in self.fk_indexes.iter_mut().zip(&values) {
-            if let (Some(index), Some(k)) = (index, v.as_int()) {
-                index.insert_with(k, id, |rows| rows.partition_point(|&r| r < id));
+        for (runs, v) in self.fk_runs.iter_mut().zip(&values) {
+            if let (Some(runs), Some(k)) = (runs, v.as_int()) {
+                runs.push(k, id);
             }
         }
         // Every check is behind us: all columns grow together.
@@ -252,17 +256,17 @@ impl Table {
     }
 
     /// The shared tombstone core of both delete paths: resolves the pk to
-    /// a live row, removes it from the pk index and the FK groups, and marks
-    /// the slot dead. Does not touch sorted postings or the epoch — the
-    /// dead row lingers in them as a tombstone until compaction.
-    fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
-        let id = self
-            .pk_index
-            .remove(&pk)
-            .ok_or_else(|| StorageError::MissingRow { table: self.schema.name.clone(), key: pk })?;
-        for (index, column) in self.fk_indexes.iter_mut().zip(&self.columns) {
-            if let (Some(index), Some(k)) = (index, column.get(id.index()).as_int()) {
-                index.remove_with(k, |rows| rows.binary_search(&id).ok());
+    /// a live row, removes it from the PK index and from its FK runs where
+    /// it lies (the runs stay in order), and marks the slot dead. Does not
+    /// touch the link postings or the epoch.
+    pub(crate) fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
+        let id =
+            self.pk_index.remove(pk, pk_at(&self.columns[self.schema.pk])).map(RowId).ok_or_else(
+                || StorageError::MissingRow { table: self.schema.name.clone(), key: pk },
+            )?;
+        for (runs, column) in self.fk_runs.iter_mut().zip(&self.columns) {
+            if let (Some(runs), Some(k)) = (runs, column.get(id.index()).as_int()) {
+                runs.remove_ident(k, id);
             }
         }
         self.dead[id.index()] = true;
@@ -271,14 +275,13 @@ impl Table {
     }
 
     /// The shared in-place-rewrite core of both update paths: validates
-    /// arity/types, requires the pk to stay put, and re-homes the row in
-    /// any FK group whose key changed. Does not touch sorted postings
-    /// or the epoch.
-    fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
+    /// arity/types, requires the pk to stay put, and moves the row to the
+    /// tail of the new key's run on any FK column whose key changed. Does
+    /// not touch the link postings or the epoch.
+    pub(crate) fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
-        let id = *self
-            .pk_index
-            .get(&pk)
+        let id = self
+            .by_pk(pk)
             .ok_or_else(|| StorageError::MissingRow { table: self.schema.name.clone(), key: pk })?;
         if values[self.schema.pk].as_int() != Some(pk) {
             return Err(StorageError::ImmutablePrimaryKey {
@@ -286,16 +289,16 @@ impl Table {
                 key: pk,
             });
         }
-        for ((index, column), v) in self.fk_indexes.iter_mut().zip(&self.columns).zip(&values) {
-            let Some(index) = index else { continue };
+        for ((runs, column), v) in self.fk_runs.iter_mut().zip(&self.columns).zip(&values) {
+            let Some(runs) = runs else { continue };
             let old = column.get(id.index()).as_int();
             let new = v.as_int();
             if old != new {
                 if let Some(k) = old {
-                    index.remove_with(k, |rows| rows.binary_search(&id).ok());
+                    runs.remove_ident(k, id);
                 }
                 if let Some(k) = new {
-                    index.insert_with(k, id, |rows| rows.partition_point(|&r| r < id));
+                    runs.push(k, id);
                 }
             }
         }
@@ -307,10 +310,10 @@ impl Table {
 
     /// Deletes the live row with primary key `pk`.
     ///
-    /// Like [`Table::insert`], this is the *un-scored* path: sorted
-    /// postings and the score snapshot are dropped and the heap path takes
+    /// Like [`Table::insert`], this is the *un-scored* path: the installed
+    /// order and the score snapshot are dropped and the heap path takes
     /// over. Use [`crate::Database::delete_scored_staged`] to keep the
-    /// fast path live (tombstone-then-compact).
+    /// fast path live.
     pub fn delete(&mut self, pk: i64) -> Result<RowId> {
         let id = self.delete_validated(pk)?;
         self.drop_derived_state();
@@ -330,107 +333,50 @@ impl Table {
     /// Drops everything derived from the importance order (the un-scored
     /// mutation paths' common tail).
     fn drop_derived_state(&mut self) {
-        self.sorted_fk.fill(None);
         self.sorted_links.fill(None);
-        self.suspended = None;
+        self.staging = None;
         self.installed_scores.clear();
         self.scores_live = false;
-        self.posting_tombstones = 0;
         self.link_tombstones = 0;
     }
 
-    /// Evicts the in-RAM sorted FK and link postings (the disk tier's
-    /// residency policy: a paged table serves prefix scans from segments
-    /// instead). The score snapshot survives, so staged mutations and
-    /// later re-sorts keep working — the postings simply stop being
-    /// RAM-resident until something rebuilds them. Tombstone debt goes
-    /// with the postings it was counted against.
+    /// Routes the table's prefix scans to the attached pager and drops its
+    /// in-RAM link postings (the disk tier's residency policy: a paged
+    /// table serves prefix scans from segments instead). The runs and the
+    /// score snapshot stay, so staged mutations and the heap path keep
+    /// working; the next install makes the table RAM-served again.
     pub(crate) fn evict_sorted_postings(&mut self) {
-        self.sorted_fk.fill(None);
+        self.paged = true;
         self.sorted_links.fill(None);
-        self.posting_tombstones = 0;
         self.link_tombstones = 0;
     }
 
-    /// Appends a row whose installed importance is `score` *without*
-    /// touching the sorted postings — the staged half of a scored insert.
-    /// The caller ([`crate::Database`]'s batch machinery) settles the
-    /// posting maintenance afterwards, either by per-row binary insertion
-    /// ([`Self::binary_insert_postings`]) or by one batched re-sort.
-    /// Requires a live score snapshot ([`Self::has_installed_scores`]).
-    /// Bumps the epoch and the churn counter.
-    pub(crate) fn insert_scored_staged(&mut self, values: Vec<Value>, score: f64) -> Result<RowId> {
+    /// The staged tail of a scored mutation of `id`, after its validated
+    /// core: an insert's or update's `score` goes into the snapshot and
+    /// the `runs` it sits in await the settlement's re-sort
+    /// ([`Self::settle_staging`]); a delete passes neither. Requires a
+    /// live snapshot and an open batch. Bumps the epoch and the churn.
+    pub(crate) fn staged(&mut self, id: RowId, score: Option<f64>, runs: &[(usize, i64)]) {
         debug_assert!(self.has_installed_scores(), "caller checks the snapshot is live");
-        let id = self.insert_validated(values)?;
-        self.installed_scores.push(score);
+        if let Some(score) = score {
+            self.installed_scores.resize(self.dead.len(), score);
+            self.installed_scores[id.index()] = score;
+        }
+        if let Some(unsorted) = &mut self.staging {
+            unsorted.extend_from_slice(runs);
+        }
         self.epoch = self.epoch.next();
         self.churn += 1;
-        Ok(id)
     }
 
-    /// The staged half of a scored update: rewrites the row but leaves the
-    /// (suspended) sorted postings and the score snapshot untouched — the
-    /// batch settlement repositions the row once, at its *net* score, after
-    /// all in-batch removals. Bumps the epoch and the churn counter.
-    pub(crate) fn update_scored_staged(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
-        debug_assert!(self.has_installed_scores(), "caller checks the snapshot is live");
-        let id = self.update_validated(pk, values)?;
-        self.epoch = self.epoch.next();
-        self.churn += 1;
-        Ok(id)
-    }
-
-    /// The staged half of a scored delete: tombstones the row. Its stale
-    /// installed score is deliberately *kept* so the sorted postings —
-    /// where the dead entry lingers until compaction — remain consistent
-    /// with the snapshot that binary insertion searches by. Bumps the
-    /// epoch and the churn counter.
-    pub(crate) fn delete_scored_staged(&mut self, pk: i64) -> Result<RowId> {
-        debug_assert!(self.has_installed_scores(), "caller checks the snapshot is live");
-        let id = self.delete_validated(pk)?;
-        self.epoch = self.epoch.next();
-        self.churn += 1;
-        Ok(id)
-    }
-
-    /// Overwrites one slot of the installed-score snapshot (settlement of
-    /// a scored update: called *after* the row's old posting entries were
-    /// removed, *before* it is re-inserted at the new score, so the
-    /// postings' sort keys never disagree with the snapshot).
-    pub(crate) fn set_installed_score(&mut self, id: RowId, score: f64) {
-        self.installed_scores[id.index()] = score;
-    }
-
-    /// The FK-column keys of a row that carry hash/posting entries —
-    /// captured by the batch machinery *before* a staged update rewrites
-    /// the row, so settlement can find the old sorted-posting entries.
+    /// The FK-column keys of a row: the runs it sits in — captured by the
+    /// batch machinery *before* a staged update rewrites the row, so
+    /// settlement can find its old link pairs.
     pub(crate) fn fk_keys_of(&self, id: RowId) -> Vec<(usize, i64)> {
         (0..self.columns.len())
-            .filter(|&col| self.fk_indexes[col].is_some())
+            .filter(|&col| self.fk_runs[col].is_some())
             .filter_map(|col| self.value(id, col).as_int().map(|k| (col, k)))
             .collect()
-    }
-
-    /// Removes a row's entries from the sorted FK postings under its *old*
-    /// keys (settlement removal phase for net-updated rows).
-    pub(crate) fn remove_from_postings(&mut self, id: RowId, old_keys: &[(usize, i64)]) {
-        for &(col, key) in old_keys {
-            if let Some(sorted) = &mut self.sorted_fk[col] {
-                sorted.remove_ident(key, id);
-            }
-        }
-    }
-
-    /// Records dead rows left behind in the sorted FK postings (the
-    /// settlement of net deletes). The database compacts once the debt
-    /// crosses its threshold.
-    pub(crate) fn add_posting_tombstones(&mut self, n: usize) {
-        self.posting_tombstones += n;
-    }
-
-    /// Dead rows currently lingering in the sorted FK postings.
-    pub fn fk_tombstones(&self) -> usize {
-        self.posting_tombstones
     }
 
     /// Records dead pairs left behind in the sorted link postings (the
@@ -449,21 +395,6 @@ impl Table {
     /// pairs only).
     pub(crate) fn reset_link_tombstones(&mut self) {
         self.link_tombstones = 0;
-    }
-
-    /// Binary-inserts a staged row into the sorted FK postings under the
-    /// given `(fk column, key)` entries — captured at staging time, since
-    /// a later in-batch update may have moved the row's current values —
-    /// at its exact `(score desc, RowId asc)` position. Junction link
-    /// postings are maintained by the caller
-    /// ([`crate::Database::finish_scored_batch`]), which owns the
-    /// cross-table target lookups.
-    pub(crate) fn insert_into_postings(&mut self, id: RowId, keys: &[(usize, i64)]) {
-        for &(col, key) in keys {
-            if let Some(sorted) = &mut self.sorted_fk[col] {
-                sorted.insert_sorted(key, id, &self.installed_scores);
-            }
-        }
     }
 
     /// An owned copy of the row with the given id (dead slots keep their
@@ -485,15 +416,18 @@ impl Table {
 
     /// Point lookup by primary key.
     pub fn by_pk(&self, key: i64) -> Option<RowId> {
-        self.pk_index.get(&key).copied()
+        self.pk_index.get(key, pk_at(&self.columns[self.schema.pk])).map(RowId)
     }
 
-    /// Live rows, `RowId`-ascending, whose FK column `col` equals `key`;
-    /// calling this on a non-indexed column is a logic error.
+    /// Live rows whose FK column `col` equals `key`: in posting order
+    /// while [`Self::sorted_fk_index`] answers for `col` (the very slice
+    /// its `rows(key)` returns), otherwise in no set order — insertion
+    /// order until the first install. Calling this on a non-indexed
+    /// column is a logic error.
     pub fn rows_where_eq(&self, col: usize, key: i64) -> &[RowId] {
-        match self.fk_index_base(col) {
-            Some(idx) => idx.get(key).map_or(&[][..], |(rows, ())| rows),
-            None => panic!(
+        match self.fk_runs.get(col) {
+            Some(Some(runs)) => runs.rows(key),
+            _ => panic!(
                 "column {} of `{}` is not FK-indexed",
                 self.schema.columns[col].name, self.schema.name
             ),
@@ -505,83 +439,73 @@ impl Table {
         self.fk_index_base(col).is_some()
     }
 
-    /// The FK groups of a column, if any — the input the sorted FK and
-    /// link postings are built from.
+    /// The FK runs of a column, if any — the input the link postings are
+    /// built from.
     pub(crate) fn fk_index_base(&self, col: usize) -> Option<&Runs<RowId>> {
-        self.fk_indexes.get(col)?.as_ref()
+        Some(&self.fk_runs.get(col)?.as_ref()?.runs)
     }
 
-    /// Rebuilds every FK column's importance-sorted postings under
-    /// `score`, snapshotting the per-row scores so later scored inserts
-    /// can binary-insert (called by
-    /// [`crate::Database::install_importance_order`]). `score` is called
-    /// once per row slot; the sort reads the snapshot.
+    /// Snapshots every row slot's `score` and sorts every FK run where it
+    /// lies by it (called by
+    /// [`crate::Database::install_importance_order`]), which makes the
+    /// table RAM-served again and ends any staging.
     pub(crate) fn build_sorted_fk(&mut self, score: &dyn Fn(RowId) -> f64) {
         self.installed_scores = (0..self.dead.len()).map(|i| score(RowId(i as u32))).collect();
         self.scores_live = true;
-        self.resort_from_snapshot();
+        self.staging = None;
+        self.paged = false;
+        for runs in self.fk_runs.iter_mut().flatten() {
+            runs.sort(&self.installed_scores);
+        }
     }
 
-    /// (Re-)sorts the postings from the score snapshot — the tail of a
-    /// full install, and the epoch-batched fallback above the churn
-    /// threshold, where it is byte-identical to the incremental
-    /// maintenance it replaces. Resets the churn counter.
-    pub(crate) fn resort_from_snapshot(&mut self) {
-        debug_assert!(self.has_installed_scores());
-        self.sorted_fk = self
-            .fk_indexes
-            .iter()
-            .map(|base| Some(SortedFkIndex::build(base.as_ref()?, &self.installed_scores)))
-            .collect();
-        self.churn = 0;
-        // A full build sources from the (live-only) FK groups, so any
-        // tombstone debt is paid off wholesale.
-        self.posting_tombstones = 0;
-    }
-
-    /// The importance-sorted postings of `col`, if an order is installed
-    /// and no un-scored insert has invalidated it since.
+    /// The importance-sorted runs of `col`: `Some` while an order is
+    /// installed, no plain mutation has dropped it, no open scored batch
+    /// has appended to the runs and the paged tier has not evicted the
+    /// table.
     pub fn sorted_fk_index(&self, col: usize) -> Option<&SortedFkIndex> {
-        self.sorted_fk.get(col)?.as_ref()
+        let sorted = self.scores_live && self.staging.is_none() && !self.paged;
+        self.fk_runs.get(col)?.as_ref().filter(|_| sorted)
     }
 
     /// The importance-sorted junction link postings whose *source* FK is
-    /// `col` (junction tables under a live installed order only).
+    /// `col` (junction tables under a live installed order, outside an
+    /// open scored batch, only).
     pub fn sorted_link_index(&self, col: usize) -> Option<&SortedLinkIndex> {
-        self.sorted_links.get(col)?.as_ref()
+        self.sorted_links.get(col)?.as_ref().filter(|_| self.staging.is_none())
     }
 
-    /// Every installed sorted FK index — `(column, index)` — for segment
-    /// writers snapshotting this table's postings to disk.
+    /// Every sorted FK index — `(column, index)` — for segment writers
+    /// snapshotting this table's postings to disk.
     pub fn sorted_fk_indexes(&self) -> impl Iterator<Item = (usize, &SortedFkIndex)> {
-        self.sorted_fk.iter().enumerate().filter_map(|(col, idx)| Some((col, idx.as_ref()?)))
+        (0..self.fk_runs.len()).filter_map(|col| Some((col, self.sorted_fk_index(col)?)))
     }
 
     /// Every installed sorted link index — `(source column, index)`.
     pub fn sorted_link_indexes(&self) -> impl Iterator<Item = (usize, &SortedLinkIndex)> {
-        self.sorted_links.iter().enumerate().filter_map(|(col, idx)| Some((col, idx.as_ref()?)))
+        (0..self.sorted_links.len()).filter_map(|col| Some((col, self.sorted_link_index(col)?)))
     }
 
-    /// Parks the sorted FK and link postings while a scored batch stages
-    /// rows (see the `suspended` field docs). Idempotent within a batch.
-    pub(crate) fn suspend_postings(&mut self) {
-        if self.suspended.is_none() {
-            let arity = self.columns.len();
-            self.suspended = Some((
-                std::mem::replace(&mut self.sorted_fk, vec![None; arity]),
-                std::mem::replace(&mut self.sorted_links, vec![None; arity]),
-            ));
-        }
+    /// Opens staging for a scored batch (see the `staging` field docs).
+    /// Idempotent within a batch.
+    pub(crate) fn begin_staging(&mut self) {
+        self.staging.get_or_insert_with(Vec::new);
     }
 
-    /// Restores postings parked by [`Self::suspend_postings`] for
-    /// settlement (a no-op when nothing is parked — e.g. an un-scored
-    /// insert killed the snapshot mid-batch).
-    pub(crate) fn resume_postings(&mut self) {
-        if let Some((fk, links)) = self.suspended.take() {
-            self.sorted_fk = fk;
-            self.sorted_links = links;
+    /// Settles staging: re-sorts exactly the runs staged rows were
+    /// appended to or re-scored in, against the snapshot their staged
+    /// scores went into. Returns whether it sorted a run (a no-op when nothing is
+    /// staged — e.g. an un-scored mutation dropped the order mid-batch).
+    pub(crate) fn settle_staging(&mut self) -> bool {
+        let Some(mut unsorted) = self.staging.take() else { return false };
+        unsorted.sort_unstable();
+        unsorted.dedup();
+        for &(col, key) in &unsorted {
+            if let Some(runs) = &mut self.fk_runs[col] {
+                runs.sort_run(key, &self.installed_scores);
+            }
         }
+        !unsorted.is_empty()
     }
 
     pub(crate) fn set_sorted_link(&mut self, col: usize, index: SortedLinkIndex) {
@@ -616,9 +540,15 @@ impl Table {
         self.epoch
     }
 
-    /// Scored inserts absorbed incrementally since the last full sort.
+    /// Scored mutations absorbed since the link postings were last built
+    /// whole.
     pub fn churn(&self) -> usize {
         self.churn
+    }
+
+    /// Zeroes the churn counter (the links were just built whole).
+    pub(crate) fn reset_churn(&mut self) {
+        self.churn = 0;
     }
 
     /// The ids of the live rows in insertion order (tombstoned slots are
@@ -636,13 +566,14 @@ impl Table {
 
     /// Releases the push-doubling slack of everything sized by the slot
     /// count — the columns, the liveness flags and the score snapshot —
-    /// and repacks every FK group and posting arena at exact size.
+    /// repacks every FK-run and link arena at exact size, and sizes the
+    /// PK index for the live rows.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.columns.iter_mut().for_each(Column::shrink_to_fit);
         self.dead.shrink_to_fit();
         self.installed_scores.shrink_to_fit();
-        self.fk_indexes.iter_mut().flatten().for_each(Runs::shrink_to_fit);
-        self.sorted_fk.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
+        self.pk_index.shrink_to_fit(pk_at(&self.columns[self.schema.pk]));
+        self.fk_runs.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
         self.sorted_links.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
     }
 
@@ -653,13 +584,12 @@ impl Table {
     }
 
     /// Heap bytes of this table's indexes by structure, from their
-    /// capacities: the PK index, the FK groups, the resident sorted FK
-    /// and link postings, and the score snapshot those are placed by.
-    pub fn index_bytes(&self) -> [(&'static str, usize); 5] {
+    /// capacities: the PK slots, the FK runs, the resident link
+    /// postings, and the score snapshot both are sorted by.
+    pub fn index_bytes(&self) -> [(&'static str, usize); 4] {
         [
-            ("pk index", map_bytes(&self.pk_index)),
-            ("FK groups", self.fk_indexes.iter().flatten().map(Runs::heap_bytes).sum()),
-            ("sorted FK", self.sorted_fk.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
+            ("PK slots", self.pk_index.heap_bytes()),
+            ("FK runs", self.fk_runs.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
             ("links", self.sorted_links.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
             ("scores", self.installed_scores.capacity() * std::mem::size_of::<f64>()),
         ]
@@ -835,24 +765,30 @@ mod tests {
         // Deleting a missing or already-dead pk fails cleanly.
         assert!(matches!(t.delete(2), Err(StorageError::MissingRow { key: 2, .. })));
         assert!(matches!(t.delete(99), Err(StorageError::MissingRow { key: 99, .. })));
-        // The pk can be reused after the delete.
+        // The pk can be reused after the delete; with no order installed
+        // the new row joins the run's tail.
         let id2 = t.insert(vec![Value::Int(2), "again".into(), Value::Int(5)]).unwrap();
         assert_eq!(t.by_pk(2), Some(id2));
         assert_eq!(t.rows_where_eq(2, 5), &[RowId(0), id2]);
     }
 
     #[test]
-    fn update_rehomes_fk_index_in_row_id_order() {
+    fn update_rehomes_fk_index_at_the_run_tail() {
         let mut t = make_table();
         for (pk, y) in [(1, 5), (2, 6), (3, 5)] {
             t.insert(vec![Value::Int(pk), "t".into(), Value::Int(y)]).unwrap();
         }
-        // Move pk 2 from year 6 to year 5: it must land *between* rows 0
-        // and 2 in the posting vec, exactly as a fresh build would place it.
+        // Move pk 2 from year 6 to year 5: with no order installed it
+        // joins the run's tail, as an insert would.
         t.update(2, vec![Value::Int(2), "moved".into(), Value::Int(5)]).unwrap();
-        assert_eq!(t.rows_where_eq(2, 5), &[RowId(0), RowId(1), RowId(2)]);
+        assert_eq!(t.rows_where_eq(2, 5), &[RowId(0), RowId(2), RowId(1)]);
         assert_eq!(t.rows_where_eq(2, 6).len(), 0);
         assert_eq!(t.value(RowId(1), 1).as_str(), Some("moved"));
+        // An install puts the run in posting order: equal scores, RowIds
+        // ascending — the very slice the sorted index serves.
+        t.build_sorted_fk(&|_| 1.0);
+        assert_eq!(t.rows_where_eq(2, 5), &[RowId(0), RowId(1), RowId(2)]);
+        assert!(std::ptr::eq(t.rows_where_eq(2, 5), t.sorted_fk_index(2).unwrap().rows(5)));
         // Pk is immutable under update.
         assert!(matches!(
             t.update(2, vec![Value::Int(9), "x".into(), Value::Int(5)]),

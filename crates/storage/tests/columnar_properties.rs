@@ -7,13 +7,32 @@
 //! stores whole `Vec<Value>` rows, and every read the table offers is
 //! compared after every step — so NULL → value, value → NULL, a column's
 //! first NULL, rejected writes and tombstoned slots are all crossed.
+//! Primary keys come from one of the key families the hasher is held to
+//! (`hash.rs`), negatives and the `i64` extremes included, and a
+//! delete → re-insert churn op reuses them, so the PK slot index probes
+//! through clustered, emptied and refilled runs.
 
 use proptest::prelude::*;
 
 use sizel_storage::{Database, RowId, TableSchema, Value, ValueType};
 
 const N_REFS: i64 = 4;
-const N_PKS: i64 = 10;
+const N_PKS: i64 = 16;
+const N_FAMILIES: u8 = 6;
+
+/// The `i`-th primary key of a key family: keys varying only in their
+/// high bits, negatives, and the two ends of `i64`.
+fn pk_key(family: u8, i: i64) -> i64 {
+    match family {
+        0 => i,
+        1 => i << 32,
+        2 => i << 48,
+        3 => (1 + (i << 20)) << 32,
+        4 => -1 - i,
+        _ if i % 2 == 0 => i64::MIN + i / 2,
+        _ => i64::MAX - i / 2,
+    }
+}
 
 fn fresh_db() -> Database {
     let mut db = Database::new();
@@ -39,17 +58,17 @@ fn fresh_db() -> Database {
 /// keeps them, as the engine's keyword un-indexing relies on).
 type Slot = (bool, Vec<Value>);
 
-/// `(kind, pk, null mask, n, x, (text length, fk))`.
+/// `(kind, pk index, null mask, n, x, (text length, fk))`.
 type Op = (u8, i64, u8, i64, f64, (usize, i64));
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..8, 0..N_PKS, 0u8..16, -5i64..5, -1e3..1e3f64, (0usize..6, 0..N_REFS))
+    (0u8..9, 0..N_PKS, 0u8..16, -5i64..5, -1e3..1e3f64, (0usize..6, 0..N_REFS))
 }
 
-fn row_of(&(_, pk, nulls, n, x, (len, fk)): &Op) -> Vec<Value> {
+fn row_of(&(_, pk, nulls, n, x, (len, fk)): &Op, family: u8) -> Vec<Value> {
     let cell = |bit: u8, v: Value| if nulls & (1 << bit) != 0 { Value::Null } else { v };
     vec![
-        Value::Int(pk),
+        Value::Int(pk_key(family, pk)),
         cell(0, Value::Int(n)),
         cell(1, Value::Float(x)),
         cell(2, Value::Text("é".repeat(len))),
@@ -61,7 +80,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn every_read_agrees_with_the_row_model(ops in proptest::collection::vec(op(), 1..60)) {
+    fn every_read_agrees_with_the_row_model(
+        ops in proptest::collection::vec(op(), 1..60),
+        family in 0..N_FAMILIES,
+    ) {
         let mut db = fresh_db();
         db.install_importance_order(&|_, _| 1.0);
         let tid = db.table_id("T").unwrap();
@@ -70,8 +92,8 @@ proptest! {
             model.iter().position(|(live, v)| *live && v[0] == Value::Int(pk))
         };
         for o in &ops {
-            let (kind, pk) = (o.0, o.1);
-            let values = row_of(o);
+            let (kind, pk) = (o.0, pk_key(family, o.1));
+            let values = row_of(o, family);
             let slot = live_slot(&model, pk);
             match kind {
                 // Plain and scored-staged inserts (the latter degrade to
@@ -106,6 +128,16 @@ proptest! {
                 }
                 6 => {
                     db.install_importance_order(&|_, _| 1.0);
+                }
+                // Delete → re-insert churn: the key leaves its slot run
+                // and comes back under a new row id.
+                8 => {
+                    prop_assert_eq!(db.delete("T", pk).is_ok(), slot.is_some());
+                    if let Some(i) = slot {
+                        model[i].0 = false;
+                    }
+                    prop_assert!(db.insert("T", values.clone()).is_ok());
+                    model.push((true, values));
                 }
                 // Malformed rows: short, and mistyped in the last column
                 // after four good cells. Neither write may leave a trace.
@@ -144,16 +176,28 @@ proptest! {
             }
             prop_assert_eq!(&seen, &live);
             prop_assert!(t.live_rows().map(RowId::index).eq(live.iter().copied()));
-            for pk in 0..N_PKS {
+            for i in 0..N_PKS {
+                let pk = pk_key(family, i);
                 prop_assert_eq!(t.by_pk(pk).map(RowId::index), live_slot(&model, pk));
             }
             for k in 0..N_REFS {
-                let scan: Vec<RowId> = live
+                let mut scan: Vec<RowId> = live
                     .iter()
                     .filter(|&&i| model[i].1[4] == Value::Int(k))
                     .map(|&i| RowId(i as u32))
                     .collect();
-                prop_assert_eq!(t.rows_where_eq(4, k), scan.as_slice());
+                // The same live rows; in posting order — score desc,
+                // RowId asc — while the sorted index answers, and then
+                // the very slice it serves.
+                let rows = t.rows_where_eq(4, k);
+                let mut sorted_rows = rows.to_vec();
+                sorted_rows.sort();
+                prop_assert_eq!(&sorted_rows, &scan);
+                if let Some(idx) = t.sorted_fk_index(4) {
+                    scan.sort_by(|&a, &b| t.installed_score(b).total_cmp(&t.installed_score(a)));
+                    prop_assert_eq!(rows, scan.as_slice());
+                    prop_assert!(std::ptr::eq(rows, idx.rows(k)));
+                }
             }
         }
     }

@@ -346,14 +346,16 @@ proptest! {
                 );
             }
         }
-        // Tombstone debt is bounded by the compaction threshold after
-        // every settlement.
-        for tid in [child, rel] {
-            prop_assert!(
-                live.table(tid).fk_tombstones() <= compaction_threshold,
-                "table {:?}: {} tombstones exceed the threshold {}",
-                tid, live.table(tid).fk_tombstones(), compaction_threshold
-            );
+        // Every settled FK run holds live rows only.
+        for (tid, t) in live.tables() {
+            for (col, idx) in t.sorted_fk_indexes() {
+                for (key, rows) in idx.posting_lists() {
+                    prop_assert!(
+                        rows.iter().all(|&r| t.is_live(r)),
+                        "table {:?} col {} key {}: a dead row in {:?}", tid, col, key, rows
+                    );
+                }
+            }
         }
         // Link postings: both orientations. A dangling child delete drops
         // the orientation (and a later re-insert heals it) — the two
@@ -659,6 +661,7 @@ proptest! {
             let sorted = t.sorted_fk_index(col).unwrap();
             for key in -1..40i64 {
                 let mut reference = t.rows_where_eq(col, key).to_vec();
+                reference.sort();
                 reference.sort_by(|&a, &b| score(tid, b).total_cmp(&score(tid, a)));
                 prop_assert_eq!(sorted.rows(key), &reference[..], "{:?}.{} = {}", tid, col, key);
             }
@@ -670,7 +673,8 @@ proptest! {
         for (s_col, t_col, target) in [(1, 2, child), (2, 1, parent)] {
             let links = jt.sorted_link_index(s_col).unwrap();
             for key in -1..40i64 {
-                let raw = jt.rows_where_eq(s_col, key);
+                let mut raw = jt.rows_where_eq(s_col, key).to_vec();
+                raw.sort();
                 let mut reference: Vec<(RowId, RowId)> = raw
                     .iter()
                     .filter_map(|&j| {

@@ -198,7 +198,8 @@ proptest! {
 
     /// The importance-sorted postings hold exactly the `select_eq` result
     /// set (same rows, reordered by descending score with ascending RowId
-    /// ties), for arbitrary insert sequences and score assignments.
+    /// ties) and are the FK groups themselves, for arbitrary insert
+    /// sequences and score assignments.
     #[test]
     fn sorted_fk_postings_equal_select_eq_result_set(
         groups in proptest::collection::vec(
@@ -225,6 +226,14 @@ proptest! {
         let sorted = db.table(child).sorted_fk_index(fk_col).unwrap();
         for parent in 0i64..9 {
             let postings = sorted.rows(parent);
+            // One adjacency: the sorted rows *are* the FK group, the same
+            // slice — pointer and length — not a copy of it.
+            let group = db.table(child).rows_where_eq(fk_col, parent);
+            prop_assert!(
+                std::ptr::eq(postings, group),
+                "parent {}: sorted rows at {:p} ({}), the group at {:p} ({})",
+                parent, postings.as_ptr(), postings.len(), group.as_ptr(), group.len()
+            );
             // Same row set as the unsorted probe.
             let mut a: Vec<_> = postings.to_vec();
             a.sort();
