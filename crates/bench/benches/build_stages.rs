@@ -19,7 +19,6 @@ use std::time::Duration;
 
 use sizel_core::engine::{EngineConfig, SizeLEngine};
 use sizel_core::keyword::KeywordIndex;
-use sizel_core::osgen::OsContext;
 use sizel_datagen::dblp::{generate, DblpConfig};
 use sizel_graph::{presets, DataGraph, Gds, SchemaGraph};
 use sizel_rank::{compute, dblp_ga, install_importance_order, GaPreset};
@@ -70,12 +69,12 @@ fn build_stages(c: &mut Criterion) {
         .iter()
         .map(|(name, _)| db.table_id(name).expect("DS relation exists"))
         .collect();
-    group.bench_function("gds_and_links", |b| {
+    group.bench_function("gds", |b| {
         b.iter(|| {
             for ((_, gds_cfg), &tid) in cfg.ds_relations.iter().zip(&ds_tables) {
                 let mut gds = Gds::build(&db, &sg, gds_cfg, tid).restrict(cfg.theta);
                 gds.set_stats(&scores.per_table_max);
-                criterion::black_box(OsContext::resolve_links(&dg, &gds));
+                criterion::black_box(gds);
             }
         })
     });

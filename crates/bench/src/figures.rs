@@ -662,14 +662,19 @@ fn rss_mb() -> f64 {
 /// `generate` + engine derivation over `DblpConfig::bench()` (the stages
 /// of `benches/build_stages.rs`, every product kept alive), then each
 /// table's rows and [`sizel_storage::Table::value_bytes`], and its index
-/// bytes by structure ([`sizel_storage::Table::index_bytes`]). Run it in a
+/// bytes by structure ([`sizel_storage::Table::index_bytes`]), and last the
+/// data graph's bytes ([`DataGraph::index_bytes`]) beside the transfer
+/// lists one rank solve gathers and drops
+/// ([`sizel_rank::transfer_list_bytes`]). Run it in a
 /// fresh process (`repro footprint` builds no workbench first): freed
 /// heap the allocator keeps counts as resident.
 pub fn footprint() -> String {
     use sizel_core::keyword::KeywordIndex;
     use sizel_datagen::dblp::{generate, DblpConfig};
     use sizel_graph::{DataGraph, SchemaGraph};
-    use sizel_rank::{compute, dblp_ga, install_importance_order, GaPreset, RankConfig};
+    use sizel_rank::{
+        compute, dblp_ga, install_importance_order, transfer_list_bytes, GaPreset, RankConfig,
+    };
 
     let mut out = String::from("## Footprint — one engine over DblpConfig::bench()\n\n");
     let mut stages = Vec::new();
@@ -735,6 +740,16 @@ pub fn footprint() -> String {
     let header: Vec<&str> = header.iter().map(String::as_str).collect();
     out.push('\n');
     out.push_str(&markdown_table(&header, &rows));
+
+    // The data graph's own bytes, and beside them the transfer lists one
+    // rank solve gathers from `fwd` and drops before it returns.
+    let mut graph = row("data graph".into(), &dg.index_bytes());
+    graph.push(mb(transfer_list_bytes(&db, &sg, &dg, &authority)));
+    out.push('\n');
+    out.push_str(&markdown_table(
+        &["", "node starts MB", "fwd MB", "MB", "rank transfer lists MB, per solve"],
+        &[graph],
+    ));
     out
 }
 

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sizel_disk::{PagedStore, Wal};
-use sizel_graph::{DataGraph, Gds, GdsConfig, MnLinkId, SchemaGraph};
+use sizel_graph::{DataGraph, Gds, GdsConfig, SchemaGraph};
 use sizel_rank::{compute, AuthorityGraph, RankConfig, RankScores};
 use sizel_storage::{Database, Epoch, ScoredBatch, StorageError, TableId, TupleRef, Value};
 
@@ -240,7 +240,6 @@ struct Derived {
     authority: AuthorityGraph,
     scores: RankScores,
     gds_by_table: Vec<Option<Gds>>,
-    links_by_table: Vec<Option<Vec<Option<MnLinkId>>>>,
     kw: KeywordIndex,
 }
 
@@ -267,10 +266,6 @@ pub struct SizeLEngine {
     authority: AuthorityGraph,
     scores: RankScores,
     gds_by_table: Vec<Option<Gds>>,
-    /// Per-DS-table resolved M:N link tables, precomputed at build so
-    /// [`SizeLEngine::context`] (and through it every `summarize`) stops
-    /// allocating and re-scanning links per query.
-    links_by_table: Vec<Option<Vec<Option<MnLinkId>>>>,
     kw: KeywordIndex,
     /// The GA builder, retained so the exact refresh path can re-derive
     /// the authority graph over the mutated database.
@@ -305,20 +300,8 @@ impl SizeLEngine {
         let sg = SchemaGraph::from_database(&db);
         let ga: GaBuilder = Box::new(ga);
         let derived = Self::derive(&mut db, &sg, ga.as_ref(), &cfg)?;
-        let Derived { dg, authority, scores, gds_by_table, links_by_table, kw } = derived;
-        Ok(SizeLEngine {
-            db,
-            sg,
-            dg,
-            authority,
-            scores,
-            gds_by_table,
-            links_by_table,
-            kw,
-            ga,
-            cfg,
-            disk: None,
-        })
+        let Derived { dg, authority, scores, gds_by_table, kw } = derived;
+        Ok(SizeLEngine { db, sg, dg, authority, scores, gds_by_table, kw, ga, cfg, disk: None })
     }
 
     /// Computes every derived structure over `db` (which receives the
@@ -337,19 +320,16 @@ impl SizeLEngine {
         sizel_rank::install_importance_order(db, &dg, &mut scores);
 
         let mut gds_by_table: Vec<Option<Gds>> = (0..db.table_count()).map(|_| None).collect();
-        let mut links_by_table: Vec<Option<Vec<Option<MnLinkId>>>> =
-            (0..db.table_count()).map(|_| None).collect();
         let mut ds_tables = Vec::with_capacity(cfg.ds_relations.len());
         for (name, gds_cfg) in &cfg.ds_relations {
             let tid = db.table_id(name)?;
             let mut gds = Gds::build(db, sg, gds_cfg, tid).restrict(cfg.theta);
             gds.set_stats(&scores.per_table_max);
-            links_by_table[tid.index()] = Some(OsContext::resolve_links(&dg, &gds));
             gds_by_table[tid.index()] = Some(gds);
             ds_tables.push(tid);
         }
         let kw = KeywordIndex::build(db, &ds_tables);
-        Ok(Derived { dg, authority, scores, gds_by_table, links_by_table, kw })
+        Ok(Derived { dg, authority, scores, gds_by_table, kw })
     }
 
     /// The database's mutation epoch — the version every query of this
@@ -387,12 +367,11 @@ impl SizeLEngine {
             }
         }
         let derived = Self::derive(&mut self.db, &self.sg, self.ga.as_ref(), &self.cfg)?;
-        let Derived { dg, authority, scores, gds_by_table, links_by_table, kw } = derived;
+        let Derived { dg, authority, scores, gds_by_table, kw } = derived;
         self.dg = dg;
         self.authority = authority;
         self.scores = scores;
         self.gds_by_table = gds_by_table;
-        self.links_by_table = links_by_table;
         self.kw = kw;
         Ok(())
     }
@@ -402,7 +381,7 @@ impl SizeLEngine {
     /// mutations: the run's rows are staged through the storage layer's
     /// [`sizel_storage::ScoredBatch`] (sorted-posting settlement: at most
     /// one re-sort per affected table), then **one** `DataGraph` rebuild,
-    /// one batched rank splice, one stats/link/keyword refresh cover the
+    /// one batched rank splice, one stats/keyword refresh cover the
     /// whole run — where folding [`SizeLEngine::apply`] pays each of
     /// those per mutation. Exact-policy mutations flush the pending run
     /// and take the single-apply escape hatch, so arbitrary policy mixes
@@ -523,12 +502,6 @@ impl SizeLEngine {
             }
             for &t in &kw_add {
                 self.kw.add_row(&self.db, t.table, t.row);
-            }
-            for (i, links) in self.links_by_table.iter_mut().enumerate() {
-                if links.is_some() {
-                    let gds = self.gds_by_table[i].as_ref().expect("links imply a GDS");
-                    *links = Some(OsContext::resolve_links(&self.dg, gds));
-                }
             }
         }
         staged
@@ -851,15 +824,12 @@ impl SizeLEngine {
             .expect("table was not configured as a DS relation")
     }
 
-    /// An [`OsContext`] over a DS relation's GDS, borrowing the link
-    /// table precomputed at build — allocation-free, so `summarize` no
-    /// longer pays a per-query `OsContext` rebuild (ROADMAP hot path;
-    /// guarded by `tests/alloc_guard.rs`).
+    /// An [`OsContext`] over a DS relation's GDS — allocation-free, so
+    /// `summarize` builds one per query (guarded by
+    /// `tests/alloc_guard.rs`). Panics if `table` was not configured as a
+    /// DS relation.
     pub fn context(&self, table: TableId) -> OsContext<'_> {
-        let links = self.links_by_table[table.index()]
-            .as_deref()
-            .expect("table was not configured as a DS relation");
-        OsContext::with_links(&self.db, &self.sg, &self.dg, self.gds(table), &self.scores, links)
+        OsContext::new(&self.db, &self.sg, &self.dg, self.gds(table), &self.scores)
     }
 
     /// Runs a keyword query with default options (l = 15, Top-Path,
@@ -1069,6 +1039,33 @@ mod tests {
             );
             assert_eq!(fingerprint(&a), fingerprint(&b), "{kw}: sources diverged post-mutation");
         }
+
+        // And node for node, complete OSs included: before and after a
+        // scored batch that inserts, re-homes and deletes junction rows.
+        let agree = |e: &SizeLEngine| {
+            for kw in ["Wexler", "Faloutsos", "Power-law"] {
+                for tds in e.ds_hits(kw) {
+                    crate::osgen::tests::assert_sources_agree(&e.context(tds.table), tds);
+                }
+            }
+        };
+        agree(&live);
+        let ap = live.db().table(live.db().table_id("AuthorPaper").unwrap());
+        let gone = ap.pk_of(ap.live_rows().next().unwrap());
+        live.apply_batch(vec![
+            Mutation::insert(
+                "AuthorPaper",
+                vec![Value::Int(junction_pk + 1), Value::Int(author_pk), Value::Int(paper_pk - 1)],
+            ),
+            Mutation::update(
+                "AuthorPaper",
+                junction_pk,
+                vec![Value::Int(junction_pk), Value::Int(author_pk), Value::Int(paper_pk - 2)],
+            ),
+            Mutation::delete("AuthorPaper", gone),
+        ])
+        .unwrap();
+        agree(&live);
 
         // The prefix-scan fast path is retained: Database-source prelim
         // probes after the inserts still hit sorted postings.

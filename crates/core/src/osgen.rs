@@ -5,12 +5,19 @@
 //! and append them as children. Two tuple sources are supported, matching
 //! the paper's §6.3 comparison:
 //!
-//! * [`OsSource::DataGraph`] — lookups against the precomputed in-memory
-//!   data graph ("the OSs are generated much faster using the data graph"),
+//! * [`OsSource::DataGraph`] — the in-memory index ("the OSs are generated
+//!   much faster using the data graph"): a forward step reads the data
+//!   graph's `fwd`, a backward or junction step the FK runs of the
+//!   referencing table, nothing counted,
 //! * [`OsSource::Database`] — the SQL-shaped joins of Algorithm 5 line 6,
-//!   every probe counted by the storage layer's access counter.
+//!   every probe counted by the storage layer's access counter, a forward
+//!   FK resolved by a PK probe, and TOP-l probes of paged tables served
+//!   through the pager.
+//!
+//! Both read the same FK runs, so they yield the same OS node for node;
+//! the comparison is accounting plus forward resolution.
 
-use sizel_graph::{DataGraph, Direction, Gds, GdsNode, GdsNodeId, JoinSpec, MnLinkId, SchemaGraph};
+use sizel_graph::{DataGraph, Direction, Gds, GdsNode, GdsNodeId, JoinSpec, SchemaGraph};
 use sizel_rank::RankScores;
 use sizel_storage::{Database, FkOrderToken, RowId, TupleRef};
 
@@ -39,12 +46,6 @@ pub struct OsContext<'a> {
     pub gds: &'a Gds,
     /// Global importance scores.
     pub scores: &'a RankScores,
-    /// Resolved M:N link ids per GDS node. Owned when built ad hoc by
-    /// [`OsContext::new`]; borrowed from the engine's precomputed
-    /// per-table link tables on the serving path
-    /// ([`OsContext::with_links`]), so building a context per query stops
-    /// allocating and stops re-scanning the data graph's links.
-    link_of_gds: std::borrow::Cow<'a, [Option<MnLinkId>]>,
     /// The database's installed importance order, when it matches these
     /// scores — unlocks the sorted-posting prefix scan in
     /// [`Database::select_eq_top_l`] and its junction sibling.
@@ -54,10 +55,8 @@ pub struct OsContext<'a> {
 }
 
 impl<'a> OsContext<'a> {
-    /// Builds a context, resolving each GDS node's junction step to its
-    /// collapsed M:N link. One-shot convenience: loops and engines should
-    /// resolve the link table once ([`OsContext::resolve_links`]) and use
-    /// [`OsContext::with_links`], which allocates nothing.
+    /// Builds a context. Allocation-free — the engine builds one per
+    /// query.
     pub fn new(
         db: &'a Database,
         sg: &'a SchemaGraph,
@@ -65,47 +64,8 @@ impl<'a> OsContext<'a> {
         gds: &'a Gds,
         scores: &'a RankScores,
     ) -> Self {
-        let link_of_gds = std::borrow::Cow::Owned(Self::resolve_links(dg, gds));
         let fk_order = scores.fk_order.filter(|t| db.fk_order() == Some(*t));
-        OsContext { db, sg, dg, gds, scores, link_of_gds, fk_order }
-    }
-
-    /// Builds a context over a precomputed link table (see
-    /// [`OsContext::resolve_links`]). Allocation-free — the engine calls
-    /// this once per query with its per-DS-table precomputation.
-    pub fn with_links(
-        db: &'a Database,
-        sg: &'a SchemaGraph,
-        dg: &'a DataGraph,
-        gds: &'a Gds,
-        scores: &'a RankScores,
-        link_of_gds: &'a [Option<MnLinkId>],
-    ) -> Self {
-        debug_assert_eq!(link_of_gds.len(), gds.len(), "link table must match the GDS");
-        let fk_order = scores.fk_order.filter(|t| db.fk_order() == Some(*t));
-        OsContext {
-            db,
-            sg,
-            dg,
-            gds,
-            scores,
-            link_of_gds: std::borrow::Cow::Borrowed(link_of_gds),
-            fk_order,
-        }
-    }
-
-    /// Resolves each GDS node's junction step to its collapsed M:N link —
-    /// the `O(|GDS| · |links|)` scan that used to run per query, now a
-    /// build-time precomputation.
-    pub fn resolve_links(dg: &DataGraph, gds: &Gds) -> Vec<Option<MnLinkId>> {
-        gds.iter()
-            .map(|(_, n)| match &n.join {
-                JoinSpec::ViaJunction { e_in, e_out, .. } => Some(
-                    dg.find_link(*e_in, *e_out).expect("every junction step has a collapsed link"),
-                ),
-                _ => None,
-            })
-            .collect()
+        OsContext { db, sg, dg, gds, scores, fk_order }
     }
 
     /// Local importance `Im(OS, t_i) = Im(t_i) · Af(R_i)` (Equation 3).
@@ -126,16 +86,13 @@ impl<'a> OsContext<'a> {
     ) {
         let node = self.gds.node(child);
         match source {
-            OsSource::DataGraph => {
-                self.children_via_graph(child, node, parent_tuple, grandparent, out)
-            }
+            OsSource::DataGraph => self.children_via_graph(node, parent_tuple, grandparent, out),
             OsSource::Database => self.children_via_database(node, parent_tuple, grandparent, out),
         }
     }
 
     fn children_via_graph(
         &self,
-        child_id: GdsNodeId,
         node: &GdsNode,
         parent: TupleRef,
         grandparent: Option<TupleRef>,
@@ -143,23 +100,24 @@ impl<'a> OsContext<'a> {
     ) {
         match &node.join {
             JoinSpec::Root => {}
-            JoinSpec::Step { edge, dir } => match dir {
-                Direction::Forward => {
-                    if let Some(t) = self.dg.fwd_neighbor(*edge, parent.row) {
-                        out.push(self.dg.tuple_of(t));
-                    }
+            JoinSpec::Step { edge, dir: Direction::Forward } => {
+                if let Some(t) = self.dg.fwd_neighbor(*edge, parent.row) {
+                    out.push(self.dg.tuple_of(t));
                 }
-                Direction::Backward => {
-                    for &t in self.dg.bwd_neighbors(*edge, parent.row) {
-                        out.push(self.dg.tuple_of(sizel_graph::NodeId(t)));
-                    }
-                }
-            },
-            JoinSpec::ViaJunction { exclude_parent, .. } => {
-                let link =
-                    self.dg.link(self.link_of_gds[child_id.index()].expect("resolved in new()"));
-                for &t in link.targets(parent.row) {
-                    let tuple = self.dg.tuple_of(sizel_graph::NodeId(t));
+            }
+            JoinSpec::Step { edge, dir: Direction::Backward } => {
+                let e = self.sg.edge(*edge);
+                let pk = self.db.table(parent.table).pk_of(parent.row);
+                let rows = self.db.table(e.from).rows_where_eq(e.fk_col, pk);
+                out.extend(rows.iter().map(|&r| TupleRef::new(e.from, r)));
+            }
+            JoinSpec::ViaJunction { junction, e_in, e_out, exclude_parent } => {
+                let pk = self.db.table(parent.table).pk_of(parent.row);
+                let to = self.sg.edge(*e_out).to;
+                let to_start = self.dg.table_start(to);
+                for &j in self.db.table(*junction).rows_where_eq(self.sg.edge(*e_in).fk_col, pk) {
+                    let Some(t) = self.dg.fwd_neighbor(*e_out, j) else { continue };
+                    let tuple = TupleRef::new(to, RowId(t.0 - to_start));
                     if *exclude_parent && Some(tuple) == grandparent {
                         continue;
                     }
@@ -394,25 +352,40 @@ pub fn generate_os_pooled(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::test_fixtures::dblp_fixture;
+    use crate::test_fixtures::{dblp_fixture, tpch_fixture};
+
+    /// Both sources give the same OS for `tds`, node for node: tuple, GDS
+    /// node, parent and weight bits, in BFS order.
+    pub(crate) fn assert_sources_agree(ctx: &OsContext<'_>, tds: TupleRef) {
+        let a = generate_os(ctx, tds, None, OsSource::DataGraph);
+        let b = generate_os(ctx, tds, None, OsSource::Database);
+        a.validate().unwrap();
+        b.validate().unwrap();
+        assert_eq!(a.len(), b.len(), "{tds:?}: both sources yield the same OS");
+        for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
+            assert_eq!((x.tuple, x.gds_node, x.parent), (y.tuple, y.gds_node, y.parent), "{tds:?}");
+            assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "{tds:?}");
+        }
+    }
 
     #[test]
     fn generates_consistent_tree_from_both_sources() {
+        // Both fixtures carry an installed order, so the FK runs are in
+        // posting order; TPC-H's Supplier GDS steps backward over plain
+        // FK edges, DBLP's through junctions.
         let f = dblp_fixture();
-        let ctx = f.ctx();
-        let tds = f.author_tds(0);
-        let a = generate_os(&ctx, tds, None, OsSource::DataGraph);
-        let b = generate_os(&ctx, tds, None, OsSource::Database);
-        a.validate().unwrap();
-        b.validate().unwrap();
-        assert_eq!(a.len(), b.len(), "both sources yield the same OS");
-        assert!((a.total_weight() - b.total_weight()).abs() < 1e-9);
-        // Same multiset of tuples in BFS order.
-        for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
-            assert_eq!(x.tuple, y.tuple);
-            assert_eq!(x.gds_node, y.gds_node);
+        let (ctx, paper_ctx) =
+            (f.ctx(), OsContext::new(&f.dblp.db, &f.sg, &f.dg, &f.paper_gds, &f.scores));
+        for i in 0..4 {
+            assert_sources_agree(&ctx, f.author_tds(i));
+            assert_sources_agree(&paper_ctx, TupleRef::new(f.dblp.paper, RowId(i as u32)));
+        }
+        let t = tpch_fixture();
+        let ctx = t.supplier_ctx();
+        for r in t.tpch.db.table(t.tpch.supplier).live_rows().take(4) {
+            assert_sources_agree(&ctx, TupleRef::new(t.tpch.supplier, r));
         }
     }
 

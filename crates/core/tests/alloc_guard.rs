@@ -3,8 +3,8 @@
 //! heap allocations** on the DBLP fixture — the whole point of replacing
 //! the per-node `children: Vec` layout. Extended by ISSUE 4 to the query
 //! path end-to-end: building an [`OsContext`] through the engine is
-//! allocation-free (the per-query `link_of_gds` Vec and O(|GDS|) junction
-//! scan are gone — precomputed at engine build), and a warm
+//! allocation-free (it only borrows: a junction step reads its edges off
+//! the GDS node and its rows off the FK runs), and a warm
 //! `SizeLEngine::summarize` costs a *constant* number of allocations per
 //! call (only the returned `QueryResult`'s own buffers), independent of
 //! how many queries ran before.

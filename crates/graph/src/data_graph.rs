@@ -1,4 +1,5 @@
-//! The tuple-level data graph: an in-memory index over all FK relationships.
+//! The tuple-level data graph: dense node ids and the forward side of
+//! every FK relationship.
 //!
 //! Section 6.3 of the paper: "our data-graph nodes correspond to the
 //! database tuples and edges to tuples relationships (through their primary
@@ -7,12 +8,17 @@
 //!
 //! Representation:
 //! * every tuple gets a dense [`NodeId`] (`starts[table] + row`),
-//! * every FK edge gets forward (`Vec<u32>`, one slot per referencing row)
-//!   and backward (CSR) adjacency,
-//! * every junction table is additionally *collapsed* into two directed
-//!   [`MnLink`]s with precomputed CSR (Author -> Papers, Paper -> CoAuthors,
-//!   citing -> cited, cited -> citing), so OS generation and ObjectRank can
-//!   step across M:N relationships without touching junction tuples.
+//! * every FK edge gets forward adjacency (`Vec<u32>`, the parent node of
+//!   each referencing row) — the one direction storage cannot answer
+//!   without a PK probe,
+//! * every junction table is described by two directed [`MnLink`]s
+//!   (Author -> Papers, Paper -> CoAuthors, citing -> cited, cited ->
+//!   citing), the units the authority graph rates.
+//!
+//! Backward and M:N adjacency are not copied here: the referencing table's
+//! FK runs hold each parent's children already (`Table::rows_where_eq`).
+//! OS generation reads them there; the rank solver transposes `fwd` into
+//! transfer lists that live for one solve (`sizel_rank::power`).
 
 use sizel_storage::{Database, RowId, TableId, TupleRef};
 
@@ -29,20 +35,8 @@ impl NodeId {
     }
 }
 
-/// Sentinel for "no forward target" (NULL FK).
+/// Sentinel for "no forward target" (NULL FK, or a dead row).
 const NO_TARGET: u32 = u32::MAX;
-
-/// Adjacency for one FK edge.
-#[derive(Debug)]
-struct DirectAdj {
-    /// `fwd[row_of_from_table]` = global node id of the referenced tuple,
-    /// or `NO_TARGET` for NULL FKs.
-    fwd: Vec<u32>,
-    /// CSR over rows of the referenced table; targets are global node ids
-    /// of referencing tuples.
-    bwd_index: Vec<u32>,
-    bwd_targets: Vec<u32>,
-}
 
 /// Identifies a collapsed M:N link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -57,7 +51,9 @@ impl MnLinkId {
 
 /// A collapsed M:N link through a junction table: rows of `from_table`
 /// (the table referenced by `e_from`) map to tuples of `to_table` (the
-/// table referenced by `e_to`) whenever a junction row connects them.
+/// table referenced by `e_to`) whenever a junction row connects them. The
+/// pairs are the junction's rows: its FK runs on `e_from` grouped by
+/// source, each resolved through `fwd` on `e_to`.
 #[derive(Debug)]
 pub struct MnLink {
     /// The junction table realizing the link.
@@ -70,34 +66,15 @@ pub struct MnLink {
     pub from_table: TableId,
     /// Target table (`e_to`'s referenced table).
     pub to_table: TableId,
-    index: Vec<u32>,
-    targets: Vec<u32>,
-}
-
-impl MnLink {
-    /// Target node ids reachable from `row` of the source table.
-    pub fn targets(&self, row: RowId) -> &[u32] {
-        let lo = self.index[row.index()] as usize;
-        let hi = self.index[row.index() + 1] as usize;
-        &self.targets[lo..hi]
-    }
-
-    /// Total number of link pairs.
-    pub fn len(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// True when the link has no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
 }
 
 /// The data graph (see module docs).
 #[derive(Debug)]
 pub struct DataGraph {
     starts: Vec<u32>,
-    direct: Vec<DirectAdj>,
+    /// Per FK edge, `fwd[row of the referencing table]` = global node id
+    /// of the referenced tuple, or `NO_TARGET`.
+    fwd: Vec<Vec<u32>>,
     links: Vec<MnLink>,
 }
 
@@ -109,8 +86,7 @@ impl DataGraph {
     /// asserts its one-rebuild-per-batch amortization against.
     pub fn build(db: &Database, sg: &SchemaGraph) -> Self {
         db.access().record_graph_build();
-        let n_tables = db.table_count();
-        let mut starts = Vec::with_capacity(n_tables + 1);
+        let mut starts = Vec::with_capacity(db.table_count() + 1);
         let mut acc = 0u32;
         for (_, t) in db.tables() {
             starts.push(acc);
@@ -118,47 +94,27 @@ impl DataGraph {
         }
         starts.push(acc);
 
-        // Direct adjacency per FK edge.
-        let mut direct = Vec::with_capacity(sg.edges().len());
+        let mut fwd = Vec::with_capacity(sg.edges().len());
         for e in sg.edges() {
-            let from = db.table(e.from);
-            let to = db.table(e.to);
-            let mut fwd = vec![NO_TARGET; from.len()];
-            let mut counts = vec![0u32; to.len()];
+            let (from, to) = (db.table(e.from), db.table(e.to));
+            let mut f = vec![NO_TARGET; from.len()];
             // Each live parent finds its children through the FK runs:
             // one directory probe per parent instead of a PK slot probe
             // per child (slot probes branch unpredictably; storage's
             // `hash::PkSlots`).
             for p in to.live_rows() {
-                let children = from.rows_where_eq(e.fk_col, to.pk_of(p));
-                counts[p.index()] = children.len() as u32;
-                for &c in children {
-                    fwd[c.index()] = starts[e.to.index()] + p.0;
+                for &c in from.rows_where_eq(e.fk_col, to.pk_of(p)) {
+                    f[c.index()] = starts[e.to.index()] + p.0;
                 }
             }
-            let mut bwd_index = Vec::with_capacity(to.len() + 1);
-            let mut running = 0u32;
-            for &c in &counts {
-                bwd_index.push(running);
-                running += c;
-            }
-            bwd_index.push(running);
-            let mut cursor: Vec<u32> = bwd_index[..to.len()].to_vec();
-            let mut bwd_targets = vec![0u32; running as usize];
             for rid in from.live_rows() {
-                let t = fwd[rid.index()];
-                if t != NO_TARGET {
-                    let local = (t - starts[e.to.index()]) as usize;
-                    bwd_targets[cursor[local] as usize] = starts[e.from.index()] + rid.0;
-                    cursor[local] += 1;
-                } else if from.value(rid, e.fk_col).as_int().is_some() {
+                if f[rid.index()] == NO_TARGET && from.value(rid, e.fk_col).as_int().is_some() {
                     panic!("dangling FK while building data graph");
                 }
             }
-            direct.push(DirectAdj { fwd, bwd_index, bwd_targets });
+            fwd.push(f);
         }
 
-        // Collapsed M:N links for every junction table.
         let mut links = Vec::new();
         for (jid, jt) in db.tables() {
             if !jt.schema.is_junction {
@@ -166,51 +122,13 @@ impl DataGraph {
             }
             let je = sg.junction_edges(jid);
             debug_assert_eq!(je.len(), 2);
-            for (ef, et) in [(je[0], je[1]), (je[1], je[0])] {
-                let from_table = sg.edge(ef).to;
-                let to_table = sg.edge(et).to;
-                let n_from = db.table(from_table).len();
-                let adj_f = &direct[ef.index()];
-                let adj_t = &direct[et.index()];
-                let mut counts = vec![0u32; n_from];
-                for j in 0..jt.len() {
-                    let a = adj_f.fwd[j];
-                    let b = adj_t.fwd[j];
-                    if a != NO_TARGET && b != NO_TARGET {
-                        counts[(a - starts[from_table.index()]) as usize] += 1;
-                    }
-                }
-                let mut index = Vec::with_capacity(n_from + 1);
-                let mut running = 0u32;
-                for &c in &counts {
-                    index.push(running);
-                    running += c;
-                }
-                index.push(running);
-                let mut cursor: Vec<u32> = index[..n_from].to_vec();
-                let mut targets = vec![0u32; running as usize];
-                for j in 0..jt.len() {
-                    let a = adj_f.fwd[j];
-                    let b = adj_t.fwd[j];
-                    if a != NO_TARGET && b != NO_TARGET {
-                        let local = (a - starts[from_table.index()]) as usize;
-                        targets[cursor[local] as usize] = b;
-                        cursor[local] += 1;
-                    }
-                }
-                links.push(MnLink {
-                    junction: jid,
-                    e_from: ef,
-                    e_to: et,
-                    from_table,
-                    to_table,
-                    index,
-                    targets,
-                });
+            for (e_from, e_to) in [(je[0], je[1]), (je[1], je[0])] {
+                let (from_table, to_table) = (sg.edge(e_from).to, sg.edge(e_to).to);
+                links.push(MnLink { junction: jid, e_from, e_to, from_table, to_table });
             }
         }
 
-        DataGraph { starts, direct, links }
+        DataGraph { starts, fwd, links }
     }
 
     /// Total number of nodes (tuples).
@@ -237,27 +155,13 @@ impl DataGraph {
 
     /// Forward neighbor over `edge` from a row of the referencing table.
     pub fn fwd_neighbor(&self, edge: SchemaEdgeId, row: RowId) -> Option<NodeId> {
-        let t = self.direct[edge.index()].fwd[row.index()];
+        let t = self.fwd[edge.index()][row.index()];
         (t != NO_TARGET).then_some(NodeId(t))
-    }
-
-    /// Backward neighbors over `edge` from a row of the referenced table
-    /// (global node ids of the referencing tuples).
-    pub fn bwd_neighbors(&self, edge: SchemaEdgeId, row: RowId) -> &[u32] {
-        let adj = &self.direct[edge.index()];
-        let lo = adj.bwd_index[row.index()] as usize;
-        let hi = adj.bwd_index[row.index() + 1] as usize;
-        &adj.bwd_targets[lo..hi]
     }
 
     /// All collapsed M:N links.
     pub fn links(&self) -> &[MnLink] {
         &self.links
-    }
-
-    /// The link with the given id.
-    pub fn link(&self, id: MnLinkId) -> &MnLink {
-        &self.links[id.index()]
     }
 
     /// Finds the collapsed link that enters its junction via `e_from` and
@@ -269,24 +173,21 @@ impl DataGraph {
             .map(|i| MnLinkId(i as u16))
     }
 
-    /// Total number of stored adjacency entries (for the §6.3 size report).
+    /// Number of stored adjacency entries (for the §6.3 size report): one
+    /// forward slot per row of every referencing table.
     pub fn n_adjacency_entries(&self) -> usize {
-        let d: usize = self.direct.iter().map(|a| a.fwd.len() + a.bwd_targets.len()).sum();
-        let l: usize = self.links.iter().map(|l| l.targets.len()).sum();
-        d + l
+        self.fwd.iter().map(Vec::len).sum()
+    }
+
+    /// Bytes held, by structure: the node starts and the forward slots.
+    pub fn index_bytes(&self) -> [(&'static str, usize); 2] {
+        [("node starts", self.starts.len() * 4), ("fwd", self.n_adjacency_entries() * 4)]
     }
 
     /// Approximate resident size in bytes (index vectors only, as in the
     /// paper's "150MB / 500MB" data-graph footprint report).
     pub fn approx_bytes(&self) -> usize {
-        let mut total = self.starts.len() * 4;
-        for a in &self.direct {
-            total += (a.fwd.len() + a.bwd_index.len() + a.bwd_targets.len()) * 4;
-        }
-        for l in &self.links {
-            total += (l.index.len() + l.targets.len()) * 4;
-        }
-        total
+        self.index_bytes().iter().map(|&(_, b)| b).sum()
     }
 }
 
@@ -315,37 +216,21 @@ mod tests {
     }
 
     #[test]
-    fn fwd_and_bwd_are_inverse() {
+    fn fwd_inverts_the_fk_runs() {
         let (d, sg, dg) = setup();
-        // Paper -> Year edge.
-        let e = sg
-            .edges()
-            .iter()
-            .find(|e| e.from == d.paper && e.to == d.year)
-            .expect("paper->year edge")
-            .id;
-        let papers = d.db.table(d.paper);
-        for (rid, _) in papers.iter() {
-            let y = dg.fwd_neighbor(e, rid).expect("year FK is NOT NULL");
-            let ytuple = dg.tuple_of(y);
-            assert_eq!(ytuple.table, d.year);
-            let back = dg.bwd_neighbors(e, ytuple.row);
-            let me = dg.node_id(TupleRef::new(d.paper, rid));
-            assert!(back.contains(&me.0));
+        // Paper -> Year edge: each paper in a year's run points at that
+        // year, and the runs cover every paper exactly once.
+        let e = sg.edges().iter().find(|e| e.from == d.paper && e.to == d.year).unwrap();
+        let (papers, years) = (d.db.table(d.paper), d.db.table(d.year));
+        let mut covered = 0;
+        for y in years.live_rows() {
+            let year = dg.node_id(TupleRef::new(d.year, y));
+            for &p in papers.rows_where_eq(e.fk_col, years.pk_of(y)) {
+                assert_eq!(dg.fwd_neighbor(e.id, p), Some(year));
+                covered += 1;
+            }
         }
-    }
-
-    #[test]
-    fn bwd_counts_match_fk_index() {
-        let (d, sg, dg) = setup();
-        let e = sg.edges().iter().find(|e| e.from == d.paper && e.to == d.year).unwrap().id;
-        let papers = d.db.table(d.paper);
-        let years = d.db.table(d.year);
-        let fk_col = papers.schema.column_index("year_id").unwrap();
-        for (rid, _) in years.iter() {
-            let pk = years.pk_of(rid);
-            assert_eq!(dg.bwd_neighbors(e, rid).len(), papers.rows_where_eq(fk_col, pk).len());
-        }
+        assert_eq!(covered, papers.live_len());
     }
 
     #[test]
@@ -361,20 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn author_paper_link_matches_junction_contents() {
-        let (d, _, dg) = setup();
-        let link = dg
-            .links()
-            .iter()
-            .find(|l| l.junction == d.author_paper && l.from_table == d.author)
-            .unwrap();
-        let ap = d.db.table(d.author_paper);
-        let author_col = ap.schema.column_index("author_id").unwrap();
-        let authors = d.db.table(d.author);
-        for (rid, _) in authors.iter() {
-            let pk = authors.pk_of(rid);
-            let expect = ap.rows_where_eq(author_col, pk).len();
-            assert_eq!(link.targets(rid).len(), expect, "author {pk}");
+    fn links_step_through_their_junction_edges() {
+        let (_, sg, dg) = setup();
+        for l in dg.links() {
+            for e in [l.e_from, l.e_to] {
+                assert_eq!(sg.edge(e).from, l.junction, "both edges leave the junction");
+            }
+            assert_ne!(l.e_from, l.e_to);
+            assert_eq!(sg.edge(l.e_from).to, l.from_table);
+            assert_eq!(sg.edge(l.e_to).to, l.to_table);
         }
     }
 
@@ -383,10 +263,9 @@ mod tests {
         let (d, _, dg) = setup();
         let cites = dg.links().iter().filter(|l| l.junction == d.citation).collect::<Vec<_>>();
         assert_eq!(cites.len(), 2);
-        // Total pairs in each orientation equal the junction size.
-        for l in &cites {
-            assert_eq!(l.len(), d.db.table(d.citation).len());
-        }
+        // Paper -> Paper both ways: each link is the other reversed.
+        assert_eq!((cites[0].e_from, cites[0].e_to), (cites[1].e_to, cites[1].e_from));
+        assert!(cites.iter().all(|l| l.from_table == d.paper && l.to_table == d.paper));
     }
 
     #[test]

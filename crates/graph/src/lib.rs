@@ -17,8 +17,9 @@
 //!   carry the paper's published values.
 //! * [`data_graph`] — the in-memory tuple-level graph the paper uses to
 //!   generate OSs quickly ("the data-graph is only an index ... nodes
-//!   capture only keys and global importance"): CSR adjacency per FK edge
-//!   plus precomputed collapsed M:N links.
+//!   capture only keys and global importance"): dense node ids and the
+//!   forward adjacency of every FK edge; backward and M:N steps read the
+//!   FK runs storage already keeps.
 
 pub mod affinity;
 pub mod data_graph;

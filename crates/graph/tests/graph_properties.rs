@@ -27,8 +27,8 @@ fn build_db(n_parents: i64, fk_targets: &[i64]) -> Database {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Forward/backward adjacency of the data graph equals brute-force
-    /// join evaluation.
+    /// The data graph's forward adjacency equals brute-force join
+    /// evaluation, read in both directions.
     #[test]
     fn data_graph_matches_joins(
         n_parents in 1i64..15,
@@ -50,11 +50,13 @@ proptest! {
             prop_assert_eq!(tup.table, parent);
             prop_assert_eq!(db.table(parent).pk_of(tup.row), t);
         }
-        // Backward: parent row -> exactly its children.
+        // Backward, read through `fwd`: parent row -> exactly its children.
         for k in 1..=n_parents {
-            let prow = db.table(parent).by_pk(k).unwrap();
-            let got = dg.bwd_neighbors(edge, prow).len();
-            let expect = fk_targets.iter().filter(|&&t| t == k).count();
+            let pnode = dg.node_id(TupleRef::new(parent, db.table(parent).by_pk(k).unwrap()));
+            let got: Vec<usize> = (0..fk_targets.len())
+                .filter(|&i| dg.fwd_neighbor(edge, RowId(i as u32)) == Some(pnode))
+                .collect();
+            let expect: Vec<usize> = (0..fk_targets.len()).filter(|&i| fk_targets[i] == k).collect();
             prop_assert_eq!(got, expect, "children of parent {}", k);
         }
         // Node id mapping is a bijection.

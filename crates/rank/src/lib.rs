@@ -21,7 +21,7 @@ pub mod presets;
 pub use authority::{AuthorityGraph, ValueFunction};
 pub use power::{
     compute, estimate_appended_score, estimate_appended_score_with, estimate_updated_score_with,
-    install_importance_order, reiterate, splice_appended_score, splice_appended_scores, RankConfig,
-    RankScores,
+    install_importance_order, reiterate, splice_appended_score, splice_appended_scores,
+    transfer_list_bytes, RankConfig, RankScores,
 };
 pub use presets::{dblp_ga, tpch_ga, GaPreset, D1, D2, D3};

@@ -7,8 +7,14 @@
 //! total outgoing rate is capped at 1, which bounds the iteration's spectral
 //! radius by `d` and guarantees convergence for `d < 1` — including the
 //! paper's d3 = 0.99 setting.
+//!
+//! A forward transfer reads the data graph's `fwd`. Backward and M:N
+//! transfers need each source's target list, which the data graph does
+//! not store (the FK runs do): each solve gathers the lists of the units
+//! its GA rates by transposing `fwd` once, sweeps over them, and drops
+//! them when it returns (`Transfers`).
 
-use sizel_storage::{Database, TableId, TupleRef, Value};
+use sizel_storage::{Database, RowId, TableId, TupleRef, Value};
 
 use sizel_graph::{DataGraph, NodeId, SchemaGraph};
 
@@ -147,10 +153,10 @@ pub fn estimate_appended_score(
 /// vector does not exist yet, but its entries are exactly "the pre-batch
 /// score for pre-batch tuples, the already-estimated score for rows
 /// appended earlier in this batch", which the resolver expresses without
-/// a data-graph rebuild per mutation. The FK in-degree is read from the
-/// database's hash index, which equals the data graph's backward
-/// adjacency count by construction (pinned by a graph property test), so
-/// the two entry points are float-identical.
+/// a data-graph rebuild per mutation. The FK in-degree is the length of
+/// the parent's FK run — the very set a solve's backward transfer list
+/// holds, since `fwd` is resolved from those runs — so the two entry
+/// points are float-identical.
 pub fn estimate_appended_score_with(
     db: &Database,
     sg: &SchemaGraph,
@@ -298,6 +304,158 @@ pub fn splice_appended_scores(
     scores.fk_order = fk_order;
 }
 
+/// One backward edge or M:N link the GA rates above zero, with its
+/// transfer lists: each live source row splits `rate` of its authority
+/// equally over `targets[index[row]..index[row + 1]]`.
+struct Unit {
+    source: TableId,
+    rate: f64,
+    index: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Unit {
+    /// Counting-sorts `(source row, target node)` pairs over the rows of
+    /// `source`. `pairs` is walked twice, to count and to place, so each
+    /// source row keeps its targets in the pairs' order.
+    fn gather<I: Iterator<Item = (usize, u32)>>(
+        db: &Database,
+        source: TableId,
+        rate: f64,
+        pairs: impl Fn() -> I,
+    ) -> Self {
+        let n = db.table(source).len();
+        let mut index = vec![0u32; n + 1];
+        for (s, _) in pairs() {
+            index[s + 1] += 1;
+        }
+        for s in 0..n {
+            index[s + 1] += index[s];
+        }
+        // `index[s]` serves as row s's cursor, ending at row s + 1's start.
+        let mut targets = vec![0u32; index[n] as usize];
+        for (s, t) in pairs() {
+            targets[index[s] as usize] = t;
+            index[s] += 1;
+        }
+        index.copy_within(0..n, 1);
+        index[0] = 0;
+        Unit { source, rate, index, targets }
+    }
+
+    fn targets(&self, row: RowId) -> &[u32] {
+        &self.targets[self.index[row.index()] as usize..self.index[row.index() + 1] as usize]
+    }
+
+    /// Adds the unit's rate to the outgoing total of each source row that
+    /// has a target.
+    fn emit(&self, db: &Database, dg: &DataGraph, m: &[f64], out: &mut [f64]) {
+        let start = dg.table_start(self.source) as usize;
+        for rid in db.table(self.source).live_rows() {
+            if !self.targets(rid).is_empty() {
+                let u = start + rid.index();
+                out[u] += self.rate * m[u];
+            }
+        }
+    }
+
+    /// Pushes each source row's share of `cur` to its targets.
+    #[allow(clippy::too_many_arguments)] // the sweep's working set
+    fn push(
+        &self,
+        db: &Database,
+        dg: &DataGraph,
+        d: f64,
+        m: &[f64],
+        scale: &[f64],
+        cur: &[f64],
+        next: &mut [f64],
+    ) {
+        let start = dg.table_start(self.source) as usize;
+        for rid in db.table(self.source).live_rows() {
+            let list = self.targets(rid);
+            if list.is_empty() {
+                continue;
+            }
+            let u = start + rid.index();
+            let share = d * self.rate * m[u] * scale[u] * cur[u] / list.len() as f64;
+            for &t in list {
+                next[t as usize] += share;
+            }
+        }
+    }
+}
+
+/// One solve's transfer lists. The data graph stores only `fwd`, and the
+/// FK runs hold each parent's children; probing the runs' directories on
+/// every sweep would cost a hash probe per parent per sweep, so a solve
+/// transposes `fwd` once instead — (child -> parent) into parent ->
+/// children per backward edge, (junction row -> both ends) into source ->
+/// targets per link — for the units its GA rates, and drops them when it
+/// returns. Lists keep row order, so every node receives its adds in the
+/// same sequence on every solve.
+struct Transfers {
+    /// Indexed by schema edge; `Some` where the backward rate is positive.
+    bwd: Vec<Option<Unit>>,
+    /// The rated links, in link order.
+    links: Vec<Unit>,
+}
+
+impl Transfers {
+    fn gather(db: &Database, sg: &SchemaGraph, dg: &DataGraph, ga: &AuthorityGraph) -> Self {
+        let bwd = sg
+            .edges()
+            .iter()
+            .map(|e| {
+                let rate = ga.edge_rates[e.id.index()].backward;
+                (rate > 0.0).then(|| {
+                    let (from, from_start) = (db.table(e.from), dg.table_start(e.from));
+                    let to_start = dg.table_start(e.to);
+                    Unit::gather(db, e.to, rate, || {
+                        from.live_rows().filter_map(move |c| {
+                            let p = dg.fwd_neighbor(e.id, c)?;
+                            Some(((p.0 - to_start) as usize, from_start + c.0))
+                        })
+                    })
+                })
+            })
+            .collect();
+        let links = dg
+            .links()
+            .iter()
+            .zip(&ga.link_rates)
+            .filter(|&(_, &rate)| rate > 0.0)
+            .map(|(l, &rate)| {
+                let (jt, from_start) = (db.table(l.junction), dg.table_start(l.from_table));
+                Unit::gather(db, l.from_table, rate, || {
+                    jt.live_rows().filter_map(move |j| {
+                        let a = dg.fwd_neighbor(l.e_from, j)?;
+                        let b = dg.fwd_neighbor(l.e_to, j)?;
+                        Some(((a.0 - from_start) as usize, b.0))
+                    })
+                })
+            })
+            .collect();
+        Transfers { bwd, links }
+    }
+
+    fn bytes(&self) -> usize {
+        let units = self.bwd.iter().flatten().chain(&self.links);
+        units.map(|u| (u.index.len() + u.targets.len()) * 4).sum()
+    }
+}
+
+/// Bytes of the transfer lists one solve under `ga` gathers and drops
+/// (see `Transfers`) — reported for the footprint, never kept.
+pub fn transfer_list_bytes(
+    db: &Database,
+    sg: &SchemaGraph,
+    dg: &DataGraph,
+    ga: &AuthorityGraph,
+) -> usize {
+    Transfers::gather(db, sg, dg, ga).bytes()
+}
+
 /// Per-node emission scale capping total outgoing authority at 1 (shared
 /// by [`compute`] and [`reiterate`] so their sweeps are float-identical).
 fn emission_scales(
@@ -305,45 +463,29 @@ fn emission_scales(
     sg: &SchemaGraph,
     dg: &DataGraph,
     ga: &AuthorityGraph,
+    tr: &Transfers,
     m: &[f64],
 ) -> Vec<f64> {
-    let n = dg.n_nodes();
     // Per-node total outgoing rate (including value multipliers), used to
     // cap emission at 1.
-    let mut out = vec![0.0f64; n];
+    let mut out = vec![0.0f64; dg.n_nodes()];
     for e in sg.edges() {
-        let rates = ga.edge_rates[e.id.index()];
-        let from_start = dg.table_start(e.from) as usize;
-        let to_start = dg.table_start(e.to) as usize;
-        if rates.forward > 0.0 {
+        let forward = ga.edge_rates[e.id.index()].forward;
+        if forward > 0.0 {
+            let from_start = dg.table_start(e.from) as usize;
             for rid in db.table(e.from).live_rows() {
                 if dg.fwd_neighbor(e.id, rid).is_some() {
                     let u = from_start + rid.index();
-                    out[u] += rates.forward * m[u];
+                    out[u] += forward * m[u];
                 }
             }
         }
-        if rates.backward > 0.0 {
-            for rid in db.table(e.to).live_rows() {
-                if !dg.bwd_neighbors(e.id, rid).is_empty() {
-                    let u = to_start + rid.index();
-                    out[u] += rates.backward * m[u];
-                }
-            }
+        if let Some(unit) = &tr.bwd[e.id.index()] {
+            unit.emit(db, dg, m, &mut out);
         }
     }
-    for (li, link) in dg.links().iter().enumerate() {
-        let rate = ga.link_rates[li];
-        if rate <= 0.0 {
-            continue;
-        }
-        let from_start = dg.table_start(link.from_table) as usize;
-        for rid in db.table(link.from_table).live_rows() {
-            if !link.targets(rid).is_empty() {
-                let u = from_start + rid.index();
-                out[u] += rate * m[u];
-            }
-        }
+    for unit in &tr.links {
+        unit.emit(db, dg, m, &mut out);
     }
     // Emission scale: cap per-node outgoing authority at 1.
     out.iter().map(|&o| if o > 1.0 { 1.0 / o } else { 1.0 }).collect()
@@ -356,6 +498,7 @@ fn sweep_once(
     sg: &SchemaGraph,
     dg: &DataGraph,
     ga: &AuthorityGraph,
+    tr: &Transfers,
     m: &[f64],
     scale: &[f64],
     d: f64,
@@ -366,48 +509,22 @@ fn sweep_once(
     next.iter_mut().for_each(|v| *v = base);
 
     for e in sg.edges() {
-        let rates = ga.edge_rates[e.id.index()];
-        let from_start = dg.table_start(e.from) as usize;
-        let to_start = dg.table_start(e.to) as usize;
-        if rates.forward > 0.0 {
+        let forward = ga.edge_rates[e.id.index()].forward;
+        if forward > 0.0 {
+            let from_start = dg.table_start(e.from) as usize;
             for rid in db.table(e.from).live_rows() {
                 if let Some(t) = dg.fwd_neighbor(e.id, rid) {
                     let u = from_start + rid.index();
-                    next[t.index()] += d * rates.forward * m[u] * scale[u] * cur[u];
+                    next[t.index()] += d * forward * m[u] * scale[u] * cur[u];
                 }
             }
         }
-        if rates.backward > 0.0 {
-            for rid in db.table(e.to).live_rows() {
-                let list = dg.bwd_neighbors(e.id, rid);
-                if list.is_empty() {
-                    continue;
-                }
-                let u = to_start + rid.index();
-                let share = d * rates.backward * m[u] * scale[u] * cur[u] / list.len() as f64;
-                for &t in list {
-                    next[t as usize] += share;
-                }
-            }
+        if let Some(unit) = &tr.bwd[e.id.index()] {
+            unit.push(db, dg, d, m, scale, cur, next);
         }
     }
-    for (li, link) in dg.links().iter().enumerate() {
-        let rate = ga.link_rates[li];
-        if rate <= 0.0 {
-            continue;
-        }
-        let from_start = dg.table_start(link.from_table) as usize;
-        for rid in db.table(link.from_table).live_rows() {
-            let targets = link.targets(rid);
-            if targets.is_empty() {
-                continue;
-            }
-            let u = from_start + rid.index();
-            let share = d * rate * m[u] * scale[u] * cur[u] / targets.len() as f64;
-            for &t in targets {
-                next[t as usize] += share;
-            }
-        }
+    for unit in &tr.links {
+        unit.push(db, dg, d, m, scale, cur, next);
     }
 }
 
@@ -458,7 +575,8 @@ pub fn compute(
     assert!((0.0..1.0).contains(&cfg.damping), "damping must be in [0, 1)");
 
     let m = ga.value_multipliers(db, dg);
-    let scale = emission_scales(db, sg, dg, ga, &m);
+    let tr = Transfers::gather(db, sg, dg, ga);
+    let scale = emission_scales(db, sg, dg, ga, &tr, &m);
 
     let d = cfg.damping;
     let base = (1.0 - d) / n as f64;
@@ -469,7 +587,7 @@ pub fn compute(
 
     while iterations < cfg.max_iterations {
         iterations += 1;
-        sweep_once(db, sg, dg, ga, &m, &scale, d, base, &cur, &mut next);
+        sweep_once(db, sg, dg, ga, &tr, &m, &scale, d, base, &cur, &mut next);
         let delta: f64 = cur.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut cur, &mut next);
         if delta < cfg.epsilon {
@@ -527,7 +645,8 @@ pub fn reiterate(
     );
 
     let m = ga.value_multipliers(db, dg);
-    let scale = emission_scales(db, sg, dg, ga, &m);
+    let tr = Transfers::gather(db, sg, dg, ga);
+    let scale = emission_scales(db, sg, dg, ga, &tr, &m);
 
     let d = cfg.damping;
     let base = (1.0 - d) / n as f64;
@@ -559,7 +678,7 @@ pub fn reiterate(
     // `c = (1-d)/(1-d·r)`, and by linearity of `M` the probe rescales into
     // the calibrated sweep without recomputation:
     // `sweep(c·g) = (1-c)·base·1 + c·sweep(g)`.
-    sweep_once(db, sg, dg, ga, &m, &scale, d, base, &cur, &mut next);
+    sweep_once(db, sg, dg, ga, &tr, &m, &scale, d, base, &cur, &mut next);
     let retained = (next.iter().sum::<f64>() - (1.0 - d)) / d;
     let c = (1.0 - d) / (1.0 - d * retained).max(1.0 - d);
     for (v, &p) in cur.iter_mut().zip(next.iter()) {
@@ -570,7 +689,7 @@ pub fn reiterate(
 
     while iterations < sweeps {
         iterations += 1;
-        sweep_once(db, sg, dg, ga, &m, &scale, d, base, &cur, &mut next);
+        sweep_once(db, sg, dg, ga, &tr, &m, &scale, d, base, &cur, &mut next);
         let delta: f64 = cur.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut cur, &mut next);
         if delta < cfg.epsilon {
@@ -640,21 +759,15 @@ mod tests {
         let (d, sg, dg) = setup();
         let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
         let r = compute(&d.db, &sg, &dg, &ga, &RankConfig::default());
-        // Compare the most-cited paper with an uncited one.
-        let cited_link = dg
-            .links()
-            .iter()
-            .find(|l| {
-                l.junction == d.citation
-                    && sg.edge(l.e_from).fk_col
-                        == d.db.table(d.citation).schema.column_index("cited_id").unwrap()
-            })
-            .unwrap();
+        // Compare the most-cited paper with an uncited one, counting
+        // citations in the `Citation` runs on `cited_id`.
+        let citations = d.db.table(d.citation);
+        let cited_col = citations.schema.column_index("cited_id").unwrap();
         let papers = d.db.table(d.paper);
         let mut best = (0usize, 0usize); // (row, citations)
         let mut uncited = None;
         for (rid, _) in papers.iter() {
-            let c = cited_link.targets(rid).len();
+            let c = citations.rows_where_eq(cited_col, papers.pk_of(rid)).len();
             if c > best.1 {
                 best = (rid.index(), c);
             }
