@@ -662,12 +662,12 @@ fn rss_mb() -> f64 {
 /// `generate` + engine derivation over `DblpConfig::bench()` (the stages
 /// of `benches/build_stages.rs`, every product kept alive), then each
 /// table's rows and [`sizel_storage::Table::value_bytes`], and its index
-/// bytes by structure ([`sizel_storage::Table::index_bytes`]), and last the
-/// data graph's bytes ([`DataGraph::index_bytes`]) beside the transfer
-/// lists one rank solve gathers and drops
-/// ([`sizel_rank::transfer_list_bytes`]). Run it in a
-/// fresh process (`repro footprint` builds no workbench first): freed
-/// heap the allocator keeps counts as resident.
+/// bytes by structure ([`sizel_storage::Table::index_bytes`]), and last
+/// the data graph's bytes ([`sizel_graph::DataGraph::index_bytes`])
+/// beside the transfer lists one rank solve gathers and drops
+/// ([`sizel_rank::transfer_list_bytes`]). Run it in a fresh process
+/// (`repro footprint` builds no workbench first): freed heap the
+/// allocator keeps counts as resident.
 pub fn footprint() -> String {
     use sizel_core::keyword::KeywordIndex;
     use sizel_datagen::dblp::{generate, DblpConfig};
