@@ -4,22 +4,26 @@
 //! the incremental maintenance reported as a probe-mix ratio.
 //!
 //! Five regimes over the same Database-source query workload (the one
-//! that actually drives TOP-l probes):
+//! that actually drives TOP-l probes), and one write-only case:
 //! * `query_only` — no mutations: the steady-state ceiling.
 //! * `mixed_incremental` — one incremental insert per batch: sorted
-//!   postings binary-maintained, token re-stamped, scores spliced. PR 3's
+//!   runs appended to and re-sorted, token re-stamped, scores spliced. PR 3's
 //!   snapshot design would heap-fall-back *permanently* after the first
 //!   insert; here the fast-path ratio stays ~1 (printed after the run).
 //! * `mixed_exact` — one exact-refresh insert per batch: the escape
 //!   hatch's full re-derivation cost (power iteration + reinstall), as a
 //!   reference for what the incremental path avoids.
 //! * `churn_incremental` — inserts, a trailing rename, and a trailing
-//!   unlink-then-delete per batch (ISSUE 6): tombstone-then-compact
-//!   maintenance, keyword re-tokenization, and dangling-watch repair all
-//!   on the hot path; the probe mix must stay fast across the tombstones.
+//!   unlink-then-delete per batch (ISSUE 6): in-place posting maintenance
+//!   (append, re-sort, delete where the entry lies) and keyword
+//!   re-tokenization on the hot path; the probe mix must stay fast.
 //! * `churn_exact` — the same update/delete stream with the exact escape
 //!   hatch; the ≥3× gap against `churn_incremental` is the headline
 //!   number EXPERIMENTS.md §PR 6 records.
+//! * `target_update` — one-mutation batches renaming one existing
+//!   `Author`, a link target of `AuthorPaper`, and no query: its junction
+//!   pairs re-sort in place, so the link rebuilds a batch costs (printed
+//!   after the run) are 0.
 //!
 //! `SIZEL_BENCH_FULL=1` uses more samples; the default keeps `cargo
 //! bench` fast.
@@ -212,8 +216,7 @@ fn bench_update_throughput(c: &mut Criterion) {
     drop(server);
 
     // Full-model churn, incremental: inserts + renames + deletes per
-    // batch; tombstones accumulate and compact, and the probe mix must
-    // stay fast regardless.
+    // batch; the probe mix must stay fast throughout.
     let engine = build_engine();
     let server = SizeLServer::from_shared(
         Arc::clone(&engine),
@@ -235,7 +238,7 @@ fn bench_update_throughput(c: &mut Criterion) {
     };
     eprintln!(
         "update_throughput: churn stream probe mix fast={} heap={} (fast ratio {:.3} across \
-         update/delete tombstones)",
+         updates and deletes)",
         probes.fast,
         probes.heap,
         probes.fast_ratio()
@@ -259,6 +262,34 @@ fn bench_update_throughput(c: &mut Criterion) {
             criterion::black_box(server.batch_query(set));
         });
     });
+    drop(server);
+
+    // One existing Author renamed per batch: a write to a link target.
+    let engine = build_engine();
+    let server = SizeLServer::from_shared(Arc::clone(&engine), ServeConfig::default());
+    let author = {
+        let e = engine.read().unwrap();
+        let ap = e.db().table(e.db().table_id("AuthorPaper").unwrap());
+        let col = ap.schema.column_index("author_id").unwrap();
+        let pk = ap.value(ap.live_rows().next().expect("a junction row"), col).as_int();
+        pk.unwrap()
+    };
+    let before = engine.read().unwrap().db().access().maint();
+    let mut batches = 0u64;
+    group.bench_function("target_update", |b| {
+        b.iter(|| {
+            batches += 1;
+            let name = format!("Target Author Rename{batches}");
+            let m = Mutation::update("Author", author, vec![Value::Int(author), name.into()]);
+            criterion::black_box(server.apply(m).expect("incremental target update"));
+        });
+    });
+    let work = engine.read().unwrap().db().access().maint().since(before);
+    eprintln!(
+        "update_throughput: target_update link_rebuilds per batch {:.3} ({} over {batches} batches)",
+        work.link_rebuilds as f64 / batches.max(1) as f64,
+        work.link_rebuilds,
+    );
     group.finish();
 }
 

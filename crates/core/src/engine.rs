@@ -135,9 +135,9 @@ pub enum RefreshPolicy {
     /// Maintain everything in place: estimated global importance for the
     /// mutated row (`sizel_rank::estimate_appended_score` for inserts,
     /// `sizel_rank::estimate_updated_score_with` for updates, each with
-    /// its documented approximation bound), sorted postings
-    /// binary-maintained (inserts/updates) or tombstoned-then-compacted
-    /// (deletes), keyword postings retokenized, and the FK-order token
+    /// its documented approximation bound), sorted FK and link runs
+    /// appended to and re-sorted (inserts/updates) or cut where the entry
+    /// lies (deletes), keyword postings retokenized, and the FK-order token
     /// re-stamped — no power iteration, no GDS/keyword rebuild. After
     /// update/delete churn, [`SizeLEngine::reiterate`] recovers
     /// near-exact scores with a few bounded power sweeps instead of the
@@ -183,8 +183,8 @@ pub enum MutationOp {
         /// The full replacement values (same arity as the schema).
         values: Vec<Value>,
     },
-    /// Tombstone the live row with primary key `pk` (storage reclaims the
-    /// posting entries at the compaction threshold). The model is
+    /// Tombstone the live row with primary key `pk` (its posting entries
+    /// leave their runs where they lie). The model is
     /// RESTRICT, not CASCADE: a row still referenced by live rows is
     /// rejected with [`StorageError::RestrictedDelete`] — a dangling
     /// reference would poison the data graph.
@@ -746,23 +746,6 @@ impl SizeLEngine {
         self.db.table(t.table).is_live(t.row)
     }
 
-    /// Passes the per-table churn bound through to the owned database
-    /// (see [`Database::set_churn_threshold`]): above it, a scored batch
-    /// settles by one full posting re-sort instead of per-row binary
-    /// insertion.
-    pub fn set_churn_threshold(&mut self, threshold: usize) {
-        self.db.set_churn_threshold(threshold);
-    }
-
-    /// Passes the tombstone-compaction bound through to the owned
-    /// database (see [`Database::set_compaction_threshold`]): a scored
-    /// batch whose settled deletes leave more than this many dead
-    /// posting entries in a table triggers one compaction re-sort of
-    /// that table's postings.
-    pub fn set_compaction_threshold(&mut self, threshold: usize) {
-        self.db.set_compaction_threshold(threshold);
-    }
-
     /// Checks that a prospective row has the right arity and that every
     /// FK resolves in the catalog (the per-row analogue of
     /// [`Database::validate_foreign_keys`], run *before* the insert so a
@@ -1113,71 +1096,60 @@ mod tests {
 
     #[test]
     fn apply_batch_is_byte_identical_to_the_fold_across_churn_thresholds() {
-        // Thresholds forcing pure binary insertion, a mix, and (1) pure
-        // batched re-sorts. Summaries, epochs, and paper-cost accounting
-        // must all match the fold of single applies.
-        for threshold in [1usize, 3, usize::MAX] {
-            let mut batched = fresh_engine(generate(&DblpConfig::tiny()));
-            let mut folded = fresh_engine(generate(&DblpConfig::tiny()));
-            batched.set_churn_threshold(threshold);
-            folded.set_churn_threshold(threshold);
-            let script = batch_script(&batched);
-            // tiny has no famous authors; use a pre-existing generated
-            // name token for the "untouched rows" angle.
-            let existing = {
-                let tid = batched.db().table_id("Author").unwrap();
-                let name = batched
-                    .db()
-                    .table(tid)
-                    .value(sizel_storage::RowId(0), 1)
-                    .as_str()
-                    .unwrap()
-                    .to_owned();
-                name.split(' ').next().unwrap().to_owned()
-            };
+        // Summaries, epochs, and paper-cost accounting must all match the
+        // fold of single applies.
+        let mut batched = fresh_engine(generate(&DblpConfig::tiny()));
+        let mut folded = fresh_engine(generate(&DblpConfig::tiny()));
+        let script = batch_script(&batched);
+        // tiny has no famous authors; use a pre-existing generated
+        // name token for the "untouched rows" angle.
+        let existing = {
+            let tid = batched.db().table_id("Author").unwrap();
+            let name = batched
+                .db()
+                .table(tid)
+                .value(sizel_storage::RowId(0), 1)
+                .as_str()
+                .unwrap()
+                .to_owned();
+            name.split(' ').next().unwrap().to_owned()
+        };
 
-            let be = batched.apply_batch(script.clone()).unwrap();
-            let mut fe = folded.epoch();
-            for m in script {
-                fe = folded.apply(m).unwrap();
-            }
-            assert_eq!(be, fe, "threshold {threshold}: epochs diverged");
-
-            for kw in ["Orla", "Tamsin", "batched", existing.as_str()] {
-                for opts in [
-                    QueryOptions { l: 8, ..QueryOptions::default() },
-                    QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
-                    QueryOptions { l: 6, prelim: false, ..Default::default() },
-                ] {
-                    let b0 = batched.db().access().snapshot();
-                    let b = batched.query_with(kw, opts);
-                    let b_cost = batched.db().access().snapshot().since(b0);
-                    let f0 = folded.db().access().snapshot();
-                    let f = folded.query_with(kw, opts);
-                    let f_cost = folded.db().access().snapshot().since(f0);
-                    assert_eq!(
-                        fingerprint(&b),
-                        fingerprint(&f),
-                        "threshold {threshold}: {kw} {opts:?} diverged from the fold"
-                    );
-                    assert_eq!(
-                        b_cost, f_cost,
-                        "threshold {threshold}: {kw} {opts:?} paper-cost accounting diverged"
-                    );
-                }
-            }
-            // Both paths keep the Database-source prefix scans live.
-            batched.db().access().reset();
-            let _ = batched.query_with(
-                &existing,
-                QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
-            );
-            let probes = batched.db().access().probes();
-            assert!(
-                probes.fast > 0 && probes.heap == 0,
-                "fast paths survive the batch: {probes:?}"
-            );
+        let be = batched.apply_batch(script.clone()).unwrap();
+        let mut fe = folded.epoch();
+        for m in script {
+            fe = folded.apply(m).unwrap();
         }
+        assert_eq!(be, fe, "epochs diverged");
+
+        for kw in ["Orla", "Tamsin", "batched", existing.as_str()] {
+            for opts in [
+                QueryOptions { l: 8, ..QueryOptions::default() },
+                QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
+                QueryOptions { l: 6, prelim: false, ..Default::default() },
+            ] {
+                let b0 = batched.db().access().snapshot();
+                let b = batched.query_with(kw, opts);
+                let b_cost = batched.db().access().snapshot().since(b0);
+                let f0 = folded.db().access().snapshot();
+                let f = folded.query_with(kw, opts);
+                let f_cost = folded.db().access().snapshot().since(f0);
+                assert_eq!(
+                    fingerprint(&b),
+                    fingerprint(&f),
+                    "{kw} {opts:?} diverged from the fold"
+                );
+                assert_eq!(b_cost, f_cost, "{kw} {opts:?} paper-cost accounting diverged");
+            }
+        }
+        // Both paths keep the Database-source prefix scans live.
+        batched.db().access().reset();
+        let _ = batched.query_with(
+            &existing,
+            QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
+        );
+        let probes = batched.db().access().probes();
+        assert!(probes.fast > 0 && probes.heap == 0, "fast paths survive the batch: {probes:?}");
     }
 
     #[test]

@@ -336,14 +336,12 @@ mod tests {
 
     #[test]
     fn dangling_junction_heal_restores_the_fast_path_ratio() {
-        // ISSUE 5 satellite: a scored junction insert referencing a
-        // not-yet-existing endpoint drops the sorted link postings (heap
-        // fallback); when the endpoint later arrives through a scored
-        // insert, the storage layer *heals* the postings and re-stamps the
-        // token — so Database-source prelim probes go back to a fast-path
-        // ratio of 1.0 without any reinstall, byte-identical to a
-        // token-less heap run. (Before the heal existed, the drop was
-        // permanent until the next full install.)
+        // A scored junction insert referencing a not-yet-existing endpoint
+        // keeps the sorted link postings (the row counts, unpaired); when
+        // the endpoint arrives through a scored insert its pair joins in
+        // place and the token is re-stamped — so Database-source prelim
+        // probes keep a fast-path ratio of 1.0 without any reinstall,
+        // byte-identical to a token-less heap run.
         use sizel_datagen::dblp::{generate, DblpConfig};
         use sizel_graph::{presets, DataGraph, Gds, SchemaGraph};
         use sizel_rank::RankScores;
@@ -376,19 +374,17 @@ mod tests {
             db.finish_scored_batch(batch);
         };
 
-        // The dangling insert drops the link postings: heap fallback.
+        // The dangling insert keeps the link postings.
         insert_scored(
             &mut d.db,
             "AuthorPaper",
             vec![Value::Int(jpk), Value::Int(author_pk), Value::Int(missing_paper)],
             0.1,
         );
-        assert!(
-            d.db.table(ap).sorted_link_index(ap_author_col).is_none(),
-            "dangling endpoint drops the junction's link postings"
-        );
+        let links = d.db.table(ap).sorted_link_index(ap_author_col);
+        assert!(links.is_some(), "a dangling endpoint keeps the junction's link postings");
 
-        // The endpoint arrives: the postings heal on the spot.
+        // The endpoint arrives: its pair joins in place.
         let year_pk = {
             let year = d.db.table_id("Year").unwrap();
             d.db.table(year).pk_of(RowId(0))
@@ -401,10 +397,10 @@ mod tests {
         );
         assert!(
             d.db.table(ap).sorted_link_index(ap_author_col).is_some(),
-            "the arriving endpoint heals the postings without a reinstall"
+            "the arriving endpoint keeps the postings without a reinstall"
         );
 
-        // Rebuild the read stack over the healed database (FK-consistent
+        // Rebuild the read stack over the database (FK-consistent
         // again) with the *maintained* scores as the global importance.
         let dg = DataGraph::build(&d.db, &sg);
         let mut per_table_max = vec![0.0f64; d.db.table_count()];
@@ -435,8 +431,8 @@ mod tests {
         d.db.access().reset();
         let (fast, _) = generate_prelim(&ctx, tds, 8, OsSource::Database);
         let probes = d.db.access().probes();
-        assert!(probes.fast > 0, "healed postings must serve prefix scans again: {probes:?}");
-        assert_eq!(probes.heap, 0, "fast-path ratio recovers to 1.0: {probes:?}");
+        assert!(probes.fast > 0, "maintained postings serve prefix scans: {probes:?}");
+        assert_eq!(probes.heap, 0, "the fast-path ratio stays 1.0: {probes:?}");
         let (heap, _) = generate_prelim(&heap_ctx, tds, 8, OsSource::Database);
         assert_eq!(fast.len(), heap.len());
         for ((ia, na), (ib, nb)) in fast.iter().zip(heap.iter()) {
@@ -444,11 +440,11 @@ mod tests {
             assert_eq!(na.weight.to_bits(), nb.weight.to_bits());
             assert_eq!(fast.children(ia), heap.children(ib));
         }
-        // The healed summary really sees the new endpoint.
+        // The summary really sees the new endpoint.
         assert!(
             fast.iter().any(|(_, n)| n.tuple.table == d.paper
                 && d.db.table(d.paper).pk_of(n.tuple.row) == missing_paper),
-            "the healed pair surfaces in the generated OS"
+            "the joined pair surfaces in the generated OS"
         );
     }
 

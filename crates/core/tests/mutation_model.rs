@@ -1,9 +1,8 @@
 //! Integration oracle for the full mutation model (ISSUE 6 tentpole):
 //! [`SizeLEngine::apply`] / [`apply_batch`] over **insert, update, and
 //! delete** mutations must keep every derived layer — keyword index,
-//! data graph, rank scores, sorted postings with their tombstones — in
-//! lockstep, under both refresh policies, at every churn and compaction
-//! threshold.
+//! data graph, rank scores, sorted FK and link postings — in lockstep,
+//! under both refresh policies.
 //!
 //! [`apply_batch`]: SizeLEngine::apply_batch
 
@@ -83,70 +82,53 @@ fn probe_keywords(existing: &str) -> Vec<String> {
 
 #[test]
 fn mixed_batch_is_byte_identical_to_the_fold_across_churn_and_compaction() {
-    for churn_threshold in [1usize, usize::MAX] {
-        for compaction_threshold in [0usize, usize::MAX] {
-            let mut batched = fresh_engine(generate(&DblpConfig::tiny()));
-            let mut folded = fresh_engine(generate(&DblpConfig::tiny()));
-            for e in [&mut batched, &mut folded] {
-                e.set_churn_threshold(churn_threshold);
-                e.set_compaction_threshold(compaction_threshold);
-            }
-            let existing = existing_keyword(&batched);
-            let script = mixed_script(&batched);
+    let mut batched = fresh_engine(generate(&DblpConfig::tiny()));
+    let mut folded = fresh_engine(generate(&DblpConfig::tiny()));
+    let existing = existing_keyword(&batched);
+    let script = mixed_script(&batched);
 
-            let before = batched.db().access().maint();
-            let be = batched.apply_batch(script.clone()).unwrap();
-            let batch_work = batched.db().access().maint().since(before);
-            assert_eq!(
-                batch_work.graph_builds, 1,
-                "one DataGraph rebuild per mixed batch: {batch_work:?}"
-            );
-            let mut fe = folded.epoch();
-            for m in script {
-                fe = folded.apply(m).unwrap();
-            }
-            assert_eq!(be, fe, "churn {churn_threshold} compaction {compaction_threshold}: epochs");
+    let before = batched.db().access().maint();
+    let be = batched.apply_batch(script.clone()).unwrap();
+    let batch_work = batched.db().access().maint().since(before);
+    assert_eq!(batch_work.graph_builds, 1, "one DataGraph rebuild per mixed batch: {batch_work:?}");
+    // The batch updates two link targets (an Author, a Paper); their
+    // junction pairs re-sort in place.
+    assert_eq!(batch_work.link_rebuilds, 0, "no link rebuild: {batch_work:?}");
+    let mut fe = folded.epoch();
+    for m in script {
+        fe = folded.apply(m).unwrap();
+    }
+    assert_eq!(be, fe, "epochs");
 
-            for kw in probe_keywords(&existing) {
-                for opts in [
-                    QueryOptions { l: 8, ..QueryOptions::default() },
-                    QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
-                    QueryOptions { l: 6, prelim: false, ..Default::default() },
-                ] {
-                    let b0 = batched.db().access().snapshot();
-                    let b = batched.query_with(&kw, opts);
-                    let b_cost = batched.db().access().snapshot().since(b0);
-                    let f0 = folded.db().access().snapshot();
-                    let f = folded.query_with(&kw, opts);
-                    let f_cost = folded.db().access().snapshot().since(f0);
-                    assert_eq!(
-                        fingerprint(&b),
-                        fingerprint(&f),
-                        "churn {churn_threshold} compaction {compaction_threshold}: \
-                         {kw} {opts:?} diverged from the fold"
-                    );
-                    assert_eq!(
-                        b_cost, f_cost,
-                        "churn {churn_threshold} compaction {compaction_threshold}: \
-                         {kw} {opts:?} paper-cost accounting diverged"
-                    );
-                }
-            }
-            // Both paths keep the Database-source prefix scans live across
-            // the tombstones the deletes left behind.
-            for e in [&batched, &folded] {
-                e.db().access().reset();
-                let _ = e.query_with(
-                    &existing,
-                    QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
-                );
-                let probes = e.db().access().probes();
-                assert!(
-                    probes.fast > 0 && probes.heap == 0,
-                    "fast paths survive the mixed batch: {probes:?}"
-                );
-            }
+    for kw in probe_keywords(&existing) {
+        for opts in [
+            QueryOptions { l: 8, ..QueryOptions::default() },
+            QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
+            QueryOptions { l: 6, prelim: false, ..Default::default() },
+        ] {
+            let b0 = batched.db().access().snapshot();
+            let b = batched.query_with(&kw, opts);
+            let b_cost = batched.db().access().snapshot().since(b0);
+            let f0 = folded.db().access().snapshot();
+            let f = folded.query_with(&kw, opts);
+            let f_cost = folded.db().access().snapshot().since(f0);
+            assert_eq!(fingerprint(&b), fingerprint(&f), "{kw} {opts:?} diverged from the fold");
+            assert_eq!(b_cost, f_cost, "{kw} {opts:?} paper-cost accounting diverged");
         }
+    }
+    // Both paths keep the Database-source prefix scans live after the
+    // deletes.
+    for e in [&batched, &folded] {
+        e.db().access().reset();
+        let _ = e.query_with(
+            &existing,
+            QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
+        );
+        let probes = e.db().access().probes();
+        assert!(
+            probes.fast > 0 && probes.heap == 0,
+            "fast paths survive the mixed batch: {probes:?}"
+        );
     }
 }
 
@@ -233,7 +215,7 @@ fn incremental_mixed_stream_stays_consistent_and_reiterate_refreshes_ranks() {
         assert_eq!(fingerprint(&a), fingerprint(&b), "{kw}: sources diverged post-stream");
     }
 
-    // The prefix-scan fast path survived the tombstones.
+    // The prefix-scan fast path survived the deletes.
     live.db().access().reset();
     let _ = live.query_with(
         &existing,

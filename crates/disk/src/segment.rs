@@ -3,7 +3,7 @@
 //! A segment snapshots every sorted posting list of a set of tables at
 //! one installed-order stamp, packed into fixed 4 KiB pages
 //! ([`crate::page`]) in exactly the in-RAM descending-importance order —
-//! the raw arrays, tombstones included, so a paged scan is byte-for-byte
+//! the raw arrays, live entries only, so a paged scan is byte-for-byte
 //! the RAM scan. The file layout:
 //!
 //! ```text

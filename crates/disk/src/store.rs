@@ -99,7 +99,7 @@ impl PagedStore {
     /// it, and removes the superseded generation's file. Returns the new
     /// generation id.
     ///
-    /// The raw in-RAM arrays are written verbatim (tombstones included),
+    /// The raw in-RAM arrays are written verbatim (live entries only),
     /// column by column in key order, so a paged scan replays the RAM
     /// scan byte for byte and the file's bytes depend only on the
     /// postings.

@@ -89,8 +89,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// Seeds and mutates `db` through the scored API (same stream ⇒ same
 /// final state on every replica).
-fn run_stream(db: &mut Database, ops: &[Op], compaction_threshold: usize) {
-    db.set_compaction_threshold(compaction_threshold);
+fn run_stream(db: &mut Database, ops: &[Op]) {
     for p in 0..N_PARENTS {
         db.insert("Parent", vec![Value::Int(p), format!("p{p}").into()]).unwrap();
     }
@@ -163,19 +162,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The tentpole equivalence property: paged and RAM backends answer
-    /// identically with identical accounting, across mutation histories
-    /// and compaction thresholds (so segments carry tombstones too).
+    /// identically with identical accounting, across mutation histories.
     #[test]
     fn paged_probes_equal_ram_probes_with_identical_accounting(
         ops in proptest::collection::vec(op_strategy(), 0..40),
         l in 1usize..6,
         threshold in 0.0..5.0f64,
-        compaction_threshold in (0u8..3).prop_map(|i| [0usize, 3, 1_000_000][i as usize]),
     ) {
         let mut ram = fresh_db();
-        run_stream(&mut ram, &ops, compaction_threshold);
+        run_stream(&mut ram, &ops);
         let mut paged = fresh_db();
-        run_stream(&mut paged, &ops, compaction_threshold);
+        run_stream(&mut paged, &ops);
 
         let child = ram.table_id("Child").unwrap();
         let rel = ram.table_id("Rel").unwrap();
@@ -213,7 +210,7 @@ proptest! {
             prop_assert_eq!(pp1.fast - pp0.fast, 1, "paged probe must prefix-scan");
         }
         // Link posting groups: the paged cursor replays the RAM slices
-        // pair for pair (tombstones included), and the raw group length
+        // pair for pair, and the raw group length
         // the accounting reports is preserved.
         let rel_t = ram.table(rel);
         for (col, idx) in rel_t.sorted_link_indexes() {
@@ -244,7 +241,7 @@ proptest! {
 #[test]
 fn covered_absent_keys_probe_fast_and_uncovered_tables_fall_back() {
     let mut db = fresh_db();
-    run_stream(&mut db, &[], 0);
+    run_stream(&mut db, &[]);
     let child = db.table_id("Child").unwrap();
     let rel = db.table_id("Rel").unwrap();
     let fk = db.table(child).schema.column_index("parent_id").unwrap();
@@ -282,7 +279,7 @@ fn covered_absent_keys_probe_fast_and_uncovered_tables_fall_back() {
 #[test]
 fn a_mutation_stales_the_segment_and_probes_fall_back_until_recheckpoint() {
     let mut db = fresh_db();
-    run_stream(&mut db, &[], 0);
+    run_stream(&mut db, &[]);
     let child = db.table_id("Child").unwrap();
     let fk = db.table(child).schema.column_index("parent_id").unwrap();
     let dir = temp_dir("stale");

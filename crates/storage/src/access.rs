@@ -26,8 +26,6 @@ pub struct AccessCounter {
     graph_builds: AtomicU64,
     posting_resorts: AtomicU64,
     link_rebuilds: AtomicU64,
-    binary_inserts: AtomicU64,
-    compactions: AtomicU64,
 }
 
 /// A snapshot of the TOP-l probe mix.
@@ -57,27 +55,21 @@ impl ProbeStats {
 /// [`AccessStats`] (it is engine-maintenance cost, not the paper's query
 /// I/O unit). The batched-apply subsystem asserts its amortization claims
 /// against these counters: a `B`-mutation batch performs exactly **one**
-/// data-graph rebuild and at most **one** posting re-sort per affected
-/// table, where folding single applies pays `B` rebuilds.
+/// data-graph rebuild, at most **one** posting re-sort per touched table
+/// and no link rebuild, where folding single applies pays `B` data-graph
+/// rebuilds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintStats {
     /// Full data-graph rebuilds (recorded by the graph layer's `build`;
     /// the `O(|E|)` linear step of an incremental apply).
     pub graph_builds: u64,
-    /// Settlement passes re-sorting the FK runs a batch's staged rows
-    /// were appended to or re-scored in (one per table per batch).
+    /// Settlement passes re-sorting the FK and link runs a batch's
+    /// staged entries were appended to or re-scored in (one per touched
+    /// table per batch).
     pub posting_resorts: u64,
-    /// Junction link-posting rebuild passes (installs, churn rebuilds,
-    /// and dangling-reference heals).
+    /// Junction link-posting builds, one per junction per install: scored
+    /// batches maintain the link runs in place and build none.
     pub link_rebuilds: u64,
-    /// Junction rows whose link pairs were binary-inserted (the
-    /// incremental maintenance path below the churn threshold).
-    pub binary_inserts: u64,
-    /// Link tombstone-compaction passes: wholesale link rebuilds
-    /// triggered by the dead-pair debt crossing the compaction
-    /// threshold (junction-row deletes only; at most one per table per
-    /// settled batch).
-    pub compactions: u64,
 }
 
 impl MaintStats {
@@ -87,8 +79,6 @@ impl MaintStats {
             graph_builds: self.graph_builds - earlier.graph_builds,
             posting_resorts: self.posting_resorts - earlier.posting_resorts,
             link_rebuilds: self.link_rebuilds - earlier.link_rebuilds,
-            binary_inserts: self.binary_inserts - earlier.binary_inserts,
-            compactions: self.compactions - earlier.compactions,
         }
     }
 }
@@ -149,24 +139,12 @@ impl AccessCounter {
         self.link_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one junction row whose link pairs were binary-inserted.
-    pub fn record_binary_insert(&self) {
-        self.binary_inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one link tombstone-compaction pass.
-    pub fn record_compaction(&self) {
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current maintenance-work values.
     pub fn maint(&self) -> MaintStats {
         MaintStats {
             graph_builds: self.graph_builds.load(Ordering::Relaxed),
             posting_resorts: self.posting_resorts.load(Ordering::Relaxed),
             link_rebuilds: self.link_rebuilds.load(Ordering::Relaxed),
-            binary_inserts: self.binary_inserts.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
         }
     }
 
@@ -187,8 +165,6 @@ impl AccessCounter {
         self.graph_builds.store(0, Ordering::Relaxed);
         self.posting_resorts.store(0, Ordering::Relaxed);
         self.link_rebuilds.store(0, Ordering::Relaxed);
-        self.binary_inserts.store(0, Ordering::Relaxed);
-        self.compactions.store(0, Ordering::Relaxed);
     }
 }
 
@@ -238,20 +214,9 @@ mod tests {
         c.record_graph_build();
         c.record_posting_resort();
         c.record_link_rebuild();
-        c.record_binary_insert();
-        c.record_binary_insert();
-        c.record_compaction();
+        c.record_link_rebuild();
         let delta = c.maint().since(before);
-        assert_eq!(
-            delta,
-            MaintStats {
-                graph_builds: 1,
-                posting_resorts: 1,
-                link_rebuilds: 1,
-                binary_inserts: 2,
-                compactions: 1
-            }
-        );
+        assert_eq!(delta, MaintStats { graph_builds: 1, posting_resorts: 1, link_rebuilds: 2 });
         // Maintenance work is not the paper's I/O cost unit.
         assert_eq!(c.snapshot(), AccessStats::default());
         c.reset();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::access::AccessCounter;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
-use crate::fk_index::{FkOrderToken, LinkTarget, SortedLinkIndex};
+use crate::fk_index::{FkOrderToken, SortedLinkIndex};
 use crate::pager::PostingPager;
 use crate::schema::TableSchema;
 use crate::table::{RowId, Table};
@@ -17,16 +17,7 @@ use crate::Result;
 mod batch;
 mod probe;
 
-pub use batch::{ScoredBatch, StagedOp};
-
-/// Scored mutations a table absorbs before a settlement rebuilds its
-/// link postings whole instead of pair by pair (see
-/// [`Database::set_churn_threshold`]).
-pub const DEFAULT_CHURN_THRESHOLD: usize = 4096;
-
-/// Dead pairs a junction's link postings carry before a settlement
-/// triggers a compaction pass (see [`Database::set_compaction_threshold`]).
-pub const DEFAULT_COMPACTION_THRESHOLD: usize = 1024;
+pub use batch::ScoredBatch;
 
 /// A table identifier (dense index into the catalog).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,7 +48,7 @@ impl TupleRef {
 
 /// An in-memory relational database: a catalog of [`Table`]s plus an
 /// [`AccessCounter`] shared by all query paths.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Database {
     tables: Vec<Table>,
     by_name: HashMap<String, TableId>,
@@ -67,17 +58,6 @@ pub struct Database {
     fk_order: Option<FkOrderToken>,
     /// Global mutation epoch: bumped on every mutation of any table.
     epoch: Epoch,
-    /// Per-table churn bound before a settlement rebuilds the links whole.
-    churn_threshold: usize,
-    /// Per-table dead-pair bound before a settlement compacts the links.
-    compaction_threshold: usize,
-    /// Missing junction-link endpoints: `(target table, pk)` → the
-    /// junction tables whose link postings were dropped because a scored
-    /// insert referenced that not-yet-existing row. When the endpoint
-    /// later arrives through a scored insert, the waiting junctions'
-    /// postings are rebuilt (healed) instead of staying on the heap
-    /// fallback until the next full install.
-    dangling_watch: HashMap<(TableId, i64), Vec<TableId>>,
     /// An attached paged posting store (the disk tier), if any: serves
     /// prefix scans for tables whose in-RAM postings were evicted
     /// ([`Database::evict_table_postings`]), but only while its segment
@@ -85,22 +65,6 @@ pub struct Database {
     /// re-stamps the token and silently stales the segments until the
     /// next checkpoint.
     pager: Option<Arc<dyn PostingPager>>,
-}
-
-impl Default for Database {
-    fn default() -> Self {
-        Database {
-            tables: Vec::new(),
-            by_name: HashMap::new(),
-            access: AccessCounter::default(),
-            fk_order: None,
-            epoch: Epoch::default(),
-            churn_threshold: DEFAULT_CHURN_THRESHOLD,
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
-            dangling_watch: HashMap::new(),
-            pager: None,
-        }
-    }
 }
 
 impl Database {
@@ -123,38 +87,6 @@ impl Database {
     pub fn bump_epoch(&mut self) -> Epoch {
         self.epoch = self.epoch.next();
         self.epoch
-    }
-
-    /// Sets the per-table churn bound, which governs link postings only:
-    /// once a junction has absorbed more scored mutations than this, the
-    /// next settlement rebuilds its link postings whole instead of
-    /// binary-inserting pair by pair. Both strategies are byte-identical;
-    /// the threshold only trades insert latency (`O(g)` memmove per pair)
-    /// against a periodic `O(Σ g log g)` rebuild.
-    pub fn set_churn_threshold(&mut self, threshold: usize) {
-        self.churn_threshold = threshold.max(1);
-    }
-
-    /// The current churn bound.
-    pub fn churn_threshold(&self) -> usize {
-        self.churn_threshold
-    }
-
-    /// Sets the per-table tombstone bound, which governs link postings
-    /// only: once a settlement leaves more than this many dead pairs in a
-    /// junction's link postings, the settlement ends with one compaction
-    /// pass (a full rebuild from the live-only FK runs) for that table.
-    /// Probes are oblivious — tombstones are skipped during prefix scans
-    /// and invisible to accounting — so the threshold only trades scan
-    /// overhead (`O(dead)` skipped pairs worst case) against periodic
-    /// `O(Σ g log g)` rebuilds. `0` compacts on every settling delete.
-    pub fn set_compaction_threshold(&mut self, threshold: usize) {
-        self.compaction_threshold = threshold;
-    }
-
-    /// The current tombstone bound.
-    pub fn compaction_threshold(&self) -> usize {
-        self.compaction_threshold
     }
 
     /// Registers a table; names must be unique.
@@ -203,9 +135,7 @@ impl Database {
     /// order instead). Bumps the table's and the global epoch. Bulk
     /// loaders resolve the id once instead of hashing the name per row.
     pub fn insert_into(&mut self, id: TableId, values: Vec<Value>) -> Result<RowId> {
-        let row = self.tables[id.index()].insert(values)?;
-        self.epoch = self.epoch.next();
-        Ok(row)
+        self.plain(id, |t| t.insert(values))
     }
 
     /// Rewrites the live row with primary key `pk` in place, dropping
@@ -214,9 +144,7 @@ impl Database {
     /// pk itself is immutable. Bumps the table's and the global epoch.
     pub fn update(&mut self, table: &str, pk: i64, values: Vec<Value>) -> Result<RowId> {
         let id = self.table_id(table)?;
-        let row = self.tables[id.index()].update(pk, values)?;
-        self.epoch = self.epoch.next();
-        Ok(row)
+        self.plain(id, |t| t.update(pk, values))
     }
 
     /// Tombstones the live row with primary key `pk`, dropping the
@@ -231,7 +159,25 @@ impl Database {
     /// the global epoch.
     pub fn delete(&mut self, table: &str, pk: i64) -> Result<RowId> {
         let id = self.table_id(table)?;
-        let row = self.tables[id.index()].delete(pk)?;
+        self.plain(id, |t| t.delete(pk))
+    }
+
+    /// The common tail of the plain mutations: `op` drops the table's
+    /// order and score snapshot, so the link orientations targeting the
+    /// table, ordered by that snapshot, are dropped with it (they stay
+    /// absent until the next install). Bumps the global epoch.
+    fn plain(
+        &mut self,
+        id: TableId,
+        op: impl FnOnce(&mut Table) -> Result<RowId>,
+    ) -> Result<RowId> {
+        let had_order = self.tables[id.index()].has_installed_scores();
+        let row = op(&mut self.tables[id.index()])?;
+        if had_order {
+            for (jid, s_col, _) in self.links_to(id) {
+                self.tables[jid.index()].take_sorted_link(s_col);
+            }
+        }
         self.epoch = self.epoch.next();
         Ok(row)
     }
@@ -265,19 +211,28 @@ impl Database {
         Some([(a.column, b.column, tb), (b.column, a.column, ta)])
     }
 
-    /// (Re)builds both orientations' sorted link postings of a junction
-    /// table from the current score snapshots. An orientation whose
-    /// target snapshot is dead is left absent (heap fallback); one with a
-    /// dangling target FK is left absent **and** the missing endpoint is
-    /// registered in the dangling watch, so its later scored arrival
-    /// heals the orientation (a junction with several missing endpoints
-    /// heals progressively: each rebuild attempt registers the next one
-    /// it trips over).
+    /// Every link orientation whose target table is `target`, as
+    /// `(junction, source column, target column)`.
+    fn links_to(&self, target: TableId) -> Vec<(TableId, usize, usize)> {
+        let mut links = Vec::new();
+        for (jid, _) in self.tables() {
+            for (s_col, t_col, t_table) in self.junction_orientations(jid).into_iter().flatten() {
+                if t_table == target {
+                    links.push((jid, s_col, t_col));
+                }
+            }
+        }
+        links
+    }
+
+    /// Builds both orientations' sorted link postings of a junction table
+    /// from the live rows and the current score snapshots (installs only:
+    /// scored batches maintain them in place). An orientation whose target
+    /// snapshot is dead is left absent (heap fallback).
     fn rebuild_links_for(&mut self, jid: TableId) {
         let Some(orientations) = self.junction_orientations(jid) else { return };
         self.access.record_link_rebuild();
         let mut built: Vec<(usize, SortedLinkIndex)> = Vec::new();
-        let mut dangling: Vec<(TableId, i64)> = Vec::new();
         {
             let jt = self.table(jid);
             // Each junction row's target row, resolved once per distinct
@@ -297,30 +252,18 @@ impl Database {
                     }
                 }
                 let target_of = |j: RowId| match resolved[j.index()] {
-                    u32::MAX => {
-                        jt.value(j, t_col).as_int().map_or(LinkTarget::Null, LinkTarget::Dangling)
-                    }
-                    t => LinkTarget::Row(RowId(t)),
+                    u32::MAX => None,
+                    t => Some(RowId(t)),
                 };
-                let idx =
-                    SortedLinkIndex::build(runs(s_col), &target_of, target.installed_scores());
-                match idx {
-                    Ok(idx) => built.push((s_col, idx)),
-                    Err(pk) => dangling.push((t_table, pk)),
-                }
+                built.push((
+                    s_col,
+                    SortedLinkIndex::build(runs(s_col), &target_of, target.installed_scores()),
+                ));
             }
         }
         self.tables[jid.index()].drop_sorted_links();
-        // A rebuild sources live pairs only, paying off any tombstone debt.
-        self.tables[jid.index()].reset_link_tombstones();
         for (col, idx) in built {
             self.tables[jid.index()].set_sorted_link(col, idx);
-        }
-        for key in dangling {
-            let waiters = self.dangling_watch.entry(key).or_default();
-            if !waiters.contains(&jid) {
-                waiters.push(jid);
-            }
         }
     }
 
@@ -403,11 +346,6 @@ impl Database {
             let tid = TableId(i as u16);
             t.build_sorted_fk(&|r| score(tid, r));
         }
-        // A full install re-derives everything, so stale watch entries
-        // (endpoints that since arrived un-scored, or re-registrations
-        // below) must not accumulate across installs: start fresh and let
-        // the rebuilds register exactly the currently-missing endpoints.
-        self.dangling_watch.clear();
         let junctions: Vec<TableId> =
             self.tables().filter(|(_, t)| t.schema.is_junction).map(|(id, _)| id).collect();
         for jid in junctions {
@@ -437,13 +375,6 @@ impl Database {
             .collect::<Option<_>>()?;
         let score = move |t: TableId, r: RowId| snap[t.index()][r.index()];
         Some(self.install_importance_order(&score))
-    }
-
-    /// Number of missing junction-link endpoints currently watched for
-    /// healing (a diagnostic: bounded by the currently-dangling
-    /// references — installs prune stale entries).
-    pub fn dangling_watch_len(&self) -> usize {
-        self.dangling_watch.len()
     }
 }
 
@@ -488,6 +419,52 @@ mod tests {
         db.insert("Paper", vec![Value::Int(10), "p1".into(), Value::Int(1)]).unwrap();
         db.insert("Paper", vec![Value::Int(11), "p2".into(), Value::Int(1)]).unwrap();
         db
+    }
+
+    /// An empty P / C / J catalog: J is a junction between P and C, so
+    /// its link postings have one orientation per target.
+    fn pcj() -> Database {
+        let mut db = Database::new();
+        db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
+        db.create_table(TableSchema::builder("C").pk("id").build().unwrap()).unwrap();
+        db.create_table(
+            TableSchema::builder("J")
+                .pk("id")
+                .fk("p_id", "P")
+                .fk("c_id", "C")
+                .junction()
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db
+    }
+
+    /// Every present link orientation of `db` — `(junction, source
+    /// column)` — with its groups `(key, pairs, raw length)` by key.
+    type LinkState = Vec<(TableId, usize, Vec<(i64, Vec<(RowId, RowId)>, usize)>)>;
+
+    fn link_state(db: &Database) -> LinkState {
+        let mut state = Vec::new();
+        for (tid, t) in db.tables() {
+            for (col, idx) in t.sorted_link_indexes() {
+                let mut groups: Vec<_> =
+                    idx.groups().map(|(k, p, raw)| (k, p.to_vec(), raw)).collect();
+                groups.sort_unstable_by_key(|g| g.0);
+                state.push((tid, col, groups));
+            }
+        }
+        state
+    }
+
+    /// Asserts the maintained link postings equal what a fresh install
+    /// over the same rows and scores builds — presence, pairs and raw
+    /// lengths — and returns them.
+    fn assert_links_match_a_fresh_install(db: &mut Database) -> LinkState {
+        let maintained = link_state(db);
+        db.rebuild_postings_from_installed().expect("every score snapshot is live");
+        assert_eq!(maintained, link_state(db), "maintained links vs a fresh install");
+        maintained
     }
 
     #[test]
@@ -719,7 +696,7 @@ mod tests {
         assert_eq!(token.epoch(), db.epoch());
         let sorted = db.table(paper).sorted_fk_index(fk_col).expect("postings maintained");
         let pks: Vec<i64> = sorted.rows(1).iter().map(|&r| db.table(paper).pk_of(r)).collect();
-        assert_eq!(pks, vec![11, 12, 10], "new row binary-inserted by score");
+        assert_eq!(pks, vec![11, 12, 10], "new row placed by score");
         // The re-stamped token serves the fast path; the superseded one
         // falls back (both correct and byte-identical).
         let li = |r: RowId| db.table(paper).installed_score(r);
@@ -737,33 +714,18 @@ mod tests {
 
     #[test]
     fn dangling_junction_target_drops_link_postings_then_heals() {
-        // A junction row whose target pk does not (yet) exist must not be
-        // silently absent from the sorted link postings while the heap
-        // path resolves it live after the target arrives — the orientation
-        // is dropped instead, and the missing endpoint is *watched*: its
-        // later scored arrival repairs the postings without waiting for
-        // the next full install. FK validation is a separate step, so the
+        // A junction row whose target pk does not (yet) exist counts in
+        // its raw group and has no pair — what the heap path reads — and
+        // the orientation stays: the endpoint's later scored arrival adds
+        // the pair in place. FK validation is a separate step, so the
         // storage layer has to tolerate this on its own.
-        let mut db = Database::new();
-        db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
-        db.create_table(TableSchema::builder("C").pk("id").build().unwrap()).unwrap();
-        db.create_table(
-            TableSchema::builder("J")
-                .pk("id")
-                .fk("p_id", "P")
-                .fk("c_id", "C")
-                .junction()
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
         db.insert("C", vec![Value::Int(10)]).unwrap();
         db.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(10)]).unwrap();
         db.install_importance_order(&|_, _| 1.0);
         let j = db.table_id("J").unwrap();
         let (p_col, c_col) = (1, 2);
-        assert!(db.table(j).sorted_link_index(p_col).is_some());
         // Scored insert referencing child pk 99, which does not exist.
         batch_of_one(&mut db, |db, b| {
             db.insert_scored_staged(
@@ -774,61 +736,32 @@ mod tests {
             )
         })
         .unwrap();
-        assert!(
-            db.table(j).sorted_link_index(p_col).is_none()
-                && db.table(j).sorted_link_index(c_col).is_none(),
-            "a dangling target must drop the link postings, not skip the pair"
-        );
-        // The late-arriving endpoint heals the orientation on the spot —
-        // no reinstall needed — and the token is re-stamped at the heal's
-        // epoch so synchronized contexts go straight back to prefix scans.
+        let links = db.table(j).sorted_link_index(p_col).expect("the orientation stays");
+        assert_eq!((links.pairs(1).len(), links.raw_group_len(1)), (1, 2), "counted, unpaired");
+        // Seen from the missing endpoint's key, the row pairs with P 1.
+        let back = db.table(j).sorted_link_index(c_col).expect("the orientation stays");
+        assert_eq!((back.pairs(99).len(), back.raw_group_len(99)), (1, 1));
+        assert_links_match_a_fresh_install(&mut db);
+        // The late-arriving endpoint joins the pair, best target first.
         batch_of_one(&mut db, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(99)], 2.0))
             .unwrap();
-        let links = db.table(j).sorted_link_index(p_col).expect("healed once resolvable");
-        assert_eq!(links.pairs(1).len(), 2, "both junction rows pre-joined after the heal");
-        assert_eq!(db.fk_order().unwrap().epoch(), db.epoch(), "heal re-stamps the token");
-        // The healed postings are exactly what a reinstall under the same
-        // (maintained) scores would build.
-        let healed: Vec<_> = links.pairs(1).to_vec();
-        let snap: Vec<Vec<f64>> = db
-            .tables()
-            .map(|(_, t)| t.iter().map(|(r, _)| t.installed_score(r)).collect())
-            .collect();
-        db.install_importance_order(&|t, r| snap[t.index()][r.index()]);
-        assert_eq!(db.table(j).sorted_link_index(p_col).unwrap().pairs(1), healed.as_slice());
-        // Install pruned the watch: nothing dangles after the heal.
-        assert_eq!(db.dangling_watch_len(), 0, "installs prune stale watch entries");
+        let links = db.table(j).sorted_link_index(p_col).unwrap();
+        assert_eq!(links.pairs(1), &[(RowId(1), RowId(1)), (RowId(0), RowId(0))]);
+        assert_eq!(db.fk_order().unwrap().epoch(), db.epoch(), "the insert re-stamps the token");
+        assert_links_match_a_fresh_install(&mut db);
 
-        // A junction loaded with a dangling row *before* install gets no
-        // postings either (build-time poisoning) — but the install
-        // registers the missing endpoint, so even this case heals when
-        // the endpoint arrives through a scored insert.
-        let mut db2 = Database::new();
-        db2.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
-        db2.create_table(TableSchema::builder("C").pk("id").build().unwrap()).unwrap();
-        db2.create_table(
-            TableSchema::builder("J")
-                .pk("id")
-                .fk("p_id", "P")
-                .fk("c_id", "C")
-                .junction()
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        // A junction loaded with a dangling row *before* install gets the
+        // orientation too, and the endpoint's arrival pairs it.
+        let mut db2 = pcj();
         db2.insert("P", vec![Value::Int(1)]).unwrap();
         db2.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(99)]).unwrap();
         db2.install_importance_order(&|_, _| 1.0);
-        let j2 = db2.table_id("J").unwrap();
-        assert!(db2.table(j2).sorted_link_index(p_col).is_none());
-        assert_eq!(db2.dangling_watch_len(), 1, "install watches the missing endpoint");
+        let links = db2.table(j).sorted_link_index(p_col).expect("installed despite the dangle");
+        assert_eq!((links.pairs(1).len(), links.raw_group_len(1)), (0, 1));
         batch_of_one(&mut db2, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(99)], 1.0))
             .unwrap();
-        assert!(
-            db2.table(j2).sorted_link_index(p_col).is_some(),
-            "build-time poisoning heals too once the endpoint arrives scored"
-        );
-        assert_eq!(db2.dangling_watch_len(), 0);
+        assert_eq!(db2.table(j).sorted_link_index(p_col).unwrap().pairs(1).len(), 1);
+        assert_links_match_a_fresh_install(&mut db2);
     }
 
     #[test]
@@ -918,7 +851,6 @@ mod tests {
                 )
                 .unwrap();
         }
-        assert_eq!(b.staged().len(), rows.len());
         batched.finish_scored_batch(b);
         for &(pk, s) in &rows {
             batch_of_one(&mut folded, |db, b| {
@@ -944,32 +876,16 @@ mod tests {
 
     #[test]
     fn mid_batch_heal_does_not_duplicate_later_staged_junction_pairs() {
-        // Regression: with a pre-existing watch on endpoint (C, 99), a
-        // batch staging [C(99), J(102 -> C 99)] used to fire the heal
-        // mid-settlement — the rebuild (reading full current state)
-        // already included J(102), whose pair the settle loop then
-        // binary-inserted *again*. Heals are now deferred past the settle
-        // loop; both paths must end identical to the fold and to a
-        // from-scratch install.
+        // With a dangling J(101 -> C 99) in place, a batch staging
+        // [C(99), J(102 -> C 99)] pairs each junction row exactly once:
+        // the arriving endpoint pairs J 101, J 102 pairs itself. The batch
+        // must end identical to the fold and to a from-scratch install.
         let build = || {
-            let mut db = Database::new();
-            db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
-            db.create_table(TableSchema::builder("C").pk("id").build().unwrap()).unwrap();
-            db.create_table(
-                TableSchema::builder("J")
-                    .pk("id")
-                    .fk("p_id", "P")
-                    .fk("c_id", "C")
-                    .junction()
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
+            let mut db = pcj();
             db.insert("P", vec![Value::Int(1)]).unwrap();
             db.insert("C", vec![Value::Int(10)]).unwrap();
             db.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(10)]).unwrap();
             db.install_importance_order(&|_, _| 1.0);
-            // The watch: a scored junction insert referencing missing C 99.
             batch_of_one(&mut db, |db, b| {
                 db.insert_scored_staged(
                     b,
@@ -979,7 +895,6 @@ mod tests {
                 )
             })
             .unwrap();
-            assert_eq!(db.dangling_watch_len(), 1);
             db
         };
         let (p_col, c_col) = (1usize, 2usize);
@@ -1014,8 +929,8 @@ mod tests {
 
         let j = batched.table_id("J").unwrap();
         for col in [p_col, c_col] {
-            let a = batched.table(j).sorted_link_index(col).expect("healed");
-            let f = folded.table(j).sorted_link_index(col).expect("healed");
+            let a = batched.table(j).sorted_link_index(col).expect("settled");
+            let f = folded.table(j).sorted_link_index(col).expect("maintained");
             for key in [1i64, 10, 99] {
                 assert_eq!(a.pairs(key), f.pairs(key), "col {col} key {key}");
                 assert_eq!(a.raw_group_len(key), f.raw_group_len(key));
@@ -1028,7 +943,7 @@ mod tests {
         seen.dedup();
         assert_eq!(seen.len(), pairs.len(), "no duplicated pairs: {pairs:?}");
         assert_eq!(pairs.len(), 3, "all three junction rows pre-joined");
-        assert_eq!(batched.dangling_watch_len(), 0);
+        assert_links_match_a_fresh_install(&mut batched);
     }
 
     #[test]
@@ -1111,12 +1026,9 @@ mod tests {
 
     #[test]
     fn scored_batch_resorts_at_most_once_per_table() {
-        // Threshold 2 with 8 staged rows: the fold re-sorts repeatedly
-        // mid-stream; the batch settles with exactly one re-sort pass and
-        // zero binary inserts for that table.
+        // 8 staged rows: the batch settles with exactly one re-sort pass
+        // for the table, the fold with one per batch of one.
         let (mut batched, mut folded) = installed_pair();
-        batched.set_churn_threshold(2);
-        folded.set_churn_threshold(2);
         let before = batched.access().maint();
         let mut b = batched.begin_scored_batch();
         for pk in 20..28 {
@@ -1133,7 +1045,6 @@ mod tests {
         batched.finish_scored_batch(b);
         let batch_work = batched.access().maint().since(before);
         assert_eq!(batch_work.posting_resorts, 1, "one settlement re-sort for the whole batch");
-        assert_eq!(batch_work.binary_inserts, 0, "re-sorting tables skip binary insertion");
 
         let before = folded.access().maint();
         for pk in 20..28 {
@@ -1149,10 +1060,7 @@ mod tests {
             .unwrap();
         }
         let fold_work = folded.access().maint().since(before);
-        assert!(
-            fold_work.posting_resorts > 1,
-            "the fold re-sorts mid-stream at this threshold: {fold_work:?}"
-        );
+        assert_eq!(fold_work.posting_resorts, 8, "the fold re-sorts once per batch of one");
         // Both end byte-identical regardless.
         let paper = batched.table_id("Paper").unwrap();
         let fk_col = batched.table(paper).schema.column_index("year_id").unwrap();
@@ -1213,7 +1121,6 @@ mod tests {
     #[test]
     fn scored_delete_removes_fk_entries_where_they_lie() {
         let (mut db, _) = installed_pair();
-        db.set_compaction_threshold(0);
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         for (pk, s) in [(20i64, 3.0), (21, 0.5)] {
@@ -1228,7 +1135,7 @@ mod tests {
             .unwrap();
         }
         // A delete leaves the run in order, one row shorter: nothing to
-        // skip, nothing to compact, whatever the threshold.
+        // skip, nothing to re-sort.
         let maint = db.access().maint();
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "Paper", 10)).unwrap();
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1).len(), 3);
@@ -1243,7 +1150,7 @@ mod tests {
         assert_eq!(fast, slow);
         assert_eq!(mid.since(before), after.since(mid), "identical cost accounting");
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "Paper", 20)).unwrap();
-        assert_eq!(db.access().maint().since(maint).compactions, 0, "no FK compaction");
+        assert_eq!(db.access().maint().since(maint), crate::MaintStats::default(), "no re-sort");
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1), &[RowId(1), RowId(3)]);
         // MissingRow on dead/absent pks.
         assert!(matches!(
@@ -1349,8 +1256,7 @@ mod tests {
             folded.table(paper).sorted_fk_index(fk_col).unwrap().rows(1),
             "settled postings equal the fold's"
         );
-        // And both equal a fresh install over the surviving rows, after
-        // filtering tombstones.
+        // And both equal a fresh install over the surviving rows.
         let live: Vec<RowId> = batched
             .table(paper)
             .sorted_fk_index(fk_col)
@@ -1371,21 +1277,11 @@ mod tests {
 
     #[test]
     fn deleting_a_link_target_drops_the_orientation_then_heals_on_reinsert() {
-        // The dangling watch run in reverse: a *delete* creates the
-        // missing endpoint instead of a not-yet-inserted reference.
-        let mut db = Database::new();
-        db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
-        db.create_table(TableSchema::builder("C").pk("id").build().unwrap()).unwrap();
-        db.create_table(
-            TableSchema::builder("J")
-                .pk("id")
-                .fk("p_id", "P")
-                .fk("c_id", "C")
-                .junction()
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        // A scored delete of a link target its junction rows still
+        // reference takes their pairs out where they lie — the orientation
+        // and the raw group stay — and a re-insert of the pk pairs them
+        // with the new row. No step rebuilds the links.
+        let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
         db.insert("C", vec![Value::Int(10)]).unwrap();
         db.insert("C", vec![Value::Int(11)]).unwrap();
@@ -1395,46 +1291,117 @@ mod tests {
         let j = db.table_id("J").unwrap();
         let p_col = 1usize;
         assert_eq!(db.table(j).sorted_link_index(p_col).unwrap().pairs(1).len(), 2);
-        // Deleting C 10 leaves J 100 dangling: the rebuild trips over the
-        // dead target, drops the orientation, and watches the endpoint.
+        let maint = db.access().maint();
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "C", 10)).unwrap();
-        assert!(db.table(j).sorted_link_index(p_col).is_none(), "stale orientation dropped");
-        assert_eq!(db.dangling_watch_len(), 1, "dead endpoint watched");
-        // The heap fallback still serves correct (live-target) results in
-        // the meantime; re-inserting the pk heals the fast path.
+        let links = db.table(j).sorted_link_index(p_col).expect("the orientation stays");
+        assert_eq!(links.pairs(1), &[(RowId(1), RowId(1))], "J 100's pair left");
+        assert_eq!(links.raw_group_len(1), 2, "J 100 still counts in its raw group");
+        assert_eq!(db.access().maint().since(maint).link_rebuilds, 0, "maintained in place");
+        assert_links_match_a_fresh_install(&mut db);
+        // Re-inserting the pk pairs J 100 with the *new* RowId of pk 10.
+        let maint = db.access().maint();
         batch_of_one(&mut db, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(10)], 2.0))
             .unwrap();
-        let links = db.table(j).sorted_link_index(p_col).expect("healed");
-        assert_eq!(links.pairs(1).len(), 2, "both pairs re-joined to the new row");
-        assert_eq!(db.dangling_watch_len(), 0);
-        // The healed pair targets the *new* RowId of pk 10.
         let new_row = db.table(db.table_id("C").unwrap()).by_pk(10).unwrap();
-        assert!(links.pairs(1).iter().any(|&(_, t)| t == new_row));
+        let links = db.table(j).sorted_link_index(p_col).unwrap();
+        assert_eq!(links.pairs(1), &[(RowId(0), new_row), (RowId(1), RowId(1))]);
         // An update of a link target re-sorts the pairs by the new score.
         batch_of_one(&mut db, |db, b| {
             db.update_scored_staged(b, "C", 11, vec![Value::Int(11)], 9.0)
         })
         .unwrap();
-        let links = db.table(j).sorted_link_index(p_col).expect("rebuilt, not dropped");
+        let links = db.table(j).sorted_link_index(p_col).unwrap();
         assert_eq!(links.pairs(1)[0].0, RowId(1), "J 101's target now outranks");
+        assert_eq!(db.access().maint().since(maint).link_rebuilds, 0, "maintained in place");
+        assert_links_match_a_fresh_install(&mut db);
+    }
+
+    #[test]
+    fn deleting_a_referenced_target_then_its_junction_row_matches_a_fresh_install() {
+        // Delete a C row a J row still references, then that J row: the
+        // maintained links must be what an install over the same rows
+        // builds, orientation by orientation.
+        let mut db = pcj();
+        db.insert("P", vec![Value::Int(1)]).unwrap();
+        db.insert("C", vec![Value::Int(10)]).unwrap();
+        db.insert("C", vec![Value::Int(11)]).unwrap();
+        db.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(10)]).unwrap();
+        db.insert("J", vec![Value::Int(101), Value::Int(1), Value::Int(11)]).unwrap();
+        db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
+        batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "C", 10)).unwrap();
+        batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 100)).unwrap();
+        let links = assert_links_match_a_fresh_install(&mut db);
+        assert_eq!(links.len(), 2, "both orientations present: {links:?}");
+    }
+
+    #[test]
+    fn a_plain_target_mutation_drops_the_orientations_it_orders() {
+        // A plain delete kills C's score snapshot, so the orientation
+        // whose pairs C's rows order goes with it (a dead C row must never
+        // surface from a scan); the one targeting P stays. The junction
+        // probe still answers, through the heap path.
+        let mut db = pcj();
+        db.insert("P", vec![Value::Int(1)]).unwrap();
+        for c in [10, 11] {
+            db.insert("C", vec![Value::Int(c)]).unwrap();
+        }
+        for (pk, c) in [(100, 10), (101, 11)] {
+            db.insert("J", vec![Value::Int(pk), Value::Int(1), Value::Int(c)]).unwrap();
+        }
+        let token = db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
+        db.delete("C", 11).unwrap();
+        let (j, c) = (db.table_id("J").unwrap(), db.table_id("C").unwrap());
+        assert!(db.table(j).sorted_link_index(1).is_none(), "pairs ordered by C: dropped");
+        assert!(db.table(j).sorted_link_index(2).is_some(), "pairs ordered by P: kept");
+        let mut out = Vec::new();
+        let li = |r: RowId| r.index() as f64;
+        let (before, mut scratch) = (db.access().probes(), crate::TopLScratch::new());
+        db.select_via_junction_top_l_into(
+            j,
+            1,
+            1,
+            2,
+            c,
+            None,
+            5,
+            -1.0,
+            Some(token),
+            &li,
+            &mut scratch,
+            &mut out,
+        );
+        assert_eq!(out, [RowId(0)], "only the live target");
+        assert_eq!(db.access().probes().heap - before.heap, 1);
+    }
+
+    #[test]
+    fn updating_a_link_target_rebuilds_no_links() {
+        let mut db = pcj();
+        db.insert("P", vec![Value::Int(1)]).unwrap();
+        for c in [10, 11] {
+            db.insert("C", vec![Value::Int(c)]).unwrap();
+        }
+        for (pk, c) in [(100, 10), (101, 11)] {
+            db.insert("J", vec![Value::Int(pk), Value::Int(1), Value::Int(c)]).unwrap();
+        }
+        db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
+        let j = db.table_id("J").unwrap();
+        assert_eq!(db.table(j).sorted_link_index(1).unwrap().pairs(1)[0].0, RowId(1));
+        let before = db.access().maint();
+        let mut b = db.begin_scored_batch();
+        db.update_scored_staged(&mut b, "C", 10, vec![Value::Int(10)], 5.0).unwrap();
+        assert!(db.table(j).sorted_link_index(1).is_none(), "the junction waits for settlement");
+        db.finish_scored_batch(b);
+        let work = db.access().maint().since(before);
+        assert_eq!(work.link_rebuilds, 0, "a target update rebuilds no links: {work:?}");
+        assert_eq!(work.posting_resorts, 1, "J's link run re-sorts; C has no FK run");
+        assert_eq!(db.table(j).sorted_link_index(1).unwrap().pairs(1)[0].0, RowId(0));
+        assert_links_match_a_fresh_install(&mut db);
     }
 
     #[test]
     fn junction_own_mutations_tombstone_and_compact_without_wholesale_rebuilds() {
-        let mut db = Database::new();
-        db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
-        db.create_table(TableSchema::builder("C").pk("id").build().unwrap()).unwrap();
-        db.create_table(
-            TableSchema::builder("J")
-                .pk("id")
-                .fk("p_id", "P")
-                .fk("c_id", "C")
-                .junction()
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        db.set_compaction_threshold(2);
+        let mut db = pcj();
         for p in [1, 2] {
             db.insert("P", vec![Value::Int(p)]).unwrap();
         }
@@ -1445,19 +1412,17 @@ mod tests {
         db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
         let j = db.table_id("J").unwrap();
         let p_col = 1usize;
+        let maint = db.access().maint();
 
-        // A junction-own delete leaves a tombstoned pair per orientation
-        // (no wholesale rebuild): raw length drops, the pair stays.
+        // A junction-own delete takes its pair out where it lies in each
+        // orientation: raw length and pairs drop together.
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 101)).unwrap();
         let links = db.table(j).sorted_link_index(p_col).expect("orientation kept");
         assert_eq!(links.raw_group_len(1), 2, "raw length tracks the live group");
-        assert_eq!(links.pairs(1).len(), 3, "the dead pair lingers as a tombstone");
-        assert_eq!(db.table(j).link_tombstones(), 2, "one tombstone per orientation");
-        assert!(!db.table(j).is_live(RowId(1)), "J 101 occupied the second slot");
-        assert!(links.pairs(1).iter().any(|&(jr, _)| jr == RowId(1)));
+        assert_eq!(links.pairs(1).len(), 2, "no dead pair lingers");
+        assert!(links.pairs(1).iter().all(|&(jr, _)| jr != RowId(1)));
 
-        // A junction-own update physically re-homes the pair under the
-        // new source key — no tombstone, identical to a fresh build.
+        // A junction-own update re-homes the pair under the new source key.
         batch_of_one(&mut db, |db, b| {
             db.update_scored_staged(
                 b,
@@ -1474,44 +1439,22 @@ mod tests {
         assert_eq!(links.pairs(2).len(), 1, "re-homed under the new key");
         assert!(links.pairs(1).iter().all(|&(jr, _)| jr != RowId(2)), "old-key pair removed");
 
-        // Crossing the threshold compacts: tombstones purge wholesale.
-        // (This delete adds one tombstone — its p-side group empties and
-        // drops its key outright, which costs no debt.)
+        // Deleting the last row of a group drops its key, as a fresh
+        // build has it.
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 102)).unwrap();
-        assert_eq!(db.table(j).link_tombstones(), 0, "debt crossed 2: compacted");
-        let links = db.table(j).sorted_link_index(p_col).expect("rebuilt");
+        let links = db.table(j).sorted_link_index(p_col).unwrap();
         assert_eq!(links.pairs(1).len(), 1, "only the live pair survives");
-        // An emptied raw group drops its key outright (rebuild indexes
-        // only non-empty live groups).
-        assert_eq!(links.pairs(2).len(), 0);
         assert_eq!(links.key_count(), 1);
-
-        // The maintained postings equal a from-scratch install over the
-        // same live rows (both replicas lay out identical RowId slots, so
-        // the slot-indexed score function transfers).
-        let mut fresh = Database::new();
-        for (_, t) in db.tables() {
-            fresh.create_table(t.schema.clone()).unwrap();
-        }
-        fresh.insert("P", vec![Value::Int(1)]).unwrap();
-        fresh.insert("P", vec![Value::Int(2)]).unwrap();
-        fresh.insert("C", vec![Value::Int(10)]).unwrap();
-        fresh.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(10)]).unwrap();
-        fresh.insert("J", vec![Value::Int(777), Value::Int(2), Value::Int(10)]).unwrap();
-        fresh.delete("J", 777).unwrap();
-        fresh.install_importance_order(&|_, r| 1.0 + r.index() as f64);
-        let a = db.table(j).sorted_link_index(p_col).unwrap();
-        let b = fresh.table(fresh.table_id("J").unwrap()).sorted_link_index(p_col).unwrap();
-        assert_eq!(a.pairs(1), b.pairs(1));
-        assert_eq!(a.key_count(), b.key_count());
+        assert_eq!(db.access().maint().since(maint).link_rebuilds, 0, "no wholesale rebuild");
+        assert_links_match_a_fresh_install(&mut db);
     }
 
     #[test]
     fn junction_row_updates_match_a_fresh_install_in_every_target_state() {
         // J 101 moves to every combination of source/target state — kept,
         // re-homed, NULL, dangling — and the maintained link postings must
-        // equal what a from-scratch install over the same slots builds.
-        // A dangling target drops the links and heals on arrival.
+        // equal what a from-scratch install over the same slots builds,
+        // also after a dangling target's endpoint arrives.
         let build = |j101: [Value; 2]| {
             let mut db = Database::new();
             db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
@@ -1569,33 +1512,33 @@ mod tests {
                     )
                 })
                 .unwrap();
-                let dangling = c == Value::Int(99) && p != Value::Null;
                 let mut fresh = build([p.clone(), c.clone()]);
-                if dangling {
-                    let j = live.table_id("J").unwrap();
-                    assert!(live.table(j).sorted_link_index(1).is_none(), "{what}: dropped");
-                    assert_eq!(live.dangling_watch_len(), 1, "{what}: endpoint watched");
+                fresh.install_importance_order(&score);
+                assert_same_links(&live, &fresh, &what);
+                if c == Value::Int(99) {
                     batch_of_one(&mut live, |db, b| {
                         db.insert_scored_staged(b, "C", vec![Value::Int(99)], 3.0)
                     })
                     .unwrap();
+                    let mut fresh = build([p.clone(), c.clone()]);
                     fresh.insert("C", vec![Value::Int(99)]).unwrap();
+                    // C 99 takes slot 2, which `score` rates 3.0 as well.
+                    fresh.install_importance_order(&score);
+                    assert_same_links(&live, &fresh, &format!("{what}, C 99 arrived"));
                 }
-                fresh.install_importance_order(&score);
-                assert_same_links(&live, &fresh, &what);
             }
         }
     }
 
     #[test]
     fn churn_threshold_triggers_batched_resort() {
-        let mut db = tiny_db();
-        db.set_churn_threshold(2);
-        let snapshot: Vec<Vec<f64>> =
-            db.tables().map(|(_, t)| t.iter().map(|_| 1.0).collect()).collect();
-        db.install_importance_order(&|t, r| snapshot[t.index()][r.index()]);
+        // Six scored inserts as batches of one: each settlement re-sorts
+        // the one run its row joined, and the postings stay exactly the
+        // install-from-scratch order throughout.
+        let (mut db, _) = installed_pair();
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
+        let before = db.access().maint();
         for (i, pk) in (20..26).enumerate() {
             let score = (i + 2) as f64;
             batch_of_one(&mut db, |db, b| {
@@ -1608,10 +1551,8 @@ mod tests {
             })
             .unwrap();
         }
-        // 6 scored inserts with threshold 2: at least one batched re-sort
-        // happened, so the churn counter wrapped below the insert count.
-        assert!(db.table(paper).churn() <= 2, "re-sort resets the churn counter");
-        // The postings are still exactly the install-from-scratch order.
+        let work = db.access().maint().since(before);
+        assert_eq!((work.posting_resorts, work.link_rebuilds), (6, 0));
         let li = |r: RowId| db.table(paper).installed_score(r);
         let token = db.fk_order().unwrap();
         let fast = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, Some(token), &li);

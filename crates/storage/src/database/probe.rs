@@ -107,7 +107,6 @@ impl Database {
             key,
             || t.sorted_fk_index(col),
             |p| Some((p.fk_cursor(table, col, key)?, ())),
-            |r| t.is_live(r).then_some(r),
             |r| Some(li(r)),
             || {
                 let group = if on_pk { one.as_slice() } else { t.rows_where_eq(col, key) };
@@ -155,13 +154,8 @@ impl Database {
                 let raw = p.link_raw_len(junction, source_col, key)?;
                 Some((p.link_cursor(junction, source_col, key)?, raw as u32))
             },
-            // Pairs whose junction row or target row died since the last
-            // compaction are tombstones: skipped, never cut on (their
-            // target score cannot un-order the live suffix).
-            |(j, t)| (jt.is_live(j) && tt.is_live(t)).then_some(t),
-            // Nor is the excluded row cut on: importance is
-            // non-increasing along the scan, so the next live pair makes
-            // the same cut.
+            // The excluded row is not cut on: importance is non-increasing
+            // along the scan, so the next pair makes the same cut.
             |t| (Some(t) != exclude).then(|| li(t)),
             || {
                 let jrows = jt.rows_where_eq(source_col, key);
@@ -180,8 +174,8 @@ impl Database {
     /// `out`; one counted join access reporting the rows returned, and
     /// one fast or heap probe. The sorted list is `resident` or, evicted,
     /// a cursor of the attached pager (`paged`; `None` when its generation
-    /// does not cover the list); `row_of` maps an entry to its result row
-    /// (`None`: a tombstone) and `li` a result row to its local importance
+    /// does not cover the list); an entry's result row is its scored row
+    /// ([`Posting::scored`]), `li` maps it to its local importance
     /// (`None`: never returned); `heap` yields the fallback's candidates
     /// from the live-only FK runs. Returns the per-key extra
     /// ([`Posting::Raw`]) of whichever source served.
@@ -194,7 +188,6 @@ impl Database {
         key: i64,
         resident: impl FnOnce() -> Option<&'a SortedPostings<E>>,
         paged: impl FnOnce(&'a dyn PostingPager) -> Option<(Box<dyn PostingCursor<E> + 'a>, E::Raw)>,
-        row_of: impl Fn(E) -> Option<RowId>,
         li: impl Fn(RowId) -> Option<f64>,
         heap: impl FnOnce() -> (I, E::Raw),
         scratch: &mut TopLScratch<RowId>,
@@ -202,17 +195,13 @@ impl Database {
     ) -> E::Raw {
         let start = out.len();
         if l > 0 && order.is_some() && order == self.fk_order {
-            // Dead entries (link pairs awaiting compaction) are
-            // skipped inside the shared prefix-cut loop (`stage_prefix`):
-            // the scan sees exactly the live rows a fresh install would
-            // serve, and the join accounting below counts only returned
-            // rows — so compaction state is invisible to results and
-            // cost alike. The collected prefix is then ranked through
+            // Every run holds live entries only, exactly the rows a fresh
+            // install would serve. The collected prefix is ranked through
             // the same comparator the heap path uses, so the paths agree
             // by construction.
             let mut stage = |cur: &mut dyn PostingCursor<E>| {
                 let scored = std::iter::from_fn(|| cur.next_entry()).filter_map(|e| {
-                    let row = row_of(e)?;
+                    let row = e.scored();
                     Some((li(row)?, row))
                 });
                 scratch.stage_prefix(l, largest_l, scored);

@@ -32,12 +32,13 @@
 //! instead of scanning postings in the wrong order.
 //!
 //! **Updates.** The installed order is *maintained*, not torn down, under
-//! the staged scored batch ([`crate::Database::begin_scored_batch`]): a
-//! staged insert or update appends the row at the tail of its FK runs,
-//! and settlement re-sorts exactly the runs the batch appended to, so
-//! every run is again in the one posting order — byte-identical to a
-//! from-scratch install (property-tested). A delete removes the row from
-//! its runs where it lies. The token is **re-stamped** with the
+//! the staged scored batch ([`crate::Database::begin_scored_batch`]), by
+//! one rule for FK runs and link runs alike: a staged entry is appended
+//! at its run's tail, settlement re-sorts exactly the runs the batch
+//! appended to or re-scored, and a removed entry leaves its run where it
+//! lies. Every run then holds live entries only, in the one posting
+//! order — byte-identical to a from-scratch install (property-tested).
+//! The token is **re-stamped** with the
 //! database's new [`Epoch`] — contexts built after the mutation (whose
 //! scores carry the re-stamped token) keep the prefix-scan fast path,
 //! while contexts holding the superseded token fall back to the heap
@@ -51,10 +52,9 @@
 //! `(junction row, target row)` pairs pre-joined and ordered by the
 //! *target's* importance ([`SortedLinkIndex`]), so junction-source TOP-l
 //! probes are prefix scans too. An entry names the row whose installed
-//! score orders it and the row that identifies it for removal; sorting,
-//! binary insertion and identity-scan removal are written once over those
-//! two, under the one `(score desc, scored RowId asc, ident RowId asc)`
-//! comparator.
+//! score orders it and the row that identifies it for removal; sorting
+//! and identity-scan removal are written once over those two, under the
+//! one `(score desc, scored RowId asc, ident RowId asc)` comparator.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -197,20 +197,6 @@ impl<E: Posting> SortedPostings<E> {
         self.runs.insert_with(key, entry, <[E]>::len);
     }
 
-    /// Binary-inserts `entry` into `key`'s list at its exact
-    /// [`posting_order`] position — where a full re-sort would put it.
-    /// `scores` must give the installed score of every already-posted
-    /// entry's scored row (tombstoned entries keep their stale score, so
-    /// the comparisons stay consistent) and of `entry`'s. Serves both
-    /// freshly appended rows (always the largest RowId of their table)
-    /// and *re*-insertions of updated mid-table rows, where the RowId
-    /// tie-breaks are load-bearing.
-    pub(crate) fn insert_sorted(&mut self, key: i64, entry: E, scores: &[f64]) {
-        self.runs.insert_with(key, entry, |entries| {
-            entries.partition_point(|&e| posting_order(e, entry, scores).is_lt())
-        });
-    }
-
     /// Removes the entry `ident` identifies from `key`'s list by identity
     /// scan — a deleted or re-homed row, wherever the list's order put
     /// it. An FK list that empties drops its key, matching a fresh build.
@@ -245,103 +231,55 @@ impl SortedPostings<RowId> {
     }
 }
 
-/// How one junction row's target FK resolves while building a
-/// [`SortedLinkIndex`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum LinkTarget {
-    /// NULL target FK: no pair, but the row counts toward the raw group.
-    Null,
-    /// Non-NULL target FK (carrying the referenced pk) with no matching
-    /// row. The referenced row could be inserted later — at which point
-    /// the postings would silently miss it while a live heap probe finds
-    /// it — so a dangling target poisons the whole orientation
-    /// ([`SortedLinkIndex::build`] returns it as the error; the heap
-    /// fallback serves the orientation, and the caller watches the
-    /// missing endpoint so its arrival can heal).
-    Dangling(i64),
-    /// Resolved target row.
-    Row(RowId),
-}
-
 impl SortedPostings<(RowId, RowId)> {
-    /// Builds the index for one orientation of a junction table, or the
-    /// first dangling target pk when any junction row's target FK dangles
-    /// (see [`LinkTarget::Dangling`]).
+    /// Builds the index for one orientation of a junction table.
     ///
     /// `base` is the junction's FK groups on the *source* column;
-    /// `target_of` resolves a junction row's target; `target_scores[t]`
-    /// is the installed importance of target row `t`. One pass over
-    /// `base`'s runs writes every key's pairs into one arena, then each
-    /// run is sorted where it lies.
+    /// `target_of` resolves a junction row's target row (`None` for a NULL
+    /// or dangling target FK: the row counts toward the raw group and has
+    /// no pair, as the heap path reads it); `target_scores[t]` is the
+    /// installed importance of target row `t`. One pass over `base`'s runs
+    /// writes every key's pairs into one arena, then each run is sorted
+    /// where it lies.
     pub(crate) fn build(
         base: &Runs<RowId>,
-        target_of: &dyn Fn(RowId) -> LinkTarget,
+        target_of: &dyn Fn(RowId) -> Option<RowId>,
         target_scores: &[f64],
-    ) -> Result<SortedLinkIndex, i64> {
+    ) -> SortedLinkIndex {
         let mut runs = Runs::with_capacity(base.key_count(), base.entry_count());
         for (key, jrows, ()) in base.iter() {
-            runs.try_push_run(key, jrows.len() as u32, |pairs| {
-                for &j in jrows {
-                    match target_of(j) {
-                        LinkTarget::Null => {}
-                        LinkTarget::Dangling(pk) => return Err(pk),
-                        LinkTarget::Row(t) => pairs.push((j, t)),
-                    }
-                }
-                Ok(())
-            })?;
+            runs.push_run(key, jrows.len() as u32, |pairs| {
+                pairs.extend(jrows.iter().filter_map(|&j| Some((j, target_of(j)?))));
+            });
         }
         let mut links = SortedPostings { runs };
         links.sort(target_scores);
-        Ok(links)
+        links
     }
 
-    /// Posts one junction row under `key`: the raw group grows by one and,
-    /// unless its target FK is NULL (`target` is `None`), its pair is
-    /// binary-inserted (see [`SortedPostings::insert_sorted`]).
-    pub(crate) fn insert_scored(
-        &mut self,
-        key: i64,
-        junction_row: RowId,
-        target: Option<RowId>,
-        target_scores: &[f64],
-    ) {
+    /// One junction row joins `key`'s group: the raw group grows by one
+    /// and the row's pair, if its target resolved, is appended at the
+    /// run's tail, out of order until the run is sorted again.
+    pub(crate) fn join(&mut self, key: i64, junction_row: RowId, target: Option<RowId>) {
         *self.runs.extra_mut(key) += 1;
         if let Some(t) = target {
-            self.insert_sorted(key, (junction_row, t), target_scores);
+            self.push(key, (junction_row, t));
         }
     }
 
-    /// Un-posts one junction row from `key`'s group: the raw group count
-    /// drops by one, and the row's pair (if any) is physically removed
-    /// when `remove_pair` is set (an updated row about to be re-inserted)
-    /// or left in place as a *tombstone* otherwise (a deleted row —
-    /// consumers skip it via the dual-endpoint liveness check, and
-    /// compaction purges it later). Returns `true` when a pair stayed
-    /// behind as a tombstone, so the caller can count compaction debt.
-    /// No-op (returns `false`) if the key has no postings.
-    pub(crate) fn unpost(&mut self, key: i64, junction_row: RowId, remove_pair: bool) -> bool {
-        let Some((_, raw)) = self.runs.get(key) else { return false };
-        if raw <= 1 {
-            // An emptied raw group matches a fresh build exactly: the FK
-            // groups drop empty keys, so the postings drop the key — any
-            // pairs still in it are tombstones serving nobody.
+    /// One junction row leaves `key`'s group: its pair, if posted, by
+    /// identity scan, and its count in the raw group. A group left with
+    /// no row drops its key, as a fresh build has it.
+    pub(crate) fn leave(&mut self, key: i64, junction_row: RowId) {
+        *self.runs.extra_mut(key) -= 1;
+        self.remove_ident(key, junction_row);
+        if let Some(([], 0)) = self.runs.get(key) {
             self.runs.remove_key(key);
-            return false;
         }
-        *self.runs.extra_mut(key) = raw - 1;
-        if remove_pair {
-            self.remove_ident(key, junction_row);
-            return false;
-        }
-        self.pairs(key).iter().any(|e| e.ident() == junction_row)
     }
 
-    /// The `(junction row, target row)` pairs of `key`, best target first.
-    ///
-    /// May contain *tombstoned* pairs whose junction row has since been
-    /// deleted ([`SortedLinkIndex::unpost`]); consumers must skip pairs
-    /// with a dead endpoint (junction-row or target-row liveness).
+    /// The `(junction row, target row)` pairs of `key`, best target
+    /// first; both endpoints of every pair are live.
     pub fn pairs(&self, key: i64) -> &[(RowId, RowId)] {
         self.group(key).0
     }
@@ -353,8 +291,7 @@ impl SortedPostings<(RowId, RowId)> {
     }
 
     /// Every source key's group — `(key, pairs, raw_len)` — in directory
-    /// order, as [`SortedPostings::posting_lists`]. Pairs may include
-    /// tombstones (see [`SortedLinkIndex::pairs`]).
+    /// order, as [`SortedPostings::posting_lists`].
     pub fn groups(&self) -> impl Iterator<Item = (i64, &[(RowId, RowId)], usize)> {
         self.runs.iter().map(|(k, pairs, raw)| (k, pairs, raw as usize))
     }
@@ -415,7 +352,8 @@ mod tests {
         for (row, s) in [(RowId(3), 5.0), (RowId(4), 2.5), (RowId(5), 3.0)] {
             scores.push(s);
             append(&mut base, 7, row);
-            idx.insert_sorted(7, row, &scores);
+            idx.push(7, row);
+            idx.sort_run(7, &scores);
             let rebuilt = build(&base, &scores);
             assert_eq!(idx.rows(7), rebuilt.rows(7), "after appending {row:?}");
         }
@@ -449,7 +387,8 @@ mod tests {
         // 1 and 2 and must land *before* both, as a fresh sort would.
         idx.remove_ident(7, RowId(0));
         scores[0] = 3.0;
-        idx.insert_sorted(7, RowId(0), &scores);
+        idx.push(7, RowId(0));
+        idx.sort_run(7, &scores);
         let rebuilt = build(&base, &scores);
         assert_eq!(idx.rows(7), rebuilt.rows(7));
         assert_eq!(idx.rows(7), &[RowId(0), RowId(1), RowId(2), RowId(3)]);
@@ -467,12 +406,10 @@ mod tests {
         // Junction rows 0..4 map source key 7 to targets with varying
         // scores; row 4 has a NULL target (counts in raw_len, no pair).
         let mut base = groups(7, &[RowId(0), RowId(1), RowId(2), RowId(3), RowId(4)]);
-        let targets = [Some(RowId(0)), Some(RowId(1)), Some(RowId(2)), Some(RowId(1)), None];
-        let as_link = |t: Option<RowId>| t.map_or(LinkTarget::Null, LinkTarget::Row);
+        let mut targets =
+            vec![Some(RowId(0)), Some(RowId(1)), Some(RowId(2)), Some(RowId(1)), None];
         let mut tscores = vec![2.0, 3.0, 1.0];
-        let mut idx =
-            SortedLinkIndex::build(&base, &|j: RowId| as_link(targets[j.index()]), &tscores)
-                .expect("no dangling targets");
+        let mut idx = SortedLinkIndex::build(&base, &|j: RowId| targets[j.index()], &tscores);
         assert_eq!(idx.raw_group_len(7), 5);
         assert_eq!(
             idx.pairs(7),
@@ -483,30 +420,32 @@ mod tests {
                 (RowId(2), RowId(2))
             ]
         );
-        // Append a new target row (score 2.5) and a junction row to it,
-        // plus one tying an existing (score, target) pair.
+        // Join a new target row (score 2.5) through a junction row, one
+        // tying an existing (score, target) pair, and one whose target
+        // dangles; the run is re-sorted once, as settlement does.
         tscores.push(2.5);
-        idx.insert_scored(7, RowId(5), Some(RowId(3)), &tscores);
-        idx.insert_scored(7, RowId(6), Some(RowId(1)), &tscores);
-        append(&mut base, 7, RowId(5));
-        append(&mut base, 7, RowId(6));
-        let targets2 = {
-            let mut t = targets.to_vec();
-            t.extend([Some(RowId(3)), Some(RowId(1))]);
-            t
-        };
-        let rebuilt =
-            SortedLinkIndex::build(&base, &|j: RowId| as_link(targets2[j.index()]), &tscores)
-                .expect("no dangling targets");
+        for (j, target) in
+            [(RowId(5), Some(RowId(3))), (RowId(6), Some(RowId(1))), (RowId(7), None)]
+        {
+            idx.join(7, j, target);
+            append(&mut base, 7, j);
+            targets.push(target);
+        }
+        idx.sort_run(7, &tscores);
+        let rebuilt = SortedLinkIndex::build(&base, &|j: RowId| targets[j.index()], &tscores);
         assert_eq!(idx.pairs(7), rebuilt.pairs(7));
+        assert_eq!(idx.raw_group_len(7), 8);
         assert_eq!(idx.raw_group_len(7), rebuilt.raw_group_len(7));
 
-        // A dangling (non-NULL, unresolvable) target poisons the build:
-        // the orientation is withheld (the missing pk is reported so the
-        // caller can watch it) and the heap path serves it.
-        let dangle = groups(1, &[RowId(0)]);
-        let poisoned =
-            SortedLinkIndex::build(&dangle, &|_: RowId| LinkTarget::Dangling(42), &tscores);
-        assert_eq!(poisoned.err(), Some(42));
+        // Leaving removes the pair where it lies and the row's raw count;
+        // the last row out drops the key.
+        idx.leave(7, RowId(1));
+        assert_eq!(idx.raw_group_len(7), 7);
+        assert!(idx.pairs(7).iter().all(|&(j, _)| j != RowId(1)));
+        let solo = groups(9, &[RowId(4)]);
+        let mut idx = SortedLinkIndex::build(&solo, &|_: RowId| None, &tscores);
+        assert_eq!((idx.pairs(9).len(), idx.raw_group_len(9)), (0, 1));
+        idx.leave(9, RowId(4));
+        assert_eq!(idx.key_count(), 0);
     }
 }

@@ -46,10 +46,7 @@ pub mod topl;
 pub mod value;
 
 pub use access::{AccessCounter, AccessStats, MaintStats, ProbeStats};
-pub use database::{
-    Database, ScoredBatch, StagedOp, TableId, TupleRef, DEFAULT_CHURN_THRESHOLD,
-    DEFAULT_COMPACTION_THRESHOLD,
-};
+pub use database::{Database, ScoredBatch, TableId, TupleRef};
 pub use epoch::Epoch;
 pub use error::StorageError;
 pub use fk_index::{FkOrderToken, Posting, SortedFkIndex, SortedLinkIndex, SortedPostings};

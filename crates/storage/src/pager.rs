@@ -44,8 +44,7 @@ pub trait PostingCursor<E> {
 }
 
 /// The in-RAM backend: a cursor over one key's list of a
-/// [`crate::SortedPostings`]. Infallible; yields tombstoned entries too
-/// (consumers liveness-filter).
+/// [`crate::SortedPostings`]. Infallible; every entry it yields is live.
 #[derive(Debug)]
 pub struct SliceCursor<'a, E> {
     entries: &'a [E],

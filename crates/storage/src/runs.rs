@@ -136,20 +136,13 @@ impl<E: Copy, R: Copy + Default + PartialEq> Runs<E, R> {
         &mut Self::run(&mut self.dir, key, offset(self.arena.len())).extra
     }
 
-    /// Appends a run for the absent `key` whose entries `fill` pushes; a
-    /// failed `fill` leaves the multimap unspecified, for the caller to drop.
-    pub(crate) fn try_push_run<X>(
-        &mut self,
-        key: i64,
-        extra: R,
-        fill: impl FnOnce(&mut Vec<E>) -> Result<(), X>,
-    ) -> Result<(), X> {
+    /// Appends a run for the absent `key` whose entries `fill` pushes.
+    pub(crate) fn push_run(&mut self, key: i64, extra: R, fill: impl FnOnce(&mut Vec<E>)) {
         let start = offset(self.arena.len());
-        fill(&mut self.arena)?;
+        fill(&mut self.arena);
         let len = offset(self.arena.len()) - start;
         self.dir.insert(key, Run { start, len, cap: len, extra });
         self.live += len as usize;
-        Ok(())
     }
 
     /// Calls `f` on every key's entries, where they lie.

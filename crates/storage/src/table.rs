@@ -93,16 +93,11 @@ pub struct Table {
     /// count). Deletes are *logical*: the row slot (and its `RowId`)
     /// survives so every derived structure keyed by dense row ids —
     /// installed scores, data-graph node ids — stays valid. Dead rows
-    /// are invisible to `iter`, the FK runs, and `by_pk`; they linger
-    /// only as tombstones in the link postings until compaction.
+    /// are invisible to `iter`, `by_pk` and every run: FK runs and link
+    /// postings hold live entries only.
     dead: Vec<bool>,
     /// Number of `true` bits in `dead`.
     n_dead: usize,
-    /// Dead junction pairs still present in the sorted link postings
-    /// (junction tables only): deleted junction rows leave their pairs
-    /// behind as tombstones, skipped by consumers via dual-endpoint
-    /// liveness checks. Reset by every full link (re)build.
-    link_tombstones: usize,
     pk_index: PkSlots,
     /// On FK columns: key -> its live rows. In posting order while
     /// [`Self::sorted_fk_index`] answers, otherwise in no set order
@@ -119,21 +114,18 @@ pub struct Table {
     /// True while `installed_scores` covers every row slot (set by
     /// [`Table::build_sorted_fk`], cleared by the un-scored insert).
     scores_live: bool,
-    /// Set while an open scored batch has touched the table: the runs
-    /// its staged rows were appended to or re-scored in, out of order
-    /// until `settle_staging` re-sorts them. Meanwhile the table reports
-    /// no sorted index, so probes — also those of a batch abandoned
-    /// without settlement — heap-fall-back.
+    /// Set while an open scored batch has touched the table: the
+    /// `(column, key)` runs — FK runs and, on a junction, the link runs
+    /// of source column `column` — its staged entries were appended to
+    /// or re-scored in, out of order until settlement re-sorts them.
+    /// Meanwhile the table reports no sorted index, so probes — also
+    /// those of a batch abandoned without settlement — heap-fall-back.
     staging: Option<Vec<(usize, i64)>>,
     /// Set by the paged tier's eviction: prefix scans route to the
     /// attached pager instead of the runs until the next install.
     paged: bool,
     /// Mutation epoch of this table (bumped on every insert).
     epoch: Epoch,
-    /// Scored mutations absorbed since the link postings were last built
-    /// whole. Above the database's churn threshold a settlement rebuilds
-    /// them instead of maintaining them pair by pair.
-    churn: usize,
 }
 
 impl Table {
@@ -149,7 +141,6 @@ impl Table {
             schema,
             dead: Vec::new(),
             n_dead: 0,
-            link_tombstones: 0,
             pk_index: PkSlots::default(),
             fk_runs,
             sorted_links: vec![None; arity],
@@ -158,7 +149,6 @@ impl Table {
             staging: None,
             paged: false,
             epoch: Epoch::default(),
-            churn: 0,
         }
     }
 
@@ -337,7 +327,6 @@ impl Table {
         self.staging = None;
         self.installed_scores.clear();
         self.scores_live = false;
-        self.link_tombstones = 0;
     }
 
     /// Routes the table's prefix scans to the attached pager and drops its
@@ -348,53 +337,39 @@ impl Table {
     pub(crate) fn evict_sorted_postings(&mut self) {
         self.paged = true;
         self.sorted_links.fill(None);
-        self.link_tombstones = 0;
     }
 
     /// The staged tail of a scored mutation of `id`, after its validated
     /// core: an insert's or update's `score` goes into the snapshot and
     /// the `runs` it sits in await the settlement's re-sort
     /// ([`Self::settle_staging`]); a delete passes neither. Requires a
-    /// live snapshot and an open batch. Bumps the epoch and the churn.
+    /// live snapshot and an open batch. Bumps the epoch.
     pub(crate) fn staged(&mut self, id: RowId, score: Option<f64>, runs: &[(usize, i64)]) {
         debug_assert!(self.has_installed_scores(), "caller checks the snapshot is live");
         if let Some(score) = score {
             self.installed_scores.resize(self.dead.len(), score);
             self.installed_scores[id.index()] = score;
         }
+        self.unsorted(runs);
+        self.epoch = self.epoch.next();
+    }
+
+    /// Marks `runs` out of order until settlement (a no-op outside an
+    /// open batch).
+    pub(crate) fn unsorted(&mut self, runs: &[(usize, i64)]) {
         if let Some(unsorted) = &mut self.staging {
             unsorted.extend_from_slice(runs);
         }
-        self.epoch = self.epoch.next();
-        self.churn += 1;
     }
 
     /// The FK-column keys of a row: the runs it sits in — captured by the
-    /// batch machinery *before* a staged update rewrites the row, so
-    /// settlement can find its old link pairs.
+    /// batch machinery *before* a staged update rewrites the row, so the
+    /// row's link pairs can leave the source runs it sat in.
     pub(crate) fn fk_keys_of(&self, id: RowId) -> Vec<(usize, i64)> {
         (0..self.columns.len())
             .filter(|&col| self.fk_runs[col].is_some())
             .filter_map(|col| self.value(id, col).as_int().map(|k| (col, k)))
             .collect()
-    }
-
-    /// Records dead pairs left behind in the sorted link postings (the
-    /// settlement of junction-row deletes). The database rebuilds the
-    /// junction's links once the debt crosses its compaction threshold.
-    pub(crate) fn add_link_tombstones(&mut self, n: usize) {
-        self.link_tombstones += n;
-    }
-
-    /// Dead pairs currently lingering in the sorted link postings.
-    pub fn link_tombstones(&self) -> usize {
-        self.link_tombstones
-    }
-
-    /// Pays off the link-tombstone debt (a full link rebuild sources live
-    /// pairs only).
-    pub(crate) fn reset_link_tombstones(&mut self) {
-        self.link_tombstones = 0;
     }
 
     /// An owned copy of the row with the given id (dead slots keep their
@@ -492,12 +467,14 @@ impl Table {
         self.staging.get_or_insert_with(Vec::new);
     }
 
-    /// Settles staging: re-sorts exactly the runs staged rows were
+    /// Settles staging: re-sorts exactly the FK runs staged rows were
     /// appended to or re-scored in, against the snapshot their staged
-    /// scores went into. Returns whether it sorted a run (a no-op when nothing is
-    /// staged — e.g. an un-scored mutation dropped the order mid-batch).
-    pub(crate) fn settle_staging(&mut self) -> bool {
-        let Some(mut unsorted) = self.staging.take() else { return false };
+    /// scores went into, and returns the staged `(column, key)` runs,
+    /// sorted and deduplicated, for the database to re-sort the link runs
+    /// among them against their target's snapshot. `None` when nothing
+    /// is staged (e.g. an un-scored mutation dropped the order mid-batch).
+    pub(crate) fn settle_staging(&mut self) -> Option<Vec<(usize, i64)>> {
+        let mut unsorted = self.staging.take()?;
         unsorted.sort_unstable();
         unsorted.dedup();
         for &(col, key) in &unsorted {
@@ -505,7 +482,7 @@ impl Table {
                 runs.sort_run(key, &self.installed_scores);
             }
         }
-        !unsorted.is_empty()
+        Some(unsorted)
     }
 
     pub(crate) fn set_sorted_link(&mut self, col: usize, index: SortedLinkIndex) {
@@ -538,17 +515,6 @@ impl Table {
     /// This table's mutation epoch (bumped on every insert).
     pub fn epoch(&self) -> Epoch {
         self.epoch
-    }
-
-    /// Scored mutations absorbed since the link postings were last built
-    /// whole.
-    pub fn churn(&self) -> usize {
-        self.churn
-    }
-
-    /// Zeroes the churn counter (the links were just built whole).
-    pub(crate) fn reset_churn(&mut self) {
-        self.churn = 0;
     }
 
     /// The ids of the live rows in insertion order (tombstoned slots are

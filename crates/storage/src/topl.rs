@@ -129,11 +129,10 @@ impl<T: Ord> TopLScratch<T> {
 
     /// Stages the Avoidance-Condition-2 prefix of a descending-importance
     /// posting scan: pulls `(score, item)` candidates from `scored` (best
-    /// importance first, tombstones already filtered out) and stops at the
-    /// paper's two cut conditions — the first score at or below
-    /// `largest_l`, or, once `l` candidates are staged, the first score
-    /// strictly below the current l-th (only ties can still displace it on
-    /// the item tie-break). Rank the staged run with
+    /// importance first) and stops at the paper's two cut conditions — the
+    /// first score at or below `largest_l`, or, once `l` candidates are
+    /// staged, the first score strictly below the current l-th (only ties
+    /// can still displace it on the item tie-break). Rank the staged run with
     /// [`TopLScratch::rank_staged_into`].
     ///
     /// This is the one copy of the prefix-cut logic every sorted-posting

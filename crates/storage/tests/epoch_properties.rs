@@ -1,11 +1,10 @@
-//! Property suite for the epoch subsystem (ISSUE 4, extended by ISSUE 6
-//! to the full mutation model): incremental sorted-posting maintenance
-//! under arbitrary **insert/update/delete** interleavings must be
-//! **byte-identical** to a from-scratch `install_importance_order` over a
-//! plainly-replayed database — for FK postings (live-filtered across
-//! tombstones) and junction link postings alike, at every churn *and*
-//! compaction threshold — and the prefix-scan fast path must keep the
-//! heap path's answers *and* its paper-cost accounting.
+//! Property suite for the epoch subsystem: incremental sorted-posting
+//! maintenance under arbitrary **insert/update/delete** interleavings must
+//! be **byte-identical** to a from-scratch `install_importance_order` over
+//! a plainly-replayed database — FK runs and junction link postings
+//! alike, pairs and raw group lengths, with no dead entry anywhere — and
+//! the prefix-scan fast path must keep the heap path's answers *and* its
+//! paper-cost accounting.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -63,12 +62,12 @@ enum Op {
     /// Update: (child pk, new parent key, new installed score) — re-homes
     /// the row's FK posting and repositions it by the new score.
     UpdateChild(i64, i64, f64),
-    /// Delete: (child pk) — tombstones the FK posting entry; when live
-    /// Rel rows still reference the child, the link orientation drops and
-    /// the dangling watch arms (the repair machinery under test).
+    /// Delete: (child pk) — removes the FK posting entry; live Rel rows
+    /// still referencing the child lose their pairs and keep their raw
+    /// count.
     DeleteChild(i64),
     /// Delete: (rel pk) — junction rows are never referenced, so this is
-    /// always legal; the link postings rebuild without the pair.
+    /// always legal; the row's pairs and raw counts leave their groups.
     DeleteRel(i64),
 }
 
@@ -103,14 +102,7 @@ enum PlainOp {
 /// oracle's install input — updated rows overwrite, deleted rows keep a
 /// stale entry no install reads) and the accepted plain-op log (the
 /// oracle's replay input).
-fn run_stream(
-    db: &mut Database,
-    ops: &[Op],
-    churn_threshold: usize,
-    compaction_threshold: usize,
-) -> (Vec<Vec<f64>>, Vec<PlainOp>) {
-    db.set_churn_threshold(churn_threshold);
-    db.set_compaction_threshold(compaction_threshold);
+fn run_stream(db: &mut Database, ops: &[Op]) -> (Vec<Vec<f64>>, Vec<PlainOp>) {
     for p in 0..N_PARENTS {
         db.insert("Parent", vec![Value::Int(p), format!("p{p}").into()]).unwrap();
     }
@@ -196,8 +188,7 @@ fn run_stream(
                 }
                 // Deleting a still-referenced target is legal at the
                 // storage layer (the engine enforces RESTRICT above it):
-                // it drops the link orientation and arms the dangling
-                // watch, which is exactly the repair path under test.
+                // the referencing pairs leave, their rows stay counted.
                 batch_of_one(db, |db, b| db.delete_scored_staged(b, "Child", pk)).unwrap();
                 accepted.push(PlainOp::Delete("Child", pk));
             }
@@ -247,35 +238,9 @@ fn oracle_replay(accepted: &[PlainOp], scores: &[Vec<f64>]) -> Database {
     db
 }
 
-/// Live-filtered posting view: the rows a reader actually receives.
-fn live_rows(db: &Database, tid: TableId, col: usize, key: i64) -> Vec<RowId> {
-    let t = db.table(tid);
-    match t.sorted_fk_index(col) {
-        Some(idx) => idx.rows(key).iter().copied().filter(|&r| t.is_live(r)).collect(),
-        None => Vec::new(),
-    }
-}
-
-/// Live-filtered link view: the pairs that survive the dual-endpoint
-/// liveness check (junction row AND target row alive) readers apply.
-fn live_pairs(
-    db: &Database,
-    jid: TableId,
-    target: TableId,
-    col: usize,
-    key: i64,
-) -> Vec<(RowId, RowId)> {
-    let jt = db.table(jid);
-    let tt = db.table(target);
-    match jt.sorted_link_index(col) {
-        Some(idx) => idx
-            .pairs(key)
-            .iter()
-            .copied()
-            .filter(|&(j, t)| jt.is_live(j) && tt.is_live(t))
-            .collect(),
-        None => Vec::new(),
-    }
+/// The sorted FK run of `key`, or nothing while the index is absent.
+fn fk_rows(db: &Database, tid: TableId, col: usize, key: i64) -> Vec<RowId> {
+    db.table(tid).sorted_fk_index(col).map_or_else(Vec::new, |idx| idx.rows(key).to_vec())
 }
 
 /// Scores with heavy ties, both zeros included (`-0.0 < +0.0` under
@@ -308,23 +273,18 @@ fn all_postings(db: &Database) -> Postings {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(1500))]
 
-    /// (a) Incremental posting maintenance is byte-identical (after
-    /// live-filtering the maintained side's tombstones) to a from-scratch
-    /// install over a plainly-replayed database, after arbitrary mixed
-    /// interleavings — FK postings and both junction link orientations —
-    /// across churn thresholds forcing pure binary maintenance, a mix,
-    /// and pure batched re-sorts, and compaction thresholds forcing
-    /// eager, occasional, and no compaction.
+    /// (a) Incremental posting maintenance is byte-identical to a
+    /// from-scratch install over a plainly-replayed database, after
+    /// arbitrary mixed interleavings — FK postings and both junction link
+    /// orientations, pairs and raw group lengths.
     #[test]
     fn incremental_maintenance_equals_from_scratch_install(
         ops in proptest::collection::vec(op_strategy(), 0..60),
-        churn_threshold in (0u8..3).prop_map(|i| [1usize, 7, 1_000_000][i as usize]),
-        compaction_threshold in (0u8..3).prop_map(|i| [0usize, 3, 1_000_000][i as usize]),
     ) {
         let mut live = fresh_db();
-        let (scores, accepted) = run_stream(&mut live, &ops, churn_threshold, compaction_threshold);
+        let (scores, accepted) = run_stream(&mut live, &ops);
         let oracle = oracle_replay(&accepted, &scores);
 
         let child = live.table_id("Child").unwrap();
@@ -333,15 +293,12 @@ proptest! {
         let rel_parent = live.table(rel).schema.column_index("parent_id").unwrap();
         let rel_child = live.table(rel).schema.column_index("child_id").unwrap();
 
-        // FK postings, live-filtered on both sides (the oracle's fresh
-        // install indexes live rows only; the maintained side may carry
-        // uncompacted tombstones readers skip).
         for (tid, col) in [(child, child_fk), (rel, rel_parent), (rel, rel_child)] {
             prop_assert!(live.table(tid).sorted_fk_index(col).is_some(), "order torn down");
             for key in -1..128i64 {
                 prop_assert_eq!(
-                    live_rows(&live, tid, col, key),
-                    live_rows(&oracle, tid, col, key),
+                    fk_rows(&live, tid, col, key),
+                    fk_rows(&oracle, tid, col, key),
                     "fk postings diverge: table {:?} col {} key {}", tid, col, key
                 );
             }
@@ -357,13 +314,9 @@ proptest! {
                 }
             }
         }
-        // Link postings: both orientations. A dangling child delete drops
-        // the orientation (and a later re-insert heals it) — the two
-        // replays must agree on presence AND on the live pair view:
-        // junction-own deletes leave tombstoned pairs the dual-endpoint
-        // liveness check skips, so raw pair equality only holds under
-        // eager compaction. Raw group lengths (the paper-cost probe size)
-        // must match regardless.
+        // Link postings, both orientations: presence, pairs and the raw
+        // group lengths (the paper-cost probe size) equal the oracle's,
+        // and no posted pair has a dead endpoint.
         let parent = live.table_id("Parent").unwrap();
         for (col, target) in [(rel_parent, child), (rel_child, parent)] {
             let a = live.table(rel).sorted_link_index(col);
@@ -373,26 +326,21 @@ proptest! {
                 prop_assert_eq!(a.key_count(), b.key_count());
                 for key in -1..128i64 {
                     prop_assert_eq!(
-                        live_pairs(&live, rel, target, col, key),
-                        live_pairs(&oracle, rel, target, col, key),
-                        "live link pairs diverge: col {} key {}", col, key
+                        a.pairs(key), b.pairs(key),
+                        "raw link pairs diverge: col {} key {}", col, key
                     );
                     prop_assert_eq!(a.raw_group_len(key), b.raw_group_len(key));
-                    if compaction_threshold == 0 {
-                        prop_assert_eq!(
-                            a.pairs(key), b.pairs(key),
-                            "eagerly-compacted raw pairs diverge: col {} key {}", col, key
-                        );
-                    }
+                }
+                for (key, pairs, _) in a.groups() {
+                    prop_assert!(
+                        pairs.iter().all(|&(j, t)| {
+                            live.table(rel).is_live(j) && live.table(target).is_live(t)
+                        }),
+                        "col {} key {}: a pair with a dead endpoint in {:?}", col, key, pairs
+                    );
                 }
             }
         }
-        // Link-tombstone debt is bounded by the compaction threshold too.
-        prop_assert!(
-            live.table(rel).link_tombstones() <= compaction_threshold,
-            "{} link tombstones exceed the threshold {}",
-            live.table(rel).link_tombstones(), compaction_threshold
-        );
         // The token survived the whole stream, re-stamped to the live
         // epoch — never torn down.
         let token = live.fk_order().expect("order survives the stream");
@@ -400,16 +348,12 @@ proptest! {
     }
 
     /// (b) Staged scored batches settle byte-identically to the fold of
-    /// single scored calls — same live-filtered postings, link pairs,
-    /// token stamp, and epoch — across batch sizes, churn thresholds, and
-    /// compaction thresholds (with eager or disabled compaction the raw
-    /// postings, tombstones included, must match too).
+    /// single scored calls — same FK runs, link pairs and raw lengths,
+    /// token stamp, and epoch — across batch sizes.
     #[test]
     fn scored_batches_settle_identically_to_the_fold(
         ops in proptest::collection::vec(op_strategy(), 0..60),
         batch_size in 1usize..9,
-        churn_threshold in (0u8..3).prop_map(|i| [1usize, 7, 1_000_000][i as usize]),
-        compaction_threshold in (0u8..3).prop_map(|i| [0usize, 3, 1_000_000][i as usize]),
     ) {
         // Pre-resolve the accepted stream so both paths stage exactly the
         // same mutations in the same order.
@@ -466,7 +410,7 @@ proptest! {
         }
 
         let mut folded = fresh_db();
-        run_stream(&mut folded, &[], churn_threshold, compaction_threshold);
+        run_stream(&mut folded, &[]);
         for staged in &accepted {
             match staged {
                 Staged::Insert(t, values, s) => {
@@ -482,7 +426,7 @@ proptest! {
         }
 
         let mut batched = fresh_db();
-        run_stream(&mut batched, &[], churn_threshold, compaction_threshold);
+        run_stream(&mut batched, &[]);
         for chunk in accepted.chunks(batch_size) {
             let mut b = batched.begin_scored_batch();
             for staged in chunk {
@@ -512,48 +456,27 @@ proptest! {
         let rel = folded.table_id("Rel").unwrap();
         let rel_parent = folded.table(rel).schema.column_index("parent_id").unwrap();
         let rel_child = folded.table(rel).schema.column_index("child_id").unwrap();
-        // The fold settles (and may compact) after every op, the batch
-        // once per chunk — so at a mid-range compaction threshold their
-        // *raw* tombstone content can legitimately differ. What must
-        // always match is the live view; with compaction eager (0) or
-        // disabled (huge) the raw postings coincide too.
-        let raw_must_match = compaction_threshold == 0 || compaction_threshold >= 1_000_000;
         for (tid, col) in [(child, child_fk), (rel, rel_parent), (rel, rel_child)] {
+            prop_assert!(batched.table(tid).sorted_fk_index(col).is_some(), "not settled");
             for key in -1..128i64 {
                 prop_assert_eq!(
-                    live_rows(&batched, tid, col, key),
-                    live_rows(&folded, tid, col, key),
-                    "live postings diverge: table {:?} col {} key {}", tid, col, key
+                    fk_rows(&batched, tid, col, key),
+                    fk_rows(&folded, tid, col, key),
+                    "raw postings diverge: table {:?} col {} key {}", tid, col, key
                 );
-                if raw_must_match {
-                    let a = batched.table(tid).sorted_fk_index(col).expect("settled");
-                    let b = folded.table(tid).sorted_fk_index(col).expect("maintained");
-                    prop_assert_eq!(
-                        a.rows(key), b.rows(key),
-                        "raw postings diverge: table {:?} col {} key {}", tid, col, key
-                    );
-                }
             }
         }
-        let parent = folded.table_id("Parent").unwrap();
-        for (col, target) in [(rel_parent, child), (rel_child, parent)] {
+        for col in [rel_parent, rel_child] {
             let a = batched.table(rel).sorted_link_index(col);
             let b = folded.table(rel).sorted_link_index(col);
             prop_assert_eq!(a.is_some(), b.is_some(), "orientation presence diverges: col {}", col);
             if let (Some(a), Some(b)) = (a, b) {
                 for key in -1..128i64 {
                     prop_assert_eq!(
-                        live_pairs(&batched, rel, target, col, key),
-                        live_pairs(&folded, rel, target, col, key),
-                        "live link pairs diverge: col {} key {}", col, key
+                        a.pairs(key), b.pairs(key),
+                        "raw link pairs diverge: col {} key {}", col, key
                     );
                     prop_assert_eq!(a.raw_group_len(key), b.raw_group_len(key));
-                    if raw_must_match {
-                        prop_assert_eq!(
-                            a.pairs(key), b.pairs(key),
-                            "raw link pairs diverge: col {} key {}", col, key
-                        );
-                    }
                 }
             }
         }
@@ -561,18 +484,16 @@ proptest! {
 
     /// (c) After any mixed interleaving, the prefix-scan fast path and
     /// the heap fallback return identical rows with identical paper-cost
-    /// accounting — including across uncompacted tombstones — and the
-    /// fast path actually fires (probe mix).
+    /// accounting, and the fast path actually fires (probe mix).
     #[test]
     fn fast_path_is_byte_identical_with_identical_accounting_after_churn(
         ops in proptest::collection::vec(op_strategy(), 0..60),
         l in 1usize..8,
         threshold in 0.0..6.0f64,
         affinity in 0.25..1.0f64,
-        compaction_threshold in (0u8..3).prop_map(|i| [0usize, 3, 1_000_000][i as usize]),
     ) {
         let mut db = fresh_db();
-        run_stream(&mut db, &ops, 9, compaction_threshold);
+        run_stream(&mut db, &ops);
         let token = db.fk_order().unwrap();
         let child = db.table_id("Child").unwrap();
         let fk = db.table(child).schema.column_index("parent_id").unwrap();
@@ -605,7 +526,7 @@ proptest! {
     ) {
         let mut db = fresh_db();
         prop_assert_eq!(db.epoch(), Epoch::default());
-        run_stream(&mut db, &ops, 9, 3);
+        run_stream(&mut db, &ops);
         prop_assert!(db.epoch() > Epoch::default());
         let total: u64 = db.tables().map(|(_, t)| t.epoch().get()).sum();
         prop_assert_eq!(db.epoch().get(), total, "global epoch counts every table's mutations");
