@@ -10,7 +10,7 @@
 //! The engine is **epoch-aware**: [`SizeLEngine::apply`] accepts row
 //! inserts and keeps every derived structure synchronized, either
 //! incrementally ([`RefreshPolicy::Incremental`] — estimated score
-//! spliced into the rank vector, sorted postings binary-maintained, the
+//! spliced into the rank vector, sorted postings maintained in place, the
 //! FK-order token re-stamped so the prefix-scan fast paths stay live) or
 //! exactly ([`RefreshPolicy::Exact`] — the escape hatch that re-derives
 //! everything, byte-identical to a fresh [`SizeLEngine::build`] over the
@@ -389,7 +389,7 @@ impl SizeLEngine {
     ///
     /// The result is **byte-identical** to folding [`SizeLEngine::apply`]
     /// over `ms` in order — same summaries, same epochs, same paper-cost
-    /// accounting (property-tested across churn thresholds) — because each
+    /// accounting (tested against the fold) — because each
     /// staged mutation's score estimate is evaluated against exactly the
     /// state the fold would present: the database already holds the run's
     /// earlier rows, and the score resolver serves pre-batch tuples from
