@@ -48,6 +48,7 @@ fn build_stages(c: &mut Criterion) {
         b.iter(|| db.validate_foreign_keys().expect("generated FKs are consistent"))
     });
 
+    // The solve-local data graph a rank solve numbers the tuples with.
     let sg = SchemaGraph::from_database(&db);
     group.bench_function("data_graph", |b| b.iter(|| DataGraph::build(&db, &sg)));
 
@@ -59,9 +60,9 @@ fn build_stages(c: &mut Criterion) {
 
     // A re-install sorts every posting list again from the same scores —
     // the work of the first install, plus freeing the lists it replaces.
-    let mut scores = compute(&db, &sg, &dg, &authority, &cfg.rank);
+    let scores = compute(&db, &sg, &dg, &authority, &cfg.rank);
     group.bench_function("install_importance_order", |b| {
-        b.iter(|| install_importance_order(&mut db, &dg, &mut scores))
+        b.iter(|| install_importance_order(&mut db, &dg, &scores))
     });
 
     let ds_tables: Vec<_> = cfg

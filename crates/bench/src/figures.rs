@@ -492,10 +492,11 @@ pub fn show_ga(bench: &Bench) -> String {
     let mut out = String::from("## Figure 13 — authority transfer schema graphs\n\n");
     for (db_kind, name) in [(DbKind::Dblp, "DBLP"), (DbKind::Tpch, "TPC-H")] {
         for preset in [sizel_rank::GaPreset::Ga1, sizel_rank::GaPreset::Ga2] {
-            let (db, sg, dg) = match db_kind {
-                DbKind::Dblp => (&bench.dblp.db, &bench.dblp_sg, &bench.dblp_dg),
-                DbKind::Tpch => (&bench.tpch.db, &bench.tpch_sg, &bench.tpch_dg),
+            let (db, sg) = match db_kind {
+                DbKind::Dblp => (&bench.dblp.db, &bench.dblp_sg),
+                DbKind::Tpch => (&bench.tpch.db, &bench.tpch_sg),
             };
+            let dg = &sizel_graph::DataGraph::build(db, sg);
             let ga = match db_kind {
                 DbKind::Dblp => sizel_rank::dblp_ga(preset, db, sg, dg),
                 DbKind::Tpch => sizel_rank::tpch_ga(preset, db, sg, dg),
@@ -620,29 +621,30 @@ pub fn snippet_baseline(bench: &Bench) -> String {
     out
 }
 
-/// §6.3 data-graph statistics (build time, size).
+/// §6.3 data-graph statistics. The paper's data graph "is only an
+/// index": here one node per tuple and one forward entry per row of
+/// every FK column, held by the tables (`Table::forward`; the FK runs
+/// answer the backward side), plus the node numbering a rank solve
+/// builds in `build ms` and drops.
 pub fn datagraph_stats(bench: &Bench) -> String {
     let mut out = String::from("## §6.3 — data-graph statistics\n\n");
+    let row = |name: &str, db: &sizel_storage::Database, ms: f64| {
+        let fwd: usize = db.tables().map(|(_, t)| t.schema.fks.len() * t.len()).sum();
+        let bytes = 4 * (fwd + db.table_count() + 1);
+        vec![
+            name.to_string(),
+            db.total_tuples().to_string(),
+            fwd.to_string(),
+            format!("{:.2}", bytes as f64 / 1e6),
+            format!("{ms:.3}"),
+        ]
+    };
     let rows = vec![
-        vec![
-            "DBLP".to_string(),
-            bench.dblp.db.total_tuples().to_string(),
-            bench.dblp_dg.n_nodes().to_string(),
-            bench.dblp_dg.n_adjacency_entries().to_string(),
-            format!("{:.2}", bench.dblp_dg.approx_bytes() as f64 / 1e6),
-            format!("{:.1}", bench.dblp_dg_ms),
-        ],
-        vec![
-            "TPC-H".to_string(),
-            bench.tpch.db.total_tuples().to_string(),
-            bench.tpch_dg.n_nodes().to_string(),
-            bench.tpch_dg.n_adjacency_entries().to_string(),
-            format!("{:.2}", bench.tpch_dg.approx_bytes() as f64 / 1e6),
-            format!("{:.1}", bench.tpch_dg_ms),
-        ],
+        row("DBLP", &bench.dblp.db, bench.dblp_dg_ms),
+        row("TPC-H", &bench.tpch.db, bench.tpch_dg_ms),
     ];
     out.push_str(&markdown_table(
-        &["database", "tuples", "nodes", "adjacency entries", "approx MB", "build ms"],
+        &["database", "nodes", "forward entries", "approx MB", "build ms"],
         &rows,
     ));
     out
@@ -660,20 +662,20 @@ fn rss_mb() -> f64 {
 
 /// Where one engine's resident bytes go: `VmRSS` after each stage of one
 /// `generate` + engine derivation over `DblpConfig::bench()` (the stages
-/// of `benches/build_stages.rs`, every product kept alive), then each
-/// table's rows and [`sizel_storage::Table::value_bytes`], and its index
-/// bytes by structure ([`sizel_storage::Table::index_bytes`]), and last
-/// the data graph's bytes ([`sizel_graph::DataGraph::index_bytes`])
-/// beside the transfer lists one rank solve gathers and drops
-/// ([`sizel_rank::transfer_list_bytes`]). Run it in a fresh process
-/// (`repro footprint` builds no workbench first): freed heap the
-/// allocator keeps counts as resident.
+/// of `benches/build_stages.rs`; the rank solve's vector dropped after
+/// the install, as the engine drops it), then each table's rows and
+/// [`sizel_storage::Table::value_bytes`], and its index bytes by
+/// structure ([`sizel_storage::Table::index_bytes`]: PK slots, FK runs,
+/// forward arrays, link postings, the one score copy), and last what one
+/// rank solve gathers and drops ([`sizel_rank::solve_scratch_bytes`]).
+/// Run it in a fresh process (`repro footprint` builds no workbench
+/// first): freed heap the allocator keeps counts as resident.
 pub fn footprint() -> String {
     use sizel_core::keyword::KeywordIndex;
     use sizel_datagen::dblp::{generate, DblpConfig};
     use sizel_graph::{DataGraph, SchemaGraph};
     use sizel_rank::{
-        compute, dblp_ga, install_importance_order, transfer_list_bytes, GaPreset, RankConfig,
+        compute, dblp_ga, install_importance_order, solve_scratch_bytes, GaPreset, RankConfig,
     };
 
     let mut out = String::from("## Footprint — one engine over DblpConfig::bench()\n\n");
@@ -691,16 +693,16 @@ pub fn footprint() -> String {
     stage("shrink_to_fit");
     let sg = SchemaGraph::from_database(&db);
     let dg = DataGraph::build(&db, &sg);
-    stage("data graph");
     let authority = dblp_ga(GaPreset::Ga1, &db, &sg, &dg);
-    let mut scores = compute(&db, &sg, &dg, &authority, &RankConfig::default());
-    stage("rank");
-    install_importance_order(&mut db, &dg, &mut scores);
-    stage("posting install");
+    let scores = compute(&db, &sg, &dg, &authority, &RankConfig::default());
+    stage("rank solve");
+    install_importance_order(&mut db, &dg, &scores);
+    drop(scores);
+    stage("posting install, solve dropped");
     let ds: Vec<_> = ["Author", "Paper"].map(|t| db.table_id(t).expect("DBLP schema")).to_vec();
     let kw = KeywordIndex::build(&db, &ds);
     stage("keyword index");
-    std::hint::black_box((&dg, &scores, &kw));
+    std::hint::black_box(&kw);
     out.push_str(&markdown_table(&["after", "VmRSS MB", "delta MB"], &stages));
 
     let tables: Vec<Vec<String>> = db
@@ -741,14 +743,13 @@ pub fn footprint() -> String {
     out.push('\n');
     out.push_str(&markdown_table(&header, &rows));
 
-    // The data graph's own bytes, and beside them the transfer lists one
-    // rank solve gathers from `fwd` and drops before it returns.
-    let mut graph = row("data graph".into(), &dg.index_bytes());
-    graph.push(mb(transfer_list_bytes(&db, &sg, &dg, &authority)));
+    // What one rank solve gathers from the forward arrays and drops
+    // before it returns.
+    let solve = row("rank solve".into(), &solve_scratch_bytes(&db, &sg, &dg, &authority));
     out.push('\n');
     out.push_str(&markdown_table(
-        &["", "node starts MB", "fwd MB", "MB", "rank transfer lists MB, per solve"],
-        &[graph],
+        &["gathered and dropped", "transfer lists MB", "iteration vectors MB", "MB"],
+        &[solve],
     ));
     out
 }

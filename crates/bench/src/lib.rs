@@ -13,7 +13,7 @@ use sizel_core::osgen::OsContext;
 use sizel_datagen::dblp::{self, Dblp, DblpConfig};
 use sizel_datagen::tpch::{self, Tpch, TpchConfig};
 use sizel_graph::{presets, DataGraph, Gds, SchemaGraph};
-use sizel_rank::{compute, dblp_ga, tpch_ga, GaPreset, RankConfig, RankScores};
+use sizel_rank::{compute, dblp_ga, install_importance_order, tpch_ga, GaPreset, RankConfig};
 use sizel_storage::{Database, RowId, TableId, TupleRef};
 use sizel_util::prng::Prng;
 
@@ -86,33 +86,59 @@ pub const SETTINGS: [Setting; 4] = [
     Setting { name: "GA2-d1", ga: GaPreset::Ga2, d: 0.85 },
 ];
 
+/// The setting index of the uncompressed GA1-d1 scores ([`Bench::ctx_raw`]).
+const RAW: usize = SETTINGS.len();
+
 /// The fully-built workbench.
+///
+/// A context reads its scores from its database's tables, so each
+/// ranking setting is installed into a database of its own: `dblp.db` and
+/// `tpch.db` hold GA1-d1, and identical regenerated copies hold the
+/// others (generation is deterministic, so every `TupleRef` names the
+/// same tuple in all of them).
 pub struct Bench {
-    /// DBLP database + handles.
+    /// DBLP database + handles, under GA1-d1.
     pub dblp: Dblp,
     /// DBLP schema graph.
     pub dblp_sg: SchemaGraph,
-    /// DBLP data graph.
-    pub dblp_dg: DataGraph,
-    /// Milliseconds spent building the DBLP data graph (§6.3 report).
+    /// Milliseconds spent building a DBLP data graph (§6.3 report).
     pub dblp_dg_ms: f64,
-    /// TPC-H database + handles.
+    /// TPC-H database + handles, under GA1-d1.
     pub tpch: Tpch,
     /// TPC-H schema graph.
     pub tpch_sg: SchemaGraph,
-    /// TPC-H data graph.
-    pub tpch_dg: DataGraph,
-    /// Milliseconds spent building the TPC-H data graph.
+    /// Milliseconds spent building a TPC-H data graph.
     pub tpch_dg_ms: f64,
     /// Whether quick (CI-sized) databases are in use.
     pub quick: bool,
-    scores: HashMap<(DbKind, usize), RankScores>,
+    /// The databases of settings 1.. and of the uncompressed GA1-d1
+    /// scores (`RAW`), each with that setting installed.
+    copies: HashMap<(DbKind, usize), Database>,
     gds: HashMap<(GdsKind, usize), Gds>,
-    /// GA1-d1 scores *without* log compression (heavier skew), used by the
-    /// avoidance-condition ablation: the paper's uncompressed ObjectRank
-    /// regime prunes much more aggressively.
-    raw_scores: HashMap<DbKind, RankScores>,
+    /// GDSs with stats under GA1-d1 scores *without* log compression
+    /// (heavier skew), used by the avoidance-condition ablation: the
+    /// paper's uncompressed ObjectRank regime prunes much more
+    /// aggressively.
     raw_gds: HashMap<GdsKind, Gds>,
+}
+
+/// Ranks `db` under `preset` and `cfg` and installs the scores into it;
+/// returns the per-table maxima.
+fn rank_into(
+    db: &mut Database,
+    sg: &SchemaGraph,
+    kind: DbKind,
+    preset: GaPreset,
+    cfg: &RankConfig,
+) -> Vec<f64> {
+    let dg = DataGraph::build(db, sg);
+    let ga = match kind {
+        DbKind::Dblp => dblp_ga(preset, db, sg, &dg),
+        DbKind::Tpch => tpch_ga(preset, db, sg, &dg),
+    };
+    let scores = compute(db, sg, &dg, &ga, cfg);
+    install_importance_order(db, &dg, &scores);
+    scores.per_table_max
 }
 
 impl Bench {
@@ -126,14 +152,19 @@ impl Bench {
         let dblp_sg = SchemaGraph::from_database(&d.db);
         let tpch_sg = SchemaGraph::from_database(&t.db);
         let t0 = std::time::Instant::now();
-        let dblp_dg = DataGraph::build(&d.db, &dblp_sg);
+        std::hint::black_box(DataGraph::build(&d.db, &dblp_sg));
         let dblp_dg_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t0 = std::time::Instant::now();
-        let tpch_dg = DataGraph::build(&t.db, &tpch_sg);
+        std::hint::black_box(DataGraph::build(&t.db, &tpch_sg));
         let tpch_dg_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        let mut scores = HashMap::new();
-        for (i, s) in SETTINGS.iter().enumerate() {
+        // Setting 0 (GA1-d1) goes into the main databases, so the
+        // Database-source benches run TOP-l probes as sorted prefix
+        // scans; every other setting into a copy of its own.
+        let mut maxima = HashMap::new();
+        let mut copies = HashMap::new();
+        let raw_cfg = RankConfig { log_compress: false, ..RankConfig::default() };
+        let runs = SETTINGS.iter().map(|s| {
             // d3 = 0.99 converges slowly; a looser epsilon keeps builds
             // fast without changing relative order materially.
             let cfg = RankConfig {
@@ -142,30 +173,24 @@ impl Bench {
                 max_iterations: 2000,
                 ..RankConfig::default()
             };
-            let ga = dblp_ga(s.ga, &d.db, &dblp_sg, &dblp_dg);
-            scores.insert((DbKind::Dblp, i), compute(&d.db, &dblp_sg, &dblp_dg, &ga, &cfg));
-            let ga = tpch_ga(s.ga, &t.db, &tpch_sg, &tpch_dg);
-            scores.insert((DbKind::Tpch, i), compute(&t.db, &tpch_sg, &tpch_dg, &ga, &cfg));
+            (s.ga, cfg)
+        });
+        for (i, (preset, cfg)) in runs.chain([(GaPreset::Ga1, raw_cfg)]).enumerate() {
+            for kind in [DbKind::Dblp, DbKind::Tpch] {
+                let copy = copies.entry((kind, i));
+                let (db, sg) = match (kind, i) {
+                    (DbKind::Dblp, 0) => (&mut d.db, &dblp_sg),
+                    (DbKind::Tpch, 0) => (&mut t.db, &tpch_sg),
+                    (DbKind::Dblp, _) => {
+                        (copy.or_insert_with(|| dblp::generate(&dblp_cfg).db), &dblp_sg)
+                    }
+                    (DbKind::Tpch, _) => {
+                        (copy.or_insert_with(|| tpch::generate(&tpch_cfg).db), &tpch_sg)
+                    }
+                };
+                maxima.insert((kind, i), rank_into(db, sg, kind, preset, &cfg));
+            }
         }
-
-        // Install the reference setting's (GA1-d1) importance order so the
-        // Database-source benches run TOP-l probes as sorted prefix scans;
-        // the other settings' contexts fall back to the heap path (their
-        // scores never stamped an order).
-        let mut s0 = scores.remove(&(DbKind::Dblp, 0)).expect("setting 0 computed");
-        sizel_rank::install_importance_order(&mut d.db, &dblp_dg, &mut s0);
-        scores.insert((DbKind::Dblp, 0), s0);
-        let mut s0 = scores.remove(&(DbKind::Tpch, 0)).expect("setting 0 computed");
-        sizel_rank::install_importance_order(&mut t.db, &tpch_dg, &mut s0);
-        scores.insert((DbKind::Tpch, 0), s0);
-
-        // Uncompressed GA1-d1 scores for the avoidance-condition ablation.
-        let mut raw_scores = HashMap::new();
-        let raw_cfg = RankConfig { log_compress: false, ..RankConfig::default() };
-        let ga = dblp_ga(GaPreset::Ga1, &d.db, &dblp_sg, &dblp_dg);
-        raw_scores.insert(DbKind::Dblp, compute(&d.db, &dblp_sg, &dblp_dg, &ga, &raw_cfg));
-        let ga = tpch_ga(GaPreset::Ga1, &t.db, &tpch_sg, &tpch_dg);
-        raw_scores.insert(DbKind::Tpch, compute(&t.db, &tpch_sg, &tpch_dg, &ga, &raw_cfg));
 
         let mut gds = HashMap::new();
         let mut raw_gds = HashMap::new();
@@ -183,32 +208,29 @@ impl Bench {
             let base = Gds::build(db, sg, &cfg, root).restrict(cfg.theta);
             for (i, _) in SETTINGS.iter().enumerate() {
                 let mut g = base.clone();
-                g.set_stats(&scores[&(kind.db(), i)].per_table_max);
+                g.set_stats(&maxima[&(kind.db(), i)]);
                 gds.insert((kind, i), g);
             }
             let mut g = base;
-            g.set_stats(&raw_scores[&kind.db()].per_table_max);
+            g.set_stats(&maxima[&(kind.db(), RAW)]);
             raw_gds.insert(kind, g);
         }
 
         Bench {
             dblp: d,
             dblp_sg,
-            dblp_dg,
             dblp_dg_ms,
             tpch: t,
             tpch_sg,
-            tpch_dg,
             tpch_dg_ms,
             quick,
-            scores,
+            copies,
             gds,
-            raw_scores,
             raw_gds,
         }
     }
 
-    /// The database of a kind.
+    /// The database of a kind (GA1-d1 installed).
     pub fn db(&self, kind: DbKind) -> &Database {
         match kind {
             DbKind::Dblp => &self.dblp.db,
@@ -216,9 +238,13 @@ impl Bench {
         }
     }
 
-    /// Scores for `(db, setting)`.
-    pub fn scores(&self, db: DbKind, setting: usize) -> &RankScores {
-        &self.scores[&(db, setting)]
+    /// The database holding `setting`'s scores.
+    fn scored_db(&self, kind: DbKind, setting: usize) -> &Database {
+        if setting == 0 {
+            self.db(kind)
+        } else {
+            &self.copies[&(kind, setting)]
+        }
     }
 
     /// The GDS of `(kind, setting)`.
@@ -226,45 +252,24 @@ impl Bench {
         &self.gds[&(kind, setting)]
     }
 
+    fn sg(&self, kind: DbKind) -> &SchemaGraph {
+        match kind {
+            DbKind::Dblp => &self.dblp_sg,
+            DbKind::Tpch => &self.tpch_sg,
+        }
+    }
+
     /// An [`OsContext`] for a GDS case under a setting.
     pub fn ctx(&self, kind: GdsKind, setting: usize) -> OsContext<'_> {
-        match kind.db() {
-            DbKind::Dblp => OsContext::new(
-                &self.dblp.db,
-                &self.dblp_sg,
-                &self.dblp_dg,
-                self.gds(kind, setting),
-                self.scores(DbKind::Dblp, setting),
-            ),
-            DbKind::Tpch => OsContext::new(
-                &self.tpch.db,
-                &self.tpch_sg,
-                &self.tpch_dg,
-                self.gds(kind, setting),
-                self.scores(DbKind::Tpch, setting),
-            ),
-        }
+        let db = self.scored_db(kind.db(), setting);
+        OsContext::new(db, self.sg(kind.db()), self.gds(kind, setting), db.fk_order())
     }
 
     /// An [`OsContext`] for a GDS case under *uncompressed* GA1-d1 scores
     /// (the paper's heavier-skew ObjectRank regime).
     pub fn ctx_raw(&self, kind: GdsKind) -> OsContext<'_> {
-        match kind.db() {
-            DbKind::Dblp => OsContext::new(
-                &self.dblp.db,
-                &self.dblp_sg,
-                &self.dblp_dg,
-                &self.raw_gds[&kind],
-                &self.raw_scores[&DbKind::Dblp],
-            ),
-            DbKind::Tpch => OsContext::new(
-                &self.tpch.db,
-                &self.tpch_sg,
-                &self.tpch_dg,
-                &self.raw_gds[&kind],
-                &self.raw_scores[&DbKind::Tpch],
-            ),
-        }
+        let db = self.scored_db(kind.db(), RAW);
+        OsContext::new(db, self.sg(kind.db()), &self.raw_gds[&kind], db.fk_order())
     }
 
     /// Samples `n` data subjects for a GDS case — the paper's "10 random

@@ -135,25 +135,25 @@ fn sharded_batched_refreshed_cluster_is_byte_identical_to_sequential_engine_at_e
     );
 }
 
-/// Graph rebuilds summed over the cluster's distinct engines, each
-/// counted once (engines compared by address).
-fn graph_builds(cluster: &ClusterRouter) -> u64 {
+/// Graph builds and epoch steps summed over the cluster's distinct
+/// engines, each counted once (engines compared by address).
+fn graph_builds_and_epochs(cluster: &ClusterRouter) -> (u64, u64) {
     let mut seen = Vec::new();
     (0..cluster.shards())
         .map(|i| {
             let engine = cluster.shard(i).engine();
             let addr = &*engine as *const SizeLEngine;
             if seen.contains(&addr) {
-                return 0;
+                return (0, 0);
             }
             seen.push(addr);
-            engine.db().access().maint().graph_builds
+            (engine.db().access().maint().graph_builds, engine.epoch().get())
         })
-        .sum()
+        .fold((0, 0), |(g, e), (dg, de)| (g + dg, e + de))
 }
 
 #[test]
-fn partitioned_shards_share_one_engine_and_a_batch_builds_one_graph() {
+fn partitioned_shards_share_one_engine_and_a_batch_builds_no_graph() {
     let cfg = DblpConfig::tiny();
     let cluster = ClusterRouter::partitioned(replicas(&cfg, 3), test_cluster_config(false))
         .expect("cluster builds");
@@ -164,9 +164,11 @@ fn partitioned_shards_share_one_engine_and_a_batch_builds_one_graph() {
     }
     let batches = mutation_batches(&cluster.shard(0).engine());
     for (step, batch) in batches.into_iter().enumerate() {
-        let before = graph_builds(&cluster);
+        let (builds, epoch) = graph_builds_and_epochs(&cluster);
+        let n = batch.len() as u64;
         cluster.apply_batch(batch).expect("batched apply");
-        assert_eq!(graph_builds(&cluster), before + 1, "batch {step}: one graph build a batch");
+        let after = graph_builds_and_epochs(&cluster);
+        assert_eq!(after, (builds, epoch + n), "batch {step}: applied once, no graph built");
     }
 }
 

@@ -7,25 +7,33 @@
 //! generate each one's (prelim or complete) OS, size-l it, and return the
 //! summaries ranked by the DS tuple's global importance.
 //!
+//! The engine keeps no data graph and no score vector of its own. The
+//! tables hold the index the paper's §6.3 data graph is: FK runs, forward
+//! arrays and each row's installed global importance. A rank solve builds
+//! a [`DataGraph`] to number the tuples, installs its scores into the
+//! tables, and drops both; the engine keeps the per-table maxima the GDS
+//! stats need and the token of the installed order.
+//!
 //! The engine is **epoch-aware**: [`SizeLEngine::apply`] accepts row
-//! inserts and keeps every derived structure synchronized, either
+//! mutations and keeps every derived structure synchronized, either
 //! incrementally ([`RefreshPolicy::Incremental`] — estimated score
-//! spliced into the rank vector, sorted postings maintained in place, the
-//! FK-order token re-stamped so the prefix-scan fast paths stay live) or
-//! exactly ([`RefreshPolicy::Exact`] — the escape hatch that re-derives
-//! everything, byte-identical to a fresh [`SizeLEngine::build`] over the
-//! mutated database). [`SizeLEngine::epoch`] exposes the database's
+//! staged into the tables' snapshots, sorted postings and forward arrays
+//! maintained in place, the FK-order token re-stamped so the prefix-scan
+//! fast paths stay live) or exactly ([`RefreshPolicy::Exact`] — the
+//! escape hatch that re-derives everything, byte-identical to a fresh
+//! [`SizeLEngine::build`] over the mutated database). [`SizeLEngine::epoch`] exposes the database's
 //! mutation epoch for cache keying (the serving layer keys its summary
 //! cache by it).
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sizel_disk::{PagedStore, Wal};
 use sizel_graph::{DataGraph, Gds, GdsConfig, SchemaGraph};
-use sizel_rank::{compute, AuthorityGraph, RankConfig, RankScores};
-use sizel_storage::{Database, Epoch, ScoredBatch, StorageError, TableId, TupleRef, Value};
+use sizel_rank::{compute, AuthorityGraph, RankConfig};
+use sizel_storage::{
+    Database, Epoch, FkOrderToken, ScoredBatch, StorageError, TableId, TupleRef, Value,
+};
 
 use crate::durability::{decode_batch, DiskTier, DiskTierConfig, DiskTierStats, RecoveryReport};
 
@@ -187,7 +195,7 @@ pub enum MutationOp {
     /// leave their runs where they lie). The model is
     /// RESTRICT, not CASCADE: a row still referenced by live rows is
     /// rejected with [`StorageError::RestrictedDelete`] — a dangling
-    /// reference would poison the data graph.
+    /// reference would silently drop an edge from every summary.
     Delete {
         /// Primary key of the row to delete.
         pk: i64,
@@ -233,38 +241,28 @@ impl Mutation {
 /// The retained authority-graph builder (see [`SizeLEngine::build`]).
 type GaBuilder = Box<dyn Fn(&Database, &SchemaGraph, &DataGraph) -> AuthorityGraph + Send + Sync>;
 
-/// Everything derived from the database: rebuilt wholesale by the exact
-/// refresh path, built once by [`SizeLEngine::build`].
+/// Everything derived from the database besides what the install writes
+/// into its tables: rebuilt wholesale by the exact refresh path, built
+/// once by [`SizeLEngine::build`].
 struct Derived {
-    dg: DataGraph,
     authority: AuthorityGraph,
-    scores: RankScores,
+    per_table_max: Vec<f64>,
+    fk_order: FkOrderToken,
     gds_by_table: Vec<Option<Gds>>,
     kw: KeywordIndex,
-}
-
-/// What one incremental run has staged so far (see
-/// [`SizeLEngine::apply_incremental_run`]).
-struct RunState {
-    /// Table lengths before the run: rows below are pre-run rows.
-    old_len: Vec<usize>,
-    /// Per table, the score estimates of rows this run appended.
-    appended: Vec<Vec<f64>>,
-    /// Re-estimates of rows this run updated; wins over both of the above.
-    overrides: HashMap<TupleRef, f64>,
-    /// Appended rows with their estimates, for the rank splice.
-    spliced: Vec<(TupleRef, f64)>,
-    /// Rows whose final tokens join the keyword index at settlement.
-    kw_add: Vec<TupleRef>,
 }
 
 /// The wired-up engine. Owns the database and every derived structure.
 pub struct SizeLEngine {
     db: Database,
     sg: SchemaGraph,
-    dg: DataGraph,
     authority: AuthorityGraph,
-    scores: RankScores,
+    /// Per table, the maximum global importance — the GDS `max(Ri)`
+    /// stats. A running maximum under incremental estimates.
+    per_table_max: Vec<f64>,
+    /// The token of the importance order this engine installed, re-stamped
+    /// with the database's at every write (see [`OsContext::new`]).
+    fk_order: Option<FkOrderToken>,
     gds_by_table: Vec<Option<Gds>>,
     kw: KeywordIndex,
     /// The GA builder, retained so the exact refresh path can re-derive
@@ -283,11 +281,12 @@ impl SizeLEngine {
     /// Database-source TOP-l probes run as prefix scans. The `ga` builder
     /// is retained for [`SizeLEngine::apply`]'s exact refresh path.
     ///
-    /// Cost, over bench-scale DBLP (`DblpConfig::bench`): about 35 ms, of which
-    /// the rank sweeps and the posting install are some 13 ms each and FK
-    /// validation, the data graph, the GDSs and the keyword index share
-    /// the rest — `cargo bench -p sizel-bench --bench build_stages` prints
-    /// the split, stage by stage through the functions called here.
+    /// Cost, over bench-scale DBLP (`DblpConfig::bench`): the rank sweeps
+    /// dominate, the posting install and the keyword index follow, and FK
+    /// validation, the solve-local data graph and the GDSs are small —
+    /// `cargo bench -p sizel-bench --bench build_stages` prints the
+    /// split, stage by stage through the functions called here, and
+    /// EXPERIMENTS.md records its figures.
     pub fn build(
         mut db: Database,
         ga: impl Fn(&Database, &SchemaGraph, &DataGraph) -> AuthorityGraph + Send + Sync + 'static,
@@ -299,15 +298,28 @@ impl SizeLEngine {
         db.shrink_to_fit();
         let sg = SchemaGraph::from_database(&db);
         let ga: GaBuilder = Box::new(ga);
-        let derived = Self::derive(&mut db, &sg, ga.as_ref(), &cfg)?;
-        let Derived { dg, authority, scores, gds_by_table, kw } = derived;
-        Ok(SizeLEngine { db, sg, dg, authority, scores, gds_by_table, kw, ga, cfg, disk: None })
+        let Derived { authority, per_table_max, fk_order, gds_by_table, kw } =
+            Self::derive(&mut db, &sg, ga.as_ref(), &cfg)?;
+        Ok(SizeLEngine {
+            db,
+            sg,
+            authority,
+            per_table_max,
+            fk_order: Some(fk_order),
+            gds_by_table,
+            kw,
+            ga,
+            cfg,
+            disk: None,
+        })
     }
 
-    /// Computes every derived structure over `db` (which receives the
-    /// importance-order install). Shared by [`SizeLEngine::build`] and
-    /// the exact refresh of [`SizeLEngine::apply`] — the two are
-    /// byte-identical by construction.
+    /// Computes every derived structure over `db`, which receives the
+    /// solve's scores through the importance-order install; the solve's
+    /// data graph and score vector are dropped here. Shared by
+    /// [`SizeLEngine::build`] and the exact refresh of
+    /// [`SizeLEngine::apply`] — the two are byte-identical by
+    /// construction.
     fn derive(
         db: &mut Database,
         sg: &SchemaGraph,
@@ -316,20 +328,21 @@ impl SizeLEngine {
     ) -> Result<Derived, StorageError> {
         let dg = DataGraph::build(db, sg);
         let authority = ga(db, sg, &dg);
-        let mut scores = compute(db, sg, &dg, &authority, &cfg.rank);
-        sizel_rank::install_importance_order(db, &dg, &mut scores);
+        let scores = compute(db, sg, &dg, &authority, &cfg.rank);
+        let fk_order = sizel_rank::install_importance_order(db, &dg, &scores);
+        let per_table_max = scores.per_table_max;
 
         let mut gds_by_table: Vec<Option<Gds>> = (0..db.table_count()).map(|_| None).collect();
         let mut ds_tables = Vec::with_capacity(cfg.ds_relations.len());
         for (name, gds_cfg) in &cfg.ds_relations {
             let tid = db.table_id(name)?;
             let mut gds = Gds::build(db, sg, gds_cfg, tid).restrict(cfg.theta);
-            gds.set_stats(&scores.per_table_max);
+            gds.set_stats(&per_table_max);
             gds_by_table[tid.index()] = Some(gds);
             ds_tables.push(tid);
         }
         let kw = KeywordIndex::build(db, &ds_tables);
-        Ok(Derived { dg, authority, scores, gds_by_table, kw })
+        Ok(Derived { authority, per_table_max, fk_order, gds_by_table, kw })
     }
 
     /// The database's mutation epoch — the version every query of this
@@ -366,35 +379,34 @@ impl SizeLEngine {
                 self.db.delete(&m.table, pk)?;
             }
         }
-        let derived = Self::derive(&mut self.db, &self.sg, self.ga.as_ref(), &self.cfg)?;
-        let Derived { dg, authority, scores, gds_by_table, kw } = derived;
-        self.dg = dg;
+        let Derived { authority, per_table_max, fk_order, gds_by_table, kw } =
+            Self::derive(&mut self.db, &self.sg, self.ga.as_ref(), &self.cfg)?;
         self.authority = authority;
-        self.scores = scores;
+        self.per_table_max = per_table_max;
+        self.fk_order = Some(fk_order);
         self.gds_by_table = gds_by_table;
         self.kw = kw;
         Ok(())
     }
 
-    /// Applies a whole batch of mutations, amortizing the per-insert
-    /// `O(|E|)` derived-state refresh across each run of incremental
-    /// mutations: the run's rows are staged through the storage layer's
-    /// [`sizel_storage::ScoredBatch`] (sorted-posting settlement: at most
-    /// one re-sort per affected table), then **one** `DataGraph` rebuild,
-    /// one batched rank splice, one stats/keyword refresh cover the
-    /// whole run — where folding [`SizeLEngine::apply`] pays each of
-    /// those per mutation. Exact-policy mutations flush the pending run
-    /// and take the single-apply escape hatch, so arbitrary policy mixes
-    /// are supported.
+    /// Applies a whole batch of mutations. Each run of incremental
+    /// mutations is staged through the storage layer's
+    /// [`sizel_storage::ScoredBatch`]: every row operation maintains the
+    /// FK runs, link postings and forward arrays it touches and writes
+    /// its row's score estimate into the table's snapshot, and
+    /// settlement re-sorts each touched run once. Then one stats/keyword
+    /// refresh covers the whole run, where folding [`SizeLEngine::apply`]
+    /// pays it per mutation. Nothing is rebuilt: no data graph, no score
+    /// vector. Exact-policy mutations flush the pending run and take the
+    /// single-apply escape hatch, so arbitrary policy mixes are
+    /// supported.
     ///
     /// The result is **byte-identical** to folding [`SizeLEngine::apply`]
     /// over `ms` in order — same summaries, same epochs, same paper-cost
     /// accounting (tested against the fold) — because each
     /// staged mutation's score estimate is evaluated against exactly the
     /// state the fold would present: the database already holds the run's
-    /// earlier rows, and the score resolver serves pre-batch tuples from
-    /// the current vector and intra-batch tuples from their recorded
-    /// estimates (what the fold's splice would have inserted).
+    /// earlier rows, and their snapshots already hold their estimates.
     ///
     /// On error the batch stops at the failing mutation with every earlier
     /// mutation applied and the derived state synchronized — the same
@@ -430,75 +442,39 @@ impl SizeLEngine {
     }
 
     /// The shared incremental engine path: stages a run of mixed-kind
-    /// mutations with estimated scores, then refreshes every derived
-    /// structure once (see [`SizeLEngine::apply_batch`]). A run of one is
-    /// exactly the classic incremental apply.
+    /// mutations with estimated scores, then refreshes the GDS stats and
+    /// the keyword index once (see [`SizeLEngine::apply_batch`]). A run
+    /// of one is exactly the classic incremental apply.
     ///
-    /// Fold equivalence for the mixed kinds rests on three pieces of
-    /// bookkeeping. The score resolver serves exactly the vector the fold
-    /// would have built up at each step: pre-run tuples from the current
-    /// scores, rows appended by this run from `appended`, and rows
-    /// *updated* by this run from `overrides` (which wins over both — a
-    /// row inserted then updated in one run must gather at its re-estimate,
-    /// not its insert estimate). Keyword retokenization removes a row's
-    /// old tokens at mutation time (captured before the staged update
-    /// replaces the slot) and adds final tokens once at settlement;
-    /// removal of never-indexed tokens is a no-op, which collapses any
-    /// intra-run token history to the same final postings as the fold.
-    /// And deletes drop the row from the pending keyword adds, so a row
-    /// born and killed in one run is never indexed.
+    /// Fold equivalence for the mixed kinds rests on the staging order.
+    /// Each mutation's estimate reads the installed snapshot, into which
+    /// every earlier mutation of the run has already written its own —
+    /// the scores the fold would present at that step (a row inserted
+    /// then updated in one run gathers at its re-estimate). Keyword
+    /// retokenization removes a row's old tokens at mutation time
+    /// (captured before the staged update replaces the slot) and adds
+    /// final tokens once at settlement; removal of never-indexed tokens
+    /// is a no-op, which collapses any intra-run token history to the
+    /// same final postings as the fold. And deletes drop the row from the
+    /// pending keyword adds, so a row born and killed in one run is never
+    /// indexed. Deleted rows keep their last score in the snapshot, where
+    /// no reader resolves them.
     fn apply_incremental_run(&mut self, run: Vec<Mutation>) -> Result<(), StorageError> {
         if run.is_empty() {
             return Ok(());
         }
-        let old_len: Vec<usize> = self.db.tables().map(|(_, t)| t.len()).collect();
-        let mut st = RunState {
-            appended: vec![Vec::new(); old_len.len()],
-            old_len,
-            overrides: HashMap::new(),
-            spliced: Vec::with_capacity(run.len()),
-            kw_add: Vec::new(),
-        };
+        let mut kw_add = Vec::new();
         let before = self.db.epoch();
         let mut batch = self.db.begin_scored_batch();
         // Staging stops at the first rejected mutation; the prefix that
         // landed settles below either way.
-        let staged = run.into_iter().try_for_each(|m| self.stage(&mut batch, &mut st, m));
+        let staged = run.into_iter().try_for_each(|m| self.stage(&mut batch, &mut kw_add, m));
         self.db.finish_scored_batch(batch);
-        let RunState { overrides, spliced, kw_add, .. } = st;
         // Every mutation that landed advanced the epoch.
         if self.db.epoch() != before {
-            // Any landed mutation invalidates the adjacency index: inserts
-            // shift dense node ids, updates re-home FK edges, deletes
-            // detach them. One rebuild covers the whole run — the O(|E|)
-            // linear part of an incremental apply, amortized here where
-            // the fold pays it per mutation (and what both avoid is the
-            // power iteration: hundreds of O(|E|) sweeps).
-            self.dg = DataGraph::build(&self.db, &self.sg);
-            if spliced.is_empty() {
-                // Updates and deletes keep every node id; only adopt the
-                // re-stamped order token.
-                self.scores.fk_order = self.db.fk_order();
-            } else {
-                sizel_rank::splice_appended_scores(
-                    &mut self.scores,
-                    &self.dg,
-                    &spliced,
-                    self.db.fk_order(),
-                );
-            }
-            // Updated rows adopt their re-estimates at (unchanged) node
-            // ids, overriding the insert estimate for rows appended by
-            // this same run — the vector the fold leaves. Deleted rows
-            // keep a stale entry no reader resolves: the keyword index no
-            // longer returns them and `by_pk` no longer finds them.
-            for (&t, &est) in &overrides {
-                self.scores.scores[self.dg.node_id(t).index()] = est;
-                let mx = &mut self.scores.per_table_max[t.table.index()];
-                *mx = mx.max(est);
-            }
+            self.fk_order = self.db.fk_order();
             for gds in self.gds_by_table.iter_mut().flatten() {
-                gds.set_stats(&self.scores.per_table_max);
+                gds.set_stats(&self.per_table_max);
             }
             for &t in &kw_add {
                 self.kw.add_row(&self.db, t.table, t.row);
@@ -509,11 +485,13 @@ impl SizeLEngine {
 
     /// Stages one mutation of an incremental run: validates it, estimates
     /// the row's score against the state the fold would present, and lands
-    /// it in the open storage batch. On error nothing of `m` is applied.
+    /// it — score included — in the open storage batch. Rows whose final
+    /// tokens join the keyword index at settlement collect in `kw_add`.
+    /// On error nothing of `m` is applied.
     fn stage(
         &mut self,
         batch: &mut ScoredBatch,
-        st: &mut RunState,
+        kw_add: &mut Vec<TupleRef>,
         m: Mutation,
     ) -> Result<(), StorageError> {
         let Mutation { table, op, .. } = m;
@@ -521,20 +499,18 @@ impl SizeLEngine {
         match op {
             MutationOp::Insert { values } => {
                 self.validate_new_row_fks(tid, &values)?;
-                let est = sizel_rank::estimate_appended_score_with(
+                let est = sizel_rank::estimate_appended_score(
                     &self.db,
                     &self.sg,
                     &self.authority,
                     &self.cfg.rank,
-                    &|t| self.run_score(st, t),
+                    &|t| self.db.installed_score(t),
                     tid,
                     &values,
                 );
                 let row = self.db.insert_scored_staged(batch, &table, values, est)?;
-                let tref = TupleRef::new(tid, row);
-                st.appended[tid.index()].push(est);
-                st.spliced.push((tref, est));
-                st.kw_add.push(tref);
+                self.raise_table_max(tid, est);
+                kw_add.push(TupleRef::new(tid, row));
             }
             MutationOp::Update { pk, values } => {
                 self.validate_new_row_fks(tid, &values)?;
@@ -544,22 +520,22 @@ impl SizeLEngine {
                     .ok_or_else(|| StorageError::MissingRow { table: table.clone(), key: pk })?;
                 // Captured before the staged update replaces the slot.
                 let old_values = t.row(row);
-                let est = sizel_rank::estimate_updated_score_with(
+                let est = sizel_rank::estimate_updated_score(
                     &self.db,
                     &self.sg,
                     &self.authority,
                     &self.cfg.rank,
-                    &|t| self.run_score(st, t),
+                    &|t| self.db.installed_score(t),
                     tid,
                     &old_values,
                     &values,
                 );
                 self.db.update_scored_staged(batch, &table, pk, values, est)?;
+                self.raise_table_max(tid, est);
                 self.kw.remove_row(tid, row, &self.db.table(tid).schema, &old_values);
                 let tref = TupleRef::new(tid, row);
-                st.overrides.insert(tref, est);
-                if !st.kw_add.contains(&tref) {
-                    st.kw_add.push(tref);
+                if !kw_add.contains(&tref) {
+                    kw_add.push(tref);
                 }
             }
             MutationOp::Delete { pk } => {
@@ -570,26 +546,16 @@ impl SizeLEngine {
                 let t = self.db.table(tid);
                 self.kw.remove_row(tid, row, &t.schema, &t.row(row));
                 let tref = TupleRef::new(tid, row);
-                st.kw_add.retain(|&t| t != tref);
+                kw_add.retain(|&t| t != tref);
             }
         }
         Ok(())
     }
 
-    /// The score resolver of an open run (see
-    /// [`SizeLEngine::apply_incremental_run`]): a row's re-estimate if
-    /// the run updated it, the current vector for pre-run rows, the
-    /// recorded insert estimate for rows the run appended.
-    fn run_score(&self, st: &RunState, t: TupleRef) -> f64 {
-        if let Some(&s) = st.overrides.get(&t) {
-            return s;
-        }
-        let old = st.old_len[t.table.index()];
-        if t.row.index() < old {
-            self.scores.global(self.dg.node_id(t))
-        } else {
-            st.appended[t.table.index()][t.row.index() - old]
-        }
+    /// Folds a staged estimate into the table's maximum.
+    fn raise_table_max(&mut self, tid: TableId, est: f64) {
+        let mx = &mut self.per_table_max[tid.index()];
+        *mx = mx.max(est);
     }
 
     /// The RESTRICT check before a delete: a row live rows still
@@ -607,8 +573,9 @@ impl SizeLEngine {
 
     /// Runs the bounded rank re-iteration ([`sizel_rank::reiterate`]) and
     /// re-installs the importance order under the refreshed scores: a few
-    /// power sweeps over the current database, seeded from the
-    /// incrementally-maintained (stale) score vector. This is the
+    /// power sweeps over the current database, over a solve-local data
+    /// graph, seeded from the incrementally-maintained (stale) installed
+    /// snapshots. This is the
     /// replacement for the exact-rebuild escape hatch after update/delete
     /// churn — the sweeps recover near-exact global importance (≤ 1%
     /// relative L1 after three sweeps on the reference fixture, pinned by
@@ -617,20 +584,21 @@ impl SizeLEngine {
     /// [`RefreshPolicy::Exact`]. The epoch advances so serving layers
     /// drop cache entries computed under the superseded scores.
     pub fn reiterate(&mut self, sweeps: u32) -> Epoch {
-        let mut scores = sizel_rank::reiterate(
+        let dg = DataGraph::build(&self.db, &self.sg);
+        let scores = sizel_rank::reiterate(
             &self.db,
             &self.sg,
-            &self.dg,
+            &dg,
             &self.authority,
             &self.cfg.rank,
-            &self.scores,
+            &|t| self.db.installed_score(t),
             sweeps,
         );
         self.db.bump_epoch();
-        sizel_rank::install_importance_order(&mut self.db, &self.dg, &mut scores);
-        self.scores = scores;
+        self.fk_order = Some(sizel_rank::install_importance_order(&mut self.db, &dg, &scores));
+        self.per_table_max = scores.per_table_max;
         for gds in self.gds_by_table.iter_mut().flatten() {
-            gds.set_stats(&self.scores.per_table_max);
+            gds.set_stats(&self.per_table_max);
         }
         self.db.epoch()
     }
@@ -712,7 +680,7 @@ impl SizeLEngine {
         self.db.rebuild_postings_from_installed().ok_or_else(|| {
             StorageError::Durability("checkpoint requires installed importance scores".into())
         })?;
-        self.scores.fk_order = self.db.fk_order();
+        self.fk_order = self.db.fk_order();
         let generation = store
             .checkpoint_from(&self.db, &paged)
             .map_err(|e| StorageError::Durability(e.to_string()))?;
@@ -749,8 +717,8 @@ impl SizeLEngine {
     /// Checks that a prospective row has the right arity and that every
     /// FK resolves in the catalog (the per-row analogue of
     /// [`Database::validate_foreign_keys`], run *before* the insert so a
-    /// dangling reference cannot poison the data graph and a short row
-    /// cannot be indexed by the incremental score estimate).
+    /// dangling reference cannot drop an edge from the summaries and a
+    /// short row cannot be indexed by the incremental score estimate).
     fn validate_new_row_fks(&self, table: TableId, values: &[Value]) -> Result<(), StorageError> {
         let schema = &self.db.table(table).schema;
         if values.len() != schema.arity() {
@@ -789,14 +757,15 @@ impl SizeLEngine {
         &self.db
     }
 
-    /// The global importance scores.
-    pub fn scores(&self) -> &RankScores {
-        &self.scores
+    /// A tuple's global importance: its table's installed score.
+    pub fn score(&self, t: TupleRef) -> f64 {
+        self.db.installed_score(t)
     }
 
-    /// The data graph (for stats reporting).
-    pub fn data_graph(&self) -> &DataGraph {
-        &self.dg
+    /// Per table, the maximum global importance (the GDS `max(Ri)`
+    /// stats).
+    pub fn per_table_max(&self) -> &[f64] {
+        &self.per_table_max
     }
 
     /// The GDS(θ) of a DS relation; panics if `table` was not configured
@@ -812,7 +781,7 @@ impl SizeLEngine {
     /// `tests/alloc_guard.rs`). Panics if `table` was not configured as a
     /// DS relation.
     pub fn context(&self, table: TableId) -> OsContext<'_> {
-        OsContext::new(&self.db, &self.sg, &self.dg, self.gds(table), &self.scores)
+        OsContext::new(&self.db, &self.sg, self.gds(table), self.fk_order)
     }
 
     /// Runs a keyword query with default options (l = 15, Top-Path,
@@ -836,11 +805,7 @@ impl SizeLEngine {
     /// serving layer can memoize it per `(tds, options)` across queries.
     pub fn ds_hits(&self, keywords: &str) -> Vec<TupleRef> {
         let mut hits = self.kw.search(keywords);
-        hits.sort_by(|a, b| {
-            let sa = self.scores.global(self.dg.node_id(*a));
-            let sb = self.scores.global(self.dg.node_id(*b));
-            sb.total_cmp(&sa).then(a.cmp(b))
-        });
+        hits.sort_by(|&a, &b| self.score(b).total_cmp(&self.score(a)).then(a.cmp(&b)));
         hits.truncate(self.cfg.max_results);
         hits
     }
@@ -879,7 +844,7 @@ impl SizeLEngine {
             QueryResult {
                 tds,
                 ds_label: self.ds_label(tds),
-                global_score: self.scores.global(self.dg.node_id(tds)),
+                global_score: self.score(tds),
                 input_os_size,
                 result,
                 summary,
@@ -1153,23 +1118,29 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_amortizes_to_one_graph_rebuild() {
+    fn incremental_writes_build_no_data_graph() {
+        // Neither a batch nor the fold of single applies builds a data
+        // graph: every structure a write touches is maintained in place.
+        // A re-iteration builds one, for its solve.
         let mut batched = fresh_engine(generate(&DblpConfig::tiny()));
         let mut folded = fresh_engine(generate(&DblpConfig::tiny()));
         let script = batch_script(&batched);
-        let n = script.len() as u64;
 
         let before = batched.db().access().maint();
         batched.apply_batch(script.clone()).unwrap();
         let batch_work = batched.db().access().maint().since(before);
-        assert_eq!(batch_work.graph_builds, 1, "one DataGraph rebuild per batch: {batch_work:?}");
+        assert_eq!(batch_work.graph_builds, 0, "a batch builds no data graph: {batch_work:?}");
 
         let before = folded.db().access().maint();
         for m in script {
             folded.apply(m).unwrap();
         }
         let fold_work = folded.db().access().maint().since(before);
-        assert_eq!(fold_work.graph_builds, n, "the fold rebuilds per insert: {fold_work:?}");
+        assert_eq!(fold_work.graph_builds, 0, "a single apply builds none: {fold_work:?}");
+
+        let before = folded.db().access().maint();
+        folded.reiterate(1);
+        assert_eq!(folded.db().access().maint().since(before).graph_builds, 1);
     }
 
     #[test]

@@ -6,19 +6,21 @@
 //! the paper's §6.3 comparison:
 //!
 //! * [`OsSource::DataGraph`] — the in-memory index ("the OSs are generated
-//!   much faster using the data graph"): a forward step reads the data
-//!   graph's `fwd`, a backward or junction step the FK runs of the
+//!   much faster using the data graph"), which lives in the tables: a
+//!   forward step reads the referencing table's forward array
+//!   (`Table::forward`), a backward or junction step the FK runs of the
 //!   referencing table, nothing counted,
 //! * [`OsSource::Database`] — the SQL-shaped joins of Algorithm 5 line 6,
 //!   every probe counted by the storage layer's access counter, a forward
 //!   FK resolved by a PK probe, and TOP-l probes of paged tables served
 //!   through the pager.
 //!
-//! Both read the same FK runs, so they yield the same OS node for node;
-//! the comparison is accounting plus forward resolution.
+//! Both read the same FK runs, and a forward array equals a fresh PK
+//! probe of every live row's key, so they yield the same OS node for
+//! node; the comparison is accounting plus forward resolution. Local
+//! importance reads each table's installed score snapshot.
 
-use sizel_graph::{DataGraph, Direction, Gds, GdsNode, GdsNodeId, JoinSpec, SchemaGraph};
-use sizel_rank::RankScores;
+use sizel_graph::{Direction, Gds, GdsNode, GdsNodeId, JoinSpec, SchemaGraph};
 use sizel_storage::{Database, FkOrderToken, RowId, TupleRef};
 
 use crate::os::{FetchScratch, Os, OsArenaPool};
@@ -33,44 +35,42 @@ pub enum OsSource {
     Database,
 }
 
-/// Everything OS generation needs, borrowed from the engine: database,
-/// schema graph, data graph, a GDS(θ) with stats, and global importance.
+/// Everything OS generation needs, borrowed from the engine: the
+/// database (whose tables hold the installed global importance), its
+/// schema graph, and a GDS(θ) with stats.
 pub struct OsContext<'a> {
     /// The database.
     pub db: &'a Database,
     /// Its schema graph.
     pub sg: &'a SchemaGraph,
-    /// The tuple-level data graph.
-    pub dg: &'a DataGraph,
     /// The (restricted) GDS for the DS relation, with `max/mmax` stats set.
     pub gds: &'a Gds,
-    /// Global importance scores.
-    pub scores: &'a RankScores,
-    /// The database's installed importance order, when it matches these
-    /// scores — unlocks the sorted-posting prefix scan in
-    /// [`Database::select_eq_top_l`] and its junction sibling.
-    /// `None` (heap fallback) when the scores never stamped an order or
+    /// The database's installed importance order, when it matches the
+    /// token the context was built with — unlocks the sorted-posting
+    /// prefix scan in [`Database::select_eq_top_l`] and its junction
+    /// sibling. `None` (heap fallback) when no token was handed in or
     /// the database was re-ordered or mutated since.
     fk_order: Option<FkOrderToken>,
 }
 
 impl<'a> OsContext<'a> {
-    /// Builds a context. Allocation-free — the engine builds one per
-    /// query.
+    /// Builds a context over `db`'s installed scores (panics on a read
+    /// where a table has none). `fk_order` is the token of the install
+    /// the caller synchronized to; `None` forces the heap path.
+    /// Allocation-free — the engine builds one per query.
     pub fn new(
         db: &'a Database,
         sg: &'a SchemaGraph,
-        dg: &'a DataGraph,
         gds: &'a Gds,
-        scores: &'a RankScores,
+        fk_order: Option<FkOrderToken>,
     ) -> Self {
-        let fk_order = scores.fk_order.filter(|t| db.fk_order() == Some(*t));
-        OsContext { db, sg, dg, gds, scores, fk_order }
+        let fk_order = fk_order.filter(|t| db.fk_order() == Some(*t));
+        OsContext { db, sg, gds, fk_order }
     }
 
     /// Local importance `Im(OS, t_i) = Im(t_i) · Af(R_i)` (Equation 3).
     pub fn local_importance(&self, gds_node: GdsNodeId, tuple: TupleRef) -> f64 {
-        self.scores.global(self.dg.node_id(tuple)) * self.gds.node(gds_node).affinity
+        self.db.installed_score(tuple) * self.gds.node(gds_node).affinity
     }
 
     /// Fetches the tuples of GDS node `child` joining with `parent_tuple`.
@@ -101,8 +101,9 @@ impl<'a> OsContext<'a> {
         match &node.join {
             JoinSpec::Root => {}
             JoinSpec::Step { edge, dir: Direction::Forward } => {
-                if let Some(t) = self.dg.fwd_neighbor(*edge, parent.row) {
-                    out.push(self.dg.tuple_of(t));
+                let e = self.sg.edge(*edge);
+                if let Some(r) = self.db.table(parent.table).forward(e.fk_col).get(parent.row) {
+                    out.push(TupleRef::new(e.to, r));
                 }
             }
             JoinSpec::Step { edge, dir: Direction::Backward } => {
@@ -113,11 +114,11 @@ impl<'a> OsContext<'a> {
             }
             JoinSpec::ViaJunction { junction, e_in, e_out, exclude_parent } => {
                 let pk = self.db.table(parent.table).pk_of(parent.row);
-                let to = self.sg.edge(*e_out).to;
-                let to_start = self.dg.table_start(to);
-                for &j in self.db.table(*junction).rows_where_eq(self.sg.edge(*e_in).fk_col, pk) {
-                    let Some(t) = self.dg.fwd_neighbor(*e_out, j) else { continue };
-                    let tuple = TupleRef::new(to, RowId(t.0 - to_start));
+                let (jt, e2) = (self.db.table(*junction), self.sg.edge(*e_out));
+                let fwd = jt.forward(e2.fk_col);
+                for &j in jt.rows_where_eq(self.sg.edge(*e_in).fk_col, pk) {
+                    let Some(r) = fwd.get(j) else { continue };
+                    let tuple = TupleRef::new(e2.to, r);
                     if *exclude_parent && Some(tuple) == grandparent {
                         continue;
                     }
@@ -354,7 +355,7 @@ pub fn generate_os_pooled(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::test_fixtures::{dblp_fixture, tpch_fixture};
+    use crate::test_fixtures::{build_dblp, dblp_fixture, tpch_fixture};
 
     /// Both sources give the same OS for `tds`, node for node: tuple, GDS
     /// node, parent and weight bits, in BFS order.
@@ -376,8 +377,7 @@ pub(crate) mod tests {
         // posting order; TPC-H's Supplier GDS steps backward over plain
         // FK edges, DBLP's through junctions.
         let f = dblp_fixture();
-        let (ctx, paper_ctx) =
-            (f.ctx(), OsContext::new(&f.dblp.db, &f.sg, &f.dg, &f.paper_gds, &f.scores));
+        let (ctx, paper_ctx) = (f.ctx(), f.ctx_over(&f.paper_gds));
         for i in 0..4 {
             assert_sources_agree(&ctx, f.author_tds(i));
             assert_sources_agree(&paper_ctx, TupleRef::new(f.dblp.paper, RowId(i as u32)));
@@ -419,7 +419,8 @@ pub(crate) mod tests {
 
     #[test]
     fn database_mode_counts_joins() {
-        let f = dblp_fixture();
+        // A private fixture: the counter is reset and read back.
+        let f = build_dblp();
         let ctx = f.ctx();
         let tds = f.author_tds(0);
         f.dblp.db.access().reset();
@@ -465,8 +466,7 @@ pub(crate) mod tests {
         let tds = f.author_tds(1);
         let os = generate_os(&ctx, tds, None, OsSource::DataGraph);
         for (_, n) in os.iter() {
-            let expect =
-                ctx.scores.global(ctx.dg.node_id(n.tuple)) * ctx.gds.node(n.gds_node).affinity;
+            let expect = ctx.db.installed_score(n.tuple) * ctx.gds.node(n.gds_node).affinity;
             assert!((n.weight - expect).abs() < 1e-12);
         }
     }

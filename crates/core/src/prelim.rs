@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use crate::algo::{BottomUp, DpKnapsack, SizeLAlgorithm};
     use crate::osgen::generate_os;
-    use crate::test_fixtures::{dblp_fixture, tpch_fixture};
+    use crate::test_fixtures::{build_dblp, build_tpch, dblp_fixture};
     use std::collections::HashSet;
 
     #[test]
@@ -224,23 +224,13 @@ mod tests {
         // Force exact depth-monotonicity by using uniform global scores:
         // local importance then equals the GDS affinity, which Equation 1
         // makes non-increasing along every path. Lemma 3 must then hold:
-        // the prelim-l OS contains an optimal size-l OS.
-        let f = dblp_fixture();
-        let uniform = sizel_rank::RankScores {
-            scores: vec![1.0; f.dg.n_nodes()],
-            iterations: 0,
-            converged: true,
-            per_table_max: vec![1.0; f.dblp.db.table_count()],
-            fk_order: None,
-        };
-        let ctx = {
-            let mut gds = f.gds.clone();
-            gds.set_stats(&uniform.per_table_max);
-            // Rebuild a context over the uniform scores.
-            (gds, uniform)
-        };
-        let (gds, scores) = &ctx;
-        let octx = OsContext::new(&f.dblp.db, &f.sg, &f.dg, gds, scores);
+        // the prelim-l OS contains an optimal size-l OS. The uniform
+        // scores are installed into a private database.
+        let mut f = build_dblp();
+        let token = f.dblp.db.install_importance_order(&|_, _| 1.0);
+        let mut gds = f.gds.clone();
+        gds.set_stats(&vec![1.0; f.dblp.db.table_count()]);
+        let octx = OsContext::new(&f.dblp.db, &f.sg, &gds, Some(token));
         let mut checked = 0;
         for i in 0..5 {
             let tds = f.author_tds(i);
@@ -272,7 +262,8 @@ mod tests {
 
     #[test]
     fn avoidance_conditions_save_accesses_in_database_mode() {
-        let f = tpch_fixture();
+        // A private fixture: the counter is reset and read back.
+        let f = build_tpch();
         let ctx = f.supplier_ctx();
         let suppliers = f.tpch.db.table(f.tpch.supplier);
         let tds = TupleRef::new(f.tpch.supplier, suppliers.iter().next().expect("rows").0);
@@ -298,12 +289,11 @@ mod tests {
         // installed order attested, they run as sorted-link prefix scans;
         // with it withheld, as heap passes. Both the generated OS and the
         // paper-cost accounting must be byte-identical, and the fast run
-        // must actually prefix-scan (probe mix).
-        let f = dblp_fixture();
+        // must actually prefix-scan (probe mix). A private fixture: the
+        // counter is diffed.
+        let f = build_dblp();
         let fast_ctx = f.ctx();
-        let mut blind = f.scores.clone();
-        blind.fk_order = None;
-        let heap_ctx = OsContext::new(&f.dblp.db, &f.sg, &f.dg, &f.gds, &blind);
+        let heap_ctx = OsContext::new(&f.dblp.db, &f.sg, &f.gds, None);
         for i in 0..4 {
             let tds = f.author_tds(i);
             for l in [1usize, 5, 12] {
@@ -343,8 +333,7 @@ mod tests {
         // probes keep a fast-path ratio of 1.0 without any reinstall,
         // byte-identical to a token-less heap run.
         use sizel_datagen::dblp::{generate, DblpConfig};
-        use sizel_graph::{presets, DataGraph, Gds, SchemaGraph};
-        use sizel_rank::RankScores;
+        use sizel_graph::{presets, Gds, SchemaGraph};
         use sizel_storage::{Database, RowId, TableId, Value};
 
         let mut d = generate(&DblpConfig::tiny());
@@ -402,30 +391,17 @@ mod tests {
 
         // Rebuild the read stack over the database (FK-consistent
         // again) with the *maintained* scores as the global importance.
-        let dg = DataGraph::build(&d.db, &sg);
         let mut per_table_max = vec![0.0f64; d.db.table_count()];
-        let mut dense = Vec::with_capacity(d.db.total_tuples());
         for (tid, t) in d.db.tables() {
-            for (r, _) in t.iter() {
-                let s = t.installed_score(r);
-                dense.push(s);
-                per_table_max[tid.index()] = per_table_max[tid.index()].max(s);
+            for r in t.live_rows() {
+                per_table_max[tid.index()] = per_table_max[tid.index()].max(t.installed_score(r));
             }
         }
-        let scores = RankScores {
-            scores: dense,
-            iterations: 0,
-            converged: true,
-            per_table_max,
-            fk_order: d.db.fk_order(),
-        };
         let mut gds =
             Gds::build(&d.db, &sg, &presets::dblp_author_gds_config(), d.author).restrict(0.7);
-        gds.set_stats(&scores.per_table_max);
-        let ctx = OsContext::new(&d.db, &sg, &dg, &gds, &scores);
-        let mut blind = scores.clone();
-        blind.fk_order = None;
-        let heap_ctx = OsContext::new(&d.db, &sg, &dg, &gds, &blind);
+        gds.set_stats(&per_table_max);
+        let ctx = OsContext::new(&d.db, &sg, &gds, d.db.fk_order());
+        let heap_ctx = OsContext::new(&d.db, &sg, &gds, None);
 
         let tds = TupleRef::new(d.author, RowId(0));
         d.db.access().reset();
@@ -454,8 +430,7 @@ mod tests {
         // no key to probe, so neither generator may count a join for it:
         // the paper-cost `joins` of prelim-l and complete generation agree
         // on both sources (prelim once counted a probe it never issued).
-        use sizel_graph::{AffinityModel, DataGraph, Gds, GdsConfig, SchemaGraph};
-        use sizel_rank::RankScores;
+        use sizel_graph::{AffinityModel, Gds, GdsConfig, SchemaGraph};
         use sizel_storage::{Database, RowId, TableSchema, Value, ValueType};
 
         let mut db = Database::new();
@@ -472,22 +447,15 @@ mod tests {
         db.insert("Year", vec![Value::Int(1), Value::Int(1999)]).unwrap();
         db.insert("Paper", vec![Value::Int(10), "dated".into(), Value::Int(1)]).unwrap();
         db.insert("Paper", vec![Value::Int(11), "undated".into(), Value::Null]).unwrap();
+        // Year 1.0; Papers 1.0 and 2.0.
         let fk_order = Some(db.install_importance_order(&|_, r| 1.0 + r.index() as f64));
 
         let sg = SchemaGraph::from_database(&db);
-        let dg = DataGraph::build(&db, &sg);
-        let scores = RankScores {
-            scores: vec![1.0, 1.0, 2.0],
-            iterations: 0,
-            converged: true,
-            per_table_max: vec![1.0, 2.0],
-            fk_order,
-        };
         let cfg = GdsConfig { affinity: AffinityModel::manual(&[], 0.9), ..GdsConfig::default() };
         let mut gds = Gds::build(&db, &sg, &cfg, paper);
-        gds.set_stats(&scores.per_table_max);
+        gds.set_stats(&[1.0, 2.0]);
         assert_eq!(gds.len(), 2, "Paper -> Year and nothing else");
-        let ctx = OsContext::new(&db, &sg, &dg, &gds, &scores);
+        let ctx = OsContext::new(&db, &sg, &gds, fk_order);
 
         for (row, probes) in [(RowId(0), 1), (RowId(1), 0)] {
             let tds = TupleRef::new(paper, row);

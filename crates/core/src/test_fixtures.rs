@@ -1,11 +1,15 @@
-//! Shared test fixtures: small DBLP / TPC-H stacks built once per process.
+//! Shared test fixtures: small DBLP / TPC-H stacks built once per process
+//! ([`dblp_fixture`], [`tpch_fixture`]). A test that resets or diffs the
+//! database's access counter builds a private one instead
+//! ([`build_dblp`], [`build_tpch`]): tests running in parallel probe the
+//! shared fixtures' counters too.
 
 use std::sync::OnceLock;
 
 use sizel_datagen::dblp::{self, Dblp, DblpConfig};
 use sizel_datagen::tpch::{self, Tpch, TpchConfig};
 use sizel_graph::{presets, DataGraph, Gds, SchemaGraph};
-use sizel_rank::{compute, dblp_ga, tpch_ga, GaPreset, RankConfig, RankScores};
+use sizel_rank::{compute, dblp_ga, tpch_ga, GaPreset, RankConfig};
 use sizel_storage::{Database, RowId, TupleRef};
 
 use crate::engine::QueryResult;
@@ -61,14 +65,10 @@ pub struct DblpFixture {
     pub dblp: Dblp,
     /// Schema graph.
     pub sg: SchemaGraph,
-    /// Data graph.
-    pub dg: DataGraph,
     /// Author GDS(0.7) with stats.
     pub gds: Gds,
     /// Paper GDS(0.7) with stats.
     pub paper_gds: Gds,
-    /// GA1-d1 global importance.
-    pub scores: RankScores,
     /// Author rows ordered by descending paper count (fixture queries use
     /// `author_tds(i)` to get interesting DSs).
     pub authors_by_degree: Vec<RowId>,
@@ -77,7 +77,12 @@ pub struct DblpFixture {
 impl DblpFixture {
     /// An [`OsContext`] over the Author GDS.
     pub fn ctx(&self) -> OsContext<'_> {
-        OsContext::new(&self.dblp.db, &self.sg, &self.dg, &self.gds, &self.scores)
+        self.ctx_over(&self.gds)
+    }
+
+    /// An [`OsContext`] over `gds`, under the installed GA1-d1 order.
+    pub fn ctx_over<'a>(&'a self, gds: &'a Gds) -> OsContext<'a> {
+        OsContext::new(&self.dblp.db, &self.sg, gds, self.dblp.db.fk_order())
     }
 
     /// The `i`-th most prolific author as a `t_DS`.
@@ -86,13 +91,15 @@ impl DblpFixture {
     }
 }
 
-fn build_dblp() -> DblpFixture {
+/// Builds a private tiny DBLP stack: GA1-d1 scores installed, GDSs with
+/// stats.
+pub(crate) fn build_dblp() -> DblpFixture {
     let mut d = dblp::generate(&DblpConfig::tiny());
     let sg = SchemaGraph::from_database(&d.db);
     let dg = DataGraph::build(&d.db, &sg);
     let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
-    let mut scores = compute(&d.db, &sg, &dg, &ga, &RankConfig::default());
-    sizel_rank::install_importance_order(&mut d.db, &dg, &mut scores);
+    let scores = compute(&d.db, &sg, &dg, &ga, &RankConfig::default());
+    sizel_rank::install_importance_order(&mut d.db, &dg, &scores);
 
     let mut gds =
         Gds::build(&d.db, &sg, &presets::dblp_author_gds_config(), d.author).restrict(0.7);
@@ -111,7 +118,7 @@ fn build_dblp() -> DblpFixture {
     by_degree.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     let authors_by_degree = by_degree.into_iter().map(|(_, r)| r).collect();
 
-    DblpFixture { dblp: d, sg, dg, gds, paper_gds, scores, authors_by_degree }
+    DblpFixture { dblp: d, sg, gds, paper_gds, authors_by_degree }
 }
 
 /// The process-wide tiny DBLP fixture.
@@ -126,37 +133,35 @@ pub struct TpchFixture {
     pub tpch: Tpch,
     /// Schema graph.
     pub sg: SchemaGraph,
-    /// Data graph.
-    pub dg: DataGraph,
     /// Customer GDS(0.7) with stats.
     pub customer_gds: Gds,
     /// Supplier GDS(0.7) with stats.
     pub supplier_gds: Gds,
-    /// GA1-d1 (ValueRank) global importance.
-    pub scores: RankScores,
 }
 
 impl TpchFixture {
     /// An [`OsContext`] over the Supplier GDS.
     pub fn supplier_ctx(&self) -> OsContext<'_> {
-        OsContext::new(&self.tpch.db, &self.sg, &self.dg, &self.supplier_gds, &self.scores)
+        OsContext::new(&self.tpch.db, &self.sg, &self.supplier_gds, self.tpch.db.fk_order())
     }
 }
 
-fn build_tpch() -> TpchFixture {
+/// Builds a private tiny TPC-H stack: GA1-d1 (ValueRank) scores
+/// installed, GDSs with stats.
+pub(crate) fn build_tpch() -> TpchFixture {
     let mut t = tpch::generate(&TpchConfig::tiny());
     let sg = SchemaGraph::from_database(&t.db);
     let dg = DataGraph::build(&t.db, &sg);
     let ga = tpch_ga(GaPreset::Ga1, &t.db, &sg, &dg);
-    let mut scores = compute(&t.db, &sg, &dg, &ga, &RankConfig::default());
-    sizel_rank::install_importance_order(&mut t.db, &dg, &mut scores);
+    let scores = compute(&t.db, &sg, &dg, &ga, &RankConfig::default());
+    sizel_rank::install_importance_order(&mut t.db, &dg, &scores);
     let mut customer_gds =
         Gds::build(&t.db, &sg, &presets::tpch_customer_gds_config(), t.customer).restrict(0.7);
     customer_gds.set_stats(&scores.per_table_max);
     let mut supplier_gds =
         Gds::build(&t.db, &sg, &presets::tpch_supplier_gds_config(), t.supplier).restrict(0.7);
     supplier_gds.set_stats(&scores.per_table_max);
-    TpchFixture { tpch: t, sg, dg, customer_gds, supplier_gds, scores }
+    TpchFixture { tpch: t, sg, customer_gds, supplier_gds }
 }
 
 /// The process-wide tiny TPC-H fixture.

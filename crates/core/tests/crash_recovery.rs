@@ -23,7 +23,7 @@ use sizel_datagen::dblp::{generate, Dblp, DblpConfig};
 use sizel_disk::page::LINK_PER_PAGE;
 use sizel_disk::{PagedStore, Wal};
 use sizel_graph::{presets, DataGraph, Gds, GdsConfig, JoinSpec, SchemaGraph};
-use sizel_rank::{dblp_ga, AuthorityGraph, GaPreset, RankConfig, RankScores};
+use sizel_rank::{dblp_ga, AuthorityGraph, GaPreset, RankConfig};
 use sizel_storage::{Database, TableSchema, TupleRef, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -319,9 +319,7 @@ fn a_checkpoint_of_the_dblp_posting_tables_costs_at_most_24_bytes_per_entry() {
 struct JunctionStack {
     db: Database,
     sg: SchemaGraph,
-    dg: DataGraph,
     gds: Gds,
-    scores: RankScores,
 }
 
 const JUNCTION_GROUPS: [usize; 9] = [
@@ -373,12 +371,12 @@ fn junction_stack() -> JunctionStack {
     let sg = SchemaGraph::from_database(&db);
     let dg = DataGraph::build(&db, &sg);
     let ga = AuthorityGraph::uniform("uniform", &sg, &dg, 0.3);
-    let mut scores = sizel_rank::compute(&db, &sg, &dg, &ga, &RankConfig::default());
-    sizel_rank::install_importance_order(&mut db, &dg, &mut scores);
+    let scores = sizel_rank::compute(&db, &sg, &dg, &ga, &RankConfig::default());
+    sizel_rank::install_importance_order(&mut db, &dg, &scores);
     let parent = db.table_id("Parent").unwrap();
     let mut gds = Gds::build(&db, &sg, &GdsConfig { theta: 0.0, ..GdsConfig::default() }, parent);
     gds.set_stats(&scores.per_table_max);
-    JunctionStack { db, sg, dg, gds, scores }
+    JunctionStack { db, sg, gds }
 }
 
 /// The accounted junction TOP-l probe (`children_of_top_l` over a
@@ -396,7 +394,7 @@ fn junction_probes_over_every_packing_boundary_account_identically_from_pages() 
         .iter()
         .find(|(_, n)| matches!(n.join, JoinSpec::ViaJunction { junction, .. } if junction == rel))
         .expect("Parent reaches Child through the Rel junction");
-    let ram_ctx = OsContext::new(&ram.db, &ram.sg, &ram.dg, &ram.gds, &ram.scores);
+    let ram_ctx = OsContext::new(&ram.db, &ram.sg, &ram.gds, ram.db.fk_order());
     let tds = |key: usize| {
         TupleRef::new(parent_t, ram.db.table(parent_t).by_pk(key as i64).expect("a parent row"))
     };
@@ -424,7 +422,7 @@ fn junction_probes_over_every_packing_boundary_account_identically_from_pages() 
         store.checkpoint_from(&paged.db, &[rel]).unwrap();
         paged.db.evict_table_postings(rel);
         paged.db.set_pager(Arc::<PagedStore>::clone(&store));
-        let paged_ctx = OsContext::new(&paged.db, &paged.sg, &paged.dg, &paged.gds, &paged.scores);
+        let paged_ctx = OsContext::new(&paged.db, &paged.sg, &paged.gds, paged.db.fk_order());
 
         let mut cut_short = 0;
         for (key, &group) in JUNCTION_GROUPS.iter().enumerate() {

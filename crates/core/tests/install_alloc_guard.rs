@@ -62,9 +62,9 @@ fn install_allocations(cfg: &DblpConfig) -> (u64, usize, usize) {
     let sg = SchemaGraph::from_database(&db);
     let dg = DataGraph::build(&db, &sg);
     let authority = dblp_ga(GaPreset::Ga1, &db, &sg, &dg);
-    let mut scores = compute(&db, &sg, &dg, &authority, &RankConfig::default());
+    let scores = compute(&db, &sg, &dg, &authority, &RankConfig::default());
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    install_importance_order(&mut db, &dg, &mut scores);
+    install_importance_order(&mut db, &dg, &scores);
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
     let keys =
         db.tables().flat_map(|(_, t)| t.sorted_fk_indexes().map(|(_, idx)| idx.key_count())).sum();

@@ -1,8 +1,8 @@
-//! Integration oracle for the full mutation model (ISSUE 6 tentpole):
+//! Integration oracle for the full mutation model:
 //! [`SizeLEngine::apply`] / [`apply_batch`] over **insert, update, and
 //! delete** mutations must keep every derived layer — keyword index,
-//! data graph, rank scores, sorted FK and link postings — in lockstep,
-//! under both refresh policies.
+//! forward arrays, installed rank scores, sorted FK and link postings —
+//! in lockstep, under both refresh policies.
 //!
 //! [`apply_batch`]: SizeLEngine::apply_batch
 
@@ -12,7 +12,7 @@ use sizel_core::test_fixtures::{max_pk, result_fingerprint as fingerprint};
 use sizel_datagen::dblp::{generate, Dblp, DblpConfig};
 use sizel_graph::presets;
 use sizel_rank::{dblp_ga, GaPreset};
-use sizel_storage::{StorageError, Value};
+use sizel_storage::{Database, StorageError, Value};
 
 fn fresh_engine(d: Dblp) -> SizeLEngine {
     SizeLEngine::build(
@@ -64,6 +64,36 @@ fn mixed_script(e: &SizeLEngine) -> Vec<Mutation> {
     ]
 }
 
+/// Every table's forward arrays equal a fresh `by_pk` resolution of its
+/// live rows' keys.
+fn assert_forward_resolved(db: &Database) {
+    for (_, t) in db.tables() {
+        for fk in &t.schema.fks {
+            let target = db.table(db.table_id(&fk.ref_table).unwrap());
+            for r in t.live_rows() {
+                let fresh = t.value(r, fk.column).as_int().and_then(|k| target.by_pk(k));
+                assert_eq!(t.forward(fk.column).get(r), fresh, "{}.{fk:?} {r:?}", t.schema.name);
+            }
+        }
+    }
+}
+
+/// Both databases' tables hold the same installed score in every row
+/// slot, to the bit.
+fn assert_same_scores(a: &Database, b: &Database) {
+    for ((_, x), (_, y)) in a.tables().zip(b.tables()) {
+        assert_eq!(x.len(), y.len(), "{}", x.schema.name);
+        for r in (0..x.len() as u32).map(sizel_storage::RowId) {
+            assert_eq!(
+                x.installed_score(r).to_bits(),
+                y.installed_score(r).to_bits(),
+                "{} {r:?}",
+                x.schema.name
+            );
+        }
+    }
+}
+
 fn existing_keyword(e: &SizeLEngine) -> String {
     let tid = e.db().table_id("Author").unwrap();
     let name = e.db().table(tid).value(sizel_storage::RowId(0), 1).as_str().unwrap().to_owned();
@@ -90,7 +120,7 @@ fn mixed_batch_is_byte_identical_to_the_fold_across_churn_and_compaction() {
     let before = batched.db().access().maint();
     let be = batched.apply_batch(script.clone()).unwrap();
     let batch_work = batched.db().access().maint().since(before);
-    assert_eq!(batch_work.graph_builds, 1, "one DataGraph rebuild per mixed batch: {batch_work:?}");
+    assert_eq!(batch_work.graph_builds, 0, "a mixed batch builds no data graph: {batch_work:?}");
     // The batch updates two link targets (an Author, a Paper); their
     // junction pairs re-sort in place.
     assert_eq!(batch_work.link_rebuilds, 0, "no link rebuild: {batch_work:?}");
@@ -99,6 +129,10 @@ fn mixed_batch_is_byte_identical_to_the_fold_across_churn_and_compaction() {
         fe = folded.apply(m).unwrap();
     }
     assert_eq!(be, fe, "epochs");
+    assert_forward_resolved(batched.db());
+    assert_forward_resolved(folded.db());
+    assert_same_scores(batched.db(), folded.db());
+    assert_eq!(batched.per_table_max(), folded.per_table_max());
 
     for kw in probe_keywords(&existing) {
         for opts in [
@@ -158,6 +192,8 @@ fn exact_mixed_stream_is_byte_identical_to_fresh_rebuild_at_every_epoch() {
             }
         }
         let rebuilt = fresh_engine(d);
+        assert_forward_resolved(live.db());
+        assert_same_scores(live.db(), rebuilt.db());
 
         for kw in probe_keywords(&existing) {
             for opts in [
@@ -187,6 +223,7 @@ fn incremental_mixed_stream_stays_consistent_and_reiterate_refreshes_ranks() {
     let existing = existing_keyword(&live);
     for m in mixed_script(&live) {
         live.apply(m).unwrap();
+        assert_forward_resolved(live.db());
     }
 
     // Updated tokens serve; renamed-away and deleted tokens are dark.

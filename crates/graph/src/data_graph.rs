@@ -1,24 +1,23 @@
-//! The tuple-level data graph: dense node ids and the forward side of
-//! every FK relationship.
+//! The tuple-level data graph: dense node ids and the collapsed M:N
+//! links, for one rank solve.
 //!
 //! Section 6.3 of the paper: "our data-graph nodes correspond to the
 //! database tuples and edges to tuples relationships (through their primary
 //! and foreign keys). Note that the data-graph is only an index and does not
 //! contain actual data as nodes capture only keys and global importance."
 //!
-//! Representation:
+//! The index lives in the tables: each FK column's runs hold every
+//! parent's children (`Table::rows_where_eq`), its forward array each
+//! row's parent (`Table::forward`), and each table's installed score
+//! snapshot the rows' global importance. What a rank solve needs on top
+//! is a dense numbering of the tuples, to index its iteration vectors,
+//! and the links its authority graph rates; that is this type. A solve
+//! builds one, reads the tables through it, and drops it
+//! (`sizel_rank::power`):
 //! * every tuple gets a dense [`NodeId`] (`starts[table] + row`),
-//! * every FK edge gets forward adjacency (`Vec<u32>`, the parent node of
-//!   each referencing row) — the one direction storage cannot answer
-//!   without a PK probe,
 //! * every junction table is described by two directed [`MnLink`]s
 //!   (Author -> Papers, Paper -> CoAuthors, citing -> cited, cited ->
 //!   citing), the units the authority graph rates.
-//!
-//! Backward and M:N adjacency are not copied here: the referencing table's
-//! FK runs hold each parent's children already (`Table::rows_where_eq`).
-//! OS generation reads them there; the rank solver transposes `fwd` into
-//! transfer lists that live for one solve (`sizel_rank::power`).
 
 use sizel_storage::{Database, RowId, TableId, TupleRef};
 
@@ -35,9 +34,6 @@ impl NodeId {
     }
 }
 
-/// Sentinel for "no forward target" (NULL FK, or a dead row).
-const NO_TARGET: u32 = u32::MAX;
-
 /// Identifies a collapsed M:N link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MnLinkId(pub u16);
@@ -53,7 +49,7 @@ impl MnLinkId {
 /// (the table referenced by `e_from`) map to tuples of `to_table` (the
 /// table referenced by `e_to`) whenever a junction row connects them. The
 /// pairs are the junction's rows: its FK runs on `e_from` grouped by
-/// source, each resolved through `fwd` on `e_to`.
+/// source, each resolved through the junction's forward array on `e_to`.
 #[derive(Debug)]
 pub struct MnLink {
     /// The junction table realizing the link.
@@ -72,18 +68,14 @@ pub struct MnLink {
 #[derive(Debug)]
 pub struct DataGraph {
     starts: Vec<u32>,
-    /// Per FK edge, `fwd[row of the referencing table]` = global node id
-    /// of the referenced tuple, or `NO_TARGET`.
-    fwd: Vec<Vec<u32>>,
     links: Vec<MnLink>,
 }
 
 impl DataGraph {
-    /// Builds the graph from a database and its schema graph. Panics on
-    /// dangling FKs — run [`Database::validate_foreign_keys`] first when
-    /// the input is untrusted. Records one maintenance graph-build
-    /// (`db.access().maint()`), the counter the batched-apply subsystem
-    /// asserts its one-rebuild-per-batch amortization against.
+    /// Numbers the tuples of `db` and lists the links of its schema graph
+    /// — one pass over the tables, none over their rows. Records one
+    /// maintenance graph-build (`db.access().maint()`), the counter the
+    /// engine's write path is pinned to leave at zero.
     pub fn build(db: &Database, sg: &SchemaGraph) -> Self {
         db.access().record_graph_build();
         let mut starts = Vec::with_capacity(db.table_count() + 1);
@@ -93,27 +85,6 @@ impl DataGraph {
             acc += t.len() as u32;
         }
         starts.push(acc);
-
-        let mut fwd = Vec::with_capacity(sg.edges().len());
-        for e in sg.edges() {
-            let (from, to) = (db.table(e.from), db.table(e.to));
-            let mut f = vec![NO_TARGET; from.len()];
-            // Each live parent finds its children through the FK runs:
-            // one directory probe per parent instead of a PK slot probe
-            // per child (slot probes branch unpredictably; storage's
-            // `hash::PkSlots`).
-            for p in to.live_rows() {
-                for &c in from.rows_where_eq(e.fk_col, to.pk_of(p)) {
-                    f[c.index()] = starts[e.to.index()] + p.0;
-                }
-            }
-            for rid in from.live_rows() {
-                if f[rid.index()] == NO_TARGET && from.value(rid, e.fk_col).as_int().is_some() {
-                    panic!("dangling FK while building data graph");
-                }
-            }
-            fwd.push(f);
-        }
 
         let mut links = Vec::new();
         for (jid, jt) in db.tables() {
@@ -128,7 +99,7 @@ impl DataGraph {
             }
         }
 
-        DataGraph { starts, fwd, links }
+        DataGraph { starts, links }
     }
 
     /// Total number of nodes (tuples).
@@ -153,12 +124,6 @@ impl DataGraph {
         self.starts[t.index()]
     }
 
-    /// Forward neighbor over `edge` from a row of the referencing table.
-    pub fn fwd_neighbor(&self, edge: SchemaEdgeId, row: RowId) -> Option<NodeId> {
-        let t = self.fwd[edge.index()][row.index()];
-        (t != NO_TARGET).then_some(NodeId(t))
-    }
-
     /// All collapsed M:N links.
     pub fn links(&self) -> &[MnLink] {
         &self.links
@@ -171,23 +136,6 @@ impl DataGraph {
             .iter()
             .position(|l| l.e_from == e_from && l.e_to == e_to)
             .map(|i| MnLinkId(i as u16))
-    }
-
-    /// Number of stored adjacency entries (for the §6.3 size report): one
-    /// forward slot per row of every referencing table.
-    pub fn n_adjacency_entries(&self) -> usize {
-        self.fwd.iter().map(Vec::len).sum()
-    }
-
-    /// Bytes held, by structure: the node starts and the forward slots.
-    pub fn index_bytes(&self) -> [(&'static str, usize); 2] {
-        [("node starts", self.starts.len() * 4), ("fwd", self.n_adjacency_entries() * 4)]
-    }
-
-    /// Approximate resident size in bytes (index vectors only, as in the
-    /// paper's "150MB / 500MB" data-graph footprint report).
-    pub fn approx_bytes(&self) -> usize {
-        self.index_bytes().iter().map(|&(_, b)| b).sum()
     }
 }
 
@@ -217,16 +165,16 @@ mod tests {
 
     #[test]
     fn fwd_inverts_the_fk_runs() {
-        let (d, sg, dg) = setup();
+        let (d, sg, _) = setup();
         // Paper -> Year edge: each paper in a year's run points at that
-        // year, and the runs cover every paper exactly once.
+        // year through the forward array the solve reads, and the runs
+        // cover every paper exactly once.
         let e = sg.edges().iter().find(|e| e.from == d.paper && e.to == d.year).unwrap();
         let (papers, years) = (d.db.table(d.paper), d.db.table(d.year));
         let mut covered = 0;
         for y in years.live_rows() {
-            let year = dg.node_id(TupleRef::new(d.year, y));
             for &p in papers.rows_where_eq(e.fk_col, years.pk_of(y)) {
-                assert_eq!(dg.fwd_neighbor(e.id, p), Some(year));
+                assert_eq!(papers.forward(e.fk_col).get(p), Some(y));
                 covered += 1;
             }
         }
@@ -279,8 +227,10 @@ mod tests {
 
     #[test]
     fn size_stats_are_positive() {
-        let (_, _, dg) = setup();
-        assert!(dg.n_adjacency_entries() > 0);
-        assert!(dg.approx_bytes() > 0);
+        let (d, _, dg) = setup();
+        assert!(dg.n_nodes() > 0);
+        assert_eq!(dg.table_start(TableId(0)), 0);
+        let last = TableId(d.db.table_count() as u16 - 1);
+        assert_eq!(dg.table_start(last) as usize + d.db.table(last).len(), dg.n_nodes());
     }
 }

@@ -1,5 +1,6 @@
-//! Property tests for the graph substrate: the data graph must agree with
-//! brute-force joins over randomly generated two-table databases, and GDS
+//! Property tests for the graph substrate: the forward arrays and the
+//! data graph's node ids must agree with brute-force joins over randomly
+//! generated two-table databases, and GDS
 //! construction must be structurally sound for random affinity settings.
 
 use proptest::prelude::*;
@@ -27,7 +28,7 @@ fn build_db(n_parents: i64, fk_targets: &[i64]) -> Database {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The data graph's forward adjacency equals brute-force join
+    /// The forward adjacency a solve reads equals brute-force join
     /// evaluation, read in both directions.
     #[test]
     fn data_graph_matches_joins(
@@ -43,18 +44,20 @@ proptest! {
         let parent = db.table_id("Parent").unwrap();
         let child = db.table_id("Child").unwrap();
 
+        let e = sg.edge(edge);
+        prop_assert_eq!((e.from, e.to), (child, parent));
+        let fwd = db.table(child).forward(e.fk_col);
         // Forward: child row -> its parent.
         for (i, &t) in fk_targets.iter().enumerate() {
-            let fwd = dg.fwd_neighbor(edge, RowId(i as u32)).expect("FK is NOT NULL");
-            let tup = dg.tuple_of(fwd);
-            prop_assert_eq!(tup.table, parent);
-            prop_assert_eq!(db.table(parent).pk_of(tup.row), t);
+            let p = fwd.get(RowId(i as u32)).expect("FK is NOT NULL");
+            prop_assert_eq!(db.table(parent).pk_of(p), t);
         }
-        // Backward, read through `fwd`: parent row -> exactly its children.
+        // Backward, read through the forward array: parent row -> exactly
+        // its children.
         for k in 1..=n_parents {
-            let pnode = dg.node_id(TupleRef::new(parent, db.table(parent).by_pk(k).unwrap()));
+            let prow = db.table(parent).by_pk(k).unwrap();
             let got: Vec<usize> = (0..fk_targets.len())
-                .filter(|&i| dg.fwd_neighbor(edge, RowId(i as u32)) == Some(pnode))
+                .filter(|&i| fwd.get(RowId(i as u32)) == Some(prow))
                 .collect();
             let expect: Vec<usize> = (0..fk_targets.len()).filter(|&i| fk_targets[i] == k).collect();
             prop_assert_eq!(got, expect, "children of parent {}", k);
@@ -66,7 +69,6 @@ proptest! {
                 prop_assert_eq!(dg.tuple_of(dg.node_id(tr)), tr);
             }
         }
-        let _ = child;
     }
 
     /// GDS construction is structurally sound for arbitrary thresholds:

@@ -3,9 +3,11 @@
 //! * [`authority`] — the Authority Transfer Schema Graph `G_A` (Figure 13):
 //!   per-FK-edge transfer rates in both directions, per-M:N-link rates, and
 //!   ValueRank's per-tuple value multipliers.
-//! * [`power`] — the power-iteration solver over the
-//!   [`sizel_graph::DataGraph`], producing dense global importance scores
-//!   plus the per-relation maxima that feed the `max(Ri)` GDS statistics.
+//! * [`power`] — the power-iteration solver over a solve-local
+//!   [`sizel_graph::DataGraph`] and the tables' forward arrays, producing
+//!   dense global importance scores plus the per-relation maxima that
+//!   feed the `max(Ri)` GDS statistics; installed into the tables' score
+//!   snapshots and dropped.
 //! * [`presets`] — GA1/GA2 for both databases and the paper's three damping
 //!   factors d1 = 0.85, d2 = 0.10, d3 = 0.99.
 //!
@@ -20,8 +22,7 @@ pub mod presets;
 
 pub use authority::{AuthorityGraph, ValueFunction};
 pub use power::{
-    compute, estimate_appended_score, estimate_appended_score_with, estimate_updated_score_with,
-    install_importance_order, reiterate, splice_appended_score, splice_appended_scores,
-    transfer_list_bytes, RankConfig, RankScores,
+    compute, estimate_appended_score, estimate_updated_score, install_importance_order, reiterate,
+    solve_scratch_bytes, RankConfig, RankScores,
 };
 pub use presets::{dblp_ga, tpch_ga, GaPreset, D1, D2, D3};

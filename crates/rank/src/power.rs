@@ -8,13 +8,17 @@
 //! radius by `d` and guarantees convergence for `d < 1` — including the
 //! paper's d3 = 0.99 setting.
 //!
-//! A forward transfer reads the data graph's `fwd`. Backward and M:N
-//! transfers need each source's target list, which the data graph does
-//! not store (the FK runs do): each solve gathers the lists of the units
-//! its GA rates by transposing `fwd` once, sweeps over them, and drops
-//! them when it returns (`Transfers`).
+//! A solve numbers the tuples through a [`DataGraph`] it is handed and
+//! reads every edge from the tables. A forward transfer reads the
+//! referencing table's forward array (`Table::forward`). Backward and M:N
+//! transfers need each source's target list: each solve gathers the
+//! lists of the units its GA rates by transposing the forward arrays
+//! once, sweeps over them, and drops them when it returns (`Transfers`).
+//! What a solve returns, [`RankScores`], is installed into the tables
+//! ([`install_importance_order`]) and dropped: each table's installed
+//! score snapshot is the one copy of the scores the engine keeps.
 
-use sizel_storage::{Database, RowId, TableId, TupleRef, Value};
+use sizel_storage::{Database, FkOrderToken, RowId, TableId, TupleRef, Value};
 
 use sizel_graph::{DataGraph, NodeId, SchemaGraph};
 
@@ -51,10 +55,10 @@ impl RankConfig {
     }
 }
 
-/// Global importance scores for every tuple, scaled to mean 1.
+/// One solve's global importance for every tuple, scaled to mean 1.
 #[derive(Clone, Debug)]
 pub struct RankScores {
-    /// Dense scores indexed by data-graph [`NodeId`].
+    /// Dense scores indexed by the solve's data-graph [`NodeId`].
     pub scores: Vec<f64>,
     /// Iterations performed.
     pub iterations: u32,
@@ -63,11 +67,6 @@ pub struct RankScores {
     /// Per-table maximum score — the global statistic behind the GDS
     /// `max(Ri)` annotations (Section 5.3).
     pub per_table_max: Vec<f64>,
-    /// Token of the FK importance order these scores installed into their
-    /// database via [`crate::install_importance_order`], if any. Query
-    /// contexts compare it against `Database::fk_order` to decide whether
-    /// the sorted-FK prefix scan is valid under these scores.
-    pub fk_order: Option<sizel_storage::FkOrderToken>,
 }
 
 impl RankScores {
@@ -82,19 +81,22 @@ impl RankScores {
     }
 }
 
-/// Sorts every FK posting list of `db` by these scores' descending global
-/// importance and stamps the scores with the resulting order token, so
-/// query contexts built over `(db, scores)` serve Avoidance-Condition-2
-/// probes as bounded prefix scans (see `sizel_storage::fk_index`).
+/// Installs these scores into `db`: each table's score snapshot takes
+/// its rows' scores, and every FK posting list is sorted by descending
+/// global importance, so query contexts over `db` read the scores there
+/// and serve Avoidance-Condition-2 probes as bounded prefix scans (see
+/// `sizel_storage::fk_index`). Returns the order token the contexts are
+/// handed; `dg` is the graph the scores were solved over.
 ///
 /// Local importance is `Im(t) · Af(Ri)` with the affinity a positive
 /// per-relation constant, so one global-importance order per table is
-/// valid for every GDS. Call once after ranking, before serving; scores
-/// from a *different* setting keep `fk_order: None` and fall back to the
-/// heap path automatically.
-pub fn install_importance_order(db: &mut Database, dg: &DataGraph, scores: &mut RankScores) {
-    let token = db.install_importance_order(&|t, r| scores.global(dg.node_id(TupleRef::new(t, r))));
-    scores.fk_order = Some(token);
+/// valid for every GDS. Call once after ranking, before serving.
+pub fn install_importance_order(
+    db: &mut Database,
+    dg: &DataGraph,
+    scores: &RankScores,
+) -> FkOrderToken {
+    db.install_importance_order(&|t, r| scores.global(dg.node_id(TupleRef::new(t, r))))
 }
 
 /// Estimates the global importance of a row *about to be appended* to
@@ -125,39 +127,15 @@ pub fn install_importance_order(db: &mut Database, dg: &DataGraph, scores: &mut 
 /// appended row and ≤ 1% L1 drift for pre-existing rows; workloads
 /// needing exactness use [`compute`] (the `RefreshPolicy::Exact` path of
 /// the engine).
-#[allow(clippy::too_many_arguments)] // mirrors the gather step's inputs
+///
+/// The converged scores are read through `score_of`: the engine passes
+/// the installed snapshot, which a batch's staged rows have already
+/// written their estimates into, so a row appended earlier in the same
+/// batch gathers at its estimate, as the fold of single applies would.
+/// The FK in-degree is the length of the parent's FK run — the very set
+/// a solve's backward transfer list holds, since the forward arrays are
+/// resolved from the same keys.
 pub fn estimate_appended_score(
-    db: &Database,
-    sg: &SchemaGraph,
-    dg: &DataGraph,
-    ga: &AuthorityGraph,
-    cfg: &RankConfig,
-    scores: &RankScores,
-    table: TableId,
-    values: &[Value],
-) -> f64 {
-    estimate_appended_score_with(
-        db,
-        sg,
-        ga,
-        cfg,
-        &|t: TupleRef| scores.global(dg.node_id(t)),
-        table,
-        values,
-    )
-}
-
-/// [`estimate_appended_score`] with the converged scores read through a
-/// caller-supplied resolver instead of a materialized score vector — the
-/// form the **batched** apply path needs: mid-batch, the fold's spliced
-/// vector does not exist yet, but its entries are exactly "the pre-batch
-/// score for pre-batch tuples, the already-estimated score for rows
-/// appended earlier in this batch", which the resolver expresses without
-/// a data-graph rebuild per mutation. The FK in-degree is the length of
-/// the parent's FK run — the very set a solve's backward transfer list
-/// holds, since `fwd` is resolved from those runs — so the two entry
-/// points are float-identical.
-pub fn estimate_appended_score_with(
     db: &Database,
     sg: &SchemaGraph,
     ga: &AuthorityGraph,
@@ -196,7 +174,7 @@ pub fn estimate_appended_score_with(
     }
 }
 
-/// The update-path sibling of [`estimate_appended_score_with`]: one gather
+/// The update-path sibling of [`estimate_appended_score`]: one gather
 /// step for a row whose values are about to change in place, evaluated
 /// *before* the storage update (the engine estimates first, then stages).
 /// The degree compensation differs from the append case per FK edge: when
@@ -209,7 +187,7 @@ pub fn estimate_appended_score_with(
 /// bounded re-iteration ([`reiterate`]) sweeps it back in; the
 /// incremental policy's pinned bounds cover the residual.
 #[allow(clippy::too_many_arguments)] // mirrors the gather step's inputs
-pub fn estimate_updated_score_with(
+pub fn estimate_updated_score(
     db: &Database,
     sg: &SchemaGraph,
     ga: &AuthorityGraph,
@@ -248,60 +226,6 @@ pub fn estimate_updated_score_with(
     } else {
         raw
     }
-}
-
-/// Splices an appended row's score into `scores` after the data graph has
-/// been rebuilt over the mutated database: dense node ids shift by one
-/// for every tuple after the insertion point, so the score vector absorbs
-/// the new value at exactly the new row's node index, `per_table_max`
-/// takes the running maximum, and the scores adopt `fk_order` (the
-/// re-stamped token of the maintained importance order). Everything else
-/// is untouched — the documented approximation of
-/// [`estimate_appended_score`].
-pub fn splice_appended_score(
-    scores: &mut RankScores,
-    dg_new: &DataGraph,
-    tuple: TupleRef,
-    score: f64,
-    fk_order: Option<sizel_storage::FkOrderToken>,
-) {
-    splice_appended_scores(scores, dg_new, &[(tuple, score)], fk_order);
-}
-
-/// Splices a whole batch of appended rows' scores in one `O(n + B log B)`
-/// merge pass — the batched form of [`splice_appended_score`], producing
-/// exactly the vector the fold of single splices would (each new value
-/// lands at its final node index of `dg_new`, which reflects *all* the
-/// appended rows; pre-existing entries keep their values and relative
-/// order, `per_table_max` takes running maxima — an order-independent
-/// fold).
-pub fn splice_appended_scores(
-    scores: &mut RankScores,
-    dg_new: &DataGraph,
-    appended: &[(TupleRef, f64)],
-    fk_order: Option<sizel_storage::FkOrderToken>,
-) {
-    let mut items: Vec<(usize, TupleRef, f64)> =
-        appended.iter().map(|&(t, s)| (dg_new.node_id(t).index(), t, s)).collect();
-    items.sort_unstable_by_key(|&(i, _, _)| i);
-    let n = scores.scores.len() + items.len();
-    debug_assert_eq!(n, dg_new.n_nodes(), "splice covers every appended row exactly once");
-    let mut merged = Vec::with_capacity(n);
-    let mut old = scores.scores.iter().copied();
-    let mut next = items.iter().peekable();
-    for idx in 0..n {
-        match next.peek() {
-            Some(&&(i, tuple, score)) if i == idx => {
-                next.next();
-                merged.push(score);
-                let mx = &mut scores.per_table_max[tuple.table.index()];
-                *mx = mx.max(score);
-            }
-            _ => merged.push(old.next().expect("old scores fill the non-appended slots")),
-        }
-    }
-    scores.scores = merged;
-    scores.fk_order = fk_order;
 }
 
 /// One backward edge or M:N link the GA rates above zero, with its
@@ -386,14 +310,14 @@ impl Unit {
     }
 }
 
-/// One solve's transfer lists. The data graph stores only `fwd`, and the
-/// FK runs hold each parent's children; probing the runs' directories on
-/// every sweep would cost a hash probe per parent per sweep, so a solve
-/// transposes `fwd` once instead — (child -> parent) into parent ->
-/// children per backward edge, (junction row -> both ends) into source ->
-/// targets per link — for the units its GA rates, and drops them when it
-/// returns. Lists keep row order, so every node receives its adds in the
-/// same sequence on every solve.
+/// One solve's transfer lists. The tables store each row's parent (the
+/// forward arrays) and the FK runs each parent's children; probing the
+/// runs' directories on every sweep would cost a hash probe per parent
+/// per sweep, so a solve transposes the forward arrays once instead —
+/// (child -> parent) into parent -> children per backward edge, (junction
+/// row -> both ends) into source -> targets per link — for the units its
+/// GA rates, and drops them when it returns. Lists keep row order, so
+/// every node receives its adds in the same sequence on every solve.
 struct Transfers {
     /// Indexed by schema edge; `Some` where the backward rate is positive.
     bwd: Vec<Option<Unit>>,
@@ -410,12 +334,10 @@ impl Transfers {
                 let rate = ga.edge_rates[e.id.index()].backward;
                 (rate > 0.0).then(|| {
                     let (from, from_start) = (db.table(e.from), dg.table_start(e.from));
-                    let to_start = dg.table_start(e.to);
+                    let fwd = from.forward(e.fk_col);
                     Unit::gather(db, e.to, rate, || {
-                        from.live_rows().filter_map(move |c| {
-                            let p = dg.fwd_neighbor(e.id, c)?;
-                            Some(((p.0 - to_start) as usize, from_start + c.0))
-                        })
+                        from.live_rows()
+                            .filter_map(move |c| Some((fwd.get(c)?.index(), from_start + c.0)))
                     })
                 })
             })
@@ -426,13 +348,12 @@ impl Transfers {
             .zip(&ga.link_rates)
             .filter(|&(_, &rate)| rate > 0.0)
             .map(|(l, &rate)| {
-                let (jt, from_start) = (db.table(l.junction), dg.table_start(l.from_table));
+                let (jt, to_start) = (db.table(l.junction), dg.table_start(l.to_table));
+                let (a, b) =
+                    (jt.forward(sg.edge(l.e_from).fk_col), jt.forward(sg.edge(l.e_to).fk_col));
                 Unit::gather(db, l.from_table, rate, || {
-                    jt.live_rows().filter_map(move |j| {
-                        let a = dg.fwd_neighbor(l.e_from, j)?;
-                        let b = dg.fwd_neighbor(l.e_to, j)?;
-                        Some(((a.0 - from_start) as usize, b.0))
-                    })
+                    jt.live_rows()
+                        .filter_map(move |j| Some((a.get(j)?.index(), to_start + b.get(j)?.0)))
                 })
             })
             .collect();
@@ -445,15 +366,18 @@ impl Transfers {
     }
 }
 
-/// Bytes of the transfer lists one solve under `ga` gathers and drops
-/// (see `Transfers`) — reported for the footprint, never kept.
-pub fn transfer_list_bytes(
+/// Bytes one solve under `ga` gathers and drops before it returns — the
+/// transfer lists (see `Transfers`) and the four dense vectors its sweeps
+/// hold (value multipliers, emission scales, current and next iterate) —
+/// reported for the footprint, never kept.
+pub fn solve_scratch_bytes(
     db: &Database,
     sg: &SchemaGraph,
     dg: &DataGraph,
     ga: &AuthorityGraph,
-) -> usize {
-    Transfers::gather(db, sg, dg, ga).bytes()
+) -> [(&'static str, usize); 2] {
+    let vectors = 4 * dg.n_nodes() * std::mem::size_of::<f64>();
+    [("transfer lists", Transfers::gather(db, sg, dg, ga).bytes()), ("iteration vectors", vectors)]
 }
 
 /// Per-node emission scale capping total outgoing authority at 1 (shared
@@ -472,9 +396,10 @@ fn emission_scales(
     for e in sg.edges() {
         let forward = ga.edge_rates[e.id.index()].forward;
         if forward > 0.0 {
-            let from_start = dg.table_start(e.from) as usize;
-            for rid in db.table(e.from).live_rows() {
-                if dg.fwd_neighbor(e.id, rid).is_some() {
+            let (from, from_start) = (db.table(e.from), dg.table_start(e.from) as usize);
+            let fwd = from.forward(e.fk_col);
+            for rid in from.live_rows() {
+                if fwd.get(rid).is_some() {
                     let u = from_start + rid.index();
                     out[u] += forward * m[u];
                 }
@@ -511,11 +436,12 @@ fn sweep_once(
     for e in sg.edges() {
         let forward = ga.edge_rates[e.id.index()].forward;
         if forward > 0.0 {
-            let from_start = dg.table_start(e.from) as usize;
-            for rid in db.table(e.from).live_rows() {
-                if let Some(t) = dg.fwd_neighbor(e.id, rid) {
+            let (from, from_start) = (db.table(e.from), dg.table_start(e.from) as usize);
+            let (fwd, to_start) = (from.forward(e.fk_col), dg.table_start(e.to) as usize);
+            for rid in from.live_rows() {
+                if let Some(t) = fwd.get(rid) {
                     let u = from_start + rid.index();
-                    next[t.index()] += d * forward * m[u] * scale[u] * cur[u];
+                    next[to_start + t.index()] += d * forward * m[u] * scale[u] * cur[u];
                 }
             }
         }
@@ -559,7 +485,7 @@ fn finalize_scores(
         per_table_max[tid.index()] = mx;
     }
 
-    RankScores { scores: cur, iterations, converged, per_table_max, fk_order: None }
+    RankScores { scores: cur, iterations, converged, per_table_max }
 }
 
 /// Runs the power iteration. See module docs for semantics.
@@ -600,14 +526,16 @@ pub fn compute(
 }
 
 /// Bounded rank re-iteration: a few power sweeps over the *mutated*
-/// database, seeded from the stale converged vector — the update/delete
+/// database, seeded from stale converged scores — the update/delete
 /// analogue of [`estimate_appended_score`] and the replacement for the
 /// exact-rebuild escape hatch on incremental refresh.
 ///
-/// After an update or delete the data graph keeps its node count (deletes
-/// are tombstones; dense ids never shift), so the stale scores are a valid
-/// — and nearly converged — starting point: only the mutated rows and
-/// their graph neighborhoods moved. Each sweep applies the same
+/// `seed` reads the stale score of every tuple of `dg` (the engine's is
+/// the installed snapshot, which already holds the estimates of rows
+/// inserted since the last solve, and keeps deleted rows' last scores
+/// where their tombstoned slots are). Those are a valid — and nearly
+/// converged — starting point: only the mutated rows and their graph
+/// neighborhoods moved. Each sweep applies the same
 /// `next = (1-d)/n + d · transfer(cur)` update as [`compute`] (bitwise the
 /// same inner loop), and because the transfer operator's spectral radius
 /// is bounded by `d` (per-node emission cap), every sweep contracts the L1
@@ -621,28 +549,21 @@ pub fn compute(
 ///
 /// The seed is decompressed through the exact inverse of the log
 /// transform and renormalized to the iteration's sum-1 scale, so
-/// compression introduces no error of its own. If inserts are part of the
-/// mutation run, splice their estimated scores first
-/// ([`splice_appended_scores`]) — the seed must already cover every node
-/// of `dg` (asserted). Runs at most `sweeps` sweeps, stopping early below
-/// `cfg.epsilon`; `converged` reports whether the early stop fired.
+/// compression introduces no error of its own. Runs at most `sweeps`
+/// sweeps, stopping early below `cfg.epsilon`; `converged` reports
+/// whether the early stop fired.
 pub fn reiterate(
     db: &Database,
     sg: &SchemaGraph,
     dg: &DataGraph,
     ga: &AuthorityGraph,
     cfg: &RankConfig,
-    stale: &RankScores,
+    seed: &dyn Fn(TupleRef) -> f64,
     sweeps: u32,
 ) -> RankScores {
     let n = dg.n_nodes();
     assert!(n > 0, "cannot rank an empty database");
     assert!((0.0..1.0).contains(&cfg.damping), "damping must be in [0, 1)");
-    assert_eq!(
-        stale.scores.len(),
-        n,
-        "re-iteration seed must cover every node; splice appended rows first"
-    );
 
     let m = ga.value_multipliers(db, dg);
     let tr = Transfers::gather(db, sg, dg, ga);
@@ -664,7 +585,10 @@ pub fn reiterate(
     // also be rescaled to the fixed point's own magnitude, or the affine
     // base term pollutes every node with a shape-distorting offset that
     // takes many sweeps to wash out.
-    let mut cur: Vec<f64> = stale.scores.iter().map(|&s| decompress(s)).collect();
+    let mut cur = Vec::with_capacity(n);
+    for (tid, t) in db.tables() {
+        cur.extend((0..t.len() as u32).map(|r| decompress(seed(TupleRef::new(tid, RowId(r))))));
+    }
     let sum: f64 = cur.iter().sum();
     if sum > 0.0 {
         cur.iter_mut().for_each(|v| *v /= sum);
@@ -825,11 +749,11 @@ mod tests {
     #[test]
     fn incremental_estimate_stays_within_documented_bound() {
         // The documented approximation bound of `estimate_appended_score`:
-        // on the DBLP fixture, appending a paper and splicing its
-        // estimated score must land within 50% relative error of the
-        // exact-refresh score for the new row, and pre-existing rows —
-        // untouched by the splice — must be within 1% L1 drift of the
-        // exact refresh (the mass one row shifts is O(1/n)).
+        // on the DBLP fixture, appending a paper with its estimated score
+        // must land within 50% relative error of the exact-refresh score
+        // for the new row, and pre-existing rows — which keep their
+        // scores — must be within 1% L1 drift of the exact refresh (the
+        // mass one row shifts is O(1/n)).
         let (mut d, sg, dg) = setup();
         let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
         let cfg = RankConfig::default();
@@ -845,7 +769,8 @@ mod tests {
                 + 1;
         let values =
             vec![Value::Int(new_pk), "incremental splice probe".into(), Value::Int(year_pk)];
-        let est = estimate_appended_score(&d.db, &sg, &dg, &ga, &cfg, &scores, d.paper, &values);
+        let score_of = |t: TupleRef| scores.global(dg.node_id(t));
+        let est = estimate_appended_score(&d.db, &sg, &ga, &cfg, &score_of, d.paper, &values);
 
         // Exact refresh over the mutated database.
         let row = d.db.insert("Paper", values).unwrap();
@@ -856,80 +781,20 @@ mod tests {
         let rel = (est - exact_new).abs() / exact_new;
         assert!(rel <= 0.5, "appended-row estimate off by {rel:.3} (est {est}, exact {exact_new})");
 
-        // Splice and compare the untouched remainder against the refresh.
-        let mut spliced = scores.clone();
-        splice_appended_score(&mut spliced, &dg2, TupleRef::new(d.paper, row), est, None);
-        assert_eq!(spliced.scores.len(), exact.scores.len());
-        let new_idx = dg2.node_id(TupleRef::new(d.paper, row)).index();
+        // The untouched remainder against the refresh, tuple by tuple.
         let (mut l1, mut total) = (0.0f64, 0.0f64);
-        for i in 0..spliced.scores.len() {
-            if i == new_idx {
-                continue;
+        for (tid, t) in d.db.tables() {
+            for r in (0..t.len() as u32).map(sizel_storage::RowId) {
+                if TupleRef::new(tid, r) == TupleRef::new(d.paper, row) {
+                    continue;
+                }
+                let x = exact.global(dg2.node_id(TupleRef::new(tid, r)));
+                l1 += (scores.global(dg.node_id(TupleRef::new(tid, r))) - x).abs();
+                total += x.abs();
             }
-            l1 += (spliced.scores[i] - exact.scores[i]).abs();
-            total += exact.scores[i].abs();
         }
         let drift = l1 / total;
         assert!(drift <= 0.01, "pre-existing rows drifted {drift:.4} L1-relative");
-        // per_table_max stays an upper bound under the splice.
-        for (tid, t) in d.db.tables() {
-            let start = dg2.table_start(tid) as usize;
-            for i in 0..t.len() {
-                assert!(spliced.scores[start + i] <= spliced.table_max(tid) + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_splice_is_bit_identical_to_the_fold_of_single_splices() {
-        // Append two papers and one author; the one-pass merge must equal
-        // folding single splices (each against the then-current graph) to
-        // the float bit, including per_table_max.
-        let (d, sg, dg) = setup();
-        let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
-        let cfg = RankConfig::default();
-        let base = compute(&d.db, &sg, &dg, &ga, &cfg);
-        let years = d.db.table(d.year);
-        let year_pk = years.pk_of(sizel_storage::RowId(0));
-        let max_pk = |t: sizel_storage::TableId| {
-            let tb = d.db.table(t);
-            tb.iter().map(|(r, _)| tb.pk_of(r)).max().unwrap()
-        };
-        let rows: Vec<(&str, Vec<Value>, f64)> = vec![
-            ("Paper", vec![Value::Int(max_pk(d.paper) + 1), "a".into(), Value::Int(year_pk)], 1.25),
-            ("Author", vec![Value::Int(max_pk(d.author) + 1), "b".into()], 0.75),
-            ("Paper", vec![Value::Int(max_pk(d.paper) + 2), "c".into(), Value::Int(year_pk)], 2.5),
-        ];
-
-        // The fold: rebuild + single splice per insert.
-        let mut folded = base.clone();
-        let mut db1 = generate(&DblpConfig::tiny()).db;
-        for (table, values, score) in &rows {
-            let row = db1.insert(table, values.clone()).unwrap();
-            let dg1 = DataGraph::build(&db1, &sg);
-            let tid = db1.table_id(table).unwrap();
-            splice_appended_score(&mut folded, &dg1, TupleRef::new(tid, row), *score, None);
-        }
-
-        // The batch: one rebuild, one merge.
-        let mut batched = base.clone();
-        let mut db2 = generate(&DblpConfig::tiny()).db;
-        let mut appended = Vec::new();
-        for (table, values, score) in &rows {
-            let row = db2.insert(table, values.clone()).unwrap();
-            let tid = db2.table_id(table).unwrap();
-            appended.push((TupleRef::new(tid, row), *score));
-        }
-        let dg2 = DataGraph::build(&db2, &sg);
-        splice_appended_scores(&mut batched, &dg2, &appended, None);
-
-        assert_eq!(folded.scores.len(), batched.scores.len());
-        for (a, b) in folded.scores.iter().zip(&batched.scores) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in folded.per_table_max.iter().zip(&batched.per_table_max) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     /// Applies the fixture's churn — one FK re-home and one junction-row
@@ -967,7 +832,7 @@ mod tests {
         churn(&mut d);
 
         // Tombstoned deletes and in-place updates keep the node count, so
-        // the stale vector remains a valid seed over the rebuilt graph.
+        // the stale scores seed every node of the rebuilt graph.
         let dg2 = DataGraph::build(&d.db, &sg);
         assert_eq!(dg2.n_nodes(), dg.n_nodes());
         let ga2 = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg2);
@@ -977,11 +842,12 @@ mod tests {
             l1 / exact.scores.iter().sum::<f64>()
         };
 
+        let seed = |t: TupleRef| stale.global(dg.node_id(t));
         let err0 = rel_l1(&stale);
         assert!(err0 > 0.0, "churn must actually move the fixed point");
         let mut prev = err0;
         for k in 1..=4 {
-            let r = reiterate(&d.db, &sg, &dg2, &ga2, &cfg, &stale, k);
+            let r = reiterate(&d.db, &sg, &dg2, &ga2, &cfg, &seed, k);
             assert_eq!(r.iterations, k);
             let e = rel_l1(&r);
             assert!(e <= prev + 1e-12, "sweep {k} regressed: {e:.2e} after {prev:.2e}");
@@ -992,7 +858,7 @@ mod tests {
         }
         // With an uncapped budget the re-iteration reaches the solver's
         // own fixed point.
-        let full = reiterate(&d.db, &sg, &dg2, &ga2, &cfg, &stale, 500);
+        let full = reiterate(&d.db, &sg, &dg2, &ga2, &cfg, &seed, 500);
         assert!(full.converged, "epsilon early-stop must fire");
         assert!(rel_l1(&full) <= 1e-6);
     }
@@ -1020,7 +886,7 @@ mod tests {
 
         // Estimate against the pre-update catalog and stale scores — the
         // state the engine's incremental path sees.
-        let est = estimate_updated_score_with(
+        let est = estimate_updated_score(
             &d.db,
             &sg,
             &ga,

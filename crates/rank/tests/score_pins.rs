@@ -8,9 +8,8 @@
 use sizel_datagen::{dblp, tpch};
 use sizel_graph::{DataGraph, SchemaGraph};
 use sizel_rank::{
-    compute, dblp_ga, estimate_appended_score_with, estimate_updated_score_with,
-    install_importance_order, reiterate, splice_appended_scores, tpch_ga, GaPreset, RankConfig,
-    RankScores,
+    compute, dblp_ga, estimate_appended_score, estimate_updated_score, install_importance_order,
+    reiterate, tpch_ga, GaPreset, RankConfig, RankScores,
 };
 use sizel_storage::{Database, RowId, TupleRef, Value};
 
@@ -81,15 +80,15 @@ fn reiteration_after_a_scored_batch_is_pinned() {
     // Installed order, then one scored batch through the storage layer —
     // an appended paper, a paper re-homed to another year, a citation
     // deleted — so the FK runs the solver reads are in posting order with
-    // settled tails. The appended row's estimate is spliced, then three
-    // bounded sweeps run over the rebuilt graph.
+    // settled tails. The staged estimates land in the installed score
+    // snapshot, which seeds three bounded sweeps over a fresh graph.
     let mut d = dblp::generate(&dblp::DblpConfig::tiny());
     let sg = SchemaGraph::from_database(&d.db);
     let dg = DataGraph::build(&d.db, &sg);
     let cfg = RankConfig::default();
     let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
-    let mut scores = compute(&d.db, &sg, &dg, &ga, &cfg);
-    install_importance_order(&mut d.db, &dg, &mut scores);
+    let scores = compute(&d.db, &sg, &dg, &ga, &cfg);
+    install_importance_order(&mut d.db, &dg, &scores);
 
     let year_t = d.db.table(d.year);
     let (y0, y1) = (year_t.pk_of(RowId(0)), year_t.pk_of(RowId(1)));
@@ -104,20 +103,16 @@ fn reiteration_after_a_scored_batch_is_pinned() {
     let cit_pk = cit_t.pk_of(cit_t.live_rows().next().unwrap());
 
     let score_of = |t: TupleRef| scores.global(dg.node_id(t));
-    let est_new = estimate_appended_score_with(&d.db, &sg, &ga, &cfg, &score_of, d.paper, &fresh);
-    let est_moved =
-        estimate_updated_score_with(&d.db, &sg, &ga, &cfg, &score_of, d.paper, &old, &moved);
+    let est_new = estimate_appended_score(&d.db, &sg, &ga, &cfg, &score_of, d.paper, &fresh);
+    let est_moved = estimate_updated_score(&d.db, &sg, &ga, &cfg, &score_of, d.paper, &old, &moved);
     let mut batch = d.db.begin_scored_batch();
-    let row = d.db.insert_scored_staged(&mut batch, "Paper", fresh, est_new).unwrap();
+    d.db.insert_scored_staged(&mut batch, "Paper", fresh, est_new).unwrap();
     d.db.update_scored_staged(&mut batch, "Paper", moved_pk, moved, est_moved).unwrap();
     d.db.delete_scored_staged(&mut batch, "Citation", cit_pk).unwrap();
     d.db.finish_scored_batch(batch);
 
     let dg2 = DataGraph::build(&d.db, &sg);
-    let fk_order = d.db.fk_order();
-    splice_appended_scores(&mut scores, &dg2, &[(TupleRef::new(d.paper, row), est_new)], fk_order);
-    scores.scores[dg2.node_id(TupleRef::new(d.paper, RowId(3))).index()] = est_moved;
     let ga2 = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg2);
-    let r = reiterate(&d.db, &sg, &dg2, &ga2, &cfg, &scores, 3);
+    let r = reiterate(&d.db, &sg, &dg2, &ga2, &cfg, &|t| d.db.installed_score(t), 3);
     assert_eq!(fingerprint(&r), (11938235168434563492, 3));
 }

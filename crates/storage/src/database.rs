@@ -46,12 +46,34 @@ impl TupleRef {
     }
 }
 
+/// One FK of the catalog whose referenced table exists: `from.col`
+/// holds keys of `to`'s primary key.
+#[derive(Clone, Copy, Debug)]
+struct FkEdge {
+    from: TableId,
+    col: usize,
+    to: TableId,
+}
+
+/// What a row operation did to its row (forward resolution and the link
+/// rule tell the three apart).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RowChange {
+    Inserted,
+    Updated,
+    Deleted,
+}
+
 /// An in-memory relational database: a catalog of [`Table`]s plus an
 /// [`AccessCounter`] shared by all query paths.
 #[derive(Debug, Default)]
 pub struct Database {
     tables: Vec<Table>,
     by_name: HashMap<String, TableId>,
+    /// Every FK whose referenced table exists, in table then FK order
+    /// (recomputed per `create_table`): the edges forward resolution
+    /// maintains.
+    fk_edges: Vec<FkEdge>,
     access: AccessCounter,
     /// The currently installed importance order, if any (see
     /// [`crate::fk_index`]).
@@ -97,6 +119,14 @@ impl Database {
         let id = TableId(self.tables.len() as u16);
         self.by_name.insert(schema.name.clone(), id);
         self.tables.push(Table::new(schema));
+        // A schema may name a table created after it: resolve them all.
+        let this = &*self;
+        let edges = this.tables().flat_map(|(from, t)| {
+            t.schema.fks.iter().filter_map(move |fk| {
+                Some(FkEdge { from, col: fk.column, to: this.table_id(&fk.ref_table).ok()? })
+            })
+        });
+        self.fk_edges = edges.collect();
         Ok(id)
     }
 
@@ -135,7 +165,7 @@ impl Database {
     /// order instead). Bumps the table's and the global epoch. Bulk
     /// loaders resolve the id once instead of hashing the name per row.
     pub fn insert_into(&mut self, id: TableId, values: Vec<Value>) -> Result<RowId> {
-        self.plain(id, |t| t.insert(values))
+        self.plain(id, RowChange::Inserted, |t| t.insert(values))
     }
 
     /// Rewrites the live row with primary key `pk` in place, dropping
@@ -144,7 +174,7 @@ impl Database {
     /// pk itself is immutable. Bumps the table's and the global epoch.
     pub fn update(&mut self, table: &str, pk: i64, values: Vec<Value>) -> Result<RowId> {
         let id = self.table_id(table)?;
-        self.plain(id, |t| t.update(pk, values))
+        self.plain(id, RowChange::Updated, |t| t.update(pk, values))
     }
 
     /// Tombstones the live row with primary key `pk`, dropping the
@@ -159,20 +189,23 @@ impl Database {
     /// the global epoch.
     pub fn delete(&mut self, table: &str, pk: i64) -> Result<RowId> {
         let id = self.table_id(table)?;
-        self.plain(id, |t| t.delete(pk))
+        self.plain(id, RowChange::Deleted, |t| t.delete(pk))
     }
 
     /// The common tail of the plain mutations: `op` drops the table's
     /// order and score snapshot, so the link orientations targeting the
     /// table, ordered by that snapshot, are dropped with it (they stay
-    /// absent until the next install). Bumps the global epoch.
+    /// absent until the next install). Forward arrays are maintained as
+    /// on every row operation. Bumps the global epoch.
     fn plain(
         &mut self,
         id: TableId,
+        change: RowChange,
         op: impl FnOnce(&mut Table) -> Result<RowId>,
     ) -> Result<RowId> {
         let had_order = self.tables[id.index()].has_installed_scores();
         let row = op(&mut self.tables[id.index()])?;
+        self.resolve_forward(id, row, change);
         if had_order {
             for (jid, s_col, _) in self.links_to(id) {
                 self.tables[jid.index()].take_sorted_link(s_col);
@@ -187,15 +220,35 @@ impl Database {
     /// check before a delete (a tombstoned row with live referencers
     /// would dangle their FKs).
     pub fn find_referencer(&self, target: TableId, pk: i64) -> Option<&str> {
-        let target_name = &self.table(target).schema.name;
-        for (_, t) in self.tables() {
-            for fk in &t.schema.fks {
-                if fk.ref_table == *target_name && !t.rows_where_eq(fk.column, pk).is_empty() {
-                    return Some(&t.schema.name);
-                }
+        let e = self
+            .fk_edges
+            .iter()
+            .filter(|e| e.to == target)
+            .find(|e| !self.table(e.from).rows_where_eq(e.col, pk).is_empty())?;
+        Some(&self.table(e.from).schema.name)
+    }
+
+    /// Keeps every forward array resolved across one row operation on
+    /// `row` of `tid`: an inserted or updated row resolves its own keys,
+    /// and an inserted row becomes the parent of the live rows whose key
+    /// names its pk — references that dangled until it arrived, found
+    /// through their FK runs — while a deleted one stops being theirs.
+    /// One PK probe per FK of the row, one run probe per FK naming its
+    /// table.
+    fn resolve_forward(&mut self, tid: TableId, row: RowId, change: RowChange) {
+        for i in 0..self.fk_edges.len() {
+            let FkEdge { from, col, to } = self.fk_edges[i];
+            if from == tid && change != RowChange::Deleted {
+                let key = self.tables[tid.index()].value(row, col).as_int();
+                let parent = key.and_then(|k| self.tables[to.index()].by_pk(k));
+                self.tables[tid.index()].set_forward(col, row, parent);
+            }
+            if to == tid && change != RowChange::Updated {
+                let pk = self.tables[tid.index()].pk_of(row);
+                let parent = (change == RowChange::Inserted).then_some(row);
+                self.tables[from.index()].set_forward_of_run(col, pk, parent);
             }
         }
-        None
     }
 
     /// The two (source column, target column, target table) orientations
@@ -232,35 +285,17 @@ impl Database {
     fn rebuild_links_for(&mut self, jid: TableId) {
         let Some(orientations) = self.junction_orientations(jid) else { return };
         self.access.record_link_rebuild();
-        let mut built: Vec<(usize, SortedLinkIndex)> = Vec::new();
-        {
-            let jt = self.table(jid);
-            // Each junction row's target row, resolved once per distinct
-            // target key rather than once per row (`u32::MAX`: none).
-            let mut resolved = Vec::new();
-            for (s_col, t_col, t_table) in orientations {
-                let target = self.table(t_table);
-                if !target.has_installed_scores() {
-                    continue;
-                }
-                let runs = |col| jt.fk_index_base(col).expect("junction FK columns are indexed");
-                resolved.clear();
-                resolved.resize(jt.len(), u32::MAX);
-                for (k, jrows, ()) in runs(t_col).iter() {
-                    if let Some(t) = target.by_pk(k) {
-                        jrows.iter().for_each(|j| resolved[j.index()] = t.0);
-                    }
-                }
-                let target_of = |j: RowId| match resolved[j.index()] {
-                    u32::MAX => None,
-                    t => Some(RowId(t)),
-                };
-                built.push((
-                    s_col,
-                    SortedLinkIndex::build(runs(s_col), &target_of, target.installed_scores()),
-                ));
-            }
-        }
+        let jt = self.table(jid);
+        let built: Vec<(usize, SortedLinkIndex)> = orientations
+            .into_iter()
+            .filter(|&(_, _, t_table)| self.table(t_table).has_installed_scores())
+            .map(|(s_col, t_col, t_table)| {
+                let runs = jt.fk_index_base(s_col).expect("junction FK columns are indexed");
+                let target_of = |j: RowId| jt.forward(t_col).get(j);
+                let scores = self.table(t_table).installed_scores();
+                (s_col, SortedLinkIndex::build(runs, &target_of, scores))
+            })
+            .collect();
         self.tables[jid.index()].drop_sorted_links();
         for (col, idx) in built {
             self.tables[jid.index()].set_sorted_link(col, idx);
@@ -289,6 +324,12 @@ impl Database {
     /// The value of a tuple's column.
     pub fn value(&self, t: TupleRef, col: usize) -> ValueRef<'_> {
         self.table(t.table).value(t.row, col)
+    }
+
+    /// A tuple's installed global importance ([`Table::installed_score`];
+    /// panics where no order is installed).
+    pub fn installed_score(&self, t: TupleRef) -> f64 {
+        self.table(t.table).installed_score(t.row)
     }
 
     /// Validates that every non-NULL FK value references an existing row.

@@ -20,7 +20,7 @@
 //!   the junction's live-only FK run on the target column — so a write
 //!   costs the rows it touches, never a rebuild.
 
-use super::{Database, TableId};
+use super::{Database, RowChange, TableId};
 use crate::epoch::Epoch;
 use crate::table::RowId;
 use crate::value::Value;
@@ -44,14 +44,6 @@ pub struct ScoredBatch {
     /// Epoch of the last staged (maintained) op — the stamp the settled
     /// [`crate::FkOrderToken`] carries, exactly as the fold would leave it.
     last_scored_epoch: Option<Epoch>,
-}
-
-/// What a staged op did to a link-target row.
-#[derive(Clone, Copy)]
-enum TargetChange {
-    Inserted,
-    Updated,
-    Deleted,
 }
 
 impl Database {
@@ -82,8 +74,9 @@ impl Database {
         let row = t.insert_validated(values)?;
         let keys = t.fk_keys_of(row);
         t.staged(row, Some(score), &keys);
+        self.resolve_forward(tid, row, RowChange::Inserted);
         self.relink(tid, row, &[], true);
-        self.retarget(batch, tid, row, TargetChange::Inserted);
+        self.retarget(batch, tid, row, RowChange::Inserted);
         self.stage(batch);
         Ok(row)
     }
@@ -107,8 +100,9 @@ impl Database {
         let row = t.update_validated(pk, values)?;
         let new_keys = t.fk_keys_of(row);
         t.staged(row, Some(score), &new_keys);
+        self.resolve_forward(tid, row, RowChange::Updated);
         self.relink(tid, row, &old_keys, true);
-        self.retarget(batch, tid, row, TargetChange::Updated);
+        self.retarget(batch, tid, row, RowChange::Updated);
         self.stage(batch);
         Ok(row)
     }
@@ -129,8 +123,9 @@ impl Database {
         // A dead slot keeps its values: the keys it sat under.
         let keys = t.fk_keys_of(row);
         t.staged(row, None, &[]);
+        self.resolve_forward(tid, row, RowChange::Deleted);
         self.relink(tid, row, &keys, false);
-        self.retarget(batch, tid, row, TargetChange::Deleted);
+        self.retarget(batch, tid, row, RowChange::Deleted);
         self.stage(batch);
         Ok(row)
     }
@@ -169,7 +164,7 @@ impl Database {
     /// orientations.
     fn relink(&mut self, jid: TableId, row: RowId, old_keys: &[(usize, i64)], live: bool) {
         let Some(orientations) = self.junction_orientations(jid) else { return };
-        for (s_col, t_col, t_table) in orientations {
+        for (s_col, t_col, _) in orientations {
             let Some(mut links) = self.tables[jid.index()].take_sorted_link(s_col) else {
                 continue;
             };
@@ -178,8 +173,7 @@ impl Database {
             }
             let jt = &self.tables[jid.index()];
             if let (true, Some(key)) = (live, jt.value(row, s_col).as_int()) {
-                let target = jt.value(row, t_col).as_int();
-                links.join(key, row, target.and_then(|pk| self.tables[t_table.index()].by_pk(pk)));
+                links.join(key, row, jt.forward(t_col).get(row));
             }
             self.tables[jid.index()].set_sorted_link(s_col, links);
         }
@@ -190,13 +184,7 @@ impl Database {
     /// lies, or have the run holding it marked for re-sorting at the
     /// row's new score. A junction whose runs this reaches joins the
     /// batch's touched tables.
-    fn retarget(
-        &mut self,
-        batch: &mut ScoredBatch,
-        tid: TableId,
-        row: RowId,
-        change: TargetChange,
-    ) {
+    fn retarget(&mut self, batch: &mut ScoredBatch, tid: TableId, row: RowId, change: RowChange) {
         let pk = self.tables[tid.index()].pk_of(row);
         for (jid, s_col, t_col) in self.links_to(tid) {
             let Some(mut links) = self.tables[jid.index()].take_sorted_link(s_col) else {
@@ -207,12 +195,12 @@ impl Database {
             for &j in jt.rows_where_eq(t_col, pk) {
                 let Some(key) = jt.value(j, s_col).as_int() else { continue };
                 match change {
-                    TargetChange::Inserted => {
+                    RowChange::Inserted => {
                         links.push(key, (j, row));
                         unsorted.push((s_col, key));
                     }
-                    TargetChange::Updated => unsorted.push((s_col, key)),
-                    TargetChange::Deleted => links.remove_ident(key, j),
+                    RowChange::Updated => unsorted.push((s_col, key)),
+                    RowChange::Deleted => links.remove_ident(key, j),
                 }
             }
             self.tables[jid.index()].set_sorted_link(s_col, links);

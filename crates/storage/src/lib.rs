@@ -7,8 +7,9 @@
 //!   integer primary keys and foreign keys ([`schema`]),
 //! * tables of typed columns — eight bytes an `Int` or `Float` cell, a
 //!   boxed string a `Text` cell, NULLs in a lazily allocated bitmap —
-//!   with a slot index on the primary key and the runs of every
-//!   foreign-key column ([`table::Table`]), built incrementally on insert,
+//!   with a slot index on the primary key, and the runs and forward
+//!   array of every foreign-key column ([`table::Table`]), maintained by
+//!   every row operation,
 //! * a catalog ([`database::Database`]) with foreign-key validation and the
 //!   two query forms Algorithm 4 issues as SQL
 //!   (`SELECT * FROM Ri WHERE tj.ID = Ri.ID` and
@@ -52,7 +53,7 @@ pub use error::StorageError;
 pub use fk_index::{FkOrderToken, Posting, SortedFkIndex, SortedLinkIndex, SortedPostings};
 pub use pager::{PostingCursor, PostingPager, SliceCursor};
 pub use schema::{Column, ForeignKey, SchemaBuilder, TableSchema};
-pub use table::{RowId, RowRef, Table};
+pub use table::{Forward, RowId, RowRef, Table};
 pub use topl::{top_l, TopLScratch};
 pub use value::{Value, ValueRef, ValueType};
 

@@ -1,8 +1,10 @@
-//! Tables: typed column storage, a slot index on the PK, and the runs of
-//! every FK column — key → its live rows, one run of one arena each
-//! ([`Runs`]). A column's runs are its FK groups and, once an importance
-//! order is installed, its sorted FK postings too: each row id is stored
-//! once, in one run, in posting order while the order holds.
+//! Tables: typed column storage, a slot index on the PK, and two indexes
+//! per FK column. Its runs — key → its live rows, one run of one arena
+//! each ([`Runs`]) — are its FK groups and, once an importance order is
+//! installed, its sorted FK postings too: each row id is stored once, in
+//! one run, in posting order while the order holds. Its forward array
+//! ([`Forward`]) holds each row's parent `RowId`, the one direction the
+//! runs cannot answer without a PK probe.
 
 use std::cell::OnceCell;
 use std::ops::Index;
@@ -71,6 +73,26 @@ impl<'a> Index<usize> for RowRef<'a> {
 /// index.
 type Slots<T> = Vec<Option<T>>;
 
+/// A forward slot's "no parent": a NULL or dangling reference, or a dead
+/// row.
+const NO_TARGET: u32 = u32::MAX;
+
+/// The forward array of one FK column: per row slot, the `RowId` of the
+/// parent row its key resolves to. The catalog
+/// ([`crate::Database`]) resolves it on every row operation, so it equals
+/// a fresh `by_pk` of every live row's key; a NULL or dangling key holds
+/// no target until its parent arrives.
+#[derive(Clone, Copy, Debug)]
+pub struct Forward<'a>(&'a [u32]);
+
+impl Forward<'_> {
+    /// The parent row of `row`, if its key resolves.
+    pub fn get(self, row: RowId) -> Option<RowId> {
+        let t = self.0[row.index()];
+        (t != NO_TARGET).then_some(RowId(t))
+    }
+}
+
 /// Reads a row's primary key back from the PK column (the PK index keeps
 /// row ids only).
 fn pk_at(pk_column: &Column) -> impl Fn(u32) -> i64 + '_ {
@@ -91,8 +113,8 @@ pub struct Table {
     columns: Vec<Column>,
     /// Liveness flags, one per row slot (their count *is* the slot
     /// count). Deletes are *logical*: the row slot (and its `RowId`)
-    /// survives so every derived structure keyed by dense row ids —
-    /// installed scores, data-graph node ids — stays valid. Dead rows
+    /// survives so every structure keyed by dense row ids — installed
+    /// scores, forward arrays — stays valid. Dead rows
     /// are invisible to `iter`, `by_pk` and every run: FK runs and link
     /// postings hold live entries only.
     dead: Vec<bool>,
@@ -103,13 +125,17 @@ pub struct Table {
     /// [`Self::sorted_fk_index`] answers, otherwise in no set order
     /// (insertion order until the first install).
     fk_runs: Slots<SortedFkIndex>,
+    /// On FK columns: each row slot's parent row (see [`Forward`]).
+    /// Row operations here write `NO_TARGET`; the catalog resolves.
+    fwd: Slots<Vec<u32>>,
     /// On *source* FK columns: importance-sorted junction link postings
     /// (junction tables only).
     sorted_links: Slots<SortedLinkIndex>,
     /// Per-row installed importance snapshot (one per row slot; empty
     /// when no order is installed or the snapshot was killed by an
-    /// un-scored insert). Scored inserts append to it; the runs and link
-    /// postings are sorted by it.
+    /// un-scored insert): the one copy of the rows' global importance.
+    /// Scored inserts append to it, scored updates overwrite; the runs
+    /// and link postings are sorted by it.
     installed_scores: Vec<f64>,
     /// True while `installed_scores` covers every row slot (set by
     /// [`Table::build_sorted_fk`], cleared by the un-scored insert).
@@ -132,9 +158,10 @@ impl Table {
     /// Creates an empty table for the schema.
     pub fn new(schema: TableSchema) -> Self {
         let arity = schema.arity();
-        let mut fk_runs = vec![None; arity];
+        let (mut fk_runs, mut fwd) = (vec![None; arity], vec![None; arity]);
         for fk in &schema.fks {
             fk_runs[fk.column] = Some(SortedPostings { runs: Runs::default() });
+            fwd[fk.column] = Some(Vec::new());
         }
         Table {
             columns: schema.columns.iter().map(|c| Column::new(c.ty)).collect(),
@@ -143,6 +170,7 @@ impl Table {
             n_dead: 0,
             pk_index: PkSlots::default(),
             fk_runs,
+            fwd,
             sorted_links: vec![None; arity],
             installed_scores: Vec::new(),
             scores_live: false,
@@ -152,9 +180,9 @@ impl Table {
         }
     }
 
-    /// Number of row *slots*, dead ones included. Derived structures
-    /// indexed by dense `RowId` (installed scores, data-graph node ids)
-    /// are sized by this.
+    /// Number of row *slots*, dead ones included. Structures indexed by
+    /// dense `RowId` (installed scores, forward arrays) are sized by
+    /// this.
     pub fn len(&self) -> usize {
         self.dead.len()
     }
@@ -201,8 +229,9 @@ impl Table {
 
     /// The validate-and-append core of both insert paths: checks
     /// arity, types, and PK uniqueness, maintains the PK index, appends
-    /// the row at the tail of its FK runs, and appends its cells. Does not
-    /// touch the link postings or the epoch.
+    /// the row at the tail of its FK runs, and appends its cells and an
+    /// unresolved forward slot per FK column. Does not touch the link
+    /// postings or the epoch.
     pub(crate) fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let pk = values[self.schema.pk]
@@ -221,6 +250,7 @@ impl Table {
         for (column, v) in self.columns.iter_mut().zip(values) {
             column.push(v);
         }
+        self.fwd.iter_mut().flatten().for_each(|f| f.push(NO_TARGET));
         self.dead.push(false);
         Ok(id)
     }
@@ -247,8 +277,8 @@ impl Table {
 
     /// The shared tombstone core of both delete paths: resolves the pk to
     /// a live row, removes it from the PK index and from its FK runs where
-    /// it lies (the runs stay in order), and marks the slot dead. Does not
-    /// touch the link postings or the epoch.
+    /// it lies (the runs stay in order), clears its forward slots and
+    /// marks the slot dead. Does not touch the link postings or the epoch.
     pub(crate) fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
         let id =
             self.pk_index.remove(pk, pk_at(&self.columns[self.schema.pk])).map(RowId).ok_or_else(
@@ -259,6 +289,7 @@ impl Table {
                 runs.remove_ident(k, id);
             }
         }
+        self.fwd.iter_mut().flatten().for_each(|f| f[id.index()] = NO_TARGET);
         self.dead[id.index()] = true;
         self.n_dead += 1;
         Ok(id)
@@ -266,8 +297,9 @@ impl Table {
 
     /// The shared in-place-rewrite core of both update paths: validates
     /// arity/types, requires the pk to stay put, and moves the row to the
-    /// tail of the new key's run on any FK column whose key changed. Does
-    /// not touch the link postings or the epoch.
+    /// tail of the new key's run on any FK column whose key changed,
+    /// unresolving its forward slot there. Does not touch the link
+    /// postings or the epoch.
     pub(crate) fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let id = self
@@ -279,8 +311,9 @@ impl Table {
                 key: pk,
             });
         }
-        for ((runs, column), v) in self.fk_runs.iter_mut().zip(&self.columns).zip(&values) {
-            let Some(runs) = runs else { continue };
+        let fk_cols = self.fk_runs.iter_mut().zip(&mut self.fwd).zip(&self.columns);
+        for (((runs, fwd), column), v) in fk_cols.zip(&values) {
+            let (Some(runs), Some(fwd)) = (runs, fwd) else { continue };
             let old = column.get(id.index()).as_int();
             let new = v.as_int();
             if old != new {
@@ -290,6 +323,7 @@ impl Table {
                 if let Some(k) = new {
                     runs.push(k, id);
                 }
+                fwd[id.index()] = NO_TARGET;
             }
         }
         for (column, v) in self.columns.iter_mut().zip(values) {
@@ -406,6 +440,33 @@ impl Table {
                 "column {} of `{}` is not FK-indexed",
                 self.schema.columns[col].name, self.schema.name
             ),
+        }
+    }
+
+    /// The forward array of FK column `col` (see [`Forward`]). Calling
+    /// this on a non-FK column is a logic error.
+    pub fn forward(&self, col: usize) -> Forward<'_> {
+        match self.fwd.get(col) {
+            Some(Some(fwd)) => Forward(fwd),
+            _ => panic!(
+                "column {} of `{}` is not an FK column",
+                self.schema.columns[col].name, self.schema.name
+            ),
+        }
+    }
+
+    /// Points the forward slot of `row` on FK column `col` at `parent`.
+    pub(crate) fn set_forward(&mut self, col: usize, row: RowId, parent: Option<RowId>) {
+        let fwd = self.fwd[col].as_mut().expect("FK columns carry a forward array");
+        fwd[row.index()] = parent.map_or(NO_TARGET, |p| p.0);
+    }
+
+    /// Points the forward slots of the live rows whose FK column `col`
+    /// holds `key` at `parent`.
+    pub(crate) fn set_forward_of_run(&mut self, col: usize, key: i64, parent: Option<RowId>) {
+        let (Some(runs), Some(fwd)) = (&self.fk_runs[col], &mut self.fwd[col]) else { return };
+        for &r in runs.rows(key) {
+            fwd[r.index()] = parent.map_or(NO_TARGET, |p| p.0);
         }
     }
 
@@ -531,12 +592,13 @@ impl Table {
     }
 
     /// Releases the push-doubling slack of everything sized by the slot
-    /// count — the columns, the liveness flags and the score snapshot —
-    /// repacks every FK-run and link arena at exact size, and sizes the
+    /// count — the columns, the liveness flags, the forward arrays and
+    /// the score snapshot — repacks every FK-run and link arena at exact size, and sizes the
     /// PK index for the live rows.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.columns.iter_mut().for_each(Column::shrink_to_fit);
         self.dead.shrink_to_fit();
+        self.fwd.iter_mut().flatten().for_each(Vec::shrink_to_fit);
         self.installed_scores.shrink_to_fit();
         self.pk_index.shrink_to_fit(pk_at(&self.columns[self.schema.pk]));
         self.fk_runs.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
@@ -550,12 +612,14 @@ impl Table {
     }
 
     /// Heap bytes of this table's indexes by structure, from their
-    /// capacities: the PK slots, the FK runs, the resident link
-    /// postings, and the score snapshot both are sorted by.
-    pub fn index_bytes(&self) -> [(&'static str, usize); 4] {
+    /// capacities: the PK slots, the FK runs, the forward arrays, the
+    /// resident link postings, and the score snapshot the runs and links
+    /// are sorted by.
+    pub fn index_bytes(&self) -> [(&'static str, usize); 5] {
         [
             ("PK slots", self.pk_index.heap_bytes()),
             ("FK runs", self.fk_runs.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
+            ("forward", self.fwd.iter().flatten().map(|f| f.capacity() * 4).sum()),
             ("links", self.sorted_links.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
             ("scores", self.installed_scores.capacity() * std::mem::size_of::<f64>()),
         ]

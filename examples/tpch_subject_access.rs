@@ -30,11 +30,7 @@ fn main() {
     let best = table
         .iter()
         .map(|(rid, _)| TupleRef::new(customer, rid))
-        .max_by(|a, b| {
-            let sa = value_rank.scores().global(value_rank.data_graph().node_id(*a));
-            let sb = value_rank.scores().global(value_rank.data_graph().node_id(*b));
-            sa.total_cmp(&sb)
-        })
+        .max_by(|&a, &b| value_rank.score(a).total_cmp(&value_rank.score(b)))
         .expect("customers exist");
     let name = table.value(best.row, 1).as_str().expect("name").to_owned();
     println!("Subject access request for: {name}\n");
@@ -61,9 +57,7 @@ fn main() {
         let mut scored: Vec<(f64, String)> = table
             .iter()
             .map(|(rid, row)| {
-                let score = engine
-                    .scores()
-                    .global(engine.data_graph().node_id(TupleRef::new(customer, rid)));
+                let score = engine.score(TupleRef::new(customer, rid));
                 (score, row[1].as_str().expect("name").to_owned())
             })
             .collect();

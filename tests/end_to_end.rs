@@ -161,12 +161,7 @@ fn value_rank_and_object_rank_produce_different_orders() {
         let t = e.db().table(customer);
         let mut scored: Vec<(f64, usize)> = t
             .iter()
-            .map(|(rid, _)| {
-                (
-                    e.scores().global(e.data_graph().node_id(sizel::TupleRef::new(customer, rid))),
-                    rid.index(),
-                )
-            })
+            .map(|(rid, _)| (e.score(sizel::TupleRef::new(customer, rid)), rid.index()))
             .collect();
         scored.sort_by(|a, b| b.0.total_cmp(&a.0));
         scored.into_iter().take(10).map(|(_, i)| i).collect()

@@ -118,9 +118,11 @@ fn gds_annotations_are_internally_consistent() {
     let b = bench();
     for kind in GdsKind::ALL {
         let gds = b.gds(kind, 0);
-        let scores = b.scores(kind.db(), 0);
+        let db = b.db(kind.db());
         for (_, node) in gds.iter() {
-            let expect = scores.table_max(node.relation) * node.affinity;
+            let t = db.table(node.relation);
+            let table_max = t.live_rows().map(|r| t.installed_score(r)).fold(0.0f64, f64::max);
+            let expect = table_max * node.affinity;
             assert!((node.max_ri - expect).abs() < 1e-9, "{} {}", kind.label(), node.label);
             let child_max = node
                 .children
