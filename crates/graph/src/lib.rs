@@ -15,11 +15,11 @@
 //! * [`affinity`] — Equation 1: computed metric-based affinity, or manual
 //!   (domain-expert) affinities keyed by GDS path, which the presets use to
 //!   carry the paper's published values.
-//! * [`data_graph`] — the in-memory tuple-level graph the paper uses to
-//!   generate OSs quickly ("the data-graph is only an index ... nodes
+//! * [`data_graph`] — what a rank solve adds to the in-memory index the
+//!   paper generates OSs from ("the data-graph is only an index ... nodes
 //!   capture only keys and global importance"): dense node ids and the
-//!   forward adjacency of every FK edge; backward and M:N steps read the
-//!   FK runs storage already keeps.
+//!   collapsed M:N links. The index itself lives in storage's tables —
+//!   the FK runs, the forward arrays and the installed scores.
 
 pub mod affinity;
 pub mod data_graph;

@@ -545,7 +545,7 @@ pub fn compute(
 /// database size — recovers near-exact scores. The rank test-suite pins
 /// the measured bound on the DBLP fixture: monotone per-sweep decay and
 /// ≤ 1% relative L1 error after three sweeps (the engine's default),
-/// mirroring the ≤ 50%/≤ 1% pins of the append-splice path.
+/// mirroring the ≤ 50%/≤ 1% pins of the append estimate.
 ///
 /// The seed is decompressed through the exact inverse of the log
 /// transform and renormalized to the iteration's sum-1 scale, so
@@ -768,7 +768,7 @@ mod tests {
             (0..papers.len()).map(|i| papers.pk_of(sizel_storage::RowId(i as u32))).max().unwrap()
                 + 1;
         let values =
-            vec![Value::Int(new_pk), "incremental splice probe".into(), Value::Int(year_pk)];
+            vec![Value::Int(new_pk), "incremental estimate probe".into(), Value::Int(year_pk)];
         let score_of = |t: TupleRef| scores.global(dg.node_id(t));
         let est = estimate_appended_score(&d.db, &sg, &ga, &cfg, &score_of, d.paper, &values);
 

@@ -53,15 +53,14 @@ impl ProbeStats {
 /// A snapshot of the *derived-structure maintenance* work performed by
 /// the update paths. Like [`ProbeStats`], deliberately not part of
 /// [`AccessStats`] (it is engine-maintenance cost, not the paper's query
-/// I/O unit). The batched-apply subsystem asserts its amortization claims
-/// against these counters: a `B`-mutation batch performs exactly **one**
-/// data-graph rebuild, at most **one** posting re-sort per touched table
-/// and no link rebuild, where folding single applies pays `B` data-graph
-/// rebuilds.
+/// I/O unit). The batched-apply subsystem asserts its claims against
+/// these counters: a `B`-mutation batch builds **no** data graph, performs
+/// at most **one** posting re-sort per touched table and no link rebuild.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintStats {
-    /// Full data-graph rebuilds (recorded by the graph layer's `build`;
-    /// the `O(|E|)` linear step of an incremental apply).
+    /// Data-graph builds (recorded by the graph layer's `build`): one
+    /// per rank solve — engine build, exact apply, re-iteration — and
+    /// none per incremental write.
     pub graph_builds: u64,
     /// Settlement passes re-sorting the FK and link runs a batch's
     /// staged entries were appended to or re-scored in (one per touched
@@ -124,7 +123,7 @@ impl AccessCounter {
         }
     }
 
-    /// Records one full data-graph rebuild.
+    /// Records one data-graph build.
     pub fn record_graph_build(&self) {
         self.graph_builds.fetch_add(1, Ordering::Relaxed);
     }

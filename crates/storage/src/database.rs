@@ -333,28 +333,25 @@ impl Database {
     }
 
     /// Validates that every non-NULL FK value references an existing row.
-    /// Returns the number of FK values checked.
+    /// Returns the number of FK values checked. Reads the forward arrays
+    /// — every row operation resolved them — so it probes nothing.
     pub fn validate_foreign_keys(&self) -> Result<usize> {
         let mut checked = 0;
         for table in &self.tables {
             for fk in &table.schema.fks {
-                let target = self.table(self.table_id(&fk.ref_table)?);
-                let runs = table.fk_index_base(fk.column).expect("FK columns are indexed");
-                // One PK probe per distinct key; a dangling key is reported
-                // as held by the first live row holding one.
-                if !runs.iter().all(|(k, _, ())| target.by_pk(k).is_some()) {
-                    let key = table
-                        .live_rows()
-                        .filter_map(|row| table.value(row, fk.column).as_int())
-                        .find(|&k| target.by_pk(k).is_none())
-                        .expect("a dangling key is held by a live row");
-                    return Err(StorageError::DanglingForeignKey {
-                        table: table.schema.name.clone(),
-                        column: table.schema.columns[fk.column].name.clone(),
-                        key,
-                    });
+                self.table_id(&fk.ref_table)?;
+                let fwd = table.forward(fk.column);
+                for row in table.live_rows() {
+                    let Some(key) = table.value(row, fk.column).as_int() else { continue };
+                    if fwd.get(row).is_none() {
+                        return Err(StorageError::DanglingForeignKey {
+                            table: table.schema.name.clone(),
+                            column: table.schema.columns[fk.column].name.clone(),
+                            key,
+                        });
+                    }
+                    checked += 1;
                 }
-                checked += runs.entry_count();
             }
         }
         Ok(checked)

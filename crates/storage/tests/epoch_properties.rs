@@ -4,7 +4,10 @@
 //! a plainly-replayed database — FK runs and junction link postings
 //! alike, pairs and raw group lengths, with no dead entry anywhere — and
 //! the prefix-scan fast path must keep the heap path's answers *and* its
-//! paper-cost accounting.
+//! paper-cost accounting. After every stream each table's forward arrays
+//! equal a fresh `by_pk` resolution of its live rows — references that
+//! dangle until their parent arrives included — and its score snapshot
+//! equals the fold's score log.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -51,10 +54,16 @@ fn batch_of_one<T>(db: &mut Database, op: impl FnOnce(&mut Database, &mut Scored
 }
 
 const N_PARENTS: i64 = 6;
+/// Parent keys `N_PARENTS..N_PARENTS + LATE_PARENTS` are absent at the
+/// start: a child or rel naming one dangles until `Op::Parent` inserts it.
+const LATE_PARENTS: i64 = 3;
 
 /// One step of the mutation stream.
 #[derive(Clone, Debug)]
 enum Op {
+    /// Insert: (late parent pk, installed score) — fills the forward
+    /// slots of the rows whose key dangled on it.
+    Parent(i64, f64),
     /// Insert: (child pk, parent key, installed score)
     Child(i64, i64, f64),
     /// Insert: (rel pk, parent key, child pk candidate, installed score)
@@ -74,7 +83,7 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     // (kind, pk, parent key, child pk, raw score); scores quantized to
     // 0.5 steps so tie-breaking is exercised constantly.
-    (0u8..5, 0i64..64, 0i64..N_PARENTS, 0i64..64, 0.0..8.0f64).prop_map(
+    (0u8..6, 0i64..64, 0i64..N_PARENTS + LATE_PARENTS, 0i64..64, 0.0..8.0f64).prop_map(
         |(kind, pk, parent, child, w)| {
             let s = (w * 2.0).floor() / 2.0;
             match kind {
@@ -82,7 +91,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 1 => Op::Rel(pk, parent, child, s),
                 2 => Op::UpdateChild(pk, parent, s),
                 3 => Op::DeleteChild(pk),
-                _ => Op::DeleteRel(pk),
+                4 => Op::DeleteRel(pk),
+                _ => Op::Parent(N_PARENTS + pk % LATE_PARENTS, s),
             }
         },
     )
@@ -121,11 +131,26 @@ fn run_stream(db: &mut Database, ops: &[Op]) -> (Vec<Vec<f64>>, Vec<PlainOp>) {
         db.install_importance_order(&|t: TableId, r: RowId| snapshot[t.index()][r.index()]);
     }
 
+    let parent_t = db.table_id("Parent").unwrap();
     let child = db.table_id("Child").unwrap();
     let rel = db.table_id("Rel").unwrap();
     let mut accepted = Vec::new();
     for op in ops {
         match *op {
+            Op::Parent(pk, s) => {
+                let dup = db.table(parent_t).by_pk(pk).is_some();
+                let values = vec![Value::Int(pk), format!("p{pk}").into()];
+                let r = batch_of_one(db, |db, b| {
+                    db.insert_scored_staged(b, "Parent", values.clone(), s)
+                });
+                if dup {
+                    assert!(r.is_err(), "duplicate parent pk must be rejected");
+                } else {
+                    r.unwrap();
+                    scores[0].push(s);
+                    accepted.push(PlainOp::Insert("Parent", values));
+                }
+            }
             Op::Child(pk, parent, s) => {
                 let dup = db.table(child).by_pk(pk).is_some();
                 let values = vec![Value::Int(pk), Value::Float(s), Value::Int(parent)];
@@ -243,6 +268,27 @@ fn fk_rows(db: &Database, tid: TableId, col: usize, key: i64) -> Vec<RowId> {
     db.table(tid).sorted_fk_index(col).map_or_else(Vec::new, |idx| idx.rows(key).to_vec())
 }
 
+/// Every table's forward arrays equal a fresh `by_pk` resolution of its
+/// live rows' keys (`None` for a NULL or dangling key).
+fn forward_is_resolved(db: &Database) -> bool {
+    db.tables().all(|(_, t)| {
+        t.schema.fks.iter().all(|fk| {
+            let target = db.table(db.table_id(&fk.ref_table).unwrap());
+            t.live_rows().all(|r| {
+                let fresh = t.value(r, fk.column).as_int().and_then(|k| target.by_pk(k));
+                t.forward(fk.column).get(r) == fresh
+            })
+        })
+    })
+}
+
+/// Every row slot's installed score, per table, as bits.
+fn score_bits(db: &Database) -> Vec<Vec<u64>> {
+    db.tables()
+        .map(|(_, t)| (0..t.len() as u32).map(|r| t.installed_score(RowId(r)).to_bits()).collect())
+        .collect()
+}
+
 /// Scores with heavy ties, both zeros included (`-0.0 < +0.0` under
 /// `total_cmp`, the order the postings are kept in).
 const TIE_PALETTE: [f64; 6] = [0.0, -0.0, 0.5, 0.5, 1.0, 3.0];
@@ -286,6 +332,11 @@ proptest! {
         let mut live = fresh_db();
         let (scores, accepted) = run_stream(&mut live, &ops);
         let oracle = oracle_replay(&accepted, &scores);
+        prop_assert!(forward_is_resolved(&live), "forward arrays diverge from by_pk");
+        prop_assert!(forward_is_resolved(&oracle), "plain ops left a forward slot stale");
+        let log: Vec<Vec<u64>> =
+            scores.iter().map(|t| t.iter().map(|s| s.to_bits()).collect()).collect();
+        prop_assert_eq!(score_bits(&live), log, "the snapshots diverge from the fold's scores");
 
         let child = live.table_id("Child").unwrap();
         let child_fk = live.table(child).schema.column_index("parent_id").unwrap();
@@ -357,6 +408,7 @@ proptest! {
     ) {
         // Pre-resolve the accepted stream so both paths stage exactly the
         // same mutations in the same order.
+        let mut parent_live: std::collections::HashSet<i64> = (0..N_PARENTS).collect();
         let mut child_live: std::collections::HashSet<i64> = [100, 101].into_iter().collect();
         let mut rel_live: std::collections::HashSet<i64> = [100].into_iter().collect();
         #[derive(Clone)]
@@ -368,6 +420,15 @@ proptest! {
         let mut accepted: Vec<Staged> = Vec::new();
         for op in &ops {
             match *op {
+                Op::Parent(pk, s) => {
+                    if parent_live.insert(pk) {
+                        accepted.push(Staged::Insert(
+                            "Parent",
+                            vec![Value::Int(pk), format!("p{pk}").into()],
+                            s,
+                        ));
+                    }
+                }
                 Op::Child(pk, parent, s) => {
                     if child_live.insert(pk) {
                         accepted.push(Staged::Insert(
@@ -446,6 +507,9 @@ proptest! {
         }
 
         prop_assert_eq!(batched.epoch(), folded.epoch());
+        prop_assert!(forward_is_resolved(&batched), "batched forward arrays diverge from by_pk");
+        prop_assert!(forward_is_resolved(&folded), "folded forward arrays diverge from by_pk");
+        prop_assert_eq!(score_bits(&batched), score_bits(&folded), "score snapshots diverge");
         prop_assert_eq!(
             batched.fk_order().unwrap().epoch(),
             folded.fk_order().unwrap().epoch(),
