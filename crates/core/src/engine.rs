@@ -326,6 +326,9 @@ impl SizeLEngine {
         ga: &(dyn Fn(&Database, &SchemaGraph, &DataGraph) -> AuthorityGraph + Send + Sync),
         cfg: &EngineConfig,
     ) -> Result<Derived, StorageError> {
+        // The exact path's plain row operation left forward arrays to
+        // re-resolve.
+        db.resolve_forward();
         let dg = DataGraph::build(db, sg);
         let authority = ga(db, sg, &dg);
         let scores = compute(db, sg, &dg, &authority, &cfg.rank);

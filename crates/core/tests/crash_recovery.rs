@@ -368,6 +368,7 @@ fn junction_stack() -> JunctionStack {
             rel_pk += 1;
         }
     }
+    db.validate_foreign_keys().unwrap();
     let sg = SchemaGraph::from_database(&db);
     let dg = DataGraph::build(&db, &sg);
     let ga = AuthorityGraph::uniform("uniform", &sg, &dg, 0.3);

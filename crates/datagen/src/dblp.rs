@@ -405,6 +405,10 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         }
     }
 
+    // The loader's plain inserts probed no parents: resolve every
+    // forward array once, per distinct key, for readers of the raw
+    // database.
+    db.resolve_forward();
     Dblp { db, author, paper, author_paper, citation, year, conference, famous }
 }
 
@@ -414,7 +418,7 @@ mod tests {
 
     #[test]
     fn tiny_db_is_fk_consistent() {
-        let d = generate(&DblpConfig::tiny());
+        let mut d = generate(&DblpConfig::tiny());
         d.db.validate_foreign_keys().expect("FKs consistent");
         assert_eq!(d.db.table(d.author).len(), 60);
         assert_eq!(d.db.table(d.paper).len(), 120);
@@ -453,7 +457,7 @@ mod tests {
 
     #[test]
     fn famous_authors_have_exact_paper_counts() {
-        let d = generate(&DblpConfig::small());
+        let mut d = generate(&DblpConfig::small());
         d.db.validate_foreign_keys().expect("FKs consistent");
         let ap = d.db.table(d.author_paper);
         let author_col = ap.schema.column_index("author_id").unwrap();

@@ -338,6 +338,10 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
         }
     }
 
+    // The loader's plain inserts probed no parents: resolve every
+    // forward array once, per distinct key, for readers of the raw
+    // database.
+    db.resolve_forward();
     Tpch { db, customer, supplier, orders, lineitem, partsupp, part, nation, region }
 }
 
@@ -354,7 +358,7 @@ mod tests {
 
     #[test]
     fn tiny_db_is_fk_consistent() {
-        let t = generate(&TpchConfig::tiny());
+        let mut t = generate(&TpchConfig::tiny());
         t.db.validate_foreign_keys().expect("FKs consistent");
         assert_eq!(t.db.table(t.region).len(), 5);
         assert_eq!(t.db.table(t.nation).len(), 25);

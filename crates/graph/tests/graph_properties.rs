@@ -22,6 +22,7 @@ fn build_db(n_parents: i64, fk_targets: &[i64]) -> Database {
     for (i, &t) in fk_targets.iter().enumerate() {
         db.insert("Child", vec![Value::Int(i as i64), Value::Int(t)]).unwrap();
     }
+    db.validate_foreign_keys().unwrap();
     db
 }
 

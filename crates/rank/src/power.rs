@@ -774,6 +774,7 @@ mod tests {
 
         // Exact refresh over the mutated database.
         let row = d.db.insert("Paper", values).unwrap();
+        d.db.resolve_forward();
         let dg2 = DataGraph::build(&d.db, &sg);
         let ga2 = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg2);
         let exact = compute(&d.db, &sg, &dg2, &ga2, &cfg);
@@ -814,6 +815,7 @@ mod tests {
         let cit_t = d.db.table(d.citation);
         let cit_pk = cit_t.iter().map(|(r, _)| cit_t.pk_of(r)).next().unwrap();
         d.db.delete("Citation", cit_pk).unwrap();
+        d.db.resolve_forward();
         values
     }
 
@@ -898,6 +900,7 @@ mod tests {
         );
 
         d.db.update("Paper", p_pk, new_values).unwrap();
+        d.db.resolve_forward();
         let dg2 = DataGraph::build(&d.db, &sg);
         let ga2 = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg2);
         let exact = compute(&d.db, &sg, &dg2, &ga2, &cfg);

@@ -195,8 +195,11 @@ impl Database {
     /// The common tail of the plain mutations: `op` drops the table's
     /// order and score snapshot, so the link orientations targeting the
     /// table, ordered by that snapshot, are dropped with it (they stay
-    /// absent until the next install). Forward arrays are maintained as
-    /// on every row operation. Bumps the global epoch.
+    /// absent until the next install). The table's forward arrays are
+    /// left unresolved, and so are those naming it when a row arrives or
+    /// dies: a loader pays no parent probe per row, and
+    /// [`Database::resolve_forward`] re-resolves them in bulk. Bumps the
+    /// global epoch.
     fn plain(
         &mut self,
         id: TableId,
@@ -205,7 +208,13 @@ impl Database {
     ) -> Result<RowId> {
         let had_order = self.tables[id.index()].has_installed_scores();
         let row = op(&mut self.tables[id.index()])?;
-        self.resolve_forward(id, row, change);
+        if change != RowChange::Updated {
+            for i in 0..self.fk_edges.len() {
+                if self.fk_edges[i].to == id {
+                    self.tables[self.fk_edges[i].from.index()].drop_forward();
+                }
+            }
+        }
         if had_order {
             for (jid, s_col, _) in self.links_to(id) {
                 self.tables[jid.index()].take_sorted_link(s_col);
@@ -228,14 +237,14 @@ impl Database {
         Some(&self.table(e.from).schema.name)
     }
 
-    /// Keeps every forward array resolved across one row operation on
-    /// `row` of `tid`: an inserted or updated row resolves its own keys,
-    /// and an inserted row becomes the parent of the live rows whose key
-    /// names its pk — references that dangled until it arrived, found
+    /// Keeps every forward array resolved across one scored row operation
+    /// on `row` of `tid`: an inserted or updated row resolves its own
+    /// keys, and an inserted row becomes the parent of the live rows whose
+    /// key names its pk — references that dangled until it arrived, found
     /// through their FK runs — while a deleted one stops being theirs.
     /// One PK probe per FK of the row, one run probe per FK naming its
     /// table.
-    fn resolve_forward(&mut self, tid: TableId, row: RowId, change: RowChange) {
+    fn maintain_forward(&mut self, tid: TableId, row: RowId, change: RowChange) {
         for i in 0..self.fk_edges.len() {
             let FkEdge { from, col, to } = self.fk_edges[i];
             if from == tid && change != RowChange::Deleted {
@@ -332,10 +341,34 @@ impl Database {
         self.table(t.table).installed_score(t.row)
     }
 
+    /// Re-resolves the forward arrays of every table a plain row operation
+    /// left unresolved: one PK probe per distinct key of each FK column's
+    /// runs, a dangling key resolving to nothing. Cheap where nothing is
+    /// stale; [`Self::validate_foreign_keys`] and
+    /// [`Self::install_importance_order`] call it, and so does a loader
+    /// that hands its database to readers unvalidated.
+    pub fn resolve_forward(&mut self) {
+        for tid in (0..self.tables.len()).map(|i| TableId(i as u16)) {
+            if self.table(tid).has_live_forward() {
+                continue;
+            }
+            let t = self.table(tid);
+            let arrays = self
+                .fk_edges
+                .iter()
+                .filter(|e| e.from == tid)
+                .map(|e| (e.col, t.resolved_forward(e.col, |k| self.table(e.to).by_pk(k))))
+                .collect();
+            self.tables[tid.index()].set_forward_arrays(arrays);
+        }
+    }
+
     /// Validates that every non-NULL FK value references an existing row.
-    /// Returns the number of FK values checked. Reads the forward arrays
-    /// — every row operation resolved them — so it probes nothing.
-    pub fn validate_foreign_keys(&self) -> Result<usize> {
+    /// Returns the number of FK values checked. Resolves what plain row
+    /// operations left unresolved ([`Self::resolve_forward`]), then reads
+    /// the forward arrays: a key without a target dangles.
+    pub fn validate_foreign_keys(&mut self) -> Result<usize> {
+        self.resolve_forward();
         let mut checked = 0;
         for table in &self.tables {
             for fk in &table.schema.fks {
@@ -380,6 +413,8 @@ impl Database {
         &mut self,
         score: &dyn Fn(TableId, RowId) -> f64,
     ) -> FkOrderToken {
+        // The link build reads each junction row's target there.
+        self.resolve_forward();
         for (i, t) in self.tables.iter_mut().enumerate() {
             let tid = TableId(i as u16);
             t.build_sorted_fk(&|r| score(tid, r));

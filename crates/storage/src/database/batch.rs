@@ -74,7 +74,7 @@ impl Database {
         let row = t.insert_validated(values)?;
         let keys = t.fk_keys_of(row);
         t.staged(row, Some(score), &keys);
-        self.resolve_forward(tid, row, RowChange::Inserted);
+        self.maintain_forward(tid, row, RowChange::Inserted);
         self.relink(tid, row, &[], true);
         self.retarget(batch, tid, row, RowChange::Inserted);
         self.stage(batch);
@@ -100,7 +100,7 @@ impl Database {
         let row = t.update_validated(pk, values)?;
         let new_keys = t.fk_keys_of(row);
         t.staged(row, Some(score), &new_keys);
-        self.resolve_forward(tid, row, RowChange::Updated);
+        self.maintain_forward(tid, row, RowChange::Updated);
         self.relink(tid, row, &old_keys, true);
         self.retarget(batch, tid, row, RowChange::Updated);
         self.stage(batch);
@@ -123,7 +123,7 @@ impl Database {
         // A dead slot keeps its values: the keys it sat under.
         let keys = t.fk_keys_of(row);
         t.staged(row, None, &[]);
-        self.resolve_forward(tid, row, RowChange::Deleted);
+        self.maintain_forward(tid, row, RowChange::Deleted);
         self.relink(tid, row, &keys, false);
         self.retarget(batch, tid, row, RowChange::Deleted);
         self.stage(batch);

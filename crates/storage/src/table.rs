@@ -78,10 +78,10 @@ type Slots<T> = Vec<Option<T>>;
 const NO_TARGET: u32 = u32::MAX;
 
 /// The forward array of one FK column: per row slot, the `RowId` of the
-/// parent row its key resolves to. The catalog
-/// ([`crate::Database`]) resolves it on every row operation, so it equals
-/// a fresh `by_pk` of every live row's key; a NULL or dangling key holds
-/// no target until its parent arrives.
+/// parent row its key resolves to, equal to a fresh `by_pk` of every live
+/// row's key; a NULL or dangling key holds no target until its parent
+/// arrives. The catalog ([`crate::Database`]) maintains it under the
+/// scored row operations and re-resolves it in bulk after plain ones.
 #[derive(Clone, Copy, Debug)]
 pub struct Forward<'a>(&'a [u32]);
 
@@ -128,6 +128,11 @@ pub struct Table {
     /// On FK columns: each row slot's parent row (see [`Forward`]).
     /// Row operations here write `NO_TARGET`; the catalog resolves.
     fwd: Slots<Vec<u32>>,
+    /// True while every forward slot is resolved. The plain row
+    /// operations — the loader's — clear it rather than probe a parent
+    /// per row; the catalog re-resolves the table in bulk
+    /// ([`crate::Database::resolve_forward`]).
+    fwd_live: bool,
     /// On *source* FK columns: importance-sorted junction link postings
     /// (junction tables only).
     sorted_links: Slots<SortedLinkIndex>,
@@ -171,6 +176,7 @@ impl Table {
             pk_index: PkSlots::default(),
             fk_runs,
             fwd,
+            fwd_live: true,
             sorted_links: vec![None; arity],
             installed_scores: Vec::new(),
             scores_live: false,
@@ -354,9 +360,10 @@ impl Table {
         Ok(id)
     }
 
-    /// Drops everything derived from the importance order (the un-scored
-    /// mutation paths' common tail).
+    /// Drops everything derived from the importance order, and the
+    /// forward resolution (the un-scored mutation paths' common tail).
     fn drop_derived_state(&mut self) {
+        self.fwd_live = false;
         self.sorted_links.fill(None);
         self.staging = None;
         self.installed_scores.clear();
@@ -444,8 +451,10 @@ impl Table {
     }
 
     /// The forward array of FK column `col` (see [`Forward`]). Calling
-    /// this on a non-FK column is a logic error.
+    /// this on a non-FK column, or after a plain row operation before the
+    /// catalog re-resolved the table, is a logic error.
     pub fn forward(&self, col: usize) -> Forward<'_> {
+        assert!(self.fwd_live, "`{}` has unresolved forward arrays", self.schema.name);
         match self.fwd.get(col) {
             Some(Some(fwd)) => Forward(fwd),
             _ => panic!(
@@ -453,6 +462,44 @@ impl Table {
                 self.schema.columns[col].name, self.schema.name
             ),
         }
+    }
+
+    /// True when every forward slot is resolved.
+    pub(crate) fn has_live_forward(&self) -> bool {
+        self.fwd_live
+    }
+
+    /// Marks the forward arrays unresolved (a parent row they may name
+    /// arrived or died under a plain row operation).
+    pub(crate) fn drop_forward(&mut self) {
+        self.fwd_live = false;
+    }
+
+    /// The resolved forward array of FK column `col`: every live row
+    /// whose key `parent_of` resolves points at that parent — one call
+    /// per distinct key of the column's runs.
+    pub(crate) fn resolved_forward(
+        &self,
+        col: usize,
+        parent_of: impl Fn(i64) -> Option<RowId>,
+    ) -> Vec<u32> {
+        let mut fwd = vec![NO_TARGET; self.len()];
+        let runs = self.fk_index_base(col).expect("FK columns are indexed");
+        for (key, rows, ()) in runs.iter() {
+            if let Some(p) = parent_of(key) {
+                rows.iter().for_each(|r| fwd[r.index()] = p.0);
+            }
+        }
+        fwd
+    }
+
+    /// Installs resolved forward arrays, one per FK column, and marks the
+    /// table resolved.
+    pub(crate) fn set_forward_arrays(&mut self, arrays: Vec<(usize, Vec<u32>)>) {
+        for (col, fwd) in arrays {
+            self.fwd[col] = Some(fwd);
+        }
+        self.fwd_live = true;
     }
 
     /// Points the forward slot of `row` on FK column `col` at `parent`.
