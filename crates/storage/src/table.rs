@@ -73,8 +73,7 @@ impl<'a> Index<usize> for RowRef<'a> {
 /// index.
 type Slots<T> = Vec<Option<T>>;
 
-/// A forward slot's "no parent": a NULL or dangling reference, or a dead
-/// row.
+/// A forward slot's "no parent": a NULL or dangling reference.
 const NO_TARGET: u32 = u32::MAX;
 
 /// The forward array of one FK column: per row slot, the `RowId` of the
@@ -125,8 +124,9 @@ pub struct Table {
     /// [`Self::sorted_fk_index`] answers, otherwise in no set order
     /// (insertion order until the first install).
     fk_runs: Slots<SortedFkIndex>,
-    /// On FK columns: each row slot's parent row (see [`Forward`]).
-    /// Row operations here write `NO_TARGET`; the catalog resolves.
+    /// On FK columns: each row slot's parent row (see [`Forward`]); a
+    /// dead slot's is never read. An insert here appends `NO_TARGET`;
+    /// the catalog resolves.
     fwd: Slots<Vec<u32>>,
     /// True while every forward slot is resolved. The plain row
     /// operations — the loader's — clear it rather than probe a parent
@@ -283,8 +283,8 @@ impl Table {
 
     /// The shared tombstone core of both delete paths: resolves the pk to
     /// a live row, removes it from the PK index and from its FK runs where
-    /// it lies (the runs stay in order), clears its forward slots and
-    /// marks the slot dead. Does not touch the link postings or the epoch.
+    /// it lies (the runs stay in order), and marks the slot dead. Does not
+    /// touch the link postings or the epoch.
     pub(crate) fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
         let id =
             self.pk_index.remove(pk, pk_at(&self.columns[self.schema.pk])).map(RowId).ok_or_else(
@@ -295,7 +295,6 @@ impl Table {
                 runs.remove_ident(k, id);
             }
         }
-        self.fwd.iter_mut().flatten().for_each(|f| f[id.index()] = NO_TARGET);
         self.dead[id.index()] = true;
         self.n_dead += 1;
         Ok(id)
@@ -303,9 +302,8 @@ impl Table {
 
     /// The shared in-place-rewrite core of both update paths: validates
     /// arity/types, requires the pk to stay put, and moves the row to the
-    /// tail of the new key's run on any FK column whose key changed,
-    /// unresolving its forward slot there. Does not touch the link
-    /// postings or the epoch.
+    /// tail of the new key's run on any FK column whose key changed. Does
+    /// not touch the link postings or the epoch.
     pub(crate) fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let id = self
@@ -317,9 +315,8 @@ impl Table {
                 key: pk,
             });
         }
-        let fk_cols = self.fk_runs.iter_mut().zip(&mut self.fwd).zip(&self.columns);
-        for (((runs, fwd), column), v) in fk_cols.zip(&values) {
-            let (Some(runs), Some(fwd)) = (runs, fwd) else { continue };
+        for ((runs, column), v) in self.fk_runs.iter_mut().zip(&self.columns).zip(&values) {
+            let Some(runs) = runs else { continue };
             let old = column.get(id.index()).as_int();
             let new = v.as_int();
             if old != new {
@@ -329,7 +326,6 @@ impl Table {
                 if let Some(k) = new {
                     runs.push(k, id);
                 }
-                fwd[id.index()] = NO_TARGET;
             }
         }
         for (column, v) in self.columns.iter_mut().zip(values) {
