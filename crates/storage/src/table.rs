@@ -129,9 +129,9 @@ pub struct Table {
     /// the catalog resolves.
     fwd: Slots<Vec<u32>>,
     /// True while every forward slot is resolved. The plain row
-    /// operations — the loader's — clear it rather than probe a parent
-    /// per row; the catalog re-resolves the table in bulk
-    /// ([`crate::Database::resolve_forward`]).
+    /// operations — the loader's — clear it and free the arrays rather
+    /// than probe a parent per row; the catalog re-resolves the table in
+    /// bulk, at exact size ([`crate::Database::resolve_forward`]).
     fwd_live: bool,
     /// On *source* FK columns: importance-sorted junction link postings
     /// (junction tables only).
@@ -256,7 +256,9 @@ impl Table {
         for (column, v) in self.columns.iter_mut().zip(values) {
             column.push(v);
         }
-        self.fwd.iter_mut().flatten().for_each(|f| f.push(NO_TARGET));
+        if self.fwd_live {
+            self.fwd.iter_mut().flatten().for_each(|f| f.push(NO_TARGET));
+        }
         self.dead.push(false);
         Ok(id)
     }
@@ -359,7 +361,7 @@ impl Table {
     /// Drops everything derived from the importance order, and the
     /// forward resolution (the un-scored mutation paths' common tail).
     fn drop_derived_state(&mut self) {
-        self.fwd_live = false;
+        self.drop_forward();
         self.sorted_links.fill(None);
         self.staging = None;
         self.installed_scores.clear();
@@ -465,10 +467,12 @@ impl Table {
         self.fwd_live
     }
 
-    /// Marks the forward arrays unresolved (a parent row they may name
-    /// arrived or died under a plain row operation).
+    /// Marks the forward arrays unresolved and frees them (a row of the
+    /// table, or a parent row they may name, changed under a plain row
+    /// operation). Inserts append no slot until the next resolution.
     pub(crate) fn drop_forward(&mut self) {
         self.fwd_live = false;
+        self.fwd.iter_mut().flatten().for_each(|f| *f = Vec::new());
     }
 
     /// The resolved forward array of FK column `col`: every live row
@@ -498,16 +502,21 @@ impl Table {
         self.fwd_live = true;
     }
 
-    /// Points the forward slot of `row` on FK column `col` at `parent`.
+    /// Points the forward slot of `row` on FK column `col` at `parent`
+    /// (a no-op on unresolved arrays: the next resolution writes it).
     pub(crate) fn set_forward(&mut self, col: usize, row: RowId, parent: Option<RowId>) {
-        let fwd = self.fwd[col].as_mut().expect("FK columns carry a forward array");
-        fwd[row.index()] = parent.map_or(NO_TARGET, |p| p.0);
+        if let (true, Some(fwd)) = (self.fwd_live, &mut self.fwd[col]) {
+            fwd[row.index()] = parent.map_or(NO_TARGET, |p| p.0);
+        }
     }
 
     /// Points the forward slots of the live rows whose FK column `col`
-    /// holds `key` at `parent`.
+    /// holds `key` at `parent` (a no-op on unresolved arrays).
     pub(crate) fn set_forward_of_run(&mut self, col: usize, key: i64, parent: Option<RowId>) {
         let (Some(runs), Some(fwd)) = (&self.fk_runs[col], &mut self.fwd[col]) else { return };
+        if !self.fwd_live {
+            return;
+        }
         for &r in runs.rows(key) {
             fwd[r.index()] = parent.map_or(NO_TARGET, |p| p.0);
         }
