@@ -273,36 +273,26 @@ impl Unit {
 
     /// Adds the unit's rate to the outgoing total of each source row that
     /// has a target.
-    fn emit(&self, db: &Database, dg: &DataGraph, m: &[f64], out: &mut [f64]) {
-        let start = dg.table_start(self.source) as usize;
-        for rid in db.table(self.source).live_rows() {
+    fn emit(&self, sw: &Sweep, out: &mut [f64]) {
+        let start = sw.dg.table_start(self.source) as usize;
+        for rid in sw.db.table(self.source).live_rows() {
             if !self.targets(rid).is_empty() {
                 let u = start + rid.index();
-                out[u] += self.rate * m[u];
+                out[u] += self.rate * sw.m(u);
             }
         }
     }
 
     /// Pushes each source row's share of `cur` to its targets.
-    #[allow(clippy::too_many_arguments)] // the sweep's working set
-    fn push(
-        &self,
-        db: &Database,
-        dg: &DataGraph,
-        d: f64,
-        m: &[f64],
-        scale: &[f64],
-        cur: &[f64],
-        next: &mut [f64],
-    ) {
-        let start = dg.table_start(self.source) as usize;
-        for rid in db.table(self.source).live_rows() {
+    fn push(&self, sw: &Sweep, d: f64, cur: &[f64], next: &mut [f64]) {
+        let start = sw.dg.table_start(self.source) as usize;
+        for rid in sw.db.table(self.source).live_rows() {
             let list = self.targets(rid);
             if list.is_empty() {
                 continue;
             }
             let u = start + rid.index();
-            let share = d * self.rate * m[u] * scale[u] * cur[u] / list.len() as f64;
+            let share = d * self.rate * sw.m(u) * sw.scale[u] * cur[u] / list.len() as f64;
             for &t in list {
                 next[t as usize] += share;
             }
@@ -367,90 +357,113 @@ impl Transfers {
 }
 
 /// Bytes one solve under `ga` gathers and drops before it returns — the
-/// transfer lists (see `Transfers`) and the four dense vectors its sweeps
-/// hold (value multipliers, emission scales, current and next iterate) —
-/// reported for the footprint, never kept.
+/// transfer lists (see `Transfers`) and the dense vectors its sweeps hold
+/// (emission scales, current and next iterate, and value multipliers
+/// where the GA has value functions) — reported for the footprint, never
+/// kept.
 pub fn solve_scratch_bytes(
     db: &Database,
     sg: &SchemaGraph,
     dg: &DataGraph,
     ga: &AuthorityGraph,
 ) -> [(&'static str, usize); 2] {
-    let vectors = 4 * dg.n_nodes() * std::mem::size_of::<f64>();
-    [("transfer lists", Transfers::gather(db, sg, dg, ga).bytes()), ("iteration vectors", vectors)]
+    let sw = Sweep::new(db, sg, dg, ga);
+    let vectors = (3 * dg.n_nodes() + sw.m.len()) * std::mem::size_of::<f64>();
+    [("transfer lists", sw.tr.bytes()), ("iteration vectors", vectors)]
 }
 
-/// Per-node emission scale capping total outgoing authority at 1 (shared
-/// by [`compute`] and [`reiterate`] so their sweeps are float-identical).
-fn emission_scales(
-    db: &Database,
-    sg: &SchemaGraph,
-    dg: &DataGraph,
-    ga: &AuthorityGraph,
-    tr: &Transfers,
-    m: &[f64],
-) -> Vec<f64> {
-    // Per-node total outgoing rate (including value multipliers), used to
-    // cap emission at 1.
-    let mut out = vec![0.0f64; dg.n_nodes()];
-    for e in sg.edges() {
-        let forward = ga.edge_rates[e.id.index()].forward;
-        if forward > 0.0 {
-            let (from, from_start) = (db.table(e.from), dg.table_start(e.from) as usize);
-            let fwd = from.forward(e.fk_col);
-            for rid in from.live_rows() {
-                if fwd.get(rid).is_some() {
-                    let u = from_start + rid.index();
-                    out[u] += forward * m[u];
-                }
-            }
-        }
-        if let Some(unit) = &tr.bwd[e.id.index()] {
-            unit.emit(db, dg, m, &mut out);
-        }
-    }
-    for unit in &tr.links {
-        unit.emit(db, dg, m, &mut out);
-    }
-    // Emission scale: cap per-node outgoing authority at 1.
-    out.iter().map(|&o| if o > 1.0 { 1.0 / o } else { 1.0 }).collect()
+/// What every sweep of one solve reads: the tables, numbered by `dg`, the
+/// GA's rates, the transfer lists, and two per-node vectors — shared by
+/// [`compute`] and [`reiterate`] so their sweeps are float-identical.
+struct Sweep<'a> {
+    db: &'a Database,
+    sg: &'a SchemaGraph,
+    dg: &'a DataGraph,
+    ga: &'a AuthorityGraph,
+    tr: Transfers,
+    /// Per-node value multipliers; empty when the GA has no value
+    /// function, every multiplier then being 1 (multiplying by it is
+    /// exact, so skipping it changes no bit).
+    m: Vec<f64>,
+    /// Per-node emission scale capping total outgoing authority at 1.
+    scale: Vec<f64>,
 }
 
-/// One power sweep: `next = base + d · transfer(cur)`.
-#[allow(clippy::too_many_arguments)] // the sweep's full working set
-fn sweep_once(
-    db: &Database,
-    sg: &SchemaGraph,
-    dg: &DataGraph,
-    ga: &AuthorityGraph,
-    tr: &Transfers,
-    m: &[f64],
-    scale: &[f64],
-    d: f64,
-    base: f64,
-    cur: &[f64],
-    next: &mut [f64],
-) {
-    next.iter_mut().for_each(|v| *v = base);
+impl<'a> Sweep<'a> {
+    fn new(
+        db: &'a Database,
+        sg: &'a SchemaGraph,
+        dg: &'a DataGraph,
+        ga: &'a AuthorityGraph,
+    ) -> Self {
+        let m = if ga.is_value_rank() { ga.value_multipliers(db, dg) } else { Vec::new() };
+        let tr = Transfers::gather(db, sg, dg, ga);
+        let mut sw = Sweep { db, sg, dg, ga, tr, m, scale: Vec::new() };
+        sw.scale = sw.emission_scales();
+        sw
+    }
 
-    for e in sg.edges() {
-        let forward = ga.edge_rates[e.id.index()].forward;
-        if forward > 0.0 {
-            let (from, from_start) = (db.table(e.from), dg.table_start(e.from) as usize);
-            let (fwd, to_start) = (from.forward(e.fk_col), dg.table_start(e.to) as usize);
-            for rid in from.live_rows() {
-                if let Some(t) = fwd.get(rid) {
-                    let u = from_start + rid.index();
-                    next[to_start + t.index()] += d * forward * m[u] * scale[u] * cur[u];
-                }
-            }
-        }
-        if let Some(unit) = &tr.bwd[e.id.index()] {
-            unit.push(db, dg, d, m, scale, cur, next);
+    fn m(&self, u: usize) -> f64 {
+        if self.m.is_empty() {
+            1.0
+        } else {
+            self.m[u]
         }
     }
-    for unit in &tr.links {
-        unit.push(db, dg, d, m, scale, cur, next);
+
+    fn emission_scales(&self) -> Vec<f64> {
+        // Per-node total outgoing rate (including value multipliers), used
+        // to cap emission at 1.
+        let (db, dg) = (self.db, self.dg);
+        let mut out = vec![0.0f64; dg.n_nodes()];
+        for e in self.sg.edges() {
+            let forward = self.ga.edge_rates[e.id.index()].forward;
+            if forward > 0.0 {
+                let (from, from_start) = (db.table(e.from), dg.table_start(e.from) as usize);
+                let fwd = from.forward(e.fk_col);
+                for rid in from.live_rows() {
+                    if fwd.get(rid).is_some() {
+                        let u = from_start + rid.index();
+                        out[u] += forward * self.m(u);
+                    }
+                }
+            }
+            if let Some(unit) = &self.tr.bwd[e.id.index()] {
+                unit.emit(self, &mut out);
+            }
+        }
+        for unit in &self.tr.links {
+            unit.emit(self, &mut out);
+        }
+        // Emission scale: cap per-node outgoing authority at 1, in place.
+        out.iter_mut().for_each(|o| *o = if *o > 1.0 { 1.0 / *o } else { 1.0 });
+        out
+    }
+
+    /// One power sweep: `next = base + d · transfer(cur)`.
+    fn once(&self, d: f64, base: f64, cur: &[f64], next: &mut [f64]) {
+        next.iter_mut().for_each(|v| *v = base);
+        let (db, dg) = (self.db, self.dg);
+        for e in self.sg.edges() {
+            let forward = self.ga.edge_rates[e.id.index()].forward;
+            if forward > 0.0 {
+                let (from, from_start) = (db.table(e.from), dg.table_start(e.from) as usize);
+                let (fwd, to_start) = (from.forward(e.fk_col), dg.table_start(e.to) as usize);
+                for rid in from.live_rows() {
+                    if let Some(t) = fwd.get(rid) {
+                        let u = from_start + rid.index();
+                        next[to_start + t.index()] +=
+                            d * forward * self.m(u) * self.scale[u] * cur[u];
+                    }
+                }
+            }
+            if let Some(unit) = &self.tr.bwd[e.id.index()] {
+                unit.push(self, d, cur, next);
+            }
+        }
+        for unit in &self.tr.links {
+            unit.push(self, d, cur, next);
+        }
     }
 }
 
@@ -500,10 +513,7 @@ pub fn compute(
     assert!(n > 0, "cannot rank an empty database");
     assert!((0.0..1.0).contains(&cfg.damping), "damping must be in [0, 1)");
 
-    let m = ga.value_multipliers(db, dg);
-    let tr = Transfers::gather(db, sg, dg, ga);
-    let scale = emission_scales(db, sg, dg, ga, &tr, &m);
-
+    let sw = Sweep::new(db, sg, dg, ga);
     let d = cfg.damping;
     let base = (1.0 - d) / n as f64;
     let mut cur = vec![1.0 / n as f64; n];
@@ -513,7 +523,7 @@ pub fn compute(
 
     while iterations < cfg.max_iterations {
         iterations += 1;
-        sweep_once(db, sg, dg, ga, &tr, &m, &scale, d, base, &cur, &mut next);
+        sw.once(d, base, &cur, &mut next);
         let delta: f64 = cur.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut cur, &mut next);
         if delta < cfg.epsilon {
@@ -565,10 +575,7 @@ pub fn reiterate(
     assert!(n > 0, "cannot rank an empty database");
     assert!((0.0..1.0).contains(&cfg.damping), "damping must be in [0, 1)");
 
-    let m = ga.value_multipliers(db, dg);
-    let tr = Transfers::gather(db, sg, dg, ga);
-    let scale = emission_scales(db, sg, dg, ga, &tr, &m);
-
+    let sw = Sweep::new(db, sg, dg, ga);
     let d = cfg.damping;
     let base = (1.0 - d) / n as f64;
     let decompress = |s: f64| {
@@ -602,7 +609,7 @@ pub fn reiterate(
     // `c = (1-d)/(1-d·r)`, and by linearity of `M` the probe rescales into
     // the calibrated sweep without recomputation:
     // `sweep(c·g) = (1-c)·base·1 + c·sweep(g)`.
-    sweep_once(db, sg, dg, ga, &tr, &m, &scale, d, base, &cur, &mut next);
+    sw.once(d, base, &cur, &mut next);
     let retained = (next.iter().sum::<f64>() - (1.0 - d)) / d;
     let c = (1.0 - d) / (1.0 - d * retained).max(1.0 - d);
     for (v, &p) in cur.iter_mut().zip(next.iter()) {
@@ -613,7 +620,7 @@ pub fn reiterate(
 
     while iterations < sweeps {
         iterations += 1;
-        sweep_once(db, sg, dg, ga, &tr, &m, &scale, d, base, &cur, &mut next);
+        sw.once(d, base, &cur, &mut next);
         let delta: f64 = cur.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut cur, &mut next);
         if delta < cfg.epsilon {
