@@ -471,8 +471,9 @@ impl Table {
     /// table, or a parent row they may name, changed under a plain row
     /// operation). Inserts append no slot until the next resolution.
     pub(crate) fn drop_forward(&mut self) {
-        self.fwd_live = false;
-        self.fwd.iter_mut().flatten().for_each(|f| *f = Vec::new());
+        if std::mem::take(&mut self.fwd_live) {
+            self.fwd.iter_mut().flatten().for_each(|f| *f = Vec::new());
+        }
     }
 
     /// The resolved forward array of FK column `col`: every live row
