@@ -12,7 +12,7 @@ use sizel_core::algo::{
     TopPathOpt,
 };
 use sizel_core::eval::{snippet_selection, EvaluatorPanel};
-use sizel_core::os::Os;
+use sizel_core::os::{Os, OsNodeId};
 use sizel_core::osgen::{generate_os, OsContext, OsSource};
 use sizel_core::prelim::generate_prelim;
 use sizel_core::render::{render_os, RenderOptions};
@@ -91,8 +91,15 @@ pub fn fig8(bench: &Bench) -> String {
                     if ref_os.len() < l {
                         continue;
                     }
+                    // The reference tree under this setting's weights: the
+                    // panel's selections index `ref_os`'s nodes, and each
+                    // setting's database lists children in its own order.
                     let ctx = bench.ctx(kind, si);
-                    let os = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+                    let mut os = ref_os.clone();
+                    for id in (0..os.len() as u32).map(OsNodeId) {
+                        let n = os.node_mut(id);
+                        n.weight = ctx.local_importance(n.gds_node, n.tuple);
+                    }
                     let computed = DpKnapsack.compute(&os, l);
                     total += panel.panel_effectiveness(&ref_os, &computed, l);
                     count += 1;
@@ -839,12 +846,13 @@ pub fn ablations(bench: &Bench) -> String {
         "\n### Avoidance conditions: I/O accesses, complete vs prelim-l (database mode)\n\n",
     );
     let sup_samples = bench.samples(GdsKind::Supplier, n_samples(bench));
-    let db = bench.db(DbKind::Tpch);
     let mut rows = Vec::new();
     for (regime, sup_ctx) in [
         ("compressed", bench.ctx(GdsKind::Supplier, 0)),
         ("raw-skew", bench.ctx_raw(GdsKind::Supplier)),
     ] {
+        // Each regime's scores are installed in a database of its own.
+        let db = sup_ctx.db;
         for l in [10usize, 50] {
             let mut joins_c = 0u64;
             let mut tuples_c = 0u64;
