@@ -4,9 +4,10 @@
 //!
 //! * `generate_os` on the famous-author ladder (Figure 10e's 1000+-tuple
 //!   OSs) — dominated by per-node allocation before the flat CSR arena,
-//! * Database-source prelim-l generation — dominated by the
-//!   `select_eq_top_l` Avoidance-Condition-2 probes, which the
-//!   importance-sorted FK index turns into bounded prefix scans.
+//! * prelim-l generation from either tuple source through a pooled arena —
+//!   dominated by the `select_eq_top_l` Avoidance-Condition-2 probes both
+//!   sources issue, which the importance-sorted FK index turns into
+//!   bounded prefix scans.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -14,7 +15,7 @@ use std::hint::black_box;
 use sizel_bench::{Bench, GdsKind};
 use sizel_core::os::OsArenaPool;
 use sizel_core::osgen::{generate_os, generate_os_pooled, OsSource};
-use sizel_core::prelim::generate_prelim;
+use sizel_core::prelim::generate_prelim_pooled;
 
 fn full_scale() -> bool {
     std::env::var("SIZEL_BENCH_FULL").is_ok_and(|v| v == "1")
@@ -58,25 +59,34 @@ fn bench_generate(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_top_l_probes(c: &mut Criterion) {
+fn bench_prelim(c: &mut Criterion) {
     let bench = Bench::new(!full_scale());
-    let mut group = c.benchmark_group("os_layout/prelim_database");
+    let mut group = c.benchmark_group("os_layout/prelim");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(1));
     for kind in [GdsKind::Author, GdsKind::Supplier] {
         let ctx = bench.ctx(kind, 0);
         let tds = bench.samples(kind, 1)[0];
+        let mut pool = OsArenaPool::new();
         for l in [15usize, 50] {
-            group.bench_with_input(
-                BenchmarkId::new(kind.label().replace(' ', "_"), l),
-                &l,
-                |b, &l| b.iter(|| black_box(generate_prelim(&ctx, tds, l, OsSource::Database))),
-            );
+            for (source, name) in
+                [(OsSource::Database, "database"), (OsSource::DataGraph, "data_graph")]
+            {
+                let id = format!("{}_{name}_pooled", kind.label().replace(' ', "_"));
+                group.bench_with_input(BenchmarkId::new(id, l), &l, |b, &l| {
+                    b.iter(|| {
+                        let (os, _) = generate_prelim_pooled(&ctx, tds, l, source, &mut pool);
+                        let n = black_box(os.len());
+                        pool.release(os);
+                        n
+                    })
+                });
+            }
         }
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_generate, bench_top_l_probes);
+criterion_group!(benches, bench_generate, bench_prelim);
 criterion_main!(benches);

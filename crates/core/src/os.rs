@@ -25,10 +25,12 @@
 //! generations, so the steady state of a serving loop runs allocation-free
 //! (asserted by the counting-allocator guard in `tests/alloc_guard.rs`).
 
-use std::collections::{HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use sizel_graph::GdsNodeId;
-use sizel_storage::{RowId, TableId, TupleRef};
+use sizel_storage::{ProbeCost, RowId, TableId, TupleRef};
+use sizel_util::F64Ord;
 
 /// Identifies a node within one OS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -394,27 +396,32 @@ pub struct OsArenaPool {
     arenas: Vec<Os>,
     /// BFS frontier scratch for `generate_os` / `generate_prelim`.
     pub(crate) queue: VecDeque<OsNodeId>,
-    /// Tuple-fetch scratch for `OsContext::children_of`.
+    /// Tuple-fetch buffer for `OsContext::children_of`.
     pub(crate) buf: Vec<TupleRef>,
-    /// TOP-l probe scratch for `OsContext::children_of_top_l`.
+    /// Probe scratch and cost record of the fetches.
     pub(crate) fetch: FetchScratch,
+    /// `generate_prelim`'s top-l PQ: a min-heap of the `l` largest local
+    /// importances seen so far.
+    pub(crate) top_l: BinaryHeap<Reverse<F64Ord>>,
 }
 
-/// Working memory for the Avoidance-Condition-2 TOP-l fetch paths
-/// (`OsContext::children_of_top_l`): the bounded selection heap, the
-/// boundary-tie staging run, and the unfiltered fetch buffer, all
-/// recycled across probes so a warm prelim generation never touches the
-/// allocator (pinned by `tests/alloc_guard.rs`). Pooled inside
+/// What the fetches of one OS generation (`OsContext::children_of` and
+/// `children_of_top_l`) share across probes: the TOP-l probe's selected
+/// rows and its bounded heap / boundary-tie staging run, recycled so a
+/// warm prelim generation never touches the allocator (pinned by
+/// `tests/alloc_guard.rs`), and the summary's probe cost record, which
+/// the generation loops reset on entry and fold into the database's
+/// counter on exit for the Database source. Pooled inside
 /// [`OsArenaPool`]; one-shot callers can default-construct it.
 #[derive(Debug, Default)]
 pub struct FetchScratch {
     /// The selected rows of one probe: every probe form selects rows of
     /// the child GDS node's one relation.
     pub(crate) rows: Vec<RowId>,
-    /// The one selection scratch (FK, junction and graph-mode probes).
+    /// The one selection scratch (FK and junction probes).
     pub(crate) topl: sizel_storage::TopLScratch<RowId>,
-    /// Unfiltered children fetched before the TOP-l cut (graph mode).
-    pub(crate) all: Vec<TupleRef>,
+    /// The cost the fetches recorded since it was last reset.
+    pub cost: ProbeCost,
 }
 
 impl OsArenaPool {

@@ -2,26 +2,27 @@
 //!
 //! Breadth-first traversal of the GDS(θ) starting at `t_DS`: for each OS
 //! node and each child relation of its GDS node, fetch the joining tuples
-//! and append them as children. Two tuple sources are supported, matching
-//! the paper's §6.3 comparison:
+//! and append them as children. The paper's §6.3 compares two tuple
+//! sources for the same algorithms; here they share one fetch body and
+//! one TOP-l probe ([`Database::select_eq_top_l_into`] and its junction
+//! sibling), reading the same FK runs, and differ in two things only:
 //!
-//! * [`OsSource::DataGraph`] — the in-memory index ("the OSs are generated
-//!   much faster using the data graph"), which lives in the tables: a
-//!   forward step reads the referencing table's forward array
-//!   (`Table::forward`), a backward or junction step the FK runs of the
-//!   referencing table, nothing counted,
-//! * [`OsSource::Database`] — the SQL-shaped joins of Algorithm 5 line 6,
-//!   every probe counted by the storage layer's access counter, a forward
-//!   FK resolved by a PK probe, and TOP-l probes of paged tables served
-//!   through the pager.
+//! * a forward step — a forward FK, or a junction row's target — reads
+//!   the referencing table's forward array (`Table::forward`) for
+//!   [`OsSource::DataGraph`], the in-memory index ("the OSs are generated
+//!   much faster using the data graph"), and probes the target's PK for
+//!   [`OsSource::Database`], the SQL-shaped joins of Algorithm 5 line 6;
+//! * every probe adds to the summary's cost record in the pooled
+//!   [`FetchScratch`], which is folded into the storage layer's access
+//!   counter once per summary for the Database source and dropped for the
+//!   data graph, which counts nothing.
 //!
-//! Both read the same FK runs, and a forward array equals a fresh PK
-//! probe of every live row's key, so they yield the same OS node for
-//! node; the comparison is accounting plus forward resolution. Local
-//! importance reads each table's installed score snapshot.
+//! A forward array equals a fresh PK probe of every live row's key, so
+//! both yield the same OS node for node. Local importance reads each
+//! table's installed score snapshot.
 
-use sizel_graph::{Direction, Gds, GdsNode, GdsNodeId, JoinSpec, SchemaGraph};
-use sizel_storage::{Database, FkOrderToken, RowId, TupleRef};
+use sizel_graph::{Direction, Gds, GdsNodeId, JoinSpec, SchemaEdge, SchemaGraph};
+use sizel_storage::{Database, FkOrderToken, ProbeCost, RowId, TupleRef};
 
 use crate::os::{FetchScratch, Os, OsArenaPool};
 
@@ -29,9 +30,11 @@ use crate::os::{FetchScratch, Os, OsArenaPool};
 /// `Hash` because the serving layer's cache key includes the source.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OsSource {
-    /// The in-memory tuple graph (fast path).
+    /// The in-memory index: forward steps read the tables' forward
+    /// arrays, and nothing is counted.
     DataGraph,
-    /// Direct joins against the stored tables (counted I/O).
+    /// Joins against the stored tables: forward steps probe the target's
+    /// PK, and every probe is counted.
     Database,
 }
 
@@ -73,69 +76,80 @@ impl<'a> OsContext<'a> {
         self.db.installed_score(tuple) * self.gds.node(gds_node).affinity
     }
 
-    /// Fetches the tuples of GDS node `child` joining with `parent_tuple`.
-    /// `grandparent` is the tuple of the OS parent's parent, excluded by
-    /// CoAuthor-style replicated steps. Appends to `out`.
-    pub fn children_of(
+    /// The forward step `SELECT * FROM To WHERE To.pk = From.fk` over
+    /// edge `e`, from a row of `e.from`: the live row it finds, or `None`
+    /// when no probe is issued because the FK is NULL. The data-graph
+    /// source reads the forward array, which does not tell a NULL FK from
+    /// a dangling one; its record is dropped anyway.
+    fn forward(
         &self,
-        child: GdsNodeId,
-        parent_tuple: TupleRef,
-        grandparent: Option<TupleRef>,
         source: OsSource,
-        out: &mut Vec<TupleRef>,
-    ) {
-        let node = self.gds.node(child);
-        match source {
-            OsSource::DataGraph => self.children_via_graph(node, parent_tuple, grandparent, out),
-            OsSource::Database => self.children_via_database(node, parent_tuple, grandparent, out),
+        e: &SchemaEdge,
+    ) -> impl Fn(RowId) -> Option<Option<RowId>> + 'a {
+        let (from, to, col) = (self.db.table(e.from), self.db.table(e.to), e.fk_col);
+        let array = (source == OsSource::DataGraph).then(|| from.forward(col));
+        move |r| match array {
+            Some(array) => Some(array.get(r)),
+            None => from.value(r, col).as_int().map(|k| to.by_pk(k)),
         }
     }
 
-    fn children_via_graph(
+    /// Fetches the tuples of GDS node `child` joining with `parent`
+    /// (Algorithm 5 line 6), appending them to `out`. `grandparent` is
+    /// the tuple of the OS parent's parent, excluded by CoAuthor-style
+    /// replicated steps. The cost goes to `scratch`'s record.
+    pub fn children_of(
         &self,
-        node: &GdsNode,
+        child: GdsNodeId,
         parent: TupleRef,
         grandparent: Option<TupleRef>,
+        source: OsSource,
+        scratch: &mut FetchScratch,
         out: &mut Vec<TupleRef>,
     ) {
-        match &node.join {
+        let cost = &mut scratch.cost;
+        match &self.gds.node(child).join {
             JoinSpec::Root => {}
             JoinSpec::Step { edge, dir: Direction::Forward } => {
                 let e = self.sg.edge(*edge);
-                if let Some(r) = self.db.table(parent.table).forward(e.fk_col).get(parent.row) {
-                    out.push(TupleRef::new(e.to, r));
+                if let Some(r) = self.forward(source, e)(parent.row) {
+                    cost.record_join(r.is_some() as usize);
+                    out.extend(r.map(|r| TupleRef::new(e.to, r)));
                 }
             }
             JoinSpec::Step { edge, dir: Direction::Backward } => {
+                // SELECT * FROM From WHERE From.fk = parent.pk
                 let e = self.sg.edge(*edge);
                 let pk = self.db.table(parent.table).pk_of(parent.row);
                 let rows = self.db.table(e.from).rows_where_eq(e.fk_col, pk);
+                cost.record_join(rows.len());
                 out.extend(rows.iter().map(|&r| TupleRef::new(e.from, r)));
             }
             JoinSpec::ViaJunction { junction, e_in, e_out, exclude_parent } => {
+                // Probe the junction (1 access), then fetch the targets as
+                // one batched join (1 access).
+                let (e1, e2) = (self.sg.edge(*e_in), self.sg.edge(*e_out));
                 let pk = self.db.table(parent.table).pk_of(parent.row);
-                let (jt, e2) = (self.db.table(*junction), self.sg.edge(*e_out));
-                let fwd = jt.forward(e2.fk_col);
-                for &j in jt.rows_where_eq(self.sg.edge(*e_in).fk_col, pk) {
-                    let Some(r) = fwd.get(j) else { continue };
-                    let tuple = TupleRef::new(e2.to, r);
-                    if *exclude_parent && Some(tuple) == grandparent {
-                        continue;
-                    }
-                    out.push(tuple);
-                }
+                let jrows = self.db.table(*junction).rows_where_eq(e1.fk_col, pk);
+                cost.record_join(jrows.len());
+                let start = out.len();
+                let via = self.forward(source, e2);
+                let targets =
+                    jrows.iter().filter_map(|&j| via(j)?).map(|r| TupleRef::new(e2.to, r));
+                out.extend(targets.filter(|&t| !*exclude_parent || Some(t) != grandparent));
+                cost.record_join(out.len() - start);
             }
         }
     }
 
     /// The Avoidance-Condition-2 fetch (Algorithm 4 line 10): at most `l`
     /// joining tuples with local importance strictly above `largest_l`,
-    /// ordered by descending importance. In database mode the predicate is
-    /// pushed into the probe (the `SELECT * TOP l ... AND Ri.li >
-    /// largest-l` form), so the access counter sees one probe and only the
-    /// returned rows; in data-graph mode the same filter runs against the
-    /// in-memory index. All working memory comes from `scratch` (pooled by
-    /// the generation loops), so warm probes are allocation-free.
+    /// ordered by descending importance. The predicate is pushed into the
+    /// probe (the `SELECT * TOP l ... AND Ri.li > largest-l` form), so the
+    /// cost record sees one probe and only the returned rows; a backward
+    /// or junction step is one storage TOP-l probe for either source. All
+    /// working memory comes from `scratch` (pooled by the generation
+    /// loops), so warm probes are allocation-free.
     #[allow(clippy::too_many_arguments)]
     pub fn children_of_top_l(
         &self,
@@ -151,10 +165,20 @@ impl<'a> OsContext<'a> {
         let node = self.gds.node(child);
         // Every arm selects rows of the child's one relation.
         let li = |r: RowId| self.local_importance(child, TupleRef::new(node.relation, r));
-        let FetchScratch { rows, topl, all } = scratch;
+        let FetchScratch { rows, topl, cost } = scratch;
         rows.clear();
-        match (source, &node.join) {
-            (OsSource::Database, JoinSpec::Step { edge, dir: Direction::Backward }) => {
+        match &node.join {
+            JoinSpec::Root => {}
+            JoinSpec::Step { edge, dir: Direction::Forward } => {
+                // An issued N:1 probe is counted, but a filtered-out row
+                // is not returned.
+                let e = self.sg.edge(*edge);
+                if let Some(r) = self.forward(source, e)(parent_tuple.row) {
+                    rows.extend(r.filter(|&r| li(r) > largest_l));
+                    cost.record_join(rows.len());
+                }
+            }
+            JoinSpec::Step { edge, dir: Direction::Backward } => {
                 let e = self.sg.edge(*edge);
                 let pk = self.db.table(parent_tuple.table).pk_of(parent_tuple.row);
                 self.db.select_eq_top_l_into(
@@ -166,24 +190,11 @@ impl<'a> OsContext<'a> {
                     self.fk_order,
                     &li,
                     topl,
+                    cost,
                     rows,
                 );
             }
-            (OsSource::Database, JoinSpec::Step { edge, dir: Direction::Forward }) => {
-                // N:1 probe with the importance predicate pushed down: an
-                // issued probe is counted (a NULL FK issues none, as in
-                // `children_via_database`), but a filtered-out row is not
-                // returned.
-                let e = self.sg.edge(*edge);
-                if let Some(k) = self.db.value(parent_tuple, e.fk_col).as_int() {
-                    rows.extend(self.db.table(e.to).by_pk(k).filter(|&r| li(r) > largest_l));
-                    self.db.access().record_join(rows.len());
-                }
-            }
-            (
-                OsSource::Database,
-                JoinSpec::ViaJunction { junction, e_in, e_out, exclude_parent },
-            ) => {
+            JoinSpec::ViaJunction { junction, e_in, e_out, exclude_parent } => {
                 let (e1, e2) = (self.sg.edge(*e_in), self.sg.edge(*e_out));
                 let pk = self.db.table(parent_tuple.table).pk_of(parent_tuple.row);
                 let exclude =
@@ -200,19 +211,7 @@ impl<'a> OsContext<'a> {
                     self.fk_order,
                     &li,
                     topl,
-                    rows,
-                );
-            }
-            _ => {
-                // Data-graph mode: fetch then filter.
-                all.clear();
-                self.children_of(child, parent_tuple, grandparent, source, all);
-                topl.select_into(
-                    all.drain(..).filter_map(|t| {
-                        let w = li(t.row);
-                        (w > largest_l).then_some((w, t.row))
-                    }),
-                    l,
+                    cost,
                     rows,
                 );
             }
@@ -220,71 +219,13 @@ impl<'a> OsContext<'a> {
         out.extend(rows.iter().map(|&r| TupleRef::new(node.relation, r)));
     }
 
-    fn children_via_database(
-        &self,
-        node: &GdsNode,
-        parent: TupleRef,
-        grandparent: Option<TupleRef>,
-        out: &mut Vec<TupleRef>,
-    ) {
-        // Each probe below is the SQL form of Algorithm 5 line 6 with the
-        // same access accounting as `Database::select_eq`, but reads the
-        // hash indexes through borrowed slices / point lookups instead of
-        // materializing a `Vec<RowId>` per probe — the Database-source BFS
-        // is allocation-free too (tests/alloc_guard.rs).
-        match &node.join {
-            JoinSpec::Root => {}
-            JoinSpec::Step { edge, dir } => {
-                let e = self.sg.edge(*edge);
-                match dir {
-                    Direction::Forward => {
-                        // SELECT * FROM To WHERE To.pk = parent.fk — O(1)
-                        // on the unique PK index.
-                        if let Some(k) = self.db.value(parent, e.fk_col).as_int() {
-                            let mut fetched = 0usize;
-                            if let Some(r) = self.db.table(e.to).by_pk(k) {
-                                fetched = 1;
-                                out.push(TupleRef::new(e.to, r));
-                            }
-                            self.db.access().record_join(fetched);
-                        }
-                    }
-                    Direction::Backward => {
-                        // SELECT * FROM From WHERE From.fk = parent.pk
-                        let pk = self.db.table(parent.table).pk_of(parent.row);
-                        let rows = self.db.table(e.from).rows_where_eq(e.fk_col, pk);
-                        self.db.access().record_join(rows.len());
-                        for &r in rows {
-                            out.push(TupleRef::new(e.from, r));
-                        }
-                    }
-                }
-            }
-            JoinSpec::ViaJunction { junction, e_in, e_out, exclude_parent } => {
-                // Probe the junction (1 access), then fetch the targets by
-                // PK as one batched join (1 access).
-                let pk = self.db.table(parent.table).pk_of(parent.row);
-                let e1 = self.sg.edge(*e_in);
-                let e2 = self.sg.edge(*e_out);
-                let jt = self.db.table(*junction);
-                let jrows = jt.rows_where_eq(e1.fk_col, pk);
-                self.db.access().record_join(jrows.len());
-                let target = self.db.table(e2.to);
-                let mut fetched = 0usize;
-                for &j in jrows {
-                    if let Some(k) = jt.value(j, e2.fk_col).as_int() {
-                        if let Some(r) = target.by_pk(k) {
-                            let tuple = TupleRef::new(e2.to, r);
-                            if *exclude_parent && Some(tuple) == grandparent {
-                                continue;
-                            }
-                            fetched += 1;
-                            out.push(tuple);
-                        }
-                    }
-                }
-                self.db.access().record_join(fetched);
-            }
+    /// Ends one summary's generation: the cost its fetches recorded in
+    /// `scratch` is folded into the database's counter in one add for the
+    /// Database source, and dropped for the data graph.
+    pub(crate) fn fold_cost(&self, source: OsSource, scratch: &mut FetchScratch) {
+        let cost = std::mem::take(&mut scratch.cost);
+        if source == OsSource::Database {
+            self.db.access().add(&cost);
         }
     }
 }
@@ -311,6 +252,8 @@ pub fn generate_os(
 /// [`generate_os`] drawing the arena and all BFS scratch from `pool`.
 /// Release the returned OS back to the same pool when done with it to keep
 /// the steady state allocation-free (asserted by `tests/alloc_guard.rs`).
+/// A Database-source summary adds its probe cost to `ctx.db.access()`
+/// once, on return.
 pub fn generate_os_pooled(
     ctx: &OsContext<'_>,
     tds: TupleRef,
@@ -323,9 +266,10 @@ pub fn generate_os_pooled(
     // l - 1) typically stays within `4·l` nodes; uncut generation falls
     // back to the default floor.
     let mut os = pool.acquire_with_capacity(depth_cutoff.map_or(64, |c| 4 * (c as usize + 1)));
-    let OsArenaPool { queue, buf, .. } = pool;
+    let OsArenaPool { queue, buf, fetch, .. } = pool;
     queue.clear();
     buf.clear();
+    fetch.cost = ProbeCost::default();
     let root_w = ctx.local_importance(ctx.gds.root(), tds);
     let root = os.add_root(tds, ctx.gds.root(), root_w);
 
@@ -341,7 +285,7 @@ pub fn generate_os_pooled(
         let grandparent = u_parent.map(|p| os.node(p).tuple);
         for &g_child in &ctx.gds.node(u_gds).children {
             buf.clear();
-            ctx.children_of(g_child, u_tuple, grandparent, source, buf);
+            ctx.children_of(g_child, u_tuple, grandparent, source, fetch, buf);
             for &t in buf.iter() {
                 let w = ctx.local_importance(g_child, t);
                 let id = os.add_child(u, t, g_child, w);
@@ -349,43 +293,62 @@ pub fn generate_os_pooled(
             }
         }
     }
+    ctx.fold_cost(source, fetch);
     os
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::prelim::generate_prelim;
     use crate::test_fixtures::{build_dblp, dblp_fixture, tpch_fixture};
 
-    /// Both sources give the same OS for `tds`, node for node: tuple, GDS
-    /// node, parent and weight bits, in BFS order.
+    /// Both sources give the same complete OS for `tds`, and the same
+    /// prelim-l OS at several `l`, node for node: tuple, GDS node, parent
+    /// and weight bits, in BFS order.
     pub(crate) fn assert_sources_agree(ctx: &OsContext<'_>, tds: TupleRef) {
-        let a = generate_os(ctx, tds, None, OsSource::DataGraph);
-        let b = generate_os(ctx, tds, None, OsSource::Database);
-        a.validate().unwrap();
-        b.validate().unwrap();
-        assert_eq!(a.len(), b.len(), "{tds:?}: both sources yield the same OS");
-        for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
-            assert_eq!((x.tuple, x.gds_node, x.parent), (y.tuple, y.gds_node, y.parent), "{tds:?}");
-            assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "{tds:?}");
+        // `None`: the complete OS; `Some(l)`: the prelim-l OS.
+        for l in [None, Some(1), Some(2), Some(5), Some(15)] {
+            let generate = |source| match l {
+                None => generate_os(ctx, tds, None, source),
+                Some(l) => generate_prelim(ctx, tds, l, source).0,
+            };
+            let (a, b) = (generate(OsSource::DataGraph), generate(OsSource::Database));
+            a.validate().unwrap();
+            b.validate().unwrap();
+            assert_eq!(a.len(), b.len(), "{tds:?} prelim-{l:?}: both sources yield the same OS");
+            for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
+                let (xk, yk) = ((x.tuple, x.gds_node, x.parent), (y.tuple, y.gds_node, y.parent));
+                assert_eq!(xk, yk, "{tds:?} prelim-{l:?}");
+                assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "{tds:?} prelim-{l:?}");
+            }
         }
     }
 
     #[test]
     fn generates_consistent_tree_from_both_sources() {
         // Both fixtures carry an installed order, so the FK runs are in
-        // posting order; TPC-H's Supplier GDS steps backward over plain
-        // FK edges, DBLP's through junctions.
+        // posting order and the TOP-l probes prefix-scan; TPC-H's Supplier
+        // GDS steps backward over plain FK edges, DBLP's through
+        // junctions. The token-less contexts take the heap path.
         let f = dblp_fixture();
-        let (ctx, paper_ctx) = (f.ctx(), f.ctx_over(&f.paper_gds));
-        for i in 0..4 {
-            assert_sources_agree(&ctx, f.author_tds(i));
-            assert_sources_agree(&paper_ctx, TupleRef::new(f.dblp.paper, RowId(i as u32)));
+        let heap_ctx = |gds| OsContext::new(&f.dblp.db, &f.sg, gds, None);
+        for ctx in [f.ctx(), heap_ctx(&f.gds)] {
+            for i in 0..4 {
+                assert_sources_agree(&ctx, f.author_tds(i));
+            }
+        }
+        for ctx in [f.ctx_over(&f.paper_gds), heap_ctx(&f.paper_gds)] {
+            for i in 0..4 {
+                assert_sources_agree(&ctx, TupleRef::new(f.dblp.paper, RowId(i as u32)));
+            }
         }
         let t = tpch_fixture();
-        let ctx = t.supplier_ctx();
-        for r in t.tpch.db.table(t.tpch.supplier).live_rows().take(4) {
-            assert_sources_agree(&ctx, TupleRef::new(t.tpch.supplier, r));
+        let db = &t.tpch.db;
+        for ctx in [t.supplier_ctx(), OsContext::new(db, &t.sg, &t.supplier_gds, None)] {
+            for r in db.table(t.tpch.supplier).live_rows().take(4) {
+                assert_sources_agree(&ctx, TupleRef::new(t.tpch.supplier, r));
+            }
         }
     }
 

@@ -20,9 +20,8 @@
 //! optimal size-l OS.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-use sizel_storage::TupleRef;
+use sizel_storage::{ProbeCost, TupleRef};
 use sizel_util::F64Ord;
 
 use crate::os::{Os, OsArenaPool};
@@ -54,7 +53,9 @@ pub fn generate_prelim(
 }
 
 /// [`generate_prelim`] drawing the arena and the BFS scratch from `pool`.
-/// Release the returned OS back to the same pool when done with it.
+/// Release the returned OS back to the same pool when done with it. A
+/// Database-source summary adds its probe cost to `ctx.db.access()` once,
+/// on return.
 pub fn generate_prelim_pooled(
     ctx: &OsContext<'_>,
     tds: TupleRef,
@@ -71,14 +72,14 @@ pub fn generate_prelim_pooled(
     // high-water mark, so a cold one-shot arena skips the doubling ladder
     // (warm pooled arenas keep their own capacity; ROADMAP nit from PR 3).
     let mut os = pool.acquire_with_capacity(4 * l);
-    let OsArenaPool { queue, buf, fetch, .. } = pool;
+    let OsArenaPool { queue, buf, fetch, top_l, .. } = pool;
     queue.clear();
     buf.clear();
+    fetch.cost = ProbeCost::default();
+    top_l.clear();
     let root_w = ctx.local_importance(ctx.gds.root(), tds);
     let root = os.add_root(tds, ctx.gds.root(), root_w);
 
-    // top-l PQ: a min-heap of the l largest local importances seen so far.
-    let mut top_l: BinaryHeap<Reverse<F64Ord>> = BinaryHeap::with_capacity(l + 1);
     top_l.push(Reverse(F64Ord(root_w)));
     // largest-l: the l-th largest local importance so far, or 0 while
     // fewer than l tuples were extracted (Algorithm 4 lines 20-23).
@@ -123,7 +124,7 @@ pub fn generate_prelim_pooled(
                 );
             } else {
                 stats.full_joins += 1;
-                ctx.children_of(g_child, u_tuple, grandparent, source, buf);
+                ctx.children_of(g_child, u_tuple, grandparent, source, fetch, buf);
             }
             for &t in buf.iter() {
                 let w = ctx.local_importance(g_child, t);
@@ -140,6 +141,7 @@ pub fn generate_prelim_pooled(
             }
         }
     }
+    ctx.fold_cost(source, fetch);
     (os, stats)
 }
 

@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sizel_core::engine::{EngineConfig, QueryOptions, SizeLEngine};
 use sizel_core::os::OsArenaPool;
 use sizel_core::osgen::{generate_os_pooled, OsSource};
+use sizel_core::prelim::generate_prelim_pooled;
 use sizel_core::test_fixtures::dblp_fixture;
 
 struct CountingAllocator;
@@ -56,20 +57,27 @@ fn generate_os_steady_state_does_zero_allocations() {
     let f = dblp_fixture();
     let ctx = f.ctx();
     let subjects: Vec<_> = (0..4).map(|i| f.author_tds(i)).collect();
-    let cutoffs = [None, Some(9)];
-    // Both tuple sources: the data graph reads CSR adjacency, the
-    // database source reads hash-index slices / PK point lookups — with
-    // the arena pooled, neither touches the allocator.
+    // Complete OSs, uncut and cut at depth 9, then prelim-l OSs.
+    let forms = [(None, None), (Some(9), None), (None, Some(5)), (None, Some(15))];
+    // Both tuple sources: they read the same FK runs and TOP-l probes and
+    // differ in forward steps — the forward arrays for the data graph,
+    // PK point lookups for the database — and with the arena and the
+    // probe scratch pooled, neither touches the allocator.
     let sources = [OsSource::DataGraph, OsSource::Database];
+    let generate =
+        |tds, (cutoff, prelim): (Option<u32>, Option<usize>), source, pool: &mut _| match prelim {
+            Some(l) => generate_prelim_pooled(&ctx, tds, l, source, pool).0,
+            None => generate_os_pooled(&ctx, tds, cutoff, source, pool),
+        };
 
-    // Warm the pool: the arena, BFS queue, and fetch buffer grow to the
+    // Warm the pool: the arena, BFS queue, and fetch buffers grow to the
     // workload's high-water capacity during the first pass.
     let mut pool = OsArenaPool::new();
     let mut warm_nodes = 0usize;
     for &tds in &subjects {
-        for cutoff in cutoffs {
+        for form in forms {
             for source in sources {
-                let os = generate_os_pooled(&ctx, tds, cutoff, source, &mut pool);
+                let os = generate(tds, form, source, &mut pool);
                 warm_nodes += os.len();
                 pool.release(os);
             }
@@ -82,9 +90,9 @@ fn generate_os_steady_state_does_zero_allocations() {
     let mut steady_nodes = 0usize;
     for _ in 0..5 {
         for &tds in &subjects {
-            for cutoff in cutoffs {
+            for form in forms {
                 for source in sources {
-                    let os = generate_os_pooled(&ctx, tds, cutoff, source, &mut pool);
+                    let os = generate(tds, form, source, &mut pool);
                     steady_nodes += os.len();
                     pool.release(os);
                 }
@@ -95,7 +103,7 @@ fn generate_os_steady_state_does_zero_allocations() {
     assert_eq!(steady_nodes, 5 * warm_nodes, "steady state regenerates the same trees");
     assert_eq!(
         delta, 0,
-        "generate_os steady state allocated {delta} times over {steady_nodes} nodes \
+        "OS generation steady state allocated {delta} times over {steady_nodes} nodes \
          (the CSR arena + pool must be allocation-free once warm)"
     );
 
@@ -147,12 +155,13 @@ fn generate_os_steady_state_does_zero_allocations() {
     // working sets per call, 57 after ISSUE 5's thread-local
     // `AlgoScratch`; pooling the TOP-l probe buffers — `FetchScratch`
     // through `select_eq_top_l_into` and the junction scans — removed the
-    // rest). What remains is the returned QueryResult's own buffers. The
+    // rest; 9 once the prelim top-l PQ joined the pool). What remains is
+    // the returned QueryResult's own buffers. The
     // cap guards against per-call scratch — or a per-query derived-state
     // rebuild — creeping back into the serving path.
     assert!(
         per_call[0] <= 16,
-        "summarize allocated {} times per call (measured baseline 10) — per-call scratch \
+        "summarize allocated {} times per call (measured baseline 9) — per-call scratch \
          crept back into the serving path",
         per_call[0]
     );

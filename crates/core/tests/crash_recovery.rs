@@ -24,7 +24,7 @@ use sizel_disk::page::LINK_PER_PAGE;
 use sizel_disk::{PagedStore, Wal};
 use sizel_graph::{presets, DataGraph, Gds, GdsConfig, JoinSpec, SchemaGraph};
 use sizel_rank::{dblp_ga, AuthorityGraph, GaPreset, RankConfig};
-use sizel_storage::{Database, TableSchema, TupleRef, Value};
+use sizel_storage::{Database, ProbeCost, TableSchema, TupleRef, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -433,8 +433,8 @@ fn junction_probes_over_every_packing_boundary_account_identically_from_pages() 
             for (l, largest_l) in
                 [(1, 0.0), (10, 0.0), (LINK_PER_PAGE + 1, 0.0), (l_all, 0.0), (l_all, half_way)]
             {
-                let probe = |ctx: &OsContext, db: &Database, scratch: &mut FetchScratch| {
-                    let (a0, p0) = (db.access().snapshot(), db.access().probes());
+                let probe = |ctx: &OsContext, scratch: &mut FetchScratch| {
+                    scratch.cost = ProbeCost::default();
                     let mut out = Vec::new();
                     ctx.children_of_top_l(
                         via,
@@ -446,11 +446,11 @@ fn junction_probes_over_every_packing_boundary_account_identically_from_pages() 
                         scratch,
                         &mut out,
                     );
-                    let (a1, p1) = (db.access().snapshot(), db.access().probes());
-                    (out, a1.since(a0), (p1.fast - p0.fast, p1.heap - p0.heap))
+                    let cost = scratch.cost;
+                    (out, cost.access, (cost.probes.fast, cost.probes.heap))
                 };
-                let from_ram = probe(&ram_ctx, &ram.db, &mut scratch);
-                let from_pages = probe(&paged_ctx, &paged.db, &mut scratch);
+                let from_ram = probe(&ram_ctx, &mut scratch);
+                let from_pages = probe(&paged_ctx, &mut scratch);
                 assert_eq!(from_ram, from_pages, "key {key} ({group} pairs) l {l} > {largest_l}");
                 assert_eq!(from_pages.2, (1, 0), "key {key} l {l}: the paged probe fell back");
                 if largest_l == 0.0 {

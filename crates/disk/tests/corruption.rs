@@ -15,7 +15,7 @@ use sizel_disk::page::{
 use sizel_disk::segment::ListId;
 use sizel_disk::{DiskError, PagedStore, SegmentFile, Wal, PAGE_SIZE};
 use sizel_storage::{
-    AccessStats, Database, PostingPager, RowId, TableId, TableSchema, TopLScratch, Value,
+    AccessStats, Database, PostingPager, ProbeCost, RowId, TableId, TableSchema, TopLScratch, Value,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -89,8 +89,7 @@ fn junction_probe(
 ) -> (Vec<RowId>, AccessStats, (u64, u64)) {
     let rel = db.table_id("Rel").unwrap();
     let li = |r: RowId| db.table(to).installed_score(r);
-    let (a0, p0) = (db.access().snapshot(), db.access().probes());
-    let mut out = Vec::new();
+    let (mut cost, mut out) = (ProbeCost::default(), Vec::new());
     db.select_via_junction_top_l_into(
         rel,
         source,
@@ -103,10 +102,10 @@ fn junction_probe(
         db.fk_order(),
         &li,
         &mut TopLScratch::new(),
+        &mut cost,
         &mut out,
     );
-    let (a1, p1) = (db.access().snapshot(), db.access().probes());
-    (out, a1.since(a0), (p1.fast - p0.fast, p1.heap - p0.heap))
+    (out, cost.access, (cost.probes.fast, cost.probes.heap))
 }
 
 /// Flips the last byte of page `page_no` of `seg` — zero padding after

@@ -2,8 +2,10 @@
 //!
 //! The paper's cost discussion (Sections 5.3 and 6.3) counts *I/O accesses*:
 //! one per `Ri(tj)` join probe, "even when it returns no results". The
-//! counters are atomics so read-only query paths (`&Database`) can record
-//! accesses and fixtures can be shared across test threads.
+//! `_into` probe forms add to a caller-owned [`ProbeCost`]; the database's
+//! [`AccessCounter`] is made of atomics so read-only query paths
+//! (`&Database`) can fold such a record in once per summary and fixtures
+//! can be shared across test threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -98,6 +100,26 @@ impl AccessStats {
     }
 }
 
+/// The cost of a sequence of probes, kept by the caller in plain integers:
+/// the paper-cost [`AccessStats`] and the [`ProbeStats`] mix (kept apart,
+/// see [`AccessCounter`]). The caller folds it into the database's counter
+/// ([`AccessCounter::add`]) or drops it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProbeCost {
+    /// Join probes issued and tuples they returned.
+    pub access: AccessStats,
+    /// The TOP-l probe mix.
+    pub probes: ProbeStats,
+}
+
+impl ProbeCost {
+    /// Records one join probe returning `tuples` rows.
+    pub fn record_join(&mut self, tuples: usize) {
+        self.access.joins += 1;
+        self.access.tuples += tuples as u64;
+    }
+}
+
 impl AccessCounter {
     /// Records one join probe returning `tuples` rows.
     pub fn record_join(&self, tuples: usize) {
@@ -105,14 +127,12 @@ impl AccessCounter {
         self.tuples.fetch_add(tuples as u64, Ordering::Relaxed);
     }
 
-    /// Records one TOP-l probe served as a prefix scan.
-    pub fn record_fast_probe(&self) {
-        self.fast_probes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one TOP-l probe served by the heap fallback.
-    pub fn record_heap_probe(&self) {
-        self.heap_probes.fetch_add(1, Ordering::Relaxed);
+    /// Folds a caller's cost record in.
+    pub fn add(&self, cost: &ProbeCost) {
+        self.joins.fetch_add(cost.access.joins, Ordering::Relaxed);
+        self.tuples.fetch_add(cost.access.tuples, Ordering::Relaxed);
+        self.fast_probes.fetch_add(cost.probes.fast, Ordering::Relaxed);
+        self.heap_probes.fetch_add(cost.probes.heap, Ordering::Relaxed);
     }
 
     /// Current probe-mix values.
@@ -189,6 +209,19 @@ mod tests {
         c.record_join(1);
         let delta = c.snapshot().since(before);
         assert_eq!(delta, AccessStats { joins: 2, tuples: 5 });
+    }
+
+    #[test]
+    fn a_folded_record_adds_to_every_counter() {
+        let c = AccessCounter::default();
+        c.record_join(2);
+        let mut cost = ProbeCost::default();
+        cost.record_join(3);
+        cost.record_join(0);
+        cost.probes = ProbeStats { fast: 1, heap: 1 };
+        c.add(&cost);
+        assert_eq!(c.snapshot(), AccessStats { joins: 3, tuples: 5 });
+        assert_eq!(c.probes(), cost.probes);
     }
 
     #[test]

@@ -1428,7 +1428,7 @@ mod tests {
         assert!(db.table(j).sorted_link_index(2).is_some(), "pairs ordered by P: kept");
         let mut out = Vec::new();
         let li = |r: RowId| r.index() as f64;
-        let (before, mut scratch) = (db.access().probes(), crate::TopLScratch::new());
+        let (mut cost, mut scratch) = (crate::ProbeCost::default(), crate::TopLScratch::new());
         db.select_via_junction_top_l_into(
             j,
             1,
@@ -1441,10 +1441,11 @@ mod tests {
             Some(token),
             &li,
             &mut scratch,
+            &mut cost,
             &mut out,
         );
         assert_eq!(out, [RowId(0)], "only the live target");
-        assert_eq!(db.access().probes().heap - before.heap, 1);
+        assert_eq!(cost.probes.heap, 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use super::{Database, TableId};
+use crate::access::ProbeCost;
 use crate::fk_index::{FkOrderToken, Posting, SortedPostings};
 use crate::pager::{PostingCursor, PostingPager, SliceCursor};
 use crate::table::RowId;
@@ -46,7 +47,7 @@ impl Database {
     /// ORDER BY li DESC` — Algorithm 4 line 10 (Avoidance Condition 2).
     /// `li` maps a row of `table` to its local importance. One counted join
     /// access even when the result is empty, matching the paper's cost
-    /// accounting.
+    /// accounting, recorded into the database's counter at once.
     ///
     /// When `order` matches the installed importance order (which attests
     /// that `li` is a monotone non-decreasing function of the installed
@@ -69,9 +70,9 @@ impl Database {
         order: Option<FkOrderToken>,
         li: &dyn Fn(RowId) -> f64,
     ) -> Vec<RowId> {
-        let mut scratch = TopLScratch::new();
-        let mut out = Vec::new();
-        self.select_eq_top_l_into(table, col, key, l, largest_l, order, li, &mut scratch, &mut out);
+        let (s, mut cost, mut out) = (&mut TopLScratch::new(), ProbeCost::default(), Vec::new());
+        self.select_eq_top_l_into(table, col, key, l, largest_l, order, li, s, &mut cost, &mut out);
+        self.access.add(&cost);
         out
     }
 
@@ -79,7 +80,8 @@ impl Database {
     /// working buffer — the fast path's boundary-tie staging run, the
     /// heap path's bounded min-heap — from `scratch`, so a warm serving
     /// loop probes without touching the allocator (the core crate's
-    /// `tests/alloc_guard.rs` pins this end to end). Results and access
+    /// `tests/alloc_guard.rs` pins this end to end), and adding its cost
+    /// to `cost` instead of the database's counter. Results and access
     /// accounting are byte-identical to the allocating form, which
     /// delegates here.
     #[allow(clippy::too_many_arguments)] // mirrors the SQL probe's clause list
@@ -93,6 +95,7 @@ impl Database {
         order: Option<FkOrderToken>,
         li: &dyn Fn(RowId) -> f64,
         scratch: &mut TopLScratch<RowId>,
+        cost: &mut ProbeCost,
         out: &mut Vec<RowId>,
     ) {
         let t = self.table(table);
@@ -113,6 +116,7 @@ impl Database {
                 (group.iter().copied(), ())
             },
             scratch,
+            cost,
             out,
         );
     }
@@ -140,6 +144,7 @@ impl Database {
         order: Option<FkOrderToken>,
         li: &dyn Fn(RowId) -> f64,
         scratch: &mut TopLScratch<RowId>,
+        cost: &mut ProbeCost,
         out: &mut Vec<RowId>,
     ) {
         let jt = self.table(junction);
@@ -164,15 +169,16 @@ impl Database {
                 (targets, jrows.len() as u32)
             },
             scratch,
+            cost,
             out,
         );
-        self.access.record_join(raw as usize);
+        cost.record_join(raw as usize);
     }
 
     /// The one TOP-l probe body, for either posting kind: at most `l` of
     /// `key`'s result rows with `li > largest_l`, best first, appended to
-    /// `out`; one counted join access reporting the rows returned, and
-    /// one fast or heap probe. The sorted list is `resident` or, evicted,
+    /// `out`; one join access reporting the rows returned, and one fast or
+    /// heap probe, added to `cost`. The sorted list is `resident` or, evicted,
     /// a cursor of the attached pager (`paged`; `None` when its generation
     /// does not cover the list); an entry's result row is its scored row
     /// ([`Posting::scored`]), `li` maps it to its local importance
@@ -191,6 +197,7 @@ impl Database {
         li: impl Fn(RowId) -> Option<f64>,
         heap: impl FnOnce() -> (I, E::Raw),
         scratch: &mut TopLScratch<RowId>,
+        cost: &mut ProbeCost,
         out: &mut Vec<RowId>,
     ) -> E::Raw {
         let start = out.len();
@@ -222,8 +229,8 @@ impl Database {
             };
             if let Some(raw) = staged {
                 scratch.rank_staged_into(l, out);
-                self.access.record_join(out.len() - start);
-                self.access.record_fast_probe();
+                cost.record_join(out.len() - start);
+                cost.probes.fast += 1;
                 return raw;
             }
             // Fail closed: a read error mid-scan discards the partial
@@ -232,7 +239,7 @@ impl Database {
             // backed by the FK runs — takes over.
             scratch.staged.clear();
         }
-        self.access.record_heap_probe();
+        cost.probes.heap += 1;
         // Bounded top-l selection — O(g log l) over a group of g rows
         // instead of sorting the whole group (ROADMAP hot path).
         let (candidates, raw) = heap();
@@ -244,7 +251,7 @@ impl Database {
             l,
             out,
         );
-        self.access.record_join(out.len() - start);
+        cost.record_join(out.len() - start);
         raw
     }
 }

@@ -46,7 +46,7 @@ pub mod text;
 pub mod topl;
 pub mod value;
 
-pub use access::{AccessCounter, AccessStats, MaintStats, ProbeStats};
+pub use access::{AccessCounter, AccessStats, MaintStats, ProbeCost, ProbeStats};
 pub use database::{Database, ScoredBatch, TableId, TupleRef};
 pub use epoch::Epoch;
 pub use error::StorageError;
