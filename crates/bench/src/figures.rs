@@ -24,6 +24,10 @@ use crate::{markdown_table, Bench, DbKind, GdsKind, SETTINGS};
 const FIG8_LS: [usize; 6] = [5, 10, 15, 20, 25, 30];
 /// The l axis of Figures 9 and 10.
 const FIG9_LS: [usize; 10] = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50];
+/// Summaries `repro footprint` holds: the most `cold_read`'s serve cache
+/// keeps (the 4096-entry memo, sized by the two engines its router is
+/// handed).
+const CACHED_SUMMARIES: usize = 8192;
 
 fn n_samples(bench: &Bench) -> usize {
     if bench.quick {
@@ -577,7 +581,7 @@ pub fn example45(bench: &Bench) -> String {
     for (name, tds) in &trio {
         let (prelim, _) = generate_prelim(&ctx, *tds, 15, OsSource::DataGraph);
         let r = TopPath.compute(&prelim, 15);
-        let summary = prelim.project(&r.selected);
+        let summary = prelim.project(&r.selected).to_os();
         out.push_str(&format!("**{name}** (Im(S) = {:.3}):\n\n```\n", r.importance));
         out.push_str(&render_os(
             bench.db(DbKind::Dblp),
@@ -757,6 +761,120 @@ pub fn footprint() -> String {
     out.push_str(&markdown_table(
         &["gathered and dropped", "transfer lists MB", "iteration vectors MB", "MB"],
         &[solve],
+    ));
+    out.push('\n');
+    out.push_str(&summary_cache_footprint());
+    out
+}
+
+/// What the serve cache pays per entry: the first [`CACHED_SUMMARIES`]
+/// distinct `(t_DS, options)` keys of a `cold_read`-like stream over one
+/// bench-scale engine — a keyword uniform over the vocabulary, its
+/// `ds_hits`, and one option draw per keyword (l uniform in {5, 10, 15,
+/// 30, 50}; Top-Path 1/2, Bottom-Up 1/4, Optimal 1/4; the complete OS one
+/// time in eight) — held as the cache holds them (`Arc<QueryResult>`).
+/// Bytes and allocations come from capacities; the `VmRSS` delta is taken
+/// around the holding pass, after a first pass over the same keys — each
+/// summary dropped at once — has grown the engine's pooled arenas. Heap
+/// the process freed earlier and the holding pass reuses does not show in
+/// the delta.
+fn summary_cache_footprint() -> String {
+    use std::sync::Arc;
+
+    use sizel_core::engine::{EngineConfig, QueryOptions, SizeLEngine};
+    use sizel_core::os::PackedNode;
+    use sizel_storage::{text, Epoch};
+    use sizel_util::prng::Prng;
+
+    let engine = SizeLEngine::build(
+        sizel_datagen::dblp::generate(&sizel_datagen::dblp::DblpConfig::bench()).db,
+        |db, sg, dg| sizel_rank::dblp_ga(sizel_rank::GaPreset::Ga1, db, sg, dg),
+        EngineConfig::new(vec![
+            ("Author".into(), sizel_graph::presets::dblp_author_gds_config()),
+            ("Paper".into(), sizel_graph::presets::dblp_paper_gds_config()),
+        ]),
+    )
+    .expect("the bench-scale DBLP database builds an engine");
+    // The benchmark's vocabulary: every token of three characters or more
+    // in the searchable columns, sorted.
+    let db = engine.db();
+    let mut vocab = std::collections::BTreeSet::new();
+    for t in ["Author", "Paper"] {
+        let table = db.table(db.table_id(t).expect("DBLP schema"));
+        for col in table.schema.searchable_columns() {
+            for row in table.live_rows() {
+                let tokens = table.value(row, col).as_str().map(text::tokenize);
+                vocab.extend(tokens.into_iter().flatten().filter(|t| t.chars().count() >= 3));
+            }
+        }
+    }
+    let vocab: Vec<String> = vocab.into_iter().collect();
+    let algos = [AlgoKind::TopPath, AlgoKind::BottomUp, AlgoKind::TopPath, AlgoKind::Optimal];
+    let mut rng = Prng::new(1);
+    let mut seen = std::collections::HashSet::new();
+    let mut keys: Vec<(TupleRef, QueryOptions)> = Vec::with_capacity(CACHED_SUMMARIES);
+    while keys.len() < CACHED_SUMMARIES {
+        let keyword = rng.pick(&vocab);
+        let opts = QueryOptions {
+            l: *rng.pick(&[5, 10, 15, 30, 50]),
+            algo: *rng.pick(&algos),
+            prelim: rng.below(8) != 0,
+            ..QueryOptions::default()
+        };
+        for tds in engine.ds_hits(keyword) {
+            if keys.len() < CACHED_SUMMARIES && seen.insert((tds, opts)) {
+                keys.push((tds, opts));
+            }
+        }
+    }
+    for &(tds, opts) in &keys {
+        std::hint::black_box(engine.summarize(tds, opts));
+    }
+    let mut held = Vec::with_capacity(keys.len());
+    let before = rss_mb();
+    held.extend(keys.iter().map(|&(tds, opts)| Arc::new(engine.summarize(tds, opts))));
+    let rss_delta = rss_mb() - before;
+
+    let (mut nodes, mut bytes, mut slab, mut allocs, mut wire) = (0, 0, 0, 0, 0);
+    for qr in &held {
+        let parts = [
+            2 * size_of::<usize>() + size_of_val(&**qr),
+            qr.ds_label.capacity(),
+            qr.result.selected.capacity() * size_of::<OsNodeId>(),
+            qr.summary.len() * size_of::<PackedNode>(),
+        ];
+        nodes += qr.summary.len();
+        bytes += parts.iter().sum::<usize>();
+        slab += parts[3];
+        allocs += parts.iter().filter(|&&b| b > 0).count();
+        wire += sizel_net::wire::encode_summary_payload(Epoch(0), qr).len() - 8;
+    }
+    let per = |total: usize| format!("{:.1}", total as f64 / held.len() as f64);
+    let row = vec![
+        held.len().to_string(),
+        per(nodes),
+        per(bytes),
+        per(slab),
+        per(allocs),
+        per(wire),
+        format!("{rss_delta:.1}"),
+        format!("{:.0}", rss_delta * 1024.0 * 1024.0 / held.len() as f64),
+    ];
+    let mut out = format!(
+        "### Summary cache — {CACHED_SUMMARIES} cached summaries over cold_read's option mix\n\n"
+    );
+    out.push_str(&markdown_table(
+        &[
+            "summaries",
+            "nodes/summary",
+            "B/summary",
+            "slab B/summary",
+            "allocations/summary",
+            "wire B/summary",
+            "VmRSS delta MB",
+            "VmRSS B/summary",
+        ],
+        &[row],
     ));
     out
 }

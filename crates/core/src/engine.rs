@@ -39,7 +39,7 @@ use crate::durability::{decode_batch, DiskTier, DiskTierConfig, DiskTierStats, R
 
 use crate::algo::{AlgoKind, SizeLResult};
 use crate::keyword::KeywordIndex;
-use crate::os::{Os, OsArenaPool};
+use crate::os::{OsArenaPool, PackedOs};
 use crate::osgen::{generate_os_pooled, OsContext, OsSource};
 use crate::prelim::generate_prelim_pooled;
 use crate::render::{render_os, RenderOptions};
@@ -118,8 +118,8 @@ pub struct QueryResult {
     pub input_os_size: usize,
     /// The size-l selection and its importance.
     pub result: SizeLResult,
-    /// The materialized size-l OS.
-    pub summary: Os,
+    /// The materialized size-l OS, packed.
+    pub summary: PackedOs,
 }
 
 /// Puts a result list that arrives in DS-importance order (the order
@@ -857,7 +857,7 @@ impl SizeLEngine {
 
     /// Renders a result's summary in the Example-5 format.
     pub fn render(&self, qr: &QueryResult, opts: &RenderOptions) -> String {
-        render_os(&self.db, self.gds(qr.tds.table), &qr.summary, opts)
+        render_os(&self.db, self.gds(qr.tds.table), &qr.summary.to_os(), opts)
     }
 
     fn ds_label(&self, tds: TupleRef) -> String {

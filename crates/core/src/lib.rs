@@ -37,6 +37,6 @@ pub use algo::{AlgoKind, SizeLAlgorithm, SizeLResult};
 pub use durability::{DiskTierConfig, DiskTierStats, RecoveryReport};
 pub use engine::{EngineConfig, QueryResult, SizeLEngine};
 pub use keyword::KeywordIndex;
-pub use os::{Os, OsNode, OsNodeId};
+pub use os::{Os, OsNode, OsNodeId, PackedOs};
 pub use osgen::{generate_os, OsContext, OsSource};
 pub use prelim::generate_prelim;

@@ -1,4 +1,5 @@
-//! The Object Summary tree, stored as a flat CSR arena.
+//! The Object Summary tree, stored as a flat CSR arena, and the packed
+//! form a finished size-l summary is kept in.
 //!
 //! One contiguous node slab in BFS order (parents always precede children)
 //! plus compressed child ranges: node `i`'s children occupy
@@ -16,10 +17,16 @@
 //!   4/5 expand one OS node completely before moving on). Each append is
 //!   `O(1)` amortized and the per-node ranges stay contiguous.
 //! * **Batch rebuild** (`from_nodes`, used by [`Os::synthetic`] and
-//!   [`Os::project`]) — a counting sort over parent links builds the CSR in
-//!   `O(n)` for arbitrary parent-before-child insertion orders, with
-//!   children listed in ascending id order (exactly the order the legacy
-//!   per-node `Vec` layout produced).
+//!   [`PackedOs::to_os`]) — a counting sort over parent links builds the
+//!   CSR in `O(n)` for arbitrary parent-before-child insertion orders,
+//!   with children listed in ascending id order (exactly the order the
+//!   legacy per-node `Vec` layout produced).
+//!
+//! [`Os::project`] turns a size-l selection into a [`PackedOs`]: one
+//! exact-sized slab of 24-byte [`PackedNode`]s with parent links and no
+//! CSR, which is what a `QueryResult` — and so every entry of the serve
+//! cache — holds. The working arenas stay CSR; a cached summary is read,
+//! never walked by an algorithm.
 //!
 //! [`OsArenaPool`] recycles arenas plus the BFS scratch between
 //! generations, so the steady state of a serving loop runs allocation-free
@@ -241,37 +248,47 @@ impl Os {
         self.iter().filter(|(id, _)| self.child_count(*id) == 0).map(|(id, _)| id).collect()
     }
 
-    /// Projects a node subset into a standalone OS (used to materialize a
-    /// size-l OS for rendering). The subset must be connected and contain
-    /// the root — exactly Definition 1; panics otherwise.
-    pub fn project(&self, selected: &[OsNodeId]) -> Os {
-        let sel: HashSet<OsNodeId> = selected.iter().copied().collect();
-        assert!(sel.contains(&self.root()), "a size-l OS must contain t_DS (Definition 1)");
-        let mut map = vec![u32::MAX; self.nodes.len()];
-        let mut out: Vec<OsNode> = Vec::with_capacity(sel.len());
-        // BFS order of the original arena preserves parent-before-child.
-        for (id, n) in self.iter() {
-            if !sel.contains(&id) {
-                continue;
-            }
-            let new = out.len() as u32;
-            match n.parent {
-                None => {
-                    out.push(OsNode { parent: None, depth: 0, ..*n });
-                }
-                Some(p) => {
-                    assert!(
-                        map[p.index()] != u32::MAX,
-                        "selected set must be connected through the root (Definition 1)"
-                    );
-                    let parent = OsNodeId(map[p.index()]);
-                    let depth = out[parent.index()].depth + 1;
-                    out.push(OsNode { parent: Some(parent), depth, ..*n });
-                }
-            }
-            map[id.index()] = new;
+    /// Projects a node subset into a standalone packed summary (the
+    /// size-l OS a `QueryResult` holds). The subset must contain the root,
+    /// list each node once and be connected — exactly Definition 1;
+    /// panics otherwise. Nodes keep the arena's BFS order, relabeled
+    /// densely.
+    ///
+    /// The slab is the one allocation: it first stages the selected ids,
+    /// sorted in place, and is then filled from the last node back, so
+    /// each node finds its parent's new index by binary search over the
+    /// ids still staged before it.
+    pub fn project(&self, selected: &[OsNodeId]) -> PackedOs {
+        let mut slab: Box<[PackedNode]> = selected
+            .iter()
+            .map(|id| PackedNode { parent: id.0, ..PackedNode::default() })
+            .collect();
+        slab.sort_unstable_by_key(|n| n.parent);
+        assert!(
+            slab.first().is_some_and(|n| n.parent == self.root().0),
+            "a size-l OS must contain t_DS (Definition 1)"
+        );
+        assert!(
+            slab.windows(2).all(|w| w[0].parent < w[1].parent),
+            "a size-l OS lists each node once (Definition 1)"
+        );
+        for i in (0..slab.len()).rev() {
+            let (staged, rest) = slab.split_at_mut(i);
+            let n = &self.nodes[rest[0].parent as usize];
+            let parent = n.parent.map_or(NO_PARENT, |p| {
+                let new = staged.binary_search_by_key(&p.0, |m| m.parent);
+                new.expect("selected set must be connected through the root (Definition 1)") as u32
+            });
+            rest[0] = PackedNode {
+                weight: n.weight,
+                row: n.tuple.row.0,
+                gds_node: n.gds_node.0,
+                parent,
+                table: n.tuple.table.0,
+                depth: u16::try_from(n.depth).expect("a summary's depth fits in 16 bits"),
+            };
         }
-        Os::from_nodes(out)
+        PackedOs { nodes: slab }
     }
 
     /// Checks Definition 1 for a candidate selection: contains the root and
@@ -380,6 +397,90 @@ impl Os {
             return Err(format!("node {orphan} is in no child range"));
         }
         Ok(())
+    }
+}
+
+/// `PackedNode::parent` of the root.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One node of a [`PackedOs`]: an [`OsNode`] in 24 bytes, its child
+/// links left to the parent array.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PackedNode {
+    weight: f64,
+    row: u32,
+    gds_node: u32,
+    /// The parent's index; `u32::MAX` for the root.
+    parent: u32,
+    table: u16,
+    depth: u16,
+}
+
+impl PackedNode {
+    fn unpack(&self) -> OsNode {
+        OsNode {
+            tuple: TupleRef::new(TableId(self.table), RowId(self.row)),
+            gds_node: GdsNodeId(self.gds_node),
+            parent: (self.parent != NO_PARENT).then_some(OsNodeId(self.parent)),
+            depth: u32::from(self.depth),
+            weight: self.weight,
+        }
+    }
+}
+
+/// A finished summary: an immutable tree in one exact-sized slab of
+/// [`PackedNode`]s, BFS order (parents precede children), built by
+/// [`Os::project`]. Readers get [`OsNode`] values; a node's children are
+/// found by a scan of the parent links, and [`PackedOs::to_os`] rebuilds
+/// the CSR arena for the callers that walk the tree (rendering).
+#[derive(Clone, Debug)]
+pub struct PackedOs {
+    nodes: Box<[PackedNode]>,
+}
+
+impl PackedOs {
+    /// Number of nodes (the summary's size).
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True when the summary has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The root id (panics on an empty summary).
+    pub fn root(&self) -> OsNodeId {
+        assert!(!self.nodes.is_empty(), "empty OS has no root");
+        OsNodeId(0)
+    }
+
+    /// The node with the given id.
+    pub fn node(&self, id: OsNodeId) -> OsNode {
+        self.nodes[id.index()].unpack()
+    }
+
+    /// Iterates `(OsNodeId, OsNode)` in BFS order.
+    pub fn iter(&self) -> impl Iterator<Item = (OsNodeId, OsNode)> + '_ {
+        self.nodes.iter().enumerate().map(|(i, n)| (OsNodeId(i as u32), n.unpack()))
+    }
+
+    /// The children of a node in ascending id order, by a scan of the
+    /// nodes after it.
+    pub fn children(&self, id: OsNodeId) -> impl Iterator<Item = OsNodeId> + '_ {
+        let after = self.nodes.iter().enumerate().skip(id.index() + 1);
+        after.filter(move |(_, n)| n.parent == id.0).map(|(i, _)| OsNodeId(i as u32))
+    }
+
+    /// The summary as a CSR arena.
+    pub fn to_os(&self) -> Os {
+        Os::from_nodes(self.iter().map(|(_, n)| n).collect())
+    }
+
+    /// Consistency check used by tests: [`Os::validate`] of the rebuilt
+    /// arena (parents precede children, depths follow the parent links).
+    pub fn validate(&self) -> Result<(), String> {
+        self.to_os().validate()
     }
 }
 
@@ -633,7 +734,7 @@ mod tests {
         let sub = os.project(&sel);
         sub.validate().unwrap();
         assert_eq!(sub.len(), 4);
-        assert!((sub.total_weight() - os.weight_of(&sel)).abs() < 1e-12);
+        assert!((sub.to_os().total_weight() - os.weight_of(&sel)).abs() < 1e-12);
         // Node 11 (paper 12) hangs under node 5 (paper 6) in the projection.
         let n = sub
             .iter()

@@ -212,7 +212,7 @@ mod tests {
         let os = generate_os(&ctx, f.author_tds(0), Some(14), OsSource::DataGraph);
         let r = TopPath.compute(&os, 15);
         let sub = os.project(&r.selected);
-        let s = render_os(&f.dblp.db, &f.gds, &sub, &RenderOptions::default());
+        let s = render_os(&f.dblp.db, &f.gds, &sub.to_os(), &RenderOptions::default());
         assert!(s.contains("(Total 15 tuples)"));
     }
 

@@ -17,8 +17,8 @@ use crate::osgen::OsContext;
 
 /// The one canonical byte-exact rendering of a query-result list that
 /// every equivalence oracle compares — all scalar fields with floats as
-/// raw bits, plus the full flat-arena structure of each summary (tuples,
-/// GDS nodes, parents, CSR child slices, depths, weight bits). Accepts
+/// raw bits, plus the full structure of each summary (tuples, GDS nodes,
+/// parents, child lists, depths, weight bits). Accepts
 /// `QueryResult`, `&QueryResult`, and the serving layer's
 /// `Arc<QueryResult>` alike; keeping one renderer means every oracle
 /// compares the same bytes (a new field gets threaded in exactly once).
@@ -42,7 +42,7 @@ pub fn result_fingerprint<R: std::borrow::Borrow<QueryResult>>(results: &[R]) ->
                 n.tuple,
                 n.gds_node,
                 n.parent,
-                r.summary.children(id),
+                r.summary.children(id).collect::<Vec<_>>(),
                 n.depth,
                 n.weight.to_bits()
             ));

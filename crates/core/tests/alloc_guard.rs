@@ -155,13 +155,16 @@ fn generate_os_steady_state_does_zero_allocations() {
     // working sets per call, 57 after ISSUE 5's thread-local
     // `AlgoScratch`; pooling the TOP-l probe buffers — `FetchScratch`
     // through `select_eq_top_l_into` and the junction scans — removed the
-    // rest; 9 once the prelim top-l PQ joined the pool). What remains is
-    // the returned QueryResult's own buffers. The
-    // cap guards against per-call scratch — or a per-query derived-state
-    // rebuild — creeping back into the serving path.
+    // rest; 9 once the prelim top-l PQ joined the pool; 4 once
+    // `Os::project` wrote the summary into one packed slab instead of a
+    // node Vec, three CSR Vecs and a HashSet and id map of scratch). What
+    // remains is the returned QueryResult's own buffers: the label (two:
+    // `format!` grows it once), the selection and the slab. The cap is the measured count: it guards
+    // against per-call scratch — or a per-query derived-state rebuild —
+    // creeping back into the serving path.
     assert!(
-        per_call[0] <= 16,
-        "summarize allocated {} times per call (measured baseline 9) — per-call scratch \
+        per_call[0] <= 4,
+        "summarize allocated {} times per call (measured baseline 4) — per-call scratch \
          crept back into the serving path",
         per_call[0]
     );

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use sizel_core::os::{Os, OsNodeId};
+use sizel_core::os::{Os, OsNodeId, PackedNode};
 use sizel_graph::GdsNodeId;
 use sizel_storage::{RowId, TableId, TupleRef};
 
@@ -22,6 +22,9 @@ fn legacy_child_lists(parents: &[Option<usize>]) -> Vec<Vec<OsNodeId>> {
     }
     lists
 }
+
+// A cached summary costs 24 bytes a node.
+const _: () = assert!(std::mem::size_of::<PackedNode>() == 24);
 
 /// Turns a raw byte soup into a valid parent array (`parents[i] < i`).
 fn parents_from_raw(raw: &[u32]) -> Vec<Option<usize>> {
@@ -118,9 +121,11 @@ proptest! {
         }
     }
 
-    /// Projection preserves the legacy semantics on the CSR arena: the
-    /// projected tree's children are the selected originals in original
-    /// BFS order, relabeled densely.
+    /// Projection preserves the legacy semantics in the packed form: the
+    /// projected tree's nodes are the selected originals in original BFS
+    /// order, relabeled densely, each with its tuple, GDS node, weight
+    /// bits, remapped parent and depth, and with the `Os::synthetic`
+    /// rebuild's kept children.
     #[test]
     fn project_matches_legacy_filtering(
         raw in proptest::collection::vec(0u32..1_000_000, 0..50),
@@ -128,7 +133,7 @@ proptest! {
     ) {
         let parents = parents_from_raw(&raw);
         let n = parents.len();
-        let weights: Vec<f64> = (0..n).map(|i| (i * 3 % 13) as f64).collect();
+        let weights: Vec<f64> = (0..n).map(|i| (i * 3 % 13) as f64 + 0.1 * i as f64).collect();
         let os = Os::synthetic(&parents, &weights);
         // Build a connected, root-containing selection: keep the root and
         // any node whose parent is kept and whose keep bit is set.
@@ -143,6 +148,7 @@ proptest! {
         let sub = os.project(&selected);
         prop_assert!(sub.validate().is_ok(), "{:?}", sub.validate());
         prop_assert_eq!(sub.len(), selected.len());
+        prop_assert_eq!(sub.root(), OsNodeId(0));
         // Old-id -> new-id map follows the original BFS order.
         let mut new_of = vec![usize::MAX; n];
         for (new, old) in selected.iter().enumerate() {
@@ -150,8 +156,17 @@ proptest! {
         }
         for (new, old) in selected.iter().enumerate() {
             let id = OsNodeId(new as u32);
-            prop_assert_eq!(sub.node(id).weight, os.node(*old).weight);
-            prop_assert_eq!(sub.node(id).tuple, os.node(*old).tuple);
+            let (got, want) = (sub.node(id), os.node(*old));
+            prop_assert_eq!(got.tuple, want.tuple);
+            prop_assert_eq!(got.gds_node, want.gds_node);
+            prop_assert_eq!(got.weight.to_bits(), want.weight.to_bits());
+            let parent = want.parent.map(|p| OsNodeId(new_of[p.index()] as u32));
+            prop_assert_eq!(got.parent, parent);
+            match got.parent {
+                None => prop_assert_eq!(got.depth, 0),
+                Some(p) => prop_assert_eq!(got.depth, sub.node(p).depth + 1),
+            }
+            prop_assert_eq!(got.depth, want.depth);
             // Children of the projection = kept children of the original,
             // relabeled, same relative order.
             let expect: Vec<OsNodeId> = os
@@ -160,7 +175,14 @@ proptest! {
                 .filter(|c| kept[c.index()])
                 .map(|c| OsNodeId(new_of[c.index()] as u32))
                 .collect();
-            prop_assert_eq!(sub.children(id), expect.as_slice());
+            prop_assert_eq!(sub.children(id).collect::<Vec<_>>(), expect);
+        }
+        // The packed form rebuilds the arena the selection describes.
+        let rebuilt = sub.to_os();
+        prop_assert!(rebuilt.validate().is_ok(), "{:?}", rebuilt.validate());
+        for (id, node) in sub.iter() {
+            prop_assert_eq!(rebuilt.node(id).parent, node.parent);
+            prop_assert_eq!(rebuilt.children(id).to_vec(), sub.children(id).collect::<Vec<_>>());
         }
     }
 

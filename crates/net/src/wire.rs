@@ -511,6 +511,79 @@ mod tests {
         );
     }
 
+    /// Field-by-field equality of a decoded result and the in-process
+    /// result it was encoded from, floats by their bits.
+    fn assert_decodes_to(got: &WireResult, want: &QueryResult) {
+        assert_eq!(got.tds, want.tds);
+        assert_eq!(got.ds_label, want.ds_label);
+        assert_eq!(got.global_score.to_bits(), want.global_score.to_bits());
+        assert_eq!(got.input_os_size, want.input_os_size);
+        let selected: Vec<u32> = want.result.selected.iter().map(|id| id.0).collect();
+        assert_eq!(got.selected, selected);
+        assert_eq!(got.importance.to_bits(), want.result.importance.to_bits());
+        assert_eq!(got.summary.len(), want.summary.len());
+        for (g, (_, w)) in got.summary.iter().zip(want.summary.iter()) {
+            assert_eq!(g.tuple, w.tuple);
+            assert_eq!(g.gds_node, w.gds_node.0);
+            assert_eq!(g.parent, w.parent.map(|p| p.0));
+            assert_eq!(g.depth, w.depth);
+            assert_eq!(g.weight.to_bits(), w.weight.to_bits());
+        }
+    }
+
+    #[test]
+    fn result_replies_decode_to_their_source() {
+        use sizel_core::engine::{EngineConfig, SizeLEngine};
+        use std::sync::Arc;
+
+        let engine = SizeLEngine::build(
+            sizel_datagen::dblp::generate(&sizel_datagen::dblp::DblpConfig::tiny()).db,
+            |db, sg, dg| sizel_rank::dblp_ga(sizel_rank::GaPreset::Ga1, db, sg, dg),
+            EngineConfig::new(vec![
+                ("Author".into(), sizel_graph::presets::dblp_author_gds_config()),
+                ("Paper".into(), sizel_graph::presets::dblp_paper_gds_config()),
+            ]),
+        )
+        .expect("engine builds");
+        let subjects = ["Author", "Paper"]
+            .map(|t| TupleRef::new(engine.db().table_id(t).expect("DBLP schema"), RowId(1)));
+        let mut sources = Vec::new();
+        for algo in [AlgoKind::TopPath, AlgoKind::BottomUp, AlgoKind::Optimal] {
+            for prelim in [true, false] {
+                for tds in subjects {
+                    let opts = QueryOptions { l: 7, algo, prelim, ..QueryOptions::default() };
+                    sources.push(Arc::new(engine.summarize(tds, opts)));
+                }
+            }
+        }
+        assert!(sources.iter().all(|qr| qr.summary.len() > 1), "summaries with structure");
+
+        for qr in &sources {
+            let payload = encode_summary_payload(Epoch(9), qr);
+            match decode_reply(Opcode::Summary, &payload).expect("decodes") {
+                Reply::Summary { epoch, result } => {
+                    assert_eq!(epoch, 9);
+                    assert_decodes_to(&result, qr);
+                }
+                other => panic!("wrong variant: {other:?}"),
+            }
+        }
+
+        let lists = vec![sources[..5].to_vec(), Vec::new(), sources[5..].to_vec()];
+        let payload = encode_results_payload(Epoch(11), &lists);
+        match decode_reply(Opcode::Results, &payload).expect("decodes") {
+            Reply::Results { epoch, results } => {
+                assert_eq!(epoch, 11);
+                assert_eq!(results.len(), lists.len());
+                for (got, want) in results.iter().zip(&lists) {
+                    assert_eq!(got.len(), want.len());
+                    got.iter().zip(want).for_each(|(g, w)| assert_decodes_to(g, w));
+                }
+            }
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
     #[test]
     fn error_and_busy_replies_roundtrip() {
         let mut e = Vec::new();

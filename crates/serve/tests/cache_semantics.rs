@@ -18,8 +18,8 @@ fn opts(l: usize, algo: AlgoKind, prelim: bool) -> QueryOptions {
 }
 
 /// Field-by-field equality against a freshly computed sequential result,
-/// including the flat arena's full structure: parent links, depths, and
-/// the CSR child slices.
+/// including the packed summary's full structure: parent links, depths,
+/// and the child lists.
 fn assert_same(cached: &QueryResult, fresh: &QueryResult) {
     assert_eq!(cached.tds, fresh.tds);
     assert_eq!(cached.ds_label, fresh.ds_label);
@@ -33,7 +33,7 @@ fn assert_same(cached: &QueryResult, fresh: &QueryResult) {
         assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         assert_eq!(a.parent, b.parent);
         assert_eq!(a.depth, b.depth);
-        assert_eq!(cached.summary.children(ia), fresh.summary.children(ib));
+        assert!(cached.summary.children(ia).eq(fresh.summary.children(ib)));
     }
 }
 

@@ -97,7 +97,7 @@ proptest! {
         let r = TopPath.compute(&os, l);
         let sub = os.project(&r.selected);
         prop_assert_eq!(sub.len(), r.len());
-        prop_assert!((sub.total_weight() - r.importance).abs() < 1e-9);
+        prop_assert!((sub.to_os().total_weight() - r.importance).abs() < 1e-9);
         prop_assert!(sub.validate().is_ok());
     }
 
