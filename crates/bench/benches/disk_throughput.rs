@@ -213,10 +213,6 @@ fn bench_checkpoint(c: &mut Criterion) {
             lists += 1;
             entries += rows.len();
         }
-        for (_, pairs, _) in t.sorted_link_indexes().flat_map(|(_, i)| i.groups()) {
-            lists += 1;
-            entries += pairs.len();
-        }
     }
 
     let dir = temp_dir("checkpoint");

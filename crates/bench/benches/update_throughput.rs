@@ -21,9 +21,9 @@
 //!   hatch; the ≥3× gap against `churn_incremental` is the headline
 //!   number EXPERIMENTS.md §PR 6 records.
 //! * `target_update` — one-mutation batches renaming one existing
-//!   `Author`, a link target of `AuthorPaper`, and no query: its junction
-//!   pairs re-sort in place, so the link rebuilds a batch costs (printed
-//!   after the run) are 0.
+//!   `Author`, a junction target of `AuthorPaper`, and no query: the
+//!   junction keeps nothing ordered by its targets, so the posting
+//!   re-sorts a batch costs (printed after the run) are 0.
 //!
 //! `SIZEL_BENCH_FULL=1` uses more samples; the default keeps `cargo
 //! bench` fast.
@@ -264,7 +264,7 @@ fn bench_update_throughput(c: &mut Criterion) {
     });
     drop(server);
 
-    // One existing Author renamed per batch: a write to a link target.
+    // One existing Author renamed per batch: a write to a junction target.
     let engine = build_engine();
     let server = SizeLServer::from_shared(Arc::clone(&engine), ServeConfig::default());
     let author = {
@@ -286,9 +286,9 @@ fn bench_update_throughput(c: &mut Criterion) {
     });
     let work = engine.read().unwrap().db().access().maint().since(before);
     eprintln!(
-        "update_throughput: target_update link_rebuilds per batch {:.3} ({} over {batches} batches)",
-        work.link_rebuilds as f64 / batches.max(1) as f64,
-        work.link_rebuilds,
+        "update_throughput: target_update posting_resorts per batch {:.3} ({} over {batches} batches)",
+        work.posting_resorts as f64 / batches.max(1) as f64,
+        work.posting_resorts,
     );
     group.finish();
 }

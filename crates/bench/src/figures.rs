@@ -677,7 +677,7 @@ fn rss_mb() -> f64 {
 /// the install, as the engine drops it), then each table's rows and
 /// [`sizel_storage::Table::value_bytes`], and its index bytes by
 /// structure ([`sizel_storage::Table::index_bytes`]: PK slots, FK runs,
-/// forward arrays, link postings, the one score copy), and last what one
+/// forward arrays, the one score copy), and last what one
 /// rank solve gathers and drops ([`sizel_rank::solve_scratch_bytes`]).
 /// Run it in a fresh process (`repro footprint` builds no workbench
 /// first): freed heap the allocator keeps counts as resident.

@@ -143,10 +143,11 @@ pub enum RefreshPolicy {
     /// Maintain everything in place: estimated global importance for the
     /// mutated row (`sizel_rank::estimate_appended_score` for inserts,
     /// `sizel_rank::estimate_updated_score_with` for updates, each with
-    /// its documented approximation bound), sorted FK and link runs
-    /// appended to and re-sorted (inserts/updates) or cut where the entry
-    /// lies (deletes), keyword postings retokenized, and the FK-order token
-    /// re-stamped — no power iteration, no GDS/keyword rebuild. After
+    /// its documented approximation bound), sorted FK runs appended to
+    /// and re-sorted (inserts/updates) or cut where the entry lies
+    /// (deletes), forward arrays re-pointed, keyword postings
+    /// retokenized, and the FK-order token re-stamped — no power
+    /// iteration, no GDS/keyword rebuild. After
     /// update/delete churn, [`SizeLEngine::reiterate`] recovers
     /// near-exact scores with a few bounded power sweeps instead of the
     /// exact escape hatch.
@@ -395,7 +396,7 @@ impl SizeLEngine {
     /// Applies a whole batch of mutations. Each run of incremental
     /// mutations is staged through the storage layer's
     /// [`sizel_storage::ScoredBatch`]: every row operation maintains the
-    /// FK runs, link postings and forward arrays it touches and writes
+    /// FK runs and forward arrays it touches and writes
     /// its row's score estimate into the table's snapshot, and
     /// settlement re-sorts each touched run once. Then one stats/keyword
     /// refresh covers the whole run, where folding [`SizeLEngine::apply`]
@@ -877,7 +878,7 @@ impl SizeLEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::{max_pk, result_fingerprint as fingerprint};
+    use crate::test_fixtures::{fk_prefix_scan_fires, max_pk, result_fingerprint as fingerprint};
     use sizel_datagen::dblp::{generate, DblpConfig};
     use sizel_graph::presets;
     use sizel_rank::{dblp_ga, GaPreset};
@@ -1018,15 +1019,18 @@ mod tests {
         .unwrap();
         agree(&live);
 
-        // The prefix-scan fast path is retained: Database-source prelim
-        // probes after the inserts still hit sorted postings.
+        // The installed order is retained: an FK prefix scan still fires
+        // after the inserts. Database-source prelim generation probes
+        // only junction steps, one heap probe each.
         live.db().access().reset();
         let _ = live.query_with(
             "Faloutsos",
             QueryOptions { l: 15, source: OsSource::Database, prelim: true, ..Default::default() },
         );
         let probes = live.db().access().probes();
-        assert!(probes.fast > 0, "prefix scans survive incremental inserts: {probes:?}");
+        assert!(probes.fast == 0 && probes.heap > 0, "junction steps only: {probes:?}");
+        let ap = "AuthorPaper";
+        assert!(fk_prefix_scan_fires(live.db(), ap, "author_id"), "the order survives inserts");
     }
 
     /// A mutation script with intra-batch references: the junction rows
@@ -1110,14 +1114,41 @@ mod tests {
                 assert_eq!(b_cost, f_cost, "{kw} {opts:?} paper-cost accounting diverged");
             }
         }
-        // Both paths keep the Database-source prefix scans live.
-        batched.db().access().reset();
-        let _ = batched.query_with(
-            &existing,
-            QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
-        );
-        let probes = batched.db().access().probes();
-        assert!(probes.fast > 0 && probes.heap == 0, "fast paths survive the batch: {probes:?}");
+        // Both paths keep the installed order live for FK prefix scans;
+        // Database-source summaries probe junction steps, one heap probe
+        // each.
+        for e in [&batched, &folded] {
+            e.db().access().reset();
+            let _ = e.query_with(
+                &existing,
+                QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
+            );
+            let probes = e.db().access().probes();
+            assert!(probes.fast == 0 && probes.heap > 0, "junction steps only: {probes:?}");
+            let ap = "AuthorPaper";
+            assert!(fk_prefix_scan_fires(e.db(), ap, "paper_id"), "fast paths survive the batch");
+        }
+    }
+
+    #[test]
+    fn an_l_past_every_os_size_returns_the_whole_os_on_a_fresh_thread() {
+        // The cold arena hint is `4·l` nodes: on a thread whose pool has
+        // no parked arena, `l = u32::MAX` once asked the allocator for
+        // half a terabyte and aborted the process. An `l` past the OS
+        // size means the whole OS, prelim or complete.
+        let e = engine();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for prelim in [false, true] {
+                    let opts = QueryOptions { l: u32::MAX as usize, prelim, ..Default::default() };
+                    let results = e.query_with("Faloutsos", opts);
+                    assert!(!results.is_empty(), "prelim {prelim}: the keyword has hits");
+                    for r in &results {
+                        assert_eq!(r.summary.len(), r.input_os_size, "prelim {prelim}: whole OS");
+                    }
+                }
+            });
+        });
     }
 
     #[test]

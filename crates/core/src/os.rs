@@ -484,6 +484,11 @@ impl PackedOs {
     }
 }
 
+/// The most nodes a cold arena pre-sizes to: 16 Ki nodes, far above the
+/// `4·l` any served `l` asks for and far below what a hostile one would.
+/// A larger OS grows its arena as one without a hint does.
+pub const COLD_ARENA_MAX: usize = 1 << 14;
+
 /// A recycling pool for OS arenas and the BFS scratch of OS generation.
 ///
 /// `generate_os`'s steady state — the serving loop re-materializing
@@ -541,13 +546,16 @@ impl OsArenaPool {
     }
 
     /// [`OsArenaPool::acquire`] with a capacity hint for the *cold* case:
-    /// a freshly allocated arena pre-sizes to `cap` nodes (floor 64), so
-    /// one-shot callers with a known workload — `generate_prelim`'s `4·l`
-    /// sizing — skip the doubling ladder. Parked arenas are returned
-    /// as-is (they already carry their high-water capacity), so the warm
-    /// steady state is untouched.
+    /// a freshly allocated arena pre-sizes to `cap` nodes (floor 64, cap
+    /// [`COLD_ARENA_MAX`]), so one-shot callers with a known workload —
+    /// `generate_prelim`'s `4·l` sizing — skip the doubling ladder. The
+    /// hint is only a hint: an `l` off the wire may be any `u32`, and an
+    /// `l` past the OS size means the whole OS, which grows the arena
+    /// as it would without one. Parked arenas are returned as-is (they
+    /// already carry their high-water capacity), so the warm steady state
+    /// is untouched.
     pub fn acquire_with_capacity(&mut self, cap: usize) -> Os {
-        self.arenas.pop().unwrap_or_else(|| Os::with_capacity(cap.max(64)))
+        self.arenas.pop().unwrap_or_else(|| Os::with_capacity(cap.clamp(64, COLD_ARENA_MAX)))
     }
 
     /// Returns an arena to the pool for reuse, keeping its capacity.

@@ -5,13 +5,15 @@
 //! and append them as children. The paper's §6.3 compares two tuple
 //! sources for the same algorithms; here they share one fetch body and
 //! one TOP-l probe ([`Database::select_eq_top_l_into`] and its junction
-//! sibling), reading the same FK runs, and differ in two things only:
+//! sibling, which reads the junction's forward array for either source),
+//! reading the same FK runs, and differ in two things only:
 //!
-//! * a forward step — a forward FK, or a junction row's target — reads
-//!   the referencing table's forward array (`Table::forward`) for
-//!   [`OsSource::DataGraph`], the in-memory index ("the OSs are generated
-//!   much faster using the data graph"), and probes the target's PK for
-//!   [`OsSource::Database`], the SQL-shaped joins of Algorithm 5 line 6;
+//! * a forward step — a forward FK, or a junction row's target outside
+//!   the TOP-l probe — reads the referencing table's forward array
+//!   (`Table::forward`) for [`OsSource::DataGraph`], the in-memory index
+//!   ("the OSs are generated much faster using the data graph"), and
+//!   probes the target's PK for [`OsSource::Database`], the SQL-shaped
+//!   joins of Algorithm 5 line 6;
 //! * every probe adds to the summary's cost record in the pooled
 //!   [`FetchScratch`], which is folded into the storage layer's access
 //!   counter once per summary for the Database source and dropped for the
@@ -50,9 +52,9 @@ pub struct OsContext<'a> {
     pub gds: &'a Gds,
     /// The database's installed importance order, when it matches the
     /// token the context was built with — unlocks the sorted-posting
-    /// prefix scan in [`Database::select_eq_top_l`] and its junction
-    /// sibling. `None` (heap fallback) when no token was handed in or
-    /// the database was re-ordered or mutated since.
+    /// prefix scan in [`Database::select_eq_top_l`] (a junction step has
+    /// none to unlock). `None` (heap fallback) when no token was handed
+    /// in or the database was re-ordered or mutated since.
     fk_order: Option<FkOrderToken>,
 }
 
@@ -265,7 +267,8 @@ pub fn generate_os_pooled(
     // Cold-arena sizing: a depth-cut OS for a size-l computation (cutoff
     // l - 1) typically stays within `4·l` nodes; uncut generation falls
     // back to the default floor.
-    let mut os = pool.acquire_with_capacity(depth_cutoff.map_or(64, |c| 4 * (c as usize + 1)));
+    let hint = depth_cutoff.map_or(64, |c| (c as usize).saturating_add(1).saturating_mul(4));
+    let mut os = pool.acquire_with_capacity(hint);
     let OsArenaPool { queue, buf, fetch, .. } = pool;
     queue.clear();
     buf.clear();

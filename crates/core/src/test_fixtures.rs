@@ -59,6 +59,22 @@ pub fn max_pk(db: &Database, table: &str) -> i64 {
     t.live_rows().map(|r| t.pk_of(r)).max().expect("non-empty fixture table")
 }
 
+/// Whether the installed importance order still serves `table.col`'s
+/// FK prefix scan: one TOP-l probe of the key of the column's first
+/// live row, under the live token, counted as fast. On DBLP every TOP-l
+/// step of a summary is a junction step — one heap probe whatever the
+/// order — so a test that the order survived a write asks an FK column.
+pub fn fk_prefix_scan_fires(db: &Database, table: &str, col: &str) -> bool {
+    let tid = db.table_id(table).expect("fixture table name");
+    let t = db.table(tid);
+    let col = t.schema.column_index(col).expect("fixture column name");
+    let Some(key) = t.live_rows().find_map(|r| t.value(r, col).as_int()) else { return false };
+    let li = |r: RowId| t.installed_score(r);
+    let before = db.access().probes();
+    db.select_eq_top_l(tid, col, key, 5, f64::NEG_INFINITY, db.fk_order(), &li);
+    db.access().probes().fast > before.fast
+}
+
 /// A fully-built tiny DBLP stack.
 pub struct DblpFixture {
     /// Generated database + table handles.

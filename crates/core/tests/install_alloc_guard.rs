@@ -1,11 +1,10 @@
 //! Allocation-count guard for the importance-order install: sorting the
-//! FK runs and pre-joining the link postings of a loaded database
-//! (`sizel_rank::install_importance_order`) allocates a number of blocks
-//! fixed by the schema — a score snapshot per table, a target buffer per
-//! junction, a directory and an arena per link orientation — and none
-//! per key or per row. The FK runs are sorted where they lie, not
-//! copied, so two databases of the same schema, one thirteen times the
-//! other, install with the same count: 19 on the DBLP schema. Beside it, the PK index's bytes: row-id slots, at
+//! FK runs of a loaded database (`sizel_rank::install_importance_order`)
+//! allocates a number of blocks fixed by the schema — a score snapshot
+//! per table — and none per key or per row. The FK runs are sorted where
+//! they lie, not copied, so two databases of the same schema, one
+//! thirteen times the other, install with the same count, at most 20 on
+//! the DBLP schema. Beside it, the PK index's bytes: row-id slots, at
 //! most 8 B a live row over the database.
 //!
 //! A counting wrapper around the system allocator is installed for this

@@ -1,14 +1,14 @@
 //! Integration oracle for the full mutation model:
 //! [`SizeLEngine::apply`] / [`apply_batch`] over **insert, update, and
 //! delete** mutations must keep every derived layer — keyword index,
-//! forward arrays, installed rank scores, sorted FK and link postings —
+//! forward arrays, installed rank scores, sorted FK postings —
 //! in lockstep, under both refresh policies.
 //!
 //! [`apply_batch`]: SizeLEngine::apply_batch
 
 use sizel_core::engine::{EngineConfig, Mutation, QueryOptions, SizeLEngine};
 use sizel_core::osgen::OsSource;
-use sizel_core::test_fixtures::{max_pk, result_fingerprint as fingerprint};
+use sizel_core::test_fixtures::{fk_prefix_scan_fires, max_pk, result_fingerprint as fingerprint};
 use sizel_datagen::dblp::{generate, Dblp, DblpConfig};
 use sizel_graph::presets;
 use sizel_rank::{dblp_ga, GaPreset};
@@ -116,14 +116,19 @@ fn mixed_batch_is_byte_identical_to_the_fold_across_churn_and_compaction() {
     let mut folded = fresh_engine(generate(&DblpConfig::tiny()));
     let existing = existing_keyword(&batched);
     let script = mixed_script(&batched);
+    let mut tables: Vec<&str> = script.iter().map(|m| m.table.as_str()).collect();
+    tables.sort_unstable();
+    tables.dedup();
+    let touched = tables.len() as u64;
 
     let before = batched.db().access().maint();
     let be = batched.apply_batch(script.clone()).unwrap();
     let batch_work = batched.db().access().maint().since(before);
     assert_eq!(batch_work.graph_builds, 0, "a mixed batch builds no data graph: {batch_work:?}");
-    // The batch updates two link targets (an Author, a Paper); their
-    // junction pairs re-sort in place.
-    assert_eq!(batch_work.link_rebuilds, 0, "no link rebuild: {batch_work:?}");
+    // The batch updates two junction targets (an Author, a Paper); their
+    // junctions hold nothing ordered by them, so only the touched tables'
+    // runs re-sort, at most once each.
+    assert!(batch_work.posting_resorts <= touched, "one settlement per table: {batch_work:?}");
     let mut fe = folded.epoch();
     for m in script {
         fe = folded.apply(m).unwrap();
@@ -150,8 +155,9 @@ fn mixed_batch_is_byte_identical_to_the_fold_across_churn_and_compaction() {
             assert_eq!(b_cost, f_cost, "{kw} {opts:?} paper-cost accounting diverged");
         }
     }
-    // Both paths keep the Database-source prefix scans live after the
-    // deletes.
+    // Both paths keep the installed order live for FK prefix scans
+    // after the deletes; Database-source summaries probe junction steps,
+    // one heap probe each.
     for e in [&batched, &folded] {
         e.db().access().reset();
         let _ = e.query_with(
@@ -159,9 +165,10 @@ fn mixed_batch_is_byte_identical_to_the_fold_across_churn_and_compaction() {
             QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
         );
         let probes = e.db().access().probes();
+        assert!(probes.fast == 0 && probes.heap > 0, "junction steps only: {probes:?}");
         assert!(
-            probes.fast > 0 && probes.heap == 0,
-            "fast paths survive the mixed batch: {probes:?}"
+            fk_prefix_scan_fires(e.db(), "AuthorPaper", "author_id"),
+            "fast paths survive the mixed batch"
         );
     }
 }
@@ -252,14 +259,11 @@ fn incremental_mixed_stream_stays_consistent_and_reiterate_refreshes_ranks() {
         assert_eq!(fingerprint(&a), fingerprint(&b), "{kw}: sources diverged post-stream");
     }
 
-    // The prefix-scan fast path survived the deletes.
-    live.db().access().reset();
-    let _ = live.query_with(
-        &existing,
-        QueryOptions { l: 15, source: OsSource::Database, prelim: true, ..Default::default() },
+    // The installed order survived the deletes.
+    assert!(
+        fk_prefix_scan_fires(live.db(), "Citation", "citing_id"),
+        "prefix scans survive the mixed stream"
     );
-    let probes = live.db().access().probes();
-    assert!(probes.fast > 0, "prefix scans survive the mixed stream: {probes:?}");
 
     // Bounded re-iteration tightens the incremental score estimates in
     // place: it advances the epoch, and the engine keeps serving
@@ -282,13 +286,7 @@ fn incremental_mixed_stream_stays_consistent_and_reiterate_refreshes_ranks() {
         );
         assert_eq!(fingerprint(&a), fingerprint(&b), "{kw}: sources diverged after reiterate");
     }
-    live.db().access().reset();
-    let _ = live.query_with(
-        &existing,
-        QueryOptions { l: 15, source: OsSource::Database, prelim: true, ..Default::default() },
-    );
-    let probes = live.db().access().probes();
-    assert!(probes.fast > 0, "prefix scans survive reiterate: {probes:?}");
+    assert!(fk_prefix_scan_fires(live.db(), "Paper", "year_id"), "prefix scans survive reiterate");
 }
 
 #[test]

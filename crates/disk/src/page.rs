@@ -1,13 +1,13 @@
 //! The fixed-size segment page and the list slots packed into it.
 //!
 //! A page belongs to one `(kind, table, column)` and carries a sequence
-//! of **slots**, each a self-describing piece of one posting list:
+//! of **slots**, each a self-describing piece of one FK posting list:
 //!
 //! ```text
 //! page                                  slot (at the directory's offset)
 //! offset  size  field                   offset  size  field
 //!      0     4  magic "SLPG"                 0     8  key    (the i64 FK key this list serves)
-//!      4     1  kind   (1 = FK, 2 = link)    8     4  start  (index in the list of entry 0)
+//!      4     1  kind   (1 = FK)              8     4  start  (index in the list of entry 0)
 //!      5     1  reserved (zero)             12     2  count  (entries in THIS slot)
 //!      6     2  table  (TableId, LE)        14     …  count × entry
 //!      8     2  column (FK column index)
@@ -15,15 +15,16 @@
 //!     14  4082  slots, then zeros
 //! ```
 //!
-//! An FK entry is a `u32` row id, a link entry a `(u32, u32)`
-//! junction/target row pair — both stored in exactly the
-//! descending-importance order of the in-RAM sorted postings, so a
-//! prefix scan of a list's slots IS the prefix scan of the list. A slot
-//! alone in its page holds [`FK_PER_PAGE`] = 1017 row ids or
-//! [`LINK_PER_PAGE`] = 508 pairs. Slots never have `count` 0, so the
+//! An entry is a `u32` row id, stored in exactly the descending-importance
+//! order of the in-RAM sorted postings, so a prefix scan of a list's
+//! slots IS the prefix scan of the list. A slot alone in its page holds
+//! [`FK_PER_PAGE`] = 1017 row ids. Slots never have `count` 0, so the
 //! zeros after the last slot end the sequence. The checksum covers
 //! header, slots and padding alike: any flipped bit fails the page, and
 //! a failed page fails every scan that reads it (fail closed).
+//!
+//! The kind byte is always 1; a page or directory naming any other kind
+//! (2 included) is refused.
 
 use sizel_storage::RowId;
 
@@ -36,10 +37,11 @@ pub const PAGE_SIZE: usize = 4096;
 pub const PAGE_HEADER_LEN: usize = 14;
 /// Bytes of a slot before its entries.
 pub const SLOT_HEADER_LEN: usize = 14;
-/// FK row-id entries in a page holding one slot.
-pub const FK_PER_PAGE: usize = PageKind::Fk.per_page();
-/// Link pair entries in a page holding one slot.
-pub const LINK_PER_PAGE: usize = PageKind::Link.per_page();
+/// Bytes per entry: a `u32` row id.
+const ENTRY_WIDTH: usize = 4;
+/// FK row-id entries in a page holding one slot: the longest piece of a
+/// list a page can carry.
+pub const FK_PER_PAGE: usize = (PAGE_SIZE - PAGE_HEADER_LEN - SLOT_HEADER_LEN) / ENTRY_WIDTH;
 
 const MAGIC: [u8; 4] = *b"SLPG";
 const CRC_OFFSET: usize = 10;
@@ -63,13 +65,12 @@ impl std::fmt::Debug for PageBuf {
     }
 }
 
-/// What a page stores.
+/// What a page stores. One kind is written; the byte stays in the page
+/// header and the directory so that a file naming another is refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// FK posting rows (`u32` each).
     Fk = 1,
-    /// Link posting pairs (`(u32, u32)` each).
-    Link = 2,
 }
 
 impl PageKind {
@@ -77,59 +78,8 @@ impl PageKind {
     pub const fn from_byte(b: u8) -> Option<PageKind> {
         match b {
             1 => Some(PageKind::Fk),
-            2 => Some(PageKind::Link),
             _ => None,
         }
-    }
-
-    /// Bytes per entry.
-    pub const fn width(self) -> usize {
-        match self {
-            PageKind::Fk => 4,
-            PageKind::Link => 8,
-        }
-    }
-
-    /// Entries in a page holding one slot: the longest piece of a list a
-    /// page can carry.
-    pub const fn per_page(self) -> usize {
-        (PAGE_SIZE - PAGE_HEADER_LEN - SLOT_HEADER_LEN) / self.width()
-    }
-}
-
-/// A posting entry as the pages store it: [`RowId`] in FK pages,
-/// `(junction RowId, target RowId)` in link pages.
-pub trait PostingEntry: Copy {
-    /// The page kind holding entries of this type.
-    const KIND: PageKind;
-    /// Writes the entry into the first `KIND.width()` bytes of `out`.
-    fn put(self, out: &mut [u8]);
-    /// Reads the entry from the first `KIND.width()` bytes of `bytes`.
-    fn get(bytes: &[u8]) -> Self;
-}
-
-impl PostingEntry for RowId {
-    const KIND: PageKind = PageKind::Fk;
-
-    fn put(self, out: &mut [u8]) {
-        out[..4].copy_from_slice(&self.0.to_le_bytes());
-    }
-
-    fn get(bytes: &[u8]) -> RowId {
-        RowId(u32::from_le_bytes(bytes[..4].try_into().expect("four bytes")))
-    }
-}
-
-impl PostingEntry for (RowId, RowId) {
-    const KIND: PageKind = PageKind::Link;
-
-    fn put(self, out: &mut [u8]) {
-        self.0.put(out);
-        self.1.put(&mut out[4..]);
-    }
-
-    fn get(bytes: &[u8]) -> (RowId, RowId) {
-        (RowId::get(bytes), RowId::get(&bytes[4..]))
     }
 }
 
@@ -138,7 +88,7 @@ impl PostingEntry for (RowId, RowId) {
 /// list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ColumnId {
-    /// FK or link postings.
+    /// What the pages hold.
     pub kind: PageKind,
     /// Owning table.
     pub table: u16,
@@ -200,25 +150,25 @@ pub fn slot_header(key: i64, start: u32, count: u16) -> [u8; SLOT_HEADER_LEN] {
     header
 }
 
-/// Writes a slot — header, then `entries` — at byte `at` (before
-/// sealing). The caller has checked that it fits the page.
-pub fn put_slot<E: PostingEntry>(
-    buf: &mut [u8; PAGE_SIZE],
-    at: usize,
-    key: i64,
-    start: u32,
-    entries: &[E],
-) {
-    let header = slot_header(key, start, entries.len() as u16);
+/// Bytes a slot of `n` entries takes.
+pub const fn slot_len(n: usize) -> usize {
+    SLOT_HEADER_LEN + n * ENTRY_WIDTH
+}
+
+/// Writes a slot — header, then `rows` — at byte `at` (before sealing).
+/// The caller has checked that it fits the page.
+pub fn put_slot(buf: &mut [u8; PAGE_SIZE], at: usize, key: i64, start: u32, rows: &[RowId]) {
+    let header = slot_header(key, start, rows.len() as u16);
     buf[at..at + SLOT_HEADER_LEN].copy_from_slice(&header);
-    for (i, &e) in entries.iter().enumerate() {
-        e.put(&mut buf[at + SLOT_HEADER_LEN + i * E::KIND.width()..]);
+    for (i, r) in rows.iter().enumerate() {
+        buf[at + slot_len(i)..at + slot_len(i + 1)].copy_from_slice(&r.0.to_le_bytes());
     }
 }
 
 /// Reads entry `i` of the slot at byte `at` of a verified page.
-pub fn slot_entry<E: PostingEntry>(buf: &[u8; PAGE_SIZE], at: usize, i: usize) -> E {
-    E::get(&buf[at + SLOT_HEADER_LEN + i * E::KIND.width()..])
+pub fn slot_entry(buf: &[u8; PAGE_SIZE], at: usize, i: usize) -> RowId {
+    let bytes = &buf[at + slot_len(i)..at + slot_len(i + 1)];
+    RowId(u32::from_le_bytes(bytes.try_into().expect("four bytes")))
 }
 
 #[cfg(test)]
@@ -239,35 +189,27 @@ mod tests {
             full.0[PAGE_HEADER_LEN..][..SLOT_HEADER_LEN],
             slot_header(-42, 2034, FK_PER_PAGE as u16)
         );
-        assert_eq!(slot_entry::<RowId>(&full.0, PAGE_HEADER_LEN, 5), RowId(15));
-        assert_eq!(slot_entry::<RowId>(&full.0, PAGE_HEADER_LEN, FK_PER_PAGE - 1), rows[1016]);
+        assert_eq!(slot_entry(&full.0, PAGE_HEADER_LEN, 5), RowId(15));
+        assert_eq!(slot_entry(&full.0, PAGE_HEADER_LEN, FK_PER_PAGE - 1), rows[1016]);
 
-        // Two link slots back to back; the zeros after them end the page.
+        // Two slots back to back; the zeros after them end the page.
         let mut shared = PageBuf::zeroed();
-        let second = PAGE_HEADER_LEN + SLOT_HEADER_LEN + 2 * 8;
-        put_slot(
-            &mut shared.0,
-            PAGE_HEADER_LEN,
-            1,
-            0,
-            &[(RowId(3), RowId(4)), (RowId(5), RowId(6))],
-        );
-        put_slot(&mut shared.0, second, 9, 0, &[(RowId(7), RowId(8))]);
-        let header = ColumnId { kind: PageKind::Link, table: 1, col: 1 };
-        seal_page(&mut shared.0, header);
+        let second = PAGE_HEADER_LEN + slot_len(2);
+        put_slot(&mut shared.0, PAGE_HEADER_LEN, 1, 0, &[RowId(3), RowId(4)]);
+        put_slot(&mut shared.0, second, 9, 0, &[RowId(7)]);
+        seal_page(&mut shared.0, FK_COLUMN);
         verify_page(&shared.0).unwrap();
-        assert_eq!(page_column(&shared.0), Some(header));
         assert_eq!(shared.0[second..][..SLOT_HEADER_LEN], slot_header(9, 0, 1));
-        assert_eq!(slot_entry::<(RowId, RowId)>(&shared.0, second, 0), (RowId(7), RowId(8)));
-        assert_eq!(slot_entry::<(RowId, RowId)>(&shared.0, PAGE_HEADER_LEN, 1).1, RowId(6));
-        assert!(shared.0[second + SLOT_HEADER_LEN + 8..].iter().all(|&b| b == 0));
+        assert_eq!(slot_entry(&shared.0, second, 0), RowId(7));
+        assert_eq!(slot_entry(&shared.0, PAGE_HEADER_LEN, 1), RowId(4));
+        assert!(shared.0[second + slot_len(1)..].iter().all(|&b| b == 0));
     }
 
     #[test]
     fn any_flipped_bit_fails_verification() {
         let mut buf = PageBuf::zeroed();
-        put_slot(&mut buf.0, PAGE_HEADER_LEN, 0, 0, &[(RowId(3), RowId(4))]);
-        seal_page(&mut buf.0, ColumnId { kind: PageKind::Link, table: 1, col: 1 });
+        put_slot(&mut buf.0, PAGE_HEADER_LEN, 0, 0, &[RowId(3), RowId(4)]);
+        seal_page(&mut buf.0, FK_COLUMN);
         // An entry flip, a slot-header flip, a page-header flip, a CRC
         // flip and a padding flip all fail.
         for at in [PAGE_HEADER_LEN + SLOT_HEADER_LEN, PAGE_HEADER_LEN, 6, CRC_OFFSET, 4000] {
@@ -278,16 +220,26 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_kind_byte_names_no_column() {
+        // A sealed page whose kind byte says 2 verifies as bytes but
+        // belongs to no column, so no scan accepts it.
+        let mut buf = PageBuf::zeroed();
+        put_slot(&mut buf.0, PAGE_HEADER_LEN, 0, 0, &[RowId(3)]);
+        seal_page(&mut buf.0, FK_COLUMN);
+        buf.0[4] = 2;
+        let crc = page_crc(&buf.0);
+        buf.0[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
+        verify_page(&buf.0).unwrap();
+        assert_eq!(page_column(&buf.0), None);
+        assert_eq!(PageKind::from_byte(2), None);
+    }
+
+    #[test]
     fn capacity_constants_fill_the_page_exactly() {
         assert_eq!(FK_PER_PAGE, 1017);
-        assert_eq!(LINK_PER_PAGE, 508);
-        const { assert!(PAGE_HEADER_LEN + SLOT_HEADER_LEN + FK_PER_PAGE * 4 <= PAGE_SIZE) };
-        const { assert!(PAGE_HEADER_LEN + SLOT_HEADER_LEN + LINK_PER_PAGE * 8 <= PAGE_SIZE) };
+        const { assert!(PAGE_HEADER_LEN + slot_len(FK_PER_PAGE) <= PAGE_SIZE) };
         // A full slot shares its page with no other: the packing relies
         // on it to keep the run of a long list consecutive.
-        for kind in [PageKind::Fk, PageKind::Link] {
-            let full = PAGE_HEADER_LEN + SLOT_HEADER_LEN + kind.per_page() * kind.width();
-            assert!(full + SLOT_HEADER_LEN + kind.width() > PAGE_SIZE);
-        }
+        assert!(PAGE_HEADER_LEN + slot_len(FK_PER_PAGE) + slot_len(1) > PAGE_SIZE);
     }
 }

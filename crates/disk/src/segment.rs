@@ -1,7 +1,7 @@
 //! Posting segments: immutable, checksummed, directory-addressed files.
 //!
-//! A segment snapshots every sorted posting list of a set of tables at
-//! one installed-order stamp, packed into fixed 4 KiB pages
+//! A segment snapshots every sorted FK posting list of a set of tables
+//! at one installed-order stamp, packed into fixed 4 KiB pages
 //! ([`crate::page`]) in exactly the in-RAM descending-importance order —
 //! the raw arrays, live entries only, so a paged scan is byte-for-byte
 //! the RAM scan. The file layout:
@@ -35,11 +35,13 @@
 //! n_coverage u32, then per record: kind u8, table u16, col u16
 //! n_entries  u32, then per entry:  kind u8, table u16, col u16,
 //!                                  key i64, first_page u32, offset u16,
-//!                                  n_entries u32, raw_len u32
+//!                                  n_entries u32
 //! ```
 //!
 //! The length of a run is not stored: it is what `n_entries` needs,
-//! `ceil(n_entries / per_page)`.
+//! `ceil(n_entries / per_page)`. The kind byte is always 1 (FK); kind 2,
+//! the junction link lists of earlier builds, is no longer written and a
+//! directory naming it is refused at open.
 //!
 //! There is no format version: a segment never outlives the process
 //! that wrote it (its stamp lives in RAM; a restart sweeps the directory
@@ -56,15 +58,17 @@ use sizel_storage::codec::{put_i64, put_u16, put_u32, put_u8, CodecError, Reader
 
 use crate::crc::crc32;
 use crate::error::{DiskError, Result};
+use sizel_storage::RowId;
+
 use crate::page::{
-    page_column, put_slot, seal_page, slot_header, verify_page, ColumnId, PageBuf, PageKind,
-    PostingEntry, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_HEADER_LEN,
+    page_column, put_slot, seal_page, slot_header, slot_len, verify_page, ColumnId, PageBuf,
+    PageKind, FK_PER_PAGE, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_HEADER_LEN,
 };
 
 const TRAILER_MAGIC: [u8; 4] = *b"SLSG";
 const TRAILER_LEN: u64 = 16;
 const COVERAGE_RECORD_LEN: usize = 5;
-const DIR_ENTRY_LEN: usize = 27;
+const DIR_ENTRY_LEN: usize = 23;
 
 /// Which posting list: the directory's key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -84,16 +88,12 @@ pub struct DirEntry {
     pub offset: u16,
     /// Total entries across the run.
     pub n_entries: u32,
-    /// The raw FK group size (the heap path's probe cost) — for link
-    /// lists this is the live group size the accounting reports; for FK
-    /// lists it equals `n_entries`.
-    pub raw_len: u32,
 }
 
 impl DirEntry {
-    /// Pages in the run of a list of `kind`: as many as its entries need.
-    pub fn n_pages(&self, kind: PageKind) -> u32 {
-        self.n_entries.div_ceil(kind.per_page() as u32)
+    /// Pages in the run: as many as its entries need.
+    pub fn n_pages(&self) -> u32 {
+        self.n_entries.div_ceil(FK_PER_PAGE as u32)
     }
 
     /// Checks that the verified page `page` is page `run_idx` of `id`'s
@@ -103,8 +103,8 @@ impl DirEntry {
     /// must hold. Pure — a scan makes it each time it enters a page,
     /// whoever read the page into the cache.
     pub fn check_page(&self, id: ListId, run_idx: u32, page: &[u8; PAGE_SIZE]) -> Result<()> {
-        let per_page = id.column.kind.per_page() as u32;
-        if run_idx < self.n_pages(id.column.kind) && page_column(page) == Some(id.column) {
+        let per_page = FK_PER_PAGE as u32;
+        if run_idx < self.n_pages() && page_column(page) == Some(id.column) {
             let start = run_idx * per_page;
             let count = (self.n_entries - start).min(per_page) as u16;
             if page[self.offset as usize..][..SLOT_HEADER_LEN] == slot_header(id.key, start, count)
@@ -115,15 +115,14 @@ impl DirEntry {
         Err(DiskError::Corrupt("segment page does not match its directory"))
     }
 
-    /// Whether a list of `kind` can lie where this entry says in a
-    /// segment of `total_pages`: the run inside the file, the slot past
-    /// the page header with room for its own header and entries. Holding
-    /// this for every entry at open is what lets a scan index a page
-    /// without further checks.
-    fn fits(&self, kind: PageKind, total_pages: u32) -> bool {
-        let slot_len =
-            SLOT_HEADER_LEN + self.n_entries.min(kind.per_page() as u32) as usize * kind.width();
-        u64::from(self.first_page) + u64::from(self.n_pages(kind)) <= u64::from(total_pages)
+    /// Whether the list can lie where this entry says in a segment of
+    /// `total_pages`: the run inside the file, the slot past the page
+    /// header with room for its own header and entries. Holding this for
+    /// every entry at open is what lets a scan index a page without
+    /// further checks.
+    fn fits(&self, total_pages: u32) -> bool {
+        let slot_len = slot_len(self.n_entries.min(FK_PER_PAGE as u32) as usize);
+        u64::from(self.first_page) + u64::from(self.n_pages()) <= u64::from(total_pages)
             && self.offset as usize >= PAGE_HEADER_LEN
             && self.offset as usize + slot_len <= PAGE_SIZE
     }
@@ -172,26 +171,16 @@ impl SegmentWriter {
         self.coverage.push(column);
     }
 
-    /// Writes one posting list of `column` — FK row ids in descending
-    /// importance, or link pairs in descending target importance — with
-    /// the raw group length the accounting reports for it (an FK list's
-    /// own length). Lists of one column written back to back share
-    /// pages.
-    pub fn write_list<E: PostingEntry>(
-        &mut self,
-        column: ColumnId,
-        key: i64,
-        entries: &[E],
-        raw_len: usize,
-    ) -> Result<()> {
-        assert_eq!(column.kind, E::KIND, "a page holds entries of its own kind only");
-        if entries.is_empty() && raw_len == 0 {
+    /// Writes one posting list of `column`: its row ids in descending
+    /// importance. Lists of one column written back to back share pages;
+    /// an empty list writes nothing (the coverage record serves it).
+    pub fn write_list(&mut self, column: ColumnId, key: i64, rows: &[RowId]) -> Result<()> {
+        if rows.is_empty() {
             return Ok(());
         }
-        let per_page = E::KIND.per_page();
         let mut placed = None;
-        for (run_idx, chunk) in entries.chunks(per_page).enumerate() {
-            let slot_len = SLOT_HEADER_LEN + chunk.len() * E::KIND.width();
+        for (run_idx, chunk) in rows.chunks(FK_PER_PAGE).enumerate() {
+            let slot_len = slot_len(chunk.len());
             // A piece goes where it fits whole, so a list of at most a
             // page is never split. A full piece (`per_page` entries)
             // fits only an empty page and leaves no room for a slot
@@ -202,19 +191,12 @@ impl SegmentWriter {
                 self.open = column;
             }
             placed.get_or_insert((self.next_page, self.fill as u16));
-            put_slot(&mut self.buf.0, self.fill, key, (run_idx * per_page) as u32, chunk);
+            put_slot(&mut self.buf.0, self.fill, key, (run_idx * FK_PER_PAGE) as u32, chunk);
             self.fill += slot_len;
         }
-        let (first_page, offset) = placed.unwrap_or((self.next_page, PAGE_HEADER_LEN as u16));
-        self.entries.push((
-            ListId { column, key },
-            DirEntry {
-                first_page,
-                offset,
-                n_entries: entries.len() as u32,
-                raw_len: raw_len as u32,
-            },
-        ));
+        let (first_page, offset) = placed.expect("a non-empty list has a first slot");
+        let n_entries = rows.len() as u32;
+        self.entries.push((ListId { column, key }, DirEntry { first_page, offset, n_entries }));
         Ok(())
     }
 
@@ -255,7 +237,6 @@ impl SegmentWriter {
             put_u32(&mut dir, e.first_page);
             put_u16(&mut dir, e.offset);
             put_u32(&mut dir, e.n_entries);
-            put_u32(&mut dir, e.raw_len);
         }
         self.out.write_all(&dir)?;
         self.out.write_all(&(dir.len() as u64).to_le_bytes())?;
@@ -299,12 +280,7 @@ fn parse_directory(
     let mut map = HashMap::with_capacity(n_entries);
     for _ in 0..n_entries {
         let id = ListId { column: column(&mut r)?, key: r.i64()? };
-        let e = DirEntry {
-            first_page: r.u32()?,
-            offset: r.u16()?,
-            n_entries: r.u32()?,
-            raw_len: r.u32()?,
-        };
+        let e = DirEntry { first_page: r.u32()?, offset: r.u16()?, n_entries: r.u32()? };
         map.insert(id, e);
     }
     r.finish()?;
@@ -358,7 +334,7 @@ impl SegmentFile {
         let n_pages = (dir_start / PAGE_SIZE as u64) as u32;
         let (coverage, map) =
             parse_directory(&dir).map_err(|_| DiskError::Corrupt("malformed segment directory"))?;
-        if !map.iter().all(|(id, e)| e.fits(id.column.kind, n_pages)) {
+        if !map.values().all(|e| e.fits(n_pages)) {
             return Err(DiskError::Corrupt("segment directory entry out of range"));
         }
         Ok(SegmentFile { file, dir: map, coverage })

@@ -3,7 +3,7 @@
 //!
 //! A [`PagedStore`] owns a directory of segment generations and one
 //! shared [`BlockCache`]. [`PagedStore::checkpoint_from`] snapshots the
-//! database's in-RAM sorted postings for a chosen table set into a fresh
+//! database's in-RAM sorted FK postings for a chosen table set into a fresh
 //! `segments-<gen>.seg` file stamped with the installed
 //! [`FkOrderToken`]; installing the generation atomically swaps what
 //! probes see. The storage layer routes a prefix scan here only while
@@ -19,9 +19,9 @@
 //! against the scan's own directory entry (right kind, table and column;
 //! at the list's offset a slot with the right key, position and count)
 //! before a single entry is served; any failure marks the cursor failed
-//! and the caller falls back (fail closed).
+//! and the caller falls back (fail closed). Only FK prefix scans come
+//! here: a junction probe reads its FK run and forward array in RAM.
 
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -30,7 +30,7 @@ use sizel_storage::{Database, FkOrderToken, PostingCursor, PostingPager, RowId, 
 
 use crate::cache::{BlockCache, CacheSnapshot};
 use crate::error::{DiskError, Result};
-use crate::page::{slot_entry, ColumnId, PageBuf, PageKind, PostingEntry};
+use crate::page::{slot_entry, ColumnId, PageBuf, PageKind, FK_PER_PAGE};
 use crate::segment::{DirEntry, ListId, SegmentFile, SegmentWriter};
 
 /// One immutable segment generation: the opened file, its stamp, and the
@@ -94,7 +94,7 @@ impl PagedStore {
         })
     }
 
-    /// Snapshots the sorted postings of `tables` into a fresh segment
+    /// Snapshots the sorted FK postings of `tables` into a fresh segment
     /// generation stamped with the database's installed order, installs
     /// it, and removes the superseded generation's file. Returns the new
     /// generation id.
@@ -118,16 +118,7 @@ impl PagedStore {
                 let mut lists: Vec<_> = idx.posting_lists().collect();
                 lists.sort_unstable_by_key(|&(key, _)| key);
                 for (key, rows) in lists {
-                    w.write_list(column, key, rows, rows.len())?;
-                }
-            }
-            for (col, idx) in t.sorted_link_indexes() {
-                let column = ColumnId { kind: PageKind::Link, table: tid.0, col: col as u16 };
-                w.cover(column);
-                let mut groups: Vec<_> = idx.groups().collect();
-                groups.sort_unstable_by_key(|&(key, _, _)| key);
-                for (key, pairs, raw_len) in groups {
-                    w.write_list(column, key, pairs, raw_len)?;
+                    w.write_list(column, key, rows)?;
                 }
             }
         }
@@ -164,53 +155,12 @@ impl PagedStore {
     fn current(&self) -> Option<Arc<SegGeneration>> {
         self.generation.read().unwrap_or_else(|p| p.into_inner()).clone()
     }
-
-    /// The installed generation and `key`'s directory entry in it, or
-    /// `None` when the generation does not cover `(kind, table, col)`. A
-    /// covered key without an entry is a known-empty list: the default
-    /// entry, which a scan ends on at once.
-    fn locate(
-        &self,
-        kind: PageKind,
-        table: TableId,
-        col: usize,
-        key: i64,
-    ) -> Option<(Arc<SegGeneration>, ListId, DirEntry)> {
-        let gen = self.current()?;
-        let column = ColumnId { kind, table: table.0, col: col as u16 };
-        if !gen.file.covers(column) {
-            return None;
-        }
-        let id = ListId { column, key };
-        let entry = gen.file.lookup(id).unwrap_or_default();
-        Some((gen, id, entry))
-    }
-
-    fn scan<'a, E: PostingEntry + 'a>(
-        &self,
-        table: TableId,
-        col: usize,
-        key: i64,
-    ) -> Option<Box<dyn PostingCursor<E> + 'a>> {
-        let (gen, id, entry) = self.locate(E::KIND, table, col, key)?;
-        Some(Box::new(PagedScan::<E> {
-            gen,
-            cache: Arc::clone(&self.cache),
-            id,
-            entry,
-            yielded: 0,
-            current: None,
-            failed: false,
-            entries: PhantomData,
-        }))
-    }
 }
 
 /// A paged scan over one posting list: walks the page run through the
 /// cache, checking every page's and slot's identity before serving
-/// entries. It is the cursor of both posting kinds; `E` is the entry
-/// type its pages hold.
-struct PagedScan<E> {
+/// entries.
+struct PagedScan {
     gen: Arc<SegGeneration>,
     cache: Arc<BlockCache>,
     id: ListId,
@@ -218,10 +168,9 @@ struct PagedScan<E> {
     yielded: u32,
     current: Option<(u32, Arc<PageBuf>)>,
     failed: bool,
-    entries: PhantomData<E>,
 }
 
-impl<E> PagedScan<E> {
+impl PagedScan {
     /// Page `run_idx` of the list's run. The read verifies magic and
     /// checksum, once per residency in the cache; that the page and the
     /// slot at the entry's offset are this list's is checked here, on a
@@ -241,14 +190,14 @@ impl<E> PagedScan<E> {
     }
 }
 
-impl<E: PostingEntry> PostingCursor<E> for PagedScan<E> {
-    /// The next entry of the list, loading and checking its page on
+impl PostingCursor for PagedScan {
+    /// The next row of the list, loading and checking its page on
     /// demand; `None` at the end of the list or once a read failed.
-    fn next_entry(&mut self) -> Option<E> {
+    fn next_entry(&mut self) -> Option<RowId> {
         if self.failed || self.yielded >= self.entry.n_entries {
             return None;
         }
-        let per_page = E::KIND.per_page() as u32;
+        let per_page = FK_PER_PAGE as u32;
         let run_idx = self.yielded / per_page;
         if self.current.as_ref().map(|&(idx, _)| idx) != Some(run_idx) {
             match self.page(run_idx) {
@@ -275,26 +224,31 @@ impl PostingPager for PagedStore {
         self.current().map(|g| g.stamp)
     }
 
+    /// A scan of `key`'s list in the installed generation, or `None` when
+    /// the generation does not cover `(table, col)`. A covered key
+    /// without an entry is a known-empty list: the default entry, which
+    /// the scan ends on at once.
     fn fk_cursor(
         &self,
         table: TableId,
         col: usize,
         key: i64,
-    ) -> Option<Box<dyn PostingCursor<RowId> + '_>> {
-        self.scan(table, col, key)
-    }
-
-    fn link_cursor(
-        &self,
-        table: TableId,
-        col: usize,
-        key: i64,
-    ) -> Option<Box<dyn PostingCursor<(RowId, RowId)> + '_>> {
-        self.scan(table, col, key)
-    }
-
-    fn link_raw_len(&self, table: TableId, col: usize, key: i64) -> Option<usize> {
-        let (_, _, entry) = self.locate(PageKind::Link, table, col, key)?;
-        Some(entry.raw_len as usize)
+    ) -> Option<Box<dyn PostingCursor + '_>> {
+        let gen = self.current()?;
+        let column = ColumnId { kind: PageKind::Fk, table: table.0, col: col as u16 };
+        if !gen.file.covers(column) {
+            return None;
+        }
+        let id = ListId { column, key };
+        let entry = gen.file.lookup(id).unwrap_or_default();
+        Some(Box::new(PagedScan {
+            gen,
+            cache: Arc::clone(&self.cache),
+            id,
+            entry,
+            yielded: 0,
+            current: None,
+            failed: false,
+        }))
     }
 }

@@ -128,10 +128,10 @@ fn segment_in(dir: &Path) -> PathBuf {
 
 /// Byte offset of directory entry `i` within the serialized directory
 /// of a segment with one coverage record (see `segment.rs`: 4 + 5 bytes
-/// of coverage, a 4-byte count, 27-byte entries), and of the fields the
+/// of coverage, a 4-byte count, 23-byte entries), and of the fields the
 /// tests below damage within an entry.
 fn dir_entry(i: usize) -> usize {
-    4 + 5 + 4 + i * 27
+    4 + 5 + 4 + i * 23
 }
 const FIRST_PAGE: usize = 13;
 const OFFSET: usize = 17;
@@ -202,6 +202,10 @@ fn a_flipped_page_byte_fails_closed_and_probes_fall_back_to_the_heap() {
 
 #[test]
 fn a_flipped_link_page_byte_fails_closed_and_junction_probes_fall_back_to_the_heap() {
+    // A paged junction keeps its FK runs and forward arrays in RAM, and
+    // the junction probe reads only those: damage to the page of the
+    // junction's own FK lists changes no junction answer and is never
+    // read by one. The FK probes that do read the page fail closed.
     let mut db = junction_db(2, 12);
     let pristine = junction_db(2, 12);
     let (rel, parent_t, child_t) = (
@@ -217,46 +221,52 @@ fn a_flipped_link_page_byte_fails_closed_and_junction_probes_fall_back_to_the_he
     store.checkpoint_from(&db, &[rel]).unwrap();
     db.evict_table_postings(rel);
     db.set_pager(Arc::<PagedStore>::clone(&store));
-    // Damage the one page of the Parent -> Child link groups, and no
-    // other: Rel's FK pages and the reverse orientation's stay sound.
+    // Damage the one page of Rel's parent FK lists, and no other: the
+    // child FK lists' page stays sound.
     let seg = segment_in(&dir);
-    let column = ColumnId { kind: PageKind::Link, table: rel.0, col: parent_col as u16 };
+    let column = ColumnId { kind: PageKind::Fk, table: rel.0, col: parent_col as u16 };
     let layout = SegmentFile::open(&seg).unwrap();
-    let [a, b] = [1, 2].map(|key| layout.lookup(ListId { column, key }).expect("a group"));
-    assert_eq!((a.first_page, a.n_entries, a.raw_len), (b.first_page, 12, 12), "one shared page");
+    let [a, b] = [1, 2].map(|key| layout.lookup(ListId { column, key }).expect("a list"));
+    assert_eq!((a.first_page, a.n_entries), (b.first_page, 12), "one shared page");
     flip_padding_of(&seg, a.first_page);
 
     for parent in 1..3i64 {
         let (rows, cost, mix) = junction_probe(&db, down, parent);
         let (p_rows, p_cost, p_mix) = junction_probe(&pristine, down, parent);
-        assert_eq!(rows, p_rows, "a damaged link page must not change any answer");
+        assert_eq!(rows, p_rows, "a damaged page must not change any answer");
         assert_eq!(rows.len(), 5, "the probe actually had rows to lose");
         assert_eq!(cost, p_cost, "nor what the answer is accounted as");
         assert_eq!((cost.joins, cost.tuples), (2, 12 + 5), "junction group read, targets fetched");
-        assert_eq!((mix, p_mix), ((0, 1), (1, 0)), "the failed scan fell back to the heap path");
+        assert_eq!((mix, p_mix), ((0, 1), (0, 1)), "a junction probe is one heap probe");
     }
-    assert_eq!(store.stats().cache.read_errors, 2, "every damaged read was counted");
-
-    // No other list is affected: the reverse orientation's groups and
-    // Rel's own FK postings are still served from their pages.
-    let token = db.fk_order().unwrap();
     for key in [0i64, 7, 23] {
         let (rows, cost, mix) = junction_probe(&db, up, key);
         let (p_rows, p_cost, _) = junction_probe(&pristine, up, key);
-        assert_eq!((rows, cost), (p_rows, p_cost));
-        assert_eq!(mix, (1, 0), "child {key}: the sound link page was not served");
+        assert_eq!((rows, cost, mix), (p_rows, p_cost, (0, 1)), "child {key}");
     }
-    for parent in 1..3i64 {
-        let li = |r: RowId| db.table(rel).installed_score(r);
+    assert_eq!(store.stats().cache, Default::default(), "no junction probe read a page");
+
+    // The FK probes of the damaged lists fail closed; those of the sound
+    // page are served from it.
+    let token = db.fk_order().unwrap();
+    let li = |r: RowId| db.table(rel).installed_score(r);
+    let p_li = |r: RowId| pristine.table(rel).installed_score(r);
+    let p_token = pristine.fk_order();
+    for (col, key, served) in [(parent_col, 1i64, false), (parent_col, 2, false)]
+        .into_iter()
+        .chain([0i64, 7, 23].map(|key| (child_col, key, true)))
+    {
         let p0 = db.access().probes();
-        let rows = db.select_eq_top_l(rel, parent_col, parent, 5, 0.0, Some(token), &li);
+        let rows = db.select_eq_top_l(rel, col, key, 5, 0.0, Some(token), &li);
         let p1 = db.access().probes();
-        assert_eq!(rows.len(), 5);
-        assert_eq!((p1.fast - p0.fast, p1.heap - p0.heap), (1, 0), "the FK page was not served");
+        assert_eq!(rows, pristine.select_eq_top_l(rel, col, key, 5, 0.0, p_token, &p_li));
+        assert!(!rows.is_empty());
+        let mix = (p1.fast - p0.fast, p1.heap - p0.heap);
+        assert_eq!(mix, if served { (1, 0) } else { (0, 1) }, "col {col} key {key}");
     }
     let stats = store.stats();
-    assert_eq!(stats.cache.read_errors, 2, "sound pages raised no error");
-    assert_eq!(stats.resident_pages, 2, "and were cached; the damaged one never is");
+    assert_eq!(stats.cache.read_errors, 2, "every damaged read was counted");
+    assert_eq!(stats.resident_pages, 1, "the sound page was cached; the damaged one never is");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -356,7 +366,9 @@ fn a_flipped_byte_in_a_shared_page_fails_every_list_in_it_and_no_other() {
 
 #[test]
 fn a_flipped_byte_in_a_shared_link_page_fails_every_group_in_it_and_no_other() {
-    // 200 ten-pair groups of 94 bytes each: 43 to a page, so five pages.
+    // 200 ten-row junction lists of 54 bytes each: 75 to a page, so
+    // three pages. The damaged page fails the FK probes of exactly its
+    // lists; no junction probe reads any of the three.
     let mut db = junction_db(200, 10);
     let pristine = junction_db(200, 10);
     let (rel, child_t) = (db.table_id("Rel").unwrap(), db.table_id("Child").unwrap());
@@ -369,18 +381,32 @@ fn a_flipped_byte_in_a_shared_link_page_fails_every_group_in_it_and_no_other() {
     db.evict_table_postings(rel);
     db.set_pager(Arc::<PagedStore>::clone(&store));
     let seg = segment_in(&dir);
-    let column = ColumnId { kind: PageKind::Link, table: rel.0, col: parent_col as u16 };
+    let column = ColumnId { kind: PageKind::Fk, table: rel.0, col: parent_col as u16 };
     let layout = SegmentFile::open(&seg).unwrap();
-    let page_of = |key| layout.lookup(ListId { column, key }).expect("a group").first_page;
+    let page_of = |key| layout.lookup(ListId { column, key }).expect("a list").first_page;
     let damaged_page = page_of(100);
     flip_padding_of(&seg, damaged_page);
 
-    let (mut damaged, mut intact_pages) = (0, std::collections::BTreeSet::new());
     for parent in 1..=200i64 {
         let (rows, cost, mix) = junction_probe(&db, down, parent);
         let (p_rows, p_cost, _) = junction_probe(&pristine, down, parent);
         assert_eq!((&rows, cost), (&p_rows, p_cost), "parent {parent}: answer or accounting moved");
-        assert_eq!(rows.len(), 5);
+        assert_eq!((rows.len(), mix), (5, (0, 1)));
+    }
+    assert_eq!(store.stats().cache, Default::default(), "no junction probe read a page");
+
+    let token = db.fk_order().unwrap();
+    let li = |r: RowId| db.table(rel).installed_score(r);
+    let p_li = |r: RowId| pristine.table(rel).installed_score(r);
+    let (mut damaged, mut intact_pages) = (0, std::collections::BTreeSet::new());
+    for parent in 1..=200i64 {
+        let p0 = db.access().probes();
+        let rows = db.select_eq_top_l(rel, parent_col, parent, 5, 0.0, Some(token), &li);
+        let p1 = db.access().probes();
+        let expect =
+            pristine.select_eq_top_l(rel, parent_col, parent, 5, 0.0, pristine.fk_order(), &p_li);
+        assert_eq!(rows, expect, "parent {parent}: answer moved");
+        let mix = (p1.fast - p0.fast, p1.heap - p0.heap);
         if page_of(parent) == damaged_page {
             damaged += 1;
             assert_eq!(mix, (0, 1), "parent {parent} fell back");
@@ -389,12 +415,12 @@ fn a_flipped_byte_in_a_shared_link_page_fails_every_group_in_it_and_no_other() {
             assert_eq!(mix, (1, 0), "parent {parent} was served");
         }
     }
-    let per_page = (PAGE_SIZE - PAGE_HEADER_LEN) / (SLOT_HEADER_LEN + 10 * 8);
-    assert_eq!((damaged, intact_pages.len()), (per_page, 4), "one page of five was damaged");
+    let per_page = (PAGE_SIZE - PAGE_HEADER_LEN) / (SLOT_HEADER_LEN + 10 * 4);
+    assert_eq!((damaged, intact_pages.len()), (per_page, 2), "one page of three was damaged");
     let stats = store.stats();
     assert_eq!(stats.cache.read_errors, damaged as u64, "every read of the damaged page counted");
-    assert_eq!(stats.cache.misses, damaged as u64 + 4, "it was never cached; the others once each");
-    assert_eq!(stats.cache.hits, 200 - damaged as u64 - 4);
+    assert_eq!(stats.cache.misses, damaged as u64 + 2, "it was never cached; the others once each");
+    assert_eq!(stats.cache.hits, 200 - damaged as u64 - 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,8 +2,9 @@
 //! evicted to a paged segment store must answer every TOP-l probe
 //! byte-identically to its fully-RAM twin — same rows, same paper-cost
 //! accounting, same probe-kind mix — across arbitrary mutation
-//! histories. The link cursors are held to the same standard pair for
-//! pair, and the coverage/absent-key distinction is pinned: a covered
+//! histories. The junction's own FK cursors are held to the same
+//! standard row for row, and the coverage/absent-key distinction is
+//! pinned: a covered
 //! key missing from the segment is a *fast* empty probe, an uncovered
 //! column is a heap fallback.
 
@@ -209,29 +210,23 @@ proptest! {
             prop_assert_eq!(rp1.fast - rp0.fast, 1, "ram probe must prefix-scan");
             prop_assert_eq!(pp1.fast - pp0.fast, 1, "paged probe must prefix-scan");
         }
-        // Link posting groups: the paged cursor replays the RAM slices
-        // pair for pair, and the raw group length
-        // the accounting reports is preserved.
+        // The junction's FK lists, both columns: the paged cursor
+        // replays the RAM slices row for row.
         let rel_t = ram.table(rel);
-        for (col, idx) in rel_t.sorted_link_indexes() {
+        for (col, idx) in rel_t.sorted_fk_indexes() {
             for key in -1..64i64 {
-                let mut slice = SliceCursor::new(idx.pairs(key));
+                let mut slice = SliceCursor::new(idx.rows(key));
                 let mut paged_cur =
-                    store.link_cursor(rel, col, key).expect("checkpointed column is covered");
+                    store.fk_cursor(rel, col, key).expect("checkpointed column is covered");
                 loop {
                     let a = slice.next_entry();
                     let b = paged_cur.next_entry();
-                    prop_assert_eq!(a, b, "link pairs diverge: col {} key {}", col, key);
+                    prop_assert_eq!(a, b, "junction rows diverge: col {} key {}", col, key);
                     if a.is_none() {
                         break;
                     }
                 }
                 prop_assert!(!paged_cur.failed());
-                prop_assert_eq!(
-                    store.link_raw_len(rel, col, key),
-                    Some(idx.raw_group_len(key)),
-                    "raw group length diverges: col {} key {}", col, key
-                );
             }
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -11,12 +11,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sizel_disk::page::{ColumnId, PageKind, FK_PER_PAGE, LINK_PER_PAGE, PAGE_HEADER_LEN};
+use sizel_disk::page::{ColumnId, PageKind, FK_PER_PAGE, PAGE_HEADER_LEN};
 use sizel_disk::segment::ListId;
 use sizel_disk::{PagedStore, SegmentFile};
-use sizel_storage::{
-    Database, PostingCursor, PostingPager, RowId, SliceCursor, TableSchema, Value,
-};
+use sizel_storage::{Database, PostingPager, ProbeCost, RowId, TableSchema, TopLScratch, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -31,9 +29,9 @@ fn boundary_lengths(per_page: usize) -> [usize; 9] {
     [0, 1, per_page - 1, per_page, per_page + 1, 3 * per_page, 2 * per_page + 5, 3, 5]
 }
 
-/// Parent / Child / Rel where `Child.parent_id` groups have the FK
-/// boundary lengths and `Rel.parent_id` groups the link boundary
-/// lengths, scored so neither posting order is insertion order.
+/// Parent / Child / Rel where both `Child.parent_id` and the junction's
+/// `Rel.parent_id` groups have the boundary lengths, scored so no
+/// posting order is insertion order.
 fn boundary_db() -> Database {
     let mut db = Database::new();
     db.create_table(TableSchema::builder("Parent").pk("id").build().unwrap()).unwrap();
@@ -62,7 +60,7 @@ fn boundary_db() -> Database {
         }
     }
     let mut rel_pk = 0;
-    for (parent, &n) in boundary_lengths(LINK_PER_PAGE).iter().enumerate() {
+    for (parent, &n) in boundary_lengths(FK_PER_PAGE).iter().enumerate() {
         for _ in 0..n {
             let child = (rel_pk * 7) % child_pk;
             db.insert(
@@ -125,13 +123,8 @@ fn lists_on_every_packing_boundary_are_served_identically_from_pages() {
                 );
             }
         }
-        // Whole lists, cursor against slice: Rel's own FK postings and
-        // both orientations of its link postings (the reverse one is a
-        // page full of one-pair lists). The accounted consumer of link
-        // cursors, the junction TOP-l probe, is driven through the GDS
-        // step that issues it: its rows-and-`AccessStats` parity over
-        // the same boundary lengths is `crates/core/tests/
-        // crash_recovery.rs::junction_probes_over_every_packing_boundary_…`.
+        // Whole lists, cursor against slice: Rel's own FK postings, both
+        // columns (the child one is a page full of one-row lists).
         let rel_t = ram.table(rel);
         for (col, idx) in rel_t.sorted_fk_indexes() {
             for (key, rows) in idx.posting_lists() {
@@ -142,22 +135,28 @@ fn lists_on_every_packing_boundary_are_served_identically_from_pages() {
                 assert_eq!(served, rows, "fk rows diverge: col {col} key {key}");
             }
         }
-        for (col, idx) in rel_t.sorted_link_indexes() {
-            for key in idx.groups().map(|(key, _, _)| key).chain([-1, i64::MAX]) {
-                let mut slice = SliceCursor::new(idx.pairs(key));
-                let mut cur =
-                    store.link_cursor(rel, col, key).expect("checkpointed column is covered");
-                loop {
-                    let (a, b) = (slice.next_entry(), cur.next_entry());
-                    assert_eq!(a, b, "link pairs diverge: col {col} key {key}");
-                    if a.is_none() {
-                        break;
-                    }
-                }
-                assert!(!cur.failed());
-                assert_eq!(store.link_raw_len(rel, col, key), Some(idx.raw_group_len(key)));
+        // The junction TOP-l probe reads Rel's FK run and forward array,
+        // which eviction leaves in RAM: over every boundary length it
+        // answers as RAM does, with RAM's accounting, and reads no page.
+        let (parent_col, child_col) = (1, 2);
+        let cache = store.stats().cache;
+        for parent in 0..10i64 {
+            for l in [1, 10, FK_PER_PAGE + 1] {
+                let probe = |db: &Database| {
+                    let li = |r: RowId| db.table(child).installed_score(r);
+                    let (mut cost, mut out) = (ProbeCost::default(), Vec::new());
+                    let scratch = &mut TopLScratch::new();
+                    let order = db.fk_order();
+                    db.select_via_junction_top_l_into(
+                        rel, parent_col, parent, child_col, child, None, l, 0.0, order, &li,
+                        scratch, &mut cost, &mut out,
+                    );
+                    (out, cost)
+                };
+                assert_eq!(probe(&ram), probe(&paged), "junction probe: parent {parent} l {l}");
             }
         }
+        assert_eq!(store.stats().cache, cache, "no junction probe touched the cache");
         let stats = store.stats();
         assert_eq!(stats.cache.read_errors, 0);
         assert!(stats.resident_pages <= cache_pages as u64);
@@ -175,23 +174,17 @@ fn short_lists_share_pages_and_long_lists_start_fresh_ones() {
     store.checkpoint_from(&db, &[child, rel]).unwrap();
     let seg = SegmentFile::open(&dir.join("segments-1.seg")).unwrap();
 
-    for (kind, table, per_page) in
-        [(PageKind::Fk, child, FK_PER_PAGE), (PageKind::Link, rel, LINK_PER_PAGE)]
-    {
+    for table in [child, rel] {
         let col = db.table(table).schema.column_index("parent_id").unwrap() as u16;
-        let column = ColumnId { kind, table: table.0, col };
+        let column = ColumnId { kind: PageKind::Fk, table: table.0, col };
         let at = |key: i64| seg.lookup(ListId { column, key });
-        let lens = boundary_lengths(per_page);
+        let lens = boundary_lengths(FK_PER_PAGE);
         assert_eq!(at(0), None, "an empty list has no entry: covered, known-empty");
         assert!(seg.covers(column));
         for key in 1..9 {
             let e = at(key).expect("a non-empty list has an entry");
             assert_eq!(e.n_entries as usize, lens[key as usize]);
-            assert_eq!(
-                e.n_pages(kind) as usize,
-                lens[key as usize].div_ceil(per_page),
-                "key {key}"
-            );
+            assert_eq!(e.n_pages() as usize, lens[key as usize].div_ceil(FK_PER_PAGE), "key {key}");
         }
         let p = PAGE_HEADER_LEN as u16;
         let first = at(1).unwrap().first_page;

@@ -241,6 +241,39 @@ fn a_panicking_request_degrades_one_reply_not_the_server() {
     });
 }
 
+/// A `Query` and a `Summarize` frame whose `l` is `u32::MAX` — the first
+/// requests a fresh server's dispatch workers see, so their arena pools
+/// are cold — each get their reply, the whole OS, and the server keeps
+/// answering. The cold arena's `4·l` size hint once asked for half a
+/// terabyte and aborted the process, which no `catch_unwind` contains.
+#[test]
+fn a_frame_with_the_largest_l_gets_a_reply_and_the_server_keeps_answering() {
+    for_each_reactor(|reactor| {
+        let router = tiny_cluster();
+        let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+        let kw = existing_keyword(&router.shard(0).engine());
+        let huge = QueryOptions { l: u32::MAX as usize, ..Default::default() };
+        let tds = match client.query(&[(kw.clone(), huge)]).expect("a reply, not a hangup") {
+            Reply::Results { results, .. } => {
+                assert!(!results[0].is_empty(), "the keyword has hits");
+                results[0].iter().for_each(|r| assert_eq!(r.summary.len(), r.input_os_size));
+                results[0][0].tds
+            }
+            other => panic!("expected Results, got {other:?}"),
+        };
+        let prelim = QueryOptions { prelim: true, ..huge };
+        match client.summarize(tds, prelim).expect("a reply, not a hangup") {
+            Reply::Summary { result, .. } => {
+                assert_eq!(result.summary.len(), result.input_os_size, "the whole OS")
+            }
+            other => panic!("expected Summary, got {other:?}"),
+        }
+        client.ping().expect("the server still answers");
+    });
+}
+
 /// The in-band metrics page carries the series the ISSUE promises:
 /// shed counts (all three gates), connection gauges, reactor and
 /// doorbell counters, per-shard cache ratios, refresh lag — and names

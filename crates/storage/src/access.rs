@@ -27,7 +27,6 @@ pub struct AccessCounter {
     heap_probes: AtomicU64,
     graph_builds: AtomicU64,
     posting_resorts: AtomicU64,
-    link_rebuilds: AtomicU64,
 }
 
 /// A snapshot of the TOP-l probe mix.
@@ -57,20 +56,17 @@ impl ProbeStats {
 /// [`AccessStats`] (it is engine-maintenance cost, not the paper's query
 /// I/O unit). The batched-apply subsystem asserts its claims against
 /// these counters: a `B`-mutation batch builds **no** data graph, performs
-/// at most **one** posting re-sort per touched table and no link rebuild.
+/// at most **one** posting re-sort per touched table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintStats {
     /// Data-graph builds (recorded by the graph layer's `build`): one
     /// per rank solve — engine build, exact apply, re-iteration — and
     /// none per incremental write.
     pub graph_builds: u64,
-    /// Settlement passes re-sorting the FK and link runs a batch's
-    /// staged entries were appended to or re-scored in (one per touched
-    /// table per batch).
+    /// Settlement passes re-sorting the FK runs a batch's staged
+    /// entries were appended to or re-scored in (one per touched table
+    /// per batch).
     pub posting_resorts: u64,
-    /// Junction link-posting builds, one per junction per install: scored
-    /// batches maintain the link runs in place and build none.
-    pub link_rebuilds: u64,
 }
 
 impl MaintStats {
@@ -79,7 +75,6 @@ impl MaintStats {
         MaintStats {
             graph_builds: self.graph_builds - earlier.graph_builds,
             posting_resorts: self.posting_resorts - earlier.posting_resorts,
-            link_rebuilds: self.link_rebuilds - earlier.link_rebuilds,
         }
     }
 }
@@ -153,17 +148,11 @@ impl AccessCounter {
         self.posting_resorts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one junction link-posting rebuild pass.
-    pub fn record_link_rebuild(&self) {
-        self.link_rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current maintenance-work values.
     pub fn maint(&self) -> MaintStats {
         MaintStats {
             graph_builds: self.graph_builds.load(Ordering::Relaxed),
             posting_resorts: self.posting_resorts.load(Ordering::Relaxed),
-            link_rebuilds: self.link_rebuilds.load(Ordering::Relaxed),
         }
     }
 
@@ -183,7 +172,6 @@ impl AccessCounter {
         self.heap_probes.store(0, Ordering::Relaxed);
         self.graph_builds.store(0, Ordering::Relaxed);
         self.posting_resorts.store(0, Ordering::Relaxed);
-        self.link_rebuilds.store(0, Ordering::Relaxed);
     }
 }
 
@@ -245,10 +233,9 @@ mod tests {
         let before = c.maint();
         c.record_graph_build();
         c.record_posting_resort();
-        c.record_link_rebuild();
-        c.record_link_rebuild();
+        c.record_posting_resort();
         let delta = c.maint().since(before);
-        assert_eq!(delta, MaintStats { graph_builds: 1, posting_resorts: 1, link_rebuilds: 2 });
+        assert_eq!(delta, MaintStats { graph_builds: 1, posting_resorts: 2 });
         // Maintenance work is not the paper's I/O cost unit.
         assert_eq!(c.snapshot(), AccessStats::default());
         c.reset();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::access::AccessCounter;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
-use crate::fk_index::{FkOrderToken, SortedLinkIndex};
+use crate::fk_index::FkOrderToken;
 use crate::pager::PostingPager;
 use crate::schema::TableSchema;
 use crate::table::{RowId, Table};
@@ -55,8 +55,8 @@ struct FkEdge {
     to: TableId,
 }
 
-/// What a row operation did to its row (forward resolution and the link
-/// rule tell the three apart).
+/// What a row operation did to its row (forward resolution tells the
+/// three apart).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RowChange {
     Inserted,
@@ -193,11 +193,9 @@ impl Database {
     }
 
     /// The common tail of the plain mutations: `op` drops the table's
-    /// order and score snapshot, so the link orientations targeting the
-    /// table, ordered by that snapshot, are dropped with it (they stay
-    /// absent until the next install). The table's forward arrays are
-    /// left unresolved, and so are those naming it when a row arrives or
-    /// dies: a loader pays no parent probe per row, and
+    /// order and score snapshot. The table's forward arrays are left
+    /// unresolved, and so are those naming it when a row arrives or dies:
+    /// a loader pays no parent probe per row, and
     /// [`Database::resolve_forward`] re-resolves them in bulk. Bumps the
     /// global epoch.
     fn plain(
@@ -206,18 +204,12 @@ impl Database {
         change: RowChange,
         op: impl FnOnce(&mut Table) -> Result<RowId>,
     ) -> Result<RowId> {
-        let had_order = self.tables[id.index()].has_installed_scores();
         let row = op(&mut self.tables[id.index()])?;
         if change != RowChange::Updated {
             for i in 0..self.fk_edges.len() {
                 if self.fk_edges[i].to == id {
                     self.tables[self.fk_edges[i].from.index()].drop_forward();
                 }
-            }
-        }
-        if had_order {
-            for (jid, s_col, _) in self.links_to(id) {
-                self.tables[jid.index()].take_sorted_link(s_col);
             }
         }
         self.epoch = self.epoch.next();
@@ -260,59 +252,8 @@ impl Database {
         }
     }
 
-    /// The two (source column, target column, target table) orientations
-    /// of a junction table, or `None` for non-junctions.
-    fn junction_orientations(&self, jid: TableId) -> Option<[(usize, usize, TableId); 2]> {
-        let jt = self.table(jid);
-        if !jt.schema.is_junction || jt.schema.fks.len() != 2 {
-            return None;
-        }
-        let (a, b) = (&jt.schema.fks[0], &jt.schema.fks[1]);
-        let ta = self.table_id(&a.ref_table).ok()?;
-        let tb = self.table_id(&b.ref_table).ok()?;
-        Some([(a.column, b.column, tb), (b.column, a.column, ta)])
-    }
-
-    /// Every link orientation whose target table is `target`, as
-    /// `(junction, source column, target column)`.
-    fn links_to(&self, target: TableId) -> Vec<(TableId, usize, usize)> {
-        let mut links = Vec::new();
-        for (jid, _) in self.tables() {
-            for (s_col, t_col, t_table) in self.junction_orientations(jid).into_iter().flatten() {
-                if t_table == target {
-                    links.push((jid, s_col, t_col));
-                }
-            }
-        }
-        links
-    }
-
-    /// Builds both orientations' sorted link postings of a junction table
-    /// from the live rows and the current score snapshots (installs only:
-    /// scored batches maintain them in place). An orientation whose target
-    /// snapshot is dead is left absent (heap fallback).
-    fn rebuild_links_for(&mut self, jid: TableId) {
-        let Some(orientations) = self.junction_orientations(jid) else { return };
-        self.access.record_link_rebuild();
-        let jt = self.table(jid);
-        let built: Vec<(usize, SortedLinkIndex)> = orientations
-            .into_iter()
-            .filter(|&(_, _, t_table)| self.table(t_table).has_installed_scores())
-            .map(|(s_col, t_col, t_table)| {
-                let runs = jt.fk_index_base(s_col).expect("junction FK columns are indexed");
-                let target_of = |j: RowId| jt.forward(t_col).get(j);
-                let scores = self.table(t_table).installed_scores();
-                (s_col, SortedLinkIndex::build(runs, &target_of, scores))
-            })
-            .collect();
-        self.tables[jid.index()].drop_sorted_links();
-        for (col, idx) in built {
-            self.tables[jid.index()].set_sorted_link(col, idx);
-        }
-    }
-
     /// Releases the push-doubling slack of every table's columns, flags,
-    /// score snapshot and FK-run and link arenas once loading has ended,
+    /// score snapshot and FK-run arenas once loading has ended,
     /// and sizes every PK index for its live rows. Changes nothing
     /// observable.
     pub fn shrink_to_fit(&mut self) {
@@ -391,9 +332,9 @@ impl Database {
     }
 
     /// Sorts every table's FK runs by descending `score` (ties:
-    /// ascending RowId), pre-joins and sorts every junction table's link
-    /// postings by target score, snapshots the per-row scores (so scored
-    /// inserts can maintain the order incrementally), and returns the
+    /// ascending RowId), snapshots the per-row scores (so scored inserts
+    /// can maintain the order incrementally), resolves every forward
+    /// array (the junction probe reads its targets there), and returns the
     /// token identifying this ordering at the current epoch. Query paths
     /// pass the token back in ([`Self::select_eq_top_l`]); a mismatch —
     /// different scores, a later re-install, or a mutation epoch the
@@ -413,16 +354,10 @@ impl Database {
         &mut self,
         score: &dyn Fn(TableId, RowId) -> f64,
     ) -> FkOrderToken {
-        // The link build reads each junction row's target there.
         self.resolve_forward();
         for (i, t) in self.tables.iter_mut().enumerate() {
             let tid = TableId(i as u16);
             t.build_sorted_fk(&|r| score(tid, r));
-        }
-        let junctions: Vec<TableId> =
-            self.tables().filter(|(_, t)| t.schema.is_junction).map(|(id, _)| id).collect();
-        for jid in junctions {
-            self.rebuild_links_for(jid);
         }
         let token = FkOrderToken::fresh(self.epoch);
         self.fk_order = Some(token);
@@ -436,9 +371,9 @@ impl Database {
 
     /// Re-installs every table's order from its *installed* score
     /// snapshot — the road back from eviction: a paged table that
-    /// mutated is RAM-served again, its runs sorted and its link postings
-    /// rebuilt for the next checkpoint, without recomputing scores. A full install under
-    /// the hood, so it returns the fresh token; `None` when any table
+    /// mutated is RAM-served again, its runs sorted for the next
+    /// checkpoint, without recomputing scores. A full install under the
+    /// hood, so it returns the fresh token; `None` when any table
     /// lacks an installed snapshot (there is no order to rebuild).
     pub fn rebuild_postings_from_installed(&mut self) -> Option<FkOrderToken> {
         let snap: Vec<Vec<f64>> = self
@@ -494,8 +429,8 @@ mod tests {
         db
     }
 
-    /// An empty P / C / J catalog: J is a junction between P and C, so
-    /// its link postings have one orientation per target.
+    /// An empty P / C / J catalog: J is a junction between P and C,
+    /// probed in one orientation per target.
     fn pcj() -> Database {
         let mut db = Database::new();
         db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
@@ -513,31 +448,83 @@ mod tests {
         db
     }
 
-    /// Every present link orientation of `db` — `(junction, source
-    /// column)` — with its groups `(key, pairs, raw length)` by key.
-    type LinkState = Vec<(TableId, usize, Vec<(i64, Vec<(RowId, RowId)>, usize)>)>;
-
-    fn link_state(db: &Database) -> LinkState {
-        let mut state = Vec::new();
-        for (tid, t) in db.tables() {
-            for (col, idx) in t.sorted_link_indexes() {
-                let mut groups: Vec<_> =
-                    idx.groups().map(|(k, p, raw)| (k, p.to_vec(), raw)).collect();
-                groups.sort_unstable_by_key(|g| g.0);
-                state.push((tid, col, groups));
-            }
-        }
-        state
+    /// A local importance with ties and no relation to the row order:
+    /// the junction probe must rank by it, whatever order is installed.
+    fn li_of(r: RowId) -> f64 {
+        f64::from(r.0 * 7 % 5)
     }
 
-    /// Asserts the maintained link postings equal what a fresh install
-    /// over the same rows and scores builds — presence, pairs and raw
-    /// lengths — and returns them.
-    fn assert_links_match_a_fresh_install(db: &mut Database) -> LinkState {
-        let maintained = link_state(db);
-        db.rebuild_postings_from_installed().expect("every score snapshot is live");
-        assert_eq!(maintained, link_state(db), "maintained links vs a fresh install");
-        maintained
+    /// The two orientations of `pcj`'s junction: `(source column, target
+    /// column, target table)`.
+    const ORIENTATIONS: [(usize, usize, &str); 2] = [(1, 2, "C"), (2, 1, "P")];
+
+    /// One TOP-`l` junction probe of `key` through J along `orientation`:
+    /// its rows and its cost.
+    fn junction_probe(
+        db: &Database,
+        (s_col, t_col, to): (usize, usize, &str),
+        key: i64,
+        l: usize,
+    ) -> (Vec<RowId>, crate::ProbeCost) {
+        let (j, t) = (db.table_id("J").unwrap(), db.table_id(to).unwrap());
+        let (mut cost, mut out) = (crate::ProbeCost::default(), Vec::new());
+        let scratch = &mut crate::TopLScratch::new();
+        let (order, li) = (db.fk_order(), &li_of);
+        db.select_via_junction_top_l_into(
+            j, s_col, key, t_col, t, None, l, -1.0, order, li, scratch, &mut cost, &mut out,
+        );
+        (out, cost)
+    }
+
+    /// The same probe as SQL over the live rows: J's rows whose source
+    /// column holds `key` joined to the live target with their target
+    /// pk, ordered `(li desc, RowId asc)`, the first `l` — and the two
+    /// joins it counts, the group read and the rows returned.
+    fn junction_oracle(
+        db: &Database,
+        (s_col, t_col, to): (usize, usize, &str),
+        key: i64,
+        l: usize,
+    ) -> (Vec<RowId>, crate::AccessStats) {
+        let (j, t) = (db.table(db.table_id("J").unwrap()), db.table(db.table_id(to).unwrap()));
+        let group: Vec<RowId> =
+            j.live_rows().filter(|&r| j.value(r, s_col).as_int() == Some(key)).collect();
+        let mut joined: Vec<(f64, RowId)> = group
+            .iter()
+            .filter_map(|&r| t.by_pk(j.value(r, t_col).as_int()?))
+            .map(|t| (li_of(t), t))
+            .collect();
+        joined.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let rows: Vec<RowId> = joined.into_iter().take(l).map(|(_, t)| t).collect();
+        let tuples = (group.len() + rows.len()) as u64;
+        (rows, crate::AccessStats { joins: 2, tuples })
+    }
+
+    /// Asserts every junction probe of `db` — both orientations, every
+    /// key J's live rows hold and a few they do not, several `l` —
+    /// returns the oracle's rows with the oracle's accounting, as one
+    /// heap probe. Returns how many probes returned a row.
+    fn assert_junction_probes_match_the_oracle(db: &Database) -> usize {
+        let j = db.table(db.table_id("J").unwrap());
+        let mut non_empty = 0;
+        for o in ORIENTATIONS {
+            let mut keys: Vec<i64> =
+                j.live_rows().filter_map(|r| j.value(r, o.0).as_int()).collect();
+            keys.extend([1, 2, 10, 11, 99]);
+            keys.sort_unstable();
+            keys.dedup();
+            for key in keys {
+                for l in [0, 1, 2, 10] {
+                    let (rows, cost) = junction_probe(db, o, key, l);
+                    let (want, access) = junction_oracle(db, o, key, l);
+                    assert_eq!(rows, want, "{o:?} key {key} l {l}");
+                    assert_eq!(cost.access, access, "{o:?} key {key} l {l}: accounting");
+                    assert_eq!((cost.probes.fast, cost.probes.heap), (0, 1));
+                    non_empty += !rows.is_empty() as usize;
+                }
+            }
+        }
+        non_empty
     }
 
     #[test]
@@ -788,18 +775,16 @@ mod tests {
     #[test]
     fn dangling_junction_target_drops_link_postings_then_heals() {
         // A junction row whose target pk does not (yet) exist counts in
-        // its raw group and has no pair — what the heap path reads — and
-        // the orientation stays: the endpoint's later scored arrival adds
-        // the pair in place. FK validation is a separate step, so the
-        // storage layer has to tolerate this on its own.
+        // its probe's group and joins nothing — what SQL reads — and the
+        // endpoint's later scored arrival joins it, through the forward
+        // array the arrival re-points. FK validation is a separate step,
+        // so the storage layer has to tolerate this on its own.
         let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
         db.insert("C", vec![Value::Int(10)]).unwrap();
         db.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(10)]).unwrap();
         db.install_importance_order(&|_, _| 1.0);
-        let j = db.table_id("J").unwrap();
-        let (p_col, c_col) = (1, 2);
-        // Scored insert referencing child pk 99, which does not exist.
+        // Scored insert referencing C pk 99, which does not exist.
         batch_of_one(&mut db, |db, b| {
             db.insert_scored_staged(
                 b,
@@ -809,32 +794,31 @@ mod tests {
             )
         })
         .unwrap();
-        let links = db.table(j).sorted_link_index(p_col).expect("the orientation stays");
-        assert_eq!((links.pairs(1).len(), links.raw_group_len(1)), (1, 2), "counted, unpaired");
-        // Seen from the missing endpoint's key, the row pairs with P 1.
-        let back = db.table(j).sorted_link_index(c_col).expect("the orientation stays");
-        assert_eq!((back.pairs(99).len(), back.raw_group_len(99)), (1, 1));
-        assert_links_match_a_fresh_install(&mut db);
-        // The late-arriving endpoint joins the pair, best target first.
+        let (rows, cost) = junction_probe(&db, ORIENTATIONS[0], 1, 10);
+        assert_eq!((rows, cost.access.tuples), (vec![RowId(0)], 2 + 1), "counted, unjoined");
+        // Seen from the missing endpoint's key, the row joins P 1.
+        assert_eq!(junction_probe(&db, ORIENTATIONS[1], 99, 10).0, [RowId(0)]);
+        assert_junction_probes_match_the_oracle(&db);
+        // The late-arriving endpoint joins, best target first.
         batch_of_one(&mut db, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(99)], 2.0))
             .unwrap();
-        let links = db.table(j).sorted_link_index(p_col).unwrap();
-        assert_eq!(links.pairs(1), &[(RowId(1), RowId(1)), (RowId(0), RowId(0))]);
+        let (rows, _) = junction_probe(&db, ORIENTATIONS[0], 1, 10);
+        assert_eq!(rows, [RowId(1), RowId(0)], "li 2 before li 0");
         assert_eq!(db.fk_order().unwrap().epoch(), db.epoch(), "the insert re-stamps the token");
-        assert_links_match_a_fresh_install(&mut db);
+        assert_junction_probes_match_the_oracle(&db);
 
-        // A junction loaded with a dangling row *before* install gets the
-        // orientation too, and the endpoint's arrival pairs it.
+        // A junction loaded with a dangling row *before* install joins
+        // nothing either, and the endpoint's arrival joins it.
         let mut db2 = pcj();
         db2.insert("P", vec![Value::Int(1)]).unwrap();
         db2.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(99)]).unwrap();
         db2.install_importance_order(&|_, _| 1.0);
-        let links = db2.table(j).sorted_link_index(p_col).expect("installed despite the dangle");
-        assert_eq!((links.pairs(1).len(), links.raw_group_len(1)), (0, 1));
+        let (rows, cost) = junction_probe(&db2, ORIENTATIONS[0], 1, 10);
+        assert_eq!((rows.len(), cost.access.tuples), (0, 1));
         batch_of_one(&mut db2, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(99)], 1.0))
             .unwrap();
-        assert_eq!(db2.table(j).sorted_link_index(p_col).unwrap().pairs(1).len(), 1);
-        assert_links_match_a_fresh_install(&mut db2);
+        assert_eq!(junction_probe(&db2, ORIENTATIONS[0], 1, 10).0.len(), 1);
+        assert_junction_probes_match_the_oracle(&db2);
     }
 
     #[test]
@@ -950,9 +934,9 @@ mod tests {
     #[test]
     fn mid_batch_heal_does_not_duplicate_later_staged_junction_pairs() {
         // With a dangling J(101 -> C 99) in place, a batch staging
-        // [C(99), J(102 -> C 99)] pairs each junction row exactly once:
-        // the arriving endpoint pairs J 101, J 102 pairs itself. The batch
-        // must end identical to the fold and to a from-scratch install.
+        // [C(99), J(102 -> C 99)] joins each junction row exactly once:
+        // the arriving endpoint joins J 101, J 102 joins itself. The
+        // batch must end identical to the fold and to the SQL oracle.
         let build = || {
             let mut db = pcj();
             db.insert("P", vec![Value::Int(1)]).unwrap();
@@ -970,19 +954,12 @@ mod tests {
             .unwrap();
             db
         };
-        let (p_col, c_col) = (1usize, 2usize);
+        let j102 = || vec![Value::Int(102), Value::Int(1), Value::Int(99)];
 
         let mut batched = build();
         let mut b = batched.begin_scored_batch();
         batched.insert_scored_staged(&mut b, "C", vec![Value::Int(99)], 2.0).unwrap();
-        batched
-            .insert_scored_staged(
-                &mut b,
-                "J",
-                vec![Value::Int(102), Value::Int(1), Value::Int(99)],
-                0.25,
-            )
-            .unwrap();
+        batched.insert_scored_staged(&mut b, "J", j102(), 0.25).unwrap();
         batched.finish_scored_batch(b);
 
         let mut folded = build();
@@ -990,33 +967,21 @@ mod tests {
             db.insert_scored_staged(b, "C", vec![Value::Int(99)], 2.0)
         })
         .unwrap();
-        batch_of_one(&mut folded, |db, b| {
-            db.insert_scored_staged(
-                b,
-                "J",
-                vec![Value::Int(102), Value::Int(1), Value::Int(99)],
-                0.25,
-            )
-        })
-        .unwrap();
+        batch_of_one(&mut folded, |db, b| db.insert_scored_staged(b, "J", j102(), 0.25)).unwrap();
 
-        let j = batched.table_id("J").unwrap();
-        for col in [p_col, c_col] {
-            let a = batched.table(j).sorted_link_index(col).expect("settled");
-            let f = folded.table(j).sorted_link_index(col).expect("maintained");
+        for o in ORIENTATIONS {
             for key in [1i64, 10, 99] {
-                assert_eq!(a.pairs(key), f.pairs(key), "col {col} key {key}");
-                assert_eq!(a.raw_group_len(key), f.raw_group_len(key));
+                let (a, f) =
+                    (junction_probe(&batched, o, key, 10), junction_probe(&folded, o, key, 10));
+                assert_eq!(a, f, "{o:?} key {key}");
             }
         }
-        // Each junction row appears exactly once per orientation.
-        let pairs = batched.table(j).sorted_link_index(p_col).unwrap().pairs(1);
-        let mut seen: Vec<RowId> = pairs.iter().map(|&(jr, _)| jr).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), pairs.len(), "no duplicated pairs: {pairs:?}");
-        assert_eq!(pairs.len(), 3, "all three junction rows pre-joined");
-        assert_links_match_a_fresh_install(&mut batched);
+        // Each junction row joins exactly once: C 99 twice (J 101 and
+        // J 102), C 10 once.
+        let (rows, cost) = junction_probe(&batched, ORIENTATIONS[0], 1, 10);
+        assert_eq!(rows, [RowId(1), RowId(1), RowId(0)], "no duplicated or lost join");
+        assert_eq!(cost.access.tuples, 3 + 3, "all three junction rows read");
+        assert_junction_probes_match_the_oracle(&batched);
     }
 
     #[test]
@@ -1350,10 +1315,10 @@ mod tests {
 
     #[test]
     fn deleting_a_link_target_drops_the_orientation_then_heals_on_reinsert() {
-        // A scored delete of a link target its junction rows still
-        // reference takes their pairs out where they lie — the orientation
-        // and the raw group stay — and a re-insert of the pk pairs them
-        // with the new row. No step rebuilds the links.
+        // A scored delete of a target its junction rows still reference
+        // leaves their forward slots empty — the rows still count in
+        // their group — and a re-insert of the pk joins them to the new
+        // row. No step re-sorts a junction run.
         let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
         db.insert("C", vec![Value::Int(10)]).unwrap();
@@ -1361,39 +1326,34 @@ mod tests {
         db.insert("J", vec![Value::Int(100), Value::Int(1), Value::Int(10)]).unwrap();
         db.insert("J", vec![Value::Int(101), Value::Int(1), Value::Int(11)]).unwrap();
         db.install_importance_order(&|_, _| 1.0);
-        let j = db.table_id("J").unwrap();
-        let p_col = 1usize;
-        assert_eq!(db.table(j).sorted_link_index(p_col).unwrap().pairs(1).len(), 2);
+        assert_eq!(junction_probe(&db, ORIENTATIONS[0], 1, 10).0.len(), 2);
         let maint = db.access().maint();
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "C", 10)).unwrap();
-        let links = db.table(j).sorted_link_index(p_col).expect("the orientation stays");
-        assert_eq!(links.pairs(1), &[(RowId(1), RowId(1))], "J 100's pair left");
-        assert_eq!(links.raw_group_len(1), 2, "J 100 still counts in its raw group");
-        assert_eq!(db.access().maint().since(maint).link_rebuilds, 0, "maintained in place");
-        assert_links_match_a_fresh_install(&mut db);
-        // Re-inserting the pk pairs J 100 with the *new* RowId of pk 10.
-        let maint = db.access().maint();
+        let (rows, cost) = junction_probe(&db, ORIENTATIONS[0], 1, 10);
+        assert_eq!(rows, [RowId(1)], "J 100 joins nothing");
+        assert_eq!(cost.access.tuples, 2 + 1, "J 100 still counts in its group");
+        assert_junction_probes_match_the_oracle(&db);
+        // Re-inserting the pk joins J 100 to the *new* RowId of pk 10.
         batch_of_one(&mut db, |db, b| db.insert_scored_staged(b, "C", vec![Value::Int(10)], 2.0))
             .unwrap();
         let new_row = db.table(db.table_id("C").unwrap()).by_pk(10).unwrap();
-        let links = db.table(j).sorted_link_index(p_col).unwrap();
-        assert_eq!(links.pairs(1), &[(RowId(0), new_row), (RowId(1), RowId(1))]);
-        // An update of a link target re-sorts the pairs by the new score.
+        assert_eq!(new_row, RowId(2));
+        assert_eq!(junction_probe(&db, ORIENTATIONS[0], 1, 10).0, [new_row, RowId(1)]);
+        // An update of a target moves nothing of the junction's.
         batch_of_one(&mut db, |db, b| {
             db.update_scored_staged(b, "C", 11, vec![Value::Int(11)], 9.0)
         })
         .unwrap();
-        let links = db.table(j).sorted_link_index(p_col).unwrap();
-        assert_eq!(links.pairs(1)[0].0, RowId(1), "J 101's target now outranks");
-        assert_eq!(db.access().maint().since(maint).link_rebuilds, 0, "maintained in place");
-        assert_links_match_a_fresh_install(&mut db);
+        let work = db.access().maint().since(maint);
+        assert_eq!(work.posting_resorts, 0, "C has no FK run, J was not touched: {work:?}");
+        assert_junction_probes_match_the_oracle(&db);
     }
 
     #[test]
     fn deleting_a_referenced_target_then_its_junction_row_matches_a_fresh_install() {
-        // Delete a C row a J row still references, then that J row: the
-        // maintained links must be what an install over the same rows
-        // builds, orientation by orientation.
+        // Delete a C row a J row still references, then that J row: every
+        // junction probe must be what SQL over the surviving rows reads,
+        // before and after a fresh install over the same rows.
         let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
         db.insert("C", vec![Value::Int(10)]).unwrap();
@@ -1403,16 +1363,17 @@ mod tests {
         db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "C", 10)).unwrap();
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 100)).unwrap();
-        let links = assert_links_match_a_fresh_install(&mut db);
-        assert_eq!(links.len(), 2, "both orientations present: {links:?}");
+        assert!(assert_junction_probes_match_the_oracle(&db) > 0, "both orientations still join");
+        db.rebuild_postings_from_installed().expect("every score snapshot is live");
+        assert_junction_probes_match_the_oracle(&db);
     }
 
     #[test]
     fn a_plain_target_mutation_drops_the_orientations_it_orders() {
-        // A plain delete kills C's score snapshot, so the orientation
-        // whose pairs C's rows order goes with it (a dead C row must never
-        // surface from a scan); the one targeting P stays. The junction
-        // probe still answers, through the heap path.
+        // A plain delete of a target leaves the forward arrays naming its
+        // table unresolved (a loader pays no parent probe per row); once
+        // re-resolved, the junction probe answers only the live target,
+        // through the same one selection as always.
         let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
         for c in [10, 11] {
@@ -1421,35 +1382,22 @@ mod tests {
         for (pk, c) in [(100, 10), (101, 11)] {
             db.insert("J", vec![Value::Int(pk), Value::Int(1), Value::Int(c)]).unwrap();
         }
-        let token = db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
+        db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
         db.delete("C", 11).unwrap();
-        let (j, c) = (db.table_id("J").unwrap(), db.table_id("C").unwrap());
-        assert!(db.table(j).sorted_link_index(1).is_none(), "pairs ordered by C: dropped");
-        assert!(db.table(j).sorted_link_index(2).is_some(), "pairs ordered by P: kept");
-        let mut out = Vec::new();
-        let li = |r: RowId| r.index() as f64;
-        let (mut cost, mut scratch) = (crate::ProbeCost::default(), crate::TopLScratch::new());
-        db.select_via_junction_top_l_into(
-            j,
-            1,
-            1,
-            2,
-            c,
-            None,
-            5,
-            -1.0,
-            Some(token),
-            &li,
-            &mut scratch,
-            &mut cost,
-            &mut out,
-        );
-        assert_eq!(out, [RowId(0)], "only the live target");
-        assert_eq!(cost.probes.heap, 1);
+        let j = db.table_id("J").unwrap();
+        assert!(!db.table(j).has_live_forward(), "the plain delete left J unresolved");
+        db.resolve_forward();
+        let (rows, cost) = junction_probe(&db, ORIENTATIONS[0], 1, 5);
+        assert_eq!(rows, [RowId(0)], "only the live target");
+        assert_eq!((cost.probes.fast, cost.probes.heap), (0, 1));
+        assert_junction_probes_match_the_oracle(&db);
     }
 
     #[test]
     fn updating_a_link_target_rebuilds_no_links() {
+        // A target's scored update stages its own table only: the
+        // junction is not touched, nothing of it re-sorts, and its probe
+        // reads the target's new row the moment it is staged.
         let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
         for c in [10, 11] {
@@ -1460,17 +1408,15 @@ mod tests {
         }
         db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
         let j = db.table_id("J").unwrap();
-        assert_eq!(db.table(j).sorted_link_index(1).unwrap().pairs(1)[0].0, RowId(1));
         let before = db.access().maint();
         let mut b = db.begin_scored_batch();
         db.update_scored_staged(&mut b, "C", 10, vec![Value::Int(10)], 5.0).unwrap();
-        assert!(db.table(j).sorted_link_index(1).is_none(), "the junction waits for settlement");
+        assert!(db.table(j).sorted_fk_index(1).is_some(), "the junction is not staged");
+        assert_junction_probes_match_the_oracle(&db);
         db.finish_scored_batch(b);
         let work = db.access().maint().since(before);
-        assert_eq!(work.link_rebuilds, 0, "a target update rebuilds no links: {work:?}");
-        assert_eq!(work.posting_resorts, 1, "J's link run re-sorts; C has no FK run");
-        assert_eq!(db.table(j).sorted_link_index(1).unwrap().pairs(1)[0].0, RowId(0));
-        assert_links_match_a_fresh_install(&mut db);
+        assert_eq!(work.posting_resorts, 0, "C has no FK run, J none staged: {work:?}");
+        assert_junction_probes_match_the_oracle(&db);
     }
 
     #[test]
@@ -1487,16 +1433,15 @@ mod tests {
         let j = db.table_id("J").unwrap();
         let p_col = 1usize;
         let maint = db.access().maint();
+        let group_len = |db: &Database, key| junction_probe(db, ORIENTATIONS[0], key, 10).1;
 
-        // A junction-own delete takes its pair out where it lies in each
-        // orientation: raw length and pairs drop together.
+        // A junction-own delete takes the row out of its runs where it
+        // lies: the group read shrinks with it.
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 101)).unwrap();
-        let links = db.table(j).sorted_link_index(p_col).expect("orientation kept");
-        assert_eq!(links.raw_group_len(1), 2, "raw length tracks the live group");
-        assert_eq!(links.pairs(1).len(), 2, "no dead pair lingers");
-        assert!(links.pairs(1).iter().all(|&(jr, _)| jr != RowId(1)));
+        assert_eq!(group_len(&db, 1).access.tuples, 2 + 2, "the group tracks the live rows");
+        assert!(db.table(j).rows_where_eq(p_col, 1).iter().all(|&r| r != RowId(1)));
 
-        // A junction-own update re-homes the pair under the new source key.
+        // A junction-own update re-homes the row under the new source key.
         batch_of_one(&mut db, |db, b| {
             db.update_scored_staged(
                 b,
@@ -1507,42 +1452,29 @@ mod tests {
             )
         })
         .unwrap();
-        let links = db.table(j).sorted_link_index(p_col).expect("orientation kept");
-        assert_eq!(links.raw_group_len(1), 1);
-        assert_eq!(links.raw_group_len(2), 1);
-        assert_eq!(links.pairs(2).len(), 1, "re-homed under the new key");
-        assert!(links.pairs(1).iter().all(|&(jr, _)| jr != RowId(2)), "old-key pair removed");
+        assert_eq!(group_len(&db, 1).access.tuples, 1 + 1);
+        assert_eq!(group_len(&db, 2).access.tuples, 1 + 1, "re-homed under the new key");
 
         // Deleting the last row of a group drops its key, as a fresh
         // build has it.
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 102)).unwrap();
-        let links = db.table(j).sorted_link_index(p_col).unwrap();
-        assert_eq!(links.pairs(1).len(), 1, "only the live pair survives");
-        assert_eq!(links.key_count(), 1);
-        assert_eq!(db.access().maint().since(maint).link_rebuilds, 0, "no wholesale rebuild");
-        assert_links_match_a_fresh_install(&mut db);
+        assert_eq!(db.table(j).sorted_fk_index(p_col).unwrap().key_count(), 1);
+        assert_eq!(
+            db.access().maint().since(maint).posting_resorts,
+            1,
+            "only the re-homing update"
+        );
+        assert_junction_probes_match_the_oracle(&db);
     }
 
     #[test]
     fn junction_row_updates_match_a_fresh_install_in_every_target_state() {
         // J 101 moves to every combination of source/target state — kept,
-        // re-homed, NULL, dangling — and the maintained link postings must
-        // equal what a from-scratch install over the same slots builds,
-        // also after a dangling target's endpoint arrives.
+        // re-homed, NULL, dangling — and every junction probe must equal
+        // what a from-scratch install over the same slots answers, and
+        // SQL, also after a dangling target's endpoint arrives.
         let build = |j101: [Value; 2]| {
-            let mut db = Database::new();
-            db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
-            db.create_table(TableSchema::builder("C").pk("id").build().unwrap()).unwrap();
-            db.create_table(
-                TableSchema::builder("J")
-                    .pk("id")
-                    .fk("p_id", "P")
-                    .fk("c_id", "C")
-                    .junction()
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
+            let mut db = pcj();
             for p in [1, 2] {
                 db.insert("P", vec![Value::Int(p)]).unwrap();
             }
@@ -1556,19 +1488,14 @@ mod tests {
             db
         };
         let score = |_: TableId, r: RowId| 1.0 + r.index() as f64;
-        let assert_same_links = |a: &Database, b: &Database, what: &str| {
-            let j = a.table_id("J").unwrap();
-            for col in [1usize, 2] {
-                let (x, y) = (a.table(j).sorted_link_index(col), b.table(j).sorted_link_index(col));
-                let (Some(x), Some(y)) = (x, y) else {
-                    panic!("{what}: orientation {col} present {} vs {}", x.is_some(), y.is_some());
-                };
-                assert_eq!(x.key_count(), y.key_count(), "{what}: col {col} keys");
+        let assert_same_probes = |a: &Database, b: &Database, what: &str| {
+            for o in ORIENTATIONS {
                 for key in [1i64, 2, 10, 11, 99] {
-                    assert_eq!(x.pairs(key), y.pairs(key), "{what}: col {col} key {key}");
-                    assert_eq!(x.raw_group_len(key), y.raw_group_len(key), "{what}: raw {key}");
+                    let (x, y) = (junction_probe(a, o, key, 10), junction_probe(b, o, key, 10));
+                    assert_eq!(x, y, "{what}: {o:?} key {key}");
                 }
             }
+            assert_junction_probes_match_the_oracle(a);
         };
         let states = |live: [i64; 2]| [Value::Int(live[0]), Value::Int(live[1]), Value::Null];
         for p in states([1, 2]) {
@@ -1588,7 +1515,7 @@ mod tests {
                 .unwrap();
                 let mut fresh = build([p.clone(), c.clone()]);
                 fresh.install_importance_order(&score);
-                assert_same_links(&live, &fresh, &what);
+                assert_same_probes(&live, &fresh, &what);
                 if c == Value::Int(99) {
                     batch_of_one(&mut live, |db, b| {
                         db.insert_scored_staged(b, "C", vec![Value::Int(99)], 3.0)
@@ -1598,7 +1525,7 @@ mod tests {
                     fresh.insert("C", vec![Value::Int(99)]).unwrap();
                     // C 99 takes slot 2, which `score` rates 3.0 as well.
                     fresh.install_importance_order(&score);
-                    assert_same_links(&live, &fresh, &format!("{what}, C 99 arrived"));
+                    assert_same_probes(&live, &fresh, &format!("{what}, C 99 arrived"));
                 }
             }
         }
@@ -1626,7 +1553,7 @@ mod tests {
             .unwrap();
         }
         let work = db.access().maint().since(before);
-        assert_eq!((work.posting_resorts, work.link_rebuilds), (6, 0));
+        assert_eq!(work, crate::MaintStats { graph_builds: 0, posting_resorts: 6 });
         let li = |r: RowId| db.table(paper).installed_score(r);
         let token = db.fk_order().unwrap();
         let fast = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, Some(token), &li);

@@ -1,12 +1,21 @@
 //! The read side of the catalog that goes through postings: the pager
 //! seam (attach, evict) and the probe forms the OS-generation algorithms
-//! issue — `SELECT *` and the Avoidance-Condition-2 `SELECT * TOP l`.
+//! issue — `SELECT *` and the Avoidance-Condition-2 `SELECT * TOP l`,
+//! on an FK column or through a junction.
+//!
+//! One layout serves every form: a table's FK runs, sorted by installed
+//! importance while the order holds. An FK probe with the live token is a
+//! prefix scan of its run — the resident slice or, for a paged table, the
+//! pager's cursor — and otherwise a bounded top-l selection over the run.
+//! A junction probe is always that selection: the junction's FK run for
+//! the key, each row's target read from the forward array of the target
+//! column.
 
 use std::sync::Arc;
 
 use super::{Database, TableId};
 use crate::access::ProbeCost;
-use crate::fk_index::{FkOrderToken, Posting, SortedPostings};
+use crate::fk_index::FkOrderToken;
 use crate::pager::{PostingCursor, PostingPager, SliceCursor};
 use crate::table::RowId;
 use crate::topl::TopLScratch;
@@ -19,12 +28,12 @@ impl Database {
         self.pager = Some(pager);
     }
 
-    /// Routes a table's prefix scans to the attached pager (the disk
-    /// tier's residency policy) and drops its in-RAM link postings. The
-    /// FK runs and the score snapshot stay, so mutations keep working;
-    /// results are unchanged by construction (a stale stamp, a read error
-    /// or a coverage gap heap-falls-back over the runs). Does not bump
-    /// the epoch: no tuple and no servable content moved.
+    /// Routes a table's FK prefix scans to the attached pager (the disk
+    /// tier's residency policy). The FK runs and the score snapshot stay,
+    /// so mutations and junction probes keep working; results are
+    /// unchanged by construction (a stale stamp, a read error or a
+    /// coverage gap heap-falls-back over the runs). Does not bump the
+    /// epoch: no tuple and no servable content moved.
     pub fn evict_table_postings(&mut self, table: TableId) {
         self.tables[table.index()].evict_sorted_postings();
     }
@@ -99,37 +108,70 @@ impl Database {
         out: &mut Vec<RowId>,
     ) {
         let t = self.table(table);
+        let start = out.len();
         // The PK column has no postings: its one candidate takes the heap
         // path, like a probe whose token is stale.
         let on_pk = col == t.schema.pk;
+        let li = |r| Some(li(r));
+        if !on_pk && l > 0 && order.is_some() && order == self.fk_order {
+            // Every run holds live rows only, exactly the rows a fresh
+            // install would serve. The collected prefix is ranked through
+            // the same comparator the heap path uses, so the paths agree
+            // by construction.
+            let mut stage = |cur: &mut dyn PostingCursor| {
+                let scored =
+                    std::iter::from_fn(|| cur.next_entry()).filter_map(|r| Some((li(r)?, r)));
+                scratch.stage_prefix(l, largest_l, scored);
+                !cur.failed()
+            };
+            // RAM postings, else evicted ones: the paged backend serves
+            // the identical scan — same loop, same accounting — while
+            // its segment stamp matches the live token (any mutation
+            // stales it).
+            let staged = match t.sorted_fk_index(col) {
+                Some(sorted) => stage(&mut SliceCursor::new(sorted.rows(key))),
+                None => self
+                    .pager
+                    .as_deref()
+                    .filter(|p| p.stamp() == self.fk_order)
+                    .and_then(|p| p.fk_cursor(table, col, key))
+                    .is_some_and(|mut cur| stage(cur.as_mut())),
+            };
+            if staged {
+                scratch.rank_staged_into(l, out);
+                cost.record_join(out.len() - start);
+                cost.probes.fast += 1;
+                return;
+            }
+            // Fail closed: a read error mid-scan discards the partial
+            // prefix (serving it as-if-complete would silently drop
+            // rows) and the heap path — always correct, backed by the FK
+            // runs — takes over.
+            scratch.staged.clear();
+        }
         let one = if on_pk { t.by_pk(key) } else { None };
-        self.probe_top_l(
-            l,
-            largest_l,
-            order.filter(|_| !on_pk),
-            key,
-            || t.sorted_fk_index(col),
-            |p| Some((p.fk_cursor(table, col, key)?, ())),
-            |r| Some(li(r)),
-            || {
-                let group = if on_pk { one.as_slice() } else { t.rows_where_eq(col, key) };
-                (group.iter().copied(), ())
-            },
-            scratch,
-            cost,
-            out,
-        );
+        let group = if on_pk { one.as_slice() } else { t.rows_where_eq(col, key) };
+        heap_top_l(group.iter().copied(), l, largest_l, li, scratch, cost, out);
     }
 
-    /// The junction sibling of [`Self::select_eq_top_l_into`]: `SELECT T.*
-    /// TOP l FROM J, T WHERE J.source_col = key AND J.target_col = T.pk
-    /// AND li(T) > largest_l ORDER BY li DESC`, appending rows of `target`
-    /// (never `exclude`, the OS grandparent of a CoAuthor-style replicated
-    /// step) to `out`. With a matching `order` it prefix-scans the
-    /// junction's pre-joined link postings ([`crate::SortedLinkIndex`]).
-    /// Two counted join accesses on either path: the junction probe,
-    /// reporting the raw FK group size (its rows are read to find the
-    /// targets), and the TOP-l filtered target fetch.
+    /// The junction step `SELECT T.* TOP l FROM J, T WHERE J.source_col =
+    /// key AND J.target_col = T.pk AND li(T) > largest_l ORDER BY li DESC`,
+    /// appending rows of `target` (never `exclude`, the OS grandparent of
+    /// a CoAuthor-style replicated step) to `out`, best first under `(li
+    /// desc, RowId asc)`. It reads the junction's FK run for `key` and
+    /// each junction row's target from the forward array of
+    /// `target_col` — a NULL or dangling target joins nothing — and
+    /// selects the top `l` in one bounded pass. Two counted join
+    /// accesses: the junction probe, reporting the raw FK group size (its
+    /// rows are read to find the targets), and the TOP-l filtered target
+    /// fetch. Always one heap probe; `order` is not consulted (there is
+    /// no sorted junction index to scan).
+    ///
+    /// The junction's forward arrays must be resolved. Every engine read
+    /// path sees them so: installing an order resolves them, scored
+    /// batches maintain them, and the exact refresh re-resolves before it
+    /// re-installs. A caller probing a database a plain row operation
+    /// touched calls [`Self::resolve_forward`] first.
     #[allow(clippy::too_many_arguments)] // mirrors the SQL probe's clause list
     pub fn select_via_junction_top_l_into(
         &self,
@@ -147,111 +189,43 @@ impl Database {
         cost: &mut ProbeCost,
         out: &mut Vec<RowId>,
     ) {
+        // The forward array names the target's rows, and no sorted index
+        // is scanned, so neither the target table nor the order is read.
+        let _ = (target, order);
         let jt = self.table(junction);
-        let tt = self.table(target);
-        let raw = self.probe_top_l(
-            l,
-            largest_l,
-            order,
-            key,
-            || jt.sorted_link_index(source_col),
-            |p| {
-                let raw = p.link_raw_len(junction, source_col, key)?;
-                Some((p.link_cursor(junction, source_col, key)?, raw as u32))
-            },
-            // The excluded row is not cut on: importance is non-increasing
-            // along the scan, so the next pair makes the same cut.
-            |t| (Some(t) != exclude).then(|| li(t)),
-            || {
-                let jrows = jt.rows_where_eq(source_col, key);
-                let targets =
-                    jrows.iter().filter_map(|&j| tt.by_pk(jt.value(j, target_col).as_int()?));
-                (targets, jrows.len() as u32)
-            },
-            scratch,
-            cost,
-            out,
-        );
-        cost.record_join(raw as usize);
+        let jrows = jt.rows_where_eq(source_col, key);
+        let fwd = jt.forward(target_col);
+        let targets = jrows.iter().filter_map(|&j| fwd.get(j));
+        let li = |t| (Some(t) != exclude).then(|| li(t));
+        heap_top_l(targets, l, largest_l, li, scratch, cost, out);
+        cost.record_join(jrows.len());
     }
+}
 
-    /// The one TOP-l probe body, for either posting kind: at most `l` of
-    /// `key`'s result rows with `li > largest_l`, best first, appended to
-    /// `out`; one join access reporting the rows returned, and one fast or
-    /// heap probe, added to `cost`. The sorted list is `resident` or, evicted,
-    /// a cursor of the attached pager (`paged`; `None` when its generation
-    /// does not cover the list); an entry's result row is its scored row
-    /// ([`Posting::scored`]), `li` maps it to its local importance
-    /// (`None`: never returned); `heap` yields the fallback's candidates
-    /// from the live-only FK runs. Returns the per-key extra
-    /// ([`Posting::Raw`]) of whichever source served.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_top_l<'a, E: Posting + 'a, I: Iterator<Item = RowId>>(
-        &'a self,
-        l: usize,
-        largest_l: f64,
-        order: Option<FkOrderToken>,
-        key: i64,
-        resident: impl FnOnce() -> Option<&'a SortedPostings<E>>,
-        paged: impl FnOnce(&'a dyn PostingPager) -> Option<(Box<dyn PostingCursor<E> + 'a>, E::Raw)>,
-        li: impl Fn(RowId) -> Option<f64>,
-        heap: impl FnOnce() -> (I, E::Raw),
-        scratch: &mut TopLScratch<RowId>,
-        cost: &mut ProbeCost,
-        out: &mut Vec<RowId>,
-    ) -> E::Raw {
-        let start = out.len();
-        if l > 0 && order.is_some() && order == self.fk_order {
-            // Every run holds live entries only, exactly the rows a fresh
-            // install would serve. The collected prefix is ranked through
-            // the same comparator the heap path uses, so the paths agree
-            // by construction.
-            let mut stage = |cur: &mut dyn PostingCursor<E>| {
-                let scored = std::iter::from_fn(|| cur.next_entry()).filter_map(|e| {
-                    let row = e.scored();
-                    Some((li(row)?, row))
-                });
-                scratch.stage_prefix(l, largest_l, scored);
-                !cur.failed()
-            };
-            // RAM postings, else evicted ones: the paged backend serves
-            // the identical scan — same loop, same accounting — while
-            // its segment stamp matches the live token (any mutation
-            // stales it).
-            let staged = if let Some(sorted) = resident() {
-                let (entries, raw) = sorted.group(key);
-                stage(&mut SliceCursor::new(entries)).then_some(raw)
-            } else {
-                self.pager.as_deref().filter(|p| p.stamp() == self.fk_order).and_then(|p| {
-                    let (mut cur, raw) = paged(p)?;
-                    stage(cur.as_mut()).then_some(raw)
-                })
-            };
-            if let Some(raw) = staged {
-                scratch.rank_staged_into(l, out);
-                cost.record_join(out.len() - start);
-                cost.probes.fast += 1;
-                return raw;
-            }
-            // Fail closed: a read error mid-scan discards the partial
-            // prefix (serving it as-if-complete would silently drop
-            // rows) and the heap path — always correct,
-            // backed by the FK runs — takes over.
-            scratch.staged.clear();
-        }
-        cost.probes.heap += 1;
-        // Bounded top-l selection — O(g log l) over a group of g rows
-        // instead of sorting the whole group (ROADMAP hot path).
-        let (candidates, raw) = heap();
-        scratch.select_into(
-            candidates.filter_map(|row| {
-                let s = li(row)?;
-                (s > largest_l).then_some((s, row))
-            }),
-            l,
-            out,
-        );
-        cost.record_join(out.len() - start);
-        raw
-    }
+/// The bounded top-l selection every probe falls back to, and the whole
+/// junction probe: at most `l` of `candidates` with `li > largest_l`,
+/// best first under `(li desc, RowId asc)`, appended to `out` — `O(g log
+/// l)` over a group of `g` rows instead of sorting it; `li` maps a row to
+/// its local importance (`None`: never returned). One join access
+/// reporting the rows returned, and one heap probe, added to `cost`.
+fn heap_top_l(
+    candidates: impl Iterator<Item = RowId>,
+    l: usize,
+    largest_l: f64,
+    li: impl Fn(RowId) -> Option<f64>,
+    scratch: &mut TopLScratch<RowId>,
+    cost: &mut ProbeCost,
+    out: &mut Vec<RowId>,
+) {
+    let start = out.len();
+    cost.probes.heap += 1;
+    scratch.select_into(
+        candidates.filter_map(|row| {
+            let s = li(row)?;
+            (s > largest_l).then_some((s, row))
+        }),
+        l,
+        out,
+    );
+    cost.record_join(out.len() - start);
 }

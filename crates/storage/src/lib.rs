@@ -18,9 +18,10 @@
 //!   and tuples read, the cost unit of the paper's Section 5.3/6.3
 //!   discussion ("Avoidance Condition 2 still requires an I/O access even
 //!   when it returns no results"),
-//! * importance-sorted FK runs and junction-link postings ([`fk_index`])
-//!   installed as a finalization step and *maintained* under scored
-//!   mutations, which turn the `TOP l` probe into a bounded prefix scan,
+//! * importance-sorted FK runs ([`fk_index`]) installed as a
+//!   finalization step and *maintained* under scored mutations, which
+//!   turn the `TOP l` probe into a bounded prefix scan (a junction's
+//!   `TOP l` step reads its FK run and forward array),
 //! * mutation epochs ([`epoch`]) versioning the catalog (global and per
 //!   table) so derived structures — sorted postings, rank scores, serve
 //!   caches — can detect and synchronize to data changes,
@@ -50,10 +51,10 @@ pub use access::{AccessCounter, AccessStats, MaintStats, ProbeCost, ProbeStats};
 pub use database::{Database, ScoredBatch, TableId, TupleRef};
 pub use epoch::Epoch;
 pub use error::StorageError;
-pub use fk_index::{FkOrderToken, Posting, SortedFkIndex, SortedLinkIndex, SortedPostings};
+pub use fk_index::{FkOrderToken, SortedFkIndex};
 pub use pager::{PostingCursor, PostingPager, SliceCursor};
 pub use schema::{Column, ForeignKey, SchemaBuilder, TableSchema};
-pub use table::{Forward, RowId, RowRef, Table};
+pub use table::{Forward, NoLinks, RowId, RowRef, Table};
 pub use topl::{top_l, TopLScratch};
 pub use value::{Value, ValueRef, ValueType};
 

@@ -1,15 +1,16 @@
 //! The posting-pager seam: how a disk tier serves sorted postings.
 //!
-//! The TOP-l fast path ([`crate::Database::select_eq_top_l`] and its
-//! junction sibling) scans a *prefix* of an importance-sorted posting
-//! list. [`PostingCursor`] abstracts that scan — "next entry, best
-//! importance first" — for either entry kind ([`crate::fk_index::Posting`]),
-//! so the one probe body (`database/probe.rs`) is consumed by two
-//! backends: the in-RAM slices ([`SliceCursor`]) and a paged on-disk
-//! reader supplied by an attached [`PostingPager`] (the `sizel-disk`
-//! crate's block-cached segment store). Byte-identical results and access accounting across
+//! The TOP-l fast path ([`crate::Database::select_eq_top_l`]) scans a
+//! *prefix* of an importance-sorted FK posting list. [`PostingCursor`]
+//! abstracts that scan — "next row, best importance first" — so the one
+//! prefix scan (`database/probe.rs`) is consumed by two backends: the
+//! in-RAM slices ([`SliceCursor`]) and a paged on-disk reader supplied by
+//! an attached [`PostingPager`] (the `sizel-disk` crate's block-cached
+//! segment store). Byte-identical results and access accounting across
 //! the backends follow by construction and are property-pinned by the
-//! disk crate's equivalence suite.
+//! disk crate's equivalence suite. The junction probe reads no posting
+//! list of its own (the junction's FK runs stay in RAM), so it never
+//! reaches a pager.
 //!
 //! Fail-closed contract: a paged cursor that hits a read error
 //! (checksum mismatch, short read) stops yielding and raises
@@ -29,12 +30,12 @@ use crate::fk_index::FkOrderToken;
 use crate::table::RowId;
 use crate::TableId;
 
-/// A positioned scan over one sorted posting list — FK rows or link
-/// `(junction row, target row)` pairs — best importance first.
-pub trait PostingCursor<E> {
-    /// The next posted entry, or `None` when the list (or a failed read —
+/// A positioned scan over one sorted FK posting list, best importance
+/// first.
+pub trait PostingCursor {
+    /// The next posted row, or `None` when the list (or a failed read —
     /// check [`PostingCursor::failed`]) ends the scan.
-    fn next_entry(&mut self) -> Option<E>;
+    fn next_entry(&mut self) -> Option<RowId>;
 
     /// True when the scan ended because of a read error rather than list
     /// exhaustion. The caller must discard the partial scan (fail closed).
@@ -44,30 +45,30 @@ pub trait PostingCursor<E> {
 }
 
 /// The in-RAM backend: a cursor over one key's list of a
-/// [`crate::SortedPostings`]. Infallible; every entry it yields is live.
+/// [`crate::SortedFkIndex`]. Infallible; every row it yields is live.
 #[derive(Debug)]
-pub struct SliceCursor<'a, E> {
-    entries: &'a [E],
+pub struct SliceCursor<'a> {
+    rows: &'a [RowId],
     at: usize,
 }
 
-impl<'a, E> SliceCursor<'a, E> {
-    /// A cursor positioned at the best-importance end of `entries`.
-    pub fn new(entries: &'a [E]) -> SliceCursor<'a, E> {
-        SliceCursor { entries, at: 0 }
+impl<'a> SliceCursor<'a> {
+    /// A cursor positioned at the best-importance end of `rows`.
+    pub fn new(rows: &'a [RowId]) -> SliceCursor<'a> {
+        SliceCursor { rows, at: 0 }
     }
 }
 
-impl<E: Copy> PostingCursor<E> for SliceCursor<'_, E> {
-    fn next_entry(&mut self) -> Option<E> {
-        let e = self.entries.get(self.at).copied();
-        self.at += e.is_some() as usize;
-        e
+impl PostingCursor for SliceCursor<'_> {
+    fn next_entry(&mut self) -> Option<RowId> {
+        let r = self.rows.get(self.at).copied();
+        self.at += r.is_some() as usize;
+        r
     }
 }
 
 /// A paged posting store attachable to a [`crate::Database`]: serves
-/// sorted FK and link postings for tables the paged tier has evicted
+/// sorted FK postings for tables the paged tier has evicted
 /// ([`crate::Database::evict_table_postings`]). Implemented by the `sizel-disk` crate's block-cached segment
 /// store; the trait lives here so storage stays dependency-free.
 pub trait PostingPager: std::fmt::Debug + Send + Sync {
@@ -86,22 +87,7 @@ pub trait PostingPager: std::fmt::Debug + Send + Sync {
         table: TableId,
         col: usize,
         key: i64,
-    ) -> Option<Box<dyn PostingCursor<RowId> + '_>>;
-
-    /// A cursor over the link posting group of `(junction, source col,
-    /// key)`, with the same coverage and fail-closed semantics as
-    /// [`PostingPager::fk_cursor`].
-    fn link_cursor(
-        &self,
-        table: TableId,
-        col: usize,
-        key: i64,
-    ) -> Option<Box<dyn PostingCursor<(RowId, RowId)> + '_>>;
-
-    /// The raw junction FK group size of `(junction, source col, key)`
-    /// — what the heap path would report as the probe's tuple count —
-    /// or `None` when not covered.
-    fn link_raw_len(&self, table: TableId, col: usize, key: i64) -> Option<usize>;
+    ) -> Option<Box<dyn PostingCursor + '_>>;
 }
 
 #[cfg(test)]
@@ -118,12 +104,5 @@ mod tests {
         assert_eq!(c.next_entry(), None);
         assert_eq!(c.next_entry(), None, "exhausted cursors stay exhausted");
         assert!(!c.failed());
-
-        let pairs = [(RowId(0), RowId(9)), (RowId(1), RowId(8))];
-        let mut lc = SliceCursor::new(&pairs);
-        assert_eq!(lc.next_entry(), Some((RowId(0), RowId(9))));
-        assert_eq!(lc.next_entry(), Some((RowId(1), RowId(8))));
-        assert_eq!(lc.next_entry(), None);
-        assert!(!lc.failed());
     }
 }

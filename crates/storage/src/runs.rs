@@ -1,6 +1,6 @@
-//! Flat multimaps for a table's FK runs (its groups and sorted postings
-//! at once) and its link postings: one key directory and one arena, each
-//! key's entries one run of it. A full run moves to the tail at `GROWTH`
+//! The flat multimap under a table's FK runs (its groups and sorted
+//! postings at once): one key directory and one arena, each key's
+//! entries one run of it. A full run moves to the tail at `GROWTH`
 //! times its size; once dead slots outnumber live entries one pass
 //! repacks the arena.
 
@@ -10,17 +10,15 @@ use crate::hash::{map_bytes, IntMap};
 const GROWTH: u32 = 2;
 
 /// A directory value: where the key's entries lie,
-/// `arena[start..start + len]` inside the `cap` slots it reserves, and
-/// the key's extra.
+/// `arena[start..start + len]` inside the `cap` slots it reserves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Run<R> {
+struct Run {
     start: u32,
     len: u32,
     cap: u32,
-    extra: R,
 }
 
-impl<R> Run<R> {
+impl Run {
     fn entries(&self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
     }
@@ -30,13 +28,12 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("a posting arena holds fewer than 2^32 slots")
 }
 
-/// A multimap from `i64` keys to runs of `E`, each key carrying an extra
-/// `R` (nothing for FK groups, the raw junction group size for links). A
-/// key is present from its first insert until [`Runs::remove_key`], or
-/// until a removal leaves it with no entry and a default extra.
+/// A multimap from `i64` keys to runs of `E`. A key is present from its
+/// first insert until [`Runs::remove_key`], or until a removal leaves it
+/// with no entry.
 #[derive(Clone, Debug)]
-pub struct Runs<E, R = ()> {
-    dir: IntMap<Run<R>>,
+pub struct Runs<E> {
+    dir: IntMap<Run>,
     arena: Vec<E>,
     /// Entries across every run.
     live: usize,
@@ -44,22 +41,16 @@ pub struct Runs<E, R = ()> {
     dead: usize,
 }
 
-impl<E, R> Default for Runs<E, R> {
+impl<E> Default for Runs<E> {
     fn default() -> Self {
         Runs { dir: IntMap::default(), arena: Vec::new(), live: 0, dead: 0 }
     }
 }
 
-impl<E: Copy, R: Copy + Default + PartialEq> Runs<E, R> {
-    /// An empty multimap sized for `keys` keys and `entries` entries.
-    pub(crate) fn with_capacity(keys: usize, entries: usize) -> Self {
-        let dir = IntMap::with_capacity_and_hasher(keys, Default::default());
-        Runs { dir, arena: Vec::with_capacity(entries), live: 0, dead: 0 }
-    }
-
-    /// `key`'s entries and extra, or `None` for an absent key.
-    pub fn get(&self, key: i64) -> Option<(&[E], R)> {
-        self.dir.get(&key).map(|run| (&self.arena[run.entries()], run.extra))
+impl<E: Copy> Runs<E> {
+    /// `key`'s entries, or `None` for an absent key.
+    pub fn get(&self, key: i64) -> Option<&[E]> {
+        self.dir.get(&key).map(|run| &self.arena[run.entries()])
     }
 
     /// `key`'s entries, writable where they lie, or `None` for an absent key.
@@ -78,9 +69,9 @@ impl<E: Copy, R: Copy + Default + PartialEq> Runs<E, R> {
         self.live
     }
 
-    /// Every key with its entries and extra, in directory (hash) order.
-    pub fn iter(&self) -> impl Iterator<Item = (i64, &[E], R)> {
-        self.dir.iter().map(|(&k, run)| (k, &self.arena[run.entries()], run.extra))
+    /// Every key with its entries, in directory (hash) order.
+    pub fn iter(&self) -> impl Iterator<Item = (i64, &[E])> {
+        self.dir.iter().map(|(&k, run)| (k, &self.arena[run.entries()]))
     }
 
     /// Inserts `entry` into `key`'s run at the index `at` picks from the
@@ -108,7 +99,7 @@ impl<E: Copy, R: Copy + Default + PartialEq> Runs<E, R> {
     }
 
     /// Removes the entry `find` locates in `key`'s run, returning whether
-    /// one was; a key left with no entry and a default extra is dropped.
+    /// one was; a key left with no entry is dropped.
     pub fn remove_with(&mut self, key: i64, find: impl FnOnce(&[E]) -> Option<usize>) -> bool {
         let Some(run) = self.dir.get_mut(&key) else { return false };
         let entries = &mut self.arena[run.entries()];
@@ -116,33 +107,19 @@ impl<E: Copy, R: Copy + Default + PartialEq> Runs<E, R> {
         entries.copy_within(at + 1.., at);
         run.len -= 1;
         self.live -= 1;
-        if run.len == 0 && run.extra == R::default() {
+        if run.len == 0 {
             self.remove_key(key);
         }
         true
     }
 
-    /// Drops `key` with its run and extra; returns whether it was present.
+    /// Drops `key` with its run; returns whether it was present.
     pub fn remove_key(&mut self, key: i64) -> bool {
         let Some(run) = self.dir.remove(&key) else { return false };
         self.live -= run.len as usize;
         self.dead += run.cap as usize;
         self.compact_if_sparse();
         true
-    }
-
-    /// `key`'s extra, creating the key with an empty run when absent.
-    pub fn extra_mut(&mut self, key: i64) -> &mut R {
-        &mut Self::run(&mut self.dir, key, offset(self.arena.len())).extra
-    }
-
-    /// Appends a run for the absent `key` whose entries `fill` pushes.
-    pub(crate) fn push_run(&mut self, key: i64, extra: R, fill: impl FnOnce(&mut Vec<E>)) {
-        let start = offset(self.arena.len());
-        fill(&mut self.arena);
-        let len = offset(self.arena.len()) - start;
-        self.dir.insert(key, Run { start, len, cap: len, extra });
-        self.live += len as usize;
     }
 
     /// Calls `f` on every key's entries, where they lie.
@@ -170,8 +147,8 @@ impl<E: Copy, R: Copy + Default + PartialEq> Runs<E, R> {
     }
 
     /// `key`'s run, created empty at `tail` when absent.
-    fn run(dir: &mut IntMap<Run<R>>, key: i64, tail: u32) -> &mut Run<R> {
-        dir.entry(key).or_insert(Run { start: tail, len: 0, cap: 0, extra: R::default() })
+    fn run(dir: &mut IntMap<Run>, key: i64, tail: u32) -> &mut Run {
+        dir.entry(key).or_insert(Run { start: tail, len: 0, cap: 0 })
     }
 
     fn compact_if_sparse(&mut self) {
@@ -214,14 +191,14 @@ mod tests {
         push(&mut runs, 8, 10);
         push(&mut runs, 7, 3);
         // Still a spare slot: the run is full now, not moved.
-        assert_eq!(runs.dir[&7], Run { start: 0, len: 4, cap: 4, extra: () });
+        assert_eq!(runs.dir[&7], Run { start: 0, len: 4, cap: 4 });
         push(&mut runs, 7, 4);
         // Full and no longer last: it moved to the tail at twice its
         // capacity, its four old slots dead.
-        assert_eq!(runs.dir[&7], Run { start: 5, len: 5, cap: 8, extra: () });
+        assert_eq!(runs.dir[&7], Run { start: 5, len: 5, cap: 8 });
         assert_eq!((runs.arena.len(), runs.dead, runs.live), (13, 4, 6));
-        assert_eq!(runs.get(7), Some((&[0, 1, 2, 3, 4][..], ())));
-        assert_eq!(runs.get(8), Some((&[10][..], ())));
+        assert_eq!(runs.get(7), Some(&[0, 1, 2, 3, 4][..]));
+        assert_eq!(runs.get(8), Some(&[10][..]));
     }
 
     #[test]
@@ -238,7 +215,7 @@ mod tests {
         assert!(runs.remove_key(1));
         assert_eq!(runs.dead, 0);
         assert_eq!(runs.arena.len(), runs.dir[&2].cap as usize);
-        assert_eq!(runs.get(2), Some((&[0, 1, 2, 3][..], ())));
+        assert_eq!(runs.get(2), Some(&[0, 1, 2, 3][..]));
         // A removal that empties a key drops it.
         for _ in 0..4 {
             assert!(runs.remove_with(2, |e| e.first().map(|_| 0)));
@@ -248,18 +225,17 @@ mod tests {
 
     #[test]
     fn shrink_packs_every_run_at_its_length() {
-        let mut runs: Runs<u32, u8> = Runs::default();
+        let mut runs: Runs<u32> = Runs::default();
         for x in 0..5 {
             runs.insert_with(3, x, <[u32]>::len);
             runs.insert_with(4, x, |_| 0);
         }
-        *runs.extra_mut(9) = 1;
         runs.shrink_to_fit();
         assert_eq!((runs.arena.len(), runs.arena.capacity(), runs.dead), (10, 10, 0));
-        assert_eq!(runs.get(4), Some((&[4, 3, 2, 1, 0][..], 0)));
-        assert_eq!(runs.get(9), Some((&[][..], 1)));
-        // An empty run keeps its key while its extra is set.
-        assert!(!runs.remove_with(9, |_| None));
-        assert_eq!(runs.key_count(), 3);
+        assert_eq!(runs.get(4), Some(&[4, 3, 2, 1, 0][..]));
+        assert_eq!(runs.get(3), Some(&[0, 1, 2, 3, 4][..]));
+        // A removal that finds nothing changes nothing.
+        assert!(!runs.remove_with(3, |_| None));
+        assert_eq!(runs.key_count(), 2);
     }
 }

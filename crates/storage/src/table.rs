@@ -12,7 +12,7 @@ use std::ops::Index;
 use crate::column::Column;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
-use crate::fk_index::{SortedFkIndex, SortedLinkIndex, SortedPostings};
+use crate::fk_index::SortedFkIndex;
 use crate::hash::PkSlots;
 use crate::runs::Runs;
 use crate::schema::TableSchema;
@@ -92,6 +92,22 @@ impl Forward<'_> {
     }
 }
 
+/// The element type of [`Table::sorted_link_indexes`], which yields
+/// none: uninhabited, so no value of it exists.
+#[derive(Debug)]
+pub enum NoLinks {}
+
+/// A `(key, (junction row, target row) pairs, raw length)` group, the
+/// shape the deleted junction link index yielded.
+pub type LinkGroup<'a> = (i64, &'a [(RowId, RowId)], usize);
+
+impl NoLinks {
+    /// The groups a junction link index held: none.
+    pub fn groups(&self) -> std::iter::Empty<LinkGroup<'_>> {
+        match *self {}
+    }
+}
+
 /// Reads a row's primary key back from the PK column (the PK index keeps
 /// row ids only).
 fn pk_at(pk_column: &Column) -> impl Fn(u32) -> i64 + '_ {
@@ -114,8 +130,8 @@ pub struct Table {
     /// count). Deletes are *logical*: the row slot (and its `RowId`)
     /// survives so every structure keyed by dense row ids — installed
     /// scores, forward arrays — stays valid. Dead rows
-    /// are invisible to `iter`, `by_pk` and every run: FK runs and link
-    /// postings hold live entries only.
+    /// are invisible to `iter`, `by_pk` and every run: FK runs hold live
+    /// rows only.
     dead: Vec<bool>,
     /// Number of `true` bits in `dead`.
     n_dead: usize,
@@ -133,22 +149,18 @@ pub struct Table {
     /// than probe a parent per row; the catalog re-resolves the table in
     /// bulk, at exact size ([`crate::Database::resolve_forward`]).
     fwd_live: bool,
-    /// On *source* FK columns: importance-sorted junction link postings
-    /// (junction tables only).
-    sorted_links: Slots<SortedLinkIndex>,
     /// Per-row installed importance snapshot (one per row slot; empty
     /// when no order is installed or the snapshot was killed by an
     /// un-scored insert): the one copy of the rows' global importance.
     /// Scored inserts append to it, scored updates overwrite; the runs
-    /// and link postings are sorted by it.
+    /// are sorted by it.
     installed_scores: Vec<f64>,
     /// True while `installed_scores` covers every row slot (set by
     /// [`Table::build_sorted_fk`], cleared by the un-scored insert).
     scores_live: bool,
     /// Set while an open scored batch has touched the table: the
-    /// `(column, key)` runs — FK runs and, on a junction, the link runs
-    /// of source column `column` — its staged entries were appended to
-    /// or re-scored in, out of order until settlement re-sorts them.
+    /// `(column, key)` FK runs its staged rows were appended to or
+    /// re-scored in, out of order until settlement re-sorts them.
     /// Meanwhile the table reports no sorted index, so probes — also
     /// those of a batch abandoned without settlement — heap-fall-back.
     staging: Option<Vec<(usize, i64)>>,
@@ -165,7 +177,7 @@ impl Table {
         let arity = schema.arity();
         let (mut fk_runs, mut fwd) = (vec![None; arity], vec![None; arity]);
         for fk in &schema.fks {
-            fk_runs[fk.column] = Some(SortedPostings { runs: Runs::default() });
+            fk_runs[fk.column] = Some(SortedFkIndex::default());
             fwd[fk.column] = Some(Vec::new());
         }
         Table {
@@ -177,7 +189,6 @@ impl Table {
             fk_runs,
             fwd,
             fwd_live: true,
-            sorted_links: vec![None; arity],
             installed_scores: Vec::new(),
             scores_live: false,
             staging: None,
@@ -236,8 +247,7 @@ impl Table {
     /// The validate-and-append core of both insert paths: checks
     /// arity, types, and PK uniqueness, maintains the PK index, appends
     /// the row at the tail of its FK runs, and appends its cells and an
-    /// unresolved forward slot per FK column. Does not touch the link
-    /// postings or the epoch.
+    /// unresolved forward slot per FK column. Does not touch the epoch.
     pub(crate) fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let pk = values[self.schema.pk]
@@ -286,7 +296,7 @@ impl Table {
     /// The shared tombstone core of both delete paths: resolves the pk to
     /// a live row, removes it from the PK index and from its FK runs where
     /// it lies (the runs stay in order), and marks the slot dead. Does not
-    /// touch the link postings or the epoch.
+    /// touch the epoch.
     pub(crate) fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
         let id =
             self.pk_index.remove(pk, pk_at(&self.columns[self.schema.pk])).map(RowId).ok_or_else(
@@ -294,7 +304,7 @@ impl Table {
             )?;
         for (runs, column) in self.fk_runs.iter_mut().zip(&self.columns) {
             if let (Some(runs), Some(k)) = (runs, column.get(id.index()).as_int()) {
-                runs.remove_ident(k, id);
+                runs.remove(k, id);
             }
         }
         self.dead[id.index()] = true;
@@ -305,7 +315,7 @@ impl Table {
     /// The shared in-place-rewrite core of both update paths: validates
     /// arity/types, requires the pk to stay put, and moves the row to the
     /// tail of the new key's run on any FK column whose key changed. Does
-    /// not touch the link postings or the epoch.
+    /// not touch the epoch.
     pub(crate) fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let id = self
@@ -323,7 +333,7 @@ impl Table {
             let new = v.as_int();
             if old != new {
                 if let Some(k) = old {
-                    runs.remove_ident(k, id);
+                    runs.remove(k, id);
                 }
                 if let Some(k) = new {
                     runs.push(k, id);
@@ -362,20 +372,18 @@ impl Table {
     /// forward resolution (the un-scored mutation paths' common tail).
     fn drop_derived_state(&mut self) {
         self.drop_forward();
-        self.sorted_links.fill(None);
         self.staging = None;
         self.installed_scores.clear();
         self.scores_live = false;
     }
 
-    /// Routes the table's prefix scans to the attached pager and drops its
-    /// in-RAM link postings (the disk tier's residency policy: a paged
-    /// table serves prefix scans from segments instead). The runs and the
-    /// score snapshot stay, so staged mutations and the heap path keep
-    /// working; the next install makes the table RAM-served again.
+    /// Routes the table's prefix scans to the attached pager (the disk
+    /// tier's residency policy: a paged table serves prefix scans from
+    /// segments instead). The runs and the score snapshot stay, so staged
+    /// mutations, junction probes and the heap path keep working; the
+    /// next install makes the table RAM-served again.
     pub(crate) fn evict_sorted_postings(&mut self) {
         self.paged = true;
-        self.sorted_links.fill(None);
     }
 
     /// The staged tail of a scored mutation of `id`, after its validated
@@ -389,21 +397,14 @@ impl Table {
             self.installed_scores.resize(self.dead.len(), score);
             self.installed_scores[id.index()] = score;
         }
-        self.unsorted(runs);
-        self.epoch = self.epoch.next();
-    }
-
-    /// Marks `runs` out of order until settlement (a no-op outside an
-    /// open batch).
-    pub(crate) fn unsorted(&mut self, runs: &[(usize, i64)]) {
         if let Some(unsorted) = &mut self.staging {
             unsorted.extend_from_slice(runs);
         }
+        self.epoch = self.epoch.next();
     }
 
-    /// The FK-column keys of a row: the runs it sits in — captured by the
-    /// batch machinery *before* a staged update rewrites the row, so the
-    /// row's link pairs can leave the source runs it sat in.
+    /// The FK-column keys of a row: the runs it sits in, which a staged
+    /// insert or update leaves for settlement to re-sort.
     pub(crate) fn fk_keys_of(&self, id: RowId) -> Vec<(usize, i64)> {
         (0..self.columns.len())
             .filter(|&col| self.fk_runs[col].is_some())
@@ -486,7 +487,7 @@ impl Table {
     ) -> Vec<u32> {
         let mut fwd = vec![NO_TARGET; self.len()];
         let runs = self.fk_index_base(col).expect("FK columns are indexed");
-        for (key, rows, ()) in runs.iter() {
+        for (key, rows) in runs.iter() {
             if let Some(p) = parent_of(key) {
                 rows.iter().for_each(|r| fwd[r.index()] = p.0);
             }
@@ -528,8 +529,7 @@ impl Table {
         self.fk_index_base(col).is_some()
     }
 
-    /// The FK runs of a column, if any — the input the link postings are
-    /// built from.
+    /// The FK runs of a column, if any.
     pub(crate) fn fk_index_base(&self, col: usize) -> Option<&Runs<RowId>> {
         Some(&self.fk_runs.get(col)?.as_ref()?.runs)
     }
@@ -557,22 +557,19 @@ impl Table {
         self.fk_runs.get(col)?.as_ref().filter(|_| sorted)
     }
 
-    /// The importance-sorted junction link postings whose *source* FK is
-    /// `col` (junction tables under a live installed order, outside an
-    /// open scored batch, only).
-    pub fn sorted_link_index(&self, col: usize) -> Option<&SortedLinkIndex> {
-        self.sorted_links.get(col)?.as_ref().filter(|_| self.staging.is_none())
-    }
-
     /// Every sorted FK index — `(column, index)` — for segment writers
     /// snapshotting this table's postings to disk.
     pub fn sorted_fk_indexes(&self) -> impl Iterator<Item = (usize, &SortedFkIndex)> {
         (0..self.fk_runs.len()).filter_map(|col| Some((col, self.sorted_fk_index(col)?)))
     }
 
-    /// Every installed sorted link index — `(source column, index)`.
-    pub fn sorted_link_indexes(&self) -> impl Iterator<Item = (usize, &SortedLinkIndex)> {
-        (0..self.sorted_links.len()).filter_map(|col| Some((col, self.sorted_link_index(col)?)))
+    /// Always empty: a table keeps no junction link postings (a junction
+    /// step reads the FK run and the forward array). Kept only for the
+    /// frozen benchmark package, which counts the entries a checkpoint
+    /// writes as FK rows plus `groups()` pairs of these; it goes with that
+    /// package's next change.
+    pub fn sorted_link_indexes(&self) -> impl Iterator<Item = (usize, &NoLinks)> {
+        std::iter::empty()
     }
 
     /// Opens staging for a scored batch (see the `staging` field docs).
@@ -583,12 +580,10 @@ impl Table {
 
     /// Settles staging: re-sorts exactly the FK runs staged rows were
     /// appended to or re-scored in, against the snapshot their staged
-    /// scores went into, and returns the staged `(column, key)` runs,
-    /// sorted and deduplicated, for the database to re-sort the link runs
-    /// among them against their target's snapshot. `None` when nothing
-    /// is staged (e.g. an un-scored mutation dropped the order mid-batch).
-    pub(crate) fn settle_staging(&mut self) -> Option<Vec<(usize, i64)>> {
-        let mut unsorted = self.staging.take()?;
+    /// scores went into. Returns whether any run was staged (`false`
+    /// too when an un-scored mutation dropped the order mid-batch).
+    pub(crate) fn settle_staging(&mut self) -> bool {
+        let Some(mut unsorted) = self.staging.take() else { return false };
         unsorted.sort_unstable();
         unsorted.dedup();
         for &(col, key) in &unsorted {
@@ -596,19 +591,7 @@ impl Table {
                 runs.sort_run(key, &self.installed_scores);
             }
         }
-        Some(unsorted)
-    }
-
-    pub(crate) fn set_sorted_link(&mut self, col: usize, index: SortedLinkIndex) {
-        self.sorted_links[col] = Some(index);
-    }
-
-    pub(crate) fn take_sorted_link(&mut self, col: usize) -> Option<SortedLinkIndex> {
-        self.sorted_links[col].take()
-    }
-
-    pub(crate) fn drop_sorted_links(&mut self) {
-        self.sorted_links.fill(None);
+        !unsorted.is_empty()
     }
 
     /// True when the per-row installed-score snapshot covers every row
@@ -646,8 +629,8 @@ impl Table {
 
     /// Releases the push-doubling slack of everything sized by the slot
     /// count — the columns, the liveness flags, the forward arrays and
-    /// the score snapshot — repacks every FK-run and link arena at exact size, and sizes the
-    /// PK index for the live rows.
+    /// the score snapshot — repacks every FK-run arena at exact size, and
+    /// sizes the PK index for the live rows.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.columns.iter_mut().for_each(Column::shrink_to_fit);
         self.dead.shrink_to_fit();
@@ -655,7 +638,6 @@ impl Table {
         self.installed_scores.shrink_to_fit();
         self.pk_index.shrink_to_fit(pk_at(&self.columns[self.schema.pk]));
         self.fk_runs.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
-        self.sorted_links.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
     }
 
     /// Bytes the stored cells occupy: every column at its vector
@@ -665,15 +647,13 @@ impl Table {
     }
 
     /// Heap bytes of this table's indexes by structure, from their
-    /// capacities: the PK slots, the FK runs, the forward arrays, the
-    /// resident link postings, and the score snapshot the runs and links
-    /// are sorted by.
-    pub fn index_bytes(&self) -> [(&'static str, usize); 5] {
+    /// capacities: the PK slots, the FK runs, the forward arrays, and the
+    /// score snapshot the runs are sorted by.
+    pub fn index_bytes(&self) -> [(&'static str, usize); 4] {
         [
             ("PK slots", self.pk_index.heap_bytes()),
             ("FK runs", self.fk_runs.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
             ("forward", self.fwd.iter().flatten().map(|f| f.capacity() * 4).sum()),
-            ("links", self.sorted_links.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
             ("scores", self.installed_scores.capacity() * std::mem::size_of::<f64>()),
         ]
     }

@@ -1,9 +1,9 @@
 //! Property suite for the epoch subsystem: incremental sorted-posting
 //! maintenance under arbitrary **insert/update/delete** interleavings must
 //! be **byte-identical** to a from-scratch `install_importance_order` over
-//! a plainly-replayed database — FK runs and junction link postings
-//! alike, pairs and raw group lengths, with no dead entry anywhere — and
-//! the prefix-scan fast path must keep the heap path's answers *and* its
+//! a plainly-replayed database — every FK run, with no dead entry
+//! anywhere, and every junction probe's rows and paper cost — and the
+//! prefix-scan fast path must keep the heap path's answers *and* its
 //! paper-cost accounting. After every stream each table's forward arrays
 //! equal a fresh `by_pk` resolution of its live rows — references that
 //! dangle until their parent arrives included — and its score snapshot
@@ -12,10 +12,13 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-use sizel_storage::{Database, Epoch, RowId, ScoredBatch, TableId, TableSchema, Value, ValueType};
+use sizel_storage::{
+    AccessStats, Database, Epoch, ProbeCost, RowId, ScoredBatch, TableId, TableSchema, TopLScratch,
+    Value, ValueType,
+};
 
-/// Parent (link target) / Child (FK postings) / Rel (junction between
-/// Parent and Child, exercising both link orientations).
+/// Parent (junction target) / Child (FK postings) / Rel (junction
+/// between Parent and Child, probed in both orientations).
 fn fresh_db() -> Database {
     let mut db = Database::new();
     db.create_table(
@@ -293,29 +296,53 @@ fn score_bits(db: &Database) -> Vec<Vec<u64>> {
 /// `total_cmp`, the order the postings are kept in).
 const TIE_PALETTE: [f64; 6] = [0.0, -0.0, 0.5, 0.5, 1.0, 3.0];
 
-/// Every sorted FK posting list and link group of the database, keyed by
-/// `(table, column, key)` — what a second install must leave unchanged.
-type Postings = (
-    BTreeMap<(TableId, usize, i64), Vec<RowId>>,
-    BTreeMap<(TableId, usize, i64), (Vec<(RowId, RowId)>, usize)>,
-);
+/// Every sorted FK posting list of the database, keyed by `(table,
+/// column, key)` — what a second install must leave unchanged.
+type Postings = BTreeMap<(TableId, usize, i64), Vec<RowId>>;
 
 fn all_postings(db: &Database) -> Postings {
     let mut fk = BTreeMap::new();
-    let mut links = BTreeMap::new();
     for (tid, t) in db.tables() {
         for (col, idx) in t.sorted_fk_indexes() {
             for (key, rows) in idx.posting_lists() {
                 fk.insert((tid, col, key), rows.to_vec());
             }
         }
-        for (col, idx) in t.sorted_link_indexes() {
-            for (key, pairs, raw_len) in idx.groups() {
-                links.insert((tid, col, key), (pairs.to_vec(), raw_len));
-            }
+    }
+    fk
+}
+
+/// Every junction probe of Rel — both orientations, keys `-1..128`, the
+/// first `l` targets by installed score — as its rows and paper cost,
+/// each one heap probe.
+fn junction_probes(db: &Database, l: usize) -> Vec<(Vec<RowId>, AccessStats)> {
+    let (parent, child) = (db.table_id("Parent").unwrap(), db.table_id("Child").unwrap());
+    let rel = db.table_id("Rel").unwrap();
+    let mut probes = Vec::new();
+    for (s_col, t_col, target) in [(1, 2, child), (2, 1, parent)] {
+        let li = |r: RowId| db.table(target).installed_score(r);
+        for key in -1..128i64 {
+            let (mut cost, mut rows) = (ProbeCost::default(), Vec::new());
+            db.select_via_junction_top_l_into(
+                rel,
+                s_col,
+                key,
+                t_col,
+                target,
+                None,
+                l,
+                f64::NEG_INFINITY,
+                db.fk_order(),
+                &li,
+                &mut TopLScratch::new(),
+                &mut cost,
+                &mut rows,
+            );
+            assert_eq!((cost.probes.fast, cost.probes.heap), (0, 1));
+            probes.push((rows, cost.access));
         }
     }
-    (fk, links)
+    probes
 }
 
 proptest! {
@@ -323,8 +350,8 @@ proptest! {
 
     /// (a) Incremental posting maintenance is byte-identical to a
     /// from-scratch install over a plainly-replayed database, after
-    /// arbitrary mixed interleavings — FK postings and both junction link
-    /// orientations, pairs and raw group lengths.
+    /// arbitrary mixed interleavings — FK postings, and the rows and
+    /// paper cost of every junction probe in both orientations.
     #[test]
     fn incremental_maintenance_equals_from_scratch_install(
         ops in proptest::collection::vec(op_strategy(), 0..60),
@@ -365,33 +392,10 @@ proptest! {
                 }
             }
         }
-        // Link postings, both orientations: presence, pairs and the raw
-        // group lengths (the paper-cost probe size) equal the oracle's,
-        // and no posted pair has a dead endpoint.
-        let parent = live.table_id("Parent").unwrap();
-        for (col, target) in [(rel_parent, child), (rel_child, parent)] {
-            let a = live.table(rel).sorted_link_index(col);
-            let b = oracle.table(rel).sorted_link_index(col);
-            prop_assert_eq!(a.is_some(), b.is_some(), "orientation presence diverges: col {}", col);
-            if let (Some(a), Some(b)) = (a, b) {
-                prop_assert_eq!(a.key_count(), b.key_count());
-                for key in -1..128i64 {
-                    prop_assert_eq!(
-                        a.pairs(key), b.pairs(key),
-                        "raw link pairs diverge: col {} key {}", col, key
-                    );
-                    prop_assert_eq!(a.raw_group_len(key), b.raw_group_len(key));
-                }
-                for (key, pairs, _) in a.groups() {
-                    prop_assert!(
-                        pairs.iter().all(|&(j, t)| {
-                            live.table(rel).is_live(j) && live.table(target).is_live(t)
-                        }),
-                        "col {} key {}: a pair with a dead endpoint in {:?}", col, key, pairs
-                    );
-                }
-            }
-        }
+        // Junction probes, both orientations: rows and paper cost (the
+        // raw group read and the rows returned) equal the oracle's.
+        let probes = junction_probes(&live, 4);
+        prop_assert!(probes == junction_probes(&oracle, 4), "junction probes diverge");
         // The token survived the whole stream, re-stamped to the live
         // epoch — never torn down.
         let token = live.fk_order().expect("order survives the stream");
@@ -399,8 +403,8 @@ proptest! {
     }
 
     /// (b) Staged scored batches settle byte-identically to the fold of
-    /// single scored calls — same FK runs, link pairs and raw lengths,
-    /// token stamp, and epoch — across batch sizes.
+    /// single scored calls — same FK runs, junction probes, token stamp,
+    /// and epoch — across batch sizes.
     #[test]
     fn scored_batches_settle_identically_to_the_fold(
         ops in proptest::collection::vec(op_strategy(), 0..60),
@@ -530,20 +534,10 @@ proptest! {
                 );
             }
         }
-        for col in [rel_parent, rel_child] {
-            let a = batched.table(rel).sorted_link_index(col);
-            let b = folded.table(rel).sorted_link_index(col);
-            prop_assert_eq!(a.is_some(), b.is_some(), "orientation presence diverges: col {}", col);
-            if let (Some(a), Some(b)) = (a, b) {
-                for key in -1..128i64 {
-                    prop_assert_eq!(
-                        a.pairs(key), b.pairs(key),
-                        "raw link pairs diverge: col {} key {}", col, key
-                    );
-                    prop_assert_eq!(a.raw_group_len(key), b.raw_group_len(key));
-                }
-            }
-        }
+        prop_assert!(
+            junction_probes(&batched, 4) == junction_probes(&folded, 4),
+            "junction probes diverge"
+        );
     }
 
     /// (c) After any mixed interleaving, the prefix-scan fast path and
@@ -599,10 +593,11 @@ proptest! {
     /// The install sorts each list where it lies with an unstable sort;
     /// that is byte-identical to a stable sort because the comparator is
     /// a strict total order. Under heavy score ties, both zeros, equal
-    /// scores across different link targets, NULL link targets, and
-    /// empty and singleton groups, every FK posting list and every link
-    /// group equals an in-test stable-sort reference entry for entry —
-    /// and installing the same scores a second time changes nothing.
+    /// scores across different junction targets, NULL junction targets,
+    /// and empty and singleton groups, every FK posting list and every
+    /// junction probe equals an in-test stable-sort reference entry for
+    /// entry — and installing the same scores a second time changes
+    /// nothing.
     #[test]
     fn install_equals_a_stable_sort_reference_under_ties(
         parent_scores in proptest::collection::vec(0usize..6, N_PARENTS as usize),
@@ -619,7 +614,7 @@ proptest! {
         }
         for (i, &(parent, pick, _)) in rels.iter().enumerate() {
             // Picks past the children are NULL targets: counted in the
-            // raw group, absent from the pairs.
+            // raw group, joining nothing.
             let target = if pick < 40 && !children.is_empty() {
                 Value::Int((pick % children.len()) as i64)
             } else {
@@ -651,32 +646,31 @@ proptest! {
                 prop_assert_eq!(sorted.rows(key), &reference[..], "{:?}.{} = {}", tid, col, key);
             }
         }
-        // Link groups, both orientations: junction rows joined to their
-        // targets, stably sorted by (target score desc, target RowId asc)
-        // — ties keep junction RowId order.
+        // Junction probes, both orientations: the junction rows' targets
+        // stably sorted by (target score desc, target RowId asc), the
+        // group read counted whole, NULL targets included.
         let jt = db.table(rel);
+        let probes = junction_probes(&db, usize::MAX);
+        let mut at = 0;
         for (s_col, t_col, target) in [(1, 2, child), (2, 1, parent)] {
-            let links = jt.sorted_link_index(s_col).unwrap();
-            for key in -1..40i64 {
-                let mut raw = jt.rows_where_eq(s_col, key).to_vec();
-                raw.sort();
-                let mut reference: Vec<(RowId, RowId)> = raw
+            for key in -1..128i64 {
+                let raw = jt.rows_where_eq(s_col, key);
+                let mut reference: Vec<RowId> = raw
                     .iter()
-                    .filter_map(|&j| {
-                        let pk = jt.value(j, t_col).as_int()?;
-                        Some((j, db.table(target).by_pk(pk).unwrap()))
-                    })
+                    .filter_map(|&j| db.table(target).by_pk(jt.value(j, t_col).as_int()?))
                     .collect();
-                reference.sort_by(|&(_, a), &(_, b)| {
-                    score(target, b).total_cmp(&score(target, a)).then(a.cmp(&b))
-                });
-                prop_assert_eq!(links.pairs(key), &reference[..], "Rel.{} = {}", s_col, key);
-                prop_assert_eq!(links.raw_group_len(key), raw.len());
+                reference.sort();
+                reference.sort_by(|&a, &b| score(target, b).total_cmp(&score(target, a)));
+                let tuples = (raw.len() + reference.len()) as u64;
+                prop_assert_eq!(&probes[at].0, &reference, "Rel.{} = {}", s_col, key);
+                prop_assert_eq!(probes[at].1, AccessStats { joins: 2, tuples });
+                at += 1;
             }
         }
 
         let first = all_postings(&db);
         db.install_importance_order(&score);
         prop_assert!(all_postings(&db) == first, "a second install moved a posting");
+        prop_assert!(junction_probes(&db, usize::MAX) == probes, "a second install moved a probe");
     }
 }

@@ -1,10 +1,13 @@
 #!/bin/sh
-# Alternating pairs of one benchmark workload: the benchmark package of
-# a parent revision against the working tree's, so both sides of every
-# pair see the same weather on a shared host.
+# Alternating pairs of one benchmark workload, or of all five in turn:
+# the benchmark package of a parent revision against the working tree's,
+# so both sides of every pair see the same weather on a shared host.
 #
-#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]
+#   scripts/bench_pairs.sh <parent-rev> <workload|all> [pairs=10] [seed=1]
 #
+# `all` runs hot_read, cold_read, paged_read, mixed_rw and embed_hot one
+# after another over the one export and build, and prints one pair of
+# tables per workload — the every-workload check a gain claim needs.
 # The parent's tree is exported with `git archive` into
 # target/bench_pairs/<short-rev>/ (kept for the next call), and both
 # packages are built `--offline --locked`. Pair i runs the parent first
@@ -15,7 +18,7 @@
 # how many pairs the working tree was lower (both metrics are
 # lower-is-better). Needs jq.
 set -eu
-usage="usage: scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]"
+usage="usage: scripts/bench_pairs.sh <parent-rev> <workload|all> [pairs=10] [seed=1]"
 rev=${1:?$usage}
 workload=${2:?$usage}
 pairs=${3:-10}
@@ -36,10 +39,10 @@ cargo build $flags --manifest-path "$parent/benchmark/Cargo.toml"
 # shellcheck disable=SC2086
 cargo build $flags --manifest-path "$here/benchmark/Cargo.toml"
 
-# run ROOT: one run of the workload from ROOT's benchmark; prints
-# "setup_s peak_rss_mb correct failed attempted".
+# run ROOT WORKLOAD: one run of the workload from ROOT's benchmark;
+# prints "setup_s peak_rss_mb correct failed attempted".
 run() {
-    line=$(cd "$1" && benchmark/target/release/benchmark --workload "$workload" \
+    line=$(cd "$1" && benchmark/target/release/benchmark --workload "$2" \
         --seed "$seed" --seconds 12 --trace 0 | tail -n 1)
     echo "$line" | jq -r '[.metrics.setup_s.value, .metrics.peak_rss_mb.value,
         .correct, .failed, .attempted] | map(tostring) | join(" ")'
@@ -47,28 +50,7 @@ run() {
 
 results=$(mktemp)
 trap 'rm -f "$results"' EXIT
-i=1
-while [ "$i" -le "$pairs" ]; do
-    if [ $((i % 2)) -eq 1 ]; then
-        p=$(run "$parent")
-        c=$(run "$here")
-    else
-        c=$(run "$here")
-        p=$(run "$parent")
-    fi
-    echo "$i $p $c" >>"$results"
-    i=$((i + 1))
-done
 
-echo "$workload, seed $seed, parent $short vs the working tree"
-echo
-echo "| pair | parent setup_s | change setup_s | parent peak_rss_mb | change peak_rss_mb | parent correct, failed/attempted | change correct, failed/attempted |"
-echo "|---|---|---|---|---|---|---|"
-awk '{ printf "| %s | %.3f | %.3f | %.2f | %.2f | %s, %s/%s | %s, %s/%s |\n",
-       $1, $2, $7, $3, $8, $4, $5, $6, $9, $10, $11 }' "$results"
-echo
-echo "| metric | parent median | parent q1 / q3 | change median | change q1 / q3 | change lower in |"
-echo "|---|---|---|---|---|---|"
 # stats COLUMN: "median q1 q3" of one column (linear interpolation).
 stats() {
     awk -v c="$1" '{ print $c }' "$results" | sort -g | awk '
@@ -77,13 +59,50 @@ stats() {
             return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
         END { printf "%.3f %.3f %.3f", q(0.5), q(0.25), q(0.75) }'
 }
-for m in "setup_s 2 7" "peak_rss_mb 3 8"; do
-    # shellcheck disable=SC2086 # splits the triple
-    set -- $m
-    ps=$(stats "$2")
-    cs=$(stats "$3")
-    won=$(awk -v a="$2" -v b="$3" '$b < $a { n++ } END { print n + 0 }' "$results")
-    echo "$ps $cs" | awk -v name="$1" -v won="$won" -v n="$pairs" \
-        '{ printf "| %s | %s | %s / %s | %s | %s / %s | %d of %d |\n",
-           name, $1, $2, $3, $4, $5, $6, won, n }'
-done
+
+# pairs_of WORKLOAD: the alternating pairs of one workload and its tables.
+pairs_of() {
+    wl=$1
+    : >"$results"
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        if [ $((i % 2)) -eq 1 ]; then
+            p=$(run "$parent" "$wl")
+            c=$(run "$here" "$wl")
+        else
+            c=$(run "$here" "$wl")
+            p=$(run "$parent" "$wl")
+        fi
+        echo "$i $p $c" >>"$results"
+        i=$((i + 1))
+    done
+
+    echo "$wl, seed $seed, parent $short vs the working tree"
+    echo
+    echo "| pair | parent setup_s | change setup_s | parent peak_rss_mb | change peak_rss_mb | parent correct, failed/attempted | change correct, failed/attempted |"
+    echo "|---|---|---|---|---|---|---|"
+    awk '{ printf "| %s | %.3f | %.3f | %.2f | %.2f | %s, %s/%s | %s, %s/%s |\n",
+           $1, $2, $7, $3, $8, $4, $5, $6, $9, $10, $11 }' "$results"
+    echo
+    echo "| metric | parent median | parent q1 / q3 | change median | change q1 / q3 | change lower in |"
+    echo "|---|---|---|---|---|---|"
+    for m in "setup_s 2 7" "peak_rss_mb 3 8"; do
+        # shellcheck disable=SC2086 # splits the triple
+        set -- $m
+        ps=$(stats "$2")
+        cs=$(stats "$3")
+        won=$(awk -v a="$2" -v b="$3" '$b < $a { n++ } END { print n + 0 }' "$results")
+        echo "$ps $cs" | awk -v name="$1" -v won="$won" -v n="$pairs" \
+            '{ printf "| %s | %s | %s / %s | %s | %s / %s | %d of %d |\n",
+               name, $1, $2, $3, $4, $5, $6, won, n }'
+    done
+}
+
+if [ "$workload" = all ]; then
+    for w in hot_read cold_read paged_read mixed_rw embed_hot; do
+        pairs_of "$w"
+        echo
+    done
+else
+    pairs_of "$workload"
+fi
