@@ -587,6 +587,16 @@ fn an_impossible_directory_entry_is_refused_at_open() {
     std::fs::write(&seg, &pristine).unwrap();
     patch_directory(&seg, set_offset((PAGE_SIZE - 14 - 12 * 4) as u16));
     SegmentFile::open(&seg).expect("an entry that fits is not refused");
+    // Page kind 2 is written by no checkpoint: a coverage record or an
+    // entry naming it makes the directory malformed.
+    for at in [4, entry] {
+        std::fs::write(&seg, &pristine).unwrap();
+        patch_directory(&seg, |d| d[at] = 2);
+        match SegmentFile::open(&seg) {
+            Err(DiskError::Corrupt(msg)) => assert_eq!(msg, "malformed segment directory"),
+            other => panic!("kind 2 at {at}: expected a refusal at open, got {other:?}"),
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
