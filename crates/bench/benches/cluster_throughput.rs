@@ -109,7 +109,7 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     // Baseline: one server, whole queries.
     let server = SizeLServer::new(build_engine(), serve_config());
     group.bench_with_input(BenchmarkId::new("single_server", 1), &set, |b, set| {
-        b.iter(|| criterion::black_box(server.batch_query(set)));
+        b.iter(|| criterion::black_box(server.answer(set, true)));
     });
     drop(server);
 

@@ -164,7 +164,7 @@ fn bench_update_throughput(c: &mut Criterion) {
         ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
     );
     group.bench_with_input(BenchmarkId::new("query_only", 2), &set, |b, set| {
-        b.iter(|| criterion::black_box(server.batch_query(set)));
+        b.iter(|| criterion::black_box(server.answer(set, true)));
     });
     drop(server);
 
@@ -182,7 +182,7 @@ fn bench_update_throughput(c: &mut Criterion) {
             for m in muts.next() {
                 server.apply(m).expect("incremental apply");
             }
-            criterion::black_box(server.batch_query(set));
+            criterion::black_box(server.answer(set, true));
         });
     });
     let probes = {
@@ -210,7 +210,7 @@ fn bench_update_throughput(c: &mut Criterion) {
             for m in muts.next() {
                 server.apply(m.exact()).expect("exact apply");
             }
-            criterion::black_box(server.batch_query(set));
+            criterion::black_box(server.answer(set, true));
         });
     });
     drop(server);
@@ -229,7 +229,7 @@ fn bench_update_throughput(c: &mut Criterion) {
             for m in muts.next_churn() {
                 server.apply(m).expect("incremental churn apply");
             }
-            criterion::black_box(server.batch_query(set));
+            criterion::black_box(server.answer(set, true));
         });
     });
     let probes = {
@@ -259,7 +259,7 @@ fn bench_update_throughput(c: &mut Criterion) {
             for m in muts.next_churn() {
                 server.apply(m.exact()).expect("exact churn apply");
             }
-            criterion::black_box(server.batch_query(set));
+            criterion::black_box(server.answer(set, true));
         });
     });
     drop(server);

@@ -2,16 +2,15 @@
 //! updates instead of recomputing on demand (the continual top-k line of
 //! work — Xu, PAPERS.md — that the epoch subsystem was built to enable).
 //!
-//! One background thread per cluster watches the epoch of each server
-//! the router holds: one per tenant, one for a partitioned cluster. When
-//! an epoch moves (the router signals after every apply; a fallback
-//! interval sweep catches anything else), the worker asks that server to
-//! [`rewarm`](sizel_serve::SizeLServer::rewarm_hottest_auto) its hottest
-//! summary keys under a skew-derived, capped **budget** — so the cache
-//! entries a write just purged are recomputed *before* steady-state
-//! readers of those keys arrive, and the refresh cost is bounded per
-//! epoch bump rather than proportional to the cache. A re-warm is no
-//! reader: it moves no cache hit or miss counter.
+//! One background thread per router watches the epoch of its one
+//! server. When the epoch moves (the router signals after every apply; a
+//! fallback interval sweep catches anything else), the worker asks the
+//! server to [`rewarm`](sizel_serve::SizeLServer::rewarm_hottest_auto)
+//! its hottest summary keys under a skew-derived, capped **budget** — so
+//! the cache entries a write just purged are recomputed *before*
+//! steady-state readers of those keys arrive, and the refresh cost is
+//! bounded per epoch bump rather than proportional to the cache. A
+//! re-warm is no reader: it moves no cache hit or miss counter.
 //!
 //! Freshness-correctness is inherited, not re-proven: the re-warm runs
 //! under an engine read guard and keys every entry by the epoch read
@@ -28,16 +27,16 @@
 //!   which `Condvar::wait_timeout` re-acquires *before* returning. A
 //!   notify landing between `*pending = false` and the sweep sets
 //!   `pending` for the next iteration — at worst one redundant sweep.
-//! * **`Drop` racing a sweep in flight:** `stop` is re-checked between
-//!   servers, so a drop never waits out every server's budget, and the
-//!   worker owns its own `Arc`s, so the router dropping first cannot free
-//!   a server under it.
+//! * **`Drop` racing a sweep in flight:** the worker re-checks `stop`
+//!   right after every wakeup and waits out at most one re-warm pass,
+//!   and it owns its own `Arc` of the server, so the router dropping
+//!   first cannot free the server under it.
 //! * **Poison:** both sides recover the signal flag, so a panicking
 //!   worker cannot turn the router's drop-time `notify` into a double
 //!   panic that aborts the process.
 //!
-//! The last-seen epochs live in shared per-server atomics, surfaced via
-//! [`RefreshStats::last_epochs`] so the metrics page can export refresh
+//! The last-seen epoch lives in a shared atomic, surfaced via
+//! [`RefreshStats::last_epoch`] so the metrics page can export refresh
 //! *lag*.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,19 +45,18 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sizel_serve::SizeLServer;
-use sizel_storage::Epoch;
 
 /// Continual-refresh configuration.
 #[derive(Clone, Debug)]
 pub struct RefreshConfig {
-    /// Cap on hottest keys recomputed per shard per epoch bump. The
-    /// actual per-pass budget is derived from the observed hot-key skew
+    /// Cap on hottest keys recomputed per epoch bump. The actual
+    /// per-pass budget is derived from the observed hot-key skew
     /// (`rewarm_hottest_auto`: the smallest sketch head covering 90% of
     /// the counted lookup mass, clamped to this cap) — what it does not
     /// cover is demand-filled as before.
     pub budget: usize,
-    /// Fallback sweep interval: the worker re-checks shard epochs at
-    /// least this often even without a router signal.
+    /// Fallback sweep interval: the worker re-checks the server's epoch
+    /// at least this often even without a router signal.
     pub interval: Duration,
 }
 
@@ -71,16 +69,16 @@ impl Default for RefreshConfig {
 /// Counters of the refresh worker's activity.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RefreshStats {
-    /// Sweeps that checked every shard's epoch.
+    /// Sweeps that checked the server's epoch.
     pub passes: u64,
-    /// Summary keys recomputed across all shards.
+    /// Summary keys recomputed.
     pub rewarmed_keys: u64,
-    /// Per shard: the epoch the worker last finished re-warming at (in
-    /// shard order; empty when the worker is disabled). A shard's
-    /// current epoch minus this value is its **refresh lag** — the
-    /// metrics endpoint exposes it per shard, and a persistently
-    /// non-zero lag means writes outpace the re-warm budget.
-    pub last_epochs: Vec<u64>,
+    /// The epoch the worker last finished re-warming at; the router
+    /// reports the server's current epoch here when the worker is
+    /// disabled. The current epoch minus this value is the **refresh
+    /// lag** the metrics endpoint exposes — a persistently non-zero lag
+    /// means writes outpace the re-warm budget.
+    pub last_epoch: u64,
 }
 
 struct Shared {
@@ -91,9 +89,9 @@ struct Shared {
     stop: AtomicBool,
     passes: AtomicU64,
     rewarmed_keys: AtomicU64,
-    /// Per shard: the epoch of the last completed re-warm (mirrors the
-    /// worker's sweep state so stats/metrics can compute lag).
-    last_epochs: Vec<AtomicU64>,
+    /// The epoch of the last completed re-warm: the worker's sweep state,
+    /// read by stats/metrics to compute lag.
+    last_epoch: AtomicU64,
 }
 
 /// Locks the signal flag, recovering from poisoning: the flag is a plain
@@ -117,22 +115,20 @@ pub(crate) struct RefreshWorker {
 }
 
 impl RefreshWorker {
-    pub(crate) fn spawn(shards: Vec<Arc<SizeLServer>>, cfg: RefreshConfig) -> Self {
-        let initial: Vec<Epoch> = shards.iter().map(|s| s.epoch()).collect();
+    pub(crate) fn spawn(server: Arc<SizeLServer>, cfg: RefreshConfig) -> Self {
         let shared = Arc::new(Shared {
             pending: Mutex::new(false),
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
             passes: AtomicU64::new(0),
             rewarmed_keys: AtomicU64::new(0),
-            last_epochs: initial.iter().map(|e| AtomicU64::new(e.get())).collect(),
+            last_epoch: AtomicU64::new(server.epoch().get()),
         });
         let worker_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("sizel-cluster-refresh".into())
             .spawn(move || {
                 let shared = worker_shared;
-                let mut last: Vec<Epoch> = initial;
                 loop {
                     {
                         let mut pending = lock_pending(&shared);
@@ -155,19 +151,11 @@ impl RefreshWorker {
                     if shared.stop.load(Ordering::Acquire) {
                         return;
                     }
-                    for (i, shard) in shards.iter().enumerate() {
-                        // Re-check between shards: a drop mid-sweep must
-                        // not wait out the remaining shards' budgets.
-                        if shared.stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let epoch = shard.epoch();
-                        if epoch != last[i] {
-                            let warmed = shard.rewarm_hottest_auto(cfg.budget);
-                            shared.rewarmed_keys.fetch_add(warmed as u64, Ordering::Relaxed);
-                            last[i] = epoch;
-                            shared.last_epochs[i].store(epoch.get(), Ordering::Relaxed);
-                        }
+                    let epoch = server.epoch().get();
+                    if epoch != shared.last_epoch.load(Ordering::Relaxed) {
+                        let warmed = server.rewarm_hottest_auto(cfg.budget);
+                        shared.rewarmed_keys.fetch_add(warmed as u64, Ordering::Relaxed);
+                        shared.last_epoch.store(epoch, Ordering::Relaxed);
                     }
                     shared.passes.fetch_add(1, Ordering::Relaxed);
                 }
@@ -188,12 +176,7 @@ impl RefreshWorker {
         RefreshStats {
             passes: self.shared.passes.load(Ordering::Relaxed),
             rewarmed_keys: self.shared.rewarmed_keys.load(Ordering::Relaxed),
-            last_epochs: self
-                .shared
-                .last_epochs
-                .iter()
-                .map(|e| e.load(Ordering::Relaxed))
-                .collect(),
+            last_epoch: self.shared.last_epoch.load(Ordering::Relaxed),
         }
     }
 }

@@ -16,22 +16,17 @@ use sizel_datagen::dblp::DblpConfig;
 use sizel_serve::{ServeConfig, SharedResult};
 
 mod common;
-use common::{build_engine, existing_keyword, replicas};
+use common::{existing_keyword, replicas};
 
 /// Refresh off: a background re-warm would move the counters under test.
 fn quiet_config() -> ClusterConfig {
     ClusterConfig { serve: ServeConfig::default(), refresh: None }
 }
 
-/// `(hits, misses, probe_misses, summaries_computed)` summed over shards.
+/// `(hits, misses, probe_misses, summaries_computed)` of the server.
 fn counters(cluster: &ClusterRouter) -> [u64; 4] {
-    let stats = cluster.stats();
-    [
-        stats.total(|s| s.cache.hits),
-        stats.total(|s| s.cache.misses),
-        stats.total(|s| s.cache.probe_misses),
-        stats.total(|s| s.summaries_computed),
-    ]
+    let s = cluster.stats().per_shard[0];
+    [s.cache.hits, s.cache.misses, s.cache.probe_misses, s.summaries_computed]
 }
 
 /// Runs `ask` and returns its answer with the counter movement it caused.
@@ -92,21 +87,4 @@ fn batch_query_at_probes_first_and_queues_only_misses() {
     });
     assert_eq!(cached_moved, [warm.len() as u64, 0, 0, 0]);
     assert!(warm.iter().zip(&cached).all(|(w, c)| Arc::ptr_eq(w, c)));
-}
-
-#[test]
-fn query_tenant_probes_first_and_queues_only_misses() {
-    let cfg = DblpConfig::tiny();
-    let cluster = ClusterRouter::multi_tenant(
-        vec![("acme".into(), build_engine(&cfg)), ("globex".into(), build_engine(&cfg))],
-        quiet_config(),
-    )
-    .expect("cluster builds");
-    let kw = existing_keyword(&cluster.shard(1).engine());
-    let ask = || cluster.query_tenant("globex", &kw, QueryOptions::default()).expect("query");
-    assert_cold_then_warm(&cluster, ask);
-    // All of it on the tenant's own shard, which also counted the queries.
-    let stats = cluster.stats();
-    assert_eq!(stats.per_shard[0].cache.hits + stats.per_shard[0].cache.misses, 0);
-    assert_eq!((stats.per_shard[0].queries_served, stats.per_shard[1].queries_served), (0, 2));
 }

@@ -143,20 +143,14 @@ fn notifies_are_never_lost_and_lag_converges_to_zero() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = cluster.stats();
-        let caught_up = stats
-            .epochs
-            .iter()
-            .zip(&stats.refresh.last_epochs)
-            .all(|(epoch, &last)| epoch.get() == last);
-        if caught_up {
-            assert_eq!(stats.refresh.last_epochs.len(), 1, "one exported epoch per server");
+        if stats.epochs[0].get() == stats.refresh.last_epoch {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "refresh worker never caught up: epochs {:?} vs last seen {:?}",
-            stats.epochs,
-            stats.refresh.last_epochs
+            "refresh worker never caught up: epoch {:?} vs last seen {}",
+            stats.epochs[0],
+            stats.refresh.last_epoch
         );
         std::thread::sleep(Duration::from_millis(2));
     }

@@ -147,8 +147,8 @@ pub enum ErrorCode {
     MalformedPayload = 1,
     /// The header's opcode byte names no request.
     UnknownOpcode = 2,
-    /// A well-formed request the cluster rejected (unknown tenant,
-    /// wrong-mode operation, storage validation failure).
+    /// A well-formed request the cluster rejected (a storage validation
+    /// failure, such as a dangling foreign key in an `ApplyBatch`).
     BadRequest = 3,
     /// The handler panicked or otherwise failed internally; the
     /// connection stays usable.

@@ -8,9 +8,9 @@
 //! `GET ` where the frame magic would be — the magic bytes `"LS"` make
 //! the two unambiguous on the first two octets).
 //!
-//! All `*_total` series are monotonic counters — *rates* (e.g. QPS per
-//! tenant) are the scraper's division, which is why the page exposes
-//! raw `queries_served_total` per shard rather than a decaying gauge.
+//! All `*_total` series are monotonic counters — *rates* (e.g. QPS) are
+//! the scraper's division, which is why the page exposes raw
+//! `queries_served_total` rather than a decaying gauge.
 //! Gauges (`connections_live`, `queue_depth`, `refresh_lag`) are
 //! instantaneous reads at render time.
 
@@ -28,6 +28,10 @@ pub struct NetCounters {
     pub connections_opened: AtomicU64,
     /// Connections currently open.
     pub connections_live: AtomicU64,
+    /// `accept` calls that failed with anything but `WouldBlock` or
+    /// `Interrupted` (e.g. `EMFILE`); each rests the listener for a
+    /// sweep tick.
+    pub accept_errors: AtomicU64,
     /// Request frames fully received and admitted to decode.
     pub frames_in: AtomicU64,
     /// Reply frames enqueued for write (every admitted request produces
@@ -104,9 +108,8 @@ fn line(out: &mut String, name: &str, labels: &str, value: impl std::fmt::Displa
 }
 
 /// Renders the whole metrics page: front-end counters and the dispatch
-/// queue's depth, per-shard serve counters (labelled with the tenant
-/// name in multi-tenant mode), cache hit ratios, and the refresh
-/// worker's per-shard epoch lag.
+/// queue's depth, the server's serve counters and cache hit ratio, and
+/// the refresh worker's epoch lag.
 pub fn render_metrics(
     counters: &NetCounters,
     queue_depth: usize,
@@ -122,6 +125,7 @@ pub fn render_metrics(
         "",
         NetCounters::get(&counters.connections_opened),
     );
+    line(&mut out, "sizel_net_accept_errors_total", "", NetCounters::get(&counters.accept_errors));
     line(&mut out, "sizel_net_frames_in_total", "", NetCounters::get(&counters.frames_in));
     line(&mut out, "sizel_net_frames_out_total", "", NetCounters::get(&counters.frames_out));
     line(
@@ -233,87 +237,57 @@ pub fn render_metrics(
     );
     line(&mut out, "sizel_net_http_scrapes_total", "", NetCounters::get(&counters.http_scrapes));
 
-    // Per-shard serve and cluster state. Each shard is one tenant's
-    // server, so the tenant name labels its series — the per-tenant
-    // QPS/cache view; a partitioned cluster is one unnamed tenant, so its
-    // series carry `shard="0"` alone.
-    let tenants = router.tenant_names();
-    let tenant_of = |shard: usize| -> Option<&str> {
-        tenants.iter().find(|(_, s)| *s == shard).map(|(n, _)| n.as_str())
-    };
+    // Serve and cluster state of the router's one server. Its series
+    // carry `shard="0"`, the label they had when a router held several.
     let stats = router.stats();
-    for (i, per_shard) in stats.per_shard.iter().enumerate() {
-        let labels = match tenant_of(i) {
-            Some(t) => format!("shard=\"{i}\",tenant=\"{t}\""),
-            None => format!("shard=\"{i}\""),
-        };
-        line(&mut out, "sizel_serve_queries_served_total", &labels, per_shard.queries_served);
-        line(
-            &mut out,
-            "sizel_serve_summaries_computed_total",
-            &labels,
-            per_shard.summaries_computed,
-        );
-        line(&mut out, "sizel_serve_mutations_applied_total", &labels, per_shard.mutations_applied);
-        line(&mut out, "sizel_serve_rewarmed_total", &labels, per_shard.rewarmed);
-        line(&mut out, "sizel_serve_cache_hits_total", &labels, per_shard.cache.hits);
-        line(&mut out, "sizel_serve_cache_misses_total", &labels, per_shard.cache.misses);
-        line(
-            &mut out,
-            "sizel_serve_cache_probe_misses_total",
-            &labels,
-            per_shard.cache.probe_misses,
-        );
-        line(&mut out, "sizel_serve_cache_evictions_total", &labels, per_shard.cache.evictions);
-        line(
-            &mut out,
-            "sizel_serve_cache_invalidations_total",
-            &labels,
-            per_shard.cache.invalidations,
-        );
-        line(
-            &mut out,
-            "sizel_serve_cache_poison_resets_total",
-            &labels,
-            per_shard.cache.poison_resets,
-        );
-        let ratio = per_shard.cache.hit_ratio();
-        line(&mut out, "sizel_serve_cache_hit_ratio", &labels, format!("{ratio:.6}"));
+    let server = &stats.per_shard[0];
+    let labels = "shard=\"0\"";
+    line(&mut out, "sizel_serve_queries_served_total", labels, server.queries_served);
+    line(&mut out, "sizel_serve_summaries_computed_total", labels, server.summaries_computed);
+    line(&mut out, "sizel_serve_mutations_applied_total", labels, server.mutations_applied);
+    line(&mut out, "sizel_serve_rewarmed_total", labels, server.rewarmed);
+    line(&mut out, "sizel_serve_cache_hits_total", labels, server.cache.hits);
+    line(&mut out, "sizel_serve_cache_misses_total", labels, server.cache.misses);
+    line(&mut out, "sizel_serve_cache_probe_misses_total", labels, server.cache.probe_misses);
+    line(&mut out, "sizel_serve_cache_evictions_total", labels, server.cache.evictions);
+    line(&mut out, "sizel_serve_cache_invalidations_total", labels, server.cache.invalidations);
+    line(&mut out, "sizel_serve_cache_poison_resets_total", labels, server.cache.poison_resets);
+    let ratio = server.cache.hit_ratio();
+    line(&mut out, "sizel_serve_cache_hit_ratio", labels, format!("{ratio:.6}"));
 
-        // Refresh lag: shard epoch minus the worker's last completed
-        // re-warm epoch (0 when the worker is disabled or caught up).
-        let epoch = stats.epochs[i].get();
-        line(&mut out, "sizel_cluster_epoch", &labels, epoch);
-        let last = stats.refresh.last_epochs.get(i).copied().unwrap_or(epoch);
-        line(&mut out, "sizel_refresh_last_epoch", &labels, last);
-        line(&mut out, "sizel_refresh_lag", &labels, epoch.saturating_sub(last));
+    // Refresh lag: the server's epoch minus the worker's last completed
+    // re-warm epoch (0 when the worker is disabled or caught up).
+    let epoch = stats.epochs[0].get();
+    line(&mut out, "sizel_cluster_epoch", labels, epoch);
+    let last = stats.refresh.last_epoch;
+    line(&mut out, "sizel_refresh_last_epoch", labels, last);
+    line(&mut out, "sizel_refresh_lag", labels, epoch.saturating_sub(last));
 
-        // Disk tier: on the shard that owns its engine, once attached.
-        if let Some(disk) = per_shard.disk {
-            let c = disk.store.cache;
-            line(&mut out, "sizel_disk_cache_total", &format!("{labels},event=\"hit\""), c.hits);
-            line(&mut out, "sizel_disk_cache_total", &format!("{labels},event=\"miss\""), c.misses);
-            line(
-                &mut out,
-                "sizel_disk_cache_total",
-                &format!("{labels},event=\"eviction\""),
-                c.evictions,
-            );
-            line(
-                &mut out,
-                "sizel_disk_cache_total",
-                &format!("{labels},event=\"recycled\""),
-                c.recycled,
-            );
-            line(&mut out, "sizel_disk_read_errors_total", &labels, c.read_errors);
-            line(&mut out, "sizel_disk_resident_pages", &labels, disk.store.resident_pages);
-            line(&mut out, "sizel_disk_segment_generation", &labels, disk.store.generation);
-            line(&mut out, "sizel_disk_segment_lists", &labels, disk.store.lists);
-            line(&mut out, "sizel_disk_checkpoints_total", &labels, disk.store.checkpoints);
-            line(&mut out, "sizel_disk_wal_bytes", &labels, disk.wal_bytes);
-            line(&mut out, "sizel_disk_wal_appends_total", &labels, disk.wal_appends);
-            line(&mut out, "sizel_disk_wal_syncs_total", &labels, disk.wal_syncs);
-        }
+    // Disk tier, once attached.
+    if let Some(disk) = server.disk {
+        let c = disk.store.cache;
+        line(&mut out, "sizel_disk_cache_total", &format!("{labels},event=\"hit\""), c.hits);
+        line(&mut out, "sizel_disk_cache_total", &format!("{labels},event=\"miss\""), c.misses);
+        line(
+            &mut out,
+            "sizel_disk_cache_total",
+            &format!("{labels},event=\"eviction\""),
+            c.evictions,
+        );
+        line(
+            &mut out,
+            "sizel_disk_cache_total",
+            &format!("{labels},event=\"recycled\""),
+            c.recycled,
+        );
+        line(&mut out, "sizel_disk_read_errors_total", labels, c.read_errors);
+        line(&mut out, "sizel_disk_resident_pages", labels, disk.store.resident_pages);
+        line(&mut out, "sizel_disk_segment_generation", labels, disk.store.generation);
+        line(&mut out, "sizel_disk_segment_lists", labels, disk.store.lists);
+        line(&mut out, "sizel_disk_checkpoints_total", labels, disk.store.checkpoints);
+        line(&mut out, "sizel_disk_wal_bytes", labels, disk.wal_bytes);
+        line(&mut out, "sizel_disk_wal_appends_total", labels, disk.wal_appends);
+        line(&mut out, "sizel_disk_wal_syncs_total", labels, disk.wal_syncs);
     }
     line(&mut out, "sizel_refresh_passes_total", "", stats.refresh.passes);
     line(&mut out, "sizel_refresh_rewarmed_keys_total", "", stats.refresh.rewarmed_keys);

@@ -227,9 +227,10 @@ pub(crate) trait Reactor: Send {
     /// Starts watching `fd` for readability under `token`.
     fn register(&mut self, fd: RawFd, token: usize) -> io::Result<()>;
 
-    /// Toggles write-readiness interest for an already registered fd —
-    /// on only while its connection has unflushed reply bytes.
-    fn set_writable(&mut self, fd: RawFd, token: usize, writable: bool) -> io::Result<()>;
+    /// Sets the readiness interest of an already registered fd: read
+    /// until the connection stops reading (the peer's EOF or a scheduled
+    /// close), write only while it has unflushed reply bytes.
+    fn set_interest(&mut self, fd: RawFd, token: usize, read: bool, write: bool) -> io::Result<()>;
 
     /// Stops watching `fd` (best-effort; the fd closes right after).
     fn deregister(&mut self, fd: RawFd, token: usize);
@@ -291,8 +292,8 @@ impl Reactor for EpollReactor {
         sys::epoll_add(&self.ep, fd, Self::read_mask(), token as u64)
     }
 
-    fn set_writable(&mut self, fd: RawFd, token: usize, writable: bool) -> io::Result<()> {
-        let mask = if writable { Self::read_mask() | sys::EPOLLOUT } else { Self::read_mask() };
+    fn set_interest(&mut self, fd: RawFd, token: usize, read: bool, write: bool) -> io::Result<()> {
+        let mask = if read { Self::read_mask() } else { 0 } | if write { sys::EPOLLOUT } else { 0 };
         sys::epoll_mod(&self.ep, fd, mask, token as u64)
     }
 
@@ -365,7 +366,7 @@ impl Reactor for PollReactor {
         Ok(())
     }
 
-    fn set_writable(&mut self, _fd: RawFd, _token: usize, _writable: bool) -> io::Result<()> {
+    fn set_interest(&mut self, _: RawFd, _: usize, _: bool, _: bool) -> io::Result<()> {
         Ok(()) // the sweep always attempts both directions
     }
 
@@ -622,11 +623,18 @@ mod tests {
         // EPOLLOUT toggling: an idle loopback socket is instantly
         // writable, but only once write interest is on.
         assert!(!events.iter().any(|e| e.token == TOKEN_BASE && e.writable));
-        r.set_writable(conn.as_raw_fd(), TOKEN_BASE, true).expect("toggle on");
+        r.set_interest(conn.as_raw_fd(), TOKEN_BASE, true, true).expect("toggle on");
         let woke = r.wait(&mut events, Duration::from_secs(5), false);
         assert!(woke);
         assert!(events.iter().any(|e| e.token == TOKEN_BASE && e.writable));
-        r.set_writable(conn.as_raw_fd(), TOKEN_BASE, false).expect("toggle off");
+        r.set_interest(conn.as_raw_fd(), TOKEN_BASE, true, false).expect("toggle off");
+
+        // Without read interest the unread bytes (or a peer's EOF) stop
+        // being reported: level-triggered epoll would repeat them on
+        // every pass otherwise.
+        r.set_interest(conn.as_raw_fd(), TOKEN_BASE, false, false).expect("reads off");
+        let woke = r.wait(&mut events, Duration::from_millis(10), false);
+        assert!(!woke && events.is_empty(), "a conn that stopped reading is quiet");
         r.deregister(conn.as_raw_fd(), TOKEN_BASE);
     }
 

@@ -289,13 +289,16 @@ struct Conn {
     /// Total unwritten bytes across `wq` (the outbox gate reads this
     /// plus `outbox_bytes`).
     wq_unwritten: usize,
-    /// Peer hung up or the stream failed.
+    /// The stream failed.
     dead: bool,
-    /// Stop reading/parsing; flush the outbox and close. Set by
-    /// protocol errors and by the HTTP scrape path.
+    /// Stop reading/parsing; flush the outbox and close. Set by the
+    /// peer's EOF, by protocol errors and by the HTTP scrape path.
     close_after_flush: bool,
     /// The connection turned out to be a plain-HTTP scraper.
     http: bool,
+    /// Read-readiness interest currently registered with the reactor
+    /// (on until `close_after_flush`).
+    want_read: bool,
     /// Write-readiness interest currently registered with the reactor
     /// (on only while reply bytes are unflushed).
     want_write: bool,
@@ -635,6 +638,9 @@ fn io_loop(
         Some(w) => (w / 4).clamp(Duration::from_millis(1), SWEEP_TICK),
         None => SWEEP_TICK,
     };
+    // When a failed accept took the listener out of the reactor: it is
+    // watched again on the first pass a sweep tick later.
+    let mut listener_rested: Option<Instant> = None;
     let mut progressed = true; // first pass sweeps unconditionally
 
     loop {
@@ -656,12 +662,17 @@ fn io_loop(
             break;
         }
         progressed = false;
+        if listener_rested.is_some_and(|at| at.elapsed() >= tick)
+            && reactor.register(listener_fd, TOKEN_LISTENER).is_ok()
+        {
+            listener_rested = None;
+        }
 
         // Readiness events: the listener accepts, connections move bytes.
         for &ev in &events {
             match ev.token {
-                TOKEN_LISTENER => {
-                    progressed |= accept_all(
+                TOKEN_LISTENER if listener_rested.is_none() => {
+                    let (accepted, failed) = accept_all(
                         &listener,
                         &mut slab,
                         &mut free,
@@ -670,7 +681,13 @@ fn io_loop(
                         counters,
                         opts,
                     );
+                    progressed |= accepted;
+                    if failed {
+                        reactor.deregister(listener_fd, TOKEN_LISTENER);
+                        listener_rested = Some(Instant::now());
+                    }
                 }
+                TOKEN_LISTENER => {}
                 token => {
                     let idx = token - TOKEN_BASE;
                     if let Some(Some(conn)) = slab.get_mut(idx) {
@@ -714,7 +731,11 @@ fn io_loop(
 }
 
 /// Accepts everything pending on the listener, registering each new
-/// connection with the reactor. Returns whether anything was accepted.
+/// connection with the reactor. Returns whether anything was accepted,
+/// and whether `accept` failed with an error other than `WouldBlock`
+/// (such as `EMFILE`) — the caller then stops watching the listener for
+/// a sweep tick, since level-triggered readiness would repeat the
+/// failing accept on every pass.
 fn accept_all(
     listener: &TcpListener,
     slab: &mut Vec<Option<Conn>>,
@@ -723,7 +744,7 @@ fn accept_all(
     hub: &Arc<WakeHub>,
     counters: &NetCounters,
     opts: &IoOpts,
-) -> bool {
+) -> (bool, bool) {
     let mut progressed = false;
     loop {
         match listener.accept() {
@@ -761,16 +782,20 @@ fn accept_all(
                     dead: false,
                     close_after_flush: false,
                     http: false,
+                    want_read: true,
                     want_write: false,
                     last_frame: Instant::now(),
                 });
                 progressed = true;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (progressed, false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                NetCounters::bump(&counters.accept_errors);
+                return (progressed, true);
+            }
         }
     }
-    progressed
 }
 
 /// Drops every connection that is dead, done with a scheduled close, or
@@ -830,12 +855,13 @@ fn poll_conn(
     let mut progressed = false;
 
     // Read whatever the socket has.
+    let mut eof = false;
     if ev.readable && !conn.dead && !conn.close_after_flush {
         let mut chunk = [0u8; 4096];
         loop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
-                    conn.dead = true;
+                    eof = true;
                     break;
                 }
                 Ok(n) => {
@@ -968,10 +994,19 @@ fn poll_conn(
         }
     }
 
+    // The peer shut its write half: what it sent whole is answered above,
+    // a trailing partial frame can never complete, and the connection
+    // closes once every reply is flushed.
+    if eof {
+        conn.inbuf.clear();
+        conn.close_after_flush = true;
+    }
+
     // Flush when this pass produced replies (inline answers, sheds,
-    // errors, the HTTP page) or the reactor reported room for a blocked
-    // write; a pure read event with nothing parsed has nothing to write.
-    if progressed || ev.writable {
+    // errors, the HTTP page), the reactor reported room for a blocked
+    // write, or the peer's EOF ends read interest; a pure read event with
+    // nothing parsed has nothing to write.
+    if progressed || ev.writable || eof {
         progressed |= flush_conn(conn, reactor, counters, pool);
     }
     progressed
@@ -1103,18 +1138,24 @@ fn flush_conn(
         // Loop: a worker may have landed more frames while we wrote.
     }
 
-    // EPOLLOUT toggling: interest on iff the kernel couldn't take
-    // everything (no-op on the poll backend, which always sweeps).
-    let want = !conn.dead && !conn.wq.is_empty();
-    if want != conn.want_write {
+    // Interest toggling (a no-op on the poll backend, which always
+    // sweeps): EPOLLOUT on iff the kernel couldn't take everything, and
+    // read interest off once the connection stops reading — else a
+    // readable EOF or unread bytes wake the I/O thread on every pass
+    // until the close.
+    let read = !conn.close_after_flush;
+    let write = !conn.dead && !conn.wq.is_empty();
+    if (read, write) != (conn.want_read, conn.want_write) {
         #[cfg(unix)]
         let fd = conn.stream.as_raw_fd();
         #[cfg(not(unix))]
         let fd = -1;
-        if reactor.set_writable(fd, conn.shared.token, want).is_ok() {
-            conn.want_write = want;
+        if write != conn.want_write {
+            NetCounters::bump(&counters.epollout_toggles);
         }
-        NetCounters::bump(&counters.epollout_toggles);
+        if reactor.set_interest(fd, conn.shared.token, read, write).is_ok() {
+            (conn.want_read, conn.want_write) = (read, write);
+        }
     }
     progressed
 }

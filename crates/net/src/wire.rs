@@ -587,7 +587,7 @@ mod tests {
     #[test]
     fn error_and_busy_replies_roundtrip() {
         let mut e = Vec::new();
-        encode_error_into(&mut e, ErrorCode::BadRequest, "unknown tenant `acme`");
+        encode_error_into(&mut e, ErrorCode::BadRequest, "dangling foreign key `acme`");
         match decode_reply(Opcode::Error, &e).expect("decodes") {
             Reply::Error { code, message } => {
                 assert_eq!(code, ErrorCode::BadRequest);

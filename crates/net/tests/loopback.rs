@@ -316,8 +316,8 @@ fn stats_frame_returns_the_metrics_page() {
         ] {
             assert!(page.contains(series), "metrics page missing `{series}`:\n{page}");
         }
-        // A partitioned cluster is one unnamed tenant: one server, one
-        // series per name, however many engines it was handed.
+        // The router is one server: one series per name, however many
+        // engines it was handed.
         assert!(
             !page.lines().any(|l| l.contains("shard=\"") && !l.contains("shard=\"0\"")),
             "a partitioned cluster's series carry shard=\"0\" only:\n{page}"
@@ -336,12 +336,71 @@ fn stats_frame_returns_the_metrics_page() {
     });
 }
 
+/// Every series of the page with a disk tier attached, sorted, values
+/// dropped; `{backend}` stands for the reactor serving it.
+const FULL_PAGE: &[&str] = &[
+    "sizel_cluster_epoch{shard=\"0\"}",
+    "sizel_disk_cache_total{shard=\"0\",event=\"eviction\"}",
+    "sizel_disk_cache_total{shard=\"0\",event=\"hit\"}",
+    "sizel_disk_cache_total{shard=\"0\",event=\"miss\"}",
+    "sizel_disk_cache_total{shard=\"0\",event=\"recycled\"}",
+    "sizel_disk_checkpoints_total{shard=\"0\"}",
+    "sizel_disk_read_errors_total{shard=\"0\"}",
+    "sizel_disk_resident_pages{shard=\"0\"}",
+    "sizel_disk_segment_generation{shard=\"0\"}",
+    "sizel_disk_segment_lists{shard=\"0\"}",
+    "sizel_disk_wal_appends_total{shard=\"0\"}",
+    "sizel_disk_wal_bytes{shard=\"0\"}",
+    "sizel_disk_wal_syncs_total{shard=\"0\"}",
+    "sizel_net_accept_errors_total",
+    "sizel_net_buf_pool_total{event=\"hit\"}",
+    "sizel_net_buf_pool_total{event=\"miss\"}",
+    "sizel_net_buf_pool_total{event=\"recycled\"}",
+    "sizel_net_connections_live",
+    "sizel_net_connections_opened_total",
+    "sizel_net_doorbell_coalesced_total",
+    "sizel_net_doorbell_rings_total",
+    "sizel_net_epollout_toggles_total",
+    "sizel_net_errors_total{code=\"bad_request\"}",
+    "sizel_net_errors_total{code=\"internal\"}",
+    "sizel_net_errors_total{code=\"malformed\"}",
+    "sizel_net_errors_total{code=\"protocol\"}",
+    "sizel_net_fastpath_total{result=\"fallback\"}",
+    "sizel_net_fastpath_total{result=\"hit\"}",
+    "sizel_net_frames_in_total",
+    "sizel_net_frames_out_total",
+    "sizel_net_http_scrapes_total",
+    "sizel_net_idle_reaped_total",
+    "sizel_net_queue_depth",
+    "sizel_net_reactor_spurious_wakeups_total",
+    "sizel_net_reactor_wakeups_total",
+    "sizel_net_reactor{backend=\"{backend}\"}",
+    "sizel_net_shed_total{reason=\"inflight_budget\"}",
+    "sizel_net_shed_total{reason=\"outbox_full\"}",
+    "sizel_net_shed_total{reason=\"queue_full\"}",
+    "sizel_refresh_lag{shard=\"0\"}",
+    "sizel_refresh_last_epoch{shard=\"0\"}",
+    "sizel_refresh_passes_total",
+    "sizel_refresh_rewarmed_keys_total",
+    "sizel_serve_cache_evictions_total{shard=\"0\"}",
+    "sizel_serve_cache_hit_ratio{shard=\"0\"}",
+    "sizel_serve_cache_hits_total{shard=\"0\"}",
+    "sizel_serve_cache_invalidations_total{shard=\"0\"}",
+    "sizel_serve_cache_misses_total{shard=\"0\"}",
+    "sizel_serve_cache_poison_resets_total{shard=\"0\"}",
+    "sizel_serve_cache_probe_misses_total{shard=\"0\"}",
+    "sizel_serve_mutations_applied_total{shard=\"0\"}",
+    "sizel_serve_queries_served_total{shard=\"0\"}",
+    "sizel_serve_rewarmed_total{shard=\"0\"}",
+    "sizel_serve_summaries_computed_total{shard=\"0\"}",
+];
+
 /// Once a disk tier is attached, the metrics page grows the
 /// `sizel_disk_*` series — block-cache events, segment generation, WAL
-/// gauges — once per engine: a partitioned cluster is one server over
-/// one engine, so the series carry `shard="0"` and never `shard="1"`
-/// (absent before attach, which the base metrics test implicitly covers
-/// by not requiring them).
+/// gauges — once per engine: the router is one server over one engine,
+/// so the series carry `shard="0"` and never `shard="1"` (absent before
+/// attach, which the base metrics test implicitly covers by not
+/// requiring them). The whole page is pinned series for series.
 #[test]
 fn disk_tier_series_appear_once_attached() {
     let router = tiny_cluster();
@@ -379,6 +438,12 @@ fn disk_tier_series_appear_once_attached() {
         !page.lines().any(|l| l.starts_with("sizel_disk_") && l.contains("shard=\"1\"")),
         "one engine, one set of disk series:\n{page}"
     );
+    let mut series: Vec<&str> =
+        page.lines().map(|l| l.rsplit_once(' ').expect("name value").0).collect();
+    series.sort_unstable();
+    let backend = server.reactor_kind().name();
+    let want: Vec<String> = FULL_PAGE.iter().map(|s| s.replace("{backend}", backend)).collect();
+    assert_eq!(series, want, "the page's series changed:\n{page}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,22 +1,25 @@
 //! Behavior the readiness rewrite added and must keep: the outbox byte
-//! cap (the slow-reader admission gate), idle-connection reaping, and an
-//! I/O thread that never waits on a lock — each proven on every reactor
-//! backend via `for_each_reactor`.
+//! cap (the slow-reader admission gate), idle-connection reaping, every
+//! reply to a half-closed peer, and an I/O thread that never waits on a
+//! lock — each proven on every reactor backend via `for_each_reactor`.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use sizel_core::engine::Mutation;
+use sizel_core::engine::{Mutation, QueryOptions};
 use sizel_core::test_fixtures::max_pk;
-use sizel_net::frame::Opcode;
-use sizel_net::wire::decode_reply;
+use sizel_net::frame::{encode_frame, read_frame, Opcode};
+use sizel_net::wire::{
+    decode_reply, encode_query_payload, encode_results_payload, encode_summarize_payload,
+    encode_summary_payload,
+};
 use sizel_net::{BusyReason, NetClient, NetConfig, NetCounters, Reply};
 use sizel_storage::Value;
 
 mod common;
-use common::{for_each_reactor, serve, tiny_cluster};
+use common::{existing_keyword, for_each_reactor, serve, tiny_cluster};
 
 /// A peer that fires `Stats` requests without ever reading the replies:
 /// once the kernel socket buffers are full, reply bytes pile up in the
@@ -151,6 +154,67 @@ fn a_pipelining_connection_is_never_reaped() {
             server.counters().idle_reaped.load(Ordering::Relaxed),
             0,
             "an active connection was reaped"
+        );
+    });
+}
+
+/// A peer that pipelines its requests and then shuts its write half
+/// still gets every reply, in order, and then an EOF: the server stops
+/// reading at the EOF, answers the frames it already holds, and closes
+/// once they are flushed. The handler delay keeps replies owed long
+/// after the EOF, and the I/O thread must sleep through that wait, not
+/// wake on the readable EOF over and over.
+#[test]
+fn a_half_closed_peer_gets_every_reply_then_eof() {
+    for_each_reactor(|reactor| {
+        let router = tiny_cluster();
+        // One worker: the replies complete in request order.
+        let server = serve(
+            router.clone(),
+            NetConfig {
+                dispatch_workers: 1,
+                handler_delay: Some(Duration::from_millis(200)),
+                reactor,
+                ..Default::default()
+            },
+        );
+        let kw = existing_keyword(&router.shard(0).engine());
+        let tds = router.shard(0).engine().ds_hits(&kw)[0];
+        let query = vec![(kw, QueryOptions::default())];
+        let opts = QueryOptions { l: 7, ..Default::default() };
+        let mut burst = encode_frame(Opcode::Ping, 1, &[]);
+        burst.extend(encode_frame(Opcode::Query, 2, &encode_query_payload(&query)));
+        burst.extend(encode_frame(Opcode::Summarize, 3, &encode_summarize_payload(tds, opts)));
+
+        let spurious = || server.counters().reactor_spurious.load(Ordering::Relaxed);
+        let before = spurious();
+        let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        s.write_all(&burst).expect("pipeline");
+        s.shutdown(Shutdown::Write).expect("half-close");
+        let replies: Vec<(u64, Opcode, Vec<u8>)> = (0..3)
+            .map(|_| {
+                let (h, payload) = read_frame(&mut s).expect("a reply after the half-close");
+                (h.req_id, h.opcode, payload)
+            })
+            .collect();
+        let mut rest = Vec::new();
+        assert_eq!(s.read_to_end(&mut rest).expect("EOF after the last reply"), 0);
+        let woke_idle = spurious() - before;
+
+        let (epoch, results) = router.batch_query_at(&query).expect("oracle");
+        let (at, summary) = router.summarize_at(tds, opts).expect("oracle");
+        assert_eq!(
+            replies,
+            [
+                (1, Opcode::Pong, vec![]),
+                (2, Opcode::Results, encode_results_payload(epoch, &results)),
+                (3, Opcode::Summary, encode_summary_payload(at, &summary)),
+            ]
+        );
+        assert!(
+            woke_idle < 50,
+            "{reactor:?}: {woke_idle} spurious wake-ups while replies were owed"
         );
     });
 }

@@ -34,9 +34,6 @@
 //!   summary computed against superseded data can never be served — the
 //!   epoch in its key no longer matches any future lookup (proven by
 //!   `tests/epoch_equivalence.rs`).
-//! * [`SizeLServer::batch_query`] amortizes keyword-index lookups across a
-//!   batch: duplicate `(keywords, options)` requests are resolved with one
-//!   index probe and one summary computation, then fanned back out.
 //!
 //! Results are returned as `Arc<QueryResult>` so a cache hit shares the
 //! materialized size-l OS instead of deep-copying it per request. The
@@ -44,7 +41,6 @@
 //! engine — is enforced by `tests/stress.rs` (read-only) and
 //! `tests/epoch_equivalence.rs` (interleaved insert/query streams).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
@@ -110,7 +106,7 @@ pub struct ServerStats {
     /// The summary cache's counters.
     pub cache: CacheStats,
     /// Queries fully served: one per request [`SizeLServer::answer`]
-    /// answered (a `batch_query` runs one per distinct request).
+    /// answered.
     pub queries_served: u64,
     /// Per-DS summaries computed (cache misses that did real work).
     pub summaries_computed: u64,
@@ -303,13 +299,6 @@ impl SizeLServer {
         (epoch, self.summarize_cached(&engine, epoch, tds, opts))
     }
 
-    /// Serves a whole batch of `(t_DS, options)` summaries, in submission
-    /// order; each item takes its own read guard, so a writer waits out
-    /// one summary, never the batch.
-    pub fn summarize_batch(&self, items: &[(TupleRef, QueryOptions)]) -> Vec<SharedResult> {
-        items.iter().map(|&(tds, opts)| self.summarize(tds, opts)).collect()
-    }
-
     /// Proactively recomputes up to `budget` of the hottest summary keys
     /// at the **current** epoch — the continual-refresh hook: called
     /// after a mutation purged the cache, it pays the cold recomputes
@@ -365,23 +354,6 @@ impl SizeLServer {
     /// The up-to-`n` hottest summary keys observed by the sketch.
     pub fn hottest(&self, n: usize) -> Vec<HotKey> {
         self.hot.hottest(n)
-    }
-
-    /// Serves a whole batch, returning results in submission order.
-    /// Duplicate `(keywords, options)` requests are served by a single
-    /// keyword-index lookup + summary computation and fanned back out,
-    /// amortizing the index work across the batch. Each distinct request
-    /// takes its own read guard.
-    pub fn batch_query(&self, requests: &[(String, QueryOptions)]) -> Vec<Vec<SharedResult>> {
-        let mut first_of: HashMap<(&str, QueryOptions), usize> = HashMap::new();
-        let mut served: Vec<Vec<SharedResult>> = Vec::with_capacity(requests.len());
-        for (i, (keywords, opts)) in requests.iter().enumerate() {
-            let first = *first_of.entry((keywords.as_str(), *opts)).or_insert(i);
-            let results =
-                if first < i { served[first].clone() } else { self.query(keywords, *opts) };
-            served.push(results);
-        }
-        served
     }
 
     /// Attaches the engine's disk tier under the write lock (see

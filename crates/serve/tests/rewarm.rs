@@ -1,5 +1,5 @@
 //! The per-DS summarize path and the hot-key re-warm hook (ISSUE 5):
-//! `summarize_batch` must be byte-identical to the engine's `summarize`,
+//! per-item `summarize` must be byte-identical to the engine's,
 //! and `rewarm_hottest` must pre-pay exactly the recomputes that a hot
 //! reader would otherwise eat after a write — at the current epoch, under
 //! the same staleness proof as demand fill.
@@ -44,7 +44,7 @@ fn summarize_batch_is_byte_identical_to_the_engine() {
         hits.iter().flat_map(|&t| opts.iter().map(move |&o| (t, o))).collect();
     // Twice: cold pass computes, warm pass serves the same Arc'd entries.
     for round in 0..2 {
-        let got = server.summarize_batch(&items);
+        let got: Vec<_> = items.iter().map(|&(tds, o)| server.summarize(tds, o)).collect();
         assert_eq!(got.len(), items.len());
         let engine = server.engine();
         for ((tds, o), r) in items.iter().zip(&got) {

@@ -155,14 +155,25 @@ fn batch_query_matches_sequential_engine_and_dedups() {
             expect_order.push(j);
         }
     }
-    let responses = server.batch_query(&batch);
+    let (_, responses) = server.answer(&batch, true).expect("waiting never declines");
     assert_eq!(responses.len(), batch.len());
     for (resp, &j) in responses.iter().zip(&expect_order) {
         assert_eq!(fingerprint(resp), expected[j]);
     }
-    // Only the distinct requests did index + summary work.
+    // Every request is answered; only the first copy of each summary is
+    // computed, and the duplicates hit the cache.
     let stats = server.stats();
-    assert_eq!(stats.queries_served, set.len() as u64, "duplicates served without new work");
+    assert_eq!(stats.queries_served, batch.len() as u64);
+    let once = SizeLServer::from_shared(
+        Arc::clone(&engine),
+        ServeConfig { cache_capacity: 512, cache_shards: 4, ..ServeConfig::default() },
+    );
+    once.answer(&set, true).expect("waiting never declines");
+    assert_eq!(
+        stats.summaries_computed,
+        once.stats().summaries_computed,
+        "duplicates served without new work"
+    );
 }
 
 #[test]

@@ -16,7 +16,12 @@
 # row per pair: setup_s, peak_rss_mb and `correct, failed/attempted` of
 # each side; then the median, q1 and q3 of each metric per side, and in
 # how many pairs the working tree was lower (both metrics are
-# lower-is-better). Needs jq.
+# lower-is-better). Last, per metric, the no-regression verdict against
+# the metric's bound in BENCHMARK.json: the change's median relative to
+# the parent's, and `within` (inside the bound), `worse` (outside it) or
+# `unresolved` (the parent's quartile spread, relative to its median,
+# exceeds the bound, and not every change run beats every parent run).
+# Needs jq.
 set -eu
 usage="usage: scripts/bench_pairs.sh <parent-rev> <workload|all> [pairs=10] [seed=1]"
 rev=${1:?$usage}
@@ -51,13 +56,38 @@ run() {
 results=$(mktemp)
 trap 'rm -f "$results"' EXIT
 
-# stats COLUMN: "median q1 q3" of one column (linear interpolation).
+# stats COLUMN [DIGITS=3]: "median q1 q3" of one column (linear
+# interpolation), each printed with DIGITS decimals.
 stats() {
-    awk -v c="$1" '{ print $c }' "$results" | sort -g | awk '
+    awk -v c="$1" '{ print $c }' "$results" | sort -g | awk -v d="${2:-3}" '
         { v[NR] = $1 }
         function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h)
             return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
-        END { printf "%.3f %.3f %.3f", q(0.5), q(0.25), q(0.75) }'
+        END { printf "%.*f %.*f %.*f", d, q(0.5), d, q(0.25), d, q(0.75) }'
+}
+
+# verdict NAME PARENT_COLUMN CHANGE_COLUMN: one row of the no-regression
+# verdict table for the end-to-end metric NAME of BENCHMARK.json.
+verdict() {
+    spec=$(jq -r --arg m "$1" '.end_to_end[] | select(.name == $m) | "\(.bound) \(.better)"' \
+        BENCHMARK.json)
+    # shellcheck disable=SC2086 # splits "median q1 q3" and "bound better"
+    awk -v name="$1" -v a="$2" -v b="$3" -v p="$(stats "$2" 9)" -v c="$(stats "$3" 9)" \
+        -v spec="$spec" '
+        NR == 1 { pmin = pmax = $a; cmin = cmax = $b }
+        { if ($a < pmin) pmin = $a; if ($a > pmax) pmax = $a
+          if ($b < cmin) cmin = $b; if ($b > cmax) cmax = $b }
+        END {
+            split(p, ps, " "); split(c, cs, " "); split(spec, sp, " ")
+            bound = sp[1]; lower = sp[2] == "lower"
+            rel = cs[1] / ps[1] - 1
+            spread = (ps[3] - ps[2]) / ps[1]
+            beats = lower ? cmax < pmin : cmin > pmax
+            worse = lower ? rel > bound : rel < -bound
+            v = spread > bound && !beats ? "unresolved" : worse ? "worse" : "within"
+            printf "| %s | %+.1f%% | %s (%s is better) | %.1f%% | %s |\n",
+                name, 100 * rel, bound, sp[2], 100 * spread, v
+        }' "$results"
 }
 
 # pairs_of WORKLOAD: the alternating pairs of one workload and its tables.
@@ -96,6 +126,11 @@ pairs_of() {
             '{ printf "| %s | %s | %s / %s | %s | %s / %s | %d of %d |\n",
                name, $1, $2, $3, $4, $5, $6, won, n }'
     done
+    echo
+    echo "| metric | change median vs parent | bound | parent (q3 - q1) / median | verdict |"
+    echo "|---|---|---|---|---|"
+    verdict setup_s 2 7
+    verdict peak_rss_mb 3 8
 }
 
 if [ "$workload" = all ]; then
