@@ -671,7 +671,7 @@ fn io_loop(
         // Readiness events: the listener accepts, connections move bytes.
         for &ev in &events {
             match ev.token {
-                TOKEN_LISTENER if listener_rested.is_none() => {
+                TOKEN_LISTENER => {
                     let (accepted, failed) = accept_all(
                         &listener,
                         &mut slab,
@@ -687,7 +687,6 @@ fn io_loop(
                         listener_rested = Some(Instant::now());
                     }
                 }
-                TOKEN_LISTENER => {}
                 token => {
                     let idx = token - TOKEN_BASE;
                     if let Some(Some(conn)) = slab.get_mut(idx) {
