@@ -8,17 +8,53 @@
 //! Subcommands: `all`, `fig8`, `fig9`, `fig10`, `fig10e`, `fig10f`,
 //! `show-gds`, `show-ga`, `example45`, `snippet-baseline`,
 //! `datagraph-stats`, `ablations`, `calibrate`, `consecutive`,
-//! `wordbudget`, and `footprint` (one engine's resident memory stage by
-//! stage; not part of `all` — it measures a fresh process).
+//! `wordbudget`, and `footprint` (one engine's resident and live heap
+//! memory stage by stage; not part of `all` — it measures a fresh
+//! process).
 //!
 //! `--quick` switches to the small test databases (seconds instead of
 //! minutes); the default is the calibrated benchmark scale recorded in
 //! EXPERIMENTS.md.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use sizel_bench::{figures, Bench};
+
+/// The system allocator, keeping a count of the bytes live on the heap:
+/// `footprint` prints it beside `VmRSS`, which also counts freed heap
+/// the allocator has kept, so a saving in live bytes and one in
+/// allocator placement read apart.
+struct LiveCounting;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: delegates every operation to `System`; the counter is a relaxed
+// atomic with no allocation of its own.
+unsafe impl GlobalAlloc for LiveCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveCounting = LiveCounting;
 
 const USAGE: &str = "usage: repro <all|fig8|fig9|fig10|fig10e|fig10f|show-gds|show-ga|example45|snippet-baseline|datagraph-stats|ablations|calibrate|consecutive|wordbudget|footprint> [--quick]";
 
@@ -31,7 +67,7 @@ fn main() {
 
     if command == "footprint" {
         // Before any workbench exists: the report reads this process's RSS.
-        println!("{}", figures::footprint());
+        println!("{}", figures::footprint(|| LIVE_BYTES.load(Ordering::Relaxed)));
         return;
     }
 

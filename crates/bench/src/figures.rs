@@ -671,17 +671,19 @@ fn rss_mb() -> f64 {
     kb.unwrap_or(0.0) / 1024.0
 }
 
-/// Where one engine's resident bytes go: `VmRSS` after each stage of one
+/// Where one engine's resident bytes go: `VmRSS`, and beside it the
+/// bytes `live_bytes` reports live on the heap, after each stage of one
 /// `generate` + engine derivation over `DblpConfig::bench()` (the stages
 /// of `benches/build_stages.rs`; the rank solve's vector dropped after
 /// the install, as the engine drops it), then each table's rows and
 /// [`sizel_storage::Table::value_bytes`], and its index bytes by
 /// structure ([`sizel_storage::Table::index_bytes`]: PK slots, FK runs,
 /// forward arrays, the one score copy), and last what one
-/// rank solve gathers and drops ([`sizel_rank::solve_scratch_bytes`]).
-/// Run it in a fresh process (`repro footprint` builds no workbench
-/// first): freed heap the allocator keeps counts as resident.
-pub fn footprint() -> String {
+/// rank solve gathers and drops ([`sizel_rank::solve_scratch_bytes`]),
+/// then the live bytes one whole `SizeLEngine::build` keeps. Run it in a
+/// fresh process (`repro footprint` builds no workbench first): freed
+/// heap the allocator keeps counts as resident, never as live.
+pub fn footprint(live_bytes: fn() -> usize) -> String {
     use sizel_core::keyword::KeywordIndex;
     use sizel_datagen::dblp::{generate, DblpConfig};
     use sizel_graph::{DataGraph, SchemaGraph};
@@ -692,9 +694,15 @@ pub fn footprint() -> String {
     let mut out = String::from("## Footprint — one engine over DblpConfig::bench()\n\n");
     let mut stages = Vec::new();
     let mut last = rss_mb();
+    let live_mb = || live_bytes() as f64 / (1024.0 * 1024.0);
     let mut stage = |name: &str| {
         let now = rss_mb();
-        stages.push(vec![name.to_string(), format!("{now:.1}"), format!("{:+.1}", now - last)]);
+        stages.push(vec![
+            name.to_string(),
+            format!("{now:.1}"),
+            format!("{:+.1}", now - last),
+            format!("{:.2}", live_mb()),
+        ]);
         last = now;
     };
     stage("process start");
@@ -714,7 +722,7 @@ pub fn footprint() -> String {
     let kw = KeywordIndex::build(&db, &ds);
     stage("keyword index");
     std::hint::black_box(&kw);
-    out.push_str(&markdown_table(&["after", "VmRSS MB", "delta MB"], &stages));
+    out.push_str(&markdown_table(&["after", "VmRSS MB", "delta MB", "live MB"], &stages));
 
     let tables: Vec<Vec<String>> = db
         .tables()
@@ -762,8 +770,22 @@ pub fn footprint() -> String {
         &["gathered and dropped", "transfer lists MB", "iteration vectors MB", "MB"],
         &[solve],
     ));
-    out.push('\n');
-    out.push_str(&summary_cache_footprint());
+
+    let before = live_mb();
+    let engine = sizel_core::engine::SizeLEngine::build(
+        generate(&DblpConfig::bench()).db,
+        |db, sg, dg| dblp_ga(GaPreset::Ga1, db, sg, dg),
+        sizel_core::engine::EngineConfig::new(vec![
+            ("Author".into(), sizel_graph::presets::dblp_author_gds_config()),
+            ("Paper".into(), sizel_graph::presets::dblp_paper_gds_config()),
+        ]),
+    )
+    .expect("the bench-scale DBLP database builds an engine");
+    out.push_str(&format!(
+        "\none engine (`SizeLEngine::build`) holds {:.2} MB live\n\n",
+        live_mb() - before
+    ));
+    out.push_str(&summary_cache_footprint(&engine));
     out
 }
 
@@ -778,23 +800,14 @@ pub fn footprint() -> String {
 /// summary dropped at once — has grown the engine's pooled arenas. Heap
 /// the process freed earlier and the holding pass reuses does not show in
 /// the delta.
-fn summary_cache_footprint() -> String {
+fn summary_cache_footprint(engine: &sizel_core::engine::SizeLEngine) -> String {
     use std::sync::Arc;
 
-    use sizel_core::engine::{EngineConfig, QueryOptions, SizeLEngine};
+    use sizel_core::engine::QueryOptions;
     use sizel_core::os::PackedNode;
     use sizel_storage::{text, Epoch};
     use sizel_util::prng::Prng;
 
-    let engine = SizeLEngine::build(
-        sizel_datagen::dblp::generate(&sizel_datagen::dblp::DblpConfig::bench()).db,
-        |db, sg, dg| sizel_rank::dblp_ga(sizel_rank::GaPreset::Ga1, db, sg, dg),
-        EngineConfig::new(vec![
-            ("Author".into(), sizel_graph::presets::dblp_author_gds_config()),
-            ("Paper".into(), sizel_graph::presets::dblp_paper_gds_config()),
-        ]),
-    )
-    .expect("the bench-scale DBLP database builds an engine");
     // The benchmark's vocabulary: every token of three characters or more
     // in the searchable columns, sorted.
     let db = engine.db();

@@ -5,8 +5,9 @@
 //!
 //! * typed tuples ([`value::Value`]) and table schemas with single-column
 //!   integer primary keys and foreign keys ([`schema`]),
-//! * tables of typed columns — eight bytes an `Int` or `Float` cell, a
-//!   boxed string a `Text` cell, NULLs in a lazily allocated bitmap —
+//! * tables of typed columns — `Int` cells at four bytes until a value
+//!   outside `i32` widens them to eight, one string arena a `Text`
+//!   column, NULLs in a lazily allocated bitmap —
 //!   with a slot index on the primary key, and the runs and forward
 //!   array of every foreign-key column ([`table::Table`]), maintained by
 //!   every row operation,

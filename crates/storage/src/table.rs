@@ -640,8 +640,8 @@ impl Table {
         self.fk_runs.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
     }
 
-    /// Bytes the stored cells occupy: every column at its vector
-    /// capacity, plus the bytes of its texts.
+    /// Bytes the stored cells occupy: every column's cell, span, text
+    /// arena and NULL-bitmap vectors at their capacity.
     pub fn value_bytes(&self) -> usize {
         self.columns.iter().map(Column::value_bytes).sum()
     }
@@ -759,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn an_int_row_costs_eight_bytes_a_cell() {
+    fn an_int_row_costs_four_bytes_a_cell() {
         let schema = TableSchema::builder("J").pk("id").fk("a", "A").fk("b", "B").build().unwrap();
         let mut t = Table::new(schema);
         let n = 1000;
@@ -767,14 +767,28 @@ mod tests {
             t.insert(vec![Value::Int(i), Value::Int(i % 7), Value::Int(i % 11)]).unwrap();
         }
         t.shrink_to_fit();
-        assert_eq!(t.value_bytes(), 24 * n as usize);
+        assert_eq!(t.value_bytes(), 12 * n as usize);
         // The first NULL allocates that column's bitmap: words up to the
         // NULL, not one per row.
         t.update(0, vec![Value::Int(0), Value::Null, Value::Int(0)]).unwrap();
-        let bitmap = t.value_bytes() - 24 * n as usize;
+        let bitmap = t.value_bytes() - 12 * n as usize;
         assert!((8..=64).contains(&bitmap), "{bitmap} bytes for one NULL in row 0");
         assert_eq!(t.value(RowId(0), 1), Value::Null);
         assert_eq!(t.value(RowId(1), 1), Value::Int(1));
+        // One value outside `i32` widens its column, and only it, to
+        // eight bytes a cell (beside one bitmap word once shrunk); every
+        // other cell reads back as it was.
+        t.update(1, vec![Value::Int(1), Value::Int(1), Value::Int(i64::MAX)]).unwrap();
+        t.shrink_to_fit();
+        assert_eq!(t.value_bytes(), 16 * n as usize + 8);
+        assert_eq!(t.value(RowId(0), 1), Value::Null);
+        assert_eq!(t.value(RowId(1), 2), Value::Int(i64::MAX));
+        for i in (0..n).filter(|&i| i != 1) {
+            assert_eq!(t.value(RowId(i as u32), 2), Value::Int(i % 11));
+        }
+        for i in 0..n {
+            assert_eq!(t.by_pk(i), Some(RowId(i as u32)));
+        }
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! Primary keys come from one of the key families the hasher is held to
 //! (`hash.rs`), negatives and the `i64` extremes included, and a
 //! delete → re-insert churn op reuses them, so the PK slot index probes
-//! through clustered, emptied and refilled runs.
+//! through clustered, emptied and refilled runs. A wide op writes a value
+//! outside `i32` into a column that held only narrow values and NULLs,
+//! widening it mid-stream, and a text churn op rewrites one text cell
+//! many times over; after every step the table's cell bytes stay within
+//! a bound that only a text arena which repacks its garbage can meet.
 
 use proptest::prelude::*;
 
@@ -19,6 +23,8 @@ use sizel_storage::{Database, RowId, TableSchema, Value, ValueType};
 const N_REFS: i64 = 4;
 const N_PKS: i64 = 16;
 const N_FAMILIES: u8 = 6;
+/// Rewrites of one text cell per text churn op.
+const CHURN: usize = 64;
 
 /// The `i`-th primary key of a key family: keys varying only in their
 /// high bits, negatives, and the two ends of `i64`.
@@ -62,7 +68,7 @@ type Slot = (bool, Vec<Value>);
 type Op = (u8, i64, u8, i64, f64, (usize, i64));
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..9, 0..N_PKS, 0u8..16, -5i64..5, -1e3..1e3f64, (0usize..6, 0..N_REFS))
+    (0u8..11, 0..N_PKS, 0u8..16, -5i64..5, -1e3..1e3f64, (0usize..6, 0..N_REFS))
 }
 
 fn row_of(&(_, pk, nulls, n, x, (len, fk)): &Op, family: u8) -> Vec<Value> {
@@ -139,6 +145,35 @@ proptest! {
                     prop_assert!(db.insert("T", values.clone()).is_ok());
                     model.push((true, values));
                 }
+                // A value outside `i32` into `n`, which holds only
+                // narrow values and NULLs until the first such write.
+                9 => {
+                    let mut values = values;
+                    let n = o.3;
+                    values[1] = Value::Int(if n < 0 { i64::MIN - n } else { i64::MAX - n });
+                    match slot {
+                        Some(i) => {
+                            prop_assert!(db.update("T", pk, values.clone()).is_ok());
+                            model[i].1 = values;
+                        }
+                        None => {
+                            prop_assert!(db.insert("T", values.clone()).is_ok());
+                            model.push((true, values));
+                        }
+                    }
+                }
+                // Text churn: one cell rewritten many times over, each
+                // write leaving the old text's bytes behind in the arena.
+                10 => {
+                    if let Some(i) = slot {
+                        let mut values = values;
+                        for j in 0..CHURN {
+                            values[3] = Value::Text("é".repeat((o.5 .0 + j) % 6));
+                            prop_assert!(db.update("T", pk, values.clone()).is_ok());
+                        }
+                        model[i].1 = values;
+                    }
+                }
                 // Malformed rows: short, and mistyped in the last column
                 // after four good cells. Neither write may leave a trace.
                 _ => {
@@ -153,6 +188,19 @@ proptest! {
 
             let t = db.table(tid);
             prop_assert_eq!(t.len(), model.len());
+            // Cell bytes: eight a slot per column (spans included), the
+            // NULL bitmaps, and twice the texts every slot — tombstones
+            // too — holds; doubled for push slack, plus minimum capacities.
+            let text: usize =
+                model.iter().map(|(_, v)| v[3].as_str().map_or(0, str::len)).sum();
+            let tight = 5 * 8 * model.len() + 4 * 8 * model.len().div_ceil(64) + 2 * text;
+            prop_assert!(
+                t.value_bytes() <= 2 * tight + 512,
+                "{} cell bytes over {} slots holding {} text bytes",
+                t.value_bytes(),
+                model.len(),
+                text
+            );
             prop_assert_eq!(t.live_len(), model.iter().filter(|(live, _)| *live).count());
             for (i, (live, values)) in model.iter().enumerate() {
                 let r = RowId(i as u32);
