@@ -8,7 +8,9 @@
 //! functions `SizeLEngine::build` calls, in the order it calls them, plus
 //! the whole build — so a set-up optimisation is aimed at a stage this
 //! table says is dear, and `engine_build` minus the stages is what is
-//! still unnamed.
+//! still unnamed. `resolve` is the tail of `generate`: the bulk build of
+//! every FK run and forward array after the load's plain inserts, timed
+//! over the same rows freshly loaded again.
 //!
 //! ```sh
 //! cargo bench -p sizel-bench --bench build_stages
@@ -22,6 +24,24 @@ use sizel_core::keyword::KeywordIndex;
 use sizel_datagen::dblp::{generate, DblpConfig};
 use sizel_graph::{presets, DataGraph, Gds, SchemaGraph};
 use sizel_rank::{compute, dblp_ga, install_importance_order, GaPreset};
+use sizel_storage::Database;
+
+/// `db`'s live rows loaded by plain inserts into a fresh catalog, each
+/// table reserved first as `generate` does: a load whose FK runs and
+/// forward arrays are not built yet.
+fn reload(db: &Database) -> Database {
+    let mut fresh = Database::new();
+    for (_, t) in db.tables() {
+        fresh.create_table(t.schema.clone()).expect("a valid schema");
+    }
+    for (tid, t) in db.tables() {
+        fresh.reserve_rows(tid, t.live_len());
+        for r in t.live_rows() {
+            fresh.insert_into(tid, t.row(r)).expect("a loaded row");
+        }
+    }
+    fresh
+}
 
 /// The engine setting of the benchmark's stack: Author and Paper as DS
 /// relations under GA1.
@@ -44,6 +64,17 @@ fn build_stages(c: &mut Criterion) {
     group.bench_function("generate", |b| b.iter(|| generate(&db_cfg)));
 
     let mut db = generate(&db_cfg).db;
+    group.bench_function("resolve", |b| {
+        b.iter_batched(
+            || reload(&db),
+            |mut fresh| {
+                fresh.resolve_forward();
+                fresh
+            },
+            BatchSize::PerIteration,
+        )
+    });
+
     group.bench_function("validate_foreign_keys", |b| {
         b.iter(|| db.validate_foreign_keys().expect("generated FKs are consistent"))
     });

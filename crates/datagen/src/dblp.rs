@@ -204,7 +204,10 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         ["Conference", "Year", "Paper", "Author", "AuthorPaper", "Citation"]
             .map(|name| db.table_id(name).expect("schema"));
 
+    // Every table's row count is known before it loads: each is
+    // reserved once, so the load leaves no push-doubling slack behind.
     // --- Conferences -----------------------------------------------------
+    db.reserve_rows(conference, cfg.conferences);
     for c in 0..cfg.conferences {
         let name = if c < names::CONFERENCES.len() {
             names::CONFERENCES[c].to_owned()
@@ -220,6 +223,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
     let first_year = cfg.last_year - cfg.years_per_conference as i64 + 1;
     let mut year_ids: Vec<Vec<i64>> = Vec::with_capacity(cfg.conferences);
     let mut year_pk = 0i64;
+    db.reserve_rows(year, cfg.conferences * cfg.years_per_conference);
     for c in 0..cfg.conferences {
         let mut ids = Vec::with_capacity(cfg.years_per_conference);
         for k in 0..cfg.years_per_conference {
@@ -242,6 +246,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
     let mut used_names: HashSet<String> = HashSet::new();
     let mut famous = Vec::with_capacity(cfg.famous.len());
     let mut name_rng = rng.fork(0xA07);
+    db.reserve_rows(author, cfg.authors + cfg.famous.len());
     for a in 0..cfg.authors {
         let mut name =
             format!("{} {}", name_rng.pick(names::FIRST_NAMES), name_rng.pick(names::LAST_NAMES));
@@ -281,6 +286,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
     let mut paper_authors: Vec<Vec<i64>> = Vec::with_capacity(cfg.papers + 1);
     let mut author_links: Vec<(i64, i64)> = Vec::new(); // (author_pk, paper_pk)
     let total_papers = cfg.papers + usize::from(cfg.link_famous_triple && cfg.famous.len() >= 3);
+    db.reserve_rows(paper, total_papers);
 
     for p in 0..cfg.papers {
         let pk = p as i64 + 1;
@@ -369,6 +375,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
     }
 
     let mut link_pk = 0i64;
+    db.reserve_rows(author_paper, author_links.len());
     for (a, p) in author_links {
         link_pk += 1;
         db.insert_into(author_paper, vec![Value::Int(link_pk), Value::Int(a), Value::Int(p)])
@@ -385,7 +392,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
     };
     let cite_dist = Zipf::new(total_papers.max(1), cfg.citation_zipf);
     let mut cite_rng = rng.fork(0xC17E);
-    let mut cite_pk = 0i64;
+    let mut citation_links: Vec<(i64, i64)> = Vec::new(); // (citing pk, cited pk)
     for p in 1..=total_papers as i64 {
         let draw = (1.0 - cite_rng.f64()).max(f64::MIN_POSITIVE);
         let count = ((-cfg.citations_per_paper_mean * draw.ln()) as usize).min(30);
@@ -398,16 +405,19 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
                 cited.push(q);
             }
         }
-        for q in cited {
-            cite_pk += 1;
-            db.insert_into(citation, vec![Value::Int(cite_pk), Value::Int(p), Value::Int(q)])
-                .expect("citation insert");
-        }
+        citation_links.extend(cited.into_iter().map(|q| (p, q)));
+    }
+    let mut cite_pk = 0i64;
+    db.reserve_rows(citation, citation_links.len());
+    for (p, q) in citation_links {
+        cite_pk += 1;
+        db.insert_into(citation, vec![Value::Int(cite_pk), Value::Int(p), Value::Int(q)])
+            .expect("citation insert");
     }
 
-    // The loader's plain inserts probed no parents: resolve every
-    // forward array once, per distinct key, for readers of the raw
-    // database.
+    // The loader's plain inserts built no run and probed no parent:
+    // build every FK run and resolve every forward array once, for
+    // readers of the raw database.
     db.resolve_forward();
     Dblp { db, author, paper, author_paper, citation, year, conference, famous }
 }

@@ -338,9 +338,9 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
         }
     }
 
-    // The loader's plain inserts probed no parents: resolve every
-    // forward array once, per distinct key, for readers of the raw
-    // database.
+    // The loader's plain inserts built no run and probed no parent:
+    // build every FK run and resolve every forward array once, for
+    // readers of the raw database.
     db.resolve_forward();
     Tpch { db, customer, supplier, orders, lineitem, partsupp, part, nation, region }
 }

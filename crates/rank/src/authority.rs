@@ -128,23 +128,26 @@ impl AuthorityGraph {
         !self.value_fns.is_empty()
     }
 
-    /// Computes per-node value multipliers over the whole database:
-    /// 1.0 everywhere except tuples covered by a value function, which get
-    /// `|v| / mean(|v|)` capped at `cap`.
-    pub fn value_multipliers(&self, db: &Database, dg: &DataGraph) -> Vec<f64> {
-        let mut m = vec![1.0; dg.n_nodes()];
+    /// Computes value multipliers into `len` slots, each table's rows at
+    /// the slot `start` places its first row (a table it places nowhere
+    /// gets none): 1.0 everywhere except tuples covered by a value
+    /// function, which get `|v| / mean(|v|)` capped at `cap`.
+    pub fn value_multipliers(
+        &self,
+        db: &Database,
+        len: usize,
+        start: impl Fn(TableId) -> Option<usize>,
+    ) -> Vec<f64> {
+        let mut m = vec![1.0; len];
         for vf in &self.value_fns {
             let table = db.table(vf.table);
-            if table.is_empty() {
-                continue;
-            }
+            let Some(base) = start(vf.table).filter(|_| !table.is_empty()) else { continue };
             let abs = |rid| table.value(rid, vf.column).as_f64().unwrap_or(0.0).abs();
             let sum: f64 = table.live_rows().map(abs).sum();
             let mean = sum / table.len() as f64;
             if mean <= 0.0 {
                 continue;
             }
-            let base = dg.table_start(vf.table) as usize;
             for rid in table.live_rows() {
                 m[base + rid.index()] = (abs(rid) / mean).min(vf.cap);
             }
@@ -201,7 +204,7 @@ mod tests {
         let mut ga = AuthorityGraph::zero("GA1", &sg, &dg);
         // Use Year.year as a dummy numeric column.
         ga.add_value_fn(&d.db, "Year", "year", 1.5);
-        let m = ga.value_multipliers(&d.db, &dg);
+        let m = ga.value_multipliers(&d.db, dg.n_nodes(), |t| Some(dg.table_start(t) as usize));
         assert_eq!(m.len(), dg.n_nodes());
         let base = dg.table_start(d.year) as usize;
         let years = d.db.table(d.year).len();

@@ -17,6 +17,22 @@
 //! What a solve returns, [`RankScores`], is installed into the tables
 //! ([`install_importance_order`]) and dropped: each table's installed
 //! score snapshot is the one copy of the scores the engine keeps.
+//!
+//! **Rated tables.** A solve's vectors — current and next iterate,
+//! emission scales, value multipliers, and the scores it returns — hold
+//! a slot per row of the *rated* tables only: those an edge or link its
+//! GA rates above zero touches, packed table after table in node order
+//! (`Layout`). A row of any other table (under DBLP's GA1, every junction
+//! row) neither receives a transfer nor emits one, so every such row
+//! holds one closed-form scalar: `1/n` before sweep 1 and `base` after
+//! each sweep — in [`reiterate`], `(1−c)·base + c·base` once calibrated.
+//! The scores stay bit-identical to a dense solve's: a sweep writes the
+//! same value to every slot, and each reduction over all nodes (the L1
+//! delta, the mean-1 sum, the re-iteration's retained mass) adds the
+//! same terms in node order, folding an unrated table's scalar in once
+//! per row where its table lies. A sum that starts at `+0.0` is left as
+//! it was by a `+0.0` term, so a zero scalar term is skipped: after
+//! sweep 1 (sweep 2 in [`reiterate`]) the sweeps touch rated slots only.
 
 use sizel_storage::{Database, FkOrderToken, RowId, TableId, TupleRef, Value};
 
@@ -58,8 +74,11 @@ impl RankConfig {
 /// One solve's global importance for every tuple, scaled to mean 1.
 #[derive(Clone, Debug)]
 pub struct RankScores {
-    /// Dense scores indexed by the solve's data-graph [`NodeId`].
-    pub scores: Vec<f64>,
+    /// A slot per row of the rated tables (see the module docs).
+    scores: Vec<f64>,
+    /// The score every row of an unrated table holds.
+    unrated: f64,
+    layout: Layout,
     /// Iterations performed.
     pub iterations: u32,
     /// Whether the L1 delta dropped below epsilon.
@@ -70,9 +89,18 @@ pub struct RankScores {
 }
 
 impl RankScores {
-    /// The global importance of a node.
+    /// The global importance of a node of the solve's data graph.
     pub fn global(&self, node: NodeId) -> f64 {
-        self.scores[node.index()]
+        // The last table starting at or before `node` holds it: an empty
+        // table sharing its start comes before it.
+        let t = self.layout.tables.partition_point(|t| t.node <= node.0) - 1;
+        self.global_in(TableId(t as u16), node)
+    }
+
+    /// The global importance of `node`, a node of table `t`.
+    fn global_in(&self, t: TableId, node: NodeId) -> f64 {
+        let t = &self.layout.tables[t.index()];
+        t.slot.map_or(self.unrated, |s| self.scores[(s + node.0 - t.node) as usize])
     }
 
     /// The per-table maximum global importance.
@@ -96,7 +124,7 @@ pub fn install_importance_order(
     dg: &DataGraph,
     scores: &RankScores,
 ) -> FkOrderToken {
-    db.install_importance_order(&|t, r| scores.global(dg.node_id(TupleRef::new(t, r))))
+    db.install_importance_order(&|t, r| scores.global_in(t, dg.node_id(TupleRef::new(t, r))))
 }
 
 /// Estimates the global importance of a row *about to be appended* to
@@ -239,7 +267,7 @@ struct Unit {
 }
 
 impl Unit {
-    /// Counting-sorts `(source row, target node)` pairs over the rows of
+    /// Counting-sorts `(source row, target slot)` pairs over the rows of
     /// `source`. `pairs` is walked twice, to count and to place, so each
     /// source row keeps its targets in the pairs' order.
     fn gather<I: Iterator<Item = (usize, u32)>>(
@@ -274,7 +302,7 @@ impl Unit {
     /// Adds the unit's rate to the outgoing total of each source row that
     /// has a target.
     fn emit(&self, sw: &Sweep, out: &mut [f64]) {
-        let start = sw.dg.table_start(self.source) as usize;
+        let start = sw.layout.start(self.source);
         for rid in sw.db.table(self.source).live_rows() {
             if !self.targets(rid).is_empty() {
                 let u = start + rid.index();
@@ -285,7 +313,7 @@ impl Unit {
 
     /// Pushes each source row's share of `cur` to its targets.
     fn push(&self, sw: &Sweep, d: f64, cur: &[f64], next: &mut [f64]) {
-        let start = sw.dg.table_start(self.source) as usize;
+        let start = sw.layout.start(self.source);
         for rid in sw.db.table(self.source).live_rows() {
             let list = self.targets(rid);
             if list.is_empty() {
@@ -306,8 +334,11 @@ impl Unit {
 /// per sweep, so a solve transposes the forward arrays once instead —
 /// (child -> parent) into parent -> children per backward edge, (junction
 /// row -> both ends) into source -> targets per link — for the units its
-/// GA rates, and drops them when it returns. Lists keep row order, so
-/// every node receives its adds in the same sequence on every solve.
+/// GA rates, and drops them when it returns. A unit's sources and
+/// targets lie in rated tables, so each list names its targets by their
+/// slot in the solve's vectors (`Layout`), not by node id. Lists keep
+/// row order, so every node receives its adds in the same sequence on
+/// every solve.
 struct Transfers {
     /// Indexed by schema edge; `Some` where the backward rate is positive.
     bwd: Vec<Option<Unit>>,
@@ -316,14 +347,20 @@ struct Transfers {
 }
 
 impl Transfers {
-    fn gather(db: &Database, sg: &SchemaGraph, dg: &DataGraph, ga: &AuthorityGraph) -> Self {
+    fn gather(
+        db: &Database,
+        sg: &SchemaGraph,
+        dg: &DataGraph,
+        ga: &AuthorityGraph,
+        layout: &Layout,
+    ) -> Self {
         let bwd = sg
             .edges()
             .iter()
             .map(|e| {
                 let rate = ga.edge_rates[e.id.index()].backward;
                 (rate > 0.0).then(|| {
-                    let (from, from_start) = (db.table(e.from), dg.table_start(e.from));
+                    let (from, from_start) = (db.table(e.from), layout.start(e.from) as u32);
                     let fwd = from.forward(e.fk_col);
                     Unit::gather(db, e.to, rate, || {
                         from.live_rows()
@@ -338,7 +375,7 @@ impl Transfers {
             .zip(&ga.link_rates)
             .filter(|&(_, &rate)| rate > 0.0)
             .map(|(l, &rate)| {
-                let (jt, to_start) = (db.table(l.junction), dg.table_start(l.to_table));
+                let (jt, to_start) = (db.table(l.junction), layout.start(l.to_table) as u32);
                 let (a, b) =
                     (jt.forward(sg.edge(l.e_from).fk_col), jt.forward(sg.edge(l.e_to).fk_col));
                 Unit::gather(db, l.from_table, rate, || {
@@ -357,10 +394,10 @@ impl Transfers {
 }
 
 /// Bytes one solve under `ga` gathers and drops before it returns — the
-/// transfer lists (see `Transfers`) and the dense vectors its sweeps hold
-/// (emission scales, current and next iterate, and value multipliers
-/// where the GA has value functions) — reported for the footprint, never
-/// kept.
+/// transfer lists (see `Transfers`) and the vectors its sweeps hold, a
+/// slot per row of the rated tables each (emission scales, current and
+/// next iterate, and value multipliers where the GA has value
+/// functions) — reported for the footprint, never kept.
 pub fn solve_scratch_bytes(
     db: &Database,
     sg: &SchemaGraph,
@@ -368,24 +405,103 @@ pub fn solve_scratch_bytes(
     ga: &AuthorityGraph,
 ) -> [(&'static str, usize); 2] {
     let sw = Sweep::new(db, sg, dg, ga);
-    let vectors = (3 * dg.n_nodes() + sw.m.len()) * std::mem::size_of::<f64>();
+    let vectors = (3 * sw.layout.slots + sw.m.len()) * std::mem::size_of::<f64>();
     [("transfer lists", sw.tr.bytes()), ("iteration vectors", vectors)]
 }
 
-/// What every sweep of one solve reads: the tables, numbered by `dg`, the
-/// GA's rates, the transfer lists, and two per-node vectors — shared by
-/// [`compute`] and [`reiterate`] so their sweeps are float-identical.
+/// One table's place in a solve: its first node id, its row slots, and
+/// its first slot in the solve's vectors — `None` for an unrated table.
+#[derive(Clone, Copy, Debug)]
+struct TableSlots {
+    node: u32,
+    len: u32,
+    slot: Option<u32>,
+}
+
+/// Where a solve keeps each table's scores (see the module docs): a slot
+/// per row of every rated table, table after table in node order.
+#[derive(Clone, Debug)]
+struct Layout {
+    /// In catalog (node) order.
+    tables: Vec<TableSlots>,
+    /// Slots over the rated tables.
+    slots: usize,
+}
+
+impl Layout {
+    /// Rates the tables an edge or link `ga` rates above zero touches.
+    fn new(db: &Database, sg: &SchemaGraph, dg: &DataGraph, ga: &AuthorityGraph) -> Self {
+        let mut rated = vec![false; db.table_count()];
+        for e in sg.edges() {
+            let r = ga.edge_rates[e.id.index()];
+            if r.forward > 0.0 || r.backward > 0.0 {
+                rated[e.from.index()] = true;
+                rated[e.to.index()] = true;
+            }
+        }
+        for (l, &rate) in dg.links().iter().zip(&ga.link_rates) {
+            if rate > 0.0 {
+                rated[l.from_table.index()] = true;
+                rated[l.to_table.index()] = true;
+            }
+        }
+        let mut slots = 0;
+        let tables = db
+            .tables()
+            .map(|(tid, t)| {
+                let len = t.len() as u32;
+                let slot = rated[tid.index()].then(|| {
+                    slots += len;
+                    slots - len
+                });
+                TableSlots { node: dg.table_start(tid), len, slot }
+            })
+            .collect();
+        Layout { tables, slots: slots as usize }
+    }
+
+    /// The first slot of table `t`, if rated.
+    fn slot(&self, t: TableId) -> Option<usize> {
+        self.tables[t.index()].slot.map(|s| s as usize)
+    }
+
+    /// The first slot of a rated table.
+    fn start(&self, t: TableId) -> usize {
+        self.slot(t).expect("transfers touch rated tables only")
+    }
+
+    /// Σ over every node, in node order: `slot(i)` for each slot of a
+    /// rated table, `unrated` once per row of any other table — skipped
+    /// when zero, since a sum that starts at `+0.0` never turns `-0.0`
+    /// and adding a zero to it changes no bit.
+    fn sum(&self, unrated: f64, slot: impl Fn(usize) -> f64) -> f64 {
+        let mut sum = 0.0;
+        for t in &self.tables {
+            match t.slot {
+                Some(s) => (s..s + t.len).for_each(|i| sum += slot(i as usize)),
+                None if unrated != 0.0 => (0..t.len).for_each(|_| sum += unrated),
+                None => {}
+            }
+        }
+        sum
+    }
+}
+
+/// What every sweep of one solve reads: the tables, the GA's rates, the
+/// slot layout of the rated tables, the transfer lists, and two per-slot
+/// vectors — shared by [`compute`] and [`reiterate`] so their sweeps are
+/// float-identical.
 struct Sweep<'a> {
     db: &'a Database,
     sg: &'a SchemaGraph,
-    dg: &'a DataGraph,
     ga: &'a AuthorityGraph,
+    layout: Layout,
     tr: Transfers,
-    /// Per-node value multipliers; empty when the GA has no value
+    /// Per-slot value multipliers; empty when the GA has no value
     /// function, every multiplier then being 1 (multiplying by it is
     /// exact, so skipping it changes no bit).
     m: Vec<f64>,
-    /// Per-node emission scale capping total outgoing authority at 1.
+    /// Per-slot emission scale capping total outgoing authority at 1.
     scale: Vec<f64>,
 }
 
@@ -396,9 +512,14 @@ impl<'a> Sweep<'a> {
         dg: &'a DataGraph,
         ga: &'a AuthorityGraph,
     ) -> Self {
-        let m = if ga.is_value_rank() { ga.value_multipliers(db, dg) } else { Vec::new() };
-        let tr = Transfers::gather(db, sg, dg, ga);
-        let mut sw = Sweep { db, sg, dg, ga, tr, m, scale: Vec::new() };
+        let layout = Layout::new(db, sg, dg, ga);
+        let m = if ga.is_value_rank() {
+            ga.value_multipliers(db, layout.slots, |t| layout.slot(t))
+        } else {
+            Vec::new()
+        };
+        let tr = Transfers::gather(db, sg, dg, ga, &layout);
+        let mut sw = Sweep { db, sg, ga, layout, tr, m, scale: Vec::new() };
         sw.scale = sw.emission_scales();
         sw
     }
@@ -412,14 +533,14 @@ impl<'a> Sweep<'a> {
     }
 
     fn emission_scales(&self) -> Vec<f64> {
-        // Per-node total outgoing rate (including value multipliers), used
+        // Per-slot total outgoing rate (including value multipliers), used
         // to cap emission at 1.
-        let (db, dg) = (self.db, self.dg);
-        let mut out = vec![0.0f64; dg.n_nodes()];
+        let db = self.db;
+        let mut out = vec![0.0f64; self.layout.slots];
         for e in self.sg.edges() {
             let forward = self.ga.edge_rates[e.id.index()].forward;
             if forward > 0.0 {
-                let (from, from_start) = (db.table(e.from), dg.table_start(e.from) as usize);
+                let (from, from_start) = (db.table(e.from), self.layout.start(e.from));
                 let fwd = from.forward(e.fk_col);
                 for rid in from.live_rows() {
                     if fwd.get(rid).is_some() {
@@ -440,15 +561,16 @@ impl<'a> Sweep<'a> {
         out
     }
 
-    /// One power sweep: `next = base + d · transfer(cur)`.
+    /// One power sweep over the rated slots: `next = base + d ·
+    /// transfer(cur)`. Every unrated row's next value is `base`.
     fn once(&self, d: f64, base: f64, cur: &[f64], next: &mut [f64]) {
         next.iter_mut().for_each(|v| *v = base);
-        let (db, dg) = (self.db, self.dg);
+        let db = self.db;
         for e in self.sg.edges() {
             let forward = self.ga.edge_rates[e.id.index()].forward;
             if forward > 0.0 {
-                let (from, from_start) = (db.table(e.from), dg.table_start(e.from) as usize);
-                let (fwd, to_start) = (from.forward(e.fk_col), dg.table_start(e.to) as usize);
+                let (from, from_start) = (db.table(e.from), self.layout.start(e.from));
+                let (fwd, to_start) = (from.forward(e.fk_col), self.layout.start(e.to));
                 for rid in from.live_rows() {
                     if let Some(t) = fwd.get(rid) {
                         let u = from_start + rid.index();
@@ -467,38 +589,43 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Mean-1 normalization, optional log compression, and per-table maxima —
-/// the shared tail of [`compute`] and [`reiterate`].
+/// Mean-1 normalization over all `n` nodes, optional log compression,
+/// and per-table maxima — the shared tail of [`compute`] and
+/// [`reiterate`]. `unrated` is the value every unrated row holds.
 fn finalize_scores(
-    db: &Database,
-    dg: &DataGraph,
+    layout: Layout,
+    n: usize,
     cfg: &RankConfig,
     mut cur: Vec<f64>,
+    mut unrated: f64,
     iterations: u32,
     converged: bool,
 ) -> RankScores {
-    let n = cur.len();
     // Scale to mean 1 for readable local-importance numbers.
-    let sum: f64 = cur.iter().sum();
+    let sum = layout.sum(unrated, |i| cur[i]);
     if sum > 0.0 {
         let k = n as f64 / sum;
         cur.iter_mut().for_each(|v| *v *= k);
+        unrated *= k;
     }
     if cfg.log_compress {
         cur.iter_mut().for_each(|v| *v = 1.0 + (1.0 + *v).ln());
+        unrated = 1.0 + (1.0 + unrated).ln();
     }
 
-    let mut per_table_max = vec![0.0f64; db.table_count()];
-    for (tid, t) in db.tables() {
-        let start = dg.table_start(tid) as usize;
-        let mut mx = 0.0f64;
-        for i in 0..t.len() {
-            mx = mx.max(cur[start + i]);
-        }
-        per_table_max[tid.index()] = mx;
-    }
+    let per_table_max = layout
+        .tables
+        .iter()
+        .map(|t| match t.slot {
+            Some(s) => {
+                cur[s as usize..(s + t.len) as usize].iter().fold(0.0f64, |mx, &v| mx.max(v))
+            }
+            None if t.len > 0 => 0.0f64.max(unrated),
+            None => 0.0,
+        })
+        .collect();
 
-    RankScores { scores: cur, iterations, converged, per_table_max }
+    RankScores { scores: cur, unrated, layout, iterations, converged, per_table_max }
 }
 
 /// Runs the power iteration. See module docs for semantics.
@@ -516,23 +643,25 @@ pub fn compute(
     let sw = Sweep::new(db, sg, dg, ga);
     let d = cfg.damping;
     let base = (1.0 - d) / n as f64;
-    let mut cur = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
+    let mut cur = vec![1.0 / n as f64; sw.layout.slots];
+    let mut next = vec![0.0f64; sw.layout.slots];
+    let mut unrated = 1.0 / n as f64;
     let mut iterations = 0;
     let mut converged = false;
 
     while iterations < cfg.max_iterations {
         iterations += 1;
         sw.once(d, base, &cur, &mut next);
-        let delta: f64 = cur.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+        let delta = sw.layout.sum((unrated - base).abs(), |i| (cur[i] - next[i]).abs());
         std::mem::swap(&mut cur, &mut next);
+        unrated = base;
         if delta < cfg.epsilon {
             converged = true;
             break;
         }
     }
 
-    finalize_scores(db, dg, cfg, cur, iterations, converged)
+    finalize_scores(sw.layout, n, cfg, cur, unrated, iterations, converged)
 }
 
 /// Bounded rank re-iteration: a few power sweeps over the *mutated*
@@ -591,18 +720,26 @@ pub fn reiterate(
     // through the emission cap and reference-free nodes — so the seed must
     // also be rescaled to the fixed point's own magnitude, or the affine
     // base term pollutes every node with a shape-distorting offset that
-    // takes many sweeps to wash out.
-    let mut cur = Vec::with_capacity(n);
-    for (tid, t) in db.tables() {
-        cur.extend((0..t.len() as u32).map(|r| decompress(seed(TupleRef::new(tid, RowId(r))))));
+    // takes many sweeps to wash out. The sum covers every node, in node
+    // order; only the rated rows' seeds are kept, since no sweep reads an
+    // unrated row's value.
+    let mut cur = vec![0.0f64; sw.layout.slots];
+    let mut sum = 0.0;
+    for ((tid, t), slots) in db.tables().zip(&sw.layout.tables) {
+        for r in 0..t.len() as u32 {
+            let v = decompress(seed(TupleRef::new(tid, RowId(r))));
+            sum += v;
+            if let Some(s) = slots.slot {
+                cur[(s + r) as usize] = v;
+            }
+        }
     }
-    let sum: f64 = cur.iter().sum();
     if sum > 0.0 {
         cur.iter_mut().for_each(|v| *v /= sum);
     } else {
         cur.iter_mut().for_each(|v| *v = 1.0 / n as f64);
     }
-    let mut next = vec![0.0f64; n];
+    let mut next = vec![0.0f64; sw.layout.slots];
     // Calibration probe (doubles as sweep 1): for the sum-1 seed `g`,
     // `sweep(g) = base·1 + d·M g` measures the retained transfer mass
     // `r = Σ M g`; a fixed point of shape `c·g` must satisfy
@@ -610,26 +747,28 @@ pub fn reiterate(
     // the calibrated sweep without recomputation:
     // `sweep(c·g) = (1-c)·base·1 + c·sweep(g)`.
     sw.once(d, base, &cur, &mut next);
-    let retained = (next.iter().sum::<f64>() - (1.0 - d)) / d;
+    let retained = (sw.layout.sum(base, |i| next[i]) - (1.0 - d)) / d;
     let c = (1.0 - d) / (1.0 - d * retained).max(1.0 - d);
     for (v, &p) in cur.iter_mut().zip(next.iter()) {
         *v = (1.0 - c) * base + c * p;
     }
+    let mut unrated = (1.0 - c) * base + c * base;
     let mut iterations = 1;
     let mut converged = false;
 
     while iterations < sweeps {
         iterations += 1;
         sw.once(d, base, &cur, &mut next);
-        let delta: f64 = cur.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+        let delta = sw.layout.sum((unrated - base).abs(), |i| (cur[i] - next[i]).abs());
         std::mem::swap(&mut cur, &mut next);
+        unrated = base;
         if delta < cfg.epsilon {
             converged = true;
             break;
         }
     }
 
-    finalize_scores(db, dg, cfg, cur, iterations, converged)
+    finalize_scores(sw.layout, n, cfg, cur, unrated, iterations, converged)
 }
 
 #[cfg(test)]
@@ -646,6 +785,11 @@ mod tests {
         (d, sg, dg)
     }
 
+    /// Every node's score, in node order.
+    fn dense(r: &RankScores, dg: &DataGraph) -> Vec<f64> {
+        (0..dg.n_nodes() as u32).map(|i| r.global(NodeId(i))).collect()
+    }
+
     #[test]
     fn converges_and_normalizes() {
         let (d, sg, dg) = setup();
@@ -653,9 +797,10 @@ mod tests {
         let cfg = RankConfig { log_compress: false, ..RankConfig::default() };
         let r = compute(&d.db, &sg, &dg, &ga, &cfg);
         assert!(r.converged, "should converge within the cap");
-        let mean: f64 = r.scores.iter().sum::<f64>() / r.scores.len() as f64;
+        let scores = dense(&r, &dg);
+        let mean: f64 = scores.iter().sum::<f64>() / scores.len() as f64;
         assert!((mean - 1.0).abs() < 1e-9, "scores scaled to mean 1, got {mean}");
-        assert!(r.scores.iter().all(|&s| s >= 0.0));
+        assert!(scores.iter().all(|&s| s >= 0.0));
     }
 
     #[test]
@@ -670,10 +815,11 @@ mod tests {
             &RankConfig { log_compress: false, ..RankConfig::default() },
         );
         let log = compute(&d.db, &sg, &dg, &ga, &RankConfig::default());
+        let (raw, log) = (dense(&raw, &dg), dense(&log, &dg));
         // Pairwise order is preserved (monotone transform) ...
         for pair in [(0usize, 100usize), (5, 200), (17, 42)] {
-            let raw_ord = raw.scores[pair.0].total_cmp(&raw.scores[pair.1]);
-            let log_ord = log.scores[pair.0].total_cmp(&log.scores[pair.1]);
+            let raw_ord = raw[pair.0].total_cmp(&raw[pair.1]);
+            let log_ord = log[pair.0].total_cmp(&log[pair.1]);
             assert_eq!(raw_ord, log_ord);
         }
         // ... and the dynamic range shrinks.
@@ -682,7 +828,7 @@ mod tests {
             let mn = s.iter().cloned().fold(f64::MAX, f64::min);
             mx / mn.max(1e-12)
         };
-        assert!(range(&log.scores) < range(&raw.scores));
+        assert!(range(&log) < range(&raw));
     }
 
     #[test]
@@ -708,8 +854,9 @@ mod tests {
         }
         assert!(best.1 >= 3, "tiny dataset should still have a cited head");
         let start = dg.table_start(d.paper) as usize;
-        let top = r.scores[start + best.0];
-        let bottom = r.scores[start + uncited.expect("some uncited paper")];
+        let scores = dense(&r, &dg);
+        let top = scores[start + best.0];
+        let bottom = scores[start + uncited.expect("some uncited paper")];
         assert!(top > bottom, "well-cited paper should outrank uncited one ({top} vs {bottom})");
     }
 
@@ -718,9 +865,9 @@ mod tests {
         let (d, sg, dg) = setup();
         let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
         let spread = |damping: f64| {
-            let r = compute(&d.db, &sg, &dg, &ga, &RankConfig::with_damping(damping));
-            let max = r.scores.iter().cloned().fold(0.0, f64::max);
-            let min = r.scores.iter().cloned().fold(f64::MAX, f64::min);
+            let r = dense(&compute(&d.db, &sg, &dg, &ga, &RankConfig::with_damping(damping)), &dg);
+            let max = r.iter().cloned().fold(0.0, f64::max);
+            let min = r.iter().cloned().fold(f64::MAX, f64::min);
             max - min
         };
         assert!(spread(0.10) < spread(0.85), "d2 yields flatter importance than d1");
@@ -845,10 +992,10 @@ mod tests {
         let dg2 = DataGraph::build(&d.db, &sg);
         assert_eq!(dg2.n_nodes(), dg.n_nodes());
         let ga2 = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg2);
-        let exact = compute(&d.db, &sg, &dg2, &ga2, &cfg);
+        let exact = dense(&compute(&d.db, &sg, &dg2, &ga2, &cfg), &dg2);
         let rel_l1 = |r: &RankScores| {
-            let l1: f64 = r.scores.iter().zip(&exact.scores).map(|(a, b)| (a - b).abs()).sum();
-            l1 / exact.scores.iter().sum::<f64>()
+            let l1: f64 = dense(r, &dg2).iter().zip(&exact).map(|(a, b)| (a - b).abs()).sum();
+            l1 / exact.iter().sum::<f64>()
         };
 
         let seed = |t: TupleRef| stale.global(dg.node_id(t));
@@ -924,10 +1071,10 @@ mod tests {
         let r = compute(&d.db, &sg, &dg, &ga, &cfg);
         // Junction rows receive only the base (1-d)/n mass; they must rank
         // strictly below the average tuple.
-        let start = dg.table_start(d.author_paper) as usize;
-        let len = d.db.table(d.author_paper).len();
+        let start = dg.table_start(d.author_paper);
+        let len = d.db.table(d.author_paper).len() as u32;
         for i in 0..len {
-            assert!(r.scores[start + i] < 1.0, "junction rank should be sub-average");
+            assert!(r.global(NodeId(start + i)) < 1.0, "junction rank should be sub-average");
         }
     }
 }

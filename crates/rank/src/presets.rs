@@ -95,6 +95,7 @@ mod tests {
     use super::*;
     use crate::power::{compute, RankConfig};
     use sizel_datagen::tpch::{generate, TpchConfig};
+    use sizel_graph::NodeId;
 
     #[test]
     fn tpch_ga1_is_valuerank_ga2_is_not() {
@@ -144,7 +145,8 @@ mod tests {
             if high_total > 3.0 * low_total {
                 checked += 1;
                 assert!(
-                    r.scores[start + high_row] > r.scores[start + low_row],
+                    r.global(NodeId((start + high_row) as u32))
+                        > r.global(NodeId((start + low_row) as u32)),
                     "customer with {high_total:.0} should outrank {low_total:.0}"
                 );
             }

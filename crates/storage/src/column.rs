@@ -155,6 +155,17 @@ impl Column {
         }
     }
 
+    /// Makes room for `additional` more cells (a text column's spans, not
+    /// its bytes).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        match &mut self.cells {
+            Cells::Narrow(c) => c.reserve_exact(additional),
+            Cells::Wide(c) => c.reserve_exact(additional),
+            Cells::Float(c) => c.reserve_exact(additional),
+            Cells::Text(c) => c.spans.reserve_exact(additional),
+        }
+    }
+
     /// Releases push-doubling slack and a text arena's garbage.
     pub(crate) fn shrink_to_fit(&mut self) {
         match &mut self.cells {

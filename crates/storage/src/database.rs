@@ -150,6 +150,13 @@ impl Database {
         self.tables.iter().enumerate().map(|(i, t)| (TableId(i as u16), t))
     }
 
+    /// Makes room in table `id` for `n` more rows — its cells, liveness
+    /// flags and PK slots — so a loader that knows how many rows it is
+    /// about to insert loads them at exact size.
+    pub fn reserve_rows(&mut self, id: TableId, n: usize) {
+        self.tables[id.index()].reserve_rows(n);
+    }
+
     /// Inserts a row into a named table: [`Database::insert_into`] after
     /// a catalog lookup.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<RowId> {
@@ -193,10 +200,11 @@ impl Database {
     }
 
     /// The common tail of the plain mutations: `op` drops the table's
-    /// order and score snapshot. The table's forward arrays are left
-    /// unresolved, and so are those naming it when a row arrives or dies:
-    /// a loader pays no parent probe per row, and
-    /// [`Database::resolve_forward`] re-resolves them in bulk. Bumps the
+    /// order and score snapshot and leaves its FK runs unbuilt and its
+    /// forward arrays unresolved, and the forward arrays naming it are
+    /// left unresolved when a row arrives or dies: a loader maintains no
+    /// run and probes no parent per row, and
+    /// [`Database::resolve_forward`] builds both in bulk. Bumps the
     /// global epoch.
     fn plain(
         &mut self,
@@ -255,7 +263,8 @@ impl Database {
     /// Releases the push-doubling slack of every table's columns, flags,
     /// score snapshot and FK-run arenas once loading has ended,
     /// and sizes every PK index for its live rows. Changes nothing
-    /// observable.
+    /// observable. The runs, forward arrays and PK index
+    /// [`Self::resolve_forward`] builds are at their final size already.
     pub fn shrink_to_fit(&mut self) {
         self.tables.iter_mut().for_each(Table::shrink_to_fit);
     }
@@ -282,10 +291,13 @@ impl Database {
         self.table(t.table).installed_score(t.row)
     }
 
-    /// Re-resolves the forward arrays of every table a plain row operation
-    /// left unresolved: one PK probe per distinct key of each FK column's
-    /// runs, a dangling key resolving to nothing. Cheap where nothing is
-    /// stale; [`Self::validate_foreign_keys`] and
+    /// Builds what plain row operations left unbuilt, each structure
+    /// once and at its final size: a mutated table's FK runs, in one
+    /// count-then-fill pass over its live rows in row order (and its PK
+    /// index sized for them), then the forward arrays of every table left
+    /// unresolved, from those runs — one PK probe per distinct key of each
+    /// FK column, a dangling key resolving to nothing. Cheap where nothing
+    /// is stale; [`Self::validate_foreign_keys`] and
     /// [`Self::install_importance_order`] call it, and so does a loader
     /// that hands its database to readers unvalidated.
     pub fn resolve_forward(&mut self) {
@@ -293,6 +305,7 @@ impl Database {
             if self.table(tid).has_live_forward() {
                 continue;
             }
+            self.tables[tid.index()].build_runs();
             let t = self.table(tid);
             let arrays = self
                 .fk_edges
@@ -556,7 +569,8 @@ mod tests {
 
     #[test]
     fn select_eq_counts_accesses() {
-        let db = tiny_db();
+        let mut db = tiny_db();
+        db.resolve_forward();
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         let before = db.access().snapshot();
@@ -581,7 +595,8 @@ mod tests {
 
     #[test]
     fn select_top_l_filters_and_orders() {
-        let db = tiny_db();
+        let mut db = tiny_db();
+        db.resolve_forward();
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         // Importance: pk 10 -> 1.0, pk 11 -> 5.0
@@ -696,6 +711,7 @@ mod tests {
             db.table(paper).sorted_fk_index(fk_col).is_none(),
             "un-scored insert drops the snapshot postings"
         );
+        db.resolve_forward();
         // The probe still answers correctly via the heap fallback, and the
         // new row is visible.
         let li = |_: RowId| 1.0;

@@ -42,7 +42,9 @@
 //! (whose scores carry the re-stamped token) keep the prefix-scan fast
 //! path, while contexts holding the superseded token fall back to the
 //! heap path. The plain [`crate::Database::insert`] leaves the affected
-//! table without a sorted index (it has no score to place the row with).
+//! table without a sorted index (it has no score to place the row with)
+//! and with its runs unbuilt until [`crate::Database::resolve_forward`]
+//! builds them again, in row order, for the next install to sort.
 //!
 //! **One index.** [`SortedFkIndex`] is the one sorted index: it holds the
 //! posted [`RowId`]s themselves and is the table's FK group itself, not a

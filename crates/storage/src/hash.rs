@@ -78,12 +78,14 @@ impl PkSlots {
     }
 
     /// Posts `row` under `key` unless a row is posted there already;
-    /// returns whether it did.
+    /// returns whether it did. A rejected key leaves the table's size as
+    /// it was.
     pub(crate) fn insert(&mut self, key: i64, row: u32, key_of: impl Fn(u32) -> i64) -> bool {
+        let Err(mut i) = self.find(key, &key_of) else { return false };
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.rehash(slots_for(self.len + 1), &key_of);
+            i = self.find(key, &key_of).expect_err("the key is absent");
         }
-        let Err(i) = self.find(key, &key_of) else { return false };
         self.slots[i] = row;
         self.len += 1;
         true
@@ -123,6 +125,15 @@ impl PkSlots {
                 i = (i + 1) & (n - 1);
             }
             self.slots[i] = row;
+        }
+    }
+
+    /// Sizes the table for `additional` more rows at once, so inserting
+    /// them never rehashes.
+    pub(crate) fn reserve(&mut self, additional: usize, key_of: impl Fn(u32) -> i64) {
+        let n = slots_for(self.len + additional);
+        if n > self.slots.len() {
+            self.rehash(n, &key_of);
         }
     }
 

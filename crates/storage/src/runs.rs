@@ -1,8 +1,9 @@
 //! The flat multimap under a table's FK runs (its groups and sorted
 //! postings at once): one key directory and one arena, each key's
-//! entries one run of it. A full run moves to the tail at `GROWTH`
-//! times its size; once dead slots outnumber live entries one pass
-//! repacks the arena.
+//! entries one run of it. A bulk build ([`Runs::from_entries`]) counts
+//! and then fills, every run at its length and the arena at exact size.
+//! Afterwards a full run moves to the tail at `GROWTH` times its size;
+//! once dead slots outnumber live entries one pass repacks the arena.
 
 use crate::hash::{map_bytes, IntMap};
 
@@ -48,6 +49,31 @@ impl<E> Default for Runs<E> {
 }
 
 impl<E: Copy> Runs<E> {
+    /// The runs of `entries`, a walk over `(key, entry)` pairs taken
+    /// twice: once to count each key's entries, once to place them. Each
+    /// key's run keeps its entries in the walk's order and reserves no
+    /// spare slot; the arena and the directory hold no slack.
+    pub(crate) fn from_entries<I: Iterator<Item = (i64, E)>>(entries: impl Fn() -> I) -> Self {
+        let mut dir = IntMap::default();
+        for (key, _) in entries() {
+            dir.entry(key).or_insert(Run { start: 0, len: 0, cap: 0 }).cap += 1;
+        }
+        dir.shrink_to_fit();
+        let mut live = 0;
+        for run in dir.values_mut() {
+            run.start = offset(live);
+            live += run.cap as usize;
+        }
+        let Some((_, first)) = entries().next() else { return Runs::default() };
+        let mut arena = vec![first; live];
+        for (key, entry) in entries() {
+            let run = dir.get_mut(&key).expect("the count pass saw every key");
+            arena[(run.start + run.len) as usize] = entry;
+            run.len += 1;
+        }
+        Runs { dir, arena, live, dead: 0 }
+    }
+
     /// `key`'s entries, or `None` for an absent key.
     pub fn get(&self, key: i64) -> Option<&[E]> {
         self.dir.get(&key).map(|run| &self.arena[run.entries()])
@@ -137,7 +163,11 @@ impl<E: Copy> Runs<E> {
 
     /// Repacks every run at its length, arena and directory at exact size.
     pub fn shrink_to_fit(&mut self) {
-        self.repack(true);
+        // An arena of exactly its live entries has no dead slot and no
+        // run with a spare one: nothing to repack.
+        if self.arena.capacity() != self.live {
+            self.repack(true);
+        }
         self.dir.shrink_to_fit();
     }
 
@@ -221,6 +251,34 @@ mod tests {
             assert!(runs.remove_with(2, |e| e.first().map(|_| 0)));
         }
         assert_eq!((runs.key_count(), runs.entry_count(), runs.arena.len()), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_bulk_build_counts_then_fills_at_exact_size() {
+        let pairs = [(3, 10u32), (4, 20), (3, 11), (5, 30), (3, 12), (4, 21)];
+        let runs = Runs::from_entries(|| pairs.iter().copied());
+        // Each run holds its key's entries in the walk's order.
+        assert_eq!(runs.get(3), Some(&[10, 11, 12][..]));
+        assert_eq!(runs.get(4), Some(&[20, 21][..]));
+        assert_eq!(runs.get(5), Some(&[30][..]));
+        assert_eq!((runs.key_count(), runs.entry_count()), (3, 6));
+        // No dead slot, no spare one: every run reserves its length and
+        // the arena holds exactly the entries.
+        assert_eq!((runs.arena.len(), runs.arena.capacity(), runs.dead), (6, 6, 0));
+        assert!(runs.dir.values().all(|run| run.cap == run.len));
+        // Shrinking frees nothing more.
+        let bytes = runs.heap_bytes();
+        let mut shrunk = runs.clone();
+        shrunk.shrink_to_fit();
+        assert_eq!(shrunk.heap_bytes(), bytes);
+        assert_eq!(shrunk.get(3), runs.get(3));
+        // An empty walk builds empty runs holding no heap.
+        let empty = Runs::<u32>::from_entries(std::iter::empty);
+        assert_eq!((empty.key_count(), empty.entry_count(), empty.heap_bytes()), (0, 0, 0));
+        // A built run grows like any other.
+        let mut runs = runs;
+        push(&mut runs, 5, 31);
+        assert_eq!(runs.get(5), Some(&[30, 31][..]));
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! one run, in posting order while the order holds. Its forward array
 //! ([`Forward`]) holds each row's parent `RowId`, the one direction the
 //! runs cannot answer without a PK probe.
+//!
+//! Both share one lifecycle. A plain row operation — a loader's, the
+//! exact path's — leaves them unbuilt; the catalog builds the runs in
+//! one count-then-fill pass and resolves the forward arrays from them
+//! ([`crate::Database::resolve_forward`]), each at its final size. The
+//! scored operations maintain both row by row.
 
 use std::cell::OnceCell;
 use std::ops::Index;
@@ -138,8 +144,12 @@ pub struct Table {
     pk_index: PkSlots,
     /// On FK columns: key -> its live rows. In posting order while
     /// [`Self::sorted_fk_index`] answers, otherwise in no set order
-    /// (insertion order until the first install).
+    /// (row order as built, until the first install).
     fk_runs: Slots<SortedFkIndex>,
+    /// True while the runs hold every live row. The plain row operations
+    /// clear it and free the runs rather than maintain them; the catalog
+    /// rebuilds them in bulk, at exact size ([`Self::build_runs`]).
+    runs_live: bool,
     /// On FK columns: each row slot's parent row (see [`Forward`]); a
     /// dead slot's is never read. An insert here appends `NO_TARGET`;
     /// the catalog resolves.
@@ -187,6 +197,7 @@ impl Table {
             n_dead: 0,
             pk_index: PkSlots::default(),
             fk_runs,
+            runs_live: true,
             fwd,
             fwd_live: true,
             installed_scores: Vec::new(),
@@ -232,8 +243,10 @@ impl Table {
     /// This is the *un-scored* path: it carries no importance for the new
     /// row, so the installed order (and the score snapshot that places
     /// rows in it) is dropped and the heap path takes over for this
-    /// table. Use [`crate::Database::insert_scored_staged`] to keep the
-    /// prefix-scan fast path live across inserts.
+    /// table; the FK runs and forward arrays are left unbuilt until the
+    /// catalog resolves the table. Use
+    /// [`crate::Database::insert_scored_staged`] to keep the prefix-scan
+    /// fast path live across inserts.
     pub fn insert(&mut self, values: Vec<Value>) -> Result<RowId> {
         let id = self.insert_validated(values)?;
         // The order was placed under a per-row score snapshot; a row
@@ -246,8 +259,9 @@ impl Table {
 
     /// The validate-and-append core of both insert paths: checks
     /// arity, types, and PK uniqueness, maintains the PK index, appends
-    /// the row at the tail of its FK runs, and appends its cells and an
-    /// unresolved forward slot per FK column. Does not touch the epoch.
+    /// the row at the tail of its FK runs (while built), and appends its
+    /// cells and an unresolved forward slot per FK column. Does not touch
+    /// the epoch.
     pub(crate) fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let pk = values[self.schema.pk]
@@ -257,9 +271,11 @@ impl Table {
         if !self.pk_index.insert(pk, id.0, pk_at(&self.columns[self.schema.pk])) {
             return Err(StorageError::DuplicateKey { table: self.schema.name.clone(), key: pk });
         }
-        for (runs, v) in self.fk_runs.iter_mut().zip(&values) {
-            if let (Some(runs), Some(k)) = (runs, v.as_int()) {
-                runs.push(k, id);
+        if self.runs_live {
+            for (runs, v) in self.fk_runs.iter_mut().zip(&values) {
+                if let (Some(runs), Some(k)) = (runs, v.as_int()) {
+                    runs.push(k, id);
+                }
             }
         }
         // Every check is behind us: all columns grow together.
@@ -295,16 +311,18 @@ impl Table {
 
     /// The shared tombstone core of both delete paths: resolves the pk to
     /// a live row, removes it from the PK index and from its FK runs where
-    /// it lies (the runs stay in order), and marks the slot dead. Does not
-    /// touch the epoch.
+    /// it lies (while built; the runs stay in order), and marks the slot
+    /// dead. Does not touch the epoch.
     pub(crate) fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
         let id =
             self.pk_index.remove(pk, pk_at(&self.columns[self.schema.pk])).map(RowId).ok_or_else(
                 || StorageError::MissingRow { table: self.schema.name.clone(), key: pk },
             )?;
-        for (runs, column) in self.fk_runs.iter_mut().zip(&self.columns) {
-            if let (Some(runs), Some(k)) = (runs, column.get(id.index()).as_int()) {
-                runs.remove(k, id);
+        if self.runs_live {
+            for (runs, column) in self.fk_runs.iter_mut().zip(&self.columns) {
+                if let (Some(runs), Some(k)) = (runs, column.get(id.index()).as_int()) {
+                    runs.remove(k, id);
+                }
             }
         }
         self.dead[id.index()] = true;
@@ -314,8 +332,8 @@ impl Table {
 
     /// The shared in-place-rewrite core of both update paths: validates
     /// arity/types, requires the pk to stay put, and moves the row to the
-    /// tail of the new key's run on any FK column whose key changed. Does
-    /// not touch the epoch.
+    /// tail of the new key's run on any FK column whose key changed (while
+    /// the runs are built). Does not touch the epoch.
     pub(crate) fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let id = self
@@ -327,7 +345,8 @@ impl Table {
                 key: pk,
             });
         }
-        for ((runs, column), v) in self.fk_runs.iter_mut().zip(&self.columns).zip(&values) {
+        let fk_runs = self.fk_runs.iter_mut().zip(&self.columns).zip(&values);
+        for ((runs, column), v) in fk_runs.filter(|_| self.runs_live) {
             let Some(runs) = runs else { continue };
             let old = column.get(id.index()).as_int();
             let new = v.as_int();
@@ -368,12 +387,16 @@ impl Table {
         Ok(id)
     }
 
-    /// Drops everything derived from the importance order, and the
-    /// forward resolution (the un-scored mutation paths' common tail).
+    /// Drops everything derived from the importance order, the forward
+    /// resolution and the runs, freeing what they hold (the un-scored
+    /// mutation paths' common tail).
     fn drop_derived_state(&mut self) {
         self.drop_forward();
+        if std::mem::take(&mut self.runs_live) {
+            self.fk_runs.iter_mut().flatten().for_each(|idx| *idx = SortedFkIndex::default());
+        }
         self.staging = None;
-        self.installed_scores.clear();
+        self.installed_scores = Vec::new();
         self.scores_live = false;
     }
 
@@ -436,13 +459,14 @@ impl Table {
 
     /// Live rows whose FK column `col` equals `key`: in posting order
     /// while [`Self::sorted_fk_index`] answers for `col` (the very slice
-    /// its `rows(key)` returns), otherwise in no set order — insertion
-    /// order until the first install. Calling this on a non-indexed
-    /// column is a logic error.
+    /// its `rows(key)` returns), otherwise in no set order — row order as
+    /// built, until the first install. Calling this on a non-indexed
+    /// column, or after a plain row operation before the catalog rebuilt
+    /// the table's runs, is a logic error.
     pub fn rows_where_eq(&self, col: usize, key: i64) -> &[RowId] {
-        match self.fk_runs.get(col) {
-            Some(Some(runs)) => runs.rows(key),
-            _ => panic!(
+        match self.fk_index_base(col) {
+            Some(runs) => runs.get(key).unwrap_or(&[]),
+            None => panic!(
                 "column {} of `{}` is not FK-indexed",
                 self.schema.columns[col].name, self.schema.name
             ),
@@ -477,9 +501,9 @@ impl Table {
         }
     }
 
-    /// The resolved forward array of FK column `col`: every live row
-    /// whose key `parent_of` resolves points at that parent — one call
-    /// per distinct key of the column's runs.
+    /// The resolved forward array of FK column `col`, at exact size:
+    /// every live row whose key `parent_of` resolves points at that
+    /// parent — one call per distinct key of the column's runs.
     pub(crate) fn resolved_forward(
         &self,
         col: usize,
@@ -526,12 +550,36 @@ impl Table {
 
     /// True when `col` carries an FK index.
     pub fn is_indexed(&self, col: usize) -> bool {
-        self.fk_index_base(col).is_some()
+        matches!(self.fk_runs.get(col), Some(Some(_)))
     }
 
-    /// The FK runs of a column, if any.
+    /// The FK runs of a column, if any. Panics, naming the table, while a
+    /// plain row operation has left the runs unbuilt.
     pub(crate) fn fk_index_base(&self, col: usize) -> Option<&Runs<RowId>> {
+        assert!(self.runs_live, "`{}` has unbuilt FK runs", self.schema.name);
         Some(&self.fk_runs.get(col)?.as_ref()?.runs)
+    }
+
+    /// Builds every FK column's runs, where a plain row operation left
+    /// them unbuilt, in one count-then-fill pass over the live rows in
+    /// row order, each run at its length with no dead or spare slot, and
+    /// sizes the PK index for the live rows: the end of a stretch of
+    /// plain row operations (a load, an exact-path write).
+    pub(crate) fn build_runs(&mut self) {
+        if self.runs_live {
+            return;
+        }
+        let dead = &self.dead;
+        for (runs, column) in self.fk_runs.iter_mut().zip(&self.columns) {
+            let Some(runs) = runs else { continue };
+            runs.runs = Runs::from_entries(|| {
+                (0..dead.len())
+                    .filter(|&i| !dead[i])
+                    .filter_map(|i| Some((column.get(i).as_int()?, RowId(i as u32))))
+            });
+        }
+        self.pk_index.shrink_to_fit(pk_at(&self.columns[self.schema.pk]));
+        self.runs_live = true;
     }
 
     /// Snapshots every row slot's `score` and sorts every FK run where it
@@ -539,6 +587,7 @@ impl Table {
     /// [`crate::Database::install_importance_order`]), which makes the
     /// table RAM-served again and ends any staging.
     pub(crate) fn build_sorted_fk(&mut self, score: &dyn Fn(RowId) -> f64) {
+        debug_assert!(self.runs_live, "the catalog builds the runs before an install");
         self.installed_scores = (0..self.dead.len()).map(|i| score(RowId(i as u32))).collect();
         self.scores_live = true;
         self.staging = None;
@@ -627,6 +676,15 @@ impl Table {
         self.live_rows().map(|id| (id, RowRef { table: self, id, cells: OnceCell::new() }))
     }
 
+    /// Makes room for `additional` more rows: the cells, the liveness
+    /// flags and the PK slots, so a loader that knows its row count
+    /// leaves no push-doubling slack behind.
+    pub(crate) fn reserve_rows(&mut self, additional: usize) {
+        self.columns.iter_mut().for_each(|c| c.reserve(additional));
+        self.dead.reserve_exact(additional);
+        self.pk_index.reserve(additional, pk_at(&self.columns[self.schema.pk]));
+    }
+
     /// Releases the push-doubling slack of everything sized by the slot
     /// count — the columns, the liveness flags, the forward arrays and
     /// the score snapshot — repacks every FK-run arena at exact size, and
@@ -644,6 +702,12 @@ impl Table {
     /// arena and NULL-bitmap vectors at their capacity.
     pub fn value_bytes(&self) -> usize {
         self.columns.iter().map(Column::value_bytes).sum()
+    }
+
+    /// Bytes column `col`'s cells occupy: its share of
+    /// [`Self::value_bytes`].
+    pub fn column_bytes(&self, col: usize) -> usize {
+        self.columns[col].value_bytes()
     }
 
     /// Heap bytes of this table's indexes by structure, from their
@@ -703,6 +767,7 @@ mod tests {
         for (pk, y) in [(1, 5), (2, 5), (3, 6)] {
             t.insert(vec![Value::Int(pk), "t".into(), Value::Int(y)]).unwrap();
         }
+        t.build_runs();
         assert_eq!(t.rows_where_eq(2, 5).len(), 2);
         assert_eq!(t.rows_where_eq(2, 6).len(), 1);
         assert_eq!(t.rows_where_eq(2, 7).len(), 0);
@@ -741,6 +806,7 @@ mod tests {
     fn rejected_writes_leave_every_column_as_it_was() {
         let mut t = make_table();
         t.insert(vec![Value::Int(1), "kept".into(), Value::Int(5)]).unwrap();
+        t.build_runs();
         // Bad arity, a bad type in the last column (after two good
         // cells), a duplicate and a NULL pk: no column may grow.
         assert!(t.insert(vec![Value::Int(2), "x".into()]).is_err());
@@ -809,6 +875,7 @@ mod tests {
     fn null_fk_is_allowed_and_unindexed() {
         let mut t = make_table();
         t.insert(vec![Value::Int(1), "x".into(), Value::Null]).unwrap();
+        t.build_runs();
         assert_eq!(t.rows_where_eq(2, 0).len(), 0);
     }
 
@@ -818,6 +885,7 @@ mod tests {
         for (pk, y) in [(1, 5), (2, 5), (3, 5), (4, 6)] {
             t.insert(vec![Value::Int(pk), "t".into(), Value::Int(y)]).unwrap();
         }
+        t.build_runs();
         assert!((t.avg_fanout(2) - 2.0).abs() < 1e-12);
     }
 
@@ -828,6 +896,7 @@ mod tests {
             t.insert(vec![Value::Int(pk), "t".into(), Value::Int(y)]).unwrap();
         }
         let id = t.delete(2).unwrap();
+        t.build_runs();
         assert_eq!(id, RowId(1));
         // The slot survives; the row is invisible everywhere else.
         assert_eq!(t.len(), 3);
@@ -845,6 +914,7 @@ mod tests {
         // The pk can be reused after the delete; with no order installed
         // the new row joins the run's tail.
         let id2 = t.insert(vec![Value::Int(2), "again".into(), Value::Int(5)]).unwrap();
+        t.build_runs();
         assert_eq!(t.by_pk(2), Some(id2));
         assert_eq!(t.rows_where_eq(2, 5), &[RowId(0), id2]);
     }
@@ -855,9 +925,11 @@ mod tests {
         for (pk, y) in [(1, 5), (2, 6), (3, 5)] {
             t.insert(vec![Value::Int(pk), "t".into(), Value::Int(y)]).unwrap();
         }
-        // Move pk 2 from year 6 to year 5: with no order installed it
-        // joins the run's tail, as an insert would.
-        t.update(2, vec![Value::Int(2), "moved".into(), Value::Int(5)]).unwrap();
+        t.build_runs();
+        // Move pk 2 from year 6 to year 5 through the maintained core the
+        // scored update shares: with no order installed it joins the
+        // run's tail, as an insert would.
+        t.update_validated(2, vec![Value::Int(2), "moved".into(), Value::Int(5)]).unwrap();
         assert_eq!(t.rows_where_eq(2, 5), &[RowId(0), RowId(2), RowId(1)]);
         assert_eq!(t.rows_where_eq(2, 6).len(), 0);
         assert_eq!(t.value(RowId(1), 1).as_str(), Some("moved"));

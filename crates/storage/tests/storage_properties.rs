@@ -1,9 +1,10 @@
 //! Property tests for the relational substrate: index consistency under
-//! arbitrary insert sequences.
+//! arbitrary insert sequences, and the FK runs and forward arrays a bulk
+//! resolution builds after any stream of plain writes.
 
 use proptest::prelude::*;
 
-use sizel_storage::{text, Database, StorageError, TableSchema, Value, ValueType};
+use sizel_storage::{text, Database, RowId, StorageError, TableSchema, Value, ValueType};
 
 fn fresh_db() -> Database {
     let mut db = Database::new();
@@ -46,8 +47,74 @@ fn unicode_string() -> impl Strategy<Value = String> {
     })
 }
 
+/// One plain write, or a resolution: `(kind, pk, parent key)`, the key
+/// NULL at `N_KEYS` and dangling where no parent holds it.
+type Write = (u8, i64, i64);
+
+const N_KEYS: i64 = 10;
+
+/// Applies `w` with the plain row operations; rejected writes are part
+/// of the stream.
+fn apply(db: &mut Database, &(kind, pk, key): &Write) {
+    let fk = if key == N_KEYS { Value::Null } else { Value::Int(key) };
+    let child = vec![Value::Int(pk), Value::Float(pk as f64), fk];
+    let _ = match kind {
+        0 => db.insert("Parent", vec![Value::Int(key), "p".into()]),
+        1 => db.delete("Parent", key),
+        2 | 3 => db.insert("Child", child),
+        4 => db.update("Child", pk, child),
+        5 => db.delete("Child", pk),
+        _ => {
+            db.resolve_forward();
+            return;
+        }
+    };
+}
+
+#[test]
+#[should_panic(expected = "`Child` has unbuilt FK runs")]
+fn reading_unbuilt_runs_panics_with_the_table_name() {
+    let mut db = fresh_db();
+    db.insert("Parent", vec![Value::Int(1), "p".into()]).unwrap();
+    db.insert("Child", vec![Value::Int(1), Value::Float(0.5), Value::Int(1)]).unwrap();
+    let child = db.table_id("Child").unwrap();
+    db.table(child).rows_where_eq(2, 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After any stream of plain inserts, updates and deletes — resolved
+    /// now and then midway — one resolution builds every FK run equal to
+    /// the oracle (the live rows holding the key, ascending `RowId`) and
+    /// resolves every forward slot to the live parent its key names, and
+    /// builds them at their final size: shrinking frees no index byte.
+    #[test]
+    fn resolution_builds_runs_and_forward_arrays_at_final_size(
+        writes in proptest::collection::vec((0u8..7, 0i64..24, 0..=N_KEYS), 0..120),
+    ) {
+        let mut db = fresh_db();
+        for w in &writes {
+            apply(&mut db, w);
+        }
+        db.resolve_forward();
+        let (parent, child) = (db.table_id("Parent").unwrap(), db.table_id("Child").unwrap());
+        let (p, c) = (db.table(parent), db.table(child));
+        let fk_col = c.schema.column_index("parent_id").unwrap();
+        let key_of = |r: RowId| c.value(r, fk_col).as_int();
+        for key in 0..N_KEYS {
+            let oracle: Vec<RowId> = c.live_rows().filter(|&r| key_of(r) == Some(key)).collect();
+            prop_assert_eq!(c.rows_where_eq(fk_col, key), oracle.as_slice(), "key {}", key);
+        }
+        let fwd = c.forward(fk_col);
+        for r in c.live_rows() {
+            prop_assert_eq!(fwd.get(r), key_of(r).and_then(|k| p.by_pk(k)), "row {:?}", r);
+        }
+        let before: Vec<_> = db.tables().map(|(_, t)| t.index_bytes()).collect();
+        db.shrink_to_fit();
+        let after: Vec<_> = db.tables().map(|(_, t)| t.index_bytes()).collect();
+        prop_assert_eq!(before, after);
+    }
 
     /// Tokenizing is idempotent — a row indexed under its tokens is found
     /// by those tokens spelled back as text — and the streaming form
@@ -95,6 +162,7 @@ proptest! {
                 prop_assert!(r.is_err());
             }
         }
+        db.resolve_forward();
         let child = db.table_id("Child").unwrap();
         let fk_col = db.table(child).schema.column_index("parent_id").unwrap();
         // The FK index groups exactly the accepted rows.
@@ -126,6 +194,7 @@ proptest! {
             db.insert("Child", vec![Value::Int(i as i64), Value::Float(w), Value::Int(1)])
                 .unwrap();
         }
+        db.resolve_forward();
         let child = db.table_id("Child").unwrap();
         let fk_col = db.table(child).schema.column_index("parent_id").unwrap();
         let payload = db.table(child).schema.column_index("payload").unwrap();
@@ -172,6 +241,7 @@ proptest! {
             db.insert("Child", vec![Value::Int(i as i64), Value::Float(w), Value::Int(parent)])
                 .unwrap();
         }
+        db.resolve_forward();
         let child = db.table_id("Child").unwrap();
         let fk_col = db.table(child).schema.column_index("parent_id").unwrap();
         let payload = db.table(child).schema.column_index("payload").unwrap();
