@@ -4,6 +4,9 @@
 //! database frees no byte of an `Int` column or of an FK run. A GA1 rank
 //! solve holds its iteration vectors for the tables GA1 rates only —
 //! every junction row holds the one unrated score instead of a slot.
+//! The generator's surrogate keys `1..=n`, loaded in key order, are
+//! indexed by their offsets: no PK slot, and every FK column's runs
+//! under an array directory over its key span.
 
 use sizel_datagen::dblp::{generate, DblpConfig};
 use sizel_graph::{DataGraph, SchemaGraph};
@@ -30,6 +33,34 @@ fn a_generated_database_holds_no_int_or_run_slack() {
     assert!(loaded.iter().any(|(_, _, runs)| *runs > 0), "the runs are built");
     db.shrink_to_fit();
     assert_eq!(int_and_run_bytes(&db), loaded);
+}
+
+#[test]
+fn surrogate_keys_are_indexed_by_their_offsets() {
+    let db = generate(&DblpConfig::bench()).db;
+    for (_, t) in db.tables() {
+        let [(_, pk_slots), (_, fk_runs), ..] = t.index_bytes();
+        assert_eq!(
+            (t.pk_slot_rows(), pk_slots),
+            (0, 0),
+            "`{}` hashes a primary key",
+            t.schema.name
+        );
+        // Per FK column: a 4-byte row id per entry, a 12-byte directory
+        // slot per key of its span.
+        let expected: usize = t
+            .schema
+            .fks
+            .iter()
+            .map(|fk| {
+                let keys: Vec<i64> =
+                    t.live_rows().filter_map(|r| t.value(r, fk.column).as_int()).collect();
+                let (lo, hi) = (keys.iter().min().unwrap(), keys.iter().max().unwrap());
+                4 * keys.len() + 12 * (hi - lo + 1) as usize
+            })
+            .sum();
+        assert_eq!(fk_runs, expected, "`{}`'s FK runs", t.schema.name);
+    }
 }
 
 #[test]

@@ -160,9 +160,10 @@ impl SortedFkIndex {
         self.runs.key_count()
     }
 
-    /// Every posting list, in directory order — unspecified, it follows
-    /// the per-process hash seed (segment writers sort the keys
-    /// themselves for a deterministic on-disk layout).
+    /// Every posting list, in directory order — unspecified: the keys of
+    /// a dense span in key order, the rest in an order that follows the
+    /// per-process hash seed (segment writers sort the keys themselves
+    /// for a deterministic on-disk layout).
     pub fn posting_lists(&self) -> impl Iterator<Item = (i64, &[RowId])> {
         self.runs.iter()
     }

@@ -3,9 +3,13 @@
 //!
 //! Primary keys and FK values are `i64`s, and every tuple access the
 //! paper prices — a `by_pk` probe, an FK group, a posting list — as well
-//! as every step of loading and deriving starts with hashing one.
-//! [`IntHasher`] is one folded 128-bit multiply per integer written (the
-//! mixer of foldhash and wyhash) where std's default is a SipHash-1-3.
+//! as every step of loading and deriving starts with finding one.
+//! Surrogate keys `1..=n` loaded in row order need no hash: a PK row at
+//! its key's offset from the first row's takes no slot, and an FK
+//! column's runs over a dense key span sit in an array (`runs.rs`). What
+//! the keys do not place by offset is hashed: [`IntHasher`] is one
+//! folded 128-bit multiply per integer written (the mixer of foldhash
+//! and wyhash) where std's default is a SipHash-1-3.
 //!
 //! It is keyed, by a seed drawn from std's `RandomState` once per
 //! process, and not cryptographic; DESIGN.md §5 "Hashing" states what
@@ -13,11 +17,10 @@
 //! wire, inside `ApplyBatch`), and the tests below pin it. String keys,
 //! and keys a client composes, stay on SipHash.
 //!
-//! The seed is per process, not per map, on purpose: the link build fills
-//! a directory sized like its source in the source's iteration order,
-//! which under one seed walks both in the same bucket order. Iteration
-//! order was unspecified under `RandomState` and still is — nothing may
-//! depend on it, and the segment writer sorts.
+//! The seed is per process, not per map: a peer that cannot learn one
+//! cannot learn the other, so a seed per map would buy nothing.
+//! Iteration order was unspecified under `RandomState` and still is —
+//! nothing may depend on it, and the segment writer sorts.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
@@ -34,21 +37,34 @@ pub(crate) fn map_bytes<V>(map: &IntMap<V>) -> usize {
 /// An empty [`PkSlots`] slot.
 const EMPTY: u32 = u32::MAX;
 
-/// A table's primary-key index: its live rows' ids in an open-addressing
-/// table, `EMPTY` where none. A key is not stored — `key_of` reads it
-/// back from the PK column — so a slot is four bytes. Linear probing
-/// from the slot the hash's low bits pick; the table doubles before an
-/// insert would take it past 3/4 full, and a removal shifts the rest of
-/// its probe run back, so no slot is ever a tombstone.
+/// A table's primary-key index. A row whose key is `base + row` — `base`
+/// the first row's key — is found at that offset and takes no slot:
+/// surrogate keys loaded in key order hash nothing. Every other live
+/// row's id sits in an open-addressing table, `EMPTY` where none: a
+/// deleted key inserted again, and any key off its row's offset. A key
+/// is not stored — `key_of` reads a row's back from the PK column, `None`
+/// for a dead row or one past the table's end — so a slot is four bytes.
+/// Linear probing from the slot the hash's low bits pick; the table
+/// doubles before an insert would take it past 3/4 full, and a removal
+/// shifts the rest of its probe run back, so no slot is ever a tombstone.
+/// Every key is found by offset or hashed, never both; PKs are
+/// immutable, so no row changes sides.
 #[derive(Debug, Default)]
 pub(crate) struct PkSlots {
+    /// `key − row` of the first row posted.
+    base: Option<i64>,
     slots: Vec<u32>,
+    /// Rows in `slots`.
     len: usize,
     hasher: IntBuildHasher,
 }
 
-/// The power-of-two slot count, at least 8, holding `len` rows ≤ 3/4 full.
+/// The power-of-two slot count, at least 8, holding `len` rows ≤ 3/4 full;
+/// none for no row.
 fn slots_for(len: usize) -> usize {
+    if len == 0 {
+        return 0;
+    }
     (len * 4).div_ceil(3).next_power_of_two().max(8)
 }
 
@@ -57,14 +73,25 @@ impl PkSlots {
         self.hasher.hash_one(key) as usize & self.slots.len().wrapping_sub(1)
     }
 
+    /// The row that holds `key` at its offset, if it is live and does.
+    fn at_offset(&self, key: i64, key_of: &impl Fn(u32) -> Option<i64>) -> Option<u32> {
+        let row = u32::try_from(key.checked_sub(self.base?)?).ok()?;
+        (key_of(row) == Some(key)).then_some(row)
+    }
+
+    /// The key of a hashed row, which is live.
+    fn hashed_key(row: u32, key_of: &impl Fn(u32) -> Option<i64>) -> i64 {
+        key_of(row).expect("a slot holds a live row")
+    }
+
     /// Like `binary_search`: `Ok` with the slot holding `key`'s row, or
     /// `Err` with the empty slot that ends its probe run (any index when
     /// the table has no slot).
-    fn find(&self, key: i64, key_of: &impl Fn(u32) -> i64) -> Result<usize, usize> {
+    fn find(&self, key: i64, key_of: &impl Fn(u32) -> Option<i64>) -> Result<usize, usize> {
         let mask = self.slots.len().wrapping_sub(1);
         let mut i = self.home(key);
         while let Some(&row) = self.slots.get(i).filter(|&&row| row != EMPTY) {
-            if key_of(row) == key {
+            if key_of(row) == Some(key) {
                 return Ok(i);
             }
             i = (i + 1) & mask;
@@ -72,15 +99,28 @@ impl PkSlots {
         Err(i)
     }
 
-    /// The row posted under `key`.
-    pub(crate) fn get(&self, key: i64, key_of: impl Fn(u32) -> i64) -> Option<u32> {
-        self.find(key, &key_of).ok().map(|i| self.slots[i])
+    /// The live row holding `key`: the one at its offset, else the
+    /// hashed one.
+    pub(crate) fn get(&self, key: i64, key_of: impl Fn(u32) -> Option<i64>) -> Option<u32> {
+        self.at_offset(key, &key_of).or_else(|| self.find(key, &key_of).ok().map(|i| self.slots[i]))
     }
 
-    /// Posts `row` under `key` unless a row is posted there already;
-    /// returns whether it did. A rejected key leaves the table's size as
-    /// it was.
-    pub(crate) fn insert(&mut self, key: i64, row: u32, key_of: impl Fn(u32) -> i64) -> bool {
+    /// Posts `row`, the table's next, under `key` unless a live row holds
+    /// the key already; returns whether it did. A row at its key's offset
+    /// takes no slot; a rejected key leaves the table's size as it was.
+    pub(crate) fn insert(
+        &mut self,
+        key: i64,
+        row: u32,
+        key_of: impl Fn(u32) -> Option<i64>,
+    ) -> bool {
+        let base = *self.base.get_or_insert(key.wrapping_sub(i64::from(row)));
+        if key.checked_sub(base) == Some(i64::from(row)) {
+            return self.find(key, &key_of).is_err();
+        }
+        if self.at_offset(key, &key_of).is_some() {
+            return false;
+        }
         let Err(mut i) = self.find(key, &key_of) else { return false };
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.rehash(slots_for(self.len + 1), &key_of);
@@ -91,10 +131,15 @@ impl PkSlots {
         true
     }
 
-    /// Un-posts `key`, returning its row. Every later entry of the probe
-    /// run whose home slot does not lie between the hole and itself moves
-    /// back into the hole, which then moves on to where it was.
-    pub(crate) fn remove(&mut self, key: i64, key_of: impl Fn(u32) -> i64) -> Option<u32> {
+    /// Un-posts `key`, returning its row; a row at its offset holds no
+    /// slot, and its caller's tombstone hides it. Every later entry of
+    /// the probe run whose home slot does not lie between the hole and
+    /// itself moves back into the hole, which then moves on to where it
+    /// was.
+    pub(crate) fn remove(&mut self, key: i64, key_of: impl Fn(u32) -> Option<i64>) -> Option<u32> {
+        if let Some(row) = self.at_offset(key, &key_of) {
+            return Some(row);
+        }
         let mut hole = self.find(key, &key_of).ok()?;
         let row = self.slots[hole];
         let mask = self.slots.len() - 1;
@@ -105,7 +150,7 @@ impl PkSlots {
             if moved == EMPTY {
                 break;
             }
-            let home = self.home(key_of(moved));
+            let home = self.home(Self::hashed_key(moved, &key_of));
             if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
                 self.slots[hole] = moved;
                 hole = next;
@@ -116,11 +161,11 @@ impl PkSlots {
         Some(row)
     }
 
-    /// Re-posts every row into `n` slots.
-    fn rehash(&mut self, n: usize, key_of: &impl Fn(u32) -> i64) {
+    /// Re-posts every hashed row into `n` slots.
+    fn rehash(&mut self, n: usize, key_of: &impl Fn(u32) -> Option<i64>) {
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; n]);
         for row in old.into_iter().filter(|&row| row != EMPTY) {
-            let mut i = self.home(key_of(row));
+            let mut i = self.home(Self::hashed_key(row, key_of));
             while self.slots[i] != EMPTY {
                 i = (i + 1) & (n - 1);
             }
@@ -129,19 +174,25 @@ impl PkSlots {
     }
 
     /// Sizes the table for `additional` more rows at once, so inserting
-    /// them never rehashes.
-    pub(crate) fn reserve(&mut self, additional: usize, key_of: impl Fn(u32) -> i64) {
+    /// them never rehashes — if the table hashes a row already: rows that
+    /// have all sat at their keys' offsets so far reserve no slot.
+    pub(crate) fn reserve(&mut self, additional: usize, key_of: impl Fn(u32) -> Option<i64>) {
         let n = slots_for(self.len + additional);
-        if n > self.slots.len() {
+        if self.len > 0 && n > self.slots.len() {
             self.rehash(n, &key_of);
         }
     }
 
-    /// Sizes the table for its live rows.
-    pub(crate) fn shrink_to_fit(&mut self, key_of: impl Fn(u32) -> i64) {
+    /// Sizes the table for its hashed rows: no slot when it has none.
+    pub(crate) fn shrink_to_fit(&mut self, key_of: impl Fn(u32) -> Option<i64>) {
         if slots_for(self.len) < self.slots.len() {
             self.rehash(slots_for(self.len), &key_of);
         }
+    }
+
+    /// Rows in the slots: the live rows off their keys' offsets.
+    pub(crate) fn hashed(&self) -> usize {
+        self.len
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -347,7 +398,9 @@ mod tests {
     /// of `i64`, under every seed: at the 3/4 maximum load — each time
     /// the table is about to double — and after every other key is
     /// removed again (backward shifts), no lookup probes more than
-    /// `PROBE_BOUND` slots, and every key resolves to its own row.
+    /// `PROBE_BOUND` slots, and every key resolves to its own row. The
+    /// index is built with no key at its offset, so the dense family
+    /// probes the slots too rather than its rows.
     ///
     /// The bound is what linear probing costs at 3/4 load, not slack for
     /// a weak hash: a random function's longest probe over 49 152 keys in
@@ -370,8 +423,14 @@ mod tests {
                 let mut keys: Vec<i64> = (0..1 << 16).map(|k| family(k) as i64).collect();
                 keys.sort_unstable();
                 keys.dedup();
-                let key_of = |row: u32| keys[row as usize];
-                let mut pk = PkSlots { hasher: IntBuildHasher { seed }, ..PkSlots::default() };
+                let key_of = |row: u32| keys.get(row as usize).copied();
+                // No key of a family lies at its offset from `i64::MAX`:
+                // every row is hashed.
+                let mut pk = PkSlots {
+                    base: Some(i64::MAX),
+                    hasher: IntBuildHasher { seed },
+                    ..PkSlots::default()
+                };
                 let mut worst = 0;
                 for (row, &key) in keys.iter().enumerate() {
                     if pk.len > 0 && (pk.len + 1) * 4 > pk.slots.len() * 3 {

@@ -4,6 +4,11 @@
 //! and then fills, every run at its length and the arena at exact size.
 //! Afterwards a full run moves to the tail at `GROWTH` times its size;
 //! once dead slots outnumber live entries one pass repacks the arena.
+//!
+//! The directory (`Dir`) places a key by its offset where the keys allow
+//! it: an FK column over surrogate keys `1..=n` keeps its runs in an
+//! array over its key span, 12 B a key, and hashes only the keys outside
+//! that span. The keys pick the layout; no setting does.
 
 use crate::hash::{map_bytes, IntMap};
 
@@ -19,9 +24,16 @@ struct Run {
     cap: u32,
 }
 
+/// An absent key's array slot (a present key reserves a slot or more).
+const ABSENT: Run = Run { start: 0, len: 0, cap: 0 };
+
 impl Run {
     fn entries(&self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
+    }
+
+    fn is_present(&self) -> bool {
+        self.cap > 0
     }
 }
 
@@ -29,12 +41,142 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("a posting arena holds fewer than 2^32 slots")
 }
 
+/// The key directory, in two parts: the runs of the keys `lo..lo +
+/// dense.len()` in an array, [`ABSENT`] where a key is absent, and every
+/// other key's run in a map under the keyed hasher. Every key lives in
+/// exactly one part. A bulk layout ([`Dir::spanning`]) takes the keys'
+/// whole span when it is no larger than the entries they index, so the
+/// array costs at most 12 B an entry; afterwards the span grows only by
+/// the key just past its end, and only when that key is not hashed
+/// already. A new key adds one array slot or one map entry, whatever the
+/// key stream.
+#[derive(Clone, Debug, Default)]
+struct Dir {
+    lo: i64,
+    dense: Vec<Run>,
+    /// Present keys in `dense`, so a key count (`Table::avg_fanout`, once
+    /// per GDS edge) need not walk the array.
+    dense_keys: usize,
+    sparse: IntMap<Run>,
+}
+
+impl Dir {
+    /// An empty directory for keys given with their entry counts: over
+    /// the keys' span when it is no larger than their entries, every key
+    /// hashed otherwise.
+    fn spanning(keys: impl Iterator<Item = (i64, usize)>) -> Dir {
+        let (mut lo, mut hi, mut entries) = (i64::MAX, i64::MIN, 0u64);
+        for (key, n) in keys {
+            (lo, hi, entries) = (lo.min(key), hi.max(key), entries + n as u64);
+        }
+        // `hi − lo` is exact as a `u64` whenever a key was seen.
+        let dense = lo <= hi && (hi.wrapping_sub(lo) as u64) < entries;
+        let span = if dense { (hi.wrapping_sub(lo) as u64 + 1) as usize } else { 0 };
+        Dir { lo, dense: vec![ABSENT; span], ..Dir::default() }
+    }
+
+    /// `key`'s index in the array, when it lies in the span.
+    fn slot(&self, key: i64) -> Option<usize> {
+        let i = key.wrapping_sub(self.lo) as u64;
+        (i < self.dense.len() as u64).then_some(i as usize)
+    }
+
+    fn get(&self, key: i64) -> Option<&Run> {
+        match self.slot(key) {
+            Some(i) => Some(&self.dense[i]).filter(|run| run.is_present()),
+            None => self.sparse.get(&key),
+        }
+    }
+
+    fn get_mut(&mut self, key: i64) -> Option<&mut Run> {
+        match self.slot(key) {
+            Some(i) => Some(&mut self.dense[i]).filter(|run| run.is_present()),
+            None => self.sparse.get_mut(&key),
+        }
+    }
+
+    /// `key`'s entry in the part that holds it, [`ABSENT`] where none;
+    /// the span stays as it is.
+    fn place(&mut self, key: i64) -> &mut Run {
+        match self.slot(key) {
+            Some(i) => &mut self.dense[i],
+            None => self.sparse.entry(key).or_insert(ABSENT),
+        }
+    }
+
+    /// Counts the array's present keys once a bulk layout is placed.
+    fn placed(mut self) -> Dir {
+        self.dense_keys = self.dense.iter().filter(|run| run.is_present()).count();
+        self
+    }
+
+    /// `key`'s run, created empty at `tail` when absent. A key just past
+    /// the span's end extends it unless the key is hashed already; an
+    /// empty span starts at the first such key.
+    fn run(&mut self, key: i64, tail: u32) -> &mut Run {
+        let end = self.lo.checked_add(self.dense.len() as i64);
+        let extends = self.dense.is_empty() || end == Some(key);
+        if extends && !self.sparse.contains_key(&key) {
+            if self.dense.is_empty() {
+                self.lo = key;
+            }
+            self.dense.push(ABSENT);
+        }
+        let fresh = Run { start: tail, len: 0, cap: 0 };
+        match self.slot(key) {
+            Some(i) => {
+                if !self.dense[i].is_present() {
+                    self.dense[i] = fresh;
+                    self.dense_keys += 1;
+                }
+                &mut self.dense[i]
+            }
+            None => self.sparse.entry(key).or_insert(fresh),
+        }
+    }
+
+    fn remove(&mut self, key: i64) -> Option<Run> {
+        match self.slot(key) {
+            Some(i) => {
+                let run = std::mem::replace(&mut self.dense[i], ABSENT);
+                self.dense_keys -= usize::from(run.is_present());
+                Some(run).filter(Run::is_present)
+            }
+            None => self.sparse.remove(&key),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.dense_keys + self.sparse.len()
+    }
+
+    /// Every key with its run: the array's in key order, then the map's.
+    fn iter(&self) -> impl Iterator<Item = (i64, &Run)> {
+        let dense = self.dense.iter().enumerate().filter(|(_, run)| run.is_present());
+        let dense = dense.map(|(i, run)| (self.lo.wrapping_add(i as i64), run));
+        dense.chain(self.sparse.iter().map(|(&key, run)| (key, run)))
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut Run> {
+        self.dense.iter_mut().filter(|run| run.is_present()).chain(self.sparse.values_mut())
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.dense.shrink_to_fit();
+        self.sparse.shrink_to_fit();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.dense.capacity() * std::mem::size_of::<Run>() + map_bytes(&self.sparse)
+    }
+}
+
 /// A multimap from `i64` keys to runs of `E`. A key is present from its
 /// first insert until [`Runs::remove_key`], or until a removal leaves it
 /// with no entry.
 #[derive(Clone, Debug)]
 pub struct Runs<E> {
-    dir: IntMap<Run>,
+    dir: Dir,
     arena: Vec<E>,
     /// Entries across every run.
     live: usize,
@@ -44,20 +186,22 @@ pub struct Runs<E> {
 
 impl<E> Default for Runs<E> {
     fn default() -> Self {
-        Runs { dir: IntMap::default(), arena: Vec::new(), live: 0, dead: 0 }
+        Runs { dir: Dir::default(), arena: Vec::new(), live: 0, dead: 0 }
     }
 }
 
 impl<E: Copy> Runs<E> {
-    /// The runs of `entries`, a walk over `(key, entry)` pairs taken
-    /// twice: once to count each key's entries, once to place them. Each
-    /// key's run keeps its entries in the walk's order and reserves no
-    /// spare slot; the arena and the directory hold no slack.
-    pub(crate) fn from_entries<I: Iterator<Item = (i64, E)>>(entries: impl Fn() -> I) -> Self {
-        let mut dir = IntMap::default();
+    /// The runs of `entries`, a walk over `(key, entry)` pairs taken three
+    /// times: once for the keys' span, once to count each key's entries,
+    /// once to place them. Each key's run keeps its entries in the walk's
+    /// order and reserves no spare slot; the arena and the directory hold
+    /// no slack.
+    pub fn from_entries<I: Iterator<Item = (i64, E)>>(entries: impl Fn() -> I) -> Self {
+        let mut dir = Dir::spanning(entries().map(|(key, _)| (key, 1)));
         for (key, _) in entries() {
-            dir.entry(key).or_insert(Run { start: 0, len: 0, cap: 0 }).cap += 1;
+            dir.place(key).cap += 1;
         }
+        let mut dir = dir.placed();
         dir.shrink_to_fit();
         let mut live = 0;
         for run in dir.values_mut() {
@@ -67,7 +211,7 @@ impl<E: Copy> Runs<E> {
         let Some((_, first)) = entries().next() else { return Runs::default() };
         let mut arena = vec![first; live];
         for (key, entry) in entries() {
-            let run = dir.get_mut(&key).expect("the count pass saw every key");
+            let run = dir.get_mut(key).expect("the count pass saw every key");
             arena[(run.start + run.len) as usize] = entry;
             run.len += 1;
         }
@@ -76,12 +220,12 @@ impl<E: Copy> Runs<E> {
 
     /// `key`'s entries, or `None` for an absent key.
     pub fn get(&self, key: i64) -> Option<&[E]> {
-        self.dir.get(&key).map(|run| &self.arena[run.entries()])
+        self.dir.get(key).map(|run| &self.arena[run.entries()])
     }
 
     /// `key`'s entries, writable where they lie, or `None` for an absent key.
     pub fn get_mut(&mut self, key: i64) -> Option<&mut [E]> {
-        let run = self.dir.get(&key)?;
+        let run = self.dir.get(key)?;
         Some(&mut self.arena[run.entries()])
     }
 
@@ -95,16 +239,17 @@ impl<E: Copy> Runs<E> {
         self.live
     }
 
-    /// Every key with its entries, in directory (hash) order.
+    /// Every key with its entries: the keys the directory places by
+    /// offset in key order, then the hashed ones in hash order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, &[E])> {
-        self.dir.iter().map(|(&k, run)| (k, &self.arena[run.entries()]))
+        self.dir.iter().map(|(k, run)| (k, &self.arena[run.entries()]))
     }
 
     /// Inserts `entry` into `key`'s run at the index `at` picks from the
     /// run's entries (`0..=len`), creating the key when absent.
     pub fn insert_with(&mut self, key: i64, entry: E, at: impl FnOnce(&[E]) -> usize) {
         let tail = offset(self.arena.len());
-        let run = Self::run(&mut self.dir, key, tail);
+        let run = self.dir.run(key, tail);
         if run.len == run.cap {
             if run.start + run.cap != tail {
                 self.arena.extend_from_within(run.entries());
@@ -127,7 +272,7 @@ impl<E: Copy> Runs<E> {
     /// Removes the entry `find` locates in `key`'s run, returning whether
     /// one was; a key left with no entry is dropped.
     pub fn remove_with(&mut self, key: i64, find: impl FnOnce(&[E]) -> Option<usize>) -> bool {
-        let Some(run) = self.dir.get_mut(&key) else { return false };
+        let Some(run) = self.dir.get_mut(key) else { return false };
         let entries = &mut self.arena[run.entries()];
         let Some(at) = find(entries) else { return false };
         entries.copy_within(at + 1.., at);
@@ -141,7 +286,7 @@ impl<E: Copy> Runs<E> {
 
     /// Drops `key` with its run; returns whether it was present.
     pub fn remove_key(&mut self, key: i64) -> bool {
-        let Some(run) = self.dir.remove(&key) else { return false };
+        let Some(run) = self.dir.remove(key) else { return false };
         self.live -= run.len as usize;
         self.dead += run.cap as usize;
         self.compact_if_sparse();
@@ -150,7 +295,7 @@ impl<E: Copy> Runs<E> {
 
     /// Calls `f` on every key's entries, where they lie.
     pub fn for_each_run_mut(&mut self, mut f: impl FnMut(&mut [E])) {
-        for run in self.dir.values() {
+        for run in self.dir.values_mut() {
             f(&mut self.arena[run.entries()]);
         }
     }
@@ -173,12 +318,7 @@ impl<E: Copy> Runs<E> {
 
     /// Heap bytes held, from the directory's and the arena's capacities.
     pub fn heap_bytes(&self) -> usize {
-        map_bytes(&self.dir) + self.arena.capacity() * std::mem::size_of::<E>()
-    }
-
-    /// `key`'s run, created empty at `tail` when absent.
-    fn run(dir: &mut IntMap<Run>, key: i64, tail: u32) -> &mut Run {
-        dir.entry(key).or_insert(Run { start: tail, len: 0, cap: 0 })
+        self.dir.heap_bytes() + self.arena.capacity() * std::mem::size_of::<E>()
     }
 
     fn compact_if_sparse(&mut self) {
@@ -187,16 +327,20 @@ impl<E: Copy> Runs<E> {
         }
     }
 
+    /// Copies every run into a fresh arena, at its length when `exact`,
+    /// under a directory laid out afresh for the live keys — so the span
+    /// forgets keys that have left it.
     fn repack(&mut self, exact: bool) {
         let mut arena =
             Vec::with_capacity(if exact { self.live } else { self.arena.len() - self.dead });
-        for run in self.dir.values_mut() {
-            run.cap = if exact { run.len } else { run.cap };
+        let mut dir = Dir::spanning(self.dir.iter().map(|(key, run)| (key, run.len as usize)));
+        for (key, run) in self.dir.iter() {
+            let cap = if exact { run.len } else { run.cap };
             let start = offset(arena.len());
-            arena
-                .extend_from_slice(&self.arena[run.start as usize..(run.start + run.cap) as usize]);
-            run.start = start;
+            arena.extend_from_slice(&self.arena[run.start as usize..(run.start + cap) as usize]);
+            *dir.place(key) = Run { start, len: run.len, cap };
         }
+        self.dir = dir.placed();
         self.arena = arena;
         self.dead = 0;
     }
@@ -221,11 +365,11 @@ mod tests {
         push(&mut runs, 8, 10);
         push(&mut runs, 7, 3);
         // Still a spare slot: the run is full now, not moved.
-        assert_eq!(runs.dir[&7], Run { start: 0, len: 4, cap: 4 });
+        assert_eq!(runs.dir.get(7), Some(&Run { start: 0, len: 4, cap: 4 }));
         push(&mut runs, 7, 4);
         // Full and no longer last: it moved to the tail at twice its
         // capacity, its four old slots dead.
-        assert_eq!(runs.dir[&7], Run { start: 5, len: 5, cap: 8 });
+        assert_eq!(runs.dir.get(7), Some(&Run { start: 5, len: 5, cap: 8 }));
         assert_eq!((runs.arena.len(), runs.dead, runs.live), (13, 4, 6));
         assert_eq!(runs.get(7), Some(&[0, 1, 2, 3, 4][..]));
         assert_eq!(runs.get(8), Some(&[10][..]));
@@ -244,7 +388,7 @@ mod tests {
         // key 2: one repack keeps key 2's reserved slots and nothing else.
         assert!(runs.remove_key(1));
         assert_eq!(runs.dead, 0);
-        assert_eq!(runs.arena.len(), runs.dir[&2].cap as usize);
+        assert_eq!(runs.arena.len(), runs.dir.get(2).unwrap().cap as usize);
         assert_eq!(runs.get(2), Some(&[0, 1, 2, 3][..]));
         // A removal that empties a key drops it.
         for _ in 0..4 {
@@ -265,7 +409,7 @@ mod tests {
         // No dead slot, no spare one: every run reserves its length and
         // the arena holds exactly the entries.
         assert_eq!((runs.arena.len(), runs.arena.capacity(), runs.dead), (6, 6, 0));
-        assert!(runs.dir.values().all(|run| run.cap == run.len));
+        assert!(runs.dir.iter().all(|(_, run)| run.cap == run.len));
         // Shrinking frees nothing more.
         let bytes = runs.heap_bytes();
         let mut shrunk = runs.clone();

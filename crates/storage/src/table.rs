@@ -1,10 +1,10 @@
-//! Tables: typed column storage, a slot index on the PK, and two indexes
-//! per FK column. Its runs — key → its live rows, one run of one arena
-//! each ([`Runs`]) — are its FK groups and, once an importance order is
-//! installed, its sorted FK postings too: each row id is stored once, in
-//! one run, in posting order while the order holds. Its forward array
-//! ([`Forward`]) holds each row's parent `RowId`, the one direction the
-//! runs cannot answer without a PK probe.
+//! Tables: typed column storage, an offset-or-slot index on the PK, and
+//! two indexes per FK column. Its runs — key → its live rows, one run of
+//! one arena each ([`Runs`]) — are its FK groups and, once an importance
+//! order is installed, its sorted FK postings too: each row id is stored
+//! once, in one run, in posting order while the order holds. Its forward
+//! array ([`Forward`]) holds each row's parent `RowId`, the one direction
+//! the runs cannot answer without a PK probe.
 //!
 //! Both share one lifecycle. A plain row operation — a loader's, the
 //! exact path's — leaves them unbuilt; the catalog builds the runs in
@@ -114,16 +114,20 @@ impl NoLinks {
     }
 }
 
-/// Reads a row's primary key back from the PK column (the PK index keeps
-/// row ids only).
-fn pk_at(pk_column: &Column) -> impl Fn(u32) -> i64 + '_ {
-    |row| pk_column.get(row as usize).as_int().expect("primary keys are validated on insert")
+/// Reads a live row's primary key back from the PK column (the PK index
+/// keeps row ids only): `None` for a dead row or one past the end.
+fn live_pk<'a>(dead: &'a [bool], pk_column: &'a Column) -> impl Fn(u32) -> Option<i64> + 'a {
+    |row| match dead.get(row as usize) {
+        Some(false) => pk_column.get(row as usize).as_int(),
+        _ => None,
+    }
 }
 
 /// A table: schema, columns, and indexes.
 ///
 /// Indexes are maintained incrementally on insert:
-/// * a unique slot index on the primary key,
+/// * a unique index on the primary key: a row at its key's offset from
+///   the first row's is found there, every other row through a slot,
 /// * the runs of every foreign-key column (these serve the
 ///   `WHERE tj.ID = Ri.ID` joins of Algorithms 4 and 5).
 #[derive(Debug)]
@@ -268,7 +272,7 @@ impl Table {
             .as_int()
             .ok_or_else(|| StorageError::BadPrimaryKey { table: self.schema.name.clone() })?;
         let id = RowId(self.dead.len() as u32);
-        if !self.pk_index.insert(pk, id.0, pk_at(&self.columns[self.schema.pk])) {
+        if !self.pk_index.insert(pk, id.0, live_pk(&self.dead, &self.columns[self.schema.pk])) {
             return Err(StorageError::DuplicateKey { table: self.schema.name.clone(), key: pk });
         }
         if self.runs_live {
@@ -310,14 +314,16 @@ impl Table {
     }
 
     /// The shared tombstone core of both delete paths: resolves the pk to
-    /// a live row, removes it from the PK index and from its FK runs where
-    /// it lies (while built; the runs stay in order), and marks the slot
-    /// dead. Does not touch the epoch.
+    /// a live row, removes it from the PK index (a row at its key's offset
+    /// holds no slot: the mark hides it) and from its FK runs where it lies
+    /// (while built; the runs stay in order), and marks the slot dead.
+    /// Does not touch the epoch.
     pub(crate) fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
+        let key_of = live_pk(&self.dead, &self.columns[self.schema.pk]);
         let id =
-            self.pk_index.remove(pk, pk_at(&self.columns[self.schema.pk])).map(RowId).ok_or_else(
-                || StorageError::MissingRow { table: self.schema.name.clone(), key: pk },
-            )?;
+            self.pk_index.remove(pk, key_of).map(RowId).ok_or_else(|| {
+                StorageError::MissingRow { table: self.schema.name.clone(), key: pk }
+            })?;
         if self.runs_live {
             for (runs, column) in self.fk_runs.iter_mut().zip(&self.columns) {
                 if let (Some(runs), Some(k)) = (runs, column.get(id.index()).as_int()) {
@@ -452,9 +458,16 @@ impl Table {
         self.value(id, self.schema.pk).as_int().expect("primary keys are validated on insert")
     }
 
-    /// Point lookup by primary key.
+    /// Point lookup by primary key: the row at the key's offset from the
+    /// first row's when it is live and holds the key, else a slot probe.
     pub fn by_pk(&self, key: i64) -> Option<RowId> {
-        self.pk_index.get(key, pk_at(&self.columns[self.schema.pk])).map(RowId)
+        self.pk_index.get(key, live_pk(&self.dead, &self.columns[self.schema.pk])).map(RowId)
+    }
+
+    /// Rows the PK index holds a slot for: the live rows whose key is not
+    /// at its offset from the first row's.
+    pub fn pk_slot_rows(&self) -> usize {
+        self.pk_index.hashed()
     }
 
     /// Live rows whose FK column `col` equals `key`: in posting order
@@ -563,7 +576,7 @@ impl Table {
     /// Builds every FK column's runs, where a plain row operation left
     /// them unbuilt, in one count-then-fill pass over the live rows in
     /// row order, each run at its length with no dead or spare slot, and
-    /// sizes the PK index for the live rows: the end of a stretch of
+    /// sizes the PK slots for the hashed rows: the end of a stretch of
     /// plain row operations (a load, an exact-path write).
     pub(crate) fn build_runs(&mut self) {
         if self.runs_live {
@@ -578,7 +591,7 @@ impl Table {
                     .filter_map(|i| Some((column.get(i).as_int()?, RowId(i as u32))))
             });
         }
-        self.pk_index.shrink_to_fit(pk_at(&self.columns[self.schema.pk]));
+        self.pk_index.shrink_to_fit(live_pk(&self.dead, &self.columns[self.schema.pk]));
         self.runs_live = true;
     }
 
@@ -677,24 +690,25 @@ impl Table {
     }
 
     /// Makes room for `additional` more rows: the cells, the liveness
-    /// flags and the PK slots, so a loader that knows its row count
-    /// leaves no push-doubling slack behind.
+    /// flags and — where the table hashes a key already — the PK slots,
+    /// so a loader that knows its row count leaves no push-doubling slack
+    /// behind.
     pub(crate) fn reserve_rows(&mut self, additional: usize) {
         self.columns.iter_mut().for_each(|c| c.reserve(additional));
         self.dead.reserve_exact(additional);
-        self.pk_index.reserve(additional, pk_at(&self.columns[self.schema.pk]));
+        self.pk_index.reserve(additional, live_pk(&self.dead, &self.columns[self.schema.pk]));
     }
 
     /// Releases the push-doubling slack of everything sized by the slot
     /// count — the columns, the liveness flags, the forward arrays and
     /// the score snapshot — repacks every FK-run arena at exact size, and
-    /// sizes the PK index for the live rows.
+    /// sizes the PK slots for the hashed rows.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.columns.iter_mut().for_each(Column::shrink_to_fit);
         self.dead.shrink_to_fit();
         self.fwd.iter_mut().flatten().for_each(Vec::shrink_to_fit);
         self.installed_scores.shrink_to_fit();
-        self.pk_index.shrink_to_fit(pk_at(&self.columns[self.schema.pk]));
+        self.pk_index.shrink_to_fit(live_pk(&self.dead, &self.columns[self.schema.pk]));
         self.fk_runs.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
     }
 

@@ -10,7 +10,13 @@
 //! Primary keys come from one of the key families the hasher is held to
 //! (`hash.rs`), negatives and the `i64` extremes included, and a
 //! delete → re-insert churn op reuses them, so the PK slot index probes
-//! through clustered, emptied and refilled runs. A wide op writes a value
+//! through clustered, emptied and refilled runs. One more family is
+//! dense: its inserts take the next surrogate key, the first row's plus
+//! the slot count, so most rows sit at their key's offset and take no PK
+//! slot, while its churn puts deleted offset keys back through the
+//! slots; after every step `by_pk` answers as the model does for every
+//! model key, for absent keys and for the offset key of every dead row,
+//! and the slots hold exactly the live rows off their offsets. A wide op writes a value
 //! outside `i32` into a column that held only narrow values and NULLs,
 //! widening it mid-stream, and a text churn op rewrites one text cell
 //! many times over; after every step the table's cell bytes stay within
@@ -22,14 +28,17 @@ use sizel_storage::{Database, RowId, TableSchema, Value, ValueType};
 
 const N_REFS: i64 = 4;
 const N_PKS: i64 = 16;
-const N_FAMILIES: u8 = 6;
+const N_FAMILIES: u8 = 7;
+/// The family whose inserts take the next surrogate key.
+const DENSE: u8 = 6;
 /// Rewrites of one text cell per text churn op.
 const CHURN: usize = 64;
 
 /// The `i`-th primary key of a key family: keys varying only in their
-/// high bits, negatives, and the two ends of `i64`.
+/// high bits, negatives, the two ends of `i64`, and surrogate keys from 1.
 fn pk_key(family: u8, i: i64) -> i64 {
     match family {
+        DENSE => 1 + i,
         0 => i,
         1 => i << 32,
         2 => i << 48,
@@ -71,10 +80,10 @@ fn op() -> impl Strategy<Value = Op> {
     (0u8..11, 0..N_PKS, 0u8..16, -5i64..5, -1e3..1e3f64, (0usize..6, 0..N_REFS))
 }
 
-fn row_of(&(_, pk, nulls, n, x, (len, fk)): &Op, family: u8) -> Vec<Value> {
+fn row_of(&(_, _, nulls, n, x, (len, fk)): &Op, pk: i64) -> Vec<Value> {
     let cell = |bit: u8, v: Value| if nulls & (1 << bit) != 0 { Value::Null } else { v };
     vec![
-        Value::Int(pk_key(family, pk)),
+        Value::Int(pk),
         cell(0, Value::Int(n)),
         cell(1, Value::Float(x)),
         cell(2, Value::Text("é".repeat(len))),
@@ -97,9 +106,16 @@ proptest! {
         let live_slot = |model: &[Slot], pk: i64| {
             model.iter().position(|(live, v)| *live && v[0] == Value::Int(pk))
         };
+        // The first row's key: a row at `base + row` takes no PK slot.
+        let base_of = |model: &[Slot]| model.first().and_then(|(_, v)| v[0].as_int());
         for o in &ops {
-            let (kind, pk) = (o.0, pk_key(family, o.1));
-            let values = row_of(o, family);
+            let kind = o.0;
+            let pk = match (family, base_of(&model)) {
+                (DENSE, Some(base)) if kind <= 2 => base + model.len() as i64,
+                (DENSE, Some(base)) => base + o.1,
+                _ => pk_key(family, o.1),
+            };
+            let values = row_of(o, pk);
             let slot = live_slot(&model, pk);
             match kind {
                 // Plain and scored-staged inserts (the latter degrade to
@@ -230,6 +246,22 @@ proptest! {
                 let pk = pk_key(family, i);
                 prop_assert_eq!(t.by_pk(pk).map(RowId::index), live_slot(&model, pk));
             }
+            // Both PK paths: every model key, the offset key of every
+            // row — dead ones included — and keys no row holds.
+            let base = base_of(&model).unwrap_or(0);
+            let offset_key = |i: usize| base.checked_add(i as i64);
+            let model_keys = model.iter().filter_map(|(_, v)| v[0].as_int());
+            let offset_keys = (0..=model.len()).filter_map(offset_key);
+            let absent = [i64::MIN, -1, 0, i64::MAX, base.wrapping_sub(1), pk_key(family, N_PKS)];
+            for pk in model_keys.chain(offset_keys).chain(absent) {
+                prop_assert_eq!(t.by_pk(pk).map(RowId::index), live_slot(&model, pk), "key {}", pk);
+            }
+            let off_offset = model
+                .iter()
+                .enumerate()
+                .filter(|(i, (live, v))| *live && v[0].as_int() != offset_key(*i))
+                .count();
+            prop_assert_eq!(t.pk_slot_rows(), off_offset);
             for k in 0..N_REFS {
                 let mut scan: Vec<RowId> = live
                     .iter()

@@ -8,6 +8,14 @@
 //! dead slots outnumber live entries. After every operation the key set,
 //! every key's slice, the key and entry counts and the iterated set must
 //! equal the model's.
+//!
+//! The keys mix near ones with far ones — negatives, `1 << 40` and both
+//! ends of `i64`, each beside its successor — so the directory's array
+//! span starts, grows by the key past its end, stops at `i64::MAX`, and
+//! leaves the rest of the keys hashed; a repack lays the span out again.
+//! The bulk build is held to the same model over dense, sparse and mixed
+//! inputs, and takes the array exactly when the keys' span is no larger
+//! than the entries.
 
 use std::collections::BTreeMap;
 
@@ -17,14 +25,26 @@ use sizel_storage::runs::Runs;
 
 const N_KEYS: i64 = 5;
 
+/// Keys far from the near ones `0..N_KEYS`, each beside its successor.
+const FAR: [i64; 9] =
+    [-2, -1, 1 << 40, (1 << 40) + 1, i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX, -(1 << 40)];
+
 /// The model: each key's entries.
 type Model = BTreeMap<i64, Vec<u32>>;
 
 /// `(kind, key, position or value)`.
 type Op = (u8, i64, u32);
 
+/// A near key or a far one, near keys twice as likely.
+fn key() -> impl Strategy<Value = i64> {
+    (0..2 * N_KEYS + FAR.len() as i64).prop_map(|i| match i - 2 * N_KEYS {
+        far @ 0.. => FAR[far as usize],
+        _ => i % N_KEYS,
+    })
+}
+
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..12, 0..N_KEYS, 0u32..64)
+    (0u8..12, key(), 0u32..64)
 }
 
 /// Drops `key` from the model when it holds nothing, as `Runs` does
@@ -82,6 +102,9 @@ fn check(runs: &Runs<u32>, model: &Model) -> Result<(), TestCaseError> {
     for key in -1..=N_KEYS {
         prop_assert_eq!(runs.get(key), model.get(&key).map(Vec::as_slice));
     }
+    for key in FAR.into_iter().chain([i64::MIN + 2, i64::MAX - 2, (1 << 40) + 2]) {
+        prop_assert_eq!(runs.get(key), model.get(&key).map(Vec::as_slice), "key {}", key);
+    }
     let iterated: Model = runs.iter().map(|(k, entries)| (k, entries.to_vec())).collect();
     prop_assert_eq!(runs.iter().count(), model.len());
     prop_assert_eq!(&iterated, model);
@@ -106,6 +129,84 @@ proptest! {
         copy.for_each_run_mut(|entries| entries.sort_unstable());
         model.values_mut().for_each(|entries| entries.sort_unstable());
         check(&copy, &model)?;
+    }
+}
+
+/// Entries over a handful of keys from `0..8` (dense), from the far keys
+/// (sparse), or from both (mixed).
+fn entries() -> impl Strategy<Value = Vec<(i64, u32)>> {
+    let picks = proptest::collection::vec((0..8 + FAR.len(), 0u32..64), 0..40);
+    (0u8..3, picks).prop_map(|(mode, picks)| {
+        let key = |i: usize| match mode {
+            0 => (i % 8) as i64,
+            1 => FAR[i % FAR.len()],
+            _ if i < 8 => i as i64,
+            _ => FAR[i - 8],
+        };
+        picks.into_iter().map(|(i, x)| (key(i), x)).collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A bulk build holds every key's entries in the walk's order, at
+    /// exact size: with an array over the keys' span, 12 B a key of it,
+    /// when that span is no larger than the entry count.
+    #[test]
+    fn a_bulk_build_agrees_with_the_map_model(pairs in entries()) {
+        let runs = Runs::from_entries(|| pairs.iter().copied());
+        let mut model = Model::new();
+        for &(key, x) in &pairs {
+            model.entry(key).or_default().push(x);
+        }
+        check(&runs, &model)?;
+        let arena = 4 * pairs.len();
+        if let (Some(&lo), Some(&hi)) = (model.keys().next(), model.keys().next_back()) {
+            let span = i128::from(hi) - i128::from(lo) + 1;
+            if span <= pairs.len() as i128 {
+                prop_assert_eq!(runs.heap_bytes(), arena + 12 * span as usize);
+            } else {
+                prop_assert!(runs.heap_bytes() > arena);
+            }
+        }
+        // It grows, shrinks and repacks like any other.
+        let mut runs = runs;
+        for (i, &(key, x)) in pairs.iter().enumerate() {
+            let o = if i % 3 == 0 { (10, key, x) } else { (0, key.wrapping_add(1), x) };
+            apply(&mut runs, &mut model, &o);
+            check(&runs, &model)?;
+        }
+        runs.shrink_to_fit();
+        check(&runs, &model)?;
+    }
+}
+
+/// The key just past the span's end is hashed already: it stays in its
+/// one hashed run, and the span does not take it.
+#[test]
+fn a_hashed_key_past_the_span_stays_hashed() {
+    let mut runs = Runs::default();
+    let mut model = Model::new();
+    // 10 starts the span, 12 lies past its end and is hashed, 11 then
+    // extends the span to end just before 12.
+    for (key, x) in [(10, 0), (12, 1), (11, 2), (12, 3), (13, 4), (12, 5)] {
+        apply(&mut runs, &mut model, &(0, key, x));
+        check(&runs, &model).unwrap();
+    }
+    assert_eq!(runs.get(12), Some(&[1, 3, 5][..]));
+    assert_eq!(runs.iter().filter(|&(key, _)| key == 12).count(), 1);
+    // Dropped — its slots dead enough to repack and lay the directory
+    // out again — and re-added, 12 lands in one part once more.
+    apply(&mut runs, &mut model, &(10, 12, 0));
+    apply(&mut runs, &mut model, &(0, 12, 6));
+    check(&runs, &model).unwrap();
+    // `i64::MAX` ends a span: there is no key past it.
+    let mut ends = Runs::default();
+    let mut model = Model::new();
+    for (key, x) in [(i64::MAX - 1, 0), (i64::MAX, 1), (i64::MIN, 2), (i64::MAX, 3)] {
+        apply(&mut ends, &mut model, &(0, key, x));
+        check(&ends, &model).unwrap();
     }
 }
 
