@@ -1,12 +1,5 @@
-//! PR 10 disk-tier benches (EXPERIMENTS.md §PR 10):
+//! Disk-tier benches (EXPERIMENTS.md §PR 10):
 //!
-//! * `disk/prefix_scan` — the same TOP-l probe served from RAM sorted
-//!   postings, from paged segments with a cache too small to keep the
-//!   working set (every probe preads), and from paged segments with a
-//!   warm cache (every probe hits) — the cost of paging cold tables and
-//!   the cost of *not* sizing the cache.
-//! * `disk/cache_curve` — one rotating probe mix across block-cache
-//!   capacities, tracing the hit curve the residency policy trades on.
 //! * `disk/wal_batch` — encode + append + fsync of a 16-mutation batch
 //!   record at different fsync batching levels: the write-ahead overhead
 //!   every `apply_batch` pays before settlement.
@@ -17,7 +10,6 @@
 
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sizel_core::durability::encode_batch;
@@ -26,123 +18,12 @@ use sizel_datagen::dblp::{generate, DblpConfig};
 use sizel_disk::{PagedStore, Wal, PAGE_SIZE};
 use sizel_graph::presets;
 use sizel_rank::{dblp_ga, GaPreset};
-use sizel_storage::{Database, RowId, TableSchema, Value};
+use sizel_storage::Value;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sizel-bench-disk-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Parent/Child with `children` rows spread over 8 parents, importance
-/// order installed — big enough that each parent's posting list spans
-/// multiple 4 KiB pages.
-fn scan_db(children: i64) -> Database {
-    let mut db = Database::new();
-    db.create_table(TableSchema::builder("Parent").pk("id").build().unwrap()).unwrap();
-    db.create_table(
-        TableSchema::builder("Child").pk("id").fk("parent_id", "Parent").build().unwrap(),
-    )
-    .unwrap();
-    for pk in 0..8 {
-        db.insert("Parent", vec![Value::Int(pk)]).unwrap();
-    }
-    for pk in 0..children {
-        db.insert("Child", vec![Value::Int(pk), Value::Int(pk % 8)]).unwrap();
-    }
-    db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
-    db
-}
-
-/// A paged clone of `scan_db`: checkpointed, evicted, pager installed.
-fn paged_db(children: i64, cache_pages: usize, tag: &str) -> (Database, Arc<PagedStore>, PathBuf) {
-    let mut db = scan_db(children);
-    let child = db.table_id("Child").unwrap();
-    let dir = temp_dir(tag);
-    let store = Arc::new(PagedStore::new(&dir, cache_pages).unwrap());
-    store.checkpoint_from(&db, &[child]).unwrap();
-    db.evict_table_postings(child);
-    db.set_pager(Arc::<PagedStore>::clone(&store));
-    (db, store, dir)
-}
-
-fn probe(db: &Database, key: i64, l: usize) -> usize {
-    let child = db.table_id("Child").unwrap();
-    let fk = db.table(child).schema.column_index("parent_id").unwrap();
-    let token = db.fk_order();
-    let li = |r: RowId| db.table(child).installed_score(r);
-    db.select_eq_top_l(child, fk, key, l, 0.0, token, &li).len()
-}
-
-const CHILDREN: i64 = 40_000; // ~5 pages per parent's FK posting list
-
-fn bench_prefix_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("disk/prefix_scan");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(1));
-
-    let ram = scan_db(CHILDREN);
-    group.bench_function("ram", |b| {
-        let mut key = 0i64;
-        b.iter(|| {
-            key = (key + 1) % 8;
-            black_box(probe(black_box(&ram), key, 10))
-        })
-    });
-
-    // 2 cache pages for a >40-page working set: every page load preads.
-    let (cold, store, dir) = paged_db(CHILDREN, 2, "scan-cold");
-    group.bench_function("paged_cold", |b| {
-        let mut key = 0i64;
-        b.iter(|| {
-            key = (key + 1) % 8;
-            black_box(probe(black_box(&cold), key, 10))
-        })
-    });
-    let s = store.stats();
-    eprintln!(
-        "paged_cold: hits={} misses={} evictions={} (cache starvation is the point)",
-        s.cache.hits, s.cache.misses, s.cache.evictions
-    );
-    std::fs::remove_dir_all(&dir).ok();
-
-    let (warm, store, dir) = paged_db(CHILDREN, 1024, "scan-warm");
-    probe(&warm, 0, 10); // touch once so the working set is resident
-    group.bench_function("paged_warm", |b| {
-        let mut key = 0i64;
-        b.iter(|| {
-            key = (key + 1) % 8;
-            black_box(probe(black_box(&warm), key, 10))
-        })
-    });
-    let s = store.stats();
-    eprintln!("paged_warm: hits={} misses={}", s.cache.hits, s.cache.misses);
-    std::fs::remove_dir_all(&dir).ok();
-    group.finish();
-}
-
-fn bench_cache_curve(c: &mut Criterion) {
-    let mut group = c.benchmark_group("disk/cache_curve");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(1));
-    for cache_pages in [2usize, 8, 32, 128] {
-        let (db, store, dir) = paged_db(CHILDREN, cache_pages, "curve");
-        group.bench_with_input(BenchmarkId::from_parameter(cache_pages), &cache_pages, |b, _| {
-            let mut key = 0i64;
-            b.iter(|| {
-                key = (key + 1) % 8;
-                black_box(probe(black_box(&db), key, 10))
-            })
-        });
-        let s = store.stats();
-        let total = s.cache.hits + s.cache.misses;
-        let ratio = if total == 0 { 0.0 } else { s.cache.hits as f64 / total as f64 };
-        eprintln!("cache_pages={cache_pages}: hit ratio {ratio:.3} over {total} loads");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    group.finish();
 }
 
 /// A representative 16-mutation batch record (~1 KiB encoded).
@@ -216,7 +97,7 @@ fn bench_checkpoint(c: &mut Criterion) {
     }
 
     let dir = temp_dir("checkpoint");
-    let store = PagedStore::new(&dir, 1024).unwrap();
+    let mut store = PagedStore::new(&dir).unwrap();
     group.bench_function("dblp_bench_4_tables", |b| {
         b.iter(|| black_box(store.checkpoint_from(black_box(db), &tables).unwrap()))
     });
@@ -237,5 +118,5 @@ fn bench_checkpoint(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_prefix_scan, bench_cache_curve, bench_wal_batch, bench_checkpoint);
+criterion_group!(benches, bench_wal_batch, bench_checkpoint);
 criterion_main!(benches);

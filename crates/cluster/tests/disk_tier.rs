@@ -1,4 +1,4 @@
-//! The disk tier of the router's one engine: it logs and pages in
+//! The disk tier of the router's one engine: it logs and checkpoints in
 //! `shard-0` alone and pays one WAL record a batch. A rebuilt router
 //! that re-attaches the same base directory replays the log against its
 //! engine and answers byte-identically to the survivor.
@@ -29,11 +29,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn tier() -> DiskTierConfig {
+    // The directory is replaced per engine by the router.
     DiskTierConfig {
-        dir: PathBuf::new(), // replaced per engine by the router
-        cache_pages: 16,
-        fsync_every: 1,
         paged_tables: vec!["AuthorPaper".into()],
+        ..DiskTierConfig::new(PathBuf::new())
     }
 }
 
@@ -65,6 +64,10 @@ fn a_partitioned_cluster_logs_and_pages_in_shard_0_only() {
     assert_eq!(reports.len(), 1, "one engine, one report");
     assert_eq!(reports[0].batches_replayed, 0, "a fresh directory replays nothing");
     assert!(reports[0].generation > 0, "the paged table was checkpointed");
+    let disk = router.stats().per_shard[0].disk.expect("shard 0 owns the tier");
+    assert_eq!((disk.store.generation, disk.store.checkpoints), (1, 1));
+    assert!(disk.store.lists > 0, "the segment holds AuthorPaper's lists");
+    assert_eq!(disk.store.cache, Default::default(), "no block cache counts anything");
     assert_tier_in(&base, 0);
     assert!(!base.join("shard-1").exists(), "shard 1 shares shard 0's engine and tier");
     std::fs::remove_dir_all(&base).ok();

@@ -13,11 +13,10 @@
 //! exactly the prefix that was durably committed.
 //!
 //! The same [`DiskTier`] owns the [`PagedStore`] of posting segments:
-//! [`crate::SizeLEngine::checkpoint_disk`] re-snapshots the
-//! importance-sorted postings of the configured *paged* tables into a
-//! fresh segment generation and evicts their RAM copies, so cold
-//! tables serve TOP-`l` prefix scans from the block cache instead of
-//! pinned heap memory.
+//! [`crate::SizeLEngine::checkpoint_disk`] snapshots the
+//! importance-sorted FK runs of the configured *paged* tables into a
+//! fresh segment generation, the checkpoint artefact. The runs stay in
+//! RAM and serve every probe; the tier keeps no residency policy.
 //!
 //! ## Record format
 //!
@@ -30,7 +29,6 @@
 //! replay derives its own epochs by re-applying.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use sizel_disk::{DiskError, PagedStore, StoreStats, Wal};
 use sizel_storage::codec::{put_u64, CodecError, Reader};
@@ -44,21 +42,22 @@ use crate::engine::Mutation;
 pub struct DiskTierConfig {
     /// Root directory: holds `wal.log` and the `segments/` store.
     pub dir: PathBuf,
-    /// Block-cache capacity in 4 KiB pages.
+    /// Read by nothing: the tier keeps no block cache. Kept only for the
+    /// frozen benchmark package, which sets it; it goes with that
+    /// package's next change (ROADMAP item 0).
     pub cache_pages: usize,
     /// Fsync the WAL every this many appends (minimum 1 — every
     /// append). Values above 1 trade a bounded redo window for
     /// throughput.
     pub fsync_every: usize,
-    /// Tables whose sorted postings are paged to segments and evicted
-    /// from RAM at each checkpoint (the residency policy: name the
-    /// cold/huge tables here, keep hot ones resident).
+    /// Tables whose sorted postings each checkpoint writes to a segment
+    /// generation. Their runs stay in RAM.
     pub paged_tables: Vec<String>,
 }
 
 impl DiskTierConfig {
-    /// A tier rooted at `dir` with defaults: 1024 cached pages, fsync
-    /// on every append, nothing paged (WAL-only durability).
+    /// A tier rooted at `dir` with defaults: fsync on every append, no
+    /// table checkpointed (WAL-only durability).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DiskTierConfig {
             dir: dir.into(),
@@ -92,7 +91,7 @@ pub struct RecoveryReport {
 /// Point-in-time disk-tier statistics for the serving layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskTierStats {
-    /// Paged-store + block-cache counters.
+    /// Segment-store counters.
     pub store: StoreStats,
     /// Bytes currently in the WAL (since the last truncation).
     pub wal_bytes: u64,
@@ -105,7 +104,7 @@ pub struct DiskTierStats {
 /// The engine's attached disk tier: segment store + write-ahead log.
 #[derive(Debug)]
 pub struct DiskTier {
-    pub(crate) store: Arc<PagedStore>,
+    pub(crate) store: PagedStore,
     pub(crate) wal: Wal,
     pub(crate) paged: Vec<TableId>,
     pub(crate) wal_appends: u64,

@@ -26,7 +26,6 @@
 //! cache by it).
 
 use std::borrow::Borrow;
-use std::sync::Arc;
 
 use sizel_disk::{PagedStore, Wal};
 use sizel_graph::{DataGraph, Gds, GdsConfig, SchemaGraph};
@@ -270,8 +269,8 @@ pub struct SizeLEngine {
     /// the authority graph over the mutated database.
     ga: GaBuilder,
     cfg: EngineConfig,
-    /// The optional disk tier: WAL-backed batch durability plus paged
-    /// posting segments (see [`crate::durability`]).
+    /// The optional disk tier: WAL-backed batch durability plus
+    /// checkpointed posting segments (see [`crate::durability`]).
     disk: Option<DiskTier>,
 }
 
@@ -611,10 +610,10 @@ impl SizeLEngine {
     /// under `cfg.dir`, **replays** whatever intact records it holds
     /// through the normal batch path — recovering the committed state of
     /// a crashed predecessor byte for byte — then checkpoints the
-    /// configured paged tables into posting segments, evicts their RAM
-    /// postings, and routes their TOP-`l` prefix scans through the block
-    /// cache. From here on every `apply`/`apply_batch` appends its batch
-    /// to the WAL before settling (redo durability).
+    /// configured paged tables' sorted FK runs into a segment generation.
+    /// The runs stay in RAM and keep serving every probe. From here on
+    /// every `apply`/`apply_batch` appends its batch to the WAL before
+    /// settling (redo durability).
     ///
     /// The WAL is **kept** across the attach: the replay is
     /// deterministic from the same base database, so a second crash
@@ -652,46 +651,33 @@ impl SizeLEngine {
                 report.batches_rejected += 1;
             }
         }
-        let store = Arc::new(
-            PagedStore::new(&cfg.dir.join("segments"), cfg.cache_pages).map_err(as_storage)?,
-        );
+        let mut store = PagedStore::new(&cfg.dir.join("segments")).map_err(as_storage)?;
         if !paged.is_empty() {
             report.generation = store.checkpoint_from(&self.db, &paged).map_err(as_storage)?;
-            for &tid in &paged {
-                self.db.evict_table_postings(tid);
-            }
-            self.db.set_pager(Arc::clone(&store) as Arc<dyn sizel_storage::PostingPager>);
         }
         self.disk = Some(DiskTier { store, wal, paged, wal_appends: 0, wal_syncs: 0 });
         Ok(report)
     }
 
-    /// Re-checkpoints the paged tables into a fresh segment generation
-    /// and evicts their RAM postings again. Because mutations since the
-    /// last checkpoint may have touched evicted tables (whose postings
-    /// then only exist implicitly), the in-RAM sorted postings are first
-    /// rebuilt from the installed per-row scores — the re-stamped order
-    /// token is adopted by the engine, the fresh segment carries it, and
-    /// probes route back to the pages. Returns the new generation id.
+    /// Re-checkpoints the paged tables into a fresh segment generation.
+    /// The in-RAM sorted runs are first rebuilt from the installed
+    /// per-row scores, so the segment snapshots a fresh install whatever
+    /// the mutations since the last checkpoint left; the engine adopts the
+    /// re-stamped order token. Returns the new generation id.
     pub fn checkpoint_disk(&mut self) -> Result<u64, StorageError> {
-        let Some(disk) = self.disk.as_ref() else {
+        let Some(disk) = self.disk.as_mut() else {
             return Err(StorageError::Durability("no disk tier attached".into()));
         };
         if disk.paged.is_empty() {
             return Err(StorageError::Durability("no tables are paged".into()));
         }
-        let (store, paged) = (Arc::clone(&disk.store), disk.paged.clone());
         self.db.rebuild_postings_from_installed().ok_or_else(|| {
             StorageError::Durability("checkpoint requires installed importance scores".into())
         })?;
         self.fk_order = self.db.fk_order();
-        let generation = store
-            .checkpoint_from(&self.db, &paged)
-            .map_err(|e| StorageError::Durability(e.to_string()))?;
-        for &tid in &paged {
-            self.db.evict_table_postings(tid);
-        }
-        Ok(generation)
+        disk.store
+            .checkpoint_from(&self.db, &disk.paged)
+            .map_err(|e| StorageError::Durability(e.to_string()))
     }
 
     /// Discards the write-ahead log. Call only once every logged
@@ -705,8 +691,8 @@ impl SizeLEngine {
         disk.wal.truncate().map_err(|e| StorageError::Durability(e.to_string()))
     }
 
-    /// Disk-tier statistics (cache counters, segment generation, WAL
-    /// size), or `None` when no tier is attached.
+    /// Disk-tier statistics (segment generation, WAL size), or `None`
+    /// when no tier is attached.
     pub fn disk_stats(&self) -> Option<DiskTierStats> {
         self.disk.as_ref().map(DiskTier::stats)
     }
@@ -804,9 +790,10 @@ impl SizeLEngine {
 
     /// Resolves a keyword query to its DS tuples, ranked by global
     /// importance descending (the paper ranks OSs by their DS's importance;
-    /// see also [9]) and truncated to `max_results`. The per-DS summary
-    /// computation ([`Self::summarize`]) is deliberately separate so a
-    /// serving layer can memoize it per `(tds, options)` across queries.
+    /// see also its reference \[9\]) and truncated to `max_results`. The
+    /// per-DS summary computation ([`Self::summarize`]) is deliberately
+    /// separate so a serving layer can memoize it per `(tds, options)`
+    /// across queries.
     pub fn ds_hits(&self, keywords: &str) -> Vec<TupleRef> {
         let mut hits = self.kw.search(keywords);
         hits.sort_by(|&a, &b| self.score(b).total_cmp(&self.score(a)).then(a.cmp(&b)));

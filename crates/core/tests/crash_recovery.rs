@@ -12,19 +12,16 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use sizel_core::durability::{encode_batch, DiskTierConfig};
-use sizel_core::engine::{EngineConfig, Mutation, SizeLEngine};
-use sizel_core::os::FetchScratch;
+use sizel_core::engine::{EngineConfig, Mutation, QueryOptions, SizeLEngine};
 use sizel_core::test_fixtures::{max_pk, result_fingerprint};
-use sizel_core::{OsContext, OsSource};
+use sizel_core::OsSource;
 use sizel_datagen::dblp::{generate, Dblp, DblpConfig};
-use sizel_disk::page::FK_PER_PAGE;
-use sizel_disk::{PagedStore, Wal};
-use sizel_graph::{presets, DataGraph, Gds, GdsConfig, JoinSpec, SchemaGraph};
-use sizel_rank::{dblp_ga, AuthorityGraph, GaPreset, RankConfig};
-use sizel_storage::{Database, ProbeCost, TableSchema, TupleRef, Value};
+use sizel_disk::Wal;
+use sizel_graph::presets;
+use sizel_rank::{dblp_ga, GaPreset};
+use sizel_storage::{AccessStats, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -83,8 +80,12 @@ fn fingerprint(e: &SizeLEngine) -> String {
 }
 
 fn wal_only(dir: &std::path::Path) -> DiskTierConfig {
-    DiskTierConfig { dir: dir.to_path_buf(), cache_pages: 64, fsync_every: 1, paged_tables: vec![] }
+    DiskTierConfig::new(dir)
 }
+
+/// The tables a tier checkpoints: every posting list an Author or Paper
+/// summary probes.
+const PAGED_TABLES: [&str; 4] = ["AuthorPaper", "Citation", "Paper", "Year"];
 
 #[test]
 fn recovery_replays_the_wal_into_a_byte_identical_engine() {
@@ -233,23 +234,21 @@ fn paged_tables_serve_identical_answers_through_mutations_and_checkpoints() {
     let mut paged = fresh_engine(generate(&DblpConfig::tiny()));
     let report = paged
         .attach_disk(DiskTierConfig {
-            dir: dir.clone(),
-            cache_pages: 8,
             fsync_every: 4,
             paged_tables: vec!["Author".into(), "AuthorPaper".into()],
+            ..DiskTierConfig::new(&dir)
         })
         .unwrap();
     assert!(report.generation > 0, "the attach checkpointed a segment generation");
-    assert_eq!(fingerprint(&paged), fingerprint(&ram), "paged probes change no answer");
+    assert_eq!(fingerprint(&paged), fingerprint(&ram), "a checkpoint changes no answer");
 
-    // Mutations stale the segment stamp: probes fall back to the heap
-    // paths, answers stay equal.
     let ms = script(&ram);
     ram.apply_batch(ms.clone()).unwrap();
     paged.apply_batch(ms).unwrap();
     assert_eq!(fingerprint(&paged), fingerprint(&ram));
 
-    // A checkpoint re-pages the mutated postings and re-routes probes.
+    // A checkpoint re-sorts the runs from the installed scores and
+    // snapshots the mutated postings.
     let generation = paged.checkpoint_disk().unwrap();
     assert!(generation > report.generation);
     assert_eq!(fingerprint(&paged), fingerprint(&ram));
@@ -274,7 +273,7 @@ fn paged_tables_serve_identical_answers_through_mutations_and_checkpoints() {
 #[test]
 fn a_checkpoint_of_the_dblp_posting_tables_costs_at_most_24_bytes_per_entry() {
     let dir = temp_dir("space");
-    let tables = ["AuthorPaper", "Citation", "Paper", "Year"];
+    let tables = PAGED_TABLES;
     let mut engine = fresh_engine(generate(&DblpConfig::small()));
     let (mut lists, mut entries) = (0usize, 0usize);
     for name in tables {
@@ -288,10 +287,8 @@ fn a_checkpoint_of_the_dblp_posting_tables_costs_at_most_24_bytes_per_entry() {
 
     engine
         .attach_disk(DiskTierConfig {
-            dir: dir.clone(),
-            cache_pages: 8,
-            fsync_every: 1,
             paged_tables: tables.map(String::from).to_vec(),
+            ..DiskTierConfig::new(&dir)
         })
         .unwrap();
     let files: Vec<_> =
@@ -307,161 +304,55 @@ fn a_checkpoint_of_the_dblp_posting_tables_costs_at_most_24_bytes_per_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Everything an [`OsContext`] borrows, over Parent / Child / Rel where
-/// `Rel` is a junction whose `parent_id` groups sit on every boundary of
-/// the packed FK page: empty, one row, a page less one, exactly a page,
-/// a page and one, exactly three pages, and a two-page run whose tail
-/// page the two short groups after it share.
-struct JunctionStack {
-    db: Database,
-    sg: SchemaGraph,
-    gds: Gds,
-}
-
-const JUNCTION_GROUPS: [usize; 9] = [
-    0,
-    1,
-    FK_PER_PAGE - 1,
-    FK_PER_PAGE,
-    FK_PER_PAGE + 1,
-    3 * FK_PER_PAGE,
-    2 * FK_PER_PAGE + 5,
-    3,
-    5,
-];
-
-fn junction_stack() -> JunctionStack {
-    let mut db = Database::new();
-    db.create_table(TableSchema::builder("Parent").pk("id").build().unwrap()).unwrap();
-    db.create_table(TableSchema::builder("Child").pk("id").build().unwrap()).unwrap();
-    db.create_table(
-        TableSchema::builder("Rel")
-            .pk("id")
-            .fk("parent_id", "Parent")
-            .fk("child_id", "Child")
-            .junction()
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    const CHILDREN: i64 = 4000;
-    for parent in 0..JUNCTION_GROUPS.len() as i64 {
-        db.insert("Parent", vec![Value::Int(parent)]).unwrap();
-    }
-    for child in 0..CHILDREN {
-        db.insert("Child", vec![Value::Int(child)]).unwrap();
-    }
-    let mut rel_pk = 0;
-    for (parent, &n) in JUNCTION_GROUPS.iter().enumerate() {
-        for _ in 0..n {
-            // Consecutive multiples of 7 mod 4000: distinct within a group.
-            let row = vec![
-                Value::Int(rel_pk),
-                Value::Int(parent as i64),
-                Value::Int(rel_pk * 7 % CHILDREN),
-            ];
-            db.insert("Rel", row).unwrap();
-            rel_pk += 1;
-        }
-    }
-    db.validate_foreign_keys().unwrap();
-    let sg = SchemaGraph::from_database(&db);
-    let dg = DataGraph::build(&db, &sg);
-    let ga = AuthorityGraph::uniform("uniform", &sg, &dg, 0.3);
-    let scores = sizel_rank::compute(&db, &sg, &dg, &ga, &RankConfig::default());
-    sizel_rank::install_importance_order(&mut db, &dg, &scores);
-    let parent = db.table_id("Parent").unwrap();
-    let mut gds = Gds::build(&db, &sg, &GdsConfig { theta: 0.0, ..GdsConfig::default() }, parent);
-    gds.set_stats(&scores.per_table_max);
-    JunctionStack { db, sg, gds }
-}
-
-/// The accounted junction TOP-l probe (`children_of_top_l` over a
-/// `ViaJunction` step) returns the same tuples and charges the same
-/// paper-cost accesses with the junction paged as with it in RAM, for
-/// groups on every packing boundary of its FK pages, whether the cache
-/// holds two pages or all of them — and reads none of those pages: the
-/// junction's FK runs and forward arrays stay in RAM, and every junction
-/// probe is one heap probe on either side.
+/// A tier that checkpoints the posting tables moves no probe: its engine
+/// answers as a tier-less one does, with the same paper-cost accounting
+/// and the same mix of prefix-scan and heap probes — after the attach,
+/// after a batch and after a re-checkpoint. The runs serve every probe
+/// on both sides.
 #[test]
-fn junction_probes_over_every_packing_boundary_account_identically_from_pages() {
-    let ram = junction_stack();
-    let rel = ram.db.table_id("Rel").unwrap();
-    let parent_t = ram.db.table_id("Parent").unwrap();
-    let (via, _) = ram
-        .gds
-        .iter()
-        .find(|(_, n)| matches!(n.join, JoinSpec::ViaJunction { junction, .. } if junction == rel))
-        .expect("Parent reaches Child through the Rel junction");
-    let ram_ctx = OsContext::new(&ram.db, &ram.sg, &ram.gds, ram.db.fk_order());
-    let tds = |key: usize| {
-        TupleRef::new(parent_t, ram.db.table(parent_t).by_pk(key as i64).expect("a parent row"))
-    };
-    // A threshold that ends scans inside their lists: the local
-    // importance half-way down the three-page list.
-    let mut whole = Vec::new();
-    let mut scratch = FetchScratch::default();
-    let l_all = 4 * FK_PER_PAGE;
-    ram_ctx.children_of_top_l(
-        via,
-        tds(5),
-        None,
-        OsSource::Database,
-        l_all,
-        0.0,
-        &mut scratch,
-        &mut whole,
-    );
-    let half_way = ram_ctx.local_importance(via, whole[whole.len() / 2]);
-
-    for cache_pages in [2, 1024] {
-        let dir = temp_dir("junction");
-        let mut paged = junction_stack();
-        let store = Arc::new(PagedStore::new(&dir, cache_pages).unwrap());
-        store.checkpoint_from(&paged.db, &[rel]).unwrap();
-        paged.db.evict_table_postings(rel);
-        paged.db.set_pager(Arc::<PagedStore>::clone(&store));
-        let paged_ctx = OsContext::new(&paged.db, &paged.sg, &paged.gds, paged.db.fk_order());
-
-        let mut cut_short = 0;
-        for (key, &group) in JUNCTION_GROUPS.iter().enumerate() {
-            let tds = tds(key);
-            // A short prefix, one that crosses a page boundary, the whole
-            // list; and a threshold that cuts the scan short of `l`.
-            for (l, largest_l) in
-                [(1, 0.0), (10, 0.0), (FK_PER_PAGE + 1, 0.0), (l_all, 0.0), (l_all, half_way)]
-            {
-                let probe = |ctx: &OsContext, scratch: &mut FetchScratch| {
-                    scratch.cost = ProbeCost::default();
-                    let mut out = Vec::new();
-                    ctx.children_of_top_l(
-                        via,
-                        tds,
-                        None,
-                        OsSource::Database,
-                        l,
-                        largest_l,
-                        scratch,
-                        &mut out,
-                    );
-                    let cost = scratch.cost;
-                    (out, cost.access, (cost.probes.fast, cost.probes.heap))
-                };
-                let from_ram = probe(&ram_ctx, &mut scratch);
-                let from_pages = probe(&paged_ctx, &mut scratch);
-                assert_eq!(from_ram, from_pages, "key {key} ({group} rows) l {l} > {largest_l}");
-                assert_eq!(from_pages.2, (0, 1), "key {key} l {l}: one heap probe");
-                if largest_l == 0.0 {
-                    assert_eq!(from_pages.0.len(), l.min(group), "key {key} l {l}");
-                } else if (1..group).contains(&from_pages.0.len()) {
-                    cut_short += 1;
-                }
+fn a_tier_with_paged_tables_probes_as_a_tier_less_engine() {
+    let dir = temp_dir("probe-mix");
+    let mut plain = fresh_engine(generate(&DblpConfig::tiny()));
+    let mut tiered = fresh_engine(generate(&DblpConfig::tiny()));
+    tiered
+        .attach_disk(DiskTierConfig {
+            paged_tables: PAGED_TABLES.map(String::from).to_vec(),
+            ..DiskTierConfig::new(&dir)
+        })
+        .unwrap();
+    // Summaries generated from the stored tables (their junction steps
+    // are heap probes), then the TOP-l probe of every FK column of the
+    // checkpointed tables — the prefix scan no DBLP summary issues.
+    let opts = QueryOptions { source: OsSource::Database, ..QueryOptions::default() };
+    let reads = |e: &SizeLEngine| -> (String, AccessStats, (u64, u64)) {
+        let (db, access) = (e.db(), e.db().access());
+        let (a0, p0) = (access.snapshot(), access.probes());
+        let mut fp = format!("epoch={:?}", e.epoch());
+        for kw in ["Faloutsos", "Orla", "durable", "summaries"] {
+            fp.push_str(&format!("|{kw}:{}", result_fingerprint(&e.query_with(kw, opts))));
+        }
+        for name in PAGED_TABLES {
+            let (tid, t) = (db.table_id(name).unwrap(), db.table(db.table_id(name).unwrap()));
+            let li = |r| t.installed_score(r);
+            for (fk, key) in t.schema.fks.iter().flat_map(|fk| (1..=8).map(move |k| (fk, k))) {
+                let rows = db.select_eq_top_l(tid, fk.column, key, 5, 0.0, db.fk_order(), &li);
+                fp.push_str(&format!("|{name}.{}={key}:{rows:?}", fk.column));
             }
         }
-        assert!(cut_short > 0, "the threshold ended no scan inside its list");
-        let stats = store.stats();
-        assert_eq!(stats.cache, Default::default(), "no junction probe read a page");
-        assert!(stats.lists > 0, "the junction's FK lists were checkpointed");
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        let (a1, p1) = (access.snapshot(), access.probes());
+        (fp, a1.since(a0), (p1.fast - p0.fast, p1.heap - p0.heap))
+    };
+    let same = |plain: &SizeLEngine, tiered: &SizeLEngine, when: &str| {
+        let expect = reads(plain);
+        assert!(expect.2 .0 > 0 && expect.2 .1 > 0, "{when}: both kinds of probe ran");
+        assert_eq!(reads(tiered), expect, "{when}");
+    };
+    same(&plain, &tiered, "after the attach");
+    let ms = script(&plain);
+    plain.apply_batch(ms.clone()).unwrap();
+    tiered.apply_batch(ms).unwrap();
+    same(&plain, &tiered, "after a batch");
+    tiered.checkpoint_disk().unwrap();
+    same(&plain, &tiered, "after a re-checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,33 +1,27 @@
-//! Disk tier: paged posting segments, a pooled block cache, and
-//! write-ahead batch durability.
+//! Disk tier: write-ahead batch durability and posting-segment
+//! checkpoints.
 //!
-//! The paper's cost model counts *accesses*; everything above this crate
-//! works over in-RAM postings where an access is a pointer chase. This
-//! crate gives the same sorted postings a disk-resident form so cold or
-//! huge tables can page instead of pinning RAM, without changing a
-//! single answer or a single counted access:
+//! Every probe is served from the in-RAM FK runs; nothing here is on a
+//! read path. The crate gives the engine two artefacts on disk:
 //!
+//! * [`wal`] — the write-ahead log giving `apply_batch` redo
+//!   durability: append + fsync before settlement, replay on recovery,
+//!   truncate at checkpoint,
 //! * [`segment`] — immutable, checksummed segment files packing the
 //!   importance-sorted posting lists of each column into fixed 4 KiB
 //!   pages ([`page`]: many short lists to a page, a long list over a
 //!   run of pages of its own), with a directory locating every list's
 //!   slot and distinguishing *covered-but-empty* lists from
-//!   *not-covered* columns (the accounting-parity pivot),
-//! * [`cache`] — a pooled LRU [`BlockCache`] of verified pages
-//!   (buffers recycled, hit/miss/evict counters exported),
-//! * [`store`] — [`PagedStore`], the [`sizel_storage::PostingPager`]
-//!   implementation the database routes prefix scans to while the
-//!   segment stamp matches the installed order; a checkpoint writes a
-//!   temporary file and renames it into place, and a fresh store sweeps
-//!   what an earlier process left in its directory,
-//! * [`wal`] — the write-ahead log giving `apply_batch` redo
-//!   durability: append + fsync before settlement, replay on recovery,
-//!   truncate at checkpoint.
+//!   *not-covered* columns; [`SegmentWriter`] is the format's one writer
+//!   and [`SegmentFile`] its one reader,
+//! * [`store`] — [`PagedStore`], the directory of segment generations a
+//!   checkpoint writes: a temporary file renamed into place, the
+//!   superseded generation removed, and whatever an earlier process
+//!   left swept by a fresh store.
 //!
 //! Everything fails closed: a page, slot or record that doesn't verify
-//! is a typed [`DiskError`], never a truncated-but-served scan.
+//! is a typed [`DiskError`], never garbage.
 
-pub mod cache;
 pub mod crc;
 pub mod error;
 pub mod page;
@@ -35,9 +29,8 @@ pub mod segment;
 pub mod store;
 pub mod wal;
 
-pub use cache::{BlockCache, CacheSnapshot};
 pub use error::{DiskError, Result};
-pub use page::{PageBuf, PageKind, PAGE_SIZE};
+pub use page::{PageKind, PAGE_SIZE};
 pub use segment::{SegmentFile, SegmentWriter};
-pub use store::{PagedStore, StoreStats};
+pub use store::{CacheSnapshot, PagedStore, StoreStats};
 pub use wal::{Wal, WalReplay};

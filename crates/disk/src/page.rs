@@ -16,12 +16,12 @@
 //! ```
 //!
 //! An entry is a `u32` row id, stored in exactly the descending-importance
-//! order of the in-RAM sorted postings, so a prefix scan of a list's
-//! slots IS the prefix scan of the list. A slot alone in its page holds
+//! order of the in-RAM sorted postings, so a list's slots in run order
+//! ARE the list, best importance first. A slot alone in its page holds
 //! [`FK_PER_PAGE`] = 1017 row ids. Slots never have `count` 0, so the
 //! zeros after the last slot end the sequence. The checksum covers
 //! header, slots and padding alike: any flipped bit fails the page, and
-//! a failed page fails every scan that reads it (fail closed).
+//! a failed page fails every read of every list in it (fail closed).
 //!
 //! The kind byte is always 1; a page or directory naming any other kind
 //! (2 included) is refused.
@@ -45,25 +45,6 @@ pub const FK_PER_PAGE: usize = (PAGE_SIZE - PAGE_HEADER_LEN - SLOT_HEADER_LEN) /
 
 const MAGIC: [u8; 4] = *b"SLPG";
 const CRC_OFFSET: usize = 10;
-
-/// One pooled, page-sized buffer. Held behind `Arc` by the block cache
-/// so cursors can outlive evictions; recycled through the cache's free
-/// list when the last reference drops.
-#[derive(Clone)]
-pub struct PageBuf(pub [u8; PAGE_SIZE]);
-
-impl PageBuf {
-    /// A zeroed page buffer.
-    pub fn zeroed() -> PageBuf {
-        PageBuf([0; PAGE_SIZE])
-    }
-}
-
-impl std::fmt::Debug for PageBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PageBuf({} bytes)", PAGE_SIZE)
-    }
-}
 
 /// What a page stores. One kind is written; the byte stays in the page
 /// header and the directory so that a file naming another is refused.
@@ -129,8 +110,8 @@ pub fn verify_page(buf: &[u8; PAGE_SIZE]) -> Result<()> {
 }
 
 /// The column a verified page's header names — `None` for an unknown
-/// kind byte. A scan compares it with its list's column each time it
-/// enters the page.
+/// kind byte. A reader compares it with its list's column for each page
+/// of the list it reads ([`crate::segment::DirEntry::check_page`]).
 pub fn page_column(buf: &[u8; PAGE_SIZE]) -> Option<ColumnId> {
     Some(ColumnId {
         kind: PageKind::from_byte(buf[4])?,
@@ -180,57 +161,57 @@ mod tests {
     #[test]
     fn seal_verify_roundtrip() {
         let rows: Vec<RowId> = (0..FK_PER_PAGE as u32).map(|i| RowId(i * 3)).collect();
-        let mut full = PageBuf::zeroed();
-        put_slot(&mut full.0, PAGE_HEADER_LEN, -42, 2034, &rows);
-        seal_page(&mut full.0, FK_COLUMN);
-        verify_page(&full.0).unwrap();
-        assert_eq!(page_column(&full.0), Some(FK_COLUMN));
+        let mut full = [0u8; PAGE_SIZE];
+        put_slot(&mut full, PAGE_HEADER_LEN, -42, 2034, &rows);
+        seal_page(&mut full, FK_COLUMN);
+        verify_page(&full).unwrap();
+        assert_eq!(page_column(&full), Some(FK_COLUMN));
         assert_eq!(
-            full.0[PAGE_HEADER_LEN..][..SLOT_HEADER_LEN],
+            full[PAGE_HEADER_LEN..][..SLOT_HEADER_LEN],
             slot_header(-42, 2034, FK_PER_PAGE as u16)
         );
-        assert_eq!(slot_entry(&full.0, PAGE_HEADER_LEN, 5), RowId(15));
-        assert_eq!(slot_entry(&full.0, PAGE_HEADER_LEN, FK_PER_PAGE - 1), rows[1016]);
+        assert_eq!(slot_entry(&full, PAGE_HEADER_LEN, 5), RowId(15));
+        assert_eq!(slot_entry(&full, PAGE_HEADER_LEN, FK_PER_PAGE - 1), rows[1016]);
 
         // Two slots back to back; the zeros after them end the page.
-        let mut shared = PageBuf::zeroed();
+        let mut shared = [0u8; PAGE_SIZE];
         let second = PAGE_HEADER_LEN + slot_len(2);
-        put_slot(&mut shared.0, PAGE_HEADER_LEN, 1, 0, &[RowId(3), RowId(4)]);
-        put_slot(&mut shared.0, second, 9, 0, &[RowId(7)]);
-        seal_page(&mut shared.0, FK_COLUMN);
-        verify_page(&shared.0).unwrap();
-        assert_eq!(shared.0[second..][..SLOT_HEADER_LEN], slot_header(9, 0, 1));
-        assert_eq!(slot_entry(&shared.0, second, 0), RowId(7));
-        assert_eq!(slot_entry(&shared.0, PAGE_HEADER_LEN, 1), RowId(4));
-        assert!(shared.0[second + slot_len(1)..].iter().all(|&b| b == 0));
+        put_slot(&mut shared, PAGE_HEADER_LEN, 1, 0, &[RowId(3), RowId(4)]);
+        put_slot(&mut shared, second, 9, 0, &[RowId(7)]);
+        seal_page(&mut shared, FK_COLUMN);
+        verify_page(&shared).unwrap();
+        assert_eq!(shared[second..][..SLOT_HEADER_LEN], slot_header(9, 0, 1));
+        assert_eq!(slot_entry(&shared, second, 0), RowId(7));
+        assert_eq!(slot_entry(&shared, PAGE_HEADER_LEN, 1), RowId(4));
+        assert!(shared[second + slot_len(1)..].iter().all(|&b| b == 0));
     }
 
     #[test]
     fn any_flipped_bit_fails_verification() {
-        let mut buf = PageBuf::zeroed();
-        put_slot(&mut buf.0, PAGE_HEADER_LEN, 0, 0, &[RowId(3), RowId(4)]);
-        seal_page(&mut buf.0, FK_COLUMN);
+        let mut buf = [0u8; PAGE_SIZE];
+        put_slot(&mut buf, PAGE_HEADER_LEN, 0, 0, &[RowId(3), RowId(4)]);
+        seal_page(&mut buf, FK_COLUMN);
         // An entry flip, a slot-header flip, a page-header flip, a CRC
         // flip and a padding flip all fail.
         for at in [PAGE_HEADER_LEN + SLOT_HEADER_LEN, PAGE_HEADER_LEN, 6, CRC_OFFSET, 4000] {
-            let mut bad = buf.clone();
-            bad.0[at] ^= 0x10;
-            assert!(verify_page(&bad.0).is_err(), "flip at {at} went undetected");
+            let mut bad = buf;
+            bad[at] ^= 0x10;
+            assert!(verify_page(&bad).is_err(), "flip at {at} went undetected");
         }
     }
 
     #[test]
     fn an_unknown_kind_byte_names_no_column() {
         // A sealed page whose kind byte says 2 verifies as bytes but
-        // belongs to no column, so no scan accepts it.
-        let mut buf = PageBuf::zeroed();
-        put_slot(&mut buf.0, PAGE_HEADER_LEN, 0, 0, &[RowId(3)]);
-        seal_page(&mut buf.0, FK_COLUMN);
-        buf.0[4] = 2;
-        let crc = page_crc(&buf.0);
-        buf.0[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
-        verify_page(&buf.0).unwrap();
-        assert_eq!(page_column(&buf.0), None);
+        // belongs to no column, so no reader accepts it.
+        let mut buf = [0u8; PAGE_SIZE];
+        put_slot(&mut buf, PAGE_HEADER_LEN, 0, 0, &[RowId(3)]);
+        seal_page(&mut buf, FK_COLUMN);
+        buf[4] = 2;
+        let crc = page_crc(&buf);
+        buf[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
+        verify_page(&buf).unwrap();
+        assert_eq!(page_column(&buf), None);
         assert_eq!(PageKind::from_byte(2), None);
     }
 

@@ -1,10 +1,10 @@
 //! Posting segments: immutable, checksummed, directory-addressed files.
 //!
 //! A segment snapshots every sorted FK posting list of a set of tables
-//! at one installed-order stamp, packed into fixed 4 KiB pages
+//! under one installed order, packed into fixed 4 KiB pages
 //! ([`crate::page`]) in exactly the in-RAM descending-importance order —
-//! the raw arrays, live entries only, so a paged scan is byte-for-byte
-//! the RAM scan. The file layout:
+//! the raw arrays, live entries only, so a list read back is
+//! byte-for-byte its FK run. The file layout:
 //!
 //! ```text
 //! [page 0][page 1]...[page N-1][directory][dir_len u64][dir_crc u32][magic u32]
@@ -15,19 +15,17 @@
 //! **never split**: it goes into the open page if there is room, else
 //! into a fresh one. A longer list starts on a fresh page and fills
 //! consecutive pages with one slot each; the page its tail leaves
-//! part-empty stays open for the lists that follow. So a scan of the
-//! first `n` entries of any list reads `ceil(n / per_page)` pages, as it
+//! part-empty stays open for the lists that follow. So a read of the
+//! first `n` entries of any list takes `ceil(n / per_page)` pages, as it
 //! would if every list had pages of its own, and the segment costs bytes
 //! in proportion to its entries, not pages in proportion to its lists.
 //!
 //! The directory maps `(kind, table, col, key)` to the list's page run
 //! and the offset of its slot, and carries explicit **coverage records**
 //! per `(kind, table, col)`: a covered column with no entry for a key is
-//! a *known-empty* list (served as an empty cursor, same as the RAM
-//! path's fast empty probe), while an uncovered column is *not in this
-//! segment* (the caller falls back to the heap path). Conflating the two
-//! would silently change the paper-cost accounting, so the distinction
-//! is stored, not inferred.
+//! a *known-empty* list, while an uncovered column is *not in this
+//! segment*. Conflating the two would make an empty run and a missing
+//! column read alike, so the distinction is stored, not inferred.
 //!
 //! Directory serialization (little-endian):
 //!
@@ -44,9 +42,8 @@
 //! directory naming it is refused at open.
 //!
 //! There is no format version: a segment never outlives the process
-//! that wrote it (its stamp lives in RAM; a restart sweeps the directory
-//! and checkpoints afresh), so no reader ever meets another build's
-//! file.
+//! that wrote it (a restart sweeps the directory and checkpoints
+//! afresh), so no reader ever meets another build's file.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
@@ -61,8 +58,8 @@ use crate::error::{DiskError, Result};
 use sizel_storage::RowId;
 
 use crate::page::{
-    page_column, put_slot, seal_page, slot_header, slot_len, verify_page, ColumnId, PageBuf,
-    PageKind, FK_PER_PAGE, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_HEADER_LEN,
+    page_column, put_slot, seal_page, slot_header, slot_len, verify_page, ColumnId, PageKind,
+    FK_PER_PAGE, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_HEADER_LEN,
 };
 
 const TRAILER_MAGIC: [u8; 4] = *b"SLSG";
@@ -80,7 +77,7 @@ pub struct ListId {
 }
 
 /// One posting list's location within the segment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DirEntry {
     /// First page of the run.
     pub first_page: u32,
@@ -100,8 +97,8 @@ impl DirEntry {
     /// run as this entry promises it: a page of the list's kind, table
     /// and column, holding at the entry's offset a slot with the list's
     /// key, the position this page of the run starts at and the count it
-    /// must hold. Pure — a scan makes it each time it enters a page,
-    /// whoever read the page into the cache.
+    /// must hold. Pure — a reader makes it for each page of the run it
+    /// reads.
     pub fn check_page(&self, id: ListId, run_idx: u32, page: &[u8; PAGE_SIZE]) -> Result<()> {
         let per_page = FK_PER_PAGE as u32;
         if run_idx < self.n_pages() && page_column(page) == Some(id.column) {
@@ -118,7 +115,7 @@ impl DirEntry {
     /// Whether the list can lie where this entry says in a segment of
     /// `total_pages`: the run inside the file, the slot past the page
     /// header with room for its own header and entries. Holding this for
-    /// every entry at open is what lets a scan index a page without
+    /// every entry at open is what lets a reader index a page without
     /// further checks.
     fn fits(&self, total_pages: u32) -> bool {
         let slot_len = slot_len(self.n_entries.min(FK_PER_PAGE as u32) as usize);
@@ -140,7 +137,7 @@ pub struct SegmentWriter {
     next_page: u32,
     open: ColumnId,
     fill: usize,
-    buf: PageBuf,
+    buf: Box<[u8; PAGE_SIZE]>,
     coverage: Vec<ColumnId>,
     entries: Vec<(ListId, DirEntry)>,
 }
@@ -159,7 +156,7 @@ impl SegmentWriter {
             next_page: 0,
             open: ColumnId { kind: PageKind::Fk, table: 0, col: 0 },
             fill: PAGE_HEADER_LEN,
-            buf: PageBuf::zeroed(),
+            buf: Box::new([0; PAGE_SIZE]),
             coverage: Vec::new(),
             entries: Vec::new(),
         })
@@ -191,7 +188,7 @@ impl SegmentWriter {
                 self.open = column;
             }
             placed.get_or_insert((self.next_page, self.fill as u16));
-            put_slot(&mut self.buf.0, self.fill, key, (run_idx * FK_PER_PAGE) as u32, chunk);
+            put_slot(&mut self.buf, self.fill, key, (run_idx * FK_PER_PAGE) as u32, chunk);
             self.fill += slot_len;
         }
         let (first_page, offset) = placed.expect("a non-empty list has a first slot");
@@ -203,10 +200,10 @@ impl SegmentWriter {
     /// Seals and writes the open page, if it holds a slot.
     fn flush_page(&mut self) -> Result<()> {
         if self.fill > PAGE_HEADER_LEN {
-            seal_page(&mut self.buf.0, self.open);
-            self.out.write_all(&self.buf.0)?;
+            seal_page(&mut self.buf, self.open);
+            self.out.write_all(self.buf.as_slice())?;
             self.next_page += 1;
-            self.buf.0[..self.fill].fill(0);
+            self.buf[..self.fill].fill(0);
             self.fill = PAGE_HEADER_LEN;
         }
         Ok(())

@@ -1,22 +1,18 @@
-//! Fail-closed corruption tests (satellite of the disk tier): flipped
-//! bytes anywhere — segment page, segment directory, WAL record — must
-//! surface as typed [`DiskError`]s and NEVER as served garbage. A probe
-//! that hits a damaged page discards its partial scan and falls back to
-//! the heap path, so answers stay correct while the damage is counted.
+//! Fail-closed corruption tests of the disk tier: flipped bytes
+//! anywhere — segment page, segment directory, WAL record — must surface
+//! as typed [`DiskError`]s and NEVER as garbage read back.
+
+mod common;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
+use common::read_list;
 use sizel_disk::crc::crc32;
-use sizel_disk::page::{
-    seal_page, ColumnId, PageKind, FK_PER_PAGE, PAGE_HEADER_LEN, SLOT_HEADER_LEN,
-};
+use sizel_disk::page::{ColumnId, PageKind, FK_PER_PAGE, PAGE_HEADER_LEN, SLOT_HEADER_LEN};
 use sizel_disk::segment::ListId;
 use sizel_disk::{DiskError, PagedStore, SegmentFile, Wal, PAGE_SIZE};
-use sizel_storage::{
-    AccessStats, Database, PostingPager, ProbeCost, RowId, TableId, TableSchema, TopLScratch, Value,
-};
+use sizel_storage::{Database, TableSchema, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -79,35 +75,6 @@ fn junction_db(parents: i64, per_parent: i64) -> Database {
     db
 }
 
-/// One junction TOP-5 probe from `key` through `Rel` (`source` column to
-/// `target` column, rows of `to`): the rows, the paper-cost accounting
-/// and the `(fast, heap)` probe mix it moved.
-fn junction_probe(
-    db: &Database,
-    (source, target, to): (usize, usize, TableId),
-    key: i64,
-) -> (Vec<RowId>, AccessStats, (u64, u64)) {
-    let rel = db.table_id("Rel").unwrap();
-    let li = |r: RowId| db.table(to).installed_score(r);
-    let (mut cost, mut out) = (ProbeCost::default(), Vec::new());
-    db.select_via_junction_top_l_into(
-        rel,
-        source,
-        key,
-        target,
-        to,
-        None,
-        5,
-        0.0,
-        db.fk_order(),
-        &li,
-        &mut TopLScratch::new(),
-        &mut cost,
-        &mut out,
-    );
-    (out, cost.access, (cost.probes.fast, cost.probes.heap))
-}
-
 /// Flips the last byte of page `page_no` of `seg` — zero padding after
 /// the page's last slot, so no list's own bytes are touched and the
 /// page's checksum still fails every list in it.
@@ -167,115 +134,11 @@ fn corrupt_every_page(dir: &Path) -> PathBuf {
 }
 
 #[test]
-fn a_flipped_page_byte_fails_closed_and_probes_fall_back_to_the_heap() {
-    let mut db = seeded_db();
-    let pristine = seeded_db();
-    let child = db.table_id("Child").unwrap();
-    let fk = db.table(child).schema.column_index("parent_id").unwrap();
-
-    let dir = temp_dir("page");
-    let store = Arc::new(PagedStore::new(&dir, 8).unwrap());
-    store.checkpoint_from(&db, &[child]).unwrap();
-    db.evict_table_postings(child);
-    db.set_pager(Arc::<PagedStore>::clone(&store));
-    corrupt_every_page(&dir);
-
-    let token = db.fk_order().unwrap();
-    let p_token = pristine.fk_order().unwrap();
-    for parent in 1..3i64 {
-        let li = |r: RowId| db.table(child).installed_score(r);
-        let p_li = |r: RowId| pristine.table(child).installed_score(r);
-        let b0 = db.access().probes();
-        let served = db.select_eq_top_l(child, fk, parent, 5, 0.0, Some(token), &li);
-        let b1 = db.access().probes();
-        let expect = pristine.select_eq_top_l(child, fk, parent, 5, 0.0, Some(p_token), &p_li);
-        assert_eq!(served, expect, "a damaged segment must not change any answer");
-        assert!(!served.is_empty(), "the probe actually had rows to lose");
-        assert_eq!(b1.heap - b0.heap, 1, "the failed scan fell back to the heap path");
-        assert_eq!(b1.fast, b0.fast, "no fast probe was counted for the discarded scan");
-    }
-    let stats = store.stats();
-    assert!(stats.cache.read_errors >= 2, "every damaged read was counted");
-    assert_eq!(stats.cache.hits, 0, "damaged pages are never cached");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn a_flipped_link_page_byte_fails_closed_and_junction_probes_fall_back_to_the_heap() {
-    // A paged junction keeps its FK runs and forward arrays in RAM, and
-    // the junction probe reads only those: damage to the page of the
-    // junction's own FK lists changes no junction answer and is never
-    // read by one. The FK probes that do read the page fail closed.
-    let mut db = junction_db(2, 12);
-    let pristine = junction_db(2, 12);
-    let (rel, parent_t, child_t) = (
-        db.table_id("Rel").unwrap(),
-        db.table_id("Parent").unwrap(),
-        db.table_id("Child").unwrap(),
-    );
-    let (parent_col, child_col) = (1, 2);
-    let (down, up) = ((parent_col, child_col, child_t), (child_col, parent_col, parent_t));
-
-    let dir = temp_dir("link-page");
-    let store = Arc::new(PagedStore::new(&dir, 8).unwrap());
-    store.checkpoint_from(&db, &[rel]).unwrap();
-    db.evict_table_postings(rel);
-    db.set_pager(Arc::<PagedStore>::clone(&store));
-    // Damage the one page of Rel's parent FK lists, and no other: the
-    // child FK lists' page stays sound.
-    let seg = segment_in(&dir);
-    let column = ColumnId { kind: PageKind::Fk, table: rel.0, col: parent_col as u16 };
-    let layout = SegmentFile::open(&seg).unwrap();
-    let [a, b] = [1, 2].map(|key| layout.lookup(ListId { column, key }).expect("a list"));
-    assert_eq!((a.first_page, a.n_entries), (b.first_page, 12), "one shared page");
-    flip_padding_of(&seg, a.first_page);
-
-    for parent in 1..3i64 {
-        let (rows, cost, mix) = junction_probe(&db, down, parent);
-        let (p_rows, p_cost, p_mix) = junction_probe(&pristine, down, parent);
-        assert_eq!(rows, p_rows, "a damaged page must not change any answer");
-        assert_eq!(rows.len(), 5, "the probe actually had rows to lose");
-        assert_eq!(cost, p_cost, "nor what the answer is accounted as");
-        assert_eq!((cost.joins, cost.tuples), (2, 12 + 5), "junction group read, targets fetched");
-        assert_eq!((mix, p_mix), ((0, 1), (0, 1)), "a junction probe is one heap probe");
-    }
-    for key in [0i64, 7, 23] {
-        let (rows, cost, mix) = junction_probe(&db, up, key);
-        let (p_rows, p_cost, _) = junction_probe(&pristine, up, key);
-        assert_eq!((rows, cost, mix), (p_rows, p_cost, (0, 1)), "child {key}");
-    }
-    assert_eq!(store.stats().cache, Default::default(), "no junction probe read a page");
-
-    // The FK probes of the damaged lists fail closed; those of the sound
-    // page are served from it.
-    let token = db.fk_order().unwrap();
-    let li = |r: RowId| db.table(rel).installed_score(r);
-    let p_li = |r: RowId| pristine.table(rel).installed_score(r);
-    let p_token = pristine.fk_order();
-    for (col, key, served) in [(parent_col, 1i64, false), (parent_col, 2, false)]
-        .into_iter()
-        .chain([0i64, 7, 23].map(|key| (child_col, key, true)))
-    {
-        let p0 = db.access().probes();
-        let rows = db.select_eq_top_l(rel, col, key, 5, 0.0, Some(token), &li);
-        let p1 = db.access().probes();
-        assert_eq!(rows, pristine.select_eq_top_l(rel, col, key, 5, 0.0, p_token, &p_li));
-        assert!(!rows.is_empty());
-        let mix = (p1.fast - p0.fast, p1.heap - p0.heap);
-        assert_eq!(mix, if served { (1, 0) } else { (0, 1) }, "col {col} key {key}");
-    }
-    let stats = store.stats();
-    assert_eq!(stats.cache.read_errors, 2, "every damaged read was counted");
-    assert_eq!(stats.resident_pages, 1, "the sound page was cached; the damaged one never is");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn page_and_directory_damage_surface_as_typed_errors() {
     let db = seeded_db();
     let child = db.table_id("Child").unwrap();
     let dir = temp_dir("typed");
-    let store = PagedStore::new(&dir, 4).unwrap();
+    let mut store = PagedStore::new(&dir).unwrap();
     store.checkpoint_from(&db, &[child]).unwrap();
     let seg = corrupt_every_page(&dir);
 
@@ -311,116 +174,82 @@ fn page_and_directory_damage_surface_as_typed_errors() {
 #[test]
 fn a_flipped_byte_in_a_shared_page_fails_every_list_in_it_and_no_other() {
     // 200 ten-entry lists: 75 to a page, so three pages.
-    let mut db = db_with(200, 10);
-    let pristine = db_with(200, 10);
+    let db = db_with(200, 10);
     let child = db.table_id("Child").unwrap();
     let fk = db.table(child).schema.column_index("parent_id").unwrap();
 
     let dir = temp_dir("shared");
-    let store = Arc::new(PagedStore::new(&dir, 8).unwrap());
+    let mut store = PagedStore::new(&dir).unwrap();
     store.checkpoint_from(&db, &[child]).unwrap();
-    db.evict_table_postings(child);
-    db.set_pager(Arc::<PagedStore>::clone(&store));
     // One byte, in the zero padding after page 1's last slot: no list's
     // own bytes are touched, the page's checksum still fails them all.
     let seg = segment_in(&dir);
-    let mut bytes = std::fs::read(&seg).unwrap();
-    bytes[2 * PAGE_SIZE - 1] ^= 0x01;
-    std::fs::write(&seg, &bytes).unwrap();
-    let layout = SegmentFile::open(&seg).expect("directory is still intact");
+    flip_padding_of(&seg, 1);
+    let file = SegmentFile::open(&seg).expect("directory is still intact");
 
-    let token = db.fk_order().unwrap();
-    let p_token = pristine.fk_order().unwrap();
     let column = ColumnId { kind: PageKind::Fk, table: child.0, col: fk as u16 };
+    let runs = db.table(child).sorted_fk_index(fk).unwrap();
     let (mut damaged, mut intact) = (0, 0);
     for parent in 1..=200i64 {
         let id = ListId { column, key: parent };
-        let on_damaged_page = layout.lookup(id).expect("every parent has children").first_page == 1;
-        let li = |r: RowId| db.table(child).installed_score(r);
-        let p_li = |r: RowId| pristine.table(child).installed_score(r);
-        let b0 = db.access().probes();
-        let served = db.select_eq_top_l(child, fk, parent, 5, 0.0, Some(token), &li);
-        let b1 = db.access().probes();
-        let expect = pristine.select_eq_top_l(child, fk, parent, 5, 0.0, Some(p_token), &p_li);
-        assert_eq!(served, expect, "a damaged segment must not change any answer");
-        assert_eq!(served.len(), 5);
-        if on_damaged_page {
+        let read = read_list(&file, id);
+        if file.lookup(id).expect("every parent has children").first_page == 1 {
             damaged += 1;
-            assert_eq!((b1.fast - b0.fast, b1.heap - b0.heap), (0, 1), "parent {parent} fell back");
+            assert!(
+                matches!(read, Err(DiskError::ChecksumMismatch { what: "segment page", .. })),
+                "parent {parent}: {read:?}"
+            );
         } else {
             intact += 1;
-            assert_eq!(
-                (b1.fast - b0.fast, b1.heap - b0.heap),
-                (1, 0),
-                "parent {parent} was served"
-            );
+            assert_eq!(read.unwrap(), runs.rows(parent), "parent {parent}");
         }
     }
     assert_eq!((damaged, intact), (75, 125), "one page of three was damaged");
-    let stats = store.stats();
-    assert_eq!(stats.cache.read_errors, 75, "every read of the damaged page was counted");
-    assert_eq!(stats.cache.misses, 75 + 2, "it was never cached; its neighbours were, once each");
-    assert_eq!(stats.cache.hits, 125 - 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn a_flipped_byte_in_a_shared_link_page_fails_every_group_in_it_and_no_other() {
     // 200 ten-row junction lists of 54 bytes each: 75 to a page, so
-    // three pages. The damaged page fails the FK probes of exactly its
-    // lists; no junction probe reads any of the three.
-    let mut db = junction_db(200, 10);
-    let pristine = junction_db(200, 10);
-    let (rel, child_t) = (db.table_id("Rel").unwrap(), db.table_id("Child").unwrap());
+    // three pages of Rel's parent column, after which its child column
+    // packs 200 one-row lists into pages of its own. The damaged parent
+    // page fails exactly its lists; every other list of either column
+    // reads back as its run.
+    let db = junction_db(200, 10);
+    let rel = db.table_id("Rel").unwrap();
     let (parent_col, child_col) = (1, 2);
-    let down = (parent_col, child_col, child_t);
 
     let dir = temp_dir("shared-link");
-    let store = Arc::new(PagedStore::new(&dir, 8).unwrap());
+    let mut store = PagedStore::new(&dir).unwrap();
     store.checkpoint_from(&db, &[rel]).unwrap();
-    db.evict_table_postings(rel);
-    db.set_pager(Arc::<PagedStore>::clone(&store));
     let seg = segment_in(&dir);
-    let column = ColumnId { kind: PageKind::Fk, table: rel.0, col: parent_col as u16 };
+    let column = |col: usize| ColumnId { kind: PageKind::Fk, table: rel.0, col: col as u16 };
     let layout = SegmentFile::open(&seg).unwrap();
-    let page_of = |key| layout.lookup(ListId { column, key }).expect("a list").first_page;
-    let damaged_page = page_of(100);
+    let page_of = |key| layout.lookup(ListId { column: column(parent_col), key }).unwrap();
+    let damaged_page = page_of(100).first_page;
     flip_padding_of(&seg, damaged_page);
+    let file = SegmentFile::open(&seg).expect("directory is still intact");
 
-    for parent in 1..=200i64 {
-        let (rows, cost, mix) = junction_probe(&db, down, parent);
-        let (p_rows, p_cost, _) = junction_probe(&pristine, down, parent);
-        assert_eq!((&rows, cost), (&p_rows, p_cost), "parent {parent}: answer or accounting moved");
-        assert_eq!((rows.len(), mix), (5, (0, 1)));
-    }
-    assert_eq!(store.stats().cache, Default::default(), "no junction probe read a page");
-
-    let token = db.fk_order().unwrap();
-    let li = |r: RowId| db.table(rel).installed_score(r);
-    let p_li = |r: RowId| pristine.table(rel).installed_score(r);
     let (mut damaged, mut intact_pages) = (0, std::collections::BTreeSet::new());
     for parent in 1..=200i64 {
-        let p0 = db.access().probes();
-        let rows = db.select_eq_top_l(rel, parent_col, parent, 5, 0.0, Some(token), &li);
-        let p1 = db.access().probes();
-        let expect =
-            pristine.select_eq_top_l(rel, parent_col, parent, 5, 0.0, pristine.fk_order(), &p_li);
-        assert_eq!(rows, expect, "parent {parent}: answer moved");
-        let mix = (p1.fast - p0.fast, p1.heap - p0.heap);
-        if page_of(parent) == damaged_page {
+        let read = read_list(&file, ListId { column: column(parent_col), key: parent });
+        let first_page = page_of(parent).first_page;
+        if first_page == damaged_page {
             damaged += 1;
-            assert_eq!(mix, (0, 1), "parent {parent} fell back");
+            assert!(read.is_err(), "parent {parent} read from a damaged page");
         } else {
-            intact_pages.insert(page_of(parent));
-            assert_eq!(mix, (1, 0), "parent {parent} was served");
+            intact_pages.insert(first_page);
+            let runs = db.table(rel).sorted_fk_index(parent_col).unwrap();
+            assert_eq!(read.unwrap(), runs.rows(parent), "parent {parent}");
         }
     }
     let per_page = (PAGE_SIZE - PAGE_HEADER_LEN) / (SLOT_HEADER_LEN + 10 * 4);
     assert_eq!((damaged, intact_pages.len()), (per_page, 2), "one page of three was damaged");
-    let stats = store.stats();
-    assert_eq!(stats.cache.read_errors, damaged as u64, "every read of the damaged page counted");
-    assert_eq!(stats.cache.misses, damaged as u64 + 2, "it was never cached; the others once each");
-    assert_eq!(stats.cache.hits, 200 - damaged as u64 - 2);
+    let runs = db.table(rel).sorted_fk_index(child_col).unwrap();
+    for child in 0..2000i64 {
+        let read = read_list(&file, ListId { column: column(child_col), key: child });
+        assert_eq!(read.unwrap(), runs.rows(child), "child {child}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -432,7 +261,7 @@ fn a_directory_pointing_at_the_wrong_slot_is_rejected_by_the_slot_check() {
     let child = db.table_id("Child").unwrap();
     let fk = db.table(child).schema.column_index("parent_id").unwrap() as u16;
     let dir = temp_dir("swapped");
-    let store = PagedStore::new(&dir, 4).unwrap();
+    let mut store = PagedStore::new(&dir).unwrap();
     store.checkpoint_from(&db, &[child]).unwrap();
     let seg = segment_in(&dir);
     let column = ColumnId { kind: PageKind::Fk, table: child.0, col: fk };
@@ -482,75 +311,11 @@ fn a_directory_pointing_at_the_wrong_slot_is_rejected_by_the_slot_check() {
 }
 
 #[test]
-fn a_resident_shared_page_is_checked_for_every_list_that_enters_it() {
-    // The same disagreement, met the way a serving store meets it. A
-    // store keeps the directory it opened in RAM, so here the page is
-    // what moves: the slots of lists 1 and 2 trade places and the page
-    // is re-sealed — magic, checksum and column all pass, and each of
-    // the two directory offsets names the other list's slot. The intact
-    // list 3 is probed FIRST and brings the shared page into the cache;
-    // lists 1 and 2 then find it resident. A hit must not skip the slot
-    // check: they fail closed, fall back to the heap and are counted.
-    let mut db = db_with(3, 12);
-    let pristine = db_with(3, 12);
-    let child = db.table_id("Child").unwrap();
-    let fk = db.table(child).schema.column_index("parent_id").unwrap();
-    let dir = temp_dir("resident");
-    let store = Arc::new(PagedStore::new(&dir, 4).unwrap());
-    store.checkpoint_from(&db, &[child]).unwrap();
-    db.evict_table_postings(child);
-    db.set_pager(Arc::<PagedStore>::clone(&store));
-
-    let seg = segment_in(&dir);
-    let column = ColumnId { kind: PageKind::Fk, table: child.0, col: fk as u16 };
-    let layout = SegmentFile::open(&seg).unwrap();
-    let [a, b] = [1, 2].map(|key| layout.lookup(ListId { column, key }).unwrap());
-    assert_eq!((a.first_page, b.first_page, a.n_entries, b.n_entries), (0, 0, 12, 12));
-    let mut bytes = std::fs::read(&seg).unwrap();
-    let page: &mut [u8; PAGE_SIZE] = (&mut bytes[..PAGE_SIZE]).try_into().unwrap();
-    let slot_len = SLOT_HEADER_LEN + 12 * 4;
-    for i in 0..slot_len {
-        page.swap(a.offset as usize + i, b.offset as usize + i);
-    }
-    seal_page(page, column);
-    std::fs::write(&seg, &bytes).unwrap();
-
-    let token = db.fk_order().unwrap();
-    let p_token = pristine.fk_order().unwrap();
-    for (parent, served_from_pages) in [(3i64, true), (1, false), (2, false), (3, true)] {
-        let li = |r: RowId| db.table(child).installed_score(r);
-        let p_li = |r: RowId| pristine.table(child).installed_score(r);
-        let b0 = db.access().probes();
-        let served = db.select_eq_top_l(child, fk, parent, 5, 0.0, Some(token), &li);
-        let b1 = db.access().probes();
-        let expect = pristine.select_eq_top_l(child, fk, parent, 5, 0.0, Some(p_token), &p_li);
-        assert_eq!(served, expect, "parent {parent}: a neighbour's rows must never be served");
-        assert_eq!(served.len(), 5);
-        assert_eq!(
-            (b1.fast - b0.fast, b1.heap - b0.heap),
-            if served_from_pages { (1, 0) } else { (0, 1) },
-            "parent {parent}"
-        );
-    }
-    for key in [1, 2] {
-        let mut cur = store.fk_cursor(child, fk, key).expect("the column is covered");
-        assert_eq!(cur.next_entry(), None, "not one entry of the wrong slot is yielded");
-        assert!(cur.failed());
-    }
-    let stats = store.stats();
-    assert_eq!(stats.cache.misses, 1, "the page was read once, for list 3");
-    assert_eq!(stats.cache.hits, 5, "every later scan found it resident");
-    assert_eq!(stats.cache.read_errors, 4, "and each scan of lists 1 and 2 was counted");
-    assert_eq!(stats.resident_pages, 1, "the page itself is sound and stays cached");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn an_impossible_directory_entry_is_refused_at_open() {
     let db = seeded_db();
     let child = db.table_id("Child").unwrap();
     let dir = temp_dir("open");
-    let store = PagedStore::new(&dir, 4).unwrap();
+    let mut store = PagedStore::new(&dir).unwrap();
     store.checkpoint_from(&db, &[child]).unwrap();
     let seg = segment_in(&dir);
     let pristine = std::fs::read(&seg).unwrap();

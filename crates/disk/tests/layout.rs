@@ -1,20 +1,21 @@
 //! The packed segment layout at its boundaries: posting lists whose
 //! lengths sit on every edge the packing rule has — empty, one entry,
 //! one short of a page, exactly a page, one over, exactly three pages,
-//! and a run whose tail page the following short lists share — must be
-//! served from pages byte-identically to RAM (rows *and* paper-cost
-//! accounting), whether the cache holds two pages or all of them. Plus
-//! the life cycle of the segment files themselves: a checkpoint installs
-//! by rename, and a fresh store sweeps what an earlier process left.
+//! and a run whose tail page the following short lists share — must
+//! read back from pages byte-identically to the FK runs in RAM. Plus the
+//! life cycle of the segment files themselves: a checkpoint installs by
+//! rename, and a fresh store sweeps what an earlier process left.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
+use common::read_list;
 use sizel_disk::page::{ColumnId, PageKind, FK_PER_PAGE, PAGE_HEADER_LEN};
 use sizel_disk::segment::ListId;
 use sizel_disk::{PagedStore, SegmentFile};
-use sizel_storage::{Database, PostingPager, ProbeCost, RowId, TableSchema, TopLScratch, Value};
+use sizel_storage::{Database, TableSchema, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -77,91 +78,35 @@ fn boundary_db() -> Database {
 
 #[test]
 fn lists_on_every_packing_boundary_are_served_identically_from_pages() {
-    let ram = boundary_db();
-    let child = ram.table_id("Child").unwrap();
-    let rel = ram.table_id("Rel").unwrap();
-    let fk = ram.table(child).schema.column_index("parent_id").unwrap();
-    let ram_token = ram.fk_order().unwrap();
+    let db = boundary_db();
+    let child = db.table_id("Child").unwrap();
+    let rel = db.table_id("Rel").unwrap();
+    let dir = temp_dir("boundaries");
+    let mut store = PagedStore::new(&dir).unwrap();
+    store.checkpoint_from(&db, &[child, rel]).unwrap();
+    let seg = SegmentFile::open(&dir.join("segments-1.seg")).unwrap();
 
-    for cache_pages in [2, 1024] {
-        let mut paged = boundary_db();
-        let dir = temp_dir("boundaries");
-        let store = Arc::new(PagedStore::new(&dir, cache_pages).unwrap());
-        store.checkpoint_from(&paged, &[child, rel]).unwrap();
-        paged.evict_table_postings(child);
-        paged.evict_table_postings(rel);
-        paged.set_pager(Arc::<PagedStore>::clone(&store));
-        let paged_token = paged.fk_order().unwrap();
-
-        // FK lists through the TOP-l probe: a short prefix, a prefix
-        // that crosses one page boundary, and the whole list; rows and
-        // paper-cost accounting equal, both sides prefix-scanning. Key 9
-        // has no parent row at all, key 0 a parent without children.
-        for parent in 0..10i64 {
-            for l in [1, 10, FK_PER_PAGE + 1, 4 * FK_PER_PAGE] {
-                let ram_li = |r: RowId| ram.table(child).installed_score(r);
-                let paged_li = |r: RowId| paged.table(child).installed_score(r);
-                let (r0, rp0) = (ram.access().snapshot(), ram.access().probes());
-                let from_ram =
-                    ram.select_eq_top_l(child, fk, parent, l, 0.0, Some(ram_token), &ram_li);
-                let (r1, rp1) = (ram.access().snapshot(), ram.access().probes());
-                let (p0, pp0) = (paged.access().snapshot(), paged.access().probes());
-                let from_disk =
-                    paged.select_eq_top_l(child, fk, parent, l, 0.0, Some(paged_token), &paged_li);
-                let (p1, pp1) = (paged.access().snapshot(), paged.access().probes());
-                assert_eq!(from_ram, from_disk, "rows diverge: parent {parent} l {l}");
-                assert_eq!(
-                    r1.since(r0),
-                    p1.since(p0),
-                    "accounting diverges: parent {parent} l {l}"
-                );
-                assert_eq!((rp1.fast - rp0.fast, rp1.heap - rp0.heap), (1, 0));
-                assert_eq!(
-                    (pp1.fast - pp0.fast, pp1.heap - pp0.heap),
-                    (1, 0),
-                    "paged probe fell back"
-                );
-            }
-        }
-        // Whole lists, cursor against slice: Rel's own FK postings, both
-        // columns (the child one is a page full of one-row lists).
-        let rel_t = ram.table(rel);
-        for (col, idx) in rel_t.sorted_fk_indexes() {
+    // Every FK column of both tables, every key a run holds — Child's
+    // and Rel's parent lists on the boundaries, Rel's child column a page
+    // full of one-row lists — reads back as the table's run, in order.
+    // Key 9 has no parent row at all, key 0 a parent without children:
+    // both read as covered and empty.
+    let mut lists = 0;
+    for table in [child, rel] {
+        for (col, idx) in db.table(table).sorted_fk_indexes() {
+            let column = ColumnId { kind: PageKind::Fk, table: table.0, col: col as u16 };
             for (key, rows) in idx.posting_lists() {
-                let mut cur =
-                    store.fk_cursor(rel, col, key).expect("checkpointed column is covered");
-                let served: Vec<RowId> = std::iter::from_fn(|| cur.next_entry()).collect();
-                assert!(!cur.failed());
-                assert_eq!(served, rows, "fk rows diverge: col {col} key {key}");
+                let read = read_list(&seg, ListId { column, key }).expect("an intact segment");
+                assert_eq!(read, rows, "table {} col {col} key {key}", table.0);
+                lists += usize::from(!rows.is_empty());
+            }
+            for key in [0, 9] {
+                assert_eq!(read_list(&seg, ListId { column, key }).unwrap(), idx.rows(key));
             }
         }
-        // The junction TOP-l probe reads Rel's FK run and forward array,
-        // which eviction leaves in RAM: over every boundary length it
-        // answers as RAM does, with RAM's accounting, and reads no page.
-        let (parent_col, child_col) = (1, 2);
-        let cache = store.stats().cache;
-        for parent in 0..10i64 {
-            for l in [1, 10, FK_PER_PAGE + 1] {
-                let probe = |db: &Database| {
-                    let li = |r: RowId| db.table(child).installed_score(r);
-                    let (mut cost, mut out) = (ProbeCost::default(), Vec::new());
-                    let scratch = &mut TopLScratch::new();
-                    let order = db.fk_order();
-                    db.select_via_junction_top_l_into(
-                        rel, parent_col, parent, child_col, child, None, l, 0.0, order, &li,
-                        scratch, &mut cost, &mut out,
-                    );
-                    (out, cost)
-                };
-                assert_eq!(probe(&ram), probe(&paged), "junction probe: parent {parent} l {l}");
-            }
-        }
-        assert_eq!(store.stats().cache, cache, "no junction probe touched the cache");
-        let stats = store.stats();
-        assert_eq!(stats.cache.read_errors, 0);
-        assert!(stats.resident_pages <= cache_pages as u64);
-        std::fs::remove_dir_all(&dir).ok();
     }
+    assert_eq!(lists, seg.len(), "the directory holds every non-empty run and nothing else");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -170,7 +115,7 @@ fn short_lists_share_pages_and_long_lists_start_fresh_ones() {
     let child = db.table_id("Child").unwrap();
     let rel = db.table_id("Rel").unwrap();
     let dir = temp_dir("placement");
-    let store = PagedStore::new(&dir, 4).unwrap();
+    let mut store = PagedStore::new(&dir).unwrap();
     store.checkpoint_from(&db, &[child, rel]).unwrap();
     let seg = SegmentFile::open(&dir.join("segments-1.seg")).unwrap();
 
@@ -224,7 +169,7 @@ fn a_fresh_store_sweeps_stale_segments_and_a_checkpoint_installs_by_rename() {
         names
     };
 
-    let store = PagedStore::new(&dir, 4).unwrap();
+    let mut store = PagedStore::new(&dir).unwrap();
     assert_eq!(listing(), ["segments.txt"], "the store's leftovers are swept, nothing else");
     assert_eq!(store.checkpoint_from(&db, &[child]).unwrap(), 1);
     assert_eq!(listing(), ["segments-1.seg", "segments.txt"]);

@@ -265,23 +265,6 @@ pub fn render_metrics(
 
     // Disk tier, once attached.
     if let Some(disk) = server.disk {
-        let c = disk.store.cache;
-        line(&mut out, "sizel_disk_cache_total", &format!("{labels},event=\"hit\""), c.hits);
-        line(&mut out, "sizel_disk_cache_total", &format!("{labels},event=\"miss\""), c.misses);
-        line(
-            &mut out,
-            "sizel_disk_cache_total",
-            &format!("{labels},event=\"eviction\""),
-            c.evictions,
-        );
-        line(
-            &mut out,
-            "sizel_disk_cache_total",
-            &format!("{labels},event=\"recycled\""),
-            c.recycled,
-        );
-        line(&mut out, "sizel_disk_read_errors_total", labels, c.read_errors);
-        line(&mut out, "sizel_disk_resident_pages", labels, disk.store.resident_pages);
         line(&mut out, "sizel_disk_segment_generation", labels, disk.store.generation);
         line(&mut out, "sizel_disk_segment_lists", labels, disk.store.lists);
         line(&mut out, "sizel_disk_checkpoints_total", labels, disk.store.checkpoints);

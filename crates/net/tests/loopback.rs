@@ -340,13 +340,7 @@ fn stats_frame_returns_the_metrics_page() {
 /// dropped; `{backend}` stands for the reactor serving it.
 const FULL_PAGE: &[&str] = &[
     "sizel_cluster_epoch{shard=\"0\"}",
-    "sizel_disk_cache_total{shard=\"0\",event=\"eviction\"}",
-    "sizel_disk_cache_total{shard=\"0\",event=\"hit\"}",
-    "sizel_disk_cache_total{shard=\"0\",event=\"miss\"}",
-    "sizel_disk_cache_total{shard=\"0\",event=\"recycled\"}",
     "sizel_disk_checkpoints_total{shard=\"0\"}",
-    "sizel_disk_read_errors_total{shard=\"0\"}",
-    "sizel_disk_resident_pages{shard=\"0\"}",
     "sizel_disk_segment_generation{shard=\"0\"}",
     "sizel_disk_segment_lists{shard=\"0\"}",
     "sizel_disk_wal_appends_total{shard=\"0\"}",
@@ -396,8 +390,8 @@ const FULL_PAGE: &[&str] = &[
 ];
 
 /// Once a disk tier is attached, the metrics page grows the
-/// `sizel_disk_*` series — block-cache events, segment generation, WAL
-/// gauges — once per engine: the router is one server over one engine,
+/// `sizel_disk_*` series — segment generation and lists, checkpoints,
+/// WAL gauges — once per engine: the router is one server over one engine,
 /// so the series carry `shard="0"` and never `shard="1"` (absent before
 /// attach, which the base metrics test implicitly covers by not
 /// requiring them). The whole page is pinned series for series.
@@ -407,10 +401,8 @@ fn disk_tier_series_appear_once_attached() {
     let dir =
         std::env::temp_dir().join(format!("sizel-net-disk-{}-{:p}", std::process::id(), &router));
     let tier = sizel_serve::DiskTierConfig {
-        dir: std::path::PathBuf::new(),
-        cache_pages: 8,
-        fsync_every: 1,
         paged_tables: vec!["AuthorPaper".into()],
+        ..sizel_serve::DiskTierConfig::new(std::path::PathBuf::new())
     };
     router.attach_disk_tier(&dir, &tier).expect("attach the shared engine's tier");
 
@@ -419,12 +411,6 @@ fn disk_tier_series_appear_once_attached() {
     client.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
     let page = client.stats().expect("stats");
     for series in [
-        "sizel_disk_cache_total{shard=\"0\",event=\"hit\"}",
-        "sizel_disk_cache_total{shard=\"0\",event=\"miss\"}",
-        "sizel_disk_cache_total{shard=\"0\",event=\"eviction\"}",
-        "sizel_disk_cache_total{shard=\"0\",event=\"recycled\"}",
-        "sizel_disk_read_errors_total{shard=\"0\"}",
-        "sizel_disk_resident_pages{shard=\"0\"}",
         "sizel_disk_segment_generation{shard=\"0\"}",
         "sizel_disk_segment_lists{shard=\"0\"}",
         "sizel_disk_checkpoints_total{shard=\"0\"}",

@@ -117,8 +117,7 @@ pub struct ServerStats {
     /// [`SizeLServer::rewarm_hottest`].
     pub rewarmed: u64,
     /// Disk-tier statistics when one is attached
-    /// ([`SizeLServer::attach_disk`]): block-cache counters, segment
-    /// generation, WAL size.
+    /// ([`SizeLServer::attach_disk`]): segment generation, WAL size.
     pub disk: Option<DiskTierStats>,
 }
 
@@ -358,8 +357,8 @@ impl SizeLServer {
 
     /// Attaches the engine's disk tier under the write lock (see
     /// [`SizeLEngine::attach_disk`]): opens the WAL, replays whatever a
-    /// crashed predecessor committed, checkpoints and pages the
-    /// configured tables. The replay may advance the epoch, so
+    /// crashed predecessor committed, checkpoints the configured
+    /// tables. The replay may advance the epoch, so
     /// superseded cache entries are purged before the lock drops —
     /// the same discipline as [`SizeLServer::apply`].
     pub fn attach_disk(&self, cfg: DiskTierConfig) -> Result<RecoveryReport, StorageError> {

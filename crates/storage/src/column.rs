@@ -13,6 +13,10 @@
 
 use crate::value::{Value, ValueRef, ValueType};
 
+/// The bytes one text column's arena may hold: a span's start and end
+/// are `u32` offsets into it.
+pub(crate) const TEXT_ARENA_LIMIT: usize = u32::MAX as usize;
+
 #[derive(Debug)]
 enum Cells {
     /// Every value the column has held fits in `i32`.
@@ -40,13 +44,14 @@ impl TextCells {
     }
 
     /// Points cell `i` at a copy of `s` appended to the arena (`""` for
-    /// a NULL).
+    /// a NULL). The table has checked that the arena takes `s`
+    /// ([`Column::takes`]).
     fn set(&mut self, i: usize, s: &str) {
         self.garbage += self.spans[i].1 as usize;
         let start = self.arena.len() as u32;
         self.arena.push_str(s);
-        let end = u32::try_from(self.arena.len()).expect("a text column holds under 4 GiB");
-        self.spans[i] = (start, end - start);
+        debug_assert!(self.arena.len() <= TEXT_ARENA_LIMIT, "validated before the write");
+        self.spans[i] = (start, s.len() as u32);
         if self.garbage > self.arena.len() - self.garbage {
             self.repack();
         }
@@ -122,6 +127,19 @@ impl Column {
         self.set(i, v);
     }
 
+    /// Whether storing `v` keeps the column within `limit` arena bytes
+    /// ([`TEXT_ARENA_LIMIT`] for a table's writes): a text's bytes are
+    /// appended before any repack, on an overwrite as on a push. Only a
+    /// text column has such a limit.
+    pub(crate) fn takes(&self, v: &Value, limit: usize) -> bool {
+        match (&self.cells, v) {
+            (Cells::Text(c), Value::Text(s)) => {
+                c.arena.len().checked_add(s.len()).is_some_and(|n| n <= limit)
+            }
+            _ => true,
+        }
+    }
+
     /// Overwrites cell `i` (same contract as [`Self::push`]).
     pub(crate) fn set(&mut self, i: usize, v: Value) {
         self.set_null(i, matches!(v, Value::Null));
@@ -194,5 +212,21 @@ impl Column {
             Cells::Text(c) => c.spans.capacity() * 8 + c.arena.capacity(),
         };
         cells + self.nulls.capacity() * 8
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_text_column_takes_bytes_up_to_its_limit_and_not_one_past() {
+        let mut col = Column::new(ValueType::Text);
+        col.push(Value::Text("abcd".into()));
+        let text = Value::Text("xyz".into());
+        assert!(col.takes(&text, 7), "4 + 3 bytes fill a 7-byte arena exactly");
+        assert!(!col.takes(&text, 6), "a byte past the limit is refused");
+        assert!(col.takes(&Value::Null, 4), "a NULL appends no byte");
+        assert!(Column::new(ValueType::Int).takes(&Value::Int(1), 0), "no limit off text");
     }
 }

@@ -2,13 +2,11 @@
 //! the OS-generation algorithms.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::access::AccessCounter;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
 use crate::fk_index::FkOrderToken;
-use crate::pager::PostingPager;
 use crate::schema::TableSchema;
 use crate::table::{RowId, Table};
 use crate::value::{Value, ValueRef};
@@ -80,13 +78,6 @@ pub struct Database {
     fk_order: Option<FkOrderToken>,
     /// Global mutation epoch: bumped on every mutation of any table.
     epoch: Epoch,
-    /// An attached paged posting store (the disk tier), if any: serves
-    /// prefix scans for tables whose in-RAM postings were evicted
-    /// ([`Database::evict_table_postings`]), but only while its segment
-    /// stamp equals the live installed [`FkOrderToken`] — any mutation
-    /// re-stamps the token and silently stales the segments until the
-    /// next checkpoint.
-    pager: Option<Arc<dyn PostingPager>>,
 }
 
 impl Database {
@@ -383,11 +374,10 @@ impl Database {
     }
 
     /// Re-installs every table's order from its *installed* score
-    /// snapshot — the road back from eviction: a paged table that
-    /// mutated is RAM-served again, its runs sorted for the next
-    /// checkpoint, without recomputing scores. A full install under the
-    /// hood, so it returns the fresh token; `None` when any table
-    /// lacks an installed snapshot (there is no order to rebuild).
+    /// snapshot: every run sorted afresh, for a checkpoint to snapshot,
+    /// without recomputing scores. A full install under the hood, so it
+    /// returns the fresh token; `None` when any table lacks an installed
+    /// snapshot (there is no order to rebuild).
     pub fn rebuild_postings_from_installed(&mut self) -> Option<FkOrderToken> {
         let snap: Vec<Vec<f64>> = self
             .tables

@@ -1,43 +1,22 @@
-//! The read side of the catalog that goes through postings: the pager
-//! seam (attach, evict) and the probe forms the OS-generation algorithms
-//! issue — `SELECT *` and the Avoidance-Condition-2 `SELECT * TOP l`,
-//! on an FK column or through a junction.
+//! The read side of the catalog that goes through postings: the probe
+//! forms the OS-generation algorithms issue — `SELECT *` and the
+//! Avoidance-Condition-2 `SELECT * TOP l`, on an FK column or through a
+//! junction.
 //!
 //! One layout serves every form: a table's FK runs, sorted by installed
 //! importance while the order holds. An FK probe with the live token is a
-//! prefix scan of its run — the resident slice or, for a paged table, the
-//! pager's cursor — and otherwise a bounded top-l selection over the run.
-//! A junction probe is always that selection: the junction's FK run for
-//! the key, each row's target read from the forward array of the target
-//! column.
-
-use std::sync::Arc;
+//! prefix scan of its run, and otherwise a bounded top-l selection over
+//! the run. A junction probe is always that selection: the junction's FK
+//! run for the key, each row's target read from the forward array of the
+//! target column.
 
 use super::{Database, TableId};
 use crate::access::ProbeCost;
 use crate::fk_index::FkOrderToken;
-use crate::pager::{PostingCursor, PostingPager, SliceCursor};
 use crate::table::RowId;
 use crate::topl::TopLScratch;
 
 impl Database {
-    /// Attaches a paged posting store (see [`PostingPager`]): evicted
-    /// tables' prefix scans route to it while its stamp matches the live
-    /// installed token.
-    pub fn set_pager(&mut self, pager: Arc<dyn PostingPager>) {
-        self.pager = Some(pager);
-    }
-
-    /// Routes a table's FK prefix scans to the attached pager (the disk
-    /// tier's residency policy). The FK runs and the score snapshot stay,
-    /// so mutations and junction probes keep working; results are
-    /// unchanged by construction (a stale stamp, a read error or a
-    /// coverage gap heap-falls-back over the runs). Does not bump the
-    /// epoch: no tuple and no servable content moved.
-    pub fn evict_table_postings(&mut self, table: TableId) {
-        self.tables[table.index()].evict_sorted_postings();
-    }
-
     /// `SELECT * FROM Ri WHERE Ri.col = key` — Algorithm 4 line 12 /
     /// Algorithm 5 line 6. One counted join access.
     pub fn select_eq(&self, table: TableId, col: usize, key: i64) -> Vec<RowId> {
@@ -112,43 +91,19 @@ impl Database {
         // The PK column has no postings: its one candidate takes the heap
         // path, like a probe whose token is stale.
         let on_pk = col == t.schema.pk;
-        let li = |r| Some(li(r));
-        if !on_pk && l > 0 && order.is_some() && order == self.fk_order {
+        let fresh = !on_pk && l > 0 && order.is_some() && order == self.fk_order;
+        if let Some(sorted) = t.sorted_fk_index(col).filter(|_| fresh) {
             // Every run holds live rows only, exactly the rows a fresh
             // install would serve. The collected prefix is ranked through
             // the same comparator the heap path uses, so the paths agree
             // by construction.
-            let mut stage = |cur: &mut dyn PostingCursor| {
-                let scored =
-                    std::iter::from_fn(|| cur.next_entry()).filter_map(|r| Some((li(r)?, r)));
-                scratch.stage_prefix(l, largest_l, scored);
-                !cur.failed()
-            };
-            // RAM postings, else evicted ones: the paged backend serves
-            // the identical scan — same loop, same accounting — while
-            // its segment stamp matches the live token (any mutation
-            // stales it).
-            let staged = match t.sorted_fk_index(col) {
-                Some(sorted) => stage(&mut SliceCursor::new(sorted.rows(key))),
-                None => self
-                    .pager
-                    .as_deref()
-                    .filter(|p| p.stamp() == self.fk_order)
-                    .and_then(|p| p.fk_cursor(table, col, key))
-                    .is_some_and(|mut cur| stage(cur.as_mut())),
-            };
-            if staged {
-                scratch.rank_staged_into(l, out);
-                cost.record_join(out.len() - start);
-                cost.probes.fast += 1;
-                return;
-            }
-            // Fail closed: a read error mid-scan discards the partial
-            // prefix (serving it as-if-complete would silently drop
-            // rows) and the heap path — always correct, backed by the FK
-            // runs — takes over.
-            scratch.staged.clear();
+            scratch.stage_prefix(l, largest_l, sorted.rows(key).iter().map(|&r| (li(r), r)));
+            scratch.rank_staged_into(l, out);
+            cost.record_join(out.len() - start);
+            cost.probes.fast += 1;
+            return;
         }
+        let li = |r| Some(li(r));
         let one = if on_pk { t.by_pk(key) } else { None };
         let group = if on_pk { one.as_slice() } else { t.rows_where_eq(col, key) };
         heap_top_l(group.iter().copied(), l, largest_l, li, scratch, cost, out);

@@ -28,6 +28,10 @@ pub enum StorageError {
     RestrictedDelete { table: String, key: i64, referencing_table: String },
     /// An update attempted to change a row's primary key.
     ImmutablePrimaryKey { table: String, key: i64 },
+    /// A write would carry a table past a fixed limit of its layout:
+    /// `u32` row ids, or `u32` offsets into a text column's arena.
+    /// Checked before any index or cell moves; nothing was mutated.
+    LimitExceeded { table: String, limit: &'static str },
     /// A durability hook (write-ahead log, segment checkpoint) failed
     /// before the mutation settled; nothing was mutated. Carries the
     /// disk-layer error rendered as text so the storage crate stays
@@ -69,6 +73,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::ImmutablePrimaryKey { table, key } => {
                 write!(f, "primary key {key} of `{table}` is immutable under update")
+            }
+            StorageError::LimitExceeded { table, limit } => {
+                write!(f, "`{table}` cannot take the write: it would pass {limit}")
             }
             StorageError::Durability(msg) => write!(f, "durability failure: {msg}"),
         }

@@ -40,7 +40,6 @@ pub mod epoch;
 pub mod error;
 pub mod fk_index;
 pub mod hash;
-pub mod pager;
 pub mod runs;
 pub mod schema;
 pub mod table;
@@ -53,7 +52,6 @@ pub use database::{Database, ScoredBatch, TableId, TupleRef};
 pub use epoch::Epoch;
 pub use error::StorageError;
 pub use fk_index::{FkOrderToken, SortedFkIndex};
-pub use pager::{PostingCursor, PostingPager, SliceCursor};
 pub use schema::{Column, ForeignKey, SchemaBuilder, TableSchema};
 pub use table::{Forward, NoLinks, RowId, RowRef, Table};
 pub use topl::{top_l, TopLScratch};

@@ -15,7 +15,7 @@
 use std::cell::OnceCell;
 use std::ops::Index;
 
-use crate::column::Column;
+use crate::column::{Column, TEXT_ARENA_LIMIT};
 use crate::epoch::Epoch;
 use crate::error::StorageError;
 use crate::fk_index::SortedFkIndex;
@@ -81,6 +81,14 @@ type Slots<T> = Vec<Option<T>>;
 
 /// A forward slot's "no parent": a NULL or dangling reference.
 const NO_TARGET: u32 = u32::MAX;
+
+/// The id of the row slot a table holding `len` slots appends, or `None`
+/// once the ids have run out. `u32::MAX` is no row's id — it is the
+/// forward arrays' [`NO_TARGET`] and the PK slots' empty mark — so a
+/// table holds at most `u32::MAX` slots.
+fn row_id_at(len: usize) -> Option<RowId> {
+    u32::try_from(len).ok().filter(|&id| id != NO_TARGET).map(RowId)
+}
 
 /// The forward array of one FK column: per row slot, the `RowId` of the
 /// parent row its key resolves to, equal to a fresh `by_pk` of every live
@@ -178,9 +186,6 @@ pub struct Table {
     /// Meanwhile the table reports no sorted index, so probes — also
     /// those of a batch abandoned without settlement — heap-fall-back.
     staging: Option<Vec<(usize, i64)>>,
-    /// Set by the paged tier's eviction: prefix scans route to the
-    /// attached pager instead of the runs until the next install.
-    paged: bool,
     /// Mutation epoch of this table (bumped on every insert).
     epoch: Epoch,
 }
@@ -207,7 +212,6 @@ impl Table {
             installed_scores: Vec::new(),
             scores_live: false,
             staging: None,
-            paged: false,
             epoch: Epoch::default(),
         }
     }
@@ -271,7 +275,10 @@ impl Table {
         let pk = values[self.schema.pk]
             .as_int()
             .ok_or_else(|| StorageError::BadPrimaryKey { table: self.schema.name.clone() })?;
-        let id = RowId(self.dead.len() as u32);
+        let id = row_id_at(self.dead.len()).ok_or_else(|| StorageError::LimitExceeded {
+            table: self.schema.name.clone(),
+            limit: "4 294 967 295 row slots",
+        })?;
         if !self.pk_index.insert(pk, id.0, live_pk(&self.dead, &self.columns[self.schema.pk])) {
             return Err(StorageError::DuplicateKey { table: self.schema.name.clone(), key: pk });
         }
@@ -293,7 +300,9 @@ impl Table {
         Ok(id)
     }
 
-    /// Arity and per-column type check of a candidate row.
+    /// Arity and per-column type check of a candidate row, and that every
+    /// text cell fits its column's arena ([`TEXT_ARENA_LIMIT`]): all of
+    /// it before the write moves an index or a cell.
     fn check_shape(&self, values: &[Value]) -> Result<()> {
         if values.len() != self.schema.arity() {
             return Err(StorageError::Arity {
@@ -302,11 +311,17 @@ impl Table {
                 got: values.len(),
             });
         }
-        for (v, c) in values.iter().zip(&self.schema.columns) {
+        for ((v, c), column) in values.iter().zip(&self.schema.columns).zip(&self.columns) {
             if !v.matches(c.ty) {
                 return Err(StorageError::TypeMismatch {
                     table: self.schema.name.clone(),
                     column: c.name.clone(),
+                });
+            }
+            if !column.takes(v, TEXT_ARENA_LIMIT) {
+                return Err(StorageError::LimitExceeded {
+                    table: self.schema.name.clone(),
+                    limit: "4 GiB of text in one column",
                 });
             }
         }
@@ -404,15 +419,6 @@ impl Table {
         self.staging = None;
         self.installed_scores = Vec::new();
         self.scores_live = false;
-    }
-
-    /// Routes the table's prefix scans to the attached pager (the disk
-    /// tier's residency policy: a paged table serves prefix scans from
-    /// segments instead). The runs and the score snapshot stay, so staged
-    /// mutations, junction probes and the heap path keep working; the
-    /// next install makes the table RAM-served again.
-    pub(crate) fn evict_sorted_postings(&mut self) {
-        self.paged = true;
     }
 
     /// The staged tail of a scored mutation of `id`, after its validated
@@ -597,25 +603,23 @@ impl Table {
 
     /// Snapshots every row slot's `score` and sorts every FK run where it
     /// lies by it (called by
-    /// [`crate::Database::install_importance_order`]), which makes the
-    /// table RAM-served again and ends any staging.
+    /// [`crate::Database::install_importance_order`]), which ends any
+    /// staging.
     pub(crate) fn build_sorted_fk(&mut self, score: &dyn Fn(RowId) -> f64) {
         debug_assert!(self.runs_live, "the catalog builds the runs before an install");
         self.installed_scores = (0..self.dead.len()).map(|i| score(RowId(i as u32))).collect();
         self.scores_live = true;
         self.staging = None;
-        self.paged = false;
         for runs in self.fk_runs.iter_mut().flatten() {
             runs.sort(&self.installed_scores);
         }
     }
 
     /// The importance-sorted runs of `col`: `Some` while an order is
-    /// installed, no plain mutation has dropped it, no open scored batch
-    /// has appended to the runs and the paged tier has not evicted the
-    /// table.
+    /// installed, no plain mutation has dropped it and no open scored
+    /// batch has appended to the runs.
     pub fn sorted_fk_index(&self, col: usize) -> Option<&SortedFkIndex> {
-        let sorted = self.scores_live && self.staging.is_none() && !self.paged;
+        let sorted = self.scores_live && self.staging.is_none();
         self.fk_runs.get(col)?.as_ref().filter(|_| sorted)
     }
 
@@ -760,6 +764,14 @@ mod tests {
             .build()
             .unwrap();
         Table::new(schema)
+    }
+
+    #[test]
+    fn row_ids_run_out_before_they_reach_the_none_mark() {
+        assert_eq!(row_id_at(0), Some(RowId(0)));
+        assert_eq!(row_id_at(u32::MAX as usize - 1), Some(RowId(u32::MAX - 1)));
+        assert_eq!(row_id_at(u32::MAX as usize), None, "u32::MAX marks no row");
+        assert_eq!(row_id_at(u32::MAX as usize + 1), None, "no id wraps round to row 0");
     }
 
     #[test]

@@ -135,10 +135,6 @@ impl<T: Ord> TopLScratch<T> {
     /// can still displace it on the item tie-break). Rank the staged run with
     /// [`TopLScratch::rank_staged_into`].
     ///
-    /// This is the one copy of the prefix-cut logic every sorted-posting
-    /// backend shares — the in-RAM slices and the paged on-disk reader
-    /// consume it through the same loop, which is what makes their
-    /// results and join accounting byte-identical by construction.
     pub fn stage_prefix(
         &mut self,
         l: usize,

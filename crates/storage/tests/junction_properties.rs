@@ -14,18 +14,14 @@
 //! junction and target inserts, updates and deletes run between the
 //! checks, with and without an installed order (without one the scored
 //! ops take the plain path and the reader re-resolves the forward
-//! arrays, as the probe requires), and with the junction table paged
-//! behind a pager that must never be read: the probe's rows, its
-//! `AccessStats` and its one heap probe must equal the oracle's after
-//! every batch, in both orientations.
-
-use std::sync::Arc;
+//! arrays, as the probe requires): the probe's rows, its `AccessStats`
+//! and its one heap probe must equal the oracle's after every batch, in
+//! both orientations.
 
 use proptest::prelude::*;
 
 use sizel_storage::{
-    AccessStats, Database, FkOrderToken, PostingCursor, PostingPager, ProbeCost, RowId, TableId,
-    TableSchema, TopLScratch, Value,
+    AccessStats, Database, ProbeCost, RowId, TableId, TableSchema, TopLScratch, Value,
 };
 
 /// Parent / Child targets and the `Rel` junction between them.
@@ -164,27 +160,6 @@ fn apply(db: &mut Database, ops: &[Op]) {
     db.finish_scored_batch(b);
 }
 
-/// A pager standing in for a paged junction's segments: its stamp is
-/// the live one, and any read fails the test — the junction probe keeps
-/// to the RAM runs and forward arrays.
-#[derive(Debug)]
-struct UnreadPager(Option<FkOrderToken>);
-
-impl PostingPager for UnreadPager {
-    fn stamp(&self) -> Option<FkOrderToken> {
-        self.0
-    }
-
-    fn fk_cursor(
-        &self,
-        table: TableId,
-        col: usize,
-        key: i64,
-    ) -> Option<Box<dyn PostingCursor + '_>> {
-        panic!("a junction probe read the pages of ({table:?}, {col}, {key})")
-    }
-}
-
 /// One probe's arguments beyond the orientation and key.
 #[derive(Clone, Copy, Debug)]
 struct Cut {
@@ -272,11 +247,10 @@ proptest! {
         rels in proptest::collection::vec((0i64..5, 0i64..64), 0..80),
         batches in proptest::collection::vec(proptest::collection::vec(op_strategy(), 1..12), 0..5),
         cut in cut_strategy(),
-        mode in 0u8..3,
+        mode in 0u8..2,
     ) {
-        // 0: no order installed; 1: installed; 2: installed, Rel paged.
+        // 0: no order installed; 1: installed.
         let mut db = load(&rels);
-        let paged = mode == 2;
         if mode == 0 {
             db.resolve_forward();
         } else {
@@ -289,10 +263,6 @@ proptest! {
             apply(&mut db, ops);
             // Plain ops leave forward arrays for the reader to resolve.
             db.resolve_forward();
-            if paged {
-                db.evict_table_postings(rel);
-                db.set_pager(Arc::new(UnreadPager(db.fk_order())));
-            }
             prop_assert_eq!(db.fk_order().is_some(), mode != 0, "the order's presence held");
             check(&db, cut)?;
         }

@@ -48,8 +48,7 @@ pub use sizel_core::render::{render_os, RenderOptions};
 pub use sizel_datagen::dblp::{Dblp, DblpConfig, FamousAuthorSpec};
 pub use sizel_datagen::tpch::{Tpch, TpchConfig};
 pub use sizel_disk::{
-    BlockCache, CacheSnapshot, DiskError, PagedStore, SegmentFile, SegmentWriter, StoreStats, Wal,
-    WalReplay,
+    CacheSnapshot, DiskError, PagedStore, SegmentFile, SegmentWriter, StoreStats, Wal, WalReplay,
 };
 pub use sizel_graph::{
     presets as gds_presets, AffinityModel, DataGraph, Gds, GdsConfig, SchemaGraph,
