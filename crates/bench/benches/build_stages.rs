@@ -9,7 +9,7 @@
 //! the whole build — so a set-up optimisation is aimed at a stage this
 //! table says is dear, and `engine_build` minus the stages is what is
 //! still unnamed. `resolve` is the tail of `generate`: the bulk build of
-//! every FK run and forward array after the load's plain inserts, timed
+//! every FK run after the load's plain inserts, timed
 //! over the same rows freshly loaded again.
 //!
 //! ```sh
@@ -27,8 +27,8 @@ use sizel_rank::{compute, dblp_ga, install_importance_order, GaPreset};
 use sizel_storage::Database;
 
 /// `db`'s live rows loaded by plain inserts into a fresh catalog, each
-/// table reserved first as `generate` does: a load whose FK runs and
-/// forward arrays are not built yet.
+/// table reserved first as `generate` does: a load whose FK runs are not
+/// built yet.
 fn reload(db: &Database) -> Database {
     let mut fresh = Database::new();
     for (_, t) in db.tables() {
@@ -68,7 +68,7 @@ fn build_stages(c: &mut Criterion) {
         b.iter_batched(
             || reload(&db),
             |mut fresh| {
-                fresh.resolve_forward();
+                fresh.build_runs();
                 fresh
             },
             BatchSize::PerIteration,

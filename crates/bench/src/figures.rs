@@ -634,9 +634,10 @@ pub fn snippet_baseline(bench: &Bench) -> String {
 
 /// §6.3 data-graph statistics. The paper's data graph "is only an
 /// index": here one node per tuple and one forward entry per row of
-/// every FK column, held by the tables (`Table::forward`; the FK runs
-/// answer the backward side), plus the node numbering a rank solve
-/// builds in `build ms` and drops.
+/// every FK column, its FK cell, which the tables resolve through the
+/// parent's primary key (`Table::parent_of`; the FK runs answer the
+/// backward side), plus the node numbering a rank solve builds in
+/// `build ms` and drops.
 pub fn datagraph_stats(bench: &Bench) -> String {
     let mut out = String::from("## §6.3 — data-graph statistics\n\n");
     let row = |name: &str, db: &sizel_storage::Database, ms: f64| {
@@ -678,8 +679,9 @@ fn rss_mb() -> f64 {
 /// the install, as the engine drops it), then each table's rows and
 /// [`sizel_storage::Table::value_bytes`], and its index bytes by
 /// structure ([`sizel_storage::Table::index_bytes`]: PK slots, FK runs,
-/// forward arrays, the one score copy), and last what one
-/// rank solve gathers and drops ([`sizel_rank::solve_scratch_bytes`]),
+/// the one score copy), and last what one rank solve gathers and drops
+/// ([`sizel_rank::solve_scratch_bytes`]: the forward lists, the backward
+/// and link lists, the iteration vectors),
 /// then the live bytes one whole `SizeLEngine::build` keeps. Run it in a
 /// fresh process (`repro footprint` builds no workbench first): freed
 /// heap the allocator keeps counts as resident, never as live.
@@ -746,6 +748,13 @@ pub fn footprint(live_bytes: fn() -> usize) -> String {
         let sum = split.iter().map(|&(_, b)| b).sum();
         std::iter::once(name).chain(split.iter().map(|&(_, b)| mb(b))).chain([mb(sum)]).collect()
     };
+    // A table of `rows` under a header naming `split`'s parts.
+    let table = |first: &str, split: &[(&str, usize)], rows: &[Vec<String>]| {
+        let names = split.iter().map(|(name, _)| format!("{name} MB"));
+        let header: Vec<String> =
+            std::iter::once(first.into()).chain(names).chain(["MB".into()]).collect();
+        markdown_table(&header.iter().map(String::as_str).collect::<Vec<_>>(), rows)
+    };
     let splits: Vec<_> =
         db.tables().map(|(_, t)| (t.schema.name.clone(), t.index_bytes())).collect();
     let mut total = splits[0].1.map(|(name, _)| (name, 0));
@@ -754,22 +763,14 @@ pub fn footprint(live_bytes: fn() -> usize) -> String {
     }
     let mut rows: Vec<Vec<String>> = splits.iter().map(|(name, s)| row(name.clone(), s)).collect();
     rows.push(row("all tables".into(), &total));
-    let header: Vec<String> = std::iter::once("table".into())
-        .chain(total.iter().map(|(name, _)| format!("{name} MB")))
-        .chain(["MB".into()])
-        .collect();
-    let header: Vec<&str> = header.iter().map(String::as_str).collect();
     out.push('\n');
-    out.push_str(&markdown_table(&header, &rows));
+    out.push_str(&table("table", &total, &rows));
 
-    // What one rank solve gathers from the forward arrays and drops
-    // before it returns.
-    let solve = row("rank solve".into(), &solve_scratch_bytes(&db, &sg, &dg, &authority));
+    // What one rank solve gathers from the tables and drops before it
+    // returns.
+    let scratch = solve_scratch_bytes(&db, &sg, &dg, &authority);
     out.push('\n');
-    out.push_str(&markdown_table(
-        &["gathered and dropped", "transfer lists MB", "iteration vectors MB", "MB"],
-        &[solve],
-    ));
+    out.push_str(&table("gathered and dropped", &scratch, &[row("rank solve".into(), &scratch)]));
 
     let before = live_mb();
     let engine = sizel_core::engine::SizeLEngine::build(

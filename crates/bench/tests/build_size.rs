@@ -6,11 +6,16 @@
 //! every junction row holds the one unrated score instead of a slot.
 //! The generator's surrogate keys `1..=n`, loaded in key order, are
 //! indexed by their offsets: no PK slot, and every FK column's runs
-//! under an array directory over its key span.
+//! under an array directory over its key span. Once GA1's scores are
+//! installed, a table's indexes are its PK slots, its FK runs and its
+//! score snapshot — no forward array — and each junction's snapshot is
+//! one shared score, eight bytes.
 
 use sizel_datagen::dblp::{generate, DblpConfig};
 use sizel_graph::{DataGraph, SchemaGraph};
-use sizel_rank::{dblp_ga, solve_scratch_bytes, GaPreset};
+use sizel_rank::{
+    compute, dblp_ga, install_importance_order, solve_scratch_bytes, GaPreset, RankConfig,
+};
 use sizel_storage::{Database, ValueType};
 
 /// Per table: the bytes of each `Int` column and of the FK runs.
@@ -69,7 +74,7 @@ fn a_ga1_solve_holds_vectors_for_the_rated_tables_only() {
     let sg = SchemaGraph::from_database(&d.db);
     let dg = DataGraph::build(&d.db, &sg);
     let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
-    let [_, (name, vectors)] = solve_scratch_bytes(&d.db, &sg, &dg, &ga);
+    let [.., (name, vectors)] = solve_scratch_bytes(&d.db, &sg, &dg, &ga);
     assert_eq!(name, "iteration vectors");
     // GA1 rates no edge or link that touches a junction row.
     let rated: usize =
@@ -78,4 +83,25 @@ fn a_ga1_solve_holds_vectors_for_the_rated_tables_only() {
     // Current and next iterate and the emission scales; GA1 has no value
     // function, so no multipliers.
     assert_eq!(vectors, 3 * 8 * rated);
+}
+
+#[test]
+fn an_installed_junction_keeps_one_score_and_no_table_a_forward_array() {
+    let mut d = generate(&DblpConfig::bench());
+    let sg = SchemaGraph::from_database(&d.db);
+    let dg = DataGraph::build(&d.db, &sg);
+    let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
+    let scores = compute(&d.db, &sg, &dg, &ga, &RankConfig::default());
+    install_importance_order(&mut d.db, &dg, &scores);
+    d.db.shrink_to_fit();
+    for (_, t) in d.db.tables() {
+        let [(_, _), (_, _), ("scores", snapshot)] = t.index_bytes() else {
+            panic!("`{}` indexes {:?}", t.schema.name, t.index_bytes())
+        };
+        let expected = if t.schema.is_junction { 8 } else { 8 * t.len() };
+        assert_eq!(snapshot, expected, "`{}`'s score snapshot", t.schema.name);
+    }
+    let junction_rows: usize =
+        [d.author_paper, d.citation].map(|t| d.db.table(t).len()).iter().sum();
+    assert_eq!(junction_rows, 69_370);
 }

@@ -17,7 +17,7 @@
 //! it at every epoch). A write applies once through the engine's batched
 //! path (one posting settlement per incremental run — see
 //! `SizeLEngine::apply_batch`), and the server purges its superseded
-//! entries under the same write lock. A [`refresh::RefreshWorker`]
+//! entries under the same write lock. A `refresh::RefreshWorker`
 //! watches the server's epoch and proactively re-warms its hottest
 //! summary keys under a budget (continual top-k refresh à la Xu,
 //! PAPERS.md), so steady-state readers of hot keys don't eat cold

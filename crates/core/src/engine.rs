@@ -8,8 +8,9 @@
 //! summaries ranked by the DS tuple's global importance.
 //!
 //! The engine keeps no data graph and no score vector of its own. The
-//! tables hold the index the paper's §6.3 data graph is: FK runs, forward
-//! arrays and each row's installed global importance. A rank solve builds
+//! tables hold the index the paper's §6.3 data graph is: FK runs, the
+//! primary keys a row's FK cell resolves through, and each row's installed
+//! global importance. A rank solve builds
 //! a [`DataGraph`] to number the tuples, installs its scores into the
 //! tables, and drops both; the engine keeps the per-table maxima the GDS
 //! stats need and the token of the installed order.
@@ -17,8 +18,8 @@
 //! The engine is **epoch-aware**: [`SizeLEngine::apply`] accepts row
 //! mutations and keeps every derived structure synchronized, either
 //! incrementally ([`RefreshPolicy::Incremental`] — estimated score
-//! staged into the tables' snapshots, sorted postings and forward arrays
-//! maintained in place, the FK-order token re-stamped so the prefix-scan
+//! staged into the tables' snapshots, sorted postings maintained in
+//! place, the FK-order token re-stamped so the prefix-scan
 //! fast paths stay live) or exactly ([`RefreshPolicy::Exact`] — the
 //! escape hatch that re-derives everything, byte-identical to a fresh
 //! [`SizeLEngine::build`] over the mutated database). [`SizeLEngine::epoch`] exposes the database's
@@ -144,7 +145,7 @@ pub enum RefreshPolicy {
     /// `sizel_rank::estimate_updated_score_with` for updates, each with
     /// its documented approximation bound), sorted FK runs appended to
     /// and re-sorted (inserts/updates) or cut where the entry lies
-    /// (deletes), forward arrays re-pointed, keyword postings
+    /// (deletes), keyword postings
     /// retokenized, and the FK-order token re-stamped — no power
     /// iteration, no GDS/keyword rebuild. After
     /// update/delete churn, [`SizeLEngine::reiterate`] recovers
@@ -326,9 +327,8 @@ impl SizeLEngine {
         ga: &(dyn Fn(&Database, &SchemaGraph, &DataGraph) -> AuthorityGraph + Send + Sync),
         cfg: &EngineConfig,
     ) -> Result<Derived, StorageError> {
-        // The exact path's plain row operation left forward arrays to
-        // re-resolve.
-        db.resolve_forward();
+        // The exact path's plain row operation left FK runs to rebuild.
+        db.build_runs();
         let dg = DataGraph::build(db, sg);
         let authority = ga(db, sg, &dg);
         let scores = compute(db, sg, &dg, &authority, &cfg.rank);
@@ -395,7 +395,7 @@ impl SizeLEngine {
     /// Applies a whole batch of mutations. Each run of incremental
     /// mutations is staged through the storage layer's
     /// [`sizel_storage::ScoredBatch`]: every row operation maintains the
-    /// FK runs and forward arrays it touches and writes
+    /// FK runs it touches and writes
     /// its row's score estimate into the table's snapshot, and
     /// settlement re-sorts each touched run once. Then one stats/keyword
     /// refresh covers the whole run, where folding [`SizeLEngine::apply`]

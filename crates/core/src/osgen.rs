@@ -5,23 +5,16 @@
 //! and append them as children. The paper's §6.3 compares two tuple
 //! sources for the same algorithms; here they share one fetch body and
 //! one TOP-l probe ([`Database::select_eq_top_l_into`] and its junction
-//! sibling, which reads the junction's forward array for either source),
-//! reading the same FK runs, and differ in two things only:
-//!
-//! * a forward step — a forward FK, or a junction row's target outside
-//!   the TOP-l probe — reads the referencing table's forward array
-//!   (`Table::forward`) for [`OsSource::DataGraph`], the in-memory index
-//!   ("the OSs are generated much faster using the data graph"), and
-//!   probes the target's PK for [`OsSource::Database`], the SQL-shaped
-//!   joins of Algorithm 5 line 6;
-//! * every probe adds to the summary's cost record in the pooled
-//!   [`FetchScratch`], which is folded into the storage layer's access
-//!   counter once per summary for the Database source and dropped for the
-//!   data graph, which counts nothing.
-//!
-//! A forward array equals a fresh PK probe of every live row's key, so
-//! both yield the same OS node for node. Local importance reads each
-//! table's installed score snapshot.
+//! sibling), reading the same FK runs and resolving a forward step — a
+//! forward FK, or a junction row's target — through the target's primary
+//! key (`Table::parent_of`), the SQL-shaped join of Algorithm 5 line 6.
+//! They differ in one thing only: every probe adds to the summary's cost
+//! record in the pooled [`FetchScratch`], which is folded into the
+//! storage layer's access counter once per summary for
+//! [`OsSource::Database`] and dropped for [`OsSource::DataGraph`], the
+//! in-memory index, which counts nothing. So both yield the same OS node
+//! for node. Local importance reads each table's installed score
+//! snapshot.
 
 use sizel_graph::{Direction, Gds, GdsNodeId, JoinSpec, SchemaEdge, SchemaGraph};
 use sizel_storage::{Database, FkOrderToken, ProbeCost, RowId, TupleRef};
@@ -32,11 +25,9 @@ use crate::os::{FetchScratch, Os, OsArenaPool};
 /// `Hash` because the serving layer's cache key includes the source.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OsSource {
-    /// The in-memory index: forward steps read the tables' forward
-    /// arrays, and nothing is counted.
+    /// The in-memory index: nothing is counted.
     DataGraph,
-    /// Joins against the stored tables: forward steps probe the target's
-    /// PK, and every probe is counted.
+    /// Joins against the stored tables: every probe is counted.
     Database,
 }
 
@@ -80,20 +71,11 @@ impl<'a> OsContext<'a> {
 
     /// The forward step `SELECT * FROM To WHERE To.pk = From.fk` over
     /// edge `e`, from a row of `e.from`: the live row it finds, or `None`
-    /// when no probe is issued because the FK is NULL. The data-graph
-    /// source reads the forward array, which does not tell a NULL FK from
-    /// a dangling one; its record is dropped anyway.
-    fn forward(
-        &self,
-        source: OsSource,
-        e: &SchemaEdge,
-    ) -> impl Fn(RowId) -> Option<Option<RowId>> + 'a {
+    /// when no probe is issued because the FK is NULL. The typed read
+    /// `Table::parent_of` makes, keeping NULL apart from dangling.
+    fn forward(&self, e: &SchemaEdge) -> impl Fn(RowId) -> Option<Option<RowId>> + 'a {
         let (from, to, col) = (self.db.table(e.from), self.db.table(e.to), e.fk_col);
-        let array = (source == OsSource::DataGraph).then(|| from.forward(col));
-        move |r| match array {
-            Some(array) => Some(array.get(r)),
-            None => from.value(r, col).as_int().map(|k| to.by_pk(k)),
-        }
+        move |r| from.int_value(r, col).map(|k| to.by_pk(k))
     }
 
     /// Fetches the tuples of GDS node `child` joining with `parent`
@@ -105,7 +87,6 @@ impl<'a> OsContext<'a> {
         child: GdsNodeId,
         parent: TupleRef,
         grandparent: Option<TupleRef>,
-        source: OsSource,
         scratch: &mut FetchScratch,
         out: &mut Vec<TupleRef>,
     ) {
@@ -114,7 +95,7 @@ impl<'a> OsContext<'a> {
             JoinSpec::Root => {}
             JoinSpec::Step { edge, dir: Direction::Forward } => {
                 let e = self.sg.edge(*edge);
-                if let Some(r) = self.forward(source, e)(parent.row) {
+                if let Some(r) = self.forward(e)(parent.row) {
                     cost.record_join(r.is_some() as usize);
                     out.extend(r.map(|r| TupleRef::new(e.to, r)));
                 }
@@ -135,7 +116,7 @@ impl<'a> OsContext<'a> {
                 let jrows = self.db.table(*junction).rows_where_eq(e1.fk_col, pk);
                 cost.record_join(jrows.len());
                 let start = out.len();
-                let via = self.forward(source, e2);
+                let via = self.forward(e2);
                 let targets =
                     jrows.iter().filter_map(|&j| via(j)?).map(|r| TupleRef::new(e2.to, r));
                 out.extend(targets.filter(|&t| !*exclude_parent || Some(t) != grandparent));
@@ -149,16 +130,15 @@ impl<'a> OsContext<'a> {
     /// ordered by descending importance. The predicate is pushed into the
     /// probe (the `SELECT * TOP l ... AND Ri.li > largest-l` form), so the
     /// cost record sees one probe and only the returned rows; a backward
-    /// or junction step is one storage TOP-l probe for either source. All
-    /// working memory comes from `scratch` (pooled by the generation
-    /// loops), so warm probes are allocation-free.
+    /// or junction step is one storage TOP-l probe. All working memory
+    /// comes from `scratch` (pooled by the generation loops), so warm
+    /// probes are allocation-free.
     #[allow(clippy::too_many_arguments)]
     pub fn children_of_top_l(
         &self,
         child: GdsNodeId,
         parent_tuple: TupleRef,
         grandparent: Option<TupleRef>,
-        source: OsSource,
         l: usize,
         largest_l: f64,
         scratch: &mut FetchScratch,
@@ -175,7 +155,7 @@ impl<'a> OsContext<'a> {
                 // An issued N:1 probe is counted, but a filtered-out row
                 // is not returned.
                 let e = self.sg.edge(*edge);
-                if let Some(r) = self.forward(source, e)(parent_tuple.row) {
+                if let Some(r) = self.forward(e)(parent_tuple.row) {
                     rows.extend(r.filter(|&r| li(r) > largest_l));
                     cost.record_join(rows.len());
                 }
@@ -288,7 +268,7 @@ pub fn generate_os_pooled(
         let grandparent = u_parent.map(|p| os.node(p).tuple);
         for &g_child in &ctx.gds.node(u_gds).children {
             buf.clear();
-            ctx.children_of(g_child, u_tuple, grandparent, source, fetch, buf);
+            ctx.children_of(g_child, u_tuple, grandparent, fetch, buf);
             for &t in buf.iter() {
                 let w = ctx.local_importance(g_child, t);
                 let id = os.add_child(u, t, g_child, w);

@@ -112,19 +112,10 @@ pub fn generate_prelim_pooled(
                 // Ri WHERE tj.ID = Ri.ID AND Ri.li > largest-l`,
                 // Algorithm 4 line 10).
                 stats.cond2_probes += 1;
-                ctx.children_of_top_l(
-                    g_child,
-                    u_tuple,
-                    grandparent,
-                    source,
-                    l,
-                    largest_l,
-                    fetch,
-                    buf,
-                );
+                ctx.children_of_top_l(g_child, u_tuple, grandparent, l, largest_l, fetch, buf);
             } else {
                 stats.full_joins += 1;
-                ctx.children_of(g_child, u_tuple, grandparent, source, fetch, buf);
+                ctx.children_of(g_child, u_tuple, grandparent, fetch, buf);
             }
             for &t in buf.iter() {
                 let w = ctx.local_importance(g_child, t);
@@ -288,7 +279,8 @@ mod tests {
     fn sorted_link_fast_path_is_byte_identical_with_identical_accounting() {
         // Database-source prelim generation over the Author GDS drives
         // junction TOP-l probes (Paper, CoAuthor, citations). Each is one
-        // bounded selection over the junction's FK run and forward array,
+        // bounded selection over the junction's FK run, each target
+        // resolved by key,
         // whether the installed order is attested or withheld: the
         // generated OS, the paper-cost accounting and the probe mix must
         // be byte-identical between the two contexts, and every TOP-l step
@@ -332,9 +324,9 @@ mod tests {
     #[test]
     fn dangling_junction_heal_restores_the_fast_path_ratio() {
         // A scored junction insert referencing a not-yet-existing endpoint
-        // leaves its forward slot empty (the row counts, joins nothing);
-        // when the endpoint arrives through a scored insert the slot is
-        // re-pointed and the token re-stamped — so Database-source prelim
+        // resolves to no target (the row counts, joins nothing); when the
+        // endpoint arrives through a scored insert its key resolves and
+        // the token is re-stamped — so Database-source prelim
         // generation sees the new endpoint without any reinstall,
         // byte-identical to a token-less run, every junction step one
         // heap probe.
@@ -377,9 +369,10 @@ mod tests {
             0.1,
         );
         let jrow = d.db.table(ap).by_pk(jpk).unwrap();
-        assert_eq!(d.db.table(ap).forward(ap_paper_col).get(jrow), None, "a dangling target");
+        let parent = |db: &Database| db.table(ap).parent_of(ap_paper_col, jrow, db.table(d.paper));
+        assert_eq!(parent(&d.db), None, "a dangling target");
 
-        // The endpoint arrives: the junction row's slot names it.
+        // The endpoint arrives: the junction row's key resolves to it.
         let year_pk = {
             let year = d.db.table_id("Year").unwrap();
             d.db.table(year).pk_of(RowId(0))
@@ -391,7 +384,7 @@ mod tests {
             4.5,
         );
         assert_eq!(
-            d.db.table(ap).forward(ap_paper_col).get(jrow),
+            parent(&d.db),
             d.db.table(d.paper).by_pk(missing_paper),
             "the arriving endpoint is resolved without a reinstall"
         );

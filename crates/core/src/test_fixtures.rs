@@ -1,7 +1,7 @@
 //! Shared test fixtures: small DBLP / TPC-H stacks built once per process
 //! ([`dblp_fixture`], [`tpch_fixture`]). A test that resets or diffs the
 //! database's access counter builds a private one instead
-//! ([`build_dblp`], [`build_tpch`]): tests running in parallel probe the
+//! (`build_dblp`, `build_tpch`): tests running in parallel probe the
 //! shared fixtures' counters too.
 
 use std::sync::OnceLock;

@@ -59,10 +59,9 @@ fn generate_os_steady_state_does_zero_allocations() {
     let subjects: Vec<_> = (0..4).map(|i| f.author_tds(i)).collect();
     // Complete OSs, uncut and cut at depth 9, then prelim-l OSs.
     let forms = [(None, None), (Some(9), None), (None, Some(5)), (None, Some(15))];
-    // Both tuple sources: they read the same FK runs and TOP-l probes and
-    // differ in forward steps — the forward arrays for the data graph,
-    // PK point lookups for the database — and with the arena and the
-    // probe scratch pooled, neither touches the allocator.
+    // Both tuple sources: they read the same FK runs, TOP-l probes and
+    // PK point lookups and differ in what they count — and with the
+    // arena and the probe scratch pooled, neither touches the allocator.
     let sources = [OsSource::DataGraph, OsSource::Database];
     let generate =
         |tds, (cutoff, prelim): (Option<u32>, Option<usize>), source, pool: &mut _| match prelim {

@@ -1,7 +1,7 @@
 //! Integration oracle for the full mutation model:
 //! [`SizeLEngine::apply`] / [`apply_batch`] over **insert, update, and
 //! delete** mutations must keep every derived layer — keyword index,
-//! forward arrays, installed rank scores, sorted FK postings —
+//! FK parents, installed rank scores, sorted FK postings —
 //! in lockstep, under both refresh policies.
 //!
 //! [`apply_batch`]: SizeLEngine::apply_batch
@@ -64,15 +64,16 @@ fn mixed_script(e: &SizeLEngine) -> Vec<Mutation> {
     ]
 }
 
-/// Every table's forward arrays equal a fresh `by_pk` resolution of its
-/// live rows' keys.
-fn assert_forward_resolved(db: &Database) {
+/// Every live row's parent, as the resolver reads it, equals a fresh
+/// `by_pk` of its key.
+fn assert_parents_resolved(db: &Database) {
     for (_, t) in db.tables() {
         for fk in &t.schema.fks {
             let target = db.table(db.table_id(&fk.ref_table).unwrap());
             for r in t.live_rows() {
                 let fresh = t.value(r, fk.column).as_int().and_then(|k| target.by_pk(k));
-                assert_eq!(t.forward(fk.column).get(r), fresh, "{}.{fk:?} {r:?}", t.schema.name);
+                let parent = t.parent_of(fk.column, r, target);
+                assert_eq!(parent, fresh, "{}.{fk:?} {r:?}", t.schema.name);
             }
         }
     }
@@ -134,8 +135,8 @@ fn mixed_batch_is_byte_identical_to_the_fold_across_churn_and_compaction() {
         fe = folded.apply(m).unwrap();
     }
     assert_eq!(be, fe, "epochs");
-    assert_forward_resolved(batched.db());
-    assert_forward_resolved(folded.db());
+    assert_parents_resolved(batched.db());
+    assert_parents_resolved(folded.db());
     assert_same_scores(batched.db(), folded.db());
     assert_eq!(batched.per_table_max(), folded.per_table_max());
 
@@ -199,7 +200,7 @@ fn exact_mixed_stream_is_byte_identical_to_fresh_rebuild_at_every_epoch() {
             }
         }
         let rebuilt = fresh_engine(d);
-        assert_forward_resolved(live.db());
+        assert_parents_resolved(live.db());
         assert_same_scores(live.db(), rebuilt.db());
 
         for kw in probe_keywords(&existing) {
@@ -230,7 +231,7 @@ fn incremental_mixed_stream_stays_consistent_and_reiterate_refreshes_ranks() {
     let existing = existing_keyword(&live);
     for m in mixed_script(&live) {
         live.apply(m).unwrap();
-        assert_forward_resolved(live.db());
+        assert_parents_resolved(live.db());
     }
 
     // Updated tokens serve; renamed-away and deleted tokens are dark.

@@ -415,10 +415,9 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
             .expect("citation insert");
     }
 
-    // The loader's plain inserts built no run and probed no parent:
-    // build every FK run and resolve every forward array once, for
-    // readers of the raw database.
-    db.resolve_forward();
+    // The loader's plain inserts built no run: build every FK run once,
+    // for readers of the raw database.
+    db.build_runs();
     Dblp { db, author, paper, author_paper, citation, year, conference, famous }
 }
 

@@ -338,10 +338,9 @@ pub fn generate(cfg: &TpchConfig) -> Tpch {
         }
     }
 
-    // The loader's plain inserts built no run and probed no parent:
-    // build every FK run and resolve every forward array once, for
-    // readers of the raw database.
-    db.resolve_forward();
+    // The loader's plain inserts built no run: build every FK run once,
+    // for readers of the raw database.
+    db.build_runs();
     Tpch { db, customer, supplier, orders, lineitem, partsupp, part, nation, region }
 }
 

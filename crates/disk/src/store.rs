@@ -35,20 +35,19 @@ pub struct CacheSnapshot {
 pub struct StoreStats {
     /// All zeros (see [`CacheSnapshot`]).
     pub cache: CacheSnapshot,
-    /// The installed generation id (0 = none yet).
+    /// The installed generation id (0 = none yet), which is also the
+    /// number of checkpoints the store has taken.
     pub generation: u64,
     /// Posting lists in the installed generation.
     pub lists: u64,
-    /// Checkpoints taken over the store's lifetime.
-    pub checkpoints: u64,
 }
 
 /// Segment generations of a `Database`'s sorted postings.
 #[derive(Debug)]
 pub struct PagedStore {
     dir: PathBuf,
-    /// Checkpoints taken, and so the installed generation's id.
-    checkpoints: u64,
+    /// The installed generation's id: the checkpoints taken.
+    generation: u64,
     /// Posting lists in the installed generation.
     lists: u64,
 }
@@ -69,7 +68,7 @@ impl PagedStore {
                 std::fs::remove_file(&path)?;
             }
         }
-        Ok(PagedStore { dir: dir.to_path_buf(), checkpoints: 0, lists: 0 })
+        Ok(PagedStore { dir: dir.to_path_buf(), generation: 0, lists: 0 })
     }
 
     /// Snapshots the sorted FK postings of `tables` into a fresh segment
@@ -84,7 +83,7 @@ impl PagedStore {
         if db.fk_order().is_none() {
             return Err(DiskError::Corrupt("checkpoint requires an installed importance order"));
         }
-        let gen_id = self.checkpoints + 1;
+        let gen_id = self.generation + 1;
         let path = self.segment(gen_id);
         let mut w = SegmentWriter::create(&path)?;
         for &tid in tables {
@@ -102,10 +101,10 @@ impl PagedStore {
         w.finish()?;
 
         self.lists = SegmentFile::open(&path)?.len() as u64;
-        if self.checkpoints > 0 {
-            std::fs::remove_file(self.segment(self.checkpoints)).ok();
+        if self.generation > 0 {
+            std::fs::remove_file(self.segment(self.generation)).ok();
         }
-        self.checkpoints = gen_id;
+        self.generation = gen_id;
         Ok(gen_id)
     }
 
@@ -118,9 +117,8 @@ impl PagedStore {
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             cache: CacheSnapshot::default(),
-            generation: self.checkpoints,
+            generation: self.generation,
             lists: self.lists,
-            checkpoints: self.checkpoints,
         }
     }
 }

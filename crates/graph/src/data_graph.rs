@@ -7,9 +7,10 @@
 //! contain actual data as nodes capture only keys and global importance."
 //!
 //! The index lives in the tables: each FK column's runs hold every
-//! parent's children (`Table::rows_where_eq`), its forward array each
-//! row's parent (`Table::forward`), and each table's installed score
-//! snapshot the rows' global importance. What a rank solve needs on top
+//! parent's children (`Table::rows_where_eq`), a row's FK cell resolves
+//! to its parent through the parent's primary key (`Table::parent_of`),
+//! and each table's installed score snapshot holds the rows' global
+//! importance. What a rank solve needs on top
 //! is a dense numbering of the tuples, to index its iteration vectors,
 //! and the links its authority graph rates; that is this type. A solve
 //! builds one, reads the tables through it, and drops it
@@ -49,7 +50,7 @@ impl MnLinkId {
 /// (the table referenced by `e_from`) map to tuples of `to_table` (the
 /// table referenced by `e_to`) whenever a junction row connects them. The
 /// pairs are the junction's rows: its FK runs on `e_from` grouped by
-/// source, each resolved through the junction's forward array on `e_to`.
+/// source, each row's `e_to` key resolved in the target's primary key.
 #[derive(Debug)]
 pub struct MnLink {
     /// The junction table realizing the link.
@@ -164,17 +165,17 @@ mod tests {
     }
 
     #[test]
-    fn fwd_inverts_the_fk_runs() {
+    fn parent_of_inverts_the_fk_runs() {
         let (d, sg, _) = setup();
-        // Paper -> Year edge: each paper in a year's run points at that
-        // year through the forward array the solve reads, and the runs
-        // cover every paper exactly once.
+        // Paper -> Year edge: each paper in a year's run resolves to that
+        // year through the resolver the solve reads, and the runs cover
+        // every paper exactly once.
         let e = sg.edges().iter().find(|e| e.from == d.paper && e.to == d.year).unwrap();
         let (papers, years) = (d.db.table(d.paper), d.db.table(d.year));
         let mut covered = 0;
         for y in years.live_rows() {
             for &p in papers.rows_where_eq(e.fk_col, years.pk_of(y)) {
-                assert_eq!(papers.forward(e.fk_col).get(p), Some(y));
+                assert_eq!(papers.parent_of(e.fk_col, p, years), Some(y));
                 covered += 1;
             }
         }

@@ -19,7 +19,8 @@
 //!   paper generates OSs from ("the data-graph is only an index ... nodes
 //!   capture only keys and global importance"): dense node ids and the
 //!   collapsed M:N links. The index itself lives in storage's tables —
-//!   the FK runs, the forward arrays and the installed scores.
+//!   the FK runs, the primary keys FK cells resolve through, and the
+//!   installed scores.
 
 pub mod affinity;
 pub mod data_graph;

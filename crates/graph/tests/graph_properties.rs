@@ -1,5 +1,5 @@
-//! Property tests for the graph substrate: the forward arrays and the
-//! data graph's node ids must agree with brute-force joins over randomly
+//! Property tests for the graph substrate: the FK parents a solve
+//! resolves and the data graph's node ids must agree with brute-force joins over randomly
 //! generated two-table databases, and GDS
 //! construction must be structurally sound for random affinity settings.
 
@@ -47,19 +47,19 @@ proptest! {
 
         let e = sg.edge(edge);
         prop_assert_eq!((e.from, e.to), (child, parent));
-        let fwd = db.table(child).forward(e.fk_col);
+        let (parents, children) = (db.table(parent), db.table(child));
+        let parent_of = |i: usize| children.parent_of(e.fk_col, RowId(i as u32), parents);
         // Forward: child row -> its parent.
         for (i, &t) in fk_targets.iter().enumerate() {
-            let p = fwd.get(RowId(i as u32)).expect("FK is NOT NULL");
-            prop_assert_eq!(db.table(parent).pk_of(p), t);
+            let p = parent_of(i).expect("FK is NOT NULL");
+            prop_assert_eq!(parents.pk_of(p), t);
         }
-        // Backward, read through the forward array: parent row -> exactly
-        // its children.
+        // Backward, read through the resolver: parent row -> exactly its
+        // children.
         for k in 1..=n_parents {
-            let prow = db.table(parent).by_pk(k).unwrap();
-            let got: Vec<usize> = (0..fk_targets.len())
-                .filter(|&i| fwd.get(RowId(i as u32)) == Some(prow))
-                .collect();
+            let prow = parents.by_pk(k).unwrap();
+            let got: Vec<usize> =
+                (0..fk_targets.len()).filter(|&i| parent_of(i) == Some(prow)).collect();
             let expect: Vec<usize> = (0..fk_targets.len()).filter(|&i| fk_targets[i] == k).collect();
             prop_assert_eq!(got, expect, "children of parent {}", k);
         }

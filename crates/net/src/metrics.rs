@@ -267,7 +267,6 @@ pub fn render_metrics(
     if let Some(disk) = server.disk {
         line(&mut out, "sizel_disk_segment_generation", labels, disk.store.generation);
         line(&mut out, "sizel_disk_segment_lists", labels, disk.store.lists);
-        line(&mut out, "sizel_disk_checkpoints_total", labels, disk.store.checkpoints);
         line(&mut out, "sizel_disk_wal_bytes", labels, disk.wal_bytes);
         line(&mut out, "sizel_disk_wal_appends_total", labels, disk.wal_appends);
         line(&mut out, "sizel_disk_wal_syncs_total", labels, disk.wal_syncs);

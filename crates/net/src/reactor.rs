@@ -1,14 +1,14 @@
 //! Readiness backends for the I/O thread (DESIGN.md §9.4).
 //!
-//! The [`Reactor`] trait is the narrow waist between the event loop in
+//! The `Reactor` trait is the narrow waist between the event loop in
 //! [`server`](crate::server) and how readiness is learned:
 //!
-//! * [`EpollReactor`] (Linux) — level-triggered `epoll` over the
+//! * `EpollReactor` (Linux) — level-triggered `epoll` over the
 //!   listener and every connection, plus an `eventfd` **doorbell** the
 //!   dispatch workers ring when a reply lands in an outbox. The I/O
 //!   thread wakes on the event, not on a sleep tick, so round-trip
 //!   latency is bounded by work, not by a sleep constant.
-//! * [`PollReactor`] (portable) — the original sweep-everything loop,
+//! * `PollReactor` (portable) — the original sweep-everything loop,
 //!   retained both as the non-Linux fallback and as a differential
 //!   oracle for the epoll path: every suite runs against both backends.
 //!   Its doorbell is a condvar, so reply completions cut the idle sleep
@@ -17,7 +17,7 @@
 //! ## The doorbell protocol
 //!
 //! Lost wakeups are the classic failure mode of "signal a sleeping
-//! poller", so the handshake is explicit. The [`WakeHub`] carries a
+//! poller", so the handshake is explicit. The `WakeHub` carries a
 //! `pending` completion list and an `armed` flag:
 //!
 //! * a worker **notifies**: push the connection token onto `pending`,
@@ -336,7 +336,7 @@ impl Reactor for EpollReactor {
 /// by the doorbell on the reply leg.
 pub(crate) const POLL_IDLE_SLEEP: Duration = Duration::from_micros(300);
 
-/// The sweep-everything loop behind the [`Reactor`] interface: every
+/// The sweep-everything loop behind the `Reactor` interface: every
 /// registered token is reported ready on every pass, and "waiting" is
 /// the old idle sleep (condvar-backed, so reply doorbells end it
 /// early).

@@ -14,7 +14,7 @@
 //! traffic and a single payload copy (socket → `inbuf`):
 //!
 //! * Inbound frames are parsed **in place**: the connection's
-//!   [`RecvBuf`] hands out borrowed payload slices, and consumed frames
+//!   `RecvBuf` hands out borrowed payload slices, and consumed frames
 //!   advance a cursor instead of shifting the tail per parse.
 //! * Reply frames are built **once**, header and payload together, in a
 //!   buffer from the shared [`BufPool`] free list
@@ -23,7 +23,7 @@
 //!   back to the pool the moment the kernel has taken their last byte.
 //! * Cheap requests skip the dispatch queue entirely: the I/O thread
 //!   answers `Ping` and *cache-hit-only* `Query`/`Summarize` **inline**
-//!   (see [`try_fastpath`]) through the same handler the workers run,
+//!   (see `try_fastpath`) through the same handler the workers run,
 //!   with waiting switched off — every lock it can reach is a `try_`
 //!   acquisition, so the reactor can never block, and a per-read-pass
 //!   inline budget keeps one pipelined burst from starving other
@@ -31,7 +31,7 @@
 //!
 //! ## Readiness
 //!
-//! *When* the I/O thread runs is the [`Reactor`]'s business
+//! *When* the I/O thread runs is the `Reactor`'s business
 //! (DESIGN.md §9.4): on Linux an epoll instance reports exactly which
 //! sockets have bytes (or, while an outbox has unflushed replies,
 //! room), and an eventfd **doorbell** rung by the dispatch workers
@@ -142,7 +142,7 @@ pub struct NetConfig {
     /// execution that costs nothing.
     pub handler_delay: Option<Duration>,
     /// Answer `Ping` and cache-hit `Query`/`Summarize` inline on
-    /// the I/O thread instead of dispatching (see [`try_fastpath`]).
+    /// the I/O thread instead of dispatching (see `try_fastpath`).
     pub fastpath: bool,
     /// Inline replies per connection per read pass; beyond it, requests
     /// take the dispatch queue so one pipelined burst cannot starve
@@ -523,7 +523,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// is decoded and matched.
 ///
 /// A dispatch worker passes `wait` on and always gets an opcode. The
-/// I/O thread passes it off ([`try_fastpath`]) and gets `None`, with
+/// I/O thread passes it off (`try_fastpath`) and gets `None`, with
 /// `out` untouched, for anything that would block, compute or write, or
 /// that is malformed (the queued path answers, and counts, the error
 /// once). The rule that keeps the reactor from ever blocking is

@@ -340,7 +340,6 @@ fn stats_frame_returns_the_metrics_page() {
 /// dropped; `{backend}` stands for the reactor serving it.
 const FULL_PAGE: &[&str] = &[
     "sizel_cluster_epoch{shard=\"0\"}",
-    "sizel_disk_checkpoints_total{shard=\"0\"}",
     "sizel_disk_segment_generation{shard=\"0\"}",
     "sizel_disk_segment_lists{shard=\"0\"}",
     "sizel_disk_wal_appends_total{shard=\"0\"}",
@@ -390,8 +389,8 @@ const FULL_PAGE: &[&str] = &[
 ];
 
 /// Once a disk tier is attached, the metrics page grows the
-/// `sizel_disk_*` series — segment generation and lists, checkpoints,
-/// WAL gauges — once per engine: the router is one server over one engine,
+/// `sizel_disk_*` series — segment generation (which counts the
+/// checkpoints) and lists, WAL gauges — once per engine: the router is one server over one engine,
 /// so the series carry `shard="0"` and never `shard="1"` (absent before
 /// attach, which the base metrics test implicitly covers by not
 /// requiring them). The whole page is pinned series for series.
@@ -413,7 +412,6 @@ fn disk_tier_series_appear_once_attached() {
     for series in [
         "sizel_disk_segment_generation{shard=\"0\"}",
         "sizel_disk_segment_lists{shard=\"0\"}",
-        "sizel_disk_checkpoints_total{shard=\"0\"}",
         "sizel_disk_wal_bytes{shard=\"0\"}",
         "sizel_disk_wal_appends_total{shard=\"0\"}",
         "sizel_disk_wal_syncs_total{shard=\"0\"}",

@@ -4,7 +4,8 @@
 //!   per-FK-edge transfer rates in both directions, per-M:N-link rates, and
 //!   ValueRank's per-tuple value multipliers.
 //! * [`power`] — the power-iteration solver over a solve-local
-//!   [`sizel_graph::DataGraph`] and the tables' forward arrays, producing
+//!   [`sizel_graph::DataGraph`] and the tables' FK cells, resolved by key
+//!   into transfer lists once per solve, producing
 //!   dense global importance scores plus the per-relation maxima that
 //!   feed the `max(Ri)` GDS statistics; installed into the tables' score
 //!   snapshots and dropped.

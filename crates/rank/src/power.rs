@@ -9,11 +9,12 @@
 //! paper's d3 = 0.99 setting.
 //!
 //! A solve numbers the tuples through a [`DataGraph`] it is handed and
-//! reads every edge from the tables. A forward transfer reads the
-//! referencing table's forward array (`Table::forward`). Backward and M:N
-//! transfers need each source's target list: each solve gathers the
-//! lists of the units its GA rates by transposing the forward arrays
-//! once, sweeps over them, and drops them when it returns (`Transfers`).
+//! reads every edge from the tables: a row's parent is its FK cell
+//! resolved through the parent's primary key (`Table::parent_of`). Every
+//! transfer needs each source's target list, so each solve gathers the
+//! lists of the units its GA rates once — forward, backward and M:N —
+//! sweeps over them, and drops them when it returns (`Transfers`); no
+//! sweep probes a key.
 //! What a solve returns, [`RankScores`], is installed into the tables
 //! ([`install_importance_order`]) and dropped: each table's installed
 //! score snapshot is the one copy of the scores the engine keeps.
@@ -36,7 +37,7 @@
 
 use sizel_storage::{Database, FkOrderToken, RowId, TableId, TupleRef, Value};
 
-use sizel_graph::{DataGraph, NodeId, SchemaGraph};
+use sizel_graph::{DataGraph, NodeId, SchemaEdge, SchemaGraph};
 
 use crate::authority::AuthorityGraph;
 
@@ -160,9 +161,8 @@ pub fn install_importance_order(
 /// the installed snapshot, which a batch's staged rows have already
 /// written their estimates into, so a row appended earlier in the same
 /// batch gathers at its estimate, as the fold of single applies would.
-/// The FK in-degree is the length of the parent's FK run — the very set
-/// a solve's backward transfer list holds, since the forward arrays are
-/// resolved from the same keys.
+/// The FK in-degree is the length of the parent's FK run — the very
+/// list a solve's backward transfer unit reads.
 pub fn estimate_appended_score(
     db: &Database,
     sg: &SchemaGraph,
@@ -256,9 +256,10 @@ pub fn estimate_updated_score(
     }
 }
 
-/// One backward edge or M:N link the GA rates above zero, with its
-/// transfer lists: each live source row splits `rate` of its authority
-/// equally over `targets[index[row]..index[row + 1]]`.
+/// One forward edge, backward edge or M:N link the GA rates above zero,
+/// with its transfer lists: each live source row splits `rate` of its
+/// authority equally over `targets[index[row]..index[row + 1]]` (a
+/// forward list holds at most one target, and dividing by one is exact).
 struct Unit {
     source: TableId,
     rate: f64,
@@ -267,32 +268,31 @@ struct Unit {
 }
 
 impl Unit {
-    /// Counting-sorts `(source row, target slot)` pairs over the rows of
-    /// `source`. `pairs` is walked twice, to count and to place, so each
-    /// source row keeps its targets in the pairs' order.
-    fn gather<I: Iterator<Item = (usize, u32)>>(
+    /// The unit whose live row `s` of `source` lists `targets(s)`, walked
+    /// once in row order. `bound` bounds the targets in all: their list is
+    /// allocated once, at it, and trimmed.
+    fn collect<I: Iterator<Item = u32>>(
         db: &Database,
         source: TableId,
         rate: f64,
-        pairs: impl Fn() -> I,
+        bound: usize,
+        targets: impl Fn(RowId) -> I,
     ) -> Self {
-        let n = db.table(source).len();
-        let mut index = vec![0u32; n + 1];
-        for (s, _) in pairs() {
-            index[s + 1] += 1;
+        let t = db.table(source);
+        let (mut index, mut list) = (Vec::with_capacity(t.len() + 1), Vec::with_capacity(bound));
+        index.push(0);
+        for r in (0..t.len() as u32).map(RowId) {
+            if t.is_live(r) {
+                list.extend(targets(r));
+            }
+            index.push(list.len() as u32);
         }
-        for s in 0..n {
-            index[s + 1] += index[s];
-        }
-        // `index[s]` serves as row s's cursor, ending at row s + 1's start.
-        let mut targets = vec![0u32; index[n] as usize];
-        for (s, t) in pairs() {
-            targets[index[s] as usize] = t;
-            index[s] += 1;
-        }
-        index.copy_within(0..n, 1);
-        index[0] = 0;
-        Unit { source, rate, index, targets }
+        list.shrink_to_fit();
+        Unit { source, rate, index, targets: list }
+    }
+
+    fn bytes(&self) -> usize {
+        (self.index.len() + self.targets.len()) * 4
     }
 
     fn targets(&self, row: RowId) -> &[u32] {
@@ -328,18 +328,21 @@ impl Unit {
     }
 }
 
-/// One solve's transfer lists. The tables store each row's parent (the
-/// forward arrays) and the FK runs each parent's children; probing the
-/// runs' directories on every sweep would cost a hash probe per parent
-/// per sweep, so a solve transposes the forward arrays once instead —
-/// (child -> parent) into parent -> children per backward edge, (junction
-/// row -> both ends) into source -> targets per link — for the units its
-/// GA rates, and drops them when it returns. A unit's sources and
-/// targets lie in rated tables, so each list names its targets by their
-/// slot in the solve's vectors (`Layout`), not by node id. Lists keep
-/// row order, so every node receives its adds in the same sequence on
-/// every solve.
+/// One solve's transfer lists. The tables store each row's FK cell and
+/// the FK runs each parent's children; resolving a key or probing a
+/// run's directory on every sweep would cost a probe per row per sweep,
+/// so a solve reads them once instead, for the units its GA rates — a
+/// child's parent by key per forward edge, a parent's FK run per
+/// backward edge, a source's junction run and each junction row's
+/// target by key per link — and drops the lists when it returns. A
+/// unit's sources and targets lie in rated tables, so each list names
+/// its targets by their slot in the solve's vectors (`Layout`), not by
+/// node id. Sources keep row order, so every node receives its adds in
+/// the same sequence on every solve; within one source's list the order
+/// moves no bit, since the source adds the same share to each target.
 struct Transfers {
+    /// Indexed by schema edge; `Some` where the forward rate is positive.
+    fwd: Vec<Option<Unit>>,
     /// Indexed by schema edge; `Some` where the backward rate is positive.
     bwd: Vec<Option<Unit>>,
     /// The rated links, in link order.
@@ -354,21 +357,31 @@ impl Transfers {
         ga: &AuthorityGraph,
         layout: &Layout,
     ) -> Self {
-        let bwd = sg
-            .edges()
-            .iter()
-            .map(|e| {
-                let rate = ga.edge_rates[e.id.index()].backward;
-                (rate > 0.0).then(|| {
-                    let (from, from_start) = (db.table(e.from), layout.start(e.from) as u32);
-                    let fwd = from.forward(e.fk_col);
-                    Unit::gather(db, e.to, rate, || {
-                        from.live_rows()
-                            .filter_map(move |c| Some((fwd.get(c)?.index(), from_start + c.0)))
+        // Edge `e`'s unit in one direction, where its `rate` is positive:
+        // each child's parent forward (its FK cell resolved by key), each
+        // parent's children backward (its FK run).
+        let unit = |e: &SchemaEdge, rate: f64, forward: bool| {
+            (rate > 0.0).then(|| {
+                let (from, to) = (db.table(e.from), db.table(e.to));
+                let (from_start, to_start) =
+                    (layout.start(e.from) as u32, layout.start(e.to) as u32);
+                if forward {
+                    Unit::collect(db, e.from, rate, from.live_len(), |c| {
+                        from.parent_of(e.fk_col, c, to).map(|p| to_start + p.0).into_iter()
                     })
-                })
+                } else {
+                    Unit::collect(db, e.to, rate, from.live_len(), |p| {
+                        let children = from.rows_where_eq(e.fk_col, to.pk_of(p));
+                        children.iter().map(move |c| from_start + c.0)
+                    })
+                }
             })
-            .collect();
+        };
+        let rates = |e: &SchemaEdge| ga.edge_rates[e.id.index()];
+        let fwd = sg.edges().iter().map(|e| unit(e, rates(e).forward, true)).collect();
+        let bwd = sg.edges().iter().map(|e| unit(e, rates(e).backward, false)).collect();
+        // A link's source row reaches its junction rows through the FK run
+        // on `e_from`, each junction row its target by key on `e_to`.
         let links = dg
             .links()
             .iter()
@@ -376,37 +389,35 @@ impl Transfers {
             .filter(|&(_, &rate)| rate > 0.0)
             .map(|(l, &rate)| {
                 let (jt, to_start) = (db.table(l.junction), layout.start(l.to_table) as u32);
-                let (a, b) =
-                    (jt.forward(sg.edge(l.e_from).fk_col), jt.forward(sg.edge(l.e_to).fk_col));
-                Unit::gather(db, l.from_table, rate, || {
-                    jt.live_rows()
-                        .filter_map(move |j| Some((a.get(j)?.index(), to_start + b.get(j)?.0)))
+                let (from, to) = (db.table(l.from_table), db.table(l.to_table));
+                let (a, b) = (sg.edge(l.e_from).fk_col, sg.edge(l.e_to).fk_col);
+                Unit::collect(db, l.from_table, rate, jt.live_len(), |s| {
+                    let rows = jt.rows_where_eq(a, from.pk_of(s)).iter();
+                    rows.filter_map(move |&j| Some(to_start + jt.parent_of(b, j, to)?.0))
                 })
             })
             .collect();
-        Transfers { bwd, links }
-    }
-
-    fn bytes(&self) -> usize {
-        let units = self.bwd.iter().flatten().chain(&self.links);
-        units.map(|u| (u.index.len() + u.targets.len()) * 4).sum()
+        Transfers { fwd, bwd, links }
     }
 }
 
 /// Bytes one solve under `ga` gathers and drops before it returns — the
-/// transfer lists (see `Transfers`) and the vectors its sweeps hold, a
-/// slot per row of the rated tables each (emission scales, current and
-/// next iterate, and value multipliers where the GA has value
-/// functions) — reported for the footprint, never kept.
+/// transfer lists (see `Transfers`), forward ones apart from the rest,
+/// and the vectors its sweeps hold, a slot per row of the rated tables
+/// each (emission scales, current and next iterate, and value
+/// multipliers where the GA has value functions) — reported for the
+/// footprint, never kept.
 pub fn solve_scratch_bytes(
     db: &Database,
     sg: &SchemaGraph,
     dg: &DataGraph,
     ga: &AuthorityGraph,
-) -> [(&'static str, usize); 2] {
+) -> [(&'static str, usize); 3] {
     let sw = Sweep::new(db, sg, dg, ga);
+    let forward = sw.tr.fwd.iter().flatten().map(Unit::bytes).sum();
+    let rest = sw.tr.bwd.iter().flatten().chain(&sw.tr.links).map(Unit::bytes).sum();
     let vectors = (3 * sw.layout.slots + sw.m.len()) * std::mem::size_of::<f64>();
-    [("transfer lists", sw.tr.bytes()), ("iteration vectors", vectors)]
+    [("forward lists", forward), ("backward and link lists", rest), ("iteration vectors", vectors)]
 }
 
 /// One table's place in a solve: its first node id, its row slots, and
@@ -487,14 +498,12 @@ impl Layout {
     }
 }
 
-/// What every sweep of one solve reads: the tables, the GA's rates, the
-/// slot layout of the rated tables, the transfer lists, and two per-slot
-/// vectors — shared by [`compute`] and [`reiterate`] so their sweeps are
+/// What every sweep of one solve reads: the tables' liveness, the slot
+/// layout of the rated tables, the transfer lists (the GA's rates are in
+/// them), and two per-slot vectors — shared by [`compute`] and [`reiterate`] so their sweeps are
 /// float-identical.
 struct Sweep<'a> {
     db: &'a Database,
-    sg: &'a SchemaGraph,
-    ga: &'a AuthorityGraph,
     layout: Layout,
     tr: Transfers,
     /// Per-slot value multipliers; empty when the GA has no value
@@ -519,7 +528,7 @@ impl<'a> Sweep<'a> {
             Vec::new()
         };
         let tr = Transfers::gather(db, sg, dg, ga, &layout);
-        let mut sw = Sweep { db, sg, ga, layout, tr, m, scale: Vec::new() };
+        let mut sw = Sweep { db, layout, tr, m, scale: Vec::new() };
         sw.scale = sw.emission_scales();
         sw
     }
@@ -535,25 +544,8 @@ impl<'a> Sweep<'a> {
     fn emission_scales(&self) -> Vec<f64> {
         // Per-slot total outgoing rate (including value multipliers), used
         // to cap emission at 1.
-        let db = self.db;
         let mut out = vec![0.0f64; self.layout.slots];
-        for e in self.sg.edges() {
-            let forward = self.ga.edge_rates[e.id.index()].forward;
-            if forward > 0.0 {
-                let (from, from_start) = (db.table(e.from), self.layout.start(e.from));
-                let fwd = from.forward(e.fk_col);
-                for rid in from.live_rows() {
-                    if fwd.get(rid).is_some() {
-                        let u = from_start + rid.index();
-                        out[u] += forward * self.m(u);
-                    }
-                }
-            }
-            if let Some(unit) = &self.tr.bwd[e.id.index()] {
-                unit.emit(self, &mut out);
-            }
-        }
-        for unit in &self.tr.links {
+        for unit in self.units() {
             unit.emit(self, &mut out);
         }
         // Emission scale: cap per-node outgoing authority at 1, in place.
@@ -565,27 +557,16 @@ impl<'a> Sweep<'a> {
     /// transfer(cur)`. Every unrated row's next value is `base`.
     fn once(&self, d: f64, base: f64, cur: &[f64], next: &mut [f64]) {
         next.iter_mut().for_each(|v| *v = base);
-        let db = self.db;
-        for e in self.sg.edges() {
-            let forward = self.ga.edge_rates[e.id.index()].forward;
-            if forward > 0.0 {
-                let (from, from_start) = (db.table(e.from), self.layout.start(e.from));
-                let (fwd, to_start) = (from.forward(e.fk_col), self.layout.start(e.to));
-                for rid in from.live_rows() {
-                    if let Some(t) = fwd.get(rid) {
-                        let u = from_start + rid.index();
-                        next[to_start + t.index()] +=
-                            d * forward * self.m(u) * self.scale[u] * cur[u];
-                    }
-                }
-            }
-            if let Some(unit) = &self.tr.bwd[e.id.index()] {
-                unit.push(self, d, cur, next);
-            }
-        }
-        for unit in &self.tr.links {
+        for unit in self.units() {
             unit.push(self, d, cur, next);
         }
+    }
+
+    /// The rated units in sweep order: per schema edge its forward unit
+    /// then its backward one, then the links.
+    fn units(&self) -> impl Iterator<Item = &Unit> {
+        let per_edge = self.tr.fwd.iter().zip(&self.tr.bwd);
+        per_edge.flat_map(|(f, b)| f.iter().chain(b)).chain(&self.tr.links)
     }
 }
 
@@ -928,7 +909,7 @@ mod tests {
 
         // Exact refresh over the mutated database.
         let row = d.db.insert("Paper", values).unwrap();
-        d.db.resolve_forward();
+        d.db.build_runs();
         let dg2 = DataGraph::build(&d.db, &sg);
         let ga2 = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg2);
         let exact = compute(&d.db, &sg, &dg2, &ga2, &cfg);
@@ -969,7 +950,7 @@ mod tests {
         let cit_t = d.db.table(d.citation);
         let cit_pk = cit_t.iter().map(|(r, _)| cit_t.pk_of(r)).next().unwrap();
         d.db.delete("Citation", cit_pk).unwrap();
-        d.db.resolve_forward();
+        d.db.build_runs();
         values
     }
 
@@ -1054,7 +1035,7 @@ mod tests {
         );
 
         d.db.update("Paper", p_pk, new_values).unwrap();
-        d.db.resolve_forward();
+        d.db.build_runs();
         let dg2 = DataGraph::build(&d.db, &sg);
         let ga2 = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg2);
         let exact = compute(&d.db, &sg, &dg2, &ga2, &cfg);

@@ -173,6 +173,17 @@ impl Column {
         }
     }
 
+    /// The integer at `i`, read from the typed cells: `None` for a NULL
+    /// or a cell of another type.
+    pub(crate) fn int_at(&self, i: usize) -> Option<i64> {
+        let v = match &self.cells {
+            Cells::Narrow(c) => c[i].into(),
+            Cells::Wide(c) => c[i],
+            _ => return None,
+        };
+        (!self.is_null(i)).then_some(v)
+    }
+
     /// Makes room for `additional` more cells (a text column's spans, not
     /// its bytes).
     pub(crate) fn reserve(&mut self, additional: usize) {

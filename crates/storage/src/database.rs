@@ -53,15 +53,6 @@ struct FkEdge {
     to: TableId,
 }
 
-/// What a row operation did to its row (forward resolution tells the
-/// three apart).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RowChange {
-    Inserted,
-    Updated,
-    Deleted,
-}
-
 /// An in-memory relational database: a catalog of [`Table`]s plus an
 /// [`AccessCounter`] shared by all query paths.
 #[derive(Debug, Default)]
@@ -69,8 +60,8 @@ pub struct Database {
     tables: Vec<Table>,
     by_name: HashMap<String, TableId>,
     /// Every FK whose referenced table exists, in table then FK order
-    /// (recomputed per `create_table`): the edges forward resolution
-    /// maintains.
+    /// (recomputed per `create_table`): the edges the RESTRICT check
+    /// reads.
     fk_edges: Vec<FkEdge>,
     access: AccessCounter,
     /// The currently installed importance order, if any (see
@@ -163,7 +154,7 @@ impl Database {
     /// order instead). Bumps the table's and the global epoch. Bulk
     /// loaders resolve the id once instead of hashing the name per row.
     pub fn insert_into(&mut self, id: TableId, values: Vec<Value>) -> Result<RowId> {
-        self.plain(id, RowChange::Inserted, |t| t.insert(values))
+        self.plain(id, |t| t.insert(values))
     }
 
     /// Rewrites the live row with primary key `pk` in place, dropping
@@ -172,7 +163,7 @@ impl Database {
     /// pk itself is immutable. Bumps the table's and the global epoch.
     pub fn update(&mut self, table: &str, pk: i64, values: Vec<Value>) -> Result<RowId> {
         let id = self.table_id(table)?;
-        self.plain(id, RowChange::Updated, |t| t.update(pk, values))
+        self.plain(id, |t| t.update(pk, values))
     }
 
     /// Tombstones the live row with primary key `pk`, dropping the
@@ -187,30 +178,19 @@ impl Database {
     /// the global epoch.
     pub fn delete(&mut self, table: &str, pk: i64) -> Result<RowId> {
         let id = self.table_id(table)?;
-        self.plain(id, RowChange::Deleted, |t| t.delete(pk))
+        self.plain(id, |t| t.delete(pk))
     }
 
     /// The common tail of the plain mutations: `op` drops the table's
-    /// order and score snapshot and leaves its FK runs unbuilt and its
-    /// forward arrays unresolved, and the forward arrays naming it are
-    /// left unresolved when a row arrives or dies: a loader maintains no
-    /// run and probes no parent per row, and
-    /// [`Database::resolve_forward`] builds both in bulk. Bumps the
-    /// global epoch.
+    /// order and score snapshot and leaves its FK runs unbuilt — a loader
+    /// maintains no run per row, and [`Database::build_runs`] builds
+    /// them in bulk. Bumps the global epoch.
     fn plain(
         &mut self,
         id: TableId,
-        change: RowChange,
         op: impl FnOnce(&mut Table) -> Result<RowId>,
     ) -> Result<RowId> {
         let row = op(&mut self.tables[id.index()])?;
-        if change != RowChange::Updated {
-            for i in 0..self.fk_edges.len() {
-                if self.fk_edges[i].to == id {
-                    self.tables[self.fk_edges[i].from.index()].drop_forward();
-                }
-            }
-        }
         self.epoch = self.epoch.next();
         Ok(row)
     }
@@ -228,34 +208,11 @@ impl Database {
         Some(&self.table(e.from).schema.name)
     }
 
-    /// Keeps every forward array resolved across one scored row operation
-    /// on `row` of `tid`: an inserted or updated row resolves its own
-    /// keys, and an inserted row becomes the parent of the live rows whose
-    /// key names its pk — references that dangled until it arrived, found
-    /// through their FK runs — while a deleted one stops being theirs.
-    /// One PK probe per FK of the row, one run probe per FK naming its
-    /// table.
-    fn maintain_forward(&mut self, tid: TableId, row: RowId, change: RowChange) {
-        for i in 0..self.fk_edges.len() {
-            let FkEdge { from, col, to } = self.fk_edges[i];
-            if from == tid && change != RowChange::Deleted {
-                let key = self.tables[tid.index()].value(row, col).as_int();
-                let parent = key.and_then(|k| self.tables[to.index()].by_pk(k));
-                self.tables[tid.index()].set_forward(col, row, parent);
-            }
-            if to == tid && change != RowChange::Updated {
-                let pk = self.tables[tid.index()].pk_of(row);
-                let parent = (change == RowChange::Inserted).then_some(row);
-                self.tables[from.index()].set_forward_of_run(col, pk, parent);
-            }
-        }
-    }
-
     /// Releases the push-doubling slack of every table's columns, flags,
     /// score snapshot and FK-run arenas once loading has ended,
     /// and sizes every PK index for its live rows. Changes nothing
-    /// observable. The runs, forward arrays and PK index
-    /// [`Self::resolve_forward`] builds are at their final size already.
+    /// observable. The runs and PK index [`Self::build_runs`] builds are
+    /// at their final size already.
     pub fn shrink_to_fit(&mut self) {
         self.tables.iter_mut().for_each(Table::shrink_to_fit);
     }
@@ -282,46 +239,29 @@ impl Database {
         self.table(t.table).installed_score(t.row)
     }
 
-    /// Builds what plain row operations left unbuilt, each structure
-    /// once and at its final size: a mutated table's FK runs, in one
-    /// count-then-fill pass over its live rows in row order (and its PK
-    /// index sized for them), then the forward arrays of every table left
-    /// unresolved, from those runs — one PK probe per distinct key of each
-    /// FK column, a dangling key resolving to nothing. Cheap where nothing
-    /// is stale; [`Self::validate_foreign_keys`] and
+    /// Builds the FK runs plain row operations left unbuilt, each table's
+    /// once and at its final size: one count-then-fill pass over its live
+    /// rows in row order (and its PK index sized for them). Cheap where
+    /// nothing is stale; [`Self::validate_foreign_keys`] and
     /// [`Self::install_importance_order`] call it, and so does a loader
     /// that hands its database to readers unvalidated.
-    pub fn resolve_forward(&mut self) {
-        for tid in (0..self.tables.len()).map(|i| TableId(i as u16)) {
-            if self.table(tid).has_live_forward() {
-                continue;
-            }
-            self.tables[tid.index()].build_runs();
-            let t = self.table(tid);
-            let arrays = self
-                .fk_edges
-                .iter()
-                .filter(|e| e.from == tid)
-                .map(|e| (e.col, t.resolved_forward(e.col, |k| self.table(e.to).by_pk(k))))
-                .collect();
-            self.tables[tid.index()].set_forward_arrays(arrays);
-        }
+    pub fn build_runs(&mut self) {
+        self.tables.iter_mut().for_each(Table::build_runs);
     }
 
     /// Validates that every non-NULL FK value references an existing row.
-    /// Returns the number of FK values checked. Resolves what plain row
-    /// operations left unresolved ([`Self::resolve_forward`]), then reads
-    /// the forward arrays: a key without a target dangles.
+    /// Returns the number of FK values checked. Builds what plain row
+    /// operations left unbuilt ([`Self::build_runs`]), then probes each
+    /// key's parent: a key without one dangles.
     pub fn validate_foreign_keys(&mut self) -> Result<usize> {
-        self.resolve_forward();
+        self.build_runs();
         let mut checked = 0;
         for table in &self.tables {
             for fk in &table.schema.fks {
-                self.table_id(&fk.ref_table)?;
-                let fwd = table.forward(fk.column);
+                let to = self.table(self.table_id(&fk.ref_table)?);
                 for row in table.live_rows() {
-                    let Some(key) = table.value(row, fk.column).as_int() else { continue };
-                    if fwd.get(row).is_none() {
+                    let Some(key) = table.int_value(row, fk.column) else { continue };
+                    if to.by_pk(key).is_none() {
                         return Err(StorageError::DanglingForeignKey {
                             table: table.schema.name.clone(),
                             column: table.schema.columns[fk.column].name.clone(),
@@ -337,16 +277,16 @@ impl Database {
 
     /// Sorts every table's FK runs by descending `score` (ties:
     /// ascending RowId), snapshots the per-row scores (so scored inserts
-    /// can maintain the order incrementally), resolves every forward
-    /// array (the junction probe reads its targets there), and returns the
-    /// token identifying this ordering at the current epoch. Query paths
+    /// can maintain the order incrementally; one scalar for a table whose
+    /// rows all score the same), and returns the token identifying this
+    /// ordering at the current epoch. Query paths
     /// pass the token back in ([`Self::select_eq_top_l`]); a mismatch —
     /// different scores, a later re-install, or a mutation epoch the
     /// holder has not synchronized to — falls back to the heap path.
     ///
     /// `score` is called once per row slot, to take the snapshot; every
     /// run is then sorted where it lies against the snapshot — no copy,
-    /// `O(Σ g log g)` comparisons of two array reads each. Installing the
+    /// `O(Σ g log g)` comparisons of two snapshot reads each. Installing the
     /// same scores again leaves every run as it was (the order is a
     /// strict total one).
     ///
@@ -358,7 +298,7 @@ impl Database {
         &mut self,
         score: &dyn Fn(TableId, RowId) -> f64,
     ) -> FkOrderToken {
-        self.resolve_forward();
+        self.build_runs();
         for (i, t) in self.tables.iter_mut().enumerate() {
             let tid = TableId(i as u16);
             t.build_sorted_fk(&|r| score(tid, r));
@@ -374,18 +314,18 @@ impl Database {
     }
 
     /// Re-installs every table's order from its *installed* score
-    /// snapshot: every run sorted afresh, for a checkpoint to snapshot,
-    /// without recomputing scores. A full install under the hood, so it
-    /// returns the fresh token; `None` when any table lacks an installed
+    /// snapshot: every run sorted afresh where it lies, for a checkpoint
+    /// to snapshot, without recomputing or copying a score. Mints a fresh
+    /// token, as an install does; `None` when any table lacks an installed
     /// snapshot (there is no order to rebuild).
     pub fn rebuild_postings_from_installed(&mut self) -> Option<FkOrderToken> {
-        let snap: Vec<Vec<f64>> = self
-            .tables
-            .iter()
-            .map(|t| t.has_installed_scores().then(|| t.installed_scores().to_vec()))
-            .collect::<Option<_>>()?;
-        let score = move |t: TableId, r: RowId| snap[t.index()][r.index()];
-        Some(self.install_importance_order(&score))
+        if !self.tables.iter().all(Table::has_installed_scores) {
+            return None;
+        }
+        self.tables.iter_mut().for_each(Table::sort_runs);
+        let token = FkOrderToken::fresh(self.epoch);
+        self.fk_order = Some(token);
+        Some(token)
     }
 }
 
@@ -560,7 +500,7 @@ mod tests {
     #[test]
     fn select_eq_counts_accesses() {
         let mut db = tiny_db();
-        db.resolve_forward();
+        db.build_runs();
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         let before = db.access().snapshot();
@@ -586,7 +526,7 @@ mod tests {
     #[test]
     fn select_top_l_filters_and_orders() {
         let mut db = tiny_db();
-        db.resolve_forward();
+        db.build_runs();
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         // Importance: pk 10 -> 1.0, pk 11 -> 5.0
@@ -701,7 +641,7 @@ mod tests {
             db.table(paper).sorted_fk_index(fk_col).is_none(),
             "un-scored insert drops the snapshot postings"
         );
-        db.resolve_forward();
+        db.build_runs();
         // The probe still answers correctly via the heap fallback, and the
         // new row is visible.
         let li = |_: RowId| 1.0;
@@ -782,8 +722,8 @@ mod tests {
     fn dangling_junction_target_drops_link_postings_then_heals() {
         // A junction row whose target pk does not (yet) exist counts in
         // its probe's group and joins nothing — what SQL reads — and the
-        // endpoint's later scored arrival joins it, through the forward
-        // array the arrival re-points. FK validation is a separate step,
+        // endpoint's later scored arrival joins it: the probe resolves
+        // each target by key. FK validation is a separate step,
         // so the storage layer has to tolerate this on its own.
         let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
@@ -1322,7 +1262,7 @@ mod tests {
     #[test]
     fn deleting_a_link_target_drops_the_orientation_then_heals_on_reinsert() {
         // A scored delete of a target its junction rows still reference
-        // leaves their forward slots empty — the rows still count in
+        // leaves their keys resolving to nothing — the rows still count in
         // their group — and a re-insert of the pk joins them to the new
         // row. No step re-sorts a junction run.
         let mut db = pcj();
@@ -1376,10 +1316,10 @@ mod tests {
 
     #[test]
     fn a_plain_target_mutation_drops_the_orientations_it_orders() {
-        // A plain delete of a target leaves the forward arrays naming its
-        // table unresolved (a loader pays no parent probe per row); once
-        // re-resolved, the junction probe answers only the live target,
-        // through the same one selection as always.
+        // A plain delete of a target leaves the junction's runs as they
+        // were (only the target's own are unbuilt), and the junction
+        // probe answers only the live target, through the same one
+        // selection as always.
         let mut db = pcj();
         db.insert("P", vec![Value::Int(1)]).unwrap();
         for c in [10, 11] {
@@ -1391,8 +1331,7 @@ mod tests {
         db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
         db.delete("C", 11).unwrap();
         let j = db.table_id("J").unwrap();
-        assert!(!db.table(j).has_live_forward(), "the plain delete left J unresolved");
-        db.resolve_forward();
+        assert!(db.table(j).sorted_fk_index(1).is_some(), "the plain delete left J as it was");
         let (rows, cost) = junction_probe(&db, ORIENTATIONS[0], 1, 5);
         assert_eq!(rows, [RowId(0)], "only the live target");
         assert_eq!((cost.probes.fast, cost.probes.heap), (0, 1));

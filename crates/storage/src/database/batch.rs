@@ -8,13 +8,13 @@
 //! the live rows. Membership moves at staging: a row joining a run is
 //! appended at its tail, a row leaving one is removed where it lies.
 //! Order waits for settlement, which re-sorts exactly the runs the batch
-//! appended to or re-scored. Beside the runs, the forward arrays are kept
-//! resolved row by row. A junction keeps nothing else: its TOP-l step
-//! reads the FK run and the forward array, so a write to a junction's
-//! target touches nothing of the junction's but the forward slots that
-//! name the target.
+//! appended to or re-scored. A staged score goes into the table's
+//! snapshot, widening a shared one that it differs from. A junction keeps
+//! nothing else: its TOP-l step reads the FK run and resolves each row's
+//! target by key, so a write to a junction's target touches nothing of
+//! the junction's.
 
-use super::{Database, RowChange, TableId};
+use super::{Database, TableId};
 use crate::epoch::Epoch;
 use crate::table::RowId;
 use crate::value::Value;
@@ -67,7 +67,6 @@ impl Database {
         let row = t.insert_validated(values)?;
         let keys = t.fk_keys_of(row);
         t.staged(row, Some(score), &keys);
-        self.maintain_forward(tid, row, RowChange::Inserted);
         self.stage(batch);
         Ok(row)
     }
@@ -89,7 +88,6 @@ impl Database {
         let row = t.update_validated(pk, values)?;
         let keys = t.fk_keys_of(row);
         t.staged(row, Some(score), &keys);
-        self.maintain_forward(tid, row, RowChange::Updated);
         self.stage(batch);
         Ok(row)
     }
@@ -108,7 +106,6 @@ impl Database {
         let t = &mut self.tables[tid.index()];
         let row = t.delete_validated(pk)?;
         t.staged(row, None, &[]);
-        self.maintain_forward(tid, row, RowChange::Deleted);
         self.stage(batch);
         Ok(row)
     }

@@ -7,8 +7,8 @@
 //! importance while the order holds. An FK probe with the live token is a
 //! prefix scan of its run, and otherwise a bounded top-l selection over
 //! the run. A junction probe is always that selection: the junction's FK
-//! run for the key, each row's target read from the forward array of the
-//! target column.
+//! run for the key, each row's target resolved through the target's
+//! primary key ([`crate::Table::parent_of`]).
 
 use super::{Database, TableId};
 use crate::access::ProbeCost;
@@ -113,20 +113,19 @@ impl Database {
     /// key AND J.target_col = T.pk AND li(T) > largest_l ORDER BY li DESC`,
     /// appending rows of `target` (never `exclude`, the OS grandparent of
     /// a CoAuthor-style replicated step) to `out`, best first under `(li
-    /// desc, RowId asc)`. It reads the junction's FK run for `key` and
-    /// each junction row's target from the forward array of
-    /// `target_col` — a NULL or dangling target joins nothing — and
-    /// selects the top `l` in one bounded pass. Two counted join
+    /// desc, RowId asc)`. It reads the junction's FK run for `key`,
+    /// resolves each junction row's `target_col` key in `target`'s primary
+    /// key ([`crate::Table::parent_of`]) — a NULL or dangling target joins
+    /// nothing — and selects the top `l` in one bounded pass. Two counted join
     /// accesses: the junction probe, reporting the raw FK group size (its
     /// rows are read to find the targets), and the TOP-l filtered target
     /// fetch. Always one heap probe; `order` is not consulted (there is
     /// no sorted junction index to scan).
     ///
-    /// The junction's forward arrays must be resolved. Every engine read
-    /// path sees them so: installing an order resolves them, scored
-    /// batches maintain them, and the exact refresh re-resolves before it
-    /// re-installs. A caller probing a database a plain row operation
-    /// touched calls [`Self::resolve_forward`] first.
+    /// The junction's FK runs must be built. Every engine read path sees
+    /// them so: installing an order builds them, and scored batches
+    /// maintain them. A caller probing a junction a plain row operation
+    /// touched calls [`Self::build_runs`] first.
     #[allow(clippy::too_many_arguments)] // mirrors the SQL probe's clause list
     pub fn select_via_junction_top_l_into(
         &self,
@@ -144,13 +143,11 @@ impl Database {
         cost: &mut ProbeCost,
         out: &mut Vec<RowId>,
     ) {
-        // The forward array names the target's rows, and no sorted index
-        // is scanned, so neither the target table nor the order is read.
-        let _ = (target, order);
-        let jt = self.table(junction);
+        // No sorted index is scanned, so the order is not read.
+        let _ = order;
+        let (jt, to) = (self.table(junction), self.table(target));
         let jrows = jt.rows_where_eq(source_col, key);
-        let fwd = jt.forward(target_col);
-        let targets = jrows.iter().filter_map(|&j| fwd.get(j));
+        let targets = jrows.iter().filter_map(|&j| jt.parent_of(target_col, j, to));
         let li = |t| (Some(t) != exclude).then(|| li(t));
         heap_top_l(targets, l, largest_l, li, scratch, cost, out);
         cost.record_join(jrows.len());

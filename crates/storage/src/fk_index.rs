@@ -43,15 +43,16 @@
 //! path, while contexts holding the superseded token fall back to the
 //! heap path. The plain [`crate::Database::insert`] leaves the affected
 //! table without a sorted index (it has no score to place the row with)
-//! and with its runs unbuilt until [`crate::Database::resolve_forward`]
+//! and with its runs unbuilt until [`crate::Database::build_runs`]
 //! builds them again, in row order, for the next install to sort.
 //!
 //! **One index.** [`SortedFkIndex`] is the one sorted index: it holds the
 //! posted [`RowId`]s themselves and is the table's FK group itself, not a
 //! copy of it. A junction step (`SELECT T.* TOP l FROM J, T ...`) keeps
-//! no index of its own: it reads the junction's FK run and each junction
-//! row's target from the FK column's forward array
-//! ([`crate::Database::select_via_junction_top_l_into`]).
+//! no index of its own: it reads the junction's FK run and resolves each
+//! junction row's target through the target's primary key
+//! ([`crate::Table::parent_of`],
+//! [`crate::Database::select_via_junction_top_l_into`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -102,9 +103,10 @@ impl FkOrderToken {
 }
 
 /// The one posting order: `(score desc, RowId asc)` — a strict total
-/// order over a list's distinct rows.
-fn posting_order(a: RowId, b: RowId, scores: &[f64]) -> std::cmp::Ordering {
-    scores[b.index()].total_cmp(&scores[a.index()]).then(a.cmp(&b))
+/// order over a list's distinct rows. `score` reads a row's installed
+/// score.
+fn posting_order(a: RowId, b: RowId, score: &impl Fn(RowId) -> f64) -> std::cmp::Ordering {
+    score(b).total_cmp(&score(a)).then(a.cmp(&b))
 }
 
 /// The runs of one FK column: its groups, best importance first while an
@@ -118,20 +120,21 @@ pub struct SortedFkIndex {
 
 /// Sorts one list where it lies. The order is strict and total, so the
 /// unstable sort has one possible output.
-fn sort_rows(rows: &mut [RowId], scores: &[f64]) {
-    rows.sort_unstable_by(|&a, &b| posting_order(a, b, scores));
+fn sort_rows(rows: &mut [RowId], score: &impl Fn(RowId) -> f64) {
+    rows.sort_unstable_by(|&a, &b| posting_order(a, b, score));
 }
 
 impl SortedFkIndex {
-    /// Sorts every run where it lies against `scores`.
-    pub(crate) fn sort(&mut self, scores: &[f64]) {
-        self.runs.for_each_run_mut(|rows| sort_rows(rows, scores));
+    /// Sorts every run where it lies by `score`.
+    pub(crate) fn sort(&mut self, score: impl Fn(RowId) -> f64) {
+        self.runs.for_each_run_mut(|rows| sort_rows(rows, &score));
     }
 
-    /// Sorts `key`'s run where it lies (no-op for an absent key).
-    pub(crate) fn sort_run(&mut self, key: i64, scores: &[f64]) {
+    /// Sorts `key`'s run where it lies by `score` (no-op for an absent
+    /// key).
+    pub(crate) fn sort_run(&mut self, key: i64, score: impl Fn(RowId) -> f64) {
         if let Some(rows) = self.runs.get_mut(key) {
-            sort_rows(rows, scores);
+            sort_rows(rows, &score);
         }
     }
 
@@ -189,8 +192,13 @@ mod tests {
     /// `base` sorted under `scores`, as an install leaves an FK column.
     fn build(base: &Runs<RowId>, scores: &[f64]) -> SortedFkIndex {
         let mut idx = SortedFkIndex { runs: base.clone() };
-        idx.sort(scores);
+        idx.sort(by(scores));
         idx
+    }
+
+    /// The score accessor of a per-row score array.
+    fn by(scores: &[f64]) -> impl Fn(RowId) -> f64 + '_ {
+        |r| scores[r.index()]
     }
 
     #[test]
@@ -225,7 +233,7 @@ mod tests {
             scores.push(s);
             append(&mut base, 7, row);
             idx.push(7, row);
-            idx.sort_run(7, &scores);
+            idx.sort_run(7, by(&scores));
             let rebuilt = build(&base, &scores);
             assert_eq!(idx.rows(7), rebuilt.rows(7), "after appending {row:?}");
         }
@@ -243,8 +251,8 @@ mod tests {
         idx.push(7, RowId(3));
         idx.push(7, RowId(4));
         assert_eq!(idx.rows(7), &[RowId(0), RowId(2), RowId(1), RowId(3), RowId(4)]);
-        idx.sort_run(7, &scores);
-        idx.sort_run(8, &scores); // an absent key: a no-op
+        idx.sort_run(7, by(&scores));
+        idx.sort_run(8, by(&scores)); // an absent key: a no-op
         let all = groups(7, &[RowId(0), RowId(1), RowId(2), RowId(3), RowId(4)]);
         assert_eq!(idx.rows(7), build(&all, &scores).rows(7));
         assert_eq!(idx.rows(7), &[RowId(3), RowId(0), RowId(2), RowId(1), RowId(4)]);
@@ -260,7 +268,7 @@ mod tests {
         idx.remove(7, RowId(0));
         scores[0] = 3.0;
         idx.push(7, RowId(0));
-        idx.sort_run(7, &scores);
+        idx.sort_run(7, by(&scores));
         let rebuilt = build(&base, &scores);
         assert_eq!(idx.rows(7), rebuilt.rows(7));
         assert_eq!(idx.rows(7), &[RowId(0), RowId(1), RowId(2), RowId(3)]);

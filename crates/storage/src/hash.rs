@@ -1,5 +1,5 @@
 //! The hasher under every integer-keyed index of this crate, and the
-//! primary-key index it places rows in ([`PkSlots`]).
+//! primary-key index it places rows in (`PkSlots`).
 //!
 //! Primary keys and FK values are `i64`s, and every tuple access the
 //! paper prices — a `by_pk` probe, an FK group, a posting list — as well
@@ -34,7 +34,7 @@ pub(crate) fn map_bytes<V>(map: &IntMap<V>) -> usize {
     map.capacity() * 8 / 7 * (std::mem::size_of::<(i64, V)>() + 1)
 }
 
-/// An empty [`PkSlots`] slot.
+/// An empty `PkSlots` slot.
 const EMPTY: u32 = u32::MAX;
 
 /// A table's primary-key index. A row whose key is `base + row` — `base`
@@ -73,9 +73,14 @@ impl PkSlots {
         self.hasher.hash_one(key) as usize & self.slots.len().wrapping_sub(1)
     }
 
+    /// The row at `key`'s offset from the first row's, whatever it holds.
+    pub(crate) fn offset(&self, key: i64) -> Option<u32> {
+        u32::try_from(key.checked_sub(self.base?)?).ok()
+    }
+
     /// The row that holds `key` at its offset, if it is live and does.
     fn at_offset(&self, key: i64, key_of: &impl Fn(u32) -> Option<i64>) -> Option<u32> {
-        let row = u32::try_from(key.checked_sub(self.base?)?).ok()?;
+        let row = self.offset(key)?;
         (key_of(row) == Some(key)).then_some(row)
     }
 

@@ -8,9 +8,9 @@
 //! * tables of typed columns — `Int` cells at four bytes until a value
 //!   outside `i32` widens them to eight, one string arena a `Text`
 //!   column, NULLs in a lazily allocated bitmap —
-//!   with a slot index on the primary key, and the runs and forward
-//!   array of every foreign-key column ([`table::Table`]), maintained by
-//!   every row operation,
+//!   with a slot index on the primary key, and the runs of every
+//!   foreign-key column ([`table::Table`]), maintained by every scored
+//!   row operation; a row's parent is a primary-key probe of its FK cell,
 //! * a catalog ([`database::Database`]) with foreign-key validation and the
 //!   two query forms Algorithm 4 issues as SQL
 //!   (`SELECT * FROM Ri WHERE tj.ID = Ri.ID` and
@@ -22,7 +22,7 @@
 //! * importance-sorted FK runs ([`fk_index`]) installed as a
 //!   finalization step and *maintained* under scored mutations, which
 //!   turn the `TOP l` probe into a bounded prefix scan (a junction's
-//!   `TOP l` step reads its FK run and forward array),
+//!   `TOP l` step reads its FK run and resolves each target by key),
 //! * mutation epochs ([`epoch`]) versioning the catalog (global and per
 //!   table) so derived structures — sorted postings, rank scores, serve
 //!   caches — can detect and synchronize to data changes,
@@ -53,7 +53,7 @@ pub use epoch::Epoch;
 pub use error::StorageError;
 pub use fk_index::{FkOrderToken, SortedFkIndex};
 pub use schema::{Column, ForeignKey, SchemaBuilder, TableSchema};
-pub use table::{Forward, NoLinks, RowId, RowRef, Table};
+pub use table::{NoLinks, RowId, RowRef, Table};
 pub use topl::{top_l, TopLScratch};
 pub use value::{Value, ValueRef, ValueType};
 

@@ -1,16 +1,21 @@
 //! Tables: typed column storage, an offset-or-slot index on the PK, and
-//! two indexes per FK column. Its runs — key → its live rows, one run of
+//! one index per FK column. Its runs — key → its live rows, one run of
 //! one arena each ([`Runs`]) — are its FK groups and, once an importance
 //! order is installed, its sorted FK postings too: each row id is stored
-//! once, in one run, in posting order while the order holds. Its forward
-//! array ([`Forward`]) holds each row's parent `RowId`, the one direction
-//! the runs cannot answer without a PK probe.
+//! once, in one run, in posting order while the order holds. The other
+//! direction, a row's parent, is no index: [`Table::parent_of`] reads the
+//! FK cell as an integer and probes the parent's primary key, which for
+//! surrogate keys is an offset check and two array reads.
 //!
-//! Both share one lifecycle. A plain row operation — a loader's, the
-//! exact path's — leaves them unbuilt; the catalog builds the runs in
-//! one count-then-fill pass and resolves the forward arrays from them
-//! ([`crate::Database::resolve_forward`]), each at its final size. The
-//! scored operations maintain both row by row.
+//! A plain row operation — a loader's, the exact path's — leaves the
+//! runs unbuilt; the catalog builds them in one count-then-fill pass
+//! ([`crate::Database::build_runs`]) at their final size. The scored
+//! operations maintain them row by row.
+//!
+//! The installed score snapshot (`Scores`) is kept as narrow as its
+//! values let it, as an `Int` column's cells are: one score while every
+//! row slot's score is the same, a score per slot once a scored write
+//! sets another.
 
 use std::cell::OnceCell;
 use std::ops::Index;
@@ -79,30 +84,68 @@ impl<'a> Index<usize> for RowRef<'a> {
 /// index.
 type Slots<T> = Vec<Option<T>>;
 
-/// A forward slot's "no parent": a NULL or dangling reference.
-const NO_TARGET: u32 = u32::MAX;
-
 /// The id of the row slot a table holding `len` slots appends, or `None`
-/// once the ids have run out. `u32::MAX` is no row's id — it is the
-/// forward arrays' [`NO_TARGET`] and the PK slots' empty mark — so a
-/// table holds at most `u32::MAX` slots.
+/// once the ids have run out. `u32::MAX` is no row's id — it is the PK
+/// slots' empty mark — so a table holds at most `u32::MAX` slots.
 fn row_id_at(len: usize) -> Option<RowId> {
-    u32::try_from(len).ok().filter(|&id| id != NO_TARGET).map(RowId)
+    u32::try_from(len).ok().filter(|&id| id != u32::MAX).map(RowId)
 }
 
-/// The forward array of one FK column: per row slot, the `RowId` of the
-/// parent row its key resolves to, equal to a fresh `by_pk` of every live
-/// row's key; a NULL or dangling key holds no target until its parent
-/// arrives. The catalog ([`crate::Database`]) maintains it under the
-/// scored row operations and re-resolves it in bulk after plain ones.
-#[derive(Clone, Copy, Debug)]
-pub struct Forward<'a>(&'a [u32]);
+/// A table's installed score snapshot: a score per row slot, the one copy
+/// of its rows' global importance and the key its runs are sorted by.
+/// Like an `Int` column's cells, it is as narrow as its values let it be:
+/// one score while every slot's score is the same bit for bit — under
+/// DBLP's GA1, a junction's rows all hold the solve's one unrated score —
+/// widened to a score per slot, once and for good, by the first scored
+/// write of another score. An install takes a fresh snapshot, so
+/// re-installing equal scores makes it one score again.
+#[derive(Debug)]
+struct Scores {
+    /// The one shared score, or a score per slot.
+    values: Vec<f64>,
+    /// `0` while `values` is the one shared score, `usize::MAX` once it
+    /// holds a score per slot: slot `i` reads `values[i & mask]`, so a
+    /// read (the sort comparator's, the ranking's) takes no branch.
+    mask: usize,
+}
 
-impl Forward<'_> {
-    /// The parent row of `row`, if its key resolves.
-    pub fn get(self, row: RowId) -> Option<RowId> {
-        let t = self.0[row.index()];
-        (t != NO_TARGET).then_some(RowId(t))
+/// No snapshot: every read is out of bounds.
+impl Default for Scores {
+    fn default() -> Self {
+        Scores { values: Vec::new(), mask: usize::MAX }
+    }
+}
+
+impl Scores {
+    /// The snapshot of `score` over `len` slots.
+    fn take(len: usize, score: impl Fn(RowId) -> f64) -> Scores {
+        let mut snap = match len {
+            0 => Scores::default(),
+            _ => Scores { values: vec![score(RowId(0))], mask: 0 },
+        };
+        for id in (1..len).map(|i| RowId(i as u32)) {
+            snap.set(len, id, score(id));
+        }
+        snap
+    }
+
+    fn get(&self, id: RowId) -> f64 {
+        self.values[id.index() & self.mask]
+    }
+
+    /// Sets slot `id` of a snapshot over `len` slots (a slot past the
+    /// last one set is appended) to `score`, widening a shared score that
+    /// differs.
+    fn set(&mut self, len: usize, id: RowId, score: f64) {
+        if self.mask == 0 {
+            if self.values[0].to_bits() == score.to_bits() {
+                return;
+            }
+            self.values = vec![self.values[0]; len];
+            self.mask = usize::MAX;
+        }
+        self.values.resize(len, score);
+        self.values[id.index()] = score;
     }
 }
 
@@ -126,7 +169,7 @@ impl NoLinks {
 /// keeps row ids only): `None` for a dead row or one past the end.
 fn live_pk<'a>(dead: &'a [bool], pk_column: &'a Column) -> impl Fn(u32) -> Option<i64> + 'a {
     |row| match dead.get(row as usize) {
-        Some(false) => pk_column.get(row as usize).as_int(),
+        Some(false) => pk_column.int_at(row as usize),
         _ => None,
     }
 }
@@ -146,8 +189,8 @@ pub struct Table {
     columns: Vec<Column>,
     /// Liveness flags, one per row slot (their count *is* the slot
     /// count). Deletes are *logical*: the row slot (and its `RowId`)
-    /// survives so every structure keyed by dense row ids — installed
-    /// scores, forward arrays — stays valid. Dead rows
+    /// survives so every structure keyed by dense row ids — the installed
+    /// scores, a rank solve's vectors — stays valid. Dead rows
     /// are invisible to `iter`, `by_pk` and every run: FK runs hold live
     /// rows only.
     dead: Vec<bool>,
@@ -162,23 +205,13 @@ pub struct Table {
     /// clear it and free the runs rather than maintain them; the catalog
     /// rebuilds them in bulk, at exact size ([`Self::build_runs`]).
     runs_live: bool,
-    /// On FK columns: each row slot's parent row (see [`Forward`]); a
-    /// dead slot's is never read. An insert here appends `NO_TARGET`;
-    /// the catalog resolves.
-    fwd: Slots<Vec<u32>>,
-    /// True while every forward slot is resolved. The plain row
-    /// operations — the loader's — clear it and free the arrays rather
-    /// than probe a parent per row; the catalog re-resolves the table in
-    /// bulk, at exact size ([`crate::Database::resolve_forward`]).
-    fwd_live: bool,
-    /// Per-row installed importance snapshot (one per row slot; empty
-    /// when no order is installed or the snapshot was killed by an
-    /// un-scored insert): the one copy of the rows' global importance.
-    /// Scored inserts append to it, scored updates overwrite; the runs
-    /// are sorted by it.
-    installed_scores: Vec<f64>,
-    /// True while `installed_scores` covers every row slot (set by
-    /// [`Table::build_sorted_fk`], cleared by the un-scored insert).
+    /// The installed score snapshot (`Scores`), empty when no order is
+    /// installed or an un-scored mutation dropped it. Set by
+    /// [`Table::build_sorted_fk`]; scored inserts and updates write their
+    /// row's score into it; the runs are sorted by it.
+    scores: Scores,
+    /// True while `scores` covers every row slot (set by
+    /// [`Table::build_sorted_fk`], cleared by the un-scored mutations).
     scores_live: bool,
     /// Set while an open scored batch has touched the table: the
     /// `(column, key)` FK runs its staged rows were appended to or
@@ -194,10 +227,9 @@ impl Table {
     /// Creates an empty table for the schema.
     pub fn new(schema: TableSchema) -> Self {
         let arity = schema.arity();
-        let (mut fk_runs, mut fwd) = (vec![None; arity], vec![None; arity]);
+        let mut fk_runs = vec![None; arity];
         for fk in &schema.fks {
             fk_runs[fk.column] = Some(SortedFkIndex::default());
-            fwd[fk.column] = Some(Vec::new());
         }
         Table {
             columns: schema.columns.iter().map(|c| Column::new(c.ty)).collect(),
@@ -207,9 +239,7 @@ impl Table {
             pk_index: PkSlots::default(),
             fk_runs,
             runs_live: true,
-            fwd,
-            fwd_live: true,
-            installed_scores: Vec::new(),
+            scores: Scores::default(),
             scores_live: false,
             staging: None,
             epoch: Epoch::default(),
@@ -217,7 +247,7 @@ impl Table {
     }
 
     /// Number of row *slots*, dead ones included. Structures indexed by
-    /// dense `RowId` (installed scores, forward arrays) are sized by
+    /// dense `RowId` (installed scores, a solve's vectors) are sized by
     /// this.
     pub fn len(&self) -> usize {
         self.dead.len()
@@ -251,8 +281,8 @@ impl Table {
     /// This is the *un-scored* path: it carries no importance for the new
     /// row, so the installed order (and the score snapshot that places
     /// rows in it) is dropped and the heap path takes over for this
-    /// table; the FK runs and forward arrays are left unbuilt until the
-    /// catalog resolves the table. Use
+    /// table; the FK runs are left unbuilt until the catalog builds them.
+    /// Use
     /// [`crate::Database::insert_scored_staged`] to keep the prefix-scan
     /// fast path live across inserts.
     pub fn insert(&mut self, values: Vec<Value>) -> Result<RowId> {
@@ -268,8 +298,7 @@ impl Table {
     /// The validate-and-append core of both insert paths: checks
     /// arity, types, and PK uniqueness, maintains the PK index, appends
     /// the row at the tail of its FK runs (while built), and appends its
-    /// cells and an unresolved forward slot per FK column. Does not touch
-    /// the epoch.
+    /// cells. Does not touch the epoch.
     pub(crate) fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let pk = values[self.schema.pk]
@@ -292,9 +321,6 @@ impl Table {
         // Every check is behind us: all columns grow together.
         for (column, v) in self.columns.iter_mut().zip(values) {
             column.push(v);
-        }
-        if self.fwd_live {
-            self.fwd.iter_mut().flatten().for_each(|f| f.push(NO_TARGET));
         }
         self.dead.push(false);
         Ok(id)
@@ -408,16 +434,15 @@ impl Table {
         Ok(id)
     }
 
-    /// Drops everything derived from the importance order, the forward
-    /// resolution and the runs, freeing what they hold (the un-scored
-    /// mutation paths' common tail).
+    /// Drops everything derived from the importance order and the runs,
+    /// freeing what they hold (the un-scored mutation paths' common
+    /// tail).
     fn drop_derived_state(&mut self) {
-        self.drop_forward();
         if std::mem::take(&mut self.runs_live) {
             self.fk_runs.iter_mut().flatten().for_each(|idx| *idx = SortedFkIndex::default());
         }
         self.staging = None;
-        self.installed_scores = Vec::new();
+        self.scores = Scores::default();
         self.scores_live = false;
     }
 
@@ -427,10 +452,9 @@ impl Table {
     /// ([`Self::settle_staging`]); a delete passes neither. Requires a
     /// live snapshot and an open batch. Bumps the epoch.
     pub(crate) fn staged(&mut self, id: RowId, score: Option<f64>, runs: &[(usize, i64)]) {
-        debug_assert!(self.has_installed_scores(), "caller checks the snapshot is live");
+        debug_assert!(self.scores_live, "caller checks the snapshot is live");
         if let Some(score) = score {
-            self.installed_scores.resize(self.dead.len(), score);
-            self.installed_scores[id.index()] = score;
+            self.scores.set(self.dead.len(), id, score);
         }
         if let Some(unsorted) = &mut self.staging {
             unsorted.extend_from_slice(runs);
@@ -443,7 +467,7 @@ impl Table {
     pub(crate) fn fk_keys_of(&self, id: RowId) -> Vec<(usize, i64)> {
         (0..self.columns.len())
             .filter(|&col| self.fk_runs[col].is_some())
-            .filter_map(|col| self.value(id, col).as_int().map(|k| (col, k)))
+            .filter_map(|col| self.int_value(id, col).map(|k| (col, k)))
             .collect()
     }
 
@@ -459,14 +483,38 @@ impl Table {
         self.columns[col].get(id.index())
     }
 
+    /// The integer in cell `col` of a row, read from the typed cells with
+    /// no [`ValueRef`]: `None` for a NULL or a cell of another type.
+    pub fn int_value(&self, id: RowId, col: usize) -> Option<i64> {
+        self.columns[col].int_at(id.index())
+    }
+
     /// The primary-key value of a row.
     pub fn pk_of(&self, id: RowId) -> i64 {
-        self.value(id, self.schema.pk).as_int().expect("primary keys are validated on insert")
+        self.int_value(id, self.schema.pk).expect("primary keys are validated on insert")
+    }
+
+    /// The row of `to` that FK column `col` of row `id` names: the FK
+    /// cell read as an integer ([`Self::int_value`]) and probed in `to`'s
+    /// primary key — `None` for a NULL or dangling key. It equals a
+    /// fresh `SELECT` of the parent by key, so every caller sees the
+    /// same parent as SQL: a dangling key resolves once its parent
+    /// arrives, a deleted parent's key stops resolving, and a re-inserted
+    /// one resolves to its new row.
+    pub fn parent_of(&self, col: usize, id: RowId, to: &Table) -> Option<RowId> {
+        to.by_pk(self.int_value(id, col)?)
     }
 
     /// Point lookup by primary key: the row at the key's offset from the
     /// first row's when it is live and holds the key, else a slot probe.
+    /// While every row is live and at its key's offset — no delete, no
+    /// slot, as after a surrogate-key load — the offset is the answer,
+    /// read from no row.
     pub fn by_pk(&self, key: i64) -> Option<RowId> {
+        if self.n_dead == 0 && self.pk_index.hashed() == 0 {
+            let row = self.pk_index.offset(key).filter(|&row| (row as usize) < self.dead.len());
+            return row.map(RowId);
+        }
         self.pk_index.get(key, live_pk(&self.dead, &self.columns[self.schema.pk])).map(RowId)
     }
 
@@ -489,81 +537,6 @@ impl Table {
                 "column {} of `{}` is not FK-indexed",
                 self.schema.columns[col].name, self.schema.name
             ),
-        }
-    }
-
-    /// The forward array of FK column `col` (see [`Forward`]). Calling
-    /// this on a non-FK column, or after a plain row operation before the
-    /// catalog re-resolved the table, is a logic error.
-    pub fn forward(&self, col: usize) -> Forward<'_> {
-        assert!(self.fwd_live, "`{}` has unresolved forward arrays", self.schema.name);
-        match self.fwd.get(col) {
-            Some(Some(fwd)) => Forward(fwd),
-            _ => panic!(
-                "column {} of `{}` is not an FK column",
-                self.schema.columns[col].name, self.schema.name
-            ),
-        }
-    }
-
-    /// True when every forward slot is resolved.
-    pub(crate) fn has_live_forward(&self) -> bool {
-        self.fwd_live
-    }
-
-    /// Marks the forward arrays unresolved and frees them (a row of the
-    /// table, or a parent row they may name, changed under a plain row
-    /// operation). Inserts append no slot until the next resolution.
-    pub(crate) fn drop_forward(&mut self) {
-        if std::mem::take(&mut self.fwd_live) {
-            self.fwd.iter_mut().flatten().for_each(|f| *f = Vec::new());
-        }
-    }
-
-    /// The resolved forward array of FK column `col`, at exact size:
-    /// every live row whose key `parent_of` resolves points at that
-    /// parent — one call per distinct key of the column's runs.
-    pub(crate) fn resolved_forward(
-        &self,
-        col: usize,
-        parent_of: impl Fn(i64) -> Option<RowId>,
-    ) -> Vec<u32> {
-        let mut fwd = vec![NO_TARGET; self.len()];
-        let runs = self.fk_index_base(col).expect("FK columns are indexed");
-        for (key, rows) in runs.iter() {
-            if let Some(p) = parent_of(key) {
-                rows.iter().for_each(|r| fwd[r.index()] = p.0);
-            }
-        }
-        fwd
-    }
-
-    /// Installs resolved forward arrays, one per FK column, and marks the
-    /// table resolved.
-    pub(crate) fn set_forward_arrays(&mut self, arrays: Vec<(usize, Vec<u32>)>) {
-        for (col, fwd) in arrays {
-            self.fwd[col] = Some(fwd);
-        }
-        self.fwd_live = true;
-    }
-
-    /// Points the forward slot of `row` on FK column `col` at `parent`
-    /// (a no-op on unresolved arrays: the next resolution writes it).
-    pub(crate) fn set_forward(&mut self, col: usize, row: RowId, parent: Option<RowId>) {
-        if let (true, Some(fwd)) = (self.fwd_live, &mut self.fwd[col]) {
-            fwd[row.index()] = parent.map_or(NO_TARGET, |p| p.0);
-        }
-    }
-
-    /// Points the forward slots of the live rows whose FK column `col`
-    /// holds `key` at `parent` (a no-op on unresolved arrays).
-    pub(crate) fn set_forward_of_run(&mut self, col: usize, key: i64, parent: Option<RowId>) {
-        let (Some(runs), Some(fwd)) = (&self.fk_runs[col], &mut self.fwd[col]) else { return };
-        if !self.fwd_live {
-            return;
-        }
-        for &r in runs.rows(key) {
-            fwd[r.index()] = parent.map_or(NO_TARGET, |p| p.0);
         }
     }
 
@@ -594,7 +567,7 @@ impl Table {
             runs.runs = Runs::from_entries(|| {
                 (0..dead.len())
                     .filter(|&i| !dead[i])
-                    .filter_map(|i| Some((column.get(i).as_int()?, RowId(i as u32))))
+                    .filter_map(|i| Some((column.int_at(i)?, RowId(i as u32))))
             });
         }
         self.pk_index.shrink_to_fit(live_pk(&self.dead, &self.columns[self.schema.pk]));
@@ -606,12 +579,20 @@ impl Table {
     /// [`crate::Database::install_importance_order`]), which ends any
     /// staging.
     pub(crate) fn build_sorted_fk(&mut self, score: &dyn Fn(RowId) -> f64) {
-        debug_assert!(self.runs_live, "the catalog builds the runs before an install");
-        self.installed_scores = (0..self.dead.len()).map(|i| score(RowId(i as u32))).collect();
+        self.scores = Scores::take(self.dead.len(), score);
         self.scores_live = true;
+        self.sort_runs();
+    }
+
+    /// Sorts every FK run where it lies by the installed snapshot, which
+    /// ends any staging.
+    pub(crate) fn sort_runs(&mut self) {
+        debug_assert!(self.runs_live, "the catalog builds the runs before an install");
+        debug_assert!(self.scores_live, "an installed snapshot");
+        let scores = &self.scores;
         self.staging = None;
         for runs in self.fk_runs.iter_mut().flatten() {
-            runs.sort(&self.installed_scores);
+            runs.sort(|r| scores.get(r));
         }
     }
 
@@ -630,7 +611,8 @@ impl Table {
     }
 
     /// Always empty: a table keeps no junction link postings (a junction
-    /// step reads the FK run and the forward array). Kept only for the
+    /// step reads the FK run and resolves each row's target by key). Kept
+    /// only for the
     /// frozen benchmark package, which counts the entries a checkpoint
     /// writes as FK rows plus `groups()` pairs of these; it goes with that
     /// package's next change.
@@ -652,27 +634,24 @@ impl Table {
         let Some(mut unsorted) = self.staging.take() else { return false };
         unsorted.sort_unstable();
         unsorted.dedup();
+        let scores = &self.scores;
         for &(col, key) in &unsorted {
             if let Some(runs) = &mut self.fk_runs[col] {
-                runs.sort_run(key, &self.installed_scores);
+                runs.sort_run(key, |r| scores.get(r));
             }
         }
         !unsorted.is_empty()
     }
 
-    /// True when the per-row installed-score snapshot covers every row
-    /// (i.e. an order is installed and no un-scored insert killed it).
+    /// True when the installed-score snapshot covers every row (i.e. an
+    /// order is installed and no un-scored mutation dropped it).
     pub fn has_installed_scores(&self) -> bool {
         self.scores_live
     }
 
     /// The installed importance of a row (panics without a live snapshot).
     pub fn installed_score(&self, id: RowId) -> f64 {
-        self.installed_scores[id.index()]
-    }
-
-    pub(crate) fn installed_scores(&self) -> &[f64] {
-        &self.installed_scores
+        self.scores.get(id)
     }
 
     /// This table's mutation epoch (bumped on every insert).
@@ -704,14 +683,13 @@ impl Table {
     }
 
     /// Releases the push-doubling slack of everything sized by the slot
-    /// count — the columns, the liveness flags, the forward arrays and
-    /// the score snapshot — repacks every FK-run arena at exact size, and
-    /// sizes the PK slots for the hashed rows.
+    /// count — the columns, the liveness flags and the score snapshot —
+    /// repacks every FK-run arena at exact size, and sizes the PK slots
+    /// for the hashed rows.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.columns.iter_mut().for_each(Column::shrink_to_fit);
         self.dead.shrink_to_fit();
-        self.fwd.iter_mut().flatten().for_each(Vec::shrink_to_fit);
-        self.installed_scores.shrink_to_fit();
+        self.scores.values.shrink_to_fit();
         self.pk_index.shrink_to_fit(live_pk(&self.dead, &self.columns[self.schema.pk]));
         self.fk_runs.iter_mut().flatten().for_each(|idx| idx.runs.shrink_to_fit());
     }
@@ -729,14 +707,13 @@ impl Table {
     }
 
     /// Heap bytes of this table's indexes by structure, from their
-    /// capacities: the PK slots, the FK runs, the forward arrays, and the
-    /// score snapshot the runs are sorted by.
-    pub fn index_bytes(&self) -> [(&'static str, usize); 4] {
+    /// capacities: the PK slots, the FK runs, and the score snapshot the
+    /// runs are sorted by (eight bytes while it is one shared score).
+    pub fn index_bytes(&self) -> [(&'static str, usize); 3] {
         [
             ("PK slots", self.pk_index.heap_bytes()),
             ("FK runs", self.fk_runs.iter().flatten().map(|idx| idx.runs.heap_bytes()).sum()),
-            ("forward", self.fwd.iter().flatten().map(|f| f.capacity() * 4).sum()),
-            ("scores", self.installed_scores.capacity() * std::mem::size_of::<f64>()),
+            ("scores", self.scores.values.capacity() * std::mem::size_of::<f64>()),
         ]
     }
 

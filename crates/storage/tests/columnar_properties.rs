@@ -21,10 +21,22 @@
 //! widening it mid-stream, and a text churn op rewrites one text cell
 //! many times over; after every step the table's cell bytes stay within
 //! a bound that only a text arena which repacks its garbage can meet.
+//!
+//! Two more streams hold the typed reads the rank solve and the junction
+//! probe take. `Table::parent_of` — the FK cell read as an integer, then
+//! the parent's primary key — must name the row a SQL join names, the
+//! live parent row holding the key, after every plain or scored insert,
+//! update and delete of either side: NULL keys, keys that dangle until
+//! their parent arrives, parent keys deleted and inserted again under a
+//! new row, and keys outside `i32` that widen both key columns. And the
+//! score snapshot must read, slot for slot and bit for bit, what a
+//! per-row model holds after every scored step, while it stays one
+//! shared score until the first scored write of another widens it — once
+//! — and an install of equal scores makes it one score again.
 
 use proptest::prelude::*;
 
-use sizel_storage::{Database, RowId, TableSchema, Value, ValueType};
+use sizel_storage::{Database, RowId, TableId, TableSchema, Value, ValueType};
 
 const N_REFS: i64 = 4;
 const N_PKS: i64 = 16;
@@ -203,7 +215,7 @@ proptest! {
             }
 
             // Plain writes leave the runs to the catalog's bulk build.
-            db.resolve_forward();
+            db.build_runs();
             let t = db.table(tid);
             prop_assert_eq!(t.len(), model.len());
             // Cell bytes: eight a slot per column (spans included), the
@@ -280,6 +292,225 @@ proptest! {
                     prop_assert_eq!(rows, scan.as_slice());
                     prop_assert!(std::ptr::eq(rows, idx.rows(k)));
                 }
+            }
+        }
+    }
+}
+
+/// The `i`-th parent key of the resolver stream: narrow below 4, outside
+/// `i32` from 4 on, so the first such write widens the parent's PK
+/// column and the child's FK column.
+fn parent_key(i: i64) -> i64 {
+    if i < 4 {
+        i
+    } else {
+        i64::MAX - i
+    }
+}
+
+/// Parent `P(id)` and child `C(id, p_id -> P)`, both empty.
+fn parent_child() -> Database {
+    let mut db = Database::new();
+    db.create_table(TableSchema::builder("P").pk("id").build().unwrap()).unwrap();
+    db.create_table(TableSchema::builder("C").pk("id").fk("p_id", "P").build().unwrap()).unwrap();
+    db
+}
+
+/// Runs `op` as a batch of one when `scored`, else bare: the scored ops
+/// take the plain path by themselves once a plain op dropped the order.
+fn maybe_scored<T>(
+    db: &mut Database,
+    scored: bool,
+    op: impl FnOnce(&mut Database, Option<&mut sizel_storage::ScoredBatch>) -> T,
+) -> T {
+    if !scored {
+        return op(db, None);
+    }
+    let mut batch = db.begin_scored_batch();
+    let out = op(db, Some(&mut batch));
+    db.finish_scored_batch(batch);
+    out
+}
+
+/// Scores the snapshot stream writes: two that differ, and two zeros
+/// whose bits differ.
+const SCORES: [f64; 4] = [1.0, 0.5, 0.0, -0.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn the_resolver_names_the_parent_a_join_names(
+        ops in proptest::collection::vec((0u8..11, 0i64..6, 0i64..7), 1..80),
+    ) {
+        let mut db = parent_child();
+        db.install_importance_order(&|_, _| 1.0);
+        let (p, c) = (db.table_id("P").unwrap(), db.table_id("C").unwrap());
+        // Model slots: P's keys, C's (pk, key); each with its liveness.
+        let mut parents: Vec<(i64, bool)> = Vec::new();
+        let mut children: Vec<(i64, Option<i64>, bool)> = Vec::new();
+        for &(kind, i, j) in &ops {
+            let (scored, key) = (kind % 2 == 1, parent_key(i));
+            let fk = (j < 6).then(|| parent_key(j));
+            let child = vec![Value::Int(i), fk.map_or(Value::Null, Value::Int)];
+            let live_parent = parents.iter().position(|&(k, live)| live && k == key);
+            let live_child = children.iter().position(|&(pk, _, live)| live && pk == i);
+            match kind / 2 {
+                0 => {
+                    let r = maybe_scored(&mut db, scored, |db, b| match b {
+                        Some(b) => db.insert_scored_staged(b, "P", vec![Value::Int(key)], 0.5),
+                        None => db.insert("P", vec![Value::Int(key)]),
+                    });
+                    prop_assert_eq!(r.is_ok(), live_parent.is_none());
+                    if r.is_ok() {
+                        parents.push((key, true));
+                    }
+                }
+                1 => {
+                    let r = maybe_scored(&mut db, scored, |db, b| match b {
+                        Some(b) => db.delete_scored_staged(b, "P", key),
+                        None => db.delete("P", key),
+                    });
+                    prop_assert_eq!(r.is_ok(), live_parent.is_some());
+                    if let Some(s) = live_parent {
+                        parents[s].1 = false;
+                    }
+                }
+                2 => {
+                    let r = maybe_scored(&mut db, scored, |db, b| match b {
+                        Some(b) => db.insert_scored_staged(b, "C", child, 2.0),
+                        None => db.insert("C", child),
+                    });
+                    prop_assert_eq!(r.is_ok(), live_child.is_none());
+                    if r.is_ok() {
+                        children.push((i, fk, true));
+                    }
+                }
+                3 => {
+                    let r = maybe_scored(&mut db, scored, |db, b| match b {
+                        Some(b) => db.update_scored_staged(b, "C", i, child, 0.25),
+                        None => db.update("C", i, child),
+                    });
+                    prop_assert_eq!(r.is_ok(), live_child.is_some());
+                    if let Some(s) = live_child {
+                        children[s].1 = fk;
+                    }
+                }
+                4 => {
+                    let r = maybe_scored(&mut db, scored, |db, b| match b {
+                        Some(b) => db.delete_scored_staged(b, "C", i),
+                        None => db.delete("C", i),
+                    });
+                    prop_assert_eq!(r.is_ok(), live_child.is_some());
+                    if let Some(s) = live_child {
+                        children[s].2 = false;
+                    }
+                }
+                _ => {
+                    db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
+                }
+            }
+
+            // SQL: the live parent row whose key is the child's, read off
+            // the model; the resolver reads the cell and P's key index.
+            let (pt, ct) = (db.table(p), db.table(c));
+            for (s, &(_, fk, live)) in children.iter().enumerate() {
+                if !live {
+                    continue;
+                }
+                let join = fk.and_then(|k| parents.iter().position(|&(pk, l)| l && pk == k));
+                let got = ct.parent_of(1, RowId(s as u32), pt);
+                prop_assert_eq!(got.map(RowId::index), join, "child slot {} -> {:?}", s, fk);
+            }
+        }
+    }
+
+    #[test]
+    fn the_score_snapshot_is_one_score_until_a_write_sets_another(
+        ops in proptest::collection::vec((0u8..5, 0i64..8, 0usize..4), 1..60),
+    ) {
+        let mut db = parent_child();
+        for k in 0..3 {
+            db.insert("P", vec![Value::Int(k)]).unwrap();
+        }
+        for pk in 0..4 {
+            db.insert("C", vec![Value::Int(pk), Value::Int(pk % 3)]).unwrap();
+        }
+        let (c, p) = (db.table_id("C").unwrap(), db.table_id("P").unwrap());
+        // C's slots: (pk, key, live, score).
+        let mut model: Vec<(i64, i64, bool, f64)> =
+            (0..4).map(|pk| (pk, pk % 3, true, 1.0)).collect();
+        let install = |db: &mut Database, model: &[(i64, i64, bool, f64)]| {
+            let scores: Vec<f64> = model.iter().map(|s| s.3).collect();
+            db.install_importance_order(&|t: TableId, r: RowId| {
+                if t == c { scores[r.index()] } else { 1.0 }
+            });
+        };
+        install(&mut db, &model);
+        let mut shared = true;
+        for &(kind, pk, s) in &ops {
+            let score = SCORES[s];
+            let slot = model.iter().position(|m| m.0 == pk && m.2);
+            let row = vec![Value::Int(pk), Value::Int(pk % 3)];
+            match kind {
+                0 => {
+                    let r = maybe_scored(&mut db, true, |db, b| {
+                        db.insert_scored_staged(b.unwrap(), "C", row, score)
+                    });
+                    prop_assert_eq!(r.is_ok(), slot.is_none());
+                    if r.is_ok() {
+                        model.push((pk, pk % 3, true, score));
+                    }
+                }
+                1 => {
+                    let r = maybe_scored(&mut db, true, |db, b| {
+                        db.update_scored_staged(b.unwrap(), "C", pk, row, score)
+                    });
+                    prop_assert_eq!(r.is_ok(), slot.is_some());
+                    if let Some(i) = slot {
+                        model[i].3 = score;
+                    }
+                }
+                2 => {
+                    let r = maybe_scored(&mut db, true, |db, b| {
+                        db.delete_scored_staged(b.unwrap(), "C", pk)
+                    });
+                    prop_assert_eq!(r.is_ok(), slot.is_some());
+                    if let Some(i) = slot {
+                        model[i].2 = false;
+                    }
+                }
+                // A re-install of the model's scores, and one of a single
+                // score for every slot.
+                3 => install(&mut db, &model),
+                _ => {
+                    model.iter_mut().for_each(|m| m.3 = score);
+                    install(&mut db, &model);
+                }
+            }
+            let t = db.table(c);
+            let first = model[0].3.to_bits();
+            let equal = model.iter().all(|m| m.3.to_bits() == first);
+            // A write never narrows the snapshot; an install takes it as
+            // narrow as the scores allow.
+            shared = if kind >= 3 { equal } else { shared && equal };
+            // One shared score is eight bytes; C's slots, four or more,
+            // take more a score each.
+            let snapshot = t.index_bytes()[2].1;
+            prop_assert_eq!(snapshot == 8, shared, "{} B after op {:?}", snapshot, (kind, pk, s));
+            for (i, m) in model.iter().enumerate() {
+                let got = t.installed_score(RowId(i as u32));
+                prop_assert_eq!(got.to_bits(), m.3.to_bits(), "slot {}", i);
+            }
+            prop_assert_eq!(db.table(p).index_bytes()[2].1, 8, "P is never written a score");
+            // Every run in posting order under the model's scores.
+            let idx = t.sorted_fk_index(1).expect("every op keeps the order");
+            for key in 0..3 {
+                let mut want: Vec<usize> =
+                    (0..model.len()).filter(|&i| model[i].2 && model[i].1 == key).collect();
+                want.sort_by(|&a, &b| model[b].3.total_cmp(&model[a].3).then(a.cmp(&b)));
+                let got: Vec<usize> = idx.rows(key).iter().map(|r| r.index()).collect();
+                prop_assert_eq!(got, want, "key {}", key);
             }
         }
     }

@@ -4,8 +4,8 @@
 //! a plainly-replayed database — every FK run, with no dead entry
 //! anywhere, and every junction probe's rows and paper cost — and the
 //! prefix-scan fast path must keep the heap path's answers *and* its
-//! paper-cost accounting. After every stream each table's forward arrays
-//! equal a fresh `by_pk` resolution of its live rows — references that
+//! paper-cost accounting. After every stream each table's resolved FK
+//! parents equal a fresh `by_pk` of its live rows' keys — references that
 //! dangle until their parent arrives included — and its score snapshot
 //! equals the fold's score log.
 
@@ -64,8 +64,8 @@ const LATE_PARENTS: i64 = 3;
 /// One step of the mutation stream.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Insert: (late parent pk, installed score) — fills the forward
-    /// slots of the rows whose key dangled on it.
+    /// Insert: (late parent pk, installed score) — the parent of the
+    /// rows whose key dangled on it.
     Parent(i64, f64),
     /// Insert: (child pk, parent key, installed score)
     Child(i64, i64, f64),
@@ -271,15 +271,15 @@ fn fk_rows(db: &Database, tid: TableId, col: usize, key: i64) -> Vec<RowId> {
     db.table(tid).sorted_fk_index(col).map_or_else(Vec::new, |idx| idx.rows(key).to_vec())
 }
 
-/// Every table's forward arrays equal a fresh `by_pk` resolution of its
-/// live rows' keys (`None` for a NULL or dangling key).
-fn forward_is_resolved(db: &Database) -> bool {
+/// Every table's resolved FK parents equal a fresh `by_pk` of its live
+/// rows' keys (`None` for a NULL or dangling key).
+fn parents_are_resolved(db: &Database) -> bool {
     db.tables().all(|(_, t)| {
         t.schema.fks.iter().all(|fk| {
             let target = db.table(db.table_id(&fk.ref_table).unwrap());
             t.live_rows().all(|r| {
                 let fresh = t.value(r, fk.column).as_int().and_then(|k| target.by_pk(k));
-                t.forward(fk.column).get(r) == fresh
+                t.parent_of(fk.column, r, target) == fresh
             })
         })
     })
@@ -359,8 +359,8 @@ proptest! {
         let mut live = fresh_db();
         let (scores, accepted) = run_stream(&mut live, &ops);
         let oracle = oracle_replay(&accepted, &scores);
-        prop_assert!(forward_is_resolved(&live), "forward arrays diverge from by_pk");
-        prop_assert!(forward_is_resolved(&oracle), "plain ops left a forward slot stale");
+        prop_assert!(parents_are_resolved(&live), "resolved parents diverge from by_pk");
+        prop_assert!(parents_are_resolved(&oracle), "plain ops left a parent stale");
         let log: Vec<Vec<u64>> =
             scores.iter().map(|t| t.iter().map(|s| s.to_bits()).collect()).collect();
         prop_assert_eq!(score_bits(&live), log, "the snapshots diverge from the fold's scores");
@@ -511,8 +511,8 @@ proptest! {
         }
 
         prop_assert_eq!(batched.epoch(), folded.epoch());
-        prop_assert!(forward_is_resolved(&batched), "batched forward arrays diverge from by_pk");
-        prop_assert!(forward_is_resolved(&folded), "folded forward arrays diverge from by_pk");
+        prop_assert!(parents_are_resolved(&batched), "batched parents diverge from by_pk");
+        prop_assert!(parents_are_resolved(&folded), "folded parents diverge from by_pk");
         prop_assert_eq!(score_bits(&batched), score_bits(&folded), "score snapshots diverge");
         prop_assert_eq!(
             batched.fk_order().unwrap().epoch(),

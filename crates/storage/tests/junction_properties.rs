@@ -2,8 +2,8 @@
 //!
 //! [`Database::select_via_junction_top_l_into`] answers `SELECT T.* TOP l
 //! FROM J, T WHERE J.source = key AND J.target = T.pk AND li(T) >
-//! largest_l ORDER BY li DESC` from the junction's FK run and forward
-//! array. The oracle computes the same thing the long way: every live
+//! largest_l ORDER BY li DESC` from the junction's FK run, each row's
+//! target resolved through the target's primary key. The oracle computes the same thing the long way: every live
 //! junction row whose source column holds the key, joined by primary key
 //! to a live target, the excluded row dropped, filtered, ordered `(li
 //! desc, RowId asc)`, the first `l` kept — and it charges exactly two
@@ -13,8 +13,8 @@
 //! and one hub key of 1 000+ junction rows. Arbitrary scored batches of
 //! junction and target inserts, updates and deletes run between the
 //! checks, with and without an installed order (without one the scored
-//! ops take the plain path and the reader re-resolves the forward
-//! arrays, as the probe requires): the probe's rows, its `AccessStats`
+//! ops take the plain path and the reader rebuilds the junction's FK
+//! runs, as the probe requires): the probe's rows, its `AccessStats`
 //! and its one heap probe must equal the oracle's after every batch, in
 //! both orientations.
 
@@ -252,7 +252,7 @@ proptest! {
         // 0: no order installed; 1: installed.
         let mut db = load(&rels);
         if mode == 0 {
-            db.resolve_forward();
+            db.build_runs();
         } else {
             db.install_importance_order(&score_of);
         }
@@ -261,8 +261,8 @@ proptest! {
         prop_assert!(hub >= HUB_ROWS * 10 / 11, "the hub group holds {} rows", hub);
         for ops in std::iter::once(&Vec::new()).chain(&batches) {
             apply(&mut db, ops);
-            // Plain ops leave forward arrays for the reader to resolve.
-            db.resolve_forward();
+            // Plain ops leave the FK runs for the reader to build.
+            db.build_runs();
             prop_assert_eq!(db.fk_order().is_some(), mode != 0, "the order's presence held");
             check(&db, cut)?;
         }

@@ -1,6 +1,6 @@
 //! Property tests for the relational substrate: index consistency under
-//! arbitrary insert sequences, and the FK runs and forward arrays a bulk
-//! resolution builds after any stream of plain writes.
+//! arbitrary insert sequences, and the FK runs a bulk build makes after
+//! any stream of plain writes, beside the parents their keys resolve to.
 
 use proptest::prelude::*;
 
@@ -65,7 +65,7 @@ fn apply(db: &mut Database, &(kind, pk, key): &Write) {
         4 => db.update("Child", pk, child),
         5 => db.delete("Child", pk),
         _ => {
-            db.resolve_forward();
+            db.build_runs();
             return;
         }
     };
@@ -84,20 +84,20 @@ fn reading_unbuilt_runs_panics_with_the_table_name() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// After any stream of plain inserts, updates and deletes — resolved
-    /// now and then midway — one resolution builds every FK run equal to
-    /// the oracle (the live rows holding the key, ascending `RowId`) and
-    /// resolves every forward slot to the live parent its key names, and
-    /// builds them at their final size: shrinking frees no index byte.
+    /// After any stream of plain inserts, updates and deletes — built
+    /// now and then midway — one bulk build makes every FK run equal to
+    /// the oracle (the live rows holding the key, ascending `RowId`) at
+    /// its final size — shrinking frees no index byte — and every live
+    /// row resolves to the live parent its key names.
     #[test]
-    fn resolution_builds_runs_and_forward_arrays_at_final_size(
+    fn bulk_build_makes_runs_at_final_size_and_parents_resolve(
         writes in proptest::collection::vec((0u8..7, 0i64..24, 0..=N_KEYS), 0..120),
     ) {
         let mut db = fresh_db();
         for w in &writes {
             apply(&mut db, w);
         }
-        db.resolve_forward();
+        db.build_runs();
         let (parent, child) = (db.table_id("Parent").unwrap(), db.table_id("Child").unwrap());
         let (p, c) = (db.table(parent), db.table(child));
         let fk_col = c.schema.column_index("parent_id").unwrap();
@@ -106,9 +106,9 @@ proptest! {
             let oracle: Vec<RowId> = c.live_rows().filter(|&r| key_of(r) == Some(key)).collect();
             prop_assert_eq!(c.rows_where_eq(fk_col, key), oracle.as_slice(), "key {}", key);
         }
-        let fwd = c.forward(fk_col);
         for r in c.live_rows() {
-            prop_assert_eq!(fwd.get(r), key_of(r).and_then(|k| p.by_pk(k)), "row {:?}", r);
+            let parent = c.parent_of(fk_col, r, p);
+            prop_assert_eq!(parent, key_of(r).and_then(|k| p.by_pk(k)), "row {:?}", r);
         }
         let before: Vec<_> = db.tables().map(|(_, t)| t.index_bytes()).collect();
         db.shrink_to_fit();
@@ -162,7 +162,7 @@ proptest! {
                 prop_assert!(r.is_err());
             }
         }
-        db.resolve_forward();
+        db.build_runs();
         let child = db.table_id("Child").unwrap();
         let fk_col = db.table(child).schema.column_index("parent_id").unwrap();
         // The FK index groups exactly the accepted rows.
@@ -194,7 +194,7 @@ proptest! {
             db.insert("Child", vec![Value::Int(i as i64), Value::Float(w), Value::Int(1)])
                 .unwrap();
         }
-        db.resolve_forward();
+        db.build_runs();
         let child = db.table_id("Child").unwrap();
         let fk_col = db.table(child).schema.column_index("parent_id").unwrap();
         let payload = db.table(child).schema.column_index("payload").unwrap();
@@ -241,7 +241,7 @@ proptest! {
             db.insert("Child", vec![Value::Int(i as i64), Value::Float(w), Value::Int(parent)])
                 .unwrap();
         }
-        db.resolve_forward();
+        db.build_runs();
         let child = db.table_id("Child").unwrap();
         let fk_col = db.table(child).schema.column_index("parent_id").unwrap();
         let payload = db.table(child).schema.column_index("payload").unwrap();
