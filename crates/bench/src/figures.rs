@@ -682,9 +682,11 @@ fn rss_mb() -> f64 {
 /// the one score copy), and last what one rank solve gathers and drops
 /// ([`sizel_rank::solve_scratch_bytes`]: the forward lists, the backward
 /// and link lists, the iteration vectors),
-/// then the live bytes one whole `SizeLEngine::build` keeps. Run it in a
-/// fresh process (`repro footprint` builds no workbench first): freed
-/// heap the allocator keeps counts as resident, never as live.
+/// then the live bytes one whole `SizeLEngine::build` keeps, what the
+/// serve cache pays per summary, and what a cold serving window over that
+/// engine holds, live and resident. Run it in a fresh process (`repro
+/// footprint` builds no workbench first): freed heap the allocator keeps
+/// counts as resident, never as live.
 pub fn footprint(live_bytes: fn() -> usize) -> String {
     use sizel_core::keyword::KeywordIndex;
     use sizel_datagen::dblp::{generate, DblpConfig};
@@ -787,7 +789,140 @@ pub fn footprint(live_bytes: fn() -> usize) -> String {
         live_mb() - before
     ));
     out.push_str(&summary_cache_footprint(&engine));
+    out.push('\n');
+    out.push_str(&cold_window_footprint(engine, live_mb));
     out
+}
+
+/// The benchmark's vocabulary: every token of three characters or more
+/// in the searchable columns, sorted.
+fn cold_vocabulary(db: &sizel_storage::Database) -> Vec<String> {
+    let mut vocab = std::collections::BTreeSet::new();
+    for t in ["Author", "Paper"] {
+        let table = db.table(db.table_id(t).expect("DBLP schema"));
+        for col in table.schema.searchable_columns() {
+            for row in table.live_rows() {
+                let tokens = table.value(row, col).as_str().map(sizel_storage::text::tokenize);
+                vocab.extend(tokens.into_iter().flatten().filter(|t| t.chars().count() >= 3));
+            }
+        }
+    }
+    vocab.into_iter().collect()
+}
+
+/// One request of `cold_read`'s mix: a keyword uniform over `vocab`, l
+/// uniform in {5, 10, 15, 30, 50}, Top-Path 1/2, Bottom-Up 1/4,
+/// Optimal 1/4, the complete OS one time in eight.
+fn cold_request<'a>(
+    rng: &mut sizel_util::prng::Prng,
+    vocab: &'a [String],
+) -> (&'a str, sizel_core::engine::QueryOptions) {
+    let algos = [AlgoKind::TopPath, AlgoKind::BottomUp, AlgoKind::TopPath, AlgoKind::Optimal];
+    let keyword = rng.pick(vocab);
+    let opts = sizel_core::engine::QueryOptions {
+        l: *rng.pick(&[5, 10, 15, 30, 50]),
+        algo: *rng.pick(&algos),
+        prelim: rng.below(8) != 0,
+        ..sizel_core::engine::QueryOptions::default()
+    };
+    (keyword, opts)
+}
+
+/// Requests in `repro footprint`'s cold window: one `cold_read` stream.
+const COLD_WINDOW_REQUESTS: usize = 65_536;
+
+/// What a cold serving window holds: `cold_read`'s request mix
+/// ([`COLD_WINDOW_REQUESTS`] of them, seed 1) through one `SizeLServer`
+/// with the benchmark's 8 192-summary cache, from two threads standing
+/// in for its two dispatch workers. Live bytes, `VmRSS` and the
+/// `/proc/self/smaps` split — the main `[heap]`, the glibc per-thread
+/// arenas (64 MiB-aligned anonymous mappings), other anonymous mappings
+/// — before the window, at its end with both threads alive and their
+/// thread-local pools held, and after they exit (their pools freed).
+fn cold_window_footprint(
+    engine: sizel_core::engine::SizeLEngine,
+    live_mb: impl Fn() -> f64,
+) -> String {
+    use std::sync::Barrier;
+
+    use sizel_serve::{ServeConfig, SizeLServer};
+    use sizel_util::prng::Prng;
+
+    let vocab = cold_vocabulary(engine.db());
+    let mut rng = Prng::new(1);
+    let requests: Vec<_> =
+        (0..COLD_WINDOW_REQUESTS).map(|_| cold_request(&mut rng, &vocab)).collect();
+    let cfg = ServeConfig { cache_capacity: 8192, cache_shards: 32, hot_capacity: 256 };
+    let server = SizeLServer::new(engine, cfg);
+    let mut rows = Vec::new();
+    let mut row = |at: &str| {
+        let mut cols =
+            vec![at.to_string(), format!("{:.2}", live_mb()), format!("{:.1}", rss_mb())];
+        cols.extend(smaps_split_mb().iter().map(|mb| format!("{mb:.1}")));
+        rows.push(cols);
+    };
+    row("before the window");
+    // Both threads park at `done` with their pools alive until the row
+    // is taken, then exit; a join returns once a thread's thread-local
+    // pool is freed.
+    let (done, exit) = (Barrier::new(3), Barrier::new(3));
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|half| {
+                let (server, requests, done, exit) = (&server, &requests, &done, &exit);
+                scope.spawn(move || {
+                    for &(keyword, opts) in requests.iter().skip(half).step_by(2) {
+                        std::hint::black_box(server.query(keyword, opts));
+                    }
+                    done.wait();
+                    exit.wait();
+                })
+            })
+            .collect();
+        done.wait();
+        row("window end, threads alive");
+        exit.wait();
+        workers.into_iter().for_each(|w| w.join().expect("a window thread panicked"));
+    });
+    row("threads exited");
+    let cached = server.stats().cache.len;
+    let mut out = format!(
+        "### Cold window — {COLD_WINDOW_REQUESTS} cold_read requests from two threads, \
+         {cached} summaries cached\n\n"
+    );
+    out.push_str(&markdown_table(
+        &["at", "live MB", "VmRSS MB", "[heap] MB", "thread arenas MB", "other anon MB"],
+        &rows,
+    ));
+    out
+}
+
+/// Resident MB of the main `[heap]`, of the glibc per-thread arenas
+/// (anonymous read-write mappings that start on a 64 MiB boundary) and
+/// of every other anonymous mapping, from `/proc/self/smaps`.
+fn smaps_split_mb() -> [f64; 3] {
+    const ARENA_ALIGN: u64 = 64 << 20;
+    let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap_or_default();
+    let mut split = [0.0; 3];
+    let mut class = None;
+    for line in smaps.lines() {
+        let mut fields = line.split_whitespace();
+        let first = fields.next().unwrap_or_default();
+        if let Some((start, _)) = first.split_once('-').filter(|(_, end)| !end.is_empty()) {
+            let perms = fields.next().unwrap_or_default();
+            let path = fields.nth(3);
+            let start = u64::from_str_radix(start, 16).unwrap_or(1);
+            class = match path {
+                Some("[heap]") => Some(0),
+                None if perms.starts_with("rw") && start % ARENA_ALIGN == 0 => Some(1),
+                None => Some(2),
+                Some(_) => None,
+            };
+        } else if let (Some(i), "Rss:") = (class, first) {
+            split[i] += fields.next().and_then(|kb| kb.parse::<f64>().ok()).unwrap_or(0.0) / 1024.0;
+        }
+    }
+    split
 }
 
 /// What the serve cache pays per entry: the first [`CACHED_SUMMARIES`]
@@ -806,35 +941,15 @@ fn summary_cache_footprint(engine: &sizel_core::engine::SizeLEngine) -> String {
 
     use sizel_core::engine::QueryOptions;
     use sizel_core::os::PackedNode;
-    use sizel_storage::{text, Epoch};
+    use sizel_storage::Epoch;
     use sizel_util::prng::Prng;
 
-    // The benchmark's vocabulary: every token of three characters or more
-    // in the searchable columns, sorted.
-    let db = engine.db();
-    let mut vocab = std::collections::BTreeSet::new();
-    for t in ["Author", "Paper"] {
-        let table = db.table(db.table_id(t).expect("DBLP schema"));
-        for col in table.schema.searchable_columns() {
-            for row in table.live_rows() {
-                let tokens = table.value(row, col).as_str().map(text::tokenize);
-                vocab.extend(tokens.into_iter().flatten().filter(|t| t.chars().count() >= 3));
-            }
-        }
-    }
-    let vocab: Vec<String> = vocab.into_iter().collect();
-    let algos = [AlgoKind::TopPath, AlgoKind::BottomUp, AlgoKind::TopPath, AlgoKind::Optimal];
+    let vocab = cold_vocabulary(engine.db());
     let mut rng = Prng::new(1);
     let mut seen = std::collections::HashSet::new();
     let mut keys: Vec<(TupleRef, QueryOptions)> = Vec::with_capacity(CACHED_SUMMARIES);
     while keys.len() < CACHED_SUMMARIES {
-        let keyword = rng.pick(&vocab);
-        let opts = QueryOptions {
-            l: *rng.pick(&[5, 10, 15, 30, 50]),
-            algo: *rng.pick(&algos),
-            prelim: rng.below(8) != 0,
-            ..QueryOptions::default()
-        };
+        let (keyword, opts) = cold_request(&mut rng, &vocab);
         for tds in engine.ds_hits(keyword) {
             if keys.len() < CACHED_SUMMARIES && seen.insert((tds, opts)) {
                 keys.push((tds, opts));
@@ -853,13 +968,12 @@ fn summary_cache_footprint(engine: &sizel_core::engine::SizeLEngine) -> String {
     for qr in &held {
         let parts = [
             2 * size_of::<usize>() + size_of_val(&**qr),
-            qr.ds_label.capacity(),
-            qr.result.selected.capacity() * size_of::<OsNodeId>(),
+            qr.ds_label.len(),
             qr.summary.len() * size_of::<PackedNode>(),
         ];
         nodes += qr.summary.len();
         bytes += parts.iter().sum::<usize>();
-        slab += parts[3];
+        slab += parts[2];
         allocs += parts.iter().filter(|&&b| b > 0).count();
         wire += sizel_net::wire::encode_summary_payload(Epoch(0), qr).len() - 8;
     }

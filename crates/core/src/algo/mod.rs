@@ -14,7 +14,7 @@ pub use dp_naive::{DpNaive, NaiveOutcome};
 pub use top_path::{TopPath, TopPathOpt};
 pub use word_budget::WordBudgetDp;
 
-use crate::os::{Os, OsNodeId};
+use crate::os::{Os, OsNodeId, POOL_NODES_MAX};
 use sizel_util::F64Ord;
 
 /// Reusable scratch for the size-l algorithms — the computation-side
@@ -24,7 +24,8 @@ use sizel_util::F64Ord;
 /// instead of being allocated per `compute` call, so a warm serving
 /// thread's size-l computation only allocates what it returns (the
 /// selection vector inside [`SizeLResult`]). Buffers grow to the
-/// workload's high-water mark and stay; the counting-allocator guard
+/// high-water mark of the inputs up to [`POOL_NODES_MAX`] nodes and stay
+/// ([`AlgoScratch::trim`]); the counting-allocator guard
 /// (`crates/core/tests/alloc_guard.rs`) pins the resulting per-call
 /// budget on the serving path.
 #[derive(Debug, Default)]
@@ -61,6 +62,15 @@ impl AlgoScratch {
     /// An empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         AlgoScratch::default()
+    }
+
+    /// Frees every buffer once a computation over an input of more than
+    /// [`POOL_NODES_MAX`] nodes is done, so a hub's OS does not set what
+    /// the scratch keeps; a smaller input keeps them warm.
+    pub fn trim(&mut self, input_nodes: usize) {
+        if input_nodes > POOL_NODES_MAX {
+            *self = AlgoScratch::new();
+        }
     }
 }
 

@@ -37,7 +37,7 @@ use sizel_storage::{
 
 use crate::durability::{decode_batch, DiskTier, DiskTierConfig, DiskTierStats, RecoveryReport};
 
-use crate::algo::{AlgoKind, SizeLResult};
+use crate::algo::AlgoKind;
 use crate::keyword::KeywordIndex;
 use crate::os::{OsArenaPool, PackedOs};
 use crate::osgen::{generate_os_pooled, OsContext, OsSource};
@@ -105,20 +105,23 @@ impl Default for QueryOptions {
     }
 }
 
-/// One ranked result of a keyword query.
+/// One ranked result of a keyword query: what the serve cache holds per
+/// entry, in three allocations (the cache's `Arc` around this struct,
+/// the label, the summary's slab).
 #[derive(Clone, Debug)]
 pub struct QueryResult {
     /// The data subject tuple.
     pub tds: TupleRef,
     /// Display text of the DS tuple (first searchable/display column).
-    pub ds_label: String,
+    pub ds_label: Box<str>,
     /// Global importance of `t_DS` (the ranking key).
     pub global_score: f64,
     /// Size of the OS the summary was computed from (prelim or complete).
     pub input_os_size: usize,
-    /// The size-l selection and its importance.
-    pub result: SizeLResult,
-    /// The materialized size-l OS, packed.
+    /// `Im(S)`: the size-l selection's importance.
+    pub importance: f64,
+    /// The materialized size-l OS, packed; also the selection
+    /// ([`PackedOs::selected`]).
     pub summary: PackedOs,
 }
 
@@ -131,7 +134,7 @@ pub fn rank_results<R: Borrow<QueryResult>>(results: &mut [R], ranking: ResultRa
     if ranking == ResultRanking::SummaryImportance {
         results.sort_by(|a, b| {
             let (a, b) = (a.borrow(), b.borrow());
-            b.result.importance.total_cmp(&a.result.importance).then(a.tds.cmp(&b.tds))
+            b.importance.total_cmp(&a.importance).then(a.tds.cmp(&b.tds))
         });
     }
 }
@@ -793,11 +796,13 @@ impl SizeLEngine {
     /// see also its reference \[9\]) and truncated to `max_results`. The
     /// per-DS summary computation ([`Self::summarize`]) is deliberately
     /// separate so a serving layer can memoize it per `(tds, options)`
-    /// across queries.
+    /// across queries. Only the kept hits are sorted: a partial selection
+    /// finds them first.
     pub fn ds_hits(&self, keywords: &str) -> Vec<TupleRef> {
         let mut hits = self.kw.search(keywords);
-        hits.sort_by(|&a, &b| self.score(b).total_cmp(&self.score(a)).then(a.cmp(&b)));
-        hits.truncate(self.cfg.max_results);
+        let order =
+            |a: &TupleRef, b: &TupleRef| self.score(*b).total_cmp(&self.score(*a)).then(a.cmp(b));
+        sorted_prefix(&mut hits, self.cfg.max_results, order);
         hits
     }
 
@@ -814,6 +819,8 @@ impl SizeLEngine {
     /// re-materializes summaries without touching the allocator for the
     /// tree *or* the computation scratch (only the returned
     /// `QueryResult`'s own buffers remain; see `tests/alloc_guard.rs`).
+    /// Neither keeps room for more than [`crate::os::POOL_NODES_MAX`]
+    /// nodes past the call.
     pub fn summarize(&self, tds: TupleRef, opts: QueryOptions) -> QueryResult {
         thread_local! {
             static POOL: std::cell::RefCell<(OsArenaPool, crate::algo::AlgoScratch)> =
@@ -832,12 +839,13 @@ impl SizeLEngine {
             let summary = input.project(&result.selected);
             let input_os_size = input.len();
             pool.release(input);
+            scratch.trim(input_os_size);
             QueryResult {
                 tds,
                 ds_label: self.ds_label(tds),
                 global_score: self.score(tds),
                 input_os_size,
-                result,
+                importance: result.importance,
                 summary,
             }
         })
@@ -848,18 +856,51 @@ impl SizeLEngine {
         render_os(&self.db, self.gds(qr.tds.table), &qr.summary.to_os(), opts)
     }
 
-    fn ds_label(&self, tds: TupleRef) -> String {
+    /// The label in one allocation of its exact size: a first pass
+    /// counts the bytes the second writes.
+    fn ds_label(&self, tds: TupleRef) -> Box<str> {
+        use std::fmt::Write;
+
         let table = self.db.table(tds.table);
         let col = table
             .schema
             .searchable_columns()
             .next()
             .or_else(|| table.schema.display_columns().next());
-        match col {
-            Some(c) => format!("{}: {}", table.schema.name, table.value(tds.row, c)),
-            None => format!("{}: #{}", table.schema.name, table.pk_of(tds.row)),
-        }
+        let name = &table.schema.name;
+        let write = |out: &mut dyn Write| match col {
+            Some(c) => write!(out, "{name}: {}", table.value(tds.row, c)),
+            None => write!(out, "{name}: #{}", table.pk_of(tds.row)),
+        };
+        let mut len = ByteCount(0);
+        write(&mut len).expect("counting cannot fail");
+        let mut label = String::with_capacity(len.0);
+        write(&mut label).expect("writing to a String cannot fail");
+        label.into_boxed_str()
     }
+}
+
+/// A [`std::fmt::Write`] sink that only counts bytes.
+struct ByteCount(usize);
+
+impl std::fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Leaves the first `k` of `items` under the total order `order`, sorted:
+/// `sort_unstable_by` then `truncate(k)`, but only the kept prefix is
+/// sorted, after a partial selection puts it in front.
+fn sorted_prefix<T>(items: &mut Vec<T>, k: usize, order: impl Fn(&T, &T) -> std::cmp::Ordering) {
+    if k == 0 {
+        items.clear();
+    } else if k < items.len() {
+        items.select_nth_unstable_by(k - 1, &order);
+        items.truncate(k);
+    }
+    items.sort_unstable_by(order);
 }
 
 #[cfg(test)]
@@ -1259,7 +1300,8 @@ mod tests {
         assert_eq!(whole.len(), parts.len());
         for (a, b) in whole.iter().zip(&parts) {
             assert_eq!(a.tds, b.tds);
-            assert_eq!(a.result, b.result);
+            assert_eq!(a.importance.to_bits(), b.importance.to_bits());
+            assert!(a.summary.selected().eq(b.summary.selected()));
             assert_eq!(a.global_score.to_bits(), b.global_score.to_bits());
         }
     }
@@ -1271,7 +1313,6 @@ mod tests {
         let results = e.query("Faloutsos", 15);
         assert_eq!(results.len(), 3, "one OS per Faloutsos brother");
         for r in &results {
-            assert_eq!(r.result.len(), 15);
             assert_eq!(r.summary.len(), 15);
             r.summary.validate().unwrap();
             assert!(r.ds_label.contains("Faloutsos"));
@@ -1287,7 +1328,7 @@ mod tests {
         let e = engine();
         let results = e.query("Christos Faloutsos", 10);
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].ds_label, "Author: Christos Faloutsos");
+        assert_eq!(&*results[0].ds_label, "Author: Christos Faloutsos");
     }
 
     #[test]
@@ -1304,7 +1345,7 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
         assert!(a[0].input_os_size <= b[0].input_os_size);
-        let ratio = a[0].result.importance / b[0].result.importance.max(1e-12);
+        let ratio = a[0].importance / b[0].importance.max(1e-12);
         assert!(ratio > 0.95, "prelim quality ratio {ratio}");
     }
 
@@ -1317,7 +1358,7 @@ mod tests {
                 "Michalis Faloutsos",
                 QueryOptions { l: 12, algo, prelim: false, ..QueryOptions::default() },
             );
-            importances.push(r[0].result.importance);
+            importances.push(r[0].importance);
         }
         assert!(importances[0] >= importances[1] - 1e-9);
         assert!(importances[0] >= importances[2] - 1e-9);
@@ -1358,7 +1399,7 @@ mod tests {
         let results = e.query_with("Faloutsos", opts);
         assert_eq!(results.len(), 3);
         for w in results.windows(2) {
-            assert!(w[0].result.importance >= w[1].result.importance);
+            assert!(w[0].importance >= w[1].importance);
         }
     }
 
@@ -1383,7 +1424,31 @@ mod tests {
                 ..QueryOptions::default()
             },
         );
-        assert_eq!(a[0].result.importance, b[0].result.importance);
+        assert_eq!(a[0].importance, b[0].importance);
         assert_eq!(a[0].input_os_size, b[0].input_os_size);
+    }
+
+    proptest::proptest! {
+        /// `ds_hits`' partial selection keeps what a full sort on the same
+        /// order (score descending, then the tuple) and a truncation keep,
+        /// in the same order, on hit sets whose scores tie often.
+        #[test]
+        fn sorted_prefix_equals_sort_then_truncate(
+            hits in proptest::collection::vec((0u16..3, 0u32..40), 0..60),
+            scores in proptest::collection::vec(0u8..4, 120),
+            k in 0usize..70,
+        ) {
+            let tuple = |&(t, r): &(u16, u32)| TupleRef::new(TableId(t), sizel_storage::RowId(r));
+            let hits: Vec<TupleRef> = hits.iter().map(tuple).collect();
+            // Each tuple's one score, four distinct values in all.
+            let score = |t: &TupleRef| f64::from(scores[t.table.index() * 40 + t.row.index()]);
+            let order = |a: &TupleRef, b: &TupleRef| score(b).total_cmp(&score(a)).then(a.cmp(b));
+            let mut want = hits.clone();
+            want.sort_by(order);
+            want.truncate(k);
+            let mut got = hits;
+            sorted_prefix(&mut got, k, order);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

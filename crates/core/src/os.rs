@@ -25,12 +25,14 @@
 //! [`Os::project`] turns a size-l selection into a [`PackedOs`]: one
 //! exact-sized slab of 24-byte [`PackedNode`]s with parent links and no
 //! CSR, which is what a `QueryResult` — and so every entry of the serve
-//! cache — holds. The working arenas stay CSR; a cached summary is read,
-//! never walked by an algorithm.
+//! cache — holds, the selection included. The working arenas stay CSR;
+//! a cached summary is read, never walked by an algorithm.
 //!
 //! [`OsArenaPool`] recycles arenas plus the BFS scratch between
 //! generations, so the steady state of a serving loop runs allocation-free
-//! (asserted by the counting-allocator guard in `tests/alloc_guard.rs`).
+//! (asserted by the counting-allocator guard in `tests/alloc_guard.rs`),
+//! keeping room for at most [`POOL_NODES_MAX`] nodes
+//! (`tests/pool_bound.rs`).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -252,41 +254,38 @@ impl Os {
     /// size-l OS a `QueryResult` holds). The subset must contain the root,
     /// list each node once and be connected — exactly Definition 1;
     /// panics otherwise. Nodes keep the arena's BFS order, relabeled
-    /// densely.
+    /// densely, so summary node `i` is the `i`-th selected id in
+    /// ascending order, and it keeps that id ([`PackedOs::selected`]).
     ///
     /// The slab is the one allocation: it first stages the selected ids,
-    /// sorted in place, and is then filled from the last node back, so
-    /// each node finds its parent's new index by binary search over the
-    /// ids still staged before it.
+    /// sorted in place, and each node then finds its parent's new index
+    /// by binary search over the ids before it.
     pub fn project(&self, selected: &[OsNodeId]) -> PackedOs {
         let mut slab: Box<[PackedNode]> = selected
             .iter()
-            .map(|id| PackedNode { parent: id.0, ..PackedNode::default() })
+            .map(|id| PackedNode { source: id.0, ..PackedNode::default() })
             .collect();
-        slab.sort_unstable_by_key(|n| n.parent);
+        slab.sort_unstable_by_key(|n| n.source);
         assert!(
-            slab.first().is_some_and(|n| n.parent == self.root().0),
+            slab.first().is_some_and(|n| n.source == self.root().0),
             "a size-l OS must contain t_DS (Definition 1)"
         );
         assert!(
-            slab.windows(2).all(|w| w[0].parent < w[1].parent),
+            slab.windows(2).all(|w| w[0].source < w[1].source),
             "a size-l OS lists each node once (Definition 1)"
         );
-        for i in (0..slab.len()).rev() {
-            let (staged, rest) = slab.split_at_mut(i);
-            let n = &self.nodes[rest[0].parent as usize];
-            let parent = n.parent.map_or(NO_PARENT, |p| {
-                let new = staged.binary_search_by_key(&p.0, |m| m.parent);
+        for i in 0..slab.len() {
+            let (before, rest) = slab.split_at_mut(i);
+            let node = &mut rest[0];
+            let n = &self.nodes[node.source as usize];
+            node.parent = n.parent.map_or(NO_PARENT, |p| {
+                let new = before.binary_search_by_key(&p.0, |m| m.source);
                 new.expect("selected set must be connected through the root (Definition 1)") as u32
             });
-            rest[0] = PackedNode {
-                weight: n.weight,
-                row: n.tuple.row.0,
-                gds_node: n.gds_node.0,
-                parent,
-                table: n.tuple.table.0,
-                depth: u16::try_from(n.depth).expect("a summary's depth fits in 16 bits"),
-            };
+            node.weight = n.weight;
+            node.row = n.tuple.row.0;
+            node.table = n.tuple.table.0;
+            node.gds_node = n.gds_node.0;
         }
         PackedOs { nodes: slab }
     }
@@ -403,36 +402,28 @@ impl Os {
 /// `PackedNode::parent` of the root.
 const NO_PARENT: u32 = u32::MAX;
 
-/// One node of a [`PackedOs`]: an [`OsNode`] in 24 bytes, its child
-/// links left to the parent array.
+/// One node of a [`PackedOs`]: an [`OsNode`] in 24 bytes. Child links
+/// are left to the parent array, and the depth to the parent chain.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PackedNode {
     weight: f64,
     row: u32,
-    gds_node: u32,
+    /// The node's id in the OS it was projected from.
+    source: u32,
     /// The parent's index; `u32::MAX` for the root.
     parent: u32,
     table: u16,
-    depth: u16,
-}
-
-impl PackedNode {
-    fn unpack(&self) -> OsNode {
-        OsNode {
-            tuple: TupleRef::new(TableId(self.table), RowId(self.row)),
-            gds_node: GdsNodeId(self.gds_node),
-            parent: (self.parent != NO_PARENT).then_some(OsNodeId(self.parent)),
-            depth: u32::from(self.depth),
-            weight: self.weight,
-        }
-    }
+    gds_node: u16,
 }
 
 /// A finished summary: an immutable tree in one exact-sized slab of
 /// [`PackedNode`]s, BFS order (parents precede children), built by
-/// [`Os::project`]. Readers get [`OsNode`] values; a node's children are
-/// found by a scan of the parent links, and [`PackedOs::to_os`] rebuilds
-/// the CSR arena for the callers that walk the tree (rendering).
+/// [`Os::project`]. It is also the size-l selection: node `i` keeps the
+/// id it had in the input OS ([`PackedOs::selected`]). Readers get
+/// [`OsNode`] values, their depths counted up the parent links; a node's
+/// children are found by a scan of the parent links, and
+/// [`PackedOs::to_os`] rebuilds the CSR arena for the callers that walk
+/// the tree (rendering).
 #[derive(Clone, Debug)]
 pub struct PackedOs {
     nodes: Box<[PackedNode]>,
@@ -457,12 +448,18 @@ impl PackedOs {
 
     /// The node with the given id.
     pub fn node(&self, id: OsNodeId) -> OsNode {
-        self.nodes[id.index()].unpack()
+        self.unpack(id.index())
     }
 
     /// Iterates `(OsNodeId, OsNode)` in BFS order.
     pub fn iter(&self) -> impl Iterator<Item = (OsNodeId, OsNode)> + '_ {
-        self.nodes.iter().enumerate().map(|(i, n)| (OsNodeId(i as u32), n.unpack()))
+        (0..self.nodes.len()).map(|i| (OsNodeId(i as u32), self.unpack(i)))
+    }
+
+    /// The size-l selection this summary was projected from: each node's
+    /// id in the input OS, ascending (node `i` is `selected[i]`).
+    pub fn selected(&self) -> impl ExactSizeIterator<Item = OsNodeId> + '_ {
+        self.nodes.iter().map(|n| OsNodeId(n.source))
     }
 
     /// The children of a node in ascending id order, by a scan of the
@@ -478,25 +475,54 @@ impl PackedOs {
     }
 
     /// Consistency check used by tests: [`Os::validate`] of the rebuilt
-    /// arena (parents precede children, depths follow the parent links).
+    /// arena (parents precede children, depths follow the parent links),
+    /// and the selection ids ascend.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.nodes.windows(2).all(|w| w[0].source < w[1].source) {
+            return Err("selection ids do not ascend".into());
+        }
         self.to_os().validate()
+    }
+
+    fn unpack(&self, i: usize) -> OsNode {
+        let n = &self.nodes[i];
+        let mut depth = 0;
+        let mut up = n.parent;
+        while up != NO_PARENT {
+            depth += 1;
+            up = self.nodes[up as usize].parent;
+        }
+        OsNode {
+            tuple: TupleRef::new(TableId(n.table), RowId(n.row)),
+            gds_node: GdsNodeId(n.gds_node),
+            parent: (n.parent != NO_PARENT).then_some(OsNodeId(n.parent)),
+            depth,
+            weight: n.weight,
+        }
     }
 }
 
-/// The most nodes a cold arena pre-sizes to: 16 Ki nodes, far above the
-/// `4·l` any served `l` asks for and far below what a hostile one would.
-/// A larger OS grows its arena as one without a hint does.
-pub const COLD_ARENA_MAX: usize = 1 << 14;
+/// The most nodes a thread's pooled buffers keep room for. A cold arena
+/// pre-sizes to at most this many nodes; an arena that grew past it is
+/// freed on release rather than parked, and with it the BFS scratch; and
+/// an [`crate::algo::AlgoScratch`] that served a larger input frees its
+/// buffers ([`crate::algo::AlgoScratch::trim`]). 2 048 nodes is above
+/// the 99th percentile of the benchmark's cold inputs (1 253 nodes;
+/// 188 of its 39 991 distinct keys are larger), so all but the hubs run
+/// on warm buffers, while a hub's complete OS (up to ~15 600 nodes) no
+/// longer sets what each serving thread keeps for good. At the bound an
+/// arena is ~90 KB.
+pub const POOL_NODES_MAX: usize = 1 << 11;
 
 /// A recycling pool for OS arenas and the BFS scratch of OS generation.
 ///
 /// `generate_os`'s steady state — the serving loop re-materializing
 /// summaries over a warm engine — must not touch the allocator: arenas are
 /// [`Os::clear`]ed (capacity kept) on release, and the BFS queue / tuple
-/// fetch buffer are reused across generations. One pool per thread (the
-/// engine keeps one in thread-local storage); the pool is cheap enough to
-/// create ad hoc for one-shot callers.
+/// fetch buffer are reused across generations, up to [`POOL_NODES_MAX`]
+/// nodes. One pool per thread (the engine keeps one in thread-local
+/// storage); the pool is cheap enough to create ad hoc for one-shot
+/// callers.
 #[derive(Debug, Default)]
 pub struct OsArenaPool {
     arenas: Vec<Os>,
@@ -547,7 +573,7 @@ impl OsArenaPool {
 
     /// [`OsArenaPool::acquire`] with a capacity hint for the *cold* case:
     /// a freshly allocated arena pre-sizes to `cap` nodes (floor 64, cap
-    /// [`COLD_ARENA_MAX`]), so one-shot callers with a known workload —
+    /// [`POOL_NODES_MAX`]), so one-shot callers with a known workload —
     /// `generate_prelim`'s `4·l` sizing — skip the doubling ladder. The
     /// hint is only a hint: an `l` off the wire may be any `u32`, and an
     /// `l` past the OS size means the whole OS, which grows the arena
@@ -555,13 +581,19 @@ impl OsArenaPool {
     /// already carry their high-water capacity), so the warm steady state
     /// is untouched.
     pub fn acquire_with_capacity(&mut self, cap: usize) -> Os {
-        self.arenas.pop().unwrap_or_else(|| Os::with_capacity(cap.clamp(64, COLD_ARENA_MAX)))
+        self.arenas.pop().unwrap_or_else(|| Os::with_capacity(cap.clamp(64, POOL_NODES_MAX)))
     }
 
-    /// Returns an arena to the pool for reuse, keeping its capacity.
+    /// Returns an arena to the pool for reuse, keeping its capacity. An
+    /// arena with room for more than [`POOL_NODES_MAX`] nodes is freed
+    /// instead, and so is the BFS scratch its generation grew.
     pub fn release(&mut self, mut os: Os) {
-        os.clear();
-        self.arenas.push(os);
+        if os.nodes.capacity() <= POOL_NODES_MAX {
+            os.clear();
+            self.arenas.push(os);
+        } else {
+            *self = OsArenaPool { arenas: std::mem::take(&mut self.arenas), ..Self::default() };
+        }
     }
 
     /// Number of arenas currently parked in the pool.
@@ -712,6 +744,26 @@ mod tests {
         assert!(os.is_empty());
         assert_eq!(os.nodes.capacity(), cap, "released capacity is reused");
         assert_eq!(pool.parked(), 0);
+    }
+
+    #[test]
+    fn pool_frees_an_arena_past_the_bound() {
+        let mut pool = OsArenaPool::new();
+        let mut os = pool.acquire_with_capacity(usize::MAX);
+        assert_eq!(os.nodes.capacity(), POOL_NODES_MAX, "a cold arena pre-sizes to the bound");
+        let r = os.add_root(dummy_tuple(0), GdsNodeId(0), 1.0);
+        pool.queue.push_back(r);
+        pool.release(os);
+        assert_eq!(pool.parked(), 1, "an arena at the bound is parked");
+        let mut os = pool.acquire();
+        let r = os.add_root(dummy_tuple(0), GdsNodeId(0), 1.0);
+        for i in 1..=POOL_NODES_MAX {
+            os.add_child(r, dummy_tuple(i), GdsNodeId(0), 1.0);
+            pool.queue.push_back(r);
+        }
+        pool.release(os);
+        assert_eq!(pool.parked(), 0, "an arena past the bound is freed");
+        assert_eq!(pool.queue.capacity(), 0, "and so is the BFS scratch");
     }
 
     #[test]

@@ -169,11 +169,11 @@ mod tests {
             for l in [1, 5, 10, 20] {
                 let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
                 let (prelim, _) = generate_prelim(&ctx, tds, l, OsSource::DataGraph);
-                let mut weights: Vec<(f64, TupleRef, u32)> =
+                let mut weights: Vec<(f64, TupleRef, u16)> =
                     complete.iter().map(|(_, n)| (n.weight, n.tuple, n.gds_node.0)).collect();
                 weights.sort_by(|a, b| b.0.total_cmp(&a.0));
-                let top: Vec<&(f64, TupleRef, u32)> = weights.iter().take(l).collect();
-                let prelim_keys: HashSet<(TupleRef, u32)> =
+                let top: Vec<&(f64, TupleRef, u16)> = weights.iter().take(l).collect();
+                let prelim_keys: HashSet<(TupleRef, u16)> =
                     prelim.iter().map(|(_, n)| (n.tuple, n.gds_node.0)).collect();
                 // The l-th value can tie with excluded tuples; require only
                 // strictly-above-threshold members (ties are

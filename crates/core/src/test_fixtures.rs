@@ -32,8 +32,8 @@ pub fn result_fingerprint<R: std::borrow::Borrow<QueryResult>>(results: &[R]) ->
             r.ds_label,
             r.global_score.to_bits(),
             r.input_os_size,
-            r.result.importance.to_bits(),
-            r.result.selected,
+            r.importance.to_bits(),
+            r.summary.selected().collect::<Vec<_>>(),
         ));
         for (id, n) in r.summary.iter() {
             out.push_str(&format!(

@@ -149,21 +149,23 @@ fn generate_os_steady_state_does_zero_allocations() {
         "summarize allocation count must be steady, got {per_call:?}"
     );
     eprintln!("alloc_guard: warm summarize allocates {} times per call", per_call[0]);
-    // Measured 10/call on this fixture after ISSUE 6's fetch-buffer pass
-    // (was 125 when the size-l algorithms allocated their DP/greedy
-    // working sets per call, 57 after ISSUE 5's thread-local
-    // `AlgoScratch`; pooling the TOP-l probe buffers — `FetchScratch`
-    // through `select_eq_top_l_into` and the junction scans — removed the
-    // rest; 9 once the prelim top-l PQ joined the pool; 4 once
+    // Measured on this fixture: 125 per call when the size-l algorithms
+    // allocated their DP/greedy working sets per call, 57 with the
+    // thread-local `AlgoScratch`, 10 once the TOP-l probe buffers were
+    // pooled (`FetchScratch` through `select_eq_top_l_into` and the
+    // junction scans), 9 once the prelim top-l PQ joined the pool, 4 once
     // `Os::project` wrote the summary into one packed slab instead of a
-    // node Vec, three CSR Vecs and a HashSet and id map of scratch). What
-    // remains is the returned QueryResult's own buffers: the label (two:
-    // `format!` grows it once), the selection and the slab. The cap is the measured count: it guards
-    // against per-call scratch — or a per-query derived-state rebuild —
-    // creeping back into the serving path.
+    // node Vec, three CSR Vecs and a HashSet and id map of scratch, and 3
+    // once the label was written at its exact size and the slab became the
+    // selection too. What remains: the label, the size-l algorithm's
+    // selection vector (dropped once projected) and the slab. The cap is
+    // the measured count: it guards against per-call scratch — or a
+    // per-query derived-state rebuild — creeping back into the serving
+    // path. The fixture's OSs are far under `POOL_NODES_MAX`, so the
+    // pool and scratch stay warm across calls.
     assert!(
-        per_call[0] <= 4,
-        "summarize allocated {} times per call (measured baseline 4) — per-call scratch \
+        per_call[0] <= 3,
+        "summarize allocated {} times per call (measured baseline 3) — per-call scratch \
          crept back into the serving path",
         per_call[0]
     );

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use sizel_core::os::{Os, OsNodeId, PackedNode};
+use sizel_core::os::{Os, OsNode, OsNodeId, PackedNode};
 use sizel_graph::GdsNodeId;
 use sizel_storage::{RowId, TableId, TupleRef};
 
@@ -213,5 +213,90 @@ proptest! {
                 Some(p) => in_sel(OsNodeId(p as u32)),
             });
         prop_assert_eq!(os.is_valid_selection(&sel), valid_naive);
+    }
+
+    /// The packed slab against a reference projection (the selected
+    /// nodes filtered in id order, parents renumbered, each node's depth,
+    /// tuple, GDS node and weight copied from the input): on random trees
+    /// with tuples and GDS ids over their whole ranges, and selections
+    /// listed in any order, every node, its depth counted up the parent
+    /// links, the selection ids and the `to_os()` rebuild equal it.
+    #[test]
+    fn packed_slab_matches_a_reference_projection(
+        nodes in proptest::collection::vec(
+            (0u32..1_000_000, any::<u16>(), any::<u32>(), any::<u16>(), any::<bool>()),
+            0..60,
+        ),
+        rotate in 0usize..64,
+    ) {
+        // Node i + 1 hangs under a node below it, added through the arena's
+        // own builder (a BFS that appends each node's children together).
+        let parents = parents_from_raw(&nodes.iter().map(|n| n.0).collect::<Vec<_>>());
+        let n = parents.len();
+        let attrs = |i: usize| match i {
+            0 => (TupleRef::new(TableId(7), RowId(0)), GdsNodeId(0), 0.5),
+            _ => {
+                let (_, table, row, gds, _) = nodes[i - 1];
+                (TupleRef::new(TableId(table), RowId(row)), GdsNodeId(gds), f64::from(row) * 0.5)
+            }
+        };
+        let mut os = Os::new();
+        let mut arena_of = vec![OsNodeId(0); n];
+        let (tuple, gds, w) = attrs(0);
+        os.add_root(tuple, gds, w);
+        let mut queue = VecDeque::from([0usize]);
+        while let Some(u) = queue.pop_front() {
+            for c in (0..n).filter(|&c| parents[c] == Some(u)) {
+                let (tuple, gds, w) = attrs(c);
+                arena_of[c] = os.add_child(arena_of[u], tuple, gds, w);
+                queue.push_back(c);
+            }
+        }
+        prop_assert!(os.validate().is_ok(), "{:?}", os.validate());
+        // A connected selection with the root, listed rotated.
+        let mut kept = vec![false; n];
+        kept[0] = true;
+        for c in 1..n {
+            kept[c] = nodes[c - 1].4 && kept[parents[c].unwrap()];
+        }
+        let mut ids: Vec<OsNodeId> =
+            (0..n).filter(|&c| kept[c]).map(|c| arena_of[c]).collect();
+        ids.sort_unstable();
+        let mut listed = ids.clone();
+        let shift = rotate % listed.len();
+        listed.rotate_left(shift);
+        let sub = os.project(&listed);
+
+        // The reference: selected nodes in id order, parents renumbered.
+        let new_of = |id: OsNodeId| ids.binary_search(&id).ok().map(|j| OsNodeId(j as u32));
+        let reference: Vec<OsNode> = ids
+            .iter()
+            .map(|&id| {
+                let node = *os.node(id);
+                OsNode { parent: node.parent.map(|p| new_of(p).unwrap()), ..node }
+            })
+            .collect();
+        let same = |a: &OsNode, b: &OsNode| {
+            a.tuple == b.tuple
+                && a.gds_node == b.gds_node
+                && a.parent == b.parent
+                && a.depth == b.depth
+                && a.weight.to_bits() == b.weight.to_bits()
+        };
+        prop_assert!(sub.validate().is_ok(), "{:?}", sub.validate());
+        prop_assert_eq!(sub.selected().collect::<Vec<_>>(), ids.clone());
+        prop_assert_eq!(sub.len(), reference.len());
+        for (j, want) in reference.iter().enumerate() {
+            let id = OsNodeId(j as u32);
+            prop_assert!(same(&sub.node(id), want), "node {}: {:?} vs {:?}", j, sub.node(id), want);
+        }
+        let rebuilt = sub.to_os();
+        prop_assert!(rebuilt.validate().is_ok(), "{:?}", rebuilt.validate());
+        for ((id, got), want) in rebuilt.iter().zip(&reference) {
+            prop_assert!(same(got, want), "rebuilt node {:?}", id);
+            let kept_children: Vec<OsNodeId> =
+                os.children(ids[id.index()]).iter().filter_map(|&c| new_of(c)).collect();
+            prop_assert_eq!(rebuilt.children(id).to_vec(), kept_children);
+        }
     }
 }

@@ -8,14 +8,23 @@ use sizel_storage::{Database, TableId};
 use crate::affinity::AffinityModel;
 use crate::schema_graph::{Direction, SchemaEdgeId, SchemaGraph};
 
-/// Identifies a node of a GDS.
+/// Identifies a node of a GDS: 16 bits, so a cached summary node holds
+/// one in two bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GdsNodeId(pub u32);
+pub struct GdsNodeId(pub u16);
 
 impl GdsNodeId {
+    /// The most nodes one GDS holds; [`Gds::build`] panics past it.
+    pub const LIMIT: usize = 1 << 16;
+
     /// The node index as `usize`.
     pub fn index(self) -> usize {
-        self.0 as usize
+        usize::from(self.0)
+    }
+
+    /// The id of the node at `index`, below [`GdsNodeId::LIMIT`].
+    fn at(index: usize) -> GdsNodeId {
+        GdsNodeId(u16::try_from(index).expect("a GDS holds at most GdsNodeId::LIMIT nodes"))
     }
 }
 
@@ -203,7 +212,7 @@ impl Gds {
                 if af < cfg.prune_floor {
                     continue;
                 }
-                let cid = GdsNodeId(nodes.len() as u32);
+                let cid = GdsNodeId::at(nodes.len());
                 nodes.push(GdsNode {
                     label,
                     path: child_path,
@@ -250,35 +259,34 @@ impl Gds {
 
     /// Iterates `(GdsNodeId, &GdsNode)` in BFS order.
     pub fn iter(&self) -> impl Iterator<Item = (GdsNodeId, &GdsNode)> {
-        self.nodes.iter().enumerate().map(|(i, n)| (GdsNodeId(i as u32), n))
+        self.nodes.iter().enumerate().map(|(i, n)| (GdsNodeId::at(i), n))
     }
 
     /// Finds a node by label (first match in BFS order).
     pub fn find_label(&self, label: &str) -> Option<GdsNodeId> {
-        self.nodes.iter().position(|n| n.label == label).map(|i| GdsNodeId(i as u32))
+        self.nodes.iter().position(|n| n.label == label).map(GdsNodeId::at)
     }
 
     /// Finds a node by full path.
     pub fn find_path(&self, path: &str) -> Option<GdsNodeId> {
-        self.nodes.iter().position(|n| n.path == path).map(|i| GdsNodeId(i as u32))
+        self.nodes.iter().position(|n| n.path == path).map(GdsNodeId::at)
     }
 
     /// GDS(θ): the subtree of nodes with affinity ≥ θ (a node survives only
     /// if all its ancestors do).
     pub fn restrict(&self, theta: f64) -> Gds {
-        let mut map = vec![u32::MAX; self.nodes.len()];
+        let mut map: Vec<Option<GdsNodeId>> = vec![None; self.nodes.len()];
         let mut nodes: Vec<GdsNode> = Vec::new();
         for (i, n) in self.nodes.iter().enumerate() {
             let keep = if i == 0 {
                 true
             } else {
-                n.affinity >= theta
-                    && map[n.parent.expect("non-root has parent").index()] != u32::MAX
+                n.affinity >= theta && map[n.parent.expect("non-root has parent").index()].is_some()
             };
             if keep {
-                map[i] = nodes.len() as u32;
+                map[i] = Some(GdsNodeId::at(nodes.len()));
                 let mut nn = n.clone();
-                nn.parent = n.parent.map(|p| GdsNodeId(map[p.index()]));
+                nn.parent = n.parent.and_then(|p| map[p.index()]);
                 nn.children = Vec::new();
                 nodes.push(nn);
             }
@@ -286,7 +294,7 @@ impl Gds {
         // Rebuild child lists.
         for i in 0..nodes.len() {
             if let Some(p) = nodes[i].parent {
-                let id = GdsNodeId(i as u32);
+                let id = GdsNodeId::at(i);
                 nodes[p.index()].children.push(id);
             }
         }
@@ -381,6 +389,13 @@ fn join_fanout(db: &Database, sg: &SchemaGraph, join: &JoinSpec) -> f64 {
 mod tests {
     use super::*;
     use crate::affinity::AffinityModel;
+
+    #[test]
+    #[should_panic(expected = "at most GdsNodeId::LIMIT nodes")]
+    fn a_gds_holds_at_most_its_id_range() {
+        assert_eq!(GdsNodeId::at(GdsNodeId::LIMIT - 1), GdsNodeId(u16::MAX));
+        GdsNodeId::at(GdsNodeId::LIMIT);
+    }
     use sizel_datagen::dblp::{generate, DblpConfig};
     use sizel_datagen::tpch::{generate as tpch_generate, TpchConfig};
 

@@ -310,15 +310,15 @@ fn put_result(buf: &mut Vec<u8>, qr: &QueryResult) {
     put_str(buf, &qr.ds_label);
     put_f64(buf, qr.global_score);
     put_u32(buf, qr.input_os_size as u32);
-    put_u32(buf, qr.result.selected.len() as u32);
-    for id in &qr.result.selected {
+    put_u32(buf, qr.summary.len() as u32);
+    for id in qr.summary.selected() {
         put_u32(buf, id.0);
     }
-    put_f64(buf, qr.result.importance);
+    put_f64(buf, qr.importance);
     put_u32(buf, qr.summary.len() as u32);
     for (_, node) in qr.summary.iter() {
         put_tuple(buf, node.tuple);
-        put_u32(buf, node.gds_node.0);
+        put_u32(buf, u32::from(node.gds_node.0));
         match node.parent {
             None => put_u8(buf, 0),
             Some(p) => {
@@ -515,16 +515,16 @@ mod tests {
     /// result it was encoded from, floats by their bits.
     fn assert_decodes_to(got: &WireResult, want: &QueryResult) {
         assert_eq!(got.tds, want.tds);
-        assert_eq!(got.ds_label, want.ds_label);
+        assert_eq!(got.ds_label, *want.ds_label);
         assert_eq!(got.global_score.to_bits(), want.global_score.to_bits());
         assert_eq!(got.input_os_size, want.input_os_size);
-        let selected: Vec<u32> = want.result.selected.iter().map(|id| id.0).collect();
+        let selected: Vec<u32> = want.summary.selected().map(|id| id.0).collect();
         assert_eq!(got.selected, selected);
-        assert_eq!(got.importance.to_bits(), want.result.importance.to_bits());
+        assert_eq!(got.importance.to_bits(), want.importance.to_bits());
         assert_eq!(got.summary.len(), want.summary.len());
         for (g, (_, w)) in got.summary.iter().zip(want.summary.iter()) {
             assert_eq!(g.tuple, w.tuple);
-            assert_eq!(g.gds_node, w.gds_node.0);
+            assert_eq!(g.gds_node, u32::from(w.gds_node.0));
             assert_eq!(g.parent, w.parent.map(|p| p.0));
             assert_eq!(g.depth, w.depth);
             assert_eq!(g.weight.to_bits(), w.weight.to_bits());

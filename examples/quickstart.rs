@@ -49,8 +49,8 @@ fn main() {
         println!(
             "  [input OS: {} tuples -> size-{} OS, Im(S) = {:.3}]",
             r.input_os_size,
-            r.result.len(),
-            r.result.importance
+            r.summary.len(),
+            r.importance
         );
     }
 

@@ -120,7 +120,7 @@ mod tests {
         let first = name.split(' ').next().unwrap();
         let results = e.query(first, 5);
         assert!(!results.is_empty());
-        assert!(results[0].result.len() <= 5);
+        assert!(results[0].summary.len() <= 5);
     }
 
     #[test]

@@ -296,13 +296,12 @@ fn result() -> impl Strategy<Value = QueryResult> {
             let selected: Vec<OsNodeId> =
                 (0..=k % tree.len()).map(|i| OsNodeId(i as u32)).collect();
             let summary = os.project(&selected);
-            let result = SizeLResult::from_selection(&os, selected);
             QueryResult {
                 tds,
-                ds_label,
+                ds_label: ds_label.into_boxed_str(),
                 global_score: f64::from_bits(global),
                 input_os_size: input as usize,
-                result,
+                importance: SizeLResult::from_selection(&os, selected).importance,
                 summary,
             }
         },
@@ -312,15 +311,15 @@ fn result() -> impl Strategy<Value = QueryResult> {
 /// Whether the decoded `w` carries every field of `q`, floats by bits.
 fn same_result(w: &WireResult, q: &QueryResult) -> bool {
     w.tds == q.tds
-        && w.ds_label == q.ds_label
+        && *w.ds_label == *q.ds_label
         && w.global_score.to_bits() == q.global_score.to_bits()
         && w.input_os_size == q.input_os_size
-        && w.selected.iter().copied().eq(q.result.selected.iter().map(|n| n.0))
-        && w.importance.to_bits() == q.result.importance.to_bits()
+        && w.selected.iter().copied().eq(q.summary.selected().map(|n| n.0))
+        && w.importance.to_bits() == q.importance.to_bits()
         && w.summary.len() == q.summary.len()
         && w.summary.iter().zip(q.summary.iter()).all(|(a, (_, b))| {
             a.tuple == b.tuple
-                && a.gds_node == b.gds_node.0
+                && a.gds_node == u32::from(b.gds_node.0)
                 && a.parent == b.parent.map(|p| p.0)
                 && a.depth == b.depth
                 && a.weight.to_bits() == b.weight.to_bits()

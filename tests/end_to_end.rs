@@ -44,7 +44,7 @@ fn all_algorithms_agree_on_validity_and_dominance() {
             );
             assert_eq!(results.len(), 1, "{algo:?} l={l}");
             let r = &results[0];
-            assert_eq!(r.result.len(), l.min(r.input_os_size));
+            assert_eq!(r.summary.len(), l.min(r.input_os_size));
             r.summary.validate().unwrap();
         }
     }
@@ -67,7 +67,7 @@ fn all_algorithms_agree_on_validity_and_dominance() {
                 QueryOptions { l: 20, algo, prelim: false, ..QueryOptions::default() },
             )
             .remove(0);
-        assert!(r.result.importance <= opt.result.importance + 1e-9, "{algo:?} beat the optimum");
+        assert!(r.importance <= opt.importance + 1e-9, "{algo:?} beat the optimum");
     }
 }
 
@@ -93,7 +93,7 @@ fn data_graph_and_database_sources_agree() {
             },
         );
         assert_eq!(a[0].input_os_size, b[0].input_os_size);
-        assert!((a[0].result.importance - b[0].result.importance).abs() < 1e-9);
+        assert!((a[0].importance - b[0].importance).abs() < 1e-9);
     }
 }
 
@@ -109,7 +109,7 @@ fn prelim_and_complete_equal_quality_on_small_engine() {
             QueryOptions { l, prelim: false, ..QueryOptions::default() },
         );
         assert!(p[0].input_os_size <= c[0].input_os_size);
-        let ratio = p[0].result.importance / c[0].result.importance.max(1e-12);
+        let ratio = p[0].importance / c[0].importance.max(1e-12);
         assert!(ratio > 0.9, "l={l}: prelim ratio {ratio}");
     }
 }
@@ -132,7 +132,7 @@ fn ranking_modes_differ_only_in_order() {
     b.sort();
     assert_eq!(a, b, "same result set, potentially different order");
     for w in by_sum.windows(2) {
-        assert!(w[0].result.importance >= w[1].result.importance);
+        assert!(w[0].importance >= w[1].importance);
     }
 }
 
@@ -177,7 +177,7 @@ fn damping_changes_summaries() {
     let b = d2.query("Christos Faloutsos", 10).remove(0);
     // Same DS, same size; different importance models.
     assert_eq!(a.tds, b.tds);
-    assert_eq!(a.result.len(), b.result.len());
+    assert_eq!(a.summary.len(), b.summary.len());
 }
 
 #[test]
@@ -201,7 +201,7 @@ fn huge_l_caps_at_complete_os() {
         QueryOptions { l: 100_000, prelim: false, ..QueryOptions::default() },
     );
     let r = &results[0];
-    assert_eq!(r.result.len(), r.input_os_size);
+    assert_eq!(r.summary.len(), r.input_os_size);
 }
 
 #[test]
