@@ -9,9 +9,9 @@
 //!   per reactor backend (`poll` and, on Linux, `epoll`). The
 //!   poll-vs-epoll spread at depth 1 is exactly the idle-sleep latency
 //!   floor the readiness reactor deletes (ISSUE 8). NOTE: on the 1-CPU
-//!   reference container the I/O thread, dispatch workers, and the
-//!   bench thread share one core — loopback numbers are upper bounds
-//!   on protocol overhead.
+//!   reference container the reactor threads and the bench thread
+//!   share one core — loopback numbers are upper bounds on protocol
+//!   overhead.
 //! * `net_codec` — encode/decode of a realistic `Results` payload, no
 //!   sockets: the codec's own cost.
 //!
@@ -117,7 +117,7 @@ fn bench_net_throughput(c: &mut Criterion) {
     group.finish();
 
     // Per-request latency percentiles (PR 9): criterion reports means;
-    // tail behavior is where the fast path and the doorbell show up.
+    // tail behavior is where a request's time on its reactor shows up.
     // Each timed iteration pipelines D requests and attributes
     // duration/D to every request; p50/p99 come from the sorted
     // per-request samples. Printed to stderr next to the criterion
@@ -157,7 +157,7 @@ fn bench_net_throughput(c: &mut Criterion) {
             );
         }
         let hits = server.counters().fastpath_hits.load(std::sync::atomic::Ordering::Relaxed);
-        eprintln!("net_latency/{name}: fastpath hits {hits}");
+        eprintln!("net_latency/{name}: requests run on a reactor {hits}");
     }
 
     // The codec alone: a realistic Results payload, no sockets.

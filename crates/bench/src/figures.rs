@@ -833,12 +833,13 @@ const COLD_WINDOW_REQUESTS: usize = 65_536;
 
 /// What a cold serving window holds: `cold_read`'s request mix
 /// ([`COLD_WINDOW_REQUESTS`] of them, seed 1) through one `SizeLServer`
-/// with the benchmark's 8 192-summary cache, from two threads standing
-/// in for its two dispatch workers. Live bytes, `VmRSS` and the
-/// `/proc/self/smaps` split — the main `[heap]`, the glibc per-thread
-/// arenas (64 MiB-aligned anonymous mappings), other anonymous mappings
-/// — before the window, at its end with both threads alive and their
-/// thread-local pools held, and after they exit (their pools freed).
+/// with the benchmark's 8 192-summary cache, from one thread standing in
+/// for the one reactor thread that owns the benchmark's one connection.
+/// Live bytes, `VmRSS` and the `/proc/self/smaps` split — the main
+/// `[heap]`, the glibc per-thread arenas (64 MiB-aligned anonymous
+/// mappings), other anonymous mappings — before the window, at its end
+/// with the thread alive and its thread-local pools held, and after it
+/// exits (its pools freed).
 fn cold_window_footprint(
     engine: sizel_core::engine::SizeLEngine,
     live_mb: impl Fn() -> f64,
@@ -862,32 +863,27 @@ fn cold_window_footprint(
         rows.push(cols);
     };
     row("before the window");
-    // Both threads park at `done` with their pools alive until the row
-    // is taken, then exit; a join returns once a thread's thread-local
-    // pool is freed.
-    let (done, exit) = (Barrier::new(3), Barrier::new(3));
+    // The thread parks at `done` with its pools alive until the row is
+    // taken, then exits; the join returns once its thread-local pools
+    // are freed.
+    let (done, exit) = (Barrier::new(2), Barrier::new(2));
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..2)
-            .map(|half| {
-                let (server, requests, done, exit) = (&server, &requests, &done, &exit);
-                scope.spawn(move || {
-                    for &(keyword, opts) in requests.iter().skip(half).step_by(2) {
-                        std::hint::black_box(server.query(keyword, opts));
-                    }
-                    done.wait();
-                    exit.wait();
-                })
-            })
-            .collect();
+        let window = scope.spawn(|| {
+            for &(keyword, opts) in &requests {
+                std::hint::black_box(server.query(keyword, opts));
+            }
+            done.wait();
+            exit.wait();
+        });
         done.wait();
-        row("window end, threads alive");
+        row("window end, thread alive");
         exit.wait();
-        workers.into_iter().for_each(|w| w.join().expect("a window thread panicked"));
+        window.join().expect("the window thread panicked");
     });
-    row("threads exited");
+    row("thread exited");
     let cached = server.stats().cache.len;
     let mut out = format!(
-        "### Cold window — {COLD_WINDOW_REQUESTS} cold_read requests from two threads, \
+        "### Cold window — {COLD_WINDOW_REQUESTS} cold_read requests from one thread, \
          {cached} summaries cached\n\n"
     );
     out.push_str(&markdown_table(

@@ -80,7 +80,9 @@ pub enum ResultRanking {
 /// identical requests within a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QueryOptions {
-    /// Summary size l.
+    /// Summary size l, at least 1: a size-l OS always holds t_DS, and
+    /// `SizeLEngine::summarize` panics on `l = 0` (the wire codec
+    /// rejects it before it gets that far).
     pub l: usize,
     /// Size-l algorithm.
     pub algo: AlgoKind,

@@ -1,10 +1,9 @@
-//! Pooled frame buffers: a free list of `Vec<u8>`s recycled between
-//! the I/O thread and the dispatch workers (DESIGN.md §9.6).
+//! Pooled frame buffers: a free list of `Vec<u8>`s each reactor thread
+//! recycles its reply frames through (DESIGN.md §9.6).
 //!
 //! Every buffer in flight holds exactly **one** frame (header +
 //! payload, written in place by [`crate::frame::begin_frame`] /
-//! [`crate::frame::finish_frame`]) or one request payload travelling
-//! to the dispatch pool. One-frame-per-buffer is what makes both ends
+//! [`crate::frame::finish_frame`]). One-frame-per-buffer is what makes both ends
 //! of the lifecycle cheap: the flusher can hand the kernel many frames
 //! in a single `write_vectored` call without copying them into a
 //! staging buffer first, and a fully-written frame goes straight back
@@ -33,9 +32,9 @@ const MAX_POOLED: usize = 64;
 /// not for pinning one giant reply's memory.
 const MAX_RETAIN_BYTES: usize = 256 * 1024;
 
-/// A shared free list of frame buffers (see module docs). Cheap to
-/// clone the `Arc` into every worker; all counters land in the shared
-/// [`NetCounters`] so the metrics page can expose pool efficiency.
+/// A free list of frame buffers (see module docs); the server keeps one
+/// per reactor. All counters land in the shared [`NetCounters`] so the
+/// metrics page can expose pool efficiency.
 pub struct BufPool {
     free: Mutex<Vec<Vec<u8>>>,
     /// Pre-size hint for freshly allocated buffers (misses).

@@ -174,15 +174,17 @@ impl ErrorCode {
     }
 }
 
-/// Why a `Busy` frame was sent (first payload byte). In both cases the
-/// request was rejected *before* execution — a shed request never has
-/// partial effects.
+/// Why a `Busy` frame was sent (first payload byte). The request was
+/// rejected *before* execution — a shed request never has partial
+/// effects. The server sends `OutboxFull` only; the other two name gates
+/// it no longer has and are still decoded, so the wire format is
+/// unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum BusyReason {
-    /// The connection's in-flight budget was full.
+    /// The connection's in-flight budget was full (never sent).
     InflightBudget = 0,
-    /// The dispatch queue was full (server-wide pressure).
+    /// The dispatch queue was full (never sent).
     QueueFull = 1,
     /// The connection's outbox byte cap was hit (the peer has stopped
     /// reading its replies).
@@ -291,8 +293,8 @@ pub fn begin_frame(buf: &mut Vec<u8>, opcode: Opcode, req_id: u64) {
 
 /// Seals a frame opened by [`begin_frame`]: patches the opcode byte and
 /// the length field in place. The opcode is patched (not just inherited
-/// from `begin_frame`) because a dispatch worker learns the reply kind
-/// only *after* executing the request — it opens the frame with a
+/// from `begin_frame`) because the server learns the reply kind only
+/// *after* executing the request — it opens the frame with a
 /// placeholder, serializes whichever reply the handler produced, and
 /// stamps the real opcode here.
 pub fn finish_frame(buf: &mut [u8], opcode: Opcode) {

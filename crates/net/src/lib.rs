@@ -4,10 +4,9 @@
 //! binary protocol over plain TCP carrying keyword queries, per-DS
 //! summaries, mutation batches, and metrics scrapes into a
 //! [`ClusterRouter`](sizel_cluster::ClusterRouter), with
-//! per-connection **pipelining**, a bounded **in-flight budget**,
-//! explicit **load shedding** (`Busy` frames — never a silent drop),
-//! and a text-exposition **metrics** page served both in-band and to
-//! plain-HTTP scrapers.
+//! per-connection **pipelining**, explicit **load shedding** (`Busy`
+//! frames — never a silent drop), and a text-exposition **metrics**
+//! page served both in-band and to plain-HTTP scrapers.
 //!
 //! The stack, bottom to top:
 //!
@@ -19,19 +18,17 @@
 //!   the server **byte-identical** to in-process router calls at every
 //!   epoch;
 //! * [`reactor`] — the readiness backends: a raw-syscall
-//!   epoll + eventfd reactor on Linux (doorbell wakeups from the
-//!   dispatch workers delete the idle-sleep latency floor) with the
-//!   portable sleep-poll sweep retained behind the same trait as a
-//!   fallback and differential oracle;
+//!   epoll + eventfd reactor on Linux with the portable sleep-poll
+//!   sweep retained behind the same trait as a fallback and
+//!   differential oracle;
 //! * [`buf`] — the free-list frame-buffer pool that makes the reply
 //!   path allocation-free at steady state (DESIGN.md §9.6);
-//! * [`server`] — the readiness-driven I/O thread plus a
-//!   dispatch-worker pool over a bounded MPMC queue of its own, with
-//!   three-gate admission (in-flight budget, outbox byte cap,
-//!   queue capacity), an inline **fast path** answering cheap and
-//!   cache-hit requests on the I/O thread itself, vectored outbox
-//!   flushes, idle-connection reaping, and `catch_unwind` panic
-//!   containment;
+//! * [`server`] — one reactor thread per core, each accepting from the
+//!   one listener and running its own connections' requests to
+//!   completion (decode, router call, encode) under `catch_unwind`
+//!   panic containment, with one admission gate (the per-connection
+//!   outbox byte cap), vectored outbox flushes and idle-connection
+//!   reaping;
 //! * [`client`] — the blocking pipelining client (also behind the
 //!   `sizel-netcat` binary);
 //! * [`metrics`] — lock-free counters and the exposition renderer.
@@ -40,7 +37,6 @@ pub mod buf;
 pub mod client;
 pub mod frame;
 pub mod metrics;
-mod queue;
 pub mod reactor;
 pub mod server;
 #[cfg(target_os = "linux")]

@@ -11,8 +11,8 @@
 //! All `*_total` series are monotonic counters — *rates* (e.g. QPS) are
 //! the scraper's division, which is why the page exposes raw
 //! `queries_served_total` rather than a decaying gauge.
-//! Gauges (`connections_live`, `queue_depth`, `refresh_lag`) are
-//! instantaneous reads at render time.
+//! Gauges (`connections_live`, `refresh_lag`) are instantaneous reads
+//! at render time.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -37,39 +37,45 @@ pub struct NetCounters {
     /// Reply frames enqueued for write (every admitted request produces
     /// exactly one, as does every shed and every error).
     pub frames_out: AtomicU64,
-    /// Requests shed because the connection's in-flight budget was full.
+    /// Always 0: the in-flight budget gate it counted is gone (requests
+    /// run to completion on their reactor). Kept for the frozen
+    /// benchmark package, which sums it into its shed count.
     pub shed_inflight: AtomicU64,
-    /// Requests shed because the dispatch queue was full.
+    /// Always 0: the dispatch queue it counted is gone. Kept for the
+    /// frozen benchmark package, like `shed_inflight`.
     pub shed_queue: AtomicU64,
     /// Requests shed because the connection's outbox byte cap was hit
     /// (the slow-reader gate).
     pub shed_outbox: AtomicU64,
     /// Connections closed by the idle reaper.
     pub idle_reaped: AtomicU64,
-    /// Reactor wakeups (readiness or doorbell) that moved bytes.
+    /// Reactor wakeups (readiness or doorbell) that moved bytes, summed
+    /// over the reactors.
     pub reactor_wakeups: AtomicU64,
     /// Reactor wakeups that moved nothing (e.g. a doorbell already
     /// serviced in the previous pass).
     pub reactor_spurious: AtomicU64,
-    /// Physical doorbell writes (eventfd write / condvar notify).
+    /// Physical doorbell writes (eventfd write / condvar notify). Only
+    /// shutdown rings a reactor, so this reads 0 while a server serves.
     pub doorbell_rings: AtomicU64,
-    /// Doorbell notifies coalesced into an already-pending ring (the
-    /// I/O thread was awake or a ring was already in flight).
+    /// Rings coalesced into nothing (the reactor was awake or a ring was
+    /// already in flight).
     pub doorbell_coalesced: AtomicU64,
     /// Write-interest (EPOLLOUT) registration toggles.
     pub epollout_toggles: AtomicU64,
-    /// Requests answered inline on the I/O thread (Ping, or a
-    /// Query/Summarize served wholly from the summary cache).
+    /// Requests run to completion on the reactor that read them: every
+    /// request frame past the outbox gate. (The name is the former
+    /// inline fast path's, which became the only path.)
     pub fastpath_hits: AtomicU64,
-    /// Fast-path-eligible requests that fell back to the dispatch queue
-    /// (cache miss, lock contention, or inline budget exhausted).
+    /// Always 0: nothing falls back to a dispatch queue any more. Kept
+    /// for the frozen benchmark package, which reads it.
     pub fastpath_fallbacks: AtomicU64,
     /// Frame buffers served from the pool's free list.
     pub buf_pool_hits: AtomicU64,
     /// Frame buffers freshly allocated because the free list was empty.
     pub buf_pool_misses: AtomicU64,
     /// Frame buffers returned to the free list after their frame was
-    /// fully written (or their payload dispatched).
+    /// fully written.
     pub buf_pool_recycled: AtomicU64,
     /// Which reactor backend serves this instance (a `ReactorKind` as
     /// `u8`; 0 until `bind` resolves it).
@@ -107,14 +113,10 @@ fn line(out: &mut String, name: &str, labels: &str, value: impl std::fmt::Displa
     }
 }
 
-/// Renders the whole metrics page: front-end counters and the dispatch
-/// queue's depth, the server's serve counters and cache hit ratio, and
-/// the refresh worker's epoch lag.
-pub fn render_metrics(
-    counters: &NetCounters,
-    queue_depth: usize,
-    router: &ClusterRouter,
-) -> String {
+/// Renders the whole metrics page: front-end counters, the server's
+/// serve counters and cache hit ratio, and the refresh worker's epoch
+/// lag.
+pub fn render_metrics(counters: &NetCounters, router: &ClusterRouter) -> String {
     let mut out = String::with_capacity(2048);
 
     // Front-end.
@@ -146,7 +148,6 @@ pub fn render_metrics(
         "reason=\"outbox_full\"",
         NetCounters::get(&counters.shed_outbox),
     );
-    line(&mut out, "sizel_net_queue_depth", "", queue_depth);
     line(&mut out, "sizel_net_idle_reaped_total", "", NetCounters::get(&counters.idle_reaped));
     let backend = ReactorKind::from_u8(counters.reactor_backend.load(Ordering::Relaxed))
         .map_or("unknown", ReactorKind::name);

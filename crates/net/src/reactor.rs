@@ -1,36 +1,33 @@
-//! Readiness backends for the I/O thread (DESIGN.md §9.4).
+//! Readiness backends for the reactor threads (DESIGN.md §9.4).
 //!
 //! The `Reactor` trait is the narrow waist between the event loop in
-//! [`server`](crate::server) and how readiness is learned:
+//! [`server`](crate::server) and how readiness is learned. Every
+//! reactor thread owns one backend:
 //!
 //! * `EpollReactor` (Linux) — level-triggered `epoll` over the
-//!   listener and every connection, plus an `eventfd` **doorbell** the
-//!   dispatch workers ring when a reply lands in an outbox. The I/O
-//!   thread wakes on the event, not on a sleep tick, so round-trip
-//!   latency is bounded by work, not by a sleep constant.
+//!   listener (registered `EPOLLEXCLUSIVE`, so one pending connection
+//!   wakes one of the reactors watching it) and the thread's own
+//!   connections, plus an `eventfd` **doorbell**.
 //! * `PollReactor` (portable) — the original sweep-everything loop,
 //!   retained both as the non-Linux fallback and as a differential
 //!   oracle for the epoll path: every suite runs against both backends.
-//!   Its doorbell is a condvar, so reply completions cut the idle sleep
-//!   short instead of waiting out the full 300µs.
+//!   Its doorbell is a condvar, so a ring cuts the idle sleep short.
 //!
-//! ## The doorbell protocol
+//! ## The doorbell
 //!
-//! Lost wakeups are the classic failure mode of "signal a sleeping
-//! poller", so the handshake is explicit. The `WakeHub` carries a
-//! `pending` completion list and an `armed` flag:
+//! Requests run to completion on the thread that read them, so nothing
+//! on the request path rings a reactor. The bell wakes a reactor parked
+//! in its wait for the one event readiness cannot report: server
+//! shutdown. The `WakeHub` keeps the handshake that makes a ring
+//! impossible to lose:
 //!
-//! * a worker **notifies**: push the connection token onto `pending`,
-//!   then ring the bell only if it observes `armed` set (swapping it
-//!   off) — rings while the I/O thread is awake anyway coalesce into
-//!   nothing (counted, so the saturation suites can pin "one write per
-//!   burst");
-//! * the I/O thread **arms** the flag, then re-checks `pending`
-//!   *after* arming and skips the wait if anything slipped in — a
-//!   notify can therefore never land in the gap between the check and
-//!   the sleep;
-//! * the eventfd itself is level-triggered and drained only by the I/O
-//!   thread, so even a ring that races the `epoll_wait` entry is
+//! * the reactor **arms** the flag, then checks for shutdown, and only
+//!   then waits;
+//! * a ring writes the physical bell only if it observes `armed` set
+//!   (swapping it off) — rings while the reactor is awake coalesce into
+//!   nothing (counted);
+//! * the eventfd itself is level-triggered and drained only by its
+//!   reactor, so even a ring that races the `epoll_wait` entry is
 //!   delivered by the next wait.
 
 use std::io;
@@ -47,8 +44,8 @@ use std::os::fd::RawFd;
 #[cfg(not(target_os = "linux"))]
 type RawFd = i32;
 
-/// Which backend [`NetServer`](crate::NetServer) should run its I/O
-/// thread on.
+/// Which backend [`NetServer`](crate::NetServer) should run its
+/// reactors on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ReactorChoice {
     /// `SIZEL_NET_REACTOR` if set (`"poll"`/`"epoll"`), else the
@@ -120,13 +117,10 @@ enum Bell {
     Flag { state: Mutex<bool>, cv: Condvar },
 }
 
-/// Shared between the I/O thread, the dispatch workers, and the server
-/// handle: completion tokens plus the wakeup bell (protocol in the
-/// module docs).
+/// Shared between one reactor thread and the server handle: the
+/// wake-up bell (protocol in the module docs).
 pub(crate) struct WakeHub {
-    /// Connection tokens with freshly enqueued replies.
-    pending: Mutex<Vec<usize>>,
-    /// True only while the I/O thread is (about to be) asleep.
+    /// True only while the reactor is (about to be) asleep.
     armed: AtomicBool,
     bell: Bell,
     counters: Arc<NetCounters>,
@@ -134,25 +128,13 @@ pub(crate) struct WakeHub {
 
 impl WakeHub {
     fn new(bell: Bell, counters: Arc<NetCounters>) -> Arc<WakeHub> {
-        Arc::new(WakeHub {
-            pending: Mutex::new(Vec::new()),
-            armed: AtomicBool::new(false),
-            bell,
-            counters,
-        })
+        Arc::new(WakeHub { armed: AtomicBool::new(false), bell, counters })
     }
 
-    /// Worker side: a reply for `token` just landed; wake the I/O
-    /// thread if it is (heading) to sleep.
-    pub fn notify(&self, token: usize) {
-        self.pending.lock().unwrap_or_else(|p| p.into_inner()).push(token);
-        self.ring();
-    }
-
-    /// Rings the bell iff the I/O thread is armed — rings while it is
+    /// Rings the bell iff the reactor is armed — rings while it is
     /// awake coalesce (one physical write per sleep at most).
     pub fn ring(&self) {
-        if self.armed.swap(false, Ordering::AcqRel) {
+        if self.armed.swap(false, Ordering::SeqCst) {
             NetCounters::bump(&self.counters.doorbell_rings);
             match &self.bell {
                 #[cfg(target_os = "linux")]
@@ -169,26 +151,15 @@ impl WakeHub {
         }
     }
 
-    /// I/O thread side: declare "about to sleep". Must be followed by a
-    /// [`WakeHub::has_pending`] re-check before actually waiting.
+    /// Reactor side: declare "about to sleep". Must be followed by the
+    /// shutdown check before actually waiting.
     pub fn arm(&self) {
-        self.armed.store(true, Ordering::Release);
+        self.armed.store(true, Ordering::SeqCst);
     }
 
-    /// I/O thread side: awake again; subsequent notifies need no bell.
+    /// Reactor side: awake again; rings need no bell.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::Release);
-    }
-
-    /// Completions waiting to be flushed?
-    pub fn has_pending(&self) -> bool {
-        !self.pending.lock().unwrap_or_else(|p| p.into_inner()).is_empty()
-    }
-
-    /// Moves every queued completion token into `out`.
-    pub fn drain_pending(&self, out: &mut Vec<usize>) {
-        let mut pending = self.pending.lock().unwrap_or_else(|p| p.into_inner());
-        out.append(&mut pending);
     }
 
     /// Poll backend: sleep up to `dur` unless (or until) rung. Returns
@@ -221,7 +192,7 @@ pub(crate) trait Reactor: Send {
     /// Which backend this is (metrics + test labels).
     fn kind(&self) -> ReactorKind;
 
-    /// The doorbell hub shared with workers and the server handle.
+    /// The doorbell hub shared with the server handle.
     fn hub(&self) -> &Arc<WakeHub>;
 
     /// Starts watching `fd` for readability under `token`.
@@ -289,6 +260,14 @@ impl Reactor for EpollReactor {
     }
 
     fn register(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
+        if token == TOKEN_LISTENER {
+            // Every reactor watches the one listener; an exclusive wait
+            // wakes one reactor per pending connection, not all of them.
+            // A kernel without the flag wakes them all, and the losers'
+            // accepts read `WouldBlock`.
+            return sys::epoll_add(&self.ep, fd, sys::EPOLLIN | sys::EPOLLEXCLUSIVE, token as u64)
+                .or_else(|_| sys::epoll_add(&self.ep, fd, sys::EPOLLIN, token as u64));
+        }
         sys::epoll_add(&self.ep, fd, Self::read_mask(), token as u64)
     }
 
@@ -332,14 +311,13 @@ impl Reactor for EpollReactor {
 // ---------------------------------------------------------------------
 
 /// Idle sleep between sweeps when nothing moved — the retained latency
-/// floor of the portable loop (PR 7's `IDLE_SLEEP`), now interruptible
-/// by the doorbell on the reply leg.
+/// floor of the portable loop (PR 7's `IDLE_SLEEP`), interruptible by
+/// the doorbell.
 pub(crate) const POLL_IDLE_SLEEP: Duration = Duration::from_micros(300);
 
 /// The sweep-everything loop behind the `Reactor` interface: every
 /// registered token is reported ready on every pass, and "waiting" is
-/// the old idle sleep (condvar-backed, so reply doorbells end it
-/// early).
+/// the old idle sleep (condvar-backed, so a doorbell ends it early).
 pub(crate) struct PollReactor {
     hub: Arc<WakeHub>,
     tokens: Vec<usize>,
@@ -484,7 +462,7 @@ mod tests {
             hub.arm();
             let ringer = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                hub.notify(TOKEN_BASE);
+                hub.ring();
             });
             let start = std::time::Instant::now();
             let mut events = Vec::new();
@@ -504,10 +482,6 @@ mod tests {
                 r.kind(),
                 start.elapsed()
             );
-            assert!(r.hub().has_pending());
-            let mut out = Vec::new();
-            r.hub().drain_pending(&mut out);
-            assert_eq!(out, vec![TOKEN_BASE]);
             r.hub().disarm();
         }
     }
@@ -520,11 +494,11 @@ mod tests {
             let rings_before = NetCounters::get(&c.doorbell_rings);
             let coalesced_before = NetCounters::get(&c.doorbell_coalesced);
             hub.arm();
-            // A burst of replies completing while the I/O thread sleeps:
-            // the first notify disarms and writes the bell, the rest see
-            // the disarmed flag and coalesce.
-            for t in 0..8 {
-                hub.notify(TOKEN_BASE + t);
+            // A burst of rings while the reactor sleeps: the first
+            // disarms and writes the bell, the rest see the disarmed flag
+            // and coalesce.
+            for _ in 0..8 {
+                hub.ring();
             }
             assert_eq!(
                 NetCounters::get(&c.doorbell_rings) - rings_before,
@@ -533,26 +507,22 @@ mod tests {
                 r.kind()
             );
             assert_eq!(NetCounters::get(&c.doorbell_coalesced) - coalesced_before, 7);
-            let mut out = Vec::new();
-            hub.drain_pending(&mut out);
-            assert_eq!(out.len(), 8, "coalescing must not drop completions");
             hub.disarm();
         }
     }
 
     #[test]
-    fn disarmed_notifies_queue_without_ringing() {
+    fn a_disarmed_ring_writes_no_bell() {
         let c = counters();
         for r in backends(&c) {
             let hub = r.hub();
             let rings_before = NetCounters::get(&c.doorbell_rings);
-            // I/O thread awake (disarmed): completions queue silently.
-            hub.notify(TOKEN_BASE);
+            let coalesced_before = NetCounters::get(&c.doorbell_coalesced);
+            // Reactor awake (disarmed): the ring coalesces, and the next
+            // wait is not cut short by it.
+            hub.ring();
             assert_eq!(NetCounters::get(&c.doorbell_rings), rings_before);
-            assert!(hub.has_pending());
-            let mut out = Vec::new();
-            hub.drain_pending(&mut out);
-            assert!(!hub.has_pending());
+            assert_eq!(NetCounters::get(&c.doorbell_coalesced) - coalesced_before, 1);
         }
     }
 

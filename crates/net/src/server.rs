@@ -1,12 +1,25 @@
 //! The TCP front-end itself (DESIGN.md §9.3–§9.4, §9.6).
 //!
-//! One I/O thread owns the listener and every connection: it accepts,
-//! reads bytes into per-connection buffers, cuts complete frames, runs
-//! **admission control**, and drains per-connection outboxes back to
-//! the sockets. Decoding and execution happen on a pool of dispatch
-//! workers fed through a `BoundedQueue` — the one request-serving pool
-//! in the stack: the cluster and serve layers below run on whichever
-//! worker carries the request, a cache miss included.
+//! `NetConfig::dispatch_workers` **reactor threads** serve the one
+//! listener. Each watches it, accepts what it is woken for, and owns the
+//! connections it accepted for their whole life: it reads their bytes,
+//! cuts complete frames, and runs every request **to completion** on
+//! its own thread — decode, the [`ClusterRouter`] call (a cache miss is
+//! computed right there), encode — before it flushes the replies back
+//! to the socket. No request crosses a thread, so there is no queue, no
+//! reply hand-off and no doorbell on the request path: the thread that
+//! allocates a connection's summaries is the thread that reads its
+//! frames.
+//!
+//! What a request costs its reactor is the price of that design: while
+//! one request runs (a cold summary, an `ApplyBatch` and its WAL fsync,
+//! a query parked behind a writer on the engine lock), the other
+//! connections of the same reactor wait for it. Connections on other
+//! reactors do not. The one exception is the metrics page (`Stats`, or
+//! a plain-HTTP scrape), which only observes: while a writer holds or
+//! waits for the engine lock, the page waits on its connection and the
+//! reactor retries it every `PAGE_RETRY`, serving its other connections
+//! in between (see `Page`).
 //!
 //! ## The zero-copy wire path (DESIGN.md §9.6)
 //!
@@ -14,79 +27,64 @@
 //! traffic and a single payload copy (socket → `inbuf`):
 //!
 //! * Inbound frames are parsed **in place**: the connection's
-//!   `RecvBuf` hands out borrowed payload slices, and consumed frames
-//!   advance a cursor instead of shifting the tail per parse.
+//!   `RecvBuf` hands out borrowed payload slices, decoded where they
+//!   lie, and consumed frames advance a cursor instead of shifting the
+//!   tail per parse.
 //! * Reply frames are built **once**, header and payload together, in a
-//!   buffer from the shared [`BufPool`] free list
+//!   buffer from the reactor's [`BufPool`] free list
 //!   ([`begin_frame`]/`encode_*_into`/[`finish_frame`]), queued as-is,
 //!   flushed with one `write_vectored` syscall per batch, and recycled
 //!   back to the pool the moment the kernel has taken their last byte.
-//! * Cheap requests skip the dispatch queue entirely: the I/O thread
-//!   answers `Ping` and *cache-hit-only* `Query`/`Summarize` **inline**
-//!   (see `try_fastpath`) through the same handler the workers run,
-//!   with waiting switched off — every lock it can reach is a `try_`
-//!   acquisition, so the reactor can never block, and a per-read-pass
-//!   inline budget keeps one pipelined burst from starving other
-//!   connections.
 //!
 //! ## Readiness
 //!
-//! *When* the I/O thread runs is the `Reactor`'s business
-//! (DESIGN.md §9.4): on Linux an epoll instance reports exactly which
-//! sockets have bytes (or, while an outbox has unflushed replies,
-//! room), and an eventfd **doorbell** rung by the dispatch workers
-//! wakes the thread the moment a reply lands — round-trip latency is
-//! bounded by work, not by a sleep constant. The portable fallback
-//! (`ReactorChoice::Poll`) is PR 7's sweep loop behind the same trait,
-//! retained as a differential oracle; every net suite runs against
+//! *When* a reactor runs is its `Reactor`'s business (DESIGN.md §9.4):
+//! on Linux an epoll instance reports exactly which sockets have bytes
+//! (or, while a connection has unflushed replies, room), and the
+//! listener is registered `EPOLLEXCLUSIVE` in every reactor's instance,
+//! so one connection wakes one reactor, not all of them. The portable
+//! fallback (`ReactorChoice::Poll`) sweeps every socket each pass and
+//! tolerates the `WouldBlock` of an accept another reactor won; it is
+//! retained as a differential oracle, and every net suite runs against
 //! both.
 //!
-//! Connections live in a **slab** indexed by their reactor token, so
-//! an event maps to its connection without hashing, and tokens recycle
-//! through a free list as peers come and go.
+//! Connections live in a per-reactor **slab** indexed by their reactor
+//! token, so an event maps to its connection without hashing, and
+//! tokens recycle through a free list as peers come and go.
 //!
 //! ## Backpressure and shedding
 //!
-//! Three gates bound the work (and memory) a client can park in the
-//! server, and all reject with an explicit [`Opcode::Busy`] reply — a
-//! shed request is *never* silently dropped, and it is rejected
-//! **before** execution, so it has no partial effects:
-//!
-//! 1. **Per-connection in-flight budget** (`NetConfig::inflight_budget`):
-//!    admitted-but-unanswered requests per connection. One greedy
-//!    pipeliner saturates its own budget, not the server.
-//! 2. **Per-connection outbox byte cap** (`NetConfig::outbox_cap_bytes`):
-//!    encoded-but-unflushed reply bytes. A peer that stops *reading*
-//!    (while its kernel buffers are full) cannot grow server memory
-//!    without bound — once the cap is hit, further requests shed with
-//!    `Busy(OutboxFull)` until the outbox drains. The inline fast path
-//!    honors the same cap (it declines and lets admission shed).
-//! 3. **Dispatch queue capacity** (`NetConfig::queue_capacity`): the
-//!    server-wide bound, enforced by `BoundedQueue::try_push` — the
-//!    I/O thread never blocks on a full queue.
+//! One gate bounds what a client can park in the server: the
+//! **per-connection outbox byte cap** (`NetConfig::outbox_cap_bytes`).
+//! A peer that stops *reading* (while its kernel buffers are full)
+//! cannot grow server memory without bound — once its unflushed reply
+//! bytes reach the cap, further requests shed with `Busy(OutboxFull)`
+//! until they drain. A shed is rejected **before** execution (no
+//! partial effects) and is never silent. How many requests a
+//! connection has in flight needs no gate of its own: a reactor reads
+//! a connection's next frames only after answering the ones before.
 //!
 //! Idle peers are bounded too: with `NetConfig::idle_timeout` set, a
 //! connection that completes no frame for the window — and has nothing
-//! in flight or unflushed — is closed on the reactor's sweep tick.
+//! unflushed or waiting — is closed on the reactor's sweep tick.
 //!
 //! ## Panic containment
 //!
 //! Every request executes under `catch_unwind`: a handler panic becomes
-//! an `Error(Internal)` reply on that request and the worker moves on.
+//! an `Error(Internal)` reply on that request and the reactor moves on.
 //! This is the stack's one panic boundary — the layers below spawn no
 //! request threads, so a panic anywhere in a request unwinds to here.
-//! Combined with the poison-recovering locks underneath (dispatch
-//! queue, cache shards, hot sketch), one bad request
-//! degrades one reply — it cannot take down the connection, the worker
-//! pool, or the shared serving state.
+//! Combined with the poison-recovering locks underneath (cache shards,
+//! hot sketch), one bad request degrades one reply — it cannot take
+//! down the connection, the reactor, or the shared serving state.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,7 +96,6 @@ use crate::frame::{
     HEADER_LEN, MAX_FRAME_LEN,
 };
 use crate::metrics::{http_response, render_metrics, NetCounters};
-use crate::queue::{BoundedQueue, TryPushError};
 use crate::reactor::{
     build_reactor, Event, Reactor, ReactorChoice, ReactorKind, WakeHub, TOKEN_BASE, TOKEN_LISTENER,
 };
@@ -113,41 +110,22 @@ use std::os::fd::AsRawFd;
 /// Front-end construction parameters.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Dispatch worker threads (decode + execute + encode). The only
-    /// request-serving pool in the stack: a cache miss is computed on
-    /// the worker that carries the request, so the default is one per
+    /// Reactor threads. Each accepts from the one listener, owns the
+    /// connections it accepted, and runs their requests to completion
+    /// (decode, router call, encode) — the only request-serving threads
+    /// in the stack, a cache miss included, so the default is one per
     /// core.
     pub dispatch_workers: usize,
-    /// Server-wide dispatch queue bound; overflow sheds with
-    /// `Busy(QueueFull)`.
-    pub queue_capacity: usize,
-    /// Per-connection cap on admitted-but-unanswered requests; overflow
-    /// sheds with `Busy(InflightBudget)`.
-    pub inflight_budget: usize,
     /// Per-connection cap on encoded-but-unflushed reply bytes; while
-    /// exceeded, new requests shed with `Busy(OutboxFull)` (the
-    /// slow-reader gate).
+    /// reached, new requests shed with `Busy(OutboxFull)` (the
+    /// slow-reader gate, the front-end's one admission gate).
     pub outbox_cap_bytes: usize,
     /// Close a connection that completes no frame for this window (and
-    /// has nothing in flight or unflushed). `None` disables reaping.
+    /// has nothing unflushed or waiting). `None` disables reaping.
     pub idle_timeout: Option<Duration>,
     /// Readiness backend; `Auto` resolves `SIZEL_NET_REACTOR` then the
     /// platform default (epoll on Linux, the sweep loop elsewhere).
     pub reactor: ReactorChoice,
-    /// Test/bench hook: every dispatch worker sleeps this long before
-    /// executing a request, making queue/budget saturation deterministic
-    /// on any machine. `None` (the default) in production. Setting it
-    /// also disables the inline fast path: the delay declares every
-    /// request expensive, and the fast path exists precisely to skip
-    /// execution that costs nothing.
-    pub handler_delay: Option<Duration>,
-    /// Answer `Ping` and cache-hit `Query`/`Summarize` inline on
-    /// the I/O thread instead of dispatching (see `try_fastpath`).
-    pub fastpath: bool,
-    /// Inline replies per connection per read pass; beyond it, requests
-    /// take the dispatch queue so one pipelined burst cannot starve
-    /// other connections of the I/O thread.
-    pub fastpath_budget: usize,
     /// Pre-size hint for per-connection receive buffers and pooled frame
     /// buffers.
     pub initial_buf_bytes: usize,
@@ -158,70 +136,12 @@ impl Default for NetConfig {
         let cores = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4);
         NetConfig {
             dispatch_workers: cores,
-            queue_capacity: 64,
-            inflight_budget: 32,
             outbox_cap_bytes: 16 * 1024 * 1024,
             idle_timeout: None,
             reactor: ReactorChoice::Auto,
-            handler_delay: None,
-            fastpath: true,
-            fastpath_budget: 32,
             initial_buf_bytes: 4096,
         }
     }
-}
-
-/// State shared between the I/O thread and dispatch workers for one
-/// connection.
-struct ConnShared {
-    /// Encoded reply frames awaiting the I/O thread's next write pass.
-    outbox: Mutex<VecDeque<Vec<u8>>>,
-    /// Bytes currently queued in `outbox` (the outbox gate reads this
-    /// without taking the lock).
-    outbox_bytes: AtomicUsize,
-    /// Admitted-but-unanswered requests (the budget gate's counter).
-    in_flight: AtomicUsize,
-    /// This connection's reactor token (names it in doorbell
-    /// completions).
-    token: usize,
-    /// The doorbell back to the I/O thread.
-    hub: Arc<WakeHub>,
-}
-
-impl ConnShared {
-    /// Appends one encoded frame to the outbox (bytes accounted, no
-    /// doorbell — the I/O thread's own paths flush in the same pass).
-    fn push_frame(&self, frame: Vec<u8>) {
-        self.outbox_bytes.fetch_add(frame.len(), Ordering::Relaxed);
-        self.outbox.lock().unwrap_or_else(|p| p.into_inner()).push_back(frame);
-    }
-
-    /// Queues one encoded reply frame from the I/O thread itself.
-    fn enqueue_reply_local(&self, counters: &NetCounters, frame: Vec<u8>) {
-        self.push_frame(frame);
-        NetCounters::bump(&counters.frames_out);
-    }
-
-    /// Queues one encoded reply frame from a dispatch worker and rings
-    /// the doorbell so the I/O thread flushes it now, not on its next
-    /// sweep.
-    fn enqueue_reply(&self, counters: &NetCounters, frame: Vec<u8>) {
-        self.push_frame(frame);
-        NetCounters::bump(&counters.frames_out);
-        self.hub.notify(self.token);
-    }
-}
-
-/// One admitted request travelling to the dispatch pool. The payload
-/// buffer comes from (and returns to) the [`BufPool`].
-struct NetJob {
-    conn: Arc<ConnShared>,
-    opcode: Opcode,
-    req_id: u64,
-    payload: Vec<u8>,
-    /// A plain-HTTP scrape: the reply is the metrics page as an HTTP
-    /// response, not a frame (the three fields above go unread).
-    http: bool,
 }
 
 /// The per-connection receive buffer: consumed frames advance a cursor
@@ -275,20 +195,46 @@ impl RecvBuf {
     }
 }
 
-/// Per-connection state owned by the I/O thread.
+/// A metrics page a connection is owed while a writer holds or waits
+/// for the engine lock. Rendering it reads that lock, so rendering now
+/// would park the whole reactor behind the writer; instead the
+/// connection waits (its later frames stay unread, so its replies keep
+/// request order) and the reactor retries the page every `PAGE_RETRY`.
+/// Past `PAGE_WAIT_MAX` it renders anyway, waiting in place like any
+/// other request — which also answers a page on a poisoned engine,
+/// where the lock never frees, with the renderer's `Error(Internal)`.
+#[derive(Clone, Copy)]
+struct Page {
+    /// The `Stats` frame's id (unread for an HTTP scrape).
+    req_id: u64,
+    /// A plain-HTTP scrape: the reply is the page as an HTTP response.
+    http: bool,
+    /// When the page started waiting.
+    since: Instant,
+}
+
+/// How often a reactor retries a waiting page.
+const PAGE_RETRY: Duration = Duration::from_millis(1);
+
+/// How long a page waits for the engine lock before it renders anyway.
+const PAGE_WAIT_MAX: Duration = Duration::from_secs(2);
+
+/// Per-connection state, owned by the reactor that accepted it.
 struct Conn {
     stream: TcpStream,
-    shared: Arc<ConnShared>,
+    /// This connection's reactor token (slab index + `TOKEN_BASE`).
+    token: usize,
     /// Received-but-unparsed bytes.
     inbuf: RecvBuf,
-    /// Frames pulled from the outbox, awaiting the kernel. The front
-    /// frame is written from `wq_off`; fully written frames recycle to
-    /// the pool.
+    /// Reply frames awaiting the kernel. The front frame is written
+    /// from `wq_off`; fully written frames recycle to the pool.
     wq: VecDeque<Vec<u8>>,
     wq_off: usize,
-    /// Total unwritten bytes across `wq` (the outbox gate reads this
-    /// plus `outbox_bytes`).
+    /// Total unwritten bytes across `wq` (what the outbox gate compares
+    /// against the cap).
     wq_unwritten: usize,
+    /// A metrics page waiting for the engine lock.
+    page: Option<Page>,
     /// The stream failed.
     dead: bool,
     /// Stop reading/parsing; flush the outbox and close. Set by the
@@ -308,36 +254,45 @@ struct Conn {
 }
 
 impl Conn {
-    /// Reply bytes not yet handed to the kernel: queued outbox frames
-    /// plus the unwritten tail of the write queue — what the outbox
-    /// gate compares against the cap.
-    fn unflushed_bytes(&self) -> usize {
-        self.shared.outbox_bytes.load(Ordering::Relaxed) + self.wq_unwritten
+    /// Queues one encoded reply frame for the next flush.
+    fn push_reply(&mut self, counters: &NetCounters, frame: Vec<u8>) {
+        self.wq_unwritten += frame.len();
+        self.wq.push_back(frame);
+        NetCounters::bump(&counters.frames_out);
+    }
+
+    #[cfg(unix)]
+    fn fd(&self) -> i32 {
+        self.stream.as_raw_fd()
+    }
+
+    #[cfg(not(unix))]
+    fn fd(&self) -> i32 {
+        -1
     }
 }
 
-/// Immutable per-server knobs the I/O thread reads each pass.
-struct IoOpts {
-    budget: usize,
+/// What one reactor's handlers read: the shared router and counters,
+/// the reactor's own buffer pool, and the server's knobs.
+struct Ctx<'a> {
+    router: &'a ClusterRouter,
+    counters: &'a NetCounters,
+    pool: &'a BufPool,
     outbox_cap: usize,
     idle_timeout: Option<Duration>,
-    fastpath: bool,
-    fastpath_budget: usize,
     initial_buf: usize,
 }
 
-/// The running front-end. Dropping it stops the I/O thread, closes the
-/// dispatch queue, and joins every worker.
+/// The running front-end. Dropping it stops and joins every reactor.
 pub struct NetServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    queue: Arc<BoundedQueue<NetJob>>,
     counters: Arc<NetCounters>,
     router: Arc<ClusterRouter>,
-    hub: Arc<WakeHub>,
+    /// Each reactor's wake-up bell (rung once, at shutdown).
+    hubs: Vec<Arc<WakeHub>>,
     kind: ReactorKind,
-    io_handle: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    reactors: Vec<JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -347,65 +302,47 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
+        let listener = Arc::new(listener);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity.max(1)));
         let counters = Arc::new(NetCounters::default());
-        let pool = Arc::new(BufPool::new(cfg.initial_buf_bytes.max(64), Arc::clone(&counters)));
-        let reactor = build_reactor(cfg.reactor, &counters)?;
-        let kind = reactor.kind();
+        let backends = (0..cfg.dispatch_workers.max(1))
+            .map(|_| build_reactor(cfg.reactor, &counters))
+            .collect::<io::Result<Vec<_>>>()?;
+        let kind = backends[0].kind();
         counters.reactor_backend.store(kind as u8, Ordering::Relaxed);
-        let hub = Arc::clone(reactor.hub());
+        let hubs = backends.iter().map(|r| Arc::clone(r.hub())).collect();
+        let (outbox_cap, initial_buf) =
+            (cfg.outbox_cap_bytes.max(1), cfg.initial_buf_bytes.max(64));
 
-        let workers = (0..cfg.dispatch_workers.max(1))
-            .map(|i| {
-                let queue = Arc::clone(&queue);
+        let reactors = backends
+            .into_iter()
+            .enumerate()
+            .map(|(i, reactor)| {
+                let listener = Arc::clone(&listener);
+                let shutdown = Arc::clone(&shutdown);
                 let router = Arc::clone(&router);
                 let counters = Arc::clone(&counters);
-                let pool = Arc::clone(&pool);
-                let delay = cfg.handler_delay;
                 std::thread::Builder::new()
-                    .name(format!("sizel-net-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &router, &counters, &pool, delay))
-                    .expect("spawn net worker")
+                    .name(format!("sizel-net-{i}"))
+                    .spawn(move || {
+                        // Each reactor recycles its own frames: the
+                        // buffers it allocates are the ones it frees.
+                        let pool = BufPool::new(initial_buf, Arc::clone(&counters));
+                        let ctx = Ctx {
+                            router: &router,
+                            counters: &counters,
+                            pool: &pool,
+                            outbox_cap,
+                            idle_timeout: cfg.idle_timeout,
+                            initial_buf,
+                        };
+                        reactor_loop(&listener, &shutdown, &ctx, reactor)
+                    })
+                    .expect("spawn net reactor")
             })
             .collect();
 
-        let io_handle = {
-            let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
-            let router = Arc::clone(&router);
-            let counters = Arc::clone(&counters);
-            let opts = IoOpts {
-                budget: cfg.inflight_budget.max(1),
-                outbox_cap: cfg.outbox_cap_bytes.max(1),
-                idle_timeout: cfg.idle_timeout,
-                // handler_delay declares request execution expensive (the
-                // saturation suites' knob); the fast path exists to skip
-                // execution that costs nothing, so it stands down — this
-                // is what keeps the delay-driven shedding tests exact.
-                fastpath: cfg.fastpath && cfg.handler_delay.is_none(),
-                fastpath_budget: cfg.fastpath_budget.max(1),
-                initial_buf: cfg.initial_buf_bytes.max(64),
-            };
-            std::thread::Builder::new()
-                .name("sizel-net-io".into())
-                .spawn(move || {
-                    io_loop(listener, &shutdown, &queue, &router, &counters, &pool, &opts, reactor)
-                })
-                .expect("spawn net io thread")
-        };
-
-        Ok(NetServer {
-            addr: local,
-            shutdown,
-            queue,
-            counters,
-            router,
-            hub,
-            kind,
-            io_handle: Some(io_handle),
-            workers,
-        })
+        Ok(NetServer { addr: local, shutdown, counters, router, hubs, kind, reactors })
     }
 
     /// The bound address (with the resolved port).
@@ -423,7 +360,7 @@ impl NetServer {
         &self.router
     }
 
-    /// Which readiness backend the I/O thread is running on.
+    /// Which readiness backend the reactors are running on.
     pub fn reactor_kind(&self) -> ReactorKind {
         self.kind
     }
@@ -431,81 +368,20 @@ impl NetServer {
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        // The I/O thread may be parked in the reactor: ring it out.
-        self.hub.ring();
-        self.queue.close();
-        if let Some(h) = self.io_handle.take() {
-            let _ = h.join();
+        self.shutdown.store(true, Ordering::SeqCst);
+        // A reactor may be parked in its wait: ring it out.
+        for hub in &self.hubs {
+            hub.ring();
         }
-        for h in self.workers.drain(..) {
+        for h in self.reactors.drain(..) {
             let _ = h.join();
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Dispatch workers
+// Request execution
 // ---------------------------------------------------------------------
-
-fn worker_loop(
-    queue: &BoundedQueue<NetJob>,
-    router: &ClusterRouter,
-    counters: &NetCounters,
-    pool: &BufPool,
-    delay: Option<Duration>,
-) {
-    while let Some(job) = queue.pop() {
-        if let Some(d) = delay {
-            std::thread::sleep(d);
-        }
-        let NetJob { conn, opcode, req_id, payload, http } = job;
-        if http {
-            // A scrape is answered with the page as an HTTP response,
-            // not a frame; a renderer panic costs it a 500.
-            let page =
-                catch_unwind(AssertUnwindSafe(|| render_metrics(counters, queue.len(), router)))
-                    .map(|page| http_response("200 OK", &page))
-                    .unwrap_or_else(|_| {
-                        NetCounters::bump(&counters.errors_internal);
-                        http_response("500 Internal Server Error", "metrics renderer panicked\n")
-                    });
-            conn.push_frame(page);
-            conn.hub.notify(conn.token);
-            conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-            continue;
-        }
-        // The reply frame is built in one pooled buffer: header first
-        // (placeholder opcode — the real one is known only after the
-        // handler runs), payload appended in place, then sealed.
-        let mut frame = pool.acquire();
-        begin_frame(&mut frame, Opcode::Error, req_id);
-        // A panicking handler must cost exactly one reply: catch it,
-        // answer Error(Internal), move to the next job. The state the
-        // panic touched recovers via the poison-safe locks underneath.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_request_into(router, counters, queue, opcode, &payload, &mut frame, true)
-        }));
-        let reply_op = match outcome {
-            Ok(op) => op.expect("a handler that may wait never declines"),
-            Err(panic) => {
-                NetCounters::bump(&counters.errors_internal);
-                let msg = panic_message(&panic);
-                // The handler may have died mid-encode: keep the header,
-                // drop whatever partial payload it left.
-                frame.truncate(HEADER_LEN);
-                encode_error_into(&mut frame, ErrorCode::Internal, &msg);
-                Opcode::Error
-            }
-        };
-        finish_frame(&mut frame, reply_op);
-        pool.release(payload);
-        conn.enqueue_reply(counters, frame);
-        // Budget release strictly after the reply is visible to the
-        // flusher, so close-after-flush never races a missing reply.
-        conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
@@ -521,59 +397,33 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// `out` (which already holds the frame header) and returning the reply
 /// opcode for [`finish_frame`] to stamp — the only place a [`Request`]
 /// is decoded and matched.
-///
-/// A dispatch worker passes `wait` on and always gets an opcode. The
-/// I/O thread passes it off (`try_fastpath`) and gets `None`, with
-/// `out` untouched, for anything that would block, compute or write, or
-/// that is malformed (the queued path answers, and counts, the error
-/// once). The rule that keeps the reactor from ever blocking is
-/// checkable here: with `wait` off, only `try_` lock acquisitions are
-/// reachable.
 fn handle_request_into(
     router: &ClusterRouter,
     counters: &NetCounters,
-    queue: &BoundedQueue<NetJob>,
     opcode: Opcode,
     payload: &[u8],
     out: &mut Vec<u8>,
-    wait: bool,
-) -> Option<Opcode> {
+) -> Opcode {
     let request = match decode_request(opcode, payload) {
         Ok(r) => r,
-        Err(_) if !wait => return None,
         Err(e) => {
             NetCounters::bump(&counters.errors_malformed);
             encode_error_into(out, ErrorCode::MalformedPayload, &e.to_string());
-            return Some(Opcode::Error);
+            return Opcode::Error;
         }
     };
     let executed = match request {
         Request::Ping => Ok(Opcode::Pong),
-        // The page reads every shard's engine lock and a write takes
-        // the engine write lock: a worker's job.
-        Request::Stats | Request::ApplyBatch { .. } if !wait => return None,
         Request::Stats => {
-            encode_stats_into(out, &render_metrics(counters, queue.len(), router));
+            encode_stats_into(out, &render_metrics(counters, router));
             Ok(Opcode::StatsText)
         }
-        Request::Query { requests } => {
-            let answer = if wait {
-                router.batch_query_at(&requests)
-            } else {
-                Ok(router.try_batch_query_cached(&requests)?)
-            };
-            answer.map(|(epoch, results)| {
-                encode_results_into(out, epoch, &results);
-                Opcode::Results
-            })
-        }
+        Request::Query { requests } => router.batch_query_at(&requests).map(|(epoch, results)| {
+            encode_results_into(out, epoch, &results);
+            Opcode::Results
+        }),
         Request::Summarize { tds, opts } => {
-            let answer = if wait {
-                router.summarize_at(tds, opts)
-            } else {
-                Ok(router.try_summarize_cached_at(tds, opts)?)
-            };
-            answer.map(|(epoch, result)| {
+            router.summarize_at(tds, opts).map(|(epoch, result)| {
                 encode_summary_into(out, epoch, &result);
                 Opcode::Summary
             })
@@ -584,20 +434,74 @@ fn handle_request_into(
         }),
     };
     // Well-formed but rejected by the cluster.
-    Some(executed.unwrap_or_else(|e| {
+    executed.unwrap_or_else(|e| {
         NetCounters::bump(&counters.errors_bad_request);
         encode_error_into(out, ErrorCode::BadRequest, &e.to_string());
         Opcode::Error
-    }))
+    })
+}
+
+/// Runs one request to completion on this reactor and returns its
+/// reply frame, built in one pooled buffer: header first (placeholder
+/// opcode — the real one is known only after the handler runs), payload
+/// appended in place, then sealed. A panicking handler costs exactly one
+/// reply: it is caught here and answered `Error(Internal)`; the state
+/// the panic touched recovers via the poison-safe locks underneath.
+fn execute(ctx: &Ctx, opcode: Opcode, req_id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut frame = ctx.pool.acquire();
+    begin_frame(&mut frame, Opcode::Error, req_id);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        handle_request_into(ctx.router, ctx.counters, opcode, payload, &mut frame)
+    }));
+    let reply_op = outcome.unwrap_or_else(|panic| {
+        NetCounters::bump(&ctx.counters.errors_internal);
+        // The handler may have died mid-encode: keep the header, drop
+        // whatever partial payload it left.
+        frame.truncate(HEADER_LEN);
+        encode_error_into(&mut frame, ErrorCode::Internal, &panic_message(&panic));
+        Opcode::Error
+    });
+    finish_frame(&mut frame, reply_op);
+    NetCounters::bump(&ctx.counters.fastpath_hits);
+    frame
+}
+
+/// Answers `page` now, unless a writer holds or waits for the engine
+/// lock and the page has waited less than `PAGE_WAIT_MAX`. Returns
+/// whether it answered.
+fn try_page(conn: &mut Conn, ctx: &Ctx, page: Page) -> bool {
+    // The probe's guard drops at once: holding it across the render
+    // would park the render's own read behind a queued writer.
+    let contended = ctx.router.shard(0).try_engine().is_none();
+    if contended && page.since.elapsed() < PAGE_WAIT_MAX {
+        conn.page = Some(page);
+        return false;
+    }
+    conn.page = None;
+    if !page.http {
+        let frame = execute(ctx, Opcode::Stats, page.req_id, &[]);
+        conn.push_reply(ctx.counters, frame);
+        return true;
+    }
+    // A scrape is answered with the page as an HTTP response, not a
+    // frame; a renderer panic costs it a 500.
+    let reply = catch_unwind(AssertUnwindSafe(|| render_metrics(ctx.counters, ctx.router)))
+        .map(|page| http_response("200 OK", &page))
+        .unwrap_or_else(|_| {
+            NetCounters::bump(&ctx.counters.errors_internal);
+            http_response("500 Internal Server Error", "metrics renderer panicked\n")
+        });
+    conn.push_reply(ctx.counters, reply);
+    true
 }
 
 // ---------------------------------------------------------------------
-// The I/O thread
+// The reactors
 // ---------------------------------------------------------------------
 
 /// Reactor wait bound when no idle timeout asks for a finer sweep tick:
-/// a liveness backstop (shutdown and doorbells wake the thread early;
-/// this only bounds how stale a missed tick can get).
+/// a liveness backstop (shutdown rings the reactor early; this only
+/// bounds how stale a missed tick can get).
 const SWEEP_TICK: Duration = Duration::from_millis(100);
 
 /// Frames batched into one `write_vectored` call. 64 is comfortably
@@ -605,15 +509,10 @@ const SWEEP_TICK: Duration = Duration::from_millis(100);
 /// past the depth where syscall count stops mattering.
 const WRITE_BATCH: usize = 64;
 
-#[allow(clippy::too_many_arguments)]
-fn io_loop(
-    listener: TcpListener,
+fn reactor_loop(
+    listener: &TcpListener,
     shutdown: &AtomicBool,
-    queue: &Arc<BoundedQueue<NetJob>>,
-    router: &Arc<ClusterRouter>,
-    counters: &NetCounters,
-    pool: &Arc<BufPool>,
-    opts: &IoOpts,
+    ctx: &Ctx,
     mut reactor: Box<dyn Reactor>,
 ) {
     let hub = Arc::clone(reactor.hub());
@@ -630,11 +529,12 @@ fn io_loop(
     let mut slab: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
-    let mut completions: Vec<usize> = Vec::new();
+    // Slab indexes of the connections with a page waiting.
+    let mut waiting: Vec<usize> = Vec::new();
     // The sweep tick: reap cadence under epoll (the poll backend sweeps
     // every pass anyway); quartered so an idle peer overstays its
     // window by at most ~25%.
-    let tick = match opts.idle_timeout {
+    let tick = match ctx.idle_timeout {
         Some(w) => (w / 4).clamp(Duration::from_millis(1), SWEEP_TICK),
         None => SWEEP_TICK,
     };
@@ -644,21 +544,18 @@ fn io_loop(
     let mut progressed = true; // first pass sweeps unconditionally
 
     loop {
-        // Arm-then-recheck handshake (reactor module docs): a worker
-        // completion can never slip between the pending check and the
-        // wait.
+        // Arm before the last shutdown check (both sequentially
+        // consistent, as are `Drop`'s store and the ring's swap): a ring
+        // from `Drop` either finds the reactor armed and writes the bell,
+        // or its shutdown flag is seen by the check.
         hub.arm();
-        let woke = if shutdown.load(Ordering::Acquire) {
-            hub.disarm();
+        if shutdown.load(Ordering::SeqCst) {
             break;
-        } else if hub.has_pending() {
-            events.clear();
-            true
-        } else {
-            reactor.wait(&mut events, tick, progressed)
-        };
+        }
+        let timeout = if waiting.is_empty() { tick } else { PAGE_RETRY };
+        let woke = reactor.wait(&mut events, timeout, progressed);
         hub.disarm();
-        if shutdown.load(Ordering::Acquire) {
+        if shutdown.load(Ordering::SeqCst) {
             break;
         }
         progressed = false;
@@ -672,15 +569,8 @@ fn io_loop(
         for &ev in &events {
             match ev.token {
                 TOKEN_LISTENER => {
-                    let (accepted, failed) = accept_all(
-                        &listener,
-                        &mut slab,
-                        &mut free,
-                        reactor.as_mut(),
-                        &hub,
-                        counters,
-                        opts,
-                    );
+                    let (accepted, failed) =
+                        accept_all(listener, &mut slab, &mut free, reactor.as_mut(), ctx);
                     progressed |= accepted;
                     if failed {
                         reactor.deregister(listener_fd, TOKEN_LISTENER);
@@ -690,59 +580,55 @@ fn io_loop(
                 token => {
                     let idx = token - TOKEN_BASE;
                     if let Some(Some(conn)) = slab.get_mut(idx) {
-                        progressed |= poll_conn(
-                            conn,
-                            ev,
-                            reactor.as_mut(),
-                            queue,
-                            router,
-                            counters,
-                            pool,
-                            opts,
-                        );
+                        progressed |= poll_conn(conn, ev, reactor.as_mut(), ctx);
+                        if conn.page.is_some() && !waiting.contains(&idx) {
+                            waiting.push(idx);
+                        }
                     }
                 }
             }
         }
 
-        // Doorbell completions: flush exactly the connections whose
-        // outboxes just gained replies (tokens may be stale after a
-        // close — flushing an empty outbox is a no-op).
-        hub.drain_pending(&mut completions);
-        for token in completions.drain(..) {
-            let idx = token.wrapping_sub(TOKEN_BASE);
-            if let Some(Some(conn)) = slab.get_mut(idx) {
-                progressed |= flush_conn(conn, reactor.as_mut(), counters, pool);
+        // Pages waiting on the engine lock: answer what can be, then
+        // serve the frames each held back.
+        waiting.retain(|&idx| {
+            let Some(Some(conn)) = slab.get_mut(idx) else { return false };
+            let Some(page) = conn.page else { return false };
+            if !try_page(conn, ctx, page) {
+                return true;
             }
-        }
+            serve_frames(conn, ctx);
+            flush_conn(conn, reactor.as_mut(), ctx);
+            progressed = true;
+            conn.page.is_some()
+        });
 
         if woke {
             NetCounters::bump(if progressed {
-                &counters.reactor_wakeups
+                &ctx.counters.reactor_wakeups
             } else {
-                &counters.reactor_spurious
+                &ctx.counters.reactor_spurious
             });
         }
 
-        reap(&mut slab, &mut free, reactor.as_mut(), counters, opts.idle_timeout);
+        reap(&mut slab, &mut free, reactor.as_mut(), ctx.counters, ctx.idle_timeout);
     }
     // Shutdown: connections drop here, closing their sockets.
 }
 
 /// Accepts everything pending on the listener, registering each new
-/// connection with the reactor. Returns whether anything was accepted,
+/// connection with this reactor. Returns whether anything was accepted,
 /// and whether `accept` failed with an error other than `WouldBlock`
 /// (such as `EMFILE`) — the caller then stops watching the listener for
 /// a sweep tick, since level-triggered readiness would repeat the
-/// failing accept on every pass.
+/// failing accept on every pass. `WouldBlock` on the first call is the
+/// normal case when another reactor took the connection.
 fn accept_all(
     listener: &TcpListener,
     slab: &mut Vec<Option<Conn>>,
     free: &mut Vec<usize>,
     reactor: &mut dyn Reactor,
-    hub: &Arc<WakeHub>,
-    counters: &NetCounters,
-    opts: &IoOpts,
+    ctx: &Ctx,
 ) -> (bool, bool) {
     let mut progressed = false;
     loop {
@@ -754,43 +640,34 @@ fn accept_all(
                     slab.push(None);
                     slab.len() - 1
                 });
-                let token = idx + TOKEN_BASE;
-                #[cfg(unix)]
-                let fd = stream.as_raw_fd();
-                #[cfg(not(unix))]
-                let fd = -1;
-                if reactor.register(fd, token).is_err() {
-                    free.push(idx);
-                    continue; // stream drops: connection refused late
-                }
-                NetCounters::bump(&counters.connections_opened);
-                NetCounters::bump(&counters.connections_live);
-                slab[idx] = Some(Conn {
+                let conn = Conn {
                     stream,
-                    shared: Arc::new(ConnShared {
-                        outbox: Mutex::new(VecDeque::new()),
-                        outbox_bytes: AtomicUsize::new(0),
-                        in_flight: AtomicUsize::new(0),
-                        token,
-                        hub: Arc::clone(hub),
-                    }),
-                    inbuf: RecvBuf::with_capacity(opts.initial_buf),
+                    token: idx + TOKEN_BASE,
+                    inbuf: RecvBuf::with_capacity(ctx.initial_buf),
                     wq: VecDeque::new(),
                     wq_off: 0,
                     wq_unwritten: 0,
+                    page: None,
                     dead: false,
                     close_after_flush: false,
                     http: false,
                     want_read: true,
                     want_write: false,
                     last_frame: Instant::now(),
-                });
+                };
+                if reactor.register(conn.fd(), conn.token).is_err() {
+                    free.push(idx);
+                    continue; // stream drops: connection refused late
+                }
+                NetCounters::bump(&ctx.counters.connections_opened);
+                NetCounters::bump(&ctx.counters.connections_live);
+                slab[idx] = Some(conn);
                 progressed = true;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (progressed, false),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                NetCounters::bump(&counters.accept_errors);
+                NetCounters::bump(&ctx.counters.accept_errors);
                 return (progressed, true);
             }
         }
@@ -809,13 +686,10 @@ fn reap(
     let now = Instant::now();
     for (idx, slot) in slab.iter_mut().enumerate() {
         let Some(conn) = slot else { continue };
-        let done_flushing = conn.wq.is_empty()
-            && conn.shared.outbox.lock().unwrap_or_else(|p| p.into_inner()).is_empty()
-            && conn.shared.in_flight.load(Ordering::Acquire) == 0;
+        let done_flushing = conn.wq.is_empty() && conn.page.is_none();
         let mut drop_it = conn.dead || (conn.close_after_flush && done_flushing);
         // Idle reaping: no complete frame for the window AND nothing of
-        // ours still owed to the peer — a connection waiting on its own
-        // pipelined replies is busy, not idle.
+        // ours still owed to the peer.
         if !drop_it {
             if let Some(window) = idle_timeout {
                 if done_flushing && now.duration_since(conn.last_frame) >= window {
@@ -825,11 +699,7 @@ fn reap(
             }
         }
         if drop_it {
-            #[cfg(unix)]
-            let fd = conn.stream.as_raw_fd();
-            #[cfg(not(unix))]
-            let fd = -1;
-            reactor.deregister(fd, idx + TOKEN_BASE);
+            reactor.deregister(conn.fd(), conn.token);
             counters.connections_live.fetch_sub(1, Ordering::Relaxed);
             *slot = None;
             free.push(idx);
@@ -838,19 +708,9 @@ fn reap(
 }
 
 /// One readiness-driven pass over a connection: read to `WouldBlock`,
-/// parse/admit every complete frame (answering cheap ones inline),
-/// flush. Returns whether any bytes moved.
-#[allow(clippy::too_many_arguments)]
-fn poll_conn(
-    conn: &mut Conn,
-    ev: Event,
-    reactor: &mut dyn Reactor,
-    queue: &Arc<BoundedQueue<NetJob>>,
-    router: &Arc<ClusterRouter>,
-    counters: &NetCounters,
-    pool: &BufPool,
-    opts: &IoOpts,
-) -> bool {
+/// run every complete frame to completion, flush. Returns whether any
+/// bytes moved.
+fn poll_conn(conn: &mut Conn, ev: Event, reactor: &mut dyn Reactor, ctx: &Ctx) -> bool {
     let mut progressed = false;
 
     // Read whatever the socket has.
@@ -886,34 +746,41 @@ fn poll_conn(
     {
         conn.http = true;
         conn.close_after_flush = true;
-        NetCounters::bump(&counters.http_scrapes);
+        NetCounters::bump(&ctx.counters.http_scrapes);
         conn.inbuf.clear();
-        // Rendering the page reads every shard's engine lock, so a
-        // worker does it; the in-flight count holds the close until its
-        // reply is queued.
-        conn.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        let job = NetJob {
-            conn: Arc::clone(&conn.shared),
-            opcode: Opcode::Stats,
-            req_id: 0,
-            payload: Vec::new(),
-            http: true,
-        };
-        if queue.try_push(job).is_err() {
-            conn.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-            NetCounters::bump(&counters.shed_queue);
-            conn.shared
-                .push_frame(http_response("503 Service Unavailable", "dispatch queue full\n"));
-        }
+        try_page(conn, ctx, Page { req_id: 0, http: true, since: Instant::now() });
     }
 
-    // The fairness budget: inline replies this pass. When it runs out,
-    // further eligible requests take the dispatch queue like everything
-    // else, returning the I/O thread to other connections.
-    let mut inline_budget = opts.fastpath_budget;
+    progressed |= serve_frames(conn, ctx);
 
-    // Cut complete frames and run admission.
-    while !conn.http && !conn.close_after_flush && conn.inbuf.len() >= HEADER_LEN {
+    // The peer shut its write half: what it sent whole is answered above
+    // (or after a waiting page), a trailing partial frame can never
+    // complete, and the connection closes once every reply is flushed.
+    if eof {
+        if conn.page.is_none() {
+            conn.inbuf.clear();
+        }
+        conn.close_after_flush = true;
+    }
+
+    // Flush when this pass produced replies, the reactor reported room
+    // for a blocked write, or the peer's EOF ends read interest; a pure
+    // read event with nothing parsed has nothing to write.
+    if progressed || ev.writable || eof {
+        progressed |= flush_conn(conn, reactor, ctx);
+    }
+    progressed
+}
+
+/// Cuts the complete frames in the receive buffer and runs each to
+/// completion, stopping early at a waiting page. Returns whether any
+/// frame was cut.
+fn serve_frames(conn: &mut Conn, ctx: &Ctx) -> bool {
+    let mut progressed = false;
+    // A protocol error clears the receive buffer and a scrape never
+    // parses it, so a connection closing for either cuts nothing here;
+    // one closing after its peer's EOF still answers what it holds.
+    while !conn.http && conn.page.is_none() && conn.inbuf.len() >= HEADER_LEN {
         let head: [u8; HEADER_LEN] = conn.inbuf.data()[..HEADER_LEN].try_into().expect("16 bytes");
         // The id is at a fixed offset; even a rejected header echoes it
         // so the client can correlate the failure.
@@ -924,31 +791,10 @@ fn poll_conn(
                 if conn.inbuf.len() < total {
                     break; // wait for the rest of the payload
                 }
-                NetCounters::bump(&counters.frames_in);
+                NetCounters::bump(&ctx.counters.frames_in);
                 progressed = true;
                 conn.last_frame = Instant::now();
-                {
-                    // Borrowed straight from the receive buffer: the
-                    // fast path decodes it in place; only a queued
-                    // dispatch copies it (into a pooled buffer).
-                    let payload = &conn.inbuf.data()[HEADER_LEN..total];
-                    let eligible = opts.fastpath
-                        && matches!(h.opcode, Opcode::Ping | Opcode::Query | Opcode::Summarize);
-                    let inlined = eligible
-                        && inline_budget > 0
-                        && try_fastpath(
-                            conn, router, counters, queue, pool, opts, h.opcode, h.req_id, payload,
-                        );
-                    if inlined {
-                        NetCounters::bump(&counters.fastpath_hits);
-                        inline_budget -= 1;
-                    } else {
-                        if eligible {
-                            NetCounters::bump(&counters.fastpath_fallbacks);
-                        }
-                        admit(conn, queue, counters, pool, opts, h.opcode, h.req_id, payload);
-                    }
-                }
+                admit(conn, ctx, h.opcode, h.req_id, total);
                 conn.inbuf.consume(total);
             }
             Err(FrameError::UnknownOpcode(b)) => {
@@ -957,13 +803,7 @@ fn poll_conn(
                 // and keep the connection.
                 let len = u32::from_le_bytes(head[12..16].try_into().expect("4 bytes"));
                 if len > MAX_FRAME_LEN {
-                    protocol_error(
-                        conn,
-                        counters,
-                        pool,
-                        raw_req_id,
-                        &FrameError::Oversized(len).to_string(),
-                    );
+                    protocol_error(conn, ctx, raw_req_id, &FrameError::Oversized(len).to_string());
                     break;
                 }
                 let total = HEADER_LEN + len as usize;
@@ -971,44 +811,54 @@ fn poll_conn(
                     break;
                 }
                 conn.inbuf.consume(total);
-                NetCounters::bump(&counters.frames_in);
+                NetCounters::bump(&ctx.counters.frames_in);
                 progressed = true;
                 conn.last_frame = Instant::now();
-                NetCounters::bump(&counters.errors_malformed);
-                let frame = pooled_frame(pool, Opcode::Error, raw_req_id, |out| {
+                NetCounters::bump(&ctx.counters.errors_malformed);
+                let frame = pooled_frame(ctx.pool, Opcode::Error, raw_req_id, |out| {
                     encode_error_into(
                         out,
                         ErrorCode::UnknownOpcode,
                         &format!("unknown opcode 0x{b:02x}"),
                     )
                 });
-                conn.shared.enqueue_reply_local(counters, frame);
+                conn.push_reply(ctx.counters, frame);
             }
             Err(e) => {
                 // Bad magic/version/length: the framing itself is no
                 // longer trustworthy. Answer once, then close.
-                protocol_error(conn, counters, pool, raw_req_id, &e.to_string());
+                protocol_error(conn, ctx, raw_req_id, &e.to_string());
                 break;
             }
         }
     }
-
-    // The peer shut its write half: what it sent whole is answered above,
-    // a trailing partial frame can never complete, and the connection
-    // closes once every reply is flushed.
-    if eof {
-        conn.inbuf.clear();
-        conn.close_after_flush = true;
-    }
-
-    // Flush when this pass produced replies (inline answers, sheds,
-    // errors, the HTTP page), the reactor reported room for a blocked
-    // write, or the peer's EOF ends read interest; a pure read event with
-    // nothing parsed has nothing to write.
-    if progressed || ev.writable || eof {
-        progressed |= flush_conn(conn, reactor, counters, pool);
-    }
     progressed
+}
+
+/// The admission decision for one complete request frame, whose
+/// payload is still in the receive buffer (`total` bytes with its
+/// header): past the outbox gate it runs here and now, or — a metrics
+/// page behind a writer — waits on the connection.
+fn admit(conn: &mut Conn, ctx: &Ctx, opcode: Opcode, req_id: u64, total: usize) {
+    // The one gate: the connection's unflushed reply bytes — a peer that
+    // has stopped reading must not grow server memory without bound.
+    // The `Busy` reply itself is queued (small, and bounded by the
+    // peer's own send rate), so the shed is still never silent.
+    if conn.wq_unwritten >= ctx.outbox_cap {
+        NetCounters::bump(&ctx.counters.shed_outbox);
+        let frame = pooled_frame(ctx.pool, Opcode::Busy, req_id, |out| {
+            encode_busy_into(out, BusyReason::OutboxFull)
+        });
+        conn.push_reply(ctx.counters, frame);
+        return;
+    }
+    if opcode == Opcode::Stats && total == HEADER_LEN {
+        try_page(conn, ctx, Page { req_id, http: false, since: Instant::now() });
+        return;
+    }
+    // Decoded in place, straight from the receive buffer.
+    let frame = execute(ctx, opcode, req_id, &conn.inbuf.data()[HEADER_LEN..total]);
+    conn.push_reply(ctx.counters, frame);
 }
 
 /// Builds one complete reply frame in a pooled buffer.
@@ -1025,216 +875,76 @@ fn pooled_frame(
     buf
 }
 
-/// The I/O-thread inline fast path: answers a request without touching
-/// the dispatch queue **iff** doing so cannot block and cannot compute —
-/// [`handle_request_into`] with `wait` off, so the reply is the queued
-/// path's byte for byte. `false` means the request goes to admission.
-#[allow(clippy::too_many_arguments)]
-fn try_fastpath(
-    conn: &Conn,
-    router: &ClusterRouter,
-    counters: &NetCounters,
-    queue: &BoundedQueue<NetJob>,
-    pool: &BufPool,
-    opts: &IoOpts,
-    opcode: Opcode,
-    req_id: u64,
-    payload: &[u8],
-) -> bool {
-    // The slow-reader gate applies to inline replies too: past the cap,
-    // decline so admission sheds with `Busy(OutboxFull)` as always.
-    if conn.unflushed_bytes() >= opts.outbox_cap {
-        return false;
-    }
-    let mut frame = pool.acquire();
-    begin_frame(&mut frame, Opcode::Error, req_id);
-    match handle_request_into(router, counters, queue, opcode, payload, &mut frame, false) {
-        Some(reply_op) => {
-            finish_frame(&mut frame, reply_op);
-            conn.shared.enqueue_reply_local(counters, frame);
-            true
-        }
-        None => {
-            pool.release(frame);
-            false
-        }
-    }
-}
-
-/// Moves finished reply frames from the outbox into the write queue and
-/// hands them to the kernel in `write_vectored` batches — frames move
-/// by pointer, never re-copied into a staging buffer, and each fully
-/// written frame recycles straight back to the [`BufPool`]. EPOLLOUT
-/// interest stays registered exactly while bytes remain unflushed (so a
-/// partial write resumes on writability, not on the next sweep).
-/// Returns whether any bytes moved.
-fn flush_conn(
-    conn: &mut Conn,
-    reactor: &mut dyn Reactor,
-    counters: &NetCounters,
-    pool: &BufPool,
-) -> bool {
+/// Hands the queued reply frames to the kernel in `write_vectored`
+/// batches — frames move by pointer, never re-copied into a staging
+/// buffer, and each fully written frame recycles straight back to the
+/// [`BufPool`]. EPOLLOUT interest stays registered exactly while bytes
+/// remain unflushed (so a partial write resumes on writability, not on
+/// the next sweep). Returns whether any bytes moved.
+fn flush_conn(conn: &mut Conn, reactor: &mut dyn Reactor, ctx: &Ctx) -> bool {
     let mut progressed = false;
-    loop {
-        // Pull everything the workers have finished since the last pull
-        // (frames move, not bytes).
-        {
-            let mut outbox = conn.shared.outbox.lock().unwrap_or_else(|p| p.into_inner());
-            let mut moved = 0usize;
-            while let Some(frame) = outbox.pop_front() {
-                moved += frame.len();
-                conn.wq_unwritten += frame.len();
-                conn.wq.push_back(frame);
-            }
-            drop(outbox);
-            conn.shared.outbox_bytes.fetch_sub(moved, Ordering::Relaxed);
+    while !conn.dead && !conn.wq.is_empty() {
+        // Gather up to WRITE_BATCH frames into one vectored write (the
+        // front frame resumes from its partial-write offset).
+        let mut slices = [IoSlice::new(&[]); WRITE_BATCH];
+        let mut n_slices = 0;
+        for (i, frame) in conn.wq.iter().take(WRITE_BATCH).enumerate() {
+            slices[n_slices] = IoSlice::new(if i == 0 { &frame[conn.wq_off..] } else { frame });
+            n_slices += 1;
         }
-        if conn.wq.is_empty() {
-            break; // fully drained
-        }
-        let mut blocked = false;
-        while !conn.dead && !conn.wq.is_empty() {
-            // Gather up to WRITE_BATCH frames into one vectored write
-            // (the front frame resumes from its partial-write offset).
-            let mut slices = [IoSlice::new(&[]); WRITE_BATCH];
-            let mut n_slices = 0;
-            for (i, frame) in conn.wq.iter().take(WRITE_BATCH).enumerate() {
-                slices[n_slices] = IoSlice::new(if i == 0 { &frame[conn.wq_off..] } else { frame });
-                n_slices += 1;
-            }
-            match conn.stream.write_vectored(&slices[..n_slices]) {
-                Ok(0) => conn.dead = true,
-                Ok(mut n) => {
-                    progressed = true;
-                    conn.wq_unwritten -= n;
-                    // Advance across frame boundaries, recycling every
-                    // frame the kernel has wholly taken.
-                    while n > 0 {
-                        let front_left =
-                            conn.wq.front().expect("bytes written imply a frame").len()
-                                - conn.wq_off;
-                        if n >= front_left {
-                            n -= front_left;
-                            conn.wq_off = 0;
-                            pool.release(conn.wq.pop_front().expect("front exists"));
-                        } else {
-                            conn.wq_off += n;
-                            n = 0;
-                        }
+        match conn.stream.write_vectored(&slices[..n_slices]) {
+            Ok(0) => conn.dead = true,
+            Ok(mut n) => {
+                progressed = true;
+                conn.wq_unwritten -= n;
+                // Advance across frame boundaries, recycling every frame
+                // the kernel has wholly taken.
+                while n > 0 {
+                    let front_left =
+                        conn.wq.front().expect("bytes written imply a frame").len() - conn.wq_off;
+                    if n >= front_left {
+                        n -= front_left;
+                        conn.wq_off = 0;
+                        ctx.pool.release(conn.wq.pop_front().expect("front exists"));
+                    } else {
+                        conn.wq_off += n;
+                        n = 0;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    blocked = true;
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => conn.dead = true,
             }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => conn.dead = true,
         }
-        if blocked || conn.dead {
-            break;
-        }
-        // Loop: a worker may have landed more frames while we wrote.
     }
 
     // Interest toggling (a no-op on the poll backend, which always
     // sweeps): EPOLLOUT on iff the kernel couldn't take everything, and
     // read interest off once the connection stops reading — else a
-    // readable EOF or unread bytes wake the I/O thread on every pass
-    // until the close.
+    // readable EOF or unread bytes wake the reactor on every pass until
+    // the close.
     let read = !conn.close_after_flush;
     let write = !conn.dead && !conn.wq.is_empty();
     if (read, write) != (conn.want_read, conn.want_write) {
-        #[cfg(unix)]
-        let fd = conn.stream.as_raw_fd();
-        #[cfg(not(unix))]
-        let fd = -1;
         if write != conn.want_write {
-            NetCounters::bump(&counters.epollout_toggles);
+            NetCounters::bump(&ctx.counters.epollout_toggles);
         }
-        if reactor.set_interest(fd, conn.shared.token, read, write).is_ok() {
+        if reactor.set_interest(conn.fd(), conn.token, read, write).is_ok() {
             (conn.want_read, conn.want_write) = (read, write);
         }
     }
     progressed
 }
 
-/// The three-gate admission decision for one complete request frame.
-/// The payload is still borrowed from the receive buffer here: the
-/// gates run first, and only an actually-admitted request pays the copy
-/// into a pooled dispatch buffer.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    conn: &Conn,
-    queue: &Arc<BoundedQueue<NetJob>>,
-    counters: &NetCounters,
-    pool: &BufPool,
-    opts: &IoOpts,
-    opcode: Opcode,
-    req_id: u64,
-    payload: &[u8],
-) {
-    // Gate 1: the connection's own in-flight budget.
-    if conn.shared.in_flight.load(Ordering::Acquire) >= opts.budget {
-        NetCounters::bump(&counters.shed_inflight);
-        let frame = pooled_frame(pool, Opcode::Busy, req_id, |out| {
-            encode_busy_into(out, BusyReason::InflightBudget)
-        });
-        conn.shared.enqueue_reply_local(counters, frame);
-        return;
-    }
-    // Gate 2: the connection's unflushed reply bytes — a peer that has
-    // stopped reading must not grow server memory without bound. The
-    // `Busy` reply itself is queued (small, and bounded by the peer's
-    // own send rate), so the shed is still never silent.
-    if conn.unflushed_bytes() >= opts.outbox_cap {
-        NetCounters::bump(&counters.shed_outbox);
-        let frame = pooled_frame(pool, Opcode::Busy, req_id, |out| {
-            encode_busy_into(out, BusyReason::OutboxFull)
-        });
-        conn.shared.enqueue_reply_local(counters, frame);
-        return;
-    }
-    conn.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-    // Gate 3: the server-wide dispatch queue. The payload copy is the
-    // request's only one past the socket read, and it lands in a pooled
-    // buffer — at steady state extend_from_slice into recycled capacity.
-    let mut owned = pool.acquire();
-    owned.extend_from_slice(payload);
-    let job =
-        NetJob { conn: Arc::clone(&conn.shared), opcode, req_id, payload: owned, http: false };
-    match queue.try_push(job) {
-        Ok(()) => {}
-        Err(TryPushError::Full(job)) => {
-            job.conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-            pool.release(job.payload);
-            NetCounters::bump(&counters.shed_queue);
-            let frame = pooled_frame(pool, Opcode::Busy, req_id, |out| {
-                encode_busy_into(out, BusyReason::QueueFull)
-            });
-            conn.shared.enqueue_reply_local(counters, frame);
-        }
-        Err(TryPushError::Closed(job)) => {
-            job.conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-            pool.release(job.payload);
-            NetCounters::bump(&counters.errors_internal);
-            let frame = pooled_frame(pool, Opcode::Error, req_id, |out| {
-                encode_error_into(out, ErrorCode::Internal, "server shutting down")
-            });
-            conn.shared.enqueue_reply_local(counters, frame);
-        }
-    }
-}
-
 /// Answers a broken envelope with `Error(Protocol)` and schedules the
 /// connection for close-after-flush (the framing is untrustworthy, so
 /// no further bytes are parsed).
-fn protocol_error(conn: &mut Conn, counters: &NetCounters, pool: &BufPool, req_id: u64, msg: &str) {
-    NetCounters::bump(&counters.errors_protocol);
-    let frame = pooled_frame(pool, Opcode::Error, req_id, |out| {
+fn protocol_error(conn: &mut Conn, ctx: &Ctx, req_id: u64, msg: &str) {
+    NetCounters::bump(&ctx.counters.errors_protocol);
+    let frame = pooled_frame(ctx.pool, Opcode::Error, req_id, |out| {
         encode_error_into(out, ErrorCode::Protocol, msg)
     });
-    conn.shared.enqueue_reply_local(counters, frame);
+    conn.push_reply(ctx.counters, frame);
     conn.inbuf.clear();
     conn.close_after_flush = true;
 }
@@ -1265,10 +975,10 @@ mod tests {
     }
 
     #[test]
-    fn default_config_enables_the_fast_path() {
+    fn default_config_runs_one_reactor_per_core() {
         let cfg = NetConfig::default();
-        assert!(cfg.fastpath);
-        assert!(cfg.fastpath_budget >= 1);
+        let cores = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
+        assert_eq!(cfg.dispatch_workers, cores);
         assert!(cfg.initial_buf_bytes >= 64);
     }
 }

@@ -22,6 +22,10 @@ pub const EPOLLHUP: u32 = 0x010;
 /// Peer shut down its write half; folded into "readable" so the next
 /// `read` observes the EOF.
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// One wake-up per event among the epoll instances watching the fd
+/// (Linux 4.5+), not a wake-up of each: every reactor watches the one
+/// listener with it.
+pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 // -- epoll_ctl ops and creation flags ----------------------------------
 
@@ -31,7 +35,7 @@ const EPOLL_CTL_MOD: c_int = 3;
 /// `O_CLOEXEC` — shared by `epoll_create1` and `eventfd`.
 const CLOEXEC: c_int = 0o2000000;
 /// `EFD_NONBLOCK` (`O_NONBLOCK`) — the doorbell drain must never park
-/// the I/O thread.
+/// a reactor.
 const EFD_NONBLOCK: c_int = 0o4000;
 
 /// The kernel's `struct epoll_event`. The x86-64 kernel ABI packs it

@@ -104,7 +104,11 @@ fn put_opts(buf: &mut Vec<u8>, o: QueryOptions) {
 }
 
 fn get_opts(r: &mut Reader) -> Result<QueryOptions> {
-    let l = r.u32()? as usize;
+    // A size-l OS holds at least t_DS, so there is no summary of size 0.
+    let l = match r.u32()? {
+        0 => return Err(WireError("summary size l must be at least 1".into())),
+        l => l as usize,
+    };
     let algo = algo_from_u8(r.u8()?)?;
     let source = match r.u8()? {
         0 => OsSource::DataGraph,

@@ -1,8 +1,10 @@
 //! A listener whose `accept` fails with `EMFILE` (the process is out of
-//! file descriptors) must not spin the I/O thread: level-triggered epoll
-//! reports the queued connection on every pass, so the server stops
-//! watching the listener for a sweep tick after each failure. Once
-//! descriptors free up, the queued connection is accepted and served.
+//! file descriptors) must not spin the reactors: level-triggered epoll
+//! reports the queued connection on every pass, so each reactor that
+//! fails an accept stops watching the listener for a sweep tick. Every
+//! reactor watches the one listener, so every one of them must rest it,
+//! and the bounds below hold for all of them together. Once descriptors
+//! free up, the queued connection is accepted and served.
 //!
 //! A test binary of its own: it lowers this process's `RLIMIT_NOFILE`
 //! and fills the descriptor table, which would break any test running
@@ -12,7 +14,8 @@
 
 use std::fs::File;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -59,26 +62,61 @@ fn highest_fd() -> u64 {
         .expect("some descriptor is open")
 }
 
+/// Opens `/dev/null` handles until the descriptor table is full.
+fn fill(handles: &mut Vec<File>) {
+    let err = loop {
+        match File::open("/dev/null") {
+            Ok(f) => handles.push(f),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(err.raw_os_error(), Some(EMFILE), "{err}");
+}
+
+/// Frees one descriptor of the full table and connects a client into
+/// it, so the server's `accept` of the connection finds no descriptor.
+/// Another thread of the process may take the freed slot first (the
+/// client's `socket` then fails with `EMFILE`), or the table may have
+/// had room elsewhere (the client's socket then gets another number, or
+/// a further open succeeds): each time the table is refilled and the
+/// step retried.
+fn connect_into_the_last_slot(addr: SocketAddr, handles: &mut Vec<File>) -> TcpStream {
+    for _ in 0..100 {
+        fill(handles);
+        let freed = handles.pop().expect("a handle to free");
+        let fd = freed.as_raw_fd();
+        drop(freed);
+        match TcpStream::connect(addr) {
+            Ok(client) if client.as_raw_fd() == fd => match File::open("/dev/null") {
+                Err(e) if e.raw_os_error() == Some(EMFILE) => return client,
+                Err(e) => panic!("open: {e}"),
+                Ok(spare) => handles.push(spare),
+            },
+            Ok(_) => {}
+            Err(e) if e.raw_os_error() == Some(EMFILE) => {}
+            Err(e) => panic!("connect: {e}"),
+        }
+    }
+    panic!("no attempt put the client into the one free descriptor");
+}
+
 #[test]
 fn a_full_descriptor_table_rests_the_listener_instead_of_spinning() {
     for_each_reactor(|reactor| {
-        let server = serve(tiny_cluster(), NetConfig { reactor, ..Default::default() });
+        // Several reactors, whatever the host's core count: each one
+        // fails an accept per sweep tick at most, so the bounds below
+        // hold for all of them together.
+        let cfg = NetConfig { dispatch_workers: 4, reactor, ..Default::default() };
+        let server = serve(tiny_cluster(), cfg);
         let counters = server.counters();
         let original = nofile();
 
-        // A small table, filled with /dev/null handles; one freed slot
-        // takes the client's socket, so the server's `accept` of it fails.
+        // A small table, filled with /dev/null handles; its one free
+        // slot takes the client's socket, so the server's `accept` of it
+        // fails.
         set_nofile(Rlimit { cur: highest_fd() + 16, ..original });
         let mut handles = Vec::new();
-        let err = loop {
-            match File::open("/dev/null") {
-                Ok(f) => handles.push(f),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err.raw_os_error(), Some(EMFILE), "{err}");
-        drop(handles.pop());
-        let mut client = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut client = connect_into_the_last_slot(server.local_addr(), &mut handles);
 
         let deadline = Instant::now() + Duration::from_secs(10);
         while counters.accept_errors.load(Ordering::Relaxed) == 0 {

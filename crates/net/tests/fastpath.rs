@@ -1,16 +1,18 @@
-//! The I/O-thread inline fast path (DESIGN.md §9.6), proven equivalent
-//! to the queued dispatch path it shortcuts — on every reactor backend.
+//! A request answered from the summary cache and the same request
+//! computed are one path now (DESIGN.md §9.6): every request runs to
+//! completion on the reactor that read it, and the cache decides only
+//! whether a summary is looked up or computed. This suite pins that the
+//! seam leaks nothing observable — on every reactor backend:
 //!
-//! The contract under test: enabling the fast path changes **latency
-//! and counters only**. Every reply stays byte-identical to what the
-//! queued path (and therefore the in-process oracle) produces, at every
-//! epoch, across the fallback-on-miss seam, for malformed frames, and
-//! when the per-pass inline budget runs out.
+//! * a cache-hit reply is byte-identical to the computed reply before
+//!   it, across the cache-miss seam and across wire-driven epoch
+//!   advances, and both equal a recompute on the engine itself;
+//! * a malformed frame's reply is exactly the encoding of its own
+//!   decode error.
 //!
-//! The fixture runs refresh **off**: these tests assert exact
-//! hit/fallback counter movements, and a background re-warm worker
-//! contending on the engine lock could turn a deterministic inline hit
-//! into a legitimate (but unassertable) fallback.
+//! The fixture runs refresh **off**: these tests assert exact cache
+//! counter movements, and a background re-warm worker would compute
+//! (and cache) entries behind their back.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -22,16 +24,17 @@ use sizel_core::test_fixtures::max_pk;
 use sizel_datagen::dblp::DblpConfig;
 use sizel_net::frame::Opcode;
 use sizel_net::wire::{
-    encode_query_payload, encode_results_payload, encode_summarize_payload, encode_summary_payload,
+    decode_request, encode_error_into, encode_query_payload, encode_results_payload,
+    encode_summarize_payload, encode_summary_payload,
 };
-use sizel_net::{NetClient, NetConfig, NetServer};
+use sizel_net::{ErrorCode, NetClient, NetConfig, NetServer};
 use sizel_storage::Value;
 
 mod common;
 use common::{existing_keyword, for_each_reactor, replicas, serve, small_serve};
 
 /// A 2-shard partitioned cluster with the refresh worker off (exact
-/// counter assertions need a quiescent engine lock).
+/// counter assertions need a quiescent cache).
 fn quiet_cluster() -> Arc<ClusterRouter> {
     let cfg = DblpConfig::tiny();
     Arc::new(
@@ -56,8 +59,24 @@ fn roundtrip(client: &mut NetClient, opcode: Opcode, payload: &[u8]) -> (Opcode,
     client.recv_for(id).expect("reply")
 }
 
-/// Cold requests fall back to the queue; warm repeats answer inline —
-/// and the bytes are identical in both regimes, at every epoch,
+/// Summaries the router's one server has computed so far.
+fn computed(router: &ClusterRouter) -> u64 {
+    router.stats().per_shard[0].summaries_computed
+}
+
+/// The `Results` payload for `reqs` recomputed on the engine itself —
+/// no cache involved — at the engine's current epoch.
+fn recomputed_results(router: &ClusterRouter, reqs: &[(String, QueryOptions)]) -> Vec<u8> {
+    let engine = router.shard(0).engine();
+    let results: Vec<Vec<_>> = reqs
+        .iter()
+        .map(|(kw, opts)| engine.query_with(kw, *opts).into_iter().map(Arc::new).collect())
+        .collect();
+    encode_results_payload(engine.epoch(), &results)
+}
+
+/// Cold requests compute, warm repeats hit the cache — and the bytes are
+/// identical in both regimes and equal to a recompute, at every epoch,
 /// including across a wire-driven epoch advance that kills the cached
 /// generation.
 #[test]
@@ -66,28 +85,23 @@ fn inline_replies_are_byte_identical_across_the_miss_seam_and_epochs() {
         let router = quiet_cluster();
         let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
         let mut client = connect(&server);
-        let c = server.counters();
 
         let kw = existing_keyword(&router.shard(0).engine());
         let reqs = vec![(kw.clone(), QueryOptions::default())];
         let qpayload = encode_query_payload(&reqs);
 
-        // Cold query: the cache probe must miss — the request dispatches
-        // and the reply comes from the queued path.
+        // Cold query: every hit's summary is computed on the reactor.
         let (op, cold) = roundtrip(&mut client, Opcode::Query, &qpayload);
         assert_eq!(op, Opcode::Results);
-        assert_eq!(c.fastpath_hits.load(Ordering::Relaxed), 0, "cold probe cannot hit");
-        assert_eq!(c.fastpath_fallbacks.load(Ordering::Relaxed), 1);
-        // The queued reply matches the in-process oracle (the epoch
-        // cannot move: this thread is the only writer).
-        let (epoch, results) = router.batch_query_at(&reqs).expect("oracle");
-        assert_eq!(cold, encode_results_payload(epoch, &results), "queued reply vs oracle");
+        let after_cold = computed(&router);
+        assert!(after_cold > 0, "a cold query computes its summaries");
+        assert_eq!(cold, recomputed_results(&router, &reqs), "computed reply vs recompute");
 
-        // Warm repeat: answered inline, bytes unchanged.
+        // Warm repeat: answered from the cache, bytes unchanged.
         let (op, warm) = roundtrip(&mut client, Opcode::Query, &qpayload);
         assert_eq!(op, Opcode::Results);
-        assert_eq!(c.fastpath_hits.load(Ordering::Relaxed), 1, "warm repeat must inline");
-        assert_eq!(warm, cold, "inline reply bytes diverge from the queued reply");
+        assert_eq!(computed(&router), after_cold, "a warm repeat computes nothing");
+        assert_eq!(warm, cold, "the cache-hit reply diverges from the computed one");
 
         // Summarize: same seam, per-DS.
         let tds = router.shard(0).engine().ds_hits(&kw)[0];
@@ -95,17 +109,20 @@ fn inline_replies_are_byte_identical_across_the_miss_seam_and_epochs() {
         let spayload = encode_summarize_payload(tds, sopts);
         let (op, scold) = roundtrip(&mut client, Opcode::Summarize, &spayload);
         assert_eq!(op, Opcode::Summary);
-        let (sepoch, sresult) = router.summarize_at(tds, sopts).expect("oracle");
-        assert_eq!(scold, encode_summary_payload(sepoch, &sresult));
-        let hits_before = c.fastpath_hits.load(Ordering::Relaxed);
+        let summary_now = || {
+            let engine = router.shard(0).engine();
+            encode_summary_payload(engine.epoch(), &engine.summarize(tds, sopts))
+        };
+        assert_eq!(scold, summary_now());
+        let before = computed(&router);
         let (op, swarm) = roundtrip(&mut client, Opcode::Summarize, &spayload);
         assert_eq!(op, Opcode::Summary);
         assert_eq!(swarm, scold);
-        assert_eq!(c.fastpath_hits.load(Ordering::Relaxed), hits_before + 1);
+        assert_eq!(computed(&router), before, "a warm summarize computes nothing");
 
         // Advance the epoch over the wire: the cached generation is
-        // dead, so the same query goes cold again — fallback, recompute,
-        // then inline at the *new* epoch.
+        // dead, so the same query computes again — at the *new* epoch —
+        // and then hits.
         let (a, p, j) = {
             let engine = router.shard(0).engine();
             (
@@ -123,104 +140,60 @@ fn inline_replies_are_byte_identical_across_the_miss_seam_and_epochs() {
                 ),
             ])
             .expect("apply");
-        let fb_before = c.fastpath_fallbacks.load(Ordering::Relaxed);
+        let before = computed(&router);
         let (op, cold2) = roundtrip(&mut client, Opcode::Query, &qpayload);
         assert_eq!(op, Opcode::Results);
-        assert_eq!(
-            c.fastpath_fallbacks.load(Ordering::Relaxed),
-            fb_before + 1,
-            "a new epoch must miss the inline probe"
-        );
-        let (epoch2, results2) = router.batch_query_at(&reqs).expect("oracle");
-        assert!(epoch2 > epoch, "the apply advanced the epoch");
-        assert_eq!(cold2, encode_results_payload(epoch2, &results2));
-        let hits_before = c.fastpath_hits.load(Ordering::Relaxed);
+        assert!(computed(&router) > before, "a new epoch must miss the cache");
+        assert_ne!(cold2[..8], cold[..8], "the apply advanced the epoch stamp");
+        assert_eq!(cold2, recomputed_results(&router, &reqs));
+        let after_cold2 = computed(&router);
         let (op, warm2) = roundtrip(&mut client, Opcode::Query, &qpayload);
         assert_eq!(op, Opcode::Results);
         assert_eq!(warm2, cold2);
-        assert_eq!(c.fastpath_hits.load(Ordering::Relaxed), hits_before + 1);
+        assert_eq!(computed(&router), after_cold2);
 
-        // A second server over the SAME router with the fast path off:
-        // its (always queued) replies match the inline ones byte for
-        // byte, and its fast-path counters never move.
-        let off =
-            serve(router.clone(), NetConfig { reactor, fastpath: false, ..Default::default() });
-        let mut off_client = connect(&off);
-        let (op, queued) = roundtrip(&mut off_client, Opcode::Query, &qpayload);
-        assert_eq!(op, Opcode::Results);
-        assert_eq!(queued, warm2, "fastpath=false server must produce the same bytes");
-        let (op, squeued) = roundtrip(&mut off_client, Opcode::Summarize, &spayload);
+        // The summarize entry died with the epoch too: its recompute
+        // and the hit after it match the engine at the new epoch.
+        let (op, scold2) = roundtrip(&mut client, Opcode::Summarize, &spayload);
         assert_eq!(op, Opcode::Summary);
-        // The summarize cache entry died with the epoch; recompute gives
-        // the new-epoch bytes — compare against a fresh oracle.
-        let (sepoch2, sresult2) = router.summarize_at(tds, sopts).expect("oracle");
-        assert_eq!(squeued, encode_summary_payload(sepoch2, &sresult2));
-        let oc = off.counters();
-        assert_eq!(oc.fastpath_hits.load(Ordering::Relaxed), 0);
-        assert_eq!(oc.fastpath_fallbacks.load(Ordering::Relaxed), 0);
-    });
-}
+        assert_eq!(scold2, summary_now());
+        let (op, swarm2) = roundtrip(&mut client, Opcode::Summarize, &spayload);
+        assert_eq!(op, Opcode::Summary);
+        assert_eq!(swarm2, scold2);
 
-/// `Ping` inlines (no cache involved), and the per-pass inline budget
-/// only diverts overflow to the queue — every request is still answered
-/// with a `Pong`, and every eligible frame lands in exactly one of the
-/// two counters.
-#[test]
-fn inline_budget_diverts_overflow_to_the_queue_without_losing_replies() {
-    for_each_reactor(|reactor| {
-        let router = quiet_cluster();
-        let server = serve(router, NetConfig { reactor, fastpath_budget: 2, ..Default::default() });
-        let mut client = connect(&server);
-
-        const BURST: usize = 16;
-        let ids: Vec<u64> =
-            (0..BURST).map(|_| client.send(Opcode::Ping, &[]).expect("send")).collect();
-        for id in ids {
-            let (op, payload) = client.recv_for(id).expect("reply");
-            assert_eq!(op, Opcode::Pong);
-            assert!(payload.is_empty());
-        }
+        // Nothing was shed or diverted: every request ran where it was read.
         let c = server.counters();
-        let hits = c.fastpath_hits.load(Ordering::Relaxed);
-        let fallbacks = c.fastpath_fallbacks.load(Ordering::Relaxed);
-        assert!(hits >= 1, "at least the first ping of a pass inlines");
+        assert_eq!(c.fastpath_fallbacks.load(Ordering::Relaxed), 0);
         assert_eq!(
-            hits + fallbacks,
-            BURST as u64,
-            "every eligible frame is either inlined or counted as a fallback"
+            c.fastpath_hits.load(Ordering::Relaxed),
+            c.frames_in.load(Ordering::Relaxed),
+            "every request frame ran to completion on its reactor"
         );
     });
 }
 
-/// Malformed-but-eligible frames decline the fast path, and the queued
-/// error reply is byte-identical to a fastpath-disabled server's — the
-/// seam leaks nothing observable.
+/// A malformed frame's reply is the encoding of its own decode error,
+/// byte for byte — for a truncated `Summarize` and a `Ping` with a
+/// body alike — and is counted once.
 #[test]
-fn malformed_eligible_frames_fall_back_to_the_identical_queued_error() {
+fn malformed_frames_get_the_decode_errors_own_encoding() {
     for_each_reactor(|reactor| {
         let router = quiet_cluster();
-        let on = serve(router.clone(), NetConfig { reactor, ..Default::default() });
-        let off =
-            serve(router.clone(), NetConfig { reactor, fastpath: false, ..Default::default() });
-        let mut on_client = connect(&on);
-        let mut off_client = connect(&off);
+        let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
+        let mut client = connect(&server);
 
-        // A truncated Summarize payload and a Ping with a body: both
-        // eligible opcodes, both malformed.
         for (opcode, payload) in
             [(Opcode::Summarize, &[0xDE, 0xAD, 0xBE][..]), (Opcode::Ping, &[0x01][..])]
         {
-            let (op_on, bytes_on) = roundtrip(&mut on_client, opcode, payload);
-            let (op_off, bytes_off) = roundtrip(&mut off_client, opcode, payload);
-            assert_eq!(op_on, Opcode::Error, "{opcode:?}");
-            assert_eq!(op_off, Opcode::Error, "{opcode:?}");
-            assert_eq!(
-                bytes_on, bytes_off,
-                "{opcode:?}: the fallback error must match the queued one byte for byte"
-            );
+            let (op, bytes) = roundtrip(&mut client, opcode, payload);
+            assert_eq!(op, Opcode::Error, "{opcode:?}");
+            let err = decode_request(opcode, payload).expect_err("the payload is malformed");
+            let mut want = Vec::new();
+            encode_error_into(&mut want, ErrorCode::MalformedPayload, &err.to_string());
+            assert_eq!(bytes, want, "{opcode:?}: the reply is the decode error's encoding");
         }
-        let c = on.counters();
-        assert_eq!(c.fastpath_hits.load(Ordering::Relaxed), 0);
-        assert_eq!(c.fastpath_fallbacks.load(Ordering::Relaxed), 2);
+        let c = server.counters();
+        assert_eq!(c.errors_malformed.load(Ordering::Relaxed), 2);
+        client.ping().expect("the connection keeps answering");
     });
 }

@@ -111,100 +111,6 @@ fn pipelined_replies_are_byte_identical_to_in_process_calls_at_every_epoch() {
     });
 }
 
-/// Saturating a tiny budget with a 64-deep pipeline: every request is
-/// answered (no lost responses), the overflow is `Busy` — counted, not
-/// silently dropped — and the counters' accounting identity holds.
-#[test]
-fn saturation_sheds_with_busy_and_loses_nothing() {
-    for_each_reactor(|reactor| {
-        let router = tiny_cluster();
-        // 1 slow worker, tiny queue and budget: with a 64-frame burst
-        // the shed outcome is structural, not a timing accident.
-        let server = serve(
-            router,
-            NetConfig {
-                dispatch_workers: 1,
-                queue_capacity: 2,
-                inflight_budget: 4,
-                handler_delay: Some(Duration::from_millis(30)),
-                reactor,
-                ..Default::default()
-            },
-        );
-        let mut client = NetClient::connect(server.local_addr()).expect("connect");
-        client.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
-
-        const BURST: usize = 64;
-        let mut expected: Vec<u64> = Vec::with_capacity(BURST);
-        for _ in 0..BURST {
-            expected.push(client.send(Opcode::Ping, &[]).expect("send"));
-        }
-        let mut pongs = 0usize;
-        let mut busy = 0usize;
-        let mut seen: Vec<u64> = Vec::with_capacity(BURST);
-        for _ in 0..BURST {
-            let (id, op, _) = client.recv_any().expect("every request gets a reply");
-            seen.push(id);
-            match op {
-                Opcode::Pong => pongs += 1,
-                Opcode::Busy => busy += 1,
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        // Exactly one reply per request — none lost, none duplicated.
-        seen.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(seen, expected);
-        assert_eq!(pongs + busy, BURST);
-        // The burst lands in ~1ms while each pop takes 30ms: at most
-        // budget + queue + a small completion margin can be admitted.
-        assert!(busy >= BURST - 16, "only {busy} sheds out of {BURST}");
-        assert!(pongs >= 1, "the server must still make progress under overload");
-        // Counter accounting: sheds match the Busy replies on the wire,
-        // and every frame in produced a frame out.
-        let c = server.counters();
-        let shed = c.shed_inflight.load(Ordering::Relaxed) + c.shed_queue.load(Ordering::Relaxed);
-        assert_eq!(shed as usize, busy);
-        assert_eq!(c.frames_in.load(Ordering::Relaxed) as usize, BURST);
-        assert_eq!(c.frames_out.load(Ordering::Relaxed) as usize, BURST);
-    });
-}
-
-/// The in-flight budget gate specifically: a queue big enough to never
-/// fill makes every shed a `Busy(InflightBudget)`.
-#[test]
-fn inflight_budget_gate_sheds_when_queue_has_room() {
-    for_each_reactor(|reactor| {
-        let router = tiny_cluster();
-        let server = serve(
-            router,
-            NetConfig {
-                dispatch_workers: 1,
-                queue_capacity: 64,
-                inflight_budget: 2,
-                handler_delay: Some(Duration::from_millis(20)),
-                reactor,
-                ..Default::default()
-            },
-        );
-        let mut client = NetClient::connect(server.local_addr()).expect("connect");
-        client.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
-        let ids: Vec<u64> =
-            (0..32).map(|_| client.send(Opcode::Ping, &[]).expect("send")).collect();
-        let mut busy = 0;
-        for _ in &ids {
-            let (_, op, _) = client.recv_any().expect("reply");
-            if op == Opcode::Busy {
-                busy += 1;
-            }
-        }
-        assert!(busy > 0, "a 32-deep pipeline must overflow a budget of 2");
-        let c = server.counters();
-        assert_eq!(c.shed_queue.load(Ordering::Relaxed), 0, "the queue never filled");
-        assert_eq!(c.shed_inflight.load(Ordering::Relaxed), busy);
-    });
-}
-
 /// A request that panics its handler costs exactly one `Error(Internal)`
 /// reply: the same connection, other clients, and the serving state all
 /// keep working — the end-to-end face of the panic-safety sweep.
@@ -218,8 +124,8 @@ fn a_panicking_request_degrades_one_reply_not_the_server() {
         let kw = existing_keyword(&router.shard(0).engine());
 
         // A TupleRef naming a table far out of range panics mid-summary,
-        // on the dispatch worker carrying the request; its catch_unwind
-        // must turn that into an in-band Internal error.
+        // on the reactor running the request; its catch_unwind must turn
+        // that into an in-band Internal error.
         let bogus =
             sizel_storage::TupleRef::new(sizel_storage::TableId(999), sizel_storage::RowId(0));
         match client.summarize(bogus, QueryOptions::default()).expect("a reply, not a hangup") {
@@ -242,8 +148,8 @@ fn a_panicking_request_degrades_one_reply_not_the_server() {
 }
 
 /// A `Query` and a `Summarize` frame whose `l` is `u32::MAX` — the first
-/// requests a fresh server's dispatch workers see, so their arena pools
-/// are cold — each get their reply, the whole OS, and the server keeps
+/// requests a fresh server's reactors see, so their arena pools are
+/// cold — each get their reply, the whole OS, and the server keeps
 /// answering. The cold arena's `4·l` size hint once asked for half a
 /// terabyte and aborted the process, which no `catch_unwind` contains.
 #[test]
@@ -274,10 +180,9 @@ fn a_frame_with_the_largest_l_gets_a_reply_and_the_server_keeps_answering() {
     });
 }
 
-/// The in-band metrics page carries the series the ISSUE promises:
-/// shed counts (all three gates), connection gauges, reactor and
-/// doorbell counters, per-shard cache ratios, refresh lag — and names
-/// the backend actually serving.
+/// The in-band metrics page carries shed counts (per `Busy` reason),
+/// connection gauges, reactor and doorbell counters, per-shard cache
+/// ratios, refresh lag — and names the backend actually serving.
 #[test]
 fn stats_frame_returns_the_metrics_page() {
     for_each_reactor(|reactor| {
@@ -322,11 +227,8 @@ fn stats_frame_returns_the_metrics_page() {
             !page.lines().any(|l| l.contains("shard=\"") && !l.contains("shard=\"0\"")),
             "a partitioned cluster's series carry shard=\"0\" only:\n{page}"
         );
-        // One unlabelled gauge, read from the dispatch queue itself —
-        // empty here: this request's job was popped to render the page.
-        let depths: Vec<&str> =
-            page.lines().filter(|l| l.starts_with("sizel_net_queue_depth")).collect();
-        assert_eq!(depths, ["sizel_net_queue_depth 0"]);
+        // There is no dispatch queue, so no gauge of its depth.
+        assert!(!page.contains("sizel_net_queue_depth"), "{page}");
         // The one query above was counted where it was answered.
         let served = page
             .lines()
@@ -364,7 +266,6 @@ const FULL_PAGE: &[&str] = &[
     "sizel_net_frames_out_total",
     "sizel_net_http_scrapes_total",
     "sizel_net_idle_reaped_total",
-    "sizel_net_queue_depth",
     "sizel_net_reactor_spurious_wakeups_total",
     "sizel_net_reactor_wakeups_total",
     "sizel_net_reactor{backend=\"{backend}\"}",

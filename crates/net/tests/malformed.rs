@@ -8,6 +8,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use sizel_core::engine::QueryOptions;
@@ -15,11 +16,11 @@ use sizel_net::frame::{
     encode_frame, encode_header, read_frame, Header, Opcode, HEADER_LEN, MAGIC, MAX_FRAME_LEN,
     VERSION,
 };
-use sizel_net::wire::decode_reply;
+use sizel_net::wire::{decode_reply, encode_query_payload, encode_summarize_payload};
 use sizel_net::{ErrorCode, NetClient, NetConfig, Reply};
 
 mod common;
-use common::{for_each_reactor, serve, tiny_cluster};
+use common::{existing_keyword, for_each_reactor, serve, tiny_cluster};
 
 fn expect_error(client: &mut NetClient, raw: &[u8], want: ErrorCode) -> String {
     client.send_raw(raw).expect("send raw");
@@ -140,6 +141,39 @@ fn malformed_payload_gets_an_error_and_the_connection_survives() {
             other => panic!("expected Error, got {other:?}"),
         }
         client.ping().expect("connection survives malformed payloads");
+    });
+}
+
+/// `l = 0` asks for a summary without even t_DS: the codec rejects it
+/// like any other out-of-range option byte, so a `Query` and a
+/// `Summarize` frame carrying it each get `Error(MalformedPayload)` —
+/// not the engine's panic turned `Error(Internal)` — and the connection
+/// keeps answering.
+#[test]
+fn a_frame_with_l_zero_gets_a_malformed_payload_error_and_the_connection_survives() {
+    for_each_reactor(|reactor| {
+        let router = tiny_cluster();
+        let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let kw = existing_keyword(&router.shard(0).engine());
+        let tds = router.shard(0).engine().ds_hits(&kw)[0];
+        let zero = QueryOptions { l: 0, ..Default::default() };
+        for (opcode, payload) in [
+            (Opcode::Query, encode_query_payload(&[(kw, zero)])),
+            (Opcode::Summarize, encode_summarize_payload(tds, zero)),
+        ] {
+            let id = client.send(opcode, &payload).expect("send");
+            let (op, reply) = client.recv_for(id).expect("an in-band reply");
+            match decode_reply(op, &reply).expect("decodes") {
+                Reply::Error { code, message } => {
+                    assert_eq!(code, ErrorCode::MalformedPayload, "{opcode:?}: {message}");
+                }
+                other => panic!("{opcode:?}: expected Error, got {other:?}"),
+            }
+            client.ping().expect("the connection keeps answering");
+        }
+        assert_eq!(server.counters().errors_internal.load(Ordering::Relaxed), 0);
     });
 }
 

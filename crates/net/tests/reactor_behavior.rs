@@ -1,7 +1,8 @@
-//! Behavior the readiness rewrite added and must keep: the outbox byte
-//! cap (the slow-reader admission gate), idle-connection reaping, every
-//! reply to a half-closed peer, and an I/O thread that never waits on a
-//! lock — each proven on every reactor backend via `for_each_reactor`.
+//! Behavior the reactors must keep: the outbox byte cap (the one
+//! admission gate, against a peer that stops reading), idle-connection
+//! reaping, every reply to a half-closed peer, and a metrics page that
+//! never parks its reactor behind a writer — each proven on every
+//! reactor backend via `for_each_reactor`.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -24,28 +25,19 @@ use common::{existing_keyword, for_each_reactor, serve, tiny_cluster};
 /// A peer that fires `Stats` requests without ever reading the replies:
 /// once the kernel socket buffers are full, reply bytes pile up in the
 /// connection's outbox until the byte cap trips and further requests
-/// shed with `Busy(OutboxFull)`. Every request still gets exactly one
-/// reply (the Busy frames are small and always fit eventually), the
-/// accounting identity holds, and the connection keeps serving once the
-/// peer finally drains.
+/// shed with `Busy(OutboxFull)`. The accounting identity of the one
+/// gate: every request gets exactly one reply (the Busy frames are small
+/// and always fit eventually), every shed is counted as an outbox shed
+/// and sent as a `Busy(OutboxFull)`, and the connection keeps serving
+/// once the peer finally drains.
 #[test]
 fn a_never_reading_peer_trips_the_outbox_cap_not_the_server() {
     for_each_reactor(|reactor| {
         let router = tiny_cluster();
         // A tiny outbox cap so the gate trips ahead of any timing
-        // accident; budget and queue large enough that the other two
-        // gates stay out of the way.
-        let server = serve(
-            router,
-            NetConfig {
-                dispatch_workers: 2,
-                queue_capacity: 256,
-                inflight_budget: 256,
-                outbox_cap_bytes: 8 * 1024,
-                reactor,
-                ..Default::default()
-            },
-        );
+        // accident.
+        let server =
+            serve(router, NetConfig { outbox_cap_bytes: 8 * 1024, reactor, ..Default::default() });
         let mut client = NetClient::connect(server.local_addr()).expect("connect");
         client.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
         let counters = server.counters();
@@ -86,6 +78,9 @@ fn a_never_reading_peer_trips_the_outbox_cap_not_the_server() {
         assert_eq!(counters.shed_outbox.load(Ordering::Relaxed) as usize, busy);
         assert_eq!(counters.frames_in.load(Ordering::Relaxed) as usize, sent);
         assert_eq!(counters.frames_out.load(Ordering::Relaxed) as usize, sent);
+        // The outbox is the one gate: nothing sheds for any other reason.
+        assert_eq!(counters.shed_inflight.load(Ordering::Relaxed), 0);
+        assert_eq!(counters.shed_queue.load(Ordering::Relaxed), 0);
 
         // The shed never poisoned the connection: now that the peer
         // reads again, it serves normally.
@@ -160,24 +155,14 @@ fn a_pipelining_connection_is_never_reaped() {
 
 /// A peer that pipelines its requests and then shuts its write half
 /// still gets every reply, in order, and then an EOF: the server stops
-/// reading at the EOF, answers the frames it already holds, and closes
-/// once they are flushed. The handler delay keeps replies owed long
-/// after the EOF, and the I/O thread must sleep through that wait, not
-/// wake on the readable EOF over and over.
+/// reading at the EOF, answers the frames it already holds — the query
+/// and the summary computed after the EOF was read — and closes once
+/// they are flushed, without waking on the readable EOF over and over.
 #[test]
 fn a_half_closed_peer_gets_every_reply_then_eof() {
     for_each_reactor(|reactor| {
         let router = tiny_cluster();
-        // One worker: the replies complete in request order.
-        let server = serve(
-            router.clone(),
-            NetConfig {
-                dispatch_workers: 1,
-                handler_delay: Some(Duration::from_millis(200)),
-                reactor,
-                ..Default::default()
-            },
-        );
+        let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
         let kw = existing_keyword(&router.shard(0).engine());
         let tds = router.shard(0).engine().ds_hits(&kw)[0];
         let query = vec![(kw, QueryOptions::default())];
@@ -228,10 +213,11 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// The metrics page reads every shard's engine lock, so while a writer
-/// is parked on one the page cannot be rendered — and must not be
-/// attempted on the I/O thread, where the wait would freeze every
-/// connection. `fire` sends a page request without reading the reply,
+/// The metrics page reads the engine lock, so while a writer is parked
+/// on it the page cannot be rendered — and must not be waited for in
+/// place, where the wait would freeze every connection of the page's
+/// reactor — here the pinger's too. `fire` sends a page request without
+/// reading the reply,
 /// `arrived` tells from the server's counters that it has been cut from
 /// the socket, and `finish` reads the reply once the writer is through.
 /// In between, a ping on another connection must answer.
@@ -242,7 +228,9 @@ fn a_parked_writer_delays_the_metrics_page_not_the_io_thread<C>(
 ) {
     for_each_reactor(|reactor| {
         let router = tiny_cluster();
-        let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
+        // One reactor: the page request and the pinger share it.
+        let cfg = NetConfig { dispatch_workers: 1, reactor, ..Default::default() };
+        let server = serve(router.clone(), cfg);
         let mut pinger = NetClient::connect(server.local_addr()).expect("connect");
         pinger.set_read_timeout(Some(Duration::from_secs(3))).expect("timeout");
         pinger.ping().expect("the connection is up");
@@ -261,7 +249,7 @@ fn a_parked_writer_delays_the_metrics_page_not_the_io_thread<C>(
 
         let pending = fire(server.local_addr());
         wait_until("the page request arrives", || arrived(server.counters()));
-        pinger.ping().expect("the I/O thread serves while a page request waits on a lock");
+        pinger.ping().expect("the reactors serve while a page request waits on a lock");
 
         drop(guard);
         writer.join().expect("the writer finishes");

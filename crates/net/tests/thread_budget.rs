@@ -1,7 +1,8 @@
 //! The thread inventory DESIGN.md states, pinned: a default two-shard
-//! stack runs one I/O thread, the dispatch pool, and the cluster's
-//! refresh worker — the serve layer spawns nothing. A single-test file,
-//! so no sibling test's stack shares the process while it counts.
+//! stack runs one reactor thread per core and the cluster's refresh
+//! worker — no I/O thread beside the reactors, no dispatch pool, and
+//! nothing from the serve layer. A single-test file, so no sibling
+//! test's stack shares the process while it counts.
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
@@ -36,7 +37,11 @@ fn a_default_stack_runs_io_dispatch_and_refresh_threads_only() {
             .expect("cluster builds"),
     );
     let cfg = NetConfig::default();
-    let dispatch_workers = cfg.dispatch_workers;
+    let reactors = cfg.dispatch_workers;
+    // The reactors and the refresh worker.
+    let budget = reactors + 1;
+    let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+    assert_eq!(reactors, cores, "one reactor per core by default");
     let _server = serve(router, cfg);
 
     // A spawned thread names itself as it starts and carries its
@@ -44,20 +49,13 @@ fn a_default_stack_runs_io_dispatch_and_refresh_threads_only() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let names = loop {
         let names = thread_names();
-        if count_threads(&names, "sizel-") >= 2 + dispatch_workers
-            || std::time::Instant::now() > deadline
-        {
+        if count_threads(&names, "sizel-") >= budget || std::time::Instant::now() > deadline {
             break names;
         }
         std::thread::yield_now();
     };
-    assert_eq!(count_threads(&names, "sizel-net-io"), 1, "{names:?}");
-    assert_eq!(count_threads(&names, "sizel-net-worke"), dispatch_workers, "{names:?}");
+    assert_eq!(count_threads(&names, "sizel-net-"), reactors, "{names:?}");
     assert_eq!(count_threads(&names, "sizel-cluster-r"), 1, "{names:?}");
     assert_eq!(count_threads(&names, "sizel-serve"), 0, "{names:?}");
-    assert_eq!(
-        count_threads(&names, "sizel-"),
-        2 + dispatch_workers,
-        "no other program thread: {names:?}"
-    );
+    assert_eq!(count_threads(&names, "sizel-"), budget, "no other program thread: {names:?}");
 }

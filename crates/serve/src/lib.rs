@@ -166,10 +166,10 @@ impl SizeLServer {
     }
 
     /// Non-blocking read access to the shared engine: `None` when a
-    /// writer holds (or is poisoned on) the lock. The network layer's
-    /// inline fast path probes through this — it must *never* wait on
-    /// the I/O thread, and a poisoned lock falls back to the dispatch
-    /// queue where the panic surfaces properly.
+    /// writer holds, waits for, or is poisoned on the lock. The cache
+    /// probes take their guard through this, and the network layer asks
+    /// it before rendering its metrics page, which must not park a
+    /// reactor behind a writer.
     pub fn try_engine(&self) -> Option<RwLockReadGuard<'_, SizeLEngine>> {
         self.engine.try_read().ok()
     }

@@ -252,11 +252,13 @@ fn a_count_of_u32_max_reserves_nothing() {
 }
 
 /// Every algorithm, source, prelim flag and ranking, with `l` across the
-/// whole `u32` range — 0, 1 and `u32::MAX` often.
+/// valid `u32` range — 1 and `u32::MAX` often. (`l = 0` is no request:
+/// the decoder rejects it, which `read_requests_and_replies_round_trip`
+/// checks beside each round trip.)
 fn options() -> impl Strategy<Value = QueryOptions> {
-    (0u8..5, any::<bool>(), any::<bool>(), any::<bool>(), 0u8..4, any::<u32>()).prop_map(
+    (0u8..5, any::<bool>(), any::<bool>(), any::<bool>(), 0u8..3, any::<u32>()).prop_map(
         |(algo, db, prelim, by_summary, edge, l)| QueryOptions {
-            l: [0, 1, u32::MAX, l][edge as usize] as usize,
+            l: [1, u32::MAX, l.max(1)][edge as usize] as usize,
             algo: [
                 AlgoKind::Optimal,
                 AlgoKind::OptimalNaive,
@@ -407,6 +409,14 @@ proptest! {
         match read_bounded(&payload, |b| decode_request(Opcode::Summarize, b)).expect("decodes") {
             Request::Summarize { tds: t, opts: o } => prop_assert_eq!((t, o), (tds, opts)),
             other => panic!("Summarize decoded to {other:?}"),
+        }
+        // The same requests asking for a size-0 summary are typed errors.
+        let zero = QueryOptions { l: 0, ..opts };
+        let payload = encode_summarize_payload(tds, zero);
+        prop_assert!(read_bounded(&payload, |b| decode_request(Opcode::Summarize, b)).is_err());
+        if let Some((kw, _)) = queries.first() {
+            let payload = encode_query_payload(&[(kw.clone(), zero)]);
+            prop_assert!(read_bounded(&payload, |b| decode_request(Opcode::Query, b)).is_err());
         }
 
         let shared: Vec<Vec<_>> =
