@@ -26,25 +26,40 @@ use sizel_bench::{figures, Bench};
 /// The system allocator, keeping a count of the bytes live on the heap:
 /// `footprint` prints it beside `VmRSS`, which also counts freed heap
 /// the allocator has kept, so a saving in live bytes and one in
-/// allocator placement read apart.
+/// allocator placement read apart. It also counts the allocations and
+/// reallocations of [`LARGE`] bytes or more.
 struct LiveCounting;
 
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: delegates every operation to `System`; the counter is a relaxed
-// atomic with no allocation of its own.
+/// glibc's default mmap threshold: the blocks it `mmap`s unless a free
+/// has raised the threshold.
+const LARGE: usize = 128 << 10;
+
+fn count_large(size: usize) {
+    if size >= LARGE {
+        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: delegates every operation to `System`; the counters are relaxed
+// atomics with no allocation of their own.
 unsafe impl GlobalAlloc for LiveCounting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count_large(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count_large(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        count_large(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -67,7 +82,13 @@ fn main() {
 
     if command == "footprint" {
         // Before any workbench exists: the report reads this process's RSS.
-        println!("{}", figures::footprint(|| LIVE_BYTES.load(Ordering::Relaxed)));
+        println!(
+            "{}",
+            figures::footprint(
+                || LIVE_BYTES.load(Ordering::Relaxed),
+                || LARGE_ALLOCS.load(Ordering::Relaxed)
+            )
+        );
         return;
     }
 

@@ -686,8 +686,9 @@ fn rss_mb() -> f64 {
 /// serve cache pays per summary, and what a cold serving window over that
 /// engine holds, live and resident. Run it in a fresh process (`repro
 /// footprint` builds no workbench first): freed heap the allocator keeps
-/// counts as resident, never as live.
-pub fn footprint(live_bytes: fn() -> usize) -> String {
+/// counts as resident, never as live. `large_allocs` counts the
+/// allocations and reallocations of 128 KiB or more made so far.
+pub fn footprint(live_bytes: fn() -> usize, large_allocs: fn() -> usize) -> String {
     use sizel_core::keyword::KeywordIndex;
     use sizel_datagen::dblp::{generate, DblpConfig};
     use sizel_graph::{DataGraph, SchemaGraph};
@@ -790,7 +791,7 @@ pub fn footprint(live_bytes: fn() -> usize) -> String {
     ));
     out.push_str(&summary_cache_footprint(&engine));
     out.push('\n');
-    out.push_str(&cold_window_footprint(engine, live_mb));
+    out.push_str(&cold_window_footprint(engine, live_mb, large_allocs));
     out
 }
 
@@ -837,12 +838,16 @@ const COLD_WINDOW_REQUESTS: usize = 65_536;
 /// for the one reactor thread that owns the benchmark's one connection.
 /// Live bytes, `VmRSS` and the `/proc/self/smaps` split — the main
 /// `[heap]`, the glibc per-thread arenas (64 MiB-aligned anonymous
-/// mappings), other anonymous mappings — before the window, at its end
-/// with the thread alive and its thread-local pools held, and after it
-/// exits (its pools freed).
+/// mappings), other anonymous mappings — then glibc's `mmap`ped chunks
+/// ([`mapped_chunks`]) and the allocations of 128 KiB or more the window
+/// made: before the window, at its end with the thread alive and its
+/// thread-local pools held, and after it exits (its pools freed). Before
+/// the server pins glibc's thresholds, one 256 KiB block allocated and
+/// freed shows whether set-up has raised the mmap threshold.
 fn cold_window_footprint(
     engine: sizel_core::engine::SizeLEngine,
     live_mb: impl Fn() -> f64,
+    large_allocs: fn() -> usize,
 ) -> String {
     use std::sync::Barrier;
 
@@ -853,13 +858,20 @@ fn cold_window_footprint(
     let mut rng = Prng::new(1);
     let requests: Vec<_> =
         (0..COLD_WINDOW_REQUESTS).map(|_| cold_request(&mut rng, &vocab)).collect();
+    let mapped_before = mapped_chunks().0;
+    drop(std::hint::black_box(Vec::<u8>::with_capacity(256 << 10)));
+    let raised = mapped_chunks().0 == mapped_before;
     let cfg = ServeConfig { cache_capacity: 8192, cache_shards: 32, hot_capacity: 256 };
     let server = SizeLServer::new(engine, cfg);
+    let large_before = large_allocs();
     let mut rows = Vec::new();
     let mut row = |at: &str| {
         let mut cols =
             vec![at.to_string(), format!("{:.2}", live_mb()), format!("{:.1}", rss_mb())];
         cols.extend(smaps_split_mb().iter().map(|mb| format!("{mb:.1}")));
+        let (hblks, hblkhd) = mapped_chunks();
+        cols.extend([hblks.to_string(), format!("{:.2}", hblkhd as f64 / (1024.0 * 1024.0))]);
+        cols.push((large_allocs() - large_before).to_string());
         rows.push(cols);
     };
     row("before the window");
@@ -884,13 +896,46 @@ fn cold_window_footprint(
     let cached = server.stats().cache.len;
     let mut out = format!(
         "### Cold window — {COLD_WINDOW_REQUESTS} cold_read requests from one thread, \
-         {cached} summaries cached\n\n"
+         {cached} summaries cached\n\n\
+         set-up left glibc's mmap threshold {}: a 256 KiB block freed before the server \
+         pinned it was {}\n\n",
+        if raised { "raised" } else { "at 128 KiB" },
+        if raised { "carved from the heap" } else { "mmapped" },
     );
     out.push_str(&markdown_table(
-        &["at", "live MB", "VmRSS MB", "[heap] MB", "thread arenas MB", "other anon MB"],
+        &[
+            "at",
+            "live MB",
+            "VmRSS MB",
+            "[heap] MB",
+            "thread arenas MB",
+            "other anon MB",
+            "hblks",
+            "hblkhd MB",
+            "allocs >= 128 KiB",
+        ],
         &rows,
     ));
     out
+}
+
+/// glibc's `mmap`ped chunks, `hblks` and `hblkhd` of `mallinfo2()`: how
+/// many, and their bytes; `(0, 0)` off glibc.
+fn mapped_chunks() -> (usize, usize) {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        /// `struct mallinfo2`: ten `size_t` counters.
+        #[repr(C)]
+        struct MallInfo2([usize; 10]);
+        extern "C" {
+            fn mallinfo2() -> MallInfo2;
+        }
+        // SAFETY: `mallinfo2` takes no argument and returns its counters by value.
+        let MallInfo2(counts) = unsafe { mallinfo2() };
+        (counts[3], counts[4])
+    }
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    (0, 0)
 }
 
 /// Resident MB of the main `[heap]`, of the glibc per-thread arenas

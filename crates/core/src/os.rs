@@ -511,7 +511,12 @@ impl PackedOs {
 /// 188 of its 39 991 distinct keys are larger), so all but the hubs run
 /// on warm buffers, while a hub's complete OS (up to ~15 600 nodes) no
 /// longer sets what each serving thread keeps for good. At the bound an
-/// arena is ~90 KB.
+/// arena is ~90 KB. Past it the buffers grow by doubling to blocks of
+/// 128 KiB and more (a 15 600-node OS's node array is 983 040 B); a
+/// serving process keeps glibc's mmap threshold at 128 KiB
+/// (`sizel-serve` pins it), so those blocks are `mmap`ped, grown by
+/// `mremap` and unmapped when the request frees them, not carved from
+/// the thread's heap.
 pub const POOL_NODES_MAX: usize = 1 << 11;
 
 /// A recycling pool for OS arenas and the BFS scratch of OS generation.
@@ -520,9 +525,11 @@ pub const POOL_NODES_MAX: usize = 1 << 11;
 /// summaries over a warm engine — must not touch the allocator: arenas are
 /// [`Os::clear`]ed (capacity kept) on release, and the BFS queue / tuple
 /// fetch buffer are reused across generations, up to [`POOL_NODES_MAX`]
-/// nodes. One pool per thread (the engine keeps one in thread-local
-/// storage); the pool is cheap enough to create ad hoc for one-shot
-/// callers.
+/// nodes. A hub's larger buffers are freed when its generation ends, and
+/// go back to the system where the process keeps glibc's mmap threshold
+/// fixed, as a `sizel-serve` server does. One pool per thread (the engine
+/// keeps one in thread-local storage); the pool is cheap enough to create
+/// ad hoc for one-shot callers.
 #[derive(Debug, Default)]
 pub struct OsArenaPool {
     arenas: Vec<Os>,

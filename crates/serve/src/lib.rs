@@ -141,8 +141,10 @@ impl SizeLServer {
         SizeLServer::from_shared(Arc::new(RwLock::new(engine)), cfg)
     }
 
-    /// A server over a shared, lock-wrapped engine.
+    /// A server over a shared, lock-wrapped engine. Pins glibc's malloc
+    /// thresholds for the whole process (`pin_malloc_thresholds`).
     pub fn from_shared(engine: Arc<RwLock<SizeLEngine>>, cfg: ServeConfig) -> Self {
+        pin_malloc_thresholds();
         SizeLServer {
             engine,
             cache: ShardedCache::new(cfg.cache_capacity, cfg.cache_shards),
@@ -412,6 +414,30 @@ impl SizeLServer {
         let hit = self.cache.probe(&summary_key(epoch, tds, opts))?;
         self.hot.record(hot_key(tds, opts));
         Some(hit)
+    }
+}
+
+/// Pins glibc's mmap and trim thresholds at their 128 KiB defaults, which
+/// switches its dynamic threshold off for the whole process: a hub
+/// request's oversized OS arena and scratch are then `mmap`ped and given
+/// back when the request frees them, where a raised threshold would carve
+/// them from the serving thread's arena and keep them there (DESIGN.md
+/// §5, "Pool retention is bounded"). Idempotent; a no-op off glibc.
+fn pin_malloc_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::os::raw::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+        // SAFETY: `mallopt` takes two integers, both parameters exist and
+        // their values are in range, and glibc takes its own lock.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, 128 << 10);
+            mallopt(M_TRIM_THRESHOLD, 128 << 10);
+        }
     }
 }
 
