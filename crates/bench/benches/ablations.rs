@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use sizel_bench::{Bench, GdsKind};
 use sizel_core::algo::{DpKnapsack, DpNaive, SizeLAlgorithm, TopPath, TopPathOpt};
-use sizel_core::osgen::{generate_os, OsSource};
+use sizel_core::osgen::generate_os;
 
 fn full_scale() -> bool {
     std::env::var("SIZEL_BENCH_FULL").is_ok_and(|v| v == "1")
@@ -24,7 +24,7 @@ fn bench_dp_variants(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(1));
     for l in [4usize, 8, 12] {
-        let os = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+        let os = generate_os(&ctx, tds, Some(l as u32 - 1));
         group.bench_with_input(BenchmarkId::new("knapsack", l), &l, |b, &l| {
             b.iter(|| black_box(DpKnapsack.compute(black_box(&os), l)))
         });
@@ -47,7 +47,7 @@ fn bench_top_path_variants(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(1));
     for l in [10usize, 50] {
-        let os = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+        let os = generate_os(&ctx, tds, Some(l as u32 - 1));
         group.bench_with_input(BenchmarkId::new("reference", l), &l, |b, &l| {
             b.iter(|| black_box(TopPath.compute(black_box(&os), l)))
         });

@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use sizel_bench::{Bench, GdsKind};
 use sizel_core::algo::{BottomUp, SizeLAlgorithm, TopPath};
-use sizel_core::osgen::{generate_os, OsSource};
+use sizel_core::osgen::generate_os;
 use sizel_core::prelim::generate_prelim;
 
 fn full_scale() -> bool {
@@ -26,8 +26,8 @@ fn bench_fig10(c: &mut Criterion) {
         let ctx = bench.ctx(kind, 0);
         let tds = bench.samples(kind, 1)[0];
         for l in [10usize, 30] {
-            let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
-            let (prelim, _) = generate_prelim(&ctx, tds, l, OsSource::DataGraph);
+            let complete = generate_os(&ctx, tds, Some(l as u32 - 1));
+            let (prelim, _) = generate_prelim(&ctx, tds, l);
             let cases: [(&str, &dyn SizeLAlgorithm, &sizel_core::os::Os); 4] = [
                 ("bottom_up/complete", &BottomUp, &complete),
                 ("bottom_up/prelim", &BottomUp, &prelim),

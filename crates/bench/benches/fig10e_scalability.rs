@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use sizel_bench::{Bench, GdsKind};
 use sizel_core::algo::{BottomUp, DpKnapsack, SizeLAlgorithm, TopPath};
-use sizel_core::osgen::{generate_os, OsSource};
+use sizel_core::osgen::generate_os;
 
 fn full_scale() -> bool {
     std::env::var("SIZEL_BENCH_FULL").is_ok_and(|v| v == "1")
@@ -21,8 +21,8 @@ fn bench_scalability(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(1));
     for (name, tds) in bench.ladder() {
-        let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
-        let size = generate_os(&ctx, tds, None, OsSource::DataGraph).len();
+        let complete = generate_os(&ctx, tds, Some(l as u32 - 1));
+        let size = generate_os(&ctx, tds, None).len();
         let algos: [(&str, &dyn SizeLAlgorithm); 3] =
             [("bottom_up", &BottomUp), ("top_path", &TopPath), ("optimal_dp", &DpKnapsack)];
         for (algo_name, algo) in algos {

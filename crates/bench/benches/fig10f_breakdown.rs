@@ -1,12 +1,11 @@
 //! Criterion bench behind Figure 10(f): the OS-generation side of the cost
-//! breakdown — complete vs prelim-l, data-graph vs database, on the
-//! Supplier GDS.
+//! breakdown — complete vs prelim-l, on the Supplier GDS.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sizel_bench::{Bench, GdsKind};
-use sizel_core::osgen::{generate_os, OsSource};
+use sizel_core::osgen::generate_os;
 use sizel_core::prelim::generate_prelim;
 
 fn full_scale() -> bool {
@@ -22,17 +21,11 @@ fn bench_breakdown(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(1));
     for l in [10usize, 50] {
-        group.bench_with_input(BenchmarkId::new("complete/data_graph", l), &l, |b, &l| {
-            b.iter(|| black_box(generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph)))
+        group.bench_with_input(BenchmarkId::new("complete", l), &l, |b, &l| {
+            b.iter(|| black_box(generate_os(&ctx, tds, Some(l as u32 - 1))))
         });
-        group.bench_with_input(BenchmarkId::new("complete/database", l), &l, |b, &l| {
-            b.iter(|| black_box(generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::Database)))
-        });
-        group.bench_with_input(BenchmarkId::new("prelim/data_graph", l), &l, |b, &l| {
-            b.iter(|| black_box(generate_prelim(&ctx, tds, l, OsSource::DataGraph)))
-        });
-        group.bench_with_input(BenchmarkId::new("prelim/database", l), &l, |b, &l| {
-            b.iter(|| black_box(generate_prelim(&ctx, tds, l, OsSource::Database)))
+        group.bench_with_input(BenchmarkId::new("prelim", l), &l, |b, &l| {
+            b.iter(|| black_box(generate_prelim(&ctx, tds, l)))
         });
     }
     group.finish();

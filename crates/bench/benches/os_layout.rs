@@ -4,17 +4,16 @@
 //!
 //! * `generate_os` on the famous-author ladder (Figure 10e's 1000+-tuple
 //!   OSs) — dominated by per-node allocation before the flat CSR arena,
-//! * prelim-l generation from either tuple source through a pooled arena —
-//!   dominated by the `select_eq_top_l` Avoidance-Condition-2 probes both
-//!   sources issue, which the importance-sorted FK index turns into
-//!   bounded prefix scans.
+//! * prelim-l generation through a pooled arena — dominated by the
+//!   `select_eq_top_l` Avoidance-Condition-2 probes, which the
+//!   importance-sorted FK index turns into bounded prefix scans.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sizel_bench::{Bench, GdsKind};
 use sizel_core::os::OsArenaPool;
-use sizel_core::osgen::{generate_os, generate_os_pooled, OsSource};
+use sizel_core::osgen::{generate_os, generate_os_pooled};
 use sizel_core::prelim::generate_prelim_pooled;
 
 fn full_scale() -> bool {
@@ -29,31 +28,26 @@ fn bench_generate(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(1));
     for (name, tds) in bench.ladder() {
-        let size = generate_os(&ctx, tds, None, OsSource::DataGraph).len();
+        let size = generate_os(&ctx, tds, None).len();
         group.bench_with_input(
-            BenchmarkId::new("data_graph", format!("{name}_{size}t")),
+            BenchmarkId::new("one_shot", format!("{name}_{size}t")),
             &tds,
-            |b, &tds| b.iter(|| black_box(generate_os(&ctx, tds, None, OsSource::DataGraph))),
+            |b, &tds| b.iter(|| black_box(generate_os(&ctx, tds, None))),
         );
         // The steady-state serving path: arena + scratch recycled, zero
         // allocations per generation (tests/alloc_guard.rs).
         let mut pool = OsArenaPool::new();
         group.bench_with_input(
-            BenchmarkId::new("data_graph_pooled", format!("{name}_{size}t")),
+            BenchmarkId::new("pooled", format!("{name}_{size}t")),
             &tds,
             |b, &tds| {
                 b.iter(|| {
-                    let os = generate_os_pooled(&ctx, tds, None, OsSource::DataGraph, &mut pool);
+                    let os = generate_os_pooled(&ctx, tds, None, Default::default(), &mut pool);
                     let n = black_box(os.len());
                     pool.release(os);
                     n
                 })
             },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("database", format!("{name}_{size}t")),
-            &tds,
-            |b, &tds| b.iter(|| black_box(generate_os(&ctx, tds, None, OsSource::Database))),
         );
     }
     group.finish();
@@ -69,20 +63,17 @@ fn bench_prelim(c: &mut Criterion) {
         let ctx = bench.ctx(kind, 0);
         let tds = bench.samples(kind, 1)[0];
         let mut pool = OsArenaPool::new();
+        let id = format!("{}_pooled", kind.label().replace(' ', "_"));
         for l in [15usize, 50] {
-            for (source, name) in
-                [(OsSource::Database, "database"), (OsSource::DataGraph, "data_graph")]
-            {
-                let id = format!("{}_{name}_pooled", kind.label().replace(' ', "_"));
-                group.bench_with_input(BenchmarkId::new(id, l), &l, |b, &l| {
-                    b.iter(|| {
-                        let (os, _) = generate_prelim_pooled(&ctx, tds, l, source, &mut pool);
-                        let n = black_box(os.len());
-                        pool.release(os);
-                        n
-                    })
-                });
-            }
+            group.bench_with_input(BenchmarkId::new(&id, l), &l, |b, &l| {
+                b.iter(|| {
+                    let (os, _) =
+                        generate_prelim_pooled(&ctx, tds, l, Default::default(), &mut pool);
+                    let n = black_box(os.len());
+                    pool.release(os);
+                    n
+                })
+            });
         }
     }
     group.finish();

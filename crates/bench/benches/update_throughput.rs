@@ -3,8 +3,8 @@
 //! epoch-versioned server, with the prefix-scan retention that motivates
 //! the incremental maintenance reported as a probe-mix ratio.
 //!
-//! Five regimes over the same Database-source query workload (the one
-//! that actually drives TOP-l probes), and one write-only case:
+//! Five regimes over the same prelim query workload (the one that
+//! drives TOP-l probes), and one write-only case:
 //! * `query_only` — no mutations: the steady-state ceiling.
 //! * `mixed_incremental` — one incremental insert per batch: sorted
 //!   runs appended to and re-sorted, token re-stamped, scores spliced. PR 3's
@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use sizel_core::engine::{EngineConfig, Mutation, QueryOptions, SizeLEngine};
-use sizel_core::osgen::OsSource;
 use sizel_core::test_fixtures::max_pk;
 use sizel_datagen::dblp::{generate, DblpConfig};
 use sizel_graph::presets;
@@ -56,22 +55,14 @@ fn build_engine() -> Arc<RwLock<SizeLEngine>> {
     ))
 }
 
-/// Database-source prelim queries: the workload whose TOP-l probes the
-/// sorted postings serve (DataGraph-source queries never touch them).
+/// Prelim queries: the workload whose TOP-l probes the sorted postings
+/// serve.
 fn workload() -> Vec<(String, QueryOptions)> {
     ["Christos Faloutsos", "Michalis Faloutsos", "Petros Faloutsos", "Faloutsos"]
         .into_iter()
         .flat_map(|kw| {
             [10usize, 30].into_iter().map(move |l| {
-                (
-                    kw.to_owned(),
-                    QueryOptions {
-                        l,
-                        prelim: true,
-                        source: OsSource::Database,
-                        ..QueryOptions::default()
-                    },
-                )
+                (kw.to_owned(), QueryOptions { l, prelim: true, ..QueryOptions::default() })
             })
         })
         .collect()

@@ -12,9 +12,10 @@ use sizel_core::algo::{
     TopPathOpt,
 };
 use sizel_core::eval::{snippet_selection, EvaluatorPanel};
+use sizel_core::os::OsArenaPool;
 use sizel_core::os::{Os, OsNodeId};
-use sizel_core::osgen::{generate_os, OsContext, OsSource};
-use sizel_core::prelim::generate_prelim;
+use sizel_core::osgen::{generate_os, generate_os_pooled, OsContext};
+use sizel_core::prelim::{generate_prelim, generate_prelim_pooled};
 use sizel_core::render::{render_os, RenderOptions};
 use sizel_storage::TupleRef;
 
@@ -51,8 +52,8 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 /// Generates (complete-with-cutoff, prelim) OS pair for one DS — the
 /// inputs a size-l query would actually build (§3.3 footnote).
 fn os_pair(ctx: &OsContext<'_>, tds: TupleRef, l: usize) -> (Os, Os) {
-    let complete = generate_os(ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
-    let (prelim, _) = generate_prelim(ctx, tds, l, OsSource::DataGraph);
+    let complete = generate_os(ctx, tds, Some(l as u32 - 1));
+    let (prelim, _) = generate_prelim(ctx, tds, l);
     (complete, prelim)
 }
 
@@ -61,8 +62,8 @@ fn os_pair(ctx: &OsContext<'_>, tds: TupleRef, l: usize) -> (Os, Os) {
 /// label), which is what makes Bottom-Up faster as l grows (fewer
 /// de-heapings, §6.3).
 fn full_pair(ctx: &OsContext<'_>, tds: TupleRef, l: usize) -> (Os, Os) {
-    let complete = generate_os(ctx, tds, None, OsSource::DataGraph);
-    let (prelim, _) = generate_prelim(ctx, tds, l, OsSource::DataGraph);
+    let complete = generate_os(ctx, tds, None);
+    let (prelim, _) = generate_prelim(ctx, tds, l);
     (complete, prelim)
 }
 
@@ -90,8 +91,7 @@ pub fn fig8(bench: &Bench) -> String {
                 let mut count = 0usize;
                 for &tds in &samples {
                     let ref_ctx = bench.ctx(kind, 0);
-                    let ref_os =
-                        generate_os(&ref_ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+                    let ref_os = generate_os(&ref_ctx, tds, Some(l as u32 - 1));
                     if ref_os.len() < l {
                         continue;
                     }
@@ -139,16 +139,19 @@ fn quality_row(
     ls: &[usize],
 ) -> Vec<Vec<String>> {
     let ctx = bench.ctx(kind, setting);
-    let methods: [(&str, &dyn SizeLAlgorithm, bool); 4] = [
+    let methods: [(&str, &dyn SizeLAlgorithm, bool); 5] = [
         ("Bottom-Up (Complete OS)", &BottomUp, false),
         ("Bottom-Up (Prelim-l OS)", &BottomUp, true),
         ("Update Top-Path-l (Complete OS)", &TopPath, false),
         ("Update Top-Path-l (Prelim-l OS)", &TopPath, true),
+        // The DP over the prelim-l OS: what `Optimal` with `prelim: true`
+        // serves, below 100% where Lemma 3's premise fails.
+        ("Optimal (Prelim-l OS)", &DpKnapsack, true),
     ];
     let mut rows: Vec<Vec<String>> =
         methods.iter().map(|(name, _, _)| vec![name.to_string()]).collect();
     for &l in ls {
-        let mut sums = [0.0f64; 4];
+        let mut sums = [0.0f64; 5];
         let mut count = 0usize;
         for &tds in samples {
             let (complete, prelim) = os_pair(&ctx, tds, l);
@@ -175,7 +178,8 @@ fn quality_row(
 }
 
 /// Figure 9(a-f): approximation quality of the greedy methods vs. the
-/// optimum, on complete and prelim-l inputs.
+/// optimum, on complete and prelim-l inputs, and of the optimum over the
+/// prelim-l OS (the paper's figure has no such row).
 pub fn fig9(bench: &Bench) -> String {
     let mut out = String::from("## Figure 9 — Approximation quality (Im(S) / optimal)\n\n");
     let header: Vec<String> = std::iter::once("method".to_string())
@@ -187,11 +191,9 @@ pub fn fig9(bench: &Bench) -> String {
     for kind in GdsKind::ALL {
         let samples = bench.samples(kind, n_samples(bench));
         let ctx = bench.ctx(kind, 0);
-        let avg_size: f64 = samples
-            .iter()
-            .map(|&t| generate_os(&ctx, t, None, OsSource::DataGraph).len() as f64)
-            .sum::<f64>()
-            / samples.len() as f64;
+        let avg_size: f64 =
+            samples.iter().map(|&t| generate_os(&ctx, t, None).len() as f64).sum::<f64>()
+                / samples.len() as f64;
         out.push_str(&format!("### {} (Aver|OS|={avg_size:.0})\n\n", kind.label()));
         let rows = quality_row(bench, kind, &samples, 0, &FIG9_LS);
         out.push_str(&markdown_table(&header_refs, &rows));
@@ -203,7 +205,7 @@ pub fn fig9(bench: &Bench) -> String {
     let ladder = bench.ladder();
     if let Some((name, tds)) = ladder.first() {
         let ctx = bench.ctx(GdsKind::Author, 0);
-        let size = generate_os(&ctx, *tds, None, OsSource::DataGraph).len();
+        let size = generate_os(&ctx, *tds, None).len();
         out.push_str(&format!("### (e) Small DBLP Author OS — {name} (|OS|={size})\n\n"));
         let rows = quality_row(bench, GdsKind::Author, &[*tds], 0, &FIG9_LS);
         out.push_str(&markdown_table(&header_refs, &rows));
@@ -213,26 +215,22 @@ pub fn fig9(bench: &Bench) -> String {
     // Panel (f): DBLP Author across ranking settings, averaged over l.
     out.push_str("### (f) DBLP Author across settings (average over l=5..50)\n\n");
     let samples = bench.samples(GdsKind::Author, n_samples(bench));
-    let mut rows = Vec::new();
-    let method_names = [
-        "Bottom-Up (Complete OS)",
-        "Bottom-Up (Prelim-l OS)",
-        "Update Top-Path-l (Complete OS)",
-        "Update Top-Path-l (Prelim-l OS)",
-    ];
-    for (m, name) in method_names.iter().enumerate() {
-        let mut row = vec![name.to_string()];
-        for (si, _) in SETTINGS.iter().enumerate() {
-            let per_l = quality_row(bench, GdsKind::Author, &samples, si, &FIG9_LS);
-            // Average the per-l percentages of method m.
-            let vals: Vec<f64> = per_l[m][1..]
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    for si in 0..SETTINGS.len() {
+        let per_l = quality_row(bench, GdsKind::Author, &samples, si, &FIG9_LS);
+        rows.resize_with(per_l.len(), Vec::new);
+        for (row, method) in rows.iter_mut().zip(&per_l) {
+            if row.is_empty() {
+                row.push(method[0].clone());
+            }
+            // Average the method's per-l percentages.
+            let vals: Vec<f64> = method[1..]
                 .iter()
                 .filter_map(|s| s.trim_end_matches('%').parse::<f64>().ok())
                 .collect();
             let avg = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
             row.push(format!("{avg:.1}%"));
         }
-        rows.push(row);
     }
     let hdr: Vec<String> = std::iter::once("method".to_string())
         .chain(SETTINGS.iter().map(|s| s.name.to_string()))
@@ -336,7 +334,7 @@ pub fn fig10e(bench: &Bench) -> String {
     let mut rows = Vec::new();
     // The ladder is already ascending in |OS|.
     for (name, tds) in bench.ladder() {
-        let full = generate_os(&ctx, tds, None, OsSource::DataGraph);
+        let full = generate_os(&ctx, tds, None);
         let (complete, prelim) = full_pair(&ctx, tds, l);
         let t_bu_c = time_ms(|| {
             std::hint::black_box(BottomUp.compute(&complete, l));
@@ -381,23 +379,22 @@ pub fn fig10e(bench: &Bench) -> String {
     out
 }
 
-/// Figure 10(f): cost breakdown — OS generation (data-graph vs database)
-/// plus size-l computation, and prelim-l sizes/savings, on the Supplier
-/// GDS.
+/// Figure 10(f): cost breakdown — OS generation, complete and prelim-l,
+/// with the joins each issues, plus size-l computation, and prelim-l
+/// sizes, on the Supplier GDS. Generation runs through a warm pool, as a
+/// serving thread's does.
 pub fn fig10f(bench: &Bench) -> String {
     let mut out = String::from(
         "## Figure 10(f) — Cost breakdown on TPC-H Supplier (ms; averages over samples)\n\n",
     );
     let samples = bench.samples(GdsKind::Supplier, n_samples(bench));
     let ctx = bench.ctx(GdsKind::Supplier, 0);
-    let db = bench.db(DbKind::Tpch);
+    let mut pool = OsArenaPool::new();
 
     let mut rows = Vec::new();
     for &l in &[10usize, 50] {
-        let mut gen_graph = 0.0;
-        let mut gen_db = 0.0;
-        let mut gen_prelim_graph = 0.0;
-        let mut gen_prelim_db = 0.0;
+        let mut gen_complete = 0.0;
+        let mut gen_prelim = 0.0;
         let mut complete_size = 0usize;
         let mut prelim_size = 0usize;
         let mut joins_complete = 0u64;
@@ -405,32 +402,17 @@ pub fn fig10f(bench: &Bench) -> String {
         let mut t_bu = 0.0;
         let mut t_tp = 0.0;
         for &tds in &samples {
-            gen_graph += time_ms(|| {
-                std::hint::black_box(generate_os(
-                    &ctx,
-                    tds,
-                    Some(l as u32 - 1),
-                    OsSource::DataGraph,
-                ));
+            let cutoff = Some(l as u32 - 1);
+            gen_complete += time_ms(|| {
+                let os = generate_os_pooled(&ctx, tds, cutoff, Default::default(), &mut pool);
+                pool.release(std::hint::black_box(os));
             });
-            db.access().reset();
-            gen_db += time_ms(|| {
-                std::hint::black_box(generate_os(
-                    &ctx,
-                    tds,
-                    Some(l as u32 - 1),
-                    OsSource::Database,
-                ));
+            joins_complete += pool.last_cost().access.joins;
+            gen_prelim += time_ms(|| {
+                let (os, _) = generate_prelim_pooled(&ctx, tds, l, Default::default(), &mut pool);
+                pool.release(std::hint::black_box(os));
             });
-            joins_complete += db.access().snapshot().joins / 3; // time_ms runs 3x
-            gen_prelim_graph += time_ms(|| {
-                std::hint::black_box(generate_prelim(&ctx, tds, l, OsSource::DataGraph));
-            });
-            db.access().reset();
-            gen_prelim_db += time_ms(|| {
-                std::hint::black_box(generate_prelim(&ctx, tds, l, OsSource::Database));
-            });
-            joins_prelim += db.access().snapshot().joins / 3;
+            joins_prelim += pool.last_cost().access.joins;
             let (complete, prelim) = os_pair(&ctx, tds, l);
             complete_size += complete.len();
             prelim_size += prelim.len();
@@ -446,10 +428,8 @@ pub fn fig10f(bench: &Bench) -> String {
             format!("l={l}"),
             format!("{:.0}", complete_size as f64 / n),
             format!("{:.0}", prelim_size as f64 / n),
-            format!("{:.3}", gen_graph / n),
-            format!("{:.3}", gen_db / n),
-            format!("{:.3}", gen_prelim_graph / n),
-            format!("{:.3}", gen_prelim_db / n),
+            format!("{:.3}", gen_complete / n),
+            format!("{:.3}", gen_prelim / n),
             format!("{:.0}", joins_complete as f64 / n),
             format!("{:.0}", joins_prelim as f64 / n),
             format!("{:.3}", t_bu / n),
@@ -461,10 +441,8 @@ pub fn fig10f(bench: &Bench) -> String {
             "l",
             "|OS|",
             "|prelim|",
-            "gen complete (graph)",
-            "gen complete (DB)",
-            "gen prelim (graph)",
-            "gen prelim (DB)",
+            "gen complete",
+            "gen prelim",
             "joins complete",
             "joins prelim",
             "Bottom-Up on prelim",
@@ -563,7 +541,7 @@ pub fn example45(bench: &Bench) -> String {
     // The ladder is ascending; the example trio are the three largest.
     let trio: Vec<(String, TupleRef)> = ladder.iter().rev().take(3).cloned().collect();
     if let Some((name, tds)) = trio.first() {
-        let complete = generate_os(&ctx, *tds, None, OsSource::DataGraph);
+        let complete = generate_os(&ctx, *tds, None);
         out.push_str(&format!(
             "### Example 4 — complete OS for {name} ({} tuples)\n\n```\n",
             complete.len()
@@ -579,7 +557,7 @@ pub fn example45(bench: &Bench) -> String {
     }
     out.push_str("### Example 5 — size-15 OSs\n\n");
     for (name, tds) in &trio {
-        let (prelim, _) = generate_prelim(&ctx, *tds, 15, OsSource::DataGraph);
+        let (prelim, _) = generate_prelim(&ctx, *tds, 15);
         let r = TopPath.compute(&prelim, 15);
         let summary = prelim.project(&r.selected).to_os();
         out.push_str(&format!("**{name}** (Im(S) = {:.3}):\n\n```\n", r.importance));
@@ -606,7 +584,7 @@ pub fn snippet_baseline(bench: &Bench) -> String {
     let mut snippet_total = 0.0;
     let mut optimal_total = 0.0;
     for (i, &tds) in samples.iter().enumerate() {
-        let os = generate_os(&ctx, tds, None, OsSource::DataGraph);
+        let os = generate_os(&ctx, tds, None);
         let ideal = panel.ideal(&os, 5, 0);
         let optimal = DpKnapsack.compute(&os, 5);
         let snippet = snippet_selection(&os, 3, 0xBEEF + i as u64);
@@ -1061,7 +1039,7 @@ pub fn ablations(bench: &Bench) -> String {
     let tds = bench.samples(GdsKind::Author, 1)[0];
     let mut rows = Vec::new();
     for l in [4usize, 6, 8, 10, 12, 16] {
-        let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+        let complete = generate_os(&ctx, tds, Some(l as u32 - 1));
         let t_fast = time_ms(|| {
             std::hint::black_box(DpKnapsack.compute(&complete, l));
         });
@@ -1102,7 +1080,7 @@ pub fn ablations(bench: &Bench) -> String {
         let mut q_base = 0.0;
         let mut q_opt = 0.0;
         for &tds in &samples {
-            let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+            let complete = generate_os(&ctx, tds, Some(l as u32 - 1));
             let optimum = DpKnapsack.compute(&complete, l).importance.max(1e-12);
             t_base += time_ms(|| {
                 std::hint::black_box(TopPath.compute(&complete, l));
@@ -1127,19 +1105,16 @@ pub fn ablations(bench: &Bench) -> String {
         &rows,
     ));
 
-    // (3) Avoidance conditions (database mode I/O), under both score
-    // regimes: the paper's uncompressed ObjectRank skew prunes far more.
-    out.push_str(
-        "\n### Avoidance conditions: I/O accesses, complete vs prelim-l (database mode)\n\n",
-    );
+    // (3) Avoidance conditions (I/O), under both score regimes: the
+    // paper's uncompressed ObjectRank skew prunes far more.
+    out.push_str("\n### Avoidance conditions: I/O accesses, complete vs prelim-l\n\n");
     let sup_samples = bench.samples(GdsKind::Supplier, n_samples(bench));
     let mut rows = Vec::new();
+    let mut pool = OsArenaPool::new();
     for (regime, sup_ctx) in [
         ("compressed", bench.ctx(GdsKind::Supplier, 0)),
         ("raw-skew", bench.ctx_raw(GdsKind::Supplier)),
     ] {
-        // Each regime's scores are installed in a database of its own.
-        let db = sup_ctx.db;
         for l in [10usize, 50] {
             let mut joins_c = 0u64;
             let mut tuples_c = 0u64;
@@ -1150,18 +1125,20 @@ pub fn ablations(bench: &Bench) -> String {
             let mut size_c = 0usize;
             let mut size_p = 0usize;
             for &tds in &sup_samples {
-                db.access().reset();
-                let os = generate_os(&sup_ctx, tds, Some(l as u32 - 1), OsSource::Database);
-                let s = db.access().snapshot();
+                let cutoff = Some(l as u32 - 1);
+                let os = generate_os_pooled(&sup_ctx, tds, cutoff, Default::default(), &mut pool);
+                let s = pool.last_cost().access;
                 joins_c += s.joins;
                 tuples_c += s.tuples;
                 size_c += os.len();
-                db.access().reset();
-                let (p, st) = generate_prelim(&sup_ctx, tds, l, OsSource::Database);
-                let s = db.access().snapshot();
+                pool.release(os);
+                let (p, st) =
+                    generate_prelim_pooled(&sup_ctx, tds, l, Default::default(), &mut pool);
+                let s = pool.last_cost().access;
                 joins_p += s.joins;
                 tuples_p += s.tuples;
                 size_p += p.len();
+                pool.release(p);
                 c1 += st.cond1_skips;
                 c2 += st.cond2_probes;
             }
@@ -1205,7 +1182,7 @@ pub fn consecutive(bench: &Bench) -> String {
     );
     let ctx = bench.ctx(GdsKind::Author, 0);
     let tds = bench.samples(GdsKind::Author, 1)[0];
-    let os = generate_os(&ctx, tds, Some(29), OsSource::DataGraph);
+    let os = generate_os(&ctx, tds, Some(29));
     let sims = sizel_core::eval::consecutive_optima_similarity(&os, 30);
     let mut rows = Vec::new();
     let mut non_nested = 0;
@@ -1233,7 +1210,7 @@ pub fn wordbudget(bench: &Bench) -> String {
     let ctx = bench.ctx(GdsKind::Author, 0);
     let db = bench.db(DbKind::Dblp);
     let tds = bench.samples(GdsKind::Author, 1)[0];
-    let os = generate_os(&ctx, tds, Some(29), OsSource::DataGraph);
+    let os = generate_os(&ctx, tds, Some(29));
     // Cost of a node = number of words across its display columns + 1 for
     // the label.
     let word_cost = |id: sizel_core::os::OsNodeId| -> usize {
@@ -1278,11 +1255,9 @@ pub fn calibrate(bench: &Bench) -> String {
     for (kind, (label, expect)) in GdsKind::ALL.into_iter().zip(paper) {
         let ctx = bench.ctx(kind, 0);
         let samples = bench.samples(kind, n_samples(bench));
-        let avg: f64 = samples
-            .iter()
-            .map(|&t| generate_os(&ctx, t, None, OsSource::DataGraph).len() as f64)
-            .sum::<f64>()
-            / samples.len() as f64;
+        let avg: f64 =
+            samples.iter().map(|&t| generate_os(&ctx, t, None).len() as f64).sum::<f64>()
+                / samples.len() as f64;
         rows.push(vec![label.to_string(), format!("{expect:.0}"), format!("{avg:.0}")]);
     }
     out.push_str(&markdown_table(&["GDS", "paper Aver|OS|", "measured Aver|OS|"], &rows));
@@ -1317,6 +1292,9 @@ mod tests {
         assert!(out.contains("DBLP Author"));
         assert!(out.contains("TPC-H Supplier"));
         assert!(out.contains("Update Top-Path-l (Prelim-l OS)"));
+        // Each panel reports the optimum over the prelim-l OS: (a)-(d),
+        // (e) and (f).
+        assert_eq!(out.matches("| Optimal (Prelim-l OS) |").count(), 6);
         // Every percentage is <= 100.
         for token in out.split_whitespace().filter(|t| t.ends_with("%")) {
             let v: f64 = token.trim_end_matches('%').parse().unwrap_or(0.0);
@@ -1328,7 +1306,11 @@ mod tests {
     #[test]
     fn fig10f_and_stats_render() {
         let out = fig10f(bench());
-        assert!(out.contains("gen complete (graph)"));
+        assert!(out.contains("gen complete"));
+        // Joins are read from the generation's own cost record.
+        let row = out.lines().find(|r| r.starts_with("| l=10 ")).expect("an l=10 row");
+        let joins: f64 = row.split('|').nth(6).unwrap().trim().parse().unwrap();
+        assert!(joins > 0.0, "{row}");
         let out = datagraph_stats(bench());
         assert!(out.contains("DBLP"));
         assert!(out.contains("TPC-H"));
@@ -1349,7 +1331,7 @@ mod tests {
         let b = bench();
         let ctx = b.ctx(GdsKind::Author, 0);
         let tds = b.samples(GdsKind::Author, 1)[0];
-        let os = generate_os(&ctx, tds, Some(14), OsSource::DataGraph);
+        let os = generate_os(&ctx, tds, Some(14));
         let (opt, others) = verify_dominance(&os, 15);
         for (kind, r) in others {
             assert!(r.importance <= opt.importance + 1e-9, "{:?} beat the optimum", kind);

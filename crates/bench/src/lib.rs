@@ -159,8 +159,7 @@ impl Bench {
         let tpch_dg_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // Setting 0 (GA1-d1) goes into the main databases, so the
-        // Database-source benches run TOP-l probes as sorted prefix
-        // scans; every other setting into a copy of its own.
+        // benches run TOP-l probes as sorted prefix scans; every other setting into a copy of its own.
         let mut maxima = HashMap::new();
         let mut copies = HashMap::new();
         let raw_cfg = RankConfig { log_compress: false, ..RankConfig::default() };

@@ -5,7 +5,7 @@
 //! an unexplainable benchmark shift.
 
 use sizel_bench::{Bench, GdsKind};
-use sizel_core::osgen::{generate_os, OsSource};
+use sizel_core::osgen::generate_os;
 
 /// `(kind, paper Aver|OS|, relative tolerance)`. DBLP tolerances are the
 /// ±15% target of the recalibration; TPC-H Supplier gets ±20% — it has sat
@@ -26,11 +26,9 @@ fn bench_scale_aver_os_matches_paper_table() {
     for (kind, paper, tolerance) in PINS {
         let ctx = bench.ctx(kind, 0);
         let samples = bench.samples(kind, 10);
-        let avg: f64 = samples
-            .iter()
-            .map(|&t| generate_os(&ctx, t, None, OsSource::DataGraph).len() as f64)
-            .sum::<f64>()
-            / samples.len() as f64;
+        let avg: f64 =
+            samples.iter().map(|&t| generate_os(&ctx, t, None).len() as f64).sum::<f64>()
+                / samples.len() as f64;
         let ratio = avg / paper;
         assert!(
             (ratio - 1.0).abs() <= tolerance,

@@ -73,8 +73,8 @@ fn mutation_batches(e: &SizeLEngine) -> Vec<Vec<Mutation>> {
     ]
 }
 
-/// Queries covering pre-existing and inserted DSs, both sources, both
-/// rankings.
+/// Queries covering pre-existing and inserted DSs, both named sources (one
+/// cache entry), both rankings.
 fn query_set(existing: &str) -> Vec<(String, QueryOptions)> {
     let mut set = Vec::new();
     for kw in [existing, "Quorra", "Veldt", "Brann", "veldt", "Oxley", "reiterated", "Mirelle"] {

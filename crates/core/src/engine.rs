@@ -84,12 +84,15 @@ pub struct QueryOptions {
     /// `SizeLEngine::summarize` panics on `l = 0` (the wire codec
     /// rejects it before it gets that far).
     pub l: usize,
-    /// Size-l algorithm.
+    /// Size-l algorithm, over the input `prelim` picks: `Optimal` is the
+    /// optimum over that input.
     pub algo: AlgoKind,
-    /// Tuple source for OS generation.
+    /// Accepted and ignored: one tuple source ([`OsSource`]).
     pub source: OsSource,
-    /// Generate a prelim-l OS instead of the complete OS (§5.3; "the use
-    /// of prelim-l OSs is constantly a better choice", §6.3).
+    /// Generate a prelim-l OS instead of the complete OS (§5.3). It holds
+    /// the top-l set (Definition 2), and an optimal size-l OS only under
+    /// depth-monotone local importance (Lemma 3), which DBLP under GA1
+    /// lacks: there `Optimal` over it may miss the complete OS's optimum.
     pub prelim: bool,
     /// Result ordering.
     pub ranking: ResultRanking,
@@ -100,7 +103,7 @@ impl Default for QueryOptions {
         QueryOptions {
             l: 15,
             algo: AlgoKind::TopPath,
-            source: OsSource::DataGraph,
+            source: OsSource::default(),
             prelim: true,
             ranking: ResultRanking::default(),
         }
@@ -284,8 +287,8 @@ impl SizeLEngine {
     /// Builds the engine: validates FKs, computes global importance with
     /// the GA produced by `ga`, builds each DS relation's GDS(θ) and the
     /// keyword index, and installs the importance-sorted FK order so
-    /// Database-source TOP-l probes run as prefix scans. The `ga` builder
-    /// is retained for [`SizeLEngine::apply`]'s exact refresh path.
+    /// TOP-l probes run as prefix scans. The `ga` builder is retained for
+    /// [`SizeLEngine::apply`]'s exact refresh path.
     ///
     /// Cost, over bench-scale DBLP (`DblpConfig::bench`): the rank sweeps
     /// dominate, the posting install and the keyword index follow, and FK
@@ -780,7 +783,7 @@ impl SizeLEngine {
     }
 
     /// Runs a keyword query with default options (l = 15, Top-Path,
-    /// data-graph source, prelim-l input).
+    /// prelim-l input).
     pub fn query(&self, keywords: &str, l: usize) -> Vec<QueryResult> {
         self.query_with(keywords, QueryOptions { l, ..QueryOptions::default() })
     }
@@ -810,9 +813,9 @@ impl SizeLEngine {
 
     /// Computes one DS tuple's ranked summary — the per-`t_DS` unit of
     /// [`Self::query_with`]. Deterministic: a pure function of
-    /// `(tds, opts.l, opts.algo, opts.prelim, opts.source)` (`opts.ranking`
-    /// only reorders whole result lists), which is exactly the cache key the
-    /// serving layer uses.
+    /// `(tds, opts.l, opts.algo, opts.prelim)` (`opts.ranking` only
+    /// reorders whole result lists), exactly the cache key the serving
+    /// layer uses. Adds its probe cost to `db.access()`; panics on `l = 0`.
     ///
     /// The input OS is drawn from a thread-local [`OsArenaPool`] and
     /// released after projection, and the size-l computation draws its
@@ -828,15 +831,16 @@ impl SizeLEngine {
             static POOL: std::cell::RefCell<(OsArenaPool, crate::algo::AlgoScratch)> =
                 std::cell::RefCell::new((OsArenaPool::new(), crate::algo::AlgoScratch::new()));
         }
+        assert!(opts.l >= 1, "size-l needs l >= 1");
         let ctx = self.context(tds.table);
         POOL.with(|pool| {
             let (pool, scratch) = &mut *pool.borrow_mut();
-            let input = if opts.prelim && opts.l > 0 {
+            let input = if opts.prelim {
                 generate_prelim_pooled(&ctx, tds, opts.l, opts.source, pool).0
             } else {
-                let cutoff = if opts.l > 0 { Some(opts.l as u32 - 1) } else { None };
-                generate_os_pooled(&ctx, tds, cutoff, opts.source, pool)
+                generate_os_pooled(&ctx, tds, Some(opts.l as u32 - 1), opts.source, pool)
             };
+            self.db.access().add(&pool.last_cost());
             let result = opts.algo.compute_pooled(&input, opts.l, scratch);
             let summary = input.project(&result.selected);
             let input_os_size = input.len();
@@ -967,12 +971,7 @@ mod tests {
         for kw in ["Faloutsos", "Zanthi", "Power-law"] {
             for opts in [
                 QueryOptions { l: 12, ..QueryOptions::default() },
-                QueryOptions {
-                    l: 8,
-                    prelim: false,
-                    source: OsSource::Database,
-                    ..Default::default()
-                },
+                QueryOptions { l: 8, prelim: false, ..Default::default() },
             ] {
                 assert_eq!(
                     fingerprint(&live.query_with(kw, opts)),
@@ -1007,27 +1006,14 @@ mod tests {
         assert!(results[0].summary.len() > 1, "the linked paper joins the summary");
         results[0].summary.validate().unwrap();
 
-        // Both tuple sources agree after the mutation (the Database source
-        // exercises the maintained sorted postings; byte-identical output
-        // proves the re-stamped order is correct).
-        for kw in ["Wexler", "Faloutsos"] {
-            let a = live.query_with(
-                kw,
-                QueryOptions { l: 10, source: OsSource::DataGraph, ..Default::default() },
-            );
-            let b = live.query_with(
-                kw,
-                QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
-            );
-            assert_eq!(fingerprint(&a), fingerprint(&b), "{kw}: sources diverged post-mutation");
-        }
-
-        // And node for node, complete OSs included: before and after a
-        // scored batch that inserts, re-homes and deletes junction rows.
+        // The prefix scans over the maintained sorted postings agree with
+        // the heap path node for node, complete OSs included, before and
+        // after a scored batch that inserts, re-homes and deletes junction
+        // rows: byte-identical output proves the re-stamped order correct.
         let agree = |e: &SizeLEngine| {
             for kw in ["Wexler", "Faloutsos", "Power-law"] {
                 for tds in e.ds_hits(kw) {
-                    crate::osgen::tests::assert_sources_agree(&e.context(tds.table), tds);
+                    crate::osgen::tests::assert_probe_paths_agree(&e.context(tds.table), tds);
                 }
             }
         };
@@ -1050,13 +1036,10 @@ mod tests {
         agree(&live);
 
         // The installed order is retained: an FK prefix scan still fires
-        // after the inserts. Database-source prelim generation probes
-        // only junction steps, one heap probe each.
+        // after the inserts. Prelim generation probes only junction
+        // steps, one heap probe each.
         live.db().access().reset();
-        let _ = live.query_with(
-            "Faloutsos",
-            QueryOptions { l: 15, source: OsSource::Database, prelim: true, ..Default::default() },
-        );
+        let _ = live.query_with("Faloutsos", QueryOptions { l: 15, ..Default::default() });
         let probes = live.db().access().probes();
         assert!(probes.fast == 0 && probes.heap > 0, "junction steps only: {probes:?}");
         let ap = "AuthorPaper";
@@ -1127,7 +1110,7 @@ mod tests {
         for kw in ["Orla", "Tamsin", "batched", existing.as_str()] {
             for opts in [
                 QueryOptions { l: 8, ..QueryOptions::default() },
-                QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
+                QueryOptions { l: 10, ..Default::default() },
                 QueryOptions { l: 6, prelim: false, ..Default::default() },
             ] {
                 let b0 = batched.db().access().snapshot();
@@ -1145,14 +1128,10 @@ mod tests {
             }
         }
         // Both paths keep the installed order live for FK prefix scans;
-        // Database-source summaries probe junction steps, one heap probe
-        // each.
+        // summaries probe junction steps, one heap probe each.
         for e in [&batched, &folded] {
             e.db().access().reset();
-            let _ = e.query_with(
-                &existing,
-                QueryOptions { l: 10, source: OsSource::Database, ..Default::default() },
-            );
+            let _ = e.query_with(&existing, QueryOptions { l: 10, ..Default::default() });
             let probes = e.db().access().probes();
             assert!(probes.fast == 0 && probes.heap > 0, "junction steps only: {probes:?}");
             let ap = "AuthorPaper";
@@ -1179,6 +1158,15 @@ mod tests {
                 }
             });
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "l >= 1")]
+    fn l_zero_is_rejected_before_any_generation() {
+        // With prelim-l input, `l = 0` once generated the uncut complete
+        // OS (~15 600 nodes for a bench-scale hub) and panicked only when
+        // projecting the empty selection.
+        let _ = engine().query_with("Faloutsos", QueryOptions { l: 0, ..Default::default() });
     }
 
     #[test]
@@ -1403,31 +1391,6 @@ mod tests {
         for w in results.windows(2) {
             assert!(w[0].importance >= w[1].importance);
         }
-    }
-
-    #[test]
-    fn database_source_produces_same_summaries() {
-        let e = engine();
-        let a = e.query_with(
-            "Petros Faloutsos",
-            QueryOptions {
-                l: 10,
-                source: OsSource::DataGraph,
-                prelim: false,
-                ..QueryOptions::default()
-            },
-        );
-        let b = e.query_with(
-            "Petros Faloutsos",
-            QueryOptions {
-                l: 10,
-                source: OsSource::Database,
-                prelim: false,
-                ..QueryOptions::default()
-            },
-        );
-        assert_eq!(a[0].importance, b[0].importance);
-        assert_eq!(a[0].input_os_size, b[0].input_os_size);
     }
 
     proptest::proptest! {

@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use crate::algo::{BottomUp, TopPath};
     use crate::os::figure56_tree;
-    use crate::osgen::{generate_os, OsSource};
+    use crate::osgen::generate_os;
     use crate::test_fixtures::dblp_fixture;
 
     #[test]
@@ -194,7 +194,7 @@ mod tests {
     fn panel_is_deterministic() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(0), Some(9), OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(0), Some(9));
         let p = EvaluatorPanel::default();
         let a = p.ideal(&os, 10, 3);
         let b = p.ideal(&os, 10, 3);
@@ -208,7 +208,7 @@ mod tests {
     fn ideal_selections_are_valid_size_l() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(1), Some(9), OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(1), Some(9));
         let p = EvaluatorPanel::default();
         for i in 0..p.n_evaluators {
             let ideal = p.ideal(&os, 10, i);
@@ -223,7 +223,7 @@ mod tests {
         // far better than chance.
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(0), Some(14), OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(0), Some(14));
         let p = EvaluatorPanel::default();
         let l = 15;
         let computed = TopPath.compute(&os, l);
@@ -241,7 +241,7 @@ mod tests {
         // size-5 OS on a large OS.
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(0), None, OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(0), None);
         assert!(os.len() > 50, "need a large OS for the baseline comparison");
         let good = DpKnapsack.compute(&os, 5);
         let mut total = 0usize;
@@ -259,7 +259,7 @@ mod tests {
     fn consecutive_similarity_bounds_and_shape() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(0), Some(19), OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(0), Some(19));
         let sims = consecutive_optima_similarity(&os, 20);
         assert_eq!(sims.len(), 19);
         for &(l, j, _) in &sims {

@@ -549,9 +549,9 @@ pub struct OsArenaPool {
 /// rows and its bounded heap / boundary-tie staging run, recycled so a
 /// warm prelim generation never touches the allocator (pinned by
 /// `tests/alloc_guard.rs`), and the summary's probe cost record, which
-/// the generation loops reset on entry and fold into the database's
-/// counter on exit for the Database source. Pooled inside
-/// [`OsArenaPool`]; one-shot callers can default-construct it.
+/// the generation loops reset on entry and leave for the caller to read
+/// ([`OsArenaPool::last_cost`]). Pooled inside [`OsArenaPool`]; one-shot
+/// callers can default-construct it.
 #[derive(Debug, Default)]
 pub struct FetchScratch {
     /// The selected rows of one probe: every probe form selects rows of
@@ -593,19 +593,26 @@ impl OsArenaPool {
 
     /// Returns an arena to the pool for reuse, keeping its capacity. An
     /// arena with room for more than [`POOL_NODES_MAX`] nodes is freed
-    /// instead, and so is the BFS scratch its generation grew.
+    /// instead, with the BFS scratch its generation grew (not its cost).
     pub fn release(&mut self, mut os: Os) {
         if os.nodes.capacity() <= POOL_NODES_MAX {
             os.clear();
             self.arenas.push(os);
         } else {
-            *self = OsArenaPool { arenas: std::mem::take(&mut self.arenas), ..Self::default() };
+            let fetch = FetchScratch { cost: self.fetch.cost, ..FetchScratch::default() };
+            *self =
+                OsArenaPool { arenas: std::mem::take(&mut self.arenas), fetch, ..Self::default() };
         }
     }
 
     /// Number of arenas currently parked in the pool.
     pub fn parked(&self) -> usize {
         self.arenas.len()
+    }
+
+    /// The probe cost of the last generation drawn from this pool.
+    pub fn last_cost(&self) -> ProbeCost {
+        self.fetch.cost
     }
 }
 

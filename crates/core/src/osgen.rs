@@ -3,17 +3,15 @@
 //! Breadth-first traversal of the GDS(θ) starting at `t_DS`: for each OS
 //! node and each child relation of its GDS node, fetch the joining tuples
 //! and append them as children. The paper's §6.3 compares two tuple
-//! sources for the same algorithms; here they share one fetch body and
-//! one TOP-l probe ([`Database::select_eq_top_l_into`] and its junction
-//! sibling), reading the same FK runs and resolving a forward step — a
-//! forward FK, or a junction row's target — through the target's primary
-//! key (`Table::parent_of`), the SQL-shaped join of Algorithm 5 line 6.
-//! They differ in one thing only: every probe adds to the summary's cost
-//! record in the pooled [`FetchScratch`], which is folded into the
-//! storage layer's access counter once per summary for
-//! [`OsSource::Database`] and dropped for [`OsSource::DataGraph`], the
-//! in-memory index, which counts nothing. So both yield the same OS node
-//! for node. Local importance reads each table's installed score
+//! sources, the data graph and joins against the database; here there is
+//! one, and it is both: one fetch body and one TOP-l probe
+//! ([`Database::select_eq_top_l_into`] and its junction sibling), reading
+//! the FK runs and resolving a forward step — a forward FK, or a junction
+//! row's target — through the target's primary key (`Table::parent_of`),
+//! the SQL-shaped join of Algorithm 5 line 6. Every probe adds to the
+//! summary's cost record in the pooled [`FetchScratch`], which the caller
+//! reads ([`OsArenaPool::last_cost`]); generation itself counts nothing
+//! in the database. Local importance reads each table's installed score
 //! snapshot.
 
 use sizel_graph::{Direction, Gds, GdsNodeId, JoinSpec, SchemaEdge, SchemaGraph};
@@ -21,13 +19,17 @@ use sizel_storage::{Database, FkOrderToken, ProbeCost, RowId, TupleRef};
 
 use crate::os::{FetchScratch, Os, OsArenaPool};
 
-/// Where OS generation reads tuples from.
-/// `Hash` because the serving layer's cache key includes the source.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The §6.3 tuple source a request names. There is one generation path,
+/// so the value selects nothing: it is kept, accepted and ignored, for
+/// the wire option and the benchmark that still name it (ROADMAP item 0).
+/// A caller of the pooled generators with no source to pass passes
+/// `Default::default()`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OsSource {
-    /// The in-memory index: nothing is counted.
+    /// The in-memory index.
+    #[default]
     DataGraph,
-    /// Joins against the stored tables: every probe is counted.
+    /// Joins against the stored tables.
     Database,
 }
 
@@ -200,16 +202,6 @@ impl<'a> OsContext<'a> {
         }
         out.extend(rows.iter().map(|&r| TupleRef::new(node.relation, r)));
     }
-
-    /// Ends one summary's generation: the cost its fetches recorded in
-    /// `scratch` is folded into the database's counter in one add for the
-    /// Database source, and dropped for the data graph.
-    pub(crate) fn fold_cost(&self, source: OsSource, scratch: &mut FetchScratch) {
-        let cost = std::mem::take(&mut scratch.cost);
-        if source == OsSource::Database {
-            self.db.access().add(&cost);
-        }
-    }
 }
 
 /// Algorithm 5: generates the complete OS for `t_DS`. `depth_cutoff` caps
@@ -219,28 +211,25 @@ impl<'a> OsContext<'a> {
 /// OS").
 ///
 /// One-shot convenience over [`generate_os_pooled`]: allocates a private
-/// pool per call. Loops should hold an [`OsArenaPool`] and call the pooled
-/// variant, which runs allocation-free once its buffers are warm.
-pub fn generate_os(
-    ctx: &OsContext<'_>,
-    tds: TupleRef,
-    depth_cutoff: Option<u32>,
-    source: OsSource,
-) -> Os {
+/// pool per call. Loops, and callers that want the probe cost, should
+/// hold an [`OsArenaPool`] and call the pooled variant, which runs
+/// allocation-free once its buffers are warm.
+pub fn generate_os(ctx: &OsContext<'_>, tds: TupleRef, depth_cutoff: Option<u32>) -> Os {
     let mut pool = OsArenaPool::new();
-    generate_os_pooled(ctx, tds, depth_cutoff, source, &mut pool)
+    generate_os_pooled(ctx, tds, depth_cutoff, Default::default(), &mut pool)
 }
 
 /// [`generate_os`] drawing the arena and all BFS scratch from `pool`.
 /// Release the returned OS back to the same pool when done with it to keep
 /// the steady state allocation-free (asserted by `tests/alloc_guard.rs`).
-/// A Database-source summary adds its probe cost to `ctx.db.access()`
-/// once, on return.
+/// The summary's probe cost is then [`OsArenaPool::last_cost`].
+/// `_source` is ignored; it stays for the benchmark's callers (ROADMAP
+/// item 0).
 pub fn generate_os_pooled(
     ctx: &OsContext<'_>,
     tds: TupleRef,
     depth_cutoff: Option<u32>,
-    source: OsSource,
+    _source: OsSource,
     pool: &mut OsArenaPool,
 ) -> Os {
     assert_eq!(tds.table, ctx.gds.root_relation(), "t_DS must belong to the GDS root relation");
@@ -276,62 +265,59 @@ pub fn generate_os_pooled(
             }
         }
     }
-    ctx.fold_cost(source, fetch);
     os
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::prelim::generate_prelim;
-    use crate::test_fixtures::{build_dblp, dblp_fixture, tpch_fixture};
+    use crate::prelim::generate_prelim_pooled;
+    use crate::test_fixtures::{dblp_fixture, tpch_fixture};
 
-    /// Both sources give the same complete OS for `tds`, and the same
-    /// prelim-l OS at several `l`, node for node: tuple, GDS node, parent
-    /// and weight bits, in BFS order.
-    pub(crate) fn assert_sources_agree(ctx: &OsContext<'_>, tds: TupleRef) {
+    /// A context's TOP-l probes and its token-less twin's (the bounded
+    /// heap) give the same complete OS for `tds`, and the same prelim-l OS
+    /// at several `l`, node for node — tuple, GDS node, parent and weight
+    /// bits, in BFS order — at the same paper cost.
+    pub(crate) fn assert_probe_paths_agree(ctx: &OsContext<'_>, tds: TupleRef) {
+        let heap_ctx = OsContext::new(ctx.db, ctx.sg, ctx.gds, None);
+        let mut pool = OsArenaPool::new();
         // `None`: the complete OS; `Some(l)`: the prelim-l OS.
         for l in [None, Some(1), Some(2), Some(5), Some(15)] {
-            let generate = |source| match l {
-                None => generate_os(ctx, tds, None, source),
-                Some(l) => generate_prelim(ctx, tds, l, source).0,
+            let mut generate = |ctx| {
+                let os = match l {
+                    None => generate_os_pooled(ctx, tds, None, Default::default(), &mut pool),
+                    Some(l) => generate_prelim_pooled(ctx, tds, l, Default::default(), &mut pool).0,
+                };
+                os.validate().unwrap();
+                (os, pool.last_cost().access)
             };
-            let (a, b) = (generate(OsSource::DataGraph), generate(OsSource::Database));
-            a.validate().unwrap();
-            b.validate().unwrap();
-            assert_eq!(a.len(), b.len(), "{tds:?} prelim-{l:?}: both sources yield the same OS");
+            let ((a, a_cost), (b, b_cost)) = (generate(ctx), generate(&heap_ctx));
+            assert_eq!(a.len(), b.len(), "{tds:?} prelim-{l:?}: both probe paths yield one OS");
             for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
                 let (xk, yk) = ((x.tuple, x.gds_node, x.parent), (y.tuple, y.gds_node, y.parent));
                 assert_eq!(xk, yk, "{tds:?} prelim-{l:?}");
                 assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "{tds:?} prelim-{l:?}");
             }
+            assert_eq!(a_cost, b_cost, "{tds:?} prelim-{l:?}: paper cost");
         }
     }
 
     #[test]
     fn generates_consistent_tree_from_both_sources() {
         // Both fixtures carry an installed order, so the FK runs are in
-        // posting order and the TOP-l probes prefix-scan; TPC-H's Supplier
-        // GDS steps backward over plain FK edges, DBLP's through
-        // junctions. The token-less contexts take the heap path.
+        // posting order and the token contexts' TOP-l probes prefix-scan;
+        // each is compared with its token-less twin, which takes the heap
+        // path. TPC-H's Supplier GDS steps backward over plain FK edges,
+        // DBLP's through junctions.
         let f = dblp_fixture();
-        let heap_ctx = |gds| OsContext::new(&f.dblp.db, &f.sg, gds, None);
-        for ctx in [f.ctx(), heap_ctx(&f.gds)] {
-            for i in 0..4 {
-                assert_sources_agree(&ctx, f.author_tds(i));
-            }
-        }
-        for ctx in [f.ctx_over(&f.paper_gds), heap_ctx(&f.paper_gds)] {
-            for i in 0..4 {
-                assert_sources_agree(&ctx, TupleRef::new(f.dblp.paper, RowId(i as u32)));
-            }
+        for i in 0..4 {
+            assert_probe_paths_agree(&f.ctx(), f.author_tds(i));
+            let paper = TupleRef::new(f.dblp.paper, RowId(i as u32));
+            assert_probe_paths_agree(&f.ctx_over(&f.paper_gds), paper);
         }
         let t = tpch_fixture();
-        let db = &t.tpch.db;
-        for ctx in [t.supplier_ctx(), OsContext::new(db, &t.sg, &t.supplier_gds, None)] {
-            for r in db.table(t.tpch.supplier).live_rows().take(4) {
-                assert_sources_agree(&ctx, TupleRef::new(t.tpch.supplier, r));
-            }
+        for r in t.tpch.db.table(t.tpch.supplier).live_rows().take(4) {
+            assert_probe_paths_agree(&t.supplier_ctx(), TupleRef::new(t.tpch.supplier, r));
         }
     }
 
@@ -342,40 +328,27 @@ pub(crate) mod tests {
         let mut pool = OsArenaPool::new();
         for i in 0..3 {
             let tds = f.author_tds(i);
-            for source in [OsSource::DataGraph, OsSource::Database] {
-                let fresh = generate_os(&ctx, tds, Some(9), source);
-                // Generate twice through the same pool: the second run
-                // reuses the released arena and must be byte-identical.
-                let a = generate_os_pooled(&ctx, tds, Some(9), source, &mut pool);
-                pool.release(a);
-                let b = generate_os_pooled(&ctx, tds, Some(9), source, &mut pool);
-                b.validate().unwrap();
-                assert_eq!(b.len(), fresh.len());
-                for ((ia, na), (ib, nb)) in fresh.iter().zip(b.iter()) {
-                    assert_eq!(na.tuple, nb.tuple);
-                    assert_eq!(na.parent, nb.parent);
-                    assert_eq!(na.weight.to_bits(), nb.weight.to_bits());
-                    assert_eq!(fresh.children(ia), b.children(ib));
-                }
-                pool.release(b);
+            let fresh = generate_os(&ctx, tds, Some(9));
+            // Generate twice through the same pool: the second run
+            // reuses the released arena and must be byte-identical, at
+            // the same cost.
+            let a = generate_os_pooled(&ctx, tds, Some(9), Default::default(), &mut pool);
+            let cost = pool.last_cost();
+            pool.release(a);
+            let b = generate_os_pooled(&ctx, tds, Some(9), Default::default(), &mut pool);
+            b.validate().unwrap();
+            assert_eq!(pool.last_cost(), cost);
+            assert!(cost.access.joins > 0 && cost.access.tuples as usize >= b.len() - 1);
+            assert_eq!(b.len(), fresh.len());
+            for ((ia, na), (ib, nb)) in fresh.iter().zip(b.iter()) {
+                assert_eq!(na.tuple, nb.tuple);
+                assert_eq!(na.parent, nb.parent);
+                assert_eq!(na.weight.to_bits(), nb.weight.to_bits());
+                assert_eq!(fresh.children(ia), b.children(ib));
             }
+            pool.release(b);
         }
         assert_eq!(pool.parked(), 1, "one arena cycles through the pool");
-    }
-
-    #[test]
-    fn database_mode_counts_joins() {
-        // A private fixture: the counter is reset and read back.
-        let f = build_dblp();
-        let ctx = f.ctx();
-        let tds = f.author_tds(0);
-        f.dblp.db.access().reset();
-        let _ = generate_os(&ctx, tds, None, OsSource::DataGraph);
-        assert_eq!(f.dblp.db.access().snapshot().joins, 0, "graph mode does no DB joins");
-        let os = generate_os(&ctx, tds, None, OsSource::Database);
-        let stats = f.dblp.db.access().snapshot();
-        assert!(stats.joins > 0);
-        assert!(stats.tuples as usize >= os.len() - 1);
     }
 
     #[test]
@@ -383,7 +356,7 @@ pub(crate) mod tests {
         let f = dblp_fixture();
         let ctx = f.ctx();
         let tds = f.author_tds(0);
-        let os = generate_os(&ctx, tds, None, OsSource::DataGraph);
+        let os = generate_os(&ctx, tds, None);
         let co = f.gds.find_label("CoAuthor").unwrap();
         for (_, n) in os.iter() {
             if n.gds_node == co {
@@ -397,8 +370,8 @@ pub(crate) mod tests {
         let f = dblp_fixture();
         let ctx = f.ctx();
         let tds = f.author_tds(0);
-        let full = generate_os(&ctx, tds, None, OsSource::DataGraph);
-        let cut = generate_os(&ctx, tds, Some(1), OsSource::DataGraph);
+        let full = generate_os(&ctx, tds, None);
+        let cut = generate_os(&ctx, tds, Some(1));
         assert!(cut.max_depth() <= 1);
         assert!(cut.len() < full.len());
         // Cut OS is a prefix-closed subset: every cut tuple exists in full.
@@ -410,7 +383,7 @@ pub(crate) mod tests {
         let f = dblp_fixture();
         let ctx = f.ctx();
         let tds = f.author_tds(1);
-        let os = generate_os(&ctx, tds, None, OsSource::DataGraph);
+        let os = generate_os(&ctx, tds, None);
         for (_, n) in os.iter() {
             let expect = ctx.db.installed_score(n.tuple) * ctx.gds.node(n.gds_node).affinity;
             assert!((n.weight - expect).abs() < 1e-12);
@@ -421,7 +394,7 @@ pub(crate) mod tests {
     fn os_tuples_follow_gds_relations() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(2), None, OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(2), None);
         for (_, n) in os.iter() {
             assert_eq!(n.tuple.table, ctx.gds.node(n.gds_node).relation);
         }
@@ -434,6 +407,6 @@ pub(crate) mod tests {
         let ctx = f.ctx();
         // A Paper tuple against the Author GDS.
         let bad = TupleRef::new(f.dblp.paper, sizel_storage::RowId(0));
-        let _ = generate_os(&ctx, bad, None, OsSource::DataGraph);
+        let _ = generate_os(&ctx, bad, None);
     }
 }

@@ -40,27 +40,23 @@ pub struct PrelimStats {
 
 /// Generates the prelim-l OS for `t_DS` (Algorithm 4).
 ///
-/// One-shot convenience over [`generate_prelim_pooled`]; loops should hold
-/// an [`OsArenaPool`] and call the pooled variant.
-pub fn generate_prelim(
-    ctx: &OsContext<'_>,
-    tds: TupleRef,
-    l: usize,
-    source: OsSource,
-) -> (Os, PrelimStats) {
+/// One-shot convenience over [`generate_prelim_pooled`]; loops, and
+/// callers that want the probe cost, should hold an [`OsArenaPool`] and
+/// call the pooled variant.
+pub fn generate_prelim(ctx: &OsContext<'_>, tds: TupleRef, l: usize) -> (Os, PrelimStats) {
     let mut pool = OsArenaPool::new();
-    generate_prelim_pooled(ctx, tds, l, source, &mut pool)
+    generate_prelim_pooled(ctx, tds, l, Default::default(), &mut pool)
 }
 
 /// [`generate_prelim`] drawing the arena and the BFS scratch from `pool`.
-/// Release the returned OS back to the same pool when done with it. A
-/// Database-source summary adds its probe cost to `ctx.db.access()` once,
-/// on return.
+/// Release the returned OS back to the same pool when done with it. The
+/// summary's probe cost is then [`OsArenaPool::last_cost`]. `_source` is
+/// ignored; it stays for the benchmark's callers (ROADMAP item 0).
 pub fn generate_prelim_pooled(
     ctx: &OsContext<'_>,
     tds: TupleRef,
     l: usize,
-    source: OsSource,
+    _source: OsSource,
     pool: &mut OsArenaPool,
 ) -> (Os, PrelimStats) {
     assert!(l > 0, "prelim-l needs l >= 1");
@@ -132,7 +128,6 @@ pub fn generate_prelim_pooled(
             }
         }
     }
-    ctx.fold_cost(source, fetch);
     (os, stats)
 }
 
@@ -140,8 +135,8 @@ pub fn generate_prelim_pooled(
 mod tests {
     use super::*;
     use crate::algo::{BottomUp, DpKnapsack, SizeLAlgorithm};
-    use crate::osgen::generate_os;
-    use crate::test_fixtures::{build_dblp, build_tpch, dblp_fixture};
+    use crate::osgen::{generate_os, generate_os_pooled};
+    use crate::test_fixtures::{build_dblp, dblp_fixture, tpch_fixture};
     use std::collections::HashSet;
 
     #[test]
@@ -150,8 +145,8 @@ mod tests {
         let ctx = f.ctx();
         let tds = f.author_tds(0);
         let l = 10;
-        let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
-        let (prelim, stats) = generate_prelim(&ctx, tds, l, OsSource::DataGraph);
+        let complete = generate_os(&ctx, tds, Some(l as u32 - 1));
+        let (prelim, stats) = generate_prelim(&ctx, tds, l);
         prelim.validate().unwrap();
         assert!(prelim.len() <= complete.len());
         assert!(prelim.len() >= l.min(complete.len()), "prelim must hold at least l tuples");
@@ -167,8 +162,8 @@ mod tests {
         for i in [0, 1, 2] {
             let tds = f.author_tds(i);
             for l in [1, 5, 10, 20] {
-                let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
-                let (prelim, _) = generate_prelim(&ctx, tds, l, OsSource::DataGraph);
+                let complete = generate_os(&ctx, tds, Some(l as u32 - 1));
+                let (prelim, _) = generate_prelim(&ctx, tds, l);
                 let mut weights: Vec<(f64, TupleRef, u16)> =
                     complete.iter().map(|(_, n)| (n.weight, n.tuple, n.gds_node.0)).collect();
                 weights.sort_by(|a, b| b.0.total_cmp(&a.0));
@@ -199,8 +194,8 @@ mod tests {
         let ctx = f.ctx();
         let tds = f.author_tds(0);
         for l in [5, 10, 15] {
-            let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
-            let (prelim, _) = generate_prelim(&ctx, tds, l, OsSource::DataGraph);
+            let complete = generate_os(&ctx, tds, Some(l as u32 - 1));
+            let (prelim, _) = generate_prelim(&ctx, tds, l);
             let on_complete = BottomUp.compute(&complete, l);
             let on_prelim = BottomUp.compute(&prelim, l);
             assert!(
@@ -228,7 +223,7 @@ mod tests {
         for i in 0..5 {
             let tds = f.author_tds(i);
             for l in [4, 8, 12] {
-                let complete = generate_os(&octx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+                let complete = generate_os(&octx, tds, Some(l as u32 - 1));
                 if complete.len() < l {
                     continue;
                 }
@@ -239,7 +234,7 @@ mod tests {
                     }
                 }
                 checked += 1;
-                let (prelim, _) = generate_prelim(&octx, tds, l, OsSource::DataGraph);
+                let (prelim, _) = generate_prelim(&octx, tds, l);
                 let opt_complete = DpKnapsack.compute(&complete, l);
                 let opt_prelim = DpKnapsack.compute(&prelim, l);
                 assert!(
@@ -255,18 +250,17 @@ mod tests {
 
     #[test]
     fn avoidance_conditions_save_accesses_in_database_mode() {
-        // A private fixture: the counter is reset and read back.
-        let f = build_tpch();
+        let f = tpch_fixture();
         let ctx = f.supplier_ctx();
         let suppliers = f.tpch.db.table(f.tpch.supplier);
         let tds = TupleRef::new(f.tpch.supplier, suppliers.iter().next().expect("rows").0);
         let l = 10;
-        f.tpch.db.access().reset();
-        let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::Database);
-        let complete_cost = f.tpch.db.access().snapshot();
-        f.tpch.db.access().reset();
-        let (prelim, stats) = generate_prelim(&ctx, tds, l, OsSource::Database);
-        let prelim_cost = f.tpch.db.access().snapshot();
+        let mut pool = OsArenaPool::new();
+        let complete =
+            generate_os_pooled(&ctx, tds, Some(l as u32 - 1), Default::default(), &mut pool);
+        let complete_cost = pool.last_cost().access;
+        let (prelim, stats) = generate_prelim_pooled(&ctx, tds, l, Default::default(), &mut pool);
+        let prelim_cost = pool.last_cost().access;
         assert!(prelim.len() <= complete.len());
         assert!(
             prelim_cost.tuples <= complete_cost.tuples,
@@ -277,29 +271,28 @@ mod tests {
 
     #[test]
     fn sorted_link_fast_path_is_byte_identical_with_identical_accounting() {
-        // Database-source prelim generation over the Author GDS drives
+        // Prelim generation over the Author GDS drives
         // junction TOP-l probes (Paper, CoAuthor, citations). Each is one
         // bounded selection over the junction's FK run, each target
         // resolved by key,
         // whether the installed order is attested or withheld: the
         // generated OS, the paper-cost accounting and the probe mix must
         // be byte-identical between the two contexts, and every TOP-l step
-        // of the Author GDS — all junction steps — is a heap probe. A
-        // private fixture: the counter is diffed.
-        let f = build_dblp();
+        // of the Author GDS — all junction steps — is a heap probe.
+        let f = dblp_fixture();
         let fast_ctx = f.ctx();
         let heap_ctx = OsContext::new(&f.dblp.db, &f.sg, &f.gds, None);
+        let mut pool = OsArenaPool::new();
         for i in 0..4 {
             let tds = f.author_tds(i);
             for l in [1usize, 5, 12] {
-                let s0 = f.dblp.db.access().snapshot();
-                let p0 = f.dblp.db.access().probes();
-                let (fast, _) = generate_prelim(&fast_ctx, tds, l, OsSource::Database);
-                let s1 = f.dblp.db.access().snapshot();
-                let p1 = f.dblp.db.access().probes();
-                let (heap, _) = generate_prelim(&heap_ctx, tds, l, OsSource::Database);
-                let s2 = f.dblp.db.access().snapshot();
-                let p2 = f.dblp.db.access().probes();
+                let mut generate = |ctx| {
+                    let (os, _) =
+                        generate_prelim_pooled(ctx, tds, l, Default::default(), &mut pool);
+                    (os, pool.last_cost())
+                };
+                let ((fast, fast_cost), (heap, heap_cost)) =
+                    (generate(&fast_ctx), generate(&heap_ctx));
                 assert_eq!(fast.len(), heap.len(), "author {i} l={l}");
                 for ((ia, na), (ib, nb)) in fast.iter().zip(heap.iter()) {
                     assert_eq!(na.tuple, nb.tuple);
@@ -308,14 +301,14 @@ mod tests {
                     assert_eq!(fast.children(ia), heap.children(ib));
                 }
                 assert_eq!(
-                    s1.since(s0),
-                    s2.since(s1),
+                    fast_cost.access, heap_cost.access,
                     "author {i} l={l}: access accounting diverges between the contexts"
                 );
-                assert_eq!((p1.fast, p2.fast), (p0.fast, p0.fast), "no junction step prefix-scans");
-                assert_eq!(p1.heap - p0.heap, p2.heap - p1.heap, "author {i} l={l}: probe mix");
+                let (p1, p2) = (fast_cost.probes, heap_cost.probes);
+                assert_eq!((p1.fast, p2.fast), (0, 0), "no junction step prefix-scans");
+                assert_eq!(p1.heap, p2.heap, "author {i} l={l}: probe mix");
                 if l > 1 {
-                    assert!(p1.heap > p0.heap, "author {i} l={l}: no junction probe fired");
+                    assert!(p1.heap > 0, "author {i} l={l}: no junction probe fired");
                 }
             }
         }
@@ -326,8 +319,7 @@ mod tests {
         // A scored junction insert referencing a not-yet-existing endpoint
         // resolves to no target (the row counts, joins nothing); when the
         // endpoint arrives through a scored insert its key resolves and
-        // the token is re-stamped — so Database-source prelim
-        // generation sees the new endpoint without any reinstall,
+        // the token is re-stamped — so prelim generation sees the new endpoint without any reinstall,
         // byte-identical to a token-less run, every junction step one
         // heap probe.
         use sizel_datagen::dblp::{generate, DblpConfig};
@@ -404,12 +396,12 @@ mod tests {
         let heap_ctx = OsContext::new(&d.db, &sg, &gds, None);
 
         let tds = TupleRef::new(d.author, RowId(0));
-        d.db.access().reset();
-        let (fast, _) = generate_prelim(&ctx, tds, 8, OsSource::Database);
-        let probes = d.db.access().probes();
+        let mut pool = OsArenaPool::new();
+        let (fast, _) = generate_prelim_pooled(&ctx, tds, 8, Default::default(), &mut pool);
+        let probes = pool.last_cost().probes;
         assert!(probes.heap > 0, "junction steps are heap probes: {probes:?}");
-        let (heap, _) = generate_prelim(&heap_ctx, tds, 8, OsSource::Database);
-        assert_eq!(d.db.access().probes().heap, 2 * probes.heap, "the same probes either way");
+        let (heap, _) = generate_prelim_pooled(&heap_ctx, tds, 8, Default::default(), &mut pool);
+        assert_eq!(pool.last_cost().probes, probes, "the same probes either way");
         assert_eq!(fast.len(), heap.len());
         for ((ia, na), (ib, nb)) in fast.iter().zip(heap.iter()) {
             assert_eq!(na.tuple, nb.tuple);
@@ -429,7 +421,7 @@ mod tests {
         // Paper -> Year is an N:1 step. A Paper whose `year_id` is NULL has
         // no key to probe, so neither generator may count a join for it:
         // the paper-cost `joins` of prelim-l and complete generation agree
-        // on both sources (prelim once counted a probe it never issued).
+        // (prelim once counted a probe it never issued).
         use sizel_graph::{AffinityModel, Gds, GdsConfig, SchemaGraph};
         use sizel_storage::{Database, RowId, TableSchema, Value, ValueType};
 
@@ -457,21 +449,19 @@ mod tests {
         assert_eq!(gds.len(), 2, "Paper -> Year and nothing else");
         let ctx = OsContext::new(&db, &sg, &gds, fk_order);
 
+        let mut pool = OsArenaPool::new();
         for (row, probes) in [(RowId(0), 1), (RowId(1), 0)] {
             let tds = TupleRef::new(paper, row);
-            for source in [OsSource::DataGraph, OsSource::Database] {
-                let j0 = db.access().snapshot().joins;
-                let complete = generate_os(&ctx, tds, None, source);
-                let j1 = db.access().snapshot().joins;
-                let (prelim, stats) = generate_prelim(&ctx, tds, 4, source);
-                let j2 = db.access().snapshot().joins;
-                assert_eq!(stats.cond2_probes, 1, "the Year leaf goes through the TOP-l fetch");
-                assert_eq!(complete.len(), 1 + probes);
-                assert_eq!(prelim.len(), complete.len());
-                let expect = if source == OsSource::Database { probes as u64 } else { 0 };
-                assert_eq!(j1 - j0, expect, "{row:?} {source:?}: complete generation");
-                assert_eq!(j2 - j1, expect, "{row:?} {source:?}: prelim-l generation");
-            }
+            let complete = generate_os_pooled(&ctx, tds, None, Default::default(), &mut pool);
+            let j1 = pool.last_cost().access.joins;
+            let (prelim, stats) =
+                generate_prelim_pooled(&ctx, tds, 4, Default::default(), &mut pool);
+            let j2 = pool.last_cost().access.joins;
+            assert_eq!(stats.cond2_probes, 1, "the Year leaf goes through the TOP-l fetch");
+            assert_eq!(complete.len(), 1 + probes);
+            assert_eq!(prelim.len(), complete.len());
+            assert_eq!(j1, probes as u64, "{row:?}: complete generation");
+            assert_eq!(j2, probes as u64, "{row:?}: prelim-l generation");
         }
     }
 
@@ -480,6 +470,6 @@ mod tests {
     fn l_zero_is_rejected() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let _ = generate_prelim(&ctx, f.author_tds(0), 0, OsSource::DataGraph);
+        let _ = generate_prelim(&ctx, f.author_tds(0), 0);
     }
 }

@@ -164,14 +164,14 @@ fn emit(
 mod tests {
     use super::*;
     use crate::algo::{SizeLAlgorithm, TopPath};
-    use crate::osgen::{generate_os, OsSource};
+    use crate::osgen::generate_os;
     use crate::test_fixtures::dblp_fixture;
 
     #[test]
     fn renders_root_and_children_with_indentation() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(0), None, OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(0), None);
         let s = render_os(&f.dblp.db, &f.gds, &os, &RenderOptions::default());
         assert!(s.starts_with("Author: "), "root line first: {s}");
         assert!(s.contains("..Paper: "), "papers indented under the author");
@@ -184,7 +184,7 @@ mod tests {
         let ctx = f.ctx();
         // Find an author whose OS has a paper with >= 2 co-authors.
         for i in 0..10 {
-            let os = generate_os(&ctx, f.author_tds(i), None, OsSource::DataGraph);
+            let os = generate_os(&ctx, f.author_tds(i), None);
             let s = render_os(&f.dblp.db, &f.gds, &os, &RenderOptions::default());
             if s.contains("CoAuthor(s): ") {
                 assert!(s.contains(", "), "grouped line lists multiple names");
@@ -198,7 +198,7 @@ mod tests {
     fn max_lines_truncates_with_marker() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(0), None, OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(0), None);
         let opts = RenderOptions { max_lines: Some(5), ..RenderOptions::default() };
         let s = render_os(&f.dblp.db, &f.gds, &os, &opts);
         assert!(s.lines().count() <= 7, "5 content lines + marker + total");
@@ -209,7 +209,7 @@ mod tests {
     fn renders_projected_size_l_os() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(0), Some(14), OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(0), Some(14));
         let r = TopPath.compute(&os, 15);
         let sub = os.project(&r.selected);
         let s = render_os(&f.dblp.db, &f.gds, &sub.to_os(), &RenderOptions::default());
@@ -220,7 +220,7 @@ mod tests {
     fn importance_annotations() {
         let f = dblp_fixture();
         let ctx = f.ctx();
-        let os = generate_os(&ctx, f.author_tds(3), Some(2), OsSource::DataGraph);
+        let os = generate_os(&ctx, f.author_tds(3), Some(2));
         let opts = RenderOptions { show_importance: true, ..RenderOptions::default() };
         let s = render_os(&f.dblp.db, &f.gds, &os, &opts);
         assert!(s.contains("[im="));

@@ -1,8 +1,8 @@
 //! Shared test fixtures: small DBLP / TPC-H stacks built once per process
-//! ([`dblp_fixture`], [`tpch_fixture`]). A test that resets or diffs the
-//! database's access counter builds a private one instead
-//! (`build_dblp`, `build_tpch`): tests running in parallel probe the
-//! shared fixtures' counters too.
+//! ([`dblp_fixture`], [`tpch_fixture`]). A test reads a generation's cost
+//! from its own pool (`OsArenaPool::last_cost`), never from a shared
+//! fixture's access counter, which tests running in parallel add to; a
+//! test that changes the database builds a private one (`build_dblp`).
 
 use std::sync::OnceLock;
 
@@ -164,7 +164,7 @@ impl TpchFixture {
 
 /// Builds a private tiny TPC-H stack: GA1-d1 (ValueRank) scores
 /// installed, GDSs with stats.
-pub(crate) fn build_tpch() -> TpchFixture {
+fn build_tpch() -> TpchFixture {
     let mut t = tpch::generate(&TpchConfig::tiny());
     let sg = SchemaGraph::from_database(&t.db);
     let dg = DataGraph::build(&t.db, &sg);

@@ -12,7 +12,7 @@
 //! exact hit each across the grid as a canary against wholesale regression.
 
 use sizel_core::algo::{BottomUp, BruteForce, DpKnapsack, DpNaive, SizeLAlgorithm, TopPath};
-use sizel_core::osgen::{generate_os, OsSource};
+use sizel_core::osgen::generate_os;
 use sizel_core::test_fixtures::dblp_fixture;
 
 /// Brute-force candidate budget: generous, but a hard stop against
@@ -26,7 +26,7 @@ fn oracle_sized_oss() -> Vec<(usize, sizel_core::os::Os)> {
     let ctx = fix.ctx();
     let mut picked = Vec::new();
     for i in 0..fix.authors_by_degree.len() {
-        let os = generate_os(&ctx, fix.author_tds(i), None, OsSource::DataGraph);
+        let os = generate_os(&ctx, fix.author_tds(i), None);
         if (16..=28).contains(&os.len()) {
             picked.push((i, os));
         }

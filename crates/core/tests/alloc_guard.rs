@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use sizel_core::engine::{EngineConfig, QueryOptions, SizeLEngine};
 use sizel_core::os::OsArenaPool;
-use sizel_core::osgen::{generate_os_pooled, OsSource};
+use sizel_core::osgen::generate_os_pooled;
 use sizel_core::prelim::generate_prelim_pooled;
 use sizel_core::test_fixtures::dblp_fixture;
 
@@ -59,15 +59,16 @@ fn generate_os_steady_state_does_zero_allocations() {
     let subjects: Vec<_> = (0..4).map(|i| f.author_tds(i)).collect();
     // Complete OSs, uncut and cut at depth 9, then prelim-l OSs.
     let forms = [(None, None), (Some(9), None), (None, Some(5)), (None, Some(15))];
-    // Both tuple sources: they read the same FK runs, TOP-l probes and
-    // PK point lookups and differ in what they count — and with the
-    // arena and the probe scratch pooled, neither touches the allocator.
-    let sources = [OsSource::DataGraph, OsSource::Database];
-    let generate =
-        |tds, (cutoff, prelim): (Option<u32>, Option<usize>), source, pool: &mut _| match prelim {
-            Some(l) => generate_prelim_pooled(&ctx, tds, l, source, pool).0,
-            None => generate_os_pooled(&ctx, tds, cutoff, source, pool),
+    // With the arena and the probe scratch pooled, generation and reading
+    // its cost record touch no allocator.
+    let generate = |tds, (cutoff, prelim): (Option<u32>, Option<usize>), pool: &mut OsArenaPool| {
+        let os = match prelim {
+            Some(l) => generate_prelim_pooled(&ctx, tds, l, Default::default(), pool).0,
+            None => generate_os_pooled(&ctx, tds, cutoff, Default::default(), pool),
         };
+        std::hint::black_box(pool.last_cost());
+        os
+    };
 
     // Warm the pool: the arena, BFS queue, and fetch buffers grow to the
     // workload's high-water capacity during the first pass.
@@ -75,11 +76,9 @@ fn generate_os_steady_state_does_zero_allocations() {
     let mut warm_nodes = 0usize;
     for &tds in &subjects {
         for form in forms {
-            for source in sources {
-                let os = generate(tds, form, source, &mut pool);
-                warm_nodes += os.len();
-                pool.release(os);
-            }
+            let os = generate(tds, form, &mut pool);
+            warm_nodes += os.len();
+            pool.release(os);
         }
     }
     assert!(warm_nodes > 100, "fixture too small to make the guard meaningful");
@@ -90,11 +89,9 @@ fn generate_os_steady_state_does_zero_allocations() {
     for _ in 0..5 {
         for &tds in &subjects {
             for form in forms {
-                for source in sources {
-                    let os = generate(tds, form, source, &mut pool);
-                    steady_nodes += os.len();
-                    pool.release(os);
-                }
+                let os = generate(tds, form, &mut pool);
+                steady_nodes += os.len();
+                pool.release(os);
             }
         }
     }

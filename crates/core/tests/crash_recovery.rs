@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sizel_core::durability::{encode_batch, DiskTierConfig};
 use sizel_core::engine::{EngineConfig, Mutation, QueryOptions, SizeLEngine};
 use sizel_core::test_fixtures::{max_pk, result_fingerprint};
-use sizel_core::OsSource;
 use sizel_datagen::dblp::{generate, Dblp, DblpConfig};
 use sizel_disk::Wal;
 use sizel_graph::presets;
@@ -320,10 +319,10 @@ fn a_tier_with_paged_tables_probes_as_a_tier_less_engine() {
             ..DiskTierConfig::new(&dir)
         })
         .unwrap();
-    // Summaries generated from the stored tables (their junction steps
-    // are heap probes), then the TOP-l probe of every FK column of the
-    // checkpointed tables — the prefix scan no DBLP summary issues.
-    let opts = QueryOptions { source: OsSource::Database, ..QueryOptions::default() };
+    // Summaries (their junction steps are heap probes), then the TOP-l
+    // probe of every FK column of the checkpointed tables — the prefix
+    // scan no DBLP summary issues.
+    let opts = QueryOptions::default();
     let reads = |e: &SizeLEngine| -> (String, AccessStats, (u64, u64)) {
         let (db, access) = (e.db(), e.db().access());
         let (a0, p0) = (access.snapshot(), access.probes());

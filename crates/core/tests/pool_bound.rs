@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use sizel_core::algo::AlgoKind;
 use sizel_core::engine::{EngineConfig, QueryOptions, SizeLEngine};
 use sizel_core::os::{OsNode, POOL_NODES_MAX};
-use sizel_core::osgen::{generate_os, OsSource};
+use sizel_core::osgen::generate_os;
 use sizel_storage::{RowId, TupleRef};
 
 struct LiveCounting;
@@ -71,7 +71,7 @@ fn a_hub_summary_leaves_the_thread_pool_within_the_bound() {
         .live_rows()
         .map(|row: RowId| {
             let tds = TupleRef::new(author, row);
-            (generate_os(&ctx, tds, cutoff, OsSource::DataGraph).len(), tds)
+            (generate_os(&ctx, tds, cutoff).len(), tds)
         })
         .collect();
     sizes.sort();

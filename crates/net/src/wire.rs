@@ -110,6 +110,8 @@ fn get_opts(r: &mut Reader) -> Result<QueryOptions> {
         l => l as usize,
     };
     let algo = algo_from_u8(r.u8()?)?;
+    // The engine ignores the source, but the byte is outside input: an
+    // unknown value is rejected like any other.
     let source = match r.u8()? {
         0 => OsSource::DataGraph,
         1 => OsSource::Database,

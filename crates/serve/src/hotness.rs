@@ -5,7 +5,7 @@
 //! keys readers actually hit", not "the keys currently cached" — a cache
 //! entry dies with every epoch bump (its epoch-prefixed key becomes
 //! unreachable), while *hotness* survives mutations: the same
-//! `(t_DS, l, algo, prelim, source)` tuple will be asked again at the new
+//! `(t_DS, l, algo, prelim)` tuple will be asked again at the new
 //! epoch, and that is exactly the recompute the refresh worker wants to
 //! pay **before** a reader does. The sketch therefore tracks the
 //! epoch-less key.

@@ -22,9 +22,9 @@
 //!   are its callers, not second copies of it.
 //! * A sharded LRU cache ([`cache::ShardedCache`]) memoizes the per-DS
 //!   summary computation across queries, keyed on
-//!   `(epoch, t_DS, l, algo, prelim, source)` — the engine's mutation
-//!   epoch plus the exact argument tuple [`SizeLEngine::summarize`] is a
-//!   pure function of. Repeated keyword queries over a slowly-changing
+//!   `(epoch, t_DS, l, algo, prelim)` — the engine's mutation epoch plus
+//!   the exact argument tuple [`SizeLEngine::summarize`] is a pure
+//!   function of. Repeated keyword queries over a slowly-changing
 //!   ranking re-hit the same `t_DS` tuples (the continual/top-k
 //!   workload), so summary reuse dominates end-to-end latency.
 //! * [`SizeLServer::apply`] is the write path: it takes the write lock,
@@ -46,8 +46,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use sizel_core::algo::AlgoKind;
 pub use sizel_core::durability::{DiskTierConfig, DiskTierStats, RecoveryReport};
-use sizel_core::engine::{rank_results, QueryOptions, QueryResult, ResultRanking, SizeLEngine};
-use sizel_core::osgen::OsSource;
+use sizel_core::engine::{rank_results, QueryOptions, QueryResult, SizeLEngine};
 use sizel_storage::{Epoch, StorageError, TupleRef};
 
 pub mod cache;
@@ -58,28 +57,27 @@ pub use hotness::HotSketch;
 pub use sizel_core::engine::{Mutation, MutationOp, RefreshPolicy};
 
 /// The cache key: the engine's mutation epoch plus everything
-/// [`SizeLEngine::summarize`] depends on. `ranking` is deliberately
-/// excluded — it only reorders whole result lists and must never fragment
-/// the cache (a hit for `(algo, prelim)` under one ranking is
-/// byte-identical under the other). The epoch is first: a mutation makes
+/// [`SizeLEngine::summarize`] depends on. `ranking` (which only reorders
+/// whole result lists) and `source` (ignored) are deliberately excluded:
+/// neither may fragment the cache. The epoch is first: a mutation makes
 /// every prior entry unreachable by key, which is the staleness proof.
-pub type SummaryKey = (Epoch, TupleRef, usize, AlgoKind, bool, OsSource);
+pub type SummaryKey = (Epoch, TupleRef, usize, AlgoKind, bool);
 
 /// The *epoch-less* summary key tracked by the hotness sketch: hotness
 /// must survive mutations (the whole point of proactive re-warming is to
 /// recompute exactly these keys at the **new** epoch before a reader
 /// does), so the epoch stays out.
-pub type HotKey = (TupleRef, usize, AlgoKind, bool, OsSource);
+pub type HotKey = (TupleRef, usize, AlgoKind, bool);
 
 /// A cached, shareable query result.
 pub type SharedResult = Arc<QueryResult>;
 
 fn summary_key(epoch: Epoch, tds: TupleRef, opts: QueryOptions) -> SummaryKey {
-    (epoch, tds, opts.l, opts.algo, opts.prelim, opts.source)
+    (epoch, tds, opts.l, opts.algo, opts.prelim)
 }
 
 fn hot_key(tds: TupleRef, opts: QueryOptions) -> HotKey {
-    (tds, opts.l, opts.algo, opts.prelim, opts.source)
+    (tds, opts.l, opts.algo, opts.prelim)
 }
 
 /// Server construction parameters.
@@ -318,8 +316,8 @@ impl SizeLServer {
         let keys = self.hot.hottest(budget);
         let mut warmed = 0usize;
         for hk in keys {
-            let (tds, l, algo, prelim, source) = hk;
-            let opts = QueryOptions { l, algo, prelim, source, ranking: ResultRanking::default() };
+            let (tds, l, algo, prelim) = hk;
+            let opts = QueryOptions { l, algo, prelim, ..QueryOptions::default() };
             let engine = self.engine.read().expect("a mutation panicked mid-apply");
             // Hot keys deliberately survive epoch bumps — but a key whose
             // subject row was deleted can never be served again at any
@@ -444,6 +442,8 @@ fn pin_malloc_thresholds() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sizel_core::engine::ResultRanking;
+    use sizel_core::osgen::OsSource;
 
     #[test]
     fn server_is_send_and_sync() {
@@ -458,6 +458,8 @@ mod tests {
         let a = QueryOptions { ranking: ResultRanking::DsGlobalImportance, ..test_opts() };
         let b = QueryOptions { ranking: ResultRanking::SummaryImportance, ..test_opts() };
         assert_eq!(summary_key(Epoch(3), tds, a), summary_key(Epoch(3), tds, b));
+        let c = QueryOptions { source: OsSource::Database, ..test_opts() };
+        assert_eq!(summary_key(Epoch(3), tds, a), summary_key(Epoch(3), tds, c), "source is inert");
         assert_ne!(
             summary_key(Epoch(3), tds, a),
             summary_key(Epoch(4), tds, a),
@@ -466,13 +468,7 @@ mod tests {
     }
 
     fn test_opts() -> QueryOptions {
-        QueryOptions {
-            l: 10,
-            algo: AlgoKind::TopPath,
-            source: OsSource::DataGraph,
-            prelim: true,
-            ranking: ResultRanking::default(),
-        }
+        QueryOptions { l: 10, algo: AlgoKind::TopPath, prelim: true, ..QueryOptions::default() }
     }
 
     /// A cached summary is the cached `Arc` itself, found by one lookup

@@ -82,9 +82,10 @@ fn mutation_script(engine: &SizeLEngine) -> Vec<Mutation> {
 }
 
 /// Queries covering pre-existing, freshly inserted, renamed, and deleted
-/// DSs, both tuple sources, prelim and complete inputs. Keywords whose
-/// rows die mid-stream ("Oxley", then "Quillfeather") must go dark at the
-/// right epoch — an empty answer is a fingerprinted answer too.
+/// DSs, both named tuple sources (one cache entry), prelim and complete
+/// inputs. Keywords whose rows die mid-stream ("Oxley", then
+/// "Quillfeather") must go dark at the right epoch — an empty answer is a
+/// fingerprinted answer too.
 fn query_set(engine: &SizeLEngine) -> Vec<(String, QueryOptions)> {
     let existing = {
         let tid = engine.db().table_id("Author").unwrap();

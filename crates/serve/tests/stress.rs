@@ -53,7 +53,8 @@ fn query_set() -> Vec<(String, QueryOptions)> {
             }
         }
     }
-    // A few database-source and summary-ranked probes (slower, so fewer).
+    // A request naming the other tuple source (served from the same
+    // entries) and a summary-ranked probe.
     set.push((
         "Faloutsos".into(),
         QueryOptions {

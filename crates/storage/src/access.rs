@@ -2,10 +2,10 @@
 //!
 //! The paper's cost discussion (Sections 5.3 and 6.3) counts *I/O accesses*:
 //! one per `Ri(tj)` join probe, "even when it returns no results". The
-//! `_into` probe forms add to a caller-owned [`ProbeCost`]; the database's
-//! [`AccessCounter`] is made of atomics so read-only query paths
-//! (`&Database`) can fold such a record in once per summary and fixtures
-//! can be shared across test threads.
+//! `_into` probe forms add to a caller-owned [`ProbeCost`] (one per OS
+//! generation); the database's [`AccessCounter`] is made of atomics so
+//! read-only query paths (`&Database`) can add such a record in once per
+//! summary, from any thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,8 +97,8 @@ impl AccessStats {
 
 /// The cost of a sequence of probes, kept by the caller in plain integers:
 /// the paper-cost [`AccessStats`] and the [`ProbeStats`] mix (kept apart,
-/// see [`AccessCounter`]). The caller folds it into the database's counter
-/// ([`AccessCounter::add`]) or drops it.
+/// see [`AccessCounter`]). The caller adds it to the database's counter
+/// ([`AccessCounter::add`]) or reads it directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeCost {
     /// Join probes issued and tuples they returned.

@@ -3,7 +3,7 @@
 //! The `SELECT * TOP l ... ORDER BY li DESC` probe of Algorithm 4 line 10
 //! only ever keeps `l` rows, yet the original implementation sorted the
 //! *entire* FK group before truncating — `O(g log g)` per probe on groups
-//! of size `g`, the dominant cost of Database-source OS generation on
+//! of size `g`, the dominant cost of OS generation on
 //! high-fan-out groups (ROADMAP hot path). [`top_l`] instead maintains a
 //! bounded min-heap of the best `l` candidates seen so far: `O(g log l)`,
 //! with the common case (candidate worse than the current floor) a single

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use sizel::{
     approximation_ratio, build_dblp_engine, generate_os, generate_prelim, AlgoKind, DblpConfig,
-    GaPreset, OsSource, D1,
+    GaPreset, D1,
 };
 
 fn main() {
@@ -30,12 +30,12 @@ fn main() {
     let results = engine.query("Christos Faloutsos", 10);
     let tds = results[0].tds;
     let ctx = engine.context(author);
-    let complete = generate_os(&ctx, tds, None, OsSource::DataGraph);
+    let complete = generate_os(&ctx, tds, None);
     println!("DS = {}, |OS| = {} tuples\n", results[0].ds_label, complete.len());
 
     println!("{:<6} {:<22} {:>12} {:>8} {:>10}", "l", "algorithm", "Im(S)", "quality", "time");
     for l in [5usize, 10, 15, 20, 25, 30] {
-        let cut = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+        let cut = generate_os(&ctx, tds, Some(l as u32 - 1));
         let optimal = AlgoKind::Optimal.algorithm().compute(&cut, l);
         for kind in [AlgoKind::Optimal, AlgoKind::BottomUp, AlgoKind::TopPath, AlgoKind::TopPathOpt]
         {
@@ -62,8 +62,8 @@ fn main() {
         "l", "|prelim|", "|complete|", "cond1 skips", "cond2 probes", "full joins"
     );
     for l in [5usize, 10, 20, 50] {
-        let (prelim, stats) = generate_prelim(&ctx, tds, l, OsSource::DataGraph);
-        let cut = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+        let (prelim, stats) = generate_prelim(&ctx, tds, l);
+        let cut = generate_os(&ctx, tds, Some(l as u32 - 1));
         println!(
             "{:<6} {:>10} {:>12} {:>12} {:>12} {:>12}",
             l,

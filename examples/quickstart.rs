@@ -12,7 +12,7 @@
 //! ```
 
 use sizel::{
-    build_dblp_engine, generate_os, DblpConfig, GaPreset, OsSource, QueryOptions, RenderOptions, D1,
+    build_dblp_engine, generate_os, DblpConfig, GaPreset, QueryOptions, RenderOptions, D1,
 };
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     // --- Example 4: the complete OS of the top match ----------------------
     let top = &results[0];
     let ctx = engine.context(top.tds.table);
-    let complete = generate_os(&ctx, top.tds, None, OsSource::DataGraph);
+    let complete = generate_os(&ctx, top.tds, None);
     println!(
         "Example 4 — the complete OS for {} has {} tuples; first lines:",
         top.ds_label,

@@ -12,8 +12,7 @@
 //! ```
 
 use sizel::{
-    build_tpch_engine, generate_os, GaPreset, OsSource, QueryOptions, RenderOptions, TpchConfig,
-    TupleRef, D1,
+    build_tpch_engine, generate_os, GaPreset, QueryOptions, RenderOptions, TpchConfig, TupleRef, D1,
 };
 
 fn main() {
@@ -37,7 +36,7 @@ fn main() {
 
     // Full report = the complete OS.
     let ctx = value_rank.context(customer);
-    let complete = generate_os(&ctx, best, None, OsSource::DataGraph);
+    let complete = generate_os(&ctx, best, None);
     println!(
         "Full report holds {} tuples (orders, lineitems, part supplies, nation...).",
         complete.len()

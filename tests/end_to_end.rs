@@ -1,5 +1,5 @@
 //! End-to-end integration tests: keyword query in, rendered size-l OS out,
-//! across both databases, both tuple sources, and all algorithms.
+//! across both databases, both named tuple sources, and all algorithms.
 
 use sizel::{
     build_dblp_engine, build_tpch_engine, generate_os, AlgoKind, DblpConfig, GaPreset, OsSource,
@@ -211,7 +211,7 @@ fn complete_os_matches_engine_context_path() {
     let results = e.query("Michalis Faloutsos", 5);
     let tds = results[0].tds;
     let ctx = e.context(tds.table);
-    let os = generate_os(&ctx, tds, None, OsSource::DataGraph);
+    let os = generate_os(&ctx, tds, None);
     assert!(os.len() >= results[0].input_os_size);
     os.validate().unwrap();
 }

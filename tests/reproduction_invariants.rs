@@ -5,7 +5,8 @@
 use std::sync::OnceLock;
 
 use sizel::{
-    generate_os, generate_prelim, BottomUp, DpKnapsack, OsSource, SizeLAlgorithm, TopPath,
+    generate_os, generate_os_pooled, generate_prelim, generate_prelim_pooled, BottomUp, DpKnapsack,
+    OsArenaPool, OsContext, SizeLAlgorithm, TopPath,
 };
 use sizel_bench::{Bench, GdsKind, SETTINGS};
 
@@ -38,7 +39,7 @@ fn section_6_2_quality_ordering_holds_on_average() {
             let mut bu_total = 0.0;
             let mut count = 0;
             for &tds in &samples {
-                let os = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+                let os = generate_os(&ctx, tds, Some(l as u32 - 1));
                 if os.len() <= l {
                     continue;
                 }
@@ -66,8 +67,8 @@ fn prelim_contains_top_l_and_shrinks_input() {
         let ctx = b.ctx(kind, 0);
         let tds = b.samples(kind, 1)[0];
         for l in [5usize, 15] {
-            let complete = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
-            let (prelim, _) = generate_prelim(&ctx, tds, l, OsSource::DataGraph);
+            let complete = generate_os(&ctx, tds, Some(l as u32 - 1));
+            let (prelim, _) = generate_prelim(&ctx, tds, l);
             assert!(prelim.len() <= complete.len(), "{}", kind.label());
             // Definition 2: the top-l local importances all appear in the
             // prelim (compare weight multisets; ties make tuple-level
@@ -91,18 +92,16 @@ fn prelim_contains_top_l_and_shrinks_input() {
 }
 
 #[test]
-fn database_mode_prelim_reads_fewer_tuples() {
+fn prelim_reads_fewer_tuples() {
     let b = bench();
     let ctx = b.ctx(GdsKind::Supplier, 0);
-    let db = b.db(sizel_bench::DbKind::Tpch);
     let tds = b.samples(GdsKind::Supplier, 1)[0];
     let l = 10;
-    db.access().reset();
-    let _ = generate_os(&ctx, tds, Some(l as u32 - 1), OsSource::Database);
-    let complete = db.access().snapshot();
-    db.access().reset();
-    let _ = generate_prelim(&ctx, tds, l, OsSource::Database);
-    let prelim = db.access().snapshot();
+    let mut pool = OsArenaPool::new();
+    let _ = generate_os_pooled(&ctx, tds, Some(l as u32 - 1), Default::default(), &mut pool);
+    let complete = pool.last_cost().access;
+    let _ = generate_prelim_pooled(&ctx, tds, l, Default::default(), &mut pool);
+    let prelim = pool.last_cost().access;
     assert!(
         prelim.tuples <= complete.tuples,
         "prelim reads {} tuples vs complete {}",
@@ -149,7 +148,7 @@ fn effectiveness_anchor_setting_wins_at_large_l() {
     let mut count = 0;
     for &tds in &b.samples(GdsKind::Author, 4) {
         let ref_ctx = b.ctx(GdsKind::Author, 0);
-        let ref_os = generate_os(&ref_ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+        let ref_os = generate_os(&ref_ctx, tds, Some(l as u32 - 1));
         if ref_os.len() < 2 * l {
             continue;
         }
@@ -157,7 +156,7 @@ fn effectiveness_anchor_setting_wins_at_large_l() {
         let computed_anchor = DpKnapsack.compute(&ref_os, l);
         anchor += panel.panel_effectiveness(&ref_os, &computed_anchor, l);
         let ga2_ctx = b.ctx(GdsKind::Author, 3);
-        let ga2_os = generate_os(&ga2_ctx, tds, Some(l as u32 - 1), OsSource::DataGraph);
+        let ga2_os = generate_os(&ga2_ctx, tds, Some(l as u32 - 1));
         let computed_ga2 = DpKnapsack.compute(&ga2_os, l);
         ga2 += panel.panel_effectiveness(&ref_os, &computed_ga2, l);
     }
@@ -167,14 +166,19 @@ fn effectiveness_anchor_setting_wins_at_large_l() {
 
 #[test]
 fn cross_source_os_equality_everywhere() {
+    // The installed order's prefix scans and the token-less heap path
+    // yield the same prelim-l OS on every GDS.
     let b = bench();
     for kind in GdsKind::ALL {
         let ctx = b.ctx(kind, 0);
+        let heap_ctx = OsContext::new(ctx.db, ctx.sg, ctx.gds, None);
         let tds = b.samples(kind, 1)[0];
-        let graph = generate_os(&ctx, tds, Some(9), OsSource::DataGraph);
-        let database = generate_os(&ctx, tds, Some(9), OsSource::Database);
-        assert_eq!(graph.len(), database.len(), "{}", kind.label());
-        assert!((graph.total_weight() - database.total_weight()).abs() < 1e-9);
+        for l in [5, 15] {
+            let (fast, _) = generate_prelim(&ctx, tds, l);
+            let (heap, _) = generate_prelim(&heap_ctx, tds, l);
+            assert_eq!(fast.len(), heap.len(), "{} l={l}", kind.label());
+            assert_eq!(fast.total_weight().to_bits(), heap.total_weight().to_bits());
+        }
     }
 }
 
