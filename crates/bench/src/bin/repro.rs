@@ -26,18 +26,24 @@ use sizel_bench::{figures, Bench};
 /// The system allocator, keeping a count of the bytes live on the heap:
 /// `footprint` prints it beside `VmRSS`, which also counts freed heap
 /// the allocator has kept, so a saving in live bytes and one in
-/// allocator placement read apart. It also counts the allocations and
-/// reallocations of [`LARGE`] bytes or more.
+/// allocator placement read apart, and the most bytes live since
+/// `footprint` last read that high-water. It also counts the allocations
+/// and reallocations of [`LARGE`] bytes or more.
 struct LiveCounting;
 
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 /// glibc's default mmap threshold: the blocks it `mmap`s unless a free
 /// has raised the threshold.
 const LARGE: usize = 128 << 10;
 
-fn count_large(size: usize) {
+/// Counts `size` new bytes live: a growing reallocation's beside its
+/// old ones, as a block that moves holds both for a moment.
+fn count_alloc(size: usize) {
+    let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
     if size >= LARGE {
         LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
@@ -47,19 +53,20 @@ fn count_large(size: usize) {
 // atomics with no allocation of their own.
 unsafe impl GlobalAlloc for LiveCounting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        count_large(layout.size());
+        count_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        count_large(layout.size());
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        count_large(new_size);
+        // A shrinking one holds no second block.
+        LIVE_BYTES.fetch_sub(layout.size().saturating_sub(new_size), Ordering::Relaxed);
+        if new_size > layout.size() {
+            count_alloc(new_size);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -86,6 +93,7 @@ fn main() {
             "{}",
             figures::footprint(
                 || LIVE_BYTES.load(Ordering::Relaxed),
+                || PEAK_BYTES.swap(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed),
                 || LARGE_ALLOCS.load(Ordering::Relaxed)
             )
         );

@@ -651,22 +651,32 @@ fn rss_mb() -> f64 {
 }
 
 /// Where one engine's resident bytes go: `VmRSS`, and beside it the
-/// bytes `live_bytes` reports live on the heap, after each stage of one
+/// bytes `live_bytes` reports live on the heap and the most that were
+/// live since the row before (`peak_live_bytes`, which returns the most
+/// live since its last call and starts over from the live bytes), after
+/// each stage of one
 /// `generate` + engine derivation over `DblpConfig::bench()` (the stages
 /// of `benches/build_stages.rs`; the rank solve's vector dropped after
 /// the install, as the engine drops it), then each table's rows and
 /// [`sizel_storage::Table::value_bytes`], and its index bytes by
 /// structure ([`sizel_storage::Table::index_bytes`]: PK slots, FK runs,
-/// the one score copy), and last what one rank solve gathers and drops
+/// the one score copy), the keyword index's bytes by structure
+/// ([`sizel_core::keyword::KeywordIndex::heap_bytes`]: postings, run
+/// directories, dictionary), and last what one rank solve gathers and drops
 /// ([`sizel_rank::solve_scratch_bytes`]: the forward lists, the backward
 /// and link lists, the iteration vectors),
-/// then the live bytes one whole `SizeLEngine::build` keeps, what the
+/// then the live bytes one whole `SizeLEngine::build` keeps and the
+/// most it held while building, what the
 /// serve cache pays per summary, and what a cold serving window over that
 /// engine holds, live and resident. Run it in a fresh process (`repro
 /// footprint` builds no workbench first): freed heap the allocator keeps
 /// counts as resident, never as live. `large_allocs` counts the
 /// allocations and reallocations of 128 KiB or more made so far.
-pub fn footprint(live_bytes: fn() -> usize, large_allocs: fn() -> usize) -> String {
+pub fn footprint(
+    live_bytes: fn() -> usize,
+    peak_live_bytes: fn() -> usize,
+    large_allocs: fn() -> usize,
+) -> String {
     use sizel_core::keyword::KeywordIndex;
     use sizel_datagen::dblp::{generate, DblpConfig};
     use sizel_graph::{DataGraph, SchemaGraph};
@@ -678,6 +688,7 @@ pub fn footprint(live_bytes: fn() -> usize, large_allocs: fn() -> usize) -> Stri
     let mut stages = Vec::new();
     let mut last = rss_mb();
     let live_mb = || live_bytes() as f64 / (1024.0 * 1024.0);
+    let peak_mb = || peak_live_bytes() as f64 / (1024.0 * 1024.0);
     let mut stage = |name: &str| {
         let now = rss_mb();
         stages.push(vec![
@@ -685,6 +696,7 @@ pub fn footprint(live_bytes: fn() -> usize, large_allocs: fn() -> usize) -> Stri
             format!("{now:.1}"),
             format!("{:+.1}", now - last),
             format!("{:.2}", live_mb()),
+            format!("{:.2}", peak_mb()),
         ]);
         last = now;
     };
@@ -705,7 +717,10 @@ pub fn footprint(live_bytes: fn() -> usize, large_allocs: fn() -> usize) -> Stri
     let kw = KeywordIndex::build(&db, &ds);
     stage("keyword index");
     std::hint::black_box(&kw);
-    out.push_str(&markdown_table(&["after", "VmRSS MB", "delta MB", "live MB"], &stages));
+    out.push_str(&markdown_table(
+        &["after", "VmRSS MB", "delta MB", "live MB", "peak live MB"],
+        &stages,
+    ));
 
     let tables: Vec<Vec<String>> = db
         .tables()
@@ -747,6 +762,10 @@ pub fn footprint(live_bytes: fn() -> usize, large_allocs: fn() -> usize) -> Stri
     out.push('\n');
     out.push_str(&table("table", &total, &rows));
 
+    let split = kw.heap_bytes();
+    out.push('\n');
+    out.push_str(&table("structure", &split, &[row("keyword index".into(), &split)]));
+
     // What one rank solve gathers from the tables and drops before it
     // returns.
     let scratch = solve_scratch_bytes(&db, &sg, &dg, &authority);
@@ -754,6 +773,7 @@ pub fn footprint(live_bytes: fn() -> usize, large_allocs: fn() -> usize) -> Stri
     out.push_str(&table("gathered and dropped", &scratch, &[row("rank solve".into(), &scratch)]));
 
     let before = live_mb();
+    peak_mb();
     let engine = sizel_core::engine::SizeLEngine::build(
         generate(&DblpConfig::bench()).db,
         |db, sg, dg| dblp_ga(GaPreset::Ga1, db, sg, dg),
@@ -764,8 +784,9 @@ pub fn footprint(live_bytes: fn() -> usize, large_allocs: fn() -> usize) -> Stri
     )
     .expect("the bench-scale DBLP database builds an engine");
     out.push_str(&format!(
-        "\none engine (`SizeLEngine::build`) holds {:.2} MB live\n\n",
-        live_mb() - before
+        "\none engine (`SizeLEngine::build`) holds {:.2} MB live, {:.2} MB at its build's peak\n\n",
+        live_mb() - before,
+        peak_mb() - before
     ));
     out.push_str(&summary_cache_footprint(&engine));
     out.push('\n');

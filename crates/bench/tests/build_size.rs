@@ -5,18 +5,22 @@
 //! solve holds its iteration vectors for the tables GA1 rates only —
 //! every junction row holds the one unrated score instead of a slot.
 //! The generator's surrogate keys `1..=n`, loaded in key order, are
-//! indexed by their offsets: no PK slot, and every FK column's runs
-//! under an array directory over its key span. Once GA1's scores are
+//! stored as no cell and indexed by their offsets: no PK slot, and every
+//! FK column's runs under an array directory over its key span. The
+//! keyword index over the DS tables holds four bytes a posting, a
+//! 12-byte directory slot per token id of each table's span, and its
+//! dictionary. Once GA1's scores are
 //! installed, a table's indexes are its PK slots, its FK runs and its
 //! score snapshot — no forward array — and each junction's snapshot is
 //! one shared score, eight bytes.
 
+use sizel_core::keyword::KeywordIndex;
 use sizel_datagen::dblp::{generate, DblpConfig};
 use sizel_graph::{DataGraph, SchemaGraph};
 use sizel_rank::{
     compute, dblp_ga, install_importance_order, solve_scratch_bytes, GaPreset, RankConfig,
 };
-use sizel_storage::{Database, ValueType};
+use sizel_storage::{text, Database, ValueType};
 
 /// Per table: the bytes of each `Int` column and of the FK runs.
 fn int_and_run_bytes(db: &Database) -> Vec<(String, Vec<usize>, usize)> {
@@ -44,6 +48,7 @@ fn a_generated_database_holds_no_int_or_run_slack() {
 fn surrogate_keys_are_indexed_by_their_offsets() {
     let db = generate(&DblpConfig::bench()).db;
     for (_, t) in db.tables() {
+        assert_eq!(t.column_bytes(t.schema.pk), 0, "`{}` stores its key cells", t.schema.name);
         let [(_, pk_slots), (_, fk_runs), ..] = t.index_bytes();
         assert_eq!(
             (t.pk_slot_rows(), pk_slots),
@@ -104,4 +109,49 @@ fn an_installed_junction_keeps_one_score_and_no_table_a_forward_array() {
     let junction_rows: usize =
         [d.author_paper, d.citation].map(|t| d.db.table(t).len()).iter().sum();
     assert_eq!(junction_rows, 69_370);
+}
+
+#[test]
+fn the_keyword_index_holds_four_bytes_a_posting() {
+    let d = generate(&DblpConfig::bench());
+    let kw = KeywordIndex::build(&d.db, &[d.author, d.paper]);
+    // Token ids in first-seen order over the tables in `TableId` order,
+    // and per table its postings (distinct tokens a row) and id span.
+    let mut ids = std::collections::HashMap::new();
+    let (mut postings, mut spans, mut token_bytes) = (0, 0, 0);
+    for tid in [d.paper, d.author] {
+        let t = d.db.table(tid);
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for row in t.live_rows() {
+            let mut row_ids = Vec::new();
+            for col in t.schema.searchable_columns() {
+                for tok in t.value(row, col).as_str().map(text::tokenize).unwrap_or_default() {
+                    let next = ids.len();
+                    let len = tok.len();
+                    let id = *ids.entry(tok).or_insert_with(|| {
+                        token_bytes += len;
+                        next
+                    });
+                    (lo, hi) = (lo.min(id), hi.max(id));
+                    if !row_ids.contains(&id) {
+                        row_ids.push(id);
+                    }
+                }
+            }
+            postings += row_ids.len();
+        }
+        spans += hi - lo + 1;
+    }
+    assert_eq!((ids.len(), postings), (721, 71_159));
+    assert_eq!(kw.vocabulary_size(), ids.len());
+    let [("postings", rows), ("run directories", dirs), ("dictionary", dict)] = kw.heap_bytes()
+    else {
+        panic!("the keyword index reports {:?}", kw.heap_bytes())
+    };
+    assert_eq!(rows, 4 * postings, "one row id a posting, no slack");
+    assert_eq!(dirs, 12 * spans, "one directory slot a token id of each table's span");
+    // A bucket (a boxed token and its id, one control byte) per 7/8 of
+    // a power-of-two table, and the tokens' bytes.
+    let buckets = (dict - token_bytes) / 25;
+    assert!(buckets.is_power_of_two() && (ids.len()..=2 * ids.len()).contains(&buckets), "{dict}");
 }

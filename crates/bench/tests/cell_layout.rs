@@ -1,7 +1,8 @@
 //! The bench-scale cell layout: after one `SizeLEngine::build` over
-//! `DblpConfig::bench()`, every DBLP key fits in `i32`, so a junction row
-//! costs four bytes a key and a paper its two keys, one text span and the
-//! bytes of its title. A column stored wider than its values need, a text
+//! `DblpConfig::bench()`, every surrogate key is its row's offset from
+//! the first key and stores no cell, and every other DBLP key fits in
+//! `i32`, so a junction row costs four bytes an FK key and a paper its
+//! one FK key, one text span and the bytes of its title. A column stored wider than its values need, a text
 //! paying an allocation of its own, or push slack left after the build
 //! fails here.
 
@@ -26,7 +27,8 @@ fn bench_scale_cells_are_stored_at_their_width() {
 
     for name in ["AuthorPaper", "Citation"] {
         let t = table(name);
-        assert_eq!(t.value_bytes(), 12 * t.len(), "{name}: three 4-byte keys a row");
+        assert_eq!(t.column_bytes(t.schema.pk), 0, "{name}: no cell for the surrogate key");
+        assert_eq!(t.value_bytes(), 8 * t.len(), "{name}: two 4-byte FK keys a row");
     }
     let paper = table("Paper");
     let title = paper.schema.searchable_columns().next().expect("Paper has a title");

@@ -267,6 +267,10 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
             .expect("author insert");
         famous.push((spec.name.clone(), pk));
     }
+    // Every structure below that only the load reads is dropped once it
+    // is read for the last time: the FK runs built at the end grow into
+    // the space it held.
+    drop(used_names);
 
     // --- Papers and authorship --------------------------------------------
     // Author productivity follows a Zipf over a shuffled permutation of the
@@ -323,6 +327,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         }
         paper_authors.push(chosen);
     }
+    drop((author_perm, author_dist));
 
     // The shared Example-4/5 paper for the first three famous authors.
     if cfg.link_famous_triple && cfg.famous.len() >= 3 {
@@ -352,6 +357,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         }
         paper_authors.push(trio);
     }
+    drop(year_ids);
 
     // Famous authors: attach each to exactly `spec.papers` distinct papers
     // (the shared triple paper counts toward the first three).
@@ -373,6 +379,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
             }
         }
     }
+    drop(paper_authors);
 
     let mut link_pk = 0i64;
     db.reserve_rows(author_paper, author_links.len());
@@ -407,6 +414,7 @@ pub fn generate(cfg: &DblpConfig) -> Dblp {
         }
         citation_links.extend(cited.into_iter().map(|q| (p, q)));
     }
+    drop((cite_perm, cite_dist));
     let mut cite_pk = 0i64;
     db.reserve_rows(citation, citation_links.len());
     for (p, q) in citation_links {

@@ -72,10 +72,16 @@ fn algo_to_u8(a: AlgoKind) -> u8 {
     }
 }
 
+/// The algorithm a request names. Byte 1, the naive DP
+/// ([`AlgoKind::OptimalNaive`]), is refused: its run time is exponential
+/// in `l` (149 ms at l = 4 on a famous bench-scale author's complete OS,
+/// over a minute at l = 6), and one request would hold its reactor that
+/// long. In-process callers
+/// keep the variant for the paper's figures.
 fn algo_from_u8(b: u8) -> Result<AlgoKind> {
     Ok(match b {
         0 => AlgoKind::Optimal,
-        1 => AlgoKind::OptimalNaive,
+        1 => return Err(WireError("algo 1 (the naive DP) is not served".into())),
         2 => AlgoKind::BottomUp,
         3 => AlgoKind::TopPath,
         4 => AlgoKind::TopPathOpt,

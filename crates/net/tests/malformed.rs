@@ -11,6 +11,7 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use sizel_core::algo::AlgoKind;
 use sizel_core::engine::QueryOptions;
 use sizel_net::frame::{
     encode_frame, encode_header, read_frame, Header, Opcode, HEADER_LEN, MAGIC, MAX_FRAME_LEN,
@@ -168,6 +169,38 @@ fn a_frame_with_l_zero_gets_a_malformed_payload_error_and_the_connection_survive
             match decode_reply(op, &reply).expect("decodes") {
                 Reply::Error { code, message } => {
                     assert_eq!(code, ErrorCode::MalformedPayload, "{opcode:?}: {message}");
+                }
+                other => panic!("{opcode:?}: expected Error, got {other:?}"),
+            }
+            client.ping().expect("the connection keeps answering");
+        }
+        assert_eq!(server.counters().errors_internal.load(Ordering::Relaxed), 0);
+    });
+}
+
+/// Algo byte 1 names the naive DP, whose run time is exponential in `l`:
+/// the decoder refuses it as a malformed payload before any work, on
+/// both request opcodes, and the connection keeps answering.
+#[test]
+fn the_naive_dp_is_refused_on_the_wire() {
+    for_each_reactor(|reactor| {
+        let router = tiny_cluster();
+        let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let kw = existing_keyword(&router.shard(0).engine());
+        let tds = router.shard(0).engine().ds_hits(&kw)[0];
+        let naive = QueryOptions { l: 6, algo: AlgoKind::OptimalNaive, ..Default::default() };
+        for (opcode, payload) in [
+            (Opcode::Query, encode_query_payload(&[(kw, naive)])),
+            (Opcode::Summarize, encode_summarize_payload(tds, naive)),
+        ] {
+            let id = client.send(opcode, &payload).expect("send");
+            let (op, reply) = client.recv_for(id).expect("an in-band reply");
+            match decode_reply(op, &reply).expect("decodes") {
+                Reply::Error { code, message } => {
+                    assert_eq!(code, ErrorCode::MalformedPayload, "{opcode:?}: {message}");
+                    assert!(message.contains("algo 1"), "{opcode:?}: {message}");
                 }
                 other => panic!("{opcode:?}: expected Error, got {other:?}"),
             }

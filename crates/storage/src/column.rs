@@ -1,9 +1,13 @@
 //! Typed column storage: the cells of one table column, densely packed.
 //!
 //! A table is one [`Column`] per schema column, all of the same length
-//! (the table's slot count). An `Int` cell is four bytes until a value
-//! outside `i32` widens its column, once and for good, to eight; a
-//! `Float` cell is eight. A `Text` column is one string arena plus a
+//! (the table's slot count). An `Int` column whose cell `i` holds
+//! `first + i` — surrogate keys loaded in key order — stores no cell at
+//! all, only `first` and its length; the first value off that sequence
+//! materializes it, once and for good, into four-byte cells. An `Int`
+//! cell is four bytes until a value outside `i32` widens its column,
+//! once and for good, to eight; a `Float` cell is eight. The values pick
+//! the layout; no setting does. A `Text` column is one string arena plus a
 //! `(start, len)` span a cell: an overwrite or a NULL appends, and the
 //! arena repacks once the bytes no span covers outnumber the live ones.
 //! NULLs live in a bitmap beside the cells that stays unallocated until
@@ -19,6 +23,15 @@ pub(crate) const TEXT_ARENA_LIMIT: usize = u32::MAX as usize;
 
 #[derive(Debug)]
 enum Cells {
+    /// Cell `i` holds `first + i` (NULL bits aside): no cell is stored.
+    /// `reserved` is the capacity a materialization allocates, so a
+    /// loader's row reservation survives the first value off the
+    /// sequence.
+    Serial {
+        first: i64,
+        len: usize,
+        reserved: usize,
+    },
     /// Every value the column has held fits in `i32`.
     Narrow(Vec<i32>),
     /// Widened by a value outside `i32`; never narrows again.
@@ -83,7 +96,7 @@ pub(crate) struct Column {
 impl Column {
     pub(crate) fn new(ty: ValueType) -> Self {
         let cells = match ty {
-            ValueType::Int => Cells::Narrow(Vec::new()),
+            ValueType::Int => Cells::Serial { first: 0, len: 0, reserved: 0 },
             ValueType::Float => Cells::Float(Vec::new()),
             ValueType::Text => Cells::Text(TextCells::default()),
         };
@@ -92,6 +105,7 @@ impl Column {
 
     pub(crate) fn len(&self) -> usize {
         match &self.cells {
+            Cells::Serial { len, .. } => *len,
             Cells::Narrow(c) => c.len(),
             Cells::Wide(c) => c.len(),
             Cells::Float(c) => c.len(),
@@ -119,6 +133,7 @@ impl Column {
     pub(crate) fn push(&mut self, v: Value) {
         let i = self.len();
         match &mut self.cells {
+            Cells::Serial { len, .. } => *len += 1,
             Cells::Narrow(c) => c.push(0),
             Cells::Wide(c) => c.push(0),
             Cells::Float(c) => c.push(0.0),
@@ -144,6 +159,14 @@ impl Column {
     pub(crate) fn set(&mut self, i: usize, v: Value) {
         self.set_null(i, matches!(v, Value::Null));
         match (&mut self.cells, v) {
+            // A column of one cell starts its sequence at that cell.
+            (Cells::Serial { first, len: 1, .. }, Value::Int(v)) => *first = v,
+            (Cells::Serial { first, .. }, Value::Int(v))
+                if first.checked_add(i as i64) == Some(v) => {}
+            (Cells::Serial { .. }, Value::Int(v)) => {
+                self.materialize();
+                self.set(i, Value::Int(v));
+            }
             (Cells::Narrow(c), Value::Int(v)) if i32::try_from(v).is_ok() => c[i] = v as i32,
             (Cells::Narrow(c), Value::Int(v)) => {
                 self.cells = Cells::Wide(c.iter().map(|&v| v.into()).collect());
@@ -160,12 +183,31 @@ impl Column {
         }
     }
 
+    /// Stores a sequence's cells, four bytes each where every one fits
+    /// in `i32`, at the capacity it reserved: the value under a NULL bit
+    /// is stored as 0.
+    fn materialize(&mut self) {
+        let Cells::Serial { first, len, reserved } = self.cells else { return };
+        let cell = |i: usize| if self.is_null(i) { 0 } else { first.wrapping_add(i as i64) };
+        let cells = if (0..len).all(|i| i32::try_from(cell(i)).is_ok()) {
+            let mut c = Vec::with_capacity(reserved.max(len));
+            c.extend((0..len).map(|i| cell(i) as i32));
+            Cells::Narrow(c)
+        } else {
+            let mut c = Vec::with_capacity(reserved.max(len));
+            c.extend((0..len).map(cell));
+            Cells::Wide(c)
+        };
+        self.cells = cells;
+    }
+
     /// The cell at `i`.
     pub(crate) fn get(&self, i: usize) -> ValueRef<'_> {
         if self.is_null(i) {
             return ValueRef::Null;
         }
         match &self.cells {
+            Cells::Serial { first, .. } => ValueRef::Int(first + i as i64),
             Cells::Narrow(c) => ValueRef::Int(c[i].into()),
             Cells::Wide(c) => ValueRef::Int(c[i]),
             Cells::Float(c) => ValueRef::Float(c[i]),
@@ -177,6 +219,7 @@ impl Column {
     /// or a cell of another type.
     pub(crate) fn int_at(&self, i: usize) -> Option<i64> {
         let v = match &self.cells {
+            Cells::Serial { first, .. } => first.wrapping_add(i as i64),
             Cells::Narrow(c) => c[i].into(),
             Cells::Wide(c) => c[i],
             _ => return None,
@@ -185,9 +228,10 @@ impl Column {
     }
 
     /// Makes room for `additional` more cells (a text column's spans, not
-    /// its bytes).
+    /// its bytes; a sequence's, once it materializes).
     pub(crate) fn reserve(&mut self, additional: usize) {
         match &mut self.cells {
+            Cells::Serial { len, reserved, .. } => *reserved = (*reserved).max(*len + additional),
             Cells::Narrow(c) => c.reserve_exact(additional),
             Cells::Wide(c) => c.reserve_exact(additional),
             Cells::Float(c) => c.reserve_exact(additional),
@@ -198,6 +242,7 @@ impl Column {
     /// Releases push-doubling slack and a text arena's garbage.
     pub(crate) fn shrink_to_fit(&mut self) {
         match &mut self.cells {
+            Cells::Serial { len, reserved, .. } => *reserved = *len,
             Cells::Narrow(c) => c.shrink_to_fit(),
             Cells::Wide(c) => c.shrink_to_fit(),
             Cells::Float(c) => c.shrink_to_fit(),
@@ -214,9 +259,10 @@ impl Column {
     }
 
     /// Bytes held: the cell, span, arena and bitmap vectors at their
-    /// capacity.
+    /// capacity (none for a sequence's cells).
     pub(crate) fn value_bytes(&self) -> usize {
         let cells = match &self.cells {
+            Cells::Serial { .. } => 0,
             Cells::Narrow(c) => c.capacity() * 4,
             Cells::Wide(c) => c.capacity() * 8,
             Cells::Float(c) => c.capacity() * 8,

@@ -1,6 +1,7 @@
 //! The flat multimap under a table's FK runs (its groups and sorted
-//! postings at once): one key directory and one arena, each key's
-//! entries one run of it. A bulk build ([`Runs::from_entries`]) counts
+//! postings at once) and under the keyword index's postings (a run per
+//! token id): one key directory and one arena, each key's entries one
+//! run of it. A bulk build ([`Runs::from_entries`]) counts
 //! and then fills, every run at its length and the arena at exact size.
 //! Afterwards a full run moves to the tail at `GROWTH` times its size;
 //! once dead slots outnumber live entries one pass repacks the arena.
@@ -319,6 +320,11 @@ impl<E: Copy> Runs<E> {
     /// Heap bytes held, from the directory's and the arena's capacities.
     pub fn heap_bytes(&self) -> usize {
         self.dir.heap_bytes() + self.arena.capacity() * std::mem::size_of::<E>()
+    }
+
+    /// The key directory's share of [`Self::heap_bytes`].
+    pub fn directory_bytes(&self) -> usize {
+        self.dir.heap_bytes()
     }
 
     fn compact_if_sparse(&mut self) {

@@ -829,17 +829,20 @@ mod tests {
 
     #[test]
     fn an_int_row_costs_four_bytes_a_cell() {
+        // Keys counting down and FK cells cycling: no column is a
+        // sequence, so every cell is stored.
         let schema = TableSchema::builder("J").pk("id").fk("a", "A").fk("b", "B").build().unwrap();
         let mut t = Table::new(schema);
         let n = 1000;
+        let pk = |i: i64| n - i;
         for i in 0..n {
-            t.insert(vec![Value::Int(i), Value::Int(i % 7), Value::Int(i % 11)]).unwrap();
+            t.insert(vec![Value::Int(pk(i)), Value::Int(i % 7), Value::Int(i % 11)]).unwrap();
         }
         t.shrink_to_fit();
         assert_eq!(t.value_bytes(), 12 * n as usize);
         // The first NULL allocates that column's bitmap: words up to the
         // NULL, not one per row.
-        t.update(0, vec![Value::Int(0), Value::Null, Value::Int(0)]).unwrap();
+        t.update(pk(0), vec![Value::Int(pk(0)), Value::Null, Value::Int(0)]).unwrap();
         let bitmap = t.value_bytes() - 12 * n as usize;
         assert!((8..=64).contains(&bitmap), "{bitmap} bytes for one NULL in row 0");
         assert_eq!(t.value(RowId(0), 1), Value::Null);
@@ -847,7 +850,7 @@ mod tests {
         // One value outside `i32` widens its column, and only it, to
         // eight bytes a cell (beside one bitmap word once shrunk); every
         // other cell reads back as it was.
-        t.update(1, vec![Value::Int(1), Value::Int(1), Value::Int(i64::MAX)]).unwrap();
+        t.update(pk(1), vec![Value::Int(pk(1)), Value::Int(1), Value::Int(i64::MAX)]).unwrap();
         t.shrink_to_fit();
         assert_eq!(t.value_bytes(), 16 * n as usize + 8);
         assert_eq!(t.value(RowId(0), 1), Value::Null);
@@ -856,8 +859,60 @@ mod tests {
             assert_eq!(t.value(RowId(i as u32), 2), Value::Int(i % 11));
         }
         for i in 0..n {
-            assert_eq!(t.by_pk(i), Some(RowId(i as u32)));
+            assert_eq!(t.by_pk(pk(i)), Some(RowId(i as u32)));
         }
+    }
+
+    #[test]
+    fn a_sequence_column_stores_no_cell_until_a_value_leaves_it() {
+        // Surrogate keys from 1, and an FK column counting up from 5.
+        let schema = TableSchema::builder("J").pk("id").fk("a", "A").build().unwrap();
+        let mut t = Table::new(schema);
+        let n = 1000;
+        t.reserve_rows(n);
+        for i in 0..n as i64 / 2 {
+            t.insert(vec![Value::Int(1 + i), Value::Int(5 + i)]).unwrap();
+        }
+        assert_eq!(t.value_bytes(), 0, "a sequence stores only its first value");
+        // A NULL keeps the sequence; an update to the cell's own value too.
+        t.update(3, vec![Value::Int(3), Value::Null]).unwrap();
+        t.update(4, vec![Value::Int(4), Value::Int(8)]).unwrap();
+        let bitmap = t.column_bytes(1);
+        assert!((8..=32).contains(&bitmap), "{bitmap} bytes: a NULL bitmap, no cell");
+        assert_eq!(t.value(RowId(2), 1), Value::Null);
+        assert_eq!(t.value(RowId(3), 1), Value::Int(8));
+        // A value off the sequence stores the column's cells once, at
+        // the capacity the rows reserved: the rest of the load and a
+        // shrink move no byte, and the keys stay a sequence.
+        t.insert(vec![Value::Int(1 + n as i64 / 2), Value::Int(0)]).unwrap();
+        assert_eq!(t.column_bytes(1), 4 * n + bitmap);
+        for i in n as i64 / 2 + 1..n as i64 {
+            t.insert(vec![Value::Int(1 + i), Value::Int(5 + i)]).unwrap();
+        }
+        t.shrink_to_fit();
+        assert_eq!((t.column_bytes(0), t.column_bytes(1)), (0, 4 * n + 8));
+        for i in 0..n {
+            let a = match i {
+                2 => Value::Null,
+                500 => Value::Int(0),
+                _ => Value::Int(5 + i as i64),
+            };
+            assert_eq!(t.value(RowId(i as u32), 1), a, "row {i}");
+            assert_eq!(t.by_pk(1 + i as i64), Some(RowId(i as u32)));
+        }
+        // A sequence past `i32` is read back exactly, and materializes
+        // straight to eight-byte cells.
+        let schema = TableSchema::builder("K").pk("id").build().unwrap();
+        let mut t = Table::new(schema);
+        let first = i64::from(i32::MAX) - 2;
+        for k in first..first + 5 {
+            t.insert(vec![Value::Int(k)]).unwrap();
+        }
+        assert_eq!((t.value_bytes(), t.pk_of(RowId(4))), (0, first + 4));
+        t.insert(vec![Value::Int(0)]).unwrap();
+        t.shrink_to_fit();
+        assert_eq!(t.value_bytes(), 8 * 6);
+        assert_eq!((t.pk_of(RowId(4)), t.pk_of(RowId(5))), (first + 4, 0));
     }
 
     #[test]

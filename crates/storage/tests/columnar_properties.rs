@@ -16,7 +16,12 @@
 //! slot, while its churn puts deleted offset keys back through the
 //! slots; after every step `by_pk` answers as the model does for every
 //! model key, for absent keys and for the offset key of every dead row,
-//! and the slots hold exactly the live rows off their offsets. A wide op writes a value
+//! and the slots hold exactly the live rows off their offsets. The dense
+//! family's keys, its `n` cells and its first FK cells count up with the
+//! slot, so those columns start as sequences that store no cell; a key
+//! out of sequence (churn), an `n` the op picks and the fifth row's FK
+//! materialize them mid-stream, and a wide op widens a materialized `n`
+//! or materializes a sequence straight to eight bytes. A wide op writes a value
 //! outside `i32` into a column that held only narrow values and NULLs,
 //! widening it mid-stream, and a text churn op rewrites one text cell
 //! many times over; after every step the table's cell bytes stay within
@@ -103,6 +108,21 @@ fn row_of(&(_, _, nulls, n, x, (len, fk)): &Op, pk: i64) -> Vec<Value> {
     ]
 }
 
+/// The dense family's `n` and FK cells of an insert at `slot`: the
+/// slot's index while the op's `n` is −2 or more and while the FK names a
+/// parent, so each column starts as a sequence (stored as no cell) until
+/// a value leaves it — `n` at the op's choice, the FK at the fifth row —
+/// and a wide op then widens the materialized `n`, or materializes the
+/// sequence straight to eight-byte cells. NULLs stay.
+fn count_up(values: &mut [Value], &(_, _, _, n, _, _): &Op, slot: usize) {
+    if values[1] != Value::Null && n >= -2 {
+        values[1] = Value::Int(slot as i64);
+    }
+    if values[4] != Value::Null && (slot as i64) < N_REFS {
+        values[4] = Value::Int(slot as i64);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -127,7 +147,10 @@ proptest! {
                 (DENSE, Some(base)) => base + o.1,
                 _ => pk_key(family, o.1),
             };
-            let values = row_of(o, pk);
+            let mut values = row_of(o, pk);
+            if family == DENSE && kind <= 2 {
+                count_up(&mut values, o, model.len());
+            }
             let slot = live_slot(&model, pk);
             match kind {
                 // Plain and scored-staged inserts (the latter degrade to

@@ -251,21 +251,17 @@ fn a_count_of_u32_max_reserves_nothing() {
     assert!(decode_bounded(&row, wire_batch).is_err());
 }
 
-/// Every algorithm, source, prelim flag and ranking, with `l` across the
-/// valid `u32` range — 1 and `u32::MAX` often. (`l = 0` is no request:
-/// the decoder rejects it, which `read_requests_and_replies_round_trip`
-/// checks beside each round trip.)
+/// Every algorithm the wire serves, source, prelim flag and ranking,
+/// with `l` across the valid `u32` range — 1 and `u32::MAX` often.
+/// (`l = 0` and the naive DP are no request: the decoder rejects them,
+/// which `read_requests_and_replies_round_trip` checks beside each round
+/// trip.)
 fn options() -> impl Strategy<Value = QueryOptions> {
-    (0u8..5, any::<bool>(), any::<bool>(), any::<bool>(), 0u8..3, any::<u32>()).prop_map(
+    (0u8..4, any::<bool>(), any::<bool>(), any::<bool>(), 0u8..3, any::<u32>()).prop_map(
         |(algo, db, prelim, by_summary, edge, l)| QueryOptions {
             l: [1, u32::MAX, l.max(1)][edge as usize] as usize,
-            algo: [
-                AlgoKind::Optimal,
-                AlgoKind::OptimalNaive,
-                AlgoKind::BottomUp,
-                AlgoKind::TopPath,
-                AlgoKind::TopPathOpt,
-            ][algo as usize],
+            algo: [AlgoKind::Optimal, AlgoKind::BottomUp, AlgoKind::TopPath, AlgoKind::TopPathOpt]
+                [algo as usize],
             source: if db { OsSource::Database } else { OsSource::DataGraph },
             prelim,
             ranking: if by_summary {
@@ -410,13 +406,18 @@ proptest! {
             Request::Summarize { tds: t, opts: o } => prop_assert_eq!((t, o), (tds, opts)),
             other => panic!("Summarize decoded to {other:?}"),
         }
-        // The same requests asking for a size-0 summary are typed errors.
+        // The same requests asking for a size-0 summary, or for the
+        // naive DP, are typed errors.
         let zero = QueryOptions { l: 0, ..opts };
-        let payload = encode_summarize_payload(tds, zero);
-        prop_assert!(read_bounded(&payload, |b| decode_request(Opcode::Summarize, b)).is_err());
-        if let Some((kw, _)) = queries.first() {
-            let payload = encode_query_payload(&[(kw.clone(), zero)]);
-            prop_assert!(read_bounded(&payload, |b| decode_request(Opcode::Query, b)).is_err());
+        let naive = QueryOptions { algo: AlgoKind::OptimalNaive, ..opts };
+        for refused in [zero, naive] {
+            let payload = encode_summarize_payload(tds, refused);
+            let decoded = read_bounded(&payload, |b| decode_request(Opcode::Summarize, b));
+            prop_assert!(decoded.is_err());
+            if let Some((kw, _)) = queries.first() {
+                let payload = encode_query_payload(&[(kw.clone(), refused)]);
+                prop_assert!(read_bounded(&payload, |b| decode_request(Opcode::Query, b)).is_err());
+            }
         }
 
         let shared: Vec<Vec<_>> =
