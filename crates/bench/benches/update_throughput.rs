@@ -3,23 +3,17 @@
 //! epoch-versioned server, with the prefix-scan retention that motivates
 //! the incremental maintenance reported as a probe-mix ratio.
 //!
-//! Five regimes over the same prelim query workload (the one that
+//! Three regimes over the same prelim query workload (the one that
 //! drives TOP-l probes), and one write-only case:
 //! * `query_only` — no mutations: the steady-state ceiling.
 //! * `mixed_incremental` — one incremental insert per batch: sorted
 //!   runs appended to and re-sorted, token re-stamped, scores spliced. PR 3's
 //!   snapshot design would heap-fall-back *permanently* after the first
 //!   insert; here the fast-path ratio stays ~1 (printed after the run).
-//! * `mixed_exact` — one exact-refresh insert per batch: the escape
-//!   hatch's full re-derivation cost (power iteration + reinstall), as a
-//!   reference for what the incremental path avoids.
 //! * `churn_incremental` — inserts, a trailing rename, and a trailing
 //!   unlink-then-delete per batch (ISSUE 6): in-place posting maintenance
 //!   (append, re-sort, delete where the entry lies) and keyword
 //!   re-tokenization on the hot path; the probe mix must stay fast.
-//! * `churn_exact` — the same update/delete stream with the exact escape
-//!   hatch; the ≥3× gap against `churn_incremental` is the headline
-//!   number EXPERIMENTS.md §PR 6 records.
 //! * `target_update` — one-mutation batches renaming one existing
 //!   `Author`, a junction target of `AuthorPaper`, and no query: the
 //!   junction keeps nothing ordered by its targets, so the posting
@@ -189,23 +183,6 @@ fn bench_update_throughput(c: &mut Criterion) {
     );
     drop(server);
 
-    // Mixed stream, exact escape hatch: full re-derivation per insert.
-    let engine = build_engine();
-    let server = SizeLServer::from_shared(
-        Arc::clone(&engine),
-        ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
-    );
-    let muts = MutationSource::new(&server.engine());
-    group.bench_with_input(BenchmarkId::new("mixed_exact", 2), &set, |b, set| {
-        b.iter(|| {
-            for m in muts.next() {
-                server.apply(m.exact()).expect("exact apply");
-            }
-            criterion::black_box(server.answer(set, true));
-        });
-    });
-    drop(server);
-
     // Full-model churn, incremental: inserts + renames + deletes per
     // batch; the probe mix must stay fast throughout.
     let engine = build_engine();
@@ -234,25 +211,6 @@ fn bench_update_throughput(c: &mut Criterion) {
         probes.heap,
         probes.fast_ratio()
     );
-    drop(server);
-
-    // Full-model churn, exact escape hatch: the re-derivation cost the
-    // incremental delete/update path avoids (EXPERIMENTS.md §PR 6 pins
-    // the ≥3× gap).
-    let engine = build_engine();
-    let server = SizeLServer::from_shared(
-        Arc::clone(&engine),
-        ServeConfig { cache_capacity: 0, cache_shards: 4, ..ServeConfig::default() },
-    );
-    let muts = MutationSource::new(&server.engine());
-    group.bench_with_input(BenchmarkId::new("churn_exact", 5), &set, |b, set| {
-        b.iter(|| {
-            for m in muts.next_churn() {
-                server.apply(m.exact()).expect("exact churn apply");
-            }
-            criterion::black_box(server.answer(set, true));
-        });
-    });
     drop(server);
 
     // One existing Author renamed per batch: a write to a junction target.

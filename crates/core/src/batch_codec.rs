@@ -7,7 +7,7 @@
 //! ```text
 //! [n_mutations u32] then per mutation:
 //!   [table u32 len + utf-8]
-//!   [policy u8: 0=incremental 1=exact] [op u8: 0=insert 1=update 2=delete]
+//!   [reserved u8 = 0] [op u8: 0=insert 1=update 2=delete]
 //!   insert:          [n_values u32] [values]
 //!   update: [pk i64] [n_values u32] [values]
 //!   delete: [pk i64]
@@ -16,11 +16,16 @@
 //! Scalars and values are laid out as `sizel_storage::codec` defines
 //! them; counts are capped by the bytes that remain before anything is
 //! allocated for them.
+//!
+//! The reserved byte is written 0 and any other value is a
+//! [`CodecError`]. It stays in the layout because a WAL record carries
+//! no format version: a record from a build that wrote another value
+//! there must fail to decode, not decode into other mutations.
 
 use sizel_storage::codec::{put_i64, put_str, put_u32, put_u8, put_value, CodecError, Reader};
 use sizel_storage::Value;
 
-use crate::engine::{Mutation, MutationOp, RefreshPolicy};
+use crate::engine::{Mutation, MutationOp};
 
 type Result<T> = std::result::Result<T, CodecError>;
 
@@ -41,13 +46,7 @@ pub fn get_batch(r: &mut Reader) -> Result<Vec<Mutation>> {
 
 fn put_mutation(buf: &mut Vec<u8>, m: &Mutation) {
     put_str(buf, &m.table);
-    put_u8(
-        buf,
-        match m.policy {
-            RefreshPolicy::Incremental => 0,
-            RefreshPolicy::Exact => 1,
-        },
-    );
+    put_u8(buf, 0);
     let (op, pk, values) = match &m.op {
         MutationOp::Insert { values } => (0, None, Some(values)),
         MutationOp::Update { pk, values } => (1, Some(*pk), Some(values)),
@@ -67,18 +66,17 @@ fn put_mutation(buf: &mut Vec<u8>, m: &Mutation) {
 
 fn get_mutation(r: &mut Reader) -> Result<Mutation> {
     let table = r.str()?;
-    let policy = match r.u8()? {
-        0 => RefreshPolicy::Incremental,
-        1 => RefreshPolicy::Exact,
-        other => return Err(CodecError(format!("unknown refresh policy {other}"))),
-    };
+    match r.u8()? {
+        0 => {}
+        other => return Err(CodecError(format!("reserved mutation byte {other}, not 0"))),
+    }
     let op = match r.u8()? {
         0 => MutationOp::Insert { values: get_values(r)? },
         1 => MutationOp::Update { pk: r.i64()?, values: get_values(r)? },
         2 => MutationOp::Delete { pk: r.i64()? },
         other => return Err(CodecError(format!("unknown mutation op {other}"))),
     };
-    Ok(Mutation { table, op, policy })
+    Ok(Mutation { table, op })
 }
 
 fn get_values(r: &mut Reader) -> Result<Vec<Value>> {

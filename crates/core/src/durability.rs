@@ -176,7 +176,7 @@ mod tests {
                     Value::Text("Chai Tea".into()),
                 ],
             ),
-            Mutation::update("Product", 7, vec![Value::Int(7), Value::Text("Chai".into())]).exact(),
+            Mutation::update("Product", 7, vec![Value::Int(7), Value::Text("Chai".into())]),
             Mutation::delete("Order Details", -3),
             // Past the 65 535 a `u16` length could carry: the lengths are
             // `u32`, so what `encode_batch` writes `decode_batch` reads.

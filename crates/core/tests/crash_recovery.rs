@@ -20,7 +20,7 @@ use sizel_datagen::dblp::{generate, Dblp, DblpConfig};
 use sizel_disk::Wal;
 use sizel_graph::presets;
 use sizel_rank::{dblp_ga, GaPreset};
-use sizel_storage::{AccessStats, Value};
+use sizel_storage::{AccessStats, StorageError, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -176,6 +176,36 @@ fn a_kill_between_wal_append_and_settlement_still_recovers_the_batch() {
     assert_eq!(report.batches_replayed, 2, "the unsettled record replays too");
     assert_eq!(report.batches_rejected, 0);
     assert_eq!(fingerprint(&recovered), fingerprint(&baseline));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_record_that_does_not_decode_fails_the_attach_before_anything_applies() {
+    // Two intact records; the second's first mutation carries 1 in the
+    // reserved byte after its table name, a value no build decodes. The
+    // attach must fail as a whole: the first record is not applied, and
+    // no tier is left attached.
+    let dir = temp_dir("reserved");
+    let mut engine = fresh_engine(generate(&DblpConfig::tiny()));
+    let ms = script(&engine);
+    let (prefix, suffix) = (ms[..4].to_vec(), ms[4..].to_vec());
+    let mut bad = encode_batch(0, &suffix);
+    let reserved = 8 + 4 + 4 + suffix[0].table.len();
+    assert_eq!(bad[reserved], 0);
+    bad[reserved] = 1;
+    {
+        let (mut wal, _) = Wal::open(&dir.join("wal.log"), 1).unwrap();
+        wal.append(&encode_batch(0, &prefix)).unwrap();
+        wal.append(&bad).unwrap();
+    }
+
+    let before = fingerprint(&engine);
+    let epoch = engine.epoch();
+    let err = engine.attach_disk(wal_only(&dir)).unwrap_err();
+    assert!(matches!(err, StorageError::Durability(_)), "{err:?}");
+    assert_eq!(engine.epoch(), epoch, "no record was applied");
+    assert_eq!(fingerprint(&engine), before);
+    assert!(engine.disk_stats().is_none(), "no tier is attached");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -506,7 +506,7 @@ mod tests {
         let muts = vec![
             Mutation::insert("Author", vec![Value::Int(7), "Ada".into(), Value::Null]),
             Mutation::update("Paper", 3, vec![Value::Int(3), Value::Float(0.5)]),
-            Mutation::delete("AuthorPaper", 9).exact(),
+            Mutation::delete("AuthorPaper", 9),
             Mutation::delete("x".repeat(70_000), 1),
         ];
         let payload = encode_apply_payload(&muts);
@@ -517,8 +517,8 @@ mod tests {
         // The payload layout is protocol: these bytes are what every
         // build since `VERSION` 1 has put on the wire for this batch.
         assert_eq!(
-            encode_apply_payload(&[Mutation::update("T", -2, vec![Value::Null]).exact()]),
-            [&[1, 0, 0, 0, 1, 0, 0, 0, b'T', 1, 1][..], &(-2i64).to_le_bytes(), &[1, 0, 0, 0, 0]]
+            encode_apply_payload(&[Mutation::update("T", -2, vec![Value::Null])]),
+            [&[1, 0, 0, 0, 1, 0, 0, 0, b'T', 0, 1][..], &(-2i64).to_le_bytes(), &[1, 0, 0, 0, 0]]
                 .concat()
         );
     }

@@ -12,13 +12,16 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use sizel_core::algo::AlgoKind;
-use sizel_core::engine::QueryOptions;
+use sizel_core::engine::{Mutation, QueryOptions};
 use sizel_net::frame::{
     encode_frame, encode_header, read_frame, Header, Opcode, HEADER_LEN, MAGIC, MAX_FRAME_LEN,
     VERSION,
 };
-use sizel_net::wire::{decode_reply, encode_query_payload, encode_summarize_payload};
+use sizel_net::wire::{
+    decode_reply, encode_apply_payload, encode_query_payload, encode_summarize_payload,
+};
 use sizel_net::{ErrorCode, NetClient, NetConfig, Reply};
+use sizel_storage::Value;
 
 mod common;
 use common::{existing_keyword, for_each_reactor, serve, tiny_cluster};
@@ -206,6 +209,44 @@ fn the_naive_dp_is_refused_on_the_wire() {
             }
             client.ping().expect("the connection keeps answering");
         }
+        assert_eq!(server.counters().errors_internal.load(Ordering::Relaxed), 0);
+    });
+}
+
+/// The byte after a mutation's table name is reserved and must be 0. An
+/// `ApplyBatch` carrying 1 there — a valid rename otherwise — is refused
+/// as a malformed payload: nothing is applied, the epoch stays, and the
+/// connection keeps answering.
+#[test]
+fn an_exact_refresh_is_refused_on_the_wire() {
+    for_each_reactor(|reactor| {
+        let router = tiny_cluster();
+        let server = serve(router.clone(), NetConfig { reactor, ..Default::default() });
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let pk = {
+            let e = router.shard(0).engine();
+            let authors = e.db().table(e.db().table_id("Author").expect("Author"));
+            let row = authors.live_rows().next().expect("an author");
+            authors.pk_of(row)
+        };
+        let rename = Mutation::update("Author", pk, vec![Value::Int(pk), "Refused Rename".into()]);
+        let mut payload = encode_apply_payload(&[rename]);
+        let reserved = 4 + 4 + "Author".len();
+        assert_eq!(payload[reserved], 0);
+        payload[reserved] = 1;
+        let epoch = router.shard(0).epoch();
+        let id = client.send(Opcode::ApplyBatch, &payload).expect("send");
+        let (op, reply) = client.recv_for(id).expect("an in-band reply");
+        match decode_reply(op, &reply).expect("decodes") {
+            Reply::Error { code, message } => {
+                assert_eq!(code, ErrorCode::MalformedPayload, "{message}");
+                assert!(message.contains("reserved"), "{message}");
+            }
+            other => panic!("expected Error, got {other:?}"),
+        }
+        assert_eq!(router.shard(0).epoch(), epoch, "nothing was applied");
+        client.ping().expect("the connection keeps answering");
         assert_eq!(server.counters().errors_internal.load(Ordering::Relaxed), 0);
     });
 }

@@ -140,8 +140,7 @@ pub fn install_importance_order(
 /// row itself), plus the teleport floor `(1 − d)`.
 ///
 /// **Approximation bound (documented, empirically pinned).** Relative to
-/// the exact-refresh escape hatch ([`compute`] over the mutated
-/// database), the estimate ignores four effects, each of bounded size:
+/// a full solve ([`compute`] over the mutated database), the estimate ignores four effects, each of bounded size:
 /// (1) value multipliers and the per-node emission cap are taken as 1 —
 /// exact for plain ObjectRank GAs below the cap; (2) the siblings of the
 /// new row keep their pre-insert share of the parent's backward mass — a
@@ -153,9 +152,9 @@ pub fn install_importance_order(
 /// values. Multi-hop propagation of the new row's own out-mass is damped
 /// by `d^2` and ignored. The rank test-suite pins the resulting
 /// end-to-end error on the DBLP fixture at ≤ 50% relative for the
-/// appended row and ≤ 1% L1 drift for pre-existing rows; workloads
-/// needing exactness use [`compute`] (the `RefreshPolicy::Exact` path of
-/// the engine).
+/// appended row and ≤ 1% L1 drift for pre-existing rows; [`reiterate`]
+/// tightens the estimates with a few bounded sweeps, and [`compute`]
+/// solves from scratch.
 ///
 /// The converged scores are read through `score_of`: the engine passes
 /// the installed snapshot, which a batch's staged rows have already
@@ -213,7 +212,7 @@ pub fn estimate_appended_score(
 /// referencing rows are ignored for the same reason the append estimator
 /// ignores multi-hop terms: their contribution is damped by `d²` and the
 /// bounded re-iteration ([`reiterate`]) sweeps it back in; the
-/// incremental policy's pinned bounds cover the residual.
+/// estimates' pinned bounds cover the residual.
 #[allow(clippy::too_many_arguments)] // mirrors the gather step's inputs
 pub fn estimate_updated_score(
     db: &Database,
@@ -647,8 +646,8 @@ pub fn compute(
 
 /// Bounded rank re-iteration: a few power sweeps over the *mutated*
 /// database, seeded from stale converged scores — the update/delete
-/// analogue of [`estimate_appended_score`] and the replacement for the
-/// exact-rebuild escape hatch on incremental refresh.
+/// analogue of [`estimate_appended_score`], and the way a maintained
+/// engine tightens its estimates without a full [`compute`].
 ///
 /// `seed` reads the stale score of every tuple of `dg` (the engine's is
 /// the installed snapshot, which already holds the estimates of rows
@@ -885,9 +884,9 @@ mod tests {
     fn incremental_estimate_stays_within_documented_bound() {
         // The documented approximation bound of `estimate_appended_score`:
         // on the DBLP fixture, appending a paper with its estimated score
-        // must land within 50% relative error of the exact-refresh score
+        // must land within 50% relative error of a full solve's score
         // for the new row, and pre-existing rows — which keep their
-        // scores — must be within 1% L1 drift of the exact refresh (the
+        // scores — must be within 1% L1 drift of that solve (the
         // mass one row shifts is O(1/n)).
         let (mut d, sg, dg) = setup();
         let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);
@@ -907,7 +906,7 @@ mod tests {
         let score_of = |t: TupleRef| scores.global(dg.node_id(t));
         let est = estimate_appended_score(&d.db, &sg, &ga, &cfg, &score_of, d.paper, &values);
 
-        // Exact refresh over the mutated database.
+        // A full solve over the mutated database.
         let row = d.db.insert("Paper", values).unwrap();
         d.db.build_runs();
         let dg2 = DataGraph::build(&d.db, &sg);
@@ -959,7 +958,7 @@ mod tests {
         // The measured convergence bound of the bounded re-iteration mode
         // (DESIGN.md §8): seeded from the stale vector after an
         // update+delete churn, the per-sweep relative L1 error against the
-        // exact refresh decays monotonically and lands within 1% by the
+        // full solve decays monotonically and lands within 1% by the
         // third sweep — the engine's default budget.
         let (mut d, sg, dg) = setup();
         let ga = dblp_ga(GaPreset::Ga1, &d.db, &sg, &dg);

@@ -54,7 +54,7 @@ pub mod hotness;
 
 pub use cache::{CacheStats, ShardedCache};
 pub use hotness::HotSketch;
-pub use sizel_core::engine::{Mutation, MutationOp, RefreshPolicy};
+pub use sizel_core::engine::{Mutation, MutationOp};
 
 /// The cache key: the engine's mutation epoch plus everything
 /// [`SizeLEngine::summarize`] depends on. `ranking` (which only reorders
@@ -240,9 +240,9 @@ impl SizeLServer {
 
     /// The write path: applies a [`Mutation`] batch under **one**
     /// write-lock acquisition (quiescing readers for its duration) via
-    /// [`SizeLEngine::apply_batch`] — one `DataGraph` rebuild and one
-    /// posting settlement per incremental run — then drops every cache
-    /// entry of superseded epochs once. Returns the new epoch. On error
+    /// [`SizeLEngine::apply_batch`] — each touched table's runs settled
+    /// once, no data graph built — then drops every cache entry of
+    /// superseded epochs once. Returns the new epoch. On error
     /// the engine keeps the fold's applied prefix (synchronized), the
     /// purge still runs, and the error is returned.
     ///

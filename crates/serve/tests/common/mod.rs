@@ -8,7 +8,7 @@
 use std::sync::{Arc, OnceLock, RwLock};
 
 use sizel_core::engine::{EngineConfig, SizeLEngine};
-use sizel_datagen::dblp::{generate, Dblp, DblpConfig};
+use sizel_datagen::dblp::{generate, DblpConfig};
 use sizel_graph::presets;
 use sizel_rank::{dblp_ga, GaPreset};
 
@@ -34,12 +34,6 @@ pub fn build_engine(cfg: &DblpConfig) -> SizeLEngine {
         engine_config(),
     )
     .expect("engine builds")
-}
-
-/// The generated database alongside its table handles (for tests that
-/// mirror mutations into a plain database).
-pub fn generate_dblp(cfg: &DblpConfig) -> Dblp {
-    generate(cfg)
 }
 
 /// The engine configuration every fixture shares.

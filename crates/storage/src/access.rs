@@ -60,8 +60,8 @@ impl ProbeStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintStats {
     /// Data-graph builds (recorded by the graph layer's `build`): one
-    /// per rank solve — engine build, exact apply, re-iteration — and
-    /// none per incremental write.
+    /// per rank solve — engine build, re-iteration — and none per
+    /// write.
     pub graph_builds: u64,
     /// Settlement passes re-sorting the FK runs a batch's staged
     /// entries were appended to or re-scored in (one per touched table

@@ -7,8 +7,8 @@
 //! FK cell as an integer and probes the parent's primary key, which for
 //! surrogate keys is an offset check and two array reads.
 //!
-//! A plain row operation — a loader's, the exact path's — leaves the
-//! runs unbuilt; the catalog builds them in one count-then-fill pass
+//! A plain row operation — a loader's — leaves the runs unbuilt; the
+//! catalog builds them in one count-then-fill pass
 //! ([`crate::Database::build_runs`]) at their final size. The scored
 //! operations maintain them row by row.
 //!

@@ -34,7 +34,7 @@ pub use sizel_core::algo::{
 };
 pub use sizel_core::durability::{DiskTierConfig, DiskTierStats, RecoveryReport};
 pub use sizel_core::engine::{
-    EngineConfig, Mutation, QueryOptions, QueryResult, RefreshPolicy, ResultRanking, SizeLEngine,
+    EngineConfig, Mutation, QueryOptions, QueryResult, ResultRanking, SizeLEngine,
 };
 pub use sizel_core::eval::{
     approximation_ratio, consecutive_optima_similarity, effectiveness, snippet_selection,

@@ -118,7 +118,6 @@ fn same_batch(a: &[Mutation], b: &[Mutation]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(a, b)| {
             a.table == b.table
-                && a.policy == b.policy
                 && match (&a.op, &b.op) {
                     (MutationOp::Insert { values: x }, MutationOp::Insert { values: y }) => {
                         same_values(x, y)
@@ -149,27 +148,22 @@ fn value() -> impl Strategy<Value = Value> {
     )
 }
 
-/// All three ops under both policies. With `oversize`, about one
+/// All three ops. With `oversize`, about one
 /// mutation in sixteen carries a table name or a row past 65 535 — the
 /// lengths a 16-bit field cannot hold.
 fn mutation(oversize: bool) -> impl Strategy<Value = Mutation> {
-    (0u8..3, any::<bool>(), 0u32..32, any::<i64>(), vec(value(), 0..6)).prop_map(
-        move |(op, exact, shape, pk, mut values)| {
+    (0u8..3, 0u32..32, any::<i64>(), vec(value(), 0..6)).prop_map(
+        move |(op, shape, pk, mut values)| {
             let mut table = format!("T{}", shape % 4);
             match shape {
                 30 if oversize => table = "x".repeat(65_536 + pk.unsigned_abs() as usize % 9_000),
                 31 if oversize => values.resize(65_536 + values.len(), Value::Null),
                 _ => {}
             }
-            let m = match op {
+            match op {
                 0 => Mutation::insert(table, values),
                 1 => Mutation::update(table, pk, values),
                 _ => Mutation::delete(table, pk),
-            };
-            if exact {
-                m.exact()
-            } else {
-                m
             }
         },
     )
@@ -182,6 +176,7 @@ proptest! {
     fn a_batch_round_trips_through_the_wal_and_the_wire(
         epoch in any::<u64>(),
         ms in vec(mutation(true), 0..8),
+        reserved in any::<u8>(),
     ) {
         let record = encode_batch(epoch, &ms);
         let (e, back) = decode_bounded(&record, decode_batch).expect("a written record reads back");
@@ -195,6 +190,19 @@ proptest! {
         // One codec: the record is the epoch and then the wire's bytes, so
         // whatever the front-end accepted, recovery can read.
         prop_assert!(record[8..] == payload[..]);
+
+        // The byte after a mutation's table name is reserved: written 0,
+        // and any other value refused by both decoders.
+        if let Some(m) = ms.first() {
+            let at = 4 + 4 + m.table.len();
+            prop_assert_eq!(payload[at], 0);
+            let mut payload = payload;
+            payload[at] = reserved.max(1);
+            let mut record = record;
+            record[8 + at] = reserved.max(1);
+            prop_assert!(decode_bounded(&payload, wire_batch).is_err(), "wire took byte {}", payload[at]);
+            prop_assert!(decode_bounded(&record, decode_batch).is_err(), "WAL took byte {}", record[8 + at]);
+        }
     }
 
     #[test]
