@@ -7,7 +7,7 @@
 //! drives TOP-l probes), and one write-only case:
 //! * `query_only` — no mutations: the steady-state ceiling.
 //! * `mixed_incremental` — one incremental insert per batch: sorted
-//!   runs appended to and re-sorted, token re-stamped, scores spliced. PR 3's
+//!   runs appended to and re-sorted, scores spliced. PR 3's
 //!   snapshot design would heap-fall-back *permanently* after the first
 //!   insert; here the fast-path ratio stays ~1 (printed after the run).
 //! * `churn_incremental` — inserts, a trailing rename, and a trailing

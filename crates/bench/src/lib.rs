@@ -261,14 +261,14 @@ impl Bench {
     /// An [`OsContext`] for a GDS case under a setting.
     pub fn ctx(&self, kind: GdsKind, setting: usize) -> OsContext<'_> {
         let db = self.scored_db(kind.db(), setting);
-        OsContext::new(db, self.sg(kind.db()), self.gds(kind, setting), db.fk_order())
+        OsContext::new(db, self.sg(kind.db()), self.gds(kind, setting))
     }
 
     /// An [`OsContext`] for a GDS case under *uncompressed* GA1-d1 scores
     /// (the paper's heavier-skew ObjectRank regime).
     pub fn ctx_raw(&self, kind: GdsKind) -> OsContext<'_> {
         let db = self.scored_db(kind.db(), RAW);
-        OsContext::new(db, self.sg(kind.db()), &self.raw_gds[&kind], db.fk_order())
+        OsContext::new(db, self.sg(kind.db()), &self.raw_gds[&kind])
     }
 
     /// Samples `n` data subjects for a GDS case — the paper's "10 random

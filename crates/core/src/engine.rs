@@ -29,9 +29,7 @@ use std::borrow::Borrow;
 use sizel_disk::{PagedStore, Wal};
 use sizel_graph::{DataGraph, Gds, GdsConfig, SchemaGraph};
 use sizel_rank::{compute, AuthorityGraph, RankConfig};
-use sizel_storage::{
-    Database, Epoch, FkOrderToken, ScoredBatch, StorageError, TableId, TupleRef, Value,
-};
+use sizel_storage::{Database, Epoch, ScoredBatch, StorageError, TableId, TupleRef, Value};
 
 use crate::durability::{decode_batch, DiskTier, DiskTierConfig, DiskTierStats, RecoveryReport};
 
@@ -208,9 +206,6 @@ pub struct SizeLEngine {
     /// Per table, the maximum global importance — the GDS `max(Ri)`
     /// stats. A running maximum under incremental estimates.
     per_table_max: Vec<f64>,
-    /// The token of the importance order this engine installed, re-stamped
-    /// with the database's at every write (see [`OsContext::new`]).
-    fk_order: Option<FkOrderToken>,
     gds_by_table: Vec<Option<Gds>>,
     kw: KeywordIndex,
     cfg: EngineConfig,
@@ -246,7 +241,7 @@ impl SizeLEngine {
         let dg = DataGraph::build(&db, &sg);
         let authority = ga(&db, &sg, &dg);
         let scores = compute(&db, &sg, &dg, &authority, &cfg.rank);
-        let fk_order = sizel_rank::install_importance_order(&mut db, &dg, &scores);
+        sizel_rank::install_importance_order(&mut db, &dg, &scores);
         let per_table_max = scores.per_table_max;
 
         let mut gds_by_table: Vec<Option<Gds>> = (0..db.table_count()).map(|_| None).collect();
@@ -259,17 +254,7 @@ impl SizeLEngine {
             ds_tables.push(tid);
         }
         let kw = KeywordIndex::build(&db, &ds_tables);
-        Ok(SizeLEngine {
-            db,
-            sg,
-            authority,
-            per_table_max,
-            fk_order: Some(fk_order),
-            gds_by_table,
-            kw,
-            cfg,
-            disk: None,
-        })
+        Ok(SizeLEngine { db, sg, authority, per_table_max, gds_by_table, kw, cfg, disk: None })
     }
 
     /// The database's mutation epoch — the version every query of this
@@ -340,7 +325,6 @@ impl SizeLEngine {
         self.db.finish_scored_batch(batch);
         // Every mutation that landed advanced the epoch.
         if self.db.epoch() != before {
-            self.fk_order = self.db.fk_order();
             for gds in self.gds_by_table.iter_mut().flatten() {
                 gds.set_stats(&self.per_table_max);
             }
@@ -461,7 +445,7 @@ impl SizeLEngine {
             sweeps,
         );
         self.db.bump_epoch();
-        self.fk_order = Some(sizel_rank::install_importance_order(&mut self.db, &dg, &scores));
+        sizel_rank::install_importance_order(&mut self.db, &dg, &scores);
         self.per_table_max = scores.per_table_max;
         for gds in self.gds_by_table.iter_mut().flatten() {
             gds.set_stats(&self.per_table_max);
@@ -532,11 +516,9 @@ impl SizeLEngine {
         Ok(report)
     }
 
-    /// Re-checkpoints the paged tables into a fresh segment generation.
-    /// The in-RAM sorted runs are first rebuilt from the installed
-    /// per-row scores, so the segment snapshots a fresh install whatever
-    /// the mutations since the last checkpoint left; the engine adopts the
-    /// re-stamped order token. Returns the new generation id.
+    /// Re-checkpoints the paged tables into a fresh segment generation:
+    /// their sorted runs as they stand, which every settled write keeps
+    /// equal to a fresh install's. Returns the new generation id.
     pub fn checkpoint_disk(&mut self) -> Result<u64, StorageError> {
         let Some(disk) = self.disk.as_mut() else {
             return Err(StorageError::Durability("no disk tier attached".into()));
@@ -544,10 +526,6 @@ impl SizeLEngine {
         if disk.paged.is_empty() {
             return Err(StorageError::Durability("no tables are paged".into()));
         }
-        self.db.rebuild_postings_from_installed().ok_or_else(|| {
-            StorageError::Durability("checkpoint requires installed importance scores".into())
-        })?;
-        self.fk_order = self.db.fk_order();
         disk.store
             .checkpoint_from(&self.db, &disk.paged)
             .map_err(|e| StorageError::Durability(e.to_string()))
@@ -644,7 +622,7 @@ impl SizeLEngine {
     /// `tests/alloc_guard.rs`). Panics if `table` was not configured as a
     /// DS relation.
     pub fn context(&self, table: TableId) -> OsContext<'_> {
-        OsContext::new(&self.db, &self.sg, self.gds(table), self.fk_order)
+        OsContext::new(&self.db, &self.sg, self.gds(table))
     }
 
     /// Runs a keyword query with default options (l = 15, Top-Path,

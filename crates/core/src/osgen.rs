@@ -15,7 +15,7 @@
 //! snapshot.
 
 use sizel_graph::{Direction, Gds, GdsNodeId, JoinSpec, SchemaEdge, SchemaGraph};
-use sizel_storage::{Database, FkOrderToken, ProbeCost, RowId, TupleRef};
+use sizel_storage::{Database, ProbeCost, RowId, TupleRef};
 
 use crate::os::{FetchScratch, Os, OsArenaPool};
 
@@ -43,27 +43,25 @@ pub struct OsContext<'a> {
     pub sg: &'a SchemaGraph,
     /// The (restricted) GDS for the DS relation, with `max/mmax` stats set.
     pub gds: &'a Gds,
-    /// The database's installed importance order, when it matches the
-    /// token the context was built with — unlocks the sorted-posting
-    /// prefix scan in [`Database::select_eq_top_l`] (a junction step has
-    /// none to unlock). `None` (heap fallback) when no token was handed
-    /// in or the database was re-ordered or mutated since.
-    fk_order: Option<FkOrderToken>,
+    /// Whether an FK probe may prefix-scan the table's sorted runs
+    /// ([`Database::select_eq_top_l`]'s `prefix`; the table's own flag
+    /// decides the rest). Unset only in a heap twin ([`Self::heap_twin`]).
+    prefix: bool,
 }
 
 impl<'a> OsContext<'a> {
     /// Builds a context over `db`'s installed scores (panics on a read
-    /// where a table has none). `fk_order` is the token of the install
-    /// the caller synchronized to; `None` forces the heap path.
+    /// where a table has none); local importance reads them, so an FK
+    /// probe prefix-scans wherever the table's runs are sorted.
     /// Allocation-free — the engine builds one per query.
-    pub fn new(
-        db: &'a Database,
-        sg: &'a SchemaGraph,
-        gds: &'a Gds,
-        fk_order: Option<FkOrderToken>,
-    ) -> Self {
-        let fk_order = fk_order.filter(|t| db.fk_order() == Some(*t));
-        OsContext { db, sg, gds, fk_order }
+    pub fn new(db: &'a Database, sg: &'a SchemaGraph, gds: &'a Gds) -> Self {
+        OsContext { db, sg, gds, prefix: true }
+    }
+
+    /// The same context with every TOP-l probe on the heap path: the
+    /// reference the prefix scan is pinned against, node for node.
+    pub fn heap_twin(&self) -> Self {
+        OsContext { prefix: false, ..*self }
     }
 
     /// Local importance `Im(OS, t_i) = Im(t_i) · Af(R_i)` (Equation 3).
@@ -171,7 +169,7 @@ impl<'a> OsContext<'a> {
                     pk,
                     l,
                     largest_l,
-                    self.fk_order,
+                    self.prefix,
                     &li,
                     topl,
                     cost,
@@ -184,19 +182,8 @@ impl<'a> OsContext<'a> {
                 let exclude =
                     grandparent.filter(|g| *exclude_parent && g.table == e2.to).map(|g| g.row);
                 self.db.select_via_junction_top_l_into(
-                    *junction,
-                    e1.fk_col,
-                    pk,
-                    e2.fk_col,
-                    e2.to,
-                    exclude,
-                    l,
-                    largest_l,
-                    self.fk_order,
-                    &li,
-                    topl,
-                    cost,
-                    rows,
+                    *junction, e1.fk_col, pk, e2.fk_col, e2.to, exclude, l, largest_l, &li, topl,
+                    cost, rows,
                 );
             }
         }
@@ -279,7 +266,7 @@ pub(crate) mod tests {
     /// at several `l`, node for node — tuple, GDS node, parent and weight
     /// bits, in BFS order — at the same paper cost.
     pub(crate) fn assert_probe_paths_agree(ctx: &OsContext<'_>, tds: TupleRef) {
-        let heap_ctx = OsContext::new(ctx.db, ctx.sg, ctx.gds, None);
+        let heap_ctx = ctx.heap_twin();
         let mut pool = OsArenaPool::new();
         // `None`: the complete OS; `Some(l)`: the prelim-l OS.
         for l in [None, Some(1), Some(2), Some(5), Some(15)] {

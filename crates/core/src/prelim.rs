@@ -215,10 +215,10 @@ mod tests {
         // the prelim-l OS contains an optimal size-l OS. The uniform
         // scores are installed into a private database.
         let mut f = build_dblp();
-        let token = f.dblp.db.install_importance_order(&|_, _| 1.0);
+        f.dblp.db.install_importance_order(&|_, _| 1.0);
         let mut gds = f.gds.clone();
         gds.set_stats(&vec![1.0; f.dblp.db.table_count()]);
-        let octx = OsContext::new(&f.dblp.db, &f.sg, &gds, Some(token));
+        let octx = OsContext::new(&f.dblp.db, &f.sg, &gds);
         let mut checked = 0;
         for i in 0..5 {
             let tds = f.author_tds(i);
@@ -281,7 +281,7 @@ mod tests {
         // of the Author GDS — all junction steps — is a heap probe.
         let f = dblp_fixture();
         let fast_ctx = f.ctx();
-        let heap_ctx = OsContext::new(&f.dblp.db, &f.sg, &f.gds, None);
+        let heap_ctx = fast_ctx.heap_twin();
         let mut pool = OsArenaPool::new();
         for i in 0..4 {
             let tds = f.author_tds(i);
@@ -392,8 +392,8 @@ mod tests {
         let mut gds =
             Gds::build(&d.db, &sg, &presets::dblp_author_gds_config(), d.author).restrict(0.7);
         gds.set_stats(&per_table_max);
-        let ctx = OsContext::new(&d.db, &sg, &gds, d.db.fk_order());
-        let heap_ctx = OsContext::new(&d.db, &sg, &gds, None);
+        let ctx = OsContext::new(&d.db, &sg, &gds);
+        let heap_ctx = ctx.heap_twin();
 
         let tds = TupleRef::new(d.author, RowId(0));
         let mut pool = OsArenaPool::new();
@@ -440,14 +440,14 @@ mod tests {
         db.insert("Paper", vec![Value::Int(10), "dated".into(), Value::Int(1)]).unwrap();
         db.insert("Paper", vec![Value::Int(11), "undated".into(), Value::Null]).unwrap();
         // Year 1.0; Papers 1.0 and 2.0.
-        let fk_order = Some(db.install_importance_order(&|_, r| 1.0 + r.index() as f64));
+        db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
 
         let sg = SchemaGraph::from_database(&db);
         let cfg = GdsConfig { affinity: AffinityModel::manual(&[], 0.9), ..GdsConfig::default() };
         let mut gds = Gds::build(&db, &sg, &cfg, paper);
         gds.set_stats(&[1.0, 2.0]);
         assert_eq!(gds.len(), 2, "Paper -> Year and nothing else");
-        let ctx = OsContext::new(&db, &sg, &gds, fk_order);
+        let ctx = OsContext::new(&db, &sg, &gds);
 
         let mut pool = OsArenaPool::new();
         for (row, probes) in [(RowId(0), 1), (RowId(1), 0)] {

@@ -71,7 +71,7 @@ pub fn fk_prefix_scan_fires(db: &Database, table: &str, col: &str) -> bool {
     let Some(key) = t.live_rows().find_map(|r| t.value(r, col).as_int()) else { return false };
     let li = |r: RowId| t.installed_score(r);
     let before = db.access().probes();
-    db.select_eq_top_l(tid, col, key, 5, f64::NEG_INFINITY, db.fk_order(), &li);
+    db.select_eq_top_l(tid, col, key, 5, f64::NEG_INFINITY, true, &li);
     db.access().probes().fast > before.fast
 }
 
@@ -98,7 +98,7 @@ impl DblpFixture {
 
     /// An [`OsContext`] over `gds`, under the installed GA1-d1 order.
     pub fn ctx_over<'a>(&'a self, gds: &'a Gds) -> OsContext<'a> {
-        OsContext::new(&self.dblp.db, &self.sg, gds, self.dblp.db.fk_order())
+        OsContext::new(&self.dblp.db, &self.sg, gds)
     }
 
     /// The `i`-th most prolific author as a `t_DS`.
@@ -158,7 +158,7 @@ pub struct TpchFixture {
 impl TpchFixture {
     /// An [`OsContext`] over the Supplier GDS.
     pub fn supplier_ctx(&self) -> OsContext<'_> {
-        OsContext::new(&self.tpch.db, &self.sg, &self.supplier_gds, self.tpch.db.fk_order())
+        OsContext::new(&self.tpch.db, &self.sg, &self.supplier_gds)
     }
 }
 

@@ -364,7 +364,7 @@ fn a_tier_with_paged_tables_probes_as_a_tier_less_engine() {
             let (tid, t) = (db.table_id(name).unwrap(), db.table(db.table_id(name).unwrap()));
             let li = |r| t.installed_score(r);
             for (fk, key) in t.schema.fks.iter().flat_map(|fk| (1..=8).map(move |k| (fk, k))) {
-                let rows = db.select_eq_top_l(tid, fk.column, key, 5, 0.0, db.fk_order(), &li);
+                let rows = db.select_eq_top_l(tid, fk.column, key, 5, 0.0, true, &li);
                 fp.push_str(&format!("|{name}.{}={key}:{rows:?}", fk.column));
             }
         }

@@ -73,15 +73,17 @@ impl PagedStore {
 
     /// Snapshots the sorted FK postings of `tables` into a fresh segment
     /// generation, installs it, and removes the superseded generation's
-    /// file. Requires an installed importance order: the lists are
-    /// written in it. Returns the new generation id.
+    /// file. Every listed table must hold a live importance order (an
+    /// installed one that no plain write dropped and no open scored batch
+    /// suspended): the lists are written in it. Returns the new generation
+    /// id.
     ///
     /// The raw in-RAM arrays are written verbatim (live entries only),
     /// column by column in key order, so the file's bytes depend only on
     /// the postings.
     pub fn checkpoint_from(&mut self, db: &Database, tables: &[TableId]) -> Result<u64> {
-        if db.fk_order().is_none() {
-            return Err(DiskError::Corrupt("checkpoint requires an installed importance order"));
+        if !tables.iter().all(|&tid| db.table(tid).is_sorted()) {
+            return Err(DiskError::Corrupt("checkpoint requires a live importance order"));
         }
         let gen_id = self.generation + 1;
         let path = self.segment(gen_id);

@@ -4,7 +4,8 @@
 //! and a run whose tail page the following short lists share — must
 //! read back from pages byte-identically to the FK runs in RAM. Plus the
 //! life cycle of the segment files themselves: a checkpoint installs by
-//! rename, and a fresh store sweeps what an earlier process left.
+//! rename, refuses a table whose importance order is not live, and a
+//! fresh store sweeps what an earlier process left.
 
 mod common;
 
@@ -14,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use common::read_list;
 use sizel_disk::page::{ColumnId, PageKind, FK_PER_PAGE, PAGE_HEADER_LEN};
 use sizel_disk::segment::ListId;
-use sizel_disk::{PagedStore, SegmentFile};
+use sizel_disk::{DiskError, PagedStore, SegmentFile};
 use sizel_storage::{Database, TableSchema, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -176,5 +177,21 @@ fn a_fresh_store_sweeps_stale_segments_and_a_checkpoint_installs_by_rename() {
     assert_eq!(store.checkpoint_from(&db, &[child]).unwrap(), 2);
     assert_eq!(listing(), ["segments-2.seg", "segments.txt"], "exactly the installed generation");
     SegmentFile::open(&dir.join("segments-2.seg")).expect("the installed file is whole");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_checkpoint_refuses_a_paged_table_whose_order_a_plain_write_dropped() {
+    let mut db = boundary_db();
+    let (child, rel) = (db.table_id("Child").unwrap(), db.table_id("Rel").unwrap());
+    // A plain insert drops Child's order; Rel's stays live.
+    db.insert("Child", vec![Value::Int(1_000_000), Value::Int(0)]).unwrap();
+    db.build_runs();
+    let dir = temp_dir("unsorted");
+    let mut store = PagedStore::new(&dir).unwrap();
+    let err = store.checkpoint_from(&db, &[rel, child]).unwrap_err();
+    assert!(matches!(err, DiskError::Corrupt(_)), "{err}");
+    assert_eq!(store.stats().generation, 0, "nothing was installed");
+    assert_eq!(store.checkpoint_from(&db, &[rel]).unwrap(), 1, "a sorted table still checkpoints");
     std::fs::remove_dir_all(&dir).ok();
 }

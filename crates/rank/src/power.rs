@@ -35,7 +35,7 @@
 //! it was by a `+0.0` term, so a zero scalar term is skipped: after
 //! sweep 1 (sweep 2 in [`reiterate`]) the sweeps touch rated slots only.
 
-use sizel_storage::{Database, FkOrderToken, RowId, TableId, TupleRef, Value};
+use sizel_storage::{Database, RowId, TableId, TupleRef, Value};
 
 use sizel_graph::{DataGraph, NodeId, SchemaEdge, SchemaGraph};
 
@@ -114,17 +114,13 @@ impl RankScores {
 /// its rows' scores, and every FK posting list is sorted by descending
 /// global importance, so query contexts over `db` read the scores there
 /// and serve Avoidance-Condition-2 probes as bounded prefix scans (see
-/// `sizel_storage::fk_index`). Returns the order token the contexts are
-/// handed; `dg` is the graph the scores were solved over.
+/// `sizel_storage::fk_index`); `dg` is the graph the scores were solved
+/// over.
 ///
 /// Local importance is `Im(t) · Af(Ri)` with the affinity a positive
 /// per-relation constant, so one global-importance order per table is
 /// valid for every GDS. Call once after ranking, before serving.
-pub fn install_importance_order(
-    db: &mut Database,
-    dg: &DataGraph,
-    scores: &RankScores,
-) -> FkOrderToken {
+pub fn install_importance_order(db: &mut Database, dg: &DataGraph, scores: &RankScores) {
     db.install_importance_order(&|t, r| scores.global_in(t, dg.node_id(TupleRef::new(t, r))))
 }
 

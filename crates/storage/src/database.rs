@@ -6,7 +6,6 @@ use std::collections::HashMap;
 use crate::access::AccessCounter;
 use crate::epoch::Epoch;
 use crate::error::StorageError;
-use crate::fk_index::FkOrderToken;
 use crate::schema::TableSchema;
 use crate::table::{RowId, Table};
 use crate::value::{Value, ValueRef};
@@ -64,9 +63,6 @@ pub struct Database {
     /// reads.
     fk_edges: Vec<FkEdge>,
     access: AccessCounter,
-    /// The currently installed importance order, if any (see
-    /// [`crate::fk_index`]).
-    fk_order: Option<FkOrderToken>,
     /// Global mutation epoch: bumped on every mutation of any table.
     epoch: Epoch,
 }
@@ -151,8 +147,8 @@ impl Database {
     /// dropped and the heap path takes over for it until the
     /// next [`Database::install_importance_order`] (the staged batch,
     /// [`Database::begin_scored_batch`], is the path that maintains the
-    /// order instead). Bumps the table's and the global epoch. Bulk
-    /// loaders resolve the id once instead of hashing the name per row.
+    /// order instead). Bumps the global epoch. Bulk loaders resolve the
+    /// id once instead of hashing the name per row.
     pub fn insert_into(&mut self, id: TableId, values: Vec<Value>) -> Result<RowId> {
         self.plain(id, |t| t.insert(values))
     }
@@ -160,7 +156,7 @@ impl Database {
     /// Rewrites the live row with primary key `pk` in place, dropping
     /// the table's installed order like [`Database::insert`] (see
     /// [`Database::update_scored_staged`] for the maintained path). The
-    /// pk itself is immutable. Bumps the table's and the global epoch.
+    /// pk itself is immutable. Bumps the global epoch.
     pub fn update(&mut self, table: &str, pk: i64, values: Vec<Value>) -> Result<RowId> {
         let id = self.table_id(table)?;
         self.plain(id, |t| t.update(pk, values))
@@ -174,8 +170,8 @@ impl Database {
     /// Referential integrity is *not* checked here (mirroring
     /// [`Database::insert`], which defers FK existence to
     /// [`Database::validate_foreign_keys`]); the engine layer rejects
-    /// deletes that would strand live referencers. Bumps the table's and
-    /// the global epoch.
+    /// deletes that would strand live referencers. Bumps the global
+    /// epoch.
     pub fn delete(&mut self, table: &str, pk: i64) -> Result<RowId> {
         let id = self.table_id(table)?;
         self.plain(id, |t| t.delete(pk))
@@ -278,11 +274,9 @@ impl Database {
     /// Sorts every table's FK runs by descending `score` (ties:
     /// ascending RowId), snapshots the per-row scores (so scored inserts
     /// can maintain the order incrementally; one scalar for a table whose
-    /// rows all score the same), and returns the token identifying this
-    /// ordering at the current epoch. Query paths
-    /// pass the token back in ([`Self::select_eq_top_l`]); a mismatch —
-    /// different scores, a later re-install, or a mutation epoch the
-    /// holder has not synchronized to — falls back to the heap path.
+    /// rows all score the same). From here on each table's own flag
+    /// ([`Table::is_sorted`]) decides whether [`Self::select_eq_top_l`]
+    /// may prefix-scan its runs.
     ///
     /// `score` is called once per row slot, to take the snapshot; every
     /// run is then sorted where it lies against the snapshot — no copy,
@@ -294,38 +288,20 @@ impl Database {
     /// ([`Self::begin_scored_batch`]) keeps the order live across
     /// mutations; the plain [`Self::insert`] drops it for the affected
     /// table.
-    pub fn install_importance_order(
-        &mut self,
-        score: &dyn Fn(TableId, RowId) -> f64,
-    ) -> FkOrderToken {
+    pub fn install_importance_order(&mut self, score: &dyn Fn(TableId, RowId) -> f64) {
         self.build_runs();
         for (i, t) in self.tables.iter_mut().enumerate() {
             let tid = TableId(i as u16);
             t.build_sorted_fk(&|r| score(tid, r));
         }
-        let token = FkOrderToken::fresh(self.epoch);
-        self.fk_order = Some(token);
-        token
     }
 
-    /// The token of the currently installed importance order, if any.
-    pub fn fk_order(&self) -> Option<FkOrderToken> {
-        self.fk_order
-    }
-
-    /// Re-installs every table's order from its *installed* score
-    /// snapshot: every run sorted afresh where it lies, for a checkpoint
-    /// to snapshot, without recomputing or copying a score. Mints a fresh
-    /// token, as an install does; `None` when any table lacks an installed
-    /// snapshot (there is no order to rebuild).
-    pub fn rebuild_postings_from_installed(&mut self) -> Option<FkOrderToken> {
-        if !self.tables.iter().all(Table::has_installed_scores) {
-            return None;
-        }
-        self.tables.iter_mut().for_each(Table::sort_runs);
-        let token = FkOrderToken::fresh(self.epoch);
-        self.fk_order = Some(token);
-        Some(token)
+    /// True while any table holds an installed order: the frozen
+    /// benchmark package passes it as [`Self::select_eq_top_l`]'s
+    /// `prefix`. It goes with that package's next change.
+    #[doc(hidden)]
+    pub fn fk_order(&self) -> bool {
+        self.tables.iter().any(Table::has_installed_scores)
     }
 }
 
@@ -412,9 +388,8 @@ mod tests {
         let (j, t) = (db.table_id("J").unwrap(), db.table_id(to).unwrap());
         let (mut cost, mut out) = (crate::ProbeCost::default(), Vec::new());
         let scratch = &mut crate::TopLScratch::new();
-        let (order, li) = (db.fk_order(), &li_of);
         db.select_via_junction_top_l_into(
-            j, s_col, key, t_col, t, None, l, -1.0, order, li, scratch, &mut cost, &mut out,
+            j, s_col, key, t_col, t, None, l, -1.0, &li_of, scratch, &mut cost, &mut out,
         );
         (out, cost)
     }
@@ -531,11 +506,11 @@ mod tests {
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         // Importance: pk 10 -> 1.0, pk 11 -> 5.0
         let li = |r: RowId| if db.table(paper).pk_of(r) == 10 { 1.0 } else { 5.0 };
-        let rows = db.select_eq_top_l(paper, fk_col, 1, 1, 0.0, None, &li);
+        let rows = db.select_eq_top_l(paper, fk_col, 1, 1, 0.0, false, &li);
         assert_eq!(rows.len(), 1);
         assert_eq!(db.table(paper).pk_of(rows[0]), 11, "highest importance first");
         // threshold excludes everything
-        let rows = db.select_eq_top_l(paper, fk_col, 1, 10, 100.0, None, &li);
+        let rows = db.select_eq_top_l(paper, fk_col, 1, 10, 100.0, false, &li);
         assert!(rows.is_empty());
     }
 
@@ -562,7 +537,7 @@ mod tests {
         }
         let child = db.table_id("Child").unwrap();
         let scores: Vec<f64> = (0..10).map(|i| i as f64 + 1.0).collect();
-        let token = db.install_importance_order(&|t, r| {
+        db.install_importance_order(&|t, r| {
             if t == child {
                 scores[r.index()]
             } else {
@@ -575,8 +550,8 @@ mod tests {
         let fk_col = db.table(child).schema.column_index("parent_id").unwrap();
         for l in 0..=10 {
             for threshold in [0.0, 1.0, 2.5, 4.0, 10.0] {
-                let fast = db.select_eq_top_l(child, fk_col, 1, l, threshold, Some(token), &li);
-                let slow = db.select_eq_top_l(child, fk_col, 1, l, threshold, None, &li);
+                let fast = db.select_eq_top_l(child, fk_col, 1, l, threshold, true, &li);
+                let slow = db.select_eq_top_l(child, fk_col, 1, l, threshold, false, &li);
                 assert_eq!(fast, slow, "l={l} threshold={threshold}");
             }
         }
@@ -593,46 +568,35 @@ mod tests {
                 1.0
             }
         };
-        let token = {
+        {
             let snapshot: Vec<Vec<f64>> = db
                 .tables()
                 .map(|(tid, t)| t.iter().map(|(r, _)| score(&db, tid, r)).collect())
                 .collect();
-            db.install_importance_order(&|t, r| snapshot[t.index()][r.index()])
-        };
-        assert_eq!(db.fk_order(), Some(token));
+            db.install_importance_order(&|t, r| snapshot[t.index()][r.index()]);
+        }
         let paper = db.table_id("Paper").unwrap();
+        assert!(db.table(paper).is_sorted());
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         let li = |r: RowId| 0.5 * if db.table(paper).pk_of(r) == 11 { 5.0 } else { 1.0 };
         // Fast path and heap path agree, including access accounting.
         let before = db.access().snapshot();
-        let fast = db.select_eq_top_l(paper, fk_col, 1, 2, 0.0, Some(token), &li);
+        let fast = db.select_eq_top_l(paper, fk_col, 1, 2, 0.0, true, &li);
         let mid = db.access().snapshot();
-        let slow = db.select_eq_top_l(paper, fk_col, 1, 2, 0.0, None, &li);
+        let slow = db.select_eq_top_l(paper, fk_col, 1, 2, 0.0, false, &li);
         let after = db.access().snapshot();
         assert_eq!(fast, slow);
         assert_eq!(db.table(paper).pk_of(fast[0]), 11, "best importance first");
         assert_eq!(mid.since(before), after.since(mid), "identical cost accounting");
         // The threshold cuts the scan short.
-        let cut = db.select_eq_top_l(paper, fk_col, 1, 2, 2.0, Some(token), &li);
+        let cut = db.select_eq_top_l(paper, fk_col, 1, 2, 2.0, true, &li);
         assert_eq!(cut.len(), 1);
-        // A stale token falls back to the heap path (still correct).
-        let stale = db.select_eq_top_l(
-            paper,
-            fk_col,
-            1,
-            2,
-            0.0,
-            Some(FkOrderToken::fresh(db.epoch())),
-            &li,
-        );
-        assert_eq!(stale, slow);
     }
 
     #[test]
     fn insert_invalidates_sorted_postings() {
         let mut db = tiny_db();
-        let token = db.install_importance_order(&|_, _| 1.0);
+        db.install_importance_order(&|_, _| 1.0);
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         assert!(db.table(paper).sorted_fk_index(fk_col).is_some());
@@ -645,26 +609,21 @@ mod tests {
         // The probe still answers correctly via the heap fallback, and the
         // new row is visible.
         let li = |_: RowId| 1.0;
-        let rows = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, Some(token), &li);
+        let rows = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, true, &li);
         assert_eq!(rows.len(), 3);
     }
 
     #[test]
     fn epochs_bump_on_every_insert() {
         let mut db = tiny_db();
-        let (g0, paper) = (db.epoch(), db.table_id("Paper").unwrap());
-        let year = db.table_id("Year").unwrap();
-        let (t0, y0) = (db.table(paper).epoch(), db.table(year).epoch());
+        let g0 = db.epoch();
         assert!(g0 > Epoch::default(), "loading already advanced the global epoch");
         db.insert("Paper", vec![Value::Int(12), "p3".into(), Value::Int(1)]).unwrap();
         assert_eq!(db.epoch(), g0.next());
-        assert_eq!(db.table(paper).epoch(), t0.next());
-        // Other tables' epochs are untouched.
-        assert_eq!(db.table(year).epoch(), y0);
     }
 
     #[test]
-    fn scored_insert_maintains_postings_and_restamps_token() {
+    fn scored_insert_maintains_postings_and_keeps_prefix_scans() {
         let mut db = tiny_db();
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
@@ -685,7 +644,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let old = db.install_importance_order(&|t, r| snapshot[t.index()][r.index()]);
+        db.install_importance_order(&|t, r| snapshot[t.index()][r.index()]);
         // Insert a row scoring between the two existing ones.
         batch_of_one(&mut db, |db, b| {
             db.insert_scored_staged(
@@ -696,24 +655,20 @@ mod tests {
             )
         })
         .unwrap();
-        let token = db.fk_order().expect("order survives the scored insert");
-        assert_ne!(token, old, "the token is re-stamped, not reused verbatim");
-        assert!(token.same_order(old), "…but it still names the same installed order");
-        assert_eq!(token.epoch(), db.epoch());
         let sorted = db.table(paper).sorted_fk_index(fk_col).expect("postings maintained");
         let pks: Vec<i64> = sorted.rows(1).iter().map(|&r| db.table(paper).pk_of(r)).collect();
         assert_eq!(pks, vec![11, 12, 10], "new row placed by score");
-        // The re-stamped token serves the fast path; the superseded one
-        // falls back (both correct and byte-identical).
+        // The maintained order serves the fast path; the heap path
+        // agrees byte for byte.
         let li = |r: RowId| db.table(paper).installed_score(r);
         let before = db.access().probes();
-        let fast = db.select_eq_top_l(paper, fk_col, 1, 3, 0.0, Some(token), &li);
+        let fast = db.select_eq_top_l(paper, fk_col, 1, 3, 0.0, true, &li);
         let mid = db.access().probes();
-        let slow = db.select_eq_top_l(paper, fk_col, 1, 3, 0.0, Some(old), &li);
+        let slow = db.select_eq_top_l(paper, fk_col, 1, 3, 0.0, false, &li);
         let after = db.access().probes();
         assert_eq!(fast, slow);
-        assert_eq!(mid.fast - before.fast, 1, "current token prefix-scans");
-        assert_eq!(after.heap - mid.heap, 1, "superseded token heap-falls-back");
+        assert_eq!(mid.fast - before.fast, 1, "the maintained order prefix-scans");
+        assert_eq!(after.heap - mid.heap, 1, "the heap twin heap-probes");
         assert_eq!(db.table(paper).pk_of(fast[0]), 11);
         assert_eq!(db.table(paper).pk_of(fast[1]), 12);
     }
@@ -750,7 +705,6 @@ mod tests {
             .unwrap();
         let (rows, _) = junction_probe(&db, ORIENTATIONS[0], 1, 10);
         assert_eq!(rows, [RowId(1), RowId(0)], "li 2 before li 0");
-        assert_eq!(db.fk_order().unwrap().epoch(), db.epoch(), "the insert re-stamps the token");
         assert_junction_probes_match_the_oracle(&db);
 
         // A junction loaded with a dangling row *before* install joins
@@ -822,7 +776,7 @@ mod tests {
         .unwrap();
         let paper = db.table_id("Paper").unwrap();
         assert_eq!(db.table(paper).pk_of(row), 12);
-        assert!(db.fk_order().is_none());
+        assert!(!db.table(paper).is_sorted());
     }
 
     /// Identical tiny databases with an all-ones importance order
@@ -867,7 +821,6 @@ mod tests {
             .unwrap();
         }
         assert_eq!(batched.epoch(), folded.epoch());
-        assert_eq!(batched.fk_order().unwrap().epoch(), folded.fk_order().unwrap().epoch());
         let paper = batched.table_id("Paper").unwrap();
         let fk_col = batched.table(paper).schema.column_index("year_id").unwrap();
         assert_eq!(
@@ -931,62 +884,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_token_stamp_matches_the_fold_under_plain_fallback_tails() {
-        // A batch whose *last* row falls back to the plain insert (its
-        // table's snapshot is dead) must stamp the token at the last
-        // maintained insert's epoch — exactly where the fold leaves it —
-        // not at the batch's final epoch.
-        let (mut batched, mut folded) = installed_pair();
-        // Kill Year's snapshot in both databases.
-        batched.insert("Year", vec![Value::Int(50), Value::Int(2001)]).unwrap();
-        folded.insert("Year", vec![Value::Int(50), Value::Int(2001)]).unwrap();
-
-        let mut b = batched.begin_scored_batch();
-        batched
-            .insert_scored_staged(
-                &mut b,
-                "Paper",
-                vec![Value::Int(20), "t".into(), Value::Int(1)],
-                2.0,
-            )
-            .unwrap();
-        batched
-            .insert_scored_staged(&mut b, "Year", vec![Value::Int(51), Value::Int(2002)], 1.0)
-            .unwrap();
-        batched.finish_scored_batch(b);
-
-        batch_of_one(&mut folded, |db, b| {
-            db.insert_scored_staged(
-                b,
-                "Paper",
-                vec![Value::Int(20), "t".into(), Value::Int(1)],
-                2.0,
-            )
-        })
-        .unwrap();
-        batch_of_one(&mut folded, |db, b| {
-            db.insert_scored_staged(b, "Year", vec![Value::Int(51), Value::Int(2002)], 1.0)
-        })
-        .unwrap();
-
-        assert_eq!(batched.epoch(), folded.epoch());
-        assert_eq!(
-            batched.fk_order().unwrap().epoch(),
-            folded.fk_order().unwrap().epoch(),
-            "the stamp sits at the last maintained insert, as in the fold"
-        );
-        assert!(
-            batched.fk_order().unwrap().epoch() < batched.epoch(),
-            "the trailing fallback bumped the epoch past the stamp"
-        );
-    }
-
-    #[test]
     fn scored_batch_suspends_postings_while_open() {
         let (mut db, _) = installed_pair();
         let paper = db.table_id("Paper").unwrap();
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
-        let token = db.fk_order().unwrap();
         let mut b = db.begin_scored_batch();
         db.insert_scored_staged(
             &mut b,
@@ -1001,7 +902,7 @@ mod tests {
         assert!(db.table(paper).sorted_fk_index(fk_col).is_none(), "postings suspended");
         let before = db.access().probes();
         let li = |_: RowId| 1.0;
-        let rows = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, Some(token), &li);
+        let rows = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, true, &li);
         assert_eq!(rows.len(), 3, "staged row visible through the heap path");
         assert_eq!(db.access().probes().heap - before.heap, 1);
         db.finish_scored_batch(b);
@@ -1061,7 +962,6 @@ mod tests {
         let fk_col = db.table(paper).schema.column_index("year_id").unwrap();
         // Both rows score 1.0, so the install order is [row0, row1].
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1), &[RowId(0), RowId(1)]);
-        let old = db.fk_order().unwrap();
         batch_of_one(&mut db, |db, b| {
             db.update_scored_staged(
                 b,
@@ -1075,15 +975,12 @@ mod tests {
         // Row 1 moved to the front — exactly where a fresh sort puts it.
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1), &[RowId(1), RowId(0)]);
         assert_eq!(db.table(paper).value(RowId(1), 1).as_str(), Some("p2'"));
-        let token = db.fk_order().unwrap();
-        assert!(token.same_order(old) && token != old, "update re-stamps the token");
-        assert_eq!(token.epoch(), db.epoch());
         // Fast path and heap path agree, including accounting.
         let li = |r: RowId| db.table(paper).installed_score(r);
         let before = db.access().snapshot();
-        let fast = db.select_eq_top_l(paper, fk_col, 1, 2, 0.0, Some(token), &li);
+        let fast = db.select_eq_top_l(paper, fk_col, 1, 2, 0.0, true, &li);
         let mid = db.access().snapshot();
-        let slow = db.select_eq_top_l(paper, fk_col, 1, 2, 0.0, None, &li);
+        let slow = db.select_eq_top_l(paper, fk_col, 1, 2, 0.0, false, &li);
         let after = db.access().snapshot();
         assert_eq!(fast, slow);
         assert_eq!(mid.since(before), after.since(mid));
@@ -1123,12 +1020,11 @@ mod tests {
         let maint = db.access().maint();
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "Paper", 10)).unwrap();
         assert_eq!(db.table(paper).sorted_fk_index(fk_col).unwrap().rows(1).len(), 3);
-        let token = db.fk_order().unwrap();
         let li = |r: RowId| db.table(paper).installed_score(r);
         let before = db.access().snapshot();
-        let fast = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, Some(token), &li);
+        let fast = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, true, &li);
         let mid = db.access().snapshot();
-        let slow = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, None, &li);
+        let slow = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, false, &li);
         let after = db.access().snapshot();
         assert_eq!(fast.len(), 3);
         assert_eq!(fast, slow);
@@ -1232,7 +1128,6 @@ mod tests {
         batched.finish_scored_batch(b);
         script(&mut folded, None);
         assert_eq!(batched.epoch(), folded.epoch());
-        assert_eq!(batched.fk_order().unwrap().epoch(), folded.fk_order().unwrap().epoch());
         let paper = batched.table_id("Paper").unwrap();
         let fk_col = batched.table(paper).schema.column_index("year_id").unwrap();
         assert_eq!(
@@ -1310,7 +1205,7 @@ mod tests {
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "C", 10)).unwrap();
         batch_of_one(&mut db, |db, b| db.delete_scored_staged(b, "J", 100)).unwrap();
         assert!(assert_junction_probes_match_the_oracle(&db) > 0, "both orientations still join");
-        db.rebuild_postings_from_installed().expect("every score snapshot is live");
+        db.install_importance_order(&|_, r| 1.0 + r.index() as f64);
         assert_junction_probes_match_the_oracle(&db);
     }
 
@@ -1500,9 +1395,8 @@ mod tests {
         let work = db.access().maint().since(before);
         assert_eq!(work, crate::MaintStats { graph_builds: 0, posting_resorts: 6 });
         let li = |r: RowId| db.table(paper).installed_score(r);
-        let token = db.fk_order().unwrap();
-        let fast = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, Some(token), &li);
-        let slow = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, None, &li);
+        let fast = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, true, &li);
+        let slow = db.select_eq_top_l(paper, fk_col, 1, 10, 0.0, false, &li);
         assert_eq!(fast, slow);
         assert_eq!(fast.len(), 8);
     }

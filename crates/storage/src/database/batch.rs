@@ -15,7 +15,6 @@
 //! the junction's.
 
 use super::{Database, TableId};
-use crate::epoch::Epoch;
 use crate::table::RowId;
 use crate::value::Value;
 use crate::Result;
@@ -34,9 +33,6 @@ use crate::Result;
 pub struct ScoredBatch {
     /// Tables whose postings were suspended at first touch.
     touched: Vec<TableId>,
-    /// Epoch of the last staged (maintained) op — the stamp the settled
-    /// [`crate::FkOrderToken`] carries, exactly as the fold would leave it.
-    last_scored_epoch: Option<Epoch>,
 }
 
 impl Database {
@@ -44,7 +40,7 @@ impl Database {
     /// [`Database::insert_scored_staged`], settle with
     /// [`Database::finish_scored_batch`].
     pub fn begin_scored_batch(&self) -> ScoredBatch {
-        ScoredBatch { touched: Vec::new(), last_scored_epoch: None }
+        ScoredBatch { touched: Vec::new() }
     }
 
     /// Stages one scored insert into an open batch: the row (and its
@@ -67,7 +63,7 @@ impl Database {
         let row = t.insert_validated(values)?;
         let keys = t.fk_keys_of(row);
         t.staged(row, Some(score), &keys);
-        self.stage(batch);
+        self.epoch = self.epoch.next();
         Ok(row)
     }
 
@@ -88,7 +84,7 @@ impl Database {
         let row = t.update_validated(pk, values)?;
         let keys = t.fk_keys_of(row);
         t.staged(row, Some(score), &keys);
-        self.stage(batch);
+        self.epoch = self.epoch.next();
         Ok(row)
     }
 
@@ -106,7 +102,7 @@ impl Database {
         let t = &mut self.tables[tid.index()];
         let row = t.delete_validated(pk)?;
         t.staged(row, None, &[]);
-        self.stage(batch);
+        self.epoch = self.epoch.next();
         Ok(row)
     }
 
@@ -115,7 +111,7 @@ impl Database {
     /// covers it and the op takes the plain path.
     fn touch(&mut self, batch: &mut ScoredBatch, table: &str) -> Result<Option<TableId>> {
         let tid = self.table_id(table)?;
-        if self.fk_order.is_none() || !self.tables[tid.index()].has_installed_scores() {
+        if !self.tables[tid.index()].has_installed_scores() {
             return Ok(None);
         }
         if !batch.touched.contains(&tid) {
@@ -125,30 +121,15 @@ impl Database {
         Ok(Some(tid))
     }
 
-    /// Records a staged op at a fresh epoch, the one the settled token
-    /// carries unless a later op stages.
-    fn stage(&mut self, batch: &mut ScoredBatch) {
-        self.epoch = self.epoch.next();
-        batch.last_scored_epoch = Some(self.epoch);
-    }
-
     /// Settles an open batch: every touched table re-sorts exactly the
     /// FK runs its staged rows were appended to or re-scored in, so every
-    /// run is in the one posting order again, and the
-    /// [`crate::FkOrderToken`] is re-stamped once. Equal, run for run, to
-    /// the fold of the same ops as batches of one.
+    /// run is in the one posting order again. Equal, run for run, to the
+    /// fold of the same ops as batches of one.
     pub fn finish_scored_batch(&mut self, batch: ScoredBatch) {
-        let ScoredBatch { touched, last_scored_epoch } = batch;
-        for tid in touched {
+        for tid in batch.touched {
             if self.tables[tid.index()].settle_staging() {
                 self.access.record_posting_resort();
             }
-        }
-        if let Some(epoch) = last_scored_epoch {
-            // The stamp the fold would leave: the epoch of the last
-            // *maintained* op. A trailing plain-fallback mutation bumps
-            // the epoch further but never restamps in the fold either.
-            self.fk_order = self.fk_order.map(|t| t.restamped(epoch));
         }
     }
 }

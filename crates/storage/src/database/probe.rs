@@ -4,15 +4,15 @@
 //! junction.
 //!
 //! One layout serves every form: a table's FK runs, sorted by installed
-//! importance while the order holds. An FK probe with the live token is a
-//! prefix scan of its run, and otherwise a bounded top-l selection over
-//! the run. A junction probe is always that selection: the junction's FK
-//! run for the key, each row's target resolved through the target's
-//! primary key ([`crate::Table::parent_of`]).
+//! importance while the order holds. An FK probe of a table whose runs
+//! are sorted ([`crate::Table::is_sorted`]) is a prefix scan of its run,
+//! and otherwise a bounded top-l selection over the run. A junction probe
+//! is always that selection: the junction's FK run for the key, each
+//! row's target resolved through the target's primary key
+//! ([`crate::Table::parent_of`]).
 
 use super::{Database, TableId};
 use crate::access::ProbeCost;
-use crate::fk_index::FkOrderToken;
 use crate::table::RowId;
 use crate::topl::TopLScratch;
 
@@ -37,16 +37,17 @@ impl Database {
     /// access even when the result is empty, matching the paper's cost
     /// accounting, recorded into the database's counter at once.
     ///
-    /// When `order` matches the installed importance order (which attests
-    /// that `li` is a monotone non-decreasing function of the installed
-    /// score — true for `li = global · affinity` with a positive
-    /// affinity), the probe is a bounded prefix scan of the pre-sorted
-    /// postings: `O(l + t)` rows visited (`t` = the li-tie run straddling
-    /// the cut) instead of `O(g log l)` over the whole FK group, and
+    /// When `prefix` is set (the caller attests that `li` is a monotone
+    /// non-decreasing function of the installed score — true for `li =
+    /// global · affinity` with a positive affinity) and the table's runs
+    /// are sorted ([`crate::Table::is_sorted`]), the probe is a bounded
+    /// prefix scan of the pre-sorted postings: `O(l + t)` rows visited
+    /// (`t` = the li-tie run straddling the cut) instead of `O(g log l)`
+    /// over the whole FK group, and
     /// byte-identical to the heap path even when distinct scores collapse
     /// to equal `li` (the tie run at the boundary is collected in full and
     /// re-ranked by `(li desc, RowId asc)`, exactly [`crate::top_l`]'s
-    /// order). Pass `None` (or a stale token) to force the heap path.
+    /// order). Pass `false` to force the heap path.
     #[allow(clippy::too_many_arguments)] // mirrors the SQL probe's clause list
     pub fn select_eq_top_l(
         &self,
@@ -55,11 +56,13 @@ impl Database {
         key: i64,
         l: usize,
         largest_l: f64,
-        order: Option<FkOrderToken>,
+        prefix: bool,
         li: &dyn Fn(RowId) -> f64,
     ) -> Vec<RowId> {
         let (s, mut cost, mut out) = (&mut TopLScratch::new(), ProbeCost::default(), Vec::new());
-        self.select_eq_top_l_into(table, col, key, l, largest_l, order, li, s, &mut cost, &mut out);
+        self.select_eq_top_l_into(
+            table, col, key, l, largest_l, prefix, li, s, &mut cost, &mut out,
+        );
         self.access.add(&cost);
         out
     }
@@ -80,7 +83,7 @@ impl Database {
         key: i64,
         l: usize,
         largest_l: f64,
-        order: Option<FkOrderToken>,
+        prefix: bool,
         li: &dyn Fn(RowId) -> f64,
         scratch: &mut TopLScratch<RowId>,
         cost: &mut ProbeCost,
@@ -89,10 +92,9 @@ impl Database {
         let t = self.table(table);
         let start = out.len();
         // The PK column has no postings: its one candidate takes the heap
-        // path, like a probe whose token is stale.
+        // path.
         let on_pk = col == t.schema.pk;
-        let fresh = !on_pk && l > 0 && order.is_some() && order == self.fk_order;
-        if let Some(sorted) = t.sorted_fk_index(col).filter(|_| fresh) {
+        if let Some(sorted) = t.sorted_fk_index(col).filter(|_| prefix && !on_pk && l > 0) {
             // Every run holds live rows only, exactly the rows a fresh
             // install would serve. The collected prefix is ranked through
             // the same comparator the heap path uses, so the paths agree
@@ -119,8 +121,8 @@ impl Database {
     /// nothing — and selects the top `l` in one bounded pass. Two counted join
     /// accesses: the junction probe, reporting the raw FK group size (its
     /// rows are read to find the targets), and the TOP-l filtered target
-    /// fetch. Always one heap probe; `order` is not consulted (there is
-    /// no sorted junction index to scan).
+    /// fetch. Always one heap probe: there is no sorted junction index to
+    /// scan.
     ///
     /// The junction's FK runs must be built. Every engine read path sees
     /// them so: installing an order builds them, and scored batches
@@ -137,14 +139,11 @@ impl Database {
         exclude: Option<RowId>,
         l: usize,
         largest_l: f64,
-        order: Option<FkOrderToken>,
         li: &dyn Fn(RowId) -> f64,
         scratch: &mut TopLScratch<RowId>,
         cost: &mut ProbeCost,
         out: &mut Vec<RowId>,
     ) {
-        // No sorted index is scanned, so the order is not read.
-        let _ = order;
         let (jt, to) = (self.table(junction), self.table(target));
         let jrows = jt.rows_where_eq(source_col, key);
         let targets = jrows.iter().filter_map(|&j| jt.parent_of(target_col, j, to));

@@ -2,21 +2,17 @@
 //!
 //! The paper's OSs are computed over a *live* database; the continual
 //! top-k line of work assumes the data keeps changing under the query
-//! stream. Every derived structure in this stack (sorted FK postings,
-//! rank scores, serve-cache entries) is therefore versioned by an
-//! [`Epoch`]: a monotonically increasing counter bumped on every
-//! mutation. The database carries one global epoch plus one per table, so
-//! consumers can reason both about "has *anything* changed" (cache
-//! keying) and "has *this table* changed" (posting maintenance).
+//! stream. Derived state that outlives a write (rank scores, serve-cache
+//! entries, logged batches) is therefore versioned by an [`Epoch`]: a
+//! monotonically increasing counter bumped on every mutation. The
+//! database carries one, global epoch: caches key on it and the
+//! write-ahead log stamps its records with it.
 //!
 //! Epochs are plain data, deliberately not process-unique: two databases
-//! both start at epoch 0. Identity is provided by the
-//! [`crate::FkOrderToken`]'s order id; the epoch rides on the token to
-//! distinguish *versions* of one installed order (see
-//! [`crate::fk_index`]).
+//! both start at epoch 0.
 
 /// A monotonically increasing mutation counter. `Epoch(0)` is the
-/// freshly-created (or freshly-finalized) state; every insert bumps it.
+/// freshly-created state; every mutation bumps it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Epoch(pub u64);
 

@@ -24,12 +24,13 @@
 //!
 //! Because the sort key is external (global importance is computed by the
 //! ranking layer *after* the database is loaded), installation is a
-//! finalization step: [`crate::Database::install_importance_order`] sorts
-//! every posting list and returns an opaque [`FkOrderToken`]. Query paths
-//! pass the token they expect back in; the fast path only fires when it
-//! matches the installed one, so a context carrying scores from a
-//! *different* ranking setting silently falls back to the heap path
-//! instead of scanning postings in the wrong order.
+//! finalization step: [`crate::Database::install_importance_order`]
+//! snapshots every row's score and sorts every posting list by it. A
+//! table's runs are scanned as sorted only while its own order is live
+//! ([`crate::Table::sorted_fk_index`]): installed, not dropped by a plain
+//! write, and not suspended by an open scored batch. A probe that asks for
+//! the scan attests that its `li` is monotone in the installed score; the
+//! engine's reads that very snapshot ([`crate::Database::installed_score`]).
 //!
 //! **Updates.** The installed order is *maintained*, not torn down, under
 //! the staged scored batch ([`crate::Database::begin_scored_batch`]), by
@@ -37,11 +38,8 @@
 //! re-sorts exactly the runs the batch appended to or re-scored, and a
 //! removed row leaves its run where it lies. Every run then holds live
 //! rows only, in the one posting order — byte-identical to a
-//! from-scratch install (property-tested). The token is **re-stamped**
-//! with the database's new [`Epoch`] — contexts built after the mutation
-//! (whose scores carry the re-stamped token) keep the prefix-scan fast
-//! path, while contexts holding the superseded token fall back to the
-//! heap path. The plain [`crate::Database::insert`] leaves the affected
+//! from-scratch install (property-tested). The plain
+//! [`crate::Database::insert`] leaves the affected
 //! table without a sorted index (it has no score to place the row with)
 //! and with its runs unbuilt until [`crate::Database::build_runs`]
 //! builds them again, in row order, for the next install to sort.
@@ -54,53 +52,8 @@
 //! ([`crate::Table::parent_of`],
 //! [`crate::Database::select_via_junction_top_l_into`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::epoch::Epoch;
 use crate::runs::Runs;
 use crate::table::RowId;
-
-/// Identifies one installed importance ordering at one mutation epoch.
-///
-/// The `order` id is process-unique
-/// ([`crate::Database::install_importance_order`] mints a fresh one on
-/// every call), so a token can never validate against an ordering it was
-/// not minted for. The `epoch` distinguishes *versions* of one order:
-/// scored inserts re-stamp the installed token with the new epoch instead
-/// of invalidating it, so holders of the superseded token (score sets
-/// that predate the mutation) heap-fall-back while freshly synchronized
-/// contexts keep the fast path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FkOrderToken {
-    order: u64,
-    epoch: Epoch,
-}
-
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-impl FkOrderToken {
-    /// Mints a token with a process-unique order id at `epoch`.
-    pub(crate) fn fresh(epoch: Epoch) -> FkOrderToken {
-        FkOrderToken { order: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed), epoch }
-    }
-
-    /// The same order, re-stamped at a later epoch (maintenance, not
-    /// re-installation).
-    #[must_use]
-    pub(crate) fn restamped(self, epoch: Epoch) -> FkOrderToken {
-        FkOrderToken { order: self.order, epoch }
-    }
-
-    /// The mutation epoch this token was (re-)stamped at.
-    pub fn epoch(self) -> Epoch {
-        self.epoch
-    }
-
-    /// True when `other` is the same installed order, at any epoch.
-    pub fn same_order(self, other: FkOrderToken) -> bool {
-        self.order == other.order
-    }
-}
 
 /// The one posting order: `(score desc, RowId asc)` — a strict total
 /// order over a list's distinct rows. `score` reads a row's installed
@@ -199,18 +152,6 @@ mod tests {
     /// The score accessor of a per-row score array.
     fn by(scores: &[f64]) -> impl Fn(RowId) -> f64 + '_ {
         |r| scores[r.index()]
-    }
-
-    #[test]
-    fn tokens_are_unique_and_restamp_preserves_order_identity() {
-        let a = FkOrderToken::fresh(Epoch(0));
-        let b = FkOrderToken::fresh(Epoch(0));
-        assert_ne!(a, b);
-        let a2 = a.restamped(Epoch(3));
-        assert_ne!(a, a2, "a re-stamped token no longer equals the superseded one");
-        assert!(a.same_order(a2), "re-stamping preserves the order identity");
-        assert!(!a.same_order(b));
-        assert_eq!(a2.epoch(), Epoch(3));
     }
 
     #[test]

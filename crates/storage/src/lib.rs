@@ -23,9 +23,9 @@
 //!   finalization step and *maintained* under scored mutations, which
 //!   turn the `TOP l` probe into a bounded prefix scan (a junction's
 //!   `TOP l` step reads its FK run and resolves each target by key),
-//! * mutation epochs ([`epoch`]) versioning the catalog (global and per
-//!   table) so derived structures — sorted postings, rank scores, serve
-//!   caches — can detect and synchronize to data changes,
+//! * the mutation epoch ([`epoch`]) versioning the catalog, so derived
+//!   structures — rank scores, serve caches, the WAL — can detect and
+//!   synchronize to data changes,
 //! * the keyed fold-multiply hasher ([`hash`]) under every integer-keyed
 //!   index above — one multiply a probe instead of a SipHash,
 //! * the byte codec ([`codec`]) that carries [`value::Value`]s — and every
@@ -51,7 +51,7 @@ pub use access::{AccessCounter, AccessStats, MaintStats, ProbeCost, ProbeStats};
 pub use database::{Database, ScoredBatch, TableId, TupleRef};
 pub use epoch::Epoch;
 pub use error::StorageError;
-pub use fk_index::{FkOrderToken, SortedFkIndex};
+pub use fk_index::SortedFkIndex;
 pub use schema::{Column, ForeignKey, SchemaBuilder, TableSchema};
 pub use table::{NoLinks, RowId, RowRef, Table};
 pub use topl::{top_l, TopLScratch};

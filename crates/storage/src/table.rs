@@ -21,7 +21,6 @@ use std::cell::OnceCell;
 use std::ops::Index;
 
 use crate::column::{Column, TEXT_ARENA_LIMIT};
-use crate::epoch::Epoch;
 use crate::error::StorageError;
 use crate::fk_index::SortedFkIndex;
 use crate::hash::PkSlots;
@@ -219,8 +218,6 @@ pub struct Table {
     /// Meanwhile the table reports no sorted index, so probes — also
     /// those of a batch abandoned without settlement — heap-fall-back.
     staging: Option<Vec<(usize, i64)>>,
-    /// Mutation epoch of this table (bumped on every insert).
-    epoch: Epoch,
 }
 
 impl Table {
@@ -242,7 +239,6 @@ impl Table {
             scores: Scores::default(),
             scores_live: false,
             staging: None,
-            epoch: Epoch::default(),
         }
     }
 
@@ -291,14 +287,13 @@ impl Table {
         // without a score cannot join it, so both die together —
         // including an open scored batch's staging.
         self.drop_derived_state();
-        self.epoch = self.epoch.next();
         Ok(id)
     }
 
     /// The validate-and-append core of both insert paths: checks
     /// arity, types, and PK uniqueness, maintains the PK index, appends
     /// the row at the tail of its FK runs (while built), and appends its
-    /// cells. Does not touch the epoch.
+    /// cells.
     pub(crate) fn insert_validated(&mut self, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let pk = values[self.schema.pk]
@@ -358,7 +353,6 @@ impl Table {
     /// a live row, removes it from the PK index (a row at its key's offset
     /// holds no slot: the mark hides it) and from its FK runs where it lies
     /// (while built; the runs stay in order), and marks the slot dead.
-    /// Does not touch the epoch.
     pub(crate) fn delete_validated(&mut self, pk: i64) -> Result<RowId> {
         let key_of = live_pk(&self.dead, &self.columns[self.schema.pk]);
         let id =
@@ -380,7 +374,7 @@ impl Table {
     /// The shared in-place-rewrite core of both update paths: validates
     /// arity/types, requires the pk to stay put, and moves the row to the
     /// tail of the new key's run on any FK column whose key changed (while
-    /// the runs are built). Does not touch the epoch.
+    /// the runs are built).
     pub(crate) fn update_validated(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
         self.check_shape(&values)?;
         let id = self
@@ -421,7 +415,6 @@ impl Table {
     pub fn delete(&mut self, pk: i64) -> Result<RowId> {
         let id = self.delete_validated(pk)?;
         self.drop_derived_state();
-        self.epoch = self.epoch.next();
         Ok(id)
     }
 
@@ -430,7 +423,6 @@ impl Table {
     pub fn update(&mut self, pk: i64, values: Vec<Value>) -> Result<RowId> {
         let id = self.update_validated(pk, values)?;
         self.drop_derived_state();
-        self.epoch = self.epoch.next();
         Ok(id)
     }
 
@@ -450,7 +442,7 @@ impl Table {
     /// core: an insert's or update's `score` goes into the snapshot and
     /// the `runs` it sits in await the settlement's re-sort
     /// ([`Self::settle_staging`]); a delete passes neither. Requires a
-    /// live snapshot and an open batch. Bumps the epoch.
+    /// live snapshot and an open batch.
     pub(crate) fn staged(&mut self, id: RowId, score: Option<f64>, runs: &[(usize, i64)]) {
         debug_assert!(self.scores_live, "caller checks the snapshot is live");
         if let Some(score) = score {
@@ -459,7 +451,6 @@ impl Table {
         if let Some(unsorted) = &mut self.staging {
             unsorted.extend_from_slice(runs);
         }
-        self.epoch = self.epoch.next();
     }
 
     /// The FK-column keys of a row: the runs it sits in, which a staged
@@ -579,29 +570,28 @@ impl Table {
     /// [`crate::Database::install_importance_order`]), which ends any
     /// staging.
     pub(crate) fn build_sorted_fk(&mut self, score: &dyn Fn(RowId) -> f64) {
+        debug_assert!(self.runs_live, "the catalog builds the runs before an install");
         self.scores = Scores::take(self.dead.len(), score);
         self.scores_live = true;
-        self.sort_runs();
-    }
-
-    /// Sorts every FK run where it lies by the installed snapshot, which
-    /// ends any staging.
-    pub(crate) fn sort_runs(&mut self) {
-        debug_assert!(self.runs_live, "the catalog builds the runs before an install");
-        debug_assert!(self.scores_live, "an installed snapshot");
-        let scores = &self.scores;
         self.staging = None;
+        let scores = &self.scores;
         for runs in self.fk_runs.iter_mut().flatten() {
             runs.sort(|r| scores.get(r));
         }
     }
 
-    /// The importance-sorted runs of `col`: `Some` while an order is
-    /// installed, no plain mutation has dropped it and no open scored
-    /// batch has appended to the runs.
+    /// True while the FK runs are in the installed importance order: an
+    /// order is installed, no plain mutation has dropped it and no open
+    /// scored batch has appended to the runs. The one flag that decides
+    /// whether a TOP-l probe of this table may prefix-scan.
+    pub fn is_sorted(&self) -> bool {
+        self.scores_live && self.staging.is_none()
+    }
+
+    /// The importance-sorted runs of `col`: `Some` while
+    /// [`Self::is_sorted`].
     pub fn sorted_fk_index(&self, col: usize) -> Option<&SortedFkIndex> {
-        let sorted = self.scores_live && self.staging.is_none();
-        self.fk_runs.get(col)?.as_ref().filter(|_| sorted)
+        self.fk_runs.get(col)?.as_ref().filter(|_| self.is_sorted())
     }
 
     /// Every sorted FK index — `(column, index)` — for segment writers
@@ -652,11 +642,6 @@ impl Table {
     /// The installed importance of a row (panics without a live snapshot).
     pub fn installed_score(&self, id: RowId) -> f64 {
         self.scores.get(id)
-    }
-
-    /// This table's mutation epoch (bumped on every insert).
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
     }
 
     /// The ids of the live rows in insertion order (tombstoned slots are

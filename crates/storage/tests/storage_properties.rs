@@ -199,7 +199,7 @@ proptest! {
         let fk_col = db.table(child).schema.column_index("parent_id").unwrap();
         let payload = db.table(child).schema.column_index("payload").unwrap();
         let li = |r: sizel_storage::RowId| db.table(child).value(r, payload).as_f64().unwrap();
-        let got = db.select_eq_top_l(child, fk_col, 1, l, threshold, None, &li);
+        let got = db.select_eq_top_l(child, fk_col, 1, l, threshold, false, &li);
         prop_assert!(got.len() <= l);
         // Sorted descending, all above threshold.
         let scores: Vec<f64> = got.iter().map(|&r| li(r)).collect();
@@ -247,7 +247,7 @@ proptest! {
         let payload = db.table(child).schema.column_index("payload").unwrap();
         let li = |r: sizel_storage::RowId| db.table(child).value(r, payload).as_f64().unwrap();
         for parent in 0i64..8 {
-            let got = db.select_eq_top_l(child, fk_col, parent, l, threshold, None, &li);
+            let got = db.select_eq_top_l(child, fk_col, parent, l, threshold, false, &li);
             // Oracle: the full-sort prefix over the same group.
             let mut oracle: Vec<(f64, sizel_storage::RowId)> = db
                 .table(child)
@@ -346,15 +346,15 @@ proptest! {
             .iter()
             .map(|(r, _)| db.table(child).value(r, payload).as_f64().unwrap())
             .collect();
-        let token = db.install_importance_order(&|t, r| {
+        db.install_importance_order(&|t, r| {
             if t.index() == 1 { snapshot[r.index()] } else { 0.0 }
         });
         let li = |r: sizel_storage::RowId| affinity * snapshot[r.index()];
         for parent in 0i64..8 {
             let before = db.access().snapshot();
-            let fast = db.select_eq_top_l(child, fk_col, parent, l, threshold, Some(token), &li);
+            let fast = db.select_eq_top_l(child, fk_col, parent, l, threshold, true, &li);
             let mid = db.access().snapshot();
-            let slow = db.select_eq_top_l(child, fk_col, parent, l, threshold, None, &li);
+            let slow = db.select_eq_top_l(child, fk_col, parent, l, threshold, false, &li);
             let after = db.access().snapshot();
             prop_assert_eq!(&fast, &slow, "group {} (l={}, θ={})", parent, l, threshold);
             prop_assert_eq!(mid.since(before), after.since(mid), "cost accounting differs");

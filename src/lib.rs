@@ -65,9 +65,7 @@ pub use sizel_rank::{
     dblp_ga, install_importance_order, tpch_ga, AuthorityGraph, GaPreset, RankConfig, RankScores,
     D1, D2, D3,
 };
-pub use sizel_storage::{
-    Database, Epoch, FkOrderToken, StorageError, TableSchema, TupleRef, Value, ValueType,
-};
+pub use sizel_storage::{Database, Epoch, StorageError, TableSchema, TupleRef, Value, ValueType};
 
 /// Builds a ready-to-query engine over a synthetic DBLP database, with
 /// Author and Paper as DS relations and the paper's GDS presets

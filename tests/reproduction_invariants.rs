@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use sizel::{
     generate_os, generate_os_pooled, generate_prelim, generate_prelim_pooled, BottomUp, DpKnapsack,
-    OsArenaPool, OsContext, SizeLAlgorithm, TopPath,
+    OsArenaPool, SizeLAlgorithm, TopPath,
 };
 use sizel_bench::{Bench, GdsKind, SETTINGS};
 
@@ -171,7 +171,7 @@ fn cross_source_os_equality_everywhere() {
     let b = bench();
     for kind in GdsKind::ALL {
         let ctx = b.ctx(kind, 0);
-        let heap_ctx = OsContext::new(ctx.db, ctx.sg, ctx.gds, None);
+        let heap_ctx = ctx.heap_twin();
         let tds = b.samples(kind, 1)[0];
         for l in [5, 15] {
             let (fast, _) = generate_prelim(&ctx, tds, l);
